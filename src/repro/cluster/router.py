@@ -363,10 +363,14 @@ class Router(Node):
         #: bounded by the node's outstanding work, not the run length.
         self._outstanding_work: dict[int, float] = {}
         self._unit_envelope: dict = {}
-        #: node -> virtual time of its unanswered liveness probe.  A
-        #: timeout alone cannot tell a dead node from a live one whose
-        #: message was lost in transit; the probe asks the node itself.
+        #: node -> virtual time of its open liveness probe / of its last
+        #: pong.  A timeout alone cannot tell a dead node from a live one
+        #: whose message was lost in transit; the probe asks the node
+        #: itself.  Pongs are kept apart from ``_last_heard``: an answer
+        #: proves the node is up, not that its work is moving, and must
+        #: not push back the result deadline whose expiry sent the probe.
         self._probes: dict[int, float] = {}
+        self._last_pong: dict[int, float] = {}
         #: round -> unit retransmissions charged against its budget, and
         #: shard -> handoff resends.  Both capped, so a network that
         #: eats every copy ends the run with an honest error instead of
@@ -1206,18 +1210,22 @@ class Router(Node):
 
     def _probe_state(self, node: int) -> str:
         """Probe-based liveness: ``alive`` if the node was heard from
-        since its last probe, ``dead`` if a probe went unanswered for a
-        full ``result_timeout``, ``pending`` while the probe is still in
-        flight.  The first suspicion sends the ping; probes only ever
-        follow a fired timer, so a fault-free run never pays for one."""
+        since its open probe, ``dead`` if the probe went unanswered for a
+        full ``result_timeout``, ``pending`` while it is still in flight.
+        The first suspicion sends the ping; probes only ever follow a
+        fired timer, so a fault-free run never pays for one.  An answered
+        probe stays open until a caller acts on the verdict and retires
+        it (the next suspicion then asks afresh), so a timer waiting on a
+        second party does not lose the first one's answer."""
         probe = self._probes.get(node)
         if probe is None:
             self._probes[node] = self.now
             self.send(node, "cl_ping", {})
             return "pending"
-        if self._last_heard.get(node, 0.0) >= probe:
-            # Answered: retire the probe so a later suspicion re-asks.
-            del self._probes[node]
+        heard = max(
+            self._last_heard.get(node, 0.0), self._last_pong.get(node, 0.0)
+        )
+        if heard >= probe:
             return "alive"
         if self.now >= probe + self.result_timeout:
             return "dead"
@@ -1249,6 +1257,8 @@ class Router(Node):
                 self._declare_dead(party)
                 return
         if all(states[party] == "alive" for party in parties):
+            for party in parties:
+                del self._probes[party]
             resends = self._lease_resends.get(shard, 0) + 1
             if resends > 8:
                 raise ClusterError(
@@ -1307,6 +1317,7 @@ class Router(Node):
             )
             return
         if state == "alive":
+            del self._probes[node]
             self._retransmit_unit(index, node, uidx)
             return
         self._declare_dead(node)
@@ -1620,10 +1631,12 @@ class Router(Node):
 
     def handle_cl_pong(self, message: Message) -> None:
         """A probed node answered: alive, however late its work.  The
-        pong refreshes the liveness floor; the timer that sent the
-        probe re-fires, sees the answer, and retransmits the stuck
-        message instead of declaring the node dead."""
-        self._last_heard[message.src] = self.now
+        timer that sent the probe re-fires, sees the answer, and
+        retransmits the stuck message instead of declaring the node
+        dead.  The pong is deliberately *not* progress: refreshing
+        ``_last_heard`` here would re-arm the very deadline whose expiry
+        sent the probe, and the router would ping forever."""
+        self._last_pong[message.src] = self.now
 
     def handle_cl_lease_ack(self, message: Message) -> None:
         body = message.payload

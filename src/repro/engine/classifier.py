@@ -1,7 +1,7 @@
 """Pair classification for the engine: static fast path + semantic oracle.
 
-The engine must answer "can these two pending operations be reordered?"
-for every pair in a mempool window, every round.  The semantic oracle
+The engine must answer "which pending operations of a mempool window may
+not be reordered against each other?", every round.  The semantic oracle
 (:func:`repro.analysis.commutativity.analyze_pair`) answers exactly but
 state-dependently; a state-dependent COMMUTE is *not* a licence to reorder
 inside a batch whose intermediate states differ from the analyzed one.  The
@@ -10,6 +10,15 @@ analysis (:mod:`repro.objects.footprint`), whose verdicts hold at every
 state, and memoizes it keyed on the footprint pair — i.e. on operation type
 plus touched accounts, not on values — so a window full of transfers
 collapses to a handful of cache entries.
+
+A window's non-commuting pairs are found per *location*, not per pair
+(:meth:`OpClassifier.conflict_edges` over
+:func:`repro.objects.footprint.conflict_candidates`): the paper's
+synchronization groups are the spenders of one account, so only ops sharing
+a cell can conflict and the commuting majority of a window is never
+visited.  The all-pairs :meth:`OpClassifier.classify_window` survives as
+the oracle ``ConflictGraph.build`` checks the index against under
+``validate=True``.
 
 ``validate=True`` cross-checks every static verdict against the semantic
 oracle at the state the caller supplies, enforcing the soundness contract:
@@ -23,6 +32,7 @@ oracle at the state the caller supplies, enforcing the soundness contract:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.analysis.commutativity import (
@@ -32,8 +42,19 @@ from repro.analysis.commutativity import (
 )
 from repro.engine.mempool import PendingOp
 from repro.errors import EngineError
-from repro.objects.footprint import OpFootprint, static_pair_kind
+from repro.objects.footprint import (
+    OpFootprint,
+    conflict_candidates,
+    static_pair_kind,
+)
 from repro.spec.object_type import SequentialObjectType
+
+
+#: Entries either memo may hold; a full memo is cleared and refills from
+#: the traffic that follows.  Several times the distinct invocations of the
+#: largest benchmark workload (~12 k), so no measured run ever evicts, yet
+#: a long-lived engine's memory stops growing with its age.
+MEMO_LIMIT = 1 << 16
 
 
 class ClassifierValidationError(EngineError):
@@ -42,7 +63,18 @@ class ClassifierValidationError(EngineError):
 
 @dataclass
 class ClassifierStats:
-    """Counters for one classifier instance."""
+    """Counters for one classifier instance.
+
+    ``pairs`` and ``by_kind`` count the pairs the classifier *examined*.
+    On the indexed path (:meth:`OpClassifier.conflict_edges`) those are the
+    window's non-commuting candidates only — COMMUTE pairs are never
+    visited, so ``by_kind`` has no ``"commute"`` entry and ``pairs`` tracks
+    the edge count, not ``n(n-1)/2``.  Under ``validate=True`` the counters
+    are the all-pairs oracle pass's and keep their historical meaning.
+    Window-level commute counts and conflict rates come from
+    ``ConflictGraph.commute_pairs`` / ``conflict_rate``, which derive them
+    from ``n(n-1)/2`` and stay exact either way.
+    """
 
     pairs: int = 0
     static_pairs: int = 0
@@ -110,6 +142,8 @@ class OpClassifier:
             self.stats.footprint_cache_hits += 1
             return self._footprints[key]
         fp = self.object_type.footprint(op.pid, op.operation)
+        if len(self._footprints) >= MEMO_LIMIT:
+            self._footprints.clear()
         self._footprints[key] = fp
         return fp
 
@@ -123,7 +157,15 @@ class OpClassifier:
         ``state`` is given, the verdict is cross-checked against the
         semantic oracle at that state.
         """
-        fp1, fp2 = self.footprint(first), self.footprint(second)
+        kind = self._pair_kind(self.footprint(first), self.footprint(second))
+        if self.validate and state is not None:
+            self._check_against_oracle(kind, first, second, state)
+        return kind
+
+    def _pair_kind(
+        self, fp1: OpFootprint | None, fp2: OpFootprint | None
+    ) -> PairKind:
+        """The (memoized, counted) footprint-pair rule."""
         pair = (fp1, fp2)
         kind = self._pair_kinds.get(pair)
         if kind is None:
@@ -132,12 +174,12 @@ class OpClassifier:
             else:
                 self.stats.static_pairs += 1
             kind = PairKind(static_pair_kind(fp1, fp2))
+            if len(self._pair_kinds) >= MEMO_LIMIT:
+                self._pair_kinds.clear()
             self._pair_kinds[pair] = kind
         else:
             self.stats.pair_cache_hits += 1
         self.stats.record(kind)
-        if self.validate and state is not None:
-            self._check_against_oracle(kind, first, second, state)
         return kind
 
     def needs_consensus(self, first: PendingOp, second: PendingOp) -> bool:
@@ -157,10 +199,47 @@ class OpClassifier:
             return True
         return bool(fp1.contended & fp2.contended)
 
+    def conflict_edges(
+        self, window: list[PendingOp]
+    ) -> dict[tuple[int, int], PairKind]:
+        """The window's non-COMMUTE pairs and their kinds, keyed ``(i, j)``
+        with ``i < j`` and stored in ascending key order — exactly the
+        non-COMMUTE entries of :meth:`classify_window`, in its order.
+
+        Candidates come from the per-window location index
+        (:func:`~repro.objects.footprint.conflict_candidates`) and each is
+        classified by the same footprint-pair rule as :meth:`classify`, so
+        the cost follows the edges, not the ``n(n-1)/2`` pairs.
+        """
+        footprints = [self.footprint(op) for op in window]
+        edges: dict[tuple[int, int], PairKind] = {}
+        for i, partners in enumerate(conflict_candidates(footprints)):
+            if not partners:
+                continue
+            first = footprints[i]
+            for j in sorted(partners):
+                kind = self._pair_kind(first, footprints[j])
+                if kind is not PairKind.COMMUTE:
+                    edges[(i, j)] = kind
+        return edges
+
+    @contextmanager
+    def uncounted(self):
+        """Run classifier calls without leaving a trace in :attr:`stats`
+        (``ConflictGraph.build`` re-derives the edges under ``validate``
+        and must not count every pair twice)."""
+        stats, self.stats = self.stats, ClassifierStats()
+        try:
+            yield
+        finally:
+            self.stats = stats
+
     def classify_window(
         self, window: list[PendingOp], state=None
     ) -> dict[tuple[int, int], PairKind]:
-        """All pairwise kinds over a window (``i < j`` indices)."""
+        """All pairwise kinds over a window (``i < j`` indices) — the
+        quadratic oracle the indexed :meth:`conflict_edges` is validated
+        against; not on any hot path."""
         kinds: dict[tuple[int, int], PairKind] = {}
         for i in range(len(window)):
             for j in range(i + 1, len(window)):

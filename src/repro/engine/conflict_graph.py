@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.commutativity import PairKind
-from repro.engine.classifier import OpClassifier
+from repro.engine.classifier import ClassifierValidationError, OpClassifier
 from repro.engine.mempool import PendingOp
 
 
@@ -122,18 +122,48 @@ class ConflictGraph:
     """Pairwise non-commute structure of one window (indices into ``ops``)."""
 
     ops: list[PendingOp]
-    #: ``(i, j) -> kind`` with ``i < j``; only non-COMMUTE pairs are stored.
+    #: ``(i, j) -> kind`` with ``i < j``, in ascending key order; only
+    #: non-COMMUTE pairs are stored.
     edges: dict[tuple[int, int], PairKind] = field(default_factory=dict)
+    #: ``adjacency[i]`` = the indices sharing an edge with ``i`` — ascending,
+    #: because ``edges`` is.
+    adjacency: list[list[int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.adjacency = [[] for _ in self.ops]
+        for a, b in self.edges:
+            self.adjacency[a].append(b)
+            self.adjacency[b].append(a)
 
     @classmethod
     def build(
         cls, classifier: OpClassifier, ops: list[PendingOp], state=None
     ) -> "ConflictGraph":
-        graph = cls(ops=list(ops))
-        for pair, kind in classifier.classify_window(list(ops), state).items():
-            if kind is not PairKind.COMMUTE:
-                graph.edges[pair] = kind
-        return graph
+        """The window's graph, its edges found through the classifier's
+        location index.  Under ``validate`` the all-pairs classification
+        runs as well — it cross-checks every verdict against the semantic
+        oracle at ``state`` and owns the classifier's counters — and the
+        indexed edges must equal its non-COMMUTE subset: keys, kinds and
+        order."""
+        ops = list(ops)
+        if not classifier.validate:
+            return cls(ops, classifier.conflict_edges(ops))
+        oracle = {
+            pair: kind
+            for pair, kind in classifier.classify_window(ops, state).items()
+            if kind is not PairKind.COMMUTE
+        }
+        with classifier.uncounted():
+            edges = classifier.conflict_edges(ops)
+        if list(edges.items()) != list(oracle.items()):
+            differing = sorted(
+                set(edges.items()) ^ set(oracle.items()), key=lambda e: e[0]
+            )
+            raise ClassifierValidationError(
+                "location-indexed edges differ from the all-pairs "
+                f"classification in {differing[:6] or 'order only'}"
+            )
+        return cls(ops, edges)
 
     # ------------------------------------------------------------------
 
@@ -145,16 +175,10 @@ class ConflictGraph:
 
     def neighbors(self, i: int) -> list[int]:
         """Indices adjacent to ``i`` through any non-commute edge."""
-        found = []
-        for a, b in self.edges:
-            if a == i:
-                found.append(b)
-            elif b == i:
-                found.append(a)
-        return sorted(found)
+        return list(self.adjacency[i])
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+        return len(self.adjacency[i])
 
     @property
     def conflict_edges(self) -> int:

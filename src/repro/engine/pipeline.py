@@ -177,18 +177,29 @@ class PipelinedExecutor(BatchExecutor):
         self._sync_free = 0.0
         #: Units scheduled but not yet applied (committed at end of run).
         self._pending_units: list[ScheduledUnit] = []
-        #: The serial prefix state after all drained windows — what the
-        #: barrier executor would hold before the next round.  It feeds
-        #: classification validation and spender-bound sizing with exactly
-        #: the inputs the barrier path would use.  Maintained only when
-        #: something consults it (oracle validation or team sizing) — the
-        #: default path would otherwise apply every operation twice.
-        self._track_state = (
-            self.classifier.validate or self.sync.team_threshold > 0
-        )
-        self._classify_state = (
-            object_type.initial_state() if self._track_state else None
-        )
+        #: The serial prefix state — what the barrier executor would hold
+        #: before the next round — kept lazily.  Only oracle validation
+        #: and spender-bound team sizing ever read it, so drained windows
+        #: wait in the backlog and :meth:`_prefix_state` folds them in when
+        #: one of the two asks; a run that never asks (owner-only traffic)
+        #: applies every operation once, at commit, not twice.
+        self._classify_state = object_type.initial_state()
+        self._state_backlog: list[list[PendingOp]] = []
+
+    def _prefix_state(self):
+        """The state after every drained window, in submission order —
+        equal to the barrier executor's state before the next round."""
+        if self._state_backlog:
+            self._classify_state, _ = self.object_type.run(
+                (
+                    (op.pid, op.operation)
+                    for ops in self._state_backlog
+                    for op in ops
+                ),
+                self._classify_state,
+            )
+            self._state_backlog.clear()
+        return self._classify_state
 
     # -- open-loop harness -----------------------------------------------
 
@@ -241,21 +252,19 @@ class PipelinedExecutor(BatchExecutor):
         self._classify_clock = t_classify
         inflight = 1 + sum(1 for done in self._completions if done > t_classify)
 
-        self.lifecycle.classify(round_, self._classify_state)
+        self.lifecycle.classify(
+            round_, self._prefix_state() if self.classifier.validate else None
+        )
         sync_start = max(t_classify, self._sync_free)
-        self.lifecycle.synchronize(round_, self._classify_state)
+        sizes_teams = round_.contended_groups and self.sync.team_threshold > 0
+        self.lifecycle.synchronize(
+            round_, self._prefix_state() if sizes_teams else None
+        )
         escalation = round_.escalation
         assert escalation is not None
         if escalation.virtual_time > 0:
             self._sync_free = sync_start + escalation.virtual_time
-
-        # Advance the serial prefix state past this window (submission
-        # order; equals the barrier executor's state after the round).
-        if self._track_state:
-            for op in round_.ops:
-                self._classify_state, _ = self.object_type.apply(
-                    self._classify_state, op.pid, op.operation
-                )
+        self._state_backlog.append(round_.ops)
 
         # Per-chain and per-op sync completion: a contended component may
         # not start (chain-atomic) — or its contended *members* may not
@@ -714,6 +723,10 @@ class PipelinedExecutor(BatchExecutor):
             for op in unit.ops:
                 self._apply(op)
         self._pending_units.clear()
+        # Every drained window is now applied: the committed state *is*
+        # the serial prefix state, and nothing is left to fold in.
+        self._classify_state = self.state
+        self._state_backlog.clear()
         if self._completions:
             self.clock = max(self._completions)
             # The aggregate clock is the *makespan* of the overlapped

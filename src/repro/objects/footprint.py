@@ -43,6 +43,9 @@ therefore cannot be imported from here).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 #: Abstract location: a hashable tuple such as ``("bal", 3)``,
@@ -233,3 +236,58 @@ def static_pair_kind(
     if first.is_read_only or second.is_read_only:
         return "read-only"
     return "conflict"
+
+
+def conflict_candidates(
+    footprints: Sequence[OpFootprint | None],
+) -> list[set[int]]:
+    """Every pair of a window that :func:`static_pair_kind` does not call
+    ``"commute"``, found by hashing on the location instead of comparing
+    every pair: ``later[i]`` holds the indices ``j > i`` paired with ``i``.
+
+    :func:`static_pair_kind` leaves ``"commute"`` only when some location is
+    written by one footprint and observed by the other, or written by both
+    with at least one absolute ``sets`` — so bucketing the window's
+    accesses per location and crossing, within each bucket, writers with
+    observers and setters with writers reaches every such pair (a ``None``
+    footprint pairs with the whole window) and no other.  Self-pairs are
+    dropped and pairs sharing several locations collapse in the sets.  The
+    cost is linear in the footprints plus the pairs emitted — a window
+    where every op is guarded on one balance emits them all.
+    """
+    observers: dict[Location, list[int]] = defaultdict(list)
+    adders: dict[Location, list[int]] = defaultdict(list)
+    setters: dict[Location, list[int]] = defaultdict(list)
+    unknown: list[int] = []
+    for i, fp in enumerate(footprints):
+        if fp is None:
+            unknown.append(i)
+            continue
+        for loc in fp.observes:
+            observers[loc].append(i)
+        for loc in fp.adds:
+            adders[loc].append(i)
+        for loc in fp.sets:
+            setters[loc].append(i)
+    later: list[set[int]] = [set() for _ in footprints]
+
+    def cross(xs: list[int], ys: list[int]) -> None:
+        # Buckets fill in window order, so each is ascending: the partners
+        # of ``x`` after it in the window are a suffix of ``ys``.
+        for x in xs:
+            later[x].update(ys[bisect_right(ys, x) :])
+        for y in ys:
+            later[y].update(xs[bisect_right(xs, y) :])
+
+    for loc, deltas in adders.items():
+        if loc in observers:
+            cross(deltas, observers[loc])
+    for loc, absolute in setters.items():
+        for bucket in (observers, adders, setters):
+            if loc in bucket:
+                cross(absolute, bucket[loc])
+    for i in unknown:
+        later[i].update(range(i + 1, len(footprints)))
+        for earlier in range(i):
+            later[earlier].add(i)
+    return later

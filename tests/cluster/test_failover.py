@@ -20,7 +20,11 @@ from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, FaultConfig
 from repro.errors import ClusterError
 from repro.objects.erc20 import ERC20TokenType
-from repro.workloads import CHAIN_HEAVY_MIX, TokenWorkloadGenerator
+from repro.workloads import (
+    CHAIN_HEAVY_MIX,
+    SPENDER_HEAVY_MIX,
+    TokenWorkloadGenerator,
+)
 
 SEED = 7
 ACCOUNTS = 64
@@ -139,6 +143,61 @@ def test_unsurvivable_schedule_fails_loudly():
                 enabled=True, drops=(("cl_result", 1.0, 0.0, 1e9),)
             ),
         )
+
+
+def test_probe_answers_do_not_rearm_the_timers_that_sent_them():
+    """Every node bounces once while 2% of results drop, under a short
+    timeout: a grant dies with its granter, so the handoff's timer has to
+    probe *two* parties while the unit waiting on the grant probes one of
+    them.  A pong must not extend the result deadline whose expiry sent
+    the ping, and one party's answer must survive the wait for the
+    other's — else the router pings in turns for ever and the simulator
+    never drains.  The run must end — serially equivalent, or in a
+    ``ClusterError`` — inside a simulator-event budget (a healthy run
+    takes a few hundred events)."""
+    accounts, budget = 256, 20_000
+    token = ERC20TokenType(accounts, total_supply=100 * accounts)
+    cluster = TokenCluster(
+        token,
+        ClusterConfig(
+            num_nodes=4,
+            lanes_per_node=4,
+            window=32,
+            result_timeout=5.0,
+            fault=FaultConfig(
+                enabled=True,
+                crashes=[
+                    [n, 9.375 + 18.75 * n, 21.875 + 18.75 * n]
+                    for n in range(4)
+                ],
+                drops=[["cl_result", 0.02, 0.0, 1e9]],
+            ),
+        ),
+    )
+    items = TokenWorkloadGenerator(
+        accounts, seed=3, mix=SPENDER_HEAVY_MIX, zipf_s=1.0, spender_pool=4
+    ).generate(384)
+    simulator = cluster.simulator
+    unbounded_run = simulator.run
+
+    def budgeted_run():
+        unbounded_run(max_events=budget - simulator.events_processed)
+        if simulator.pending_events:
+            pytest.fail(
+                f"still {simulator.pending_events} events pending after "
+                f"{budget}, virtual time {simulator.now:.0f}: livelock"
+            )
+
+    simulator.run = budgeted_run
+    try:
+        state, responses, stats = cluster.run_workload(items)
+    except ClusterError:
+        return
+    assert (state, responses) == token.run(
+        [(item.pid, item.operation) for item in items]
+    )
+    assert stats.ops_lost == 0
+    assert stats.rejoins == 4
 
 
 def test_revocation_bypasses_lease_cooldown():

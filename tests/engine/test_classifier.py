@@ -23,7 +23,7 @@ from repro.analysis.commutativity import (
     Invocation,
     PairKind,
 )
-from repro.engine.classifier import OpClassifier
+from repro.engine.classifier import MEMO_LIMIT, OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
@@ -261,6 +261,31 @@ class TestClassifierMechanics:
         snapshot = classifier.stats.as_dict()
         assert snapshot["validated"] == 1
         assert 0.0 <= snapshot["conflict_precision"] <= 1.0
+
+    def test_memos_are_bounded(self):
+        """10^5 distinct invocations (and footprint pairs) through one
+        classifier: both memos clear on overflow instead of growing, and
+        verdicts are unaffected by the eviction."""
+        accounts, fan_out = 400, 250
+        assert accounts * fan_out > MEMO_LIMIT
+        token = ERC20TokenType(accounts, total_supply=accounts)
+        classifier = OpClassifier(token)
+        previous = PendingOp(0, 0, op("balanceOf", 0))
+        seq = 0
+        for pid in range(accounts):
+            for step in range(1, fan_out + 1):
+                seq += 1
+                current = PendingOp(
+                    seq, pid, op("transfer", (pid + step) % accounts, step)
+                )
+                classifier.classify(previous, current)
+                previous = current
+            assert len(classifier._footprints) <= MEMO_LIMIT
+            assert len(classifier._pair_kinds) <= MEMO_LIMIT
+        assert classifier.stats.pairs == accounts * fan_out
+        a = PendingOp(seq + 1, 1, op("transferFrom", 0, 2, 2))
+        b = PendingOp(seq + 2, 2, op("transferFrom", 0, 3, 2))
+        assert classifier.classify(a, b) is PairKind.CONFLICT
 
 
 class TestCachedPairAnalyzer:
