@@ -2,28 +2,29 @@
 
 The paper's synchronization result is per-*pair*: only non-commuting
 operation pairs ever need a relative order.  Chain-atomic scheduling
-nevertheless serializes every conflict-graph component onto one lane —
-a component of k ops costs k op-times even when most of its pairs
-commute.  Op-granular DAG scheduling (``dag_scheduling=True``) schedules
-ops along the component's precedence DAG instead, dropping the
-component's makespan toward its critical path.  This experiment measures
-what that buys, in virtual time:
+nevertheless serialized every conflict-graph component onto one lane —
+a component of k ops cost k op-times even when most of its pairs
+commute.  Op-granular DAG scheduling schedules ops along the component's
+precedence DAG instead, dropping the component's makespan toward its
+critical path.  It won every comparison and is now the only scheduler;
+the chain-atomic side of this experiment is the frozen table
+:data:`common.FROZEN_E21F850` (the last commit that could run it), and
+the live side is re-measured against it, in virtual time:
 
-* **engine**: chain-atomic vs DAG-scheduled makespan for the barrier
-  executor and the pipelined executor (per-op frontier), on the
+* **engine**: frozen chain-atomic vs DAG-scheduled makespan for the
+  barrier executor and the pipelined executor (per-op frontier), on the
   chain-heavy administrated-token mix and on APPROVAL_HEAVY — the
   headline: DAG-scheduled is strictly faster on both, >= 1.3x on the
   chain-heavy mix whose components carry antichain width >= 2;
-* **cluster**: chain-atomic batch dispatch vs component-granular
-  ``cl_run`` units + op-granular node planning at 4 nodes, both mixes;
-* **identity**: ``dag_scheduling=False`` reproduces the legacy engine
-  and cluster bit for bit (stats dictionaries compared), and the
-  depth-1 pipeline inherits the DAG barrier path exactly.
+* **cluster**: frozen chain-atomic batch dispatch vs component-granular
+  ``cl_run`` units + op-granular node planning at 4 nodes, both mixes.
 
-The A/B runs pin every other knob to the ``legacy()`` preset so the
-comparison isolates DAG scheduling; a separate **default vs legacy()**
-section shows what the no-knobs default construction (every fast path
-on) buys over the pre-flip engine on both mixes.
+The live A/B side keeps the base the frozen numbers were cut on — team
+lanes and lane GC off — so the comparison isolates scheduling
+granularity; a separate **default vs pre-flip** section shows the
+no-knobs default construction against the frozen pre-flip engine on
+both mixes.  The frozen side exists at smoke size only: at any other
+``--ops`` the live numbers print alone.
 
 Every run is checked for serial equivalence against the sequential
 specification.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import sys
 
-from common import bench_main, render_identity, render_stats_table
+from common import bench_main, frozen_numbers, render_stats_table
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
 from repro.engine import BatchExecutor, PipelinedExecutor
@@ -82,20 +83,18 @@ def serial_reference(items):
     return make_token().run([(item.pid, item.operation) for item in items])
 
 
-def run_engine(items, dag: bool, depth: int | None = None) -> dict:
-    """One engine run on the legacy base (barrier when ``depth`` is
-    None) so the A/B isolates DAG scheduling, spec-checked."""
-    config = EngineConfig.legacy(
-        num_lanes=LANES,
-        window=WINDOW,
-        seed=SEED,
-        dag_scheduling=dag,
-        pipeline_depth=1 if depth is None else depth,
-    )
+#: The base the frozen chain-atomic numbers were cut on: always-global
+#: escalation, no lane GC.
+AB_BASE = {"team_threshold": 0, "lane_ttl": None}
+
+
+def run_engine(items, depth: int | None = None, **knobs) -> dict:
+    """One engine run (barrier when ``depth`` is None), spec-checked."""
+    config = EngineConfig(num_lanes=LANES, window=WINDOW, seed=SEED, **knobs)
     if depth is None:
         engine = BatchExecutor(make_token(), config)
     else:
-        engine = PipelinedExecutor(make_token(), config)
+        engine = PipelinedExecutor(make_token(), config, pipeline_depth=depth)
     state, responses, stats = engine.run_workload(items)
     ref_state, ref_responses = serial_reference(items)
     assert state == ref_state, "engine diverged from the sequential spec"
@@ -103,33 +102,17 @@ def run_engine(items, dag: bool, depth: int | None = None) -> dict:
     return stats.as_dict()
 
 
-def run_default_engine(items, legacy: bool) -> dict:
-    """A no-knobs pipelined engine — every fast-path default in effect —
-    or the same structural parameters pinned to the ``legacy()`` preset.
-    The default-vs-legacy headline comparison, spec-checked."""
-    preset = EngineConfig.legacy if legacy else EngineConfig
-    engine = PipelinedExecutor(
-        make_token(), preset(num_lanes=LANES, window=WINDOW, seed=SEED)
-    )
-    state, responses, stats = engine.run_workload(items)
-    ref_state, ref_responses = serial_reference(items)
-    assert state == ref_state, "engine diverged from the sequential spec"
-    assert responses == ref_responses, "engine responses diverged"
-    return stats.as_dict()
-
-
-def run_cluster(items, dag: bool, depth: int = PIPE_DEPTH) -> dict:
-    """One cluster run at ``NODES`` nodes on the legacy base,
-    spec-checked."""
+def run_cluster(items) -> dict:
+    """One cluster run at ``NODES`` nodes on the A/B base, spec-checked."""
     cluster = TokenCluster(
         make_token(),
-        ClusterConfig.legacy(
+        ClusterConfig(
             num_nodes=NODES,
             lanes_per_node=LANES,
             window=WINDOW,
             seed=SEED,
-            pipeline_depth=depth,
-            dag_scheduling=dag,
+            pipeline_depth=PIPE_DEPTH,
+            **AB_BASE,
         ),
     )
     state, responses, stats = cluster.run_workload(items)
@@ -152,78 +135,40 @@ def measure(ops: int) -> dict:
         },
         "engine": {},
         "cluster": {},
-        "identity": {},
+        "default_vs_legacy": {},
     }
+    frozen = frozen_numbers("dag", ops)
 
     for name in MIXES:
         items = make_items(name, ops)
-        atomic = run_engine(items, dag=False)
-        dag = run_engine(items, dag=True)
-        piped_atomic = run_engine(items, dag=False, depth=PIPE_DEPTH)
-        piped_dag = run_engine(items, dag=True, depth=PIPE_DEPTH)
-        results["engine"][name] = {
-            "atomic": atomic,
-            "dag": dag,
-            "ratio": atomic["virtual_time"] / dag["virtual_time"],
-            "pipelined_atomic": piped_atomic,
-            "pipelined_dag": piped_dag,
-            "pipelined_ratio": piped_atomic["virtual_time"]
-            / piped_dag["virtual_time"],
+        engine = {
+            "dag": run_engine(items, **AB_BASE),
+            "pipelined_dag": run_engine(items, depth=PIPE_DEPTH, **AB_BASE),
         }
-        c_atomic = run_cluster(items, dag=False)
-        c_dag = run_cluster(items, dag=True)
-        results["cluster"][name] = {
-            str(NODES): {
-                "atomic": c_atomic,
-                "dag": c_dag,
-                "ratio": c_atomic["makespan"] / c_dag["makespan"],
-            }
+        cluster = {"dag": run_cluster(items)}
+        # The no-knobs default construction (pipelining + team lanes +
+        # lane GC on), same structural params.
+        headline = {
+            "default": run_engine(items, depth=EngineConfig().pipeline_depth)
         }
-
-    # Identity: the flag off is the legacy path bit for bit, and the
-    # depth-1 pipeline inherits the DAG barrier path exactly.
-    items = make_items("chain_heavy", ops)
-    legacy_engine = BatchExecutor(
-        make_token(),
-        EngineConfig.legacy(num_lanes=LANES, window=WINDOW, seed=SEED),
-    )
-    legacy_run = legacy_engine.run_workload(items)
-    results["identity"]["engine_dag_off_identical"] = (
-        legacy_run[2].as_dict()
-        == results["engine"]["chain_heavy"]["atomic"]
-    )
-    results["identity"]["engine_depth1_dag_identical"] = (
-        run_engine(items, dag=True, depth=1)
-        == results["engine"]["chain_heavy"]["dag"]
-    )
-    legacy_cluster = TokenCluster(
-        make_token(),
-        ClusterConfig.legacy(
-            num_nodes=NODES,
-            lanes_per_node=LANES,
-            window=WINDOW,
-            seed=SEED,
-            pipeline_depth=PIPE_DEPTH,
-        ),
-    )
-    results["identity"]["cluster_dag_off_identical"] = (
-        legacy_cluster.run_workload(items)[2].as_dict()
-        == results["cluster"]["chain_heavy"][str(NODES)]["atomic"]
-    )
-
-    # The flip's headline: a no-knobs default construction (DAG
-    # scheduling + pipelining + team lanes + lane GC all on) strictly
-    # beats the legacy() preset on both mixes, same structural params.
-    results["default_vs_legacy"] = {}
-    for name in MIXES:
-        items = make_items(name, ops)
-        fast = run_default_engine(items, legacy=False)
-        slow = run_default_engine(items, legacy=True)
-        results["default_vs_legacy"][name] = {
-            "default": fast,
-            "legacy": slow,
-            "speedup": slow["virtual_time"] / fast["virtual_time"],
-        }
+        results["engine"][name] = engine
+        results["cluster"][name] = {str(NODES): cluster}
+        results["default_vs_legacy"][name] = headline
+        if frozen is None:
+            continue
+        was = frozen["engine"][name]
+        engine["atomic"] = {"virtual_time": was["atomic"]}
+        engine["ratio"] = was["atomic"] / engine["dag"]["virtual_time"]
+        engine["pipelined_atomic"] = {"virtual_time": was["pipelined_atomic"]}
+        engine["pipelined_ratio"] = (
+            was["pipelined_atomic"] / engine["pipelined_dag"]["virtual_time"]
+        )
+        was = frozen["cluster"][name]["atomic"]
+        cluster["atomic"] = {"makespan": was}
+        cluster["ratio"] = was / cluster["dag"]["makespan"]
+        was = frozen["default_vs_legacy"][name]["legacy"]
+        headline["legacy"] = {"virtual_time": was}
+        headline["speedup"] = was / headline["default"]["virtual_time"]
 
     # Per-op commit latency (submit -> commit on the traced virtual
     # timeline) from a dedicated traced run of the representative DAG
@@ -238,21 +183,17 @@ def measure(ops: int) -> dict:
 
 
 def check_claims(results: dict) -> None:
-    """The acceptance criteria, enforced."""
-    # The no-knobs default strictly beats the legacy() preset on both
-    # mixes, and it really runs the fast paths.
+    """The acceptance criteria, enforced (the comparisons against the
+    frozen side only at the size it was measured at)."""
+    compared = "ratio" in results["engine"]["chain_heavy"]
     for name, entry in results["default_vs_legacy"].items():
-        assert entry["speedup"] > 1.0, (name, entry["speedup"])
+        # The no-knobs default really runs the fast paths ...
         assert entry["default"]["pipeline_depth"] > 1, name
         assert entry["default"]["max_dag_width"] >= 2, name
-    # dag_scheduling=False is the historical path, bit for bit.
-    assert results["identity"]["engine_dag_off_identical"]
-    assert results["identity"]["engine_depth1_dag_identical"]
-    assert results["identity"]["cluster_dag_off_identical"]
+        # ... and strictly beats the frozen pre-flip engine.
+        if compared:
+            assert entry["speedup"] > 1.0, (name, entry["speedup"])
     for name, entry in results["engine"].items():
-        # DAG-scheduled strictly beats chain-atomic makespan everywhere.
-        assert entry["ratio"] > 1.0, (name, entry["ratio"])
-        assert entry["pipelined_ratio"] > 1.0, (name, entry["pipelined_ratio"])
         # The structure the win comes from is real intra-component
         # parallelism, not accounting: components carry width >= 2 and
         # the critical-path totals shrink accordingly.
@@ -261,44 +202,62 @@ def check_claims(results: dict) -> None:
         assert (
             entry["dag"]["dag_critical_ops"] < entry["dag"]["dag_chain_ops"]
         ), name
+        # DAG-scheduled strictly beats chain-atomic makespan everywhere.
+        if compared:
+            assert entry["ratio"] > 1.0, (name, entry["ratio"])
+            assert entry["pipelined_ratio"] > 1.0, (
+                name,
+                entry["pipelined_ratio"],
+            )
     # ... and decisively on the chain-heavy administrated-token mix.
-    assert results["engine"]["chain_heavy"]["ratio"] >= 1.3, results[
-        "engine"
-    ]["chain_heavy"]["ratio"]
+    if compared:
+        assert results["engine"]["chain_heavy"]["ratio"] >= 1.3, results[
+            "engine"
+        ]["chain_heavy"]["ratio"]
     for name, entry in results["cluster"].items():
         for nodes, comparison in entry.items():
-            assert comparison["ratio"] > 1.0, (name, nodes)
             # Component-granular dispatch really fanned units out.
             assert comparison["dag"]["units_dispatched"] > (
                 comparison["dag"]["rounds"]
             ), (name, nodes)
-            assert comparison["atomic"]["units_dispatched"] == 0
+            if compared:
+                assert comparison["ratio"] > 1.0, (name, nodes)
 
 
 def render_table(results: dict) -> list[str]:
     params = results["params"]
+    compared = "ratio" in results["engine"]["chain_heavy"]
     lines = [
         "E13: op-granular DAG scheduling vs chain-atomic components "
         f"({params['ops']} ops, {params['accounts']} accounts, "
-        f"{params['lanes']} lanes, virtual time)",
+        f"{params['lanes']} lanes, virtual time"
+        + ("" if compared else "; no frozen chain-atomic side at this size")
+        + ")",
         "",
         f"engine (window {params['window']}, barrier and pipelined "
         f"depth {params['pipeline_depth']}):",
     ]
+    columns = [
+        ("atomic", "atomic.virtual_time", ".1f"),
+        ("dag", "dag.virtual_time", ".1f"),
+        ("ratio", "ratio", ".2f"),
+        ("piped", "pipelined_atomic.virtual_time", ".1f"),
+        ("piped+dag", "pipelined_dag.virtual_time", ".1f"),
+        ("piped ratio", "pipelined_ratio", ".2f"),
+        ("width", "dag.max_dag_width", "d"),
+        ("dag speedup", "dag.dag_speedup", ".2f"),
+    ]
+    if not compared:
+        columns = [
+            column
+            for column in columns
+            if "atomic" not in column[1] and "ratio" not in column[1]
+        ]
     lines += render_stats_table(
         list(results["engine"].items()),
-        [
-            ("atomic", "atomic.virtual_time", ".1f"),
-            ("dag", "dag.virtual_time", ".1f"),
-            ("ratio", "ratio", ".2f"),
-            ("piped", "pipelined_atomic.virtual_time", ".1f"),
-            ("piped+dag", "pipelined_dag.virtual_time", ".1f"),
-            ("piped ratio", "pipelined_ratio", ".2f"),
-            ("width", "dag.max_dag_width", "d"),
-            ("dag speedup", "dag.dag_speedup", ".2f"),
-        ],
+        columns,
         label_header="mix",
-        separators=(2, 5),
+        separators=(2, 5) if compared else (),
     )
     lines.append("")
     lines.append(
@@ -307,31 +266,32 @@ def render_table(results: dict) -> list[str]:
     )
     for name, entry in results["cluster"].items():
         for nodes, comparison in entry.items():
-            lines.append(
-                f"  {name:>15} n={nodes}: "
+            versus = (
                 f"atomic {comparison['atomic']['makespan']:>7.2f}  "
+                if compared
+                else ""
+            )
+            ratio = f"{comparison['ratio']:.2f}x, " if compared else ""
+            lines.append(
+                f"  {name:>15} n={nodes}: {versus}"
                 f"dag {comparison['dag']['makespan']:>7.2f}  "
-                f"({comparison['ratio']:.2f}x, "
-                f"{comparison['dag']['units_dispatched']} units over "
+                f"({ratio}{comparison['dag']['units_dispatched']} units over "
                 f"{comparison['dag']['rounds']} rounds)"
             )
     lines.append("")
-    lines.append("default vs legacy() (identical structural params):")
+    lines.append("default vs pre-flip (identical structural params):")
     for name, entry in results["default_vs_legacy"].items():
+        versus = (
+            f"  pre-flip {entry['legacy']['virtual_time']:>7.1f}  "
+            f"({entry['speedup']:.2f}x)"
+            if compared
+            else ""
+        )
         lines.append(
             f"  {name:>15}: "
-            f"default {entry['default']['virtual_time']:>7.1f}  "
-            f"legacy {entry['legacy']['virtual_time']:>7.1f}  "
-            f"({entry['speedup']:.2f}x)"
+            f"default {entry['default']['virtual_time']:>7.1f}{versus}"
         )
-    lines += render_identity(
-        "dag_scheduling=False bit-identical to the legacy path",
-        {
-            "engine": results["identity"]["engine_dag_off_identical"],
-            "depth-1": results["identity"]["engine_depth1_dag_identical"],
-            "cluster": results["identity"]["cluster_dag_off_identical"],
-        },
-    )
+    lines.append("")
     latency = results["op_latency"]["dag_engine"]
     lines.append(
         f"op commit latency (DAG barrier engine, chain-heavy mix): "
@@ -350,7 +310,6 @@ def traced_run(ops: int, tracer) -> None:
         num_lanes=LANES,
         window=WINDOW,
         seed=SEED,
-        dag_scheduling=True,
         tracer=tracer,
     )
     engine.run_workload(make_items("chain_heavy", ops))
@@ -361,7 +320,7 @@ def traced_run(ops: int, tracer) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_dag_scheduling(benchmark, write_table):
+def test_dag_vs_chain_atomic(benchmark, write_table):
     results = benchmark.pedantic(
         lambda: measure(ops=512), rounds=1, iterations=1
     )

@@ -176,14 +176,7 @@ def traced_run(ops: int, tracer) -> None:
     ).generate(ops)
     engine = BatchExecutor(
         ERC20TokenType(N, total_supply=5 * N),
-        # Legacy base so the trace isolates the team lanes; the threshold
-        # is the shipped default, not a restated literal.
-        EngineConfig.legacy(
-            num_lanes=4,
-            window=64,
-            seed=SEED,
-            team_threshold=EngineConfig().team_threshold,
-        ),
+        EngineConfig(num_lanes=4, window=64, seed=SEED),
         tracer=tracer,
     )
     engine.run_workload(items)

@@ -12,7 +12,8 @@ measurement philosophy; wall-clock threading would measure the GIL):
   escalation rate and the consensus message bill grow with spender
   traffic (approve/transferFrom races, Theorem 3's Case 4);
 * **hot-spot skew**: an exchange-wallet overlay concentrates traffic on
-  two accounts, exercising hot-account splitting in the shard planner.
+  two accounts — commuting bursts still spread over the lanes, racing
+  ones pay for order.
 
 Every run re-validates the static fast-path classifier against the
 semantic ``PairKind`` oracle (``validate=True`` raises on any soundness
@@ -144,7 +145,6 @@ def measure(ops: int) -> dict:
             ] = {
                 "throughput": stats.throughput,
                 "speedup": stats.speedup,
-                "hot_account_waves": stats.hot_account_waves,
                 "escalated_ops": stats.escalated_ops,
             }
     # Per-op commit latency (submit -> commit on the traced virtual
@@ -202,8 +202,7 @@ def render_table(results: dict) -> list[str]:
     for key, r in results.get("hotspot", {}).items():
         lines.append(
             f"{key:>26} | throughput {r['throughput']:>7.3f} "
-            f"speedup {r['speedup']:>5.2f} "
-            f"hot-waves {r['hot_account_waves']:>4}"
+            f"speedup {r['speedup']:>5.2f}"
         )
     latency = results["op_latency"]["sharded_engine"]
     lines.append("")

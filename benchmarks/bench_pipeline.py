@@ -11,18 +11,19 @@ round.  This experiment measures, in virtual time, what that buys:
 
 * **engine**: barrier vs pipelined virtual-time makespan per workload
   mix and pipeline depth, with stall attribution (sync vs frontier);
-* **cluster**: barrier vs pipelined makespan at >= 4 nodes on the
-  OWNER_ONLY and APPROVAL_HEAVY mixes — the headline: the pipelined
-  cluster is strictly faster on both, and stall time concentrates on the
-  contended components (per escalated op, stall is an order of magnitude
-  above the uncontended traffic's);
-* **identity**: ``pipeline_depth=1`` reproduces the historical barrier
-  executor and cluster bit for bit (stats dictionaries compared).
+* **cluster**: one round in flight vs pipelined makespan at >= 4 nodes
+  on the OWNER_ONLY and APPROVAL_HEAVY mixes — the headline: the
+  pipelined cluster is strictly faster on both, and stall time
+  concentrates on the contended components (per escalated op, stall is
+  an order of magnitude above the uncontended traffic's).
 
-The A/B runs pin every other knob to the ``legacy()`` preset so the
-comparison isolates pipelining; a separate **default vs legacy()**
-section shows what the no-knobs default construction (every fast path
-on) buys over the pre-flip engine on the contended mix.
+The engine's barrier side is :class:`~repro.engine.BatchExecutor`; the
+cluster has no barrier loop, so its baseline is the same router with one
+round in flight (``pipeline_depth=1``).  The A/B runs keep team lanes
+and lane GC off so the comparison isolates pipelining; a separate
+**default vs pre-flip** section shows the no-knobs default construction
+against the frozen pre-flip engine (:data:`common.FROZEN_E21F850`, smoke
+size only) on the contended mix.
 
 Every run is checked for serial equivalence against the sequential
 specification.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import sys
 
-from common import bench_main, render_identity, render_stats_table
+from common import bench_main, frozen_numbers, render_stats_table
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
 from repro.obs import TraceRecorder
@@ -77,34 +78,18 @@ def serial_reference(items):
     return make_token().run([(item.pid, item.operation) for item in items])
 
 
-def run_engine(items, depth: int | None) -> dict:
-    """One engine run on the legacy base (barrier when ``depth`` is
-    None) so the A/B isolates pipelining, spec-checked."""
-    config = EngineConfig.legacy(
-        num_lanes=LANES,
-        window=WINDOW,
-        seed=SEED,
-        pipeline_depth=1 if depth is None else depth,
-    )
+#: Always-global escalation, no lane GC: the sync phase is long and
+#: shared, which is the cost pipelining overlaps.
+AB_BASE = {"team_threshold": 0, "lane_ttl": None}
+
+
+def run_engine(items, depth: int | None, **knobs) -> dict:
+    """One engine run (barrier when ``depth`` is None), spec-checked."""
+    config = EngineConfig(num_lanes=LANES, window=WINDOW, seed=SEED, **knobs)
     if depth is None:
         engine = BatchExecutor(make_token(), config)
     else:
-        engine = PipelinedExecutor(make_token(), config)
-    state, responses, stats = engine.run_workload(items)
-    ref_state, ref_responses = serial_reference(items)
-    assert state == ref_state, "engine diverged from the sequential spec"
-    assert responses == ref_responses, "engine responses diverged"
-    return stats.as_dict()
-
-
-def run_default_engine(items, legacy: bool) -> dict:
-    """A no-knobs pipelined engine — every fast-path default in effect —
-    or the same structural parameters pinned to the ``legacy()`` preset.
-    The default-vs-legacy headline comparison, spec-checked."""
-    preset = EngineConfig.legacy if legacy else EngineConfig
-    engine = PipelinedExecutor(
-        make_token(), preset(num_lanes=LANES, window=WINDOW, seed=SEED)
-    )
+        engine = PipelinedExecutor(make_token(), config, pipeline_depth=depth)
     state, responses, stats = engine.run_workload(items)
     ref_state, ref_responses = serial_reference(items)
     assert state == ref_state, "engine diverged from the sequential spec"
@@ -113,16 +98,17 @@ def run_default_engine(items, legacy: bool) -> dict:
 
 
 def run_cluster(items, nodes: int, depth: int) -> dict:
-    """One cluster run on the legacy base, spec-checked; adds the node
+    """One cluster run on the A/B base, spec-checked; adds the node
     sync-wait total."""
     cluster = TokenCluster(
         make_token(),
-        ClusterConfig.legacy(
+        ClusterConfig(
             num_nodes=nodes,
             lanes_per_node=LANES,
             window=WINDOW,
             seed=SEED,
             pipeline_depth=depth,
+            **AB_BASE,
         ),
     )
     state, responses, stats = cluster.run_workload(items)
@@ -150,23 +136,15 @@ def measure(ops: int) -> dict:
         },
         "engine": {},
         "cluster": {},
-        "identity": {},
     }
 
     for name, mix in MIXES.items():
         items = make_items(mix, ops)
-        barrier = run_engine(items, None)
+        barrier = run_engine(items, None, **AB_BASE)
         entry = {"barrier": barrier, "pipelined": {}}
         for depth in DEPTHS:
-            entry["pipelined"][str(depth)] = run_engine(items, depth)
+            entry["pipelined"][str(depth)] = run_engine(items, depth, **AB_BASE)
         results["engine"][name] = entry
-
-    # Bit-for-bit identity of the depth-1 path with the barrier path,
-    # checked on the contended mix (stats dictionaries compared whole).
-    items = make_items(APPROVAL_HEAVY_MIX, ops)
-    results["identity"]["engine_depth1_identical"] = (
-        run_engine(items, 1) == results["engine"]["approval_heavy"]["barrier"]
-    )
 
     for name in ("owner_only", "approval_heavy"):
         items = make_items(MIXES[name], ops)
@@ -181,25 +159,20 @@ def measure(ops: int) -> dict:
             }
         results["cluster"][name] = entry
 
-    items = make_items(APPROVAL_HEAVY_MIX, ops)
-    results["identity"]["cluster_depth1_identical"] = (
-        run_cluster(items, 4, 1)
-        == results["cluster"]["approval_heavy"]["4"]["barrier"]
-    )
-
-    # The flip's headline: a no-knobs default construction (DAG
-    # scheduling + pipelining + team lanes + lane GC all on) strictly
-    # beats the legacy() preset on the contended mix, same structural
-    # parameters.
-    fast = run_default_engine(items, legacy=False)
-    slow = run_default_engine(items, legacy=True)
-    results["default_vs_legacy"] = {
-        "approval_heavy": {
-            "default": fast,
-            "legacy": slow,
-            "speedup": slow["virtual_time"] / fast["virtual_time"],
-        }
+    # The headline: a no-knobs default construction (pipelining + team
+    # lanes + lane GC on) against the frozen pre-flip engine on the
+    # contended mix, same structural parameters.
+    headline = {
+        "default": run_engine(
+            make_items(APPROVAL_HEAVY_MIX, ops), EngineConfig().pipeline_depth
+        )
     }
+    frozen = frozen_numbers("pipeline", ops)
+    if frozen is not None:
+        was = frozen["default_vs_legacy"]["approval_heavy"]["legacy"]
+        headline["legacy"] = {"virtual_time": was}
+        headline["speedup"] = was / headline["default"]["virtual_time"]
+    results["default_vs_legacy"] = {"approval_heavy": headline}
 
     # Per-op commit latency (submit -> commit on the traced virtual
     # timeline), from a dedicated traced run of the pipelined engine at
@@ -244,11 +217,8 @@ def stall_concentration(cluster_entry: dict) -> tuple[float, float]:
 
 def check_claims(results: dict) -> None:
     """The acceptance criteria, enforced."""
-    # pipeline_depth=1 is the historical barrier path, bit for bit.
-    assert results["identity"]["engine_depth1_identical"]
-    assert results["identity"]["cluster_depth1_identical"]
-    # The pipelined cluster beats the barrier cluster in virtual-time
-    # makespan on OWNER_ONLY and APPROVAL_HEAVY at every node count >= 4.
+    # Overlapped rounds beat one round in flight in virtual-time makespan
+    # on OWNER_ONLY and APPROVAL_HEAVY at every node count >= 4.
     for mix_name, entry in results["cluster"].items():
         for nodes, comparison in entry.items():
             assert comparison["makespan_ratio"] > 1.0, (
@@ -285,10 +255,12 @@ def check_claims(results: dict) -> None:
         engine_approval["stall_time_contended"]
         >= 0.9 * engine_approval["stall_time"]
     )
-    # The no-knobs default strictly beats the legacy() preset, and it
-    # really runs the fast paths (DAG width, team lanes, depth > 1).
+    # The no-knobs default really runs the fast paths (DAG width, team
+    # lanes, depth > 1) and strictly beats the frozen pre-flip engine
+    # (comparable at the size it was measured at only).
     headline = results["default_vs_legacy"]["approval_heavy"]
-    assert headline["speedup"] > 1.0, headline["speedup"]
+    if "speedup" in headline:
+        assert headline["speedup"] > 1.0, headline["speedup"]
     assert headline["default"]["pipeline_depth"] > 1
     assert headline["default"]["max_dag_width"] >= 2
     assert headline["default"]["team_ops"] > 0
@@ -322,27 +294,24 @@ def render_table(results: dict) -> list[str]:
             per_escalated, per_uncontended = stall_concentration(comparison)
             lines.append(
                 f"  {name:>15} n={nodes}: "
-                f"barrier {comparison['barrier']['makespan']:>7.2f}  "
+                f"depth 1 {comparison['barrier']['makespan']:>7.2f}  "
                 f"pipelined {comparison['pipelined']['makespan']:>7.2f}  "
                 f"({comparison['makespan_ratio']:.2f}x)  "
                 f"stall/op contended {per_escalated:>6.3f} "
                 f"vs uncontended {per_uncontended:>6.3f}"
             )
-    lines += render_identity(
-        "pipeline_depth=1 bit-identical to the barrier path",
-        {
-            "engine": results["identity"]["engine_depth1_identical"],
-            "cluster": results["identity"]["cluster_depth1_identical"],
-        },
-    )
     headline = results["default_vs_legacy"]["approval_heavy"]
     lines.append("")
     lines.append(
-        "default vs legacy() (approval_heavy, identical structural "
+        "default vs pre-flip (approval_heavy, identical structural "
         "params): "
-        f"default {headline['default']['virtual_time']:.1f}  "
-        f"legacy {headline['legacy']['virtual_time']:.1f}  "
-        f"({headline['speedup']:.2f}x)"
+        f"default {headline['default']['virtual_time']:.1f}"
+        + (
+            f"  pre-flip {headline['legacy']['virtual_time']:.1f}  "
+            f"({headline['speedup']:.2f}x)"
+            if "speedup" in headline
+            else "  (no frozen pre-flip number at this size)"
+        )
     )
     latency = results["op_latency"]["pipelined_engine"]
     lines.append(

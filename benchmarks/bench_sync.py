@@ -79,11 +79,11 @@ def serial_reference(object_type, items):
 
 
 def run_engine(object_type, items, threshold: int) -> dict:
-    """One engine run on the legacy base (so the A/B isolates the team
-    threshold), serial-equivalence-checked against the spec."""
+    """One barrier-engine run, every knob but the team threshold at its
+    default, serial-equivalence-checked against the spec."""
     engine = BatchExecutor(
         object_type,
-        EngineConfig.legacy(
+        EngineConfig(
             num_lanes=LANES,
             window=WINDOW,
             seed=SEED,
@@ -102,7 +102,7 @@ def run_cluster(items, threshold: int) -> dict:
     token = make_token()
     cluster = TokenCluster(
         token,
-        ClusterConfig.legacy(
+        ClusterConfig(
             num_nodes=CLUSTER_NODES,
             lanes_per_node=LANES,
             window=WINDOW,
@@ -181,7 +181,7 @@ def run_backpressure(ops: int) -> dict:
     token = make_token()
     cluster = TokenCluster(
         token,
-        ClusterConfig.legacy(
+        ClusterConfig(
             num_nodes=CLUSTER_NODES,
             lanes_per_node=LANES,
             window=WINDOW,
@@ -408,7 +408,7 @@ def traced_run(ops: int, tracer) -> None:
     up as per-team sync tracks alongside the execution lanes."""
     engine = BatchExecutor(
         make_token(),
-        EngineConfig.legacy(
+        EngineConfig(
             num_lanes=LANES,
             window=WINDOW,
             seed=SEED,

@@ -52,9 +52,8 @@ def show(title: str, stats) -> None:
 
 
 def fresh_cluster(nodes: int = 4) -> tuple[ERC20TokenType, TokenCluster]:
-    # The shipped ClusterConfig defaults keep DAG scheduling, pipelining
-    # and team lanes on; ClusterConfig.legacy(...) would pin the
-    # historical barrier cluster instead, bit for bit.
+    # The shipped ClusterConfig defaults: two rounds in flight and team
+    # lanes for owner sets up to 4.
     token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
     config = ClusterConfig(
         num_nodes=nodes, lanes_per_node=8, window=WINDOW

@@ -89,20 +89,20 @@ def main() -> None:
     ).generate(400)
     _, _, stats = engine.run_workload(items)
     show("8 lanes, 400 ops (shipped defaults):", stats)
-    # The historical PR 1-8 behavior — chain-atomic scheduling, barrier
-    # rounds, always-global escalation — is one preset away, bit for bit.
-    legacy = BatchExecutor(
+    # team_threshold is the paper's k: 0 sends every synchronization
+    # group to the global broadcast instead of a right-sized team lane.
+    global_only = BatchExecutor(
         ERC20TokenType(32, total_supply=3200),
-        EngineConfig.legacy(num_lanes=8, window=64, validate=True),
+        EngineConfig(num_lanes=8, window=64, validate=True, team_threshold=0),
     )
-    _, _, legacy_stats = legacy.run_workload(items)
-    show("same run, EngineConfig.legacy():", legacy_stats)
+    _, _, global_stats = global_only.run_workload(items)
+    show("same run, team_threshold=0:", global_stats)
     print(
         "  approve/transferFrom races (Theorem 3, Case 4) and multi-spender"
         "\n  accounts form synchronization groups: exactly those operations"
         "\n  are escalated — by default to right-sized team lanes"
-        "\n  (team_threshold=4), under legacy() to the global broadcast and"
-        "\n  its quadratic message bill."
+        "\n  (team_threshold=4) that run concurrently, with team_threshold=0"
+        "\n  merged into one batch on the shared global broadcast."
     )
 
 

@@ -45,9 +45,7 @@ def main() -> None:
 
     tracer = TraceRecorder()
     token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
-    engine = BatchExecutor(
-        token, num_lanes=8, dag_scheduling=True, seed=7, tracer=tracer
-    )
+    engine = BatchExecutor(token, num_lanes=8, seed=7, tracer=tracer)
     items = TokenWorkloadGenerator(
         ACCOUNTS,
         seed=7,

@@ -138,7 +138,6 @@ METRICS: dict[str, dict[str, list[str]]] = {
     },
     "dag": {
         "band": [
-            "engine.chain_heavy.atomic.virtual_time",
             "engine.chain_heavy.dag.virtual_time",
             "default_vs_legacy.chain_heavy.speedup",
             "default_vs_legacy.approval_heavy.speedup",
@@ -151,9 +150,7 @@ METRICS: dict[str, dict[str, list[str]]] = {
             "op_latency.dag_engine.p50",
             "op_latency.dag_engine.p99",
         ],
-        "zero": [
-            "cluster.chain_heavy.4.atomic.units_dispatched",
-        ],
+        "zero": [],
     },
     "faults": {
         "band": [
@@ -346,10 +343,10 @@ def _flatten(node, prefix: str = "") -> dict:
 
 def compare_config(baseline: dict, run: dict) -> list[str]:
     """The self-describing-baseline check: every bench JSON embeds the
-    active config surface (``EngineConfig``/``ClusterConfig`` defaults
-    and their ``legacy()`` presets), and the gate refuses a run whose
-    config block disagrees with the baseline's — a default flip must
-    re-baseline, never silently move one number."""
+    active config surface (``EngineConfig``/``ClusterConfig`` defaults),
+    and the gate refuses a run whose config block disagrees with the
+    baseline's — a default flip must re-baseline, never silently move
+    one number."""
     base_cfg, run_cfg = baseline.get("config"), run.get("config")
     if base_cfg is None and run_cfg is None:
         return []

@@ -3,9 +3,9 @@
 :class:`TokenCluster` deploys N :class:`~repro.cluster.node.ClusterNode`
 workers plus one :class:`~repro.cluster.router.Router` on a single
 virtual-time network, shards the account space over the workers
-(:class:`~repro.cluster.sharding.ShardMap`), and drives round-synchronous
-execution: each round the router classifies a mempool window, forwards
-owner-local components point-to-point, migrates shard leases for
+(:class:`~repro.cluster.sharding.ShardMap`), and drives the router's
+pipelined round loop: each round the router classifies a mempool window,
+forwards owner-local components point-to-point, migrates shard leases for
 uncontended cross-shard chains, and orders contended cross-node conflicts
 through the tiered sync layer (:mod:`repro.sync`): a team lane among just
 the component's owner nodes when ``team_threshold`` allows, the shared
@@ -77,7 +77,6 @@ class TokenCluster:
         lease_cooldown=UNSET,
         team_threshold=UNSET,
         pipeline_depth=UNSET,
-        dag_scheduling=UNSET,
         lane_ttl=UNSET,
         result_timeout=UNSET,
         lease_timeout=UNSET,
@@ -86,8 +85,7 @@ class TokenCluster:
     ) -> None:
         #: The resolved run configuration: explicit kwargs override the
         #: ``config=`` value, which overrides :class:`ClusterConfig`'s
-        #: (fast-path) defaults.  ``ClusterConfig.legacy()`` recovers the
-        #: historical barrier cluster bit for bit.
+        #: defaults.
         self.config = cfg = _with_overrides(
             config if config is not None else ClusterConfig(),
             dict(
@@ -103,7 +101,6 @@ class TokenCluster:
                 lease_cooldown=lease_cooldown,
                 team_threshold=team_threshold,
                 pipeline_depth=pipeline_depth,
-                dag_scheduling=dag_scheduling,
                 lane_ttl=lane_ttl,
                 result_timeout=result_timeout,
                 lease_timeout=lease_timeout,
@@ -138,7 +135,6 @@ class TokenCluster:
             window=cfg.window,
             num_shards=num_shards,
             op_cost=cfg.op_cost,
-            dag_scheduling=cfg.dag_scheduling,
         )
         self.escalator = (
             escalator
@@ -156,12 +152,7 @@ class TokenCluster:
                 router_id=cfg.num_nodes,
                 apply_fn=self._apply,
                 classifier=OpClassifier(object_type),
-                lanes=cfg.lanes_per_node,
-                op_cost=cfg.op_cost,
-                dag_scheduling=cfg.dag_scheduling,
-                fault_tolerant=(
-                    cfg.fault.enabled or cfg.result_timeout is not None
-                ),
+                config=cfg,
                 tracer=tracer,
             )
             for node_id in range(cfg.num_nodes)
@@ -175,19 +166,8 @@ class TokenCluster:
             classifier=OpClassifier(object_type, validate=cfg.validate),
             escalator=self.escalator,
             stats=self.stats,
-            window=cfg.window,
-            mempool_capacity=cfg.mempool_capacity,
+            config=cfg,
             state_fn=(lambda: self.state) if cfg.validate else None,
-            lease_min_gain=cfg.lease_min_gain,
-            lease_cooldown=cfg.lease_cooldown,
-            team_threshold=cfg.team_threshold,
-            seed=cfg.seed,
-            pipeline_depth=cfg.pipeline_depth,
-            dag_scheduling=cfg.dag_scheduling,
-            lane_ttl=cfg.lane_ttl,
-            result_timeout=cfg.result_timeout,
-            lease_timeout=cfg.lease_timeout,
-            op_cost=cfg.op_cost,
             faults=self.injector,
             tracer=tracer,
         )
@@ -251,26 +231,18 @@ class TokenCluster:
     def run(self) -> ClusterStats:
         """Drain the router's mempool.
 
-        Barrier mode (``pipeline_depth=1``): round by round, each one
-        quiescing before the next is classified.  Pipelined mode: the
-        router keeps up to ``pipeline_depth`` rounds in flight, dispatching
-        per-node batches as their frontier gates clear; round completions
-        pump new classifications from inside the event loop, so one
-        simulator run drains everything.
+        The router keeps up to ``pipeline_depth`` rounds in flight,
+        dispatching units as their gates clear; round completions pump
+        new classifications from inside the event loop, so one simulator
+        run drains everything.
         """
-        if self.router.pipeline_depth > 1:
-            while True:
-                self.router.pump()
-                self.simulator.run()
-                if not self.router.idle:
-                    raise ClusterError("pipelined rounds did not quiesce")
-                if not self.router.mempool:
-                    break
-        else:
-            while self.router.start_round():
-                self.simulator.run()
-                if not self.router.idle:
-                    raise ClusterError("round did not quiesce")
+        while True:
+            self.router.pump()
+            self.simulator.run()
+            if not self.router.idle:
+                raise ClusterError("pipelined rounds did not quiesce")
+            if not self.router.mempool:
+                break
         self._sync_stats()
         return self.stats
 

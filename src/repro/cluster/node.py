@@ -1,47 +1,39 @@
-"""A cluster worker: the engine's round loop running as a network node.
+"""A cluster worker: the engine's op-granular scheduler as a network node.
 
 Each :class:`ClusterNode` owns a set of account shards and executes the
-operations the router forwards to it.  A round's batch is buffered until
-complete (per-op ``cl_op`` forwards may be reordered by the network; the
-batch announcement ``cl_run`` carries the expected count), then laid out
-on the node's local lanes by the *same* :class:`~repro.engine.rounds.
-RoundScheduler` the single-process engine uses: the router co-locates
-every conflict-graph component, so rebuilding the graph over the batch
-recovers exactly the components assigned here and lane-major application
-is serially equivalent by the engine's argument.
+*dispatch units* the router forwards to it.  A unit is one conflict-graph
+component (or the residual set of the node's singletons for a round),
+sent as a single ``cl_run`` that carries its ops; the router gates each
+unit individually, and the node runs units incrementally on a *persistent
+lane timeline* — the op-granular list scheduler
+(:meth:`~repro.engine.shard.ShardPlanner.dag_schedule`) places each
+arriving unit's ops onto whichever lanes free up first, so one unit
+blocked behind its sync lane or a cross-round footprint conflict does not
+hold up everything else routed to the node that round.  Units of one
+round are distinct components (statically commuting) and cross-round
+conflicts are dispatch-gated at the router, so any unit interleaving
+stays serially equivalent.
 
 Owner-local execution involves no coordination at all — the node never
 sends or receives a lease or consensus message for it; its only traffic is
-the forward in and the (batched) reply out.  The lease protocol surfaces
-here as two handlers: ``cl_lease_request`` (hand the shard away) and
+the forward in and the reply out.  The lease protocol surfaces here as
+two handlers: ``cl_lease_request`` (hand the shard away) and
 ``cl_lease_grant`` (adopt it and ack to the router).
 
-A batch containing contended components waits for its synchronization
-lanes first: the router's ``cl_run`` announcement carries ``sync_delay``,
-the virtual completion time of the slowest team/global lane ordering one
-of this node's components (:mod:`repro.sync`), and the node charges that
-wait to its bill (``sync_wait_time``) before executing — so a node whose
-races resolved on a small, fast team lane starts earlier than one stuck
-behind the shared global lane.
-
-**Component-granular dispatch** (the pipelined router with
-``dag_scheduling``): the round batch stops being the execution unit.  The
-router forwards each conflict-graph component (plus one residual unit of
-the node's singletons) as its own ``cl_run``, individually gated, and the
-node runs units incrementally on a *persistent lane timeline* — the
-op-granular list scheduler (:meth:`~repro.engine.shard.ShardPlanner.
-dag_schedule`) places each arriving unit's ops onto whichever lanes free
-up first, so one unit blocked behind its sync lane or a cross-round
-footprint conflict no longer holds up everything else routed to the node
-that round.  Units of one round are distinct components (statically
-commuting) and cross-round conflicts are dispatch-gated at the router, so
-any unit interleaving stays serially equivalent.
+A unit carrying a contended component waits for its synchronization lane
+first: its ``cl_run`` carries ``sync_ready``, the absolute virtual
+completion time of the team/global lane ordering the component
+(:mod:`repro.sync`), and the node charges the remainder to its bill
+(``sync_wait_time``) before executing — so a unit whose race resolved on
+a small, fast team lane starts earlier than one stuck behind the shared
+global lane.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.mempool import PendingOp
@@ -68,54 +60,45 @@ class ClusterNode(Node):
         router_id: int,
         apply_fn: ApplyFn,
         classifier: OpClassifier,
-        lanes: int = 4,
-        op_cost: float = 1.0,
-        dag_scheduling: bool = False,
+        config: ClusterConfig,
         tracer: TraceRecorder | None = None,
-        fault_tolerant: bool = False,
     ) -> None:
         super().__init__(node_id, network)
         self.router_id = router_id
         self.apply_fn = apply_fn
         self.classifier = classifier
-        self.planner = ShardPlanner(lanes, dag_scheduling=dag_scheduling)
+        self.planner = ShardPlanner(config.lanes_per_node)
         self.scheduler = RoundScheduler(classifier, self.planner)
-        self.op_cost = op_cost
-        #: Persistent lane timeline for component-granular units (absolute
-        #: virtual times; only the unit path touches it), and the rounds
-        #: this node has executed at least one unit of (so
-        #: ``rounds_active`` stays comparable across dispatch modes).
-        self._lane_free = [0.0] * lanes
+        self.op_cost = config.op_cost
+        #: Persistent lane timeline (absolute virtual times), and the
+        #: rounds this node has executed at least one unit of.
+        self._lane_free = [0.0] * config.lanes_per_node
         self._unit_rounds: set[int] = set()
         self.bill = NodeBill(node_id=node_id)
         self.owned_shards: set[int] = set()
-        self._batches: dict[int, list[PendingOp]] = {}
-        self._expected: dict[int, int] = {}
-        #: Lease grants this round's batch must wait for / has received.
-        self._leases_needed: dict[int, int] = {}
-        self._leases_granted: dict[int, int] = {}
-        #: Sync-lane completion this round's batch must wait out first:
-        #: a relative delay (barrier router) or an absolute completion
-        #: time on the simulator clock (pipelined router).
-        self._sync_delay: dict[int, float] = {}
-        self._sync_ready: dict[int, float] = {}
-        self._running: set[int] = set()
-        #: Per-node frontier: the highest round this node has started.
-        #: The pipelined router dispatches a node's rounds strictly in
-        #: order, one at a time — this check turns that safety argument
-        #: into an enforced invariant.
-        self.frontier_round = -1
+        #: Everything below keys on the unit, ``(round, unit index)``.
+        self._batches: dict[tuple, list[PendingOp]] = {}
+        self._expected: dict[tuple, int] = {}
+        #: Lease grants the unit must wait for / has received.
+        self._leases_needed: dict[tuple, int] = {}
+        self._leases_granted: dict[tuple, int] = {}
+        #: Absolute completion (simulator clock) of the sync lane the
+        #: unit must wait out first.
+        self._sync_ready: dict[tuple, float] = {}
+        self._running: set[tuple] = set()
         #: Optional observability hook (:mod:`repro.obs`); ``None``
         #: records nothing.  ``_blocked_since`` remembers when a complete
-        #: batch/unit first stalled on a missing lease grant, so the wait
-        #: can be attributed as ``lease_wait`` when it finally runs.
+        #: unit first stalled on a missing lease grant, so the wait can be
+        #: attributed as ``lease_wait`` when it finally runs.
         self.tracer = tracer
         self._blocked_since: dict = {}
         #: Crash/restart lifecycle (:mod:`repro.faults`).  When fault
         #: tolerance is on, every in-flight execution timer is tracked so
         #: :meth:`crash` can cancel it — a crash loses exactly the work
         #: that had not reached its virtual completion time.
-        self.fault_tolerant = fault_tolerant
+        self.fault_tolerant = (
+            config.fault.enabled or config.result_timeout is not None
+        )
         self.crashed = False
         self._timers: list = []
 
@@ -123,7 +106,7 @@ class ClusterNode(Node):
 
     def crash(self) -> None:
         """Lose all volatile state: cancel every in-flight execution
-        timer and forget buffered batches, lease bookkeeping, and owned
+        timer and forget buffered units, lease bookkeeping, and owned
         shards.  Committed work (applied before the crash) is untouched —
         application and result reporting happen in one simulator event,
         so there is no window where state mutated but the result is not
@@ -136,7 +119,6 @@ class ClusterNode(Node):
         self._expected.clear()
         self._leases_needed.clear()
         self._leases_granted.clear()
-        self._sync_delay.clear()
         self._sync_ready.clear()
         self._running.clear()
         self._blocked_since.clear()
@@ -163,192 +145,25 @@ class ClusterNode(Node):
         if len(self._timers) > 64:
             self._timers = [h for h in self._timers if h.active]
 
-    # -- round execution --------------------------------------------------
+    # -- unit execution --------------------------------------------------
 
     @staticmethod
-    def _batch_key(body: dict):
-        """Batch-granular rounds key on the round index; component-
-        granular units on ``(round, unit)``.  One run never mixes the
-        two — the router picks the granularity at construction."""
-        if "unit" in body:
-            return (body["round"], body["unit"])
-        return body["round"]
-
-    def handle_cl_op(self, message: Message) -> None:
-        body = message.payload
-        key = self._batch_key(body)
-        self._batches.setdefault(key, []).append(body["op"])
-        self.bill.forwards_received += 1
-        if isinstance(key, tuple):
-            self._maybe_run_unit(key)
-        else:
-            self._maybe_run(key)
+    def _batch_key(body: dict) -> tuple:
+        return (body["round"], body["unit"])
 
     def handle_cl_run(self, message: Message) -> None:
         body = message.payload
         key, count = self._batch_key(body), body["count"]
         if count < 1:
-            raise ClusterError("cl_run announced an empty batch")
+            raise ClusterError("cl_run announced an empty unit")
         self._expected[key] = count
         self._leases_needed[key] = body.get("leases", 0)
-        self._sync_delay[key] = body.get("sync_delay", 0.0)
         self._sync_ready[key] = body.get("sync_ready", 0.0)
-        piggybacked = body.get("ops")
-        if piggybacked is not None:
-            # Component-granular units carry their ops inside the
-            # announcement (one message per unit instead of 1 + n); the
-            # bill still counts every op forward received.
-            self._batches.setdefault(key, []).extend(piggybacked)
-            self.bill.forwards_received += len(piggybacked)
-        if isinstance(key, tuple):
-            self._maybe_run_unit(key)
-        else:
-            self._maybe_run(key)
-
-    def _maybe_run(self, round_index: int) -> None:
-        expected = self._expected.get(round_index)
-        batch = self._batches.get(round_index, [])
-        if expected is None or len(batch) < expected:
-            return
-        # A batch that depends on migrated shards runs only once their
-        # leases arrived; the grant gates execution (the router's ack
-        # bookkeeping stays off the critical path).
-        needed = self._leases_needed.get(round_index, 0)
-        if self._leases_granted.get(round_index, 0) < needed:
-            if self.tracer is not None:
-                self._blocked_since.setdefault(round_index, self.now)
-            return
-        if round_index in self._running:
-            return
-        self._running.add(round_index)
-        if len(batch) > expected:
-            raise ClusterError(
-                f"node {self.node_id} received {len(batch)} ops for round "
-                f"{round_index}, expected {expected}"
-            )
-        if round_index <= self.frontier_round:
-            raise ClusterError(
-                f"node {self.node_id} asked to run round {round_index} "
-                f"behind its frontier {self.frontier_round}"
-            )
-        self.frontier_round = round_index
-        # Per-op forwards can arrive reordered; submission order is the
-        # deterministic ground truth the scheduler works from.
-        ops = sorted(batch, key=lambda op: op.seq)
-        plan = self.scheduler.plan_batch(ops)
-        self._bill_dag(
-            plan.dag_chain_ops,
-            plan.dag_critical_ops,
-            plan.dag_critical_path,
-            plan.dag_width,
-        )
-        # The batch's contended components execute only after their sync
-        # lanes committed an order; the wait is this node's, not the
-        # round's — other nodes run their batches meanwhile.  The barrier
-        # router bills the lane latency as a relative ``sync_delay``; the
-        # pipelined router sends the lane's absolute completion time, so a
-        # batch that waited out its dependencies pays only the remainder.
-        sync_delay = self._sync_delay.get(round_index, 0.0)
-        sync_ready = self._sync_ready.get(round_index, 0.0)
-        if sync_ready:
-            sync_delay = max(sync_delay, sync_ready - self.now, 0.0)
-        self.bill.sync_wait_time += sync_delay
-        delay = plan.critical_path * self.op_cost + sync_delay
-        if self.tracer is not None:
-            self._trace_batch(round_index, plan, sync_delay, delay)
-        handle = self.schedule(
-            delay, lambda: self._finish(round_index, plan, delay)
-        )
-        self._track_timer(handle)
-
-    def _trace_batch(
-        self, round_index: int, plan, sync_delay: float, delay: float
-    ) -> None:
-        """Record one batch round's lane layout: per-op execute spans on
-        this node's lane tracks, with the batch's sync-lane wait and any
-        lease wait carried (backward-walk order) by the ops that start
-        the layout — exactly how the round's completion is accounted
-        (``delay = critical_path * op_cost + sync_delay``)."""
-        tracer = self.tracer
-        assert tracer is not None
-        now = self.now
-        lease_wait = now - self._blocked_since.pop(round_index, now)
-        exec_start = now + sync_delay
-        finish = now + delay
-        stalls = tuple(
-            (category, amount)
-            for category, amount in (
-                ("sync_wait", sync_delay),
-                ("lease_wait", lease_wait),
-            )
-            if amount > 0
-        )
-        if plan.placements is not None:
-            placed = [
-                (op, start, end, lane)
-                for op, (start, end, lane) in zip(
-                    plan.apply_order, plan.placements
-                )
-            ]
-        else:
-            placed = [
-                (op, j, j + 1, lane_id)
-                for lane_id, lane_ops in enumerate(plan.lanes)
-                for j, op in enumerate(lane_ops)
-            ]
-        for op, start, end, lane in placed:
-            start_vt = exec_start + start * self.op_cost
-            tracer.span(
-                f"node{self.node_id}.lane{lane}",
-                f"op {op.seq}",
-                "execute",
-                start_vt,
-                exec_start + end * self.op_cost,
-                stalls=stalls if start == 0 else (),
-                args={"seq": op.seq, "pid": op.pid, "round": round_index},
-            )
-            tracer.op_stage(op.seq, "schedule", start_vt)
-            tracer.op_stage(op.seq, "execute", start_vt)
-            tracer.op_commit(op.seq, finish)
-
-    def _finish(self, round_index: int, plan, busy: float) -> None:
-        """Apply the round's plan lane-major and report the responses.
-
-        State mutation happens at the round's virtual completion time; any
-        interleaving with other nodes' rounds only ever reorders
-        statically-commuting operations (the router's co-location
-        invariant), so the wall-clock of the simulation cannot change the
-        outcome.
-        """
-        responses: dict[int, Any] = {}
-        if plan.apply_order is not None:
-            # DAG plans carry an explicit linear extension of every
-            # component DAG (lane-major application is unsound once one
-            # chain spans lanes).
-            for op in plan.apply_order:
-                responses[op.seq] = self.apply_fn(op)
-        else:
-            for lane in plan.lanes:
-                for op in lane:
-                    responses[op.seq] = self.apply_fn(op)
-        self._batches.pop(round_index, None)
-        self._expected.pop(round_index, None)
-        self._leases_needed.pop(round_index, None)
-        self._leases_granted.pop(round_index, None)
-        self._sync_delay.pop(round_index, None)
-        self._sync_ready.pop(round_index, None)
-        self._running.discard(round_index)
-        self.bill.ops_executed += len(responses)
-        self.bill.rounds_active += 1
-        self.bill.busy_time += busy
-        self.bill.results_sent += 1
-        self.send(
-            self.router_id,
-            "cl_result",
-            {"round": round_index, "responses": responses},
-        )
-
-    # -- component-granular units -----------------------------------------
+        # The unit's ops ride inside the announcement (one message per
+        # unit); the bill still counts every op forward received.
+        self._batches.setdefault(key, []).extend(body["ops"])
+        self.bill.forwards_received += len(body["ops"])
+        self._maybe_run_unit(key)
 
     def _bill_dag(
         self, chain_ops: int, critical_ops: int, critical_path: int, width: int
@@ -389,14 +204,10 @@ class ClusterNode(Node):
                 f"node {self.node_id} received {len(batch)} ops for unit "
                 f"{key}, expected {expected}"
             )
-        if not self.planner.dag_scheduling:
-            raise ClusterError(
-                "component-granular units require a DAG-scheduling planner"
-            )
         ops = sorted(batch, key=lambda op: op.seq)
         # The unit's contended ops execute only after their sync lane
-        # committed an order; the pipelined router sends the lane's
-        # absolute completion, so the unit pays only the remainder.
+        # committed an order; the router sends the lane's absolute
+        # completion, so the unit pays only the remainder.
         sync_ready = self._sync_ready.get(key, 0.0)
         ready = max(self.now, sync_ready)
         self.bill.sync_wait_time += max(0.0, sync_ready - self.now)
@@ -488,7 +299,7 @@ class ClusterNode(Node):
     ) -> None:
         """Apply the unit in its schedule's linear-extension order and
         report per-unit responses (state mutates at the unit's virtual
-        completion, like the batch path's round completion)."""
+        completion)."""
         responses: dict[int, Any] = {}
         for op in order:
             responses[op.seq] = self.apply_fn(op)
@@ -497,7 +308,6 @@ class ClusterNode(Node):
         self._expected.pop(key, None)
         self._leases_needed.pop(key, None)
         self._leases_granted.pop(key, None)
-        self._sync_delay.pop(key, None)
         self._sync_ready.pop(key, None)
         self._running.discard(key)
         self.bill.ops_executed += len(responses)
@@ -535,14 +345,13 @@ class ClusterNode(Node):
             )
         grant = {"shard": shard, "round": body["round"]}
         if "unit" in body:
-            # Component-granular dispatch: the grant unblocks exactly the
-            # unit whose chain triggered the migration.
+            # The grant unblocks exactly the unit whose chain triggered
+            # the migration (administrative transfers name none).
             grant["unit"] = body["unit"]
         self.send(body["new_owner"], "cl_lease_grant", grant)
 
     def handle_cl_lease_grant(self, message: Message) -> None:
-        """Adopt a shard, unblock the waiting batch or unit, ack the
-        router."""
+        """Adopt a shard, unblock the waiting unit, ack the router."""
         body = message.payload
         self.owned_shards.add(body["shard"])
         self.bill.leases_acquired += 1
@@ -554,8 +363,8 @@ class ClusterNode(Node):
                 args={"round": body["round"]},
             )
         if body["round"] < 0:
-            # Administrative transfer (rejoin rebalancing): no batch or
-            # unit is waiting on this grant — adopt and ack only.
+            # Administrative transfer (rejoin rebalancing): no unit is
+            # waiting on this grant — adopt and ack only.
             self.send(
                 self.router_id,
                 "cl_lease_ack",
@@ -569,10 +378,7 @@ class ClusterNode(Node):
             "cl_lease_ack",
             {"shard": body["shard"], "round": body["round"]},
         )
-        if isinstance(key, tuple):
-            self._maybe_run_unit(key)
-        else:
-            self._maybe_run(key)
+        self._maybe_run_unit(key)
 
     def handle_cl_lease_revoke(self, message: Message) -> None:
         """Adopt a shard the router revoked from a failed owner.

@@ -25,8 +25,8 @@ routes every conflict-graph component as a unit:
   teams concurrent) when the owner set is within ``team_threshold``;
   larger races fall back to the shared total-order lane
   (:class:`~repro.engine.escalation.ConsensusEscalator`).  Either way the
-  ordering latency delays only the nodes executing those components (the
-  ``sync_delay`` carried by the batch announcement).
+  ordering latency delays only the units carrying those components (the
+  ``sync_ready`` carried by each unit's ``cl_run``).
 
 Oversized commuting bundles (hot shards) are sprayed across the least-
 loaded nodes using the engine planner's target heuristic — sound because
@@ -53,6 +53,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
+from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.escalation import ConsensusEscalator, tiered_escalator
@@ -64,7 +65,6 @@ from repro.net.network import Message, Network
 from repro.net.node import Node
 from repro.objects.footprint import FootprintSummary, anchor_account
 from repro.obs.trace import TraceRecorder
-from repro.sync.escalation import TieredEscalator
 from repro.sync.planner import SyncAssignment
 from repro.workloads.generators import WorkloadItem
 
@@ -80,7 +80,7 @@ LEASE_MESSAGE_TYPES = (
 )
 
 #: Sentinel round index of administrative lease traffic — fail-over
-#: revocations and rejoin rebalancing transfers.  No batch or unit waits
+#: revocations and rejoin rebalancing transfers.  No unit waits
 #: on an administrative grant; its ack only releases the per-shard
 #: handoff serialization.
 ADMIN_ROUND = -1
@@ -97,10 +97,10 @@ class _DispatchUnit:
 
     A unit is a single conflict-graph component co-located on one node —
     or the residual set of the node's singletons, which commute with the
-    whole window.  Units are the gate granularity of the pipelined router
-    under ``dag_scheduling``: each carries its own footprint summary, its
-    own sync-lane delay, and its own lease count, so one blocked component
-    no longer holds up everything else routed to its node that round.
+    whole window.  Units are the gate granularity of the router: each
+    carries its own footprint summary, its own sync-lane delay, and its
+    own lease count, so one blocked component does not hold up
+    everything else routed to its node that round.
     """
 
     ops: tuple[PendingOp, ...]
@@ -114,22 +114,13 @@ class _DispatchUnit:
 
 @dataclass
 class _RoutedWindow:
-    """Pure outcome of routing one window (no messages sent yet).
-
-    The computation — component co-location, lease planning, hot-shard
-    splitting, spill, tiered synchronization — is identical for the
-    barrier and the pipelined round loops; only *when* the per-node
-    batches and lease requests go out differs.  Factoring it here is what
-    keeps ``pipeline_depth=1`` the historical behavior: there is a single
-    routing implementation for both paths.
-    """
+    """Pure outcome of routing one window (no messages sent yet):
+    component co-location, lease planning, hot-shard splitting, spill,
+    tiered synchronization.  *When* the units and lease requests go out
+    is :meth:`Router.pump`'s business."""
 
     index: int
     assignment: dict[int, list[PendingOp]]
-    #: Per-node sync-lane completion the batch must wait out (relative to
-    #: the start of the round's synchronization phase).
-    node_delays: dict[int, float]
-    leases_by_node: dict[int, int]
     migrations: list[tuple[int, int, int]]
     t_escalation: float
     escalation_messages: int
@@ -144,36 +135,19 @@ class _RoutedWindow:
     teams: int
     team_sizes: tuple[int, ...]
     cooldown_skips: int
-    #: Nodes executing a contended (sync-ordered) component this round —
-    #: the stall-attribution split of the pipelined path.
-    contended_nodes: frozenset[int]
-    #: Component-granular dispatch only: per node, the window's dispatch
-    #: units in submission order of their heads (``None`` = batch mode).
-    units_by_node: dict[int, list[_DispatchUnit]] | None = None
+    #: Per node, the window's dispatch units in submission order of their
+    #: heads.
+    units_by_node: dict[int, list[_DispatchUnit]]
     #: shard -> (node, unit index) whose chain triggered the migration.
-    lease_units: dict[int, tuple[int, int]] | None = None
+    lease_units: dict[int, tuple[int, int]]
     #: Per contended op: ``(seq, completed)`` with ``completed`` relative
     #: to the round's sync phase start (tracer lifecycle bookkeeping).
     sync_ops: tuple[tuple[int, float], ...] = ()
 
 
 @dataclass
-class _RoundState:
-    """In-flight bookkeeping for one barrier routing round."""
-
-    routed: _RoutedWindow
-    started: float
-    pending_acks: int
-    pending_results: set[int] = field(default_factory=set)
-
-    @property
-    def index(self) -> int:
-        return self.routed.index
-
-
-@dataclass
 class _PipelinedRound:
-    """In-flight bookkeeping for one round of the pipelined router."""
+    """In-flight bookkeeping for one routed round."""
 
     routed: _RoutedWindow
     classified: float
@@ -181,9 +155,8 @@ class _PipelinedRound:
     #: sync lanes are one resource: phases serialize across rounds but
     #: overlap node execution).
     sync_start: float
-    #: May-access summaries, the cross-round frontier test's input —
-    #: keyed by node (batch dispatch) or ``(node, unit)`` (component-
-    #: granular dispatch).
+    #: ``(node, unit)`` -> may-access summary, the cross-round frontier
+    #: test's input.
     summaries: dict
     #: Rounds in flight (this one included) right after classification.
     inflight: int
@@ -195,8 +168,8 @@ class _PipelinedRound:
     completed: set = field(default_factory=set)
     dispatch_stall: float = 0.0
     dispatch_stall_contended: float = 0.0
-    #: Dispatch key -> time its ready-to-go batch/unit was first blocked
-    #: by the cross-round footprint gate (not by its node being busy).
+    #: ``(node, unit)`` -> time the ready-to-go unit was first blocked by
+    #: the cross-round footprint gate.
     gate_blocked_since: dict = field(default_factory=dict)
     frontier_stall: float = 0.0
     frontier_stall_contended: float = 0.0
@@ -227,62 +200,33 @@ class Router(Node):
         classifier: OpClassifier,
         escalator: ConsensusEscalator,
         stats: ClusterStats,
-        window: int = 64,
-        mempool_capacity: int | None = None,
+        config: ClusterConfig,
         state_fn: Callable[[], Any] | None = None,
-        lease_min_gain: int = 2,
-        lease_cooldown: int = 0,
-        team_threshold: int = 0,
-        sync: TieredEscalator | None = None,
-        seed: int = 0,
-        pipeline_depth: int = 1,
-        dag_scheduling: bool = False,
-        lane_ttl: int | None = None,
         tracer: TraceRecorder | None = None,
-        result_timeout: float | None = None,
-        lease_timeout: float | None = None,
-        op_cost: float = 1.0,
         faults=None,
     ) -> None:
         super().__init__(node_id, network)
-        if pipeline_depth < 1:
-            raise ClusterError("pipeline_depth must be >= 1")
-        #: Component-granular dispatch: with op-granular DAG scheduling on
-        #: and the pipeline active, every conflict-graph component travels
-        #: as its own individually gated ``cl_run`` unit.  The barrier
-        #: loop (depth 1) keeps batch dispatch either way — there is
-        #: nothing to overlap within a quiescing round.
-        self.dag_scheduling = dag_scheduling
-        self.unit_dispatch = dag_scheduling and pipeline_depth > 1
         self.shard_map = shard_map
         self.classifier = classifier
         self.escalator = escalator
         self.stats = stats
-        self.window = window
-        if window < 1:
-            raise ClusterError("window must be positive")
-        if lease_cooldown < 0:
-            raise ClusterError("lease_cooldown must be non-negative")
-        self.mempool = Mempool(capacity=mempool_capacity)
+        self.window = config.window
+        self.mempool = Mempool(capacity=config.mempool_capacity)
         #: A chain migrates leases only when its majority owner already has
         #: at least this many of its operations — a 1-vs-1 split names no
         #: "busier node" and a handoff would be pure ownership churn.
-        self.lease_min_gain = lease_min_gain
+        self.lease_min_gain = config.lease_min_gain
         #: Rounds a freshly migrated shard is pinned to its new owner
         #: (hysteresis against alternating-round ping-pong).
-        self.lease_cooldown = lease_cooldown
+        self.lease_cooldown = config.lease_cooldown
         #: The tiered sync layer: contended cross-node components get a
         #: team lane among just their owner nodes when the owner set is
         #: within ``team_threshold``; the shared global lane otherwise.
-        self.sync = (
-            sync
-            if sync is not None
-            else tiered_escalator(
-                escalator,
-                team_threshold=team_threshold,
-                seed=seed,
-                lane_ttl=lane_ttl,
-            )
+        self.sync = tiered_escalator(
+            escalator,
+            team_threshold=config.team_threshold,
+            seed=config.seed,
+            lane_ttl=config.lane_ttl,
         )
         self.scheduler = RoundScheduler(
             classifier, ShardPlanner(shard_map.num_nodes)
@@ -291,19 +235,17 @@ class Router(Node):
         self._last_migration: dict[int, int] = {}
         self._state_fn = state_fn
         self.responses: dict[int, Any] = {}
-        self._round: _RoundState | None = None
         self._rounds_started = 0
-        #: Cross-round pipelining (``pipeline_depth > 1``): rounds in
-        #: flight, per-node dispatch FIFOs, and the gates that replace the
-        #: global round barrier (see :meth:`pump`).
-        self.pipeline_depth = pipeline_depth
-        stats.pipeline_depth = pipeline_depth
+        #: Cross-round pipelining: up to ``pipeline_depth`` rounds in
+        #: flight, per-node queues of ``(round, unit)`` entries awaiting
+        #: dispatch, and the gates that stand in for a global round
+        #: barrier (see :meth:`pump`).
+        self.pipeline_depth = config.pipeline_depth
+        stats.pipeline_depth = config.pipeline_depth
         self._inflight: dict[int, _PipelinedRound] = {}
-        self._node_queue: dict[int, deque[int]] = {
+        self._node_queue: dict[int, deque[tuple[int, int]]] = {
             node: deque() for node in range(shard_map.num_nodes)
         }
-        #: Nodes with a dispatched batch whose result is still out.
-        self._node_outstanding: set[int] = set()
         #: shard -> round of its in-flight lease handoff (handoffs of one
         #: shard serialize: the next request waits for the previous ack).
         self._shard_ack_round: dict[int, int] = {}
@@ -312,7 +254,7 @@ class Router(Node):
         #: Optional observability hook (:mod:`repro.obs`); ``None``
         #: records nothing and keeps every stats dict bit-identical.
         self.tracer = tracer
-        if tracer is not None and getattr(self.sync, "pool", None) is not None:
+        if tracer is not None:
             self.sync.pool.tracer = tracer
         #: Fault recovery (:mod:`repro.faults`).  ``result_timeout`` arms
         #: a timer per dispatched unit; a unit whose ``cl_result`` is
@@ -320,19 +262,16 @@ class Router(Node):
         #: node, revokes its leases, and replays its in-flight units on
         #: survivors.  ``None`` (the default) disables detection and
         #: keeps every code path bit-identical to the fault-free router.
-        self.recovery = result_timeout is not None
-        if self.recovery and not self.unit_dispatch:
-            raise ClusterError(
-                "fault recovery needs component-granular dispatch "
-                "(dag_scheduling=True with pipeline_depth > 1)"
-            )
-        self.result_timeout = result_timeout
+        self.recovery = config.result_timeout is not None
+        self.result_timeout = config.result_timeout
         self.lease_timeout = (
-            lease_timeout if lease_timeout is not None else result_timeout
+            config.lease_timeout
+            if config.lease_timeout is not None
+            else config.result_timeout
         )
         #: Per-op execution cost — sizes the work envelope a dispatched
         #: unit is entitled to before its silence counts as evidence.
-        self.op_cost = op_cost
+        self.op_cost = config.op_cost
         self.faults = faults
         #: Operations admitted past the mempool (the denominator of the
         #: zero-committed-op-loss check: admitted − responded = lost).
@@ -416,8 +355,7 @@ class Router(Node):
     ) -> _RoutedWindow:
         """Route one window: co-locate components, plan leases, order the
         contended components through the sync layer.  Pure computation —
-        no messages are sent — shared verbatim by the barrier
-        (:meth:`start_round`) and pipelined (:meth:`pump`) round loops."""
+        no messages are sent (that is :meth:`pump`'s job)."""
         num_nodes = self.shard_map.num_nodes
         # Nodes declared dead take no new work; with recovery off the set
         # is always empty and every loop below is the historical one.
@@ -585,18 +523,13 @@ class Router(Node):
             if home[op.seq] == node
         )
 
-        # A lease target must not execute before its handoffs complete; the
-        # batch announcement carries the count of grants it has to await.
-        leases_by_node = Counter(to_node for _, _, to_node in migrations)
-
         # Synchronization: each contended cross-node component through its
         # cheapest adequate lane.  Team-tier components (owner set within
         # the threshold) run concurrently on the pool; the rest merge into
         # one submission-ordered batch on the shared global lane.  A
-        # node's batch waits only for its *own* components' lanes.
+        # unit waits only for its *own* component's lane.
         t_escalation = 0.0
         escalation_messages = 0
-        node_delays: dict[int, float] = {}
         sync_round = None
         sync_ops: tuple[tuple[int, float], ...] = ()
         if escalated_components:
@@ -609,12 +542,9 @@ class Router(Node):
                     )
                 )
             sync_round = self.sync.order_assignments(assignments)
-            for (_, _, target, chain_pos), component_order in zip(
+            for (_, _, _, chain_pos), component_order in zip(
                 escalated_components, sync_round.components
             ):
-                node_delays[target] = max(
-                    node_delays.get(target, 0.0), component_order.completed
-                )
                 placed_chains[chain_pos]["delay"] = component_order.completed
             t_escalation = sync_round.virtual_time
             escalation_messages = sync_round.messages
@@ -635,46 +565,37 @@ class Router(Node):
         # Component-granular dispatch: one unit per routed chain plus one
         # residual unit of each node's singletons (all of which commute
         # with the whole window, so they share a gate).
-        units_by_node: dict[int, list[_DispatchUnit]] | None = None
-        lease_units: dict[int, tuple[int, int]] | None = None
-        if self.unit_dispatch:
-            units_by_node = {}
-            unit_of_chain: dict[int, tuple[int, int]] = {}
-            for chain_pos, record in enumerate(placed_chains):
-                node_units = units_by_node.setdefault(record["target"], [])
-                unit_of_chain[chain_pos] = (record["target"], len(node_units))
-                node_units.append(
+        units_by_node: dict[int, list[_DispatchUnit]] = {}
+        unit_of_chain: dict[int, tuple[int, int]] = {}
+        for chain_pos, record in enumerate(placed_chains):
+            node_units = units_by_node.setdefault(record["target"], [])
+            unit_of_chain[chain_pos] = (record["target"], len(node_units))
+            node_units.append(
+                _DispatchUnit(
+                    ops=tuple(record["ops"]),
+                    contended=record["contended"],
+                    sync_delay=record["delay"],
+                    leases=record["leases"],
+                )
+            )
+        for node, ops in assignment.items():
+            rest = [op for op in ops if op.seq not in chain_seqs]
+            if rest:
+                units_by_node.setdefault(node, []).append(
                     _DispatchUnit(
-                        ops=tuple(record["ops"]),
-                        contended=record["contended"],
-                        sync_delay=record["delay"],
-                        leases=record["leases"],
+                        ops=tuple(rest),
+                        contended=False,
+                        sync_delay=0.0,
+                        leases=0,
                     )
                 )
-            for node, ops in assignment.items():
-                rest = [op for op in ops if op.seq not in chain_seqs]
-                if rest:
-                    units_by_node.setdefault(node, []).append(
-                        _DispatchUnit(
-                            ops=tuple(rest),
-                            contended=False,
-                            sync_delay=0.0,
-                            leases=0,
-                        )
-                    )
-            lease_units = {
-                shard: unit_of_chain[chain_pos]
-                for shard, chain_pos in lease_chains.items()
-            }
+        lease_units = {
+            shard: unit_of_chain[chain_pos]
+            for shard, chain_pos in lease_chains.items()
+        }
         return _RoutedWindow(
             index=index,
             assignment=assignment,
-            node_delays={
-                node: delay
-                for node, delay in node_delays.items()
-                if node in assignment
-            },
-            leases_by_node=dict(leases_by_node),
             migrations=migrations,
             t_escalation=t_escalation,
             escalation_messages=escalation_messages,
@@ -689,9 +610,6 @@ class Router(Node):
             teams=sync_round.teams if sync_round else 0,
             team_sizes=sync_round.team_sizes if sync_round else (),
             cooldown_skips=cooldown_skips,
-            contended_nodes=frozenset(
-                target for _, _, target, _ in escalated_components
-            ),
             units_by_node=units_by_node,
             lease_units=lease_units,
             sync_ops=sync_ops,
@@ -773,80 +691,17 @@ class Router(Node):
             stalls=stalls,
         )
 
-    def start_round(self) -> bool:
-        """Route one window; returns ``False`` when the mempool is empty.
-
-        The barrier round loop (``pipeline_depth=1``): one round in flight
-        at a time, every per-node batch and lease request sent at
-        classification.  The round then progresses purely through
-        simulator events; it is complete (``idle`` is true) once every
-        participating node's ``cl_result`` has arrived.
-        """
-        if self.pipeline_depth > 1:
-            raise ClusterError("pipelined router rounds start through pump()")
-        if self._round is not None:
-            raise ClusterError("previous round still in flight")
-        window = self.mempool.pop_window(self.window)
-        if not window:
-            return False
-        index = self._rounds_started
-        self._rounds_started += 1
-        routed = self._route_window(window, index)
-        if self.tracer is not None:
-            self._trace_routed(routed, self.now)
-        self._round = _RoundState(
-            routed=routed,
-            started=self.now,
-            pending_acks=len(routed.migrations),
-            pending_results=set(routed.assignment),
-        )
-        for shard, from_node, to_node in routed.migrations:
-            self.send(
-                from_node,
-                "cl_lease_request",
-                {"shard": shard, "new_owner": to_node, "round": index},
-            )
-        for node in sorted(routed.assignment):
-            self._dispatch(node)
-        return True
-
-    def _dispatch(self, node: int) -> None:
-        """Forward a node's round batch immediately; the batch announcement
-        carries the node's sync-lane wait (``sync_delay``), which the node
-        pays before executing.  Lease handoffs run concurrently with the
-        forwards — the grant gates execution at the node, so the handshake
-        costs two hops on the critical path, not four."""
-        round_state = self._round
-        assert round_state is not None
-        routed = round_state.routed
-        ops = routed.assignment[node]
-        self.send(
-            node,
-            "cl_run",
-            {
-                "round": routed.index,
-                "count": len(ops),
-                "leases": routed.leases_by_node.get(node, 0),
-                "sync_delay": routed.node_delays.get(node, 0.0),
-            },
-        )
-        for op in ops:
-            self.send(node, "cl_op", {"round": routed.index, "op": op})
-
     # -- pipelined round loop ---------------------------------------------
 
     def pump(self) -> int:
         """Classify as many windows as the pipeline has room for, then
-        dispatch every batch whose gates cleared; returns the number of
+        dispatch every unit whose gates cleared; returns the number of
         rounds classified.
 
-        The global round barrier is replaced by three per-resource gates:
+        There is no global round barrier, only per-resource gates:
 
-        * **per-node frontier** — a node receives round N+1's batch only
-          after its own round-N result arrived (nodes execute their rounds
-          in order, one at a time);
-        * **cross-round footprint** — a batch waits for every earlier
-          in-flight batch (on any node) whose may-access summary does not
+        * **cross-round footprint** — a unit waits for every earlier
+          in-flight unit (on any node) whose may-access summary does not
           statically commute with it (:class:`~repro.objects.footprint.
           FootprintSummary`), so overlapped rounds only ever reorder
           commuting operations;
@@ -855,11 +710,9 @@ class Router(Node):
           shard has been acknowledged.
 
         Every gate references strictly earlier rounds, so the pipeline
-        cannot deadlock; with ``pipeline_depth=1`` none of this runs and
-        the barrier loop (:meth:`start_round`) is used unchanged.
+        cannot deadlock.  ``pipeline_depth=1`` is the same loop with one
+        round in flight.
         """
-        if self.pipeline_depth == 1:
-            raise ClusterError("barrier router rounds start via start_round()")
         classified = 0
         while len(self._inflight) < self.pipeline_depth:
             window = self.mempool.pop_window(self.window)
@@ -873,24 +726,13 @@ class Router(Node):
                 self._sync_free = sync_start + routed.t_escalation
             if self.tracer is not None:
                 self._trace_routed(routed, sync_start)
-            if self.unit_dispatch:
-                assert routed.units_by_node is not None
-                # Unit granularity: summaries, results, and queue entries
-                # key on (node, unit) instead of the whole node batch.
-                summaries = {
-                    (node, uidx): FootprintSummary.over(
-                        self.classifier.footprint(op) for op in unit.ops
-                    )
-                    for node, units in routed.units_by_node.items()
-                    for uidx, unit in enumerate(units)
-                }
-            else:
-                summaries = {
-                    node: FootprintSummary.over(
-                        self.classifier.footprint(op) for op in ops
-                    )
-                    for node, ops in routed.assignment.items()
-                }
+            summaries = {
+                (node, uidx): FootprintSummary.over(
+                    self.classifier.footprint(op) for op in unit.ops
+                )
+                for node, units in routed.units_by_node.items()
+                for uidx, unit in enumerate(units)
+            }
             self._inflight[index] = _PipelinedRound(
                 routed=routed,
                 classified=self.now,
@@ -901,19 +743,15 @@ class Router(Node):
                 pending_acks=len(routed.migrations),
                 lease_pending=list(routed.migrations),
             )
-            if self.unit_dispatch:
-                for node in sorted(routed.units_by_node):
-                    for uidx in range(len(routed.units_by_node[node])):
-                        self._node_queue[node].append((index, uidx))
-            else:
-                for node in sorted(routed.assignment):
-                    self._node_queue[node].append(index)
+            for node in sorted(routed.units_by_node):
+                for uidx in range(len(routed.units_by_node[node])):
+                    self._node_queue[node].append((index, uidx))
             classified += 1
         self._drain_gates()
         return classified
 
     def _drain_gates(self) -> None:
-        """Send every lease request and batch/unit whose gates now pass."""
+        """Send every lease request and unit whose gates now pass."""
         progress = True
         while progress:
             progress = False
@@ -930,63 +768,29 @@ class Router(Node):
                         progress = True
                         continue
                     self._shard_ack_round[shard] = index
-                    request = {
-                        "shard": shard,
-                        "new_owner": to_node,
-                        "round": index,
-                    }
-                    if self.unit_dispatch:
-                        assert round_state.routed.lease_units is not None
-                        # The grant must unblock exactly the unit whose
-                        # chain migrated this shard.
-                        request["unit"] = round_state.routed.lease_units[
-                            shard
-                        ][1]
-                    self.send(from_node, "cl_lease_request", request)
+                    self.send(
+                        from_node,
+                        "cl_lease_request",
+                        {
+                            "shard": shard,
+                            "new_owner": to_node,
+                            "round": index,
+                            # The grant must unblock exactly the unit
+                            # whose chain migrated this shard.
+                            "unit": round_state.routed.lease_units[shard][1],
+                        },
+                    )
                     if self.recovery:
                         self._handoff_info[shard] = (index, from_node, to_node)
                         self._arm_lease_timer(shard)
                     progress = True
-            if self.unit_dispatch:
-                progress |= self._drain_unit_queues()
-                continue
-            for node in sorted(self._node_queue):
-                queue = self._node_queue[node]
-                if not queue or node in self._node_outstanding:
-                    continue
-                index = queue[0]
-                round_state = self._inflight[index]
-                if self._batch_blocked(index, node):
-                    # The node is free but the footprint gate holds the
-                    # batch back — that wait (unlike pipeline fill) is
-                    # attributable to cross-round conflicts.
-                    round_state.gate_blocked_since.setdefault(node, self.now)
-                    continue
-                queue.popleft()
-                self._node_outstanding.add(node)
-                round_state.dispatched.add(node)
-                stall = self.now - round_state.classified
-                gate_stall = self.now - round_state.gate_blocked_since.pop(
-                    node, self.now
-                )
-                round_state.dispatch_stall += stall
-                round_state.frontier_stall += gate_stall
-                if node in round_state.routed.contended_nodes:
-                    round_state.dispatch_stall_contended += stall
-                    round_state.frontier_stall_contended += gate_stall
-                if self.tracer is not None and stall > 0:
-                    self._trace_dispatch(
-                        f"dispatch r{index} n{node}", stall, gate_stall
-                    )
-                self._send_batch(index, node)
-                progress = True
+            progress |= self._drain_unit_queues()
 
     def _drain_unit_queues(self) -> bool:
-        """Component-granular dispatch: send every unit whose footprint
-        gate passes.  Unlike the batch path there is no per-node FIFO and
-        no one-outstanding-batch limit — a node's units interleave on its
-        lane timeline, and a blocked unit is simply *skipped* (that is the
-        whole point: it no longer holds up the rest of its round's batch).
+        """Send every unit whose footprint gate passes.  There is no
+        per-node FIFO and no outstanding-unit limit — a node's units
+        interleave on its lane timeline, and a blocked unit is simply
+        *skipped* (it does not hold up the rest of its round).
         Cross-round conflicts stay ordered because a conflicting later
         unit is exactly what the gate refuses to dispatch."""
         progress = False
@@ -1030,26 +834,10 @@ class Router(Node):
                 progress = True
         return progress
 
-    def _batch_blocked(self, index: int, node: int) -> bool:
-        """The cross-round footprint gate: may this batch overlap every
-        still-incomplete batch of every earlier in-flight round?"""
-        summary = self._inflight[index].summaries[node]
-        for earlier in self._inflight:
-            if earlier >= index:
-                continue
-            earlier_state = self._inflight[earlier]
-            for other, other_summary in earlier_state.summaries.items():
-                if other in earlier_state.completed or other == node:
-                    # Same-node ordering is the per-node FIFO's job.
-                    continue
-                if summary.conflicts_with(other_summary):
-                    return True
-        return False
-
     def _unit_blocked(self, index: int, key: tuple[int, int]) -> bool:
         """The per-unit footprint gate: may this unit overlap every
         still-incomplete unit of every earlier in-flight round?  Same-node
-        units are *not* exempt — the unit path has no per-node FIFO, so
+        units are *not* exempt — there is no per-node FIFO, so
         cross-round same-node ordering is this gate's job too.  Units of
         one round never gate each other (distinct components commute)."""
         summary = self._inflight[index].summaries[key]
@@ -1063,27 +851,6 @@ class Router(Node):
                 if summary.conflicts_with(other_summary):
                     return True
         return False
-
-    def _send_batch(self, index: int, node: int) -> None:
-        round_state = self._inflight[index]
-        routed = round_state.routed
-        ops = routed.assignment[node]
-        delay = routed.node_delays.get(node, 0.0)
-        self.send(
-            node,
-            "cl_run",
-            {
-                "round": index,
-                "count": len(ops),
-                "leases": routed.leases_by_node.get(node, 0),
-                # Absolute completion of this node's slowest sync lane:
-                # the lanes ran while the batch waited in the pipeline, so
-                # the node pays only the remainder, not the full latency.
-                "sync_ready": round_state.sync_start + delay if delay else 0.0,
-            },
-        )
-        for op in ops:
-            self.send(node, "cl_op", {"round": index, "op": op})
 
     def _unit_for(self, index: int, node: int, uidx: int) -> _DispatchUnit:
         """The unit behind a dispatch key — positional in the routed
@@ -1099,10 +866,8 @@ class Router(Node):
         delay = unit.sync_delay
         # The unit's ops ride inside the announcement itself: a unit is
         # component-granular (often one chain or a handful of
-        # singletons), and paying one ``cl_op`` message per op made small
-        # components inflate the cluster message bill under DAG dispatch.
-        # Batch dispatch (:meth:`_dispatch` / :meth:`_send_batch`) keeps
-        # its per-op forwards — that is the pinned legacy wire format.
+        # singletons), and one forward message per op would dominate the
+        # cluster message bill.
         self.send(
             node,
             "cl_run",
@@ -1179,13 +944,8 @@ class Router(Node):
                 frontier_stall=round_state.frontier_stall,
                 frontier_stall_contended=round_state.frontier_stall_contended,
                 completed_at=self.now,
-                units_dispatched=(
-                    sum(
-                        len(units)
-                        for units in routed.units_by_node.values()
-                    )
-                    if routed.units_by_node is not None
-                    else 0
+                units_dispatched=sum(
+                    len(units) for units in routed.units_by_node.values()
                 ),
             )
         )
@@ -1460,7 +1220,6 @@ class Router(Node):
         }
         if handoff_round >= 0:
             round_state = self._inflight[handoff_round]
-            assert round_state.routed.lease_units is not None
             payload["unit"] = round_state.routed.lease_units[shard][1]
         self.send(to_node, "cl_lease_revoke", payload)
 
@@ -1640,144 +1399,81 @@ class Router(Node):
 
     def handle_cl_lease_ack(self, message: Message) -> None:
         body = message.payload
-        if self.pipeline_depth > 1:
-            index = body["round"]
-            shard = body["shard"]
-            if self.recovery:
-                self._last_heard[message.src] = self.now
-                # The shard's serialization token is the exactly-once
-                # guard: an ack settles its handoff (timer, bookkeeping,
-                # pending_acks) only while it still holds the token.  An
-                # ack whose handoff was settled synthetically by
-                # _declare_dead — or that raced a revocation — finds the
-                # token gone or moved on and is merely counted.
-                if self._shard_ack_round.get(shard) != index:
-                    self.stats.stale_messages += 1
-                    return
-                self._cancel_lease_timer(shard)
-                self._handoff_info.pop(shard, None)
-                self._shard_ack_round.pop(shard, None)
-                self._lease_resends.pop(shard, None)
-                if index == ADMIN_ROUND:
-                    # Administrative handoff (revocation fail-over or
-                    # rejoin rebalancing); no round bookkeeping.
-                    self._drain_gates()
-                    return
-                round_state = self._inflight.get(index)
-                if round_state is None:
-                    self.stats.stale_messages += 1
-                    return
-                round_state.pending_acks -= 1
-                self._finish_pipelined_round(index)
+        index = body["round"]
+        shard = body["shard"]
+        if self.recovery:
+            self._last_heard[message.src] = self.now
+            # The shard's serialization token is the exactly-once
+            # guard: an ack settles its handoff (timer, bookkeeping,
+            # pending_acks) only while it still holds the token.  An
+            # ack whose handoff was settled synthetically by
+            # _declare_dead — or that raced a revocation — finds the
+            # token gone or moved on and is merely counted.
+            if self._shard_ack_round.get(shard) != index:
+                self.stats.stale_messages += 1
+                return
+            self._cancel_lease_timer(shard)
+            self._handoff_info.pop(shard, None)
+            self._shard_ack_round.pop(shard, None)
+            self._lease_resends.pop(shard, None)
+            if index == ADMIN_ROUND:
+                # Administrative handoff (revocation fail-over or
+                # rejoin rebalancing); no round bookkeeping.
                 self._drain_gates()
                 return
             round_state = self._inflight.get(index)
             if round_state is None:
-                raise ClusterError("stray lease ack outside its round")
+                self.stats.stale_messages += 1
+                return
             round_state.pending_acks -= 1
-            self._shard_ack_round.pop(shard, None)
             self._finish_pipelined_round(index)
             self._drain_gates()
             return
-        round_state = self._round
-        if round_state is None or body["round"] != round_state.index:
+        round_state = self._inflight.get(index)
+        if round_state is None:
             raise ClusterError("stray lease ack outside its round")
         round_state.pending_acks -= 1
-        self._maybe_finish_round()
+        self._shard_ack_round.pop(shard, None)
+        self._finish_pipelined_round(index)
+        self._drain_gates()
 
     def handle_cl_result(self, message: Message) -> None:
         body = message.payload
-        if self.pipeline_depth > 1:
-            index = body["round"]
-            round_state = self._inflight.get(index)
-            key = (
-                (message.src, body["unit"])
-                if self.unit_dispatch
-                else message.src
-            )
-            if self.recovery and self.unit_dispatch:
-                self._last_heard[message.src] = self.now
-                timer = self._result_timers.pop(
-                    (index, message.src, body["unit"]), None
+        index = body["round"]
+        round_state = self._inflight.get(index)
+        key = (message.src, body["unit"])
+        if self.recovery:
+            self._last_heard[message.src] = self.now
+            timer = self._result_timers.pop((index, *key), None)
+            if timer is not None:
+                timer.cancel()
+            envelope = self._unit_envelope.pop((index, *key), None)
+            if envelope is not None:
+                self._outstanding_work[message.src] = max(
+                    0.0,
+                    self._outstanding_work.get(message.src, 0.0) - envelope,
                 )
-                if timer is not None:
-                    timer.cancel()
-                envelope = self._unit_envelope.pop(
-                    (index, message.src, body["unit"]), None
-                )
-                if envelope is not None:
-                    self._outstanding_work[message.src] = max(
-                        0.0,
-                        self._outstanding_work.get(message.src, 0.0)
-                        - envelope,
-                    )
-            if round_state is None or key not in round_state.pending_results:
-                if self.recovery:
-                    # A result from a node declared dead after sending it
-                    # (its unit was replayed), or a straggler from a
-                    # fenced-but-alive node: the apply-side dedup already
-                    # made any double-execution a no-op, so tolerate and
-                    # count rather than crash the run.
-                    self.stats.stale_messages += 1
-                    return
-                raise ClusterError(
-                    f"stray or duplicate result from node {message.src} "
-                    f"in round {index}"
-                )
-            self.responses.update(body["responses"])
-            round_state.pending_results.discard(key)
-            round_state.completed.add(key)
-            if self.recovery and self.unit_dispatch:
-                self._settle_replay((index, message.src, body["unit"]))
-            if not self.unit_dispatch:
-                self._node_outstanding.discard(message.src)
-            self._finish_pipelined_round(index)
-            self._drain_gates()
-            return
-        round_state = self._round
-        if round_state is None or body["round"] != round_state.index:
-            raise ClusterError("stray result outside its round")
-        if message.src not in round_state.pending_results:
+        if round_state is None or key not in round_state.pending_results:
+            if self.recovery:
+                # A result from a node declared dead after sending it
+                # (its unit was replayed), or a straggler from a
+                # fenced-but-alive node: the apply-side dedup already
+                # made any double-execution a no-op, so tolerate and
+                # count rather than crash the run.
+                self.stats.stale_messages += 1
+                return
             raise ClusterError(
-                f"duplicate result from node {message.src} in round "
-                f"{round_state.index}"
+                f"stray or duplicate result from node {message.src} "
+                f"in round {index}"
             )
         self.responses.update(body["responses"])
-        round_state.pending_results.discard(message.src)
-        self._maybe_finish_round()
-
-    def _maybe_finish_round(self) -> None:
-        round_state = self._round
-        assert round_state is not None
-        if round_state.pending_results or round_state.pending_acks > 0:
-            return
-        routed = round_state.routed
-        self.stats.record_round(
-            ClusterRound(
-                index=routed.index,
-                window=sum(len(ops) for ops in routed.assignment.values()),
-                owner_local_ops=routed.owner_local,
-                hot_split_ops=routed.hot_split,
-                spill_ops=routed.spill,
-                escalated_ops=routed.escalated,
-                lease_migrations=len(routed.migrations),
-                nodes_used=len(routed.assignment),
-                virtual_time=self.now - round_state.started,
-                escalation_time=routed.t_escalation,
-                escalation_messages=routed.escalation_messages,
-                team_ops=routed.team_ops,
-                global_ops=routed.global_ops,
-                team_messages=routed.team_messages,
-                global_messages=routed.global_messages,
-                teams=routed.teams,
-                team_sizes=routed.team_sizes,
-                cooldown_skips=routed.cooldown_skips,
-            )
-        )
-        self._round = None
+        round_state.pending_results.discard(key)
+        round_state.completed.add(key)
+        if self.recovery:
+            self._settle_replay((index, *key))
+        self._finish_pipelined_round(index)
+        self._drain_gates()
 
     @property
     def idle(self) -> bool:
-        if self.pipeline_depth > 1:
-            return not self._inflight
-        return self._round is None
+        return not self._inflight

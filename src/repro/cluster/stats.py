@@ -26,10 +26,9 @@ class NodeBill:
     node_id: int
     ops_executed: int = 0
     rounds_active: int = 0
-    #: Virtual time spent executing: sum of round critical paths × op
-    #: cost (batch dispatch), or each unit's execution span — first op
-    #: start to last finish, queueing excluded — under component-granular
-    #: dispatch (spans of units overlapping on disjoint lanes both count).
+    #: Virtual time spent executing: each unit's execution span — first
+    #: op start to last finish, queueing excluded (spans of units
+    #: overlapping on disjoint lanes both count).
     busy_time: float = 0.0
     forwards_received: int = 0
     results_sent: int = 0
@@ -37,14 +36,14 @@ class NodeBill:
     leases_granted: int = 0
     leases_acquired: int = 0
     #: Virtual time spent waiting for this node's synchronization lanes
-    #: (team or global) before a round's batch could execute.
+    #: (team or global) before a unit could execute.
     sync_wait_time: float = 0.0
-    #: Component-granular dispatch only: units executed on this node (a
-    #: unit is one conflict-graph component, or a round's singleton set).
+    #: Units executed on this node (a unit is one conflict-graph
+    #: component, or a round's singleton set).
     units_executed: int = 0
-    #: Op-granular DAG scheduling only: chained ops this node planned vs
-    #: the sum of their components' critical paths, and the high-water
-    #: marks of component critical path / antichain width it saw.
+    #: Chained ops this node planned vs the sum of their components'
+    #: critical paths, and the high-water marks of component critical
+    #: path / antichain width it saw.
     dag_chain_ops: int = 0
     dag_critical_ops: int = 0
     max_dag_critical_path: int = 0
@@ -101,21 +100,18 @@ class ClusterRound:
     team_sizes: tuple[int, ...] = ()
     #: Lease migrations suppressed by the anti-churn cooldown this round.
     cooldown_skips: int = 0
-    #: Component-granular dispatch only: independently gated ``cl_run``
-    #: units this round fanned out as (0 = batch-granular dispatch).
+    #: Independently gated ``cl_run`` units this round fanned out as.
     units_dispatched: int = 0
-    #: Cross-round pipelining only (:class:`~repro.cluster.router.Router`
-    #: with ``pipeline_depth > 1``): rounds in flight when this one was
-    #: classified, virtual time its per-node batches spent gated at the
-    #: router before dispatch (``dispatch_stall_contended`` is the share
-    #: on nodes executing sync-ordered components), and the round's
-    #: absolute completion time.  Barrier rounds leave the defaults.
+    #: Cross-round pipelining: rounds in flight when this one was
+    #: classified, virtual time its units spent gated at the router
+    #: before dispatch (``dispatch_stall_contended`` is the share of
+    #: sync-ordered units), and the round's absolute completion time.
     inflight: int = 1
     dispatch_stall: float = 0.0
     dispatch_stall_contended: float = 0.0
     #: The share of the dispatch stall caused by the cross-round footprint
-    #: gate specifically (the node was free; a conflicting earlier batch
-    #: had not committed yet) — pipeline fill excluded.
+    #: gate specifically (a conflicting earlier unit had not committed
+    #: yet) — pipeline fill excluded.
     frontier_stall: float = 0.0
     frontier_stall_contended: float = 0.0
     completed_at: float = 0.0
@@ -130,10 +126,8 @@ class ClusterStats:
     window: int = 0
     num_shards: int = 0
     op_cost: float = 1.0
-    #: Configured window overlap depth (1 = the historical barrier).
+    #: Configured window overlap depth (1 = one round in flight).
     pipeline_depth: int = 1
-    #: Op-granular DAG scheduling + component-granular dispatch enabled.
-    dag_scheduling: bool = False
 
     ops_executed: int = 0
     rounds: int = 0
@@ -169,9 +163,9 @@ class ClusterStats:
 
     #: Cross-round pipelining: high-water mark of rounds in flight and
     #: total router-side dispatch stall (split by contended attribution).
-    #: ``dispatch_stall_time`` includes benign pipeline fill (the node was
-    #: still executing its previous round); ``frontier_stall_time`` is the
-    #: cross-round footprint gate alone.
+    #: ``dispatch_stall_time`` includes benign pipeline fill (waiting for
+    #: a pipeline slot); ``frontier_stall_time`` is the cross-round
+    #: footprint gate alone.
     max_inflight_rounds: int = 0
     dispatch_stall_time: float = 0.0
     dispatch_stall_time_contended: float = 0.0
@@ -209,7 +203,7 @@ class ClusterStats:
     def bill(self, node_id: int) -> NodeBill:
         return self.node_bills[node_id]
 
-    #: Component-granular dispatch: total independently gated units.
+    #: Total independently gated dispatch units.
     units_dispatched: int = 0
 
     def record_round(self, round_stats: ClusterRound) -> None:
@@ -294,7 +288,7 @@ class ClusterStats:
     def dag_speedup(self) -> float:
         """Chained ops over summed component critical paths across all
         nodes — the intra-component parallelism op-granular node planning
-        exploited (1.0 under chain-atomic scheduling)."""
+        exploited."""
         critical = self.dag_critical_ops
         if not critical:
             return 1.0
@@ -331,7 +325,6 @@ class ClusterStats:
             "num_shards": self.num_shards,
             "op_cost": self.op_cost,
             "pipeline_depth": self.pipeline_depth,
-            "dag_scheduling": self.dag_scheduling,
             "units_dispatched": self.units_dispatched,
             "dag_chain_ops": self.dag_chain_ops,
             "dag_critical_ops": self.dag_critical_ops,

@@ -1,9 +1,9 @@
-"""Unified run configuration: the fast paths are the defaults now.
+"""Unified run configuration: one home for the run knobs.
 
-Every headline subsystem — op-granular DAG scheduling, cross-round
-pipelining, tiered team lanes, team-lane GC — shipped default-off behind
-its own kwarg, so out of the box the system was still the PR 1/2 barrier
-engine.  This module flips them on and gives the knob sprawl one home:
+Op-granular DAG scheduling and component-granular dispatch are not knobs
+— they are how the system schedules.  What stays configurable (lanes,
+window, pipeline depth, team-lane threshold, team-lane GC, fault plan)
+lives here, with the fast configuration as the defaults:
 
 * :class:`EngineConfig` — the single-process executors
   (:class:`~repro.engine.executor.BatchExecutor`,
@@ -17,12 +17,6 @@ so benchmark baselines can embed the exact configuration that produced
 them (``scripts/check_bench.py`` refuses a baseline whose config block
 disagrees with the run's — a silent default flip can never skew one
 number in one place).
-
-The historical behavior is not gone, it is a preset: ``legacy()`` pins
-the pre-flip defaults — chain-atomic barrier rounds, always-global
-escalation, no lane GC — and the config test suite holds it bit-identical
-(stats-dict identity) to explicit pre-flip kwargs across every traced
-setup.
 
 Precedence at the constructors: an explicitly passed kwarg beats the
 ``config=`` value, which beats the dataclass default.  Bare kwargs
@@ -122,8 +116,7 @@ class EngineConfig(_ConfigBase):
     The defaults are the *fast* configuration: op-granular DAG
     scheduling, two pipelined windows in flight, team lanes for spender
     bounds up to 4 with per-account sync-group splitting, and team lanes
-    garbage-collected after 32 idle sync rounds.  ``legacy()`` is the
-    pre-flip behavior, bit for bit.
+    garbage-collected after 32 idle sync rounds.
     """
 
     num_lanes: int = 4
@@ -135,40 +128,20 @@ class EngineConfig(_ConfigBase):
     #: Largest spender bound ordered on a k-participant team lane
     #: (``0`` = every contended component pays the global lane).
     team_threshold: int = 4
-    #: Op-granular scheduling along each component's precedence DAG
-    #: (``False`` = chain-atomic lanes, the historical planner).
-    dag_scheduling: bool = True
-    #: Windows in flight at once; ``1`` *is* the barrier round loop.
-    #: Read by :class:`~repro.engine.pipeline.PipelinedExecutor` only —
-    #: the barrier :class:`~repro.engine.executor.BatchExecutor` is
-    #: depth 1 by construction.
+    #: Windows in flight at once (``1`` = the same pipelined loop with
+    #: one window in flight).  Read by
+    #: :class:`~repro.engine.pipeline.PipelinedExecutor` only — the
+    #: barrier :class:`~repro.engine.executor.BatchExecutor` has no
+    #: pipeline.
     pipeline_depth: int = 2
     #: Garbage-collect a team lane idle for this many sync rounds
     #: (``None`` = keep every lane forever).
     lane_ttl: int | None = 32
-    #: Split each contended component into per-account synchronization
-    #: groups, each ordered on its own (smaller) team lane; cross-group
-    #: order is stitched through chain order.
-    split_sync: bool = True
 
     def __post_init__(self) -> None:
         if self.num_lanes < 1:
             raise EngineError("need at least one lane")
         self._check_common()
-
-    @classmethod
-    def legacy(cls, **overrides) -> "EngineConfig":
-        """The pre-flip defaults: chain-atomic barrier rounds, global-only
-        escalation, no lane GC — PR 1–8 behavior, bit for bit."""
-        preset = dict(
-            team_threshold=0,
-            dag_scheduling=False,
-            pipeline_depth=1,
-            lane_ttl=None,
-            split_sync=False,
-        )
-        preset.update(overrides)
-        return cls(**preset)
 
 
 @dataclass(frozen=True)
@@ -257,10 +230,9 @@ class ClusterConfig(_ConfigBase):
     """Configuration of the distributed :class:`~repro.cluster.cluster.
     TokenCluster`.
 
-    Defaults mirror :class:`EngineConfig`'s flip: component-granular
-    unit dispatch (DAG scheduling under a depth-2 pipeline), owner-node
-    team lanes up to 4 participants, and idle-lane GC.  ``legacy()``
-    pins the pre-flip barrier cluster.
+    Defaults mirror :class:`EngineConfig`'s: component-granular unit
+    dispatch under a depth-2 pipeline, owner-node team lanes up to 4
+    participants, and idle-lane GC.
     """
 
     num_nodes: int = 4
@@ -280,7 +252,6 @@ class ClusterConfig(_ConfigBase):
     #: Largest owner-node set ordered on a team lane (``0`` = global).
     team_threshold: int = 4
     pipeline_depth: int = 2
-    dag_scheduling: bool = True
     lane_ttl: int | None = 32
     #: Declare a node dead when a dispatched unit's ``cl_result`` is this
     #: late (virtual time); ``None`` disables failure detection entirely.
@@ -309,29 +280,13 @@ class ClusterConfig(_ConfigBase):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ClusterError(f"{name} must be positive (or None)")
-        recovery = self.result_timeout is not None
-        if self.fault.enabled and self.fault.crashes and not recovery:
+        if (
+            self.fault.enabled
+            and self.fault.crashes
+            and self.result_timeout is None
+        ):
             raise ClusterError(
                 "a crash schedule needs result_timeout so the router "
                 "can detect the dead node and recover"
             )
-        unit_dispatch = self.dag_scheduling and self.pipeline_depth > 1
-        if (self.fault.enabled or recovery) and not unit_dispatch:
-            raise ClusterError(
-                "fault recovery needs component-granular dispatch "
-                "(dag_scheduling=True with pipeline_depth > 1)"
-            )
         self._check_common()
-
-    @classmethod
-    def legacy(cls, **overrides) -> "ClusterConfig":
-        """The pre-flip defaults: batch dispatch, barrier rounds,
-        global-only escalation, no lane GC."""
-        preset = dict(
-            team_threshold=0,
-            pipeline_depth=1,
-            dag_scheduling=False,
-            lane_ttl=None,
-        )
-        preset.update(overrides)
-        return cls(**preset)

@@ -18,7 +18,7 @@ no edge, hence statically commute, and adjacent-transposing commuting
 pairs transforms one extension into any other.  The DAG's critical path
 and antichain width are exactly the component's intrinsic makespan lower
 bound and its exploitable parallelism — the quantities op-granular
-scheduling (``dag_scheduling=True`` on the planner) trades on.
+scheduling trades on.
 """
 
 from __future__ import annotations

@@ -119,7 +119,6 @@ def tiered_escalator(
     seed: int = 0,
     max_batch: int = 64,
     lane_ttl: int | None = None,
-    split_sync: bool = False,
 ) -> TieredEscalator:
     """Wire a :class:`ConsensusEscalator` into the tiered sync layer.
 
@@ -130,9 +129,7 @@ def tiered_escalator(
     behavior).  ``lane_ttl`` garbage-collects team lanes idle for that
     many sync rounds (``None`` keeps them forever), so long runs over
     shifting approval patterns do not accumulate one live replica group
-    per distinct team.  ``split_sync`` partitions each contended
-    component into per-account synchronization groups before tiering
-    (:meth:`~repro.sync.planner.SyncPlanner.split_groups`).
+    per distinct team.
     """
     return TieredEscalator(
         escalator
@@ -140,7 +137,7 @@ def tiered_escalator(
         else ConsensusEscalator(
             seed=seed, latency=latency, max_batch=max_batch
         ),
-        planner=SyncPlanner(team_threshold, split_sync=split_sync),
+        planner=SyncPlanner(team_threshold),
         latency=latency,
         seed=seed,
         max_batch=max_batch,

@@ -9,8 +9,8 @@ schedules its connected components:
   in any lane (the engine's fast path).
 * **chains** — multi-operation components.  Operations in different
   components statically commute and run in parallel; within a component
-  only the submission order is known-safe, so the component executes as
-  an ordered chain on a single lane.
+  only the non-commuting pairs need an order, so the component's
+  operations schedule individually along its precedence DAG.
 * **escalated** — chain members on a cross-process CONFLICT edge with
   *contention* (two enabled spenders debiting one account, approve racing
   transferFrom on an allowance cell, one NFT): the only traffic that pays
@@ -21,14 +21,13 @@ schedules its connected components:
   into one batch on the global
   :class:`~repro.engine.escalation.ConsensusEscalator` lane.  The phase's
   makespan (global lane and team pool run concurrently) and message bill
-  are charged to the engine clock.  With ``team_threshold = 0``
-  (:meth:`repro.config.EngineConfig.legacy`) every contended component
-  takes the global lane — the historical behavior, bit for bit.
+  are charged to the engine clock.  With ``team_threshold = 0`` every
+  contended component takes the global lane.
 
-A round costs the lane critical path (longest lane, in operation units)
-plus the consensus latency of its escalations; conflict-free windows pay
-no messages at all — the paper's consensus-number-1 regime executes
-entirely on the fast path.
+A round costs the lane critical path (the scheduled makespan, in
+operation units) plus the consensus latency of its escalations;
+conflict-free windows pay no messages at all — the paper's
+consensus-number-1 regime executes entirely on the fast path.
 
 Serial-equivalence contract: the final state *and every response* are
 identical to executing the whole workload sequentially in submission
@@ -74,15 +73,12 @@ class BatchExecutor:
         mempool_capacity=UNSET,
         team_threshold=UNSET,
         sync: TieredEscalator | None = None,
-        dag_scheduling=UNSET,
         lane_ttl=UNSET,
-        split_sync=UNSET,
         tracer: TraceRecorder | None = None,
     ) -> None:
         #: The resolved run configuration: explicit kwargs override the
         #: ``config=`` value, which overrides :class:`EngineConfig`'s
-        #: (fast-path) defaults.  ``EngineConfig.legacy()`` recovers the
-        #: historical barrier engine bit for bit.
+        #: defaults.
         self.config = cfg = _with_overrides(
             config if config is not None else EngineConfig(),
             dict(
@@ -93,9 +89,7 @@ class BatchExecutor:
                 seed=seed,
                 mempool_capacity=mempool_capacity,
                 team_threshold=team_threshold,
-                dag_scheduling=dag_scheduling,
                 lane_ttl=lane_ttl,
-                split_sync=split_sync,
             ),
         )
         self.object_type = object_type
@@ -107,15 +101,8 @@ class BatchExecutor:
             if classifier is not None
             else OpClassifier(object_type, validate=cfg.validate)
         )
-        #: ``dag_scheduling=True`` (the default) dissolves chain-atomic
-        #: components into their precedence DAGs (op-granular scheduling);
-        #: ``False`` is the historical chain-atomic behavior bit for bit.
         self.planner = (
-            planner
-            if planner is not None
-            else ShardPlanner(
-                cfg.num_lanes, dag_scheduling=cfg.dag_scheduling
-            )
+            planner if planner is not None else ShardPlanner(cfg.num_lanes)
         )
         self.scheduler = RoundScheduler(self.classifier, self.planner)
         self.escalator = (
@@ -123,9 +110,8 @@ class BatchExecutor:
             if escalator is not None
             else ConsensusEscalator(seed=cfg.seed)
         )
-        #: The tiered sync layer; its Tier ∞ fallback is ``self.escalator``.
-        #: ``team_threshold=0`` reproduces the historical always-global
-        #: escalation exactly.
+        #: The tiered sync layer; its Tier ∞ fallback is ``self.escalator``
+        #: (``team_threshold=0`` = always-global escalation).
         self.sync = (
             sync
             if sync is not None
@@ -134,12 +120,10 @@ class BatchExecutor:
                 team_threshold=cfg.team_threshold,
                 seed=cfg.seed,
                 lane_ttl=cfg.lane_ttl,
-                split_sync=cfg.split_sync,
             )
         )
         #: The shared round stage machine (drain → classify → sync → plan);
-        #: the pipelined executor drives the same lifecycle, which is what
-        #: keeps ``pipeline_depth=1`` bit-identical to this barrier path.
+        #: the pipelined executor drives the same lifecycle.
         self.lifecycle = RoundLifecycle(
             self.scheduler, self.sync, object_type, op_cost=cfg.op_cost
         )
@@ -151,9 +135,8 @@ class BatchExecutor:
             num_lanes=cfg.num_lanes, window=cfg.window, op_cost=cfg.op_cost
         )
         #: Optional observability hook (:mod:`repro.obs`).  ``None`` (the
-        #: default) records nothing and changes nothing — the historical
-        #: stats, state, and responses stay bit-identical, the same
-        #: contract ``team_threshold=0`` and ``dag_scheduling=False`` keep.
+        #: default) records nothing and changes nothing — stats, state,
+        #: and responses stay bit-identical.
         self.tracer = tracer
         if tracer is not None and getattr(self.sync, "pool", None) is not None:
             self.sync.pool.tracer = tracer
@@ -208,10 +191,10 @@ class BatchExecutor:
         components (phase 1 — team lanes for small spender bounds, the
         global lane above the threshold; every lane commits in submission
         order, fixing the relative order of contended chain members before
-        the lanes start), lay the window out on lanes, and apply it
-        lane-major (phase 2 — a deterministic merge: any two operations
-        applied out of submission order belong to different components and
-        therefore statically commute).
+        the lanes start), schedule the window on the lanes, and apply it
+        in the plan's order (phase 2 — a linear extension of every
+        component DAG: any two operations applied out of submission order
+        have no non-commute edge between them).
         """
         self.stats.rejected_ops = self.mempool.rejected
         round_ = self.lifecycle.drain(
@@ -222,16 +205,8 @@ class BatchExecutor:
         self.lifecycle.classify(round_, self.state)
         self.lifecycle.synchronize(round_, self.state)
         self.lifecycle.plan(round_)
-        if round_.plan.apply_order is not None:
-            # DAG plans carry an explicit linear extension of every
-            # component DAG; lane-major application would be unsound once
-            # one chain spans lanes.
-            for op in round_.plan.apply_order:
-                self._apply(op)
-        else:
-            for lane in round_.plan.lanes:
-                for op in lane:
-                    self._apply(op)
+        for op in round_.plan.apply_order:
+            self._apply(op)
         round_stats = self.lifecycle.barrier_stats(round_)
         if self.tracer is not None:
             self._trace_barrier_round(round_, round_stats)
@@ -338,20 +313,7 @@ class BatchExecutor:
         )
         exec_start = t0 + escalation_time
         plan = round_.plan
-        if plan.placements is not None:
-            placed = [
-                (op, start, finish, lane)
-                for op, (start, finish, lane) in zip(
-                    plan.apply_order, plan.placements
-                )
-            ]
-        else:
-            placed = [
-                (op, j, j + 1, lane_id)
-                for lane_id, lane_ops in enumerate(plan.lanes)
-                for j, op in enumerate(lane_ops)
-            ]
-        for op, start, finish, lane in placed:
+        for op, (start, finish, lane) in zip(plan.apply_order, plan.placements):
             start_vt = exec_start + start * self.op_cost
             tracer.span(
                 f"lane{lane}",

@@ -28,27 +28,19 @@ synchronization lanes serialize across windows (they are one physical
 resource) but overlap with lane execution, which is where most of the win
 on contended mixes comes from.
 
-What a *unit* is depends on the scheduling granularity:
-
-* **chain-atomic** (the default): chains are atomic units, singletons
-  single-op units.  Units place with the barrier planner's heuristics
-  ported onto the timeline — chains longest-first (LPT), singletons
-  bundled by primary account with oversized bundles split across the
-  earliest-free lanes (hot-account splitting) — closing the owner-only
-  gap the greedy head-order placement left against the barrier planner.
-* **op-granular** (``dag_scheduling=True``): every operation is its own
-  unit.  Within a component, the precedence DAG
-  (:class:`~repro.engine.conflict_graph.ComponentDAG`) supplies the
-  intra-window dependencies and a critical-path-first priority; the
-  frontier then keys on per-*op* footprints, so an op of window N+1
-  starts behind only the specific earlier ops it touches — not behind
-  the union footprint of every chain those ops belong to.
+Every operation is its own timeline *unit*.  Within a component, the
+precedence DAG (:class:`~repro.engine.conflict_graph.ComponentDAG`)
+supplies the intra-window dependencies and a critical-path-first
+priority; the frontier keys on per-*op* footprints, so an op of window
+N+1 starts behind only the specific earlier ops it touches — not behind
+the union footprint of every chain those ops belong to.
 
 ``pipeline_depth`` bounds how many windows may be in flight at once.
-``pipeline_depth=1`` *is* the barrier: the executor inherits
-:class:`BatchExecutor`'s round loop unchanged, so the historical behavior
-— state, responses, clock, and stats — is reproduced bit for bit
-(property-tested in ``tests/engine/test_pipeline.py``).
+``pipeline_depth=1`` is the same loop with one window in flight: window
+N+1 classifies when window N completes, but its lanes still roll on from
+wherever window N left them.  It is held to serial equivalence with the
+sequential spec like every other depth, not to the barrier executor's
+makespan (:class:`BatchExecutor` is the barrier reference).
 
 State application happens at commit time in ascending unit start time
 (ties broken by submission order).  That order is serially equivalent to
@@ -62,7 +54,6 @@ sequential specification for random workloads, depths, and lane counts.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 from repro.config import UNSET, EngineConfig, _with_overrides
@@ -75,7 +66,7 @@ from repro.objects.footprint import FootprintSummary
 
 @dataclass(frozen=True, slots=True)
 class ScheduledUnit:
-    """One atomic execution unit (a chain or a singleton) on the timeline."""
+    """One execution unit (a single operation) on the timeline."""
 
     start: float
     finish: float
@@ -118,9 +109,7 @@ class PipelinedExecutor(BatchExecutor):
         mempool_capacity=UNSET,
         team_threshold=UNSET,
         sync=None,
-        dag_scheduling=UNSET,
         lane_ttl=UNSET,
-        split_sync=UNSET,
         tracer=None,
     ) -> None:
         # The full config surface, spelled out: a mistyped knob raises a
@@ -136,9 +125,7 @@ class PipelinedExecutor(BatchExecutor):
                 seed=seed,
                 mempool_capacity=mempool_capacity,
                 team_threshold=team_threshold,
-                dag_scheduling=dag_scheduling,
                 lane_ttl=lane_ttl,
-                split_sync=split_sync,
             ),
         )
         super().__init__(
@@ -208,8 +195,6 @@ class PipelinedExecutor(BatchExecutor):
         classification clock, held back by the depth gate exactly as
         :meth:`step` will compute it.  Arrivals due by this time can
         still make the next window."""
-        if self.pipeline_depth == 1:
-            return super().stream_now()
         gate = 0.0
         index = self.stats.waves
         if index >= self.pipeline_depth:
@@ -219,24 +204,18 @@ class PipelinedExecutor(BatchExecutor):
     def stream_advance(self, ts: float) -> None:
         """Advance an idle pipeline's classification clock to ``ts``
         (never backward) — the quiet gap until the next arrival."""
-        if self.pipeline_depth == 1:
-            super().stream_advance(ts)
-        else:
-            self._classify_clock = max(self._classify_clock, ts)
+        self._classify_clock = max(self._classify_clock, ts)
 
     # -- scheduling ------------------------------------------------------
 
     def step(self) -> WaveStats | None:
         """Schedule one window onto the pipeline; ``None`` when drained.
 
-        With ``pipeline_depth=1`` this is the inherited barrier round,
-        unchanged.  Otherwise the window is drained, classified, and
-        synchronized immediately (subject only to the depth gate), its
-        units are placed on the lane timeline under the frontier rule,
-        and application is deferred to :meth:`run`'s commit.
+        The window is drained, classified, and synchronized immediately
+        (subject only to the depth gate), its units are placed on the
+        lane timeline under the frontier rule, and application is
+        deferred to :meth:`run`'s commit.
         """
-        if self.pipeline_depth == 1:
-            return super().step()
         self.stats.rejected_ops = self.mempool.rejected
         index = self.stats.waves
         round_ = self.lifecycle.drain(self.mempool, self.window, index)
@@ -266,38 +245,24 @@ class PipelinedExecutor(BatchExecutor):
             self._sync_free = sync_start + escalation.virtual_time
         self._state_backlog.append(round_.ops)
 
-        # Per-chain and per-op sync completion: a contended component may
-        # not start (chain-atomic) — or its contended *members* may not
-        # start (op-granular) — before its lane committed the order.
-        chain_sync: dict[int, float] = {}
+        # Per-op sync completion: a component's contended members may not
+        # start before their lane committed the order.
         op_sync: dict[int, float] = {}
-        chain_of = {
-            i: ci for ci, chain in enumerate(round_.chain_idx) for i in chain
-        }
         for group, component in zip(
             round_.contended_groups, escalation.components
         ):
             done = sync_start + component.completed
-            owner = chain_of[group[0]]
-            chain_sync[owner] = max(chain_sync.get(owner, 0.0), done)
             for i in group:
                 op_sync[i] = done
 
-        if self.planner.dag_scheduling:
-            placement = self._place_window_dag(round_, t_classify, op_sync)
-        else:
-            placement = self._place_window_units(
-                round_, t_classify, chain_sync
-            )
         (
             scheduled,
             frontier_updates,
             stall,
             stall_contended,
             lanes_used,
-            hot_accounts,
             critical_path,
-        ) = placement
+        ) = self._place_window_dag(round_, t_classify, op_sync)
 
         # Frontier updates apply after the whole window: units of one
         # window never gate each other through the frontier — distinct
@@ -334,7 +299,6 @@ class PipelinedExecutor(BatchExecutor):
             escalated_ops=escalated,
             lanes_used=len(lanes_used),
             critical_path=critical_path,
-            hot_accounts=len(hot_accounts),
             virtual_time=completed - t_classify,
             escalation_time=escalation.virtual_time,
             escalation_messages=escalation.messages,
@@ -449,124 +413,6 @@ class PipelinedExecutor(BatchExecutor):
                 self._frontier_set.get(loc, 0.0),
             )
         return dep_ready
-
-    def _place_window_units(
-        self,
-        round_,
-        t_classify: float,
-        chain_sync: dict[int, float],
-    ):
-        """Chain-atomic placement with the barrier planner's heuristics.
-
-        Chains place longest-first (LPT) onto the earliest-free lane;
-        singletons bundle by primary account — a bundle lands consecutively
-        on one lane, except oversized (hot-account) bundles, which split
-        per-op across the earliest-free lanes, mirroring
-        :class:`~repro.engine.shard.ShardPlanner`'s target heuristic on
-        the rolling timeline.
-        """
-        scheduled: list[ScheduledUnit] = []
-        frontier_updates: list[
-            tuple[frozenset | None, frozenset, frozenset, float]
-        ] = []
-        stall = stall_contended = 0.0
-        lanes_used: set[int] = set()
-
-        def place(
-            ops: list[PendingOp],
-            contended: bool,
-            sync_ready: float,
-            lane: int | None = None,
-        ) -> int:
-            summary = FootprintSummary.over(
-                self.classifier.footprint(op) for op in ops
-            )
-            dep_ready = self._dep_ready(summary)
-            if lane is None:
-                lane = min(
-                    range(self.num_lanes),
-                    key=lambda lane_id: (self._lane_free[lane_id], lane_id),
-                )
-            base = max(t_classify, self._lane_free[lane])
-            sync_stall = max(0.0, sync_ready - base) if contended else 0.0
-            frontier_stall = max(0.0, dep_ready - max(base, sync_ready))
-            start = max(base, dep_ready, sync_ready)
-            finish = start + len(ops) * self.op_cost
-            self._lane_free[lane] = finish
-            lanes_used.add(lane)
-            scheduled.append(
-                ScheduledUnit(
-                    start=start,
-                    finish=finish,
-                    lane=lane,
-                    first_seq=ops[0].seq,
-                    ops=tuple(ops),
-                    contended=contended,
-                    sync_stall=sync_stall,
-                    frontier_stall=frontier_stall,
-                )
-            )
-            frontier_updates.append(
-                (
-                    None if summary.unknown else summary.observes,
-                    summary.adds,
-                    summary.sets,
-                    finish,
-                )
-            )
-            nonlocal stall, stall_contended
-            stall += sync_stall + frontier_stall
-            if contended:
-                stall_contended += sync_stall + frontier_stall
-            return lane
-
-        # Chains: longest-processing-time first (the barrier planner's
-        # LPT), deterministic tie-break on the head's sequence number.
-        chain_units = sorted(
-            (
-                (
-                    [round_.ops[i] for i in chain],
-                    ci in chain_sync,
-                    chain_sync.get(ci, 0.0),
-                )
-                for ci, chain in enumerate(round_.chain_idx)
-            ),
-            key=lambda unit: (-len(unit[0]), unit[0][0].seq),
-        )
-        for ops, contended, sync_ready in chain_units:
-            place(ops, contended, sync_ready)
-
-        # Singletons: bundle by primary account; hot bundles split.
-        target = math.ceil(len(round_.ops) / self.num_lanes)
-        bundles: dict[int, list[PendingOp]] = {}
-        for i in round_.singleton_idx:
-            op = round_.ops[i]
-            bundles.setdefault(
-                self.planner.primary_account(self.classifier, op), []
-            ).append(op)
-        hot_accounts: list[int] = []
-        for account, ops in sorted(
-            bundles.items(), key=lambda kv: (-len(kv[1]), kv[0])
-        ):
-            if len(ops) > target:
-                hot_accounts.append(account)
-                for op in ops:
-                    place([op], False, 0.0)
-            else:
-                lane: int | None = None
-                for op in ops:
-                    lane = place([op], False, 0.0, lane=lane)
-
-        critical_path = max(len(unit.ops) for unit in scheduled)
-        return (
-            scheduled,
-            frontier_updates,
-            stall,
-            stall_contended,
-            lanes_used,
-            sorted(hot_accounts),
-            critical_path,
-        )
 
     def _place_window_dag(
         self,
@@ -695,7 +541,6 @@ class PipelinedExecutor(BatchExecutor):
             stall,
             stall_contended,
             lanes_used,
-            [],
             critical_path,
         )
 
@@ -706,8 +551,6 @@ class PipelinedExecutor(BatchExecutor):
         (submission order on ties) — the serially-equivalent merge of the
         pipelined timeline — and sets the engine clock to the makespan.
         """
-        if self.pipeline_depth == 1:
-            return super().run()
         while self.step() is not None:
             pass
         self._commit()

@@ -52,9 +52,10 @@ class RoundScheduler:
 
         Components of the conflict graph are independent: operations in
         different components statically commute, so components run in
-        parallel.  Within a component only the submission order is safe —
-        it becomes an ordered *chain* pinned to one lane.  Singleton
-        components commute with the entire window and can run anywhere.
+        parallel.  Within a multi-operation component (a *chain*) the
+        non-commuting pairs keep their submission order — its precedence
+        DAG.  Singleton components commute with the entire window and can
+        run anywhere.
 
         ``contended`` indices are the chain members that sit on a
         synchronization-group conflict: a CONFLICT edge between *distinct*
@@ -99,28 +100,6 @@ class RoundScheduler:
         ]
         return chains, singletons, sorted(groups, key=lambda g: g[0])
 
-    def plan_batch(self, ops: list[PendingOp], state=None) -> ShardPlan:
-        """Lay one already-routed batch out on this scheduler's lanes.
-
-        This is the per-node round loop of the cluster: the router has
-        already co-located every conflict-graph component (chains never
-        span nodes), so rebuilding the graph over the batch recovers
-        exactly the window components assigned here, and the application
-        order of the returned plan (lane-major, or the DAG plan's explicit
-        linear extension) is serially equivalent for the same reason as in
-        the single-process engine.
-        """
-        graph = ConflictGraph.build(self.classifier, ops, state)
-        chain_idx, singleton_idx, _ = self.split(graph)
-        return self.planner.plan(
-            self.classifier,
-            [[ops[i] for i in chain] for chain in chain_idx],
-            [ops[i] for i in singleton_idx],
-            dags=(
-                graph.component_dags() if self.planner.dag_scheduling else None
-            ),
-        )
-
 
 class RoundStage(Enum):
     """Lifecycle stages of one scheduling round (strictly ordered)."""
@@ -156,8 +135,8 @@ class Round:
     #: Contended subset of each chain, grouped by component (the unit the
     #: tiered sync layer sizes teams for).
     contended_groups: list[list[int]] = field(default_factory=list)
-    #: Per-chain precedence DAGs (populated only under op-granular
-    #: scheduling; positionally aligned with ``chain_idx``).
+    #: Per-chain precedence DAGs (positionally aligned with
+    #: ``chain_idx``).
     dags: list = field(default_factory=list)
     escalation: SyncRoundResult | None = None
     plan: ShardPlan | None = None
@@ -187,9 +166,8 @@ class RoundLifecycle:
     runs ``drain → classify → synchronize → plan`` back to back and then
     executes; the pipelined executor (:mod:`repro.engine.pipeline`)
     interleaves the stages of several rounds.  Keeping the computations
-    here — and the stage tracking on :class:`Round` — is what makes
-    ``pipeline_depth=1`` bit-identical to the barrier path: there is only
-    one implementation of each stage to agree with.
+    here — and the stage tracking on :class:`Round` — means there is only
+    one implementation of each stage for the two executors to agree with.
     """
 
     def __init__(
@@ -223,8 +201,7 @@ class RoundLifecycle:
             round_.singleton_idx,
             round_.contended_groups,
         ) = self.scheduler.split_sync(round_.graph)
-        if self.scheduler.planner.dag_scheduling:
-            round_.dags = round_.graph.component_dags()
+        round_.dags = round_.graph.component_dags()
         round_.advance(RoundStage.CLASSIFIED)
         return round_
 
@@ -248,16 +225,15 @@ class RoundLifecycle:
         return round_
 
     def plan(self, round_: Round) -> Round:
-        """PLANNED: lay chains and singletons out on the parallel lanes
-        (the barrier layout; the pipelined executor schedules at unit
-        granularity instead and skips this stage).  Under op-granular
-        scheduling the per-chain DAGs flow through and the plan carries an
-        explicit serially-equivalent application order."""
+        """PLANNED: schedule the window's ops on the parallel lanes along
+        the per-chain DAGs (the barrier layout on fresh lanes; the
+        pipelined executor places onto its rolling timeline instead and
+        skips this stage).  The plan carries an explicit
+        serially-equivalent application order."""
         round_.plan = self.scheduler.planner.plan(
-            self.scheduler.classifier,
             [[round_.ops[i] for i in chain] for chain in round_.chain_idx],
             [round_.ops[i] for i in round_.singleton_idx],
-            dags=round_.dags if round_.dags else None,
+            round_.dags,
         )
         round_.advance(RoundStage.PLANNED)
         return round_
@@ -287,7 +263,6 @@ class RoundLifecycle:
             escalated_ops=escalated,
             lanes_used=plan.lanes_used,
             critical_path=plan.critical_path,
-            hot_accounts=len(plan.hot_accounts),
             virtual_time=plan.critical_path * self.op_cost
             + escalation.virtual_time,
             escalation_time=escalation.virtual_time,

@@ -1,57 +1,36 @@
-"""Shard planning: assign a window's execution groups to parallel lanes.
+"""Shard planning: schedule a window's operations onto parallel lanes.
 
-The scheduler hands the planner *groups* of pending operations:
+The scheduler hands the planner a window split into conflict-graph
+components:
 
-* **chains** — the multi-operation components of the conflict graph.  A
-  chain's operations must keep their submission order, so a chain is
-  atomic: it occupies one lane and costs its full length.
+* **chains** — the multi-operation components.  Only a chain's
+  non-commuting pairs need an order, and the component's
+  :class:`~repro.engine.conflict_graph.ComponentDAG` carries exactly
+  those constraints;
 * **singletons** — operations commuting with everything else in the
-  window.  They can run anywhere; the planner bundles them by primary
-  account so account-local traffic lands on one lane (hash sharding,
-  cache-friendly in a real deployment).
+  window.  They can run anywhere and backfill idle lanes.
 
-Placement is hash sharding by primary account with two refinements for
-skewed traffic:
+The planner schedules *operations*, not components, with a
+critical-path-first list scheduler (highest bottom level first,
+earliest-available lane), so a component's makespan is its critical path,
+not its op count.  The returned plan carries an explicit ``apply_order``
+— a linear extension of every component DAG — because lane-major
+application is unsound once one chain spans lanes.  Any linear extension
+is serially equivalent to submission order: ops without a DAG path have
+no non-commute edge and may be transposed freely.
 
-* **hot-account splitting** — a popular account can own a large bundle of
-  mutually commuting operations (balance queries, approvals to distinct
-  spenders, incoming credits).  Hash sharding would pin the burst to one
-  lane; bundles larger than the per-lane target are split across the
-  least-loaded lanes instead.
-* **LPT chain placement + overflow spill** — chains go largest-first to
-  the least-loaded lane, and overloaded lanes shed singletons afterwards.
-
-Every operation in different groups pairwise commutes, so any assignment
-is *correct*; the planner only shapes the critical path.  It never
-consults mutable state, so the same window always produces the same plan —
-part of the engine's determinism guarantee.
-
-**Op-granular DAG scheduling** (``dag_scheduling=True``): a chain is not
-actually atomic — only its non-commuting pairs need an order, and the
-component's :class:`~repro.engine.conflict_graph.ComponentDAG` carries
-exactly those constraints.  The DAG planner schedules *operations*, not
-components, with a critical-path-first list scheduler (highest bottom
-level first, earliest-available lane), so a component's makespan drops
-from its op count toward its critical path.  The returned plan carries an
-explicit ``apply_order`` — a linear extension of every component DAG —
-because lane-major application is no longer sound once one chain spans
-lanes.  Any linear extension is serially equivalent to submission order:
-ops without a DAG path have no non-commute edge and may be transposed
-freely.  The default (``dag_scheduling=False``) reproduces the historical
-chain-atomic plans bit for bit.
+The planner never consults mutable state, so the same window always
+produces the same plan — part of the engine's determinism guarantee.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
-from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ComponentDAG
 from repro.engine.mempool import PendingOp
 from repro.errors import EngineError
-from repro.objects.footprint import anchor_account
 
 #: Knuth's multiplicative hash constant; stable across runs and platforms
 #: (unlike ``hash(str)``, which is randomized per process).
@@ -158,34 +137,18 @@ def dag_list_schedule(
 class ShardPlan:
     """The lane assignment of one scheduling round."""
 
-    #: Per lane: the operations in application order (chains kept intact
-    #: under chain-atomic planning; start-time order under DAG planning).
+    #: Per lane: the operations in start-time order.
     lanes: list[list[PendingOp]]
-    hot_accounts: list[int]
-    #: DAG planning only: the application order (a linear extension of
-    #: every component DAG — lane-major application is unsound once a
-    #: chain spans lanes) and the scheduled makespan in operation units.
-    apply_order: list[PendingOp] | None = None
-    dag_makespan: int | None = None
-    #: DAG planning only: the ops in ``apply_order`` paired positionally
-    #: with their ``(start, finish, lane)`` placements — kept so a tracer
-    #: can emit exact per-op spans without re-running the scheduler.
-    placements: list[tuple[float, float, int]] | None = None
-    #: DAG planning only: component structure metrics of the planned batch
-    #: (the cluster node's bills aggregate these).
-    dag_critical_path: int = 0
-    dag_width: int = 0
-    dag_chain_ops: int = 0
-    dag_critical_ops: int = 0
-
-    @property
-    def critical_path(self) -> int:
-        """The round's parallel execution time in operation units: the
-        longest lane under chain-atomic planning, the scheduled makespan
-        (which includes dependency-induced idle gaps) under DAG planning."""
-        if self.dag_makespan is not None:
-            return self.dag_makespan
-        return max((len(lane) for lane in self.lanes), default=0)
+    #: The application order: a linear extension of every component DAG
+    #: (lane-major application is unsound once a chain spans lanes).
+    apply_order: list[PendingOp]
+    #: The ops in ``apply_order`` paired positionally with their
+    #: ``(start, finish, lane)`` placements — kept so a tracer can emit
+    #: exact per-op spans without re-running the scheduler.
+    placements: list[tuple[float, float, int]]
+    #: The round's parallel execution time in operation units: the
+    #: scheduled makespan, dependency-induced idle gaps included.
+    critical_path: int
 
     @property
     def lanes_used(self) -> int:
@@ -197,109 +160,12 @@ class ShardPlan:
 
 
 class ShardPlanner:
-    """Deterministic account-hash lane partitioner with hot-account splitting."""
+    """Deterministic op-granular lane scheduler."""
 
-    def __init__(
-        self,
-        num_lanes: int,
-        hot_split: bool = True,
-        dag_scheduling: bool = False,
-    ) -> None:
+    def __init__(self, num_lanes: int) -> None:
         if num_lanes < 1:
             raise EngineError("need at least one lane")
         self.num_lanes = num_lanes
-        self.hot_split = hot_split
-        #: Op-granular scheduling inside components (off by default until
-        #: re-baselined): chains stop being lane-atomic and schedule op by
-        #: op along their precedence DAG.
-        self.dag_scheduling = dag_scheduling
-
-    # ------------------------------------------------------------------
-
-    def lane_of(self, account: int) -> int:
-        """Home lane of an account under pure hash sharding."""
-        return stable_account_hash(account) % self.num_lanes
-
-    def primary_account(self, classifier: OpClassifier, op: PendingOp) -> int:
-        """The account anchoring lane placement — the shared owner-extraction
-        rule (:func:`repro.objects.footprint.anchor_account`): the smallest
-        contended account, else written, else observed, else the caller.
-        The cluster router uses the same rule for node placement, so an
-        operation's lane affinity and its owner node agree."""
-        return anchor_account(classifier.footprint(op), op.pid)
-
-    def plan(
-        self,
-        classifier: OpClassifier,
-        chains: list[list[PendingOp]],
-        singletons: list[PendingOp],
-        dags: list[ComponentDAG] | None = None,
-    ) -> ShardPlan:
-        """Assign chains (atomic, ordered) and singletons to lanes.
-
-        With ``dag_scheduling`` on and per-chain ``dags`` supplied
-        (positionally aligned with ``chains``), chains dissolve into their
-        precedence DAGs and the op-granular list scheduler takes over.
-        """
-        if self.dag_scheduling and dags is not None:
-            return self._plan_dag(chains, singletons, dags)
-        lanes: list[list[PendingOp]] = [[] for _ in range(self.num_lanes)]
-        total = sum(len(chain) for chain in chains) + len(singletons)
-        if not total:
-            return ShardPlan(lanes=lanes, hot_accounts=[])
-        target = math.ceil(total / self.num_lanes)
-
-        def least_loaded() -> int:
-            return min(range(self.num_lanes), key=lambda i: (len(lanes[i]), i))
-
-        # Chains: longest-processing-time first, deterministic tie-break on
-        # the chain's first sequence number.
-        for chain in sorted(chains, key=lambda c: (-len(c), c[0].seq)):
-            lanes[least_loaded()].extend(chain)
-
-        # Singletons: bundle by primary account, hash-shard the bundles.
-        bundles: dict[int, list[PendingOp]] = {}
-        for op in singletons:  # submission-ordered; bundles inherit that
-            bundles.setdefault(
-                self.primary_account(classifier, op), []
-            ).append(op)
-        hot_accounts: list[int] = []
-        for account, ops in sorted(
-            bundles.items(), key=lambda kv: (-len(kv[1]), kv[0])
-        ):
-            if self.hot_split and len(ops) > target:
-                # Hot account: split its commuting burst across lanes.
-                hot_accounts.append(account)
-                for op in ops:
-                    lanes[least_loaded()].append(op)
-            else:
-                lanes[self.lane_of(account)].extend(ops)
-
-        # Overflow spill: hash collisions can still overload a lane; shed
-        # singletons (never chain members) from the tail.  Chains were
-        # placed first, so a lane's tail holds its singletons.  With
-        # ``hot_split`` off the planner is pure hash sharding — the naive
-        # baseline the benchmarks compare against.
-        if not self.hot_split:
-            return ShardPlan(lanes=lanes, hot_accounts=[])
-        chain_ops = {op.seq for chain in chains for op in chain}
-        moved = 0
-        while moved < total:
-            heaviest = max(
-                range(self.num_lanes), key=lambda i: (len(lanes[i]), -i)
-            )
-            lightest = least_loaded()
-            if len(lanes[heaviest]) - len(lanes[lightest]) <= 1:
-                break
-            if len(lanes[heaviest]) <= target or not lanes[heaviest]:
-                break
-            if lanes[heaviest][-1].seq in chain_ops:
-                break  # only singleton tails are movable
-            lanes[lightest].append(lanes[heaviest].pop())
-            moved += 1
-        return ShardPlan(lanes=lanes, hot_accounts=sorted(hot_accounts))
-
-    # -- op-granular DAG scheduling --------------------------------------
 
     def dag_schedule(
         self,
@@ -355,15 +221,16 @@ class ShardPlanner:
         )
         return ops, placed
 
-    def _plan_dag(
+    def plan(
         self,
         chains: list[list[PendingOp]],
         singletons: list[PendingOp],
         dags: list[ComponentDAG],
     ) -> ShardPlan:
-        """One round's op-granular plan on fresh lanes.  The makespan is
-        the largest finish time — possibly below the longest chain's
-        length when the component has antichain width to exploit."""
+        """One round's op-granular plan on fresh lanes (``dags``
+        positionally aligned with ``chains``).  The makespan is the
+        largest finish time — possibly below the longest chain's length
+        when the component has antichain width to exploit."""
         ops, placed = self.dag_schedule(
             chains, singletons, dags, [0] * self.num_lanes, floor=0
         )
@@ -375,16 +242,9 @@ class ShardPlanner:
             lanes[placed[i][2]].append(ops[i])
         return ShardPlan(
             lanes=lanes,
-            hot_accounts=[],
             apply_order=[ops[i] for i in timeline],
             placements=[placed[i] for i in timeline],
-            dag_makespan=max(
+            critical_path=max(
                 (int(finish) for _, finish, _ in placed), default=0
             ),
-            dag_critical_path=max(
-                (dag.critical_path for dag in dags), default=0
-            ),
-            dag_width=max((dag.width for dag in dags), default=0),
-            dag_chain_ops=sum(dag.size for dag in dags),
-            dag_critical_ops=sum(dag.critical_path for dag in dags),
         )

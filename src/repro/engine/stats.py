@@ -38,7 +38,6 @@ class WaveStats:
     escalated_ops: int
     lanes_used: int
     critical_path: int
-    hot_accounts: int
     virtual_time: float
     escalation_time: float
     escalation_messages: int
@@ -60,11 +59,10 @@ class WaveStats:
     overlap_time: float = 0.0
     inflight: int = 1
     completed_at: float = 0.0
-    #: Op-granular DAG scheduling only (``dag_scheduling=True``): longest
-    #: component critical path and widest component antichain this round,
-    #: plus the round's chained-op count against the sum of component
-    #: critical paths — the intrinsic intra-component parallelism the DAG
-    #: schedule can exploit.  Chain-atomic rounds leave the defaults.
+    #: Longest component critical path and widest component antichain
+    #: this round, plus the round's chained-op count against the sum of
+    #: component critical paths — the intrinsic intra-component
+    #: parallelism the DAG schedule can exploit.
     dag_critical_path: int = 0
     dag_width: int = 0
     dag_chain_ops: int = 0
@@ -99,7 +97,7 @@ class EngineStats:
     #: High-water mark of team lanes active in a single round.
     max_concurrent_teams: int = 0
     #: Cross-round pipelining (:mod:`repro.engine.pipeline`): configured
-    #: window overlap depth (1 = the historical barrier), total stall time
+    #: window overlap depth (1 = one window in flight), total stall time
     #: (split by contended attribution), total execution overlap between
     #: consecutive windows, and the high-water mark of in-flight windows.
     pipeline_depth: int = 1
@@ -110,7 +108,6 @@ class EngineStats:
     #: Op-granular DAG scheduling (:mod:`repro.engine.conflict_graph`
     #: ``ComponentDAG``): high-water marks of component critical path and
     #: antichain width, plus the run totals behind :attr:`dag_speedup`.
-    #: All zero under chain-atomic scheduling (the default).
     max_dag_critical_path: int = 0
     max_dag_width: int = 0
     dag_chain_ops: int = 0
@@ -120,7 +117,6 @@ class EngineStats:
     escalation_messages: int = 0
     wave_sizes: list[int] = field(default_factory=list)
     critical_paths: list[int] = field(default_factory=list)
-    hot_account_waves: int = 0
     rounds: list[WaveStats] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -161,8 +157,6 @@ class EngineStats:
         self.escalation_messages += round_stats.escalation_messages
         self.wave_sizes.append(round_stats.wave_ops)
         self.critical_paths.append(round_stats.critical_path)
-        if round_stats.hot_accounts:
-            self.hot_account_waves += 1
         self.rounds.append(round_stats)
 
     # -- derived ---------------------------------------------------------
@@ -208,8 +202,7 @@ class EngineStats:
     def dag_speedup(self) -> float:
         """Chained ops over summed component critical paths — how much
         op-granular scheduling shortens components *intrinsically* (1.0
-        when every component is a total order, or under chain-atomic
-        scheduling where the DAGs are never built)."""
+        when every component is a total order)."""
         if not self.dag_critical_ops:
             return 1.0
         return self.dag_chain_ops / self.dag_critical_ops
@@ -261,7 +254,6 @@ class EngineStats:
             "fast_path_rate": self.fast_path_rate,
             "mean_wave_size": self.mean_wave_size,
             "max_critical_path": max(self.critical_paths, default=0),
-            "hot_account_waves": self.hot_account_waves,
             "virtual_time": self.virtual_time,
             "serial_virtual_time": self.serial_virtual_time,
             "speedup": self.speedup,

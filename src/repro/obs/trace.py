@@ -15,9 +15,9 @@ Two properties the rest of the observability layer leans on:
   :func:`repro.obs.report.critical_path_report` partition the makespan
   without guessing.
 * **No tracer, no cost.**  Every instrumentation site in the executors is
-  guarded by ``if self.tracer is not None``; the historical stats dicts
-  are bit-identical with ``tracer=None``, enforced by the same kind of
-  identity tests that guard ``dag_scheduling`` and ``pipeline_depth``.
+  guarded by ``if self.tracer is not None``; the stats dicts are
+  bit-identical with ``tracer=None``, enforced by the identity tests in
+  ``tests/obs/test_identity.py``.
 """
 
 from __future__ import annotations

@@ -114,10 +114,10 @@ class TieredEscalator:
     ) -> SyncRoundResult:
         """Plan and order one round's contended components (engine path).
 
-        With the planner's ``split_sync`` on, each component is first
-        partitioned into its per-account synchronization groups — every
-        group ordered on its own (smaller) lane, all of them concurrent —
-        and the sub-orders are folded back into **one**
+        Each component is first partitioned into its per-account
+        synchronization groups — every group ordered on its own (smaller)
+        lane, all of them concurrent — and the sub-orders are folded back
+        into **one**
         :class:`ComponentOrder` per input component, so callers keep
         zipping ``components`` against the result positionally.  Folding
         is sound because every lane commits in submission order and

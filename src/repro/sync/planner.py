@@ -74,16 +74,11 @@ class SyncPlanner:
         self,
         team_threshold: int = 0,
         bound_fn: Callable[..., frozenset[int] | None] = component_team,
-        split_sync: bool = False,
     ) -> None:
         if team_threshold < 0:
             raise EngineError("team_threshold must be non-negative")
         self.team_threshold = team_threshold
         self.bound_fn = bound_fn
-        #: Split each contended component into per-account synchronization
-        #: groups before tiering (see :meth:`split_groups`).  ``False``
-        #: keeps the historical whole-component sizing bit for bit.
-        self.split_sync = split_sync
 
     # ------------------------------------------------------------------
 
@@ -173,16 +168,9 @@ class SyncPlanner:
         state=None,
         object_type=None,
     ) -> list[list[SyncAssignment]]:
-        """Per component: its synchronization-group assignments — one
-        whole-component assignment when ``split_sync`` is off (or nothing
-        splits), the per-account groups otherwise."""
-        if not self.split_sync:
-            return [
-                [assignment]
-                for assignment in self.assign(
-                    components, classifier, state=state, object_type=object_type
-                )
-            ]
+        """Per component: the assignments of its per-account
+        synchronization groups (:meth:`split_groups`; one whole-component
+        assignment when nothing splits)."""
         grouped: list[list[SyncAssignment]] = []
         for ops in components:
             subgroups = self.split_groups(tuple(ops), classifier)

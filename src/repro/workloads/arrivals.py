@@ -210,7 +210,6 @@ class StreamDriver:
         cluster = self.target
         router = cluster.router
         simulator = cluster.simulator
-        pipelined = router.pipeline_depth > 1
         index = 0
         while True:
             index = self._release_due(
@@ -221,10 +220,7 @@ class StreamDriver:
                 if index < len(self.arrivals)
                 else None
             )
-            if pipelined:
-                router.pump()
-            elif router.idle and router.mempool:
-                router.start_round()
+            router.pump()
             if simulator.pending_events:
                 # Run the protocol up to the next arrival (events beyond
                 # it stay queued), so admissions interleave with rounds
@@ -235,8 +231,6 @@ class StreamDriver:
                 continue
             if next_time is not None:
                 cluster.stream_advance(next_time)
-                continue
-            if router.mempool and router.idle:
                 continue
             if router.mempool or not router.idle:
                 raise StreamError(

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import (
-    ClusterConfig,
     ShardMap,
     TokenCluster,
     owner_local_workload,
@@ -102,28 +101,20 @@ class TestOwnerLocalTraffic:
         assert stats.owner_local_ops + stats.spill_ops == stats.ops_executed
         assert stats.owner_local_rate >= 0.9
 
-    def test_owner_local_messages_are_only_forwards_and_results(self):
-        # Unit dispatch (the default) piggybacks the op payloads on the
-        # cl_run dispatches — no separate cl_op messages on the wire.
-        _, cluster = make_cluster(4, window=32)
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_owner_local_messages_are_only_forwards_and_results(self, depth):
+        # A unit's ops ride inside its cl_run dispatch: one message per
+        # unit, no per-op forward on the wire — at every pipeline depth.
+        _, cluster = make_cluster(4, window=32, pipeline_depth=depth)
         items = owner_local_workload(cluster.shard_map, ACCOUNTS, 100, seed=2)
         cluster.run_workload(items)
         by_type = cluster.network.stats.by_type
         assert set(by_type) == {"cl_run", "cl_result"}
+        assert by_type["cl_run"] == cluster.stats.units_dispatched
         assert (
             sum(bill.forwards_received for bill in cluster.stats.node_bills)
             == 100
         )
-
-    def test_legacy_wire_format_keeps_per_op_forwards(self):
-        # The pre-flip batch path still forwards each op point-to-point —
-        # the pinned legacy wire format, one cl_op per operation.
-        _, cluster = make_cluster(4, window=32, config=ClusterConfig.legacy())
-        items = owner_local_workload(cluster.shard_map, ACCOUNTS, 100, seed=2)
-        cluster.run_workload(items)
-        by_type = cluster.network.stats.by_type
-        assert set(by_type) == {"cl_op", "cl_run", "cl_result"}
-        assert by_type["cl_op"] == 100
 
 
 class TestLeaseProtocol:

@@ -1,18 +1,15 @@
 """Component-granular dispatch + op-granular node planning: cluster tests.
 
-Machine-checked guarantees of ``TokenCluster(dag_scheduling=True)``:
+Machine-checked guarantees of :class:`~repro.cluster.TokenCluster`:
 
 * **serial equivalence** — final state and every response equal a plain
   sequential execution in submission order, for any node count, shard
   geometry, pipeline depth, and lease schedule (units interleave on the
   nodes' lane timelines, but conflicting cross-round units are dispatch-
   gated and units of one round are distinct components);
-* **chain-atomic identity** — ``ClusterConfig.legacy()`` (equivalently
-  the explicit pre-flip kwargs) is the historical cluster bit for bit,
-  stats dictionaries included;
-* **granularity** — the pipelined router really fans a round out as
-  per-component ``cl_run`` units, and the nodes' bills carry the DAG
-  structure metrics.
+* **granularity** — the router really fans a round out as per-component
+  ``cl_run`` units at every pipeline depth, and the nodes' bills carry
+  the DAG structure metrics.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig, TokenCluster
+from repro.cluster import TokenCluster
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from repro.workloads import (
@@ -68,7 +65,6 @@ class TestSerialEquivalence:
             lanes_per_node=4,
             window=48,
             pipeline_depth=depth,
-            dag_scheduling=True,
         )
         state, responses, _ = cluster.run_workload(items)
         assert state == ref_state
@@ -96,7 +92,6 @@ class TestSerialEquivalence:
             num_shards=shards,
             seed=seed,
             pipeline_depth=depth,
-            dag_scheduling=True,
         )
         state, responses, _ = cluster.run_workload(items)
         assert state == ref_state
@@ -113,7 +108,6 @@ class TestSerialEquivalence:
             window=8,
             lease_min_gain=1,
             pipeline_depth=3,
-            dag_scheduling=True,
         )
         owner0 = cluster.shard_map.owner_of(0)
         foreign = [
@@ -144,65 +138,21 @@ class TestSerialEquivalence:
             window=48,
             pipeline_depth=3,
             team_threshold=4,
-            dag_scheduling=True,
         )
         state, responses, stats = cluster.run_workload(items)
         assert state == ref_state
         assert responses == ref_responses
 
 
-class TestIdentity:
-    @pytest.mark.parametrize("depth", (1, 3))
-    def test_dag_off_is_the_historical_cluster(self, depth):
-        # The legacy() preset and the explicit pre-flip kwargs are the
-        # same cluster bit for bit at any pipeline depth.
-        items = make_items(APPROVAL_HEAVY_MIX, 300)
-        default = TokenCluster(
-            make_token(),
-            ClusterConfig.legacy(
-                num_nodes=4, lanes_per_node=4, window=48,
-                pipeline_depth=depth,
-            ),
-        )
-        explicit = TokenCluster(
-            make_token(), num_nodes=4, lanes_per_node=4, window=48,
-            pipeline_depth=depth, dag_scheduling=False,
-            team_threshold=0, lane_ttl=None,
-        )
-        d_state, d_responses, d_stats = default.run_workload(items)
-        e_state, e_responses, e_stats = explicit.run_workload(items)
-        assert e_state == d_state
-        assert e_responses == d_responses
-        d_dict, e_dict = d_stats.as_dict(), e_stats.as_dict()
-        d_dict.pop("dag_scheduling"), e_dict.pop("dag_scheduling")
-        assert e_dict == d_dict
-        assert e_stats.units_dispatched == 0
-        assert e_stats.dag_speedup == 1.0
-
-    def test_barrier_depth_keeps_batch_dispatch(self):
-        # dag_scheduling at depth 1 changes node planning (op-granular),
-        # never the dispatch granularity — there is nothing to overlap in
-        # a quiescing round.
-        items = make_items(APPROVAL_HEAVY_MIX, 200)
-        cluster = TokenCluster(
-            make_token(), num_nodes=4, lanes_per_node=4, window=48,
-            pipeline_depth=1, dag_scheduling=True,
-        )
-        cluster.run_workload(items)
-        assert cluster.router.unit_dispatch is False
-        assert cluster.stats.units_dispatched == 0
-        assert cluster.stats.dag_chain_ops > 0
-
-
 class TestGranularity:
-    def test_units_fan_out_per_component(self):
+    @pytest.mark.parametrize("depth", (1, 3))
+    def test_units_fan_out_per_component(self, depth):
         items = make_items(APPROVAL_HEAVY_MIX, 300)
         cluster = TokenCluster(
             make_token(), num_nodes=4, lanes_per_node=4, window=48,
-            pipeline_depth=3, dag_scheduling=True,
+            pipeline_depth=depth,
         )
         _, _, stats = cluster.run_workload(items)
-        assert cluster.router.unit_dispatch is True
         # More units than rounds: rounds really split into components.
         assert stats.units_dispatched > stats.rounds
         assert sum(bill.units_executed for bill in stats.node_bills) == (
@@ -213,7 +163,7 @@ class TestGranularity:
         items = make_items(APPROVAL_HEAVY_MIX, 300)
         cluster = TokenCluster(
             make_token(), num_nodes=4, lanes_per_node=4, window=48,
-            pipeline_depth=3, dag_scheduling=True,
+            pipeline_depth=3,
         )
         _, _, stats = cluster.run_workload(items)
         assert stats.dag_chain_ops >= stats.dag_critical_ops > 0
@@ -221,29 +171,18 @@ class TestGranularity:
         assert stats.max_dag_width >= 2
 
     def test_unit_execution_scales_with_op_cost(self):
-        # The persistent lane timeline must charge op_cost per op, like
-        # the batch path — not unit cost 1.
+        # The persistent lane timeline must charge op_cost per op, not
+        # unit cost 1.
         items = make_items(APPROVAL_HEAVY_MIX, 200)
         ref_state, ref_responses = serial_reference(items)
         makespans = {}
         for op_cost in (1.0, 4.0):
             cluster = TokenCluster(
                 make_token(), num_nodes=4, lanes_per_node=4, window=48,
-                op_cost=op_cost, pipeline_depth=3, dag_scheduling=True,
+                op_cost=op_cost, pipeline_depth=3,
             )
             state, responses, stats = cluster.run_workload(items)
             assert state == ref_state
             assert responses == ref_responses
             makespans[op_cost] = stats.makespan
         assert makespans[4.0] > 2.0 * makespans[1.0]
-
-    def test_dag_cluster_beats_chain_atomic_on_contended_mix(self):
-        items = make_items(APPROVAL_HEAVY_MIX, 400)
-        kwargs = dict(
-            num_nodes=4, lanes_per_node=8, window=64, pipeline_depth=3
-        )
-        atomic = TokenCluster(make_token(), dag_scheduling=False, **kwargs)
-        dag = TokenCluster(make_token(), dag_scheduling=True, **kwargs)
-        atomic.run_workload(items)
-        dag.run_workload(items)
-        assert dag.stats.makespan < atomic.stats.makespan

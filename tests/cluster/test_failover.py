@@ -115,6 +115,28 @@ def test_crashes_exercise_revocation_and_replay():
     assert restarted.rejoins == 1
 
 
+def test_recovery_at_pipeline_depth_one():
+    """One round in flight is the same router loop, so recovery needs no
+    second regime: two nodes bounce while 2% of results drop, and the run
+    still loses nothing and matches the sequential spec."""
+    items = make_items()
+    cluster = run_cluster(
+        items,
+        fault=FaultConfig(
+            enabled=True,
+            crashes=((1, TIMEOUT, 80.0), (2, 30.0, 110.0)),
+            drops=(("cl_result", 0.02, 0.0, 1e9),),
+            seed=3,
+        ),
+        pipeline_depth=1,
+    )
+    assert_equivalent(cluster, items)
+    assert cluster.stats.max_inflight_rounds == 1
+    assert cluster.stats.revocations > 0
+    assert cluster.stats.ops_replayed > 0
+    assert cluster.stats.rejoins == 2
+
+
 def test_recovery_armed_but_idle_is_identical_to_unarmed():
     """``result_timeout`` set with no fault firing: every timer is
     cancelled before it fires, and a cancelled timer never advances the
@@ -255,7 +277,7 @@ def test_revocation_bypasses_lease_cooldown():
 @given(
     data=st.data(),
     nodes=st.integers(min_value=2, max_value=4),
-    depth=st.integers(min_value=2, max_value=3),
+    depth=st.integers(min_value=1, max_value=3),
     workload_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_serial_equivalence_under_random_crash_schedules(

@@ -1,20 +1,19 @@
-"""The unified config API and the legacy() bit-identity contract.
+"""The unified config API.
 
-PR 9 flipped the fast-path defaults (DAG scheduling, pipelining, team
-lanes, lane GC) on behind :class:`repro.config.EngineConfig` /
-:class:`repro.config.ClusterConfig`.  These tests pin the three promises
-that flip rests on:
+:class:`repro.config.EngineConfig` / :class:`repro.config.ClusterConfig`
+are the one home of the run knobs.  These tests pin the promises the
+constructors and the bench baselines rest on:
 
-* **legacy identity** — ``legacy()`` is the pre-flip system bit for bit:
-  across every traced setup of ``tests/obs/test_identity.py``, a
-  construction from the preset and one from the explicit pre-flip kwargs
-  produce identical state, responses, and stats dictionaries;
 * **round-trip** — ``as_dict()`` / ``from_dict()`` invert each other
   (bench baselines embed configs through exactly this path), and unknown
-  keys fail loudly;
+  keys fail loudly — including the keys of removed fields, so a baseline
+  written before a path was deleted is refused, never reinterpreted;
 * **precedence** — an explicit kwarg beats the ``config=`` value, which
   beats the dataclass default; and a mistyped knob raises a TypeError
   instead of vanishing into a kwargs sink.
+
+Serial equivalence of every executor × depth × mix lives in
+``tests/integration/test_serial_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -26,119 +25,40 @@ from repro.config import EngineConfig
 from repro.engine import BatchExecutor, PipelinedExecutor
 from repro.errors import ClusterError, EngineError
 from repro.objects.erc20 import ERC20TokenType
-from repro.workloads import (
-    APPROVAL_HEAVY_MIX,
-    CHAIN_HEAVY_MIX,
-    TokenWorkloadGenerator,
-)
 
 ACCOUNTS = 48
-OPS = 256
 
-#: The pre-flip engine defaults, spelled out the way a PR 1-8 caller
-#: would have (by not passing the knobs at all).
-ENGINE_PREFLIP = dict(
-    dag_scheduling=False,
-    team_threshold=0,
-    pipeline_depth=1,
-    lane_ttl=None,
-    split_sync=False,
-)
-CLUSTER_PREFLIP = dict(
-    dag_scheduling=False,
-    team_threshold=0,
-    pipeline_depth=1,
-    lane_ttl=None,
-)
-
-
-def make_items(mix):
-    return TokenWorkloadGenerator(ACCOUNTS, seed=11, mix=mix).generate(OPS)
+#: The ``config.cluster`` block of the baselines committed at e21f850
+#: (the last commit with a scheduling-granularity field), verbatim.
+PARENT_CLUSTER_BLOCK = {
+    "dag_scheduling": True,
+    "fault": {
+        "crashes": [],
+        "delays": [],
+        "drops": [],
+        "enabled": False,
+        "seed": 0,
+    },
+    "lane_ttl": 32,
+    "lanes_per_node": 4,
+    "lease_cooldown": 0,
+    "lease_min_gain": 2,
+    "lease_timeout": None,
+    "mempool_capacity": None,
+    "num_nodes": 4,
+    "num_shards": None,
+    "op_cost": 1.0,
+    "pipeline_depth": 2,
+    "result_timeout": None,
+    "seed": 0,
+    "team_threshold": 4,
+    "validate": False,
+    "window": 64,
+}
 
 
 def make_token():
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
-
-
-def _engine_pair(cls, mix, **knobs):
-    """(legacy-preset construction, explicit pre-flip construction)."""
-    preset = EngineConfig.legacy(num_lanes=4, seed=11, **knobs)
-    explicit_knobs = dict(ENGINE_PREFLIP)
-    explicit_knobs.update(knobs)
-    if cls is BatchExecutor:
-        # The barrier executor is depth 1 by construction and takes no
-        # pipeline_depth kwarg.
-        explicit_knobs.pop("pipeline_depth")
-    explicit = cls(make_token(), num_lanes=4, seed=11, **explicit_knobs)
-    return cls(make_token(), preset), explicit, mix
-
-
-def _cluster_pair(mix, **knobs):
-    preset = ClusterConfig.legacy(
-        num_nodes=3, lanes_per_node=4, seed=11, **knobs
-    )
-    explicit_knobs = dict(CLUSTER_PREFLIP)
-    explicit_knobs.update(knobs)
-    explicit = TokenCluster(
-        make_token(), num_nodes=3, lanes_per_node=4, seed=11, **explicit_knobs
-    )
-    return TokenCluster(make_token(), preset), explicit, mix
-
-
-#: The seven traced setups of tests/obs/test_identity.py, re-expressed
-#: as legacy-preset vs explicit-pre-flip-kwargs pairs.
-SETUPS = {
-    "engine": lambda: _engine_pair(BatchExecutor, APPROVAL_HEAVY_MIX),
-    "engine_dag": lambda: _engine_pair(
-        BatchExecutor, CHAIN_HEAVY_MIX, dag_scheduling=True
-    ),
-    "engine_teams": lambda: _engine_pair(
-        BatchExecutor, APPROVAL_HEAVY_MIX, team_threshold=4
-    ),
-    "pipelined": lambda: _engine_pair(
-        PipelinedExecutor, APPROVAL_HEAVY_MIX, pipeline_depth=3
-    ),
-    "cluster_barrier": lambda: _cluster_pair(APPROVAL_HEAVY_MIX),
-    "cluster_pipelined": lambda: _cluster_pair(
-        APPROVAL_HEAVY_MIX, pipeline_depth=3
-    ),
-    "cluster_units": lambda: _cluster_pair(
-        CHAIN_HEAVY_MIX, pipeline_depth=3, dag_scheduling=True
-    ),
-}
-
-
-class TestLegacyIdentity:
-    @pytest.mark.parametrize("label", sorted(SETUPS))
-    def test_legacy_preset_equals_explicit_preflip_kwargs(self, label):
-        preset_run, explicit_run, mix = SETUPS[label]()
-        items = make_items(mix)
-        p_state, p_responses, p_stats = preset_run.run_workload(items)
-        e_state, e_responses, e_stats = explicit_run.run_workload(items)
-        assert p_state == e_state
-        assert p_responses == e_responses
-        assert p_stats.as_dict() == e_stats.as_dict()
-
-    def test_legacy_presets_pin_the_preflip_values(self):
-        engine = EngineConfig.legacy()
-        for knob, value in ENGINE_PREFLIP.items():
-            assert getattr(engine, knob) == value, knob
-        cluster = ClusterConfig.legacy()
-        for knob, value in CLUSTER_PREFLIP.items():
-            assert getattr(cluster, knob) == value, knob
-
-    def test_defaults_flip_every_fast_path_on(self):
-        engine = EngineConfig()
-        assert engine.dag_scheduling is True
-        assert engine.team_threshold > 0
-        assert engine.pipeline_depth > 1
-        assert engine.lane_ttl is not None
-        assert engine.split_sync is True
-        cluster = ClusterConfig()
-        assert cluster.dag_scheduling is True
-        assert cluster.team_threshold > 0
-        assert cluster.pipeline_depth > 1
-        assert cluster.lane_ttl is not None
 
 
 class TestRoundTrip:
@@ -146,11 +66,11 @@ class TestRoundTrip:
         "config",
         [
             EngineConfig(),
-            EngineConfig.legacy(),
             EngineConfig(num_lanes=7, lane_ttl=None, seed=3),
+            EngineConfig(team_threshold=0, pipeline_depth=1),
             ClusterConfig(),
-            ClusterConfig.legacy(),
             ClusterConfig(num_nodes=2, mempool_capacity=17),
+            ClusterConfig(team_threshold=0, pipeline_depth=1, lane_ttl=None),
         ],
         ids=lambda c: type(c).__name__ + str(hash(c) % 997),
     )
@@ -163,6 +83,17 @@ class TestRoundTrip:
         with pytest.raises(ClusterError):
             ClusterConfig.from_dict({"num_noodles": 4})
 
+    def test_an_old_baseline_is_refused_not_reinterpreted(self):
+        with pytest.raises(EngineError, match="dag_scheduling"):
+            EngineConfig.from_dict({"dag_scheduling": False})
+        with pytest.raises(EngineError, match="split_sync"):
+            EngineConfig.from_dict({"split_sync": False})
+        with pytest.raises(ClusterError, match="dag_scheduling"):
+            ClusterConfig.from_dict(PARENT_CLUSTER_BLOCK)
+        current = dict(PARENT_CLUSTER_BLOCK)
+        del current["dag_scheduling"]
+        assert ClusterConfig.from_dict(current) == ClusterConfig()
+
     def test_validation_applies_to_round_tripped_values(self):
         with pytest.raises(EngineError):
             EngineConfig.from_dict({"window": 0})
@@ -172,24 +103,26 @@ class TestRoundTrip:
 
 class TestPrecedence:
     def test_kwarg_beats_config_beats_default(self):
-        # Default: dag on.  Config: dag off.  Kwarg: dag on again.
-        engine = BatchExecutor(make_token(), EngineConfig.legacy())
-        assert engine.config.dag_scheduling is False
-        engine = BatchExecutor(
-            make_token(), EngineConfig.legacy(), dag_scheduling=True
-        )
-        assert engine.config.dag_scheduling is True
-        assert engine.config.team_threshold == 0  # config still wins here
+        # Default: team lanes up to 4.  Config: off.  Kwarg: up to 2.
+        config = EngineConfig(team_threshold=0, lane_ttl=None)
+        engine = BatchExecutor(make_token(), config)
+        assert engine.config.team_threshold == 0
+        engine = BatchExecutor(make_token(), config, team_threshold=2)
+        assert engine.config.team_threshold == 2
+        assert engine.config.lane_ttl is None  # config still wins here
         engine = BatchExecutor(make_token())
         assert engine.config == EngineConfig()
 
     def test_cluster_kwarg_beats_config(self):
         cluster = TokenCluster(
-            make_token(), ClusterConfig.legacy(), num_nodes=2, pipeline_depth=3
+            make_token(),
+            ClusterConfig(team_threshold=0, pipeline_depth=1),
+            num_nodes=2,
+            pipeline_depth=3,
         )
         assert cluster.config.num_nodes == 2
         assert cluster.config.pipeline_depth == 3
-        assert cluster.config.dag_scheduling is False
+        assert cluster.config.team_threshold == 0
 
     def test_explicit_none_is_an_override_not_unset(self):
         engine = BatchExecutor(

@@ -172,7 +172,7 @@ class TestNamedWindows:
         _assert_indexed_equals_all_pairs(token, window)
         return OpClassifier(token).conflict_edges(window)
 
-    def test_one_hot_account_is_all_conflict(self):
+    def test_one_hot_balance_is_all_conflict(self):
         """Every op guarded on one balance: all n(n-1)/2 pairs, in order."""
         n = 12
         edges = self._edges(

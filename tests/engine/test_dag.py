@@ -1,6 +1,6 @@
-"""Op-granular DAG scheduling: structure, equivalence, and identity tests.
+"""Op-granular DAG scheduling: structure and equivalence tests.
 
-Machine-checked guarantees of ``dag_scheduling=True``:
+Machine-checked guarantees of the op-granular scheduler:
 
 * **DAG structure** — :class:`~repro.engine.conflict_graph.ComponentDAG`
   orients every non-commute edge by submission order, its levels are
@@ -10,9 +10,7 @@ Machine-checked guarantees of ``dag_scheduling=True``:
   component DAG edge (the serial-equivalence precondition);
 * **serial equivalence** — for *any* lane count, window size, mix, and
   pipeline depth, the DAG-scheduled final state and every response equal
-  a plain sequential execution in submission order;
-* **chain-atomic identity** — ``dag_scheduling=False`` (the default) is
-  the historical executor bit for bit, stats dictionaries included.
+  a plain sequential execution in submission order.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.commutativity import PairKind
-from repro.config import EngineConfig
 from repro.engine import (
     BatchExecutor,
     ComponentDAG,
@@ -145,24 +142,21 @@ class TestDagPlanner:
             12, seed=3, mix=APPROVAL_HEAVY_MIX
         ).generate(60)
         classifier, ops, graph, chains, singles = self._window(items, token)
-        planner = ShardPlanner(4, dag_scheduling=True)
-        plan = planner.plan(
-            classifier,
+        plan = ShardPlanner(4).plan(
             [[ops[i] for i in chain] for chain in chains],
             [ops[i] for i in singles],
-            dags=graph.component_dags(),
+            graph.component_dags(),
         )
-        assert plan.apply_order is not None
         position = {op.seq: k for k, op in enumerate(plan.apply_order)}
         for (a, b) in graph.edges:
             assert position[ops[a].seq] < position[ops[b].seq]
 
-    def test_dag_makespan_beats_chain_atomic_on_wide_components(self):
+    def test_dag_makespan_beats_the_op_count_on_wide_components(self):
         # k approvals (to distinct spenders: mutually commuting) each
         # enabling one transferFrom (the transferFroms chain on the
-        # debited balance): the chain-atomic plan pays the component's
-        # full op count on one lane; the DAG plan runs the approvals
-        # lane-parallel against the transferFrom chain.
+        # debited balance): a lane-atomic chain would pay the component's
+        # full op count; the DAG plan runs the approvals lane-parallel
+        # against the transferFrom chain.
         token = ERC20TokenType(8, total_supply=80)
         items = [
             WorkloadItem(0, op("approve", spender, 5))
@@ -173,50 +167,26 @@ class TestDagPlanner:
         ]
         classifier, ops, graph, chains, singles = self._window(items, token)
         assert len(chains) == 1 and len(chains[0]) == len(items)
-        atomic = ShardPlanner(4).plan(
-            classifier, [[ops[i] for i in chains[0]]], []
+        dag = ShardPlanner(4).plan(
+            [[ops[i] for i in chains[0]]], [], graph.component_dags()
         )
-        dag = ShardPlanner(4, dag_scheduling=True).plan(
-            classifier,
-            [[ops[i] for i in chains[0]]],
-            [],
-            dags=graph.component_dags(),
-        )
-        assert atomic.critical_path == len(items)
-        assert dag.critical_path < atomic.critical_path
+        assert dag.critical_path < len(items)
         assert graph.component_dags()[0].width >= 2
 
     def test_pure_conflict_chain_gains_nothing(self):
         token = ERC20TokenType(4, total_supply=40)
         items = [WorkloadItem(0, op("transfer", 1, 1)) for _ in range(5)]
         classifier, ops, graph, chains, singles = self._window(items, token)
-        dag = ShardPlanner(4, dag_scheduling=True).plan(
-            classifier,
+        dag = ShardPlanner(4).plan(
             [[ops[i] for i in chain] for chain in chains],
             [ops[i] for i in singles],
-            dags=graph.component_dags(),
+            graph.component_dags(),
         )
         assert dag.critical_path == 5  # a total order stays a total order
 
-    def test_dag_flag_off_is_bit_identical(self):
-        token = ERC20TokenType(12, total_supply=240)
-        items = TokenWorkloadGenerator(
-            12, seed=9, mix=SPENDER_HEAVY_MIX
-        ).generate(80)
-        classifier, ops, graph, chains, singles = self._window(items, token)
-        chain_ops = [[ops[i] for i in chain] for chain in chains]
-        single_ops = [ops[i] for i in singles]
-        default = ShardPlanner(4).plan(classifier, chain_ops, single_ops)
-        off = ShardPlanner(4, dag_scheduling=False).plan(
-            classifier, chain_ops, single_ops, dags=graph.component_dags()
-        )
-        assert off == default
-        assert off.apply_order is None
-
     def test_mismatched_dags_are_rejected(self):
-        planner = ShardPlanner(2, dag_scheduling=True)
         with pytest.raises(EngineError):
-            planner.plan(None, [[]], [], dags=[])
+            ShardPlanner(2).plan([[]], [], [])
 
 
 class TestBackfill:
@@ -289,7 +259,6 @@ class TestSerialEquivalence:
             ERC20TokenType(12, total_supply=240),
             num_lanes=4,
             window=32,
-            dag_scheduling=True,
         )
         state, responses, stats = engine.run_workload(items)
         assert state == ref_state
@@ -315,7 +284,6 @@ class TestSerialEquivalence:
             pipeline_depth=depth,
             num_lanes=lanes,
             window=window,
-            dag_scheduling=True,
         )
         state, responses, _ = engine.run_workload(items)
         assert state == ref_state
@@ -346,8 +314,7 @@ class TestSerialEquivalence:
             items.append(WorkloadItem(pid, operation))
         ref_state, ref_responses = serial_reference(factory(), items)
         engine = PipelinedExecutor(
-            factory(), pipeline_depth=depth, num_lanes=4, window=16,
-            dag_scheduling=True,
+            factory(), pipeline_depth=depth, num_lanes=4, window=16
         )
         state, responses, _ = engine.run_workload(items)
         assert state == ref_state
@@ -374,74 +341,22 @@ class TestSerialEquivalence:
             for _ in range(80)
         ]
         ref_state, ref_responses = serial_reference(factory(), items)
-        engine = BatchExecutor(
-            factory(), num_lanes=lanes, window=16, dag_scheduling=True
-        )
+        engine = BatchExecutor(factory(), num_lanes=lanes, window=16)
         state, responses, _ = engine.run_workload(items)
         assert state == ref_state
         assert responses == ref_responses
 
 
-class TestIdentityAndStats:
-    def test_dag_off_is_the_historical_engine(self):
-        # The legacy() preset and the explicit pre-flip kwargs are the
-        # same engine bit for bit — the chain-atomic path stayed intact
-        # under the fast-path default flip.
-        items = TokenWorkloadGenerator(
-            12, seed=37, mix=APPROVAL_HEAVY_MIX
-        ).generate(240)
-        default = BatchExecutor(
-            ERC20TokenType(12, total_supply=240),
-            EngineConfig.legacy(num_lanes=4, window=32),
-        )
-        explicit = BatchExecutor(
-            ERC20TokenType(12, total_supply=240),
-            num_lanes=4,
-            window=32,
-            dag_scheduling=False,
-            team_threshold=0,
-            lane_ttl=None,
-            split_sync=False,
-        )
-        d_state, d_responses, d_stats = default.run_workload(items)
-        e_state, e_responses, e_stats = explicit.run_workload(items)
-        assert e_state == d_state
-        assert e_responses == d_responses
-        assert e_stats.as_dict() == d_stats.as_dict()
-        assert e_stats.dag_speedup == 1.0
-        assert e_stats.max_dag_width == 0
-
-    def test_depth_one_pipeline_matches_dag_barrier_exactly(self):
-        items = TokenWorkloadGenerator(
-            10, seed=5, mix=SPENDER_HEAVY_MIX
-        ).generate(200)
-        kwargs = dict(num_lanes=4, window=32, dag_scheduling=True)
-        barrier = BatchExecutor(ERC20TokenType(10, total_supply=200), **kwargs)
-        piped = PipelinedExecutor(
-            ERC20TokenType(10, total_supply=200), pipeline_depth=1, **kwargs
-        )
-        b = barrier.run_workload(items)
-        p = piped.run_workload(items)
-        assert p[:2] == b[:2]
-        assert p[2].as_dict() == b[2].as_dict()
-
-    def test_dag_shortens_contended_rounds(self):
+class TestDagStats:
+    def test_contended_rounds_have_width_to_exploit(self):
         items = TokenWorkloadGenerator(
             16, seed=7, mix=APPROVAL_HEAVY_MIX
         ).generate(400)
-        atomic = BatchExecutor(
-            ERC20TokenType(16, total_supply=1600),
-            num_lanes=4,
-            window=64,
-            dag_scheduling=False,
-        ).run_workload(items)[2]
         dag = BatchExecutor(
             ERC20TokenType(16, total_supply=1600),
             num_lanes=4,
             window=64,
-            dag_scheduling=True,
         ).run_workload(items)[2]
-        assert dag.virtual_time < atomic.virtual_time
         assert dag.dag_speedup > 1.0
         assert dag.max_dag_width >= 2
         assert dag.max_dag_critical_path >= 1
@@ -456,7 +371,6 @@ class TestIdentityAndStats:
             pipeline_depth=3,
             num_lanes=4,
             window=64,
-            dag_scheduling=True,
         ).run_workload(items)
         assert stats.max_dag_width >= 2
         assert stats.dag_speedup > 1.0

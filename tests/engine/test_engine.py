@@ -92,48 +92,46 @@ class TestConflictGraph:
 
 
 class TestShardPlanner:
-    def test_plan_is_deterministic(self, token):
-        classifier = OpClassifier(token)
-        singles = [
-            PendingOp(i, i % N, op("balanceOf", i % N)) for i in range(20)
-        ]
-        chains = [
-            [PendingOp(100 + j, 0, op("transfer", 1, 1)) for j in range(3)]
-        ]
-        planner = ShardPlanner(4)
-        p1 = planner.plan(classifier, chains, singles)
-        p2 = planner.plan(classifier, chains, singles)
-        assert [[o.seq for o in lane] for lane in p1.lanes] == [
-            [o.seq for o in lane] for lane in p2.lanes
-        ]
+    def _plan(self, token, lanes, pending):
+        """Plan one window the way the round lifecycle does."""
+        graph = ConflictGraph.build(OpClassifier(token), pending)
+        components = graph.components()
+        return ShardPlanner(lanes).plan(
+            [[pending[i] for i in c] for c in components if len(c) > 1],
+            [pending[c[0]] for c in components if len(c) == 1],
+            graph.component_dags(),
+        )
 
-    def test_chains_stay_intact_and_ordered(self, token):
-        classifier = OpClassifier(token)
-        chain = [PendingOp(j, 0, op("transfer", 1, 1)) for j in range(4)]
-        plan = ShardPlanner(3).plan(classifier, [chain], [])
-        lanes_with_ops = [lane for lane in plan.lanes if lane]
-        assert len(lanes_with_ops) == 1
-        assert [o.seq for o in lanes_with_ops[0]] == [0, 1, 2, 3]
-
-    def test_hot_account_burst_is_split(self, token):
-        """Commuting ops anchored on one account spread across lanes."""
-        classifier = OpClassifier(token)
-        burst = [PendingOp(i, i % N, op("balanceOf", 0)) for i in range(12)]
-        plan = ShardPlanner(4).plan(classifier, [], burst)
-        assert plan.hot_accounts == [0]
-        assert plan.critical_path == 3  # perfectly balanced
-        no_split = ShardPlanner(4, hot_split=False).plan(classifier, [], burst)
-        assert no_split.critical_path == 12  # all pinned to the home lane
-
-    def test_all_ops_preserved(self, token):
-        classifier = OpClassifier(token)
+    def _window(self):
         singles = [
             PendingOp(i, i % N, op("balanceOf", i % N)) for i in range(17)
         ]
         chain = [PendingOp(50 + j, 1, op("transfer", 2, 1)) for j in range(5)]
-        plan = ShardPlanner(4).plan(classifier, [chain], singles)
+        return singles, chain
+
+    def test_plan_is_deterministic(self, token):
+        singles, chain = self._window()
+        p1 = self._plan(token, 4, singles + chain)
+        p2 = self._plan(token, 4, singles + chain)
+        assert p1 == p2
+
+    def test_conflict_chains_stay_ordered(self, token):
+        chain = [PendingOp(j, 0, op("transfer", 1, 1)) for j in range(4)]
+        plan = self._plan(token, 3, chain)
+        assert [o.seq for o in plan.apply_order] == [0, 1, 2, 3]
+        assert plan.critical_path == 4
+
+    def test_commuting_burst_on_one_account_spreads_over_lanes(self, token):
+        burst = [PendingOp(i, i % N, op("balanceOf", 0)) for i in range(12)]
+        plan = self._plan(token, 4, burst)
+        assert plan.lanes_used == 4
+        assert plan.critical_path == 3  # perfectly balanced
+
+    def test_all_ops_preserved(self, token):
+        singles, chain = self._window()
+        plan = self._plan(token, 4, singles + chain)
         seqs = sorted(o.seq for lane in plan.lanes for o in lane)
-        assert seqs == sorted([o.seq for o in singles] + [o.seq for o in chain])
+        assert seqs == sorted(o.seq for o in singles + chain)
         assert plan.size == 22
 
     def test_rejects_zero_lanes(self):

@@ -63,11 +63,6 @@ def test_cluster_config_requires_recovery_for_crash_schedules():
         )
 
 
-def test_cluster_config_requires_unit_dispatch_for_recovery():
-    with pytest.raises(ClusterError, match="component-granular"):
-        ClusterConfig(result_timeout=10.0, pipeline_depth=1)
-
-
 # -- FaultSchedule --------------------------------------------------------
 
 

@@ -3,9 +3,9 @@
 Every instrumentation site is guarded by ``if self.tracer is not None``;
 these tests pin that contract by running the same workload with and
 without a recorder and asserting final state, responses, and the full
-stats dict are bit-identical — across the barrier engine, the DAG
-scheduler, team lanes, the pipelined engine, and the cluster in its
-barrier, pipelined, and unit-dispatch modes.
+stats dict are bit-identical — across the barrier engine (team lanes on
+and off), the pipelined engine, and the cluster, the latter two with one
+window in flight and with three.
 """
 
 from __future__ import annotations
@@ -36,83 +36,42 @@ def make_token():
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
 
 
+def _engine(cls, **knobs):
+    return lambda tracer: cls(
+        make_token(), num_lanes=4, seed=11, tracer=tracer, **knobs
+    )
+
+
+def _cluster(**knobs):
+    return lambda tracer: TokenCluster(
+        make_token(),
+        num_nodes=3,
+        lanes_per_node=4,
+        seed=11,
+        tracer=tracer,
+        **knobs,
+    )
+
+
 CONFIGS = [
+    ("engine", APPROVAL_HEAVY_MIX, _engine(BatchExecutor)),
     (
-        "engine",
+        "engine_global",
         APPROVAL_HEAVY_MIX,
-        lambda tracer: BatchExecutor(
-            make_token(), num_lanes=4, seed=11, tracer=tracer
-        ),
+        _engine(BatchExecutor, team_threshold=0),
     ),
     (
-        "engine_dag",
+        "pipelined_d1",
         CHAIN_HEAVY_MIX,
-        lambda tracer: BatchExecutor(
-            make_token(),
-            num_lanes=4,
-            seed=11,
-            dag_scheduling=True,
-            tracer=tracer,
-        ),
+        _engine(PipelinedExecutor, pipeline_depth=1),
     ),
     (
-        "engine_teams",
+        "pipelined_d3",
         APPROVAL_HEAVY_MIX,
-        lambda tracer: BatchExecutor(
-            make_token(),
-            num_lanes=4,
-            seed=11,
-            team_threshold=4,
-            tracer=tracer,
-        ),
+        _engine(PipelinedExecutor, pipeline_depth=3),
     ),
-    (
-        "pipelined",
-        APPROVAL_HEAVY_MIX,
-        lambda tracer: PipelinedExecutor(
-            make_token(),
-            num_lanes=4,
-            pipeline_depth=3,
-            seed=11,
-            tracer=tracer,
-        ),
-    ),
-    (
-        "cluster_barrier",
-        APPROVAL_HEAVY_MIX,
-        lambda tracer: TokenCluster(
-            make_token(),
-            num_nodes=3,
-            lanes_per_node=4,
-            seed=11,
-            tracer=tracer,
-        ),
-    ),
-    (
-        "cluster_pipelined",
-        APPROVAL_HEAVY_MIX,
-        lambda tracer: TokenCluster(
-            make_token(),
-            num_nodes=3,
-            lanes_per_node=4,
-            seed=11,
-            pipeline_depth=3,
-            tracer=tracer,
-        ),
-    ),
-    (
-        "cluster_units",
-        CHAIN_HEAVY_MIX,
-        lambda tracer: TokenCluster(
-            make_token(),
-            num_nodes=3,
-            lanes_per_node=4,
-            seed=11,
-            pipeline_depth=3,
-            dag_scheduling=True,
-            tracer=tracer,
-        ),
-    ),
+    ("cluster_d1", APPROVAL_HEAVY_MIX, _cluster(pipeline_depth=1)),
+    ("cluster_d3", CHAIN_HEAVY_MIX, _cluster(pipeline_depth=3)),
 ]
 
 

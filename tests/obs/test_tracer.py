@@ -97,71 +97,47 @@ def traced_runs():
             make_token(), num_lanes=4, seed=5, tracer=tracer
         ).run_workload(make_items())
 
-    def engine_dag(tracer):
+    def engine_chain(tracer):
+        BatchExecutor(
+            make_token(), num_lanes=4, seed=5, tracer=tracer
+        ).run_workload(make_items(CHAIN_HEAVY_MIX))
+
+    def engine_global(tracer):
         BatchExecutor(
             make_token(),
             num_lanes=4,
             seed=5,
-            dag_scheduling=True,
+            team_threshold=0,
             tracer=tracer,
-        ).run_workload(make_items(CHAIN_HEAVY_MIX))
+        ).run_workload(make_items())
 
-    def engine_teams(tracer):
-        BatchExecutor(
+    def pipelined(depth, mix):
+        return lambda tracer: PipelinedExecutor(
             make_token(),
             num_lanes=4,
-            seed=5,
-            team_threshold=4,
-            tracer=tracer,
-        ).run_workload(make_items())
-
-    def pipelined(tracer):
-        PipelinedExecutor(
-            make_token(),
-            num_lanes=4,
-            pipeline_depth=3,
+            pipeline_depth=depth,
             seed=5,
             tracer=tracer,
-        ).run_workload(make_items())
+        ).run_workload(make_items(mix))
 
-    def cluster_barrier(tracer):
-        TokenCluster(
+    def cluster(depth, mix):
+        return lambda tracer: TokenCluster(
             make_token(),
             num_nodes=3,
             lanes_per_node=4,
             seed=5,
+            pipeline_depth=depth,
             tracer=tracer,
-        ).run_workload(make_items())
-
-    def cluster_pipelined(tracer):
-        TokenCluster(
-            make_token(),
-            num_nodes=3,
-            lanes_per_node=4,
-            seed=5,
-            pipeline_depth=3,
-            tracer=tracer,
-        ).run_workload(make_items())
-
-    def cluster_units(tracer):
-        TokenCluster(
-            make_token(),
-            num_nodes=3,
-            lanes_per_node=4,
-            seed=5,
-            pipeline_depth=3,
-            dag_scheduling=True,
-            tracer=tracer,
-        ).run_workload(make_items(CHAIN_HEAVY_MIX))
+        ).run_workload(make_items(mix))
 
     return [
         ("engine", engine),
-        ("engine_dag", engine_dag),
-        ("engine_teams", engine_teams),
-        ("pipelined", pipelined),
-        ("cluster_barrier", cluster_barrier),
-        ("cluster_pipelined", cluster_pipelined),
-        ("cluster_units", cluster_units),
+        ("engine_chain", engine_chain),
+        ("engine_global", engine_global),
+        ("pipelined_d1", pipelined(1, CHAIN_HEAVY_MIX)),
+        ("pipelined_d3", pipelined(3, APPROVAL_HEAVY_MIX)),
+        ("cluster_d1", cluster(1, APPROVAL_HEAVY_MIX)),
+        ("cluster_d3", cluster(3, CHAIN_HEAVY_MIX)),
     ]
 
 

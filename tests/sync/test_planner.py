@@ -136,7 +136,7 @@ class TestSyncGroups:
     def test_disjoint_accounts_split_in_submission_order(self):
         _, classifier, _ = erc20_fixture()
         ops = two_account_component()
-        planner = SyncPlanner(4, split_sync=True)
+        planner = SyncPlanner(4)
         groups = planner.split_groups(ops, classifier)
         # Groups come out in submission order of their first op, members
         # in submission order; flattening recovers the component exactly.
@@ -149,7 +149,7 @@ class TestSyncGroups:
 
         ops = [PendingOp(s, s, op("transfer", 1, 1)) for s in range(3)]
         table = {0: contend(0), 1: contend(5), 2: contend(0, 5)}
-        planner = SyncPlanner(4, split_sync=True)
+        planner = SyncPlanner(4)
         groups = planner.split_groups(ops, FootprintTable(table))
         assert groups == [tuple(ops)]
 
@@ -160,24 +160,18 @@ class TestSyncGroups:
             1: None,
             2: footprint(observes=[bal(5)], adds=[bal(5)]),
         }
-        planner = SyncPlanner(4, split_sync=True)
+        planner = SyncPlanner(4)
         groups = planner.split_groups(ops, FootprintTable(table))
         assert groups == [tuple(ops)]
-
-    def test_assign_groups_off_keeps_the_whole_component(self):
-        token, classifier, state = erc20_fixture()
-        ops = two_account_component()
-        planner = SyncPlanner(3, split_sync=False)
-        [[whole]] = planner.assign_groups([ops], classifier, state, token)
-        # The union bound {0,1,2} ∪ {5} plus participants is 4 > 3: the
-        # unsplit component blows the threshold and goes global.
-        assert whole.tier == TIER_GLOBAL
-        assert whole.ops == tuple(ops)
 
     def test_split_groups_fit_lanes_the_union_bound_blows(self):
         token, classifier, state = erc20_fixture()
         ops = two_account_component()
-        planner = SyncPlanner(3, split_sync=True)
+        planner = SyncPlanner(3)
+        # Sized whole, the union bound {0,1,2} ∪ {5} is 4 > 3: the
+        # component would blow the threshold and go global.
+        [whole] = planner.assign([ops], classifier, state, token)
+        assert whole.tier == TIER_GLOBAL
         [[spenders, owner]] = planner.assign_groups(
             [ops], classifier, state, token
         )
@@ -254,12 +248,10 @@ class TestTieredEscalator:
             == result.team_messages + result.global_messages
         )
 
-    def test_split_sync_folds_groups_back_per_component(self):
+    def test_sync_groups_fold_back_per_component(self):
         token, classifier, state = erc20_fixture()
         ops = two_account_component()
-        sync = tiered_escalator(
-            ConsensusEscalator(seed=9), team_threshold=3, split_sync=True
-        )
+        sync = tiered_escalator(ConsensusEscalator(seed=9), team_threshold=3)
         result = sync.order_round([ops], classifier, state, token)
         # Two concurrent team lanes under the hood, but callers still zip
         # components against the result positionally: one folded order.
@@ -273,15 +265,3 @@ class TestTieredEscalator:
         # The folded completion is the slower group's lane commit (the
         # phase makespan may add that lane's trailing quorum traffic).
         assert component.completed <= result.virtual_time
-
-    def test_split_sync_off_is_the_historical_whole_component(self):
-        token, classifier, state = erc20_fixture()
-        ops = two_account_component()
-        sync = tiered_escalator(
-            ConsensusEscalator(seed=9), team_threshold=3, split_sync=False
-        )
-        result = sync.order_round([ops], classifier, state, token)
-        [component] = result.components
-        assert math.isinf(component.tier)  # union bound 4 > threshold 3
-        assert [o.seq for o in component.ordered] == [0, 1, 2, 3]
-        assert result.global_ops == 4 and result.team_ops == 0
