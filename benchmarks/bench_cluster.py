@@ -29,8 +29,9 @@ import sys
 
 from common import bench_main, render_backpressure, render_stats_table
 from repro.cluster import TokenCluster, owner_local_workload
+from repro.config import ClusterConfig, EngineConfig
 from repro.obs import TraceRecorder
-from repro.engine import BatchExecutor, ConsensusEscalator
+from repro.engine import ConsensusEscalator, PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
     OWNER_ONLY_MIX,
@@ -88,7 +89,9 @@ def make_items(
 
 def run_engine(items) -> dict:
     token = make_token()
-    engine = BatchExecutor(token, num_lanes=LANES, window=WINDOW, seed=SEED)
+    engine = PipelinedExecutor(
+        token, EngineConfig(num_lanes=LANES, window=WINDOW, seed=SEED)
+    )
     _, _, stats = engine.run_workload(items)
     return {
         "virtual_time": stats.virtual_time,
@@ -101,7 +104,10 @@ def run_cluster(items, nodes: int) -> TokenCluster:
     """One cluster run, serial-equivalence-checked against the spec."""
     token = make_token()
     cluster = TokenCluster(
-        token, num_nodes=nodes, lanes_per_node=LANES, window=WINDOW, seed=SEED
+        token,
+        ClusterConfig(
+            num_nodes=nodes, lanes_per_node=LANES, window=WINDOW, seed=SEED
+        ),
     )
     state, responses, _ = cluster.run_workload(items)
     ref_state, ref_responses = token.run(
@@ -156,7 +162,8 @@ def measure(ops: int) -> dict:
     # Owner-local traffic: the zero-coordination regime, per node count.
     for nodes in NODE_COUNTS:
         probe = TokenCluster(
-            make_token(), num_nodes=nodes, lanes_per_node=LANES, window=WINDOW
+            make_token(),
+            ClusterConfig(num_nodes=nodes, lanes_per_node=LANES, window=WINDOW),
         )
         items = owner_local_workload(probe.shard_map, ACCOUNTS, ops, seed=SEED)
         cluster = run_cluster(items, nodes)
@@ -207,10 +214,9 @@ def measure(ops: int) -> dict:
     tracer = TraceRecorder()
     cluster = TokenCluster(
         make_token(),
-        num_nodes=4,
-        lanes_per_node=LANES,
-        window=WINDOW,
-        seed=SEED,
+        ClusterConfig(
+            num_nodes=4, lanes_per_node=LANES, window=WINDOW, seed=SEED
+        ),
         tracer=tracer,
     )
     cluster.run_workload(make_items(WorkloadMix(), ops))
@@ -318,10 +324,9 @@ def traced_run(ops: int, tracer) -> None:
     mix at 4 nodes, one track per node lane plus router and sync lanes."""
     cluster = TokenCluster(
         make_token(),
-        num_nodes=4,
-        lanes_per_node=LANES,
-        window=WINDOW,
-        seed=SEED,
+        ClusterConfig(
+            num_nodes=4, lanes_per_node=LANES, window=WINDOW, seed=SEED
+        ),
         tracer=tracer,
     )
     cluster.run_workload(make_items(WorkloadMix(), ops))

@@ -11,8 +11,8 @@ the chain-atomic side of this experiment is the frozen table
 :data:`common.FROZEN_E21F850` (the last commit that could run it), and
 the live side is re-measured against it, in virtual time:
 
-* **engine**: frozen chain-atomic vs DAG-scheduled makespan for the
-  barrier executor and the pipelined executor (per-op frontier), on the
+* **engine**: frozen chain-atomic vs DAG-scheduled makespan with one
+  window in flight and with three (per-op frontier), on the
   chain-heavy administrated-token mix and on APPROVAL_HEAVY — the
   headline: DAG-scheduled is strictly faster on both, >= 1.3x on the
   chain-heavy mix whose components carry antichain width >= 2;
@@ -41,7 +41,7 @@ import sys
 from common import bench_main, frozen_numbers, render_stats_table
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
-from repro.engine import BatchExecutor, PipelinedExecutor
+from repro.engine import PipelinedExecutor
 from repro.obs import TraceRecorder
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
@@ -88,13 +88,16 @@ def serial_reference(items):
 AB_BASE = {"team_threshold": 0, "lane_ttl": None}
 
 
-def run_engine(items, depth: int | None = None, **knobs) -> dict:
-    """One engine run (barrier when ``depth`` is None), spec-checked."""
-    config = EngineConfig(num_lanes=LANES, window=WINDOW, seed=SEED, **knobs)
-    if depth is None:
-        engine = BatchExecutor(make_token(), config)
-    else:
-        engine = PipelinedExecutor(make_token(), config, pipeline_depth=depth)
+def run_engine(items, depth: int = 1, **knobs) -> dict:
+    """One engine run with ``depth`` windows in flight, spec-checked."""
+    config = EngineConfig(
+        num_lanes=LANES,
+        window=WINDOW,
+        seed=SEED,
+        pipeline_depth=depth,
+        **knobs,
+    )
+    engine = PipelinedExecutor(make_token(), config)
     state, responses, stats = engine.run_workload(items)
     ref_state, ref_responses = serial_reference(items)
     assert state == ref_state, "engine diverged from the sequential spec"
@@ -234,7 +237,7 @@ def render_table(results: dict) -> list[str]:
         + ("" if compared else "; no frozen chain-atomic side at this size")
         + ")",
         "",
-        f"engine (window {params['window']}, barrier and pipelined "
+        f"engine (window {params['window']}, depth 1 and pipelined "
         f"depth {params['pipeline_depth']}):",
     ]
     columns = [
@@ -294,7 +297,7 @@ def render_table(results: dict) -> list[str]:
     lines.append("")
     latency = results["op_latency"]["dag_engine"]
     lines.append(
-        f"op commit latency (DAG barrier engine, chain-heavy mix): "
+        f"op commit latency (DAG engine, depth 1, chain-heavy mix): "
         f"p50 {latency['p50']:.2f}  p99 {latency['p99']:.2f}  "
         f"mean {latency['mean']:.2f}  over {latency['count']} ops"
     )
@@ -303,13 +306,14 @@ def render_table(results: dict) -> list[str]:
 
 def traced_run(ops: int, tracer) -> None:
     """The representative traced configuration (``--trace``): the
-    DAG-scheduled barrier engine on the chain-heavy mix — component
-    DAGs fan out across lanes instead of serializing per chain."""
-    engine = BatchExecutor(
+    DAG-scheduled engine (one window in flight) on the chain-heavy mix
+    — component DAGs fan out across lanes instead of serializing per
+    chain."""
+    engine = PipelinedExecutor(
         make_token(),
-        num_lanes=LANES,
-        window=WINDOW,
-        seed=SEED,
+        EngineConfig(
+            num_lanes=LANES, window=WINDOW, seed=SEED, pipeline_depth=1
+        ),
         tracer=tracer,
     )
     engine.run_workload(make_items("chain_heavy", ops))

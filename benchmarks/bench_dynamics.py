@@ -30,7 +30,7 @@ from repro.analysis.reachability import (
     verify_level_change_ops,
 )
 from repro.config import EngineConfig
-from repro.engine import BatchExecutor
+from repro.engine import PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import Operation
 from repro.workloads.generators import (
@@ -174,7 +174,7 @@ def traced_run(ops: int, tracer) -> None:
     items = TokenWorkloadGenerator(
         N, seed=SEED, mix=SPENDER_HEAVY_MIX, max_value=6
     ).generate(ops)
-    engine = BatchExecutor(
+    engine = PipelinedExecutor(
         ERC20TokenType(N, total_supply=5 * N),
         EngineConfig(num_lanes=4, window=64, seed=SEED),
         tracer=tracer,

@@ -1,6 +1,8 @@
 """E9 — the execution engine: throughput from the commute/conflict split.
 
-Compares the commutativity-aware sharded executor (``repro.engine``)
+Compares the commutativity-aware sharded executor (``repro.engine``,
+one window in flight: ``pipeline_depth=1``, so the numbers isolate lane
+parallelism from window overlap — ``bench_pipeline.py`` measures that)
 against serial execution on identical workload mixes, in virtual time
 (operation units + simulated consensus latency — the repository-wide
 measurement philosophy; wall-clock threading would measure the GIL):
@@ -29,7 +31,8 @@ from __future__ import annotations
 import sys
 
 from common import bench_main, render_backpressure, render_stats_table
-from repro.engine import BatchExecutor
+from repro.config import EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.obs import TraceRecorder
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
@@ -78,8 +81,15 @@ def run_engine(
     """One engine run; returns ``(engine, stats)`` after checking the final
     state against the sequential specification."""
     token = ERC20TokenType(accounts, total_supply=100 * accounts)
-    engine = BatchExecutor(
-        token, num_lanes=lanes, window=WINDOW, validate=validate, seed=SEED
+    engine = PipelinedExecutor(
+        token,
+        EngineConfig(
+            num_lanes=lanes,
+            window=WINDOW,
+            validate=validate,
+            seed=SEED,
+            pipeline_depth=1,
+        ),
     )
     items = TokenWorkloadGenerator(
         accounts,
@@ -225,11 +235,14 @@ def traced_run(ops: int, tracer) -> None:
     """The representative traced configuration (``--trace``): the default
     mix on the sharded engine, spans and makespan attribution recorded."""
     token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
-    engine = BatchExecutor(
+    engine = PipelinedExecutor(
         token,
-        num_lanes=SHARDED_LANES,
-        window=WINDOW,
-        seed=SEED,
+        EngineConfig(
+            num_lanes=SHARDED_LANES,
+            window=WINDOW,
+            seed=SEED,
+            pipeline_depth=1,
+        ),
         tracer=tracer,
     )
     items = TokenWorkloadGenerator(

@@ -67,7 +67,7 @@ def run_cluster(items, fault=None, timeout=None) -> TokenCluster:
         result_timeout=timeout,
         fault=fault if fault is not None else FaultConfig(),
     )
-    cluster = TokenCluster(token, config=config)
+    cluster = TokenCluster(token, config)
     state, responses, _ = cluster.run_workload(items)
     ref_state, ref_responses = token.run(
         [(item.pid, item.operation) for item in items]
@@ -289,7 +289,7 @@ def traced_run(ops: int, tracer: TraceRecorder) -> None:
             crashes=((1, 0.3 * span, 0.3 * span + 2 * timeout),),
         ),
     )
-    TokenCluster(token, config=config, tracer=tracer).run_workload(items)
+    TokenCluster(token, config, tracer=tracer).run_workload(items)
 
 
 # ---------------------------------------------------------------------------

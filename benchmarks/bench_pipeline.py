@@ -1,25 +1,28 @@
 """E12 — cross-round pipelining: retiring the global round barrier.
 
-The barrier engine and cluster pay a *global round barrier*: window N+1
-waits for every lane and every node to finish window N.  Cross-round
-pipelining (:mod:`repro.engine.pipeline`, the pipelined router of
+With one window in flight the engine and the cluster pay a *global
+round barrier*: window N+1 is not classified until every lane and every
+node has finished window N.  Cross-round pipelining
+(:mod:`repro.engine.pipeline`, the pipelined router of
 :mod:`repro.cluster`) replaces the barrier with per-account frontier
 dependencies: an operation of window N+1 starts once every earlier
 component touching its footprint has committed, and the shared
 synchronization lanes overlap with execution instead of extending every
 round.  This experiment measures, in virtual time, what that buys:
 
-* **engine**: barrier vs pipelined virtual-time makespan per workload
-  mix and pipeline depth, with stall attribution (sync vs frontier);
+* **engine**: one window in flight (the ``barrier`` rows) vs pipelined
+  virtual-time makespan per workload mix and pipeline depth, with stall
+  attribution (sync vs frontier);
 * **cluster**: one round in flight vs pipelined makespan at >= 4 nodes
   on the OWNER_ONLY and APPROVAL_HEAVY mixes — the headline: the
   pipelined cluster is strictly faster on both, and stall time
-  concentrates on the contended components (per escalated op, stall is
-  an order of magnitude above the uncontended traffic's).
+  concentrates on the contended components (an escalated op stalls
+  several times longer than an uncontended one, and only contended units
+  ever wait on a sync lane).
 
-The engine's barrier side is :class:`~repro.engine.BatchExecutor`; the
-cluster has no barrier loop, so its baseline is the same router with one
-round in flight (``pipeline_depth=1``).  The A/B runs keep team lanes
+Neither layer has a barrier loop: both ``barrier`` sides are the same
+executor / router with one round in flight (``pipeline_depth=1``).  The
+A/B runs keep team lanes
 and lane GC off so the comparison isolates pipelining; a separate
 **default vs pre-flip** section shows the no-knobs default construction
 against the frozen pre-flip engine (:data:`common.FROZEN_E21F850`, smoke
@@ -41,7 +44,7 @@ from common import bench_main, frozen_numbers, render_stats_table
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
 from repro.obs import TraceRecorder
-from repro.engine import BatchExecutor, PipelinedExecutor
+from repro.engine import PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
     APPROVAL_HEAVY_MIX,
@@ -83,13 +86,16 @@ def serial_reference(items):
 AB_BASE = {"team_threshold": 0, "lane_ttl": None}
 
 
-def run_engine(items, depth: int | None, **knobs) -> dict:
-    """One engine run (barrier when ``depth`` is None), spec-checked."""
-    config = EngineConfig(num_lanes=LANES, window=WINDOW, seed=SEED, **knobs)
-    if depth is None:
-        engine = BatchExecutor(make_token(), config)
-    else:
-        engine = PipelinedExecutor(make_token(), config, pipeline_depth=depth)
+def run_engine(items, depth: int, **knobs) -> dict:
+    """One engine run with ``depth`` windows in flight, spec-checked."""
+    config = EngineConfig(
+        num_lanes=LANES,
+        window=WINDOW,
+        seed=SEED,
+        pipeline_depth=depth,
+        **knobs,
+    )
+    engine = PipelinedExecutor(make_token(), config)
     state, responses, stats = engine.run_workload(items)
     ref_state, ref_responses = serial_reference(items)
     assert state == ref_state, "engine diverged from the sequential spec"
@@ -140,7 +146,7 @@ def measure(ops: int) -> dict:
 
     for name, mix in MIXES.items():
         items = make_items(mix, ops)
-        barrier = run_engine(items, None, **AB_BASE)
+        barrier = run_engine(items, 1, **AB_BASE)
         entry = {"barrier": barrier, "pipelined": {}}
         for depth in DEPTHS:
             entry["pipelined"][str(depth)] = run_engine(items, depth, **AB_BASE)
@@ -181,10 +187,12 @@ def measure(ops: int) -> dict:
     tracer = TraceRecorder()
     engine = PipelinedExecutor(
         make_token(),
-        pipeline_depth=CLUSTER_DEPTH,
-        num_lanes=LANES,
-        window=WINDOW,
-        seed=SEED,
+        EngineConfig(
+            pipeline_depth=CLUSTER_DEPTH,
+            num_lanes=LANES,
+            window=WINDOW,
+            seed=SEED,
+        ),
         tracer=tracer,
     )
     engine.run_workload(make_items(APPROVAL_HEAVY_MIX, ops))
@@ -234,18 +242,26 @@ def check_claims(results: dict) -> None:
         approval["pipelined"][str(CLUSTER_DEPTH)]["virtual_time"]
         < approval["barrier"]["virtual_time"]
     )
-    # Stall concentrates on the contended components: per escalated op,
-    # at least 5x the uncontended traffic's stall; the consensus-number-1
-    # mix (no contended components) pays zero contended stall anywhere.
+    # Stall concentrates on the contended components.  The dispatch gate
+    # works per unit (one component), so only a unit that synchronizes
+    # waits on a sync lane and the contended stall counts those units
+    # alone — not, as a per-node batch once did, every op that shared
+    # their batch.  What that guarantees at any size is the direction: an
+    # escalated op stalls strictly longer than an uncontended one, and
+    # only the contended mix pays a sync wait at all.  It is not a fixed
+    # multiple — a lane's wait is paid per unit and amortizes over the
+    # escalated ops sharing the round (6.0x / 7.1x at smoke size with 10
+    # escalated ops, 4.4x / 5.1x at 1200 ops with 47-49).  The
+    # consensus-number-1 mix pays zero contended stall anywhere.
     for nodes in map(str, NODE_COUNTS):
-        per_escalated, per_uncontended = stall_concentration(
-            results["cluster"]["approval_heavy"][nodes]
-        )
-        assert per_escalated > 5 * per_uncontended, (
+        contended_mix = results["cluster"]["approval_heavy"][nodes]
+        per_escalated, per_uncontended = stall_concentration(contended_mix)
+        assert per_escalated > per_uncontended > 0.0, (
             nodes,
             per_escalated,
             per_uncontended,
         )
+        assert contended_mix["pipelined"]["sync_wait_time"] > 0.0
         owner = results["cluster"]["owner_only"][nodes]["pipelined"]
         assert owner["escalated_ops"] == 0
         assert owner["frontier_stall_time_contended"] == 0.0
@@ -329,10 +345,12 @@ def traced_run(ops: int, tracer) -> None:
     trace shows sync waits overlapping later rounds' execution."""
     engine = PipelinedExecutor(
         make_token(),
-        pipeline_depth=CLUSTER_DEPTH,
-        num_lanes=LANES,
-        window=WINDOW,
-        seed=SEED,
+        EngineConfig(
+            pipeline_depth=CLUSTER_DEPTH,
+            num_lanes=LANES,
+            window=WINDOW,
+            seed=SEED,
+        ),
         tracer=tracer,
     )
     engine.run_workload(make_items(APPROVAL_HEAVY_MIX, ops))

@@ -8,8 +8,9 @@ in aggregate long after its tail windows have collapsed.  This bench
 drives timed Zipf-skewed arrivals (:mod:`repro.workloads.arrivals`)
 into three layers:
 
-* the **barrier engine** (:class:`repro.engine.BatchExecutor`),
-* the **pipelined engine** (:class:`repro.engine.PipelinedExecutor`),
+* the **engine, one window in flight**
+  (:class:`repro.engine.PipelinedExecutor` at ``pipeline_depth=1``),
+* the **pipelined engine** (the same executor, four windows in flight),
 * the **cluster** (:class:`repro.cluster.TokenCluster`),
 
 each at two offered-load levels calibrated against its own measured
@@ -36,7 +37,8 @@ import sys
 
 from common import bench_main, render_stats_table
 from repro.cluster import TokenCluster
-from repro.engine import BatchExecutor, PipelinedExecutor
+from repro.config import ClusterConfig, EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.obs import SLOMonitor, TimeSeries, TraceRecorder
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
@@ -77,26 +79,26 @@ def make_items(ops: int):
 
 def make_target(layer: str, tracer: TraceRecorder | None = None):
     token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
-    if layer == "engine":
-        return BatchExecutor(
-            token, num_lanes=LANES, window=WINDOW, seed=SEED, tracer=tracer
-        )
-    if layer == "pipelined":
+    if layer in ("engine", "pipelined"):
         return PipelinedExecutor(
             token,
-            pipeline_depth=PIPELINE_DEPTH,
-            num_lanes=LANES,
-            window=WINDOW,
-            seed=SEED,
+            EngineConfig(
+                pipeline_depth=1 if layer == "engine" else PIPELINE_DEPTH,
+                num_lanes=LANES,
+                window=WINDOW,
+                seed=SEED,
+            ),
             tracer=tracer,
         )
     if layer == "cluster":
         return TokenCluster(
             token,
-            num_nodes=CLUSTER_NODES,
-            lanes_per_node=CLUSTER_LANES,
-            window=WINDOW,
-            seed=SEED,
+            ClusterConfig(
+                num_nodes=CLUSTER_NODES,
+                lanes_per_node=CLUSTER_LANES,
+                window=WINDOW,
+                seed=SEED,
+            ),
             tracer=tracer,
         )
     raise ValueError(f"unknown layer {layer!r}")

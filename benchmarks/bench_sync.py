@@ -35,7 +35,7 @@ import sys
 from common import bench_main, render_stats_table
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
-from repro.engine import BatchExecutor, ConsensusEscalator
+from repro.engine import ConsensusEscalator, PipelinedExecutor
 from repro.obs import TraceRecorder
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
@@ -79,15 +79,18 @@ def serial_reference(object_type, items):
 
 
 def run_engine(object_type, items, threshold: int) -> dict:
-    """One barrier-engine run, every knob but the team threshold at its
-    default, serial-equivalence-checked against the spec."""
-    engine = BatchExecutor(
+    """One engine run with one window in flight (the sync phase is then
+    on every round's critical path, which is what this bench prices),
+    every other knob but the team threshold at its default,
+    serial-equivalence-checked against the spec."""
+    engine = PipelinedExecutor(
         object_type,
         EngineConfig(
             num_lanes=LANES,
             window=WINDOW,
             seed=SEED,
             team_threshold=threshold,
+            pipeline_depth=1,
         ),
         escalator=ConsensusEscalator(num_replicas=ACCOUNTS, seed=SEED),
     )
@@ -406,13 +409,14 @@ def traced_run(ops: int, tracer) -> None:
     """The representative traced configuration (``--trace``): the tiered
     engine on the bounded-spender contended mix — team-lane batches show
     up as per-team sync tracks alongside the execution lanes."""
-    engine = BatchExecutor(
+    engine = PipelinedExecutor(
         make_token(),
         EngineConfig(
             num_lanes=LANES,
             window=WINDOW,
             seed=SEED,
             team_threshold=THRESHOLD,
+            pipeline_depth=1,
         ),
         escalator=ConsensusEscalator(num_replicas=ACCOUNTS, seed=SEED),
         tracer=tracer,

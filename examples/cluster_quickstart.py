@@ -21,7 +21,8 @@ Run:  python examples/cluster_quickstart.py
 from __future__ import annotations
 
 from repro.cluster import ClusterConfig, TokenCluster, owner_local_workload
-from repro.engine import BatchExecutor
+from repro.config import EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
     OWNER_ONLY_MIX,
@@ -82,10 +83,9 @@ def main() -> None:
     items = TokenWorkloadGenerator(
         ACCOUNTS, seed=7, mix=OWNER_ONLY_MIX
     ).generate(OPS)
-    engine = BatchExecutor(
+    engine = PipelinedExecutor(
         ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS),
-        num_lanes=8,
-        window=WINDOW,
+        EngineConfig(num_lanes=8, window=WINDOW),
     )
     _, _, engine_stats = engine.run_workload(items)
     token, cluster = fresh_cluster()

@@ -2,9 +2,10 @@
 """Engine quickstart: the paper's trichotomy as an execution strategy.
 
 Feeds ERC20 traffic through the commutativity-aware engine
-(:mod:`repro.engine`) and shows the pipeline —
+(:mod:`repro.engine`: one executor, configured by one ``EngineConfig``)
+and shows the pipeline —
 
-    mempool -> classify -> shard -> execute -> escalate
+    mempool -> classify -> synchronize -> place -> commit
 
 — on three workloads: the paper's Example 1 (watch the approve /
 transferFrom race get escalated to consensus), a conflict-free owner-only
@@ -18,7 +19,7 @@ Run:  python examples/engine_quickstart.py
 from __future__ import annotations
 
 from repro.config import EngineConfig
-from repro.engine import BatchExecutor
+from repro.engine import PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
     OWNER_ONLY_MIX,
@@ -50,7 +51,7 @@ def main() -> None:
     print("1. Example 1 (paper §4) through the engine")
     print(RULE)
     token = ERC20TokenType(3, total_supply=10)
-    engine = BatchExecutor(
+    engine = PipelinedExecutor(
         token, EngineConfig(num_lanes=2, window=4, validate=True)
     )
     state, responses, stats = engine.run_workload(example1_trace())
@@ -68,7 +69,9 @@ def main() -> None:
     print("2. Owner-only traffic: the consensus-number-1 regime")
     print(RULE)
     token = ERC20TokenType(32, total_supply=3200)
-    engine = BatchExecutor(token, num_lanes=8, window=64, validate=True)
+    engine = PipelinedExecutor(
+        token, EngineConfig(num_lanes=8, window=64, validate=True)
+    )
     items = TokenWorkloadGenerator(32, seed=7, mix=OWNER_ONLY_MIX).generate(400)
     _, _, stats = engine.run_workload(items)
     show("8 lanes, 400 ops:", stats)
@@ -83,7 +86,9 @@ def main() -> None:
     print("3. Spender-heavy traffic: synchronization groups pay for order")
     print(RULE)
     token = ERC20TokenType(32, total_supply=3200)
-    engine = BatchExecutor(token, num_lanes=8, window=64, validate=True)
+    engine = PipelinedExecutor(
+        token, EngineConfig(num_lanes=8, window=64, validate=True)
+    )
     items = TokenWorkloadGenerator(
         32, seed=7, mix=SPENDER_HEAVY_MIX
     ).generate(400)
@@ -91,7 +96,7 @@ def main() -> None:
     show("8 lanes, 400 ops (shipped defaults):", stats)
     # team_threshold is the paper's k: 0 sends every synchronization
     # group to the global broadcast instead of a right-sized team lane.
-    global_only = BatchExecutor(
+    global_only = PipelinedExecutor(
         ERC20TokenType(32, total_supply=3200),
         EngineConfig(num_lanes=8, window=64, validate=True, team_threshold=0),
     )

@@ -26,6 +26,7 @@ Run:  python examples/stream_quickstart.py
 
 from __future__ import annotations
 
+from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
 from repro.obs import SLOMonitor, TimeSeries, TraceRecorder
 from repro.objects.erc20 import ERC20TokenType
@@ -54,7 +55,9 @@ def sparkline(values: list[float]) -> str:
 def make_engine(tracer: TraceRecorder | None = None) -> PipelinedExecutor:
     token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
     return PipelinedExecutor(
-        token, num_lanes=8, pipeline_depth=4, seed=29, tracer=tracer
+        token,
+        EngineConfig(num_lanes=8, pipeline_depth=4, seed=29),
+        tracer=tracer,
     )
 
 

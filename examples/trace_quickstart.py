@@ -27,7 +27,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.engine import BatchExecutor
+from repro.config import EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.obs import TraceRecorder, critical_path_report, write_chrome_trace
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import CHAIN_HEAVY_MIX, TokenWorkloadGenerator
@@ -45,7 +46,9 @@ def main() -> None:
 
     tracer = TraceRecorder()
     token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
-    engine = BatchExecutor(token, num_lanes=8, seed=7, tracer=tracer)
+    engine = PipelinedExecutor(
+        token, EngineConfig(num_lanes=8, seed=7), tracer=tracer
+    )
     items = TokenWorkloadGenerator(
         ACCOUNTS,
         seed=7,

@@ -59,7 +59,6 @@ from repro.protocols import (
 )
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import (
-    BatchExecutor,
     ConsensusEscalator,
     Mempool,
     OpClassifier,
@@ -81,7 +80,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CachedPairAnalyzer",
     "classify",
-    "BatchExecutor",
     "ClusterConfig",
     "ConsensusEscalator",
     "EngineConfig",

@@ -21,11 +21,14 @@ order, for any node count, any shard count, and any lease schedule.
 Quickstart::
 
     from repro.cluster import TokenCluster
+    from repro.config import ClusterConfig
     from repro.objects.erc20 import ERC20TokenType
     from repro.workloads import TokenWorkloadGenerator, OWNER_ONLY_MIX
 
     token = ERC20TokenType(64, total_supply=6400)
-    cluster = TokenCluster(token, num_nodes=4, lanes_per_node=8)
+    cluster = TokenCluster(
+        token, ClusterConfig(num_nodes=4, lanes_per_node=8)
+    )
     items = TokenWorkloadGenerator(64, seed=7, mix=OWNER_ONLY_MIX).generate(512)
     state, responses, stats = cluster.run_workload(items)
     print(f"{stats.throughput:.2f} ops/t, "
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.config import UNSET, ClusterConfig, _with_overrides
+from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.escalation import ConsensusEscalator
 from repro.engine.mempool import PendingOp
@@ -63,50 +66,11 @@ class TokenCluster:
         object_type: SequentialObjectType,
         config: ClusterConfig | None = None,
         *,
-        num_nodes=UNSET,
-        lanes_per_node=UNSET,
-        window=UNSET,
-        num_shards=UNSET,
-        op_cost=UNSET,
         latency: LatencyModel | None = None,
-        seed=UNSET,
-        mempool_capacity=UNSET,
         escalator: ConsensusEscalator | None = None,
-        validate=UNSET,
-        lease_min_gain=UNSET,
-        lease_cooldown=UNSET,
-        team_threshold=UNSET,
-        pipeline_depth=UNSET,
-        lane_ttl=UNSET,
-        result_timeout=UNSET,
-        lease_timeout=UNSET,
-        fault=UNSET,
         tracer: TraceRecorder | None = None,
     ) -> None:
-        #: The resolved run configuration: explicit kwargs override the
-        #: ``config=`` value, which overrides :class:`ClusterConfig`'s
-        #: defaults.
-        self.config = cfg = _with_overrides(
-            config if config is not None else ClusterConfig(),
-            dict(
-                num_nodes=num_nodes,
-                lanes_per_node=lanes_per_node,
-                window=window,
-                num_shards=num_shards,
-                op_cost=op_cost,
-                seed=seed,
-                mempool_capacity=mempool_capacity,
-                validate=validate,
-                lease_min_gain=lease_min_gain,
-                lease_cooldown=lease_cooldown,
-                team_threshold=team_threshold,
-                pipeline_depth=pipeline_depth,
-                lane_ttl=lane_ttl,
-                result_timeout=result_timeout,
-                lease_timeout=lease_timeout,
-                fault=fault,
-            ),
-        )
+        self.config = cfg = config if config is not None else ClusterConfig()
         num_shards = cfg.num_shards
         if num_shards is None:
             # Enough shards that leases migrate at useful granularity.

@@ -68,7 +68,7 @@ class ClusterNode(Node):
         self.apply_fn = apply_fn
         self.classifier = classifier
         self.planner = ShardPlanner(config.lanes_per_node)
-        self.scheduler = RoundScheduler(classifier, self.planner)
+        self.scheduler = RoundScheduler(classifier)
         self.op_cost = config.op_cost
         #: Persistent lane timeline (absolute virtual times), and the
         #: rounds this node has executed at least one unit of.
@@ -219,7 +219,7 @@ class ClusterNode(Node):
             [ops[i] for i in singleton_idx],
             dags,
             self._lane_free,
-            floor=ready,
+            floor=lambda op: ready,
             cost=self.op_cost,
         )
         order = [

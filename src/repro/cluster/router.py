@@ -59,7 +59,6 @@ from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.escalation import ConsensusEscalator, tiered_escalator
 from repro.engine.mempool import Mempool, PendingOp
 from repro.engine.rounds import RoundScheduler
-from repro.engine.shard import ShardPlanner
 from repro.errors import ClusterError, MempoolFullError
 from repro.net.network import Message, Network
 from repro.net.node import Node
@@ -228,9 +227,7 @@ class Router(Node):
             seed=config.seed,
             lane_ttl=config.lane_ttl,
         )
-        self.scheduler = RoundScheduler(
-            classifier, ShardPlanner(shard_map.num_nodes)
-        )
+        self.scheduler = RoundScheduler(classifier)
         #: shard -> round of its last lease migration (cooldown bookkeeping).
         self._last_migration: dict[int, int] = {}
         self._state_fn = state_fn

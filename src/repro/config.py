@@ -5,9 +5,8 @@ Op-granular DAG scheduling and component-granular dispatch are not knobs
 window, pipeline depth, team-lane threshold, team-lane GC, fault plan)
 lives here, with the fast configuration as the defaults:
 
-* :class:`EngineConfig` — the single-process executors
-  (:class:`~repro.engine.executor.BatchExecutor`,
-  :class:`~repro.engine.pipeline.PipelinedExecutor`);
+* :class:`EngineConfig` — the single-process executor
+  (:class:`~repro.engine.pipeline.PipelinedExecutor`);
 * :class:`ClusterConfig` — the distributed cluster
   (:class:`~repro.cluster.cluster.TokenCluster`).
 
@@ -18,22 +17,16 @@ them (``scripts/check_bench.py`` refuses a baseline whose config block
 disagrees with the run's — a silent default flip can never skew one
 number in one place).
 
-Precedence at the constructors: an explicitly passed kwarg beats the
-``config=`` value, which beats the dataclass default.  Bare kwargs
-therefore keep working exactly as before — they are overrides on top of
-whatever config (or default) is in effect.
+The constructors take the config and nothing that restates it: a run
+knob is spelled ``EngineConfig(window=32)``, never ``window=32`` on the
+executor, so a mistyped or misplaced field fails as a ``TypeError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.errors import ClusterError, EngineError
-
-#: Sentinel distinguishing "kwarg not passed" from legitimate ``None``
-#: values (``mempool_capacity=None``, ``lane_ttl=None``).
-UNSET = object()
-
 
 def _jsonify(value):
     """Recursively coerce a config field into JSON-canonical form."""
@@ -42,15 +35,6 @@ def _jsonify(value):
     if isinstance(value, tuple):
         return [_jsonify(item) for item in value]
     return value
-
-
-def _with_overrides(config, overrides: dict):
-    """A copy of ``config`` with every non-:data:`UNSET` override applied
-    (kwargs beat the config, the config beats the dataclass defaults)."""
-    updates = {
-        key: value for key, value in overrides.items() if value is not UNSET
-    }
-    return replace(config, **updates) if updates else config
 
 
 class _ConfigBase:
@@ -111,7 +95,7 @@ class _ConfigBase:
 
 @dataclass(frozen=True)
 class EngineConfig(_ConfigBase):
-    """Configuration of the single-process executors.
+    """Configuration of the single-process executor.
 
     The defaults are the *fast* configuration: op-granular DAG
     scheduling, two pipelined windows in flight, team lanes for spender
@@ -128,11 +112,8 @@ class EngineConfig(_ConfigBase):
     #: Largest spender bound ordered on a k-participant team lane
     #: (``0`` = every contended component pays the global lane).
     team_threshold: int = 4
-    #: Windows in flight at once (``1`` = the same pipelined loop with
-    #: one window in flight).  Read by
-    #: :class:`~repro.engine.pipeline.PipelinedExecutor` only — the
-    #: barrier :class:`~repro.engine.executor.BatchExecutor` has no
-    #: pipeline.
+    #: Windows in flight at once (``1`` = one window in flight: window
+    #: N+1 classifies when window N completes).
     pipeline_depth: int = 2
     #: Garbage-collect a team lane idle for this many sync rounds
     #: (``None`` = keep every lane forever).

@@ -5,23 +5,27 @@ case analysis) into throughput: a mempool of pending token operations is
 classified pairwise by a static footprint fast path
 (:mod:`repro.objects.footprint`, validated against the semantic oracle of
 :mod:`repro.analysis.commutativity`), a conflict graph picks out the
-operations that can be reordered freely, a shard planner spreads them over
-parallel lanes, and only genuinely conflicting operations are escalated to
-the total-order broadcast of :mod:`repro.net.total_order`.
+operations that can be reordered freely, one list scheduler
+(:func:`~repro.engine.shard.dag_list_schedule`) places them on a rolling
+timeline of parallel lanes, and only genuinely contended operations are
+escalated to the tiered sync lanes (:mod:`repro.sync`, whose fallback is
+the total-order broadcast of :mod:`repro.net.total_order`).
 
-Pipeline::
+There is one executor, :class:`PipelinedExecutor`, configured by one
+:class:`~repro.config.EngineConfig`::
 
-    mempool -> classify -> shard -> execute -> escalate
-    (intake)   (trichotomy) (lanes)  (parallel)  (consensus, conflicts only)
+    mempool -> classify -> synchronize -> place -> commit
+    (intake)   (trichotomy) (contended     (lanes,   (apply in start
+                             ops only)      rolling)  order, at run())
 
 Quickstart::
 
-    from repro.engine import BatchExecutor
+    from repro.engine import EngineConfig, PipelinedExecutor
     from repro.objects.erc20 import ERC20TokenType
     from repro.workloads import TokenWorkloadGenerator, OWNER_ONLY_MIX
 
     token = ERC20TokenType(16, total_supply=1600)
-    engine = BatchExecutor(token, num_lanes=4, window=64)
+    engine = PipelinedExecutor(token, EngineConfig(num_lanes=4, window=64))
     items = TokenWorkloadGenerator(16, seed=7, mix=OWNER_ONLY_MIX).generate(512)
     state, responses, stats = engine.run_workload(items)
     print(f"{stats.speedup:.2f}x over serial, "
@@ -40,7 +44,6 @@ from repro.engine.escalation import (
     EscalationResult,
     tiered_escalator,
 )
-from repro.engine.executor import BatchExecutor
 from repro.engine.mempool import Mempool, PendingOp
 from repro.engine.pipeline import PipelinedExecutor, ScheduledUnit
 from repro.engine.rounds import (
@@ -50,7 +53,6 @@ from repro.engine.rounds import (
     RoundStage,
 )
 from repro.engine.shard import (
-    ShardPlan,
     ShardPlanner,
     dag_list_schedule,
     stable_account_hash,
@@ -68,7 +70,6 @@ __all__ = [
     "ConsensusEscalator",
     "EscalationResult",
     "tiered_escalator",
-    "BatchExecutor",
     "Mempool",
     "PendingOp",
     "PipelinedExecutor",
@@ -77,7 +78,6 @@ __all__ = [
     "RoundLifecycle",
     "RoundScheduler",
     "RoundStage",
-    "ShardPlan",
     "ShardPlanner",
     "stable_account_hash",
     "EngineStats",

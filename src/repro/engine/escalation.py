@@ -14,9 +14,9 @@ executor no longer calls :class:`ConsensusEscalator` unconditionally: a
 :class:`~repro.sync.planner.SyncPlanner` first sizes each contended
 component's spender bound, routes components within ``team_threshold`` to
 k-participant team lanes, and keeps this global lane as the Tier ∞
-fallback.  :func:`tiered_escalator` builds that wiring; with the default
-``team_threshold = 0`` it degenerates to the historical always-global
-behavior, bit for bit.
+fallback.  :func:`tiered_escalator` builds that wiring; with
+``team_threshold = 0`` (the configs default to 4) it degenerates to the
+historical always-global behavior, bit for bit.
 """
 
 from __future__ import annotations
@@ -114,11 +114,12 @@ class ConsensusEscalator:
 
 def tiered_escalator(
     escalator: ConsensusEscalator | None = None,
-    team_threshold: int = 0,
+    *,
+    team_threshold: int,
+    lane_ttl: int | None,
     latency: LatencyModel | None = None,
     seed: int = 0,
     max_batch: int = 64,
-    lane_ttl: int | None = None,
 ) -> TieredEscalator:
     """Wire a :class:`ConsensusEscalator` into the tiered sync layer.
 
@@ -129,7 +130,8 @@ def tiered_escalator(
     behavior).  ``lane_ttl`` garbage-collects team lanes idle for that
     many sync rounds (``None`` keeps them forever), so long runs over
     shifting approval patterns do not accumulate one live replica group
-    per distinct team.
+    per distinct team.  Both are required: the defaults live in
+    :mod:`repro.config`, not here.
     """
     return TieredEscalator(
         escalator

@@ -5,7 +5,7 @@ The engine's client-facing edge.  Operations arrive (typically from a
 increasing sequence number — the *submission order* that defines the
 engine's serial-equivalence contract: the final state and every response
 are identical to executing the whole workload sequentially in submission
-order (see :mod:`repro.engine.executor`).
+order (see :mod:`repro.engine.pipeline`).
 
 A mempool may be *bounded* (``capacity``): submissions beyond the bound
 raise :class:`~repro.errors.MempoolFullError` and are counted in

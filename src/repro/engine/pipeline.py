@@ -1,67 +1,98 @@
-"""Cross-round pipelined execution: no global barrier between windows.
+"""The engine executor: commute in parallel, order only conflicts, no
+global barrier between windows.
 
-The barrier executor (:class:`~repro.engine.executor.BatchExecutor`) pays
-a *global round barrier*: window N+1's classification waits until every
-lane — and, in the cluster, every node — has finished window N, so one
-slow chain or one consensus round stalls traffic that provably commutes
-with it.  :class:`PipelinedExecutor` removes the barrier and replaces it
-with the weakest dependency the serial-equivalence contract needs:
+Execution proceeds in rounds.  Each round pops a window from the mempool,
+builds the conflict graph under *static* (state-independent)
+classification — so reordering is sound at every intermediate state — and
+schedules its connected components:
+
+* **singletons** — operations commuting with the entire window; they run
+  in any lane (the engine's fast path).
+* **chains** — multi-operation components.  Operations in different
+  components statically commute and run in parallel; within a component
+  only the non-commuting pairs need an order, so the component's
+  operations schedule individually along its precedence DAG
+  (:class:`~repro.engine.conflict_graph.ComponentDAG`).
+* **escalated** — chain members on a cross-process CONFLICT edge with
+  *contention* (two enabled spenders debiting one account, approve racing
+  transferFrom on an allowance cell, one NFT): the only traffic that pays
+  for an ordering lane.  Each contended component goes through the tiered
+  sync layer (:mod:`repro.sync`): a component whose spender bound has size
+  ``k ≤ team_threshold`` is ordered by a k-participant *team lane*
+  (``O(k²)`` messages, concurrent with every other team), the rest merge
+  into one batch on the global
+  :class:`~repro.engine.escalation.ConsensusEscalator` lane.  With
+  ``team_threshold = 0`` every contended component takes the global lane.
+
+Conflict-free windows pay no messages at all — the paper's
+consensus-number-1 regime executes entirely on the fast path.
+
+There is no *global round barrier*: window N+1 does not wait until every
+lane has finished window N, because one slow chain or one consensus round
+would stall traffic that provably commutes with it.  The executor keeps
+the weakest dependency the serial-equivalence contract needs:
 
 **Frontier rule.**  An operation of window N+1 may start executing as
-soon as every window-N (or earlier) component *touching its footprint*
-has committed.  Operations with disjoint footprints statically commute
+soon as every window-N (or earlier) operation *touching its footprint*
+has finished.  Operations with disjoint footprints statically commute
 (:func:`repro.objects.footprint.static_pair_kind`), so running them in
 overlapped windows reorders only commuting pairs; operations with
 overlapping footprints are forced to start after their predecessors
 finish, which preserves submission order between them.  Unknown
-footprints degrade soundly: such a unit waits for *everything* earlier
+footprints degrade soundly: such an op waits for *everything* earlier
 and gates everything later.
 
 Mechanically the executor keeps a per-location **frontier** — the virtual
-time at which the last scheduled unit touching that location finishes —
-plus per-lane free times, and schedules each window's units greedily onto
-the earliest free lane at ``max(classify time, frontier of its footprint,
-its sync lane's completion)``.  Window N+1 is classified (conflict graph,
-tiered synchronization) as soon as the pipeline has a free slot — i.e.
-while window N's lanes are still executing — and the shared
-synchronization lanes serialize across windows (they are one physical
-resource) but overlap with lane execution, which is where most of the win
-on contended mixes comes from.
-
-Every operation is its own timeline *unit*.  Within a component, the
-precedence DAG (:class:`~repro.engine.conflict_graph.ComponentDAG`)
-supplies the intra-window dependencies and a critical-path-first
-priority; the frontier keys on per-*op* footprints, so an op of window
-N+1 starts behind only the specific earlier ops it touches — not behind
-the union footprint of every chain those ops belong to.
+time at which the last scheduled op touching that location finishes —
+plus per-lane free times.  Every operation is its own timeline *unit*
+with a floor ``max(classify time, frontier of its footprint, its sync
+lane's completion)``, and :func:`~repro.engine.shard.dag_list_schedule`
+places each window's ops onto the rolling lane timeline: critical-path
+first along the component DAGs, idle gaps behind floored ops backfilled.
+Window N+1 is classified (conflict graph, tiered synchronization) as soon
+as the pipeline has a free slot — i.e. while window N's lanes are still
+executing — and the shared synchronization lanes serialize across windows
+(they are one physical resource) but overlap with lane execution, which
+is where most of the win on contended mixes comes from.
 
 ``pipeline_depth`` bounds how many windows may be in flight at once.
 ``pipeline_depth=1`` is the same loop with one window in flight: window
 N+1 classifies when window N completes, but its lanes still roll on from
-wherever window N left them.  It is held to serial equivalence with the
-sequential spec like every other depth, not to the barrier executor's
-makespan (:class:`BatchExecutor` is the barrier reference).
+wherever window N left them.
 
-State application happens at commit time in ascending unit start time
-(ties broken by submission order).  That order is serially equivalent to
-submission order: two units applied out of submission order either share
-no location (they statically commute) or the frontier rule forced the
-later one to start after the earlier one finished, in which case the sort
-never swaps them.  The property suite machine-checks this against the
-sequential specification for random workloads, depths, and lane counts.
+State application happens at commit time (:meth:`PipelinedExecutor.run`)
+in ascending op start time (ties broken by submission order).  That order
+is serially equivalent to submission order: two ops applied out of
+submission order either share no location (they statically commute) or
+the frontier rule / a DAG edge forced the later one to start after the
+earlier one finished — gap backfill included, since a backfilled op still
+starts at or after every predecessor's and every frontier location's
+finish — in which case the sort never swaps them.
+
+Serial-equivalence contract: the final state *and every response* are
+identical to executing the whole workload sequentially in submission
+order, for any lane count and depth.  ``tests/integration/
+test_serial_equivalence.py`` and the property suites machine-check this
+against the sequential specification.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from typing import Any, Iterable
 
-from repro.config import UNSET, EngineConfig, _with_overrides
-from repro.engine.executor import BatchExecutor
-from repro.engine.mempool import PendingOp
+from repro.config import EngineConfig
+from repro.engine.classifier import OpClassifier
+from repro.engine.escalation import ConsensusEscalator, tiered_escalator
+from repro.engine.mempool import Mempool, PendingOp
+from repro.engine.rounds import RoundLifecycle, RoundScheduler
+from repro.engine.shard import ShardPlanner
 from repro.engine.stats import EngineStats, WaveStats
-from repro.errors import EngineError
 from repro.objects.footprint import FootprintSummary
+from repro.obs.trace import TraceRecorder
+from repro.spec.object_type import SequentialObjectType
+from repro.sync.escalation import TieredEscalator
+from repro.workloads.generators import WorkloadItem
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,64 +112,78 @@ class ScheduledUnit:
     frontier_stall: float
 
 
-class PipelinedExecutor(BatchExecutor):
-    """Cross-round pipelined executor for one token object.
+class PipelinedExecutor:
+    """Commutativity-aware pipelined executor for one token object.
 
-    Drop-in replacement for :class:`BatchExecutor` (same constructor
-    arguments plus ``pipeline_depth``).  ``run()`` / ``run_workload()``
-    are the intended API; ``step()`` schedules one window onto the
-    pipeline timeline, and state/responses materialize at commit (the end
-    of ``run()``) — the engine's virtual clock then reads the pipelined
-    *makespan*, not the sum of per-round times.
+    Configured by one :class:`~repro.config.EngineConfig`; collaborators
+    (classifier, escalator, sync layer, tracer) are keyword arguments.
+    ``run()`` / ``run_workload()`` are the intended API; ``step()``
+    schedules one window onto the pipeline timeline, and state/responses
+    materialize at commit (the end of ``run()``) — the engine's virtual
+    clock then reads the pipelined *makespan*, not the sum of per-round
+    times.
     """
 
     def __init__(
         self,
-        object_type,
+        object_type: SequentialObjectType,
         config: EngineConfig | None = None,
         *,
-        pipeline_depth=UNSET,
-        num_lanes=UNSET,
-        window=UNSET,
-        op_cost=UNSET,
-        classifier=None,
-        planner=None,
-        escalator=None,
-        validate=UNSET,
-        seed=UNSET,
-        mempool_capacity=UNSET,
-        team_threshold=UNSET,
-        sync=None,
-        lane_ttl=UNSET,
-        tracer=None,
+        classifier: OpClassifier | None = None,
+        escalator: ConsensusEscalator | None = None,
+        sync: TieredEscalator | None = None,
+        tracer: TraceRecorder | None = None,
     ) -> None:
-        # The full config surface, spelled out: a mistyped knob raises a
-        # TypeError here instead of vanishing into a ``**kwargs`` sink.
-        cfg = _with_overrides(
-            config if config is not None else EngineConfig(),
-            dict(
-                pipeline_depth=pipeline_depth,
-                num_lanes=num_lanes,
-                window=window,
-                op_cost=op_cost,
-                validate=validate,
-                seed=seed,
-                mempool_capacity=mempool_capacity,
-                team_threshold=team_threshold,
-                lane_ttl=lane_ttl,
-            ),
-        )
-        super().__init__(
-            object_type,
-            cfg,
-            classifier=classifier,
-            planner=planner,
-            escalator=escalator,
-            sync=sync,
-            tracer=tracer,
-        )
+        self.config = cfg = config if config is not None else EngineConfig()
+        self.object_type = object_type
+        self.num_lanes = cfg.num_lanes
+        self.window = cfg.window
+        self.op_cost = cfg.op_cost
         self.pipeline_depth = cfg.pipeline_depth
-        self.stats.pipeline_depth = cfg.pipeline_depth
+        self.classifier = (
+            classifier
+            if classifier is not None
+            else OpClassifier(object_type, validate=cfg.validate)
+        )
+        self.planner = ShardPlanner(cfg.num_lanes)
+        self.scheduler = RoundScheduler(self.classifier)
+        self.escalator = (
+            escalator
+            if escalator is not None
+            else ConsensusEscalator(seed=cfg.seed)
+        )
+        #: The tiered sync layer; its Tier ∞ fallback is ``self.escalator``
+        #: (``team_threshold=0`` = always-global escalation).
+        self.sync = (
+            sync
+            if sync is not None
+            else tiered_escalator(
+                self.escalator,
+                team_threshold=cfg.team_threshold,
+                seed=cfg.seed,
+                lane_ttl=cfg.lane_ttl,
+            )
+        )
+        #: The round stage machine (drain → classify → sync).
+        self.lifecycle = RoundLifecycle(self.scheduler, self.sync, object_type)
+        self.mempool = Mempool(capacity=cfg.mempool_capacity)
+        self.state = object_type.initial_state()
+        self.responses: dict[int, Any] = {}
+        #: The committed makespan; moves at commit (:meth:`run`), not per
+        #: round — :meth:`stream_now` is the running admission time.
+        self.clock = 0.0
+        self.stats = EngineStats(
+            num_lanes=cfg.num_lanes,
+            window=cfg.window,
+            op_cost=cfg.op_cost,
+            pipeline_depth=cfg.pipeline_depth,
+        )
+        #: Optional observability hook (:mod:`repro.obs`).  ``None`` (the
+        #: default) records nothing and changes nothing — stats, state,
+        #: and responses stay bit-identical.
+        self.tracer = tracer
+        if tracer is not None and getattr(self.sync, "pool", None) is not None:
+            self.sync.pool.tracer = tracer
         #: Earliest free time per lane (the pipeline never resets these —
         #: lanes flow from one window into the next).
         self._lane_free = [0.0] * self.num_lanes
@@ -164,8 +209,8 @@ class PipelinedExecutor(BatchExecutor):
         self._sync_free = 0.0
         #: Units scheduled but not yet applied (committed at end of run).
         self._pending_units: list[ScheduledUnit] = []
-        #: The serial prefix state — what the barrier executor would hold
-        #: before the next round — kept lazily.  Only oracle validation
+        #: The serial prefix state — every drained window applied in
+        #: submission order — kept lazily.  Only oracle validation
         #: and spender-bound team sizing ever read it, so drained windows
         #: wait in the backlog and :meth:`_prefix_state` folds them in when
         #: one of the two asks; a run that never asks (owner-only traffic)
@@ -174,8 +219,7 @@ class PipelinedExecutor(BatchExecutor):
         self._state_backlog: list[list[PendingOp]] = []
 
     def _prefix_state(self):
-        """The state after every drained window, in submission order —
-        equal to the barrier executor's state before the next round."""
+        """The state after every drained window, in submission order."""
         if self._state_backlog:
             self._classify_state, _ = self.object_type.run(
                 (
@@ -188,13 +232,71 @@ class PipelinedExecutor(BatchExecutor):
             self._state_backlog.clear()
         return self._classify_state
 
+    # -- intake ----------------------------------------------------------
+
+    def submit(
+        self, pid: int, operation, arrival: float | None = None
+    ) -> PendingOp:
+        """Admit one operation.  ``arrival`` back-dates the traced
+        ``submit`` lifecycle stage to the op's open-loop arrival time
+        (it must not exceed the current admission time,
+        :meth:`stream_now`), so traced latency reads commit − arrival;
+        the default ``None`` stamps the admission time itself."""
+        pending = self.mempool.submit(pid, operation)
+        if self.tracer is not None:
+            self.tracer.op_submit(
+                pending.seq, self.stream_now() if arrival is None else arrival
+            )
+        return pending
+
+    def feed(self, items: Iterable[WorkloadItem]) -> list[PendingOp]:
+        pending = self.mempool.feed(items)
+        if self.tracer is not None:
+            now = self.stream_now()
+            for op in pending:
+                self.tracer.op_submit(op.seq, now)
+        return pending
+
+    def run_workload(
+        self, items: Iterable[WorkloadItem]
+    ) -> tuple[Any, list[Any], EngineStats]:
+        """Feed a workload, drain it, and return
+        ``(final_state, responses, stats)`` — responses aligned with
+        ``items`` (prior workloads on a reused engine are excluded).
+
+        A bounded mempool paces the intake instead of rejecting: when the
+        pool is full, rounds are scheduled until there is room again, so
+        a capacity-limited engine still processes workloads of any
+        length.  Direct ``submit`` against a full pool keeps its typed
+        rejection.
+        """
+        pending = []
+        for item in items:
+            if self.mempool.capacity is not None:
+                while len(self.mempool) >= self.mempool.capacity:
+                    self.step()
+            pending.append(self.submit(item.pid, item.operation))
+        self.run()
+        return (
+            self.state,
+            [self.responses[p.seq] for p in pending],
+            self.stats,
+        )
+
+    def responses_in_order(self) -> list[Any]:
+        """Responses of all executed operations, in submission order."""
+        return [self.responses[seq] for seq in sorted(self.responses)]
+
     # -- open-loop harness -----------------------------------------------
 
     def stream_now(self) -> float:
         """The next window's classification instant: the monotonic
-        classification clock, held back by the depth gate exactly as
-        :meth:`step` will compute it.  Arrivals due by this time can
-        still make the next window."""
+        classification clock, held back by the depth gate (window
+        ``i`` classifies no earlier than window ``i − depth``
+        completes).  The open-loop driver
+        (:class:`repro.workloads.arrivals.StreamDriver`) releases the
+        arrivals due by this time — they can still make the next
+        window."""
         gate = 0.0
         index = self.stats.waves
         if index >= self.pipeline_depth:
@@ -224,12 +326,16 @@ class PipelinedExecutor(BatchExecutor):
 
         # Depth gate: at most ``pipeline_depth`` windows in flight.  The
         # classification clock is monotonic — windows classify in order.
-        gate = 0.0
-        if index >= self.pipeline_depth:
-            gate = self._completions[index - self.pipeline_depth]
-        t_classify = max(self._classify_clock, gate)
-        self._classify_clock = t_classify
-        inflight = 1 + sum(1 for done in self._completions if done > t_classify)
+        t_classify = self._classify_clock = self.stream_now()
+        # Windows still executing at ``t_classify``.  Completions are not
+        # monotone (a later window may finish first), but the clock is,
+        # and it has passed ``_completions[index - depth]`` and — by the
+        # same gate one step earlier — every completion before that: only
+        # the last ``pipeline_depth - 1`` entries can still be running.
+        recent = max(0, index - self.pipeline_depth + 1)
+        inflight = 1 + sum(
+            1 for done in self._completions[recent:] if done > t_classify
+        )
 
         self.lifecycle.classify(
             round_, self._prefix_state() if self.classifier.validate else None
@@ -253,7 +359,7 @@ class PipelinedExecutor(BatchExecutor):
         ):
             done = sync_start + component.completed
             for i in group:
-                op_sync[i] = done
+                op_sync[round_.ops[i].seq] = done
 
         (
             scheduled,
@@ -266,8 +372,8 @@ class PipelinedExecutor(BatchExecutor):
 
         # Frontier updates apply after the whole window: units of one
         # window never gate each other through the frontier — distinct
-        # components statically commute (the barrier executor's own
-        # argument), and same-component ordering is the DAG edges' job.
+        # components statically commute, and same-component ordering is
+        # the DAG edges' job.
         for observes, adds, sets, finish in frontier_updates:
             self._frontier_max = max(self._frontier_max, finish)
             if observes is None:
@@ -381,6 +487,37 @@ class PipelinedExecutor(BatchExecutor):
             max(unit.finish for unit in scheduled),
         )
 
+    def _trace_sync_phase(self, round_, sync_start: float) -> None:
+        """Record the round's sync phase: one informational span per
+        contended component on its lane's track, plus the per-op ``sync``
+        lifecycle stage at the component's commit time."""
+        tracer = self.tracer
+        assert tracer is not None
+        escalation = round_.escalation
+        for group, component in zip(
+            round_.contended_groups, escalation.components
+        ):
+            if component.team is None:
+                track = "sync.global"
+            else:
+                members = "-".join(str(p) for p in sorted(component.team))
+                track = f"sync.team {members}"
+            tracer.span(
+                track,
+                f"order r{round_.index}",
+                "sync_wait",
+                sync_start,
+                sync_start + component.completed,
+                chain=False,
+                args={"ops": len(group), "round": round_.index},
+            )
+            for i in group:
+                tracer.op_stage(
+                    round_.ops[i].seq,
+                    "sync",
+                    sync_start + component.completed,
+                )
+
     # -- window placement ------------------------------------------------
 
     def _dep_ready(self, summary: FootprintSummary) -> float:
@@ -420,83 +557,73 @@ class PipelinedExecutor(BatchExecutor):
         t_classify: float,
         op_sync: dict[int, float],
     ):
-        """Op-granular placement: critical-path-first list scheduling.
+        """Op-granular placement through the shared list scheduler.
 
         Every operation is its own timeline unit.  Intra-window order
-        comes from the component DAGs (predecessor finish times), the
-        cross-window order from the per-*op* frontier, and contended ops
-        additionally wait for their component's sync lane.  Priority is
-        the DAG bottom level (deepest remaining chain first), ties broken
-        by submission order; singletons carry bottom level 1 and backfill.
+        comes from the component DAGs (predecessor finish times); the
+        cross-window order from the per-*op* frontier and a contended
+        op's sync lane, which — with the classification instant — form
+        the op's *floor*.  The frontier is not updated inside a window,
+        so the floor is a function of the op alone and
+        :func:`~repro.engine.shard.dag_list_schedule` places the window
+        onto the rolling lane timeline (critical-path first, submission
+        order on ties, idle gaps behind floored ops backfilled).
         """
         ops = round_.ops
-        tasks: list[int] = []
-        priorities: list[int] = []
-        task_of: dict[int, int] = {}
-        for dag in round_.dags:
-            bottom = dag.bottom_levels()
-            for node in dag.nodes:
-                task_of[node] = len(tasks)
-                tasks.append(node)
-                priorities.append(bottom[node])
-        for i in round_.singleton_idx:
-            task_of[i] = len(tasks)
-            tasks.append(i)
-            priorities.append(1)
-        preds: list[tuple[int, ...]] = [()] * len(tasks)
-        succs: list[list[int]] = [[] for _ in range(len(tasks))]
-        for dag in round_.dags:
-            for node in dag.nodes:
-                t = task_of[node]
-                preds[t] = tuple(task_of[p] for p in dag.preds[node])
-                for s in dag.succs[node]:
-                    succs[t].append(task_of[s])
+        summaries: dict[int, FootprintSummary] = {}
+        dep_ready: dict[int, float] = {}
+        floors: dict[int, float] = {}
+        for op in ops:
+            summary = FootprintSummary.over([self.classifier.footprint(op)])
+            summaries[op.seq] = summary
+            dep_ready[op.seq] = ready = self._dep_ready(summary)
+            floors[op.seq] = max(t_classify, ready, op_sync.get(op.seq, 0.0))
+        #: Per lane, when its next slot opens: the carried-in free time,
+        #: then the finish of each op placed on it (start order).
+        slot = list(self._lane_free)
+        tasks, placed = self.planner.dag_schedule(
+            [[ops[i] for i in chain] for chain in round_.chain_idx],
+            [ops[i] for i in round_.singleton_idx],
+            round_.dags,
+            self._lane_free,
+            floor=lambda op: floors[op.seq],
+            cost=self.op_cost,
+        )
 
+        # Stall attribution, read off the placements.  Admission, the
+        # op's lane slot (the finish of the op before it on that lane's
+        # timeline, or the lane's carried-in free time) and intra-window
+        # predecessor finishes form the baseline; waiting beyond it is
+        # stall, attributed to the sync lane first, then the frontier —
+        # ``start = base + sync_stall + frontier_stall`` exactly.
+        finish_of = {
+            op.seq: finish for op, (_, finish, _) in zip(tasks, placed)
+        }
+        pred_done: dict[int, float] = {}
+        for dag in round_.dags:
+            for node in dag.nodes:
+                pred_done[ops[node].seq] = max(
+                    (finish_of[ops[p].seq] for p in dag.preds[node]),
+                    default=0.0,
+                )
         scheduled: list[ScheduledUnit] = []
         frontier_updates: list[
             tuple[frozenset | None, frozenset, frozenset, float]
         ] = []
         stall = stall_contended = 0.0
-        lanes_used: set[int] = set()
-        est = [0.0] * len(tasks)
-        missing = [len(found) for found in preds]
-        ready = [
-            (-priorities[t], ops[tasks[t]].seq, t)
-            for t in range(len(tasks))
-            if not missing[t]
-        ]
-        heapq.heapify(ready)
-        placed = 0
-        while ready:
-            _, _, t = heapq.heappop(ready)
-            i = tasks[t]
-            op = ops[i]
-            summary = FootprintSummary.over([self.classifier.footprint(op)])
-            dep_ready = self._dep_ready(summary)
-            contended = i in op_sync
-            sync_ready = op_sync.get(i, 0.0)
-            # Earliest-start lane choice (not least-loaded): an op floored
-            # far in the future by its dependencies must not strand the
-            # earliest-free lane idle when another lane starts it no later.
-            ready_at = max(t_classify, est[t], dep_ready, sync_ready)
-            lane = min(
-                range(self.num_lanes),
-                key=lambda lane_id: (
-                    max(self._lane_free[lane_id], ready_at),
-                    self._lane_free[lane_id],
-                    lane_id,
-                ),
-            )
-            # Admission, lane availability, and intra-window predecessor
-            # finishes form the baseline; waiting beyond it is stall,
-            # attributed to the sync lane first, then the frontier.
-            base = max(t_classify, self._lane_free[lane], est[t])
+        for k in sorted(
+            range(len(tasks)), key=lambda k: (placed[k][0], tasks[k].seq)
+        ):
+            op = tasks[k]
+            start, finish, lane = placed[k]
+            contended = op.seq in op_sync
+            sync_ready = op_sync.get(op.seq, 0.0)
+            base = max(t_classify, slot[lane], pred_done.get(op.seq, 0.0))
+            slot[lane] = finish
             sync_stall = max(0.0, sync_ready - base) if contended else 0.0
-            frontier_stall = max(0.0, dep_ready - max(base, sync_ready))
-            start = max(base, dep_ready, sync_ready)
-            finish = start + self.op_cost
-            self._lane_free[lane] = finish
-            lanes_used.add(lane)
+            frontier_stall = max(
+                0.0, dep_ready[op.seq] - max(base, sync_ready)
+            )
             scheduled.append(
                 ScheduledUnit(
                     start=start,
@@ -509,6 +636,7 @@ class PipelinedExecutor(BatchExecutor):
                     frontier_stall=frontier_stall,
                 )
             )
+            summary = summaries[op.seq]
             frontier_updates.append(
                 (
                     None if summary.unknown else summary.observes,
@@ -520,17 +648,6 @@ class PipelinedExecutor(BatchExecutor):
             stall += sync_stall + frontier_stall
             if contended:
                 stall_contended += sync_stall + frontier_stall
-            placed += 1
-            for s in succs[t]:
-                if finish > est[s]:
-                    est[s] = finish
-                missing[s] -= 1
-                if not missing[s]:
-                    heapq.heappush(
-                        ready, (-priorities[s], ops[tasks[s]].seq, s)
-                    )
-        if placed != len(tasks):
-            raise EngineError("dependency cycle in pipelined DAG schedule")
 
         critical_path = max(
             (dag.critical_path for dag in round_.dags), default=1
@@ -540,7 +657,7 @@ class PipelinedExecutor(BatchExecutor):
             frontier_updates,
             stall,
             stall_contended,
-            lanes_used,
+            {lane for _, _, lane in placed},
             critical_path,
         )
 
@@ -560,11 +677,15 @@ class PipelinedExecutor(BatchExecutor):
     # -- commit ----------------------------------------------------------
 
     def _commit(self) -> None:
+        state = self.state
         for unit in sorted(
             self._pending_units, key=lambda u: (u.start, u.first_seq)
         ):
             for op in unit.ops:
-                self._apply(op)
+                state, self.responses[op.seq] = self.object_type.apply(
+                    state, op.pid, op.operation
+                )
+        self.state = state
         self._pending_units.clear()
         # Every drained window is now applied: the committed state *is*
         # the serial prefix state, and nothing is left to fold in.

@@ -1,24 +1,20 @@
-"""The round loop's scheduling core, factored out of the batch executor.
+"""The round loop's scheduling core, shared by the engine and the cluster.
 
 One round of commutativity-aware execution is the same computation whether
-it runs inside a single process (:class:`~repro.engine.executor.BatchExecutor`)
-or on each node of a distributed cluster (:mod:`repro.cluster`): split a
-batch into conflict-graph components, decide which chain members are
-contended enough to need total order, and lay the groups out on parallel
-lanes.  :class:`RoundScheduler` owns exactly that logic so the cluster's
-per-node executors and the single-process engine share one implementation
-— and therefore one correctness argument.
+it runs inside a single process
+(:class:`~repro.engine.pipeline.PipelinedExecutor`) or at the cluster's
+router and on each of its nodes (:mod:`repro.cluster`): split a window
+into conflict-graph components and decide which chain members are
+contended enough to need total order.  :class:`RoundScheduler` owns
+exactly that logic so all three share one implementation — and therefore
+one correctness argument.
 
-Since cross-round pipelining landed (:mod:`repro.engine.pipeline`), a
-round is no longer an opaque step of the batch executor but an explicit
-**stage machine**: a :class:`Round` progresses ``DRAINED → CLASSIFIED →
-SYNCED → PLANNED → COMMITTED`` through :class:`RoundLifecycle`, which owns
-the per-stage computations.  The barrier executor drives one round through
-all stages before touching the next; the pipelined executor keeps several
-rounds at different stages simultaneously (window N+1 classifies and
-synchronizes while window N executes).  Both drive the *same* stage
-methods, so the pipelined path cannot silently diverge from the barrier
-semantics the property suite pins down.
+A round is an explicit **stage machine**: a :class:`Round` progresses
+``DRAINED → CLASSIFIED → SYNCED`` through :class:`RoundLifecycle`, which
+owns the per-stage computations; the executor then places the synced
+round on its rolling lane timeline.  Several rounds are in flight at
+once (window N+1 classifies and synchronizes while window N executes),
+and the lifecycle refuses skipped or repeated stages.
 """
 
 from __future__ import annotations
@@ -30,18 +26,15 @@ from repro.analysis.commutativity import PairKind
 from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.mempool import Mempool, PendingOp
-from repro.engine.shard import ShardPlan, ShardPlanner
-from repro.engine.stats import WaveStats
 from repro.errors import EngineError
 from repro.sync.escalation import SyncRoundResult, TieredEscalator
 
 
 class RoundScheduler:
-    """Window splitting + lane planning for one scheduling round."""
+    """Window splitting for one scheduling round."""
 
-    def __init__(self, classifier: OpClassifier, planner: ShardPlanner) -> None:
+    def __init__(self, classifier: OpClassifier) -> None:
         self.classifier = classifier
-        self.planner = planner
 
     # ------------------------------------------------------------------
 
@@ -107,8 +100,6 @@ class RoundStage(Enum):
     DRAINED = "drained"
     CLASSIFIED = "classified"
     SYNCED = "synced"
-    PLANNED = "planned"
-    COMMITTED = "committed"
 
 
 #: Stage order for transition checking.
@@ -123,7 +114,7 @@ class Round:
     advances the round into the stage of the same name; reading a field
     before its stage raises nothing — it is simply empty — but the
     lifecycle refuses out-of-order transitions, so an executor cannot
-    accidentally plan an unclassified round.
+    accidentally synchronize an unclassified round.
     """
 
     index: int
@@ -139,7 +130,6 @@ class Round:
     #: ``chain_idx``).
     dags: list = field(default_factory=list)
     escalation: SyncRoundResult | None = None
-    plan: ShardPlan | None = None
 
     @property
     def escalated_idx(self) -> list[int]:
@@ -160,27 +150,15 @@ class Round:
 
 
 class RoundLifecycle:
-    """The per-stage computations of one round, shared by executors.
-
-    The barrier executor (:class:`~repro.engine.executor.BatchExecutor`)
-    runs ``drain → classify → synchronize → plan`` back to back and then
-    executes; the pipelined executor (:mod:`repro.engine.pipeline`)
-    interleaves the stages of several rounds.  Keeping the computations
-    here — and the stage tracking on :class:`Round` — means there is only
-    one implementation of each stage for the two executors to agree with.
-    """
+    """The per-stage computations of one round (``drain → classify →
+    synchronize``); the stage tracking itself lives on :class:`Round`."""
 
     def __init__(
-        self,
-        scheduler: RoundScheduler,
-        sync: TieredEscalator,
-        object_type,
-        op_cost: float = 1.0,
+        self, scheduler: RoundScheduler, sync: TieredEscalator, object_type
     ) -> None:
         self.scheduler = scheduler
         self.sync = sync
         self.object_type = object_type
-        self.op_cost = op_cost
 
     # -- stages ----------------------------------------------------------
 
@@ -223,54 +201,3 @@ class RoundLifecycle:
         )
         round_.advance(RoundStage.SYNCED)
         return round_
-
-    def plan(self, round_: Round) -> Round:
-        """PLANNED: schedule the window's ops on the parallel lanes along
-        the per-chain DAGs (the barrier layout on fresh lanes; the
-        pipelined executor places onto its rolling timeline instead and
-        skips this stage).  The plan carries an explicit
-        serially-equivalent application order."""
-        round_.plan = self.scheduler.planner.plan(
-            [[round_.ops[i] for i in chain] for chain in round_.chain_idx],
-            [round_.ops[i] for i in round_.singleton_idx],
-            round_.dags,
-        )
-        round_.advance(RoundStage.PLANNED)
-        return round_
-
-    # -- accounting ------------------------------------------------------
-
-    def barrier_stats(self, round_: Round) -> WaveStats:
-        """COMMITTED: the barrier executor's round accounting — the round
-        costs its lane critical path plus its synchronization phase."""
-        plan, escalation = round_.plan, round_.escalation
-        assert plan is not None and escalation is not None
-        escalated = len(round_.escalated_idx)
-        round_.advance(RoundStage.COMMITTED)
-        return WaveStats(
-            dag_critical_path=max(
-                (dag.critical_path for dag in round_.dags), default=0
-            ),
-            dag_width=max((dag.width for dag in round_.dags), default=0),
-            dag_chain_ops=sum(dag.size for dag in round_.dags),
-            dag_critical_ops=sum(
-                dag.critical_path for dag in round_.dags
-            ),
-            index=round_.index,
-            window=len(round_.ops),
-            wave_ops=len(round_.singleton_idx),
-            barrier_ops=round_.chained_ops - escalated,
-            escalated_ops=escalated,
-            lanes_used=plan.lanes_used,
-            critical_path=plan.critical_path,
-            virtual_time=plan.critical_path * self.op_cost
-            + escalation.virtual_time,
-            escalation_time=escalation.virtual_time,
-            escalation_messages=escalation.messages,
-            team_ops=escalation.team_ops,
-            global_ops=escalation.global_ops,
-            team_messages=escalation.team_messages,
-            global_messages=escalation.global_messages,
-            teams=escalation.teams,
-            team_sizes=escalation.team_sizes,
-        )

@@ -13,20 +13,23 @@ components:
 The planner schedules *operations*, not components, with a
 critical-path-first list scheduler (highest bottom level first,
 earliest-available lane), so a component's makespan is its critical path,
-not its op count.  The returned plan carries an explicit ``apply_order``
-— a linear extension of every component DAG — because lane-major
-application is unsound once one chain spans lanes.  Any linear extension
-is serially equivalent to submission order: ops without a DAG path have
-no non-commute edge and may be transposed freely.
+not its op count.  Callers apply the placements in ascending
+``(start, seq)`` order — a linear extension of every component DAG —
+because lane-major application is unsound once one chain spans lanes.
+Any linear extension is serially equivalent to submission order: ops
+without a DAG path have no non-commute edge and may be transposed freely.
 
-The planner never consults mutable state, so the same window always
-produces the same plan — part of the engine's determinism guarantee.
+The planner never consults mutable state, so the same window on the same
+lane timeline always gets the same placements — part of the engine's
+determinism guarantee.  :func:`dag_list_schedule` is the only list
+scheduler: the engine's rolling timeline and the cluster node's unit
+executor both place every op through it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import Callable
 
 from repro.engine.conflict_graph import ComponentDAG
 from repro.engine.mempool import PendingOp
@@ -133,32 +136,6 @@ def dag_list_schedule(
     return out  # type: ignore[return-value]
 
 
-@dataclass
-class ShardPlan:
-    """The lane assignment of one scheduling round."""
-
-    #: Per lane: the operations in start-time order.
-    lanes: list[list[PendingOp]]
-    #: The application order: a linear extension of every component DAG
-    #: (lane-major application is unsound once a chain spans lanes).
-    apply_order: list[PendingOp]
-    #: The ops in ``apply_order`` paired positionally with their
-    #: ``(start, finish, lane)`` placements — kept so a tracer can emit
-    #: exact per-op spans without re-running the scheduler.
-    placements: list[tuple[float, float, int]]
-    #: The round's parallel execution time in operation units: the
-    #: scheduled makespan, dependency-induced idle gaps included.
-    critical_path: int
-
-    @property
-    def lanes_used(self) -> int:
-        return sum(1 for lane in self.lanes if lane)
-
-    @property
-    def size(self) -> int:
-        return sum(len(lane) for lane in self.lanes)
-
-
 class ShardPlanner:
     """Deterministic op-granular lane scheduler."""
 
@@ -173,7 +150,7 @@ class ShardPlanner:
         singletons: list[PendingOp],
         dags: list[ComponentDAG],
         lane_free: list,
-        floor=0,
+        floor: Callable[[PendingOp], float] | None = None,
         cost: float = 1,
     ) -> tuple[list[PendingOp], list[tuple]]:
         """Schedule ops (not components) with critical-path-first listing.
@@ -181,10 +158,12 @@ class ShardPlanner:
         Chain ops carry their DAG precedence constraints and their bottom
         level as priority, so the longest remaining dependency chains
         start first; singletons (bottom level 1) backfill.  ``lane_free``
-        is a live lane timeline mutated in place and ``floor`` an external
-        earliest start, so callers with persistent lanes (the cluster
-        node's unit executor) schedule incrementally.  Returns the task
-        list and its ``(start, finish, lane)`` placements.
+        is a live lane timeline mutated in place and ``floor(op)`` an
+        external earliest start per op (classification time, sync-lane
+        completion, cross-window frontier; ``None`` = no floor), so
+        callers with persistent lanes (the engine's rolling timeline, the
+        cluster node's unit executor) schedule incrementally.  Returns the
+        task list and its ``(start, finish, lane)`` placements.
         """
         if len(dags) != len(chains):
             raise EngineError("need one precedence DAG per chain")
@@ -216,35 +195,7 @@ class ShardPlanner:
             preds,
             priorities,
             lane_free,
-            floors=[floor] * len(ops),
+            floors=[floor(op) for op in ops] if floor is not None else None,
             cost=cost,
         )
         return ops, placed
-
-    def plan(
-        self,
-        chains: list[list[PendingOp]],
-        singletons: list[PendingOp],
-        dags: list[ComponentDAG],
-    ) -> ShardPlan:
-        """One round's op-granular plan on fresh lanes (``dags``
-        positionally aligned with ``chains``).  The makespan is the
-        largest finish time — possibly below the longest chain's length
-        when the component has antichain width to exploit."""
-        ops, placed = self.dag_schedule(
-            chains, singletons, dags, [0] * self.num_lanes, floor=0
-        )
-        lanes: list[list[PendingOp]] = [[] for _ in range(self.num_lanes)]
-        timeline = sorted(
-            range(len(ops)), key=lambda i: (placed[i][0], ops[i].seq)
-        )
-        for i in timeline:
-            lanes[placed[i][2]].append(ops[i])
-        return ShardPlan(
-            lanes=lanes,
-            apply_order=[ops[i] for i in timeline],
-            placements=[placed[i] for i in timeline],
-            critical_path=max(
-                (int(finish) for _, finish, _ in placed), default=0
-            ),
-        )

@@ -41,32 +41,31 @@ class WaveStats:
     virtual_time: float
     escalation_time: float
     escalation_messages: int
-    team_ops: int = 0
-    global_ops: int = 0
-    team_messages: int = 0
-    global_messages: int = 0
-    teams: int = 0
-    team_sizes: tuple[int, ...] = ()
-    #: Pipelined execution only (:mod:`repro.engine.pipeline`): virtual
-    #: time this round's units spent blocked on cross-round frontier
-    #: dependencies or their sync lanes (``stall_time_contended`` is the
-    #: share attributed to contended components), how long this round's
-    #: execution overlapped the previous round's, how many windows were in
-    #: flight when this one was classified, and the round's absolute
-    #: completion on the engine clock.  Barrier rounds leave the defaults.
-    stall_time: float = 0.0
-    stall_time_contended: float = 0.0
-    overlap_time: float = 0.0
-    inflight: int = 1
-    completed_at: float = 0.0
+    team_ops: int
+    global_ops: int
+    team_messages: int
+    global_messages: int
+    teams: int
+    team_sizes: tuple[int, ...]
+    #: Virtual time this round's ops spent blocked on cross-round
+    #: frontier dependencies or their sync lanes (``stall_time_contended``
+    #: is the share attributed to contended components), how long this
+    #: round's execution overlapped the previous round's, how many
+    #: windows were in flight when this one was classified, and the
+    #: round's absolute completion on the engine clock.
+    stall_time: float
+    stall_time_contended: float
+    overlap_time: float
+    inflight: int
+    completed_at: float
     #: Longest component critical path and widest component antichain
     #: this round, plus the round's chained-op count against the sum of
     #: component critical paths — the intrinsic intra-component
     #: parallelism the DAG schedule can exploit.
-    dag_critical_path: int = 0
-    dag_width: int = 0
-    dag_chain_ops: int = 0
-    dag_critical_ops: int = 0
+    dag_critical_path: int
+    dag_width: int
+    dag_chain_ops: int
+    dag_critical_ops: int
 
 
 @dataclass
@@ -96,10 +95,10 @@ class EngineStats:
     k_histogram: dict[int, int] = field(default_factory=dict)
     #: High-water mark of team lanes active in a single round.
     max_concurrent_teams: int = 0
-    #: Cross-round pipelining (:mod:`repro.engine.pipeline`): configured
-    #: window overlap depth (1 = one window in flight), total stall time
-    #: (split by contended attribution), total execution overlap between
-    #: consecutive windows, and the high-water mark of in-flight windows.
+    #: Cross-round pipelining: configured window overlap depth (1 = one
+    #: window in flight), total stall time (split by contended
+    #: attribution), total execution overlap between consecutive windows,
+    #: and the high-water mark of in-flight windows.
     pipeline_depth: int = 1
     stall_time: float = 0.0
     stall_time_contended: float = 0.0

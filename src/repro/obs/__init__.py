@@ -10,8 +10,7 @@ team-lane churn (:func:`utilization_report`), deterministic trace
 diffing (:func:`explain_regression`), windowed virtual-time series with
 a conservation guarantee (:class:`TimeSeries`), and per-window latency
 SLO scanning (:class:`SLOMonitor`).  Attach a recorder via the
-``tracer=`` parameter of :class:`repro.engine.BatchExecutor`,
-:class:`repro.engine.PipelinedExecutor`, or
+``tracer=`` parameter of :class:`repro.engine.PipelinedExecutor` or
 :class:`repro.cluster.TokenCluster`; with no tracer every
 instrumentation site is a no-op.
 """

@@ -23,12 +23,15 @@ move the message bill, never the outcome.
 
 Quickstart::
 
-    from repro.engine import BatchExecutor
+    from repro.config import EngineConfig
+    from repro.engine import PipelinedExecutor
     from repro.objects.erc20 import ERC20TokenType
     from repro.workloads import APPROVAL_HEAVY_MIX, TokenWorkloadGenerator
 
     token = ERC20TokenType(32, total_supply=3200)
-    engine = BatchExecutor(token, num_lanes=8, team_threshold=4)
+    engine = PipelinedExecutor(
+        token, EngineConfig(num_lanes=8, team_threshold=4)
+    )
     items = TokenWorkloadGenerator(
         32, seed=7, mix=APPROVAL_HEAVY_MIX, spender_pool=4
     ).generate(512)

@@ -9,8 +9,9 @@ must be paid.  All of a round's global-tier operations merge into **one**
 submission-ordered batch through the global lane — exactly the historical
 behavior — while every team-tier component runs concurrently on the pool;
 the round's synchronization phase therefore costs
-``max(global lane, slowest team)``, and with the default ``team_threshold
-= 0`` the tiered path is bit-identical to always-global escalation.
+``max(global lane, slowest team)``, and with ``team_threshold = 0`` (the
+configs default to 4) the tiered path is bit-identical to always-global
+escalation.
 
 The serial-equivalence contract is enforced here, not trusted: every
 lane must commit its operations in submission order (the deterministic

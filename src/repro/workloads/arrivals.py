@@ -14,8 +14,7 @@ Zipf-skewed shape).  This module supplies the two halves:
   (``TokenWorkloadGenerator(zipf_s=…, hotspot_fraction=…)``) and the
   timing knobs stay orthogonal to the content knobs;
 * **the driver** — :class:`StreamDriver` feeds timed arrivals into a
-  :class:`~repro.engine.executor.BatchExecutor`,
-  :class:`~repro.engine.pipeline.PipelinedExecutor`, or
+  :class:`~repro.engine.pipeline.PipelinedExecutor` or a
   :class:`~repro.cluster.TokenCluster` through the existing mempool +
   ``submit(…, arrival=…)`` lifecycle stamp.  No engine rewrite: the
   driver releases the arrivals due by the target's current virtual
@@ -198,7 +197,7 @@ class StreamDriver:
                 engine.stream_advance(self.arrivals[index].time)
                 continue
             engine.step()
-        # Commit the pipelined tail / final accounting; the mempool is
+        # Commit (state and responses materialize here); the mempool is
         # already empty, so this schedules nothing new.
         engine.run()
         report.makespan = engine.clock

@@ -10,7 +10,8 @@ from repro.cluster import (
     TokenCluster,
     owner_local_workload,
 )
-from repro.engine import BatchExecutor, Mempool
+from repro.config import ClusterConfig, EngineConfig
+from repro.engine import Mempool, PipelinedExecutor
 from repro.errors import ClusterError, MempoolFullError
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
@@ -19,11 +20,11 @@ from repro.workloads import TokenWorkloadGenerator, WorkloadItem
 ACCOUNTS = 32
 
 
-def make_cluster(nodes=4, **kwargs):
+def make_cluster(nodes=4, **knobs):
     token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
     defaults = dict(num_nodes=nodes, lanes_per_node=4, window=16)
-    defaults.update(kwargs)
-    return token, TokenCluster(token, **defaults)
+    defaults.update(knobs)
+    return token, TokenCluster(token, ClusterConfig(**defaults))
 
 
 def accounts_on_distinct_nodes(cluster) -> tuple[int, int]:
@@ -235,7 +236,9 @@ class TestBackpressure:
 
     def test_engine_surfaces_drop_counter(self):
         token = ERC20TokenType(8, total_supply=80)
-        engine = BatchExecutor(token, num_lanes=2, window=4, mempool_capacity=4)
+        engine = PipelinedExecutor(
+            token, EngineConfig(num_lanes=2, window=4, mempool_capacity=4)
+        )
         for pid in range(4):
             engine.submit(pid, op("balanceOf", pid))
         with pytest.raises(MempoolFullError):
@@ -248,7 +251,9 @@ class TestBackpressure:
         """A bounded engine executes rounds to make room: arbitrarily long
         workloads flow through a small pool, with zero drops."""
         token = ERC20TokenType(8, total_supply=80)
-        engine = BatchExecutor(token, num_lanes=2, window=4, mempool_capacity=6)
+        engine = PipelinedExecutor(
+            token, EngineConfig(num_lanes=2, window=4, mempool_capacity=6)
+        )
         items = TokenWorkloadGenerator(8, seed=3).generate(40)
         state, responses, stats = engine.run_workload(items)
         ref_state, ref_responses = token.run(
@@ -320,11 +325,11 @@ class TestConfigValidation:
     def test_rejects_bad_cluster_config(self):
         token = ERC20TokenType(4, total_supply=40)
         with pytest.raises(ClusterError):
-            TokenCluster(token, num_nodes=0)
+            TokenCluster(token, ClusterConfig(num_nodes=0))
         with pytest.raises(ClusterError):
-            TokenCluster(token, num_nodes=2, window=0)
+            TokenCluster(token, ClusterConfig(num_nodes=2, window=0))
         with pytest.raises(ClusterError):
-            TokenCluster(token, num_nodes=4, num_shards=2)
+            TokenCluster(token, ClusterConfig(num_nodes=4, num_shards=2))
 
     def test_owner_local_workload_needs_a_transfer_pool(self):
         shard_map = ShardMap(16, 16)

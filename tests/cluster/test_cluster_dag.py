@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import TokenCluster
+from repro.config import ClusterConfig
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from repro.workloads import (
@@ -61,10 +62,9 @@ class TestSerialEquivalence:
         ref_state, ref_responses = serial_reference(items)
         cluster = TokenCluster(
             make_token(),
-            num_nodes=4,
-            lanes_per_node=4,
-            window=48,
-            pipeline_depth=depth,
+            ClusterConfig(
+                num_nodes=4, lanes_per_node=4, window=48, pipeline_depth=depth
+            ),
         )
         state, responses, _ = cluster.run_workload(items)
         assert state == ref_state
@@ -86,12 +86,14 @@ class TestSerialEquivalence:
         ref_state, ref_responses = serial_reference(items)
         cluster = TokenCluster(
             make_token(),
-            num_nodes=nodes,
-            lanes_per_node=4,
-            window=window,
-            num_shards=shards,
-            seed=seed,
-            pipeline_depth=depth,
+            ClusterConfig(
+                num_nodes=nodes,
+                lanes_per_node=4,
+                window=window,
+                num_shards=shards,
+                seed=seed,
+                pipeline_depth=depth,
+            ),
         )
         state, responses, _ = cluster.run_workload(items)
         assert state == ref_state
@@ -103,11 +105,13 @@ class TestSerialEquivalence:
         # must gate exactly its own unit, never the round's other units.
         cluster = TokenCluster(
             make_token(),
-            num_nodes=4,
-            lanes_per_node=4,
-            window=8,
-            lease_min_gain=1,
-            pipeline_depth=3,
+            ClusterConfig(
+                num_nodes=4,
+                lanes_per_node=4,
+                window=8,
+                lease_min_gain=1,
+                pipeline_depth=3,
+            ),
         )
         owner0 = cluster.shard_map.owner_of(0)
         foreign = [
@@ -133,11 +137,13 @@ class TestSerialEquivalence:
         ref_state, ref_responses = serial_reference(items)
         cluster = TokenCluster(
             make_token(),
-            num_nodes=6,
-            lanes_per_node=4,
-            window=48,
-            pipeline_depth=3,
-            team_threshold=4,
+            ClusterConfig(
+                num_nodes=6,
+                lanes_per_node=4,
+                window=48,
+                pipeline_depth=3,
+                team_threshold=4,
+            ),
         )
         state, responses, stats = cluster.run_workload(items)
         assert state == ref_state
@@ -149,8 +155,10 @@ class TestGranularity:
     def test_units_fan_out_per_component(self, depth):
         items = make_items(APPROVAL_HEAVY_MIX, 300)
         cluster = TokenCluster(
-            make_token(), num_nodes=4, lanes_per_node=4, window=48,
-            pipeline_depth=depth,
+            make_token(),
+            ClusterConfig(
+                num_nodes=4, lanes_per_node=4, window=48, pipeline_depth=depth
+            ),
         )
         _, _, stats = cluster.run_workload(items)
         # More units than rounds: rounds really split into components.
@@ -162,8 +170,10 @@ class TestGranularity:
     def test_node_bills_carry_dag_structure(self):
         items = make_items(APPROVAL_HEAVY_MIX, 300)
         cluster = TokenCluster(
-            make_token(), num_nodes=4, lanes_per_node=4, window=48,
-            pipeline_depth=3,
+            make_token(),
+            ClusterConfig(
+                num_nodes=4, lanes_per_node=4, window=48, pipeline_depth=3
+            ),
         )
         _, _, stats = cluster.run_workload(items)
         assert stats.dag_chain_ops >= stats.dag_critical_ops > 0
@@ -178,8 +188,14 @@ class TestGranularity:
         makespans = {}
         for op_cost in (1.0, 4.0):
             cluster = TokenCluster(
-                make_token(), num_nodes=4, lanes_per_node=4, window=48,
-                op_cost=op_cost, pipeline_depth=3,
+                make_token(),
+                ClusterConfig(
+                    num_nodes=4,
+                    lanes_per_node=4,
+                    window=48,
+                    op_cost=op_cost,
+                    pipeline_depth=3,
+                ),
             )
             state, responses, stats = cluster.run_workload(items)
             assert state == ref_state

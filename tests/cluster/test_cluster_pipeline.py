@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import TokenCluster
+from repro.config import ClusterConfig
 from repro.errors import ClusterError
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
@@ -49,16 +50,15 @@ def serial_reference(object_type, items):
     return object_type.run([(item.pid, item.operation) for item in items])
 
 
-def cluster_run(factory, items, nodes, depth, window=16, **kwargs):
-    cluster = TokenCluster(
-        factory(),
+def cluster_run(factory, items, nodes, depth, window=16, **knobs):
+    config = ClusterConfig(
         num_nodes=nodes,
         lanes_per_node=4,
         window=window,
         pipeline_depth=depth,
-        **kwargs,
+        **knobs,
     )
-    return cluster.run_workload(items)
+    return TokenCluster(factory(), config).run_workload(items)
 
 
 class TestDepthValidation:
@@ -66,8 +66,7 @@ class TestDepthValidation:
         with pytest.raises(ClusterError):
             TokenCluster(
                 ERC20TokenType(4, total_supply=40),
-                num_nodes=2,
-                pipeline_depth=0,
+                ClusterConfig(num_nodes=2, pipeline_depth=0),
             )
 
 

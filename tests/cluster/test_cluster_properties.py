@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import TokenCluster
+from repro.config import ClusterConfig
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
@@ -54,11 +55,11 @@ def serial_reference(object_type, items):
     return object_type.run([(item.pid, item.operation) for item in items])
 
 
-def cluster_run(factory, items, nodes, window=16, **kwargs):
-    cluster = TokenCluster(
-        factory(), num_nodes=nodes, lanes_per_node=4, window=window, **kwargs
+def cluster_run(factory, items, nodes, window=16, **knobs):
+    config = ClusterConfig(
+        num_nodes=nodes, lanes_per_node=4, window=window, **knobs
     )
-    return cluster.run_workload(items)
+    return TokenCluster(factory(), config).run_workload(items)
 
 
 class TestSerialEquivalence:
@@ -216,7 +217,8 @@ class TestMultiContract:
             object_type = object_types[name]
             ref_state, ref_responses = serial_reference(object_type, items)
             cluster = TokenCluster(
-                object_type, num_nodes=3, lanes_per_node=4, window=16
+                object_type,
+                ClusterConfig(num_nodes=3, lanes_per_node=4, window=16),
             )
             state, responses, stats = cluster.run_workload(items)
             assert state == ref_state, name

@@ -59,7 +59,7 @@ def run_cluster(
         fault=fault if fault is not None else FaultConfig(),
         **overrides,
     )
-    cluster = TokenCluster(token, config=config)
+    cluster = TokenCluster(token, config)
     cluster.run_workload(items)
     return cluster
 
@@ -237,7 +237,7 @@ def test_revocation_bypasses_lease_cooldown():
         result_timeout=TIMEOUT,
         fault=FaultConfig(enabled=True, crashes=((1, TIMEOUT, 60.0),)),
     )
-    cluster = TokenCluster(token, config=config)
+    cluster = TokenCluster(token, config)
     router = cluster.router
     observed = {}
 

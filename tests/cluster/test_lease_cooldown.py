@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import TokenCluster
+from repro.config import ClusterConfig
 from repro.objects.erc20 import ERC20TokenType, TokenState
 from repro.spec.operation import Operation
 from repro.workloads import WorkloadItem
@@ -65,11 +66,13 @@ def run(items, cooldown: int):
     )
     cluster = TokenCluster(
         token,
-        num_nodes=2,
-        lanes_per_node=2,
-        window=WINDOW,
-        seed=11,
-        lease_cooldown=cooldown,
+        ClusterConfig(
+            num_nodes=2,
+            lanes_per_node=2,
+            window=WINDOW,
+            seed=11,
+            lease_cooldown=cooldown,
+        ),
     )
     state, responses, stats = cluster.run_workload(items)
     return cluster, state, responses, stats
@@ -78,7 +81,8 @@ def run(items, cooldown: int):
 class TestLeaseCooldown:
     def test_without_cooldown_the_shard_ping_pongs(self):
         probe = TokenCluster(
-            ERC20TokenType(ACCOUNTS, total_supply=0), num_nodes=2, window=WINDOW
+            ERC20TokenType(ACCOUNTS, total_supply=0),
+            ClusterConfig(num_nodes=2, window=WINDOW),
         )
         a, b, c = pick_accounts(probe)
         items = ping_pong_workload(a, b, c, rounds=8)
@@ -96,7 +100,8 @@ class TestLeaseCooldown:
 
     def test_cooldown_suppresses_the_churn(self):
         probe = TokenCluster(
-            ERC20TokenType(ACCOUNTS, total_supply=0), num_nodes=2, window=WINDOW
+            ERC20TokenType(ACCOUNTS, total_supply=0),
+            ClusterConfig(num_nodes=2, window=WINDOW),
         )
         a, b, c = pick_accounts(probe)
         items = ping_pong_workload(a, b, c, rounds=8)
@@ -116,7 +121,8 @@ class TestLeaseCooldown:
     @pytest.mark.parametrize("cooldown", [0, 1, 3, 10])
     def test_cooldown_never_changes_the_outcome(self, cooldown):
         probe = TokenCluster(
-            ERC20TokenType(ACCOUNTS, total_supply=0), num_nodes=2, window=WINDOW
+            ERC20TokenType(ACCOUNTS, total_supply=0),
+            ClusterConfig(num_nodes=2, window=WINDOW),
         )
         a, b, c = pick_accounts(probe)
         items = ping_pong_workload(a, b, c, rounds=6)
@@ -136,7 +142,5 @@ class TestLeaseCooldown:
         with pytest.raises(ClusterError):
             TokenCluster(
                 ERC20TokenType(4, total_supply=4),
-                num_nodes=2,
-                num_shards=4,
-                lease_cooldown=-1,
+                ClusterConfig(num_nodes=2, num_shards=4, lease_cooldown=-1),
             )

@@ -8,9 +8,9 @@ constructors and the bench baselines rest on:
   (bench baselines embed configs through exactly this path), and unknown
   keys fail loudly — including the keys of removed fields, so a baseline
   written before a path was deleted is refused, never reinterpreted;
-* **precedence** — an explicit kwarg beats the ``config=`` value, which
-  beats the dataclass default; and a mistyped knob raises a TypeError
-  instead of vanishing into a kwargs sink.
+* **one way in** — the constructors take the config and collaborators;
+  a config field passed as a bare kwarg, or a mistyped knob, is a
+  ``TypeError``.
 
 Serial equivalence of every executor × depth × mix lives in
 ``tests/integration/test_serial_equivalence.py``.
@@ -18,11 +18,13 @@ Serial equivalence of every executor × depth × mix lives in
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
-from repro.engine import BatchExecutor, PipelinedExecutor
+from repro.engine import OpClassifier, PipelinedExecutor
 from repro.errors import ClusterError, EngineError
 from repro.objects.erc20 import ERC20TokenType
 
@@ -72,7 +74,9 @@ class TestRoundTrip:
             ClusterConfig(num_nodes=2, mempool_capacity=17),
             ClusterConfig(team_threshold=0, pipeline_depth=1, lane_ttl=None),
         ],
-        ids=lambda c: type(c).__name__ + str(hash(c) % 997),
+        # Positional ids: ``hash(None)`` is address-based before 3.12,
+        # so a hash-derived id changes from process to process.
+        ids=[f"{kind}{i}" for kind in ("engine", "cluster") for i in range(3)],
     )
     def test_as_dict_from_dict_round_trips(self, config):
         assert type(config).from_dict(config.as_dict()) == config
@@ -101,57 +105,58 @@ class TestRoundTrip:
             ClusterConfig.from_dict({"num_nodes": 0})
 
 
-class TestPrecedence:
-    def test_kwarg_beats_config_beats_default(self):
-        # Default: team lanes up to 4.  Config: off.  Kwarg: up to 2.
+class TestTheConfigIsTheOnlyWay:
+    """The constructors take a config and collaborators — nothing that
+    restates a config field (there is no kwarg-override layer)."""
+
+    @pytest.mark.parametrize(
+        "name", [field.name for field in fields(EngineConfig)]
+    )
+    def test_an_engine_field_as_a_kwarg_is_a_type_error(self, name):
+        value = getattr(EngineConfig(), name)
+        with pytest.raises(TypeError):
+            PipelinedExecutor(make_token(), **{name: value})
+
+    @pytest.mark.parametrize(
+        "name", [field.name for field in fields(ClusterConfig)]
+    )
+    def test_a_cluster_field_as_a_kwarg_is_a_type_error(self, name):
+        value = getattr(ClusterConfig(), name)
+        with pytest.raises(TypeError):
+            TokenCluster(make_token(), **{name: value})
+
+    def test_a_mistyped_knob_fails_in_the_dataclass(self):
+        with pytest.raises(TypeError):
+            EngineConfig(pipeline_dpeth=2)
+        with pytest.raises(TypeError):
+            ClusterConfig(lanes_per_nodes=4)
+
+    def test_the_config_is_kept_verbatim(self):
         config = EngineConfig(team_threshold=0, lane_ttl=None)
-        engine = BatchExecutor(make_token(), config)
-        assert engine.config.team_threshold == 0
-        engine = BatchExecutor(make_token(), config, team_threshold=2)
-        assert engine.config.team_threshold == 2
-        assert engine.config.lane_ttl is None  # config still wins here
-        engine = BatchExecutor(make_token())
-        assert engine.config == EngineConfig()
+        assert PipelinedExecutor(make_token(), config).config is config
+        assert PipelinedExecutor(make_token()).config == EngineConfig()
+        config = ClusterConfig(num_nodes=2, pipeline_depth=3)
+        assert TokenCluster(make_token(), config).config is config
+        assert TokenCluster(make_token()).config == ClusterConfig()
 
-    def test_cluster_kwarg_beats_config(self):
-        cluster = TokenCluster(
-            make_token(),
-            ClusterConfig(team_threshold=0, pipeline_depth=1),
-            num_nodes=2,
-            pipeline_depth=3,
-        )
-        assert cluster.config.num_nodes == 2
-        assert cluster.config.pipeline_depth == 3
-        assert cluster.config.team_threshold == 0
-
-    def test_explicit_none_is_an_override_not_unset(self):
-        engine = BatchExecutor(
-            make_token(), EngineConfig(lane_ttl=8), lane_ttl=None
-        )
-        assert engine.config.lane_ttl is None
-
-    def test_pipelined_rejects_a_mistyped_knob(self):
+    def test_collaborators_stay_keyword_arguments(self):
+        token = make_token()
+        classifier = OpClassifier(token)
+        engine = PipelinedExecutor(token, classifier=classifier)
+        assert engine.classifier is classifier
         with pytest.raises(TypeError):
-            PipelinedExecutor(make_token(), pipeline_dpeth=2)
-
-    def test_batch_rejects_a_mistyped_knob(self):
-        with pytest.raises(TypeError):
-            BatchExecutor(make_token(), num_lane=4)
-
-    def test_cluster_rejects_a_mistyped_knob(self):
-        with pytest.raises(TypeError):
-            TokenCluster(make_token(), lanes_per_nodes=4)
+            PipelinedExecutor(token, EngineConfig(), classifier)
 
 
-class TestValidationThroughConstructors:
+class TestValidation:
     def test_engine_validation_raises_engine_error(self):
         with pytest.raises(EngineError):
-            BatchExecutor(make_token(), num_lanes=0)
+            EngineConfig(num_lanes=0)
         with pytest.raises(EngineError):
-            PipelinedExecutor(make_token(), pipeline_depth=0)
+            EngineConfig(pipeline_depth=0)
 
     def test_cluster_validation_raises_cluster_error(self):
         with pytest.raises(ClusterError):
-            TokenCluster(make_token(), num_nodes=0)
+            ClusterConfig(num_nodes=0)
         with pytest.raises(ClusterError):
-            TokenCluster(make_token(), lane_ttl=0)
+            ClusterConfig(lane_ttl=0)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.analysis.commutativity import PairKind
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
-from repro.engine import BatchExecutor, ConflictGraph, PipelinedExecutor
+from repro.engine import ConflictGraph, PipelinedExecutor
 from repro.engine.classifier import (
     ClassifierValidationError,
     OpClassifier,
@@ -295,14 +295,19 @@ class TestValidateChangesNothing:
     state agree between the indexed path and the validated one."""
 
     @pytest.mark.parametrize("mix_name", sorted(MIXES))
-    @pytest.mark.parametrize("executor", [BatchExecutor, PipelinedExecutor])
-    def test_engine(self, executor, mix_name):
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_engine(self, depth, mix_name):
         items = _mix_items(mix_name)
         runs = []
         for validate in (False, True):
-            engine = executor(
+            engine = PipelinedExecutor(
                 ERC20TokenType(16, total_supply=320),
-                EngineConfig(num_lanes=4, window=32, validate=validate),
+                EngineConfig(
+                    num_lanes=4,
+                    window=32,
+                    pipeline_depth=depth,
+                    validate=validate,
+                ),
             )
             state, responses, stats = engine.run_workload(items)
             runs.append((state, responses, stats.as_dict()))

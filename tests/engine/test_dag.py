@@ -6,8 +6,14 @@ Machine-checked guarantees of the op-granular scheduler:
   orients every non-commute edge by submission order, its levels are
   antichains, and critical path / width report the component's intrinsic
   makespan bound and parallelism;
-* **linear extension** — every DAG plan's ``apply_order`` respects every
-  component DAG edge (the serial-equivalence precondition);
+* **linear extension** — every DAG schedule starts an op only after
+  every DAG predecessor finished, so applying in ``(start, seq)`` order
+  respects every component DAG edge (the serial-equivalence
+  precondition);
+* **the list scheduler** — for random DAGs, priorities, floors, carried-in
+  lane timelines and float costs, :func:`dag_list_schedule` never
+  overlaps two tasks on a lane, honors every floor and predecessor,
+  never moves ``lane_free`` backward, and is deterministic;
 * **serial equivalence** — for *any* lane count, window size, mix, and
   pipeline depth, the DAG-scheduled final state and every response equal
   a plain sequential execution in submission order.
@@ -22,8 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.commutativity import PairKind
+from repro.config import EngineConfig
 from repro.engine import (
-    BatchExecutor,
     ComponentDAG,
     PipelinedExecutor,
     ShardPlanner,
@@ -136,26 +142,35 @@ class TestDagPlanner:
         singles = [c[0] for c in graph.components() if len(c) == 1]
         return classifier, ops, graph, chains, singles
 
-    def test_apply_order_is_a_linear_extension(self):
+    @staticmethod
+    def _schedule(lanes, ops, graph, chains, singles):
+        return ShardPlanner(lanes).dag_schedule(
+            [[ops[i] for i in chain] for chain in chains],
+            [ops[i] for i in singles],
+            graph.component_dags(),
+            [0] * lanes,
+        )
+
+    def test_start_order_is_a_linear_extension(self):
         token = ERC20TokenType(12, total_supply=240)
         items = TokenWorkloadGenerator(
             12, seed=3, mix=APPROVAL_HEAVY_MIX
         ).generate(60)
         classifier, ops, graph, chains, singles = self._window(items, token)
-        plan = ShardPlanner(4).plan(
-            [[ops[i] for i in chain] for chain in chains],
-            [ops[i] for i in singles],
-            graph.component_dags(),
-        )
-        position = {op.seq: k for k, op in enumerate(plan.apply_order)}
+        tasks, placed = self._schedule(4, ops, graph, chains, singles)
+        assert sorted(t.seq for t in tasks) == [o.seq for o in ops]
+        at = {t.seq: slot for t, slot in zip(tasks, placed)}
+        apply_order = sorted(tasks, key=lambda t: (at[t.seq][0], t.seq))
+        position = {t.seq: k for k, t in enumerate(apply_order)}
         for (a, b) in graph.edges:
+            assert at[ops[a].seq][1] <= at[ops[b].seq][0]
             assert position[ops[a].seq] < position[ops[b].seq]
 
     def test_dag_makespan_beats_the_op_count_on_wide_components(self):
         # k approvals (to distinct spenders: mutually commuting) each
         # enabling one transferFrom (the transferFroms chain on the
         # debited balance): a lane-atomic chain would pay the component's
-        # full op count; the DAG plan runs the approvals lane-parallel
+        # full op count; the DAG schedule runs the approvals lane-parallel
         # against the transferFrom chain.
         token = ERC20TokenType(8, total_supply=80)
         items = [
@@ -167,26 +182,37 @@ class TestDagPlanner:
         ]
         classifier, ops, graph, chains, singles = self._window(items, token)
         assert len(chains) == 1 and len(chains[0]) == len(items)
-        dag = ShardPlanner(4).plan(
-            [[ops[i] for i in chains[0]]], [], graph.component_dags()
-        )
-        assert dag.critical_path < len(items)
+        _, placed = self._schedule(4, ops, graph, chains, singles)
+        assert max(finish for _, finish, _ in placed) < len(items)
         assert graph.component_dags()[0].width >= 2
 
     def test_pure_conflict_chain_gains_nothing(self):
         token = ERC20TokenType(4, total_supply=40)
         items = [WorkloadItem(0, op("transfer", 1, 1)) for _ in range(5)]
         classifier, ops, graph, chains, singles = self._window(items, token)
-        dag = ShardPlanner(4).plan(
-            [[ops[i] for i in chain] for chain in chains],
-            [ops[i] for i in singles],
-            graph.component_dags(),
-        )
-        assert dag.critical_path == 5  # a total order stays a total order
+        tasks, placed = self._schedule(4, ops, graph, chains, singles)
+        # A total order stays a total order: back to back, in seq order.
+        assert [start for start, _, _ in placed] == [0, 1, 2, 3, 4]
+        assert [t.seq for t in tasks] == [o.seq for o in ops]
 
     def test_mismatched_dags_are_rejected(self):
         with pytest.raises(EngineError):
-            ShardPlanner(2).plan([[]], [], [])
+            ShardPlanner(2).dag_schedule([[]], [], [], [0, 0])
+
+    def test_per_op_floors_hold_back_exactly_the_floored_ops(self):
+        token = ERC20TokenType(8, total_supply=80)
+        items = [WorkloadItem(i, op("balanceOf", i)) for i in range(4)]
+        classifier, ops, graph, chains, singles = self._window(items, token)
+        tasks, placed = ShardPlanner(2).dag_schedule(
+            [],
+            [ops[i] for i in singles],
+            [],
+            [0, 0],
+            floor=lambda o: 7 if o.seq == 1 else 0,
+        )
+        starts = {t.seq: start for t, (start, _, _) in zip(tasks, placed)}
+        assert starts[1] == 7
+        assert sorted(starts[seq] for seq in (0, 2, 3)) == [0, 0, 1]
 
 
 class TestBackfill:
@@ -247,18 +273,91 @@ class TestBackfill:
         assert out == [(0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 2, 1)]
 
 
+@st.composite
+def list_schedule_inputs(draw):
+    n = draw(st.integers(0, 24))
+    # Edges only from lower to higher index: acyclic by construction.
+    preds = [
+        tuple(
+            sorted(
+                draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else ()
+            )
+        )
+        for i in range(n)
+    ]
+    times = st.floats(0, 20, allow_nan=False, allow_infinity=False)
+    return dict(
+        seqs=draw(st.permutations(range(n))),
+        preds=preds,
+        priorities=draw(
+            st.lists(st.integers(1, 6), min_size=n, max_size=n)
+        ),
+        lane_free=draw(st.lists(times, min_size=1, max_size=5)),
+        floors=draw(
+            st.one_of(st.none(), st.lists(times, min_size=n, max_size=n))
+        ),
+        cost=draw(st.sampled_from([1, 0.5, 1.0, 2.75])),
+    )
+
+
+class TestListScheduleProperties:
+    """:func:`dag_list_schedule` places every op in the system — the
+    engine's rolling timeline and the cluster node's units."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=list_schedule_inputs())
+    def test_placements_are_feasible_and_deterministic(self, inputs):
+        carried_in = list(inputs["lane_free"])
+        lane_free = list(carried_in)
+        out = dag_list_schedule(**{**inputs, "lane_free": lane_free})
+        again = list(carried_in)
+        assert dag_list_schedule(**{**inputs, "lane_free": again}) == out
+        assert again == lane_free
+
+        n = len(inputs["seqs"])
+        floors = inputs["floors"] or [0.0] * n
+        cost = inputs["cost"]
+        assert len(out) == n
+        for i, (start, finish, lane) in enumerate(out):
+            assert finish == start + cost
+            assert start >= floors[i]
+            assert start >= carried_in[lane]
+            for p in inputs["preds"][i]:
+                assert start >= out[p][1]
+        for lane in range(len(carried_in)):
+            timeline = sorted(
+                (start, finish) for start, finish, on in out if on == lane
+            )
+            for (_, before), (after, _) in zip(timeline, timeline[1:]):
+                assert before <= after  # no two tasks overlap on a lane
+            # The carried timeline only ever moves forward, to the last
+            # finish on the lane.
+            assert lane_free[lane] >= carried_in[lane]
+            assert lane_free[lane] == max(
+                [carried_in[lane]] + [finish for _, finish in timeline]
+            )
+
+    def test_a_dependency_cycle_is_an_error(self):
+        with pytest.raises(EngineError):
+            dag_list_schedule(
+                seqs=[0, 1],
+                preds=[(1,), (0,)],
+                priorities=[1, 1],
+                lane_free=[0],
+            )
+
+
 class TestSerialEquivalence:
     @pytest.mark.parametrize("mix_name", sorted(MIXES))
-    def test_barrier_engine_matches_spec(self, mix_name):
+    def test_engine_matches_spec(self, mix_name):
         token = ERC20TokenType(12, total_supply=240)
         items = TokenWorkloadGenerator(
             12, seed=41, mix=MIXES[mix_name]
         ).generate(300)
         ref_state, ref_responses = serial_reference(token, items)
-        engine = BatchExecutor(
+        engine = PipelinedExecutor(
             ERC20TokenType(12, total_supply=240),
-            num_lanes=4,
-            window=32,
+            EngineConfig(num_lanes=4, window=32),
         )
         state, responses, stats = engine.run_workload(items)
         assert state == ref_state
@@ -281,9 +380,7 @@ class TestSerialEquivalence:
         ref_state, ref_responses = serial_reference(token, items)
         engine = PipelinedExecutor(
             ERC20TokenType(8, total_supply=80),
-            pipeline_depth=depth,
-            num_lanes=lanes,
-            window=window,
+            EngineConfig(pipeline_depth=depth, num_lanes=lanes, window=window),
         )
         state, responses, _ = engine.run_workload(items)
         assert state == ref_state
@@ -314,7 +411,8 @@ class TestSerialEquivalence:
             items.append(WorkloadItem(pid, operation))
         ref_state, ref_responses = serial_reference(factory(), items)
         engine = PipelinedExecutor(
-            factory(), pipeline_depth=depth, num_lanes=4, window=16
+            factory(),
+            EngineConfig(pipeline_depth=depth, num_lanes=4, window=16),
         )
         state, responses, _ = engine.run_workload(items)
         assert state == ref_state
@@ -341,7 +439,9 @@ class TestSerialEquivalence:
             for _ in range(80)
         ]
         ref_state, ref_responses = serial_reference(factory(), items)
-        engine = BatchExecutor(factory(), num_lanes=lanes, window=16)
+        engine = PipelinedExecutor(
+            factory(), EngineConfig(num_lanes=lanes, window=16)
+        )
         state, responses, _ = engine.run_workload(items)
         assert state == ref_state
         assert responses == ref_responses
@@ -352,10 +452,9 @@ class TestDagStats:
         items = TokenWorkloadGenerator(
             16, seed=7, mix=APPROVAL_HEAVY_MIX
         ).generate(400)
-        dag = BatchExecutor(
+        dag = PipelinedExecutor(
             ERC20TokenType(16, total_supply=1600),
-            num_lanes=4,
-            window=64,
+            EngineConfig(num_lanes=4, window=64),
         ).run_workload(items)[2]
         assert dag.dag_speedup > 1.0
         assert dag.max_dag_width >= 2
@@ -368,9 +467,7 @@ class TestDagStats:
         ).generate(300)
         _, _, stats = PipelinedExecutor(
             ERC20TokenType(16, total_supply=1600),
-            pipeline_depth=3,
-            num_lanes=4,
-            window=64,
+            EngineConfig(pipeline_depth=3, num_lanes=4, window=64),
         ).run_workload(items)
         assert stats.max_dag_width >= 2
         assert stats.dag_speedup > 1.0

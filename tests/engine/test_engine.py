@@ -6,13 +6,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.commutativity import PairKind
+from repro.config import EngineConfig
 from repro.engine import (
-    BatchExecutor,
     ConflictGraph,
     ConsensusEscalator,
     Mempool,
     OpClassifier,
     PendingOp,
+    PipelinedExecutor,
     ShardPlanner,
 )
 from repro.errors import EngineError, InvalidArgumentError
@@ -92,15 +93,18 @@ class TestConflictGraph:
 
 
 class TestShardPlanner:
-    def _plan(self, token, lanes, pending):
-        """Plan one window the way the round lifecycle does."""
+    def _schedule(self, token, lanes, pending):
+        """Schedule one window on fresh lanes; returns ``seq -> (start,
+        finish, lane)``."""
         graph = ConflictGraph.build(OpClassifier(token), pending)
         components = graph.components()
-        return ShardPlanner(lanes).plan(
+        tasks, placed = ShardPlanner(lanes).dag_schedule(
             [[pending[i] for i in c] for c in components if len(c) > 1],
             [pending[c[0]] for c in components if len(c) == 1],
             graph.component_dags(),
+            [0] * lanes,
         )
+        return {task.seq: slot for task, slot in zip(tasks, placed)}
 
     def _window(self):
         singles = [
@@ -109,30 +113,30 @@ class TestShardPlanner:
         chain = [PendingOp(50 + j, 1, op("transfer", 2, 1)) for j in range(5)]
         return singles, chain
 
-    def test_plan_is_deterministic(self, token):
+    def test_schedule_is_deterministic(self, token):
         singles, chain = self._window()
-        p1 = self._plan(token, 4, singles + chain)
-        p2 = self._plan(token, 4, singles + chain)
+        p1 = self._schedule(token, 4, singles + chain)
+        p2 = self._schedule(token, 4, singles + chain)
         assert p1 == p2
 
     def test_conflict_chains_stay_ordered(self, token):
         chain = [PendingOp(j, 0, op("transfer", 1, 1)) for j in range(4)]
-        plan = self._plan(token, 3, chain)
-        assert [o.seq for o in plan.apply_order] == [0, 1, 2, 3]
-        assert plan.critical_path == 4
+        at = self._schedule(token, 3, chain)
+        assert [at[seq][0] for seq in range(4)] == [0, 1, 2, 3]
+        assert max(finish for _, finish, _ in at.values()) == 4
 
     def test_commuting_burst_on_one_account_spreads_over_lanes(self, token):
         burst = [PendingOp(i, i % N, op("balanceOf", 0)) for i in range(12)]
-        plan = self._plan(token, 4, burst)
-        assert plan.lanes_used == 4
-        assert plan.critical_path == 3  # perfectly balanced
+        at = self._schedule(token, 4, burst)
+        assert {lane for _, _, lane in at.values()} == {0, 1, 2, 3}
+        # Perfectly balanced.
+        assert max(finish for _, finish, _ in at.values()) == 3
 
     def test_all_ops_preserved(self, token):
         singles, chain = self._window()
-        plan = self._plan(token, 4, singles + chain)
-        seqs = sorted(o.seq for lane in plan.lanes for o in lane)
-        assert seqs == sorted(o.seq for o in singles + chain)
-        assert plan.size == 22
+        at = self._schedule(token, 4, singles + chain)
+        assert sorted(at) == sorted(o.seq for o in singles + chain)
+        assert len(at) == 22
 
     def test_rejects_zero_lanes(self):
         with pytest.raises(EngineError):
@@ -169,18 +173,18 @@ class TestEscalation:
             ConsensusEscalator(num_replicas=3)
 
 
-class TestBatchExecutor:
+class TestExecutor:
     def test_example1_trace(self):
         """The paper's Example 1 executes with its published responses."""
         token = ERC20TokenType(3, total_supply=10)
-        engine = BatchExecutor(token, num_lanes=2, window=4)
+        engine = PipelinedExecutor(token, EngineConfig(num_lanes=2, window=4))
         state, responses, stats = engine.run_workload(example1_trace())
         assert tuple(responses) == EXAMPLE1_RESPONSES
         assert state.balances == (8, 2, 0)
         assert stats.ops_executed == 4
 
     def test_owner_only_traffic_never_escalates(self, token):
-        engine = BatchExecutor(token, num_lanes=4, window=32)
+        engine = PipelinedExecutor(token, EngineConfig(num_lanes=4, window=32))
         items = TokenWorkloadGenerator(N, seed=11, mix=OWNER_ONLY_MIX).generate(
             200
         )
@@ -189,7 +193,7 @@ class TestBatchExecutor:
         assert stats.escalation_messages == 0
 
     def test_two_spender_race_escalates(self, token):
-        engine = BatchExecutor(token, num_lanes=2, window=8)
+        engine = PipelinedExecutor(token, EngineConfig(num_lanes=2, window=8))
         engine.submit(0, op("approve", 1, 5))
         engine.run()
         engine.submit(1, op("transferFrom", 0, 2, 2))
@@ -199,7 +203,7 @@ class TestBatchExecutor:
         assert stats.escalation_messages > 0
 
     def test_stats_round_trip(self, token):
-        engine = BatchExecutor(token, num_lanes=4, window=16)
+        engine = PipelinedExecutor(token, EngineConfig(num_lanes=4, window=16))
         items = TokenWorkloadGenerator(N, seed=2).generate(64)
         _, _, stats = engine.run_workload(items)
         snapshot = stats.as_dict()
@@ -215,17 +219,17 @@ class TestBatchExecutor:
         assert 0.0 <= snapshot["escalation_rate"] <= 1.0
 
     def test_step_returns_none_when_drained(self, token):
-        engine = BatchExecutor(token)
+        engine = PipelinedExecutor(token)
         assert engine.step() is None
 
-    def test_rejects_bad_config(self, token):
+    def test_rejects_bad_config(self):
         with pytest.raises(EngineError):
-            BatchExecutor(token, num_lanes=0)
+            EngineConfig(num_lanes=0)
         with pytest.raises(EngineError):
-            BatchExecutor(token, window=0)
+            EngineConfig(window=0)
 
     def test_run_workload_on_reused_engine_scopes_responses(self, token):
-        engine = BatchExecutor(token, num_lanes=2, window=8)
+        engine = PipelinedExecutor(token, EngineConfig(num_lanes=2, window=8))
         first = TokenWorkloadGenerator(N, seed=1).generate(10)
         second = TokenWorkloadGenerator(N, seed=2).generate(10)
         _, r1, _ = engine.run_workload(first)
@@ -234,7 +238,7 @@ class TestBatchExecutor:
         assert engine.mempool.submitted == 20
 
     def test_responses_in_order(self, token):
-        engine = BatchExecutor(token, num_lanes=4, window=8)
+        engine = PipelinedExecutor(token, EngineConfig(num_lanes=4, window=8))
         engine.submit(1, op("balanceOf", 0))
         engine.submit(0, op("transfer", 2, 3))
         engine.submit(2, op("balanceOf", 2))

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BatchExecutor
+from repro.config import EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
@@ -46,9 +47,10 @@ def serial_reference(object_type, items):
     return object_type.run([(item.pid, item.operation) for item in items])
 
 
-def engine_run(object_type_factory, items, lanes, window=32, **kwargs):
-    engine = BatchExecutor(
-        object_type_factory(), num_lanes=lanes, window=window, **kwargs
+def engine_run(object_type_factory, items, lanes, window=32, **knobs):
+    engine = PipelinedExecutor(
+        object_type_factory(),
+        EngineConfig(num_lanes=lanes, window=window, **knobs),
     )
     state, responses, stats = engine.run_workload(items)
     return state, responses, stats

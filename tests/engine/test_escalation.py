@@ -23,7 +23,8 @@ import math
 
 import pytest
 
-from repro.engine import BatchExecutor, ConsensusEscalator, PendingOp
+from repro.config import EngineConfig
+from repro.engine import ConsensusEscalator, PendingOp, PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 
@@ -83,7 +84,9 @@ class TestEngineLevelAccounting:
         token = ERC20TokenType(8, total_supply=80)
         # team_threshold=0: the group must pay the global consensus lane
         # (the fast-path default would order it on a team lane instead).
-        engine = BatchExecutor(token, num_lanes=2, window=8, team_threshold=0)
+        engine = PipelinedExecutor(
+            token, EngineConfig(num_lanes=2, window=8, team_threshold=0)
+        )
         # approve then two distinct spenders of account 0 — a
         # synchronization group that must escalate as one batch.
         engine.submit(0, op("approve", 1, 5))
@@ -98,7 +101,7 @@ class TestEngineLevelAccounting:
 
     def test_owner_only_round_pays_nothing(self):
         token = ERC20TokenType(8, total_supply=80)
-        engine = BatchExecutor(token, num_lanes=2, window=8)
+        engine = PipelinedExecutor(token, EngineConfig(num_lanes=2, window=8))
         for pid in range(8):
             engine.submit(pid, op("transfer", (pid + 1) % 8, 1))
         stats = engine.run()

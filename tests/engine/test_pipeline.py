@@ -6,8 +6,10 @@ Machine-checked guarantees of :mod:`repro.engine.pipeline`:
   size, and workload mix, the pipelined final state and every response
   equal a plain sequential execution in submission order;
 * **depth invariance** — all depths produce the same state and responses;
-* **stage machine** — rounds advance ``DRAINED → CLASSIFIED → SYNCED →
-  PLANNED → COMMITTED`` and refuse skips and regressions.
+* **stage machine** — rounds advance ``DRAINED → CLASSIFIED → SYNCED``
+  and refuse skips, repeats and regressions;
+* **traced intake** — a paced run stamps each op's submit at the
+  admission time it entered the pool, never after its classification.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BatchExecutor, PipelinedExecutor, RoundStage
+from repro.config import EngineConfig
+from repro.engine import PipelinedExecutor, RoundStage
 from repro.engine.rounds import Round
 from repro.errors import EngineError
 from repro.objects.asset_transfer import AssetTransferType
@@ -48,22 +51,19 @@ def serial_reference(object_type, items):
     return object_type.run([(item.pid, item.operation) for item in items])
 
 
-def pipelined_run(factory, items, depth, lanes=4, window=32, **kwargs):
-    engine = PipelinedExecutor(
-        factory(),
-        pipeline_depth=depth,
-        num_lanes=lanes,
-        window=window,
-        **kwargs,
+def pipelined_run(factory, items, depth, lanes=4, window=32, **knobs):
+    config = EngineConfig(
+        pipeline_depth=depth, num_lanes=lanes, window=window, **knobs
     )
-    return engine.run_workload(items)
+    return PipelinedExecutor(factory(), config).run_workload(items)
 
 
 class TestDepthValidation:
     def test_depth_must_be_positive(self):
         with pytest.raises(EngineError):
             PipelinedExecutor(
-                ERC20TokenType(4, total_supply=40), pipeline_depth=0
+                ERC20TokenType(4, total_supply=40),
+                EngineConfig(pipeline_depth=0),
             )
 
 
@@ -96,7 +96,7 @@ class TestSerialEquivalence:
             hotspot_accounts=2,
         ).generate(100)
         ref_state, ref_responses = serial_reference(token, items)
-        state, responses, _ = pipelined_run(
+        state, responses, stats = pipelined_run(
             lambda: ERC20TokenType(8, total_supply=80),
             items,
             depth,
@@ -105,6 +105,7 @@ class TestSerialEquivalence:
         )
         assert state == ref_state
         assert responses == ref_responses
+        assert 1 <= stats.max_inflight_windows <= depth
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), depth=st.integers(1, 5))
@@ -233,8 +234,9 @@ class TestDepthInvariance:
 
 class TestStageMachine:
     def test_stages_progress_in_order(self):
-        engine = BatchExecutor(
-            ERC20TokenType(6, total_supply=60), num_lanes=2, window=8
+        engine = PipelinedExecutor(
+            ERC20TokenType(6, total_supply=60),
+            EngineConfig(num_lanes=2, window=8),
         )
         engine.feed(TokenWorkloadGenerator(6, seed=3).generate(8))
         round_ = engine.lifecycle.drain(engine.mempool, 8, 0)
@@ -243,30 +245,66 @@ class TestStageMachine:
         assert round_.stage is RoundStage.CLASSIFIED
         engine.lifecycle.synchronize(round_, engine.state)
         assert round_.stage is RoundStage.SYNCED
-        engine.lifecycle.plan(round_)
-        assert round_.stage is RoundStage.PLANNED
-        engine.lifecycle.barrier_stats(round_)
-        assert round_.stage is RoundStage.COMMITTED
+        assert list(RoundStage)[-1] is RoundStage.SYNCED
 
-    def test_stage_skips_are_rejected(self):
-        engine = BatchExecutor(
-            ERC20TokenType(6, total_supply=60), num_lanes=2, window=8
+    def test_stage_skips_repeats_and_regressions_are_rejected(self):
+        engine = PipelinedExecutor(
+            ERC20TokenType(6, total_supply=60),
+            EngineConfig(num_lanes=2, window=8),
         )
         engine.feed(TokenWorkloadGenerator(6, seed=3).generate(8))
         round_ = engine.lifecycle.drain(engine.mempool, 8, 0)
         with pytest.raises(EngineError):
             engine.lifecycle.synchronize(round_)  # skips CLASSIFIED
         with pytest.raises(EngineError):
-            round_.advance(RoundStage.DRAINED)  # regression
+            round_.advance(RoundStage.DRAINED)  # repeat
+        engine.lifecycle.classify(round_)
+        with pytest.raises(EngineError):
+            engine.lifecycle.classify(round_)  # repeat
+        engine.lifecycle.synchronize(round_)
+        with pytest.raises(EngineError):
+            engine.lifecycle.synchronize(round_)  # repeat of the last stage
+        for stage in (RoundStage.DRAINED, RoundStage.CLASSIFIED):
+            with pytest.raises(EngineError):
+                round_.advance(stage)  # regression
+        assert round_.stage is RoundStage.SYNCED
 
     def test_drain_on_empty_mempool_returns_none(self):
-        engine = BatchExecutor(ERC20TokenType(4, total_supply=40))
+        engine = PipelinedExecutor(ERC20TokenType(4, total_supply=40))
         assert engine.lifecycle.drain(engine.mempool, 8, 0) is None
 
     def test_round_exposes_contended_split(self):
         round_ = Round(index=0, ops=[])
         assert round_.escalated_idx == []
         assert round_.chained_ops == 0
+
+
+class TestTracedIntake:
+    def test_paced_submit_stamps_follow_the_admission_clock(self):
+        """A bounded mempool paces ``run_workload``: ops admitted after
+        the first windows were scheduled are stamped with the admission
+        time then (``stream_now``), not with the commit-time clock that
+        still reads 0 — traced latency must not charge an op for time
+        before it was submitted."""
+        from repro.obs import TraceRecorder
+
+        tracer = TraceRecorder()
+        engine = PipelinedExecutor(
+            ERC20TokenType(16, total_supply=1600),
+            EngineConfig(window=16, num_lanes=4, mempool_capacity=16),
+            tracer=tracer,
+        )
+        items = TokenWorkloadGenerator(
+            16, seed=7, mix=OWNER_ONLY_MIX
+        ).generate(256)
+        engine.run_workload(items)
+        stamps = set()
+        for seq in range(256):
+            stages = tracer.lifecycle(seq)
+            assert stages["submit"] <= stages["classify"] <= stages["commit"]
+            stamps.add(stages["submit"])
+        assert len(stamps) > 1
+        assert max(stamps) > 0.0
 
 
 class TestFrontierAccessKinds:
@@ -278,9 +316,7 @@ class TestFrontierAccessKinds:
     def _units(self, calls, lanes=4):
         engine = PipelinedExecutor(
             ERC20TokenType(8, total_supply=80),
-            pipeline_depth=8,
-            num_lanes=lanes,
-            window=1,
+            EngineConfig(pipeline_depth=8, num_lanes=lanes, window=1),
         )
         for pid, operation in calls:
             engine.submit(pid, operation)

@@ -2,12 +2,10 @@
 
 The one contract every scheduling decision answers to: the final state
 *and every response* equal the sequential specification run in
-submission order.  Held here across the barrier engine, the pipelined
-engine and the cluster, each at one, two and three windows in flight,
-with the all-pairs conflict oracle on (``validate=True``) — where bit
-identity between a depth-1 loop and the barrier loop used to be pinned
-instead.  Determinism rides along: the same run twice gives the same
-stats dictionary.
+submission order.  Held here across the engine and the cluster, each at
+one, two and three windows in flight, with the all-pairs conflict oracle
+on (``validate=True``).  Determinism rides along: the same run twice
+gives the same stats dictionary.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import pytest
 
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
-from repro.engine import BatchExecutor, PipelinedExecutor
+from repro.engine import PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
     APPROVAL_HEAVY_MIX,
@@ -57,10 +55,12 @@ def make_token():
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
 
 
-def _engine(cls, **knobs):
-    return lambda seed: cls(
+def _engine(depth):
+    return lambda seed: PipelinedExecutor(
         make_token(),
-        EngineConfig(window=WINDOW, seed=seed, validate=True, **knobs),
+        EngineConfig(
+            window=WINDOW, seed=seed, validate=True, pipeline_depth=depth
+        ),
     )
 
 
@@ -74,11 +74,7 @@ def _cluster(depth):
 
 
 EXECUTORS = {
-    "barrier": _engine(BatchExecutor),
-    **{
-        f"pipelined_d{depth}": _engine(PipelinedExecutor, pipeline_depth=depth)
-        for depth in (1, 2, 3)
-    },
+    **{f"pipelined_d{depth}": _engine(depth) for depth in (1, 2, 3)},
     **{f"cluster_d{depth}": _cluster(depth) for depth in (1, 2, 3)},
 }
 

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.engine import BatchExecutor
+from repro.config import EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.obs import (
     TraceExportError,
     TraceRecorder,
@@ -26,8 +27,8 @@ def traced_engine_run():
     items = TokenWorkloadGenerator(
         48, seed=5, mix=APPROVAL_HEAVY_MIX
     ).generate(192)
-    BatchExecutor(
-        token, num_lanes=4, seed=5, tracer=tracer
+    PipelinedExecutor(
+        token, EngineConfig(num_lanes=4, seed=5), tracer=tracer
     ).run_workload(items)
     return tracer
 

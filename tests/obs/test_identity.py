@@ -3,9 +3,9 @@
 Every instrumentation site is guarded by ``if self.tracer is not None``;
 these tests pin that contract by running the same workload with and
 without a recorder and asserting final state, responses, and the full
-stats dict are bit-identical — across the barrier engine (team lanes on
-and off), the pipelined engine, and the cluster, the latter two with one
-window in flight and with three.
+stats dict are bit-identical — across the engine (team lanes on and off;
+one, two and three windows in flight) and the cluster (one window in
+flight and three).
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import TokenCluster
-from repro.engine import BatchExecutor, PipelinedExecutor
+from repro.config import ClusterConfig, EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.obs import TraceRecorder
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
@@ -36,40 +37,27 @@ def make_token():
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
 
 
-def _engine(cls, **knobs):
-    return lambda tracer: cls(
-        make_token(), num_lanes=4, seed=11, tracer=tracer, **knobs
+def _engine(**knobs):
+    return lambda tracer: PipelinedExecutor(
+        make_token(),
+        EngineConfig(num_lanes=4, seed=11, **knobs),
+        tracer=tracer,
     )
 
 
 def _cluster(**knobs):
     return lambda tracer: TokenCluster(
         make_token(),
-        num_nodes=3,
-        lanes_per_node=4,
-        seed=11,
+        ClusterConfig(num_nodes=3, lanes_per_node=4, seed=11, **knobs),
         tracer=tracer,
-        **knobs,
     )
 
 
 CONFIGS = [
-    ("engine", APPROVAL_HEAVY_MIX, _engine(BatchExecutor)),
-    (
-        "engine_global",
-        APPROVAL_HEAVY_MIX,
-        _engine(BatchExecutor, team_threshold=0),
-    ),
-    (
-        "pipelined_d1",
-        CHAIN_HEAVY_MIX,
-        _engine(PipelinedExecutor, pipeline_depth=1),
-    ),
-    (
-        "pipelined_d3",
-        APPROVAL_HEAVY_MIX,
-        _engine(PipelinedExecutor, pipeline_depth=3),
-    ),
+    ("engine", APPROVAL_HEAVY_MIX, _engine()),
+    ("engine_global", APPROVAL_HEAVY_MIX, _engine(team_threshold=0)),
+    ("pipelined_d1", CHAIN_HEAVY_MIX, _engine(pipeline_depth=1)),
+    ("pipelined_d3", APPROVAL_HEAVY_MIX, _engine(pipeline_depth=3)),
     ("cluster_d1", APPROVAL_HEAVY_MIX, _cluster(pipeline_depth=1)),
     ("cluster_d3", CHAIN_HEAVY_MIX, _cluster(pipeline_depth=3)),
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import ClusterConfig
 from repro.obs import Histogram, MetricsError, MetricsRegistry
 
 
@@ -183,11 +184,11 @@ class TestRegistry:
 
 class TestStatsProjection:
     def test_engine_stats_registry(self):
-        from repro.engine import BatchExecutor
+        from repro.engine import PipelinedExecutor
         from repro.objects.erc20 import ERC20TokenType
         from repro.workloads import OWNER_ONLY_MIX, TokenWorkloadGenerator
 
-        engine = BatchExecutor(ERC20TokenType(16, total_supply=160))
+        engine = PipelinedExecutor(ERC20TokenType(16, total_supply=160))
         items = TokenWorkloadGenerator(
             16, seed=1, mix=OWNER_ONLY_MIX
         ).generate(64)
@@ -202,7 +203,7 @@ class TestStatsProjection:
         from repro.workloads import OWNER_ONLY_MIX, TokenWorkloadGenerator
 
         cluster = TokenCluster(
-            ERC20TokenType(16, total_supply=160), num_nodes=2
+            ERC20TokenType(16, total_supply=160), ClusterConfig(num_nodes=2)
         )
         items = TokenWorkloadGenerator(
             16, seed=1, mix=OWNER_ONLY_MIX

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import TokenCluster
-from repro.engine import BatchExecutor, PipelinedExecutor
+from repro.config import ClusterConfig, EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.obs import (
     AttributionReport,
     CATEGORIES,
@@ -101,26 +102,23 @@ class TestHandBuilt:
 
 def traced_runs():
     def engine(tracer):
-        BatchExecutor(
-            make_token(), num_lanes=4, seed=5, tracer=tracer
+        PipelinedExecutor(
+            make_token(), EngineConfig(num_lanes=4, seed=5), tracer=tracer
         ).run_workload(make_items())
 
     def pipelined(tracer):
         PipelinedExecutor(
             make_token(),
-            num_lanes=4,
-            pipeline_depth=3,
-            seed=5,
+            EngineConfig(num_lanes=4, pipeline_depth=3, seed=5),
             tracer=tracer,
         ).run_workload(make_items())
 
     def cluster(tracer):
         TokenCluster(
             make_token(),
-            num_nodes=3,
-            lanes_per_node=4,
-            seed=5,
-            pipeline_depth=3,
+            ClusterConfig(
+                num_nodes=3, lanes_per_node=4, seed=5, pipeline_depth=3
+            ),
             tracer=tracer,
         ).run_workload(make_items())
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import TokenCluster
-from repro.engine import BatchExecutor, PipelinedExecutor
+from repro.config import ClusterConfig, EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.obs import LIFECYCLE_STAGES, TraceError, TraceRecorder
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
@@ -93,40 +94,35 @@ class TestRecorderValidation:
 def traced_runs():
     """(label, run) pairs covering every instrumented execution layer."""
     def engine(tracer):
-        BatchExecutor(
-            make_token(), num_lanes=4, seed=5, tracer=tracer
+        PipelinedExecutor(
+            make_token(), EngineConfig(num_lanes=4, seed=5), tracer=tracer
         ).run_workload(make_items())
 
     def engine_chain(tracer):
-        BatchExecutor(
-            make_token(), num_lanes=4, seed=5, tracer=tracer
+        PipelinedExecutor(
+            make_token(), EngineConfig(num_lanes=4, seed=5), tracer=tracer
         ).run_workload(make_items(CHAIN_HEAVY_MIX))
 
     def engine_global(tracer):
-        BatchExecutor(
+        PipelinedExecutor(
             make_token(),
-            num_lanes=4,
-            seed=5,
-            team_threshold=0,
+            EngineConfig(num_lanes=4, seed=5, team_threshold=0),
             tracer=tracer,
         ).run_workload(make_items())
 
     def pipelined(depth, mix):
         return lambda tracer: PipelinedExecutor(
             make_token(),
-            num_lanes=4,
-            pipeline_depth=depth,
-            seed=5,
+            EngineConfig(num_lanes=4, pipeline_depth=depth, seed=5),
             tracer=tracer,
         ).run_workload(make_items(mix))
 
     def cluster(depth, mix):
         return lambda tracer: TokenCluster(
             make_token(),
-            num_nodes=3,
-            lanes_per_node=4,
-            seed=5,
-            pipeline_depth=depth,
+            ClusterConfig(
+                num_nodes=3, lanes_per_node=4, seed=5, pipeline_depth=depth
+            ),
             tracer=tracer,
         ).run_workload(make_items(mix))
 

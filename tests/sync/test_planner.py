@@ -194,7 +194,9 @@ class TestTieredEscalator:
             PendingOp(2, 0, op("transfer", 5, 2)),
         ]
         raw = ConsensusEscalator(seed=9).order(list(ops))
-        sync = tiered_escalator(ConsensusEscalator(seed=9), team_threshold=0)
+        sync = tiered_escalator(
+            ConsensusEscalator(seed=9), team_threshold=0, lane_ttl=None
+        )
         result = sync.order_round([ops], classifier, state, token)
         assert [o for c in result.components for o in c.ordered] == raw.ordered
         assert result.messages == raw.messages
@@ -208,7 +210,9 @@ class TestTieredEscalator:
             PendingOp(1, 2, op("transferFrom", 0, 4, 1)),
         ]
         sync = tiered_escalator(
-            ConsensusEscalator(num_replicas=8, seed=9), team_threshold=4
+            ConsensusEscalator(num_replicas=8, seed=9),
+            team_threshold=4,
+            lane_ttl=None,
         )
         result = sync.order_round([ops], classifier, state, token)
         assert result.team_ops == 2 and result.global_ops == 0
@@ -230,7 +234,9 @@ class TestTieredEscalator:
             PendingOp(1, 2, op("transferFrom", 0, 4, 1)),
         ]
         token, classifier, state = erc20_fixture()
-        sync = tiered_escalator(ConsensusEscalator(seed=4), team_threshold=3)
+        sync = tiered_escalator(
+            ConsensusEscalator(seed=4), team_threshold=3, lane_ttl=None
+        )
         # Force the second component global via an oversized threshold
         # miss: its team is {0, 3} plus spenders {1, 2} = 4 > 3.
         result = sync.order_round(
@@ -251,7 +257,9 @@ class TestTieredEscalator:
     def test_sync_groups_fold_back_per_component(self):
         token, classifier, state = erc20_fixture()
         ops = two_account_component()
-        sync = tiered_escalator(ConsensusEscalator(seed=9), team_threshold=3)
+        sync = tiered_escalator(
+            ConsensusEscalator(seed=9), team_threshold=3, lane_ttl=None
+        )
         result = sync.order_round([ops], classifier, state, token)
         # Two concurrent team lanes under the hood, but callers still zip
         # components against the result positionally: one folded order.

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BatchExecutor
+from repro.engine import PipelinedExecutor
 from repro.cluster import TokenCluster
+from repro.config import ClusterConfig, EngineConfig
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
     APPROVAL_HEAVY_MIX,
@@ -45,11 +46,9 @@ class TestEngineTierEquivalence:
         token = ERC20TokenType(16, total_supply=320)
         items = approval_items(16, seed=71, count=300)
         ref_state, ref_responses = serial_reference(token, items)
-        engine = BatchExecutor(
+        engine = PipelinedExecutor(
             ERC20TokenType(16, total_supply=320),
-            num_lanes=4,
-            window=16,
-            team_threshold=threshold,
+            EngineConfig(num_lanes=4, window=16, team_threshold=threshold),
         )
         state, responses, stats = engine.run_workload(items)
         assert state == ref_state
@@ -60,11 +59,9 @@ class TestEngineTierEquivalence:
         items = approval_items(12, seed=29, count=250)
         outcomes = []
         for threshold in THRESHOLDS:
-            engine = BatchExecutor(
+            engine = PipelinedExecutor(
                 ERC20TokenType(12, total_supply=240),
-                num_lanes=4,
-                window=16,
-                team_threshold=threshold,
+                EngineConfig(num_lanes=4, window=16, team_threshold=threshold),
             )
             state, responses, _ = engine.run_workload(items)
             outcomes.append((state, responses))
@@ -88,11 +85,9 @@ class TestEngineTierEquivalence:
             hotspot_accounts=2,
         ).generate(120)
         ref_state, ref_responses = serial_reference(token, items)
-        engine = BatchExecutor(
+        engine = PipelinedExecutor(
             ERC20TokenType(16, total_supply=160),
-            num_lanes=4,
-            window=window,
-            team_threshold=threshold,
+            EngineConfig(num_lanes=4, window=window, team_threshold=threshold),
         )
         state, responses, _ = engine.run_workload(items)
         assert state == ref_state
@@ -101,12 +96,11 @@ class TestEngineTierEquivalence:
     def test_validated_run_with_teams_on(self):
         """Oracle validation stays green with team lanes active."""
         items = approval_items(10, seed=13, count=200)
-        engine = BatchExecutor(
+        engine = PipelinedExecutor(
             ERC20TokenType(10, total_supply=200),
-            num_lanes=4,
-            window=16,
-            validate=True,
-            team_threshold=4,
+            EngineConfig(
+                num_lanes=4, window=16, validate=True, team_threshold=4
+            ),
         )
         _, _, stats = engine.run_workload(items)
         assert stats.ops_executed == 200
@@ -114,12 +108,9 @@ class TestEngineTierEquivalence:
     def test_determinism_per_configuration(self):
         items = approval_items(12, seed=5, count=200)
         runs = [
-            BatchExecutor(
+            PipelinedExecutor(
                 ERC20TokenType(12, total_supply=240),
-                num_lanes=4,
-                window=16,
-                seed=7,
-                team_threshold=4,
+                EngineConfig(num_lanes=4, window=16, seed=7, team_threshold=4),
             ).run_workload(items)
             for _ in range(2)
         ]
@@ -137,10 +128,12 @@ class TestClusterTierEquivalence:
         ref_state, ref_responses = serial_reference(token, items)
         cluster = TokenCluster(
             ERC20TokenType(16, total_supply=320),
-            num_nodes=nodes,
-            lanes_per_node=4,
-            window=16,
-            team_threshold=threshold,
+            ClusterConfig(
+                num_nodes=nodes,
+                lanes_per_node=4,
+                window=16,
+                team_threshold=threshold,
+            ),
         )
         state, responses, stats = cluster.run_workload(items)
         assert state == ref_state
@@ -167,12 +160,14 @@ class TestClusterTierEquivalence:
         ref_state, ref_responses = serial_reference(token, items)
         cluster = TokenCluster(
             ERC20TokenType(12, total_supply=240),
-            num_nodes=nodes,
-            lanes_per_node=4,
-            window=16,
-            seed=seed,
-            team_threshold=threshold,
-            lease_cooldown=cooldown,
+            ClusterConfig(
+                num_nodes=nodes,
+                lanes_per_node=4,
+                window=16,
+                seed=seed,
+                team_threshold=threshold,
+                lease_cooldown=cooldown,
+            ),
         )
         state, responses, _ = cluster.run_workload(items)
         assert state == ref_state
@@ -184,11 +179,13 @@ class TestClusterTierEquivalence:
         for threshold in (0, 4):
             cluster = TokenCluster(
                 ERC20TokenType(24, total_supply=2400),
-                num_nodes=4,
-                lanes_per_node=4,
-                window=16,
-                seed=7,
-                team_threshold=threshold,
+                ClusterConfig(
+                    num_nodes=4,
+                    lanes_per_node=4,
+                    window=16,
+                    seed=7,
+                    team_threshold=threshold,
+                ),
             )
             _, _, stats[threshold] = cluster.run_workload(items)
         assert stats[4].team_ops > 0
@@ -202,8 +199,9 @@ class TestTierStatsSurface:
     part of the JSON summaries the benchmarks publish."""
 
     def test_engine_summary_keys(self):
-        engine = BatchExecutor(
-            ERC20TokenType(8, total_supply=80), num_lanes=2, window=8
+        engine = PipelinedExecutor(
+            ERC20TokenType(8, total_supply=80),
+            EngineConfig(num_lanes=2, window=8),
         )
         engine.run_workload(approval_items(8, seed=3, count=50))
         summary = engine.stats.as_dict()
@@ -221,7 +219,8 @@ class TestTierStatsSurface:
 
     def test_cluster_summary_keys(self):
         cluster = TokenCluster(
-            ERC20TokenType(8, total_supply=80), num_nodes=2, window=8
+            ERC20TokenType(8, total_supply=80),
+            ClusterConfig(num_nodes=2, window=8),
         )
         cluster.run_workload(approval_items(8, seed=3, count=50))
         summary = cluster.stats.as_dict()

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import TokenCluster
-from repro.engine import BatchExecutor, PipelinedExecutor
+from repro.config import ClusterConfig, EngineConfig
+from repro.engine import PipelinedExecutor
 from repro.errors import StreamError
 from repro.obs import TraceRecorder
 from repro.objects.erc20 import ERC20TokenType
@@ -104,11 +105,9 @@ def test_onoff_rejects_bad_shape():
 TARGETS = [
     (
         "engine",
-        lambda tracer, capacity=None: BatchExecutor(
+        lambda tracer, capacity=None: PipelinedExecutor(
             make_token(),
-            num_lanes=4,
-            seed=13,
-            mempool_capacity=capacity,
+            EngineConfig(num_lanes=4, seed=13, mempool_capacity=capacity),
             tracer=tracer,
         ),
     ),
@@ -116,10 +115,12 @@ TARGETS = [
         "pipelined",
         lambda tracer, capacity=None: PipelinedExecutor(
             make_token(),
-            num_lanes=4,
-            pipeline_depth=3,
-            seed=13,
-            mempool_capacity=capacity,
+            EngineConfig(
+                num_lanes=4,
+                pipeline_depth=3,
+                seed=13,
+                mempool_capacity=capacity,
+            ),
             tracer=tracer,
         ),
     ),
@@ -127,10 +128,12 @@ TARGETS = [
         "cluster",
         lambda tracer, capacity=None: TokenCluster(
             make_token(),
-            num_nodes=3,
-            lanes_per_node=4,
-            seed=13,
-            mempool_capacity=capacity,
+            ClusterConfig(
+                num_nodes=3,
+                lanes_per_node=4,
+                seed=13,
+                mempool_capacity=capacity,
+            ),
             tracer=tracer,
         ),
     ),
@@ -138,11 +141,13 @@ TARGETS = [
         "cluster_pipelined",
         lambda tracer, capacity=None: TokenCluster(
             make_token(),
-            num_nodes=3,
-            lanes_per_node=4,
-            seed=13,
-            pipeline_depth=3,
-            mempool_capacity=capacity,
+            ClusterConfig(
+                num_nodes=3,
+                lanes_per_node=4,
+                seed=13,
+                pipeline_depth=3,
+                mempool_capacity=capacity,
+            ),
             tracer=tracer,
         ),
     ),
@@ -152,14 +157,14 @@ TARGET_IDS = [label for label, _ in TARGETS]
 
 def test_driver_requires_a_tracer():
     with pytest.raises(StreamError):
-        StreamDriver(BatchExecutor(make_token()), [])
+        StreamDriver(PipelinedExecutor(make_token()), [])
 
 
 def test_driver_rejects_negative_arrival_times():
     item = make_items(1)[0]
     with pytest.raises(StreamError):
         StreamDriver(
-            BatchExecutor(make_token(), tracer=TraceRecorder()),
+            PipelinedExecutor(make_token(), tracer=TraceRecorder()),
             [Arrival(time=-1.0, item=item)],
         )
 
@@ -225,7 +230,9 @@ def test_late_arrivals_idle_the_clock_forward():
     clock to it rather than spinning, and latency is measured from the
     arrival instant, not from zero."""
     tracer = TraceRecorder()
-    engine = BatchExecutor(make_token(), num_lanes=2, tracer=tracer)
+    engine = PipelinedExecutor(
+        make_token(), EngineConfig(num_lanes=2), tracer=tracer
+    )
     item = make_items(1)[0]
     report = StreamDriver(
         engine, [Arrival(time=100.0, item=item)]
@@ -238,7 +245,9 @@ def test_late_arrivals_idle_the_clock_forward():
 
 def test_unsorted_arrivals_are_released_in_time_order():
     tracer = TraceRecorder()
-    engine = BatchExecutor(make_token(), num_lanes=2, tracer=tracer)
+    engine = PipelinedExecutor(
+        make_token(), EngineConfig(num_lanes=2), tracer=tracer
+    )
     items = make_items(8)
     arrivals = [
         Arrival(time=float(8 - index), item=item)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import TokenCluster
 from repro.cluster.workloads import owner_local_workload
+from repro.config import ClusterConfig
 from repro.errors import InvalidArgumentError
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads.skew import skewed_index, validate_skew, zipf_weights
@@ -73,7 +74,8 @@ class TestSkewedIndex:
 class TestOwnerLocalSkew:
     def test_node_hotspot_concentrates_load(self):
         cluster = TokenCluster(
-            ERC20TokenType(32, total_supply=3200), num_nodes=4, window=16
+            ERC20TokenType(32, total_supply=3200),
+            ClusterConfig(num_nodes=4, window=16),
         )
         skewed = owner_local_workload(
             cluster.shard_map,
@@ -90,7 +92,9 @@ class TestOwnerLocalSkew:
 
     def test_skewed_traffic_is_still_owner_local(self):
         token = ERC20TokenType(32, total_supply=3200)
-        cluster = TokenCluster(token, num_nodes=4, window=16, seed=9)
+        cluster = TokenCluster(
+            token, ClusterConfig(num_nodes=4, window=16, seed=9)
+        )
         items = owner_local_workload(
             cluster.shard_map,
             32,
@@ -108,7 +112,8 @@ class TestOwnerLocalSkew:
         """Default knobs reproduce the pre-dedup draw sequence (the bench
         baselines must not shift)."""
         cluster = TokenCluster(
-            ERC20TokenType(16, total_supply=1600), num_nodes=2, window=16
+            ERC20TokenType(16, total_supply=1600),
+            ClusterConfig(num_nodes=2, window=16),
         )
         items = owner_local_workload(cluster.shard_map, 16, 50, seed=3)
         again = owner_local_workload(cluster.shard_map, 16, 50, seed=3)
