@@ -1,30 +1,22 @@
-"""E13 — op-granular DAG scheduling vs chain-atomic components.
+"""E13 — op-granular DAG scheduling of conflict-graph components.
 
 The paper's synchronization result is per-*pair*: only non-commuting
-operation pairs ever need a relative order.  Chain-atomic scheduling
-nevertheless serialized every conflict-graph component onto one lane —
-a component of k ops cost k op-times even when most of its pairs
-commute.  Op-granular DAG scheduling schedules ops along the component's
-precedence DAG instead, dropping the component's makespan toward its
-critical path.  It won every comparison and is now the only scheduler;
-the chain-atomic side of this experiment is the frozen table
-:data:`common.FROZEN_E21F850` (the last commit that could run it), and
-the live side is re-measured against it, in virtual time:
+operation pairs ever need a relative order.  A component of k ops
+therefore need not cost k op-times: the scheduler places ops along the
+component's precedence DAG, and the component's makespan drops toward
+its critical path.  Measured in virtual time:
 
-* **engine**: frozen chain-atomic vs DAG-scheduled makespan with one
-  window in flight and with three (per-op frontier), on the
-  chain-heavy administrated-token mix and on APPROVAL_HEAVY — the
-  headline: DAG-scheduled is strictly faster on both, >= 1.3x on the
-  chain-heavy mix whose components carry antichain width >= 2;
-* **cluster**: frozen chain-atomic batch dispatch vs component-granular
-  ``cl_run`` units + op-granular node planning at 4 nodes, both mixes.
+* **engine**: DAG-scheduled makespan with one window in flight and with
+  three (per-op frontier), on the chain-heavy administrated-token mix
+  and on APPROVAL_HEAVY, with the structure the win comes from — the
+  components carry antichain width >= 2 and their critical-path totals
+  are below their op counts;
+* **cluster**: component-granular ``cl_run`` units + op-granular node
+  planning at 4 nodes, both mixes — units fan out beyond one per round.
 
-The live A/B side keeps the base the frozen numbers were cut on — team
-lanes and lane GC off — so the comparison isolates scheduling
-granularity; a separate **default vs pre-flip** section shows the
-no-knobs default construction against the frozen pre-flip engine on
-both mixes.  The frozen side exists at smoke size only: at any other
-``--ops`` the live numbers print alone.
+These A/B-base runs keep team lanes and lane GC off, so they isolate
+scheduling granularity; a separate **default** section runs the
+no-knobs default construction on both mixes.
 
 Every run is checked for serial equivalence against the sequential
 specification.
@@ -38,7 +30,7 @@ from __future__ import annotations
 
 import sys
 
-from common import bench_main, frozen_numbers, render_stats_table
+from common import bench_main, render_stats_table
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
@@ -83,8 +75,8 @@ def serial_reference(items):
     return make_token().run([(item.pid, item.operation) for item in items])
 
 
-#: The base the frozen chain-atomic numbers were cut on: always-global
-#: escalation, no lane GC.
+#: Always-global escalation, no lane GC: what moves on this base is
+#: scheduling granularity alone.
 AB_BASE = {"team_threshold": 0, "lane_ttl": None}
 
 
@@ -140,38 +132,19 @@ def measure(ops: int) -> dict:
         "cluster": {},
         "default_vs_legacy": {},
     }
-    frozen = frozen_numbers("dag", ops)
 
     for name in MIXES:
         items = make_items(name, ops)
-        engine = {
+        results["engine"][name] = {
             "dag": run_engine(items, **AB_BASE),
             "pipelined_dag": run_engine(items, depth=PIPE_DEPTH, **AB_BASE),
         }
-        cluster = {"dag": run_cluster(items)}
+        results["cluster"][name] = {str(NODES): {"dag": run_cluster(items)}}
         # The no-knobs default construction (pipelining + team lanes +
         # lane GC on), same structural params.
-        headline = {
+        results["default_vs_legacy"][name] = {
             "default": run_engine(items, depth=EngineConfig().pipeline_depth)
         }
-        results["engine"][name] = engine
-        results["cluster"][name] = {str(NODES): cluster}
-        results["default_vs_legacy"][name] = headline
-        if frozen is None:
-            continue
-        was = frozen["engine"][name]
-        engine["atomic"] = {"virtual_time": was["atomic"]}
-        engine["ratio"] = was["atomic"] / engine["dag"]["virtual_time"]
-        engine["pipelined_atomic"] = {"virtual_time": was["pipelined_atomic"]}
-        engine["pipelined_ratio"] = (
-            was["pipelined_atomic"] / engine["pipelined_dag"]["virtual_time"]
-        )
-        was = frozen["cluster"][name]["atomic"]
-        cluster["atomic"] = {"makespan": was}
-        cluster["ratio"] = was / cluster["dag"]["makespan"]
-        was = frozen["default_vs_legacy"][name]["legacy"]
-        headline["legacy"] = {"virtual_time": was}
-        headline["speedup"] = was / headline["default"]["virtual_time"]
 
     # Per-op commit latency (submit -> commit on the traced virtual
     # timeline) from a dedicated traced run of the representative DAG
@@ -186,16 +159,11 @@ def measure(ops: int) -> dict:
 
 
 def check_claims(results: dict) -> None:
-    """The acceptance criteria, enforced (the comparisons against the
-    frozen side only at the size it was measured at)."""
-    compared = "ratio" in results["engine"]["chain_heavy"]
+    """The acceptance criteria, enforced."""
     for name, entry in results["default_vs_legacy"].items():
-        # The no-knobs default really runs the fast paths ...
+        # The no-knobs default really runs the fast paths.
         assert entry["default"]["pipeline_depth"] > 1, name
         assert entry["default"]["max_dag_width"] >= 2, name
-        # ... and strictly beats the frozen pre-flip engine.
-        if compared:
-            assert entry["speedup"] > 1.0, (name, entry["speedup"])
     for name, entry in results["engine"].items():
         # The structure the win comes from is real intra-component
         # parallelism, not accounting: components carry width >= 2 and
@@ -205,94 +173,53 @@ def check_claims(results: dict) -> None:
         assert (
             entry["dag"]["dag_critical_ops"] < entry["dag"]["dag_chain_ops"]
         ), name
-        # DAG-scheduled strictly beats chain-atomic makespan everywhere.
-        if compared:
-            assert entry["ratio"] > 1.0, (name, entry["ratio"])
-            assert entry["pipelined_ratio"] > 1.0, (
-                name,
-                entry["pipelined_ratio"],
-            )
-    # ... and decisively on the chain-heavy administrated-token mix.
-    if compared:
-        assert results["engine"]["chain_heavy"]["ratio"] >= 1.3, results[
-            "engine"
-        ]["chain_heavy"]["ratio"]
     for name, entry in results["cluster"].items():
         for nodes, comparison in entry.items():
             # Component-granular dispatch really fanned units out.
             assert comparison["dag"]["units_dispatched"] > (
                 comparison["dag"]["rounds"]
             ), (name, nodes)
-            if compared:
-                assert comparison["ratio"] > 1.0, (name, nodes)
 
 
 def render_table(results: dict) -> list[str]:
     params = results["params"]
-    compared = "ratio" in results["engine"]["chain_heavy"]
     lines = [
-        "E13: op-granular DAG scheduling vs chain-atomic components "
+        "E13: op-granular DAG scheduling of conflict-graph components "
         f"({params['ops']} ops, {params['accounts']} accounts, "
-        f"{params['lanes']} lanes, virtual time"
-        + ("" if compared else "; no frozen chain-atomic side at this size")
-        + ")",
+        f"{params['lanes']} lanes, virtual time)",
         "",
         f"engine (window {params['window']}, depth 1 and pipelined "
         f"depth {params['pipeline_depth']}):",
     ]
-    columns = [
-        ("atomic", "atomic.virtual_time", ".1f"),
-        ("dag", "dag.virtual_time", ".1f"),
-        ("ratio", "ratio", ".2f"),
-        ("piped", "pipelined_atomic.virtual_time", ".1f"),
-        ("piped+dag", "pipelined_dag.virtual_time", ".1f"),
-        ("piped ratio", "pipelined_ratio", ".2f"),
-        ("width", "dag.max_dag_width", "d"),
-        ("dag speedup", "dag.dag_speedup", ".2f"),
-    ]
-    if not compared:
-        columns = [
-            column
-            for column in columns
-            if "atomic" not in column[1] and "ratio" not in column[1]
-        ]
     lines += render_stats_table(
         list(results["engine"].items()),
-        columns,
+        [
+            ("dag", "dag.virtual_time", ".1f"),
+            ("piped+dag", "pipelined_dag.virtual_time", ".1f"),
+            ("width", "dag.max_dag_width", "d"),
+            ("dag speedup", "dag.dag_speedup", ".2f"),
+        ],
         label_header="mix",
-        separators=(2, 5) if compared else (),
     )
     lines.append("")
     lines.append(
         f"cluster ({params['nodes']} nodes, depth "
-        f"{params['pipeline_depth']}, batch dispatch vs component units):"
+        f"{params['pipeline_depth']}, component units):"
     )
     for name, entry in results["cluster"].items():
         for nodes, comparison in entry.items():
-            versus = (
-                f"atomic {comparison['atomic']['makespan']:>7.2f}  "
-                if compared
-                else ""
-            )
-            ratio = f"{comparison['ratio']:.2f}x, " if compared else ""
             lines.append(
-                f"  {name:>15} n={nodes}: {versus}"
+                f"  {name:>15} n={nodes}: "
                 f"dag {comparison['dag']['makespan']:>7.2f}  "
-                f"({ratio}{comparison['dag']['units_dispatched']} units over "
+                f"({comparison['dag']['units_dispatched']} units over "
                 f"{comparison['dag']['rounds']} rounds)"
             )
     lines.append("")
-    lines.append("default vs pre-flip (identical structural params):")
+    lines.append("no-knobs default (identical structural params):")
     for name, entry in results["default_vs_legacy"].items():
-        versus = (
-            f"  pre-flip {entry['legacy']['virtual_time']:>7.1f}  "
-            f"({entry['speedup']:.2f}x)"
-            if compared
-            else ""
-        )
         lines.append(
             f"  {name:>15}: "
-            f"default {entry['default']['virtual_time']:>7.1f}{versus}"
+            f"default {entry['default']['virtual_time']:>7.1f}"
         )
     lines.append("")
     latency = results["op_latency"]["dag_engine"]

@@ -22,11 +22,9 @@ round.  This experiment measures, in virtual time, what that buys:
 
 Neither layer has a barrier loop: both ``barrier`` sides are the same
 executor / router with one round in flight (``pipeline_depth=1``).  The
-A/B runs keep team lanes
-and lane GC off so the comparison isolates pipelining; a separate
-**default vs pre-flip** section shows the no-knobs default construction
-against the frozen pre-flip engine (:data:`common.FROZEN_E21F850`, smoke
-size only) on the contended mix.
+A/B runs keep team lanes and lane GC off so the comparison isolates
+pipelining; a separate **default** section runs the no-knobs default
+construction on the contended mix.
 
 Every run is checked for serial equivalence against the sequential
 specification.
@@ -40,7 +38,7 @@ from __future__ import annotations
 
 import sys
 
-from common import bench_main, frozen_numbers, render_stats_table
+from common import bench_main, render_stats_table
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
 from repro.obs import TraceRecorder
@@ -166,19 +164,16 @@ def measure(ops: int) -> dict:
         results["cluster"][name] = entry
 
     # The headline: a no-knobs default construction (pipelining + team
-    # lanes + lane GC on) against the frozen pre-flip engine on the
-    # contended mix, same structural parameters.
-    headline = {
-        "default": run_engine(
-            make_items(APPROVAL_HEAVY_MIX, ops), EngineConfig().pipeline_depth
-        )
+    # lanes + lane GC on) on the contended mix, same structural
+    # parameters.
+    results["default_vs_legacy"] = {
+        "approval_heavy": {
+            "default": run_engine(
+                make_items(APPROVAL_HEAVY_MIX, ops),
+                EngineConfig().pipeline_depth,
+            )
+        }
     }
-    frozen = frozen_numbers("pipeline", ops)
-    if frozen is not None:
-        was = frozen["default_vs_legacy"]["approval_heavy"]["legacy"]
-        headline["legacy"] = {"virtual_time": was}
-        headline["speedup"] = was / headline["default"]["virtual_time"]
-    results["default_vs_legacy"] = {"approval_heavy": headline}
 
     # Per-op commit latency (submit -> commit on the traced virtual
     # timeline), from a dedicated traced run of the pipelined engine at
@@ -272,11 +267,8 @@ def check_claims(results: dict) -> None:
         >= 0.9 * engine_approval["stall_time"]
     )
     # The no-knobs default really runs the fast paths (DAG width, team
-    # lanes, depth > 1) and strictly beats the frozen pre-flip engine
-    # (comparable at the size it was measured at only).
+    # lanes, depth > 1).
     headline = results["default_vs_legacy"]["approval_heavy"]
-    if "speedup" in headline:
-        assert headline["speedup"] > 1.0, headline["speedup"]
     assert headline["default"]["pipeline_depth"] > 1
     assert headline["default"]["max_dag_width"] >= 2
     assert headline["default"]["team_ops"] > 0
@@ -319,15 +311,8 @@ def render_table(results: dict) -> list[str]:
     headline = results["default_vs_legacy"]["approval_heavy"]
     lines.append("")
     lines.append(
-        "default vs pre-flip (approval_heavy, identical structural "
-        "params): "
-        f"default {headline['default']['virtual_time']:.1f}"
-        + (
-            f"  pre-flip {headline['legacy']['virtual_time']:.1f}  "
-            f"({headline['speedup']:.2f}x)"
-            if "speedup" in headline
-            else "  (no frozen pre-flip number at this size)"
-        )
+        "no-knobs default (approval_heavy, identical structural params): "
+        f"{headline['default']['virtual_time']:.1f}"
     )
     latency = results["op_latency"]["pipelined_engine"]
     lines.append(

@@ -34,51 +34,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 
-#: The committed smoke numbers (512 ops) of the paths deleted after
-#: commit e21f850 — chain-atomic scheduling, cluster batch dispatch, the
-#: pre-flip config presets — copied from that commit's
-#: ``benchmarks/baselines/BENCH_dag.json`` and ``BENCH_pipeline.json``.
-#: The code that produced them is gone and they can never move again;
-#: the table keeps the A/B rows and the ``ratio`` / ``speedup`` metrics
-#: printable at the size they were measured at.  Virtual-time makespans,
-#: keyed like the bench JSON.
-FROZEN_E21F850 = {
-    "ops": 512,
-    "dag": {
-        "engine": {
-            "chain_heavy": {
-                "atomic": 203.29149732279012,
-                "pipelined_atomic": 184.3081649652239,
-            },
-            "approval_heavy": {
-                "atomic": 138.29149732279006,
-                "pipelined_atomic": 116.3081649652239,
-            },
-        },
-        "cluster": {
-            "chain_heavy": {"atomic": 193.21584909569805},
-            "approval_heavy": {"atomic": 121.46589072692902},
-        },
-        "default_vs_legacy": {
-            "chain_heavy": {"legacy": 203.29149732279012},
-            "approval_heavy": {"legacy": 138.29149732279006},
-        },
-    },
-    "pipeline": {
-        "default_vs_legacy": {
-            "approval_heavy": {"legacy": 89.29149732279008},
-        },
-    },
-}
-
-
-def frozen_numbers(bench: str, ops: int) -> dict | None:
-    """:data:`FROZEN_E21F850`'s numbers for ``bench`` — or ``None`` at
-    any op count other than the one they were measured at (a frozen
-    number cannot be re-run at a new size)."""
-    return FROZEN_E21F850[bench] if ops == FROZEN_E21F850["ops"] else None
-
-
 #: A table column: (header, metric name(s), format spec).  The metric
 #: entry may be a tuple of candidate dotted names; the first one present
 #: in the row's registry wins (e.g. engine rows carry ``virtual_time``

@@ -124,7 +124,7 @@ METRICS: dict[str, dict[str, list[str]]] = {
         "band": [
             "engine.approval_heavy.barrier.virtual_time",
             "engine.approval_heavy.pipelined.3.virtual_time",
-            "default_vs_legacy.approval_heavy.speedup",
+            "default_vs_legacy.approval_heavy.default.virtual_time",
             "cluster.owner_only.4.makespan_ratio",
             "cluster.approval_heavy.4.makespan_ratio",
             "cluster.approval_heavy.4.pipelined.makespan",
@@ -139,12 +139,11 @@ METRICS: dict[str, dict[str, list[str]]] = {
     "dag": {
         "band": [
             "engine.chain_heavy.dag.virtual_time",
-            "default_vs_legacy.chain_heavy.speedup",
-            "default_vs_legacy.approval_heavy.speedup",
-            "engine.chain_heavy.ratio",
+            "default_vs_legacy.chain_heavy.default.virtual_time",
+            "default_vs_legacy.approval_heavy.default.virtual_time",
             "engine.chain_heavy.dag.dag_speedup",
             "engine.approval_heavy.dag.virtual_time",
-            "cluster.chain_heavy.4.ratio",
+            "cluster.chain_heavy.4.dag.makespan",
             "cluster.approval_heavy.4.dag.makespan",
             "cluster.chain_heavy.4.dag.units_dispatched",
             "op_latency.dag_engine.p50",

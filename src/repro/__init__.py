@@ -63,7 +63,6 @@ from repro.engine import (
     Mempool,
     OpClassifier,
     PipelinedExecutor,
-    ShardPlanner,
 )
 from repro.cluster import ClusterStats, ShardMap, TokenCluster
 from repro.runtime import (
@@ -86,7 +85,6 @@ __all__ = [
     "Mempool",
     "OpClassifier",
     "PipelinedExecutor",
-    "ShardPlanner",
     "ClusterStats",
     "ShardMap",
     "TokenCluster",

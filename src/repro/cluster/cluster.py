@@ -76,7 +76,6 @@ class TokenCluster:
             # Enough shards that leases migrate at useful granularity.
             num_shards = max(16, 8 * cfg.num_nodes)
         self.object_type = object_type
-        self.num_nodes = cfg.num_nodes
         self.simulator = Simulator()
         self.network = Network(
             self.simulator,
@@ -106,8 +105,8 @@ class TokenCluster:
             else ConsensusEscalator(seed=cfg.seed)
         )
         #: Optional observability hook (:mod:`repro.obs`), threaded to the
-        #: router and every node; ``None`` records nothing and keeps every
-        #: historical stats dict bit-identical.
+        #: router and every node; ``None`` records nothing and leaves every
+        #: stats dict unchanged.
         self.tracer = tracer
         self.nodes = [
             ClusterNode(
@@ -154,7 +153,7 @@ class TokenCluster:
         """Admit one operation at the router (may shed under
         backpressure).  ``arrival`` back-dates the traced ``submit``
         stage to the op's open-loop arrival time; the default stamps the
-        simulator's current time, the historical behavior bit for bit."""
+        simulator's current time."""
         return self.router.submit(pid, operation, arrival=arrival)
 
     def feed(self, items: Iterable[WorkloadItem]) -> list[PendingOp]:

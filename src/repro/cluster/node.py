@@ -6,7 +6,7 @@ component (or the residual set of the node's singletons for a round),
 sent as a single ``cl_run`` that carries its ops; the router gates each
 unit individually, and the node runs units incrementally on a *persistent
 lane timeline* — the op-granular list scheduler
-(:meth:`~repro.engine.shard.ShardPlanner.dag_schedule`) places each
+(:func:`~repro.engine.shard.dag_schedule`) places each
 arriving unit's ops onto whichever lanes free up first, so one unit
 blocked behind its sync lane or a cross-round footprint conflict does not
 hold up everything else routed to the node that round.  Units of one
@@ -31,6 +31,7 @@ global lane.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.config import ClusterConfig
@@ -38,7 +39,7 @@ from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.mempool import PendingOp
 from repro.engine.rounds import RoundScheduler
-from repro.engine.shard import ShardPlanner
+from repro.engine.shard import dag_schedule
 from repro.errors import ClusterError
 from repro.net.network import Message, Network
 from repro.net.node import Node
@@ -48,6 +49,26 @@ from repro.cluster.stats import NodeBill
 
 #: Applies one operation to the authoritative state; returns the response.
 ApplyFn = Callable[[PendingOp], Any]
+
+
+@dataclass(slots=True)
+class _NodeUnit:
+    """One dispatch unit as the node knows it.  The record is created by
+    whichever message names the unit first — a lease grant may overtake
+    the ``cl_run`` it unblocks — so ``ops`` is ``None`` until the
+    ``cl_run`` lands."""
+
+    ops: list[PendingOp] | None = None
+    #: Lease grants the unit must wait for / has received.
+    leases_needed: int = 0
+    leases_granted: int = 0
+    #: Absolute completion (simulator clock) of the sync lane the unit
+    #: must wait out first.
+    sync_ready: float = 0.0
+    running: bool = False
+    #: When the unit, its ops in hand, first stalled on a missing lease
+    #: grant — traced as ``lease_wait`` when it finally runs.
+    blocked_since: float | None = None
 
 
 class ClusterNode(Node):
@@ -67,31 +88,20 @@ class ClusterNode(Node):
         self.router_id = router_id
         self.apply_fn = apply_fn
         self.classifier = classifier
-        self.planner = ShardPlanner(config.lanes_per_node)
+        self.config = config
         self.scheduler = RoundScheduler(classifier)
-        self.op_cost = config.op_cost
         #: Persistent lane timeline (absolute virtual times), and the
         #: rounds this node has executed at least one unit of.
         self._lane_free = [0.0] * config.lanes_per_node
         self._unit_rounds: set[int] = set()
         self.bill = NodeBill(node_id=node_id)
         self.owned_shards: set[int] = set()
-        #: Everything below keys on the unit, ``(round, unit index)``.
-        self._batches: dict[tuple, list[PendingOp]] = {}
-        self._expected: dict[tuple, int] = {}
-        #: Lease grants the unit must wait for / has received.
-        self._leases_needed: dict[tuple, int] = {}
-        self._leases_granted: dict[tuple, int] = {}
-        #: Absolute completion (simulator clock) of the sync lane the
-        #: unit must wait out first.
-        self._sync_ready: dict[tuple, float] = {}
-        self._running: set[tuple] = set()
+        #: ``(round, unit index)`` -> the unit, from the first message
+        #: that names it until its result is sent.
+        self._units: dict[tuple[int, int], _NodeUnit] = {}
         #: Optional observability hook (:mod:`repro.obs`); ``None``
-        #: records nothing.  ``_blocked_since`` remembers when a complete
-        #: unit first stalled on a missing lease grant, so the wait can be
-        #: attributed as ``lease_wait`` when it finally runs.
+        #: records nothing.
         self.tracer = tracer
-        self._blocked_since: dict = {}
         #: Crash/restart lifecycle (:mod:`repro.faults`).  When fault
         #: tolerance is on, every in-flight execution timer is tracked so
         #: :meth:`crash` can cancel it — a crash loses exactly the work
@@ -115,13 +125,7 @@ class ClusterNode(Node):
         for handle in self._timers:
             handle.cancel()
         self._timers.clear()
-        self._batches.clear()
-        self._expected.clear()
-        self._leases_needed.clear()
-        self._leases_granted.clear()
-        self._sync_ready.clear()
-        self._running.clear()
-        self._blocked_since.clear()
+        self._units.clear()
         self.owned_shards.clear()
         self.bill.crashes += 1
 
@@ -147,23 +151,27 @@ class ClusterNode(Node):
 
     # -- unit execution --------------------------------------------------
 
-    @staticmethod
-    def _batch_key(body: dict) -> tuple:
-        return (body["round"], body["unit"])
+    def _unit(self, body: dict) -> tuple[tuple[int, int], _NodeUnit]:
+        key = (body["round"], body["unit"])
+        return key, self._units.setdefault(key, _NodeUnit())
 
     def handle_cl_run(self, message: Message) -> None:
         body = message.payload
-        key, count = self._batch_key(body), body["count"]
-        if count < 1:
+        if not body["ops"]:
             raise ClusterError("cl_run announced an empty unit")
-        self._expected[key] = count
-        self._leases_needed[key] = body.get("leases", 0)
-        self._sync_ready[key] = body.get("sync_ready", 0.0)
+        key, unit = self._unit(body)
+        if unit.ops is not None:
+            raise ClusterError(
+                f"node {self.node_id} received a second cl_run for "
+                f"unit {key}"
+            )
         # The unit's ops ride inside the announcement (one message per
         # unit); the bill still counts every op forward received.
-        self._batches.setdefault(key, []).extend(body["ops"])
-        self.bill.forwards_received += len(body["ops"])
-        self._maybe_run_unit(key)
+        unit.ops = body["ops"]
+        unit.leases_needed = body["leases"]
+        unit.sync_ready = body["sync_ready"]
+        self.bill.forwards_received += len(unit.ops)
+        self._maybe_run_unit(key, unit)
 
     def _bill_dag(
         self, chain_ops: int, critical_ops: int, critical_path: int, width: int
@@ -175,9 +183,10 @@ class ClusterNode(Node):
         )
         self.bill.max_dag_width = max(self.bill.max_dag_width, width)
 
-    def _maybe_run_unit(self, key: tuple) -> None:
+    def _maybe_run_unit(self, key: tuple[int, int], unit: _NodeUnit) -> None:
         """Run one dispatch unit (a component, or a round's singletons)
-        on the persistent lane timeline as soon as it is complete.
+        on the persistent lane timeline as soon as its ops and every
+        lease grant it needs have arrived.
 
         Units interleave freely on the node: units of one round are
         distinct components (statically commuting), and conflicting units
@@ -187,40 +196,29 @@ class ClusterNode(Node):
         predecessors allow, continuing wherever earlier units left the
         lanes.
         """
-        expected = self._expected.get(key)
-        batch = self._batches.get(key, [])
-        if expected is None or len(batch) < expected:
+        if unit.ops is None or unit.running:
             return
-        needed = self._leases_needed.get(key, 0)
-        if self._leases_granted.get(key, 0) < needed:
-            if self.tracer is not None:
-                self._blocked_since.setdefault(key, self.now)
+        if unit.leases_granted < unit.leases_needed:
+            if unit.blocked_since is None:
+                unit.blocked_since = self.now
             return
-        if key in self._running:
-            return
-        self._running.add(key)
-        if len(batch) > expected:
-            raise ClusterError(
-                f"node {self.node_id} received {len(batch)} ops for unit "
-                f"{key}, expected {expected}"
-            )
-        ops = sorted(batch, key=lambda op: op.seq)
+        unit.running = True
+        ops = sorted(unit.ops, key=lambda op: op.seq)
         # The unit's contended ops execute only after their sync lane
         # committed an order; the router sends the lane's absolute
         # completion, so the unit pays only the remainder.
-        sync_ready = self._sync_ready.get(key, 0.0)
-        ready = max(self.now, sync_ready)
-        self.bill.sync_wait_time += max(0.0, sync_ready - self.now)
+        ready = max(self.now, unit.sync_ready)
+        self.bill.sync_wait_time += max(0.0, unit.sync_ready - self.now)
         graph = ConflictGraph.build(self.classifier, ops)
         chain_idx, singleton_idx, _ = self.scheduler.split(graph)
         dags = graph.component_dags()
-        tasks, placed = self.planner.dag_schedule(
+        tasks, placed = dag_schedule(
             [[ops[i] for i in chain] for chain in chain_idx],
             [ops[i] for i in singleton_idx],
             dags,
             self._lane_free,
             floor=lambda op: ready,
-            cost=self.op_cost,
+            cost=self.config.op_cost,
         )
         order = [
             tasks[i]
@@ -241,7 +239,7 @@ class ClusterNode(Node):
             max((dag.width for dag in dags), default=0),
         )
         if self.tracer is not None:
-            self._trace_unit(key, tasks, placed, ready, finish)
+            self._trace_unit(key, unit, tasks, placed, ready, finish)
         handle = self.schedule(
             finish - self.now,
             lambda: self._finish_unit(key, order, finish - started),
@@ -250,7 +248,8 @@ class ClusterNode(Node):
 
     def _trace_unit(
         self,
-        key: tuple,
+        key: tuple[int, int],
+        unit: _NodeUnit,
         tasks: list[PendingOp],
         placed: list[tuple],
         ready: float,
@@ -265,8 +264,10 @@ class ClusterNode(Node):
         tracer = self.tracer
         assert tracer is not None
         now = self.now
-        round_index, unit = key
-        lease_wait = now - self._blocked_since.pop(key, now)
+        round_index, unit_index = key
+        lease_wait = (
+            0.0 if unit.blocked_since is None else now - unit.blocked_since
+        )
         stalls = tuple(
             (category, amount)
             for category, amount in (
@@ -287,7 +288,7 @@ class ClusterNode(Node):
                     "seq": op.seq,
                     "pid": op.pid,
                     "round": round_index,
-                    "unit": unit,
+                    "unit": unit_index,
                 },
             )
             tracer.op_stage(op.seq, "schedule", start)
@@ -295,7 +296,7 @@ class ClusterNode(Node):
             tracer.op_commit(op.seq, finish)
 
     def _finish_unit(
-        self, key: tuple, order: list[PendingOp], busy: float
+        self, key: tuple[int, int], order: list[PendingOp], busy: float
     ) -> None:
         """Apply the unit in its schedule's linear-extension order and
         report per-unit responses (state mutates at the unit's virtual
@@ -303,13 +304,8 @@ class ClusterNode(Node):
         responses: dict[int, Any] = {}
         for op in order:
             responses[op.seq] = self.apply_fn(op)
-        round_index, unit = key
-        self._batches.pop(key, None)
-        self._expected.pop(key, None)
-        self._leases_needed.pop(key, None)
-        self._leases_granted.pop(key, None)
-        self._sync_ready.pop(key, None)
-        self._running.discard(key)
+        round_index, unit_index = key
+        del self._units[key]
         self.bill.ops_executed += len(responses)
         self.bill.units_executed += 1
         if round_index not in self._unit_rounds:
@@ -320,7 +316,11 @@ class ClusterNode(Node):
         self.send(
             self.router_id,
             "cl_result",
-            {"round": round_index, "unit": unit, "responses": responses},
+            {
+                "round": round_index,
+                "unit": unit_index,
+                "responses": responses,
+            },
         )
 
     # -- lease protocol ---------------------------------------------------
@@ -371,14 +371,14 @@ class ClusterNode(Node):
                 {"shard": body["shard"], "round": body["round"]},
             )
             return
-        key = self._batch_key(body)
-        self._leases_granted[key] = self._leases_granted.get(key, 0) + 1
+        key, unit = self._unit(body)
+        unit.leases_granted += 1
         self.send(
             self.router_id,
             "cl_lease_ack",
             {"shard": body["shard"], "round": body["round"]},
         )
-        self._maybe_run_unit(key)
+        self._maybe_run_unit(key, unit)
 
     def handle_cl_lease_revoke(self, message: Message) -> None:
         """Adopt a shard the router revoked from a failed owner.
@@ -408,9 +408,9 @@ class ClusterNode(Node):
         )
         if body["round"] < 0:
             return
-        key = self._batch_key(body)
-        self._leases_granted[key] = self._leases_granted.get(key, 0) + 1
-        self._maybe_run_unit(key)
+        key, unit = self._unit(body)
+        unit.leases_granted += 1
+        self._maybe_run_unit(key, unit)
 
     def handle_cl_ping(self, message: Message) -> None:
         """Answer the router's liveness probe.  A pong proves only that

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.config import ClusterConfig
@@ -64,6 +64,7 @@ from repro.net.network import Message, Network
 from repro.net.node import Node
 from repro.objects.footprint import FootprintSummary, anchor_account
 from repro.obs.trace import TraceRecorder
+from repro.sync.escalation import SyncRoundResult
 from repro.sync.planner import SyncAssignment
 from repro.workloads.generators import WorkloadItem
 
@@ -90,16 +91,18 @@ ADMIN_ROUND = -1
 _REPLAY_BASE = 1 << 20
 
 
-@dataclass(frozen=True, slots=True)
-class _DispatchUnit:
-    """One component-granular dispatch unit of a routed window.
+@dataclass(slots=True, eq=False)
+class _Unit:
+    """One component-granular dispatch unit, from routing to its result.
 
     A unit is a single conflict-graph component co-located on one node —
     or the residual set of the node's singletons, which commute with the
     whole window.  Units are the gate granularity of the router: each
     carries its own footprint summary, its own sync-lane delay, and its
     own lease count, so one blocked component does not hold up
-    everything else routed to its node that round.
+    everything else routed to its node that round.  A fail-over replay
+    moves the same record to ``(target, _REPLAY_BASE + n)``; identity,
+    not the key, is what queues, timers and recovery episodes hold.
     """
 
     ops: tuple[PendingOp, ...]
@@ -109,74 +112,71 @@ class _DispatchUnit:
     sync_delay: float
     #: Lease grants the unit's node must hold before running it.
     leases: int
+    node: int
+    uidx: int
+    #: May-access summary, the cross-round frontier test's input.
+    summary: FootprintSummary
+    dispatched: bool = False
+    done: bool = False
+    #: Time the ready-to-go unit was first blocked by the cross-round
+    #: footprint gate.
+    blocked_since: float | None = None
+    #: Result-timeout timer and the serial execution envelope charged to
+    #: the node while the unit is dispatched (recovery only).
+    timer: Any = None
+    envelope: float | None = None
+    #: Virtual time the current replay incarnation was created
+    #: (recovery-stall attribution), and the failed node(s) whose
+    #: episodes await its result.
+    replay_started: float | None = None
+    episodes: tuple[int, ...] = ()
 
 
 @dataclass
-class _RoutedWindow:
-    """Pure outcome of routing one window (no messages sent yet):
-    component co-location, lease planning, hot-shard splitting, spill,
-    tiered synchronization.  *When* the units and lease requests go out
-    is :meth:`Router.pump`'s business."""
+class _Round:
+    """One routed window and its in-flight bookkeeping.  Routing itself
+    is pure (component co-location, lease planning, hot-shard splitting,
+    spill, tiered synchronization); *when* the units and lease requests
+    go out is :meth:`Router.pump`'s business."""
 
     index: int
     assignment: dict[int, list[PendingOp]]
     migrations: list[tuple[int, int, int]]
-    t_escalation: float
-    escalation_messages: int
+    sync: SyncRoundResult
     owner_local: int
     hot_split: int
     spill: int
     escalated: int
-    team_ops: int
-    global_ops: int
-    team_messages: int
-    global_messages: int
-    teams: int
-    team_sizes: tuple[int, ...]
     cooldown_skips: int
-    #: Per node, the window's dispatch units in submission order of their
-    #: heads.
-    units_by_node: dict[int, list[_DispatchUnit]]
-    #: shard -> (node, unit index) whose chain triggered the migration.
-    lease_units: dict[int, tuple[int, int]]
+    #: ``(node, unit index)`` -> unit; per node, indices follow the
+    #: submission order of the units' heads.
+    units: dict[tuple[int, int], _Unit]
+    #: shard -> *routing-time* index of the unit whose chain triggered
+    #: the migration.  A replay does not rename it: a handoff re-sent
+    #: after the replay still wakes the original incarnation parked on
+    #: the adopter.
+    lease_units: dict[int, int]
     #: Per contended op: ``(seq, completed)`` with ``completed`` relative
     #: to the round's sync phase start (tracer lifecycle bookkeeping).
-    sync_ops: tuple[tuple[int, float], ...] = ()
-
-
-@dataclass
-class _PipelinedRound:
-    """In-flight bookkeeping for one routed round."""
-
-    routed: _RoutedWindow
+    sync_ops: tuple[tuple[int, float], ...]
+    #: Results still owed, and lease requests not yet sent (per-shard
+    #: handoffs serialize) / not yet acknowledged.
+    pending: int
+    lease_pending: list[tuple[int, int, int]]
+    pending_acks: int
     classified: float
     #: Absolute start of this round's synchronization phase (the shared
     #: sync lanes are one resource: phases serialize across rounds but
     #: overlap node execution).
     sync_start: float
-    #: ``(node, unit)`` -> may-access summary, the cross-round frontier
-    #: test's input.
-    summaries: dict
     #: Rounds in flight (this one included) right after classification.
     inflight: int
-    pending_results: set
-    pending_acks: int
-    #: Lease requests not yet sent (per-shard handoffs serialize).
-    lease_pending: list[tuple[int, int, int]]
-    dispatched: set = field(default_factory=set)
-    completed: set = field(default_factory=set)
     dispatch_stall: float = 0.0
     dispatch_stall_contended: float = 0.0
-    #: ``(node, unit)`` -> time the ready-to-go unit was first blocked by
-    #: the cross-round footprint gate.
-    gate_blocked_since: dict = field(default_factory=dict)
     frontier_stall: float = 0.0
     frontier_stall_contended: float = 0.0
-    #: Fail-over replays: ``(node, unit)`` -> the re-dispatched unit
-    #: (``units_by_node`` is positional, so replay incarnations live in
-    #: this side table), plus the per-round replay index counter.
-    replay_units: dict = field(default_factory=dict)
-    replay_seq: int = 0
+    #: Replay incarnations created so far (the next one's index offset).
+    replays: int = 0
 
 
 @dataclass
@@ -185,7 +185,8 @@ class _RecoveryEpisode:
     rejoin-time reconciliation) to the last replayed result arriving."""
 
     started: float
-    outstanding: set = field(default_factory=set)
+    #: The replayed units whose results the episode still awaits.
+    outstanding: set[_Unit] = field(default_factory=set)
 
 
 class Router(Node):
@@ -209,15 +210,8 @@ class Router(Node):
         self.classifier = classifier
         self.escalator = escalator
         self.stats = stats
-        self.window = config.window
+        self.config = config
         self.mempool = Mempool(capacity=config.mempool_capacity)
-        #: A chain migrates leases only when its majority owner already has
-        #: at least this many of its operations — a 1-vs-1 split names no
-        #: "busier node" and a handoff would be pure ownership churn.
-        self.lease_min_gain = config.lease_min_gain
-        #: Rounds a freshly migrated shard is pinned to its new owner
-        #: (hysteresis against alternating-round ping-pong).
-        self.lease_cooldown = config.lease_cooldown
         #: The tiered sync layer: contended cross-node components get a
         #: team lane among just their owner nodes when the owner set is
         #: within ``team_threshold``; the shared global lane otherwise.
@@ -234,13 +228,12 @@ class Router(Node):
         self.responses: dict[int, Any] = {}
         self._rounds_started = 0
         #: Cross-round pipelining: up to ``pipeline_depth`` rounds in
-        #: flight, per-node queues of ``(round, unit)`` entries awaiting
-        #: dispatch, and the gates that stand in for a global round
-        #: barrier (see :meth:`pump`).
-        self.pipeline_depth = config.pipeline_depth
+        #: flight, per-node queues of ``(round index, unit)`` entries
+        #: awaiting dispatch, and the gates that stand in for a global
+        #: round barrier (see :meth:`pump`).
         stats.pipeline_depth = config.pipeline_depth
-        self._inflight: dict[int, _PipelinedRound] = {}
-        self._node_queue: dict[int, deque[tuple[int, int]]] = {
+        self._inflight: dict[int, _Round] = {}
+        self._node_queue: dict[int, deque[tuple[int, _Unit]]] = {
             node: deque() for node in range(shard_map.num_nodes)
         }
         #: shard -> round of its in-flight lease handoff (handoffs of one
@@ -249,7 +242,7 @@ class Router(Node):
         #: Absolute time the shared sync lanes are busy until.
         self._sync_free = 0.0
         #: Optional observability hook (:mod:`repro.obs`); ``None``
-        #: records nothing and keeps every stats dict bit-identical.
+        #: records nothing and leaves every stats dict unchanged.
         self.tracer = tracer
         if tracer is not None:
             self.sync.pool.tracer = tracer
@@ -257,48 +250,36 @@ class Router(Node):
         #: a timer per dispatched unit; a unit whose ``cl_result`` is
         #: late is evidence its node died, and the router fences the
         #: node, revokes its leases, and replays its in-flight units on
-        #: survivors.  ``None`` (the default) disables detection and
-        #: keeps every code path bit-identical to the fault-free router.
+        #: survivors.  ``None`` (the default) disables detection: no
+        #: timer is armed and no probe is sent.
         self.recovery = config.result_timeout is not None
-        self.result_timeout = config.result_timeout
         self.lease_timeout = (
             config.lease_timeout
             if config.lease_timeout is not None
             else config.result_timeout
         )
-        #: Per-op execution cost — sizes the work envelope a dispatched
-        #: unit is entitled to before its silence counts as evidence.
-        self.op_cost = config.op_cost
         self.faults = faults
         #: Operations admitted past the mempool (the denominator of the
         #: zero-committed-op-loss check: admitted − responded = lost).
         self.admitted_ops = 0
         self._dead: set[int] = set()
-        #: ``(round, node, unit)`` -> result-timeout timer handle.
-        self._result_timers: dict = {}
         #: shard -> lease-timeout timer / ``(round, granter, adopter)``
         #: of its in-flight handoff (recovery bookkeeping only).
         self._lease_timers: dict = {}
         self._handoff_info: dict = {}
-        #: ``(round, node, unit)`` of a replay incarnation -> the failed
-        #: node(s) whose episodes await its result, and the virtual time
-        #: each replay was created (recovery-stall attribution).
-        self._replay_episode: dict = {}
-        self._replay_started: dict = {}
         #: Failed node -> its open recovery episode.
         self._recovering: dict[int, _RecoveryEpisode] = {}
         #: node -> last virtual time it was dispatched to or heard from
         #: (result or ack); the liveness floor result timeouts extend to.
         self._last_heard: dict[int, float] = {}
         #: node -> serial-sum execution envelope of its dispatched but
-        #: unfinished units, and the envelope each unit contributed.  A
+        #: unfinished units (each unit remembers its own share).  A
         #: single giant conflict component runs longer than any fixed
         #: timeout while producing no interim results; its silence is
         #: not evidence until its execution envelope has elapsed too.
         #: The envelope shrinks as results land, so detection latency is
         #: bounded by the node's outstanding work, not the run length.
         self._outstanding_work: dict[int, float] = {}
-        self._unit_envelope: dict = {}
         #: node -> virtual time of its open liveness probe / of its last
         #: pong.  A timeout alone cannot tell a dead node from a live one
         #: whose message was lost in transit; the probe asks the node
@@ -324,7 +305,7 @@ class Router(Node):
         ``arrival`` back-dates the traced ``submit`` stage to the op's
         open-loop arrival time (at or before the network's ``now``), so
         traced latency reads commit − arrival; ``None`` stamps the
-        current simulator time — the historical behavior, bit for bit."""
+        current simulator time."""
         try:
             pending = self.mempool.submit(pid, operation)
         except MempoolFullError:
@@ -347,15 +328,20 @@ class Router(Node):
     def _anchor(self, op: PendingOp) -> int:
         return anchor_account(self.classifier.footprint(op), op.pid)
 
-    def _route_window(
-        self, window: list[PendingOp], index: int
-    ) -> _RoutedWindow:
+    def _route_window(self, window: list[PendingOp], index: int) -> _Round:
         """Route one window: co-locate components, plan leases, order the
         contended components through the sync layer.  Pure computation —
         no messages are sent (that is :meth:`pump`'s job)."""
         num_nodes = self.shard_map.num_nodes
-        # Nodes declared dead take no new work; with recovery off the set
-        # is always empty and every loop below is the historical one.
+        # A chain migrates leases only when its majority owner already has
+        # at least ``min_gain`` of its operations — a 1-vs-1 split names no
+        # "busier node" and a handoff would be pure ownership churn — and
+        # a freshly migrated shard stays pinned to its new owner for
+        # ``cooldown`` rounds (hysteresis against alternating-round
+        # ping-pong).
+        min_gain = self.config.lease_min_gain
+        cooldown = self.config.lease_cooldown
+        # Nodes declared dead take no new work.
         live = [n for n in range(num_nodes) if n not in self._dead]
         state = self._state_fn() if self._state_fn is not None else None
         graph = ConflictGraph.build(self.classifier, window, state)
@@ -372,21 +358,37 @@ class Router(Node):
             for i in range(len(window))
         }
         escalated_ops: list[PendingOp] = []
-        #: Per contended cross-node component: (owner-node team, ops, the
-        #: node executing the chain, index into ``placed_chains``) — the
-        #: unit the sync layer tiers.
+        #: Per contended cross-node component: (owner-node team, contended
+        #: ops, the chain's unit) — what the sync layer tiers.
         escalated_components: list[
-            tuple[frozenset[int], tuple[PendingOp, ...], int, int]
+            tuple[frozenset[int], tuple[PendingOp, ...], _Unit]
         ] = []
         migrations: list[tuple[int, int, int]] = []
         migrated_shards: set[int] = set()
         chain_seqs: set[int] = set()
-        #: Per routed chain (head submission order): target node, ops,
-        #: lease count, contended flag, sync-lane delay — the raw material
-        #: of component-granular dispatch units.
-        placed_chains: list[dict] = []
-        #: shard -> index into ``placed_chains`` of the migrating chain.
-        lease_chains: dict[int, int] = {}
+        #: Component-granular dispatch: one unit per routed chain (head
+        #: submission order) plus, below, one residual unit of each
+        #: node's singletons.
+        units: dict[tuple[int, int], _Unit] = {}
+        units_on: Counter[int] = Counter()
+        lease_units: dict[int, int] = {}
+
+        def add_unit(node: int, ops: list[PendingOp]) -> _Unit:
+            unit = _Unit(
+                ops=tuple(ops),
+                contended=False,
+                sync_delay=0.0,
+                leases=0,
+                node=node,
+                uidx=units_on[node],
+                summary=FootprintSummary.over(
+                    self.classifier.footprint(op) for op in ops
+                ),
+            )
+            units_on[node] += 1
+            units[(node, unit.uidx)] = unit
+            return unit
+
         hot_split = 0
         cooldown_skips = 0
 
@@ -405,13 +407,7 @@ class Router(Node):
             target = min(
                 owners, key=lambda n: (-owners[n], len(assignment[n]), n)
             )
-            record = {
-                "target": target,
-                "ops": ops,
-                "leases": 0,
-                "contended": False,
-                "delay": 0.0,
-            }
+            unit = add_unit(target, ops)
             chain_contended = [i for i in chain if i in contended]
             if len(owners) > 1 and chain_contended:
                 # A race spanning owners: a sync lane sequences exactly the
@@ -421,11 +417,11 @@ class Router(Node):
                 # already owning most of it.
                 component = tuple(window[i] for i in chain_contended)
                 escalated_ops.extend(component)
-                record["contended"] = True
+                unit.contended = True
                 escalated_components.append(
-                    (frozenset(owners), component, target, len(placed_chains))
+                    (frozenset(owners), component, unit)
                 )
-            elif len(owners) > 1 and owners[target] >= self.lease_min_gain:
+            elif len(owners) > 1 and owners[target] >= min_gain:
                 # Uncontended cross-shard chain with a clearly busier node:
                 # migrate the minority shards' leases to it, then run
                 # owner-local.
@@ -440,7 +436,7 @@ class Router(Node):
                     if shard in migrated_shards:
                         continue  # one lease move per shard per round
                     last = self._last_migration.get(shard)
-                    if last is not None and index - last <= self.lease_cooldown:
+                    if last is not None and index - last <= cooldown:
                         # Hysteresis: the shard moved too recently; the
                         # chain still executes correctly on the majority
                         # owner (co-location is what safety needs), the
@@ -452,9 +448,8 @@ class Router(Node):
                     self.shard_map.migrate(shard, target, index)
                     self._last_migration[shard] = index
                     migrations.append((shard, from_node, target))
-                    record["leases"] += 1
-                    lease_chains[shard] = len(placed_chains)
-            placed_chains.append(record)
+                    unit.leases += 1
+                    lease_units[shard] = unit.uidx
             assignment[target].extend(ops)
 
         # Singletons bundle by anchor account; oversized commuting bundles
@@ -525,13 +520,10 @@ class Router(Node):
         # the threshold) run concurrently on the pool; the rest merge into
         # one submission-ordered batch on the shared global lane.  A
         # unit waits only for its *own* component's lane.
-        t_escalation = 0.0
-        escalation_messages = 0
-        sync_round = None
-        sync_ops: tuple[tuple[int, float], ...] = ()
+        sync_round = SyncRoundResult()
         if escalated_components:
             assignments = []
-            for team, component, _, _ in escalated_components:
+            for team, component, _ in escalated_components:
                 decision = self.sync.planner.decide(team)
                 assignments.append(
                     SyncAssignment(
@@ -539,19 +531,10 @@ class Router(Node):
                     )
                 )
             sync_round = self.sync.order_assignments(assignments)
-            for (_, _, _, chain_pos), component_order in zip(
+            for (_, _, unit), order in zip(
                 escalated_components, sync_round.components
             ):
-                placed_chains[chain_pos]["delay"] = component_order.completed
-            t_escalation = sync_round.virtual_time
-            escalation_messages = sync_round.messages
-            sync_ops = tuple(
-                (op.seq, order.completed)
-                for (_, component, _, _), order in zip(
-                    escalated_components, sync_round.components
-                )
-                for op in component
-            )
+                unit.sync_delay = order.completed
 
         assignment = {
             node: sorted(ops, key=lambda op: op.seq)
@@ -559,60 +542,40 @@ class Router(Node):
             if ops
         }
 
-        # Component-granular dispatch: one unit per routed chain plus one
-        # residual unit of each node's singletons (all of which commute
-        # with the whole window, so they share a gate).
-        units_by_node: dict[int, list[_DispatchUnit]] = {}
-        unit_of_chain: dict[int, tuple[int, int]] = {}
-        for chain_pos, record in enumerate(placed_chains):
-            node_units = units_by_node.setdefault(record["target"], [])
-            unit_of_chain[chain_pos] = (record["target"], len(node_units))
-            node_units.append(
-                _DispatchUnit(
-                    ops=tuple(record["ops"]),
-                    contended=record["contended"],
-                    sync_delay=record["delay"],
-                    leases=record["leases"],
-                )
-            )
+        # Each node's singletons commute with the whole window, so they
+        # share one residual unit (and one gate).
         for node, ops in assignment.items():
             rest = [op for op in ops if op.seq not in chain_seqs]
             if rest:
-                units_by_node.setdefault(node, []).append(
-                    _DispatchUnit(
-                        ops=tuple(rest),
-                        contended=False,
-                        sync_delay=0.0,
-                        leases=0,
-                    )
-                )
-        lease_units = {
-            shard: unit_of_chain[chain_pos]
-            for shard, chain_pos in lease_chains.items()
-        }
-        return _RoutedWindow(
+                add_unit(node, rest)
+        return _Round(
             index=index,
             assignment=assignment,
             migrations=migrations,
-            t_escalation=t_escalation,
-            escalation_messages=escalation_messages,
+            sync=sync_round,
             owner_local=owner_local,
             hot_split=hot_split,
             spill=spill,
             escalated=len(escalated_ops),
-            team_ops=sync_round.team_ops if sync_round else 0,
-            global_ops=sync_round.global_ops if sync_round else 0,
-            team_messages=sync_round.team_messages if sync_round else 0,
-            global_messages=sync_round.global_messages if sync_round else 0,
-            teams=sync_round.teams if sync_round else 0,
-            team_sizes=sync_round.team_sizes if sync_round else (),
             cooldown_skips=cooldown_skips,
-            units_by_node=units_by_node,
+            units=units,
             lease_units=lease_units,
-            sync_ops=sync_ops,
+            sync_ops=tuple(
+                (op.seq, order.completed)
+                for (_, component, _), order in zip(
+                    escalated_components, sync_round.components
+                )
+                for op in component
+            ),
+            pending=len(units),
+            lease_pending=list(migrations),
+            pending_acks=len(migrations),
+            classified=self.now,
+            sync_start=max(self.now, self._sync_free),
+            inflight=len(self._inflight) + 1,
         )
 
-    def _trace_routed(self, routed: _RoutedWindow, sync_start: float) -> None:
+    def _trace_routed(self, routed: _Round) -> None:
         """Record one routed window: the classification instant and per-op
         ``classify`` stage, the sync phase's extent (informational — the
         waits themselves are attributed on the node spans), and the
@@ -632,15 +595,16 @@ class Router(Node):
         for ops in routed.assignment.values():
             for op in ops:
                 tracer.op_stage(op.seq, "classify", self.now)
-        if routed.t_escalation > 0:
+        sync_start = routed.sync_start
+        if routed.sync.virtual_time > 0:
             tracer.span(
                 "router.sync",
                 f"sync r{routed.index}",
                 "sync_wait",
                 sync_start,
-                sync_start + routed.t_escalation,
+                sync_start + routed.sync.virtual_time,
                 chain=False,
-                args={"messages": routed.escalation_messages},
+                args={"messages": routed.sync.messages},
             )
         for seq, completed in routed.sync_ops:
             tracer.op_stage(seq, "sync", sync_start + completed)
@@ -711,38 +675,20 @@ class Router(Node):
         round in flight.
         """
         classified = 0
-        while len(self._inflight) < self.pipeline_depth:
-            window = self.mempool.pop_window(self.window)
+        while len(self._inflight) < self.config.pipeline_depth:
+            window = self.mempool.pop_window(self.config.window)
             if not window:
                 break
             index = self._rounds_started
             self._rounds_started += 1
             routed = self._route_window(window, index)
-            sync_start = max(self.now, self._sync_free)
-            if routed.t_escalation > 0:
-                self._sync_free = sync_start + routed.t_escalation
+            if routed.sync.virtual_time > 0:
+                self._sync_free = routed.sync_start + routed.sync.virtual_time
             if self.tracer is not None:
-                self._trace_routed(routed, sync_start)
-            summaries = {
-                (node, uidx): FootprintSummary.over(
-                    self.classifier.footprint(op) for op in unit.ops
-                )
-                for node, units in routed.units_by_node.items()
-                for uidx, unit in enumerate(units)
-            }
-            self._inflight[index] = _PipelinedRound(
-                routed=routed,
-                classified=self.now,
-                sync_start=sync_start,
-                summaries=summaries,
-                inflight=len(self._inflight) + 1,
-                pending_results=set(summaries),
-                pending_acks=len(routed.migrations),
-                lease_pending=list(routed.migrations),
-            )
-            for node in sorted(routed.units_by_node):
-                for uidx in range(len(routed.units_by_node[node])):
-                    self._node_queue[node].append((index, uidx))
+                self._trace_routed(routed)
+            self._inflight[index] = routed
+            for unit in routed.units.values():
+                self._node_queue[unit.node].append((index, unit))
             classified += 1
         self._drain_gates()
         return classified
@@ -774,7 +720,7 @@ class Router(Node):
                             "round": index,
                             # The grant must unblock exactly the unit
                             # whose chain migrated this shard.
-                            "unit": round_state.routed.lease_units[shard][1],
+                            "unit": round_state.lease_units[shard],
                         },
                     )
                     if self.recovery:
@@ -796,125 +742,115 @@ class Router(Node):
                 continue
             queue = self._node_queue[node]
             for entry in list(queue):
-                index, uidx = entry
+                index, unit = entry
                 round_state = self._inflight[index]
-                key = (node, uidx)
-                if self._unit_blocked(index, key):
-                    round_state.gate_blocked_since.setdefault(key, self.now)
+                if self._unit_blocked(index, unit):
+                    if unit.blocked_since is None:
+                        unit.blocked_since = self.now
                     continue
                 queue.remove(entry)
-                round_state.dispatched.add(key)
+                unit.dispatched = True
                 stall = self.now - round_state.classified
-                gate_stall = self.now - round_state.gate_blocked_since.pop(
-                    key, self.now
-                )
-                recovery_stall = 0.0
-                replay_started = self._replay_started.pop(
-                    (index, node, uidx), None
-                )
-                if replay_started is not None:
-                    recovery_stall = self.now - replay_started
+                gate_stall = recovery_stall = 0.0
+                if unit.blocked_since is not None:
+                    gate_stall = self.now - unit.blocked_since
+                    unit.blocked_since = None
+                if unit.replay_started is not None:
+                    recovery_stall = self.now - unit.replay_started
+                    unit.replay_started = None
                 round_state.dispatch_stall += stall
                 round_state.frontier_stall += gate_stall
-                unit = self._unit_for(index, node, uidx)
                 if unit.contended:
                     round_state.dispatch_stall_contended += stall
                     round_state.frontier_stall_contended += gate_stall
                 if self.tracer is not None and stall > 0:
                     self._trace_dispatch(
-                        f"dispatch r{index} n{node} u{uidx}",
+                        f"dispatch r{index} n{node} u{unit.uidx}",
                         stall,
                         gate_stall,
                         recovery_stall,
                     )
-                self._send_unit(index, node, uidx)
+                self._send_unit(round_state, unit)
                 progress = True
         return progress
 
-    def _unit_blocked(self, index: int, key: tuple[int, int]) -> bool:
+    def _unit_blocked(self, index: int, unit: _Unit) -> bool:
         """The per-unit footprint gate: may this unit overlap every
         still-incomplete unit of every earlier in-flight round?  Same-node
         units are *not* exempt — there is no per-node FIFO, so
         cross-round same-node ordering is this gate's job too.  Units of
         one round never gate each other (distinct components commute)."""
-        summary = self._inflight[index].summaries[key]
-        for earlier in self._inflight:
-            if earlier >= index:
-                continue
-            earlier_state = self._inflight[earlier]
-            for other, other_summary in earlier_state.summaries.items():
-                if other in earlier_state.completed:
-                    continue
-                if summary.conflicts_with(other_summary):
-                    return True
-        return False
+        return any(
+            not other.done and unit.summary.conflicts_with(other.summary)
+            for earlier, earlier_state in self._inflight.items()
+            if earlier < index
+            for other in earlier_state.units.values()
+        )
 
-    def _unit_for(self, index: int, node: int, uidx: int) -> _DispatchUnit:
-        """The unit behind a dispatch key — positional in the routed
-        window, or a replay incarnation from the round's side table."""
-        round_state = self._inflight[index]
-        if uidx >= _REPLAY_BASE:
-            return round_state.replay_units[(node, uidx)]
-        return round_state.routed.units_by_node[node][uidx]
-
-    def _send_unit(self, index: int, node: int, uidx: int) -> None:
-        round_state = self._inflight[index]
-        unit = self._unit_for(index, node, uidx)
-        delay = unit.sync_delay
+    def _send_unit(self, round_state: _Round, unit: _Unit) -> None:
+        # Absolute completion of this unit's sync lane (0.0 for
+        # uncontended units): the lane ran while the unit waited in the
+        # pipeline, so the node pays only the remainder.
+        sync_ready = (
+            round_state.sync_start + unit.sync_delay
+            if unit.sync_delay
+            else 0.0
+        )
         # The unit's ops ride inside the announcement itself: a unit is
         # component-granular (often one chain or a handful of
         # singletons), and one forward message per op would dominate the
         # cluster message bill.
         self.send(
-            node,
+            unit.node,
             "cl_run",
             {
-                "round": index,
-                "unit": uidx,
-                "count": len(unit.ops),
+                "round": round_state.index,
+                "unit": unit.uidx,
                 "leases": unit.leases,
                 "ops": list(unit.ops),
-                # Absolute completion of this unit's sync lane (0.0 for
-                # uncontended units): the lane ran while the unit waited
-                # in the pipeline, so the node pays only the remainder.
-                "sync_ready": (
-                    round_state.sync_start + delay if delay else 0.0
-                ),
+                "sync_ready": sync_ready,
             },
         )
         if self.recovery:
             # The timeout clock starts when the unit can actually run:
             # a unit parked behind its sync lane is late evidence of
             # nothing, so the lane remainder extends the deadline.
-            sync_wait = 0.0
-            if delay:
-                sync_wait = max(
-                    0.0, round_state.sync_start + delay - self.now
-                )
+            sync_wait = max(0.0, sync_ready - self.now)
             # Dispatch refreshes the liveness floor: an idle node owes
             # nothing until it is given work again.
-            self._last_heard[node] = max(
-                self._last_heard.get(node, 0.0), self.now
+            self._last_heard[unit.node] = max(
+                self._last_heard.get(unit.node, 0.0), self.now
             )
             # Charge the unit's serial execution to the node's work
             # envelope (conservative: lanes overlap, the envelope does
             # not) — detection latency trades against never suspecting a
             # node that is merely grinding through a long component.
-            envelope = len(unit.ops) * self.op_cost + sync_wait
-            self._unit_envelope[(index, node, uidx)] = envelope
-            self._outstanding_work[node] = (
-                self._outstanding_work.get(node, 0.0) + envelope
+            unit.envelope = len(unit.ops) * self.config.op_cost + sync_wait
+            self._outstanding_work[unit.node] = (
+                self._outstanding_work.get(unit.node, 0.0) + unit.envelope
             )
-            self._result_timers[(index, node, uidx)] = self.schedule(
-                self.result_timeout + sync_wait,
-                lambda: self._result_timed_out(index, node, uidx),
+            self._arm_result_timer(
+                round_state, unit, self.config.result_timeout + sync_wait
             )
 
+    def _settle_dispatch(self, unit: _Unit) -> None:
+        """The dispatched incarnation is over (its result arrived or it is
+        being replayed): stop its timer and take its envelope off the
+        node's outstanding work."""
+        if unit.timer is not None:
+            unit.timer.cancel()
+            unit.timer = None
+        if unit.envelope is not None:
+            self._outstanding_work[unit.node] = max(
+                0.0,
+                self._outstanding_work.get(unit.node, 0.0) - unit.envelope,
+            )
+            unit.envelope = None
+
     def _finish_pipelined_round(self, index: int) -> None:
-        round_state = self._inflight[index]
-        if round_state.pending_results or round_state.pending_acks > 0:
+        routed = self._inflight[index]
+        if routed.pending or routed.pending_acks > 0:
             return
-        routed = round_state.routed
         self.stats.record_round(
             ClusterRound(
                 index=index,
@@ -925,25 +861,24 @@ class Router(Node):
                 escalated_ops=routed.escalated,
                 lease_migrations=len(routed.migrations),
                 nodes_used=len(routed.assignment),
-                virtual_time=self.now - round_state.classified,
-                escalation_time=routed.t_escalation,
-                escalation_messages=routed.escalation_messages,
-                team_ops=routed.team_ops,
-                global_ops=routed.global_ops,
-                team_messages=routed.team_messages,
-                global_messages=routed.global_messages,
-                teams=routed.teams,
-                team_sizes=routed.team_sizes,
+                virtual_time=self.now - routed.classified,
+                escalation_time=routed.sync.virtual_time,
+                escalation_messages=routed.sync.messages,
+                team_ops=routed.sync.team_ops,
+                global_ops=routed.sync.global_ops,
+                team_messages=routed.sync.team_messages,
+                global_messages=routed.sync.global_messages,
+                teams=routed.sync.teams,
+                team_sizes=routed.sync.team_sizes,
                 cooldown_skips=routed.cooldown_skips,
-                inflight=round_state.inflight,
-                dispatch_stall=round_state.dispatch_stall,
-                dispatch_stall_contended=round_state.dispatch_stall_contended,
-                frontier_stall=round_state.frontier_stall,
-                frontier_stall_contended=round_state.frontier_stall_contended,
+                inflight=routed.inflight,
+                dispatch_stall=routed.dispatch_stall,
+                dispatch_stall_contended=routed.dispatch_stall_contended,
+                frontier_stall=routed.frontier_stall,
+                frontier_stall_contended=routed.frontier_stall_contended,
                 completed_at=self.now,
-                units_dispatched=sum(
-                    len(units) for units in routed.units_by_node.values()
-                ),
+                # A replay moves a unit, it does not add one.
+                units_dispatched=len(routed.units),
             )
         )
         del self._inflight[index]
@@ -984,7 +919,7 @@ class Router(Node):
         )
         if heard >= probe:
             return "alive"
-        if self.now >= probe + self.result_timeout:
+        if self.now >= probe + self.config.result_timeout:
             return "dead"
         return "pending"
 
@@ -1026,7 +961,7 @@ class Router(Node):
             self._direct_adopt(shard, handoff_round, granter, adopter)
             return
         expiry = min(
-            self._probes[party] + self.result_timeout
+            self._probes[party] + self.config.result_timeout
             for party in parties
             if states[party] == "pending"
         )
@@ -1034,14 +969,17 @@ class Router(Node):
             expiry - self.now, lambda: self._lease_timed_out(shard)
         )
 
-    def _result_timed_out(self, index: int, node: int, uidx: int) -> None:
-        self._result_timers.pop((index, node, uidx), None)
-        round_state = self._inflight.get(index)
-        if (
-            round_state is None
-            or (node, uidx) not in round_state.pending_results
-            or node in self._dead
-        ):
+    def _arm_result_timer(
+        self, round_state: _Round, unit: _Unit, delay: float
+    ) -> None:
+        unit.timer = self.schedule(
+            delay, lambda: self._result_timed_out(round_state, unit)
+        )
+
+    def _result_timed_out(self, round_state: _Round, unit: _Unit) -> None:
+        unit.timer = None
+        node = unit.node
+        if unit.done or node in self._dead:
             return
         # Liveness, not latency: a unit's deadline extends as long as the
         # node keeps producing *anything* (results, acks) and as long as
@@ -1049,16 +987,14 @@ class Router(Node):
         # backlogged survivor digesting a replay burst — or one long
         # conflict component — is slow, not dead; suspecting it would
         # cascade fail-overs onto ever-fewer nodes.
+        timeout = self.config.result_timeout
         deadline = (
             self._last_heard.get(node, 0.0)
             + self._outstanding_work.get(node, 0.0)
-            + self.result_timeout
+            + timeout
         )
         if deadline > self.now:
-            self._result_timers[(index, node, uidx)] = self.schedule(
-                deadline - self.now,
-                lambda: self._result_timed_out(index, node, uidx),
-            )
+            self._arm_result_timer(round_state, unit, deadline - self.now)
             return
         # The envelope elapsed too — but silence still cannot tell a
         # dead node from a live one whose result (or a grant feeding it)
@@ -1068,30 +1004,29 @@ class Router(Node):
         # a probe unanswered for a full timeout is evidence of death.
         state = self._probe_state(node)
         if state == "pending":
-            self._result_timers[(index, node, uidx)] = self.schedule(
-                self._probes[node] + self.result_timeout - self.now,
-                lambda: self._result_timed_out(index, node, uidx),
+            self._arm_result_timer(
+                round_state, unit, self._probes[node] + timeout - self.now
             )
-            return
-        if state == "alive":
+        elif state == "alive":
             del self._probes[node]
-            self._retransmit_unit(index, node, uidx)
-            return
-        self._declare_dead(node)
+            self._retransmit_unit(round_state, unit)
+        else:
+            self._declare_dead(node)
 
-    def _retransmit_unit(self, index: int, node: int, uidx: int) -> None:
+    def _retransmit_unit(self, round_state: _Round, unit: _Unit) -> None:
         """The node answers probes but the unit is overdue beyond its
         whole work envelope: a message it depends on was lost.  Replay
         it on the least-loaded live node, against a per-round budget —
         a network that eats every copy fails the run loudly."""
+        index = round_state.index
         spent = self._retransmits.get(index, 0) + 1
-        if spent > max(16, 2 * self.window):
+        if spent > max(16, 2 * self.config.window):
             raise ClusterError(
                 f"round {index} exhausted its retransmission budget: "
                 "results are being lost faster than replays restore them"
             )
         self._retransmits[index] = spent
-        self.stats.ops_replayed += self._replay_unit(index, node, uidx)
+        self.stats.ops_replayed += self._replay_unit(round_state, unit)
         self._drain_gates()
 
     def _declare_dead(self, node: int) -> None:
@@ -1187,11 +1122,9 @@ class Router(Node):
             self._recovering[node] = episode
         for index in sorted(self._inflight):
             round_state = self._inflight[index]
-            for key in sorted(
-                k for k in round_state.pending_results if k[0] == node
-            ):
+            for unit in self._owed_by(round_state, node):
                 self.stats.ops_replayed += self._replay_unit(
-                    index, node, key[1]
+                    round_state, unit
                 )
         # Synthetic ack resolution may have completed rounds.
         for index in sorted(self._inflight):
@@ -1216,64 +1149,58 @@ class Router(Node):
             "round": handoff_round,
         }
         if handoff_round >= 0:
-            round_state = self._inflight[handoff_round]
-            payload["unit"] = round_state.routed.lease_units[shard][1]
+            payload["unit"] = self._inflight[handoff_round].lease_units[shard]
         self.send(to_node, "cl_lease_revoke", payload)
 
-    def _replay_unit(self, index: int, node: int, uidx: int) -> int:
+    @staticmethod
+    def _owed_by(round_state: _Round, node: int) -> list[_Unit]:
+        """The node's units of the round still owing a result, in index
+        order (a list: replaying them re-keys ``round_state.units``)."""
+        return sorted(
+            (
+                unit
+                for unit in round_state.units.values()
+                if unit.node == node and not unit.done
+            ),
+            key=lambda unit: unit.uidx,
+        )
+
+    def _replay_unit(self, round_state: _Round, unit: _Unit) -> int:
         """Re-dispatch one in-flight unit of a failed node on a live one.
 
         The replay needs no lease grants — co-location, not ownership,
         is the safety argument — and its sync order (if any) was already
-        committed, so ``sync_ready`` rides along unchanged.  The unit's
-        footprint summary moves to the new key, so every later round's
-        conflicting unit stays gated behind the replay exactly as it was
-        behind the original."""
-        round_state = self._inflight[index]
-        old_key = (node, uidx)
-        unit = self._unit_for(index, node, uidx)
+        committed, so ``sync_ready`` rides along unchanged.  The record
+        itself moves to the new key, footprint summary included, so every
+        later round's conflicting unit stays gated behind the replay
+        exactly as it was behind the original."""
+        node = unit.node
         live = [
             n
             for n in range(self.shard_map.num_nodes)
             if n not in self._dead
         ]
         target = min(live, key=lambda n: (len(self._node_queue[n]), n))
-        new_uidx = _REPLAY_BASE + round_state.replay_seq
-        round_state.replay_seq += 1
-        new_key = (target, new_uidx)
-        round_state.replay_units[new_key] = replace(unit, leases=0)
-        round_state.replay_units.pop(old_key, None)
-        round_state.summaries[new_key] = round_state.summaries.pop(old_key)
-        round_state.pending_results.discard(old_key)
-        round_state.pending_results.add(new_key)
-        round_state.dispatched.discard(old_key)
-        round_state.gate_blocked_since.pop(old_key, None)
-        timer = self._result_timers.pop((index, node, uidx), None)
-        if timer is not None:
-            timer.cancel()
-        envelope = self._unit_envelope.pop((index, node, uidx), None)
-        if envelope is not None:
-            self._outstanding_work[node] = max(
-                0.0, self._outstanding_work.get(node, 0.0) - envelope
-            )
-        try:
-            self._node_queue[node].remove((index, uidx))
-        except ValueError:
-            pass
-        self._node_queue[target].append((index, new_uidx))
-        old3 = (index, node, uidx)
-        new3 = (index, target, new_uidx)
-        owners = self._replay_episode.pop(old3, ())
-        if node not in owners:
-            owners = owners + (node,)
-        self._replay_episode[new3] = owners
-        for owner in owners:
+        self._settle_dispatch(unit)
+        entry = (round_state.index, unit)
+        if not unit.dispatched:
+            self._node_queue[node].remove(entry)
+        del round_state.units[(node, unit.uidx)]
+        unit.node = target
+        unit.uidx = _REPLAY_BASE + round_state.replays
+        round_state.replays += 1
+        round_state.units[(target, unit.uidx)] = unit
+        unit.leases = 0
+        unit.dispatched = False
+        unit.blocked_since = None
+        self._node_queue[target].append(entry)
+        if node not in unit.episodes:
+            unit.episodes += (node,)
+        for owner in unit.episodes:
             episode = self._recovering.get(owner)
             if episode is not None:
-                episode.outstanding.discard(old3)
-                episode.outstanding.add(new3)
-        self._replay_started.pop(old3, None)
-        self._replay_started[new3] = self.now
+                episode.outstanding.add(unit)
+        unit.replay_started = self.now
         return len(unit.ops)
 
     def node_rejoined(self, node: int) -> None:
@@ -1299,16 +1226,14 @@ class Router(Node):
         replayed = 0
         for index in sorted(self._inflight):
             round_state = self._inflight[index]
-            for key in sorted(
-                k
-                for k in round_state.pending_results
-                if k[0] == node and k in round_state.dispatched
-            ):
+            for unit in self._owed_by(round_state, node):
+                if not unit.dispatched:
+                    continue
                 if node not in self._recovering:
                     self._recovering[node] = _RecoveryEpisode(
                         started=self.now
                     )
-                replayed += self._replay_unit(index, node, key[1])
+                replayed += self._replay_unit(round_state, unit)
         self.stats.ops_replayed += replayed
         self._rebalance_to(node)
         self._drain_gates()
@@ -1356,18 +1281,15 @@ class Router(Node):
                 {"shard": shard, "new_owner": node, "round": ADMIN_ROUND},
             )
 
-    def _settle_replay(self, key3: tuple) -> None:
-        """A replay incarnation's result arrived: settle every failure
-        episode waiting on it; an episode whose last replay settled adds
-        its span to ``recovery_makespan``."""
-        owners = self._replay_episode.pop(key3, None)
-        if owners is None:
-            return
-        for owner in owners:
+    def _settle_replay(self, unit: _Unit) -> None:
+        """A unit's result arrived: settle every failure episode waiting
+        on it (none unless it was replayed); an episode whose last replay
+        settled adds its span to ``recovery_makespan``."""
+        for owner in unit.episodes:
             episode = self._recovering.get(owner)
             if episode is None:
                 continue
-            episode.outstanding.discard(key3)
+            episode.outstanding.discard(unit)
             if episode.outstanding:
                 continue
             del self._recovering[owner]
@@ -1394,80 +1316,68 @@ class Router(Node):
         sent the probe, and the router would ping forever."""
         self._last_pong[message.src] = self.now
 
+    def _stale(self, what: str) -> None:
+        """A message whose unit or handoff was already settled.  Under
+        recovery that is a straggler — a result from a node declared
+        dead after sending it, an ack that raced a revocation — and the
+        apply-side dedup already made any double execution a no-op, so
+        count it; without recovery nothing is ever re-sent, so it is a
+        protocol error."""
+        if not self.recovery:
+            raise ClusterError(what)
+        self.stats.stale_messages += 1
+
     def handle_cl_lease_ack(self, message: Message) -> None:
         body = message.payload
         index = body["round"]
         shard = body["shard"]
         if self.recovery:
             self._last_heard[message.src] = self.now
-            # The shard's serialization token is the exactly-once
-            # guard: an ack settles its handoff (timer, bookkeeping,
-            # pending_acks) only while it still holds the token.  An
-            # ack whose handoff was settled synthetically by
-            # _declare_dead — or that raced a revocation — finds the
-            # token gone or moved on and is merely counted.
-            if self._shard_ack_round.get(shard) != index:
-                self.stats.stale_messages += 1
-                return
-            self._cancel_lease_timer(shard)
-            self._handoff_info.pop(shard, None)
-            self._shard_ack_round.pop(shard, None)
-            self._lease_resends.pop(shard, None)
-            if index == ADMIN_ROUND:
-                # Administrative handoff (revocation fail-over or
-                # rejoin rebalancing); no round bookkeeping.
-                self._drain_gates()
-                return
+        # The shard's serialization token is the exactly-once guard: an
+        # ack settles its handoff (timer, bookkeeping, pending_acks) only
+        # while it still holds the token.  An ack whose handoff was
+        # settled synthetically by _declare_dead — or that raced a
+        # revocation — finds the token gone or moved on.
+        if self._shard_ack_round.get(shard) != index:
+            self._stale(f"stray lease ack for shard {shard}, round {index}")
+            return
+        self._cancel_lease_timer(shard)
+        self._handoff_info.pop(shard, None)
+        del self._shard_ack_round[shard]
+        self._lease_resends.pop(shard, None)
+        # An administrative handoff (revocation fail-over or rejoin
+        # rebalancing) has no round bookkeeping.
+        if index != ADMIN_ROUND:
             round_state = self._inflight.get(index)
             if round_state is None:
-                self.stats.stale_messages += 1
+                self._stale("stray lease ack outside its round")
                 return
             round_state.pending_acks -= 1
             self._finish_pipelined_round(index)
-            self._drain_gates()
-            return
-        round_state = self._inflight.get(index)
-        if round_state is None:
-            raise ClusterError("stray lease ack outside its round")
-        round_state.pending_acks -= 1
-        self._shard_ack_round.pop(shard, None)
-        self._finish_pipelined_round(index)
         self._drain_gates()
 
     def handle_cl_result(self, message: Message) -> None:
         body = message.payload
         index = body["round"]
-        round_state = self._inflight.get(index)
-        key = (message.src, body["unit"])
         if self.recovery:
             self._last_heard[message.src] = self.now
-            timer = self._result_timers.pop((index, *key), None)
-            if timer is not None:
-                timer.cancel()
-            envelope = self._unit_envelope.pop((index, *key), None)
-            if envelope is not None:
-                self._outstanding_work[message.src] = max(
-                    0.0,
-                    self._outstanding_work.get(message.src, 0.0) - envelope,
-                )
-        if round_state is None or key not in round_state.pending_results:
-            if self.recovery:
-                # A result from a node declared dead after sending it
-                # (its unit was replayed), or a straggler from a
-                # fenced-but-alive node: the apply-side dedup already
-                # made any double-execution a no-op, so tolerate and
-                # count rather than crash the run.
-                self.stats.stale_messages += 1
-                return
-            raise ClusterError(
+        round_state = self._inflight.get(index)
+        unit = (
+            round_state.units.get((message.src, body["unit"]))
+            if round_state is not None
+            else None
+        )
+        if unit is None or unit.done:
+            self._stale(
                 f"stray or duplicate result from node {message.src} "
                 f"in round {index}"
             )
+            return
         self.responses.update(body["responses"])
-        round_state.pending_results.discard(key)
-        round_state.completed.add(key)
-        if self.recovery:
-            self._settle_replay((index, *key))
+        unit.done = True
+        round_state.pending -= 1
+        self._settle_dispatch(unit)
+        self._settle_replay(unit)
         self._finish_pipelined_round(index)
         self._drain_gates()
 

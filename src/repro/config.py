@@ -41,8 +41,8 @@ class _ConfigBase:
     """Shared validation + dict round-trip of the frozen config values."""
 
     #: Raised on invalid values — the cluster config narrows it to
-    #: :class:`~repro.errors.ClusterError` so each entry point keeps its
-    #: historical exception contract.
+    #: :class:`~repro.errors.ClusterError`, the error every other cluster
+    #: entry point raises.
     _error: type[Exception] = EngineError
 
     def as_dict(self) -> dict:

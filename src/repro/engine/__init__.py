@@ -52,11 +52,7 @@ from repro.engine.rounds import (
     RoundScheduler,
     RoundStage,
 )
-from repro.engine.shard import (
-    ShardPlanner,
-    dag_list_schedule,
-    stable_account_hash,
-)
+from repro.engine.shard import dag_list_schedule, stable_account_hash
 from repro.engine.stats import EngineStats, WaveStats
 
 __all__ = [
@@ -78,7 +74,6 @@ __all__ = [
     "RoundLifecycle",
     "RoundScheduler",
     "RoundStage",
-    "ShardPlanner",
     "stable_account_hash",
     "EngineStats",
     "WaveStats",

@@ -70,7 +70,7 @@ class ClassifierStats:
     window's non-commuting candidates only — COMMUTE pairs are never
     visited, so ``by_kind`` has no ``"commute"`` entry and ``pairs`` tracks
     the edge count, not ``n(n-1)/2``.  Under ``validate=True`` the counters
-    are the all-pairs oracle pass's and keep their historical meaning.
+    are the all-pairs oracle pass's: every pair, commuting ones included.
     Window-level commute counts and conflict rates come from
     ``ConflictGraph.commute_pairs`` / ``conflict_rate``, which derive them
     from ``n(n-1)/2`` and stay exact either way.

@@ -9,14 +9,13 @@ latency and the full ``O(n²)`` message bill to its virtual clock.  The
 contrast *is* the paper's argument: commuting traffic costs lane-parallel
 operation units, conflicting traffic costs three quorum phases.
 
-Since the tiered synchronization lanes landed (:mod:`repro.sync`), the
-executor no longer calls :class:`ConsensusEscalator` unconditionally: a
-:class:`~repro.sync.planner.SyncPlanner` first sizes each contended
-component's spender bound, routes components within ``team_threshold`` to
-k-participant team lanes, and keeps this global lane as the Tier ∞
-fallback.  :func:`tiered_escalator` builds that wiring; with
-``team_threshold = 0`` (the configs default to 4) it degenerates to the
-historical always-global behavior, bit for bit.
+The executor does not call :class:`ConsensusEscalator` unconditionally
+(:mod:`repro.sync`): a :class:`~repro.sync.planner.SyncPlanner` first
+sizes each contended component's spender bound, routes components within
+``team_threshold`` to k-participant team lanes, and keeps this global
+lane as the Tier ∞ fallback.  :func:`tiered_escalator` builds that
+wiring; with ``team_threshold = 0`` (the configs default to 4) every
+contended component takes the global lane.
 """
 
 from __future__ import annotations
@@ -126,9 +125,9 @@ def tiered_escalator(
     The returned :class:`~repro.sync.escalation.TieredEscalator` keeps
     this module's global lane as its Tier ∞ fallback and provisions
     k-participant team lanes for contended components whose spender bound
-    is at most ``team_threshold`` (``0`` = always-global, the historical
-    behavior).  ``lane_ttl`` garbage-collects team lanes idle for that
-    many sync rounds (``None`` keeps them forever), so long runs over
+    is at most ``team_threshold`` (``0`` = always-global).  ``lane_ttl``
+    garbage-collects team lanes idle for that many sync rounds (``None``
+    keeps them forever), so long runs over
     shifting approval patterns do not accumulate one live replica group
     per distinct team.  Both are required: the defaults live in
     :mod:`repro.config`, not here.

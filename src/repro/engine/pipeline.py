@@ -86,9 +86,9 @@ from repro.engine.classifier import OpClassifier
 from repro.engine.escalation import ConsensusEscalator, tiered_escalator
 from repro.engine.mempool import Mempool, PendingOp
 from repro.engine.rounds import RoundLifecycle, RoundScheduler
-from repro.engine.shard import ShardPlanner
+from repro.engine.shard import dag_schedule
 from repro.engine.stats import EngineStats, WaveStats
-from repro.objects.footprint import FootprintSummary
+from repro.objects.footprint import OpFootprint
 from repro.obs.trace import TraceRecorder
 from repro.spec.object_type import SequentialObjectType
 from repro.sync.escalation import TieredEscalator
@@ -102,8 +102,11 @@ class ScheduledUnit:
     start: float
     finish: float
     lane: int
-    first_seq: int
-    ops: tuple[PendingOp, ...]
+    op: PendingOp
+    #: The op's static footprint (the classifier's memoized object;
+    #: ``None`` = unknown) — what the cross-window frontier records at
+    #: ``finish``.
+    footprint: OpFootprint | None
     contended: bool
     #: Stall attributed to this unit: time spent waiting on its sync lane
     #: and on cross-round frontier dependencies beyond what admission and
@@ -136,16 +139,11 @@ class PipelinedExecutor:
     ) -> None:
         self.config = cfg = config if config is not None else EngineConfig()
         self.object_type = object_type
-        self.num_lanes = cfg.num_lanes
-        self.window = cfg.window
-        self.op_cost = cfg.op_cost
-        self.pipeline_depth = cfg.pipeline_depth
         self.classifier = (
             classifier
             if classifier is not None
             else OpClassifier(object_type, validate=cfg.validate)
         )
-        self.planner = ShardPlanner(cfg.num_lanes)
         self.scheduler = RoundScheduler(self.classifier)
         self.escalator = (
             escalator
@@ -179,14 +177,14 @@ class PipelinedExecutor:
             pipeline_depth=cfg.pipeline_depth,
         )
         #: Optional observability hook (:mod:`repro.obs`).  ``None`` (the
-        #: default) records nothing and changes nothing — stats, state,
-        #: and responses stay bit-identical.
+        #: default) records nothing and changes nothing — stats, state
+        #: and responses are the untraced run's.
         self.tracer = tracer
         if tracer is not None and getattr(self.sync, "pool", None) is not None:
             self.sync.pool.tracer = tracer
         #: Earliest free time per lane (the pipeline never resets these —
         #: lanes flow from one window into the next).
-        self._lane_free = [0.0] * self.num_lanes
+        self._lane_free = [0.0] * cfg.num_lanes
         #: Per-location frontier, split by access kind so that the
         #: dependency test is *exactly* the static commutativity test
         #: (:func:`repro.objects.footprint.static_pair_kind`): reads gate
@@ -299,8 +297,9 @@ class PipelinedExecutor:
         window."""
         gate = 0.0
         index = self.stats.waves
-        if index >= self.pipeline_depth:
-            gate = self._completions[index - self.pipeline_depth]
+        depth = self.config.pipeline_depth
+        if index >= depth:
+            gate = self._completions[index - depth]
         return max(self._classify_clock, gate)
 
     def stream_advance(self, ts: float) -> None:
@@ -320,7 +319,9 @@ class PipelinedExecutor:
         """
         self.stats.rejected_ops = self.mempool.rejected
         index = self.stats.waves
-        round_ = self.lifecycle.drain(self.mempool, self.window, index)
+        round_ = self.lifecycle.drain(
+            self.mempool, self.config.window, index
+        )
         if round_ is None:
             return None
 
@@ -332,7 +333,7 @@ class PipelinedExecutor:
         # and it has passed ``_completions[index - depth]`` and — by the
         # same gate one step earlier — every completion before that: only
         # the last ``pipeline_depth - 1`` entries can still be running.
-        recent = max(0, index - self.pipeline_depth + 1)
+        recent = max(0, index - self.config.pipeline_depth + 1)
         inflight = 1 + sum(
             1 for done in self._completions[recent:] if done > t_classify
         )
@@ -361,28 +362,26 @@ class PipelinedExecutor:
             for i in group:
                 op_sync[round_.ops[i].seq] = done
 
-        (
-            scheduled,
-            frontier_updates,
-            stall,
-            stall_contended,
-            lanes_used,
-            critical_path,
-        ) = self._place_window_dag(round_, t_classify, op_sync)
+        scheduled = self._place_window_dag(round_, t_classify, op_sync)
 
         # Frontier updates apply after the whole window: units of one
         # window never gate each other through the frontier — distinct
         # components statically commute, and same-component ordering is
         # the DAG edges' job.
-        for observes, adds, sets, finish in frontier_updates:
+        stall = stall_contended = 0.0
+        for unit in scheduled:
+            stall += unit.sync_stall + unit.frontier_stall
+            if unit.contended:
+                stall_contended += unit.sync_stall + unit.frontier_stall
+            footprint, finish = unit.footprint, unit.finish
             self._frontier_max = max(self._frontier_max, finish)
-            if observes is None:
+            if footprint is None:
                 self._frontier_top = max(self._frontier_top, finish)
                 continue
             for frontier, locations in (
-                (self._frontier_obs, observes),
-                (self._frontier_add, adds),
-                (self._frontier_set, sets),
+                (self._frontier_obs, footprint.observes),
+                (self._frontier_add, footprint.adds),
+                (self._frontier_set, footprint.sets),
             ):
                 for loc in locations:
                     if finish > frontier.get(loc, 0.0):
@@ -403,8 +402,10 @@ class PipelinedExecutor:
             wave_ops=len(round_.singleton_idx),
             barrier_ops=round_.chained_ops - escalated,
             escalated_ops=escalated,
-            lanes_used=len(lanes_used),
-            critical_path=critical_path,
+            lanes_used=len({unit.lane for unit in scheduled}),
+            critical_path=max(
+                (dag.critical_path for dag in round_.dags), default=1
+            ),
             virtual_time=completed - t_classify,
             escalation_time=escalation.virtual_time,
             escalation_messages=escalation.messages,
@@ -463,24 +464,19 @@ class PipelinedExecutor:
                 stalls.append(("frontier_stall", unit.frontier_stall))
             if unit.sync_stall > 0:
                 stalls.append(("sync_wait", unit.sync_stall))
-            for j, op in enumerate(unit.ops):
-                start = unit.start + j * self.op_cost
-                tracer.span(
-                    f"lane{unit.lane}",
-                    f"op {op.seq}",
-                    "execute",
-                    start,
-                    start + self.op_cost,
-                    stalls=tuple(stalls) if j == 0 else (),
-                    args={
-                        "seq": op.seq,
-                        "pid": op.pid,
-                        "round": round_.index,
-                    },
-                )
-                tracer.op_stage(op.seq, "schedule", unit.start)
-                tracer.op_stage(op.seq, "execute", start)
-                tracer.op_commit(op.seq, unit.finish)
+            op = unit.op
+            tracer.span(
+                f"lane{unit.lane}",
+                f"op {op.seq}",
+                "execute",
+                unit.start,
+                unit.finish,
+                stalls=tuple(stalls),
+                args={"seq": op.seq, "pid": op.pid, "round": round_.index},
+            )
+            tracer.op_stage(op.seq, "schedule", unit.start)
+            tracer.op_stage(op.seq, "execute", unit.start)
+            tracer.op_commit(op.seq, unit.finish)
         tracer.instant(
             "engine",
             f"round {round_.index} placed",
@@ -520,29 +516,29 @@ class PipelinedExecutor:
 
     # -- window placement ------------------------------------------------
 
-    def _dep_ready(self, summary: FootprintSummary) -> float:
-        """Earliest start the cross-window frontier allows for a unit with
-        this may-access summary — exactly the static commutativity test
+    def _dep_ready(self, footprint: OpFootprint | None) -> float:
+        """Earliest start the cross-window frontier allows for an op with
+        this footprint — exactly the static commutativity test
         per access kind: reads gate on earlier writes, deltas on earlier
         reads and absolute writes (delta-delta sharing is free), absolute
         writes on every earlier access; unknown footprints degrade to
         waiting for everything."""
-        if summary.unknown:
+        if footprint is None:
             return self._frontier_max
         dep_ready = self._frontier_top
-        for loc in summary.observes:
+        for loc in footprint.observes:
             dep_ready = max(
                 dep_ready,
                 self._frontier_add.get(loc, 0.0),
                 self._frontier_set.get(loc, 0.0),
             )
-        for loc in summary.adds:
+        for loc in footprint.adds:
             dep_ready = max(
                 dep_ready,
                 self._frontier_obs.get(loc, 0.0),
                 self._frontier_set.get(loc, 0.0),
             )
-        for loc in summary.sets:
+        for loc in footprint.sets:
             dep_ready = max(
                 dep_ready,
                 self._frontier_obs.get(loc, 0.0),
@@ -556,7 +552,7 @@ class PipelinedExecutor:
         round_,
         t_classify: float,
         op_sync: dict[int, float],
-    ):
+    ) -> list[ScheduledUnit]:
         """Op-granular placement through the shared list scheduler.
 
         Every operation is its own timeline unit.  Intra-window order
@@ -570,24 +566,23 @@ class PipelinedExecutor:
         order on ties, idle gaps behind floored ops backfilled).
         """
         ops = round_.ops
-        summaries: dict[int, FootprintSummary] = {}
+        footprints: dict[int, OpFootprint | None] = {}
         dep_ready: dict[int, float] = {}
         floors: dict[int, float] = {}
         for op in ops:
-            summary = FootprintSummary.over([self.classifier.footprint(op)])
-            summaries[op.seq] = summary
-            dep_ready[op.seq] = ready = self._dep_ready(summary)
+            footprints[op.seq] = footprint = self.classifier.footprint(op)
+            dep_ready[op.seq] = ready = self._dep_ready(footprint)
             floors[op.seq] = max(t_classify, ready, op_sync.get(op.seq, 0.0))
         #: Per lane, when its next slot opens: the carried-in free time,
         #: then the finish of each op placed on it (start order).
         slot = list(self._lane_free)
-        tasks, placed = self.planner.dag_schedule(
+        tasks, placed = dag_schedule(
             [[ops[i] for i in chain] for chain in round_.chain_idx],
             [ops[i] for i in round_.singleton_idx],
             round_.dags,
             self._lane_free,
             floor=lambda op: floors[op.seq],
-            cost=self.op_cost,
+            cost=self.config.op_cost,
         )
 
         # Stall attribution, read off the placements.  Admission, the
@@ -607,10 +602,6 @@ class PipelinedExecutor:
                     default=0.0,
                 )
         scheduled: list[ScheduledUnit] = []
-        frontier_updates: list[
-            tuple[frozenset | None, frozenset, frozenset, float]
-        ] = []
-        stall = stall_contended = 0.0
         for k in sorted(
             range(len(tasks)), key=lambda k: (placed[k][0], tasks[k].seq)
         ):
@@ -629,37 +620,14 @@ class PipelinedExecutor:
                     start=start,
                     finish=finish,
                     lane=lane,
-                    first_seq=op.seq,
-                    ops=(op,),
+                    op=op,
+                    footprint=footprints[op.seq],
                     contended=contended,
                     sync_stall=sync_stall,
                     frontier_stall=frontier_stall,
                 )
             )
-            summary = summaries[op.seq]
-            frontier_updates.append(
-                (
-                    None if summary.unknown else summary.observes,
-                    summary.adds,
-                    summary.sets,
-                    finish,
-                )
-            )
-            stall += sync_stall + frontier_stall
-            if contended:
-                stall_contended += sync_stall + frontier_stall
-
-        critical_path = max(
-            (dag.critical_path for dag in round_.dags), default=1
-        )
-        return (
-            scheduled,
-            frontier_updates,
-            stall,
-            stall_contended,
-            {lane for _, _, lane in placed},
-            critical_path,
-        )
+        return scheduled
 
     def run(self) -> EngineStats:
         """Drain the mempool through the pipeline, then commit.
@@ -679,12 +647,12 @@ class PipelinedExecutor:
     def _commit(self) -> None:
         state = self.state
         for unit in sorted(
-            self._pending_units, key=lambda u: (u.start, u.first_seq)
+            self._pending_units, key=lambda u: (u.start, u.op.seq)
         ):
-            for op in unit.ops:
-                state, self.responses[op.seq] = self.object_type.apply(
-                    state, op.pid, op.operation
-                )
+            op = unit.op
+            state, self.responses[op.seq] = self.object_type.apply(
+                state, op.pid, op.operation
+            )
         self.state = state
         self._pending_units.clear()
         # Every drained window is now applied: the committed state *is*

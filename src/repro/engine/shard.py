@@ -67,7 +67,7 @@ def dag_list_schedule(
     **Insertion/backfill:** when a floored task starts past a lane's free
     time (its sync lane or frontier holds it back), the idle interval it
     leaves behind is remembered as a *gap*, and later ready tasks slot
-    into gaps they fit — a deep-priority op no longer strands a lane idle
+    into gaps they fit, so a deep-priority op does not strand a lane idle
     that a ready singleton could fill.  Gap placement is sound: the gap
     predates the lane's current tail, and every precedence and floor
     constraint is still honored through ``est``.
@@ -136,66 +136,55 @@ def dag_list_schedule(
     return out  # type: ignore[return-value]
 
 
-class ShardPlanner:
-    """Deterministic op-granular lane scheduler."""
+def dag_schedule(
+    chains: list[list[PendingOp]],
+    singletons: list[PendingOp],
+    dags: list[ComponentDAG],
+    lane_free: list,
+    floor: Callable[[PendingOp], float] | None = None,
+    cost: float = 1,
+) -> tuple[list[PendingOp], list[tuple]]:
+    """Schedule ops (not components) with critical-path-first listing.
 
-    def __init__(self, num_lanes: int) -> None:
-        if num_lanes < 1:
-            raise EngineError("need at least one lane")
-        self.num_lanes = num_lanes
-
-    def dag_schedule(
-        self,
-        chains: list[list[PendingOp]],
-        singletons: list[PendingOp],
-        dags: list[ComponentDAG],
-        lane_free: list,
-        floor: Callable[[PendingOp], float] | None = None,
-        cost: float = 1,
-    ) -> tuple[list[PendingOp], list[tuple]]:
-        """Schedule ops (not components) with critical-path-first listing.
-
-        Chain ops carry their DAG precedence constraints and their bottom
-        level as priority, so the longest remaining dependency chains
-        start first; singletons (bottom level 1) backfill.  ``lane_free``
-        is a live lane timeline mutated in place and ``floor(op)`` an
-        external earliest start per op (classification time, sync-lane
-        completion, cross-window frontier; ``None`` = no floor), so
-        callers with persistent lanes (the engine's rolling timeline, the
-        cluster node's unit executor) schedule incrementally.  Returns the
-        task list and its ``(start, finish, lane)`` placements.
-        """
-        if len(dags) != len(chains):
-            raise EngineError("need one precedence DAG per chain")
-        ops: list[PendingOp] = []
-        seqs: list[int] = []
-        preds: list[tuple[int, ...]] = []
-        priorities: list[int] = []
-        for chain, dag in zip(chains, dags):
-            if len(chain) != len(dag.nodes):
-                raise EngineError("chain and its DAG disagree on size")
-            base = len(ops)
-            position = {node: k for k, node in enumerate(dag.nodes)}
-            bottom = dag.bottom_levels()
-            for k, op in enumerate(chain):
-                node = dag.nodes[k]
-                ops.append(op)
-                seqs.append(op.seq)
-                preds.append(
-                    tuple(base + position[p] for p in dag.preds[node])
-                )
-                priorities.append(bottom[node])
-        for op in singletons:
+    Chain ops carry their DAG precedence constraints and their bottom
+    level as priority, so the longest remaining dependency chains start
+    first; singletons (bottom level 1) backfill.  ``lane_free`` is a live
+    lane timeline mutated in place (its length is the lane count) and
+    ``floor(op)`` an external earliest start per op (classification time,
+    sync-lane completion, cross-window frontier; ``None`` = no floor), so
+    callers with persistent lanes (the engine's rolling timeline, the
+    cluster node's unit executor) schedule incrementally.  Returns the
+    task list and its ``(start, finish, lane)`` placements.
+    """
+    if len(dags) != len(chains):
+        raise EngineError("need one precedence DAG per chain")
+    ops: list[PendingOp] = []
+    seqs: list[int] = []
+    preds: list[tuple[int, ...]] = []
+    priorities: list[int] = []
+    for chain, dag in zip(chains, dags):
+        if len(chain) != len(dag.nodes):
+            raise EngineError("chain and its DAG disagree on size")
+        base = len(ops)
+        position = {node: k for k, node in enumerate(dag.nodes)}
+        bottom = dag.bottom_levels()
+        for k, op in enumerate(chain):
+            node = dag.nodes[k]
             ops.append(op)
             seqs.append(op.seq)
-            preds.append(())
-            priorities.append(1)
-        placed = dag_list_schedule(
-            seqs,
-            preds,
-            priorities,
-            lane_free,
-            floors=[floor(op) for op in ops] if floor is not None else None,
-            cost=cost,
-        )
-        return ops, placed
+            preds.append(tuple(base + position[p] for p in dag.preds[node]))
+            priorities.append(bottom[node])
+    for op in singletons:
+        ops.append(op)
+        seqs.append(op.seq)
+        preds.append(())
+        priorities.append(1)
+    placed = dag_list_schedule(
+        seqs,
+        preds,
+        priorities,
+        lane_free,
+        floors=[floor(op) for op in ops] if floor is not None else None,
+        cost=cost,
+    )
+    return ops, placed

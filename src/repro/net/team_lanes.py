@@ -136,10 +136,9 @@ class TeamLanePool:
         self.seed = seed
         self.max_batch = max_batch
         #: Garbage-collect a lane unused for this many ordering rounds
-        #: (``None`` = keep lanes forever, the historical behavior).  A
-        #: long run over shifting approval patterns otherwise accumulates
-        #: one live lane — k replicas, a private network — per distinct
-        #: team it ever saw.
+        #: (``None`` = keep lanes forever).  A long run over shifting
+        #: approval patterns otherwise accumulates one live lane — k
+        #: replicas, a private network — per distinct team it ever saw.
         self.idle_ttl = idle_ttl
         self._lanes: dict[frozenset[int], TeamLane] = {}
         #: team -> round count at its last use (GC bookkeeping).

@@ -6,12 +6,11 @@ SyncPlanner` decides, per contended conflict-graph component, whether a
 team lane (a *k*-replica total-order instance from the shared
 :class:`~repro.net.team_lanes.TeamLanePool`) suffices or the global lane
 must be paid.  All of a round's global-tier operations merge into **one**
-submission-ordered batch through the global lane — exactly the historical
-behavior — while every team-tier component runs concurrently on the pool;
-the round's synchronization phase therefore costs
-``max(global lane, slowest team)``, and with ``team_threshold = 0`` (the
-configs default to 4) the tiered path is bit-identical to always-global
-escalation.
+submission-ordered batch through the global lane while every team-tier
+component runs concurrently on the pool; the round's synchronization
+phase therefore costs ``max(global lane, slowest team)``, and with
+``team_threshold = 0`` (the configs default to 4) the tiered path *is*
+always-global escalation.
 
 The serial-equivalence contract is enforced here, not trusted: every
 lane must commit its operations in submission order (the deterministic
@@ -173,8 +172,7 @@ class TieredEscalator:
         if not assignments:
             return result
 
-        # Tier ∞ — one submission-ordered batch through the global lane,
-        # matching the historical single-batch escalation exactly.
+        # Tier ∞ — one submission-ordered batch through the global lane.
         global_index = [i for i, a in enumerate(assignments) if not a.is_team]
         global_time = 0.0
         if global_index:

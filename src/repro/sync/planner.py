@@ -65,9 +65,8 @@ class SyncPlanner:
     """Tier selection for contended components.
 
     ``team_threshold`` is the largest team the planner will provision a
-    lane for; ``0`` (the default) disables team lanes entirely, which
-    makes the tiered path bit-identical to the historical always-global
-    escalation — the safe default existing deployments keep.
+    lane for; ``0`` (this class's default — the configs set 4) disables
+    team lanes entirely: every contended component takes the global lane.
     """
 
     def __init__(
@@ -133,7 +132,7 @@ class SyncPlanner:
         *its own* accounts' spender bounds, which keeps k small for
         merged chains whose union bound would blow the threshold.  Any
         unknown footprint collapses the component back into one group
-        (the historical whole-component unit).  Groups come out in
+        (the whole component).  Groups come out in
         submission order of their first operation; flattening them
         recovers the component's operations exactly.
         """

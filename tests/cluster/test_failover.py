@@ -17,13 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import TokenCluster
+from repro.cluster.router import _REPLAY_BASE as REPLAY_BASE
 from repro.config import ClusterConfig, FaultConfig
 from repro.errors import ClusterError
 from repro.objects.erc20 import ERC20TokenType
+from repro.obs import TraceRecorder
+from repro.spec.operation import op
 from repro.workloads import (
     CHAIN_HEAVY_MIX,
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
+    WorkloadItem,
 )
 
 SEED = 7
@@ -220,6 +224,104 @@ def test_probe_answers_do_not_rearm_the_timers_that_sent_them():
     )
     assert stats.ops_lost == 0
     assert stats.rejoins == 4
+
+
+def test_a_handoff_resent_after_a_replay_names_the_routing_time_unit():
+    """40% of lease grants are lost.  One unit parked behind a lost grant
+    is overdue, so the router replays it on another node under a fresh
+    index — and *then* re-sends the handoff.  The re-sent
+    ``cl_lease_revoke`` must still name the index the unit was routed
+    under: that is the incarnation parked on the adopter, and waking it
+    is what lets the adopter drain.  Its result arrives for a key the
+    replay moved away, so it is a straggler: counted, never merged."""
+    items = make_items()
+    token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
+    cluster = TokenCluster(
+        token,
+        ClusterConfig(
+            num_nodes=4,
+            lanes_per_node=4,
+            window=64,
+            seed=SEED,
+            result_timeout=TIMEOUT,
+            fault=SCHEDULES["grant_drops"],
+        ),
+    )
+    routed_as: dict = {}  # (round, seqs) -> index of the first cl_run
+    replayed: set = set()  # (round, routing-time index) replayed since
+    resent_after_replay = []
+    stragglers = 0
+    deliver = cluster.network.send
+
+    def spy(src, dst, type, payload=None):
+        nonlocal stragglers
+        if type == "cl_run":
+            ops = (payload["round"], tuple(o.seq for o in payload["ops"]))
+            if payload["unit"] >= REPLAY_BASE:
+                replayed.add((payload["round"], routed_as[ops]))
+            else:
+                routed_as[ops] = payload["unit"]
+        elif type in ("cl_lease_request", "cl_lease_revoke"):
+            if payload["round"] >= 0:
+                assert payload["unit"] < REPLAY_BASE, payload
+                if (payload["round"], payload["unit"]) in replayed:
+                    resent_after_replay.append(payload)
+        elif type == "cl_result":
+            if (payload["round"], payload["unit"]) in replayed:
+                # The pre-replay incarnation reports after all: poison
+                # its responses so a merge could not go unnoticed.
+                stragglers += 1
+                payload["responses"] = dict.fromkeys(
+                    payload["responses"], "straggler"
+                )
+        deliver(src, dst, type, payload)
+
+    cluster.network.send = spy
+    cluster.run_workload(items)
+    assert resent_after_replay, "no handoff was re-sent after a replay"
+    assert stragglers > 0
+    assert cluster.stats.stale_messages == stragglers
+    assert "straggler" not in cluster.router.responses.values()
+    assert_equivalent(cluster, items)
+
+
+def test_a_twice_replayed_unit_settles_both_failure_episodes():
+    """One unit, two failures: its node is declared dead, the replay's
+    node is declared dead too, the second replay runs.  Each episode
+    awaits the unit once — whichever key it currently lives under — and
+    the one result that finally arrives closes both."""
+    token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
+    tracer = TraceRecorder()
+    cluster = TokenCluster(
+        token,
+        ClusterConfig(
+            num_nodes=3, lanes_per_node=4, seed=SEED, result_timeout=TIMEOUT
+        ),
+        tracer=tracer,
+    )
+    # Two transfers out of one account: one conflict chain, one unit.
+    items = [WorkloadItem(0, op("transfer", 1, 1)) for _ in range(2)]
+    cluster.feed(items)
+    router = cluster.router
+    router.pump()
+    first = cluster.shard_map.owner_of(0)
+    router._declare_dead(first)
+    second = min(n for n in range(3) if n != first)  # the replay's node
+    router._declare_dead(second)
+    stats = cluster.run()
+    assert_equivalent(cluster, items)
+    assert stats.ops_replayed == 4  # two ops, replayed twice
+    # Nobody really crashed, so all three incarnations report; the two
+    # superseded ones are stragglers.
+    assert cluster.network.stats.by_type["cl_result"] == 3
+    assert stats.stale_messages >= 2
+    recoveries = [s for s in tracer.spans if s.category == "recovery"]
+    assert sorted(s.args["node"] for s in recoveries) == sorted(
+        (first, second)
+    )
+    (end,) = {s.end for s in recoveries}
+    assert {s.start for s in recoveries} == {0.0}
+    assert stats.recovery_makespan == 2 * end
 
 
 def test_revocation_bypasses_lease_cooldown():

@@ -1,0 +1,173 @@
+"""The node side of the unit protocol, driven message by message.
+
+A :class:`~repro.cluster.node.ClusterNode` sits alone on a bare
+:class:`~repro.net.network.Network` beside a sink that plays the router:
+the tests send it ``cl_run`` / ``cl_lease_grant`` / ``cl_lease_revoke``
+in the orders the real network can produce and watch what reaches the
+sink (``cl_result``, ``cl_lease_ack``) and the apply callback.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cluster.node import ClusterNode
+from repro.config import ClusterConfig
+from repro.engine import OpClassifier, PendingOp
+from repro.errors import ClusterError
+from repro.net.network import ConstantLatency, Network
+from repro.net.node import Node
+from repro.net.simulation import Simulator
+from repro.objects.erc20 import ERC20TokenType
+from repro.spec.operation import op
+
+NODE, PEER, ROUTER = 0, 1, 2
+
+
+class Sink(Node):
+    """Stands in for the router (and a lease-granting peer): records
+    every message it is sent."""
+
+    def __init__(self, node_id: int, network: Network) -> None:
+        super().__init__(node_id, network)
+        self.inbox: list = []
+
+    def on_message(self, message) -> None:
+        self.inbox.append(message)
+
+    def of_type(self, type: str) -> list:
+        return [m for m in self.inbox if m.type == type]
+
+
+class Rig:
+    def __init__(self) -> None:
+        self.simulator = Simulator()
+        self.network = Network(self.simulator, ConstantLatency(1.0))
+        self.router = Sink(ROUTER, self.network)
+        Sink(PEER, self.network)
+        self.applied: list[int] = []
+        token = ERC20TokenType(8, total_supply=80)
+        self.node = ClusterNode(
+            NODE,
+            self.network,
+            ROUTER,
+            self._apply,
+            OpClassifier(token),
+            # A result timeout makes the node track its execution timers,
+            # which is what lets ``crash()`` cancel them.
+            ClusterConfig(num_nodes=2, lanes_per_node=2, result_timeout=10.0),
+        )
+
+    def _apply(self, pending: PendingOp) -> int:
+        self.applied.append(pending.seq)
+        return pending.seq
+
+    def send(self, type: str, src: int = ROUTER, **payload) -> None:
+        self.network.send(src, NODE, type, payload)
+
+    def run_unit(self, unit: int, seqs, leases: int = 0) -> None:
+        # Transfers out of one account: a conflict chain, one op-time each.
+        ops = [PendingOp(seq, 0, op("transfer", 1, 1)) for seq in seqs]
+        self.send(
+            "cl_run",
+            round=0,
+            unit=unit,
+            leases=leases,
+            ops=ops,
+            sync_ready=0.0,
+        )
+
+    def results(self) -> list[dict]:
+        return [m.payload for m in self.router.of_type("cl_result")]
+
+
+@pytest.mark.parametrize("grant_first", [True, False])
+def test_a_unit_runs_once_its_ops_and_its_lease_grant_are_both_in(
+    grant_first,
+):
+    """The grant comes from a peer node and the ``cl_run`` from the
+    router — two links, so either may land first.  A grant that overtakes
+    its ``cl_run`` must be remembered, not dropped."""
+    rig = Rig()
+    if grant_first:
+        rig.send("cl_lease_grant", src=PEER, shard=5, round=0, unit=0)
+    else:
+        rig.run_unit(0, [3, 4], leases=1)
+    rig.simulator.run()
+    assert rig.results() == [] and rig.applied == []
+    if grant_first:
+        rig.run_unit(0, [3, 4], leases=1)
+    else:
+        rig.send("cl_lease_grant", src=PEER, shard=5, round=0, unit=0)
+    rig.simulator.run()
+    assert rig.applied == [3, 4]
+    assert rig.results() == [
+        {"round": 0, "unit": 0, "responses": {3: 3, 4: 4}}
+    ]
+    assert [m.payload for m in rig.router.of_type("cl_lease_ack")] == [
+        {"shard": 5, "round": 0}
+    ]
+    assert 5 in rig.node.owned_shards
+    assert rig.node.bill.forwards_received == 2
+
+
+def test_an_empty_cl_run_is_rejected():
+    rig = Rig()
+    rig.run_unit(0, [])
+    with pytest.raises(ClusterError, match="empty unit"):
+        rig.simulator.run()
+
+
+@pytest.mark.parametrize("leases", [0, 1], ids=["running", "parked"])
+def test_a_second_cl_run_for_a_live_unit_is_rejected(leases):
+    """The router never reuses a unit key (a replay gets a fresh index),
+    so a second ``cl_run`` for a unit still on the node — executing, or
+    parked behind a lease — is a protocol error, not extra ops."""
+    rig = Rig()
+    rig.run_unit(0, [0, 1, 2], leases=leases)
+    rig.simulator.run(until=1.5)
+    rig.run_unit(0, [0, 1, 2], leases=leases)
+    with pytest.raises(ClusterError, match="second cl_run"):
+        rig.simulator.run()
+
+
+def test_a_duplicate_grant_or_revoke_for_a_running_unit_is_a_no_op():
+    """A handoff the router re-sends (its ack was lost) reaches a unit
+    that is already executing: the shard is adopted and acked again, the
+    unit neither restarts nor reports twice."""
+    rig = Rig()
+    rig.run_unit(0, [0, 1, 2], leases=1)
+    rig.send("cl_lease_grant", src=PEER, shard=5, round=0, unit=0)
+    rig.simulator.run(until=1.5)  # running: three chained ops end at 4.0
+    assert rig.results() == []
+    rig.send("cl_lease_grant", src=PEER, shard=5, round=0, unit=0)
+    rig.send("cl_lease_revoke", shard=5, from_node=PEER, round=0, unit=0)
+    rig.simulator.run()
+    assert rig.applied == [0, 1, 2]
+    assert len(rig.results()) == 1
+    assert len(rig.router.of_type("cl_lease_ack")) == 3
+    assert rig.node.bill.units_executed == 1
+
+
+def test_crash_drops_parked_units_and_cancels_running_ones():
+    """A crash loses exactly the work that had not reached its virtual
+    completion: the executing unit's timer is cancelled (nothing is
+    applied, no ``cl_result`` leaves the node) and the parked unit is
+    forgotten with it."""
+    rig = Rig()
+    rig.run_unit(0, [0, 1, 2])
+    rig.run_unit(1, [3, 4], leases=1)
+    rig.simulator.run(until=1.5)
+    rig.node.crash()
+    rig.node.restart(owned_shards=set())
+    rig.simulator.run()
+    assert rig.applied == []
+    assert rig.results() == []
+    assert rig.node.bill.units_executed == 0
+    # Both keys are free again: nothing of either unit survived to make
+    # a fresh ``cl_run`` a "second" one.
+    rig.run_unit(0, [0, 1, 2])
+    rig.run_unit(1, [3, 4])
+    rig.simulator.run()
+    assert sorted(rig.applied) == [0, 1, 2, 3, 4]
+    assert len(rig.results()) == 2

@@ -32,12 +32,12 @@ from repro.config import EngineConfig
 from repro.engine import (
     ComponentDAG,
     PipelinedExecutor,
-    ShardPlanner,
     dag_list_schedule,
 )
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import Mempool
+from repro.engine.shard import dag_schedule
 from repro.errors import EngineError
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
@@ -144,7 +144,7 @@ class TestDagPlanner:
 
     @staticmethod
     def _schedule(lanes, ops, graph, chains, singles):
-        return ShardPlanner(lanes).dag_schedule(
+        return dag_schedule(
             [[ops[i] for i in chain] for chain in chains],
             [ops[i] for i in singles],
             graph.component_dags(),
@@ -197,13 +197,13 @@ class TestDagPlanner:
 
     def test_mismatched_dags_are_rejected(self):
         with pytest.raises(EngineError):
-            ShardPlanner(2).dag_schedule([[]], [], [], [0, 0])
+            dag_schedule([[]], [], [], [0, 0])
 
     def test_per_op_floors_hold_back_exactly_the_floored_ops(self):
         token = ERC20TokenType(8, total_supply=80)
         items = [WorkloadItem(i, op("balanceOf", i)) for i in range(4)]
         classifier, ops, graph, chains, singles = self._window(items, token)
-        tasks, placed = ShardPlanner(2).dag_schedule(
+        tasks, placed = dag_schedule(
             [],
             [ops[i] for i in singles],
             [],

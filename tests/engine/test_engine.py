@@ -14,8 +14,8 @@ from repro.engine import (
     OpClassifier,
     PendingOp,
     PipelinedExecutor,
-    ShardPlanner,
 )
+from repro.engine.shard import dag_schedule
 from repro.errors import EngineError, InvalidArgumentError
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
@@ -98,7 +98,7 @@ class TestShardPlanner:
         finish, lane)``."""
         graph = ConflictGraph.build(OpClassifier(token), pending)
         components = graph.components()
-        tasks, placed = ShardPlanner(lanes).dag_schedule(
+        tasks, placed = dag_schedule(
             [[pending[i] for i in c] for c in components if len(c) > 1],
             [pending[c[0]] for c in components if len(c) == 1],
             graph.component_dags(),
@@ -137,10 +137,6 @@ class TestShardPlanner:
         at = self._schedule(token, 4, singles + chain)
         assert sorted(at) == sorted(o.seq for o in singles + chain)
         assert len(at) == 22
-
-    def test_rejects_zero_lanes(self):
-        with pytest.raises(EngineError):
-            ShardPlanner(0)
 
 
 class TestEscalation:

@@ -322,7 +322,7 @@ class TestFrontierAccessKinds:
             engine.submit(pid, operation)
         while engine.step() is not None:
             pass
-        units = sorted(engine._pending_units, key=lambda u: u.first_seq)
+        units = sorted(engine._pending_units, key=lambda u: u.op.seq)
         engine.run()  # commit; also re-checks the pipeline drains clean
         return units
 
