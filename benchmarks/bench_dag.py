@@ -40,6 +40,7 @@ from repro.workloads import (
     APPROVAL_HEAVY_MIX,
     CHAIN_HEAVY_MIX,
     TokenWorkloadGenerator,
+    serial_reference,
 )
 
 SEED = 23
@@ -71,10 +72,6 @@ def make_items(name: str, ops: int):
     ).generate(ops)
 
 
-def serial_reference(items):
-    return make_token().run([(item.pid, item.operation) for item in items])
-
-
 #: Always-global escalation, no lane GC: what moves on this base is
 #: scheduling granularity alone.
 AB_BASE = {"team_threshold": 0, "lane_ttl": None}
@@ -91,7 +88,7 @@ def run_engine(items, depth: int = 1, **knobs) -> dict:
     )
     engine = PipelinedExecutor(make_token(), config)
     state, responses, stats = engine.run_workload(items)
-    ref_state, ref_responses = serial_reference(items)
+    ref_state, ref_responses = serial_reference(make_token(), items)
     assert state == ref_state, "engine diverged from the sequential spec"
     assert responses == ref_responses, "engine responses diverged"
     return stats.as_dict()
@@ -111,7 +108,7 @@ def run_cluster(items) -> dict:
         ),
     )
     state, responses, stats = cluster.run_workload(items)
-    ref_state, ref_responses = serial_reference(items)
+    ref_state, ref_responses = serial_reference(make_token(), items)
     assert state == ref_state, "cluster diverged from the sequential spec"
     assert responses == ref_responses, "cluster responses diverged"
     return stats.as_dict()

@@ -49,6 +49,7 @@ from repro.workloads import (
     OWNER_ONLY_MIX,
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
+    serial_reference,
 )
 
 SEED = 23
@@ -75,10 +76,6 @@ def make_items(mix, ops: int):
     return TokenWorkloadGenerator(ACCOUNTS, seed=SEED, mix=mix).generate(ops)
 
 
-def serial_reference(items):
-    return make_token().run([(item.pid, item.operation) for item in items])
-
-
 #: Always-global escalation, no lane GC: the sync phase is long and
 #: shared, which is the cost pipelining overlaps.
 AB_BASE = {"team_threshold": 0, "lane_ttl": None}
@@ -95,7 +92,7 @@ def run_engine(items, depth: int, **knobs) -> dict:
     )
     engine = PipelinedExecutor(make_token(), config)
     state, responses, stats = engine.run_workload(items)
-    ref_state, ref_responses = serial_reference(items)
+    ref_state, ref_responses = serial_reference(make_token(), items)
     assert state == ref_state, "engine diverged from the sequential spec"
     assert responses == ref_responses, "engine responses diverged"
     return stats.as_dict()
@@ -116,7 +113,7 @@ def run_cluster(items, nodes: int, depth: int) -> dict:
         ),
     )
     state, responses, stats = cluster.run_workload(items)
-    ref_state, ref_responses = serial_reference(items)
+    ref_state, ref_responses = serial_reference(make_token(), items)
     assert state == ref_state, "cluster diverged from the sequential spec"
     assert responses == ref_responses, "cluster responses diverged"
     summary = stats.as_dict()

@@ -44,6 +44,7 @@ from repro.workloads import (
     MultiContractWorkloadGenerator,
     TokenWorkloadGenerator,
     WorkloadItem,
+    serial_reference,
     standard_multi_contract,
 )
 
@@ -72,10 +73,6 @@ def make_items(ops: int) -> list[WorkloadItem]:
         mix=APPROVAL_HEAVY_MIX,
         spender_pool=SPENDER_POOL,
     ).generate(ops)
-
-
-def serial_reference(object_type, items):
-    return object_type.run([(item.pid, item.operation) for item in items])
 
 
 def run_engine(object_type, items, threshold: int) -> dict:

@@ -1,9 +1,13 @@
 """Shared helpers for the benchmark/experiment harness.
 
-Every experiment writes its paper-shape table to ``benchmarks/out/`` so the
-results referenced by EXPERIMENTS.md are regenerated by::
+Every experiment echoes its paper-shape table and writes it to
+``benchmarks/out/<name>.txt`` — a generated directory, ignored by git;
+nothing is committed from it.  The files are not named ``test_*``, so
+``pytest benchmarks/`` does not collect them: name them, as the CI
+``tier1`` job does for the ten paper-core experiments::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest -q --benchmark-disable \
+        benchmarks/bench_algorithm1.py benchmarks/bench_valency.py ...
 """
 
 from __future__ import annotations

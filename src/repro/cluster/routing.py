@@ -1,0 +1,422 @@
+"""Routing policy: one mempool window in, one routed round out.
+
+:func:`route_window` is everything the router *decides* about a window.
+It sends no message and reads no clock — it needs no network and no
+simulator, so the policy is testable on a hand-built
+:class:`~repro.cluster.sharding.ShardMap` alone; *when* the units and
+lease requests go out is :meth:`Router.pump`'s business.  It classifies
+the window with the shared :class:`~repro.engine.rounds.RoundScheduler`
+and routes every conflict-graph component as a unit:
+
+* **owner-local components** — every operation anchors on an account whose
+  shard one node owns; the component is forwarded point-to-point and costs
+  no coordination at all (the paper's consensus-number-1 regime at the
+  message level);
+* **cross-shard but uncontended components** — a chain whose anchors span
+  several owners without any synchronization-group conflict inside it
+  (e.g. credit-enables-spend order across accounts).  The shard-ownership
+  *lease protocol* resolves it: the minority owners hand their shards to
+  the busiest participant (``cl_lease_request`` → ``cl_lease_grant`` →
+  ``cl_lease_ack``), ownership migrates, and the chain executes
+  owner-locally on the new owner — three messages per migrated shard
+  instead of a consensus round;
+* **contended cross-node components** — synchronization-group conflicts
+  whose members span owners.  No single owner is entitled to sequence the
+  race, but — by the paper's Theorems 2–4 — only the *participants* have
+  to agree: each such component gets a **team lane** among just its owner
+  nodes (:mod:`repro.sync`, ``O(k²)`` messages for ``k`` owners, many
+  teams concurrent) when the owner set is within ``team_threshold``;
+  larger races fall back to the shared total-order lane
+  (:class:`~repro.engine.escalation.ConsensusEscalator`).  Either way the
+  ordering latency delays only the units carrying those components (the
+  ``sync_ready`` carried by each unit's ``cl_run``).
+
+Oversized commuting bundles (hot shards) are sprayed one op at a time
+onto whichever live node holds the fewest ops so far — sound because
+singleton components commute with the whole window — and counted as hot
+splits rather than migrations.
+
+Lease anti-churn: besides ``lease_min_gain``, a ``lease_cooldown`` of
+``c`` rounds pins a shard to its new owner for ``c`` rounds after every
+migration, so ownership cannot ping-pong between two nodes on alternating
+rounds (suppressed handoffs are counted, and the chain still executes
+correctly on its majority owner — co-location, not ownership, is the
+safety argument).
+
+Co-locating whole components per round is the entire safety argument:
+any two operations applied on different nodes in one round statically
+commute, so every network interleaving is serially equivalent, for any
+node count and any lease schedule.  The liveness argument is one more
+invariant, kept here because this is where nodes are chosen: **no unit is
+ever placed on a node outside** ``live`` — ownership may briefly name a
+dead node (a shard whose revocation had to wait for an in-flight handoff),
+placement never does.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any
+
+from repro.config import ClusterConfig
+from repro.engine.classifier import OpClassifier
+from repro.engine.conflict_graph import ConflictGraph
+from repro.engine.mempool import PendingOp
+from repro.engine.rounds import RoundScheduler
+from repro.objects.footprint import FootprintSummary, anchor_account
+from repro.sync.escalation import SyncRoundResult, TieredEscalator
+
+from repro.cluster.sharding import ShardMap
+from repro.cluster.stats import ClusterRound
+
+
+@dataclass(slots=True, eq=False)
+class _Unit:
+    """One component-granular dispatch unit, from routing to its result.
+
+    A unit is a single conflict-graph component co-located on one node —
+    or the residual set of the node's singletons, which commute with the
+    whole window.  Units are the gate granularity of the router: each
+    carries its own footprint summary, its own sync-lane delay, and its
+    own lease count, so one blocked component does not hold up
+    everything else routed to its node that round.  A fail-over replay
+    moves the same record to ``(target, _REPLAY_BASE + n)``; identity,
+    not the key, is what queues, timers and recovery episodes hold.
+    """
+
+    ops: tuple[PendingOp, ...]
+    contended: bool
+    #: This unit's sync-lane completion, relative to the round's sync
+    #: phase start (0.0 for uncontended units).
+    sync_delay: float
+    #: Lease grants the unit's node must hold before running it.
+    leases: int
+    node: int
+    uidx: int
+    #: May-access summary, the cross-round frontier test's input.
+    summary: FootprintSummary
+    dispatched: bool = False
+    done: bool = False
+    #: Time the ready-to-go unit was first blocked by the cross-round
+    #: footprint gate.
+    blocked_since: float | None = None
+    #: Result-timeout timer and the serial execution envelope charged to
+    #: the node while the unit is dispatched (recovery only).
+    timer: Any = None
+    envelope: float | None = None
+    #: Virtual time the current replay incarnation was created
+    #: (recovery-stall attribution), and the failed node(s) whose
+    #: episodes await its result.
+    replay_started: float | None = None
+    episodes: tuple[int, ...] = ()
+
+
+@dataclass
+class _Round:
+    """One routed window and its in-flight bookkeeping."""
+
+    index: int
+    assignment: dict[int, list[PendingOp]]
+    sync: SyncRoundResult
+    #: ``(node, unit index)`` -> unit; per node, indices follow the
+    #: submission order of the units' heads.
+    units: dict[tuple[int, int], _Unit]
+    #: shard -> *routing-time* index of the unit whose chain triggered
+    #: the migration.  A replay does not rename it: a handoff re-sent
+    #: after the replay still wakes the original incarnation parked on
+    #: the adopter.
+    lease_units: dict[int, int]
+    #: Per contended op: ``(seq, completed)`` with ``completed`` relative
+    #: to the round's sync phase start (tracer lifecycle bookkeeping).
+    sync_ops: tuple[tuple[int, float], ...]
+    #: Results still owed, and the planned ``(shard, from, to)`` lease
+    #: migrations not yet requested (per-shard handoffs serialize) / not
+    #: yet acknowledged.
+    pending: int
+    lease_pending: list[tuple[int, int, int]]
+    pending_acks: int
+    #: The round's entry in ``ClusterStats.round_log``, filled at routing;
+    #: the router adds the dispatch stalls and stamps the completion.
+    stats: ClusterRound
+    #: Stamped by :meth:`Router.pump`: the classification instant, and the
+    #: absolute start of this round's synchronization phase (the shared
+    #: sync lanes are one resource: phases serialize across rounds but
+    #: overlap node execution).
+    classified: float = 0.0
+    sync_start: float = 0.0
+    #: Replay incarnations created so far (the next one's index offset),
+    #: and unit retransmissions charged against the round's budget.
+    replays: int = 0
+    retransmits: int = 0
+
+
+def route_window(
+    window: list[PendingOp],
+    index: int,
+    *,
+    classifier: OpClassifier,
+    scheduler: RoundScheduler,
+    shard_map: ShardMap,
+    sync: TieredEscalator,
+    config: ClusterConfig,
+    live: list[int],
+    last_migration: dict[int, int],
+    state: Any = None,
+) -> _Round:
+    """Route one window: co-locate components, plan leases, order the
+    contended components through the sync layer.
+
+    ``shard_map`` and ``last_migration`` (shard -> round of its last
+    lease migration, the cooldown table) are updated in place as leases
+    are planned: a later chain of the window must see an earlier chain's
+    migration.  ``live`` lists the nodes that may be given work; ``state``
+    is only read by the classifier's ``validate`` oracle."""
+    # A chain migrates leases only when its majority owner already has
+    # at least ``min_gain`` of its operations — a 1-vs-1 split names no
+    # "busier node" and a handoff would be pure ownership churn — and
+    # a freshly migrated shard stays pinned to its new owner for
+    # ``cooldown`` rounds (hysteresis against alternating-round
+    # ping-pong).
+    min_gain = config.lease_min_gain
+    cooldown = config.lease_cooldown
+    graph = ConflictGraph.build(classifier, window, state)
+    chain_idx, singleton_idx, contended_idx = scheduler.split(graph)
+    contended = set(contended_idx)
+
+    def anchor(op: PendingOp) -> int:
+        return anchor_account(classifier.footprint(op), op.pid)
+
+    assignment: dict[int, list[PendingOp]] = {
+        node: [] for node in range(shard_map.num_nodes)
+    }
+    #: Start-of-round home node per op — the owner-local yardstick
+    #: (this round's own migrations must not flatter the metric).
+    home = {op.seq: shard_map.owner_of(anchor(op)) for op in window}
+    escalated_ops = 0
+    #: Per contended cross-node component: (owner-node team, contended
+    #: ops, the chain's unit) — what the sync layer tiers.
+    escalated_components: list[
+        tuple[frozenset[int], tuple[PendingOp, ...], _Unit]
+    ] = []
+    migrations: list[tuple[int, int, int]] = []
+    chain_seqs: set[int] = set()
+    #: Component-granular dispatch: one unit per routed chain (head
+    #: submission order) plus, below, one residual unit of each
+    #: node's singletons.
+    units: dict[tuple[int, int], _Unit] = {}
+    units_on: Counter[int] = Counter()
+    lease_units: dict[int, int] = {}
+
+    def add_unit(node: int, ops: list[PendingOp]) -> _Unit:
+        unit = _Unit(
+            ops=tuple(ops),
+            contended=False,
+            sync_delay=0.0,
+            leases=0,
+            node=node,
+            uidx=units_on[node],
+            summary=FootprintSummary.over(
+                classifier.footprint(op) for op in ops
+            ),
+        )
+        units_on[node] += 1
+        units[(node, unit.uidx)] = unit
+        return unit
+
+    hot_split = 0
+    cooldown_skips = 0
+
+    # Components route as units (the co-location invariant).  Chains
+    # first, in submission order of their heads.
+    for chain in sorted(chain_idx, key=lambda c: c[0]):
+        ops = [window[i] for i in chain]
+        chain_seqs.update(op.seq for op in ops)
+        owners = Counter(shard_map.owner_of(anchor(op)) for op in ops)
+        # Majority owner wins; ties go to the currently least-loaded
+        # participant (an id tie-break would funnel every evenly-split
+        # chain — and, through leases, ever more ownership — onto the
+        # lowest node id).  Only a *live* owner may win — a surviving
+        # owner plans the dead ones' shards onto itself below (the router
+        # adopts those unilaterally) — and a chain whose owners are all
+        # dead runs on the least-loaded live node.
+        target = min(
+            [n for n in owners if n in live] or live,
+            key=lambda n: (-owners[n], len(assignment[n]), n),
+        )
+        unit = add_unit(target, ops)
+        chain_contended = [i for i in chain if i in contended]
+        if len(owners) > 1 and chain_contended:
+            # A race spanning owners: a sync lane sequences exactly the
+            # contended members — a team lane among just the owner
+            # nodes when their count fits the threshold, the shared
+            # global lane otherwise.  The chain executes on the node
+            # already owning most of it.
+            component = tuple(window[i] for i in chain_contended)
+            escalated_ops += len(component)
+            unit.contended = True
+            escalated_components.append((frozenset(owners), component, unit))
+        elif len(owners) > 1 and owners[target] >= min_gain:
+            # Uncontended cross-shard chain with a clearly busier node:
+            # migrate the minority shards' leases to it, then run
+            # owner-local.
+            foreign = sorted(
+                {
+                    shard_map.shard_of(anchor(op))
+                    for op in ops
+                    if shard_map.owner_of(anchor(op)) != target
+                }
+            )
+            for shard in foreign:
+                if shard in lease_units:
+                    continue  # one lease move per shard per round
+                last = last_migration.get(shard)
+                if last is not None and index - last <= cooldown:
+                    # Hysteresis: the shard moved too recently; the
+                    # chain still executes correctly on the majority
+                    # owner (co-location is what safety needs), the
+                    # minority ops are simply not owner-local.
+                    cooldown_skips += 1
+                    continue
+                from_node = shard_map.owner_of_shard(shard)
+                shard_map.migrate(shard, target, index)
+                last_migration[shard] = index
+                migrations.append((shard, from_node, target))
+                unit.leases += 1
+                lease_units[shard] = unit.uidx
+        assignment[target].extend(ops)
+
+    # Singletons bundle by anchor account and go to the account's owner;
+    # an oversized commuting bundle — more ops than an even share of the
+    # window — is sprayed across the least-loaded nodes instead
+    # (hot-shard splitting), as is one whose owner is dead.
+    target_load = math.ceil(len(window) / len(live))
+    bundles: dict[int, list[PendingOp]] = {}
+    for i in singleton_idx:
+        op = window[i]
+        bundles.setdefault(anchor(op), []).append(op)
+
+    def least_loaded() -> int:
+        return min(live, key=lambda n: (len(assignment[n]), n))
+
+    for account, ops in sorted(
+        bundles.items(), key=lambda kv: (-len(kv[1]), kv[0])
+    ):
+        if len(ops) > target_load and len(live) > 1:
+            hot_split += len(ops)
+            for op in ops:
+                assignment[least_loaded()].append(op)
+        else:
+            owner = shard_map.owner_of(account)
+            assignment[owner if owner in live else least_loaded()].extend(ops)
+
+    # Overflow spill: while the heaviest node holds more than an even
+    # share and at least two ops more than the lightest, shed its latest
+    # commuting singleton (never a chain member) to the lightest.  Moving
+    # a singleton anywhere is sound — it commutes with the entire window.
+    spill = 0
+    exhausted: set[int] = set()
+    while len(live) > 1:
+        heaviest = max(
+            (n for n in live if n not in exhausted),
+            key=lambda n: (len(assignment[n]), -n),
+            default=None,
+        )
+        if heaviest is None:
+            break
+        lightest = least_loaded()
+        if len(assignment[heaviest]) - len(assignment[lightest]) <= 1:
+            break
+        if len(assignment[heaviest]) <= target_load:
+            break
+        movable = next(
+            (
+                k
+                for k in range(len(assignment[heaviest]) - 1, -1, -1)
+                if assignment[heaviest][k].seq not in chain_seqs
+            ),
+            None,
+        )
+        if movable is None:
+            # All chain members: this node's load is atomic; try others.
+            exhausted.add(heaviest)
+            continue
+        assignment[lightest].append(assignment[heaviest].pop(movable))
+        spill += 1
+
+    owner_local = sum(
+        1
+        for node, ops in assignment.items()
+        for op in ops
+        if home[op.seq] == node
+    )
+
+    # Synchronization: each contended cross-node component through its
+    # cheapest adequate lane.  Team-tier components (owner set within
+    # the threshold) run concurrently on the pool; the rest merge into
+    # one submission-ordered batch on the shared global lane.  A
+    # unit waits only for its *own* component's lane.
+    sync_round = SyncRoundResult()
+    if escalated_components:
+        sync_round = sync.order_assignments(
+            [
+                sync.planner.decide(team, component)
+                for team, component, _ in escalated_components
+            ]
+        )
+        for (_, _, unit), order in zip(
+            escalated_components, sync_round.components
+        ):
+            unit.sync_delay = order.completed
+
+    assignment = {
+        node: sorted(ops, key=lambda op: op.seq)
+        for node, ops in assignment.items()
+        if ops
+    }
+
+    # Each node's singletons commute with the whole window, so they
+    # share one residual unit (and one gate).
+    for node, ops in assignment.items():
+        rest = [op for op in ops if op.seq not in chain_seqs]
+        if rest:
+            add_unit(node, rest)
+    return _Round(
+        index=index,
+        assignment=assignment,
+        sync=sync_round,
+        units=units,
+        lease_units=lease_units,
+        sync_ops=tuple(
+            (op.seq, order.completed)
+            for (_, component, _), order in zip(
+                escalated_components, sync_round.components
+            )
+            for op in component
+        ),
+        pending=len(units),
+        lease_pending=migrations,
+        pending_acks=len(migrations),
+        stats=ClusterRound(
+            index=index,
+            window=len(window),
+            owner_local_ops=owner_local,
+            hot_split_ops=hot_split,
+            spill_ops=spill,
+            escalated_ops=escalated_ops,
+            lease_migrations=len(migrations),
+            nodes_used=len(assignment),
+            escalation_time=sync_round.virtual_time,
+            escalation_messages=sync_round.messages,
+            team_ops=sync_round.team_ops,
+            global_ops=sync_round.global_ops,
+            team_messages=sync_round.team_messages,
+            global_messages=sync_round.global_messages,
+            teams=sync_round.teams,
+            team_sizes=sync_round.team_sizes,
+            cooldown_skips=cooldown_skips,
+            # A replay moves a unit, it does not add one.
+            units_dispatched=len(units),
+        ),
+    )

@@ -16,7 +16,7 @@ measurement philosophy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -54,29 +54,13 @@ class NodeBill:
     restarts: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "ops_executed": self.ops_executed,
-            "rounds_active": self.rounds_active,
-            "busy_time": self.busy_time,
-            "forwards_received": self.forwards_received,
-            "results_sent": self.results_sent,
-            "leases_granted": self.leases_granted,
-            "leases_acquired": self.leases_acquired,
-            "sync_wait_time": self.sync_wait_time,
-            "units_executed": self.units_executed,
-            "dag_chain_ops": self.dag_chain_ops,
-            "dag_critical_ops": self.dag_critical_ops,
-            "max_dag_critical_path": self.max_dag_critical_path,
-            "max_dag_width": self.max_dag_width,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClusterRound:
-    """One routing round at the cluster's client edge."""
+    """One routing round at the cluster's client edge: filled at routing;
+    the router adds the dispatch stalls and stamps the completion."""
 
     index: int
     window: int
@@ -86,9 +70,10 @@ class ClusterRound:
     escalated_ops: int
     lease_migrations: int
     nodes_used: int
-    virtual_time: float
     escalation_time: float
     escalation_messages: int
+    #: Classification to completion.
+    virtual_time: float = 0.0
     #: Tiered split of the escalated traffic (:mod:`repro.sync`):
     #: components ordered by a team lane among just their owner nodes vs
     #: the shared global lane.
@@ -131,6 +116,8 @@ class ClusterStats:
 
     ops_executed: int = 0
     rounds: int = 0
+    #: Total independently gated dispatch units.
+    units_dispatched: int = 0
     #: Ops executed on the node owning their anchor account (the zero-
     #: coordination fast path: one forward, one reply, nothing else).
     owner_local_ops: int = 0
@@ -202,9 +189,6 @@ class ClusterStats:
 
     def bill(self, node_id: int) -> NodeBill:
         return self.node_bills[node_id]
-
-    #: Total independently gated dispatch units.
-    units_dispatched: int = 0
 
     def record_round(self, round_stats: ClusterRound) -> None:
         self.rounds += 1

@@ -81,12 +81,16 @@ class SyncPlanner:
 
     # ------------------------------------------------------------------
 
-    def decide(self, team: frozenset[int] | None) -> SyncAssignment | None:
-        """Tier for a pre-computed team (no ops attached); helper for
-        callers that size teams themselves (the cluster router)."""
+    def decide(
+        self, team: frozenset[int] | None, ops: tuple = ()
+    ) -> SyncAssignment:
+        """The assignment of ``ops`` given their pre-computed team: a
+        team lane when the team fits the threshold, the global lane
+        otherwise.  Called directly by callers that size teams
+        themselves (the cluster's routing: a team is the owner nodes)."""
         if team is not None and 0 < len(team) <= self.team_threshold:
-            return SyncAssignment(tier=len(team), team=team, ops=())
-        return SyncAssignment(tier=TIER_GLOBAL, team=None, ops=())
+            return SyncAssignment(tier=len(team), team=team, ops=ops)
+        return SyncAssignment(tier=TIER_GLOBAL, team=None, ops=ops)
 
     def assign(
         self,
@@ -106,14 +110,7 @@ class SyncPlanner:
                 if self.team_threshold > 0
                 else None
             )
-            if team is not None and 0 < len(team) <= self.team_threshold:
-                assignments.append(
-                    SyncAssignment(tier=len(team), team=team, ops=ops)
-                )
-            else:
-                assignments.append(
-                    SyncAssignment(tier=TIER_GLOBAL, team=None, ops=ops)
-                )
+            assignments.append(self.decide(team, ops))
         return assignments
 
     # -- per-account synchronization-group splitting --------------------

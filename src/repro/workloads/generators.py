@@ -521,3 +521,10 @@ def partition_by_process(
             raise InvalidArgumentError(f"workload pid {item.pid} out of range")
         buckets[item.pid].append(item)
     return buckets
+
+
+def serial_reference(object_type, items: Sequence[WorkloadItem]):
+    """The sequential specification's verdict on a workload: ``(final
+    state, responses)`` of applying the items one at a time in submission
+    order — the oracle every executor's result must equal."""
+    return object_type.run([(item.pid, item.operation) for item in items])

@@ -28,6 +28,7 @@ from repro.workloads import (
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
     WorkloadMix,
+    serial_reference,
 )
 
 MIXES = {
@@ -50,16 +51,12 @@ def make_items(mix, ops, seed=17, **kwargs):
     ).generate(ops)
 
 
-def serial_reference(items):
-    return make_token().run([(item.pid, item.operation) for item in items])
-
-
 class TestSerialEquivalence:
     @pytest.mark.parametrize("mix_name", sorted(MIXES))
     @pytest.mark.parametrize("depth", (1, 3))
     def test_state_and_responses_match_spec(self, mix_name, depth):
         items = make_items(MIXES[mix_name], 300)
-        ref_state, ref_responses = serial_reference(items)
+        ref_state, ref_responses = serial_reference(make_token(), items)
         cluster = TokenCluster(
             make_token(),
             ClusterConfig(
@@ -83,7 +80,7 @@ class TestSerialEquivalence:
             SPENDER_HEAVY_MIX, 150, seed=seed,
             hotspot_fraction=0.3, hotspot_accounts=2,
         )
-        ref_state, ref_responses = serial_reference(items)
+        ref_state, ref_responses = serial_reference(make_token(), items)
         cluster = TokenCluster(
             make_token(),
             ClusterConfig(
@@ -134,7 +131,7 @@ class TestSerialEquivalence:
 
     def test_team_lanes_compose_with_units(self):
         items = make_items(APPROVAL_HEAVY_MIX, 300, seed=13, spender_pool=4)
-        ref_state, ref_responses = serial_reference(items)
+        ref_state, ref_responses = serial_reference(make_token(), items)
         cluster = TokenCluster(
             make_token(),
             ClusterConfig(
@@ -184,7 +181,7 @@ class TestGranularity:
         # The persistent lane timeline must charge op_cost per op, not
         # unit cost 1.
         items = make_items(APPROVAL_HEAVY_MIX, 200)
-        ref_state, ref_responses = serial_reference(items)
+        ref_state, ref_responses = serial_reference(make_token(), items)
         makespans = {}
         for op_cost in (1.0, 4.0):
             cluster = TokenCluster(

@@ -33,6 +33,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadItem,
     WorkloadMix,
+    serial_reference,
 )
 
 DEPTHS = (1, 2, 3, 4)
@@ -44,10 +45,6 @@ MIXES = {
     "spender_heavy": SPENDER_HEAVY_MIX,
     "approval_heavy": APPROVAL_HEAVY_MIX,
 }
-
-
-def serial_reference(object_type, items):
-    return object_type.run([(item.pid, item.operation) for item in items])
 
 
 def cluster_run(factory, items, nodes, depth, window=16, **knobs):

@@ -50,6 +50,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadItem,
     WorkloadMix,
+    serial_reference,
 )
 
 MIXES = {
@@ -58,10 +59,6 @@ MIXES = {
     "spender_heavy": SPENDER_HEAVY_MIX,
     "approval_heavy": APPROVAL_HEAVY_MIX,
 }
-
-
-def serial_reference(object_type, items):
-    return object_type.run([(item.pid, item.operation) for item in items])
 
 
 class TestComponentDAG:

@@ -31,6 +31,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadItem,
     WorkloadMix,
+    serial_reference,
 )
 
 LANE_COUNTS = (1, 2, 4, 8)
@@ -41,10 +42,6 @@ MIXES = {
     "spender_heavy": SPENDER_HEAVY_MIX,
     "approval_heavy": APPROVAL_HEAVY_MIX,
 }
-
-
-def serial_reference(object_type, items):
-    return object_type.run([(item.pid, item.operation) for item in items])
 
 
 def engine_run(object_type_factory, items, lanes, window=32, **knobs):

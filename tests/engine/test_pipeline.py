@@ -35,6 +35,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadItem,
     WorkloadMix,
+    serial_reference,
 )
 
 DEPTHS = (1, 2, 3, 5)
@@ -45,10 +46,6 @@ MIXES = {
     "spender_heavy": SPENDER_HEAVY_MIX,
     "approval_heavy": APPROVAL_HEAVY_MIX,
 }
-
-
-def serial_reference(object_type, items):
-    return object_type.run([(item.pid, item.operation) for item in items])
 
 
 def pipelined_run(factory, items, depth, lanes=4, window=32, **knobs):

@@ -22,13 +22,10 @@ from repro.workloads import (
     APPROVAL_HEAVY_MIX,
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
+    serial_reference,
 )
 
 THRESHOLDS = (0, 1, 2, 4, 8, 64)
-
-
-def serial_reference(object_type, items):
-    return object_type.run([(item.pid, item.operation) for item in items])
 
 
 def approval_items(n, seed, count, spender_pool=4):
