@@ -67,8 +67,8 @@ def potential_spenders(state: TokenState, account: int) -> frozenset[int]:
     if not 0 <= account < state.num_accounts:
         raise InvalidArgumentError(f"unknown account {account!r}")
     spenders = {account}  # ω is the identity
-    for pid in range(state.num_accounts):
-        if state.allowance(account, pid) > 0:
+    for pid, amount in enumerate(state.allowances[account]):
+        if amount > 0:
             spenders.add(pid)
     return frozenset(spenders)
 

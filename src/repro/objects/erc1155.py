@@ -45,13 +45,15 @@ class MultiTokenState:
         self, source: int, dest: int, moves: Sequence[tuple[int, int]]
     ) -> "MultiTokenState":
         """Apply ``(token_type, value)`` moves from ``source`` to ``dest``."""
-        balances = [list(row) for row in self.balances]
+        debited = list(self.balances[source])
+        credited = debited if dest == source else list(self.balances[dest])
         for token_type, value in moves:
-            balances[source][token_type] -= value
-            balances[dest][token_type] += value
-        return MultiTokenState(
-            tuple(tuple(row) for row in balances), self.operators
-        )
+            debited[token_type] -= value
+            credited[token_type] += value
+        balances = list(self.balances)
+        balances[source] = tuple(debited)
+        balances[dest] = tuple(credited)
+        return MultiTokenState(tuple(balances), self.operators)
 
     def with_operator(self, holder: int, operator: int, enabled: bool) -> "MultiTokenState":
         operators = list(self.operators)

@@ -49,6 +49,12 @@ class TokenState:
 
     ``balances[a]`` is ``β(a)``; ``allowances[a][p]`` is ``α(a, p)``, the
     amount process ``p`` may transfer from account ``a``.
+
+    The state is *persistent*: an update rebuilds only the row it touches
+    and shares every other row with its predecessor, and ``create`` gives
+    all accounts without an initial allowance one zero row.  Rows of one
+    state, or of two states, may therefore be the same object — dense in
+    value, O(n) in memory per update; never rely on row identity.
     """
 
     balances: tuple[int, ...]
@@ -79,11 +85,11 @@ class TokenState:
         return TokenState(tuple(balances), self.allowances)
 
     def with_allowance(self, account: int, spender: int, value: int) -> "TokenState":
-        allowances = [list(row) for row in self.allowances]
-        allowances[account][spender] = value
-        return TokenState(
-            self.balances, tuple(tuple(row) for row in allowances)
-        )
+        row = list(self.allowances[account])
+        row[spender] = value
+        allowances = list(self.allowances)
+        allowances[account] = tuple(row)
+        return TokenState(self.balances, tuple(allowances))
 
     def with_transfer_from(
         self, spender: int, source: int, dest: int, value: int
@@ -105,7 +111,8 @@ class TokenState:
         balance_tuple = tuple(int(b) for b in balances)
         if any(b < 0 for b in balance_tuple):
             raise InvalidArgumentError("balances must be non-negative")
-        grid = [[0] * n for _ in range(n)]
+        zero_row = (0,) * n
+        rows: dict[int, list[int]] = {}
         for (account, spender), amount in (allowances or {}).items():
             if not 0 <= account < n or not 0 <= spender < n:
                 raise InvalidArgumentError(
@@ -113,8 +120,13 @@ class TokenState:
                 )
             if int(amount) < 0:
                 raise InvalidArgumentError("allowances must be non-negative")
-            grid[account][spender] = int(amount)
-        return TokenState(balance_tuple, tuple(tuple(row) for row in grid))
+            rows.setdefault(account, [0] * n)[spender] = int(amount)
+        return TokenState(
+            balance_tuple,
+            tuple(
+                tuple(rows[a]) if a in rows else zero_row for a in range(n)
+            ),
+        )
 
     @staticmethod
     def deploy(num_accounts: int, total_supply: int, deployer: int = 0) -> "TokenState":

@@ -5,10 +5,14 @@ The one contract every scheduling decision answers to: the final state
 submission order.  Held here across the engine and the cluster, each at
 one, two and three windows in flight, with the all-pairs conflict oracle
 on (``validate=True``).  Determinism rides along: the same run twice
-gives the same stats dictionary.
+gives the same stats dictionary.  One more case holds the contract at
+4 096 accounts, where a state update that copies the allowance grid
+cannot finish in time.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.workloads import (
     OWNER_ONLY_MIX,
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
+    serial_reference,
 )
 
 pytestmark = pytest.mark.integration
@@ -100,3 +105,33 @@ def test_matches_the_sequential_spec_and_is_deterministic(
     if isinstance(first, TokenCluster):
         assert stats.ops_lost == 0
         assert set(first.network.stats.by_type) <= CLUSTER_WIRE_TYPES
+
+
+def test_wide_token_stays_linear_in_accounts():
+    """A complexity guard, not a timing test: with the persistent
+    ``TokenState`` the whole case takes ~0.3 s; with one dense n x n copy
+    per ``approve`` (~0.9 s each at this size) the sequential reference
+    alone takes over a minute — the ceiling sits far from both, so it
+    trips on a returning quadratic and never on a slow runner.
+    ``validate`` stays off: the all-pairs oracle memoizes on
+    ``hash(state)``, itself an O(n²) walk per lookup."""
+    accounts = 4096
+    deadline = time.perf_counter() + 10.0
+    items = TokenWorkloadGenerator(
+        accounts, seed=1, mix=APPROVAL_HEAVY_MIX
+    ).generate(OPS)
+
+    def wide_token():
+        return ERC20TokenType(accounts, total_supply=100 * accounts)
+
+    reference = serial_reference(wide_token(), items)
+    assert time.perf_counter() < deadline
+    for executor in (
+        PipelinedExecutor(wide_token(), EngineConfig(window=WINDOW, seed=1)),
+        TokenCluster(
+            wide_token(), ClusterConfig(window=WINDOW, seed=1, num_nodes=4)
+        ),
+    ):
+        state, responses, _ = executor.run_workload(items)
+        assert (state, responses) == reference
+        assert time.perf_counter() < deadline

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidArgumentError
-from repro.objects.erc1155 import ERC1155Token, ERC1155TokenType
+from repro.objects.erc1155 import (
+    ERC1155Token,
+    ERC1155TokenType,
+    MultiTokenState,
+)
 from repro.spec.operation import op
 
 
@@ -172,3 +178,115 @@ class TestRuntimeObject:
         assert token.invoke(
             0, token.balance_of_batch([0, 1], [0, 0]).operation
         ) == (0, 5)
+
+
+class TestRowSharing:
+    def test_with_transfers_shares_every_untouched_row(self):
+        token = ERC1155TokenType([[10, 4], [0, 0], [1, 1], [2, 2]])
+        state = token.initial_state()
+        new = state.with_transfers(0, 2, [(0, 3), (1, 1)])
+        assert new.balances == ((7, 3), (0, 0), (4, 2), (2, 2))
+        assert new.balances[1] is state.balances[1]
+        assert new.balances[3] is state.balances[3]
+        assert new.operators is state.operators
+
+    def test_self_transfer_rebuilds_one_row_to_the_same_value(self, token):
+        state = token.initial_state()
+        new = state.with_transfers(0, 0, [(0, 3)])
+        assert new == state
+        assert new.balances[1] is state.balances[1]
+        assert new.balances[2] is state.balances[2]
+
+
+class _DenseReference:
+    """EIP-1155 transfers on a list-of-lists grid mutated in place and
+    densified into fresh row tuples, as the pre-PR-17 ``with_transfers``
+    did for every holder on every transfer."""
+
+    def __init__(self, grid):
+        self.grid = [list(row) for row in grid]
+        self.operators = [set() for _ in grid]
+
+    def state(self) -> MultiTokenState:
+        return MultiTokenState(
+            tuple(tuple(row) for row in self.grid),
+            tuple(frozenset(ops) for ops in self.operators),
+        )
+
+    def approve(self, pid, operator):
+        if operator == pid:
+            return False
+        self.operators[pid].add(operator)
+        return True
+
+    def transfer(self, pid, source, dest, token_types, values):
+        if pid != source and pid not in self.operators[source]:
+            return False
+        needed: dict[int, int] = {}
+        for token_type, value in zip(token_types, values):
+            needed[token_type] = needed.get(token_type, 0) + value
+        if any(self.grid[source][t] < total for t, total in needed.items()):
+            return False
+        for token_type, value in zip(token_types, values):
+            self.grid[source][token_type] -= value
+            self.grid[dest][token_type] += value
+        return True
+
+
+_N, _TYPES = 4, 3
+_account = st.integers(0, _N - 1)
+_move = st.tuples(st.integers(0, _TYPES - 1), st.integers(0, 5))
+_erc1155_calls = st.tuples(
+    _account,
+    st.one_of(
+        st.tuples(st.just("setApprovalForAll"), _account),
+        st.tuples(
+            st.just("safeTransferFrom"),
+            _account,
+            _account,
+            st.lists(_move, min_size=1, max_size=1),
+        ),
+        st.tuples(
+            st.just("safeBatchTransferFrom"),
+            _account,
+            _account,
+            st.lists(_move, max_size=4),
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=st.lists(
+        st.lists(st.integers(0, 9), min_size=_TYPES, max_size=_TYPES),
+        min_size=_N,
+        max_size=_N,
+    ),
+    calls=st.lists(_erc1155_calls, max_size=40),
+)
+def test_persistent_state_equals_the_dense_reference(grid, calls):
+    token = ERC1155TokenType(grid)
+    reference = _DenseReference(grid)
+    state = token.initial_state()
+    for pid, (name, *args) in calls:
+        if name == "setApprovalForAll":
+            (operator,) = args
+            operation = op(name, operator, True)
+            expected = reference.approve(pid, operator)
+        else:
+            source, dest, moves = args
+            token_types = tuple(t for t, _ in moves)
+            values = tuple(v for _, v in moves)
+            if name == "safeTransferFrom":
+                operation = op(name, source, dest, token_types[0], values[0])
+            else:
+                operation = op(name, source, dest, token_types, values)
+            expected = reference.transfer(
+                pid, source, dest, token_types, values
+            )
+        state, result = token.apply(state, pid, operation)
+        assert result is expected
+        dense = reference.state()
+        assert state == dense and dense == state
+        assert hash(state) == hash(dense)

@@ -7,6 +7,8 @@ the ERC20-standard deployment state.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidArgumentError
 from repro.objects.erc20 import ERC20Token, ERC20TokenType, TokenState
@@ -368,3 +370,127 @@ class TestTokenState:
         state.with_allowance(0, 1, 9)
         assert state.balances == (5, 0)
         assert state.allowance(0, 1) == 0
+
+    def test_with_allowance_shares_every_untouched_row(self):
+        state = TokenState.create([5, 0, 0, 0], {(0, 1): 2, (2, 3): 4})
+        new = state.with_allowance(2, 0, 9)
+        assert new.allowances[2] == (9, 0, 0, 4)
+        assert new.balances is state.balances
+        for account in (0, 1, 3):
+            assert new.allowances[account] is state.allowances[account]
+
+    def test_with_transfer_from_shares_every_untouched_row(self):
+        state = TokenState.create([5, 0, 0], {(0, 1): 3})
+        new = state.with_transfer_from(1, 0, 2, 2)
+        assert new.balances == (3, 0, 2)
+        assert new.allowances[0] == (0, 1, 0)
+        assert new.allowances[1] is state.allowances[1]
+        assert new.allowances[2] is state.allowances[2]
+
+    def test_deploy_shares_one_zero_row(self):
+        state = TokenState.deploy(64, 1000)
+        assert len({id(row) for row in state.allowances}) == 1
+
+    def test_create_builds_one_row_per_allowance_bearing_account(self):
+        state = TokenState.create(
+            [1] * 8, {(0, 1): 3, (0, 2): 1, (5, 0): 2, (7, 7): 4}
+        )
+        assert len({id(row) for row in state.allowances}) == 3 + 1
+        assert state.allowances[0] == (0, 3, 1, 0, 0, 0, 0, 0)
+
+    def test_row_sharing_is_invisible_to_eq_hash_and_repr(self):
+        shared = TokenState.deploy(5, 10)
+        dense = TokenState(
+            (10, 0, 0, 0, 0), tuple(tuple([0] * 5) for _ in range(5))
+        )
+        assert len({id(row) for row in dense.allowances}) == 5
+        assert shared == dense and dense == shared
+        assert hash(shared) == hash(dense)
+        assert repr(shared) == repr(dense)
+
+
+class _DenseReference:
+    """Definition 3 on the representation the persistent state replaced:
+    a list-of-lists grid mutated in place and densified into ``n`` fresh
+    row tuples (``tuple(tuple(row) for row in grid)``, as the pre-PR-17
+    ``with_allowance`` did on every update)."""
+
+    def __init__(self, balances):
+        self.balances = list(balances)
+        self.grid = [[0] * len(balances) for _ in balances]
+
+    def state(self) -> TokenState:
+        return TokenState(
+            tuple(self.balances), tuple(tuple(row) for row in self.grid)
+        )
+
+    def apply(self, pid, name, args):
+        balances, grid = self.balances, self.grid
+        if name == "transfer":
+            dest, value = args
+            if balances[pid] < value:
+                return False
+            balances[pid] -= value
+            balances[dest] += value
+        elif name == "transferFrom":
+            source, dest, value = args
+            if balances[source] < value or grid[source][pid] < value:
+                return False
+            balances[source] -= value
+            balances[dest] += value
+            grid[source][pid] -= value
+        else:
+            spender, value = args
+            if name == "approve":
+                grid[pid][spender] = value
+            elif name == "increaseAllowance":
+                grid[pid][spender] += value
+            else:
+                assert name == "decreaseAllowance"
+                if grid[pid][spender] < value:
+                    return False
+                grid[pid][spender] -= value
+        return True
+
+
+_N = 4
+_account = st.integers(0, _N - 1)
+_value = st.integers(0, 6)
+_erc20_calls = st.tuples(
+    _account,
+    st.one_of(
+        st.tuples(
+            st.sampled_from(
+                (
+                    "transfer",
+                    "approve",
+                    "increaseAllowance",
+                    "decreaseAllowance",
+                )
+            ),
+            st.tuples(_account, _value),
+        ),
+        st.tuples(
+            st.just("transferFrom"), st.tuples(_account, _account, _value)
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    balances=st.lists(st.integers(0, 12), min_size=_N, max_size=_N),
+    calls=st.lists(_erc20_calls, max_size=40),
+)
+def test_persistent_state_equals_the_dense_reference(balances, calls):
+    token = ERC20TokenType(
+        _N, initial_state=TokenState.create(balances), with_extensions=True
+    )
+    reference = _DenseReference(balances)
+    state = token.initial_state()
+    for pid, (name, args) in calls:
+        state, result = token.apply(state, pid, op(name, *args))
+        assert result is reference.apply(pid, name, args)
+        dense = reference.state()
+        assert state == dense and dense == state
+        assert hash(state) == hash(dense)
