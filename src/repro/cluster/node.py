@@ -210,21 +210,20 @@ class ClusterNode(Node):
         ready = max(self.now, unit.sync_ready)
         self.bill.sync_wait_time += max(0.0, unit.sync_ready - self.now)
         graph = ConflictGraph.build(self.classifier, ops)
-        chain_idx, singleton_idx, _ = self.scheduler.split(graph)
+        _, singleton_idx, _ = self.scheduler.split(graph)
         dags = graph.component_dags()
-        tasks, placed = dag_schedule(
-            [[ops[i] for i in chain] for chain in chain_idx],
-            [ops[i] for i in singleton_idx],
+        task_idx, _, placed = dag_schedule(
             dags,
+            singleton_idx,
             self._lane_free,
-            floor=lambda op: ready,
+            floors=[ready] * len(ops),
             cost=self.config.op_cost,
         )
+        tasks = [ops[i] for i in task_idx]
         order = [
-            tasks[i]
-            for i in sorted(
-                range(len(tasks)),
-                key=lambda i: (placed[i][0], tasks[i].seq),
+            tasks[k]
+            for k in sorted(
+                range(len(tasks)), key=lambda k: (placed[k][0], task_idx[k])
             )
         ]
         finish = max((f for _, f, _ in placed), default=ready)
@@ -232,11 +231,12 @@ class ClusterNode(Node):
         # not its wall time since arrival — time spent queued behind
         # other units' lane occupancy is not this unit's work.
         started = min((s for s, _, _ in placed), default=ready)
+        shapes = [dag.shape() for dag in dags]
         self._bill_dag(
             sum(dag.size for dag in dags),
-            sum(dag.critical_path for dag in dags),
-            max((dag.critical_path for dag in dags), default=0),
-            max((dag.width for dag in dags), default=0),
+            sum(path for path, _ in shapes),
+            max((path for path, _ in shapes), default=0),
+            max((width for _, width in shapes), default=0),
         )
         if self.tracer is not None:
             self._trace_unit(key, unit, tasks, placed, ready, finish)

@@ -65,7 +65,11 @@ from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.mempool import PendingOp
 from repro.engine.rounds import RoundScheduler
-from repro.objects.footprint import FootprintSummary, anchor_account
+from repro.objects.footprint import (
+    FootprintSummary,
+    OpFootprint,
+    anchor_account,
+)
 from repro.sync.escalation import SyncRoundResult, TieredEscalator
 
 from repro.cluster.sharding import ShardMap
@@ -185,15 +189,20 @@ def route_window(
     chain_idx, singleton_idx, contended_idx = scheduler.split(graph)
     contended = set(contended_idx)
 
-    def anchor(op: PendingOp) -> int:
-        return anchor_account(classifier.footprint(op), op.pid)
+    #: Per op of the window (by ``seq``): its footprint, off the graph's
+    #: one footprint pass, and the account it anchors on.
+    footprint_of: dict[int, OpFootprint | None] = {}
+    anchor_of: dict[int, int] = {}
+    for op, footprint in zip(window, graph.footprints):
+        footprint_of[op.seq] = footprint
+        anchor_of[op.seq] = anchor_account(footprint, op.pid)
 
     assignment: dict[int, list[PendingOp]] = {
         node: [] for node in range(shard_map.num_nodes)
     }
     #: Start-of-round home node per op — the owner-local yardstick
     #: (this round's own migrations must not flatter the metric).
-    home = {op.seq: shard_map.owner_of(anchor(op)) for op in window}
+    home = {op.seq: shard_map.owner_of(anchor_of[op.seq]) for op in window}
     escalated_ops = 0
     #: Per contended cross-node component: (owner-node team, contended
     #: ops, the chain's unit) — what the sync layer tiers.
@@ -217,9 +226,7 @@ def route_window(
             leases=0,
             node=node,
             uidx=units_on[node],
-            summary=FootprintSummary.over(
-                classifier.footprint(op) for op in ops
-            ),
+            summary=FootprintSummary.over(footprint_of[op.seq] for op in ops),
         )
         units_on[node] += 1
         units[(node, unit.uidx)] = unit
@@ -233,7 +240,7 @@ def route_window(
     for chain in sorted(chain_idx, key=lambda c: c[0]):
         ops = [window[i] for i in chain]
         chain_seqs.update(op.seq for op in ops)
-        owners = Counter(shard_map.owner_of(anchor(op)) for op in ops)
+        owners = Counter(shard_map.owner_of(anchor_of[op.seq]) for op in ops)
         # Majority owner wins; ties go to the currently least-loaded
         # participant (an id tie-break would funnel every evenly-split
         # chain — and, through leases, ever more ownership — onto the
@@ -263,9 +270,9 @@ def route_window(
             # owner-local.
             foreign = sorted(
                 {
-                    shard_map.shard_of(anchor(op))
+                    shard_map.shard_of(anchor_of[op.seq])
                     for op in ops
-                    if shard_map.owner_of(anchor(op)) != target
+                    if shard_map.owner_of(anchor_of[op.seq]) != target
                 }
             )
             for shard in foreign:
@@ -295,7 +302,7 @@ def route_window(
     bundles: dict[int, list[PendingOp]] = {}
     for i in singleton_idx:
         op = window[i]
-        bundles.setdefault(anchor(op), []).append(op)
+        bundles.setdefault(anchor_of[op.seq], []).append(op)
 
     def least_loaded() -> int:
         return min(live, key=lambda n: (len(assignment[n]), n))

@@ -182,7 +182,9 @@ class OpClassifier:
         self.stats.record(kind)
         return kind
 
-    def needs_consensus(self, first: PendingOp, second: PendingOp) -> bool:
+    def needs_consensus(
+        self, first: PendingOp, second: PendingOp, footprints=None
+    ) -> bool:
         """True when ordering this pair requires total order (consensus).
 
         A conflicting pair of *distinct* processes needs consensus exactly
@@ -191,16 +193,20 @@ class OpClassifier:
         synchronization groups.  Conflicts without contention (a blind
         credit enabling a guarded spend) only need an order, which the
         barrier provides for free.  Unknown footprints are conservative.
+        ``footprints`` is the pair's footprints when the caller holds them
+        (a window's graph does).
         """
         if first.pid == second.pid:
             return False  # program order of one process needs no consensus
-        fp1, fp2 = self.footprint(first), self.footprint(second)
+        fp1, fp2 = footprints or (self.footprint(first), self.footprint(second))
         if fp1 is None or fp2 is None:
             return True
         return bool(fp1.contended & fp2.contended)
 
     def conflict_edges(
-        self, window: list[PendingOp]
+        self,
+        window: list[PendingOp],
+        footprints: list[OpFootprint | None] | None = None,
     ) -> dict[tuple[int, int], PairKind]:
         """The window's non-COMMUTE pairs and their kinds, keyed ``(i, j)``
         with ``i < j`` and stored in ascending key order — exactly the
@@ -210,8 +216,11 @@ class OpClassifier:
         (:func:`~repro.objects.footprint.conflict_candidates`) and each is
         classified by the same footprint-pair rule as :meth:`classify`, so
         the cost follows the edges, not the ``n(n-1)/2`` pairs.
+        ``footprints`` is the window's footprint list when the caller
+        already holds it (``ConflictGraph.build`` does, and keeps it).
         """
-        footprints = [self.footprint(op) for op in window]
+        if footprints is None:
+            footprints = [self.footprint(op) for op in window]
         edges: dict[tuple[int, int], PairKind] = {}
         for i, partners in enumerate(conflict_candidates(footprints)):
             if not partners:

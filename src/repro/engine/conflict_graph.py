@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.analysis.commutativity import PairKind
 from repro.engine.classifier import ClassifierValidationError, OpClassifier
 from repro.engine.mempool import PendingOp
+from repro.objects.footprint import OpFootprint
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,18 +100,27 @@ class ComponentDAG:
             waves[depth[i]].append(i)
         return waves
 
+    def shape(self) -> tuple[int, int]:
+        """``(critical_path, width)`` from one :meth:`depths` pass — what
+        the per-window stats read of a DAG."""
+        per_depth: dict[int, int] = {}
+        for depth in self.depths().values():
+            per_depth[depth] = per_depth.get(depth, 0) + 1
+        # Depths are contiguous from 0, so their count is the longest path.
+        return len(per_depth), max(per_depth.values(), default=0)
+
     @property
     def critical_path(self) -> int:
         """Longest chain of non-commuting ops — the component's makespan
         lower bound in operation units (``len(nodes)`` when the component
         is a total order, less when the conflict structure admits width)."""
-        return max(self.depths().values(), default=-1) + 1
+        return self.shape()[0]
 
     @property
     def width(self) -> int:
         """Largest antichain wave — the intra-component parallelism an
         op-granular schedule can exploit (1 = effectively a chain)."""
-        return max((len(wave) for wave in self.levels()), default=0)
+        return self.shape()[1]
 
     @property
     def size(self) -> int:
@@ -124,10 +134,17 @@ class ConflictGraph:
     ops: list[PendingOp]
     #: ``(i, j) -> kind`` with ``i < j``, in ascending key order; only
     #: non-COMMUTE pairs are stored.
-    edges: dict[tuple[int, int], PairKind] = field(default_factory=dict)
+    edges: dict[tuple[int, int], PairKind]
+    #: The window's static footprints, aligned with ``ops`` — the one
+    #: footprint pass of the window: splitting, placement, the frontier
+    #: and the cluster's routing all read them here.
+    footprints: list[OpFootprint | None]
     #: ``adjacency[i]`` = the indices sharing an edge with ``i`` — ascending,
     #: because ``edges`` is.
     adjacency: list[list[int]] = field(init=False, repr=False)
+    _components: list[list[int]] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.adjacency = [[] for _ in self.ops]
@@ -147,14 +164,18 @@ class ConflictGraph:
         order."""
         ops = list(ops)
         if not classifier.validate:
-            return cls(ops, classifier.conflict_edges(ops))
+            footprints = [classifier.footprint(op) for op in ops]
+            return cls(
+                ops, classifier.conflict_edges(ops, footprints), footprints
+            )
         oracle = {
             pair: kind
             for pair, kind in classifier.classify_window(ops, state).items()
             if kind is not PairKind.COMMUTE
         }
         with classifier.uncounted():
-            edges = classifier.conflict_edges(ops)
+            footprints = [classifier.footprint(op) for op in ops]
+            edges = classifier.conflict_edges(ops, footprints)
         if list(edges.items()) != list(oracle.items()):
             differing = sorted(
                 set(edges.items()) ^ set(oracle.items()), key=lambda e: e[0]
@@ -163,7 +184,7 @@ class ConflictGraph:
                 "location-indexed edges differ from the all-pairs "
                 f"classification in {differing[:6] or 'order only'}"
             )
-        return cls(ops, edges)
+        return cls(ops, edges, footprints)
 
     # ------------------------------------------------------------------
 
@@ -204,11 +225,18 @@ class ConflictGraph:
         return self.conflict_edges / total if total else 0.0
 
     def components(self) -> list[list[int]]:
-        """Connected components over non-commute edges (sorted indices).
+        """Connected components over non-commute edges (sorted indices),
+        ordered by their first index.
 
         Singleton components are operations free to run in any lane; larger
-        components are the window's synchronization groups.
+        components are the window's synchronization groups.  Computed once
+        per graph; every call returns fresh lists.
         """
+        return [list(component) for component in self._grouped()]
+
+    def _grouped(self) -> list[list[int]]:
+        if self._components is not None:
+            return self._components
         parent = list(range(len(self.ops)))
 
         def find(x: int) -> int:
@@ -221,10 +249,24 @@ class ConflictGraph:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self.ops)):
-            groups.setdefault(find(i), []).append(i)
-        return [sorted(members) for _, members in sorted(groups.items())]
+        # A root is its component's smallest index, so an ascending walk
+        # opens every component at its first member — and a vertex without
+        # an edge is its own component, no union-find lookup needed.
+        found: list[list[int]] = []
+        group_of: dict[int, list[int]] = {}
+        for i, adjacent in enumerate(self.adjacency):
+            if not adjacent:
+                found.append([i])
+                continue
+            root = find(i)
+            if root == i:
+                group_of[i] = group = []
+                found.append(group)
+            else:
+                group = group_of[root]
+            group.append(i)
+        self._components = found
+        return found
 
     def component_dags(self) -> list[ComponentDAG]:
         """Precedence DAGs of the multi-op components, in component order.
@@ -237,7 +279,7 @@ class ConflictGraph:
         one pass (every edge belongs to exactly one component), so a
         window costs O(V + E), not O(components × E).
         """
-        multi = [c for c in self.components() if len(c) > 1]
+        multi = [c for c in self._grouped() if len(c) > 1]
         owner = {i: k for k, component in enumerate(multi) for i in component}
         buckets: list[dict] = [{} for _ in multi]
         for (a, b), kind in self.edges.items():

@@ -49,6 +49,12 @@ with a floor ``max(classify time, frontier of its footprint, its sync
 lane's completion)``, and :func:`~repro.engine.shard.dag_list_schedule`
 places each window's ops onto the rolling lane timeline: critical-path
 first along the component DAGs, idle gaps behind floored ops backfilled.
+A window's footprints are computed once, by ``ConflictGraph.build``, and
+everything per op — footprint, frontier time, floor, placement — lives in
+lists aligned with the window or with the scheduler's task order, so an
+op that commutes with its whole window (the paper's consensus-number-1
+case) costs one footprint, one frontier lookup and one ``min`` over the
+lane tails: no edge, no union-find entry, no DAG.
 Window N+1 is classified (conflict graph, tiered synchronization) as soon
 as the pipeline has a free slot — i.e. while window N's lanes are still
 executing — and the shared synchronization lanes serialize across windows
@@ -78,8 +84,7 @@ against the sequential specification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from repro.config import EngineConfig
 from repro.engine.classifier import OpClassifier
@@ -95,9 +100,9 @@ from repro.sync.escalation import TieredEscalator
 from repro.workloads.generators import WorkloadItem
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduledUnit:
-    """One execution unit (a single operation) on the timeline."""
+class ScheduledUnit(NamedTuple):
+    """One execution unit (a single operation) on the timeline — an
+    immutable record, and a tuple because the engine builds one per op."""
 
     start: float
     finish: float
@@ -352,15 +357,16 @@ class PipelinedExecutor:
             self._sync_free = sync_start + escalation.virtual_time
         self._state_backlog.append(round_.ops)
 
-        # Per-op sync completion: a component's contended members may not
-        # start before their lane committed the order.
+        # Sync completion per contended window index: a component's
+        # contended members may not start before their lane committed the
+        # order.
         op_sync: dict[int, float] = {}
         for group, component in zip(
             round_.contended_groups, escalation.components
         ):
             done = sync_start + component.completed
             for i in group:
-                op_sync[round_.ops[i].seq] = done
+                op_sync[i] = done
 
         scheduled = self._place_window_dag(round_, t_classify, op_sync)
 
@@ -369,25 +375,29 @@ class PipelinedExecutor:
         # components statically commute, and same-component ordering is
         # the DAG edges' job.
         stall = stall_contended = 0.0
+        frontier_obs = self._frontier_obs
+        frontier_add = self._frontier_add
+        frontier_set = self._frontier_set
         for unit in scheduled:
             stall += unit.sync_stall + unit.frontier_stall
             if unit.contended:
                 stall_contended += unit.sync_stall + unit.frontier_stall
             footprint, finish = unit.footprint, unit.finish
-            self._frontier_max = max(self._frontier_max, finish)
             if footprint is None:
                 self._frontier_top = max(self._frontier_top, finish)
                 continue
-            for frontier, locations in (
-                (self._frontier_obs, footprint.observes),
-                (self._frontier_add, footprint.adds),
-                (self._frontier_set, footprint.sets),
-            ):
-                for loc in locations:
-                    if finish > frontier.get(loc, 0.0):
-                        frontier[loc] = finish
+            for loc in footprint.observes:
+                if finish > frontier_obs.get(loc, 0.0):
+                    frontier_obs[loc] = finish
+            for loc in footprint.adds:
+                if finish > frontier_add.get(loc, 0.0):
+                    frontier_add[loc] = finish
+            for loc in footprint.sets:
+                if finish > frontier_set.get(loc, 0.0):
+                    frontier_set[loc] = finish
 
         completed = max(unit.finish for unit in scheduled)
+        self._frontier_max = max(self._frontier_max, completed)
         first_start = min(unit.start for unit in scheduled)
         overlap = 0.0
         if self._completions:
@@ -396,6 +406,10 @@ class PipelinedExecutor:
         self._pending_units.extend(scheduled)
 
         escalated = len(round_.escalated_idx)
+        #: ``(critical_path, width)`` per DAG, one depth pass each.
+        shapes = [dag.shape() for dag in round_.dags]
+        critical_ops = sum(path for path, _ in shapes)
+        critical_path = max((path for path, _ in shapes), default=0)
         round_stats = WaveStats(
             index=index,
             window=len(round_.ops),
@@ -403,9 +417,7 @@ class PipelinedExecutor:
             barrier_ops=round_.chained_ops - escalated,
             escalated_ops=escalated,
             lanes_used=len({unit.lane for unit in scheduled}),
-            critical_path=max(
-                (dag.critical_path for dag in round_.dags), default=1
-            ),
+            critical_path=critical_path or 1,
             virtual_time=completed - t_classify,
             escalation_time=escalation.virtual_time,
             escalation_messages=escalation.messages,
@@ -420,12 +432,10 @@ class PipelinedExecutor:
             overlap_time=overlap,
             inflight=inflight,
             completed_at=completed,
-            dag_critical_path=max(
-                (dag.critical_path for dag in round_.dags), default=0
-            ),
-            dag_width=max((dag.width for dag in round_.dags), default=0),
+            dag_critical_path=critical_path,
+            dag_width=max((width for _, width in shapes), default=0),
             dag_chain_ops=sum(dag.size for dag in round_.dags),
-            dag_critical_ops=sum(dag.critical_path for dag in round_.dags),
+            dag_critical_ops=critical_ops,
         )
         if self.tracer is not None:
             self._trace_pipelined_round(
@@ -564,24 +574,24 @@ class PipelinedExecutor:
         :func:`~repro.engine.shard.dag_list_schedule` places the window
         onto the rolling lane timeline (critical-path first, submission
         order on ties, idle gaps behind floored ops backfilled).
+        ``op_sync`` maps a contended op's window index to its sync lane's
+        completion; ``dep_ready`` / ``floors`` are window-aligned lists,
+        ``order`` / ``preds`` / ``placed`` task-aligned ones.
         """
         ops = round_.ops
-        footprints: dict[int, OpFootprint | None] = {}
-        dep_ready: dict[int, float] = {}
-        floors: dict[int, float] = {}
-        for op in ops:
-            footprints[op.seq] = footprint = self.classifier.footprint(op)
-            dep_ready[op.seq] = ready = self._dep_ready(footprint)
-            floors[op.seq] = max(t_classify, ready, op_sync.get(op.seq, 0.0))
+        footprints = round_.graph.footprints
+        dep_ready = [self._dep_ready(footprint) for footprint in footprints]
+        floors = [max(t_classify, ready) for ready in dep_ready]
+        for i, done in op_sync.items():
+            floors[i] = max(floors[i], done)
         #: Per lane, when its next slot opens: the carried-in free time,
         #: then the finish of each op placed on it (start order).
         slot = list(self._lane_free)
-        tasks, placed = dag_schedule(
-            [[ops[i] for i in chain] for chain in round_.chain_idx],
-            [ops[i] for i in round_.singleton_idx],
+        order, preds, placed = dag_schedule(
             round_.dags,
+            round_.singleton_idx,
             self._lane_free,
-            floor=lambda op: floors[op.seq],
+            floors=floors,
             cost=self.config.op_cost,
         )
 
@@ -591,40 +601,33 @@ class PipelinedExecutor:
         # predecessor finishes form the baseline; waiting beyond it is
         # stall, attributed to the sync lane first, then the frontier —
         # ``start = base + sync_stall + frontier_stall`` exactly.
-        finish_of = {
-            op.seq: finish for op, (_, finish, _) in zip(tasks, placed)
-        }
-        pred_done: dict[int, float] = {}
-        for dag in round_.dags:
-            for node in dag.nodes:
-                pred_done[ops[node].seq] = max(
-                    (finish_of[ops[p].seq] for p in dag.preds[node]),
-                    default=0.0,
-                )
         scheduled: list[ScheduledUnit] = []
         for k in sorted(
-            range(len(tasks)), key=lambda k: (placed[k][0], tasks[k].seq)
+            range(len(order)), key=lambda k: (placed[k][0], order[k])
         ):
-            op = tasks[k]
+            i = order[k]
             start, finish, lane = placed[k]
-            contended = op.seq in op_sync
-            sync_ready = op_sync.get(op.seq, 0.0)
-            base = max(t_classify, slot[lane], pred_done.get(op.seq, 0.0))
+            base = max(t_classify, slot[lane])
+            for p in preds[k]:
+                if placed[p][1] > base:
+                    base = placed[p][1]
             slot[lane] = finish
-            sync_stall = max(0.0, sync_ready - base) if contended else 0.0
-            frontier_stall = max(
-                0.0, dep_ready[op.seq] - max(base, sync_ready)
-            )
+            sync_ready = op_sync.get(i)
+            if sync_ready is None:
+                sync_stall, held = 0.0, base
+            else:
+                sync_stall = max(0.0, sync_ready - base)
+                held = max(base, sync_ready)
             scheduled.append(
                 ScheduledUnit(
-                    start=start,
-                    finish=finish,
-                    lane=lane,
-                    op=op,
-                    footprint=footprints[op.seq],
-                    contended=contended,
-                    sync_stall=sync_stall,
-                    frontier_stall=frontier_stall,
+                    start,
+                    finish,
+                    lane,
+                    ops[i],
+                    footprints[i],
+                    sync_ready is not None,
+                    sync_stall,
+                    max(0.0, dep_ready[i] - held),
                 )
             )
         return scheduled

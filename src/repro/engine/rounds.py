@@ -80,9 +80,10 @@ class RoundScheduler:
             else:
                 chains.append(component)
         contended: set[int] = set()
+        ops, footprints = graph.ops, graph.footprints
         for (a, b), kind in graph.edges.items():
             if kind is PairKind.CONFLICT and self.classifier.needs_consensus(
-                graph.ops[a], graph.ops[b]
+                ops[a], ops[b], (footprints[a], footprints[b])
             ):
                 contended.add(a)
                 contended.add(b)

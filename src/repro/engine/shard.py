@@ -8,7 +8,10 @@ components:
   :class:`~repro.engine.conflict_graph.ComponentDAG` carries exactly
   those constraints;
 * **singletons** — operations commuting with everything else in the
-  window.  They can run anywhere and backfill idle lanes.
+  window.  They can run anywhere and backfill idle lanes — and cost the
+  scheduler one ``min`` over the lane tails each: no predecessor, no
+  priority to compute, and no lane is looked at one by one unless it
+  holds an idle gap.
 
 The planner schedules *operations*, not components, with a
 critical-path-first list scheduler (highest bottom level first,
@@ -23,16 +26,16 @@ The planner never consults mutable state, so the same window on the same
 lane timeline always gets the same placements — part of the engine's
 determinism guarantee.  :func:`dag_list_schedule` is the only list
 scheduler: the engine's rolling timeline and the cluster node's unit
-executor both place every op through it.
+executor both place every op through it, and both build its task lists
+in one place, :func:`dag_schedule`, which works on window indices alone
+(they ascend in submission order, so they are the tie-break too).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable
 
 from repro.engine.conflict_graph import ComponentDAG
-from repro.engine.mempool import PendingOp
 from repro.errors import EngineError
 
 #: Knuth's multiplicative hash constant; stable across runs and platforms
@@ -73,8 +76,12 @@ def dag_list_schedule(
     constraint is still honored through ``est``.
 
     Returns ``(start, finish, lane)`` per task.  Deterministic: the heap
-    orders by (priority desc, seq), the lane choice by (start, free, id),
-    and gaps are scanned in ascending start order.
+    orders by (priority desc, seq) and the lane choice by (start, free,
+    id) over every lane.  That key needs no scan of the lanes: among lane
+    *tails* it is smallest on the first lane of least free time (``start
+    = max(free, est)`` grows with ``free``), and a lane's fitting gap —
+    gaps are ascending, so its first — starts before its tail, so only
+    lanes holding a gap are looked at one by one.
     """
     n = len(seqs)
     succs: list[list[int]] = [[] for _ in range(n)]
@@ -87,41 +94,44 @@ def dag_list_schedule(
     ready = [(-priorities[i], seqs[i], i) for i in range(n) if not missing[i]]
     heapq.heapify(ready)
     out: list[tuple[float, float, int] | None] = [None] * n
-    #: Per lane: idle ``[start, end)`` intervals behind its free time,
-    #: ascending (this call's own making — a persistent caller's lanes
-    #: start gapless, which keeps incremental scheduling conservative).
-    gaps: list[list[tuple[float, float]]] = [[] for _ in lane_free]
+    #: Lane -> its idle ``[start, end)`` intervals behind its free time,
+    #: ascending; only lanes holding one have an entry (this call's own
+    #: making — a persistent caller's lanes start gapless, which keeps
+    #: incremental scheduling conservative).
+    gaps: dict[int, list[tuple[float, float]]] = {}
     scheduled = 0
     while ready:
         _, _, i = heapq.heappop(ready)
-        best: tuple | None = None
-        for lane_id in range(len(lane_free)):
-            placed_in: int | None = None
-            start = max(lane_free[lane_id], est[i])
-            # Gaps are ascending, so the first fitting gap is this lane's
-            # earliest feasible start — and any fitting gap beats the tail.
-            for gap_index, (gap_start, gap_end) in enumerate(gaps[lane_id]):
-                slot = max(gap_start, est[i])
-                if slot + cost <= gap_end:
-                    start, placed_in = slot, gap_index
-                    break
-            key = (start, lane_free[lane_id], lane_id)
-            if best is None or key < best[0]:
-                best = (key, lane_id, placed_in)
-        assert best is not None
-        (start, _, lane), _, gap_index = best
+        earliest = est[i]
+        free = min(lane_free)
+        lane = lane_free.index(free)
+        start = earliest if earliest > free else free
+        gap_index: int | None = None
+        if gaps:
+            best = (start, free, lane)
+            for lane_id, idle in gaps.items():
+                for k, (gap_start, gap_end) in enumerate(idle):
+                    slot = earliest if earliest > gap_start else gap_start
+                    if slot + cost <= gap_end:
+                        key = (slot, lane_free[lane_id], lane_id)
+                        if key < best:
+                            best, start, lane, gap_index = key, slot, lane_id, k
+                        break
         finish = start + cost
         if gap_index is not None:
-            gap_start, gap_end = gaps[lane].pop(gap_index)
+            idle = gaps[lane]
+            gap_start, gap_end = idle.pop(gap_index)
             # Residual idle slivers stay fillable (sub-intervals of the
             # old gap, so the list stays ascending in place).
             if finish < gap_end:
-                gaps[lane].insert(gap_index, (finish, gap_end))
+                idle.insert(gap_index, (finish, gap_end))
             if gap_start < start:
-                gaps[lane].insert(gap_index, (gap_start, start))
+                idle.insert(gap_index, (gap_start, start))
+            if not idle:
+                del gaps[lane]
         else:
-            if start > lane_free[lane]:
-                gaps[lane].append((lane_free[lane], start))
+            if start > free:
+                gaps.setdefault(lane, []).append((free, start))
             lane_free[lane] = finish
         out[i] = (start, finish, lane)
         scheduled += 1
@@ -137,54 +147,47 @@ def dag_list_schedule(
 
 
 def dag_schedule(
-    chains: list[list[PendingOp]],
-    singletons: list[PendingOp],
     dags: list[ComponentDAG],
+    singletons: list[int],
     lane_free: list,
-    floor: Callable[[PendingOp], float] | None = None,
+    floors: list[float] | None = None,
     cost: float = 1,
-) -> tuple[list[PendingOp], list[tuple]]:
-    """Schedule ops (not components) with critical-path-first listing.
+) -> tuple[list[int], list[tuple[int, ...]], list[tuple]]:
+    """Schedule a window's ops (not its components) with
+    critical-path-first listing.
 
-    Chain ops carry their DAG precedence constraints and their bottom
-    level as priority, so the longest remaining dependency chains start
-    first; singletons (bottom level 1) backfill.  ``lane_free`` is a live
-    lane timeline mutated in place (its length is the lane count) and
-    ``floor(op)`` an external earliest start per op (classification time,
-    sync-lane completion, cross-window frontier; ``None`` = no floor), so
-    callers with persistent lanes (the engine's rolling timeline, the
-    cluster node's unit executor) schedule incrementally.  Returns the
-    task list and its ``(start, finish, lane)`` placements.
+    Tasks are the ``dags``' nodes, DAG by DAG, then the ``singletons`` —
+    all window indices, which ascend in submission order.  Chain ops carry
+    their DAG precedence constraints and their bottom level as priority, so
+    the longest remaining dependency chains start first; singletons (bottom
+    level 1) backfill.  ``lane_free`` is a live lane timeline mutated in
+    place (its length is the lane count) and ``floors[i]`` an external
+    earliest start for window index ``i`` (classification time, sync-lane
+    completion, cross-window frontier; ``None`` = no floor), so callers
+    with persistent lanes (the engine's rolling timeline, the cluster
+    node's unit executor) schedule incrementally.  Returns, task-aligned:
+    the window index of each task, its predecessors as task positions, and
+    its ``(start, finish, lane)`` placement.
     """
-    if len(dags) != len(chains):
-        raise EngineError("need one precedence DAG per chain")
-    ops: list[PendingOp] = []
-    seqs: list[int] = []
+    order: list[int] = []
     preds: list[tuple[int, ...]] = []
     priorities: list[int] = []
-    for chain, dag in zip(chains, dags):
-        if len(chain) != len(dag.nodes):
-            raise EngineError("chain and its DAG disagree on size")
-        base = len(ops)
-        position = {node: k for k, node in enumerate(dag.nodes)}
+    for dag in dags:
+        position = {node: len(order) + k for k, node in enumerate(dag.nodes)}
         bottom = dag.bottom_levels()
-        for k, op in enumerate(chain):
-            node = dag.nodes[k]
-            ops.append(op)
-            seqs.append(op.seq)
-            preds.append(tuple(base + position[p] for p in dag.preds[node]))
+        for node in dag.nodes:
+            order.append(node)
+            preds.append(tuple(position[p] for p in dag.preds[node]))
             priorities.append(bottom[node])
-    for op in singletons:
-        ops.append(op)
-        seqs.append(op.seq)
-        preds.append(())
-        priorities.append(1)
+    order.extend(singletons)
+    preds.extend([()] * len(singletons))
+    priorities.extend([1] * len(singletons))
     placed = dag_list_schedule(
-        seqs,
+        order,
         preds,
         priorities,
         lane_free,
-        floors=[floor(op) for op in ops] if floor is not None else None,
+        floors=[floors[i] for i in order] if floors is not None else None,
         cost=cost,
     )
-    return ops, placed
+    return order, preds, placed

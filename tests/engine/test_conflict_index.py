@@ -272,7 +272,9 @@ class TestValidateOracle:
             [(0, op("transfer", 1, 2)), (1, op("transfer", 0, 2))]
         )
         classifier = OpClassifier(token, validate=True)
-        monkeypatch.setattr(classifier, "conflict_edges", lambda ops: {})
+        monkeypatch.setattr(
+            classifier, "conflict_edges", lambda ops, footprints=None: {}
+        )
         with pytest.raises(ClassifierValidationError, match="differ"):
             ConflictGraph.build(classifier, window, token.initial_state())
 

@@ -97,14 +97,12 @@ class TestShardPlanner:
         """Schedule one window on fresh lanes; returns ``seq -> (start,
         finish, lane)``."""
         graph = ConflictGraph.build(OpClassifier(token), pending)
-        components = graph.components()
-        tasks, placed = dag_schedule(
-            [[pending[i] for i in c] for c in components if len(c) > 1],
-            [pending[c[0]] for c in components if len(c) == 1],
+        order, _, placed = dag_schedule(
             graph.component_dags(),
+            [c[0] for c in graph.components() if len(c) == 1],
             [0] * lanes,
         )
-        return {task.seq: slot for task, slot in zip(tasks, placed)}
+        return {pending[i].seq: slot for i, slot in zip(order, placed)}
 
     def _window(self):
         singles = [

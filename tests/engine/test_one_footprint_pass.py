@@ -1,0 +1,129 @@
+"""One footprint pass per window, components once per graph.
+
+Deterministic guards (counters, no clocks) for what makes an op that
+commutes with its whole window cheap: its footprint is computed and looked
+up once — ``ConflictGraph.build`` does it and every later stage (split,
+placement, frontier, the cluster's routing) reads ``graph.footprints`` —
+and the graph's components are found once however many stages ask.
+"""
+
+from __future__ import annotations
+
+from repro.analysis.commutativity import PairKind
+from repro.cluster import TokenCluster
+from repro.config import ClusterConfig, EngineConfig
+from repro.engine import OpClassifier, PendingOp, PipelinedExecutor
+from repro.engine.conflict_graph import ConflictGraph
+from repro.engine.rounds import RoundScheduler
+from repro.objects.erc20 import ERC20TokenType
+from repro.spec.operation import op
+from repro.workloads import (
+    SPENDER_HEAVY_MIX,
+    TokenWorkloadGenerator,
+    WorkloadItem,
+)
+
+N = 16
+
+
+def _count_calls(obj, name: str) -> list[int]:
+    """Shadow ``obj.name`` with a counting twin; returns the live count."""
+    calls = [0]
+    wrapped = getattr(obj, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return wrapped(*args, **kwargs)
+
+    setattr(obj, name, counting)
+    return calls
+
+
+class TestOneFootprintPass:
+    def test_engine_computes_and_looks_up_each_footprint_once(self):
+        token = ERC20TokenType(N, total_supply=100 * N)
+        # Owner-only and pairwise distinct: no contended group (the sync
+        # planner would look its members up again) and no repeat for the
+        # memo to answer.
+        items = [
+            WorkloadItem(i % N, op("transfer", (7 * i + 3) % N, 1 + i // N))
+            for i in range(6 * N)
+        ]
+        items += [WorkloadItem(i, op("balanceOf", i)) for i in range(N)]
+        assert len({(item.pid, item.operation) for item in items}) == len(items)
+        computed = _count_calls(token, "footprint")
+        engine = PipelinedExecutor(token, EngineConfig(num_lanes=4, window=16))
+        looked_up = _count_calls(engine.classifier, "footprint")
+        engine.run_workload(items)
+        assert engine.stats.escalated_ops == 0
+        assert computed[0] == looked_up[0] == len(items)
+        assert engine.classifier.stats.footprint_cache_hits == 0
+
+    def test_router_looks_each_op_up_once_per_window(self):
+        token = ERC20TokenType(N, total_supply=100 * N)
+        generator = TokenWorkloadGenerator(N, seed=5, mix=SPENDER_HEAVY_MIX)
+        items = generator.generate(160)
+        cluster = TokenCluster(
+            token, ClusterConfig(num_nodes=2, lanes_per_node=2, window=32)
+        )
+        looked_up = _count_calls(cluster.router.classifier, "footprint")
+        _, _, stats = cluster.run_workload(items)
+        assert stats.escalated_ops > 0  # chains, leases and sync all ran
+        # Fault-free, every op is routed in exactly one window.
+        assert looked_up[0] == len(items)
+
+
+class _CountingEdges(dict):
+    """An edge dict that counts how often it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class TestComponentsOnce:
+    def _graph(self):
+        token = ERC20TokenType(N, total_supply=100 * N)
+        ops = [
+            PendingOp(0, 0, op("transfer", 1, 1)),
+            PendingOp(1, 5, op("balanceOf", 6)),
+            PendingOp(2, 1, op("transfer", 2, 1)),
+            PendingOp(3, 7, op("balanceOf", 7)),
+            PendingOp(4, 2, op("transfer", 3, 1)),
+        ]
+        classifier = OpClassifier(token)
+        built = ConflictGraph.build(classifier, ops)
+        assert list(built.edges) == [(0, 2), (2, 4)]
+        graph = ConflictGraph(
+            ops, _CountingEdges(built.edges), built.footprints
+        )
+        return classifier, graph
+
+    def test_asked_twice_computed_once(self):
+        _, graph = self._graph()
+        walks = graph.edges.walks  # the adjacency lists took one
+        assert graph.components() == [[0, 2, 4], [1], [3]]
+        assert graph.edges.walks == walks + 1
+        assert graph.components() == [[0, 2, 4], [1], [3]]
+        assert [dag.nodes for dag in graph.component_dags()] == [(0, 2, 4)]
+        # Neither the second call nor the DAGs grouped again (the DAGs
+        # bucket the edges through ``items()``, not a plain walk).
+        assert graph.edges.walks == walks + 1
+
+    def test_callers_cannot_corrupt_the_memo(self):
+        classifier, graph = self._graph()
+        found = graph.components()
+        found[0].append(99)
+        found.clear()
+        # ``split_sync`` hands the lists on as ``chain_idx``: they are the
+        # caller's to keep.
+        chains, singletons, _ = RoundScheduler(classifier).split_sync(graph)
+        chains[0].reverse()
+        singletons.clear()
+        assert graph.components() == [[0, 2, 4], [1], [3]]
+        (dag,) = graph.component_dags()
+        assert dag.nodes == (0, 2, 4)
+        assert dag.preds == {0: (), 2: (0,), 4: (2,)}
+        assert graph.kind(0, 2) is PairKind.CONFLICT

@@ -9,7 +9,10 @@ Machine-checked guarantees of :mod:`repro.engine.pipeline`:
 * **stage machine** — rounds advance ``DRAINED → CLASSIFIED → SYNCED``
   and refuse skips, repeats and regressions;
 * **traced intake** — a paced run stamps each op's submit at the
-  admission time it entered the pool, never after its classification.
+  admission time it entered the pool, never after its classification;
+* **Tier 0** — ops commuting with their whole window land on the
+  earliest-free lane at their floor, exactly as the list scheduler places
+  zero-in-degree tasks of equal priority.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import EngineConfig
-from repro.engine import PipelinedExecutor, RoundStage
+from repro.engine import PipelinedExecutor, RoundStage, dag_list_schedule
 from repro.engine.rounds import Round
 from repro.errors import EngineError
 from repro.objects.asset_transfer import AssetTransferType
@@ -365,3 +368,70 @@ class TestFrontierAccessKinds:
         )
         assert second.start < first.finish
         assert second.frontier_stall == 0.0
+
+
+class TestTierZeroPlacement:
+    """An op that commutes with its whole window is scheduling-free: no
+    edge, no DAG, one lane pick.  It lands on the earliest-free lane (lowest
+    id on ties) at ``max(t_classify, dep_ready)``, in submission order —
+    which is what the list scheduler gives zero-in-degree tasks of equal
+    priority, so the engine may place it through the one scheduler."""
+
+    def test_isolated_ops_take_the_earliest_free_lane_at_their_floor(self):
+        lanes = 8
+        engine = PipelinedExecutor(
+            ERC20TokenType(16, total_supply=160),
+            EngineConfig(pipeline_depth=2, num_lanes=lanes, window=4),
+        )
+        writers = [(a, op("transfer", a + 8, 1)) for a in range(4)]
+        # Reads commute with each other; the last two wait, across the
+        # window boundary, for the transfer that debits account 0.  Floors
+        # ascend in submission order, so no op fits a gap behind an earlier
+        # one and the earliest-free-lane rule is the whole story.
+        readers = [
+            (9, op("balanceOf", 14)),
+            (9, op("balanceOf", 15)),
+            (9, op("balanceOf", 0)),
+            (10, op("balanceOf", 0)),
+        ]
+        for pid, operation in writers + readers:
+            engine.submit(pid, operation)
+        engine.step()
+        first = list(engine._pending_units)
+        t_classify = engine.stream_now()
+        wave = engine.step()
+        assert wave.wave_ops == len(readers)  # every op is isolated
+        units = sorted(
+            engine._pending_units[len(first) :], key=lambda u: u.op.seq
+        )
+        engine.run()
+
+        # The lane timeline the first window left behind is not uniform.
+        lane_free = [0.0] * lanes
+        for unit in first:
+            lane_free[unit.lane] = max(lane_free[unit.lane], unit.finish)
+        assert len(set(lane_free)) > 1
+        debited = {unit.op.pid: unit.finish for unit in first}
+        floors = [
+            max(t_classify, debited.get(operation.args[0], 0.0))
+            for _, operation in readers
+        ]
+        assert floors == sorted(floors) and floors[-1] > t_classify
+
+        expected = dag_list_schedule(
+            seqs=list(range(len(readers))),
+            preds=[()] * len(readers),
+            priorities=[1] * len(readers),
+            lane_free=list(lane_free),
+            floors=floors,
+            cost=engine.config.op_cost,
+        )
+        for unit, floor, slot in zip(units, floors, expected):
+            free = min(lane_free)
+            lane = lane_free.index(free)
+            start = max(free, floor)
+            lane_free[lane] = start + engine.config.op_cost
+            assert (unit.start, unit.finish, unit.lane) == slot
+            assert slot == (start, lane_free[lane], lane)
+            base = max(free, t_classify)
+            assert unit.frontier_stall == max(0.0, floor - base)
