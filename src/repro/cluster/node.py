@@ -3,22 +3,25 @@
 Each :class:`ClusterNode` owns a set of account shards and executes the
 *dispatch units* the router forwards to it.  A unit is one conflict-graph
 component (or the residual set of the node's singletons for a round),
-sent as a single ``cl_run`` that carries its ops; the router gates each
-unit individually, and the node runs units incrementally on a *persistent
-lane timeline* — the op-granular list scheduler
-(:func:`~repro.engine.shard.dag_schedule`) places each
-arriving unit's ops onto whichever lanes free up first, so one unit
-blocked behind its sync lane or a cross-round footprint conflict does not
-hold up everything else routed to the node that round.  Units of one
-round are distinct components (statically commuting) and cross-round
-conflicts are dispatch-gated at the router, so any unit interleaving
-stays serially equivalent.
+sent as a single ``cl_run`` that carries its ops *and its plan* (the
+component's precedence DAG over positions in ``ops``; ``None`` for
+edge-free ops).  The node executes the plan and classifies nothing; only
+under ``validate`` does it re-derive it from the ops, and the two must be
+equal.  The router gates each unit individually, and the node runs units
+incrementally on a *persistent lane timeline* — the op-granular list
+scheduler (:func:`~repro.engine.shard.dag_schedule`) places each arriving
+unit's ops onto whichever lanes free up first, so one unit blocked behind
+its sync lane or a cross-round footprint conflict does not hold up
+everything else routed to the node that round.  Units of one round are
+distinct components (statically commuting) and cross-round conflicts are
+dispatch-gated at the router, so any unit interleaving stays serially
+equivalent.
 
 Owner-local execution involves no coordination at all — the node never
 sends or receives a lease or consensus message for it; its only traffic is
 the forward in and the reply out.  The lease protocol surfaces here as
-two handlers: ``cl_lease_request`` (hand the shard away) and
-``cl_lease_grant`` (adopt it and ack to the router).
+``cl_lease_request`` (hand the shard away) and one adoption path for
+``cl_lease_grant`` / ``cl_lease_revoke`` (adopt it and ack to the router).
 
 A unit carrying a contended component waits for its synchronization lane
 first: its ``cl_run`` carries ``sync_ready``, the absolute virtual
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.config import ClusterConfig
-from repro.engine.classifier import OpClassifier
-from repro.engine.conflict_graph import ConflictGraph
+from repro.engine.classifier import ClassifierValidationError, OpClassifier
+from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
 from repro.engine.mempool import PendingOp
 from repro.engine.rounds import RoundScheduler
 from repro.engine.shard import dag_schedule
@@ -59,13 +62,16 @@ class _NodeUnit:
     ``cl_run`` lands."""
 
     ops: list[PendingOp] | None = None
+    #: The router's plan over positions in ``ops``; ``None``: no edges.
+    dag: ComponentDAG | None = None
     #: Lease grants the unit must wait for / has received.
     leases_needed: int = 0
     leases_granted: int = 0
     #: Absolute completion (simulator clock) of the sync lane the unit
     #: must wait out first.
     sync_ready: float = 0.0
-    running: bool = False
+    #: The execution timer while the unit runs — what a crash cancels.
+    timer: Any = None
     #: When the unit, its ops in hand, first stalled on a missing lease
     #: grant — traced as ``lease_wait`` when it finally runs.
     blocked_since: float | None = None
@@ -102,29 +108,20 @@ class ClusterNode(Node):
         #: Optional observability hook (:mod:`repro.obs`); ``None``
         #: records nothing.
         self.tracer = tracer
-        #: Crash/restart lifecycle (:mod:`repro.faults`).  When fault
-        #: tolerance is on, every in-flight execution timer is tracked so
-        #: :meth:`crash` can cancel it — a crash loses exactly the work
-        #: that had not reached its virtual completion time.
-        self.fault_tolerant = (
-            config.fault.enabled or config.result_timeout is not None
-        )
-        self.crashed = False
-        self._timers: list = []
 
     # -- crash/restart lifecycle ------------------------------------------
 
     def crash(self) -> None:
         """Lose all volatile state: cancel every in-flight execution
-        timer and forget buffered units, lease bookkeeping, and owned
-        shards.  Committed work (applied before the crash) is untouched —
-        application and result reporting happen in one simulator event,
-        so there is no window where state mutated but the result is not
-        on the wire."""
-        self.crashed = True
-        for handle in self._timers:
-            handle.cancel()
-        self._timers.clear()
+        timer — a crash loses exactly the work that had not reached its
+        virtual completion time — and forget buffered units, lease
+        bookkeeping, and owned shards.  Committed work (applied before
+        the crash) is untouched — application and result reporting happen
+        in one simulator event, so there is no window where state mutated
+        but the result is not on the wire."""
+        for unit in self._units.values():
+            if unit.timer is not None:
+                unit.timer.cancel()
         self._units.clear()
         self.owned_shards.clear()
         self.bill.crashes += 1
@@ -134,20 +131,10 @@ class ClusterNode(Node):
         work, shard ownership resynchronized to the router's view (the
         shard map is the authoritative record; whatever the router
         revoked while this node was down is gone)."""
-        self.crashed = False
         self._lane_free = [0.0] * len(self._lane_free)
         if owned_shards is not None:
             self.owned_shards = set(owned_shards)
         self.bill.restarts += 1
-
-    def _track_timer(self, handle) -> None:
-        """Remember an execution timer so a crash can cancel it; consumed
-        handles are pruned lazily so the list stays bounded."""
-        if not self.fault_tolerant:
-            return
-        self._timers.append(handle)
-        if len(self._timers) > 64:
-            self._timers = [h for h in self._timers if h.active]
 
     # -- unit execution --------------------------------------------------
 
@@ -157,8 +144,18 @@ class ClusterNode(Node):
 
     def handle_cl_run(self, message: Message) -> None:
         body = message.payload
-        if not body["ops"]:
+        ops, dag = body["ops"], body["dag"]
+        if not ops:
             raise ClusterError("cl_run announced an empty unit")
+        # The plan indexes the ops by position: a malformed one fails
+        # here, at the message, not later as a wrong schedule.
+        if any(a.seq >= b.seq for a, b in zip(ops, ops[1:])):
+            raise ClusterError("cl_run ops are not in ascending seq order")
+        if dag is not None and not (
+            isinstance(dag, ComponentDAG)
+            and dag.nodes == tuple(range(len(ops)))
+        ):
+            raise ClusterError("cl_run dag does not span the unit's ops")
         key, unit = self._unit(body)
         if unit.ops is not None:
             raise ClusterError(
@@ -167,21 +164,11 @@ class ClusterNode(Node):
             )
         # The unit's ops ride inside the announcement (one message per
         # unit); the bill still counts every op forward received.
-        unit.ops = body["ops"]
+        unit.ops, unit.dag = ops, dag
         unit.leases_needed = body["leases"]
         unit.sync_ready = body["sync_ready"]
         self.bill.forwards_received += len(unit.ops)
         self._maybe_run_unit(key, unit)
-
-    def _bill_dag(
-        self, chain_ops: int, critical_ops: int, critical_path: int, width: int
-    ) -> None:
-        self.bill.dag_chain_ops += chain_ops
-        self.bill.dag_critical_ops += critical_ops
-        self.bill.max_dag_critical_path = max(
-            self.bill.max_dag_critical_path, critical_path
-        )
-        self.bill.max_dag_width = max(self.bill.max_dag_width, width)
 
     def _maybe_run_unit(self, key: tuple[int, int], unit: _NodeUnit) -> None:
         """Run one dispatch unit (a component, or a round's singletons)
@@ -196,61 +183,65 @@ class ClusterNode(Node):
         predecessors allow, continuing wherever earlier units left the
         lanes.
         """
-        if unit.ops is None or unit.running:
+        if unit.ops is None or unit.timer is not None:
             return
         if unit.leases_granted < unit.leases_needed:
             if unit.blocked_since is None:
                 unit.blocked_since = self.now
             return
-        unit.running = True
-        ops = sorted(unit.ops, key=lambda op: op.seq)
+        ops = unit.ops
         # The unit's contended ops execute only after their sync lane
         # committed an order; the router sends the lane's absolute
         # completion, so the unit pays only the remainder.
         ready = max(self.now, unit.sync_ready)
         self.bill.sync_wait_time += max(0.0, unit.sync_ready - self.now)
-        graph = ConflictGraph.build(self.classifier, ops)
-        _, singleton_idx, _ = self.scheduler.split(graph)
-        dags = graph.component_dags()
-        task_idx, _, placed = dag_schedule(
+        # The node executes the router's plan — one component's DAG, or
+        # edge-free ops free to take any lane; task ``k`` is ``ops[k]``.
+        dags = [] if unit.dag is None else [unit.dag]
+        singleton_idx = list(range(len(ops))) if unit.dag is None else []
+        if self.config.validate:
+            # The reference: the plan re-derived from the ops alone.
+            graph = ConflictGraph.build(self.classifier, ops)
+            _, expected_idx, _ = self.scheduler.split(graph)
+            if (graph.component_dags(), expected_idx) != (dags, singleton_idx):
+                raise ClassifierValidationError(
+                    f"unit {key}: the shipped plan differs from the one "
+                    "its ops derive"
+                )
+        _, _, placed = dag_schedule(
             dags,
             singleton_idx,
             self._lane_free,
             floors=[ready] * len(ops),
             cost=self.config.op_cost,
         )
-        tasks = [ops[i] for i in task_idx]
         order = [
-            tasks[k]
-            for k in sorted(
-                range(len(tasks)), key=lambda k: (placed[k][0], task_idx[k])
-            )
+            ops[k]
+            for k in sorted(range(len(ops)), key=lambda k: (placed[k][0], k))
         ]
-        finish = max((f for _, f, _ in placed), default=ready)
+        finish = max(f for _, f, _ in placed)
         # Bill the unit's execution span (first op start -> last finish),
         # not its wall time since arrival — time spent queued behind
         # other units' lane occupancy is not this unit's work.
-        started = min((s for s, _, _ in placed), default=ready)
-        shapes = [dag.shape() for dag in dags]
-        self._bill_dag(
-            sum(dag.size for dag in dags),
-            sum(path for path, _ in shapes),
-            max((path for path, _ in shapes), default=0),
-            max((width for _, width in shapes), default=0),
-        )
+        started = min(s for s, _, _ in placed)
+        if unit.dag is not None:
+            path, width = unit.dag.shape()
+            bill = self.bill
+            bill.dag_chain_ops += unit.dag.size
+            bill.dag_critical_ops += path
+            bill.max_dag_critical_path = max(bill.max_dag_critical_path, path)
+            bill.max_dag_width = max(bill.max_dag_width, width)
         if self.tracer is not None:
-            self._trace_unit(key, unit, tasks, placed, ready, finish)
-        handle = self.schedule(
+            self._trace_unit(key, unit, placed, ready, finish)
+        unit.timer = self.schedule(
             finish - self.now,
             lambda: self._finish_unit(key, order, finish - started),
         )
-        self._track_timer(handle)
 
     def _trace_unit(
         self,
         key: tuple[int, int],
         unit: _NodeUnit,
-        tasks: list[PendingOp],
         placed: list[tuple],
         ready: float,
         finish: float,
@@ -276,7 +267,7 @@ class ClusterNode(Node):
             )
             if amount > 0
         )
-        for op, (start, end, lane) in zip(tasks, placed):
+        for op, (start, end, lane) in zip(unit.ops, placed):
             tracer.span(
                 f"node{self.node_id}.lane{lane}",
                 f"op {op.seq}",
@@ -351,55 +342,28 @@ class ClusterNode(Node):
         self.send(body["new_owner"], "cl_lease_grant", grant)
 
     def handle_cl_lease_grant(self, message: Message) -> None:
-        """Adopt a shard, unblock the waiting unit, ack the router."""
-        body = message.payload
-        self.owned_shards.add(body["shard"])
-        self.bill.leases_acquired += 1
-        if self.tracer is not None:
-            self.tracer.instant(
-                f"node{self.node_id}",
-                f"lease shard {body['shard']} adopted",
-                self.now,
-                args={"round": body["round"]},
-            )
-        if body["round"] < 0:
-            # Administrative transfer (rejoin rebalancing): no unit is
-            # waiting on this grant — adopt and ack only.
-            self.send(
-                self.router_id,
-                "cl_lease_ack",
-                {"shard": body["shard"], "round": body["round"]},
-            )
-            return
-        key, unit = self._unit(body)
-        unit.leases_granted += 1
-        self.send(
-            self.router_id,
-            "cl_lease_ack",
-            {"shard": body["shard"], "round": body["round"]},
-        )
-        self._maybe_run_unit(key, unit)
-
-    def handle_cl_lease_revoke(self, message: Message) -> None:
-        """Adopt a shard the router revoked from a failed owner.
-
-        Unlike a grant, no handover from the previous owner is possible —
-        the router reassigned the shard unilaterally.  A revoke that
-        carries a ``round``/``unit`` doubles as the grant the named unit
-        was waiting for (its granter died mid-handoff); an administrative
-        revoke (``round < 0``) only adopts.  Both ack the router so it
-        can serialize further handoffs of the shard behind the adoption.
-        """
+        """The one adoption path: a shard its previous owner handed over,
+        or (``cl_lease_revoke``) one the router reassigned unilaterally —
+        no handover from a failed owner is possible — whose ``round`` /
+        ``unit`` make it double as the grant the named unit was waiting
+        for (its granter died mid-handoff).  Adopt, bill, trace, ack, so
+        the router can serialize further handoffs of the shard behind
+        this one, then unblock the unit the handoff names; an
+        administrative one (``round < 0``: fail-over revocation, rejoin
+        rebalancing) names none."""
         body = message.payload
         shard = body["shard"]
         self.owned_shards.add(shard)
         self.bill.leases_acquired += 1
         if self.tracer is not None:
+            event = f"lease shard {shard} adopted"
+            args = {"round": body["round"]}
+            if message.type == "cl_lease_revoke":
+                from_node = body["from_node"]
+                event = f"lease shard {shard} revoked from node {from_node}"
+                args = {"shard": shard, "from_node": from_node}
             self.tracer.instant(
-                f"node{self.node_id}",
-                f"lease shard {shard} revoked from node {body['from_node']}",
-                self.now,
-                args={"shard": shard, "from_node": body["from_node"]},
+                f"node{self.node_id}", event, self.now, args=args
             )
         self.send(
             self.router_id,
@@ -411,6 +375,8 @@ class ClusterNode(Node):
         key, unit = self._unit(body)
         unit.leases_granted += 1
         self._maybe_run_unit(key, unit)
+
+    handle_cl_lease_revoke = handle_cl_lease_grant
 
     def handle_cl_ping(self, message: Message) -> None:
         """Answer the router's liveness probe.  A pong proves only that

@@ -7,12 +7,13 @@ conflict-graph component runs and which shard leases migrate (the policy
 and its safety argument are that module's docstring), and the router
 *drives* those decisions over the network — three protocols, one record
 per instance: the **unit lifecycle** (routed → gated → dispatched → done
-or replayed; :class:`~repro.cluster.routing._Unit`, :meth:`Router.pump`),
-the **lease handoff** (request → grant → ack, or a unilateral revoke →
-ack; :class:`_Handoff`, whose presence is the shard's serialization
-token) and the **failure detector** (result timer → probe → pong, or
-declare dead → revoke and replay → rejoin; :class:`_Peer`, whose liveness
-rule takes ``now`` and returns a verdict).
+or replayed; :class:`~repro.cluster.routing._Unit`, whose methods own the
+transitions and return what the router bills), the **lease handoff**
+(request → grant → ack, or a unilateral revoke → ack; :class:`_Handoff`,
+whose presence is the shard's serialization token) and the **failure
+detector** (result timer → probe → pong, or declare dead → revoke and
+replay → rejoin; :class:`_Peer`, whose liveness rule takes ``now`` and
+returns a verdict).
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class _Peer:
     """The router's view of one node: what is queued for it, and every
     fact the failure detector holds about it."""
 
-    #: ``(round index, unit)`` entries awaiting dispatch to the node.
-    queue: deque[tuple[int, _Unit]] = field(default_factory=deque)
+    #: Units awaiting dispatch to the node.
+    queue: deque[_Unit] = field(default_factory=deque)
     #: Declared dead: fenced, and given no work until it rejoins.
     dead: bool = False
     #: Last virtual time the node was dispatched to or heard from
@@ -370,7 +371,7 @@ class Router(Node):
                 self._trace_routed(routed)
             self._inflight[index] = routed
             for unit in routed.units.values():
-                self._peers[unit.node].queue.append((index, unit))
+                self._peers[unit.node].queue.append(unit)
             classified += 1
         self._drain_gates()
         return classified
@@ -387,11 +388,9 @@ class Router(Node):
                     if shard in self._handoffs:
                         continue  # an earlier handoff of this shard is out
                     round_state.lease_pending.remove(migration)
-                    if self._peers[from_node].dead:
-                        # The planned granter died: adopt unilaterally.
-                        self._direct_adopt(shard, index, from_node, to_node)
-                    else:
-                        self._request_handoff(shard, index, from_node, to_node)
+                    # A planned granter that died is bypassed.
+                    dead = self._peers[from_node].dead
+                    self._open_handoff(shard, index, from_node, to_node, dead)
                     progress = True
             progress |= self._drain_unit_queues()
 
@@ -406,23 +405,14 @@ class Router(Node):
         for node, peer in enumerate(self._peers):
             if peer.dead:
                 continue
-            for entry in list(peer.queue):
-                index, unit = entry
-                round_state = self._inflight[index]
-                if self._unit_blocked(index, unit):
-                    if unit.blocked_since is None:
-                        unit.blocked_since = self.now
+            for unit in list(peer.queue):
+                round_state = self._inflight[unit.round]
+                if self._unit_blocked(unit):
+                    unit.block(self.now)
                     continue
-                peer.queue.remove(entry)
-                unit.dispatched = True
+                peer.queue.remove(unit)
                 stall = self.now - round_state.classified
-                gate_stall = recovery_stall = 0.0
-                if unit.blocked_since is not None:
-                    gate_stall = self.now - unit.blocked_since
-                    unit.blocked_since = None
-                if unit.replay_started is not None:
-                    recovery_stall = self.now - unit.replay_started
-                    unit.replay_started = None
+                gate_stall, recovery_stall = unit.dispatch(self.now)
                 totals = round_state.stats
                 totals.dispatch_stall += stall
                 totals.frontier_stall += gate_stall
@@ -431,7 +421,7 @@ class Router(Node):
                     totals.frontier_stall_contended += gate_stall
                 if self.tracer is not None and stall > 0:
                     self._trace_dispatch(
-                        f"dispatch r{index} n{node} u{unit.uidx}",
+                        f"dispatch r{unit.round} n{node} u{unit.uidx}",
                         stall,
                         gate_stall,
                         recovery_stall,
@@ -440,7 +430,7 @@ class Router(Node):
                 progress = True
         return progress
 
-    def _unit_blocked(self, index: int, unit: _Unit) -> bool:
+    def _unit_blocked(self, unit: _Unit) -> bool:
         """The per-unit footprint gate: may this unit overlap every
         still-incomplete unit of every earlier in-flight round?  Same-node
         units are *not* exempt — there is no per-node FIFO, so
@@ -449,7 +439,7 @@ class Router(Node):
         return any(
             not other.done and unit.summary.conflicts_with(other.summary)
             for earlier, earlier_state in self._inflight.items()
-            if earlier < index
+            if earlier < unit.round
             for other in earlier_state.units.values()
         )
 
@@ -475,6 +465,7 @@ class Router(Node):
                 "leases": unit.leases,
                 "ops": list(unit.ops),
                 "sync_ready": sync_ready,
+                "dag": unit.dag,
             },
         )
         if self.recovery:
@@ -490,25 +481,19 @@ class Router(Node):
             # envelope (conservative: lanes overlap, the envelope does
             # not) — detection latency trades against never suspecting a
             # node that is merely grinding through a long component.
-            unit.envelope = len(unit.ops) * self.config.op_cost + sync_wait
-            peer.outstanding_work += unit.envelope
-            self._arm_result_timer(
-                round_state, unit, self.config.result_timeout + sync_wait
+            peer.outstanding_work += unit.charge(
+                len(unit.ops) * self.config.op_cost + sync_wait
             )
+            self._arm_result_timer(unit, self.config.result_timeout + sync_wait)
 
-    def _settle_dispatch(self, unit: _Unit) -> None:
+    def _settle_dispatch(self, unit: _Unit, done: bool) -> None:
         """The dispatched incarnation is over (its result arrived or it is
-        being replayed): stop its timer and take its envelope off the
-        node's outstanding work."""
-        if unit.timer is not None:
-            unit.timer.cancel()
-            unit.timer = None
-        if unit.envelope is not None:
-            peer = self._peers[unit.node]
-            peer.outstanding_work = max(
-                0.0, peer.outstanding_work - unit.envelope
-            )
-            unit.envelope = None
+        being replayed): take its envelope off the node's outstanding
+        work."""
+        peer = self._peers[unit.node]
+        peer.outstanding_work = max(
+            0.0, peer.outstanding_work - unit.settle(done)
+        )
 
     def _finish_round(self, index: int) -> None:
         routed = self._inflight[index]
@@ -522,22 +507,6 @@ class Router(Node):
 
     # -- lease handoffs ---------------------------------------------------
 
-    def _begin_handoff(
-        self, shard: int, handoff_round: int, granter: int, adopter: int
-    ) -> None:
-        """Take the shard's serialization token and, under recovery, arm
-        the lease timer.  A resend (:meth:`_lease_timed_out`) re-begins
-        the handoff it already holds: the live record is kept, so its
-        ``resends`` count outlives the resend and the cap can trip."""
-        handoff = self._handoffs.setdefault(
-            shard, _Handoff(handoff_round, granter, adopter)
-        )
-        handoff.granter = granter
-        if self.recovery:
-            handoff.timer = self.schedule(
-                self.lease_timeout, lambda: self._lease_timed_out(shard)
-            )
-
     def _settle_handoff(self, shard: int) -> _Handoff:
         """Release the shard's serialization token: acked, or a party died."""
         handoff = self._handoffs.pop(shard)
@@ -545,37 +514,39 @@ class Router(Node):
             handoff.timer.cancel()
         return handoff
 
-    def _request_handoff(
-        self, shard: int, handoff_round: int, granter: int, adopter: int
+    def _open_handoff(
+        self, shard: int, index: int, from_node: int, to_node: int, revoke: bool
     ) -> None:
-        """Start the request → grant → ack handshake for a shard the map
-        already moved — planned by a round's chain, or administrative
-        (:data:`ADMIN_ROUND`: rejoin rebalancing, no unit waits on it)."""
-        self._begin_handoff(shard, handoff_round, granter, adopter)
-        payload = {"shard": shard, "new_owner": adopter, "round": handoff_round}
-        if handoff_round != ADMIN_ROUND:
+        """Hand over a shard the map already moved — planned by round
+        ``index``'s chain, or administrative (:data:`ADMIN_ROUND`: no unit
+        waits on it).  Normally the request → grant → ack handshake;
+        ``revoke`` reassigns without the (dead or bypassed) owner's
+        cooperation, and a ``cl_lease_revoke`` carrying a real round
+        doubles as the grant the named unit was waiting for.  Takes the
+        shard's token and, under recovery, arms the lease timer; a resend
+        (:meth:`_lease_timed_out`) re-opens the handoff it already holds
+        and keeps the live record, so its ``resends`` count outlives the
+        resend and the cap can trip."""
+        granter = to_node if revoke else from_node
+        handoff = self._handoffs.setdefault(
+            shard, _Handoff(index, granter, to_node)
+        )
+        handoff.granter = granter
+        if self.recovery:
+            handoff.timer = self.schedule(
+                self.lease_timeout, lambda: self._lease_timed_out(shard)
+            )
+        type, party = (
+            ("cl_lease_revoke", {"from_node": from_node})
+            if revoke
+            else ("cl_lease_request", {"new_owner": to_node})
+        )
+        payload = {"shard": shard, **party, "round": index}
+        if index != ADMIN_ROUND:
             # The grant must unblock exactly the unit whose chain
             # migrated this shard.
-            payload["unit"] = self._inflight[handoff_round].lease_units[shard]
-        self.send(granter, "cl_lease_request", payload)
-
-    def _direct_adopt(
-        self, shard: int, handoff_round: int, from_node: int, to_node: int
-    ) -> None:
-        """Reassign a shard without its (dead) owner's cooperation via
-        ``cl_lease_revoke``.  The adopter's ack serializes further
-        handoffs of the shard behind the adoption, exactly like a normal
-        grant's ack; a revoke carrying a real round doubles as the grant
-        the named unit was waiting for."""
-        self._begin_handoff(shard, handoff_round, to_node, to_node)
-        payload = {
-            "shard": shard,
-            "from_node": from_node,
-            "round": handoff_round,
-        }
-        if handoff_round != ADMIN_ROUND:
-            payload["unit"] = self._inflight[handoff_round].lease_units[shard]
-        self.send(to_node, "cl_lease_revoke", payload)
+            payload["unit"] = self._inflight[index].lease_units[shard]
+        self.send(granter, type, payload)
 
     def _lease_timed_out(self, shard: int) -> None:
         """A handoff's ack is late.  Either a party to the handoff is
@@ -588,7 +559,6 @@ class Router(Node):
         handoff = self._handoffs.get(shard)
         if handoff is None:
             return
-        handoff.timer = None
         parties = [
             party
             for party in dict.fromkeys((handoff.granter, handoff.adopter))
@@ -610,8 +580,12 @@ class Router(Node):
                     f"shard {shard} handoff cannot complete: the network "
                     "keeps losing its grant or ack"
                 )
-            self._direct_adopt(
-                shard, handoff.round, handoff.granter, handoff.adopter
+            self._open_handoff(
+                shard,
+                handoff.round,
+                handoff.granter,
+                handoff.adopter,
+                revoke=True,
             )
             return
         expiry = min(
@@ -635,15 +609,10 @@ class Router(Node):
             return "pending"
         return verdict
 
-    def _arm_result_timer(
-        self, round_state: _Round, unit: _Unit, delay: float
-    ) -> None:
-        unit.timer = self.schedule(
-            delay, lambda: self._result_timed_out(round_state, unit)
-        )
+    def _arm_result_timer(self, unit: _Unit, delay: float) -> None:
+        unit.watch(self.schedule(delay, lambda: self._result_timed_out(unit)))
 
-    def _result_timed_out(self, round_state: _Round, unit: _Unit) -> None:
-        unit.timer = None
+    def _result_timed_out(self, unit: _Unit) -> None:
         node = unit.node
         peer = self._peers[node]
         if unit.done or peer.dead:
@@ -651,7 +620,7 @@ class Router(Node):
         timeout = self.config.result_timeout
         deadline = peer.deadline(timeout)
         if deadline > self.now:
-            self._arm_result_timer(round_state, unit, deadline - self.now)
+            self._arm_result_timer(unit, deadline - self.now)
             return
         # The envelope elapsed too — but silence still cannot tell a
         # dead node from a live one whose result (or a grant feeding it)
@@ -661,20 +630,19 @@ class Router(Node):
         # a probe unanswered for a full timeout is evidence of death.
         state = self._suspect(node)
         if state == "pending":
-            self._arm_result_timer(
-                round_state, unit, peer.probe + timeout - self.now
-            )
+            self._arm_result_timer(unit, peer.probe + timeout - self.now)
         elif state == "alive":
             peer.probe = None
-            self._retransmit_unit(round_state, unit)
+            self._retransmit_unit(unit)
         else:
             self._declare_dead(node)
 
-    def _retransmit_unit(self, round_state: _Round, unit: _Unit) -> None:
+    def _retransmit_unit(self, unit: _Unit) -> None:
         """The node answers probes but the unit is overdue beyond its
         whole work envelope: a message it depends on was lost.  Replay
         it on the least-loaded live node, against a per-round budget —
         a network that eats every copy fails the run loudly."""
+        round_state = self._inflight[unit.round]
         round_state.retransmits += 1
         if round_state.retransmits > max(16, 2 * self.config.window):
             raise ClusterError(
@@ -682,14 +650,13 @@ class Router(Node):
                 "budget: results are being lost faster than replays "
                 "restore them"
             )
-        self.stats.ops_replayed += self._replay_unit(round_state, unit)
+        self._replay_unit(unit)
         self._drain_gates()
 
     def _declare_dead(self, node: int) -> None:
-        """Fail a node over: fence it, resolve its in-flight lease
-        handoffs, revoke every shard it owns (cooldown bypassed — a
-        revoked shard must be re-grantable immediately), and replay its
-        uncommitted in-flight units on survivors.  Committed units are
+        """Fail a node over: fence it, then one step per protocol — fail
+        its in-flight lease handoffs, revoke every shard it owns, replay
+        the uncommitted units it owes on survivors.  Committed units are
         untouched: their results already arrived, and the apply-side
         dedup makes any straggler re-execution a no-op."""
         peer = self._peers[node]
@@ -706,19 +673,33 @@ class Router(Node):
         if self.faults is not None:
             self.faults.fence(node)
         self._trace_fault(f"node {node} declared dead", node=node)
-        # In-flight lease handoffs touching the dead node cannot finish
-        # on their own.  A dead *adopter*'s ack is resolved synthetically
-        # (the shard itself is revoked below and the waiting unit
-        # replayed); a dead *granter* is bypassed — the adopter takes the
-        # lease unilaterally, from a fresh record (resends from zero),
-        # and its ack keeps the round bookkeeping.
+        self._fail_handoffs(node)
+        self._revoke_shards(node, live)
+        if peer.episode is None:
+            peer.episode = _RecoveryEpisode(started=self.now)
+        self._replay_owed(node)
+        # Synthetic ack resolution may have completed rounds.
+        for index in sorted(self._inflight):
+            if index in self._inflight:
+                self._finish_round(index)
+        self._drain_gates()
+
+    def _fail_handoffs(self, node: int) -> None:
+        """In-flight lease handoffs touching the dead node cannot finish
+        on their own.  A dead *adopter*'s ack is resolved synthetically
+        (the shard itself is revoked next and the waiting unit replayed);
+        a dead *granter* is bypassed — the adopter takes the lease
+        unilaterally, from a fresh record (resends from zero), and its
+        ack keeps the round bookkeeping."""
         for shard in sorted(self._handoffs):
             handoff = self._handoffs[shard]
             if node not in (handoff.granter, handoff.adopter):
                 continue
             self._settle_handoff(shard)
             if handoff.adopter != node:
-                self._direct_adopt(shard, handoff.round, node, handoff.adopter)
+                self._open_handoff(
+                    shard, handoff.round, node, handoff.adopter, revoke=True
+                )
             elif handoff.round in self._inflight:
                 self._inflight[handoff.round].pending_acks -= 1
         for index in sorted(self._inflight):
@@ -732,13 +713,15 @@ class Router(Node):
                     continue
                 round_state.lease_pending.remove(migration)
                 round_state.pending_acks -= 1
-        # Revoke the dead node's leases and spread its shards over the
-        # survivors.  The cooldown pin is dropped, not set: revocation
-        # must leave the shard immediately re-grantable.  A shard with a
-        # live handoff token is left alone — clobbering the token would
-        # orphan that handoff's ack — and is lazily adopted by the next
-        # migration planned off the dead owner (routing places nothing on
-        # a dead node: until then the shard costs locality, not liveness).
+
+    def _revoke_shards(self, node: int, live: list[int]) -> None:
+        """Revoke the dead node's leases and spread its shards over the
+        survivors.  The cooldown pin is dropped, not set: revocation
+        must leave the shard immediately re-grantable.  A shard with a
+        live handoff token is left alone — clobbering the token would
+        orphan that handoff's ack — and is lazily adopted by the next
+        migration planned off the dead owner (routing places nothing on
+        a dead node: until then the shard costs locality, not liveness)."""
         for shard in sorted(self.shard_map.shards_of_node(node)):
             if shard in self._handoffs:
                 continue
@@ -755,70 +738,48 @@ class Router(Node):
                 node=target,
                 from_node=node,
             )
-            self._direct_adopt(shard, ADMIN_ROUND, node, target)
-        # Replay every uncommitted in-flight unit of the dead node —
-        # queued or dispatched, its cl_run/result died with the node.
-        if peer.episode is None:
-            peer.episode = _RecoveryEpisode(started=self.now)
+            self._open_handoff(shard, ADMIN_ROUND, node, target, revoke=True)
+
+    def _replay_owed(self, node: int) -> None:
+        """Replay the node's in-flight units still owing a result, in
+        round and index order: those dispatched, whose ``cl_run`` or result
+        died with the node, and — a dead node is given no work — those
+        still queued for it."""
+        peer = self._peers[node]
         for index in sorted(self._inflight):
             round_state = self._inflight[index]
-            for unit in self._owed_by(round_state, node):
-                self.stats.ops_replayed += self._replay_unit(
-                    round_state, unit
-                )
-        # Synthetic ack resolution may have completed rounds.
-        for index in sorted(self._inflight):
-            if index in self._inflight:
-                self._finish_round(index)
-        self._drain_gates()
+            # A sorted copy: replaying re-keys ``round_state.units``.
+            for unit in sorted(
+                round_state.units.values(), key=lambda unit: unit.uidx
+            ):
+                if unit.node != node or unit.done:
+                    continue
+                if unit.dispatched or peer.dead:
+                    if peer.episode is None:
+                        peer.episode = _RecoveryEpisode(started=self.now)
+                    self._replay_unit(unit)
 
-    @staticmethod
-    def _owed_by(round_state: _Round, node: int) -> list[_Unit]:
-        """The node's units of the round still owing a result, in index
-        order (a list: replaying them re-keys ``round_state.units``)."""
-        return sorted(
-            (
-                unit
-                for unit in round_state.units.values()
-                if unit.node == node and not unit.done
-            ),
-            key=lambda unit: unit.uidx,
-        )
-
-    def _replay_unit(self, round_state: _Round, unit: _Unit) -> int:
-        """Re-dispatch one in-flight unit of a failed node on a live one.
-
-        The replay needs no lease grants — co-location, not ownership,
-        is the safety argument — and its sync order (if any) was already
-        committed, so ``sync_ready`` rides along unchanged.  The record
-        itself moves to the new key, footprint summary included, so every
-        later round's conflicting unit stays gated behind the replay
-        exactly as it was behind the original."""
-        node = unit.node
+    def _replay_unit(self, unit: _Unit) -> None:
+        """Re-dispatch one in-flight unit of a failed node on the live
+        node with the shortest queue; the record itself moves to the new
+        key (:meth:`_Unit.requeue`)."""
+        node, round_state = unit.node, self._inflight[unit.round]
         target = min(
             self._live(), key=lambda n: (len(self._peers[n].queue), n)
         )
-        self._settle_dispatch(unit)
-        entry = (round_state.index, unit)
+        self._settle_dispatch(unit, done=False)
         if not unit.dispatched:
-            self._peers[node].queue.remove(entry)
+            self._peers[node].queue.remove(unit)
         del round_state.units[(node, unit.uidx)]
-        unit.node = target
-        unit.uidx = _REPLAY_BASE + round_state.replays
+        unit.requeue(target, _REPLAY_BASE + round_state.replays, self.now)
         round_state.replays += 1
         round_state.units[(target, unit.uidx)] = unit
-        unit.leases = 0
-        unit.dispatched = False
-        unit.blocked_since = None
-        self._peers[target].queue.append(entry)
-        if node not in unit.episodes:
-            unit.episodes += (node,)
+        self._peers[target].queue.append(unit)
         for owner in unit.episodes:
             episode = self._peers[owner].episode
             if episode is not None:
                 episode.outstanding.add(unit)
-        unit.replay_started = self.now
-        return len(unit.ops)
+        self.stats.ops_replayed += len(unit.ops)
 
     def node_rejoined(self, node: int) -> None:
         """Readmit a restarted node: clear its dead mark, replay whatever
@@ -835,14 +796,7 @@ class Router(Node):
         peer.outstanding_work = 0.0
         self.stats.rejoins += 1
         self._trace_fault(f"node {node} rejoined", node=node)
-        for index in sorted(self._inflight):
-            round_state = self._inflight[index]
-            for unit in self._owed_by(round_state, node):
-                if not unit.dispatched:
-                    continue
-                if peer.episode is None:
-                    peer.episode = _RecoveryEpisode(started=self.now)
-                self.stats.ops_replayed += self._replay_unit(round_state, unit)
+        self._replay_owed(node)
         self._rebalance_to(node)
         self._drain_gates()
 
@@ -876,7 +830,7 @@ class Router(Node):
             shard = max(movable)
             self.shard_map.migrate(shard, node, self._rounds_started)
             self._last_migration[shard] = self._rounds_started
-            self._request_handoff(shard, ADMIN_ROUND, donor, node)
+            self._open_handoff(shard, ADMIN_ROUND, donor, node, revoke=False)
 
     def _settle_replay(self, unit: _Unit) -> None:
         """A unit's result arrived: settle every failure episode waiting
@@ -967,9 +921,8 @@ class Router(Node):
             )
             return
         self.responses.update(body["responses"])
-        unit.done = True
         round_state.pending -= 1
-        self._settle_dispatch(unit)
+        self._settle_dispatch(unit, done=True)
         self._settle_replay(unit)
         self._finish_round(index)
         self._drain_gates()

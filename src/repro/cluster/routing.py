@@ -6,7 +6,8 @@ simulator, so the policy is testable on a hand-built
 :class:`~repro.cluster.sharding.ShardMap` alone; *when* the units and
 lease requests go out is :meth:`Router.pump`'s business.  It classifies
 the window with the shared :class:`~repro.engine.rounds.RoundScheduler`
-and routes every conflict-graph component as a unit:
+— once for the whole cluster: each :class:`_Unit` carries its component's
+precedence DAG to the node — and routes every component as a unit:
 
 * **owner-local components** — every operation anchors on an account whose
   shard one node owns; the component is forwarded point-to-point and costs
@@ -62,7 +63,7 @@ from typing import Any
 
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
-from repro.engine.conflict_graph import ConflictGraph
+from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
 from repro.engine.mempool import PendingOp
 from repro.engine.rounds import RoundScheduler
 from repro.objects.footprint import (
@@ -78,7 +79,8 @@ from repro.cluster.stats import ClusterRound
 
 @dataclass(slots=True, eq=False)
 class _Unit:
-    """One component-granular dispatch unit, from routing to its result.
+    """One component-granular dispatch unit, from routing to its result —
+    the whole contract between router and node.
 
     A unit is a single conflict-graph component co-located on one node —
     or the residual set of the node's singletons, which commute with the
@@ -88,8 +90,13 @@ class _Unit:
     everything else routed to its node that round.  A fail-over replay
     moves the same record to ``(target, _REPLAY_BASE + n)``; identity,
     not the key, is what queues, timers and recovery episodes hold.
+
+    The lifecycle (routed → gated → dispatched → done, or requeued and
+    round again) is written by the methods below only; each returns what
+    the router bills.
     """
 
+    #: In ascending ``seq`` — ``dag`` indexes them by position.
     ops: tuple[PendingOp, ...]
     contended: bool
     #: This unit's sync-lane completion, relative to the round's sync
@@ -97,10 +104,16 @@ class _Unit:
     sync_delay: float
     #: Lease grants the unit's node must hold before running it.
     leases: int
+    #: The unit's name on the wire; a replay changes the last two.
+    round: int
     node: int
     uidx: int
     #: May-access summary, the cross-round frontier test's input.
     summary: FootprintSummary
+    #: The component's precedence DAG over positions in ``ops`` — the
+    #: plan the node executes; ``None`` for a residual unit, whose ops
+    #: share no edge.
+    dag: ComponentDAG | None
     dispatched: bool = False
     done: bool = False
     #: Time the ready-to-go unit was first blocked by the cross-round
@@ -109,12 +122,67 @@ class _Unit:
     #: Result-timeout timer and the serial execution envelope charged to
     #: the node while the unit is dispatched (recovery only).
     timer: Any = None
-    envelope: float | None = None
+    envelope: float = 0.0
     #: Virtual time the current replay incarnation was created
     #: (recovery-stall attribution), and the failed node(s) whose
     #: episodes await its result.
     replay_started: float | None = None
     episodes: tuple[int, ...] = ()
+
+    def block(self, now: float) -> None:
+        """The footprint gate refused the unit: the first refusal starts
+        the stall clock."""
+        if self.blocked_since is None:
+            self.blocked_since = now
+
+    def dispatch(self, now: float) -> tuple[float, float]:
+        """The gate passed and the ``cl_run`` goes out.  Returns how long
+        the gate held the unit and how long this replay incarnation has
+        existed (0.0 for an original); each is reported once."""
+        gate_stall = recovery_stall = 0.0
+        if self.blocked_since is not None:
+            gate_stall = now - self.blocked_since
+        if self.replay_started is not None:
+            recovery_stall = now - self.replay_started
+        self.dispatched = True
+        self.blocked_since = self.replay_started = None
+        return gate_stall, recovery_stall
+
+    def charge(self, envelope: float) -> float:
+        """Remember what dispatch charged to the node's outstanding work;
+        :meth:`settle` hands it back."""
+        self.envelope = envelope
+        return envelope
+
+    def watch(self, timer: Any) -> None:
+        """Hold the (re-)armed result timer until :meth:`settle`."""
+        self.timer = timer
+
+    def settle(self, done: bool) -> float:
+        """The dispatched incarnation is over — its result arrived
+        (``done``) or it is being replayed: stop its timer and return,
+        once, the envelope to take off the node's outstanding work."""
+        self.done = self.done or done
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        envelope, self.envelope = self.envelope, 0.0
+        return envelope
+
+    def requeue(self, target: int, uidx: int, now: float) -> None:
+        """Become a replay incarnation queued for ``target``.  It needs
+        no lease grants — co-location, not ownership, is the safety
+        argument — and its sync order (if any) was already committed, so
+        ``sync_delay`` rides along unchanged, as do the DAG and the
+        footprint summary: every later round's conflicting unit stays
+        gated behind the replay exactly as it was behind the original."""
+        if self.node not in self.episodes:
+            self.episodes += (self.node,)
+        self.node, self.uidx = target, uidx
+        self.leases = 0
+        self.dispatched = False
+        self.blocked_since = None
+        self.replay_started = now
 
 
 @dataclass
@@ -188,6 +256,8 @@ def route_window(
     graph = ConflictGraph.build(classifier, window, state)
     chain_idx, singleton_idx, contended_idx = scheduler.split(graph)
     contended = set(contended_idx)
+    #: The window's partial order, derived once: chain units ship it.
+    dags = graph.component_dags()
 
     #: Per op of the window (by ``seq``): its footprint, off the graph's
     #: one footprint pass, and the account it anchors on.
@@ -218,15 +288,19 @@ def route_window(
     units_on: Counter[int] = Counter()
     lease_units: dict[int, int] = {}
 
-    def add_unit(node: int, ops: list[PendingOp]) -> _Unit:
+    def add_unit(
+        node: int, ops: list[PendingOp], dag: ComponentDAG | None = None
+    ) -> _Unit:
         unit = _Unit(
             ops=tuple(ops),
             contended=False,
             sync_delay=0.0,
             leases=0,
+            round=index,
             node=node,
             uidx=units_on[node],
             summary=FootprintSummary.over(footprint_of[op.seq] for op in ops),
+            dag=dag,
         )
         units_on[node] += 1
         units[(node, unit.uidx)] = unit
@@ -236,8 +310,10 @@ def route_window(
     cooldown_skips = 0
 
     # Components route as units (the co-location invariant).  Chains
-    # first, in submission order of their heads.
-    for chain in sorted(chain_idx, key=lambda c: c[0]):
+    # first, in submission order of their heads — the order ``split`` and
+    # ``component_dags`` both keep.
+    for chain, dag in zip(chain_idx, dags, strict=True):
+        assert dag.nodes == tuple(chain)
         ops = [window[i] for i in chain]
         chain_seqs.update(op.seq for op in ops)
         owners = Counter(shard_map.owner_of(anchor_of[op.seq]) for op in ops)
@@ -252,7 +328,7 @@ def route_window(
             [n for n in owners if n in live] or live,
             key=lambda n: (-owners[n], len(assignment[n]), n),
         )
-        unit = add_unit(target, ops)
+        unit = add_unit(target, ops, dag.positional())
         chain_contended = [i for i in chain if i in contended]
         if len(owners) > 1 and chain_contended:
             # A race spanning owners: a sync lane sequences exactly the

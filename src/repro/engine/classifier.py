@@ -119,18 +119,15 @@ class OpClassifier:
         self,
         object_type: SequentialObjectType,
         validate: bool = False,
-        strict_validation: bool = True,
     ) -> None:
         self.object_type = object_type
         self.validate = validate
-        self.strict_validation = strict_validation
         self.oracle = CachedPairAnalyzer(object_type)
         self.stats = ClassifierStats()
         self._footprints: dict[tuple[int, object], OpFootprint | None] = {}
         self._pair_kinds: dict[
             tuple[OpFootprint | None, OpFootprint | None], PairKind
         ] = {}
-        self.mismatches: list[str] = []
         self._validation_state = None
 
     # ------------------------------------------------------------------
@@ -282,10 +279,7 @@ class OpClassifier:
             if semantic is PairKind.CONFLICT:
                 self.stats.confirmed_conflicts += 1
         if not ok:
-            message = (
+            raise ClassifierValidationError(
                 f"static fast path claims {kind.value} but the semantic "
                 f"oracle says {semantic.value} for {first} / {second}"
             )
-            self.mismatches.append(message)
-            if self.strict_validation:
-                raise ClassifierValidationError(message)

@@ -64,6 +64,17 @@ class ComponentDAG:
             succs={i: tuple(sorted(found)) for i, found in succs.items()},
         )
 
+    def positional(self) -> "ComponentDAG":
+        """The same DAG over positions in ``nodes`` — how a holder of the
+        component's ops alone (a cluster dispatch unit) reads it.
+        Positions ascend with the indices: sorted tuples stay sorted."""
+        at = {node: k for k, node in enumerate(self.nodes)}
+        return ComponentDAG(
+            tuple(range(self.size)),
+            {at[i]: tuple(at[p] for p in ps) for i, ps in self.preds.items()},
+            {at[i]: tuple(at[s] for s in ss) for i, ss in self.succs.items()},
+        )
+
     # ------------------------------------------------------------------
 
     def depths(self) -> dict[int, int]:

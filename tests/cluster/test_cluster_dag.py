@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig
+from repro.engine.classifier import ClassifierValidationError
+from repro.engine.conflict_graph import ComponentDAG
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from repro.workloads import (
@@ -176,6 +178,61 @@ class TestGranularity:
         assert stats.dag_chain_ops >= stats.dag_critical_ops > 0
         assert stats.dag_speedup >= 1.0
         assert stats.max_dag_width >= 2
+
+    def test_nodes_execute_the_routers_plan_and_classify_nothing(self):
+        items = make_items(APPROVAL_HEAVY_MIX, 300)
+        cluster = TokenCluster(
+            make_token(),
+            ClusterConfig(
+                num_nodes=4, lanes_per_node=4, window=48, pipeline_depth=3
+            ),
+        )
+        cluster.run_workload(items)
+        # The window is classified once, at the router ...
+        assert cluster.router.classifier._footprints
+        # ... and every ``cl_run`` carried its component's plan.
+        for node in cluster.nodes:
+            assert node.bill.units_executed > 0
+            assert node.classifier.stats.pairs == 0
+            assert node.classifier.stats.footprint_cache_hits == 0
+            assert node.classifier._footprints == {}
+
+    def test_validate_rederives_the_plan_on_the_node_and_compares(
+        self, monkeypatch
+    ):
+        items = make_items(APPROVAL_HEAVY_MIX, 200)
+        ref_state, ref_responses = serial_reference(make_token(), items)
+        config = ClusterConfig(
+            num_nodes=4, lanes_per_node=4, window=48, validate=True
+        )
+        cluster = TokenCluster(make_token(), config)
+        state, responses, stats = cluster.run_workload(items)
+        assert (state, responses) == (ref_state, ref_responses)
+        assert stats.dag_chain_ops > 0
+        # The reference really ran: the nodes computed footprints.
+        assert any(node.classifier._footprints for node in cluster.nodes)
+
+        # Tamper with the wire: drop one edge of every shipped plan.
+        def drop_an_edge(dag):
+            late = max(i for i in dag.nodes if dag.preds[i])
+            early = dag.preds[late][-1]
+            return ComponentDAG(
+                dag.nodes,
+                {**dag.preds, late: dag.preds[late][:-1]},
+                {**dag.succs, early: dag.succs[early][:-1]},
+            )
+
+        tampered = TokenCluster(make_token(), config)
+        send = tampered.network.send
+
+        def tampering_send(src, dst, type, payload=None):
+            if type == "cl_run" and payload["dag"] is not None:
+                payload = {**payload, "dag": drop_an_edge(payload["dag"])}
+            send(src, dst, type, payload)
+
+        monkeypatch.setattr(tampered.network, "send", tampering_send)
+        with pytest.raises(ClassifierValidationError, match="shipped plan"):
+            tampered.run_workload(items)
 
     def test_unit_execution_scales_with_op_cost(self):
         # The persistent lane timeline must charge op_cost per op, not

@@ -14,6 +14,8 @@ import pytest
 from repro.cluster.node import ClusterNode
 from repro.config import ClusterConfig
 from repro.engine import OpClassifier, PendingOp
+from repro.engine.classifier import ClassifierValidationError
+from repro.engine.conflict_graph import ComponentDAG
 from repro.errors import ClusterError
 from repro.net.network import ConstantLatency, Network
 from repro.net.node import Node
@@ -22,6 +24,16 @@ from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 
 NODE, PEER, ROUTER = 0, 1, 2
+
+
+def chain_dag(size: int) -> ComponentDAG:
+    """The plan of ``size`` ops that pairwise conflict: every earlier
+    position precedes every later one."""
+    return ComponentDAG(
+        nodes=tuple(range(size)),
+        preds={i: tuple(range(i)) for i in range(size)},
+        succs={i: tuple(range(i + 1, size)) for i in range(size)},
+    )
 
 
 class Sink(Node):
@@ -40,7 +52,7 @@ class Sink(Node):
 
 
 class Rig:
-    def __init__(self) -> None:
+    def __init__(self, validate: bool = False) -> None:
         self.simulator = Simulator()
         self.network = Network(self.simulator, ConstantLatency(1.0))
         self.router = Sink(ROUTER, self.network)
@@ -53,9 +65,7 @@ class Rig:
             ROUTER,
             self._apply,
             OpClassifier(token),
-            # A result timeout makes the node track its execution timers,
-            # which is what lets ``crash()`` cancel them.
-            ClusterConfig(num_nodes=2, lanes_per_node=2, result_timeout=10.0),
+            ClusterConfig(num_nodes=2, lanes_per_node=2, validate=validate),
         )
 
     def _apply(self, pending: PendingOp) -> int:
@@ -65,9 +75,10 @@ class Rig:
     def send(self, type: str, src: int = ROUTER, **payload) -> None:
         self.network.send(src, NODE, type, payload)
 
-    def run_unit(self, unit: int, seqs, leases: int = 0) -> None:
+    def run_unit(self, unit: int, seqs, leases: int = 0, **plan) -> None:
         # Transfers out of one account: a conflict chain, one op-time each.
         ops = [PendingOp(seq, 0, op("transfer", 1, 1)) for seq in seqs]
+        plan.setdefault("dag", chain_dag(len(ops)))
         self.send(
             "cl_run",
             round=0,
@@ -75,6 +86,7 @@ class Rig:
             leases=leases,
             ops=ops,
             sync_ready=0.0,
+            **plan,
         )
 
     def results(self) -> list[dict]:
@@ -118,6 +130,81 @@ def test_an_empty_cl_run_is_rejected():
         rig.simulator.run()
 
 
+def test_a_cl_run_whose_ops_are_out_of_order_is_rejected():
+    """The plan indexes ops by position, so the node must not re-sort
+    them: ops not strictly ascending in ``seq`` fail at the message."""
+    for seqs in ([4, 3], [3, 3]):
+        rig = Rig()
+        rig.run_unit(0, seqs)
+        with pytest.raises(ClusterError, match="ascending seq"):
+            rig.simulator.run()
+        assert rig.applied == []
+
+
+@pytest.mark.parametrize(
+    "dag",
+    [
+        chain_dag(2),
+        chain_dag(4),
+        ComponentDAG((1, 2, 3), {1: (), 2: (1,), 3: (2,)}, {}),
+        {0: (), 1: (0,), 2: (1,)},
+    ],
+    ids=["too_small", "too_large", "window_indices", "not_a_dag"],
+)
+def test_a_cl_run_whose_dag_does_not_span_its_ops_is_rejected(dag):
+    """A malformed plan fails at the message, not as a wrong schedule."""
+    rig = Rig()
+    rig.run_unit(0, [0, 1, 2], dag=dag)
+    with pytest.raises(ClusterError, match="does not span"):
+        rig.simulator.run()
+    assert rig.applied == []
+
+
+def test_the_node_executes_the_shipped_plan_and_classifies_nothing():
+    """``dag=None`` says the ops share no edge: they spread over the
+    lanes (two lanes, three unit-cost ops: done at 3.0, not 4.0) even
+    though these three really conflict — the plan, not a re-derivation,
+    is what runs — and the node's classifier is never asked."""
+    rig = Rig()
+    rig.run_unit(0, [0, 1, 2], dag=None)
+    rig.simulator.run(until=3.5)
+    assert rig.applied == [0, 1, 2]
+    stats = rig.node.classifier.stats
+    assert (stats.pairs, stats.footprint_cache_hits) == (0, 0)
+    assert rig.node.classifier._footprints == {}
+    assert rig.node.bill.dag_chain_ops == 0
+    chained = Rig()
+    chained.run_unit(0, [0, 1, 2])
+    chained.simulator.run(until=3.5)
+    assert chained.applied == []
+    chained.simulator.run()
+    assert chained.applied == [0, 1, 2]
+    assert chained.node.bill.dag_chain_ops == 3
+    assert chained.node.bill.max_dag_critical_path == 3
+
+
+def test_under_validate_a_plan_its_ops_do_not_derive_raises():
+    """``validate=True`` keeps the node-side derivation as the reference
+    the shipped plan must equal: the right plan runs, a plan with one
+    edge dropped (or none at all) raises."""
+    right = Rig(validate=True)
+    right.run_unit(0, [0, 1, 2])
+    right.simulator.run()
+    assert right.applied == [0, 1, 2]
+    full = chain_dag(3)
+    dropped = ComponentDAG(
+        full.nodes,
+        {**full.preds, 2: (1,)},
+        {**full.succs, 0: (1,)},
+    )
+    for dag in (dropped, None):
+        rig = Rig(validate=True)
+        rig.run_unit(0, [0, 1, 2], dag=dag)
+        with pytest.raises(ClassifierValidationError, match="shipped plan"):
+            rig.simulator.run()
+        assert rig.applied == []
+
+
 @pytest.mark.parametrize("leases", [0, 1], ids=["running", "parked"])
 def test_a_second_cl_run_for_a_live_unit_is_rejected(leases):
     """The router never reuses a unit key (a replay gets a fresh index),
@@ -153,7 +240,8 @@ def test_crash_drops_parked_units_and_cancels_running_ones():
     """A crash loses exactly the work that had not reached its virtual
     completion: the executing unit's timer is cancelled (nothing is
     applied, no ``cl_result`` leaves the node) and the parked unit is
-    forgotten with it."""
+    forgotten with it — with no fault or recovery setting on: the timer
+    lives on the unit's record, not in an opt-in side list."""
     rig = Rig()
     rig.run_unit(0, [0, 1, 2])
     rig.run_unit(1, [3, 4], leases=1)

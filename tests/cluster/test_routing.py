@@ -20,6 +20,7 @@ from repro.cluster.routing import route_window
 from repro.cluster.sharding import ShardMap
 from repro.config import ClusterConfig
 from repro.engine import OpClassifier, PendingOp
+from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.escalation import ConsensusEscalator, tiered_escalator
 from repro.engine.rounds import RoundScheduler
 from repro.objects.erc20 import ERC20TokenType
@@ -232,6 +233,53 @@ def test_no_unit_is_ever_placed_on_a_dead_node(owners, live, seed, min_gain):
     # Leases only ever move onto the (live) node running their chain.
     assert {to_node for _, _, to_node in routed.lease_pending} <= set(live)
     assert routed.pending == routed.stats.units_dispatched == len(routed.units)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    owners=st.lists(
+        st.integers(min_value=0, max_value=NODES - 1),
+        min_size=SHARDS,
+        max_size=SHARDS,
+    ),
+    live=st.sets(
+        st.integers(min_value=0, max_value=NODES - 1), min_size=1
+    ).map(sorted),
+    seed=st.integers(min_value=0, max_value=2**16),
+    size=st.integers(min_value=1, max_value=64),
+)
+def test_every_unit_ships_the_plan_its_ops_derive(owners, live, seed, size):
+    """The unit is the contract: a chain unit's ``dag`` is, position for
+    position, the one DAG a graph over its ops alone has; a unit without
+    one has no edge to order; and a replay carries the identical plan."""
+    shard_map = ShardMap(SHARDS, NODES)
+    for shard, owner in enumerate(owners):
+        if shard_map.owner_of_shard(shard) != owner:
+            shard_map.migrate(shard, owner)
+    items = TokenWorkloadGenerator(
+        ACCOUNTS, seed=seed, mix=CHAIN_HEAVY_MIX
+    ).generate(size)
+    window = [
+        PendingOp(seq, item.pid, item.operation)
+        for seq, item in enumerate(items)
+    ]
+    routed = route(window, shard_map, live=live)
+    classifier = OpClassifier(
+        ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
+    )
+    for unit in routed.units.values():
+        seqs = [o.seq for o in unit.ops]
+        assert seqs == sorted(set(seqs))
+        graph = ConflictGraph.build(classifier, list(unit.ops))
+        if unit.dag is None:
+            assert not graph.edges
+        else:
+            assert [unit.dag] == graph.component_dags()
+            assert unit.dag.nodes == tuple(range(len(unit.ops)))
+        dag, summary, delay = unit.dag, unit.summary, unit.sync_delay
+        unit.requeue(live[0], 1 << 20, now=3.0)
+        assert unit.dag is dag and unit.summary is summary
+        assert unit.sync_delay == delay
 
 
 def test_routing_needs_no_network():
