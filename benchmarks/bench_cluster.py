@@ -27,7 +27,12 @@ from __future__ import annotations
 
 import sys
 
-from common import bench_main, render_backpressure, render_stats_table
+from common import (
+    bench_main,
+    render_backpressure,
+    render_stats_table,
+    run_bench,
+)
 from repro.cluster import TokenCluster, owner_local_workload
 from repro.config import ClusterConfig, EngineConfig
 from repro.obs import TraceRecorder
@@ -65,6 +70,25 @@ QUERY_STORM_MIX = WorkloadMix(
     total_supply=0.05,
 )
 
+#: The gate's headline metrics (see ``bench_engine.HEADLINES``).
+HEADLINES = {
+    "band": [
+        "mixes.owner_only.cluster.4.makespan",
+        "mixes.owner_only.cluster.4.throughput",
+        "mixes.owner_only.cluster.4.cluster_messages",
+        "mixes.spender_heavy.cluster.4.escalation_rate",
+        "mixes.spender_heavy.cluster.4.escalation_messages",
+        "mixes.default.cluster.4.lease_migrations",
+        "owner_local.4.makespan",
+        "op_latency.cluster_4.p50",
+        "op_latency.cluster_4.p99",
+    ],
+    "zero": [
+        "owner_local.4.escalation_messages",
+        "owner_local.4.lease_migrations",
+    ],
+}
+
 
 def make_token() -> ERC20TokenType:
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
@@ -100,7 +124,9 @@ def run_engine(items) -> dict:
     }
 
 
-def run_cluster(items, nodes: int) -> TokenCluster:
+def run_cluster(
+    items, nodes: int, tracer: TraceRecorder | None = None
+) -> TokenCluster:
     """One cluster run, serial-equivalence-checked against the spec."""
     token = make_token()
     cluster = TokenCluster(
@@ -108,6 +134,7 @@ def run_cluster(items, nodes: int) -> TokenCluster:
         ClusterConfig(
             num_nodes=nodes, lanes_per_node=LANES, window=WINDOW, seed=SEED
         ),
+        tracer=tracer,
     )
     state, responses, _ = cluster.run_workload(items)
     ref_state, ref_responses = token.run(
@@ -144,7 +171,7 @@ def run_all_consensus(items) -> dict:
     }
 
 
-def measure(ops: int) -> dict:
+def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
     results: dict = {
         "params": {
             "ops": ops,
@@ -207,19 +234,8 @@ def measure(ops: int) -> dict:
             "dropped_ops": stats.dropped_ops,
         }
 
-    # Per-op commit latency (submit -> commit on the traced virtual
-    # timeline), from a dedicated traced run of the default mix at 4
-    # nodes — the runs above stay untraced, so their stats dicts are
-    # bit-identical with or without the observability layer.
-    tracer = TraceRecorder()
-    cluster = TokenCluster(
-        make_token(),
-        ClusterConfig(
-            num_nodes=4, lanes_per_node=LANES, window=WINDOW, seed=SEED
-        ),
-        tracer=tracer,
-    )
-    cluster.run_workload(make_items(WorkloadMix(), ops))
+    # Per-op commit latency (submit -> commit) is the traced run's, which
+    # run_bench already made under ``tracer``; the runs above are untraced.
     results["op_latency"] = {
         "cluster_4": tracer.metrics.histogram("op_latency").summary()
     }
@@ -322,14 +338,7 @@ def render_table(results: dict) -> list[str]:
 def traced_run(ops: int, tracer) -> None:
     """The representative traced configuration (``--trace``): the default
     mix at 4 nodes, one track per node lane plus router and sync lanes."""
-    cluster = TokenCluster(
-        make_token(),
-        ClusterConfig(
-            num_nodes=4, lanes_per_node=LANES, window=WINDOW, seed=SEED
-        ),
-        tracer=tracer,
-    )
-    cluster.run_workload(make_items(WorkloadMix(), ops))
+    run_cluster(make_items(WorkloadMix(), ops), 4, tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +348,7 @@ def traced_run(ops: int, tracer) -> None:
 
 def test_cluster_scaling(benchmark, write_table):
     results = benchmark.pedantic(
-        lambda: measure(ops=600), rounds=1, iterations=1
+        lambda: run_bench(600, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
     write_table("E10_cluster", render_table(results))
@@ -356,6 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         default_out="BENCH_cluster.json",
         smoke_ops=512,
+        headlines=HEADLINES,
         measure=measure,
         check_claims=check_claims,
         render_table=render_table,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 
-from common import bench_main, render_stats_table
+from common import bench_main, render_stats_table, run_bench
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
@@ -60,6 +60,23 @@ MIXES = {
     "approval_heavy": (APPROVAL_HEAVY_MIX, {}),
 }
 
+#: The gate's headline metrics (see ``bench_engine.HEADLINES``).
+HEADLINES = {
+    "band": [
+        "engine.chain_heavy.dag.virtual_time",
+        "default_vs_legacy.chain_heavy.default.virtual_time",
+        "default_vs_legacy.approval_heavy.default.virtual_time",
+        "engine.chain_heavy.dag.dag_speedup",
+        "engine.approval_heavy.dag.virtual_time",
+        "cluster.chain_heavy.4.dag.makespan",
+        "cluster.approval_heavy.4.dag.makespan",
+        "cluster.chain_heavy.4.dag.units_dispatched",
+        "op_latency.dag_engine.p50",
+        "op_latency.dag_engine.p99",
+    ],
+    "zero": [],
+}
+
 
 def make_token() -> ERC20TokenType:
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
@@ -77,7 +94,7 @@ def make_items(name: str, ops: int):
 AB_BASE = {"team_threshold": 0, "lane_ttl": None}
 
 
-def run_engine(items, depth: int = 1, **knobs) -> dict:
+def run_engine(items, depth: int = 1, tracer=None, **knobs) -> dict:
     """One engine run with ``depth`` windows in flight, spec-checked."""
     config = EngineConfig(
         num_lanes=LANES,
@@ -86,7 +103,7 @@ def run_engine(items, depth: int = 1, **knobs) -> dict:
         pipeline_depth=depth,
         **knobs,
     )
-    engine = PipelinedExecutor(make_token(), config)
+    engine = PipelinedExecutor(make_token(), config, tracer=tracer)
     state, responses, stats = engine.run_workload(items)
     ref_state, ref_responses = serial_reference(make_token(), items)
     assert state == ref_state, "engine diverged from the sequential spec"
@@ -114,7 +131,7 @@ def run_cluster(items) -> dict:
     return stats.as_dict()
 
 
-def measure(ops: int) -> dict:
+def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
     results: dict = {
         "params": {
             "ops": ops,
@@ -143,12 +160,8 @@ def measure(ops: int) -> dict:
             "default": run_engine(items, depth=EngineConfig().pipeline_depth)
         }
 
-    # Per-op commit latency (submit -> commit on the traced virtual
-    # timeline) from a dedicated traced run of the representative DAG
-    # configuration — the runs above stay untraced, so their stats dicts
-    # are bit-identical with or without the observability layer.
-    tracer = TraceRecorder()
-    traced_run(ops, tracer)
+    # Per-op commit latency (submit -> commit) is the traced run's, which
+    # run_bench already made under ``tracer``; the runs above are untraced.
     results["op_latency"] = {
         "dag_engine": tracer.metrics.histogram("op_latency").summary()
     }
@@ -233,14 +246,7 @@ def traced_run(ops: int, tracer) -> None:
     DAG-scheduled engine (one window in flight) on the chain-heavy mix
     — component DAGs fan out across lanes instead of serializing per
     chain."""
-    engine = PipelinedExecutor(
-        make_token(),
-        EngineConfig(
-            num_lanes=LANES, window=WINDOW, seed=SEED, pipeline_depth=1
-        ),
-        tracer=tracer,
-    )
-    engine.run_workload(make_items("chain_heavy", ops))
+    run_engine(make_items("chain_heavy", ops), tracer=tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +256,7 @@ def traced_run(ops: int, tracer) -> None:
 
 def test_dag_vs_chain_atomic(benchmark, write_table):
     results = benchmark.pedantic(
-        lambda: measure(ops=512), rounds=1, iterations=1
+        lambda: run_bench(512, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
     write_table("E13_dag", render_table(results))
@@ -267,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         default_out="BENCH_dag.json",
         smoke_ops=512,
+        headlines=HEADLINES,
         measure=measure,
         check_claims=check_claims,
         render_table=render_table,

@@ -30,7 +30,12 @@ from __future__ import annotations
 
 import sys
 
-from common import bench_main, render_backpressure, render_stats_table
+from common import (
+    bench_main,
+    render_backpressure,
+    render_stats_table,
+    run_bench,
+)
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
 from repro.obs import TraceRecorder
@@ -69,6 +74,25 @@ MIXES = {
     "approval_heavy": APPROVAL_HEAVY_MIX,
 }
 
+#: What ``scripts/check_bench.py`` compares against the committed
+#: baseline, as dotted paths into the JSON: ``band`` within the relative
+#: tolerance, ``zero`` exactly (invariants — in practice: stay zero).
+HEADLINES = {
+    "band": [
+        "mixes.owner_only.speedup",
+        "mixes.owner_only.sharded.throughput",
+        "mixes.default.sharded.virtual_time",
+        "mixes.spender_heavy.sharded.escalation_rate",
+        "mixes.spender_heavy.sharded.escalation_messages",
+        "mixes.approval_heavy.sharded.escalation_messages",
+        "op_latency.sharded_engine.p50",
+        "op_latency.sharded_engine.p99",
+    ],
+    "zero": [
+        "mixes.owner_only.sharded.escalation_messages",
+    ],
+}
+
 
 def run_engine(
     mix,
@@ -77,6 +101,7 @@ def run_engine(
     accounts: int = ACCOUNTS,
     hotspot_fraction: float = 0.0,
     validate: bool = True,
+    tracer: TraceRecorder | None = None,
 ):
     """One engine run; returns ``(engine, stats)`` after checking the final
     state against the sequential specification."""
@@ -90,6 +115,7 @@ def run_engine(
             seed=SEED,
             pipeline_depth=1,
         ),
+        tracer=tracer,
     )
     items = TokenWorkloadGenerator(
         accounts,
@@ -107,8 +133,9 @@ def run_engine(
     return engine, stats
 
 
-def measure(ops: int) -> dict:
-    """The full experiment: serial vs sharded per mix, plus hot-spot skew."""
+def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
+    """The full experiment: serial vs sharded per mix, plus hot-spot skew
+    (the traced run already happened, under ``tracer``)."""
     results: dict = {
         "params": {
             "ops": ops,
@@ -157,12 +184,8 @@ def measure(ops: int) -> dict:
                 "speedup": stats.speedup,
                 "escalated_ops": stats.escalated_ops,
             }
-    # Per-op commit latency (submit -> commit on the traced virtual
-    # timeline), from a dedicated traced run of the sharded engine on
-    # the default mix — the runs above stay untraced, so their stats
-    # dicts are bit-identical with or without the observability layer.
-    tracer = TraceRecorder()
-    traced_run(ops, tracer)
+    # Per-op commit latency (submit -> commit) is the traced run's, which
+    # run_bench already made under ``tracer``; the runs above are untraced.
     results["op_latency"] = {
         "sharded_engine": tracer.metrics.histogram("op_latency").summary()
     }
@@ -234,21 +257,9 @@ def render_table(results: dict) -> list[str]:
 def traced_run(ops: int, tracer) -> None:
     """The representative traced configuration (``--trace``): the default
     mix on the sharded engine, spans and makespan attribution recorded."""
-    token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
-    engine = PipelinedExecutor(
-        token,
-        EngineConfig(
-            num_lanes=SHARDED_LANES,
-            window=WINDOW,
-            seed=SEED,
-            pipeline_depth=1,
-        ),
-        tracer=tracer,
+    run_engine(
+        WorkloadMix(), SHARDED_LANES, ops, validate=False, tracer=tracer
     )
-    items = TokenWorkloadGenerator(
-        ACCOUNTS, seed=SEED, mix=WorkloadMix()
-    ).generate(ops)
-    engine.run_workload(items)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +269,7 @@ def traced_run(ops: int, tracer) -> None:
 
 def test_engine_scaling(benchmark, write_table):
     results = benchmark.pedantic(
-        lambda: measure(ops=600), rounds=1, iterations=1
+        lambda: run_bench(600, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
     write_table("E9_engine", render_table(results))
@@ -275,6 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         default_out="BENCH_engine.json",
         smoke_ops=400,
+        headlines=HEADLINES,
         measure=measure,
         check_claims=check_claims,
         render_table=render_table,

@@ -24,9 +24,15 @@ Standalone (writes ``BENCH_faults.json``, used by CI)::
 
 from __future__ import annotations
 
+import functools
 import sys
 
-from common import bench_main, render_backpressure, render_stats_table
+from common import (
+    bench_main,
+    render_backpressure,
+    render_stats_table,
+    run_bench,
+)
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, FaultConfig
 from repro.objects.erc20 import ERC20TokenType
@@ -44,6 +50,29 @@ WINDOW = 96
 LANES = 8
 NODES = 4
 
+#: The gate's headline metrics (see ``bench_engine.HEADLINES``).
+HEADLINES = {
+    "band": [
+        "reference.makespan",
+        "schedules.single_crash.makespan",
+        "schedules.crash_restart.makespan",
+        "schedules.crash_restart.ops_replayed",
+        "schedules.crash_restart.revocations",
+        "schedules.crash_restart.recovery_makespan",
+        "schedules.rolling.ops_replayed",
+        "availability.2.makespan_ratio",
+        "flash_crowd.makespan_ratio",
+    ],
+    "zero": [
+        "schedules.armed_idle.ops_replayed",
+        "schedules.armed_idle.revocations",
+        "schedules.single_crash.ops_lost",
+        "schedules.crash_restart.ops_lost",
+        "schedules.rolling.ops_lost",
+        "flash_crowd.ops_lost",
+    ],
+}
+
 
 def make_token() -> ERC20TokenType:
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
@@ -55,7 +84,7 @@ def make_items(ops: int):
     ).generate(ops)
 
 
-def run_cluster(items, fault=None, timeout=None) -> TokenCluster:
+def run_cluster(items, fault=None, timeout=None, tracer=None) -> TokenCluster:
     """One cluster run, serial-equivalence-checked against the spec —
     the check every *faulted* run must pass identically."""
     token = make_token()
@@ -67,7 +96,7 @@ def run_cluster(items, fault=None, timeout=None) -> TokenCluster:
         result_timeout=timeout,
         fault=fault if fault is not None else FaultConfig(),
     )
-    cluster = TokenCluster(token, config)
+    cluster = TokenCluster(token, config, tracer=tracer)
     state, responses, _ = cluster.run_workload(items)
     ref_state, ref_responses = token.run(
         [(item.pid, item.operation) for item in items]
@@ -77,14 +106,19 @@ def run_cluster(items, fault=None, timeout=None) -> TokenCluster:
     return cluster
 
 
-def measure(ops: int) -> dict:
-    items = make_items(ops)
+@functools.cache
+def fault_free(ops: int):
+    """The fault-free reference run: its stats pin the timeline every
+    schedule is placed on (and degradation is measured against), and
+    with them the ``result_timeout`` every faulted run uses."""
+    reference = run_cluster(make_items(ops)).stats
+    return reference, max(10.0, 0.3 * reference.makespan)
 
-    # The fault-free reference pins the timeline every schedule is
-    # placed on (and degradation measured against).
-    reference = run_cluster(items)
-    span = reference.stats.makespan
-    timeout = max(10.0, 0.3 * span)
+
+def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
+    items = make_items(ops)
+    reference, timeout = fault_free(ops)
+    span = reference.makespan
 
     schedules = {
         # Recovery armed, nothing fires: must cost nothing.
@@ -128,8 +162,8 @@ def measure(ops: int) -> dict:
             "result_timeout": timeout,
         },
         "reference": {
-            "makespan": reference.stats.makespan,
-            "throughput": reference.stats.throughput,
+            "makespan": reference.makespan,
+            "throughput": reference.throughput,
         },
         "schedules": {},
         "availability": {},
@@ -273,23 +307,12 @@ def traced_run(ops: int, tracer: TraceRecorder) -> None:
     crash+restart schedule, so the trace carries the ``faults`` track
     (crash / declared-dead / revoke / rejoin instants) and per-node
     recovery spans that ``critical_path_report`` attributes exactly."""
-    items = make_items(ops)
-    reference = run_cluster(items)
-    span = reference.stats.makespan
-    timeout = max(10.0, 0.3 * span)
-    token = make_token()
-    config = ClusterConfig(
-        num_nodes=NODES,
-        lanes_per_node=LANES,
-        window=WINDOW,
-        seed=SEED,
-        result_timeout=timeout,
-        fault=FaultConfig(
-            enabled=True,
-            crashes=((1, 0.3 * span, 0.3 * span + 2 * timeout),),
-        ),
+    reference, timeout = fault_free(ops)
+    crash = 0.3 * reference.makespan
+    fault = FaultConfig(
+        enabled=True, crashes=((1, crash, crash + 2 * timeout),)
     )
-    TokenCluster(token, config, tracer=tracer).run_workload(items)
+    run_cluster(make_items(ops), fault, timeout, tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +322,7 @@ def traced_run(ops: int, tracer: TraceRecorder) -> None:
 
 def test_fault_schedules(benchmark, write_table):
     results = benchmark.pedantic(
-        lambda: measure(ops=600), rounds=1, iterations=1
+        lambda: run_bench(600, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
     write_table("E11_faults", render_table(results))
@@ -316,6 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         default_out="BENCH_faults.json",
         smoke_ops=512,
+        headlines=HEADLINES,
         measure=measure,
         check_claims=check_claims,
         render_table=render_table,

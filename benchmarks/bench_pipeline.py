@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import sys
 
-from common import bench_main, render_stats_table
+from common import bench_main, render_stats_table, run_bench
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
 from repro.obs import TraceRecorder
@@ -67,6 +67,24 @@ MIXES = {
     "spender_heavy": SPENDER_HEAVY_MIX,
 }
 
+#: The gate's headline metrics (see ``bench_engine.HEADLINES``).
+HEADLINES = {
+    "band": [
+        "engine.approval_heavy.barrier.virtual_time",
+        "engine.approval_heavy.pipelined.3.virtual_time",
+        "default_vs_legacy.approval_heavy.default.virtual_time",
+        "cluster.owner_only.4.makespan_ratio",
+        "cluster.approval_heavy.4.makespan_ratio",
+        "cluster.approval_heavy.4.pipelined.makespan",
+        "cluster.approval_heavy.4.pipelined.escalation_messages",
+        "op_latency.pipelined_engine.p50",
+        "op_latency.pipelined_engine.p99",
+    ],
+    "zero": [
+        "cluster.owner_only.4.pipelined.escalation_messages",
+    ],
+}
+
 
 def make_token() -> ERC20TokenType:
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
@@ -81,7 +99,7 @@ def make_items(mix, ops: int):
 AB_BASE = {"team_threshold": 0, "lane_ttl": None}
 
 
-def run_engine(items, depth: int, **knobs) -> dict:
+def run_engine(items, depth: int, tracer=None, **knobs) -> dict:
     """One engine run with ``depth`` windows in flight, spec-checked."""
     config = EngineConfig(
         num_lanes=LANES,
@@ -90,7 +108,7 @@ def run_engine(items, depth: int, **knobs) -> dict:
         pipeline_depth=depth,
         **knobs,
     )
-    engine = PipelinedExecutor(make_token(), config)
+    engine = PipelinedExecutor(make_token(), config, tracer=tracer)
     state, responses, stats = engine.run_workload(items)
     ref_state, ref_responses = serial_reference(make_token(), items)
     assert state == ref_state, "engine diverged from the sequential spec"
@@ -123,7 +141,7 @@ def run_cluster(items, nodes: int, depth: int) -> dict:
     return summary
 
 
-def measure(ops: int) -> dict:
+def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
     results: dict = {
         "params": {
             "ops": ops,
@@ -172,22 +190,8 @@ def measure(ops: int) -> dict:
         }
     }
 
-    # Per-op commit latency (submit -> commit on the traced virtual
-    # timeline), from a dedicated traced run of the pipelined engine at
-    # the headline depth — the runs above stay untraced, so their stats
-    # dicts are bit-identical with or without the observability layer.
-    tracer = TraceRecorder()
-    engine = PipelinedExecutor(
-        make_token(),
-        EngineConfig(
-            pipeline_depth=CLUSTER_DEPTH,
-            num_lanes=LANES,
-            window=WINDOW,
-            seed=SEED,
-        ),
-        tracer=tracer,
-    )
-    engine.run_workload(make_items(APPROVAL_HEAVY_MIX, ops))
+    # Per-op commit latency (submit -> commit) is the traced run's, which
+    # run_bench already made under ``tracer``; the runs above are untraced.
     results["op_latency"] = {
         "pipelined_engine": tracer.metrics.histogram("op_latency").summary()
     }
@@ -325,17 +329,7 @@ def traced_run(ops: int, tracer) -> None:
     """The representative traced configuration (``--trace``): the
     pipelined engine at the headline depth on the contended mix — the
     trace shows sync waits overlapping later rounds' execution."""
-    engine = PipelinedExecutor(
-        make_token(),
-        EngineConfig(
-            pipeline_depth=CLUSTER_DEPTH,
-            num_lanes=LANES,
-            window=WINDOW,
-            seed=SEED,
-        ),
-        tracer=tracer,
-    )
-    engine.run_workload(make_items(APPROVAL_HEAVY_MIX, ops))
+    run_engine(make_items(APPROVAL_HEAVY_MIX, ops), CLUSTER_DEPTH, tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +339,7 @@ def traced_run(ops: int, tracer) -> None:
 
 def test_pipeline_scaling(benchmark, write_table):
     results = benchmark.pedantic(
-        lambda: measure(ops=512), rounds=1, iterations=1
+        lambda: run_bench(512, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
     write_table("E12_pipeline", render_table(results))
@@ -362,6 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         default_out="BENCH_pipeline.json",
         smoke_ops=512,
+        headlines=HEADLINES,
         measure=measure,
         check_claims=check_claims,
         render_table=render_table,

@@ -33,9 +33,10 @@ Standalone (writes ``BENCH_stream.json``, used by CI)::
 
 from __future__ import annotations
 
+import functools
 import sys
 
-from common import bench_main, render_stats_table
+from common import bench_main, render_stats_table, run_bench
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import PipelinedExecutor
@@ -69,6 +70,29 @@ SLO_BUDGET = 0.25
 
 #: The three driven layers, in table order.
 LAYERS = ("engine", "pipelined", "cluster")
+#: The driven run that is the bench's representative trace.
+TRACED = ("pipelined", "hi")
+
+#: The gate's headline metrics (see ``bench_engine.HEADLINES``).
+HEADLINES = {
+    "band": [
+        "layers.engine.capacity",
+        "layers.engine.levels.hi.throughput",
+        "layers.engine.levels.hi.latency.p99",
+        "layers.pipelined.capacity",
+        "layers.pipelined.levels.hi.throughput",
+        "layers.pipelined.levels.hi.latency.p99",
+        "layers.cluster.capacity",
+        "layers.cluster.levels.hi.throughput",
+        "layers.cluster.levels.lo.latency.p99",
+        "layers.cluster.levels.hi.slo.breach_windows",
+    ],
+    "zero": [
+        "layers.engine.levels.lo.stream.dropped",
+        "layers.pipelined.levels.lo.stream.dropped",
+        "layers.cluster.levels.lo.stream.dropped",
+    ],
+}
 
 
 def make_items(ops: int):
@@ -104,6 +128,7 @@ def make_target(layer: str, tracer: TraceRecorder | None = None):
     raise ValueError(f"unknown layer {layer!r}")
 
 
+@functools.cache
 def closed_loop_capacity(layer: str, ops: int) -> float:
     """The layer's drain throughput (ops per virtual-time unit) on the
     same workload, fed all at once — the saturation reference the
@@ -113,16 +138,19 @@ def closed_loop_capacity(layer: str, ops: int) -> float:
     return stats.throughput
 
 
-def drive(
-    layer: str, rate: float, ops: int
-) -> tuple[dict, TimeSeries]:
-    """One driven run at ``rate`` offered ops per virtual-time unit;
-    returns the level's result dict (sans SLO verdict) and its
-    conservation-checked series."""
-    tracer = TraceRecorder()
+def drive(layer: str, rate: float, ops: int, tracer: TraceRecorder):
+    """One driven run at ``rate`` offered ops per virtual-time unit,
+    recorded by ``tracer``; returns the driver's report."""
     target = make_target(layer, tracer=tracer)
     arrivals = poisson_arrivals(make_items(ops), rate, seed=SEED)
-    report = StreamDriver(target, arrivals).run()
+    return StreamDriver(target, arrivals).run()
+
+
+def level_entry(
+    rate: float, report, tracer: TraceRecorder
+) -> tuple[dict, TimeSeries]:
+    """A driven run's result dict (sans SLO verdict) and its
+    conservation-checked series."""
     width = max(1.0, tracer.makespan / WINDOWS)
     series = TimeSeries.from_trace(tracer, width).check()
     committed = tracer.metrics.counter("ops_committed").value
@@ -141,7 +169,7 @@ def drive(
     return entry, series
 
 
-def measure(ops: int) -> dict:
+def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
     results: dict = {
         "params": {
             "ops": ops,
@@ -162,10 +190,16 @@ def measure(ops: int) -> dict:
     }
     for layer in LAYERS:
         capacity = closed_loop_capacity(layer, ops)
-        runs: dict[str, tuple[dict, TimeSeries]] = {
-            level: drive(layer, multiplier * capacity, ops)
-            for level, multiplier in LEVELS.items()
-        }
+        runs: dict[str, tuple[dict, TimeSeries]] = {}
+        for level, multiplier in LEVELS.items():
+            rate = multiplier * capacity
+            if (layer, level) == TRACED:
+                # run_bench already drove this one, under ``tracer``.
+                recorder, report = tracer, traced
+            else:
+                recorder = TraceRecorder()
+                report = drive(layer, rate, ops, recorder)
+            runs[level] = level_entry(rate, report, recorder)
         # The objective is calibrated off the underloaded run: hold a
         # per-window p99 within SLO_MARGIN of lo's overall p99.  The
         # same target judges both levels, so the hi run's verdict is a
@@ -282,17 +316,14 @@ def render_table(results: dict) -> list[str]:
     return lines
 
 
-def traced_run(ops: int, tracer) -> None:
+def traced_run(ops: int, tracer):
     """The representative traced configuration (``--trace``): the
     pipelined engine driven well past saturation — queue growth shows up
     as an ever-wider gap between the ``submit`` instants and the lane
-    spans draining them."""
-    capacity = closed_loop_capacity("pipelined", ops)
-    target = make_target("pipelined", tracer=tracer)
-    arrivals = poisson_arrivals(
-        make_items(ops), LEVELS["hi"] * capacity, seed=SEED
-    )
-    StreamDriver(target, arrivals).run()
+    spans draining them.  Returns the driver's report."""
+    layer, level = TRACED
+    rate = LEVELS[level] * closed_loop_capacity(layer, ops)
+    return drive(layer, rate, ops, tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +333,7 @@ def traced_run(ops: int, tracer) -> None:
 
 def test_stream_saturation(benchmark, write_table):
     results = benchmark.pedantic(
-        lambda: measure(ops=400), rounds=1, iterations=1
+        lambda: run_bench(400, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
     write_table("E12_stream", render_table(results))
@@ -319,6 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         default_out="BENCH_stream.json",
         smoke_ops=240,
+        headlines=HEADLINES,
         measure=measure,
         check_claims=check_claims,
         render_table=render_table,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import sys
 
-from common import bench_main, render_stats_table
+from common import bench_main, render_stats_table, run_bench
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
 from repro.engine import ConsensusEscalator, PipelinedExecutor
@@ -61,6 +61,22 @@ SPENDER_POOL = 4
 THRESHOLD = EngineConfig().team_threshold
 CLUSTER_NODES = 4
 
+#: The gate's headline metrics (see ``bench_engine.HEADLINES``).
+HEADLINES = {
+    "band": [
+        "engine.global.escalation_messages",
+        "engine.tiered.escalation_messages",
+        "engine.tiered.virtual_time",
+        "engine.tiered.escalation_rate",
+        "cluster.global.makespan",
+        "cluster.tiered.makespan",
+        "multi_contract.tiered.messages",
+        "op_latency.tiered_engine.p50",
+        "op_latency.tiered_engine.p99",
+    ],
+    "zero": [],
+}
+
 
 def make_token() -> ERC20TokenType:
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
@@ -75,7 +91,7 @@ def make_items(ops: int) -> list[WorkloadItem]:
     ).generate(ops)
 
 
-def run_engine(object_type, items, threshold: int) -> dict:
+def run_engine(object_type, items, threshold: int, tracer=None) -> dict:
     """One engine run with one window in flight (the sync phase is then
     on every round's critical path, which is what this bench prices),
     every other knob but the team threshold at its default,
@@ -90,6 +106,7 @@ def run_engine(object_type, items, threshold: int) -> dict:
             pipeline_depth=1,
         ),
         escalator=ConsensusEscalator(num_replicas=ACCOUNTS, seed=SEED),
+        tracer=tracer,
     )
     state, responses, stats = engine.run_workload(items)
     ref_state, ref_responses = serial_reference(object_type, items)
@@ -203,7 +220,7 @@ def run_backpressure(ops: int) -> dict:
     }
 
 
-def measure(ops: int) -> dict:
+def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
     items = make_items(ops)
     results: dict = {
         "params": {
@@ -244,12 +261,8 @@ def measure(ops: int) -> dict:
             "virtual_time": stats["virtual_time"],
             "mean_team_size": stats["mean_team_size"],
         }
-    # Per-op commit latency (submit -> commit on the traced virtual
-    # timeline), from a dedicated traced run of the tiered engine — the
-    # runs above stay untraced, so their stats dicts are bit-identical
-    # with or without the observability layer.
-    tracer = TraceRecorder()
-    traced_run(ops, tracer)
+    # Per-op commit latency (submit -> commit) is the traced run's, which
+    # run_bench already made under ``tracer``; the runs above are untraced.
     results["op_latency"] = {
         "tiered_engine": tracer.metrics.histogram("op_latency").summary()
     }
@@ -391,7 +404,7 @@ def render_table(results: dict) -> list[str]:
 
 def test_tiered_sync(benchmark, write_table):
     results = benchmark.pedantic(
-        lambda: measure(ops=600), rounds=1, iterations=1
+        lambda: run_bench(600, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
     write_table("E11_sync", render_table(results))
@@ -406,19 +419,7 @@ def traced_run(ops: int, tracer) -> None:
     """The representative traced configuration (``--trace``): the tiered
     engine on the bounded-spender contended mix — team-lane batches show
     up as per-team sync tracks alongside the execution lanes."""
-    engine = PipelinedExecutor(
-        make_token(),
-        EngineConfig(
-            num_lanes=LANES,
-            window=WINDOW,
-            seed=SEED,
-            team_threshold=THRESHOLD,
-            pipeline_depth=1,
-        ),
-        escalator=ConsensusEscalator(num_replicas=ACCOUNTS, seed=SEED),
-        tracer=tracer,
-    )
-    engine.run_workload(make_items(ops))
+    run_engine(make_token(), make_items(ops), THRESHOLD, tracer)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -427,6 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         default_out="BENCH_sync.json",
         smoke_ops=500,
+        headlines=HEADLINES,
         measure=measure,
         check_claims=check_claims,
         render_table=render_table,

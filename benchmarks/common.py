@@ -3,12 +3,17 @@
 Every ``benchmarks/bench_<name>.py`` exposes the same standalone
 contract — ``--ops``, ``--smoke``, ``--out`` (the JSON consumed by the
 CI bench-regression gate) and ``--trace`` (a Chrome-trace-event JSON of
-one representative traced run, loadable in Perfetto or
+the representative traced run, loadable in Perfetto or
 ``chrome://tracing``).  :func:`bench_main` is that contract implemented
 once: parse, measure, enforce the bench's claims, write the JSON, print
-the table, and — when asked — re-run the bench's representative
-configuration under a :class:`repro.obs.TraceRecorder` and export the
-trace with its makespan attribution embedded in ``otherData``.
+the table.
+
+The JSON is the bench's whole baseline artifact and describes itself:
+beside the numbers it carries the active ``config``, the bench's own
+``headlines`` (what the gate compares) and the ``profile`` of its
+representative traced run (what the trace differ reads) — run once
+(:func:`run_bench`); that one recorder feeds ``op_latency``, ``profile``
+and ``--trace``, so the JSON never depends on a flag.
 
 The table renderers here are driven by
 :class:`repro.obs.MetricsRegistry`: a row is any stats summary (an
@@ -29,7 +34,9 @@ from repro.config import ClusterConfig, EngineConfig
 from repro.obs import (
     MetricsRegistry,
     TraceRecorder,
+    chrome_trace,
     critical_path_report,
+    profile_document,
     utilization_report,
     write_chrome_trace,
 )
@@ -63,21 +70,36 @@ def build_parser(
         type=Path,
         default=None,
         metavar="TRACE_JSON",
-        help="also run the bench's representative configuration under a "
-        "virtual-time tracer and write a Chrome-trace-event JSON "
-        "(open in Perfetto) with the makespan attribution embedded",
+        help="also write the representative traced run as a "
+        "Chrome-trace-event JSON (open in Perfetto) with the makespan "
+        "attribution embedded",
     )
     parser.add_argument(
         "--trace-sample",
         type=int,
         default=None,
         metavar="MAX_SPANS",
-        help="with --trace: retain at most MAX_SPANS spans (ring-buffer "
-        "sampling for long runs); the occupancy/utilization totals stay "
+        help="with --trace: re-run the traced configuration retaining at "
+        "most MAX_SPANS spans (ring-buffer sampling for long runs) and "
+        "export that; the occupancy/utilization totals stay "
         "exact, the critical-path attribution (which needs every span) "
         "is replaced by the utilization report",
     )
     return parser
+
+
+def run_bench(
+    ops: int,
+    measure: Callable[[int, TraceRecorder, object], dict],
+    traced_run: Callable[[int, TraceRecorder], object],
+    tracer: TraceRecorder | None = None,
+) -> dict:
+    """A bench's numbers: ``traced_run`` (its representative
+    configuration) exactly once, under ``tracer``, then ``measure`` for
+    the rest — ``traced`` is what ``traced_run`` returned."""
+    if tracer is None:
+        tracer = TraceRecorder()
+    return measure(ops, tracer, traced_run(ops, tracer))
 
 
 def bench_main(
@@ -86,77 +108,68 @@ def bench_main(
     description: str | None,
     default_out: str,
     smoke_ops: int,
-    measure: Callable[[int], dict],
+    headlines: dict[str, list[str]],
+    measure: Callable[[int, TraceRecorder, object], dict],
     check_claims: Callable[[dict], None],
     render_table: Callable[[dict], list[str]],
-    traced_run: Callable[[int, TraceRecorder], None] | None = None,
+    traced_run: Callable[[int, TraceRecorder], object],
     default_ops: int = 1200,
 ) -> int:
     """The standalone entry point shared by every bench.
 
-    ``measure``/``check_claims``/``render_table`` are the bench's own
-    hooks, unchanged; ``traced_run(ops, tracer)`` re-runs one
-    representative configuration with the tracer attached (kept separate
-    from ``measure`` so the gated JSON is produced by untraced runs and
-    stays bit-identical whether or not ``--trace`` was passed).
+    ``measure`` and ``traced_run`` are :func:`run_bench`'s; ``headlines``
+    is ``{"band": [...], "zero": [...]}``, the dotted paths into the JSON
+    that ``scripts/check_bench.py`` holds within the tolerance band /
+    holds exactly.
     """
     parser = build_parser(description, default_out, default_ops)
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be >= 1")
+    if args.trace_sample is not None and args.trace is None:
+        parser.error("--trace-sample requires --trace")
     ops = smoke_ops if args.smoke else args.ops
-    results = measure(ops)
-    # Every bench JSON carries the active config surface, so a committed
-    # baseline is self-describing: the regression gate refuses a run
-    # whose config block disagrees with the baseline's — a silent
-    # default flip can never skew one number in one place.
+    tracer = TraceRecorder()
+    results = run_bench(ops, measure, traced_run, tracer)
+    # The gate refuses a run whose ``config`` or ``headlines`` disagree
+    # with the baseline's.  The profile is taken from the export
+    # document, so it is the ``--trace`` artifact's to the last bit.
     results["config"] = {
         "engine": EngineConfig().as_dict(),
         "cluster": ClusterConfig().as_dict(),
     }
+    results["headlines"] = headlines
+    results["profile"] = profile_document(chrome_trace(tracer)).as_dict()
     check_claims(results)
     args.out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print("\n".join(render_table(results)))
     print(f"\nwrote {args.out}")
-    if args.trace_sample is not None and args.trace is None:
-        parser.error("--trace-sample requires --trace")
     if args.trace is not None:
-        if traced_run is None:
-            parser.error("this benchmark has no traced configuration")
-        export_trace(
-            traced_run, ops, args.trace, max_spans=args.trace_sample
-        )
+        if args.trace_sample is not None:
+            # The one flag that costs a second run: the JSON above must
+            # not depend on it, so the sampled recorder is its own.
+            tracer = TraceRecorder(max_spans=args.trace_sample)
+            traced_run(ops, tracer)
+        export_trace(tracer, args.trace)
     return 0
 
 
-def export_trace(
-    traced_run: Callable[[int, TraceRecorder], None],
-    ops: int,
-    path: Path,
-    max_spans: int | None = None,
-) -> None:
-    """Run ``traced_run`` under a fresh tracer and write the Chrome
-    trace.  A full trace embeds the critical-path attribution (verified
-    to partition the makespan exactly) in ``otherData.attribution``; a
-    *sampled* run (ring buffer overflowed) embeds the exact utilization
-    report in ``otherData.utilization`` instead — the walk needs every
-    span, the occupancy totals do not."""
-    tracer = TraceRecorder(max_spans=max_spans)
-    traced_run(ops, tracer)
+def export_trace(tracer: TraceRecorder, path: Path) -> None:
+    """Write a finished recorder as a Chrome trace.  A full trace embeds
+    the critical-path attribution (verified to partition the makespan
+    exactly) in ``otherData.attribution``; a *sampled* run (ring buffer
+    overflowed) embeds the exact utilization report in
+    ``otherData.utilization`` instead — the walk needs every span, the
+    occupancy totals do not."""
     print()
     if tracer.sampled:
         report = utilization_report(tracer).check()
-        write_chrome_trace(
-            tracer, path, metadata={"utilization": report.as_dict()}
-        )
-        print("\n".join(report.render()))
+        key = "utilization"
     else:
-        report = critical_path_report(tracer)
-        report.check()
-        write_chrome_trace(
-            tracer, path, metadata={"attribution": report.as_dict()}
-        )
-        print("\n".join(report.render()))
+        report = critical_path_report(tracer).check()
+        key = "attribution"
+    write_chrome_trace(tracer, path, metadata={key: report.as_dict()})
+    print("\n".join(report.render()))
     retained = (
         f"{len(tracer.spans)} of {tracer.spans_recorded} spans retained"
         if tracer.sampled

@@ -1,11 +1,12 @@
-"""Diff two exported traces and explain where the time moved.
+"""Diff two traced runs and explain where the time moved.
 
-The CLI face of :mod:`repro.obs.diff`: load two Chrome-trace-event
-documents (typically a committed ``benchmarks/baselines/TRACE_*.json``
-and a fresh ``--trace`` run of the same bench), reduce each to its run
-profile, and print the ranked regression explanation — makespan delta
-first, then the categories that moved it, each annotated with the track
-that moved most and the per-op lifecycle stages that slowed.
+The CLI face of :mod:`repro.obs.diff`.  Either side is a bench JSON
+(its embedded ``profile`` — typically a committed
+``benchmarks/baselines/BENCH_*.json``) or an exported Chrome-trace-event
+document (a ``--trace`` run, a CI artifact); each is reduced to its run
+profile and the ranked regression explanation is printed — makespan
+delta first, then the categories that moved it, each annotated with the
+track that moved most and the per-op lifecycle stages that slowed.
 
 For two full traces the per-category deltas re-partition the makespan
 delta exactly (checked before printing); if either trace is sampled the
@@ -13,8 +14,8 @@ diff falls back to the exact additive occupancy totals and says so.
 
 Usage::
 
-    python scripts/diff_trace.py BASE_TRACE.json RUN_TRACE.json \
-        [--top 3] [--json OUT.json]
+    python scripts/diff_trace.py BASE.json RUN.json \
+        [--top 3] [--json OUT.json] [--fail-on-pct N]
 """
 
 from __future__ import annotations
@@ -25,26 +26,11 @@ import sys
 from pathlib import Path
 
 # Self-sufficient import path: CI invokes gate scripts without
-# PYTHONPATH=src, and check_bench.py --explain shells out to the same
-# code path.
+# PYTHONPATH=src.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import ReproError  # noqa: E402
 from repro.obs import explain_regression  # noqa: E402
-
-
-def diff_files(
-    base_path: Path, run_path: Path, top: int | None
-) -> tuple[list[str], dict]:
-    """Diff two trace files; returns (render lines, as_dict payload)."""
-    base = json.loads(base_path.read_text())
-    run = json.loads(run_path.read_text())
-    explanation = explain_regression(
-        base, run, labels=(base_path.name, run_path.name)
-    )
-    if explanation.exact:
-        explanation.check()
-    return explanation.render(top=top), explanation.as_dict()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,10 +39,10 @@ def main(argv: list[str] | None = None) -> int:
         "virtual time moved"
     )
     parser.add_argument(
-        "base", type=Path, help="baseline trace JSON (the reference run)"
+        "base", type=Path, help="the reference run: bench JSON or trace"
     )
     parser.add_argument(
-        "run", type=Path, help="trace JSON of the run to explain"
+        "run", type=Path, help="the run to explain: bench JSON or trace"
     )
     parser.add_argument(
         "--top",
@@ -88,11 +74,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.fail_on_pct is not None and args.fail_on_pct <= 0:
         parser.error("--fail-on-pct must be > 0")
     try:
-        lines, payload = diff_files(args.base, args.run, args.top)
+        explanation = explain_regression(
+            json.loads(args.base.read_text()),
+            json.loads(args.run.read_text()),
+            labels=(args.base.name, args.run.name),
+        )
     except (OSError, json.JSONDecodeError, ReproError) as exc:
         print(f"trace diff FAILED: {exc}")
         return 1
-    print("\n".join(lines))
+    payload = explanation.as_dict()
+    print("\n".join(explanation.render(top=args.top)))
     if args.json is not None:
         args.json.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"

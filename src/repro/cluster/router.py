@@ -30,6 +30,7 @@ from repro.engine.rounds import RoundScheduler
 from repro.errors import ClusterError, MempoolFullError
 from repro.net.network import Message, Network
 from repro.net.node import Node
+from repro.objects.footprint import static_pair_kind
 from repro.obs.trace import TraceRecorder
 from repro.workloads.generators import WorkloadItem
 
@@ -211,11 +212,6 @@ class Router(Node):
         #: survivors.  ``None`` (the default) disables detection: no
         #: timer is armed and no probe is sent.
         self.recovery = config.result_timeout is not None
-        self.lease_timeout = (
-            config.lease_timeout
-            if config.lease_timeout is not None
-            else config.result_timeout
-        )
         self.faults = faults
         #: Operations admitted past the mempool (the denominator of the
         #: zero-committed-op-loss check: admitted − responded = lost).
@@ -331,9 +327,9 @@ class Router(Node):
         There is no global round barrier, only per-resource gates:
 
         * **cross-round footprint** — a unit waits for every earlier
-          in-flight unit (on any node) whose may-access summary does not
-          statically commute with it (:class:`~repro.objects.footprint.
-          FootprintSummary`), so overlapped rounds only ever reorder
+          in-flight unit (on any node) whose footprint union does not
+          statically commute with it (:func:`~repro.objects.footprint.
+          static_pair_kind`), so overlapped rounds only ever reorder
           commuting operations;
         * **per-shard lease order** — handoffs of one shard serialize:
           round N+1's request goes out once round N's handoff of the same
@@ -437,7 +433,8 @@ class Router(Node):
         cross-round same-node ordering is this gate's job too.  Units of
         one round never gate each other (distinct components commute)."""
         return any(
-            not other.done and unit.summary.conflicts_with(other.summary)
+            not other.done
+            and static_pair_kind(unit.summary, other.summary) != "commute"
             for earlier, earlier_state in self._inflight.items()
             if earlier < unit.round
             for other in earlier_state.units.values()
@@ -534,7 +531,8 @@ class Router(Node):
         handoff.granter = granter
         if self.recovery:
             handoff.timer = self.schedule(
-                self.lease_timeout, lambda: self._lease_timed_out(shard)
+                self.config.result_timeout,
+                lambda: self._lease_timed_out(shard),
             )
         type, party = (
             ("cl_lease_revoke", {"from_node": from_node})

@@ -67,9 +67,9 @@ from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
 from repro.engine.mempool import PendingOp
 from repro.engine.rounds import RoundScheduler
 from repro.objects.footprint import (
-    FootprintSummary,
     OpFootprint,
     anchor_account,
+    union_footprint,
 )
 from repro.sync.escalation import SyncRoundResult, TieredEscalator
 
@@ -108,8 +108,9 @@ class _Unit:
     round: int
     node: int
     uidx: int
-    #: May-access summary, the cross-round frontier test's input.
-    summary: FootprintSummary
+    #: Union of the ops' footprints (``None`` = unknown), the
+    #: cross-round frontier test's input.
+    summary: OpFootprint | None
     #: The component's precedence DAG over positions in ``ops`` — the
     #: plan the node executes; ``None`` for a residual unit, whose ops
     #: share no edge.
@@ -299,7 +300,7 @@ def route_window(
             round=index,
             node=node,
             uidx=units_on[node],
-            summary=FootprintSummary.over(footprint_of[op.seq] for op in ops),
+            summary=union_footprint(footprint_of[op.seq] for op in ops),
             dag=dag,
         )
         units_on[node] += 1

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+from repro.engine.stats import summary_dict
+
 
 @dataclass
 class NodeBill:
@@ -300,64 +302,29 @@ class ClusterStats:
         mean = sum(loads) / len(loads)
         return max(loads) / mean if mean else 1.0
 
+    #: Properties :meth:`as_dict` reports beside the counters.
+    _DERIVED = (
+        "dag_chain_ops",
+        "dag_critical_ops",
+        "dag_speedup",
+        "max_dag_critical_path",
+        "max_dag_width",
+        "owner_local_rate",
+        "escalation_rate",
+        "mean_team_size",
+        "throughput",
+        "load_imbalance",
+    )
+
     def as_dict(self) -> dict:
-        """JSON-ready summary (used by ``benchmarks/bench_cluster.py``)."""
-        return {
-            "num_nodes": self.num_nodes,
-            "lanes_per_node": self.lanes_per_node,
-            "window": self.window,
-            "num_shards": self.num_shards,
-            "op_cost": self.op_cost,
-            "pipeline_depth": self.pipeline_depth,
-            "units_dispatched": self.units_dispatched,
-            "dag_chain_ops": self.dag_chain_ops,
-            "dag_critical_ops": self.dag_critical_ops,
-            "dag_speedup": self.dag_speedup,
-            "max_dag_critical_path": self.max_dag_critical_path,
-            "max_dag_width": self.max_dag_width,
-            "max_inflight_rounds": self.max_inflight_rounds,
-            "dispatch_stall_time": self.dispatch_stall_time,
-            "dispatch_stall_time_contended": self.dispatch_stall_time_contended,
-            "frontier_stall_time": self.frontier_stall_time,
-            "frontier_stall_time_contended": (
-                self.frontier_stall_time_contended
-            ),
-            "ops_executed": self.ops_executed,
-            "rounds": self.rounds,
-            "owner_local_ops": self.owner_local_ops,
-            "owner_local_rate": self.owner_local_rate,
-            "hot_split_ops": self.hot_split_ops,
-            "spill_ops": self.spill_ops,
-            "escalated_ops": self.escalated_ops,
-            "escalation_rate": self.escalation_rate,
-            "team_ops": self.team_ops,
-            "global_ops": self.global_ops,
-            "team_messages": self.team_messages,
-            "global_messages": self.global_messages,
-            "team_k_histogram": {
-                str(k): v for k, v in sorted(self.team_k_histogram.items())
-            },
-            "mean_team_size": self.mean_team_size,
-            "max_concurrent_teams": self.max_concurrent_teams,
-            "dropped_ops": self.dropped_ops,
-            "ops_lost": self.ops_lost,
-            "ops_replayed": self.ops_replayed,
-            "revocations": self.revocations,
-            "rejoins": self.rejoins,
-            "recovery_makespan": self.recovery_makespan,
-            "stale_messages": self.stale_messages,
-            "lease_migrations": self.lease_migrations,
-            "lease_messages": self.lease_messages,
-            "lease_cooldown_skips": self.lease_cooldown_skips,
-            "escalations": self.escalations,
-            "escalation_messages": self.escalation_messages,
-            "escalation_time": self.escalation_time,
-            "makespan": self.makespan,
-            "throughput": self.throughput,
-            "cluster_messages": self.cluster_messages,
-            "load_imbalance": self.load_imbalance,
-            "node_bills": [bill.as_dict() for bill in self.node_bills],
-        }
+        """JSON-ready summary (used by ``benchmarks/bench_cluster.py``):
+        the counters, the derived rates and each node's bill — not the
+        per-round log."""
+        summary = summary_dict(
+            self, self._DERIVED, logs=("round_log", "node_bills")
+        )
+        summary["node_bills"] = [bill.as_dict() for bill in self.node_bills]
+        return summary
 
     def registry(self):
         """This summary re-derived as a :class:`repro.obs.MetricsRegistry`

@@ -237,9 +237,6 @@ class ClusterConfig(_ConfigBase):
     #: Declare a node dead when a dispatched unit's ``cl_result`` is this
     #: late (virtual time); ``None`` disables failure detection entirely.
     result_timeout: float | None = None
-    #: Declare a lease *granter* dead when its handoff ack is this late;
-    #: ``None`` reuses ``result_timeout``.
-    lease_timeout: float | None = None
     #: The deterministic fault plan (disabled by default — bit-identical
     #: to a cluster without the fault layer).
     fault: FaultConfig = FaultConfig()
@@ -257,10 +254,8 @@ class ClusterConfig(_ConfigBase):
             raise ClusterError("lease_cooldown must be non-negative")
         if not isinstance(self.fault, FaultConfig):
             raise ClusterError("fault must be a FaultConfig")
-        for name in ("result_timeout", "lease_timeout"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ClusterError(f"{name} must be positive (or None)")
+        if self.result_timeout is not None and self.result_timeout <= 0:
+            raise ClusterError("result_timeout must be positive (or None)")
         if (
             self.fault.enabled
             and self.fault.crashes

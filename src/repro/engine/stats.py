@@ -14,7 +14,7 @@ wall-clock threading in Python would measure the GIL, not the algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +66,29 @@ class WaveStats:
     dag_width: int
     dag_chain_ops: int
     dag_critical_ops: int
+
+
+def summary_dict(
+    stats, derived: tuple[str, ...], logs: tuple[str, ...]
+) -> dict:
+    """The JSON-ready summary of an aggregate stats dataclass: every
+    field but the per-round ``logs``, plus the ``derived`` properties.
+
+    Derived from :func:`dataclasses.fields`, so a counter added to the
+    class *cannot* drift out of the bench JSON; histograms (dicts keyed
+    by team size) get sorted string keys.
+    """
+    summary = {}
+    for entry in fields(stats):
+        if entry.name in logs:
+            continue
+        value = getattr(stats, entry.name)
+        if isinstance(value, dict):
+            value = {str(k): v for k, v in sorted(value.items())}
+        summary[entry.name] = value
+    for name in derived:
+        summary[name] = getattr(stats, name)
+    return summary
 
 
 @dataclass
@@ -218,48 +241,29 @@ class EngineStats:
             / total
         )
 
+    @property
+    def max_critical_path(self) -> int:
+        return max(self.critical_paths, default=0)
+
+    #: Properties :meth:`as_dict` reports beside the counters.
+    _DERIVED = (
+        "mean_team_size",
+        "dag_speedup",
+        "escalation_rate",
+        "fast_path_rate",
+        "mean_wave_size",
+        "max_critical_path",
+        "serial_virtual_time",
+        "speedup",
+        "throughput",
+    )
+
     def as_dict(self) -> dict:
-        """JSON-ready summary (used by ``benchmarks/bench_engine.py``)."""
-        return {
-            "num_lanes": self.num_lanes,
-            "window": self.window,
-            "op_cost": self.op_cost,
-            "ops_executed": self.ops_executed,
-            "rejected_ops": self.rejected_ops,
-            "waves": self.waves,
-            "wave_ops": self.wave_ops,
-            "barrier_ops": self.barrier_ops,
-            "escalated_ops": self.escalated_ops,
-            "team_ops": self.team_ops,
-            "global_ops": self.global_ops,
-            "team_messages": self.team_messages,
-            "global_messages": self.global_messages,
-            "k_histogram": {
-                str(k): v for k, v in sorted(self.k_histogram.items())
-            },
-            "mean_team_size": self.mean_team_size,
-            "max_concurrent_teams": self.max_concurrent_teams,
-            "pipeline_depth": self.pipeline_depth,
-            "stall_time": self.stall_time,
-            "stall_time_contended": self.stall_time_contended,
-            "overlap_time": self.overlap_time,
-            "max_inflight_windows": self.max_inflight_windows,
-            "max_dag_critical_path": self.max_dag_critical_path,
-            "max_dag_width": self.max_dag_width,
-            "dag_chain_ops": self.dag_chain_ops,
-            "dag_critical_ops": self.dag_critical_ops,
-            "dag_speedup": self.dag_speedup,
-            "escalation_rate": self.escalation_rate,
-            "fast_path_rate": self.fast_path_rate,
-            "mean_wave_size": self.mean_wave_size,
-            "max_critical_path": max(self.critical_paths, default=0),
-            "virtual_time": self.virtual_time,
-            "serial_virtual_time": self.serial_virtual_time,
-            "speedup": self.speedup,
-            "throughput": self.throughput,
-            "escalation_time": self.escalation_time,
-            "escalation_messages": self.escalation_messages,
-        }
+        """JSON-ready summary (used by ``benchmarks/bench_engine.py``):
+        the counters and the derived rates — not the per-round logs."""
+        return summary_dict(
+            self, self._DERIVED, logs=("wave_sizes", "critical_paths", "rounds")
+        )
 
     def registry(self):
         """This summary re-derived as a :class:`repro.obs.MetricsRegistry`

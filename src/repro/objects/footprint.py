@@ -151,65 +151,35 @@ def anchor_account(fp: "OpFootprint | None", default: int) -> int:
     return default
 
 
-@dataclass(frozen=True, slots=True)
-class FootprintSummary:
-    """Kind-aware union of many footprints — one batch's may-access set.
-
-    The cross-round pipelining layers (:mod:`repro.engine.pipeline`, the
-    cluster router's frontier gating) need a *batch*-level commutativity
-    test: may every operation of batch A be reordered against every
-    operation of batch B?  :meth:`conflicts_with` answers with exactly the
-    per-pair rule of :func:`static_pair_kind` lifted to unions — sound
-    because a union can only over-approximate each member's accesses.  An
-    ``unknown`` summary (some member had no footprint) conflicts with
-    everything, the same conservative fallback the classifier uses.
-    """
-
-    observes: frozenset = field(default_factory=frozenset)
-    adds: frozenset = field(default_factory=frozenset)
-    sets: frozenset = field(default_factory=frozenset)
-    unknown: bool = False
-
-    @classmethod
-    def over(cls, footprints) -> "FootprintSummary":
-        """Summarize an iterable of ``OpFootprint | None``."""
-        observes: set = set()
-        adds: set = set()
-        sets: set = set()
-        unknown = False
-        for fp in footprints:
-            if fp is None:
-                unknown = True
-            else:
-                observes |= fp.observes
-                adds |= fp.adds
-                sets |= fp.sets
-        return cls(
-            frozenset(observes), frozenset(adds), frozenset(sets), unknown
-        )
-
-    @property
-    def writes(self) -> frozenset:
-        return self.adds | self.sets
-
-    def conflicts_with(self, other: "FootprintSummary") -> bool:
-        """True unless every cross pair statically commutes: no write may
-        touch what the other side observes, and shared written cells must
-        be commutative deltas on both sides."""
-        if self.unknown or other.unknown:
-            return True
-        if self.writes & other.observes or other.writes & self.observes:
-            return True
-        shared = self.writes & other.writes
-        return not (shared <= self.adds and shared <= other.adds)
-
-
 #: Footprint of a pure no-op (constant response, state never changes).
 EMPTY_FOOTPRINT = OpFootprint()
 
 
 def footprint(observes=(), adds=(), sets=()) -> OpFootprint:
     """Convenience constructor from iterables."""
+    return OpFootprint(frozenset(observes), frozenset(adds), frozenset(sets))
+
+
+def union_footprint(footprints) -> OpFootprint | None:
+    """Kind-aware union of an iterable of ``OpFootprint | None`` — one
+    unit's may-access set; ``None`` (unknown) once any member is.
+
+    :func:`static_pair_kind` of two unions is the batch-level test the
+    cluster router's cross-round gate needs: it says ``"commute"`` only
+    if every cross pair of members does: each of the rule's conditions
+    (a write meeting an observe, a shared written cell that either side
+    ``sets``) is monotone in the three sets, and a union only grows them.
+    A cell one member sets and another adds stays in both kinds.
+    """
+    observes: set = set()
+    adds: set = set()
+    sets: set = set()
+    for fp in footprints:
+        if fp is None:
+            return None
+        observes |= fp.observes
+        adds |= fp.adds
+        sets |= fp.sets
     return OpFootprint(frozenset(observes), frozenset(adds), frozenset(sets))
 
 
@@ -225,13 +195,16 @@ def static_pair_kind(
     if first is None or second is None:
         return "conflict"
     # An op whose writes stay clear of everything the other observes or
-    # writes (shared cells allowed only when both access them as commutative
-    # deltas) can be reordered freely: the other op takes the same branch,
-    # writes the same values, and returns the same response either way.
+    # writes (shared cells allowed only when neither side overwrites them:
+    # both access them as commutative deltas) can be reordered freely: the
+    # other op takes the same branch, writes the same values, and returns
+    # the same response either way.  The test is on ``sets`` because a
+    # union of several ops may hold one cell under both kinds, and the
+    # absolute write is the one that needs an order.
     w1, w2 = first.writes, second.writes
     if not (w1 & second.observes) and not (w2 & first.observes):
         shared = w1 & w2
-        if shared <= first.adds and shared <= second.adds:
+        if shared.isdisjoint(first.sets) and shared.isdisjoint(second.sets):
             return "commute"
     if first.is_read_only or second.is_read_only:
         return "read-only"

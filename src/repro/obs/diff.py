@@ -18,11 +18,14 @@ occupancy totals instead (additive, not a makespan partition); the
 explanation is still ranked and useful but drops the exactness claim
 (``exact=False``).
 
-Profiles come from live recorders (:func:`profile_tracer`) or from
-exported Chrome-trace documents (:func:`profile_document`) — the latter
-is what ``scripts/diff_trace.py`` and ``scripts/check_bench.py
---explain`` use to compare a fresh traced run against a committed
-baseline trace.
+Profiles come from live recorders (:func:`profile_tracer`), from
+exported Chrome-trace documents (:func:`profile_document`), or from the
+``profile`` block every bench JSON embeds (:meth:`RunProfile.as_dict` /
+:meth:`RunProfile.from_dict`) — a committed ``BENCH_<name>.json``
+carries everything the differ reads, so ``scripts/check_bench.py``
+explains a gate failure by diffing the baseline's profile against the
+run's, in-process, and ``scripts/diff_trace.py`` takes a bench JSON or
+an exported trace on either side.
 """
 
 from __future__ import annotations
@@ -124,6 +127,43 @@ class RunProfile:
     stages: dict[str, dict]
     exact: bool
     spans: int
+
+    def as_dict(self) -> dict:
+        """A plain-JSON snapshot of everything but the label (which
+        names a side of one diff, not the run); ``from_dict`` inverts.
+        ``track_totals`` nests as ``track -> category -> amount``."""
+        tracks: dict[str, dict[str, float]] = {}
+        for (track, category), amount in self.track_totals.items():
+            tracks.setdefault(track, {})[category] = amount
+        return {
+            "makespan": self.makespan,
+            "totals": dict(self.totals),
+            "occupancy": dict(self.occupancy),
+            "track_totals": tracks,
+            "stages": {k: dict(v) for k, v in self.stages.items()},
+            "exact": self.exact,
+            "spans": self.spans,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict, label: str = "run") -> "RunProfile":
+        try:
+            return cls(
+                label=label,
+                makespan=float(data["makespan"]),
+                totals=dict(data["totals"]),
+                occupancy=dict(data["occupancy"]),
+                track_totals={
+                    (track, category): amount
+                    for track, categories in data["track_totals"].items()
+                    for category, amount in categories.items()
+                },
+                stages={k: dict(v) for k, v in data["stages"].items()},
+                exact=bool(data["exact"]),
+                spans=int(data["spans"]),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise TraceError(f"not a run profile: {exc!r}") from exc
 
 
 def profile_tracer(
@@ -373,8 +413,8 @@ class RegressionExplanation:
             )
         if all(d.delta == 0 for d in self.categories):
             lines.append(
-                "  no attribution movement: the traced re-run matches "
-                "the baseline trace"
+                "  no attribution movement: the run's profile matches "
+                "the baseline's"
             )
         return lines
 
@@ -382,8 +422,10 @@ class RegressionExplanation:
 def explain_regression(
     base, other, labels: tuple[str, str] = ("base", "run")
 ) -> RegressionExplanation:
-    """Diff two runs given recorders, profiles, or exported documents
-    (any mix); the one-call form of profile→diff."""
+    """Diff two runs given recorders, profiles, exported Chrome-trace
+    documents, or bench JSONs (their embedded ``profile`` block) — any
+    mix; the one-call form of profile→diff both scripts use.  An exact
+    explanation is returned checked."""
 
     def as_profile(source, label: str) -> RunProfile:
         if isinstance(source, RunProfile):
@@ -391,12 +433,17 @@ def explain_regression(
         if isinstance(source, TraceRecorder):
             return profile_tracer(source, label=label)
         if isinstance(source, dict):
-            return profile_document(source, label=label)
+            if "traceEvents" in source:
+                return profile_document(source, label=label)
+            return RunProfile.from_dict(source.get("profile"), label=label)
         raise TraceError(
             f"cannot profile a {type(source).__name__}; pass a "
-            f"TraceRecorder, a RunProfile, or a Chrome-trace document"
+            f"TraceRecorder, a RunProfile, a Chrome-trace document or a "
+            f"bench JSON"
         )
 
-    return diff_profiles(
+    explanation = diff_profiles(
         as_profile(base, labels[0]), as_profile(other, labels[1])
     )
+    # Two full traces claim exactness: hold the claim before anyone reads.
+    return explanation.check() if explanation.exact else explanation

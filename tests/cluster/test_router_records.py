@@ -12,7 +12,7 @@ from repro.cluster.router import _Peer
 from repro.cluster.routing import _Unit
 from repro.engine import PendingOp
 from repro.engine.conflict_graph import ComponentDAG
-from repro.objects.footprint import FootprintSummary
+from repro.objects.footprint import EMPTY_FOOTPRINT
 from repro.spec.operation import op
 
 TIMEOUT = 10.0
@@ -92,7 +92,7 @@ def a_unit(**fields) -> _Unit:
         round=3,
         node=1,
         uidx=0,
-        summary=FootprintSummary.over([]),
+        summary=EMPTY_FOOTPRINT,
         dag=ComponentDAG((0, 1), {0: (), 1: (0,)}, {0: (1,), 1: ()}),
     )
     return _Unit(**{**defaults, **fields})

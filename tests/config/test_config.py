@@ -96,6 +96,9 @@ class TestRoundTrip:
             ClusterConfig.from_dict(PARENT_CLUSTER_BLOCK)
         current = dict(PARENT_CLUSTER_BLOCK)
         del current["dag_scheduling"]
+        with pytest.raises(ClusterError, match="lease_timeout"):
+            ClusterConfig.from_dict(current)
+        del current["lease_timeout"]
         assert ClusterConfig.from_dict(current) == ClusterConfig()
 
     def test_validation_applies_to_round_tripped_values(self):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.objects.asset_transfer import AssetTransferType, DynamicOwnerATType
 from repro.objects.erc20 import ERC20TokenType
@@ -10,12 +12,12 @@ from repro.objects.erc721 import ERC721TokenType
 from repro.objects.footprint import (
     EMPTY_FOOTPRINT,
     SUPPLY,
-    FootprintSummary,
     OpFootprint,
     allow,
     bal,
     footprint,
     static_pair_kind,
+    union_footprint,
 )
 from repro.spec.operation import op
 
@@ -200,81 +202,119 @@ class TestContended:
         assert bal(0) in fp.contended
 
 
-class TestFootprintSummary:
-    """The batch-level commutativity test behind the pipelined frontier
-    and the cluster's per-unit dispatch gate — the per-pair rule of
-    :func:`static_pair_kind` lifted to unions of footprints."""
+def batch():
+    """Small batches of ``OpFootprint | None`` over a few shared cells,
+    so member pairs collide in every access kind."""
+    cells = st.frozensets(
+        st.sampled_from([bal(0), bal(1), allow(0, 1), SUPPLY]), max_size=3
+    )
+    member = st.none() | st.builds(OpFootprint, cells, cells, cells)
+    return st.lists(member, max_size=4)
 
-    def test_over_unions_by_access_kind(self):
-        summary = FootprintSummary.over(
+
+def gates(a, b) -> bool:
+    """The router's cross-round gate: anything but a static commute."""
+    return static_pair_kind(a, b) != "commute"
+
+
+class TestFootprintUnion:
+    """The batch-level commutativity test behind the cluster's per-unit
+    dispatch gate — :func:`static_pair_kind` applied to unions of
+    footprints (:func:`union_footprint`)."""
+
+    def test_union_is_by_access_kind(self):
+        union = union_footprint(
             [
                 footprint(observes=[bal(0)], adds=[bal(0), bal(1)]),
                 footprint(sets=[allow(0, 1)]),
             ]
         )
-        assert summary.observes == frozenset({bal(0)})
-        assert summary.adds == frozenset({bal(0), bal(1)})
-        assert summary.sets == frozenset({allow(0, 1)})
-        assert summary.writes == frozenset({bal(0), bal(1), allow(0, 1)})
-        assert not summary.unknown
+        assert union.observes == frozenset({bal(0)})
+        assert union.adds == frozenset({bal(0), bal(1)})
+        assert union.sets == frozenset({allow(0, 1)})
+        assert union.writes == frozenset({bal(0), bal(1), allow(0, 1)})
 
-    def test_over_flags_unknown_members(self):
-        summary = FootprintSummary.over([footprint(observes=[bal(0)]), None])
-        assert summary.unknown
+    def test_an_unknown_member_makes_the_union_unknown(self):
+        assert union_footprint([footprint(observes=[bal(0)]), None]) is None
 
     def test_read_read_sharing_commutes(self):
-        a = FootprintSummary.over([footprint(observes=[bal(3), SUPPLY])])
-        b = FootprintSummary.over([footprint(observes=[bal(3)])])
-        assert not a.conflicts_with(b)
-        assert not b.conflicts_with(a)
+        a = union_footprint([footprint(observes=[bal(3), SUPPLY])])
+        b = union_footprint([footprint(observes=[bal(3)])])
+        assert not gates(a, b)
+        assert not gates(b, a)
 
     def test_delta_delta_sharing_commutes(self):
         # Two batches crediting one cell: commutative deltas on both
         # sides never need an order.
-        a = FootprintSummary.over(
+        a = union_footprint(
             [footprint(observes=[bal(0)], adds=[bal(0), bal(9)])]
         )
-        b = FootprintSummary.over(
+        b = union_footprint(
             [footprint(observes=[bal(1)], adds=[bal(1), bal(9)])]
         )
-        assert not a.conflicts_with(b)
-        assert not b.conflicts_with(a)
+        assert not gates(a, b)
+        assert not gates(b, a)
 
     def test_read_gates_on_write(self):
-        reader = FootprintSummary.over([footprint(observes=[bal(5)])])
-        writer = FootprintSummary.over(
+        reader = union_footprint([footprint(observes=[bal(5)])])
+        writer = union_footprint(
             [footprint(observes=[bal(5)], adds=[bal(5), bal(6)])]
         )
-        assert reader.conflicts_with(writer)
-        assert writer.conflicts_with(reader)  # symmetric: write gates read
+        assert gates(reader, writer)
+        assert gates(writer, reader)  # symmetric: write gates read
 
     def test_shared_cell_with_absolute_write_conflicts(self):
-        delta = FootprintSummary.over([footprint(adds=[allow(0, 1)])])
-        absolute = FootprintSummary.over([footprint(sets=[allow(0, 1)])])
-        assert delta.conflicts_with(absolute)
-        assert absolute.conflicts_with(delta)
-        assert absolute.conflicts_with(absolute)  # set-set too
+        delta = union_footprint([footprint(adds=[allow(0, 1)])])
+        absolute = union_footprint([footprint(sets=[allow(0, 1)])])
+        assert gates(delta, absolute)
+        assert gates(absolute, delta)
+        assert gates(absolute, absolute)  # set-set too
 
     def test_disjoint_batches_commute(self):
-        a = FootprintSummary.over(
+        a = union_footprint(
             [footprint(observes=[bal(0)], adds=[bal(0)], sets=[allow(0, 0)])]
         )
-        b = FootprintSummary.over(
+        b = union_footprint(
             [footprint(observes=[bal(1)], adds=[bal(1)], sets=[allow(1, 1)])]
         )
-        assert not a.conflicts_with(b)
+        assert not gates(a, b)
 
     def test_unknown_conflicts_with_everything(self):
-        unknown = FootprintSummary.over([None])
-        empty = FootprintSummary.over([EMPTY_FOOTPRINT])
-        assert unknown.conflicts_with(empty)
-        assert empty.conflicts_with(unknown)
-        assert unknown.conflicts_with(unknown)
+        unknown = union_footprint([None])
+        empty = union_footprint([EMPTY_FOOTPRINT])
+        assert gates(unknown, empty)
+        assert gates(empty, unknown)
+        assert gates(unknown, unknown)
 
     def test_empty_batches_never_conflict(self):
-        empty = FootprintSummary.over([])
-        writer = FootprintSummary.over(
+        empty = union_footprint([])
+        writer = union_footprint(
             [footprint(observes=[bal(0)], adds=[bal(0)])]
         )
-        assert not empty.conflicts_with(writer)
-        assert not writer.conflicts_with(empty)
+        assert empty == EMPTY_FOOTPRINT
+        assert not gates(empty, writer)
+        assert not gates(writer, empty)
+
+    def test_a_cell_set_by_one_member_and_added_by_another_still_gates(self):
+        # A conflict-graph component naturally holds an approve and a
+        # transferFrom of one allowance cell: its union has the cell under
+        # both kinds, and the absolute write must keep gating a delta.
+        cell = allow(0, 1)
+        unit = union_footprint(
+            [footprint(sets=[cell]), footprint(adds=[cell])]
+        )
+        delta = union_footprint([footprint(adds=[cell])])
+        assert unit.sets == unit.adds == frozenset({cell})
+        assert gates(unit, delta)
+        assert gates(delta, unit)
+
+    @given(batch(), batch())
+    @example(
+        left=[footprint(sets=[bal(0)]), footprint(adds=[bal(0)])],
+        right=[footprint(adds=[bal(0)])],
+    )
+    def test_the_union_verdict_covers_every_member_pair(self, left, right):
+        """Soundness of the lift: whenever any cross pair of members does
+        not commute, neither do the unions."""
+        if any(gates(a, b) for a in left for b in right):
+            assert gates(union_footprint(left), union_footprint(right))

@@ -6,10 +6,13 @@ partition exactness, enforced here on every traced configuration.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from test_identity import CONFIGS, make_items
 
 from repro.obs import (
+    RunProfile,
     TraceError,
     TraceRecorder,
     chrome_trace,
@@ -88,6 +91,26 @@ def test_document_profile_matches_tracer_profile():
     assert all(abs(d.delta) < 1e-9 for d in explanation.categories)
 
 
+@pytest.mark.parametrize("label,mix,build", CONFIGS, ids=IDS)
+def test_profile_round_trips_through_json(label, mix, build):
+    """``as_dict`` is what a bench JSON embeds: through ``json`` and
+    back, the profile — tuple-keyed ``track_totals`` included — is the
+    same value, so a diff against it is a diff against the run."""
+    profile = profile_tracer(record(build, mix))
+    assert any(isinstance(key, tuple) for key in profile.track_totals)
+    wire = json.loads(json.dumps(profile.as_dict()))
+    assert RunProfile.from_dict(wire) == profile
+    assert RunProfile.from_dict(wire, label="x").label == "x"
+
+
+@pytest.mark.parametrize(
+    "garbage", [None, [], {}, {"makespan": "fast"}, {"makespan": 1.0}]
+)
+def test_a_malformed_profile_is_a_trace_error(garbage):
+    with pytest.raises(TraceError, match="not a run profile"):
+        RunProfile.from_dict(garbage)
+
+
 def test_mixed_exact_sampled_diff_uses_occupancy_on_both_sides():
     mix, build = _engine_config()
     full = record(build, mix)
@@ -107,6 +130,19 @@ def test_mixed_exact_sampled_diff_uses_occupancy_on_both_sides():
 def test_explain_regression_rejects_unprofilable_input():
     with pytest.raises(TraceError):
         explain_regression(42, TraceRecorder())
+    with pytest.raises(TraceError, match="not a run profile"):
+        explain_regression({"no": "profile"}, TraceRecorder())
+
+
+def test_explain_regression_reads_a_bench_json_or_a_document():
+    """Any mix of sources: a bench JSON's embedded profile against the
+    exported document it was taken from shows no movement."""
+    mix, build = _engine_config()
+    document = chrome_trace(record(build, mix))
+    bench_json = {"profile": profile_document(document).as_dict()}
+    explanation = explain_regression(bench_json, document).check()
+    assert explanation.makespan_delta == 0
+    assert all(d.delta == 0 for d in explanation.categories)
 
 
 def test_render_is_deterministic_and_bounded():

@@ -1,7 +1,9 @@
 """CLI-level coverage for the observability scripts: ``diff_trace.py``
-(explain two exported traces), ``validate_trace.py`` (sampled-trace
-schema), and ``check_bench.py --explain`` (gate failure → trace diff),
-all driven exactly the way CI drives them — as subprocesses.
+(explain two traced runs — exported traces or bench JSONs),
+``validate_trace.py`` (sampled-trace schema), and ``check_bench.py``
+(gate failure → trace diff), all driven exactly the way CI drives them
+— as subprocesses.  The gate's rules are covered in-process by
+``test_gate.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.obs import (
     TraceRecorder,
     chrome_trace,
     critical_path_report,
+    profile_document,
     write_chrome_trace,
 )
 
@@ -93,9 +96,28 @@ def test_diff_trace_ranked_explanation_repartitions_the_delta(tmp_path):
     assert diff["categories"][0]["delta"] == pytest.approx(3.0)
 
 
-def test_diff_trace_fails_cleanly_on_garbage(tmp_path):
+def test_diff_trace_takes_a_bench_json_on_either_side(tmp_path):
+    """A bench JSON stands in for the trace it profiled: the diff reads
+    its ``profile`` block and finds the same 3 vt."""
+    base, run = tmp_path / "base.json", tmp_path / "run.json"
+    make_trace(base)
+    make_trace(run, slow=3.0)
+    bench = tmp_path / "BENCH_x.json"
+    profile = profile_document(json.loads(base.read_text()))
+    bench.write_text(json.dumps({"profile": profile.as_dict()}))
+    result = run_script("diff_trace.py", bench, run, "--top", "1")
+    assert result.returncode == 0, result.stdout
+    assert "trace diff (BENCH_x.json -> run.json)" in result.stdout
+    assert "execute            +3.00 vt" in result.stdout
+    result = run_script("diff_trace.py", base, bench)
+    assert result.returncode == 0, result.stdout
+    assert "no attribution movement" in result.stdout
+
+
+@pytest.mark.parametrize("garbage", ["not json", "[1, 2]", '{"a": 1}'])
+def test_diff_trace_fails_cleanly_on_garbage(tmp_path, garbage):
     bad = tmp_path / "bad.json"
-    bad.write_text("not json")
+    bad.write_text(garbage)
     good = tmp_path / "good.json"
     make_trace(good)
     result = run_script("diff_trace.py", good, bad)
@@ -148,30 +170,28 @@ def test_validate_trace_rejects_attribution_on_a_sampled_trace(tmp_path):
     assert "cannot carry a critical-path attribution" in result.stdout
 
 
-def test_check_bench_explain_produces_an_explanation(tmp_path):
-    """Tamper one headline metric in a copied baseline: the gate must
-    fail, and --explain must re-run the bench traced, diff it against
-    the committed baseline trace, and write the explanation artifact."""
+def test_check_bench_failure_prints_a_trace_diff():
+    """The committed pipeline baseline gated against the dag one (both
+    two are real bench JSONs with equal ``config`` and unequal
+    ``headlines``): the gate must fail and explain from the two embedded
+    profiles — the script needs no PYTHONPATH and no flag to do so."""
     baselines = ROOT / "benchmarks" / "baselines"
-    baseline = json.loads((baselines / "BENCH_pipeline.json").read_text())
-    baseline["engine"]["approval_heavy"]["barrier"]["virtual_time"] *= 2
-    tampered = tmp_path / "BENCH_pipeline.json"
-    tampered.write_text(json.dumps(baseline))
-    out = tmp_path / "explanation_pipeline.txt"
-    result = run_script(
-        "check_bench.py",
-        "pipeline",
-        "--run",
-        baselines / "BENCH_pipeline.json",
-        "--baseline",
-        tampered,
-        "--explain",
-        "--explain-out",
-        out,
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(SCRIPTS / "check_bench.py"),
+            "pipeline",
+            "--run",
+            str(baselines / "BENCH_pipeline.json"),
+            "--baseline",
+            str(baselines / "BENCH_dag.json"),
+        ],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
     )
-    assert result.returncode == 1
+    assert result.returncode == 1, result.stderr
     assert "bench-regression gate FAILED for pipeline" in result.stdout
-    assert "trace diff (baseline -> run)" in result.stdout
-    lines = out.read_text().splitlines()
-    assert len(lines) >= 2
-    assert any("trace diff" in line for line in lines)
+    assert "headlines.band:" in result.stdout
+    assert "trace diff (baseline -> run): makespan " in result.stdout
+    assert "no attribution movement" not in result.stdout
