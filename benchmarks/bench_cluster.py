@@ -36,7 +36,8 @@ from common import (
 from repro.cluster import TokenCluster, owner_local_workload
 from repro.config import ClusterConfig, EngineConfig
 from repro.obs import TraceRecorder
-from repro.engine import ConsensusEscalator, PipelinedExecutor
+from repro.engine import PipelinedExecutor
+from repro.net import TeamLane
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
     OWNER_ONLY_MIX,
@@ -150,7 +151,7 @@ def run_all_consensus(items) -> dict:
     from repro.engine.mempool import Mempool
 
     token = make_token()
-    escalator = ConsensusEscalator(seed=SEED)
+    lane = TeamLane(range(4), seed=SEED)
     mempool = Mempool()
     pending = mempool.feed(items)
     virtual_time = 0.0
@@ -159,8 +160,8 @@ def run_all_consensus(items) -> dict:
         batch = mempool.pop_window(WINDOW)
         if not batch:
             break
-        result = escalator.order(batch)
-        virtual_time += result.virtual_time
+        result = lane.order(batch)
+        virtual_time += result.makespan
         messages += result.messages
     token.run([(op.pid, op.operation) for op in pending])
     virtual_time += len(pending) * 1.0  # serial execution, one op per unit

@@ -59,7 +59,6 @@ from repro.protocols import (
 )
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import (
-    ConsensusEscalator,
     Mempool,
     OpClassifier,
     PipelinedExecutor,
@@ -80,7 +79,6 @@ __all__ = [
     "CachedPairAnalyzer",
     "classify",
     "ClusterConfig",
-    "ConsensusEscalator",
     "EngineConfig",
     "Mempool",
     "OpClassifier",

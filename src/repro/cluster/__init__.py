@@ -11,7 +11,7 @@ Topology and traffic classes::
 
     clients -> Router -> ClusterNode 0..N-1        (point-to-point forwards)
                   |  \\-> lease protocol            (3 msgs / migrated shard)
-                  \\---> ConsensusEscalator          (contended cross-node only)
+                  \\---> TieredEscalator             (contended cross-node only)
 
 * owner-local components: forward + reply, zero coordination messages —
   the consensus-number-1 regime at the message level;

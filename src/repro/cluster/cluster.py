@@ -42,7 +42,6 @@ from typing import Any, Iterable
 
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
-from repro.engine.escalation import ConsensusEscalator
 from repro.engine.mempool import PendingOp
 from repro.errors import ClusterError
 from repro.faults import FaultInjector, FaultSchedule
@@ -67,7 +66,6 @@ class TokenCluster:
         config: ClusterConfig | None = None,
         *,
         latency: LatencyModel | None = None,
-        escalator: ConsensusEscalator | None = None,
         tracer: TraceRecorder | None = None,
     ) -> None:
         self.config = cfg = config if config is not None else ClusterConfig()
@@ -99,11 +97,6 @@ class TokenCluster:
             num_shards=num_shards,
             op_cost=cfg.op_cost,
         )
-        self.escalator = (
-            escalator
-            if escalator is not None
-            else ConsensusEscalator(seed=cfg.seed)
-        )
         #: Optional observability hook (:mod:`repro.obs`), threaded to the
         #: router and every node; ``None`` records nothing and leaves every
         #: stats dict unchanged.
@@ -127,7 +120,6 @@ class TokenCluster:
             self.network,
             shard_map=self.shard_map,
             classifier=OpClassifier(object_type, validate=cfg.validate),
-            escalator=self.escalator,
             stats=self.stats,
             config=cfg,
             state_fn=(lambda: self.state) if cfg.validate else None,

@@ -24,7 +24,6 @@ from typing import Any, Callable, Iterable
 
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
-from repro.engine.escalation import ConsensusEscalator, tiered_escalator
 from repro.engine.mempool import Mempool, PendingOp
 from repro.engine.rounds import RoundScheduler
 from repro.errors import ClusterError, MempoolFullError
@@ -32,6 +31,7 @@ from repro.net.network import Message, Network
 from repro.net.node import Node
 from repro.objects.footprint import static_pair_kind
 from repro.obs.trace import TraceRecorder
+from repro.sync.escalation import TieredEscalator
 from repro.workloads.generators import WorkloadItem
 
 from repro.cluster.routing import _Round, _Unit, route_window
@@ -161,7 +161,6 @@ class Router(Node):
         network: Network,
         shard_map: ShardMap,
         classifier: OpClassifier,
-        escalator: ConsensusEscalator,
         stats: ClusterStats,
         config: ClusterConfig,
         state_fn: Callable[[], Any] | None = None,
@@ -171,18 +170,16 @@ class Router(Node):
         super().__init__(node_id, network)
         self.shard_map = shard_map
         self.classifier = classifier
-        self.escalator = escalator
         self.stats = stats
         self.config = config
         self.mempool = Mempool(capacity=config.mempool_capacity)
         #: The tiered sync layer: contended cross-node components get a
         #: team lane among just their owner nodes when the owner set is
         #: within ``team_threshold``; the shared global lane otherwise.
-        self.sync = tiered_escalator(
-            escalator,
+        self.sync = TieredEscalator(
             team_threshold=config.team_threshold,
-            seed=config.seed,
             lane_ttl=config.lane_ttl,
+            seed=config.seed,
         )
         self.scheduler = RoundScheduler(classifier)
         #: shard -> round of its last lease migration (cooldown bookkeeping).

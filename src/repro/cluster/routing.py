@@ -27,8 +27,8 @@ precedence DAG to the node — and routes every component as a unit:
   to agree: each such component gets a **team lane** among just its owner
   nodes (:mod:`repro.sync`, ``O(k²)`` messages for ``k`` owners, many
   teams concurrent) when the owner set is within ``team_threshold``;
-  larger races fall back to the shared total-order lane
-  (:class:`~repro.engine.escalation.ConsensusEscalator`).  Either way the
+  larger races fall back to the shared total-order lane (the same
+  :class:`~repro.net.team_lanes.TeamLane` class).  Either way the
   ordering latency delays only the units carrying those components (the
   ``sync_ready`` carried by each unit's ``cl_run``).
 

@@ -9,7 +9,8 @@ operations that can be reordered freely, one list scheduler
 (:func:`~repro.engine.shard.dag_list_schedule`) places them on a rolling
 timeline of parallel lanes, and only genuinely contended operations are
 escalated to the tiered sync lanes (:mod:`repro.sync`, whose fallback is
-the total-order broadcast of :mod:`repro.net.total_order`).
+a :class:`~repro.net.team_lanes.TeamLane` over every replica — the
+total-order broadcast of :mod:`repro.net.total_order`).
 
 There is one executor, :class:`PipelinedExecutor`, configured by one
 :class:`~repro.config.EngineConfig`::
@@ -39,18 +40,12 @@ from repro.engine.classifier import (
     OpClassifier,
 )
 from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
-from repro.engine.escalation import (
-    ConsensusEscalator,
-    EscalationResult,
-    tiered_escalator,
-)
 from repro.engine.mempool import Mempool, PendingOp
 from repro.engine.pipeline import PipelinedExecutor, ScheduledUnit
 from repro.engine.rounds import (
     Round,
     RoundLifecycle,
     RoundScheduler,
-    RoundStage,
 )
 from repro.engine.shard import dag_list_schedule, stable_account_hash
 from repro.engine.stats import EngineStats, WaveStats
@@ -63,9 +58,6 @@ __all__ = [
     "ComponentDAG",
     "ConflictGraph",
     "dag_list_schedule",
-    "ConsensusEscalator",
-    "EscalationResult",
-    "tiered_escalator",
     "Mempool",
     "PendingOp",
     "PipelinedExecutor",
@@ -73,7 +65,6 @@ __all__ = [
     "Round",
     "RoundLifecycle",
     "RoundScheduler",
-    "RoundStage",
     "stable_account_hash",
     "EngineStats",
     "WaveStats",

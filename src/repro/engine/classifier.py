@@ -7,9 +7,7 @@ state-dependently; a state-dependent COMMUTE is *not* a licence to reorder
 inside a batch whose intermediate states differ from the analyzed one.  The
 :class:`OpClassifier` therefore schedules off the *static* footprint
 analysis (:mod:`repro.objects.footprint`), whose verdicts hold at every
-state, and memoizes it keyed on the footprint pair — i.e. on operation type
-plus touched accounts, not on values — so a window full of transfers
-collapses to a handful of cache entries.
+state and depend on operation type plus touched accounts, not on values.
 
 A window's non-commuting pairs are found per *location*, not per pair
 (:meth:`OpClassifier.conflict_edges` over
@@ -50,13 +48,6 @@ from repro.objects.footprint import (
 from repro.spec.object_type import SequentialObjectType
 
 
-#: Entries either memo may hold; a full memo is cleared and refills from
-#: the traffic that follows.  Several times the distinct invocations of the
-#: largest benchmark workload (~12 k), so no measured run ever evicts, yet
-#: a long-lived engine's memory stops growing with its age.
-MEMO_LIMIT = 1 << 16
-
-
 class ClassifierValidationError(EngineError):
     """The static fast path claimed more than the semantic oracle grants."""
 
@@ -77,8 +68,14 @@ class ClassifierStats:
     """
 
     pairs: int = 0
+    #: Pairs classified by the footprint rule / by the conservative
+    #: unknown-footprint fallback (they sum to ``pairs``).
     static_pairs: int = 0
     fallback_pairs: int = 0
+    #: Always 0: the footprint and pair-kind memos are gone (the traffic
+    #: does not repeat).  The names stay because
+    #: ``benchmarks/wall/measure.py`` reads both by attribute — ROADMAP
+    #: item 1(b) re-bases its two shares and deletes them.
     footprint_cache_hits: int = 0
     pair_cache_hits: int = 0
     validated: int = 0
@@ -113,7 +110,7 @@ class ClassifierStats:
 
 
 class OpClassifier:
-    """Memoized pair classification against one sequential object type."""
+    """Pair classification against one sequential object type."""
 
     def __init__(
         self,
@@ -124,25 +121,13 @@ class OpClassifier:
         self.validate = validate
         self.oracle = CachedPairAnalyzer(object_type)
         self.stats = ClassifierStats()
-        self._footprints: dict[tuple[int, object], OpFootprint | None] = {}
-        self._pair_kinds: dict[
-            tuple[OpFootprint | None, OpFootprint | None], PairKind
-        ] = {}
         self._validation_state = None
 
     # ------------------------------------------------------------------
 
     def footprint(self, op: PendingOp) -> OpFootprint | None:
-        """The (memoized) static footprint of one pending operation."""
-        key = (op.pid, op.operation)
-        if key in self._footprints:
-            self.stats.footprint_cache_hits += 1
-            return self._footprints[key]
-        fp = self.object_type.footprint(op.pid, op.operation)
-        if len(self._footprints) >= MEMO_LIMIT:
-            self._footprints.clear()
-        self._footprints[key] = fp
-        return fp
+        """The static footprint of one pending operation."""
+        return self.object_type.footprint(op.pid, op.operation)
 
     def classify(
         self, first: PendingOp, second: PendingOp, state=None
@@ -162,20 +147,12 @@ class OpClassifier:
     def _pair_kind(
         self, fp1: OpFootprint | None, fp2: OpFootprint | None
     ) -> PairKind:
-        """The (memoized, counted) footprint-pair rule."""
-        pair = (fp1, fp2)
-        kind = self._pair_kinds.get(pair)
-        if kind is None:
-            if fp1 is None or fp2 is None:
-                self.stats.fallback_pairs += 1
-            else:
-                self.stats.static_pairs += 1
-            kind = PairKind(static_pair_kind(fp1, fp2))
-            if len(self._pair_kinds) >= MEMO_LIMIT:
-                self._pair_kinds.clear()
-            self._pair_kinds[pair] = kind
+        """The (counted) footprint-pair rule."""
+        if fp1 is None or fp2 is None:
+            self.stats.fallback_pairs += 1
         else:
-            self.stats.pair_cache_hits += 1
+            self.stats.static_pairs += 1
+        kind = PairKind(static_pair_kind(fp1, fp2))
         self.stats.record(kind)
         return kind
 
@@ -245,11 +222,18 @@ class OpClassifier:
     ) -> dict[tuple[int, int], PairKind]:
         """All pairwise kinds over a window (``i < j`` indices) — the
         quadratic oracle the indexed :meth:`conflict_edges` is validated
-        against; not on any hot path."""
+        against; not on any hot path.  One footprint pass of its own, then
+        exactly :meth:`classify` per index pair."""
+        footprints = [self.footprint(op) for op in window]
+        check = self.validate and state is not None
         kinds: dict[tuple[int, int], PairKind] = {}
-        for i in range(len(window)):
+        for i, first in enumerate(footprints):
             for j in range(i + 1, len(window)):
-                kinds[(i, j)] = self.classify(window[i], window[j], state)
+                kinds[(i, j)] = kind = self._pair_kind(first, footprints[j])
+                if check:
+                    self._check_against_oracle(
+                        kind, window[i], window[j], state
+                    )
         return kinds
 
     # ------------------------------------------------------------------

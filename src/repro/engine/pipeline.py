@@ -20,9 +20,10 @@ schedules its connected components:
   sync layer (:mod:`repro.sync`): a component whose spender bound has size
   ``k ≤ team_threshold`` is ordered by a k-participant *team lane*
   (``O(k²)`` messages, concurrent with every other team), the rest merge
-  into one batch on the global
-  :class:`~repro.engine.escalation.ConsensusEscalator` lane.  With
-  ``team_threshold = 0`` every contended component takes the global lane.
+  into one batch on the global lane — the same
+  :class:`~repro.net.team_lanes.TeamLane` class with every replica on its
+  team.  With ``team_threshold = 0`` every contended component takes the
+  global lane.
 
 Conflict-free windows pay no messages at all — the paper's
 consensus-number-1 regime executes entirely on the fast path.
@@ -88,11 +89,11 @@ from typing import Any, Iterable, NamedTuple
 
 from repro.config import EngineConfig
 from repro.engine.classifier import OpClassifier
-from repro.engine.escalation import ConsensusEscalator, tiered_escalator
 from repro.engine.mempool import Mempool, PendingOp
 from repro.engine.rounds import RoundLifecycle, RoundScheduler
 from repro.engine.shard import dag_schedule
 from repro.engine.stats import EngineStats, WaveStats
+from repro.net.team_lanes import TeamLane
 from repro.objects.footprint import OpFootprint
 from repro.obs.trace import TraceRecorder
 from repro.spec.object_type import SequentialObjectType
@@ -108,9 +109,8 @@ class ScheduledUnit(NamedTuple):
     finish: float
     lane: int
     op: PendingOp
-    #: The op's static footprint (the classifier's memoized object;
-    #: ``None`` = unknown) — what the cross-window frontier records at
-    #: ``finish``.
+    #: The op's static footprint (the window graph's object; ``None`` =
+    #: unknown) — what the cross-window frontier records at ``finish``.
     footprint: OpFootprint | None
     contended: bool
     #: Stall attributed to this unit: time spent waiting on its sync lane
@@ -124,7 +124,7 @@ class PipelinedExecutor:
     """Commutativity-aware pipelined executor for one token object.
 
     Configured by one :class:`~repro.config.EngineConfig`; collaborators
-    (classifier, escalator, sync layer, tracer) are keyword arguments.
+    (classifier, the Tier ∞ lane, tracer) are keyword arguments.
     ``run()`` / ``run_workload()`` are the intended API; ``step()``
     schedules one window onto the pipeline timeline, and state/responses
     materialize at commit (the end of ``run()``) — the engine's virtual
@@ -138,8 +138,7 @@ class PipelinedExecutor:
         config: EngineConfig | None = None,
         *,
         classifier: OpClassifier | None = None,
-        escalator: ConsensusEscalator | None = None,
-        sync: TieredEscalator | None = None,
+        global_lane: TeamLane | None = None,
         tracer: TraceRecorder | None = None,
     ) -> None:
         self.config = cfg = config if config is not None else EngineConfig()
@@ -150,24 +149,16 @@ class PipelinedExecutor:
             else OpClassifier(object_type, validate=cfg.validate)
         )
         self.scheduler = RoundScheduler(self.classifier)
-        self.escalator = (
-            escalator
-            if escalator is not None
-            else ConsensusEscalator(seed=cfg.seed)
+        #: The tiered sync layer; ``global_lane`` sizes its Tier ∞ fallback
+        #: (``None`` = the standard four-replica lane; ``team_threshold=0``
+        #: = always-global escalation).
+        self.sync = TieredEscalator(
+            global_lane,
+            team_threshold=cfg.team_threshold,
+            lane_ttl=cfg.lane_ttl,
+            seed=cfg.seed,
         )
-        #: The tiered sync layer; its Tier ∞ fallback is ``self.escalator``
-        #: (``team_threshold=0`` = always-global escalation).
-        self.sync = (
-            sync
-            if sync is not None
-            else tiered_escalator(
-                self.escalator,
-                team_threshold=cfg.team_threshold,
-                seed=cfg.seed,
-                lane_ttl=cfg.lane_ttl,
-            )
-        )
-        #: The round stage machine (drain → classify → sync).
+        #: The round's stages (drain → classify → sync).
         self.lifecycle = RoundLifecycle(self.scheduler, self.sync, object_type)
         self.mempool = Mempool(capacity=cfg.mempool_capacity)
         self.state = object_type.initial_state()
@@ -185,7 +176,7 @@ class PipelinedExecutor:
         #: default) records nothing and changes nothing — stats, state
         #: and responses are the untraced run's.
         self.tracer = tracer
-        if tracer is not None and getattr(self.sync, "pool", None) is not None:
+        if tracer is not None:
             self.sync.pool.tracer = tracer
         #: Earliest free time per lane (the pipeline never resets these —
         #: lanes flow from one window into the next).

@@ -9,24 +9,21 @@ contended enough to need total order.  :class:`RoundScheduler` owns
 exactly that logic so all three share one implementation — and therefore
 one correctness argument.
 
-A round is an explicit **stage machine**: a :class:`Round` progresses
-``DRAINED → CLASSIFIED → SYNCED`` through :class:`RoundLifecycle`, which
+A :class:`Round` is drained, classified and synchronized — in that one
+fixed order, by the one executor — through :class:`RoundLifecycle`, which
 owns the per-stage computations; the executor then places the synced
 round on its rolling lane timeline.  Several rounds are in flight at
-once (window N+1 classifies and synchronizes while window N executes),
-and the lifecycle refuses skipped or repeated stages.
+once (window N+1 classifies and synchronizes while window N executes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from repro.analysis.commutativity import PairKind
 from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.mempool import Mempool, PendingOp
-from repro.errors import EngineError
 from repro.sync.escalation import SyncRoundResult, TieredEscalator
 
 
@@ -95,32 +92,18 @@ class RoundScheduler:
         return chains, singletons, sorted(groups, key=lambda g: g[0])
 
 
-class RoundStage(Enum):
-    """Lifecycle stages of one scheduling round (strictly ordered)."""
-
-    DRAINED = "drained"
-    CLASSIFIED = "classified"
-    SYNCED = "synced"
-
-
-#: Stage order for transition checking.
-_STAGE_ORDER = {stage: i for i, stage in enumerate(RoundStage)}
-
-
 @dataclass
 class Round:
-    """One scheduling round moving through the stage machine.
+    """One scheduling round moving through its stages.
 
-    Every field below ``stage`` is populated by the lifecycle method that
-    advances the round into the stage of the same name; reading a field
-    before its stage raises nothing — it is simply empty — but the
-    lifecycle refuses out-of-order transitions, so an executor cannot
-    accidentally synchronize an unclassified round.
+    Every field below ``ops`` is populated by the lifecycle method of its
+    stage (``classify`` fills the graph and the split, ``synchronize``
+    the escalation); reading a field before its stage raises nothing — it
+    is simply empty.
     """
 
     index: int
     ops: list[PendingOp]
-    stage: RoundStage = RoundStage.DRAINED
     graph: ConflictGraph | None = None
     chain_idx: list[list[int]] = field(default_factory=list)
     singleton_idx: list[int] = field(default_factory=list)
@@ -140,19 +123,10 @@ class Round:
     def chained_ops(self) -> int:
         return sum(len(chain) for chain in self.chain_idx)
 
-    def advance(self, to: RoundStage) -> None:
-        """Move to the next stage; rejects skips and regressions."""
-        if _STAGE_ORDER[to] != _STAGE_ORDER[self.stage] + 1:
-            raise EngineError(
-                f"round {self.index} cannot go {self.stage.value} -> "
-                f"{to.value}"
-            )
-        self.stage = to
-
 
 class RoundLifecycle:
     """The per-stage computations of one round (``drain → classify →
-    synchronize``); the stage tracking itself lives on :class:`Round`."""
+    synchronize``)."""
 
     def __init__(
         self, scheduler: RoundScheduler, sync: TieredEscalator, object_type
@@ -164,14 +138,14 @@ class RoundLifecycle:
     # -- stages ----------------------------------------------------------
 
     def drain(self, mempool: Mempool, window: int, index: int) -> Round | None:
-        """DRAINED: pop the next window; ``None`` when the pool is empty."""
+        """Drain: pop the next window; ``None`` when the pool is empty."""
         ops = mempool.pop_window(window)
         if not ops:
             return None
         return Round(index=index, ops=ops)
 
     def classify(self, round_: Round, state=None) -> Round:
-        """CLASSIFIED: conflict graph + component split for the window."""
+        """Classify: conflict graph + component split for the window."""
         round_.graph = ConflictGraph.build(
             self.scheduler.classifier, round_.ops, state
         )
@@ -181,12 +155,11 @@ class RoundLifecycle:
             round_.contended_groups,
         ) = self.scheduler.split_sync(round_.graph)
         round_.dags = round_.graph.component_dags()
-        round_.advance(RoundStage.CLASSIFIED)
         return round_
 
     def synchronize(self, round_: Round, state=None) -> Round:
-        """SYNCED: order the contended components through the tiered sync
-        layer (team lanes below the threshold, the global lane above)."""
+        """Synchronize: order the contended components through the tiered
+        sync layer (team lanes below the threshold, the global lane above)."""
         round_.escalation = (
             self.sync.order_round(
                 [
@@ -200,5 +173,4 @@ class RoundLifecycle:
             if round_.contended_groups
             else SyncRoundResult()
         )
-        round_.advance(RoundStage.SYNCED)
         return round_

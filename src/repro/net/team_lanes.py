@@ -17,6 +17,10 @@ submitting batches to several lanes and running the simulator once makes
 the independent mini-consensus instances genuinely concurrent, which is
 the whole scalability point: the round's synchronization phase costs the
 *slowest team*, not the sum of teams.
+
+The hierarchy has no special top — total order is n-consensus — so the
+Tier ∞ lane is this class too: a lane whose team is every replica, on a
+simulator of its own, driven one batch at a time by :meth:`TeamLane.order`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.errors import NetworkError
-from repro.net.network import ConstantLatency, LatencyModel, Network
+from repro.net.network import LatencyModel, Network, UniformLatency
 from repro.net.simulation import Simulator
 from repro.net.total_order import TotalOrderNode
 
@@ -34,29 +38,41 @@ _SEED_MIX = 1_000_003
 
 
 class TeamLane:
-    """One team-scoped total-order instance (k replicas, private network)."""
+    """One team-scoped total-order instance (k replicas, private network).
+
+    A *standard* lane is constructible from its team and seed alone — a
+    simulator of its own and ``UniformLatency(0.5, 1.5)`` — and ordered
+    one batch at a time with :meth:`order`: that is the Tier ∞ lane.  A
+    pooled lane is handed its pool's shared simulator instead.
+    """
 
     def __init__(
         self,
-        team: frozenset[int],
-        simulator: Simulator,
-        latency: LatencyModel,
-        seed: int,
+        team: Iterable[int],
+        simulator: Simulator | None = None,
+        latency: LatencyModel | None = None,
+        seed: int = 0,
         max_batch: int = 64,
     ) -> None:
-        if not team:
-            raise NetworkError("a team lane needs at least one participant")
         self.team = frozenset(team)
+        if not self.team:
+            raise NetworkError("a team lane needs at least one participant")
         self.k = len(self.team)
-        #: The lane's network shares the pool's simulator but is otherwise
+        #: The lane's network may share a pool's simulator but is otherwise
         #: private: local node ids 0..k-1, broadcasts confined to the team.
-        self.network = Network(simulator, latency, seed=seed)
-        #: The current round's deliveries (drained by the pool each round,
-        #: so a long-lived lane never accumulates past operations) and
-        #: their per-operation delivery timestamps.
+        self.network = Network(
+            simulator if simulator is not None else Simulator(),
+            latency if latency is not None else UniformLatency(0.5, 1.5),
+            seed=seed,
+        )
+        #: The current round's deliveries (drained by :meth:`_collect` each
+        #: round, so a long-lived lane never accumulates past operations)
+        #: and their per-operation delivery timestamps.
         self.delivered: list[Any] = []
         self.delivery_times: list[float] = []
-        self.last_delivery: float = 0.0
+        #: ``messages_sent`` at the last collection: the network is private
+        #: and silent between rounds, so the difference is the round's bill.
+        self._billed = 0
         self.nodes = [
             TotalOrderNode(
                 node_id,
@@ -67,8 +83,6 @@ class TeamLane:
             )
             for node_id in range(self.k)
         ]
-        self.batches = 0
-        self.total_messages = 0
 
     # ------------------------------------------------------------------
 
@@ -76,18 +90,80 @@ class TeamLane:
         now = self.network.simulator.now
         self.delivered.extend(txs)
         self.delivery_times.extend(now for _ in txs)
-        self.last_delivery = now
 
     def submit(self, ops: Iterable[Any]) -> int:
         """Queue a submission-ordered batch at the lane's leader; returns
-        the number of operations submitted.  The caller runs the shared
-        simulator (usually via :meth:`TeamLanePool.order`)."""
+        the number of operations submitted.  Submissions originate at the
+        leader so arrival order (and hence the committed order) is the
+        caller's submission order — the merge the serial-equivalence
+        contract requires.  The caller runs the simulator (:meth:`order`
+        on the lane's own, :meth:`TeamLanePool.order` on a shared one)."""
         count = 0
         leader = self.nodes[0]
         for op in ops:
             leader.submit(op)
             count += 1
         return count
+
+    def _collect(
+        self, sizes: Sequence[int], started: float
+    ) -> list[LaneOrder]:
+        """Close a round on this lane once its simulator ran dry.
+
+        ``sizes`` are the lengths of the batches submitted since the last
+        collection, in submission order, and ``started`` the round's start
+        on the lane's clock.  Refuses a lost operation, slices the
+        deliveries back into one :class:`LaneOrder` per batch, and drains
+        them so a long-lived lane never accumulates past operations.
+        """
+        if len(self.delivered) != sum(sizes):
+            raise NetworkError(
+                f"team lane {sorted(self.team)} lost operations: "
+                f"submitted {sum(sizes)}, delivered {len(self.delivered)}"
+            )
+        sent = self.network.stats.messages_sent
+        messages, self._billed = sent - self._billed, sent
+        orders: list[LaneOrder] = []
+        cursor = 0
+        for size in sizes:
+            end = cursor + size
+            orders.append(
+                LaneOrder(
+                    team=self.team,
+                    ordered=tuple(self.delivered[cursor:end]),
+                    # This batch's own last delivery: components queued
+                    # behind it on a shared lane complete later.
+                    completed=self.delivery_times[end - 1] - started
+                    if size
+                    else 0.0,
+                    # The lane's bill is shared by its batches; charge it
+                    # once (to the first) so round totals stay exact.
+                    messages=0 if orders else messages,
+                )
+            )
+            cursor = end
+        self.delivered.clear()
+        self.delivery_times.clear()
+        return orders
+
+    def order(self, ops: Sequence[Any]) -> PoolRound:
+        """Order one batch on the lane's own simulator (the Tier ∞ path):
+        submit at the leader, run to quiescence, collect.  Returns the
+        round a one-batch :meth:`TeamLanePool.order` would; an empty
+        batch costs nothing."""
+        if not ops:
+            return PoolRound(orders=(), makespan=0.0, messages=0, teams=0)
+        simulator = self.network.simulator
+        started = simulator.now
+        submitted = self.submit(ops)
+        simulator.run()
+        [order] = self._collect([submitted], started)
+        return PoolRound(
+            orders=(order,),
+            makespan=simulator.now - started,
+            messages=order.messages,
+            teams=1,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,17 +200,13 @@ class TeamLanePool:
     def __init__(
         self,
         simulator: Simulator | None = None,
-        latency: LatencyModel | None = None,
         seed: int = 0,
-        max_batch: int = 64,
         idle_ttl: int | None = None,
     ) -> None:
         if idle_ttl is not None and idle_ttl < 1:
             raise NetworkError("idle_ttl must be positive (or None to disable)")
         self.simulator = simulator if simulator is not None else Simulator()
-        self.latency = latency if latency is not None else ConstantLatency(1.0)
         self.seed = seed
-        self.max_batch = max_batch
         #: Garbage-collect a lane unused for this many ordering rounds
         #: (``None`` = keep lanes forever).  A long run over shifting
         #: approval patterns otherwise accumulates one live lane — k
@@ -144,12 +216,9 @@ class TeamLanePool:
         #: team -> round count at its last use (GC bookkeeping).
         self._last_used: dict[frozenset[int], int] = {}
         self.rounds = 0
-        self.total_messages = 0
         #: Lanes ever provisioned / garbage-collected over the pool's life.
         self._created = 0
         self.lanes_gcd = 0
-        #: High-water mark of teams active in a single round.
-        self.max_concurrent = 0
         #: Optional :class:`repro.obs.trace.TraceRecorder` (attached by a
         #: traced executor).  Lane spans are recorded on the pool's own
         #: private clock as informational overlays (``chain=False``) —
@@ -169,9 +238,7 @@ class TeamLanePool:
         lane = TeamLane(
             key,
             self.simulator,
-            self.latency,
             seed=(self.seed * _SEED_MIX + self._created + 1) & 0x7FFFFFFF,
-            max_batch=self.max_batch,
         )
         self._lanes[key] = lane
         self._last_used[key] = self.rounds
@@ -249,47 +316,20 @@ class TeamLanePool:
         by_lane: dict[frozenset[int], list[tuple[int, tuple]]] = {}
         for index, key, ops in sequence:
             by_lane.setdefault(key, []).append((index, ops))
-        sent_before: dict[frozenset[int], int] = {}
         for key, lane_batches in by_lane.items():
             lane = self.lane(key)
-            sent_before[key] = lane.network.stats.messages_sent
             for _, ops in lane_batches:
                 lane.submit(ops)
         self.simulator.run()
         orders: list[LaneOrder | None] = [None] * len(sequence)
         round_messages = 0
         for key, lane_batches in by_lane.items():
-            lane = self._lanes[key]
-            expected = sum(len(ops) for _, ops in lane_batches)
-            if len(lane.delivered) != expected:
-                raise NetworkError(
-                    f"team lane {sorted(lane.team)} lost operations: "
-                    f"submitted {expected}, delivered {len(lane.delivered)}"
-                )
-            lane_messages = lane.network.stats.messages_sent - sent_before[key]
-            round_messages += lane_messages
-            lane.batches += len(lane_batches)
-            lane.total_messages += lane_messages
-            cursor = 0
-            for position, (index, ops) in enumerate(lane_batches):
-                end = cursor + len(ops)
-                orders[index] = LaneOrder(
-                    team=lane.team,
-                    ordered=tuple(lane.delivered[cursor:end]),
-                    # This batch's own last delivery: components queued
-                    # behind it on a shared lane complete later.
-                    completed=lane.delivery_times[end - 1] - started
-                    if ops
-                    else 0.0,
-                    # The lane's bill is shared by its batches; charge it
-                    # once (to the first) so round totals stay exact.
-                    messages=lane_messages if position == 0 else 0,
-                )
-                cursor = end
-            # Drain the round's deliveries so long-lived lanes never
-            # accumulate past operations.
-            lane.delivered.clear()
-            lane.delivery_times.clear()
+            lane_orders = self._lanes[key]._collect(
+                [len(ops) for _, ops in lane_batches], started
+            )
+            round_messages += sum(order.messages for order in lane_orders)
+            for (index, _), order in zip(lane_batches, lane_orders):
+                orders[index] = order
         if self.tracer is not None:
             for order in orders:
                 if order is None or not order.ordered:
@@ -308,8 +348,6 @@ class TeamLanePool:
                     },
                 )
         self.rounds += 1
-        self.total_messages += round_messages
-        self.max_concurrent = max(self.max_concurrent, len(by_lane))
         for key in by_lane:
             self._last_used[key] = self.rounds
         self._collect_idle()

@@ -11,7 +11,9 @@ price and no more, per contended conflict-graph component:
   to the component's spender bound (``O(k²)`` messages), with many
   independent teams running concurrently on one simulator
   (:mod:`repro.net.team_lanes`);
-* **Tier ∞** — the existing global lane, now a *fallback* for components
+* **Tier ∞** — the global lane: the same
+  :class:`~repro.net.team_lanes.TeamLane` class with every replica on its
+  team (total order is n-consensus), a *fallback* for components
   whose spender set exceeds ``team_threshold`` or cannot be statically
   bounded.
 

@@ -1,11 +1,13 @@
 """Tiered escalation: route each contended component to its cheapest lane.
 
-:class:`TieredEscalator` is the drop-in replacement for the engine's
-unconditional global-escalation call: the :class:`~repro.sync.planner.
-SyncPlanner` decides, per contended conflict-graph component, whether a
-team lane (a *k*-replica total-order instance from the shared
-:class:`~repro.net.team_lanes.TeamLanePool`) suffices or the global lane
-must be paid.  All of a round's global-tier operations merge into **one**
+:class:`TieredEscalator` is the whole sync layer, built in one place: the
+:class:`~repro.sync.planner.SyncPlanner` decides, per contended
+conflict-graph component, whether a team lane (a *k*-replica total-order
+instance from the shared :class:`~repro.net.team_lanes.TeamLanePool`)
+suffices or the global lane — the same
+:class:`~repro.net.team_lanes.TeamLane` class with every replica on its
+team, on a simulator of its own — must be paid.  All of a round's
+global-tier operations merge into **one**
 submission-ordered batch through the global lane while every team-tier
 component runs concurrently on the pool; the round's synchronization
 phase therefore costs ``max(global lane, slowest team)``, and with
@@ -24,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import EngineError
-from repro.net.network import LatencyModel, UniformLatency
-from repro.net.team_lanes import TeamLanePool
+from repro.net.team_lanes import TeamLane, TeamLanePool
 from repro.sync.planner import TIER_GLOBAL, SyncAssignment, SyncPlanner
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,39 +66,35 @@ class SyncRoundResult:
 class TieredEscalator:
     """Consensus-number-tiered ordering for contended components.
 
-    ``global_lane`` is any object with the
-    :meth:`~repro.engine.escalation.ConsensusEscalator.order` contract
-    (ordered batch, virtual time, message count); the engine and cluster
-    pass their existing :class:`~repro.engine.escalation.
-    ConsensusEscalator` so the fallback tier is the very lane the paper's
-    baseline argument is about.
+    The one place the sync layer is built: the planner, the team-lane
+    pool and — unless handed one — the standard Tier ∞ lane, a four-replica
+    :class:`~repro.net.team_lanes.TeamLane` seeded like the pool.  A
+    caller passes ``global_lane`` only to size the top lane (the paper's
+    ``O(n²)`` baseline is a lane over all *n* accounts).
+    ``team_threshold`` and ``lane_ttl`` are required: the defaults live
+    in :mod:`repro.config`, not here.  ``lane_ttl`` garbage-collects team
+    lanes idle for that many sync rounds (``None`` keeps them forever), so
+    long runs over shifting approval patterns do not accumulate one live
+    replica group per distinct team.
     """
 
     def __init__(
         self,
-        global_lane,
-        planner: SyncPlanner | None = None,
-        latency: LatencyModel | None = None,
+        global_lane: TeamLane | None = None,
+        *,
+        team_threshold: int,
+        lane_ttl: int | None,
         seed: int = 0,
-        max_batch: int = 64,
-        lane_ttl: int | None = None,
     ) -> None:
+        if global_lane is None:
+            global_lane = TeamLane(range(4), seed=seed)
+        if global_lane.k < 4:
+            raise EngineError(
+                "total order needs n >= 3f+1 with f >= 1: use >= 4"
+            )
         self.global_lane = global_lane
-        self.planner = planner if planner is not None else SyncPlanner()
-        self.pool = TeamLanePool(
-            latency=(
-                latency if latency is not None else UniformLatency(0.5, 1.5)
-            ),
-            seed=seed,
-            max_batch=max_batch,
-            idle_ttl=lane_ttl,
-        )
-        self.rounds = 0
-        self.total_messages = 0
-        self.team_messages = 0
-        self.global_messages = 0
-        #: ``team size -> number of team-tier components`` over the run.
-        self.k_histogram: dict[int, int] = {}
+        self.planner = SyncPlanner(team_threshold)
+        self.pool = TeamLanePool(seed=seed, idle_ttl=lane_ttl)
 
     # ------------------------------------------------------------------
 
@@ -180,10 +177,14 @@ class TieredEscalator:
                 (op for i in global_index for op in assignments[i].ops),
                 key=lambda op: op.seq,
             )
-            ordered = self._order_global(merged)
-            cursor = {id(op): pos for pos, op in enumerate(ordered)}
-            global_time = self._last_global.virtual_time
-            result.global_messages = self._last_global.messages
+            global_round = self.global_lane.order(merged)
+            cursor = {
+                id(op): pos
+                for pos, op in enumerate(global_round.orders[0].ordered)
+            }
+            # Full quiescence, trailing quorum messages included.
+            global_time = global_round.makespan
+            result.global_messages = global_round.messages
             result.global_ops = len(merged)
             for i in global_index:
                 ops = assignments[i].ops
@@ -213,25 +214,14 @@ class TieredEscalator:
                 completed=lane_order.completed,
             )
             result.team_ops += len(ops)
-            size = len(lane_order.team)
-            self.k_histogram[size] = self.k_histogram.get(size, 0) + 1
         result.team_sizes = tuple(len(assignments[i].team) for i in team_index)
         result.teams = pool_round.teams
         result.team_messages = pool_round.messages
         result.messages = result.team_messages + result.global_messages
         result.virtual_time = max(global_time, pool_round.makespan)
-
-        self.rounds += 1
-        self.total_messages += result.messages
-        self.team_messages += result.team_messages
-        self.global_messages += result.global_messages
         return result
 
     # ------------------------------------------------------------------
-
-    def _order_global(self, merged: list) -> tuple:
-        self._last_global = self.global_lane.order(merged)
-        return tuple(self._last_global.ordered)
 
     @staticmethod
     def _check_order(committed: tuple, submitted: tuple, lane: str) -> None:

@@ -16,8 +16,9 @@ Tier *k*  team lane                a contended component whose spender
                                    ``O(k²)`` messages, concurrent with
                                    every other team (CN = k, Thm 2–4)
 Tier ∞    global lane              spender set above the threshold or
-          (shared total order)     not statically boundable (CN = ∞ is
-                                   the only always-safe fallback)
+          (the same lane class,    not statically boundable (CN = ∞ is
+          every replica on the     the only always-safe fallback)
+          team)
 ========  =======================  =====================================
 
 Tier 0 never reaches this module: the engine's scheduler only hands over
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import EngineError
 from repro.objects.footprint import accounts_in
@@ -69,15 +70,10 @@ class SyncPlanner:
     team lanes entirely: every contended component takes the global lane.
     """
 
-    def __init__(
-        self,
-        team_threshold: int = 0,
-        bound_fn: Callable[..., frozenset[int] | None] = component_team,
-    ) -> None:
+    def __init__(self, team_threshold: int = 0) -> None:
         if team_threshold < 0:
             raise EngineError("team_threshold must be non-negative")
         self.team_threshold = team_threshold
-        self.bound_fn = bound_fn
 
     # ------------------------------------------------------------------
 
@@ -106,7 +102,7 @@ class SyncPlanner:
             if not ops:
                 raise EngineError("cannot assign an empty contended component")
             team = (
-                self.bound_fn(classifier, list(ops), state, object_type)
+                component_team(classifier, list(ops), state, object_type)
                 if self.team_threshold > 0
                 else None
             )

@@ -32,6 +32,7 @@ from repro.workloads import (
     WorkloadMix,
     serial_reference,
 )
+from tests.engine.test_one_footprint_pass import _count_calls
 
 MIXES = {
     "owner_only": OWNER_ONLY_MIX,
@@ -181,21 +182,26 @@ class TestGranularity:
 
     def test_nodes_execute_the_routers_plan_and_classify_nothing(self):
         items = make_items(APPROVAL_HEAVY_MIX, 300)
+        token = make_token()
         cluster = TokenCluster(
-            make_token(),
+            token,
             ClusterConfig(
                 num_nodes=4, lanes_per_node=4, window=48, pipeline_depth=3
             ),
         )
+        computed = _count_calls(token, "footprint")
+        on_nodes = [
+            _count_calls(node.classifier, "footprint")
+            for node in cluster.nodes
+        ]
         cluster.run_workload(items)
         # The window is classified once, at the router ...
-        assert cluster.router.classifier._footprints
+        assert computed[0] == len(items)
         # ... and every ``cl_run`` carried its component's plan.
-        for node in cluster.nodes:
+        for node, asked in zip(cluster.nodes, on_nodes):
             assert node.bill.units_executed > 0
             assert node.classifier.stats.pairs == 0
-            assert node.classifier.stats.footprint_cache_hits == 0
-            assert node.classifier._footprints == {}
+            assert asked == [0]
 
     def test_validate_rederives_the_plan_on_the_node_and_compares(
         self, monkeypatch
@@ -205,12 +211,21 @@ class TestGranularity:
         config = ClusterConfig(
             num_nodes=4, lanes_per_node=4, window=48, validate=True
         )
-        cluster = TokenCluster(make_token(), config)
+        token = make_token()
+        cluster = TokenCluster(token, config)
+        computed = _count_calls(token, "footprint")
+        on_nodes = [
+            _count_calls(node.classifier, "footprint")
+            for node in cluster.nodes
+        ]
         state, responses, stats = cluster.run_workload(items)
         assert (state, responses) == (ref_state, ref_responses)
         assert stats.dag_chain_ops > 0
-        # The reference really ran: the nodes computed footprints.
-        assert any(node.classifier._footprints for node in cluster.nodes)
+        # The reference really ran: every op's footprint was computed once
+        # more on the node that executed it — and twice at the router (the
+        # window's pass plus the all-pairs oracle's own).
+        assert sum(asked[0] for asked in on_nodes) == len(items)
+        assert computed[0] == 3 * len(items)
 
         # Tamper with the wire: drop one edge of every shipped plan.
         def drop_an_edge(dag):

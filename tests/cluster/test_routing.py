@@ -21,10 +21,10 @@ from repro.cluster.sharding import ShardMap
 from repro.config import ClusterConfig
 from repro.engine import OpClassifier, PendingOp
 from repro.engine.conflict_graph import ConflictGraph
-from repro.engine.escalation import ConsensusEscalator, tiered_escalator
 from repro.engine.rounds import RoundScheduler
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
+from repro.sync import TieredEscalator
 from repro.workloads import CHAIN_HEAVY_MIX, TokenWorkloadGenerator
 
 ACCOUNTS = 64
@@ -43,11 +43,8 @@ def route(window, shard_map, index=0, live=None, last_migration=None, **knobs):
         classifier=classifier,
         scheduler=RoundScheduler(classifier),
         shard_map=shard_map,
-        sync=tiered_escalator(
-            ConsensusEscalator(seed=0),
-            team_threshold=config.team_threshold,
-            seed=0,
-            lane_ttl=None,
+        sync=TieredEscalator(
+            team_threshold=config.team_threshold, lane_ttl=None
         ),
         config=config,
         live=list(range(shard_map.num_nodes)) if live is None else live,

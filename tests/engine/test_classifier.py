@@ -23,12 +23,13 @@ from repro.analysis.commutativity import (
     Invocation,
     PairKind,
 )
-from repro.engine.classifier import MEMO_LIMIT, OpClassifier
+from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
 from repro.spec.operation import Operation, op
+from tests.engine.test_one_footprint_pass import _count_calls
 
 N = 4  # accounts/processes in the generated universes
 
@@ -204,18 +205,40 @@ class TestSoundnessERC721:
 
 
 class TestClassifierMechanics:
-    def test_pair_cache_keyed_on_footprints(self):
-        """Same op shapes with different values share one cache entry."""
+    def test_every_pair_is_classified_and_counted(self):
+        """No memo: a repeated footprint pair is classified again, so
+        ``static_pairs`` counts pairs, and the two cache-hit counters (kept
+        for ``benchmarks/wall/measure.py``) read 0."""
         token = ERC20TokenType(N, total_supply=20)
+        computed = _count_calls(token, "footprint")
         classifier = OpClassifier(token)
-        a1 = PendingOp(0, 0, op("transfer", 1, 2))
-        b1 = PendingOp(1, 2, op("transfer", 3, 2))
-        a2 = PendingOp(2, 0, op("transfer", 1, 9))  # same accounts, new value
-        b2 = PendingOp(3, 2, op("transfer", 3, 9))
-        assert classifier.classify(a1, b1) is PairKind.COMMUTE
-        hits_before = classifier.stats.pair_cache_hits
-        assert classifier.classify(a2, b2) is PairKind.COMMUTE
-        assert classifier.stats.pair_cache_hits == hits_before + 1
+        a = PendingOp(0, 0, op("transfer", 1, 2))
+        b = PendingOp(1, 2, op("transfer", 3, 2))
+        assert classifier.classify(a, b) is PairKind.COMMUTE
+        assert classifier.classify(a, b) is PairKind.COMMUTE
+        stats = classifier.stats
+        assert stats.static_pairs == stats.pairs == 2
+        assert computed[0] == 4
+        assert (stats.pair_cache_hits, stats.footprint_cache_hits) == (0, 0)
+
+    def test_classify_window_takes_one_footprint_pass(self):
+        """The all-pairs oracle computes each op's footprint once, then
+        classifies index pairs exactly as :meth:`classify` would."""
+        token = ERC20TokenType(N, total_supply=20)
+        computed = _count_calls(token, "footprint")
+        classifier = OpClassifier(token)
+        window = [
+            PendingOp(i, i % N, op("transfer", (i + 1 + i // N) % N, 1))
+            for i in range(6)
+        ]
+        kinds = classifier.classify_window(window)
+        assert computed[0] == len(window)
+        assert classifier.stats.static_pairs == len(kinds) == 15
+        assert kinds == {
+            (i, j): classifier.classify(window[i], window[j])
+            for i in range(6)
+            for j in range(i + 1, 6)
+        }
 
     def test_unknown_object_type_falls_back_to_conflict(self):
         from repro.objects.erc777 import ERC777TokenType
@@ -261,31 +284,6 @@ class TestClassifierMechanics:
         snapshot = classifier.stats.as_dict()
         assert snapshot["validated"] == 1
         assert 0.0 <= snapshot["conflict_precision"] <= 1.0
-
-    def test_memos_are_bounded(self):
-        """10^5 distinct invocations (and footprint pairs) through one
-        classifier: both memos clear on overflow instead of growing, and
-        verdicts are unaffected by the eviction."""
-        accounts, fan_out = 400, 250
-        assert accounts * fan_out > MEMO_LIMIT
-        token = ERC20TokenType(accounts, total_supply=accounts)
-        classifier = OpClassifier(token)
-        previous = PendingOp(0, 0, op("balanceOf", 0))
-        seq = 0
-        for pid in range(accounts):
-            for step in range(1, fan_out + 1):
-                seq += 1
-                current = PendingOp(
-                    seq, pid, op("transfer", (pid + step) % accounts, step)
-                )
-                classifier.classify(previous, current)
-                previous = current
-            assert len(classifier._footprints) <= MEMO_LIMIT
-            assert len(classifier._pair_kinds) <= MEMO_LIMIT
-        assert classifier.stats.pairs == accounts * fan_out
-        a = PendingOp(seq + 1, 1, op("transferFrom", 0, 2, 2))
-        b = PendingOp(seq + 2, 2, op("transferFrom", 0, 3, 2))
-        assert classifier.classify(a, b) is PairKind.CONFLICT
 
 
 class TestCachedPairAnalyzer:

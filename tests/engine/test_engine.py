@@ -9,7 +9,6 @@ from repro.analysis.commutativity import PairKind
 from repro.config import EngineConfig
 from repro.engine import (
     ConflictGraph,
-    ConsensusEscalator,
     Mempool,
     OpClassifier,
     PendingOp,
@@ -17,8 +16,10 @@ from repro.engine import (
 )
 from repro.engine.shard import dag_schedule
 from repro.errors import EngineError, InvalidArgumentError
+from repro.net import TeamLane
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
+from repro.sync import TieredEscalator
 from repro.workloads import (
     EXAMPLE1_RESPONSES,
     OWNER_ONLY_MIX,
@@ -139,32 +140,41 @@ class TestShardPlanner:
 
 class TestEscalation:
     def test_orders_in_submission_order_with_costs(self):
-        escalator = ConsensusEscalator(num_replicas=4, seed=3)
+        lane = TeamLane(range(4), seed=3)
         ops = [PendingOp(i, i % 4, op("transfer", 1, 1)) for i in range(5)]
-        result = escalator.order(ops)
-        assert result.ordered == ops
-        assert result.virtual_time > 0
+        result = lane.order(ops)
+        [order] = result.orders
+        assert list(order.ordered) == ops
+        assert result.makespan >= order.completed > 0
         # 3-phase quorum protocol: strictly more than one message per op.
         assert result.messages > len(ops)
-        assert escalator.batches == 1
+        # Drained: a long-lived lane keeps no past operations.
+        assert lane.delivered == [] and lane.delivery_times == []
 
     def test_empty_batch_is_free(self):
-        escalator = ConsensusEscalator()
-        result = escalator.order([])
-        assert result.ordered == []
-        assert result.virtual_time == 0.0
+        lane = TeamLane(range(4))
+        result = lane.order([])
+        assert result.orders == ()
+        assert result.makespan == 0.0
         assert result.messages == 0
+        assert lane.network.simulator.now == 0.0
 
     def test_clock_accumulates_across_batches(self):
-        escalator = ConsensusEscalator(seed=5)
-        escalator.order([PendingOp(0, 0, op("transfer", 1, 1))])
-        t1 = escalator.simulator.now
-        escalator.order([PendingOp(1, 1, op("transfer", 2, 1))])
-        assert escalator.simulator.now > t1
+        lane = TeamLane(range(4), seed=5)
+        first = lane.order([PendingOp(0, 0, op("transfer", 1, 1))])
+        t1 = lane.network.simulator.now
+        second = lane.order([PendingOp(1, 1, op("transfer", 2, 1))])
+        # One clock for the lane's whole life; each round reports its own
+        # share of it.
+        assert lane.network.simulator.now > t1
+        assert first.makespan == t1
+        assert second.makespan == lane.network.simulator.now - t1
 
     def test_rejects_tiny_cluster(self):
-        with pytest.raises(EngineError):
-            ConsensusEscalator(num_replicas=3)
+        with pytest.raises(EngineError, match="3f"):
+            TieredEscalator(
+                TeamLane(range(3)), team_threshold=4, lane_ttl=None
+            )
 
 
 class TestExecutor:

@@ -4,7 +4,8 @@ The engine's claim is quantitative: escalated traffic pays the full
 three-phase, ``O(n²)``-message pattern of the leader-based total order
 (:mod:`repro.net.total_order`).  These tests pin the bill down exactly —
 for ``k`` operations sequenced in ``b`` proposal batches by an ``n``-replica
-cluster:
+lane (:class:`repro.net.team_lanes.TeamLane`; Tier ∞ is the lane whose
+team is every replica):
 
 * ``k``  ``to_submit`` messages (one per operation, client → leader),
 * ``b·n``  ``to_propose``  (leader broadcast per batch),
@@ -23,8 +24,11 @@ import math
 
 import pytest
 
-from repro.config import EngineConfig
-from repro.engine import ConsensusEscalator, PendingOp, PipelinedExecutor
+from repro.cluster import TokenCluster
+from repro.config import ClusterConfig, EngineConfig
+from repro.engine import PendingOp, PipelinedExecutor
+from repro.errors import EngineError
+from repro.net import Simulator, TeamLane, TeamLanePool
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 
@@ -35,31 +39,29 @@ def expected_bill(ops: int, replicas: int, max_batch: int) -> tuple[int, int]:
     return ops + batches * (replicas + 2 * replicas * replicas), batches
 
 
-def ordered_batch(count: int) -> list[PendingOp]:
-    return [PendingOp(i, i % 3, op("transfer", 1, 1)) for i in range(count)]
+def ordered_batch(count: int, start: int = 0) -> list[PendingOp]:
+    return [
+        PendingOp(start + i, i % 3, op("transfer", 1, 1)) for i in range(count)
+    ]
 
 
 class TestQuadraticBill:
     @pytest.mark.parametrize("replicas", [4, 7])
     @pytest.mark.parametrize("count", [1, 2, 5, 8, 64, 65, 130])
     def test_message_total_matches_three_phase_pattern(self, replicas, count):
-        escalator = ConsensusEscalator(
-            num_replicas=replicas, seed=1, max_batch=64
-        )
-        result = escalator.order(ordered_batch(count))
+        lane = TeamLane(range(replicas), seed=1, max_batch=64)
+        result = lane.order(ordered_batch(count))
         want, _ = expected_bill(count, replicas, max_batch=64)
         assert result.messages == want
-        assert escalator.total_messages == want
+        assert lane.network.stats.messages_sent == want
 
     @pytest.mark.parametrize("max_batch", [1, 4, 64])
     def test_per_phase_counts(self, max_batch):
         replicas, count = 4, 10
-        escalator = ConsensusEscalator(
-            num_replicas=replicas, seed=2, max_batch=max_batch
-        )
-        escalator.order(ordered_batch(count))
+        lane = TeamLane(range(replicas), seed=2, max_batch=max_batch)
+        lane.order(ordered_batch(count))
         _, batches = expected_bill(count, replicas, max_batch)
-        by_type = escalator.network.stats.by_type
+        by_type = lane.network.stats.by_type
         assert by_type["to_submit"] == count
         assert by_type["to_propose"] == batches * replicas
         # The two quorum phases are the O(n²) part, and they dominate.
@@ -67,14 +69,84 @@ class TestQuadraticBill:
         assert by_type["to_commit"] == batches * replicas * replicas
 
     def test_bill_accumulates_across_batches(self):
-        escalator = ConsensusEscalator(num_replicas=4, seed=3)
-        first = escalator.order(ordered_batch(3))
-        second = escalator.order(ordered_batch(5))
+        lane = TeamLane(range(4), seed=3)
+        first = lane.order(ordered_batch(3))
+        second = lane.order(ordered_batch(5, start=3))
         want3, _ = expected_bill(3, 4, 64)
         want5, _ = expected_bill(5, 4, 64)
         assert (first.messages, second.messages) == (want3, want5)
-        assert escalator.total_messages == want3 + want5
-        assert escalator.batches == 2
+        assert lane.network.stats.messages_sent == want3 + want5
+
+    @pytest.mark.parametrize("k", [4, 7])
+    @pytest.mark.parametrize("seed", [0, 9, 23])
+    def test_price_is_a_function_of_k_not_of_the_tiers_name(self, k, seed):
+        """Tier ∞ is a team lane of size n: a lane ordering on a private
+        simulator and the pool ordering the same batches on a shared one
+        bill the same closed form, whatever the seed."""
+        lane = TeamLane(range(k), seed=seed)
+        pool = TeamLanePool(Simulator(), seed=seed)
+        start = 0
+        for count in (1, 5, 70):
+            batch = ordered_batch(count, start)
+            start += count
+            want, _ = expected_bill(count, k, max_batch=64)
+            alone = lane.order(batch)
+            pooled = pool.order([(range(k), batch)])
+            assert alone.messages == pooled.messages == want
+            assert alone.teams == pooled.teams == 1
+            assert alone.orders[0].ordered == pooled.orders[0].ordered
+            assert list(alone.orders[0].ordered) == batch
+
+    def test_lane_arithmetic_is_pinned(self):
+        """n = 4, seed 0, batches of 1 / 5 / 70 / 3: the numbers every
+        committed baseline's Tier ∞ share is made of cannot drift."""
+        lane = TeamLane(range(4), seed=0)
+        start = 0
+        for count in (1, 5, 70, 3):
+            result = lane.order(ordered_batch(count, start))
+            start += count
+        assert result.makespan == 5.9505912842994455
+        assert result.messages == 75
+        assert 0.0 < result.orders[0].completed < result.makespan
+
+
+class TestOneSyncHook:
+    """``global_lane=`` is the executor's only sync hook, and the sync
+    layer is built in one place from the config."""
+
+    def test_default_global_lane_is_a_four_replica_team_lane(self):
+        token = ERC20TokenType(8, total_supply=80)
+        engine = PipelinedExecutor(token, EngineConfig(seed=9))
+        cluster = TokenCluster(token, ClusterConfig(seed=9))
+        reference = TeamLane(range(4), seed=9).order(ordered_batch(5))
+        for sync in (engine.sync, cluster.router.sync):
+            lane = sync.global_lane
+            assert type(lane) is TeamLane
+            assert lane.k == 4
+            assert lane.network.simulator is not sync.pool.simulator
+            # Seeded from the config: the same latency stream.
+            assert lane.order(ordered_batch(5)) == reference
+
+    def test_global_lane_sizes_the_top_tier(self):
+        token = ERC20TokenType(8, total_supply=80)
+        lane = TeamLane(range(8), seed=1)
+        engine = PipelinedExecutor(token, global_lane=lane)
+        assert engine.sync.global_lane is lane
+
+    def test_too_small_a_global_lane_is_refused(self):
+        token = ERC20TokenType(8, total_supply=80)
+        with pytest.raises(EngineError, match="3f"):
+            PipelinedExecutor(token, global_lane=TeamLane(range(3)))
+
+    def test_the_old_hooks_are_gone(self):
+        token = ERC20TokenType(8, total_supply=80)
+        lane = TeamLane(range(4))
+        with pytest.raises(TypeError):
+            PipelinedExecutor(token, sync=lane)
+        with pytest.raises(TypeError):
+            PipelinedExecutor(token, escalator=lane)
+        with pytest.raises(TypeError):
+            TokenCluster(token, escalator=lane)
 
 
 class TestEngineLevelAccounting:

@@ -1,13 +1,16 @@
 """One footprint pass per window, components once per graph.
 
 Deterministic guards (counters, no clocks) for what makes an op that
-commutes with its whole window cheap: its footprint is computed and looked
-up once — ``ConflictGraph.build`` does it and every later stage (split,
-placement, frontier, the cluster's routing) reads ``graph.footprints`` —
-and the graph's components are found once however many stages ask.
+commutes with its whole window cheap: its footprint is computed once —
+``ConflictGraph.build`` does it and every later stage (split, placement,
+frontier, the cluster's routing) reads ``graph.footprints`` — and the
+graph's components are found once however many stages ask.  There is no
+memo behind that: the count is of ``object_type.footprint`` calls.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.analysis.commutativity import PairKind
 from repro.cluster import TokenCluster
@@ -40,37 +43,45 @@ def _count_calls(obj, name: str) -> list[int]:
 
 
 class TestOneFootprintPass:
-    def test_engine_computes_and_looks_up_each_footprint_once(self):
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_engine_computes_each_footprint_once_per_window(self, validate):
         token = ERC20TokenType(N, total_supply=100 * N)
-        # Owner-only and pairwise distinct: no contended group (the sync
-        # planner would look its members up again) and no repeat for the
-        # memo to answer.
+        # Owner-only: no contended group (the sync planner would compute
+        # its members' footprints again).  Repeats are welcome — nothing
+        # remembers an invocation from one op to the next.
         items = [
             WorkloadItem(i % N, op("transfer", (7 * i + 3) % N, 1 + i // N))
             for i in range(6 * N)
         ]
-        items += [WorkloadItem(i, op("balanceOf", i)) for i in range(N)]
-        assert len({(item.pid, item.operation) for item in items}) == len(items)
+        items += [WorkloadItem(i, op("balanceOf", i)) for i in range(N)] * 2
         computed = _count_calls(token, "footprint")
-        engine = PipelinedExecutor(token, EngineConfig(num_lanes=4, window=16))
-        looked_up = _count_calls(engine.classifier, "footprint")
+        engine = PipelinedExecutor(
+            token, EngineConfig(num_lanes=4, window=16, validate=validate)
+        )
         engine.run_workload(items)
         assert engine.stats.escalated_ops == 0
-        assert computed[0] == looked_up[0] == len(items)
+        # ``validate`` adds exactly the all-pairs oracle's own pass.
+        assert computed[0] == (2 if validate else 1) * len(items)
         assert engine.classifier.stats.footprint_cache_hits == 0
 
-    def test_router_looks_each_op_up_once_per_window(self):
+    def test_router_computes_each_footprint_once_and_nodes_none(self):
         token = ERC20TokenType(N, total_supply=100 * N)
         generator = TokenWorkloadGenerator(N, seed=5, mix=SPENDER_HEAVY_MIX)
         items = generator.generate(160)
         cluster = TokenCluster(
             token, ClusterConfig(num_nodes=2, lanes_per_node=2, window=32)
         )
-        looked_up = _count_calls(cluster.router.classifier, "footprint")
+        computed = _count_calls(token, "footprint")
+        on_nodes = [
+            _count_calls(node.classifier, "footprint")
+            for node in cluster.nodes
+        ]
         _, _, stats = cluster.run_workload(items)
         assert stats.escalated_ops > 0  # chains, leases and sync all ran
-        # Fault-free, every op is routed in exactly one window.
-        assert looked_up[0] == len(items)
+        # Fault-free, every op is routed in exactly one window — and the
+        # router and every node share the one token.
+        assert computed[0] == len(items)
+        assert on_nodes == [[0], [0]]
 
 
 class _CountingEdges(dict):

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import EngineConfig
-from repro.engine import PipelinedExecutor, RoundStage, dag_list_schedule
+from repro.engine import PipelinedExecutor, dag_list_schedule
 from repro.engine.rounds import Round
 from repro.errors import EngineError
 from repro.objects.asset_transfer import AssetTransferType
@@ -233,42 +233,6 @@ class TestDepthInvariance:
 
 
 class TestStageMachine:
-    def test_stages_progress_in_order(self):
-        engine = PipelinedExecutor(
-            ERC20TokenType(6, total_supply=60),
-            EngineConfig(num_lanes=2, window=8),
-        )
-        engine.feed(TokenWorkloadGenerator(6, seed=3).generate(8))
-        round_ = engine.lifecycle.drain(engine.mempool, 8, 0)
-        assert round_.stage is RoundStage.DRAINED
-        engine.lifecycle.classify(round_, engine.state)
-        assert round_.stage is RoundStage.CLASSIFIED
-        engine.lifecycle.synchronize(round_, engine.state)
-        assert round_.stage is RoundStage.SYNCED
-        assert list(RoundStage)[-1] is RoundStage.SYNCED
-
-    def test_stage_skips_repeats_and_regressions_are_rejected(self):
-        engine = PipelinedExecutor(
-            ERC20TokenType(6, total_supply=60),
-            EngineConfig(num_lanes=2, window=8),
-        )
-        engine.feed(TokenWorkloadGenerator(6, seed=3).generate(8))
-        round_ = engine.lifecycle.drain(engine.mempool, 8, 0)
-        with pytest.raises(EngineError):
-            engine.lifecycle.synchronize(round_)  # skips CLASSIFIED
-        with pytest.raises(EngineError):
-            round_.advance(RoundStage.DRAINED)  # repeat
-        engine.lifecycle.classify(round_)
-        with pytest.raises(EngineError):
-            engine.lifecycle.classify(round_)  # repeat
-        engine.lifecycle.synchronize(round_)
-        with pytest.raises(EngineError):
-            engine.lifecycle.synchronize(round_)  # repeat of the last stage
-        for stage in (RoundStage.DRAINED, RoundStage.CLASSIFIED):
-            with pytest.raises(EngineError):
-                round_.advance(stage)  # regression
-        assert round_.stage is RoundStage.SYNCED
-
     def test_drain_on_empty_mempool_returns_none(self):
         engine = PipelinedExecutor(ERC20TokenType(4, total_supply=40))
         assert engine.lifecycle.drain(engine.mempool, 8, 0) is None

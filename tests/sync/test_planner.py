@@ -6,15 +6,21 @@ import math
 
 import pytest
 
-from repro.engine import ConsensusEscalator, OpClassifier, tiered_escalator
+from repro.engine import OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.errors import EngineError
+from repro.net import TeamLane
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType, TokenState
 from repro.objects.erc721 import ERC721TokenType
 from repro.objects.footprint import bal, footprint
 from repro.spec.operation import op
-from repro.sync import SyncPlanner, TIER_GLOBAL, component_team
+from repro.sync import (
+    TIER_GLOBAL,
+    SyncPlanner,
+    TieredEscalator,
+    component_team,
+)
 
 
 class FootprintTable:
@@ -186,21 +192,24 @@ class TestSyncGroups:
 class TestTieredEscalator:
     def test_threshold_zero_matches_the_global_lane_exactly(self):
         """Bit-compatibility: the tiered path with no team lanes produces
-        the same committed order, time, and bill as the raw escalator."""
+        the same committed order, time, and bill as the raw lane."""
         token, classifier, state = erc20_fixture()
         ops = [
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 2, op("transferFrom", 0, 4, 1)),
             PendingOp(2, 0, op("transfer", 5, 2)),
         ]
-        raw = ConsensusEscalator(seed=9).order(list(ops))
-        sync = tiered_escalator(
-            ConsensusEscalator(seed=9), team_threshold=0, lane_ttl=None
+        raw = TeamLane(range(4), seed=9).order(list(ops))
+        sync = TieredEscalator(
+            TeamLane(range(4), seed=9), team_threshold=0, lane_ttl=None
         )
         result = sync.order_round([ops], classifier, state, token)
-        assert [o for c in result.components for o in c.ordered] == raw.ordered
+        assert (
+            tuple(o for c in result.components for o in c.ordered)
+            == raw.orders[0].ordered
+        )
         assert result.messages == raw.messages
-        assert result.virtual_time == raw.virtual_time
+        assert result.virtual_time == raw.makespan
         assert result.team_ops == 0 and result.global_ops == len(ops)
 
     def test_team_tier_bills_k_squared_not_global(self):
@@ -209,10 +218,8 @@ class TestTieredEscalator:
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 2, op("transferFrom", 0, 4, 1)),
         ]
-        sync = tiered_escalator(
-            ConsensusEscalator(num_replicas=8, seed=9),
-            team_threshold=4,
-            lane_ttl=None,
+        sync = TieredEscalator(
+            TeamLane(range(8), seed=9), team_threshold=4, lane_ttl=None
         )
         result = sync.order_round([ops], classifier, state, token)
         assert result.team_ops == 2 and result.global_ops == 0
@@ -221,7 +228,7 @@ class TestTieredEscalator:
         # alone while the second is in flight): 2 + 2·(3 + 2·9) = 44 —
         # far below the same pattern over 8 replicas (2 + 2·136 = 274).
         assert result.team_messages == 2 + 2 * (3 + 2 * 9)
-        assert sync.k_histogram == {3: 1}
+        assert result.team_sizes == (3,)
         assert result.components[0].team == frozenset({0, 1, 2})
 
     def test_mixed_round_pays_the_slower_phase_once(self):
@@ -234,9 +241,7 @@ class TestTieredEscalator:
             PendingOp(1, 2, op("transferFrom", 0, 4, 1)),
         ]
         token, classifier, state = erc20_fixture()
-        sync = tiered_escalator(
-            ConsensusEscalator(seed=4), team_threshold=3, lane_ttl=None
-        )
+        sync = TieredEscalator(team_threshold=3, lane_ttl=None, seed=4)
         # Force the second component global via an oversized threshold
         # miss: its team is {0, 3} plus spenders {1, 2} = 4 > 3.
         result = sync.order_round(
@@ -257,9 +262,7 @@ class TestTieredEscalator:
     def test_sync_groups_fold_back_per_component(self):
         token, classifier, state = erc20_fixture()
         ops = two_account_component()
-        sync = tiered_escalator(
-            ConsensusEscalator(seed=9), team_threshold=3, lane_ttl=None
-        )
+        sync = TieredEscalator(team_threshold=3, lane_ttl=None, seed=9)
         result = sync.order_round([ops], classifier, state, token)
         # Two concurrent team lanes under the hood, but callers still zip
         # components against the result positionally: one folded order.

@@ -8,7 +8,7 @@ import pytest
 
 from repro.engine.mempool import PendingOp
 from repro.errors import NetworkError
-from repro.net import ConstantLatency, TeamLanePool
+from repro.net import TeamLanePool
 from repro.spec.operation import op
 
 
@@ -27,7 +27,7 @@ def quadratic_bill(ops: int, k: int, max_batch: int = 64) -> int:
 
 class TestTeamLane:
     def test_single_lane_orders_in_submission_order(self):
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=3)
+        pool = TeamLanePool(seed=3)
         ops = batch(0, 5)
         round_result = pool.order([(frozenset({1, 2, 3}), ops)])
         assert len(round_result.orders) == 1
@@ -37,7 +37,7 @@ class TestTeamLane:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     def test_message_bill_is_quadratic_in_team_size(self, k):
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=5)
+        pool = TeamLanePool(seed=5)
         ops = batch(0, 6)
         round_result = pool.order([(frozenset(range(k)), ops)])
         assert round_result.messages == quadratic_bill(6, k)
@@ -68,11 +68,11 @@ class TestConcurrency:
         the sum — the makespan argument for many independent instances."""
         solo_costs = []
         for seed in (11, 12):
-            pool = TeamLanePool(latency=ConstantLatency(1.0), seed=seed)
+            pool = TeamLanePool(seed=seed)
             solo_costs.append(
                 pool.order([(frozenset({0, 1, 2}), batch(0, 4))]).makespan
             )
-        together = TeamLanePool(latency=ConstantLatency(1.0), seed=11)
+        together = TeamLanePool(seed=11)
         round_result = together.order(
             [
                 (frozenset({0, 1, 2}), batch(0, 4)),
@@ -81,10 +81,9 @@ class TestConcurrency:
         )
         assert round_result.teams == 2
         assert round_result.makespan < sum(solo_costs)
-        assert together.max_concurrent == 2
 
     def test_per_batch_orders_stay_aligned(self):
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=2)
+        pool = TeamLanePool(seed=2)
         first, second = batch(0, 3), batch(100, 2)
         round_result = pool.order(
             [(frozenset({0, 1}), first), (frozenset({7, 8, 9}), second)]
@@ -95,7 +94,7 @@ class TestConcurrency:
     def test_shared_team_batches_serialize_on_one_lane(self):
         """Two components naming the same team share a lane: both orders
         are preserved and the lane's bill is charged exactly once."""
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=4)
+        pool = TeamLanePool(seed=4)
         first, second = batch(0, 2), batch(50, 3)
         round_result = pool.order(
             [(frozenset({0, 1}), first), (frozenset({1, 0}), second)]
@@ -108,7 +107,7 @@ class TestConcurrency:
         assert round_result.messages == round_result.orders[0].messages
 
     def test_clock_is_cumulative_across_rounds(self):
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=6)
+        pool = TeamLanePool(seed=6)
         pool.order([(frozenset({0, 1}), batch(0, 2))])
         t1 = pool.simulator.now
         pool.order([(frozenset({0, 1}), batch(10, 2))])
@@ -121,7 +120,7 @@ class TestIdleLaneGC:
     accumulate one live replica group per distinct team it ever saw."""
 
     def test_idle_lane_collected_after_ttl(self):
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=7, idle_ttl=2)
+        pool = TeamLanePool(seed=7, idle_ttl=2)
         pool.order([(frozenset({0, 1}), batch(0, 2))])
         # Two rounds on a different team: {0, 1} goes idle past the TTL.
         pool.order([(frozenset({2, 3}), batch(10, 2))])
@@ -134,7 +133,7 @@ class TestIdleLaneGC:
     def test_shifting_teams_bound_live_lanes(self):
         """Distinct team per round: without GC the pool holds one lane per
         round ever seen; with a TTL the live set stays bounded by it."""
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=8, idle_ttl=3)
+        pool = TeamLanePool(seed=8, idle_ttl=3)
         for i in range(12):
             pool.order([(frozenset({2 * i, 2 * i + 1}), batch(10 * i, 2))])
         assert pool.lanes_created == 12
@@ -142,7 +141,7 @@ class TestIdleLaneGC:
         assert pool.lanes_gcd == 12 - pool.live_lanes
 
     def test_collected_lane_is_reprovisioned_and_reordered_correctly(self):
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=9, idle_ttl=1)
+        pool = TeamLanePool(seed=9, idle_ttl=1)
         team = frozenset({4, 5})
         pool.order([(team, batch(0, 3))])
         pool.order([(frozenset({6, 7}), batch(10, 2))])  # {4,5} collected
@@ -153,7 +152,7 @@ class TestIdleLaneGC:
         assert pool.lanes_created == 3
 
     def test_reuse_within_ttl_keeps_the_lane(self):
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=10, idle_ttl=2)
+        pool = TeamLanePool(seed=10, idle_ttl=2)
         team = frozenset({0, 1})
         lane = pool.lane(team)
         for i in range(6):
@@ -166,14 +165,14 @@ class TestIdleLaneGC:
             TeamLanePool(idle_ttl=0)
 
     def test_default_keeps_lanes_forever(self):
-        pool = TeamLanePool(latency=ConstantLatency(1.0), seed=11)
+        pool = TeamLanePool(seed=11)
         for i in range(8):
             pool.order([(frozenset({2 * i, 2 * i + 1}), batch(10 * i, 1))])
         assert pool.live_lanes == 8
         assert pool.lanes_gcd == 0
 
-    def test_tiered_escalator_exposes_lane_ttl(self):
-        from repro.engine.escalation import tiered_escalator
+    def test_the_sync_layer_exposes_lane_ttl(self):
+        from repro.sync import TieredEscalator
 
-        sync = tiered_escalator(team_threshold=3, lane_ttl=4, seed=1)
+        sync = TieredEscalator(team_threshold=3, lane_ttl=4, seed=1)
         assert sync.pool.idle_ttl == 4
