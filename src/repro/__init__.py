@@ -23,57 +23,83 @@ Quickstart::
 See README.md and DESIGN.md for the full tour.
 """
 
-from repro.analysis import (
-    CachedPairAnalyzer,
-    classify,
-    enabled_spenders,
-    is_synchronization_state,
-    make_synchronization_state,
-    synchronization_level,
-    token_consensus_number,
-    token_consensus_number_bounds,
-    unique_transfer,
-    unique_transfer_strict,
-)
-from repro.objects import (
-    AssetTransfer,
-    AtomicRegister,
-    ConsensusObject,
-    ERC20Token,
-    ERC20TokenType,
-    ERC721Token,
-    ERC777Token,
-    ERC1155Token,
-    SharedObject,
-    TokenState,
-    register_array,
-)
-from repro.protocols import (
-    EmulatedToken,
-    KATConsensus,
-    SafeEmulatedToken,
-    TokenConsensus,
-    algorithm1_system,
-    consensus_checks,
-    kat_consensus_system,
-)
-from repro.config import ClusterConfig, EngineConfig
-from repro.engine import (
-    Mempool,
-    OpClassifier,
-    PipelinedExecutor,
-)
-from repro.cluster import ClusterStats, ShardMap, TokenCluster
-from repro.runtime import (
-    RandomScheduler,
-    RoundRobinScheduler,
-    ScheduleExplorer,
-    System,
-    run_system,
-)
-from repro.spec import History, Operation, check_linearizability, op
+from importlib import import_module
 
 __version__ = "1.0.0"
+
+#: Where each re-export lives.  Resolved on first access (PEP 562), so
+#: importing one subpackage does not pay for the others: ``import
+#: repro.engine`` loads no cluster, fault or protocol code.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.analysis": (
+            "CachedPairAnalyzer",
+            "classify",
+            "enabled_spenders",
+            "is_synchronization_state",
+            "make_synchronization_state",
+            "synchronization_level",
+            "token_consensus_number",
+            "token_consensus_number_bounds",
+            "unique_transfer",
+            "unique_transfer_strict",
+        ),
+        "repro.objects": (
+            "AssetTransfer",
+            "AtomicRegister",
+            "ConsensusObject",
+            "ERC20Token",
+            "ERC20TokenType",
+            "ERC721Token",
+            "ERC777Token",
+            "ERC1155Token",
+            "SharedObject",
+            "TokenState",
+            "register_array",
+        ),
+        "repro.protocols": (
+            "EmulatedToken",
+            "KATConsensus",
+            "SafeEmulatedToken",
+            "TokenConsensus",
+            "algorithm1_system",
+            "consensus_checks",
+            "kat_consensus_system",
+        ),
+        "repro.config": ("ClusterConfig", "EngineConfig"),
+        "repro.engine": ("Mempool", "OpClassifier", "PipelinedExecutor"),
+        "repro.cluster": ("ClusterStats", "ShardMap", "TokenCluster"),
+        "repro.runtime": (
+            "RandomScheduler",
+            "RoundRobinScheduler",
+            "ScheduleExplorer",
+            "System",
+            "run_system",
+        ),
+        "repro.spec": (
+            "History",
+            "Operation",
+            "check_linearizability",
+            "op",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value  # later lookups never come back here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __all__ = [
     "CachedPairAnalyzer",

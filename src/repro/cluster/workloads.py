@@ -13,6 +13,7 @@ sweeps stay comparable with every other generator in the repository.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from repro.errors import ClusterError
 from repro.spec.operation import Operation
@@ -57,7 +58,11 @@ def owner_local_workload(
         )
     validate_skew(hotspot_fraction, hotspot_nodes, len(pools))
     rng = random.Random(seed)
-    node_weights = zipf_weights(len(pools), zipf_s) if zipf_s > 0 else None
+    node_weights = (
+        list(accumulate(zipf_weights(len(pools), zipf_s)))
+        if zipf_s > 0
+        else None
+    )
     items: list[WorkloadItem] = []
     for _ in range(count):
         pool = pools[
@@ -66,20 +71,10 @@ def owner_local_workload(
             )
         ]
         if rng.random() < read_fraction or len(pool) < 2:
-            items.append(
-                WorkloadItem(
-                    pid=rng.choice(pool),
-                    operation=Operation("balanceOf", (rng.choice(pool),)),
-                )
-            )
+            pid = rng.choice(pool)
+            operation = Operation("balanceOf", (rng.choice(pool),))
         else:
-            source, dest = rng.sample(pool, 2)
-            items.append(
-                WorkloadItem(
-                    pid=source,
-                    operation=Operation(
-                        "transfer", (dest, rng.randint(0, max_value))
-                    ),
-                )
-            )
+            pid, dest = rng.sample(pool, 2)
+            operation = Operation("transfer", (dest, rng.randint(0, max_value)))
+        items.append(WorkloadItem(pid=pid, operation=operation))
     return items

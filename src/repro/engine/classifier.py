@@ -175,7 +175,7 @@ class OpClassifier:
         fp1, fp2 = footprints or (self.footprint(first), self.footprint(second))
         if fp1 is None or fp2 is None:
             return True
-        return bool(fp1.contended & fp2.contended)
+        return fp1.contends_with(fp2)
 
     def conflict_edges(
         self,

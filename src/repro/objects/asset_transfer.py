@@ -142,9 +142,7 @@ class AssetTransferType(SequentialObjectType):
     def apply(
         self, state: ATState, pid: int, operation: Operation
     ) -> tuple[ATState, Any]:
-        self.validate_name(operation)
-        handler = getattr(self, f"_apply_{operation.name}")
-        return handler(state, pid, *operation.args)
+        return self._handler(operation)(state, pid, *operation.args)
 
     # Δ branches -------------------------------------------------------
 

@@ -118,9 +118,8 @@ class ERC1155TokenType(SequentialObjectType):
     def apply(
         self, state: MultiTokenState, pid: int, operation: Operation
     ) -> tuple[MultiTokenState, Any]:
-        self.validate_name(operation)
+        handler = self._handler(operation)
         self._check_account(pid)
-        handler = getattr(self, f"_apply_{operation.name}")
         return handler(state, pid, *operation.args)
 
     def _apply_balanceOf(

@@ -36,7 +36,6 @@ from repro.objects.footprint import (
     OpFootprint,
     allow,
     bal,
-    footprint,
 )
 from repro.runtime.calls import OpCall
 from repro.spec.object_type import FALSE, TRUE, SequentialObjectType
@@ -229,9 +228,8 @@ class ERC20TokenType(SequentialObjectType):
     def apply(
         self, state: TokenState, pid: int, operation: Operation
     ) -> tuple[TokenState, Any]:
-        self.validate_name(operation)
+        handler = self._handler(operation)
         self._check_process(pid)
-        handler = getattr(self, f"_apply_{operation.name}")
         return handler(state, pid, *operation.args)
 
     def _apply_transfer(
@@ -295,62 +293,53 @@ class ERC20TokenType(SequentialObjectType):
         self-transfer) collapse to read-only or empty footprints, matching
         the semantic oracle's judgment at every state.
         """
-        self.validate_name(operation)
+        self._handler(operation)  # rejects foreign names, once
         self._check_process(pid)
         name, args = operation.name, operation.args
         if name == "transfer":
             dest, value = args
-            source = self.account_of(pid)
             if value == 0:
                 return EMPTY_FOOTPRINT  # always succeeds, never writes
-            if dest == source:
-                return footprint(observes=[bal(source)])
-            return footprint(
-                observes=[bal(source)], adds=[bal(source), bal(dest)]
+            source = bal(pid)  # a_p: ω is the identity, pid checked above
+            if dest == pid:
+                return OpFootprint(frozenset((source,)))
+            return OpFootprint(
+                frozenset((source,)), frozenset((source, bal(dest)))
             )
         if name == "transferFrom":
             source, dest, value = args
             if value == 0:
                 return EMPTY_FOOTPRINT
-            cell = allow(source, pid)
+            debited, cell = bal(source), allow(source, pid)
+            observes = frozenset((debited, cell))
             if dest == source:
-                return footprint(observes=[bal(source), cell], adds=[cell])
-            return footprint(
-                observes=[bal(source), cell],
-                adds=[bal(source), bal(dest), cell],
-            )
+                return OpFootprint(observes, frozenset((cell,)))
+            return OpFootprint(observes, frozenset((debited, bal(dest), cell)))
         if name == "approve":
             spender, _value = args
-            return footprint(sets=[allow(self.account_of(pid), spender)])
+            return OpFootprint(sets=frozenset((allow(pid, spender),)))
         if name == "balanceOf":
-            return footprint(observes=[bal(args[0])])
+            return OpFootprint(frozenset((bal(args[0]),)))
         if name == "allowance":
-            return footprint(observes=[allow(args[0], args[1])])
+            return OpFootprint(frozenset((allow(args[0], args[1]),)))
         if name == "totalSupply":
             # Transfers conserve the supply, so supply queries commute with
             # arbitrary transfer traffic (they observe only this pseudo-cell).
-            return footprint(observes=[SUPPLY])
-        if name == "increaseAllowance":
-            spender, delta = args
-            if delta == 0:
-                return EMPTY_FOOTPRINT
-            return footprint(adds=[allow(self.account_of(pid), spender)])
-        # decreaseAllowance: guarded by the current allowance value.
+            return OpFootprint(frozenset((SUPPLY,)))
         spender, delta = args
         if delta == 0:
             return EMPTY_FOOTPRINT
-        cell = allow(self.account_of(pid), spender)
-        return footprint(observes=[cell], adds=[cell])
+        cell = frozenset((allow(pid, spender),))
+        if name == "increaseAllowance":
+            return OpFootprint(adds=cell)
+        # decreaseAllowance: guarded by the current allowance value.
+        return OpFootprint(observes=cell, adds=cell)
 
     # -- extensions -------------------------------------------------------
 
     def _apply_increaseAllowance(
         self, state: TokenState, pid: int, spender: int, delta: int
     ) -> tuple[TokenState, Any]:
-        if not self.with_extensions:
-            raise InvalidArgumentError(
-                "extensions disabled for this token type"
-            )
         self._check_process(spender)
         self._check_value(delta)
         account = self.account_of(pid)
@@ -360,10 +349,6 @@ class ERC20TokenType(SequentialObjectType):
     def _apply_decreaseAllowance(
         self, state: TokenState, pid: int, spender: int, delta: int
     ) -> tuple[TokenState, Any]:
-        if not self.with_extensions:
-            raise InvalidArgumentError(
-                "extensions disabled for this token type"
-            )
         self._check_process(spender)
         self._check_value(delta)
         account = self.account_of(pid)

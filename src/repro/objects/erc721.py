@@ -138,9 +138,8 @@ class ERC721TokenType(SequentialObjectType):
     def apply(
         self, state: NFTState, pid: int, operation: Operation
     ) -> tuple[NFTState, Any]:
-        self.validate_name(operation)
+        handler = self._handler(operation)
         self._check_account(pid)
-        handler = getattr(self, f"_apply_{operation.name}")
         return handler(state, pid, *operation.args)
 
     def _apply_ownerOf(

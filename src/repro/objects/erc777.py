@@ -104,9 +104,8 @@ class ERC777TokenType(SequentialObjectType):
     def apply(
         self, state: ERC777State, pid: int, operation: Operation
     ) -> tuple[ERC777State, Any]:
-        self.validate_name(operation)
+        handler = self._handler(operation)
         self._check_account(pid)
-        handler = getattr(self, f"_apply_{operation.name}")
         return handler(state, pid, *operation.args)
 
     def _apply_send(

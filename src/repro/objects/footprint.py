@@ -39,6 +39,14 @@ The verdicts are *sound under-approximations* of the semantic oracle (see
 The string values deliberately match ``PairKind`` in
 :mod:`repro.analysis.commutativity` (which imports :mod:`repro.objects` and
 therefore cannot be imported from here).
+
+Every op of every window passes through this module, so its questions —
+the pair rule, the anchor, the contention test — are answered on the three
+frozensets as they stand, without building a derived set.  An empty kind is
+*one shared object*: every footprint built here, by the helpers or by an
+object type, holds the same empty frozenset for each kind it does not use.
+That object must never be mutated, and code outside the tests must never
+tell footprints apart by the identity of their kinds — only by value.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Abstract location: a hashable tuple such as ``("bal", 3)``,
 #: ``("allow", 1, 2)``, ``("nft", 7)`` or :data:`SUPPLY`.
@@ -66,6 +74,10 @@ def allow(account: int, spender: int) -> Location:
     return ("allow", account, spender)
 
 
+#: The one empty kind (see the module docstring).
+_EMPTY: frozenset = frozenset()
+
+
 @dataclass(frozen=True, slots=True)
 class OpFootprint:
     """Static may-access summary of one invocation.
@@ -75,9 +87,9 @@ class OpFootprint:
     e.g. a zero-value ``transfer`` — which commutes with everything.
     """
 
-    observes: frozenset = field(default_factory=frozenset)
-    adds: frozenset = field(default_factory=frozenset)
-    sets: frozenset = field(default_factory=frozenset)
+    observes: frozenset = _EMPTY
+    adds: frozenset = _EMPTY
+    sets: frozenset = _EMPTY
 
     @property
     def writes(self) -> frozenset:
@@ -111,6 +123,25 @@ class OpFootprint:
         consensus-number-1 regime."""
         return (self.adds & self.observes) | self.sets
 
+    def contends_with(self, other: "OpFootprint") -> bool:
+        """True when the two :attr:`contended` sets intersect — the
+        engine's consensus test, asked per conflicting pair and therefore
+        answered without building either set."""
+        if not self.sets.isdisjoint(other.sets):
+            return True
+        mine, theirs = self.observes, other.observes
+        for location in self.adds:
+            if location in mine and (
+                location in other.sets
+                or (location in other.adds and location in theirs)
+            ):
+                return True
+        if self.sets:
+            for location in other.adds:
+                if location in theirs and location in self.sets:
+                    return True
+        return False
+
     def accounts(self) -> frozenset:
         """Account indices appearing in any touched location (for sharding)."""
         return frozenset(accounts_in(self.touched))
@@ -143,12 +174,30 @@ def anchor_account(fp: "OpFootprint | None", default: int) -> int:
     operation of one synchronization group on that account's owner — the
     placement under which owner-local traffic needs no coordination at all.
     """
-    if fp is not None:
-        for pool in (fp.contended, fp.writes, fp.observes):
-            accounts = accounts_in(pool)
-            if accounts:
-                return accounts[0]
-    return default
+    if fp is None:
+        return default
+    account = _smallest_account(
+        fp.adds, _smallest_account(fp.sets), within=fp.observes
+    )
+    # No contended account means no observed add names one either, so the
+    # written accounts are those of ``adds`` as it stands.
+    if account is None:
+        account = _smallest_account(fp.adds)
+    if account is None:
+        account = _smallest_account(fp.observes)
+    return default if account is None else account
+
+
+def _smallest_account(locations, best=None, within=None) -> int | None:
+    """``best`` lowered to the smallest account anchoring one of
+    ``locations`` (the convention of :func:`accounts_in`) — of those also
+    in ``within``, when given.  Builds no set and sorts nothing."""
+    for location in locations:
+        if len(location) > 1 and (within is None or location in within):
+            account = location[1]
+            if isinstance(account, int) and (best is None or account < best):
+                best = account
+    return best
 
 
 #: Footprint of a pure no-op (constant response, state never changes).
@@ -157,7 +206,11 @@ EMPTY_FOOTPRINT = OpFootprint()
 
 def footprint(observes=(), adds=(), sets=()) -> OpFootprint:
     """Convenience constructor from iterables."""
-    return OpFootprint(frozenset(observes), frozenset(adds), frozenset(sets))
+    return OpFootprint(
+        frozenset(observes) or _EMPTY,
+        frozenset(adds) or _EMPTY,
+        frozenset(sets) or _EMPTY,
+    )
 
 
 def union_footprint(footprints) -> OpFootprint | None:
@@ -180,7 +233,7 @@ def union_footprint(footprints) -> OpFootprint | None:
         observes |= fp.observes
         adds |= fp.adds
         sets |= fp.sets
-    return OpFootprint(frozenset(observes), frozenset(adds), frozenset(sets))
+    return footprint(observes, adds, sets)
 
 
 def static_pair_kind(
@@ -200,12 +253,20 @@ def static_pair_kind(
     # other op takes the same branch, writes the same values, and returns
     # the same response either way.  The test is on ``sets`` because a
     # union of several ops may hold one cell under both kinds, and the
-    # absolute write is the one that needs an order.
-    w1, w2 = first.writes, second.writes
-    if not (w1 & second.observes) and not (w2 & first.observes):
-        shared = w1 & w2
-        if shared.isdisjoint(first.sets) and shared.isdisjoint(second.sets):
-            return "commute"
+    # absolute write is the one that needs an order.  Spelled as the seven
+    # disjointness tests the rule reduces to, so no union is built.
+    o1, a1, s1 = first.observes, first.adds, first.sets
+    o2, a2, s2 = second.observes, second.adds, second.sets
+    if (
+        a1.isdisjoint(o2)
+        and s1.isdisjoint(o2)
+        and a2.isdisjoint(o1)
+        and s2.isdisjoint(o1)
+        and s1.isdisjoint(a2)
+        and s1.isdisjoint(s2)
+        and s2.isdisjoint(a1)
+    ):
+        return "commute"
     if first.is_read_only or second.is_read_only:
         return "read-only"
     return "conflict"

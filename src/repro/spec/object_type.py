@@ -17,7 +17,8 @@ States are required to be immutable and hashable.  This buys three things:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Generic, Iterable, TypeVar
+from functools import cached_property
+from typing import Any, Callable, Generic, Iterable, TypeVar
 
 from repro.errors import UnknownOperationError
 from repro.spec.operation import Operation
@@ -68,10 +69,31 @@ class SequentialObjectType(ABC, Generic[S]):
         """Raise :class:`UnknownOperationError` for foreign operations."""
         names = self.operation_names()
         if names and operation.name not in names:
-            raise UnknownOperationError(
-                f"{self.name} does not support operation {operation.name!r}; "
-                f"supported: {', '.join(names)}"
-            )
+            raise self._unknown_operation(operation)
+
+    def _unknown_operation(self, operation: Operation) -> UnknownOperationError:
+        return UnknownOperationError(
+            f"{self.name} does not support operation {operation.name!r}; "
+            f"supported: {', '.join(self.operation_names())}"
+        )
+
+    @cached_property
+    def _dispatch(self) -> dict[str, Callable]:
+        """``name → bound _apply_<name>`` for every supported operation,
+        built from :meth:`operation_names` on the instance's first lookup."""
+        return {
+            name: getattr(self, f"_apply_{name}")
+            for name in self.operation_names()
+        }
+
+    def _handler(self, operation: Operation) -> Callable:
+        """The ``_apply_<name>`` method implementing ``operation`` — the one
+        place a family that dispatches ``Δ`` by method name validates that
+        name.  Raises :class:`UnknownOperationError` for a foreign one."""
+        try:
+            return self._dispatch[operation.name]
+        except KeyError:
+            raise self._unknown_operation(operation) from None
 
     def footprint(self, pid: int, operation: Operation):
         """Static may-access footprint of the invocation, or ``None``.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from repro.errors import InvalidArgumentError
@@ -143,10 +144,13 @@ class TokenWorkloadGenerator:
         )
         self._rng = random.Random(self.seed)
         self._account_weights = (
-            zipf_weights(self.num_accounts, self.zipf_s)
+            list(accumulate(zipf_weights(self.num_accounts, self.zipf_s)))
             if self.zipf_s > 0
             else None
         )
+        # The mix is read (and validated) once, here.
+        names, weights = zip(*self.mix.weights())
+        self._names, self._name_weights = names, list(accumulate(weights))
 
     # ------------------------------------------------------------------
 
@@ -170,8 +174,7 @@ class TokenWorkloadGenerator:
 
     def next_item(self) -> WorkloadItem:
         """Generate one operation."""
-        names, weights = zip(*self.mix.weights())
-        name = self._rng.choices(names, weights=weights)[0]
+        name = self._rng.choices(self._names, cum_weights=self._name_weights)[0]
         pid = self._pick_account()
         pooled = self.spender_pool > 0
         if name == "transfer":
@@ -236,7 +239,7 @@ class NFTWorkloadGenerator:
         )
         self._rng = random.Random(self.seed)
         self._token_weights = (
-            zipf_weights(self.num_tokens, self.zipf_s)
+            list(accumulate(zipf_weights(self.num_tokens, self.zipf_s)))
             if self.zipf_s > 0
             else None
         )
@@ -310,7 +313,7 @@ class AssetTransferWorkloadGenerator:
         )
         self._rng = random.Random(self.seed)
         self._account_weights = (
-            zipf_weights(self.num_accounts, self.zipf_s)
+            list(accumulate(zipf_weights(self.num_accounts, self.zipf_s)))
             if self.zipf_s > 0
             else None
         )

@@ -46,14 +46,21 @@ def zipf_weights(count: int, s: float) -> list[float]:
 def skewed_index(
     rng: random.Random,
     count: int,
-    weights: list[float] | None,
+    cum_weights: list[float] | None,
     hotspot_fraction: float,
     hotspot_count: int,
 ) -> int:
     """One index draw under the shared skew model: a hot-spot overlay over
-    either a uniform or Zipf base distribution."""
+    either a uniform or Zipf base distribution.
+
+    ``cum_weights`` is the running sum of the Zipf weights
+    (``list(accumulate(zipf_weights(count, s)))``), accumulated once by the
+    caller: ``random.choices`` would otherwise re-accumulate all ``count``
+    weights on every draw.  It bisects the same floats either way, so the
+    draws — and the RNG state after them — are those of ``weights=``.
+    """
     if hotspot_fraction > 0 and rng.random() < hotspot_fraction:
         return rng.randrange(hotspot_count)
-    if weights is None:
+    if cum_weights is None:
         return rng.randrange(count)
-    return rng.choices(range(count), weights=weights)[0]
+    return rng.choices(range(count), cum_weights=cum_weights)[0]

@@ -13,7 +13,9 @@ from repro.objects.footprint import (
     EMPTY_FOOTPRINT,
     SUPPLY,
     OpFootprint,
+    accounts_in,
     allow,
+    anchor_account,
     bal,
     footprint,
     static_pair_kind,
@@ -318,3 +320,113 @@ class TestFootprintUnion:
         not commute, neither do the unions."""
         if any(gates(a, b) for a in left for b in right):
             assert gates(union_footprint(left), union_footprint(right))
+
+
+# -- the set-algebra definitions, kept as the specification ---------------
+#
+# ``static_pair_kind``, ``anchor_account`` and ``contends_with`` answer on
+# the three frozensets as they stand; these are the definitions they were
+# derived from, one derived set per question.
+
+
+def spec_pair_kind(first, second) -> str:
+    if first is None or second is None:
+        return "conflict"
+    w1, w2 = first.writes, second.writes
+    if not (w1 & second.observes) and not (w2 & first.observes):
+        shared = w1 & w2
+        if shared.isdisjoint(first.sets) and shared.isdisjoint(second.sets):
+            return "commute"
+    if first.is_read_only or second.is_read_only:
+        return "read-only"
+    return "conflict"
+
+
+def spec_anchor_account(fp, default: int) -> int:
+    if fp is not None:
+        for pool in (fp.contended, fp.writes, fp.observes):
+            accounts = accounts_in(pool)
+            if accounts:
+                return accounts[0]
+    return default
+
+
+def known_footprint():
+    """Footprints over a few cells that collide in every kind: balances
+    and allowances of three accounts, the account-less supply cell and a
+    cell whose first index is not an account."""
+    cells = st.frozensets(
+        st.sampled_from(
+            [bal(0), bal(1), bal(2), allow(2, 0), allow(0, 1), SUPPLY]
+            + [("own", "treasury")]
+        ),
+        max_size=4,
+    )
+    return st.builds(OpFootprint, cells, cells, cells)
+
+
+def any_footprint():
+    return st.none() | known_footprint()
+
+
+class TestRewrittenRulesAgreeWithTheSetAlgebra:
+    @given(any_footprint(), any_footprint())
+    @example(None, EMPTY_FOOTPRINT)
+    @example(EMPTY_FOOTPRINT, EMPTY_FOOTPRINT)
+    @example(
+        union_footprint([footprint(sets=[bal(0)]), footprint(adds=[bal(0)])]),
+        footprint(adds=[bal(0)]),
+    )
+    def test_pair_kind(self, first, second):
+        assert static_pair_kind(first, second) == spec_pair_kind(first, second)
+
+    @given(any_footprint())
+    @example(None)
+    @example(EMPTY_FOOTPRINT)
+    @example(footprint(observes=[SUPPLY], adds=[("own", "treasury")]))
+    @example(footprint(observes=[bal(0)], adds=[bal(1), bal(2)], sets=[bal(2)]))
+    @example(footprint(observes=[bal(2)], adds=[bal(2), bal(0)]))
+    def test_anchor_account(self, fp):
+        assert anchor_account(fp, 99) == spec_anchor_account(fp, 99)
+
+    @given(known_footprint(), known_footprint())
+    @example(EMPTY_FOOTPRINT, EMPTY_FOOTPRINT)
+    @example(
+        footprint(sets=[allow(0, 1)]),
+        footprint(observes=[allow(0, 1)], adds=[allow(0, 1)]),
+    )
+    @example(
+        union_footprint([footprint(sets=[bal(0)]), footprint(adds=[bal(0)])]),
+        footprint(observes=[bal(0)], adds=[bal(0)]),
+    )
+    def test_contention(self, first, second):
+        expected = bool(first.contended & second.contended)
+        assert first.contends_with(second) is expected
+        assert second.contends_with(first) is expected
+
+
+class TestOneSharedEmptyKind:
+    """The identity pins: every way of building a footprint here gives an
+    unused kind the same object (tests may look; other code must not)."""
+
+    def test_helpers_share_the_empty_set(self):
+        empty = EMPTY_FOOTPRINT.observes
+        assert EMPTY_FOOTPRINT.adds is EMPTY_FOOTPRINT.sets is empty
+        union = union_footprint([])
+        assert union.observes is union.adds is union.sets is empty
+        built = footprint(observes=[bal(0)], adds=iter(()))
+        assert built.adds is built.sets is empty
+        assert OpFootprint(frozenset({bal(0)})).sets is empty
+
+    def test_erc20_reads_share_the_empty_set(self):
+        fp = ERC20TokenType(4).footprint(1, op("balanceOf", 2))
+        assert fp.adds is fp.sets is EMPTY_FOOTPRINT.observes
+
+    def test_value_semantics_do_not_see_the_sharing(self):
+        fresh = OpFootprint(frozenset(), frozenset(()), frozenset([]))
+        assert fresh == EMPTY_FOOTPRINT
+        assert hash(fresh) == hash(EMPTY_FOOTPRINT)
+        assert repr(fresh) == repr(EMPTY_FOOTPRINT) == (
+            "OpFootprint(observes=frozenset(), adds=frozenset(), "
+            "sets=frozenset())"
+        )

@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InvalidArgumentError
+from repro.errors import InvalidArgumentError, UnknownOperationError
 from repro.objects.erc20 import ERC20Token, ERC20TokenType, TokenState
+from repro.objects.footprint import (
+    EMPTY_FOOTPRINT,
+    SUPPLY,
+    allow,
+    bal,
+    footprint,
+)
 from repro.spec.operation import op
 
 
@@ -494,3 +501,100 @@ def test_persistent_state_equals_the_dense_reference(balances, calls):
         dense = reference.state()
         assert state == dense and dense == state
         assert hash(state) == hash(dense)
+
+
+# -- the footprint against its list-based construction ---------------------
+
+
+def reference_footprint(token, pid, operation):
+    """``ERC20TokenType.footprint`` as it was written before it built each
+    kind's frozenset directly — kept here as the specification."""
+    token.validate_name(operation)
+    token._check_process(pid)
+    name, args = operation.name, operation.args
+    if name == "transfer":
+        dest, value = args
+        source = token.account_of(pid)
+        if value == 0:
+            return EMPTY_FOOTPRINT
+        if dest == source:
+            return footprint(observes=[bal(source)])
+        return footprint(observes=[bal(source)], adds=[bal(source), bal(dest)])
+    if name == "transferFrom":
+        source, dest, value = args
+        if value == 0:
+            return EMPTY_FOOTPRINT
+        cell = allow(source, pid)
+        if dest == source:
+            return footprint(observes=[bal(source), cell], adds=[cell])
+        return footprint(
+            observes=[bal(source), cell],
+            adds=[bal(source), bal(dest), cell],
+        )
+    if name == "approve":
+        spender, _value = args
+        return footprint(sets=[allow(token.account_of(pid), spender)])
+    if name == "balanceOf":
+        return footprint(observes=[bal(args[0])])
+    if name == "allowance":
+        return footprint(observes=[allow(args[0], args[1])])
+    if name == "totalSupply":
+        return footprint(observes=[SUPPLY])
+    spender, delta = args
+    if delta == 0:
+        return EMPTY_FOOTPRINT
+    cell = allow(token.account_of(pid), spender)
+    if name == "increaseAllowance":
+        return footprint(adds=[cell])
+    return footprint(observes=[cell], adds=[cell])
+
+
+def _footprint_or_error(build, token, pid, operation):
+    try:
+        return build(token, pid, operation)
+    except (InvalidArgumentError, UnknownOperationError) as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    extensions=st.booleans(),
+    # One pid past the range: the footprint rejects it as apply does.
+    call=st.tuples(st.integers(0, _N), _erc20_calls.map(lambda c: c[1])),
+)
+def test_footprint_equals_the_list_based_construction(extensions, call):
+    """All eight operations, extensions on and off; the small account and
+    value ranges make value 0, self-transfers and ``pid == source`` (a
+    transferFrom on the caller's own account) common draws."""
+    token = ERC20TokenType(_N, with_extensions=extensions)
+    pid, (name, args) = call
+    operation = op(name, *args)
+    built = _footprint_or_error(ERC20TokenType.footprint, token, pid, operation)
+    expected = _footprint_or_error(reference_footprint, token, pid, operation)
+    assert built == expected
+    if isinstance(expected, tuple):
+        return
+    assert hash(built) == hash(expected)
+    assert repr(built) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "pid,operation",
+    [
+        (1, op("transfer", 2, 0)),  # value 0
+        (1, op("transfer", 1, 3)),  # self-transfer
+        (1, op("transferFrom", 1, 2, 3)),  # pid == source
+        (1, op("transferFrom", 2, 2, 3)),  # source == dest
+        (1, op("transferFrom", 1, 1, 3)),  # pid == source == dest
+        (1, op("transferFrom", 2, 0, 0)),  # value 0
+        (1, op("approve", 1, 0)),  # self-approval, value 0
+        (1, op("allowance", 1, 1)),
+        (1, op("increaseAllowance", 2, 0)),  # delta 0
+        (1, op("decreaseAllowance", 1, 2)),
+    ],
+)
+def test_degenerate_footprints_match_the_reference(pid, operation):
+    token = ERC20TokenType(_N, with_extensions=True)
+    assert token.footprint(pid, operation) == reference_footprint(
+        token, pid, operation
+    )

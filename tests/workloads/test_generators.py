@@ -2,20 +2,72 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import InvalidArgumentError
 from repro.objects.erc20 import ERC20TokenType
+from repro.spec.operation import Operation
 from repro.workloads.generators import (
     EXAMPLE1_BALANCES,
     EXAMPLE1_RESPONSES,
     OWNER_ONLY_MIX,
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
+    WorkloadItem,
     WorkloadMix,
     example1_trace,
     partition_by_process,
 )
+from repro.workloads.skew import zipf_weights
+
+
+def reference_token_workload(
+    count, num_accounts, seed, mix, zipf_s, hotspot_fraction, spender_pool
+):
+    """``TokenWorkloadGenerator.generate`` drawing with ``weights=`` — the
+    mix and the Zipf weights re-accumulated by ``random.choices`` on every
+    draw, as the generator did before it accumulated them once.  Kept as
+    the specification: same items, same RNG state afterwards."""
+    rng = random.Random(seed)
+    weights = zipf_weights(num_accounts, zipf_s) if zipf_s > 0 else None
+
+    def account():
+        if hotspot_fraction > 0 and rng.random() < hotspot_fraction:
+            return rng.randrange(2)
+        if weights is None:
+            return rng.randrange(num_accounts)
+        return rng.choices(range(num_accounts), weights=weights)[0]
+
+    def pool_member(pid):
+        base = pid - pid % spender_pool
+        return base + rng.randrange(min(spender_pool, num_accounts - base))
+
+    def value():
+        return rng.randint(0, 10)
+
+    items = []
+    for _ in range(count):
+        names, mix_weights = zip(*mix.weights())
+        name = rng.choices(names, weights=mix_weights)[0]
+        pid = account()
+        if name == "transfer":
+            args = (account(), value())
+        elif name == "transferFrom":
+            source = pool_member(pid) if spender_pool else account()
+            args = (source, account(), value())
+        elif name == "approve":
+            spender = pool_member(pid) if spender_pool else account()
+            args = (spender, value())
+        elif name == "balanceOf":
+            args = (account(),)
+        elif name == "allowance":
+            args = (account(), account())
+        else:
+            args = ()
+        items.append(WorkloadItem(pid, Operation(name, args)))
+    return items, rng.getstate()
 
 
 class TestGenerator:
@@ -23,6 +75,34 @@ class TestGenerator:
         a = TokenWorkloadGenerator(4, seed=1).generate(50)
         b = TokenWorkloadGenerator(4, seed=1).generate(50)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 7, 7003])
+    @pytest.mark.parametrize("zipf_s", [0.0, 0.8, 1.0])
+    @pytest.mark.parametrize("hotspot_fraction", [0.0, 0.3])
+    @pytest.mark.parametrize("spender_pool", [0, 4])
+    def test_accumulated_weights_draw_the_same_items(
+        self, seed, zipf_s, hotspot_fraction, spender_pool
+    ):
+        generator = TokenWorkloadGenerator(
+            37,
+            seed=seed,
+            mix=SPENDER_HEAVY_MIX if spender_pool else WorkloadMix(),
+            zipf_s=zipf_s,
+            hotspot_fraction=hotspot_fraction,
+            hotspot_accounts=2,
+            spender_pool=spender_pool,
+        )
+        expected, rng_state = reference_token_workload(
+            400,
+            37,
+            seed,
+            generator.mix,
+            zipf_s,
+            hotspot_fraction,
+            spender_pool,
+        )
+        assert generator.generate(400) == expected
+        assert generator._rng.getstate() == rng_state
 
     def test_different_seeds_differ(self):
         a = TokenWorkloadGenerator(4, seed=1).generate(50)
