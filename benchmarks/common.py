@@ -72,18 +72,7 @@ def build_parser(
         metavar="TRACE_JSON",
         help="also write the representative traced run as a "
         "Chrome-trace-event JSON (open in Perfetto) with the makespan "
-        "attribution embedded",
-    )
-    parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=None,
-        metavar="MAX_SPANS",
-        help="with --trace: re-run the traced configuration retaining at "
-        "most MAX_SPANS spans (ring-buffer sampling for long runs) and "
-        "export that; the occupancy/utilization totals stay "
-        "exact, the critical-path attribution (which needs every span) "
-        "is replaced by the utilization report",
+        "attribution and the per-track utilization embedded",
     )
     return parser
 
@@ -126,8 +115,6 @@ def bench_main(
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be >= 1")
-    if args.trace_sample is not None and args.trace is None:
-        parser.error("--trace-sample requires --trace")
     ops = smoke_ops if args.smoke else args.ops
     tracer = TraceRecorder()
     results = run_bench(ops, measure, traced_run, tracer)
@@ -145,38 +132,27 @@ def bench_main(
     print("\n".join(render_table(results)))
     print(f"\nwrote {args.out}")
     if args.trace is not None:
-        if args.trace_sample is not None:
-            # The one flag that costs a second run: the JSON above must
-            # not depend on it, so the sampled recorder is its own.
-            tracer = TraceRecorder(max_spans=args.trace_sample)
-            traced_run(ops, tracer)
         export_trace(tracer, args.trace)
     return 0
 
 
 def export_trace(tracer: TraceRecorder, path: Path) -> None:
-    """Write a finished recorder as a Chrome trace.  A full trace embeds
-    the critical-path attribution (verified to partition the makespan
-    exactly) in ``otherData.attribution``; a *sampled* run (ring buffer
-    overflowed) embeds the exact utilization report in
-    ``otherData.utilization`` instead — the walk needs every span, the
-    occupancy totals do not."""
+    """Write a finished recorder as a Chrome trace with two reports in
+    ``otherData``: the critical-path ``attribution`` (verified to
+    partition the makespan exactly) and the per-track ``utilization``
+    (verified to split every track into busy + stall + idle)."""
     print()
-    if tracer.sampled:
-        report = utilization_report(tracer).check()
-        key = "utilization"
-    else:
-        report = critical_path_report(tracer).check()
-        key = "attribution"
-    write_chrome_trace(tracer, path, metadata={key: report.as_dict()})
-    print("\n".join(report.render()))
-    retained = (
-        f"{len(tracer.spans)} of {tracer.spans_recorded} spans retained"
-        if tracer.sampled
-        else f"{len(tracer.spans)} spans"
-    )
+    attribution = critical_path_report(tracer).check()
+    utilization = utilization_report(tracer).check()
+    metadata = {
+        "attribution": attribution.as_dict(),
+        "utilization": utilization.as_dict(),
+    }
+    write_chrome_trace(tracer, path, metadata=metadata)
+    print("\n".join(attribution.render()))
+    print("\n".join(utilization.render()))
     print(
-        f"wrote {path} ({retained}, "
+        f"wrote {path} ({len(tracer.spans)} spans, "
         f"{len(tracer.instants)} instants, "
         f"{len(tracer.tracks())} tracks)"
     )

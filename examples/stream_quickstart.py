@@ -5,16 +5,11 @@ Every other example feeds its workload at virtual time zero; this one
 opens the loop.  A Poisson arrival process stamps a Zipf-skewed ERC20
 workload with seeded arrival times, a :class:`repro.workloads.
 StreamDriver` feeds it into the pipelined engine at ~2.5x the engine's
-measured capacity, and the run's telemetry is windowed two ways:
-
-* **live** — a :class:`repro.obs.TimeSeries` attached to the tracer's
-  metrics registry before driving, collecting per-window commit counts
-  and latency histograms as they happen;
-* **post-hoc** — ``TimeSeries.from_trace`` rebuilding the same windows
-  (plus per-window busy/stall occupancy) from the completed trace.
-
-Both satisfy the conservation guarantee — window sums reproduce the
-unwindowed totals exactly, ``check()`` raises otherwise — and an
+measured capacity, and ``TimeSeries.from_trace`` windows the finished
+trace: per-window commit counts, latency histograms and busy/stall
+occupancy.  The windows satisfy the conservation guarantee — window
+sums reproduce the trace's unwindowed totals exactly, ``check()``
+raises otherwise — and an
 :class:`repro.obs.SLOMonitor` turns the windows into a verdict: under
 sustained overload the per-window p99 climbs without bound, so the
 error budget burns out and ``report.met`` flips false.
@@ -79,10 +74,8 @@ def main() -> None:
     print(f"\nclosed-loop capacity {capacity:.3f} op/t; offering "
           f"{rate:.3f} op/t ({OVERLOAD}x — a sustained overload)")
 
-    # Drive the stream.  The live series attaches before the first
-    # arrival so its windows cover the whole run.
+    # Drive the stream with a recorder attached.
     tracer = TraceRecorder()
-    live = TimeSeries(width=12.0).attach(tracer.metrics)
     engine = make_engine(tracer=tracer)
     arrivals = poisson_arrivals(make_items(OPS), rate, seed=29)
     report = StreamDriver(engine, arrivals).run()
@@ -93,11 +86,10 @@ def main() -> None:
     print(f"achieved {achieved:.3f} op/t — the saturation throughput; "
           f"the other {rate - achieved:.3f} op/t became queueing delay")
 
-    # Conservation, both derivations: window sums == unwindowed totals.
-    live.check()
+    # Window the finished trace; conservation: window sums == totals.
     post = TimeSeries.from_trace(tracer, 12.0).check()
-    print(f"\nboth series pass check(): {live.window_count} live / "
-          f"{post.window_count} post-hoc windows conserve every total")
+    print(f"\nthe series passes check(): its {post.window_count} windows "
+          f"conserve every total")
 
     committed = post.counter_series("ops_committed")
     p99s = post.percentile_series("op_latency", 0.99)

@@ -8,9 +8,9 @@ profile and the ranked regression explanation is printed — makespan
 delta first, then the categories that moved it, each annotated with the
 track that moved most and the per-op lifecycle stages that slowed.
 
-For two full traces the per-category deltas re-partition the makespan
-delta exactly (checked before printing); if either trace is sampled the
-diff falls back to the exact additive occupancy totals and says so.
+Each side's category totals partition its own makespan, so the
+per-category deltas re-partition the makespan delta exactly (checked
+before printing).
 
 Usage::
 

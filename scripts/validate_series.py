@@ -3,13 +3,13 @@
 The ``stream`` job in the bench matrix runs the open-loop smoke bench
 (``benchmarks/bench_stream.py``) and then this script on the resulting
 ``BENCH_stream.json``.  Every driven run embeds its
-:meth:`repro.obs.TimeSeries.as_dict` export — dense per-window arrays
-*plus* the unwindowed source totals — so the conservation guarantee can
-be re-verified from the artifact alone, without re-running anything:
+:meth:`repro.obs.TimeSeries.as_dict` export — the series rebuilt from
+the run's finished trace: dense per-window arrays *plus* the trace's
+unwindowed totals — so the conservation guarantee can be re-verified
+from the artifact alone, without re-running anything:
 
-* **shape** — every per-window array (counters, gauges, histogram
-  summaries, occupancy) is exactly ``windows`` long, with a positive
-  window width;
+* **shape** — every per-window array (counters, histogram summaries,
+  occupancy) is exactly ``windows`` long, with a positive window width;
 * **conservation** — each counter's window sum equals its source
   total, each histogram's per-window counts sum to the source count
   (and the per-window ``mean * count`` masses to the source total),
@@ -69,7 +69,7 @@ def _check_shape(series: dict, label: str) -> list[str]:
         return [f"{label}: window count must be a positive integer"]
     if not series["width"] > 0:
         failures.append(f"{label}: window width must be positive")
-    for group in ("counters", "gauges", "histograms", "occupancy"):
+    for group in ("counters", "histograms", "occupancy"):
         for name, values in series.get(group, {}).items():
             if len(values) != windows:
                 failures.append(

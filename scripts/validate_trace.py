@@ -16,13 +16,10 @@ observability invariants end to end:
 * each span's display-only ``wait:*`` boxes *tile* the interval before
   it — the rendered stalls are exactly the recorded stalls, back to
   back, ending at the span's start;
-* **sampled** traces (``otherData.sampled`` true, from a ring-buffer
-  recorder) are accepted with their own rules: the retained span count
-  must actually be below the recorded count (a full trace claiming to
-  be sampled is rejected), the exact ``category_totals`` must be
-  present and must bound the occupancy recomputed from the retained
-  spans, and a critical-path ``attribution`` must be *absent* — the
-  walk needs every span, so a sampled document carrying one is lying;
+* the embedded ``otherData.category_totals`` equal the occupancy
+  recomputed from the span events;
+* a document marked ``otherData.sampled`` (the ring-buffer schema the
+  program no longer writes) is rejected outright;
 * traces carrying a ``faults`` track (fault-injected runs; see
   :mod:`repro.faults`) must keep it well-formed: only the known
   crash / declared-dead / revoke / rejoin instants and off-chain
@@ -59,9 +56,9 @@ def _spans(document: dict):
 
 
 def _occupancy_from_events(document: dict) -> dict[str, float]:
-    """Recompute the additive occupancy totals from the retained span
-    events (chained spans' durations by category plus their recorded
-    stall amounts) — the cross-check against ``category_totals``."""
+    """Recompute the additive occupancy totals from the span events
+    (chained spans' durations by category plus their recorded stall
+    amounts) — the cross-check against ``category_totals``."""
     totals: dict[str, float] = {}
     for event in _spans(document):
         args = event.get("args", {})
@@ -118,96 +115,23 @@ def _check_wait_tiling(document: dict) -> list[str]:
     return failures
 
 
-def _check_sampled(document: dict) -> list[str]:
-    """The sampled-trace schema: honest span accounting, exact embedded
-    occupancy totals, and no critical-path attribution."""
-    failures: list[str] = []
-    other = document.get("otherData", {})
-    retained = other.get("spans_retained")
-    recorded = other.get("spans_recorded")
-    if not isinstance(retained, int) or not isinstance(recorded, int):
-        return [
-            "a sampled trace must carry integer spans_retained / "
-            "spans_recorded counts"
-        ]
-    actual = sum(1 for _ in _spans(document))
-    if actual != retained:
-        failures.append(
-            f"spans_retained says {retained} but the document holds "
-            f"{actual} span events"
-        )
-    if retained >= recorded:
-        failures.append(
-            f"a full trace claiming to be sampled: spans_retained "
-            f"{retained} >= spans_recorded {recorded} (nothing was "
-            f"evicted, so the trace must not be marked sampled)"
-        )
-    totals = other.get("category_totals")
+def _check_category_totals(document: dict) -> list[str]:
+    """The embedded ``category_totals`` must match the span events."""
+    totals = document.get("otherData", {}).get("category_totals")
     if not isinstance(totals, dict):
-        failures.append(
-            "a sampled trace must embed its exact category_totals "
-            "(the occupancy accounting that survives eviction)"
-        )
-        return failures
-    negative = {
-        category: amount
-        for category, amount in totals.items()
-        if amount < 0
-    }
-    if negative:
-        failures.append(f"negative category totals: {negative}")
-    recomputed = _occupancy_from_events(document)
-    for category, amount in recomputed.items():
-        embedded = totals.get(category, 0.0)
-        bound = TOLERANCE * max(abs(embedded), 1.0)
-        if amount > embedded + bound:
-            failures.append(
-                f"retained spans overflow the exact totals for "
-                f"{category}: recomputed {amount!r} > embedded "
-                f"{embedded!r} (the accumulators must bound every "
-                f"retained subset)"
-            )
-    if "attribution" in other:
-        failures.append(
-            "a sampled trace cannot carry a critical-path attribution "
-            "(the walk needs the full span set); embed the utilization "
-            "report instead"
-        )
-    return failures
-
-
-def _check_full(document: dict) -> list[str]:
-    """A full trace with sampling bookkeeping must be internally honest:
-    every recorded span present, embedded totals matching the events."""
+        return []
     failures: list[str] = []
-    other = document.get("otherData", {})
-    retained = other.get("spans_retained")
-    recorded = other.get("spans_recorded")
-    if isinstance(retained, int) and isinstance(recorded, int):
-        if retained != recorded:
+    recomputed = _occupancy_from_events(document)
+    for category in sorted(set(totals) | set(recomputed)):
+        embedded = totals.get(category, 0.0)
+        amount = recomputed.get(category, 0.0)
+        bound = TOLERANCE * max(abs(embedded), 1.0)
+        if abs(amount - embedded) > bound:
             failures.append(
-                f"an unsampled trace must retain every span: "
-                f"spans_retained {retained} != spans_recorded {recorded}"
+                f"embedded category_totals diverge from the span "
+                f"events for {category}: embedded {embedded!r} vs "
+                f"recomputed {amount!r}"
             )
-        actual = sum(1 for _ in _spans(document))
-        if actual != retained:
-            failures.append(
-                f"spans_retained says {retained} but the document holds "
-                f"{actual} span events"
-            )
-    totals = other.get("category_totals")
-    if isinstance(totals, dict):
-        recomputed = _occupancy_from_events(document)
-        for category in set(totals) | set(recomputed):
-            embedded = totals.get(category, 0.0)
-            amount = recomputed.get(category, 0.0)
-            bound = TOLERANCE * max(abs(embedded), 1.0)
-            if abs(amount - embedded) > bound:
-                failures.append(
-                    f"embedded category_totals diverge from the span "
-                    f"events for {category}: embedded {embedded!r} vs "
-                    f"recomputed {amount!r}"
-                )
     return failures
 
 
@@ -306,16 +230,16 @@ def validate(path: Path) -> list[str]:
         validate_chrome_trace(document)
     except TraceExportError as exc:
         return [f"{path}: invalid Chrome trace-event JSON: {exc}"]
-    failures: list[str] = []
     other = document.get("otherData", {})
-    failures.extend(_check_wait_tiling(document))
+    if other.get("sampled"):
+        return [
+            f"{path}: otherData.sampled is true, but sampled traces are "
+            f"no longer produced (the recorder keeps every span); "
+            f"re-export the run in full"
+        ]
+    failures = _check_wait_tiling(document)
     failures.extend(_check_faults(document))
-    if "sampled" in other:
-        failures.extend(
-            _check_sampled(document)
-            if other["sampled"]
-            else _check_full(document)
-        )
+    failures.extend(_check_category_totals(document))
     attribution = other.get("attribution")
     if attribution is None:
         return failures  # a bare trace without an embedded report is fine
@@ -360,19 +284,12 @@ def main(argv: list[str] | None = None) -> int:
         events = len(document["traceEvents"])
         other = document.get("otherData", {})
         attribution = other.get("attribution")
-        if attribution is not None:
-            detail = (
-                f", attribution sums to makespan "
-                f"{attribution['makespan']:.4f}"
-            )
-        elif other.get("sampled"):
-            detail = (
-                f", sampled ({other.get('spans_retained')} of "
-                f"{other.get('spans_recorded')} spans retained, "
-                f"exact category totals)"
-            )
-        else:
-            detail = ""
+        detail = (
+            f", attribution sums to makespan "
+            f"{attribution['makespan']:.4f}"
+            if attribution is not None
+            else ""
+        )
         print(f"trace OK: {path} ({events} events{detail})")
     return status
 

@@ -1,15 +1,16 @@
 """Observability for the token-engine simulation stack.
 
-Virtual-time span tracing (:class:`TraceRecorder`, with an optional
-ring-buffer sampling mode for long runs), a unified metrics registry
-(:class:`MetricsRegistry`), Chrome-trace-event export
+Virtual-time span tracing (:class:`TraceRecorder`, which keeps every
+span — each total below is derived from that one list), a unified
+metrics registry (:class:`MetricsRegistry`), Chrome-trace-event export
 (:func:`chrome_trace` / :func:`write_chrome_trace`, with lossless
 reconstruction via :func:`trace_from_chrome`), exact makespan
 attribution (:func:`critical_path_report`), per-track occupancy and
 team-lane churn (:func:`utilization_report`), deterministic trace
-diffing (:func:`explain_regression`), windowed virtual-time series with
-a conservation guarantee (:class:`TimeSeries`), and per-window latency
-SLO scanning (:class:`SLOMonitor`).  Attach a recorder via the
+diffing (:func:`explain_regression`), windowed virtual-time series
+rebuilt from a finished trace with a conservation guarantee
+(:class:`TimeSeries`), and per-window latency SLO scanning
+(:class:`SLOMonitor`).  Attach a recorder via the
 ``tracer=`` parameter of :class:`repro.engine.PipelinedExecutor` or
 :class:`repro.cluster.TokenCluster`; with no tracer every
 instrumentation site is a no-op.

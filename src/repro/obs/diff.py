@@ -13,12 +13,9 @@ each profile's category totals partition its own makespan, so the
 per-category deltas **re-partition the makespan delta** exactly —
 ``sum(delta per category) == makespan_b − makespan_a`` up to float
 re-association, enforced by :meth:`RegressionExplanation.check` and the
-test suite.  A profile built from a *sampled* trace carries exact
-occupancy totals instead (additive, not a makespan partition); the
-explanation is still ranked and useful but drops the exactness claim
-(``exact=False``).
+test suite.
 
-Profiles come from live recorders (:func:`profile_tracer`), from
+Profiles come from finished recorders (:func:`profile_tracer`), from
 exported Chrome-trace documents (:func:`profile_document`), or from the
 ``profile`` block every bench JSON embeds (:meth:`RunProfile.as_dict` /
 :meth:`RunProfile.from_dict`) — a committed ``BENCH_<name>.json``
@@ -30,7 +27,7 @@ an exported trace on either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.obs.export import trace_from_chrome
 from repro.obs.report import critical_path_report
@@ -112,20 +109,14 @@ class RunProfile:
 
     label: str
     makespan: float
-    #: category -> virtual time.  When ``exact``, the critical-path
-    #: attribution (partitions the makespan); otherwise the additive
-    #: occupancy totals of a sampled trace.
+    #: category -> virtual time of the critical-path attribution
+    #: (partitions the makespan).
     totals: dict[str, float]
-    #: category -> additive occupancy (every lane's busy + stall time).
-    #: Always exact, even sampled — the common currency a mixed
-    #: exact-vs-sampled diff falls back to.
-    occupancy: dict[str, float]
     #: (track, category) -> additive occupancy per track; annotates each
     #: category delta with the track that moved it most.
     track_totals: dict[tuple[str, str], float]
     #: stage transition -> {"count", "total"} per-op lifecycle aggregates.
     stages: dict[str, dict]
-    exact: bool
     spans: int
 
     def as_dict(self) -> dict:
@@ -138,10 +129,8 @@ class RunProfile:
         return {
             "makespan": self.makespan,
             "totals": dict(self.totals),
-            "occupancy": dict(self.occupancy),
             "track_totals": tracks,
             "stages": {k: dict(v) for k, v in self.stages.items()},
-            "exact": self.exact,
             "spans": self.spans,
         }
 
@@ -152,14 +141,12 @@ class RunProfile:
                 label=label,
                 makespan=float(data["makespan"]),
                 totals=dict(data["totals"]),
-                occupancy=dict(data["occupancy"]),
                 track_totals={
                     (track, category): amount
                     for track, categories in data["track_totals"].items()
                     for category, amount in categories.items()
                 },
                 stages={k: dict(v) for k, v in data["stages"].items()},
-                exact=bool(data["exact"]),
                 spans=int(data["spans"]),
             )
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -169,63 +156,40 @@ class RunProfile:
 def profile_tracer(
     tracer: TraceRecorder, label: str = "run"
 ) -> RunProfile:
-    """Profile a live recorder: exact critical-path attribution for a
-    full trace, exact occupancy totals for a sampled one."""
-    occupancy = tracer.category_totals()
+    """Profile a finished recorder: its exact critical-path attribution,
+    per-track occupancy and per-op lifecycle stage aggregates."""
     track_totals: dict[tuple[str, str], float] = {}
     for per_track in (tracer.busy_totals(), tracer.stall_totals()):
         for track, categories in per_track.items():
             for category, amount in categories.items():
                 key = (track, category)
                 track_totals[key] = track_totals.get(key, 0.0) + amount
-    if tracer.sampled:
-        totals = dict(occupancy)
-        exact = False
-    else:
-        totals = dict(critical_path_report(tracer).check().totals)
-        exact = True
     return RunProfile(
         label=label,
         makespan=tracer.makespan,
-        totals=totals,
-        occupancy=occupancy,
+        totals=dict(critical_path_report(tracer).check().totals),
         track_totals=track_totals,
         stages=tracer.stage_totals(),
-        exact=exact,
-        spans=tracer.spans_recorded,
+        spans=len(tracer.spans),
     )
 
 
 def profile_document(document: dict, label: str = "run") -> RunProfile:
     """Profile an exported Chrome-trace document (see
-    :func:`repro.obs.export.trace_from_chrome`).  The per-op lifecycle
-    aggregates come from ``otherData.op_stages`` (lifecycles are not
-    reconstructible from span events); a sampled document's exact
-    category totals come from ``otherData.category_totals``."""
-    recorder = trace_from_chrome(document)
+    :func:`repro.obs.export.trace_from_chrome`).  The makespan comes
+    from ``otherData.makespan`` (the span events carry it only through
+    the display scale) and the per-op lifecycle aggregates from
+    ``otherData.op_stages`` (lifecycles are not reconstructible from
+    span events)."""
+    profile = profile_tracer(trace_from_chrome(document), label=label)
     other = document.get("otherData", {})
-    profile = profile_tracer(recorder, label=label)
-    occupancy = profile.occupancy
-    if "category_totals" in other:
-        # A sampled document's retained spans under-count; the embedded
-        # totals are the exact accumulators (and for a full document
-        # they match the recomputed ones to float precision).
-        occupancy = {
-            str(category): float(amount)
-            for category, amount in other["category_totals"].items()
-        }
-    return RunProfile(
-        label=label,
+    return replace(
+        profile,
         makespan=float(other.get("makespan", profile.makespan)),
-        totals=occupancy if recorder.sampled else profile.totals,
-        occupancy=occupancy,
-        track_totals=profile.track_totals,
         stages={
             str(stage): dict(entry)
             for stage, entry in other.get("op_stages", {}).items()
         },
-        exact=profile.exact,
-        spans=profile.spans,
     )
 
 
@@ -240,22 +204,14 @@ def diff_profiles(
 ) -> "RegressionExplanation":
     """Align two profiles category by category, track by track, and
     stage by stage; every key present on either side appears (missing
-    side contributes 0), so nothing a run gained or lost can hide.
-
-    When both profiles are exact the category deltas come from the
-    critical-path totals (and re-partition the makespan delta); when
-    either side is sampled, *both* sides fall back to the additive
-    occupancy totals so the comparison stays like-for-like."""
-    exact = base.exact and other.exact
-    base_totals = base.totals if exact else base.occupancy
-    other_totals = other.totals if exact else other.occupancy
+    side contributes 0), so nothing a run gained or lost can hide."""
     categories = _ranked(
         CategoryDelta(
             category=category,
-            base=base_totals.get(category, 0.0),
-            other=other_totals.get(category, 0.0),
+            base=base.totals.get(category, 0.0),
+            other=other.totals.get(category, 0.0),
         )
-        for category in sorted(set(base_totals) | set(other_totals))
+        for category in sorted(set(base.totals) | set(other.totals))
     )
     tracks = _ranked(
         TrackDelta(
@@ -314,25 +270,12 @@ class RegressionExplanation:
         return self.other.makespan - self.base.makespan
 
     @property
-    def exact(self) -> bool:
-        """Both sides carry makespan-partitioning attribution, so the
-        category deltas re-partition the makespan delta."""
-        return self.base.exact and self.other.exact
-
-    @property
     def attributed_delta(self) -> float:
         return sum(delta.delta for delta in self.categories)
 
     def check(self, tolerance: float = 1e-6) -> "RegressionExplanation":
         """Assert the per-category deltas re-partition the makespan
-        delta exactly (float re-association aside).  Only meaningful —
-        and only allowed — when both profiles are exact."""
-        if not self.exact:
-            raise TraceError(
-                "a sampled profile carries occupancy totals, not a "
-                "makespan partition; the delta-repartition check only "
-                "applies to full traces"
-            )
+        delta exactly (float re-association aside)."""
         bound = tolerance * max(
             1.0, abs(self.base.makespan), abs(self.other.makespan)
         )
@@ -367,7 +310,6 @@ class RegressionExplanation:
                 "spans": self.other.spans,
             },
             "makespan_delta": self.makespan_delta,
-            "exact": self.exact,
             "categories": [d.as_dict() for d in self.categories],
             "tracks": [d.as_dict() for d in self.tracks],
             "stages": [d.as_dict() for d in self.stages],
@@ -386,9 +328,7 @@ class RegressionExplanation:
             f"trace diff ({self.base.label} -> {self.other.label}): "
             f"makespan {self.base.makespan:.2f} -> "
             f"{self.other.makespan:.2f} vt "
-            f"({self.makespan_delta:+.2f}, {relative:+.1%}"
-            + ("" if self.exact else ", sampled/occupancy")
-            + ")"
+            f"({self.makespan_delta:+.2f}, {relative:+.1%})"
         ]
         shown = self.categories if top is None else self.categories[:top]
         for rank, delta in enumerate(shown, start=1):
@@ -424,7 +364,7 @@ def explain_regression(
 ) -> RegressionExplanation:
     """Diff two runs given recorders, profiles, exported Chrome-trace
     documents, or bench JSONs (their embedded ``profile`` block) — any
-    mix; the one-call form of profile→diff both scripts use.  An exact
+    mix; the one-call form of profile→diff both scripts use.  The
     explanation is returned checked."""
 
     def as_profile(source, label: str) -> RunProfile:
@@ -442,8 +382,8 @@ def explain_regression(
             f"bench JSON"
         )
 
-    explanation = diff_profiles(
+    # The deltas claim to re-partition the makespan delta: hold the
+    # claim before anyone reads.
+    return diff_profiles(
         as_profile(base, labels[0]), as_profile(other, labels[1])
-    )
-    # Two full traces claim exactness: hold the claim before anyone reads.
-    return explanation.check() if explanation.exact else explanation
+    ).check()

@@ -138,19 +138,10 @@ def chrome_trace(
     other = {
         "virtual_time_scale": SCALE,
         "makespan": tracer.makespan,
-        # Sampling bookkeeping: ``sampled`` is true only when the ring
-        # buffer actually dropped detail; the exact occupancy totals and
-        # the per-stage lifecycle aggregates survive eviction, so they
-        # are embedded for every trace and the validator cross-checks
-        # them against the retained span events.
-        "sampled": tracer.sampled,
-        "spans_recorded": tracer.spans_recorded,
-        "spans_retained": len(tracer.spans),
+        # The validator cross-checks the category totals against the
+        # span events; the per-op lifecycle aggregates are not
+        # reconstructible from events, so the differ reads them here.
         "category_totals": tracer.category_totals(),
-        "track_occupancy": {
-            "busy": tracer.busy_totals(),
-            "stalls": tracer.stall_totals(),
-        },
         "op_stages": tracer.stage_totals(),
     }
     if metadata:
@@ -222,13 +213,10 @@ def trace_from_chrome(document: dict) -> TraceRecorder:
 
     Spans come back with their exact stall lists and chain flags (the
     ``stalls`` / ``chain`` keys :func:`chrome_trace` embeds in each span
-    event's args); the display-only ``wait:*`` boxes are skipped.  For a
-    *sampled* document the sampling bookkeeping is restored too, so the
-    reconstructed recorder keeps refusing the critical-path walk — its
-    exact category totals live in ``otherData.category_totals``, not in
-    the retained spans.  Timestamps round-trip through the display
-    scale, so they match the original to float precision (well inside
-    the attribution walk's tolerance).
+    event's args); the display-only ``wait:*`` boxes are skipped.
+    Timestamps round-trip through the display scale, so they match the
+    original to float precision (well inside the attribution walk's
+    tolerance).
     """
     validate_chrome_trace(document)
     tracks: dict[tuple[int, int], str] = {}
@@ -272,31 +260,4 @@ def trace_from_chrome(document: dict) -> TraceRecorder:
             args=args,
             chain=chain,
         )
-    other = document.get("otherData", {})
-    if other.get("sampled"):
-        recorded = int(other.get("spans_recorded", recorder.spans_recorded))
-        recorder.max_spans = len(recorder.spans)
-        recorder.spans_recorded = recorded
-        recorder.spans_evicted = max(recorded - len(recorder.spans), 1)
-        # The retained spans under-count the occupancy accumulators;
-        # restore the exact ones the export embedded so utilization and
-        # category totals stay exact on the reconstruction too.
-        occupancy = other.get("track_occupancy")
-        if occupancy:
-            recorder._busy = {
-                str(track): {
-                    str(category): float(amount)
-                    for category, amount in totals.items()
-                }
-                for track, totals in occupancy.get("busy", {}).items()
-            }
-            recorder._stall = {
-                str(track): {
-                    str(category): float(amount)
-                    for category, amount in totals.items()
-                }
-                for track, totals in occupancy.get("stalls", {}).items()
-            }
-        if "makespan" in other:
-            recorder._chain_end = float(other["makespan"])
     return recorder

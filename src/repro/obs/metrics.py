@@ -4,8 +4,8 @@ The hand-maintained stats aggregates (:class:`repro.engine.stats.EngineStats`,
 :class:`repro.cluster.stats.ClusterStats`) answer *how much* of each quantity
 a run accumulated; the registry is the shared vocabulary those aggregates
 project into (``EngineStats.registry()`` / ``ClusterStats.registry()``) and
-the sink the tracer feeds live — most importantly the per-op latency
-histogram behind the p50/p99 figures the open-loop SLO work gates on.
+the sink the tracer feeds as ops commit — most importantly the per-op
+latency histogram behind the p50/p99 figures the open-loop SLO work gates on.
 
 Everything here measures virtual time (operation units + simulated
 consensus latency); there is deliberately no wall-clock anywhere.
@@ -16,16 +16,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.errors import ReproError
-
-#: A registry watch callback: ``(kind, name, value, ts)`` where ``kind``
-#: is ``"counter"`` / ``"gauge"`` / ``"histogram"``, ``value`` is the
-#: increment / new value / sample, and ``ts`` is the virtual timestamp
-#: the caller attached to the update (``None`` when the call site has no
-#: timeline position — e.g. a summary projection).
-Watcher = Callable[[str, str, float, "float | None"], None]
 
 #: Default histogram bucket upper bounds: powers of two in virtual-time
 #: units, wide enough for any workload the benches run (the final implicit
@@ -46,14 +39,11 @@ class Counter:
 
     name: str
     value: float = 0.0
-    _watch: Watcher | None = field(default=None, repr=False, compare=False)
 
-    def inc(self, amount: float = 1.0, ts: float | None = None) -> None:
+    def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise MetricsError(f"counter {self.name!r} cannot decrease")
         self.value += amount
-        if self._watch is not None:
-            self._watch("counter", self.name, amount, ts)
 
 
 @dataclass(slots=True)
@@ -62,12 +52,9 @@ class Gauge:
 
     name: str
     value: float = 0.0
-    _watch: Watcher | None = field(default=None, repr=False, compare=False)
 
-    def set(self, value: float, ts: float | None = None) -> None:
+    def set(self, value: float) -> None:
         self.value = float(value)
-        if self._watch is not None:
-            self._watch("gauge", self.name, self.value, ts)
 
 
 @dataclass(slots=True)
@@ -87,7 +74,6 @@ class Histogram:
     total: float = 0.0
     min: float = 0.0
     max: float = 0.0
-    _watch: Watcher | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bounds = tuple(float(b) for b in self.buckets)
@@ -101,7 +87,7 @@ class Histogram:
         if not self.counts:
             self.counts = [0] * (len(bounds) + 1)
 
-    def observe(self, value: float, ts: float | None = None) -> None:
+    def observe(self, value: float) -> None:
         value = float(value)
         if value < 0:
             raise MetricsError(
@@ -114,8 +100,6 @@ class Histogram:
         self.count += 1
         self.total += value
         self.counts[bisect_left(self.buckets, value)] += 1
-        if self._watch is not None:
-            self._watch("histogram", self.name, value, ts)
 
     @property
     def mean(self) -> float:
@@ -182,7 +166,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        self._watchers: list[Watcher] = []
 
     def _get(self, name: str, kind: type, factory):
         existing = self._instruments.get(name)
@@ -193,31 +176,8 @@ class MetricsRegistry:
                     f"{type(existing).__name__}, not {kind.__name__}"
                 )
             return existing
-        instrument = factory()
-        if self._watchers:
-            instrument._watch = self._dispatch
-        self._instruments[name] = instrument
+        instrument = self._instruments[name] = factory()
         return instrument
-
-    def watch(self, watcher: Watcher) -> None:
-        """Subscribe to every subsequent instrument update.
-
-        Each ``inc`` / ``set`` / ``observe`` on any instrument of this
-        registry (existing or future) invokes ``watcher(kind, name,
-        value, ts)`` after the update lands — the live-derivation hook
-        :class:`repro.obs.series.TimeSeries` attaches through.  Watchers
-        see updates from subscription onward; a series that must account
-        for earlier totals snapshots them at attach time.
-        """
-        self._watchers.append(watcher)
-        for instrument in self._instruments.values():
-            instrument._watch = self._dispatch
-
-    def _dispatch(
-        self, kind: str, name: str, value: float, ts: float | None
-    ) -> None:
-        for watcher in self._watchers:
-            watcher(kind, name, value, ts)
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter, lambda: Counter(name))

@@ -121,21 +121,7 @@ def critical_path_report(tracer: TraceRecorder) -> AttributionReport:
     charging execution, recorded stalls, and unexplained gaps
     (``network``) until the timeline origin.  The returned totals
     partition ``[0, makespan]`` exactly (up to float re-association).
-
-    A sampled recorder (ring-buffer eviction dropped spans) is refused:
-    the walk would charge the evicted prefix to ``network`` and lie.
-    Sampled runs keep exact *occupancy* totals instead — see
-    :meth:`repro.obs.trace.TraceRecorder.category_totals` and
-    :func:`repro.obs.utilization.utilization_report`.
     """
-    if tracer.spans_evicted:
-        raise TraceError(
-            f"critical-path attribution needs the full span set, but "
-            f"this recorder evicted {tracer.spans_evicted} of "
-            f"{tracer.spans_recorded} spans (max_spans="
-            f"{tracer.max_spans}); use the exact occupancy totals "
-            f"(category_totals / utilization_report) instead"
-        )
     spans = [span for span in tracer.spans if span.chain]
     totals: dict[str, float] = {}
     segments: list[PathSegment] = []

@@ -1,4 +1,4 @@
-"""Virtual-time series: windowed counters, gauges, and histograms.
+"""Virtual-time series: windowed op counters, latency and occupancy.
 
 The registry (:mod:`repro.obs.metrics`) and the trace recorder
 (:mod:`repro.obs.trace`) answer *how much* a run accumulated; an
@@ -6,25 +6,19 @@ open-loop arrival stream also needs *when* — per-window commit counts,
 per-window latency percentiles, per-window occupancy — because a
 saturating system looks fine in aggregate long after its tail windows
 have collapsed.  :class:`TimeSeries` buckets those quantities over
-fixed-width virtual-time windows, derived two ways:
+fixed-width virtual-time windows, rebuilt by :meth:`TimeSeries.from_trace`
+from a completed :class:`~repro.obs.trace.TraceRecorder`: lifecycle
+timestamps for the op counters and the latency histogram, and
+:meth:`~repro.obs.trace.TraceRecorder.interval_occupancy` for per-window
+busy/stall occupancy.
 
-* **live** — :meth:`attach` subscribes to a
-  :class:`~repro.obs.metrics.MetricsRegistry` through its ``watch``
-  hook; every timestamped ``inc``/``set``/``observe`` lands in the
-  window covering its virtual timestamp;
-* **post-hoc** — :meth:`from_trace` rebuilds the same windows from a
-  completed :class:`~repro.obs.trace.TraceRecorder`: lifecycle
-  timestamps for the op counters and the latency histogram, and the new
-  :meth:`~repro.obs.trace.TraceRecorder.interval_occupancy` query for
-  per-window busy/stall occupancy.
-
-Either way the windows carry a **conservation guarantee**: summing any
-windowed quantity over all windows reproduces the unwindowed total
-exactly (up to float re-association) — registry totals for live series,
-``category_totals()`` / lifecycle counts for post-hoc ones.
-:meth:`check` enforces it, like the attribution report's ``check()``
-(PR 6): an instrumentation change that drops or double-counts a sample
-breaks the sum before it misleads anyone reading the dashboard.
+The windows carry a **conservation guarantee**: summing any windowed
+quantity over all windows reproduces the trace's own unwindowed total
+exactly (up to float re-association) — the recorder's op counters and
+latency histogram, and ``category_totals()``.  :meth:`check` enforces
+it, like the attribution report's ``check()``: an instrumentation
+change that drops or double-counts a sample breaks the sum before it
+misleads anyone reading the dashboard.
 
 Everything here measures virtual time; there is no wall-clock anywhere.
 """
@@ -34,7 +28,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import ReproError
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.trace import TraceRecorder
 
 #: Relative tolerance for the conservation sums (floating-point
@@ -47,71 +41,39 @@ class SeriesError(ReproError):
 
 
 class TimeSeries:
-    """Fixed-width virtual-time windows over metrics and occupancy.
+    """Fixed-width virtual-time windows over one completed trace.
 
     Window ``i`` covers ``[origin + i*width, origin + (i+1)*width)``.
-    Counter increments and histogram samples land in the window of
-    their virtual timestamp; gauges keep the last write per window;
-    occupancy (post-hoc only) is the exact
+    Op counters and latency samples land in the window of their
+    lifecycle timestamp; occupancy is the exact
     :meth:`~repro.obs.trace.TraceRecorder.interval_occupancy` of each
-    window.  Untimestamped samples (``ts=None``) land in the window of
-    the latest timestamp seen so far — they are never dropped, which is
-    what keeps the conservation sums exact.
+    window.  Build one with :meth:`from_trace`.
     """
 
-    def __init__(self, width: float, origin: float = 0.0) -> None:
-        if width <= 0:
-            raise SeriesError("window width must be positive")
+    def __init__(
+        self, tracer: TraceRecorder, width: float, origin: float
+    ) -> None:
         self.width = float(width)
         self.origin = float(origin)
+        self._tracer = tracer
         #: High-water window count (windows are stored sparsely).
         self._windows = 0
         self._counters: dict[str, dict[int, float]] = {}
-        self._gauges: dict[str, dict[int, tuple[float, float]]] = {}
         self._histograms: dict[str, dict[int, Histogram]] = {}
         self._occupancy: dict[str, dict[int, float]] = {}
-        self._registry: MetricsRegistry | None = None
-        self._baseline: dict[str, tuple[float, float]] = {}
-        self._tracer: TraceRecorder | None = None
-        self._cursor = self.origin
-
-    # -- derivation -----------------------------------------------------
-
-    def attach(self, registry: MetricsRegistry) -> "TimeSeries":
-        """Derive the series live from ``registry`` updates.
-
-        Totals already accumulated before attaching are snapshotted as
-        the baseline, so :meth:`check` compares window sums against the
-        registry's *growth* since the subscription — attach before
-        driving for windows that cover the whole run.
-        """
-        if self._registry is not None or self._tracer is not None:
-            raise SeriesError("a series derives from exactly one source")
-        self._registry = registry
-        for name in registry:
-            instrument = registry.get(name)
-            if isinstance(instrument, Histogram):
-                self._baseline[name] = (
-                    float(instrument.count),
-                    instrument.total,
-                )
-            else:
-                self._baseline[name] = (instrument.value, 0.0)
-        registry.watch(self._on_sample)
-        return self
 
     @classmethod
     def from_trace(
         cls, tracer: TraceRecorder, width: float
     ) -> "TimeSeries":
-        """Rebuild the windows post-hoc from a completed recorder.
+        """Rebuild the windows from a completed recorder.
 
         The origin extends below zero when a recorded stall tiles past
         the timeline start, so every clipped interval is covered and the
-        occupancy windows sum to ``category_totals()`` exactly.  Refuses
-        a sampled recorder (via ``interval_occupancy``): evicted spans
-        would silently leak occupancy out of the windows.
+        occupancy windows sum to ``category_totals()`` exactly.
         """
+        if width <= 0:
+            raise SeriesError("window width must be positive")
         low = 0.0
         for span in tracer.spans:
             if span.chain and span.stalls:
@@ -120,8 +82,7 @@ class TimeSeries:
         origin = (
             math.floor(low / width) * width if low < 0 else 0.0
         )
-        series = cls(width, origin=origin)
-        series._tracer = tracer
+        series = cls(tracer, width, origin)
         count = max(
             1, math.ceil((tracer.makespan - origin) / width - TOLERANCE)
         )
@@ -146,43 +107,21 @@ class TimeSeries:
 
     # -- recording ------------------------------------------------------
 
-    def _index(self, ts: float | None) -> int:
-        if ts is None:
-            ts = self._cursor
-        elif ts < self.origin:
+    def _index(self, ts: float) -> int:
+        if ts < self.origin:
             raise SeriesError(
                 f"sample at {ts} precedes the series origin {self.origin}"
             )
-        self._cursor = max(self._cursor, ts)
         index = int((ts - self.origin) // self.width)
         self._windows = max(self._windows, index + 1)
         return index
 
-    def _on_sample(
-        self, kind: str, name: str, value: float, ts: float | None
-    ) -> None:
-        if kind == "counter":
-            self._record_counter(name, value, ts)
-        elif kind == "gauge":
-            index = self._index(ts)
-            window = self._gauges.setdefault(name, {})
-            stamp = self._cursor if ts is None else ts
-            previous = window.get(index)
-            if previous is None or stamp >= previous[0]:
-                window[index] = (stamp, value)
-        else:
-            self._record_histogram(name, value, ts)
-
-    def _record_counter(
-        self, name: str, amount: float, ts: float | None
-    ) -> None:
+    def _record_counter(self, name: str, amount: float, ts: float) -> None:
         index = self._index(ts)
         window = self._counters.setdefault(name, {})
         window[index] = window.get(index, 0.0) + amount
 
-    def _record_histogram(
-        self, name: str, value: float, ts: float | None
-    ) -> None:
+    def _record_histogram(self, name: str, value: float, ts: float) -> None:
         index = self._index(ts)
         window = self._histograms.setdefault(name, {})
         histogram = window.get(index)
@@ -209,19 +148,6 @@ class TimeSeries:
         """Per-window increments of one counter (0.0 where silent)."""
         return self._dense(self._counters.get(name, {}))
 
-    def gauge_series(self, name: str) -> list[float]:
-        """Per-window last-written gauge value, carried forward across
-        silent windows (0.0 before the first write)."""
-        window = self._gauges.get(name, {})
-        series: list[float] = []
-        current = 0.0
-        for index in range(self._windows):
-            entry = window.get(index)
-            if entry is not None:
-                current = entry[1]
-            series.append(current)
-        return series
-
     def histogram_series(self, name: str) -> list[Histogram | None]:
         """Per-window histograms (``None`` where no sample landed)."""
         window = self._histograms.get(name, {})
@@ -235,7 +161,7 @@ class TimeSeries:
         ]
 
     def occupancy_series(self, category: str) -> list[float]:
-        """Per-window occupancy of one category (post-hoc series)."""
+        """Per-window occupancy of one category."""
         return self._dense(self._occupancy.get(category, {}))
 
     # -- conservation ---------------------------------------------------
@@ -243,39 +169,22 @@ class TimeSeries:
     def _expected_totals(
         self,
     ) -> tuple[dict[str, float], dict[str, tuple[float, float]], dict]:
-        """The unwindowed totals the windows must sum to:
+        """The trace's unwindowed totals the windows must sum to:
         ``(counters, histograms as (count, total), occupancy)``."""
-        counters: dict[str, float] = {}
+        metrics = self._tracer.metrics
+        counters = {
+            name: metrics.counter(name).value
+            for name in ("ops_submitted", "ops_committed")
+            if name in metrics
+        }
         histograms: dict[str, tuple[float, float]] = {}
-        occupancy: dict[str, float] = {}
-        if self._registry is not None:
-            for name in self._registry:
-                instrument = self._registry.get(name)
-                base = self._baseline.get(name, (0.0, 0.0))
-                if isinstance(instrument, Histogram):
-                    histograms[name] = (
-                        instrument.count - base[0],
-                        instrument.total - base[1],
-                    )
-                elif isinstance(instrument, Counter):
-                    counters[name] = instrument.value - base[0]
-        elif self._tracer is not None:
-            metrics = self._tracer.metrics
-            for name in ("ops_submitted", "ops_committed"):
-                if name in metrics:
-                    counters[name] = metrics.counter(name).value
-            if "op_latency" in metrics:
-                histogram = metrics.histogram("op_latency")
-                histograms["op_latency"] = (
-                    float(histogram.count),
-                    histogram.total,
-                )
-            occupancy = self._tracer.category_totals()
-        else:
-            raise SeriesError(
-                "an unattached series has no source to conserve against"
+        if "op_latency" in metrics:
+            histogram = metrics.histogram("op_latency")
+            histograms["op_latency"] = (
+                float(histogram.count),
+                histogram.total,
             )
-        return counters, histograms, occupancy
+        return counters, histograms, self._tracer.category_totals()
 
     def check(self) -> "TimeSeries":
         """Enforce the conservation guarantee: every windowed sum equals
@@ -346,10 +255,6 @@ class TimeSeries:
             "counters": {
                 name: self.counter_series(name)
                 for name in sorted(self._counters)
-            },
-            "gauges": {
-                name: self.gauge_series(name)
-                for name in sorted(self._gauges)
             },
             "histograms": {
                 name: [

@@ -101,45 +101,16 @@ class TraceRecorder:
 
     Pass one recorder to at most one executor run; the makespan and the
     attribution report are properties of a single virtual timeline.
-
-    ``max_spans`` turns on **sampling**: the span list becomes a ring
-    buffer of the most recent ``max_spans`` spans, so a long open-loop
-    run can stay traced with bounded memory.  Two things survive
-    eviction exactly: the per-track *occupancy* totals (busy time per
-    span category plus stall time per stall category, accumulated at
-    record time) and the metrics registry — so
-    :func:`repro.obs.utilization.utilization_report` and the category
-    totals stay exact while span *detail* is bounded.  The critical-path
-    walk, which needs the full span set, refuses an evicted recorder.
-    ``max_spans=None`` (the default) retains everything and is
-    bit-identical to the historical recorder.
+    The span list is the whole record: every total below is derived from
+    it when asked, never accumulated beside it.
     """
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        max_spans: int | None = None,
-    ) -> None:
-        if max_spans is not None and max_spans < 1:
-            raise TraceError(
-                "max_spans must be positive (or None for full retention)"
-            )
+    def __init__(self) -> None:
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.max_spans = max_spans
-        #: Spans ever recorded / evicted by the ring buffer; their
-        #: difference is ``len(self.spans)`` (the retained detail).
-        self.spans_recorded = 0
-        self.spans_evicted = 0
+        self.metrics = MetricsRegistry()
         #: op seq -> {stage: virtual timestamp}
         self._oplife: dict[int, dict[str, float]] = {}
-        #: Exact additive occupancy, maintained at record time so it
-        #: survives ring-buffer eviction: track -> category -> summed
-        #: span durations (chained spans only) / summed stall amounts.
-        self._busy: dict[str, dict[str, float]] = {}
-        self._stall: dict[str, dict[str, float]] = {}
-        self._chain_end = 0.0
 
     # -- recording ------------------------------------------------------
 
@@ -181,21 +152,6 @@ class TraceRecorder:
             chain=chain,
         )
         self.spans.append(span)
-        self.spans_recorded += 1
-        if chain:
-            if end > self._chain_end:
-                self._chain_end = end
-            busy = self._busy.setdefault(track, {})
-            busy[category] = busy.get(category, 0.0) + (end - start)
-            if span.stalls:
-                stall = self._stall.setdefault(track, {})
-                for stall_category, amount in span.stalls:
-                    stall[stall_category] = (
-                        stall.get(stall_category, 0.0) + amount
-                    )
-        if self.max_spans is not None and len(self.spans) > self.max_spans:
-            del self.spans[0]
-            self.spans_evicted += 1
         return span
 
     def instant(
@@ -226,14 +182,12 @@ class TraceRecorder:
             )
         life[stage] = ts
         if stage == "commit" and "submit" in life:
-            self.metrics.histogram("op_latency").observe(
-                ts - life["submit"], ts=ts
-            )
-            self.metrics.counter("ops_committed").inc(ts=ts)
+            self.metrics.histogram("op_latency").observe(ts - life["submit"])
+            self.metrics.counter("ops_committed").inc()
 
     def op_submit(self, seq: int, ts: float) -> None:
         self.op_stage(seq, "submit", ts)
-        self.metrics.counter("ops_submitted").inc(ts=ts)
+        self.metrics.counter("ops_submitted").inc()
 
     def op_commit(self, seq: int, ts: float) -> None:
         self.op_stage(seq, "commit", ts)
@@ -276,43 +230,52 @@ class TraceRecorder:
 
     # -- derived --------------------------------------------------------
 
-    @property
-    def sampled(self) -> bool:
-        """True once the ring buffer has actually dropped span detail.
-        A bounded recorder that never overflowed still holds the full
-        trace, so it is not sampled."""
-        return self.spans_evicted > 0
+    def _fold(self) -> tuple[dict, dict, float]:
+        """One walk over the chained spans in list order: per-track busy
+        time by span category, per-track stall time by stall category
+        (a track appears once one of its spans records a stall), and the
+        last chained finish."""
+        busy: dict[str, dict[str, float]] = {}
+        stall: dict[str, dict[str, float]] = {}
+        chain_end = 0.0
+        for span in self.spans:
+            if not span.chain:
+                continue
+            if span.end > chain_end:
+                chain_end = span.end
+            totals = busy.setdefault(span.track, {})
+            totals[span.category] = totals.get(span.category, 0.0) + (
+                span.end - span.start
+            )
+            if span.stalls:
+                totals = stall.setdefault(span.track, {})
+                for category, amount in span.stalls:
+                    totals[category] = totals.get(category, 0.0) + amount
+        return busy, stall, chain_end
 
     @property
     def makespan(self) -> float:
         """Last chained-span finish on the run's virtual timeline (the
         informational overlays, e.g. team-lane internals on the pool's
-        private clock, do not count).  Maintained as a running maximum
-        so it stays exact under ring-buffer eviction."""
-        return self._chain_end
+        private clock, do not count)."""
+        return self._fold()[2]
 
     def busy_totals(self) -> dict[str, dict[str, float]]:
-        """Exact per-track busy time by span category (chained spans
-        only), accumulated at record time — exact even when sampled."""
-        return {
-            track: dict(totals) for track, totals in self._busy.items()
-        }
+        """Per-track busy time by span category (chained spans only)."""
+        return self._fold()[0]
 
     def stall_totals(self) -> dict[str, dict[str, float]]:
-        """Exact per-track stall time by stall category (chained spans
-        only), accumulated at record time — exact even when sampled."""
-        return {
-            track: dict(totals) for track, totals in self._stall.items()
-        }
+        """Per-track stall time by stall category (chained spans only)."""
+        return self._fold()[1]
 
     def category_totals(self) -> dict[str, float]:
-        """Exact occupancy totals by category across all tracks: summed
-        span durations plus summed stall amounts.  Unlike the
-        critical-path attribution (which charges one backward walk),
-        these are *additive* — every lane's busy time counts — and they
-        survive ring-buffer eviction exactly."""
+        """Occupancy totals by category across all tracks: summed span
+        durations plus summed stall amounts.  Unlike the critical-path
+        attribution (which charges one backward walk), these are
+        *additive* — every lane's busy time counts."""
+        busy, stall, _ = self._fold()
         totals: dict[str, float] = {}
-        for per_track in (self._busy, self._stall):
+        for per_track in (busy, stall):
             for track_totals in per_track.values():
                 for category, amount in track_totals.items():
                     totals[category] = totals.get(category, 0.0) + amount
@@ -332,20 +295,11 @@ class TraceRecorder:
         Summing this query over any partition of the timeline reproduces
         :meth:`category_totals` exactly (up to float re-association) —
         the conservation guarantee :class:`repro.obs.series.TimeSeries`
-        builds its windows on.  Needs every span, so an evicted
-        (ring-buffer-sampled) recorder is refused, like the
-        critical-path walk.
+        builds its windows on.
         """
         if t1 < t0:
             raise TraceError(
                 f"interval_occupancy wants t0 <= t1, got [{t0}, {t1})"
-            )
-        if self.sampled:
-            raise TraceError(
-                f"interval occupancy needs every span, but this recorder "
-                f"evicted {self.spans_evicted} of {self.spans_recorded} "
-                f"(ring buffer max_spans={self.max_spans}); use the exact "
-                f"category_totals() instead"
             )
         totals: dict[str, float] = {}
 

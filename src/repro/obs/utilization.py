@@ -12,12 +12,9 @@ execute anything (the router's dispatch gate, whose recorded waits
 belong to concurrently queued units and overlap freely) are reported as
 :class:`QueueWait` aggregates instead of fractions.
 
-The inputs are the recorder's *additive occupancy accumulators*
+The inputs are the recorder's per-track occupancy totals
 (:meth:`TraceRecorder.busy_totals` / :meth:`~TraceRecorder.stall_totals`),
-maintained exactly at record time — so the report is exact even for a
-sampling (ring-buffer) recorder whose span detail was evicted.  On a
-full recorder the accumulators are cross-checked against the retained
-spans, so accumulator drift cannot go unnoticed.
+derived from its span list.
 
 Team-lane pools (:class:`repro.net.team_lanes.TeamLanePool`) run on a
 private clock, so their lanes appear here not as timeline tracks but as
@@ -35,9 +32,6 @@ from repro.obs.trace import TraceError, TraceRecorder
 #: Track the team-lane pool records its lifecycle instants on (the pool
 #: itself has no timeline extent — its lanes run on a private clock).
 POOL_TRACK = "teamlanes.pool"
-
-#: Slack for cross-checking accumulated totals against retained spans.
-_EPS = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +132,6 @@ class UtilizationReport:
     tracks: tuple[TrackUtilization, ...]
     queues: tuple[QueueWait, ...] = ()
     lanes: LaneChurn | None = None
-    sampled: bool = False
 
     def check(self, tolerance: float = 1e-6) -> "UtilizationReport":
         """Enforce the exact-sum discipline: on every track the busy /
@@ -188,7 +181,6 @@ class UtilizationReport:
     def as_dict(self) -> dict:
         return {
             "makespan": self.makespan,
-            "sampled": self.sampled,
             "tracks": {
                 entry.track: entry.as_dict() for entry in self.tracks
             },
@@ -201,8 +193,7 @@ class UtilizationReport:
     def render(self) -> list[str]:
         """Human-readable occupancy table for bench/example output."""
         lines = [
-            f"utilization (virtual time {self.makespan:.2f}"
-            + (", sampled)" if self.sampled else ")"),
+            f"utilization (virtual time {self.makespan:.2f})",
             "  track                      busy    stall     idle",
         ]
         for entry in self.tracks:
@@ -259,42 +250,6 @@ def lane_churn(tracer: TraceRecorder) -> LaneChurn | None:
     )
 
 
-def _recheck_against_spans(tracer: TraceRecorder) -> None:
-    """On a full recorder, re-derive the occupancy from the retained
-    spans and insist it matches the accumulators — the guard that keeps
-    'exact even when sampled' an enforced property rather than a hope."""
-    busy: dict[str, dict[str, float]] = {}
-    stall: dict[str, dict[str, float]] = {}
-    for span in tracer.spans:
-        if not span.chain:
-            continue
-        per = busy.setdefault(span.track, {})
-        per[span.category] = per.get(span.category, 0.0) + span.duration
-        if span.stalls:
-            per = stall.setdefault(span.track, {})
-            for category, amount in span.stalls:
-                per[category] = per.get(category, 0.0) + amount
-    for derived, accumulated, kind in (
-        (busy, tracer.busy_totals(), "busy"),
-        (stall, tracer.stall_totals(), "stall"),
-    ):
-        if set(derived) != set(accumulated):
-            raise TraceError(
-                f"{kind} occupancy tracks diverged from the span list"
-            )
-        for track, totals in derived.items():
-            for category, amount in totals.items():
-                recorded = accumulated[track].get(category)
-                if recorded is None or abs(recorded - amount) > (
-                    _EPS * max(1.0, abs(amount))
-                ):
-                    raise TraceError(
-                        f"accumulated {kind} occupancy for "
-                        f"{track!r}/{category} diverged from the "
-                        f"retained spans ({recorded!r} vs {amount!r})"
-                    )
-
-
 def utilization_report(tracer: TraceRecorder) -> UtilizationReport:
     """Build the per-track occupancy report for one traced run.
 
@@ -303,11 +258,8 @@ def utilization_report(tracer: TraceRecorder) -> UtilizationReport:
     fractions meaningless.  Tracks that execute (nonzero busy time) get
     busy/stall/idle fractions; tracks that only queue (the router's
     dispatch gate, whose per-unit waits overlap) are reported as
-    :class:`QueueWait` aggregates.  Exact for sampled recorders;
-    cross-checked against the span list for full ones.
+    :class:`QueueWait` aggregates.
     """
-    if not tracer.sampled:
-        _recheck_against_spans(tracer)
     busy = tracer.busy_totals()
     stall = tracer.stall_totals()
     makespan = tracer.makespan
@@ -334,5 +286,4 @@ def utilization_report(tracer: TraceRecorder) -> UtilizationReport:
         tracks=tuple(tracks),
         queues=tuple(queues),
         lanes=lane_churn(tracer),
-        sampled=tracer.sampled,
     )

@@ -2,7 +2,8 @@
 on every gated bench: the representative traced configuration runs
 exactly once per invocation, its recorder feeds the JSON *and* the
 ``--trace`` export, and the JSON is the same bytes with or without
-``--trace`` (``--trace-sample`` alone pays for a second, sampled run).
+``--trace``, and the export embeds the attribution and utilization
+reports of that one recorder.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import RunProfile, profile_document
+from repro.obs import (
+    RunProfile,
+    critical_path_report,
+    profile_document,
+    utilization_report,
+)
 
 BENCHMARKS = Path(__file__).resolve().parent.parent.parent / "benchmarks"
 
@@ -67,30 +73,50 @@ def test_the_traced_run_happens_once_and_the_json_ignores_trace(
     )
 
 
-@pytest.mark.parametrize("bench", ["pipeline"], indirect=True)
-def test_trace_sample_pays_for_its_own_run(bench, tmp_path, capsys):
+@pytest.mark.parametrize("bench", sorted(SIZES), indirect=True)
+def test_the_trace_export_embeds_both_checked_reports(
+    bench, tmp_path, capsys
+):
+    """``--trace`` carries the attribution and the per-track utilization
+    of the very recorder the bench traced, through JSON and back, and
+    ``otherData`` holds nothing else beyond the export's own totals."""
     module, calls, size = bench
-    plain, sampled = tmp_path / "plain.json", tmp_path / "sampled.json"
     trace = tmp_path / "trace.json"
-    assert module.main([*size, "--out", str(plain)]) == 0
-    del calls[:]
-    argv = [*size, "--out", str(sampled), "--trace", str(trace)]
-    assert module.main([*argv, "--trace-sample", "100"]) == 0
-    assert [tracer.max_spans for tracer in calls] == [None, 100]
-    assert plain.read_bytes() == sampled.read_bytes()
-    assert json.loads(trace.read_text())["otherData"]["sampled"] is True
+    argv = [*size, "--out", str(tmp_path / "out.json")]
+    assert module.main([*argv, "--trace", str(trace)]) == 0
+    (tracer,) = calls
+    other = json.loads(trace.read_text())["otherData"]
+    assert set(other) == {
+        "virtual_time_scale",
+        "makespan",
+        "category_totals",
+        "op_stages",
+        "attribution",
+        "utilization",
+    }
+    wire = json.loads(
+        json.dumps(utilization_report(tracer).check().as_dict())
+    )
+    assert other["utilization"] == wire
+    assert other["utilization"]["makespan"] == tracer.makespan
+    wire = json.loads(
+        json.dumps(critical_path_report(tracer).check().as_dict())
+    )
+    assert other["attribution"] == wire
+    # Both tables reach the console next to the "wrote" line.
+    out = capsys.readouterr().out
+    assert "utilization (virtual time" in out
+    assert f"wrote {trace}" in out
 
 
 @pytest.mark.parametrize("bench", ["pipeline"], indirect=True)
 def test_bad_arguments_are_rejected_before_anything_runs(
     bench, tmp_path, capsys
 ):
-    """``--trace-sample`` without ``--trace`` used to be rejected only
-    after measuring, checking claims and writing the JSON."""
     module, calls, size = bench
     out = tmp_path / "out.json"
     with pytest.raises(SystemExit) as exit_info:
-        module.main([*size, "--out", str(out), "--trace-sample", "100"])
+        module.main([*size, "--out", str(out), "--ops", "0"])
     assert exit_info.value.code == 2
-    assert "--trace-sample requires --trace" in capsys.readouterr().err
+    assert "--ops must be >= 1" in capsys.readouterr().err
     assert calls == [] and not out.exists()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from test_identity import CONFIGS, make_items
 
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
@@ -13,12 +14,15 @@ from repro.obs import (
     TraceRecorder,
     chrome_trace,
     critical_path_report,
+    trace_from_chrome,
     validate_chrome_trace,
     write_chrome_trace,
 )
 from repro.obs.export import SCALE
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import APPROVAL_HEAVY_MIX, TokenWorkloadGenerator
+
+IDS = [label for label, _, _ in CONFIGS]
 
 
 def traced_engine_run():
@@ -118,6 +122,59 @@ class TestWriteRoundTrip:
         assert sum(attribution["totals"].values()) == pytest.approx(
             attribution["makespan"]
         )
+
+
+def record(build, mix):
+    tracer = TraceRecorder()
+    build(tracer).run_workload(make_items(mix))
+    return tracer
+
+
+@pytest.mark.parametrize("label,mix,build", CONFIGS, ids=IDS)
+def test_other_data_is_the_recorders_own_totals(label, mix, build):
+    """One schema: the export's totals are the recorder's, bit for bit,
+    and ``otherData`` carries nothing about how the spans were kept."""
+    tracer = record(build, mix)
+    other = chrome_trace(tracer)["otherData"]
+    assert set(other) == {
+        "virtual_time_scale",
+        "makespan",
+        "category_totals",
+        "op_stages",
+    }
+    assert other["makespan"] == tracer.makespan
+    assert other["category_totals"] == tracer.category_totals()
+    assert list(other["category_totals"]) == list(tracer.category_totals())
+    assert other["op_stages"] == tracer.stage_totals()
+
+
+@pytest.mark.parametrize("label,mix,build", CONFIGS, ids=IDS)
+def test_trace_from_chrome_rebuilds_every_span(label, mix, build):
+    """The reader the differ and the gate use: every span and instant
+    comes back in order with its track, category, stalls, chain flag
+    and args; times pass through the display scale, so the derived
+    totals match to float precision."""
+    tracer = record(build, mix)
+    rebuilt = trace_from_chrome(json.loads(json.dumps(chrome_trace(tracer))))
+    assert len(rebuilt.spans) == len(tracer.spans)
+    for before, after in zip(tracer.spans, rebuilt.spans):
+        assert (after.track, after.name, after.category) == (
+            before.track, before.name, before.category
+        )
+        assert after.chain == before.chain
+        assert after.stalls == before.stalls
+        assert after.args == before.args
+        assert after.start == pytest.approx(before.start, rel=1e-12)
+        assert after.end == pytest.approx(before.end, rel=1e-12)
+    assert [(i.track, i.name) for i in rebuilt.instants] == [
+        (i.track, i.name) for i in tracer.instants
+    ]
+    assert rebuilt.tracks() == tracer.tracks()
+    assert rebuilt.makespan == pytest.approx(tracer.makespan, rel=1e-12)
+    totals = tracer.category_totals()
+    assert list(rebuilt.category_totals()) == list(totals)
+    for category, amount in rebuilt.category_totals().items():
+        assert amount == pytest.approx(totals[category], rel=1e-9)
 
 
 class TestValidatorRejects:

@@ -24,13 +24,11 @@ spec.loader.exec_module(check_bench)
 PROFILE = {
     "makespan": 10.0,
     "totals": {"execute": 8.0, "sync_wait": 2.0},
-    "occupancy": {"execute": 14.0, "sync_wait": 2.0},
     "track_totals": {
         "lane0": {"execute": 8.0},
         "lane1": {"execute": 6.0, "sync_wait": 2.0},
     },
     "stages": {"submit->commit": {"count": 4, "total": 20.0}},
-    "exact": True,
     "spans": 4,
 }
 

@@ -5,17 +5,20 @@ these tests pin that contract by running the same workload with and
 without a recorder and asserting final state, responses, and the full
 stats dict are bit-identical — across the engine (team lanes on and off;
 one, two and three windows in flight) and the cluster (one window in
-flight and three).
+flight and three).  Over the same runs, every total the recorder derives
+from its span list is pinned, bit for bit, to a record-order fold.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import PipelinedExecutor
-from repro.obs import TraceRecorder
+from repro.obs import CATEGORIES, TraceRecorder
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import (
     APPROVAL_HEAVY_MIX,
@@ -82,30 +85,103 @@ def test_tracer_leaves_every_output_bit_identical(label, mix, build):
     assert traced_stats.as_dict() == bare_stats.as_dict()
 
 
+def record_order_fold(spans):
+    """The occupancy accounting written out as a running fold over the
+    spans in record order: busy time per (track, span category), stall
+    time per (track, stall category) — a track entering the stall table
+    at its first span that records a stall — and the last chained
+    finish.  Category totals then add every busy entry, track by track,
+    before every stall entry."""
+    busy: dict[str, dict[str, float]] = {}
+    stall: dict[str, dict[str, float]] = {}
+    makespan = 0.0
+    for span in spans:
+        if not span.chain:
+            continue
+        if span.end > makespan:
+            makespan = span.end
+        per = busy.setdefault(span.track, {})
+        per[span.category] = per.get(span.category, 0.0) + (
+            span.end - span.start
+        )
+        if span.stalls:
+            per = stall.setdefault(span.track, {})
+            for category, amount in span.stalls:
+                per[category] = per.get(category, 0.0) + amount
+    totals: dict[str, float] = {}
+    for per_track in (busy, stall):
+        for per in per_track.values():
+            for category, amount in per.items():
+                totals[category] = totals.get(category, 0.0) + amount
+    categories = {c: totals[c] for c in CATEGORIES if c in totals}
+    return busy, stall, categories, makespan
+
+
 @pytest.mark.parametrize(
     "label,mix,build", CONFIGS, ids=[label for label, _, _ in CONFIGS]
 )
-def test_live_series_watch_hook_leaves_outputs_bit_identical(
-    label, mix, build
-):
-    """The registry watch hook (and a TimeSeries derived through it) is
-    a pure reader like the tracer itself: subscribing must not change a
-    single observable output, and the windows it collects must conserve
-    the registry totals."""
-    from repro.obs import TimeSeries
-
-    items = make_items(mix)
-    bare_state, bare_responses, bare_stats = build(None).run_workload(
-        items
-    )
+def test_derived_totals_equal_the_record_order_fold(label, mix, build):
+    """Every total is derived from the span list by the same float
+    additions, in the same order, as the fold above: ``==``, not
+    ``approx`` — re-ordering the walk or summing per category first
+    changes the low bits and fails here."""
     tracer = TraceRecorder()
-    series = TimeSeries(width=25.0).attach(tracer.metrics)
-    watched_state, watched_responses, watched_stats = build(
-        tracer
-    ).run_workload(items)
+    build(tracer).run_workload(make_items(mix))
+    busy, stall, categories, makespan = record_order_fold(tracer.spans)
+    assert tracer.busy_totals() == busy
+    assert list(tracer.busy_totals()) == list(busy)
+    assert tracer.stall_totals() == stall
+    assert list(tracer.stall_totals()) == list(stall)
+    assert tracer.category_totals() == categories
+    assert list(tracer.category_totals()) == list(categories)
+    assert tracer.makespan == makespan
 
-    assert watched_state == bare_state
-    assert watched_responses == bare_responses
-    assert watched_stats.as_dict() == bare_stats.as_dict()
-    series.check()
-    assert sum(series.counter_series("ops_committed")) == len(items)
+
+def float_heavy_trace() -> TraceRecorder:
+    """Spans whose sums depend on the order they are added in: random
+    durations and stalls of four orders of magnitude on five tracks, with
+    ``sync_wait`` both a span category and a stall category."""
+    rng = random.Random(1)
+    tracer = TraceRecorder()
+    clock = {f"lane{i}": 0.0 for i in range(5)}
+
+    def amount() -> float:
+        return rng.random() * 10 ** rng.uniform(-2, 2)
+
+    for index in range(300):
+        track = rng.choice(sorted(clock))
+        stall = amount()
+        start = clock[track] + stall
+        clock[track] = end = start + amount()
+        category = rng.choice(("execute", "sync_wait"))
+        tracer.span(
+            track,
+            f"op {index}",
+            category,
+            start,
+            end,
+            stalls=(("sync_wait", stall),),
+        )
+    return tracer
+
+
+def test_the_fold_order_shows_in_the_low_bits():
+    """The seeded runs above add mostly whole numbers, which any order
+    sums alike; here the order is visible, so the pin has teeth."""
+    tracer = float_heavy_trace()
+    busy, stall, categories, makespan = record_order_fold(tracer.spans)
+    assert tracer.busy_totals() == busy
+    assert tracer.stall_totals() == stall
+    assert tracer.category_totals() == categories
+    assert tracer.makespan == makespan
+    # A backward walk, or each category summed straight off the spans,
+    # lands on different bits.
+    assert record_order_fold(tracer.spans[::-1])[:2] != (busy, stall)
+    direct: dict[str, float] = {}
+    for span in tracer.spans:
+        direct[span.category] = direct.get(span.category, 0.0) + (
+            span.end - span.start
+        )
+        for category, amount in span.stalls:
+            direct[category] = direct.get(category, 0.0) + amount
+    assert direct != categories

@@ -104,45 +104,6 @@ class TestHistogram:
         assert histogram.p999 > 900.0
 
 
-class TestWatch:
-    def test_watch_sees_every_update_with_timestamps(self):
-        registry = MetricsRegistry()
-        seen: list[tuple] = []
-        registry.watch(lambda *sample: seen.append(sample))
-        registry.counter("ops").inc(ts=1.0)
-        registry.counter("ops").inc(2.0)
-        registry.gauge("depth").set(4.0, ts=2.5)
-        registry.histogram("lat").observe(9.0, ts=3.0)
-        assert seen == [
-            ("counter", "ops", 1.0, 1.0),
-            ("counter", "ops", 2.0, None),
-            ("gauge", "depth", 4.0, 2.5),
-            ("histogram", "lat", 9.0, 3.0),
-        ]
-
-    def test_watch_retrofits_existing_instruments(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("ops")
-        counter.inc(5.0)  # before any watcher: unobserved
-        seen: list[tuple] = []
-        registry.watch(lambda *sample: seen.append(sample))
-        counter.inc(2.0, ts=1.0)
-        assert seen == [("counter", "ops", 2.0, 1.0)]
-
-    def test_multiple_watchers_fan_out(self):
-        registry = MetricsRegistry()
-        first: list[tuple] = []
-        second: list[tuple] = []
-        registry.watch(lambda *sample: first.append(sample))
-        registry.watch(lambda *sample: second.append(sample))
-        registry.gauge("g").set(1.0, ts=0.5)
-        assert first == second == [("gauge", "g", 1.0, 0.5)]
-
-    def test_unwatched_registry_pays_nothing(self):
-        counter = MetricsRegistry().counter("ops")
-        assert counter._watch is None
-
-
 class TestRegistry:
     def test_kind_clash_raises(self):
         registry = MetricsRegistry()

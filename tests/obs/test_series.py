@@ -1,9 +1,9 @@
-"""TimeSeries: windowing, both derivations, and the conservation law.
+"""TimeSeries: windowing a finished trace, and the conservation law.
 
 The property that matters: summing any windowed quantity over all
-windows reproduces the unwindowed source total exactly — registry
-totals for live series, ``category_totals()`` / lifecycle counts for
-post-hoc ones.  It is checked here across every traced configuration
+windows reproduces the trace's unwindowed total exactly — the op
+counters, the latency histogram and ``category_totals()``.  It is
+checked here across every traced configuration
 the identity suite pins (barrier, DAG, teams, pipelined, and the three
 cluster modes), at several window widths, so no scheduling path can
 leak samples between windows unnoticed.
@@ -13,12 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    SeriesError,
-    TimeSeries,
-    TraceRecorder,
-)
+from repro.obs import SeriesError, TimeSeries, TraceRecorder
 from repro.obs.trace import TraceError
 
 from tests.obs.test_identity import CONFIGS, make_items
@@ -78,15 +73,6 @@ def test_interval_occupancy_rejects_reversed_interval():
         tracer.interval_occupancy(10.0, 5.0)
 
 
-def test_interval_occupancy_refuses_a_sampled_recorder():
-    label, mix, build = CONFIGS[0]
-    tracer = TraceRecorder(max_spans=4)
-    build(tracer).run_workload(make_items(mix))
-    assert tracer.sampled
-    with pytest.raises(TraceError):
-        tracer.interval_occupancy(0.0, tracer.makespan)
-
-
 # ---------------------------------------------------------------------------
 # the conservation property, across every traced configuration
 # ---------------------------------------------------------------------------
@@ -109,94 +95,30 @@ def test_post_hoc_series_conserve_every_total(label, mix, build, fraction):
     assert len(committed) == series.window_count
 
 
-@pytest.mark.parametrize(
-    "label,mix,build", CONFIGS, ids=[label for label, _, _ in CONFIGS]
-)
-def test_live_series_match_post_hoc_series(label, mix, build):
-    """The two derivations agree where they overlap: identical windowed
-    op counters and latency histograms, sample for sample."""
-    tracer = TraceRecorder()
-    live = TimeSeries(width=10.0).attach(tracer.metrics)
-    build(tracer).run_workload(make_items(mix))
-    live.check()
-    post = TimeSeries.from_trace(tracer, 10.0)
-    post.check()
-    for name in ("ops_submitted", "ops_committed"):
-        assert live.counter_series(name) == post.counter_series(name)
-    live_windows = live.histogram_series("op_latency")
-    post_windows = post.histogram_series("op_latency")
-    assert len(live_windows) <= len(post_windows)
-    for live_h, post_h in zip(live_windows, post_windows):
-        if live_h is None:
-            assert post_h is None or post_h.count == 0
-            continue
-        assert post_h is not None
-        assert live_h.count == post_h.count
-        assert live_h.total == pytest.approx(post_h.total)
-
-
 # ---------------------------------------------------------------------------
 # windowing mechanics and misuse
 # ---------------------------------------------------------------------------
 
 
 def test_window_bounds_and_counter_buckets():
-    series = TimeSeries(width=5.0)
-    registry = MetricsRegistry()
-    series.attach(registry)
-    registry.counter("hits").inc(ts=1.0)
-    registry.counter("hits").inc(ts=4.9)
-    registry.counter("hits").inc(ts=5.0)
-    registry.counter("hits").inc(ts=12.0)
+    tracer = TraceRecorder()
+    for seq, ts in enumerate((1.0, 4.9, 5.0, 12.0)):
+        tracer.op_submit(seq, ts)
+    series = TimeSeries.from_trace(tracer, 5.0)
     assert series.window_count == 3
-    assert series.counter_series("hits") == [2.0, 1.0, 1.0]
+    assert series.counter_series("ops_submitted") == [2.0, 1.0, 1.0]
     assert series.window_bounds(1) == (5.0, 10.0)
     series.check()
 
 
-def test_untimestamped_samples_land_at_the_cursor():
-    series = TimeSeries(width=2.0)
-    registry = MetricsRegistry()
-    series.attach(registry)
-    registry.counter("n").inc(ts=7.0)
-    registry.counter("n").inc()  # no ts: lands with the latest window
-    assert series.counter_series("n")[3] == 2.0
-    series.check()
-
-
-def test_attach_baselines_preexisting_totals():
-    registry = MetricsRegistry()
-    registry.counter("n").inc(40.0)
-    registry.histogram("h").observe(3.0)
-    series = TimeSeries(width=1.0).attach(registry)
-    registry.counter("n").inc(2.0, ts=0.5)
-    registry.histogram("h").observe(5.0, ts=0.5)
-    series.check()  # windows sum to the growth, not the full totals
-    assert sum(series.counter_series("n")) == 2.0
-
-
-def test_gauge_series_carries_forward():
-    series = TimeSeries(width=1.0)
-    registry = MetricsRegistry()
-    series.attach(registry)
-    registry.gauge("depth").set(3.0, ts=0.5)
-    registry.gauge("depth").set(7.0, ts=2.5)
-    registry.counter("tick").inc(ts=4.5)  # extends the window range
-    assert series.gauge_series("depth") == [3.0, 3.0, 7.0, 7.0, 7.0]
-
-
 def test_series_misuse_raises():
+    tracer = make_traced_engine()
     with pytest.raises(SeriesError):
-        TimeSeries(width=0.0)
-    series = TimeSeries(width=1.0)
+        TimeSeries.from_trace(tracer, 0.0)
+    early = TraceRecorder()
+    early.op_submit(0, -1.0)  # precedes the origin
     with pytest.raises(SeriesError):
-        series.check()  # no source attached
-    registry = MetricsRegistry()
-    series.attach(registry)
-    with pytest.raises(SeriesError):
-        series.attach(registry)  # exactly one source
-    with pytest.raises(SeriesError):
-        registry.counter("n").inc(ts=-1.0)  # precedes the origin
+        TimeSeries.from_trace(early, 1.0)
 
 
 def test_as_dict_round_trips_shapes_and_totals():
@@ -205,7 +127,7 @@ def test_as_dict_round_trips_shapes_and_totals():
     exported = series.as_dict()
     windows = exported["windows"]
     assert windows == series.window_count
-    for group in ("counters", "gauges", "occupancy"):
+    for group in ("counters", "occupancy"):
         for values in exported[group].values():
             assert len(values) == windows
     for summaries in exported["histograms"].values():

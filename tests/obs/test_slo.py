@@ -11,27 +11,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    SLOError,
-    SLOMonitor,
-    TimeSeries,
-    TraceRecorder,
-)
+from repro.obs import SLOError, SLOMonitor, TimeSeries, TraceRecorder
 
 
 def series_with_latencies(per_window: list[float], width: float = 10.0):
-    """A live series whose window ``i`` holds five op_latency samples at
-    ``per_window[i]`` virtual-time units."""
-    series = TimeSeries(width=width)
-    registry = MetricsRegistry()
-    series.attach(registry)
+    """A series whose window ``i`` commits five ops, each of latency
+    ``per_window[i]`` virtual-time units, at the window's midpoint."""
+    tracer = TraceRecorder()
+    seq = 0
     for index, latency in enumerate(per_window):
-        ts = index * width + width / 2
+        commit = index * width + width / 2
         for _ in range(5):
-            registry.histogram("op_latency").observe(latency, ts=ts)
-    series.check()
-    return series
+            tracer.op_submit(seq, commit - latency)
+            tracer.op_commit(seq, commit)
+            seq += 1
+    return TimeSeries.from_trace(tracer, width).check()
 
 
 def test_monitor_validates_its_objective():
@@ -83,12 +77,12 @@ def test_injected_latency_regression_is_detected_and_localized():
 def test_empty_windows_cannot_breach():
     """A silent window has no latency evidence: it neither breaches nor
     heals the budget faster than real traffic would."""
-    series = TimeSeries(width=10.0)
-    registry = MetricsRegistry()
-    series.attach(registry)
-    registry.histogram("op_latency").observe(50.0, ts=5.0)
-    registry.counter("tick").inc(ts=45.0)  # four silent windows after
-    series.check()
+    tracer = TraceRecorder()
+    tracer.op_submit(0, 0.0)
+    tracer.op_commit(0, 50.0)
+    # The run goes on for four silent windows after the one commit.
+    tracer.span("lane.0", "tail", "execute", 50.0, 450.0)
+    series = TimeSeries.from_trace(tracer, 100.0).check()
     report = SLOMonitor(target_p99=10.0, horizon=2, budget=0.5).scan(
         series
     )
@@ -98,7 +92,7 @@ def test_empty_windows_cannot_breach():
 
 
 def test_burn_recovers_once_the_horizon_rolls_past():
-    series = series_with_latencies([40.0] + [2.0] * 7)
+    series = series_with_latencies([40.0] + [2.0] * 7, width=100.0)
     report = SLOMonitor(target_p99=10.0, horizon=2, budget=0.5).scan(
         series
     )

@@ -90,6 +90,37 @@ class TestRecorderValidation:
         tracer.span("sync.global", "order", "sync_wait", 0.0, 9.0, chain=False)
         assert tracer.makespan == 2.0
 
+    def test_an_empty_recorder_derives_empty_totals(self):
+        tracer = TraceRecorder()
+        assert tracer.makespan == 0.0
+        assert tracer.busy_totals() == {}
+        assert tracer.stall_totals() == {}
+        assert tracer.category_totals() == {}
+
+    def test_totals_follow_the_span_list(self):
+        """Nothing is cached beside the spans: a span recorded after a
+        query shows up in the next one, and an informational span never
+        does."""
+        tracer = TraceRecorder()
+        tracer.span("lane0", "op 1", "execute", 0.0, 2.0)
+        assert tracer.category_totals() == {"execute": 2.0}
+        tracer.span(
+            "lane1", "op 2", "execute", 3.0, 4.0, stalls=(("sync_wait", 3.0),)
+        )
+        assert tracer.busy_totals() == {
+            "lane0": {"execute": 2.0},
+            "lane1": {"execute": 1.0},
+        }
+        assert tracer.stall_totals() == {"lane1": {"sync_wait": 3.0}}
+        assert tracer.category_totals() == {"execute": 3.0, "sync_wait": 3.0}
+        assert tracer.makespan == 4.0
+        tracer.span("sync.global", "order", "sync_wait", 0.0, 9.0, chain=False)
+        assert tracer.category_totals() == {"execute": 3.0, "sync_wait": 3.0}
+        assert tracer.makespan == 4.0
+        del tracer.spans[1:]
+        assert tracer.category_totals() == {"execute": 2.0}
+        assert tracer.makespan == 2.0
+
 
 def traced_runs():
     """(label, run) pairs covering every instrumented execution layer."""

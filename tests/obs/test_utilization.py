@@ -22,8 +22,8 @@ from repro.obs.utilization import POOL_TRACK, TrackUtilization
 IDS = [label for label, _, _ in CONFIGS]
 
 
-def record(build, mix, max_spans=None):
-    tracer = TraceRecorder(max_spans=max_spans)
+def record(build, mix):
+    tracer = TraceRecorder()
     build(tracer).run_workload(make_items(mix))
     return tracer
 
@@ -41,6 +41,29 @@ def test_fractions_sum_to_one_on_every_track(label, mix, build):
         assert fractions["idle"] >= -1e-9
     # Something actually executed.
     assert any(t.busy_time > 0 for t in report.tracks)
+
+
+@pytest.mark.parametrize("label,mix,build", CONFIGS, ids=IDS)
+def test_every_track_reads_the_recorders_totals(label, mix, build):
+    """The report is a view of the span list and nothing else: each
+    chained track — as a fractions row or as a queue, in first-appearance
+    order — carries exactly the recorder's busy and stall totals and is
+    judged against the recorder's makespan."""
+    tracer = record(build, mix)
+    busy, stall = tracer.busy_totals(), tracer.stall_totals()
+    report = utilization_report(tracer).check()
+    assert report.makespan == tracer.makespan
+    rows = {entry.track: entry for entry in report.tracks}
+    queues = {entry.track: entry for entry in report.queues}
+    assert [t for t in busy if t in rows] == [t.track for t in report.tracks]
+    assert set(rows) | set(queues) == set(busy)
+    for track, entry in rows.items():
+        assert entry.extent == tracer.makespan
+        assert entry.busy == busy[track]
+        assert entry.stalls == stall.get(track, {})
+    for track, queue in queues.items():
+        assert sum(busy[track].values()) == 0
+        assert queue.waits == stall[track]
 
 
 def test_router_dispatch_gate_is_a_queue_not_a_timeline():
@@ -74,10 +97,10 @@ def test_zero_extent_track_has_zero_fractions():
 def test_over_committed_track_is_rejected():
     tracer = TraceRecorder()
     tracer.span("lane.0", "op", "execute", 0.0, 2.0)
-    # Forge accumulator drift: more busy time than the span list holds.
-    tracer._busy["lane.0"]["execute"] += 5.0
-    with pytest.raises(TraceError):
-        utilization_report(tracer)
+    # A double-billing site: a second op on the same lane at the same time.
+    tracer.span("lane.0", "op", "execute", 0.0, 2.0)
+    with pytest.raises(TraceError, match="over-committed"):
+        utilization_report(tracer).check()
 
 
 def test_engine_team_lanes_report_spinup_churn():
