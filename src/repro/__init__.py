@@ -23,129 +23,60 @@ Quickstart::
 See README.md and DESIGN.md for the full tour.
 """
 
-from importlib import import_module
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-#: Where each re-export lives.  Resolved on first access (PEP 562), so
-#: importing one subpackage does not pay for the others: ``import
-#: repro.engine`` loads no cluster, fault or protocol code.
+#: Where each re-export lives.  A package loads only what a name needs:
+#: ``repro.TokenCluster`` imports the cluster and what it imports, and
+#: ``import repro.engine`` by itself loads no engine module at all.  Every
+#: package but ``repro.faults`` is one such table (:mod:`repro._lazy`).
 _EXPORTS = {
-    name: module
-    for module, names in {
-        "repro.analysis": (
-            "CachedPairAnalyzer",
-            "classify",
-            "enabled_spenders",
-            "is_synchronization_state",
-            "make_synchronization_state",
-            "synchronization_level",
-            "token_consensus_number",
-            "token_consensus_number_bounds",
-            "unique_transfer",
-            "unique_transfer_strict",
-        ),
-        "repro.objects": (
-            "AssetTransfer",
-            "AtomicRegister",
-            "ConsensusObject",
-            "ERC20Token",
-            "ERC20TokenType",
-            "ERC721Token",
-            "ERC777Token",
-            "ERC1155Token",
-            "SharedObject",
-            "TokenState",
-            "register_array",
-        ),
-        "repro.protocols": (
-            "EmulatedToken",
-            "KATConsensus",
-            "SafeEmulatedToken",
-            "TokenConsensus",
-            "algorithm1_system",
-            "consensus_checks",
-            "kat_consensus_system",
-        ),
-        "repro.config": ("ClusterConfig", "EngineConfig"),
-        "repro.engine": ("Mempool", "OpClassifier", "PipelinedExecutor"),
-        "repro.cluster": ("ClusterStats", "ShardMap", "TokenCluster"),
-        "repro.runtime": (
-            "RandomScheduler",
-            "RoundRobinScheduler",
-            "ScheduleExplorer",
-            "System",
-            "run_system",
-        ),
-        "repro.spec": (
-            "History",
-            "Operation",
-            "check_linearizability",
-            "op",
-        ),
-    }.items()
-    for name in names
+    "repro.analysis": (
+        "CachedPairAnalyzer",
+        "classify",
+        "enabled_spenders",
+        "is_synchronization_state",
+        "make_synchronization_state",
+        "synchronization_level",
+        "token_consensus_number",
+        "token_consensus_number_bounds",
+        "unique_transfer",
+        "unique_transfer_strict",
+    ),
+    "repro.objects": (
+        "AssetTransfer",
+        "AtomicRegister",
+        "ConsensusObject",
+        "ERC20Token",
+        "ERC20TokenType",
+        "ERC721Token",
+        "ERC777Token",
+        "ERC1155Token",
+        "SharedObject",
+        "TokenState",
+        "register_array",
+    ),
+    "repro.protocols": (
+        "EmulatedToken",
+        "KATConsensus",
+        "SafeEmulatedToken",
+        "TokenConsensus",
+        "algorithm1_system",
+        "consensus_checks",
+        "kat_consensus_system",
+    ),
+    "repro.config": ("ClusterConfig", "EngineConfig"),
+    "repro.engine": ("Mempool", "OpClassifier", "PipelinedExecutor"),
+    "repro.cluster": ("ClusterStats", "ShardMap", "TokenCluster"),
+    "repro.runtime": (
+        "RandomScheduler",
+        "RoundRobinScheduler",
+        "ScheduleExplorer",
+        "System",
+        "run_system",
+    ),
+    "repro.spec": ("History", "Operation", "check_linearizability", "op"),
 }
 
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module), name)
-    globals()[name] = value  # later lookups never come back here
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
-
-
-__all__ = [
-    "CachedPairAnalyzer",
-    "classify",
-    "ClusterConfig",
-    "EngineConfig",
-    "Mempool",
-    "OpClassifier",
-    "PipelinedExecutor",
-    "ClusterStats",
-    "ShardMap",
-    "TokenCluster",
-    "enabled_spenders",
-    "is_synchronization_state",
-    "make_synchronization_state",
-    "synchronization_level",
-    "token_consensus_number",
-    "token_consensus_number_bounds",
-    "unique_transfer",
-    "unique_transfer_strict",
-    "AssetTransfer",
-    "AtomicRegister",
-    "ConsensusObject",
-    "ERC20Token",
-    "ERC20TokenType",
-    "ERC721Token",
-    "ERC777Token",
-    "ERC1155Token",
-    "SharedObject",
-    "TokenState",
-    "register_array",
-    "EmulatedToken",
-    "KATConsensus",
-    "SafeEmulatedToken",
-    "TokenConsensus",
-    "algorithm1_system",
-    "consensus_checks",
-    "kat_consensus_system",
-    "RandomScheduler",
-    "RoundRobinScheduler",
-    "ScheduleExplorer",
-    "System",
-    "run_system",
-    "History",
-    "Operation",
-    "check_linearizability",
-    "op",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -1,88 +1,56 @@
 """State classification, commutativity, valency, and hierarchy analysis
 (paper §5)."""
 
-from repro.analysis.commutativity import (
-    CachedPairAnalyzer,
-    Invocation,
-    PairAnalysis,
-    PairKind,
-    analyze_pair,
-    commutes,
-    conflict_matrix,
-    conflicting_pairs,
-    erc20_case_label,
-)
-from repro.analysis.hierarchy import (
-    KNOWN_HIERARCHY,
-    ConsensusNumberEntry,
-    kat_consensus_number,
-    token_consensus_number,
-    token_consensus_number_bounds,
-)
-from repro.analysis.partition import (
-    StateClassification,
-    classify,
-    in_partition_cell,
-    is_synchronization_state,
-    make_synchronization_state,
-    synchronization_accounts,
-    synchronization_level,
-    unique_transfer,
-    unique_transfer_strict,
-)
-from repro.analysis.reachability import (
-    RaisingApproval,
-    escalation_plan,
-    level_trajectory,
-    raising_approvals,
-    verify_level_change_ops,
-)
-from repro.analysis.spenders import (
-    accounts_with_spender_count,
-    enabled_spenders,
-    max_spenders,
-    spender_map,
-)
-from repro.analysis.valency import (
-    CriticalConfiguration,
-    Valence,
-    ValencyAnalyzer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CachedPairAnalyzer",
-    "Invocation",
-    "PairAnalysis",
-    "PairKind",
-    "analyze_pair",
-    "commutes",
-    "conflict_matrix",
-    "conflicting_pairs",
-    "erc20_case_label",
-    "KNOWN_HIERARCHY",
-    "ConsensusNumberEntry",
-    "kat_consensus_number",
-    "token_consensus_number",
-    "token_consensus_number_bounds",
-    "StateClassification",
-    "classify",
-    "in_partition_cell",
-    "is_synchronization_state",
-    "make_synchronization_state",
-    "synchronization_accounts",
-    "synchronization_level",
-    "unique_transfer",
-    "unique_transfer_strict",
-    "RaisingApproval",
-    "escalation_plan",
-    "level_trajectory",
-    "raising_approvals",
-    "verify_level_change_ops",
-    "accounts_with_spender_count",
-    "enabled_spenders",
-    "max_spenders",
-    "spender_map",
-    "CriticalConfiguration",
-    "Valence",
-    "ValencyAnalyzer",
-]
+_EXPORTS = {
+    "repro.analysis.commutativity": (
+        "CachedPairAnalyzer",
+        "Invocation",
+        "PairAnalysis",
+        "PairKind",
+        "analyze_pair",
+        "commutes",
+        "conflict_matrix",
+        "conflicting_pairs",
+        "erc20_case_label",
+    ),
+    "repro.analysis.hierarchy": (
+        "KNOWN_HIERARCHY",
+        "ConsensusNumberEntry",
+        "kat_consensus_number",
+        "token_consensus_number",
+        "token_consensus_number_bounds",
+    ),
+    "repro.analysis.partition": (
+        "StateClassification",
+        "classify",
+        "in_partition_cell",
+        "is_synchronization_state",
+        "make_synchronization_state",
+        "synchronization_accounts",
+        "synchronization_level",
+        "unique_transfer",
+        "unique_transfer_strict",
+    ),
+    "repro.analysis.reachability": (
+        "RaisingApproval",
+        "escalation_plan",
+        "level_trajectory",
+        "raising_approvals",
+        "verify_level_change_ops",
+    ),
+    "repro.analysis.spenders": (
+        "accounts_with_spender_count",
+        "enabled_spenders",
+        "max_spenders",
+        "spender_map",
+    ),
+    "repro.analysis.valency": (
+        "CriticalConfiguration",
+        "Valence",
+        "ValencyAnalyzer",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

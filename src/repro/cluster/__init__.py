@@ -25,24 +25,16 @@ because the router co-locates whole conflict-graph components per round
 (machine-checked in ``tests/cluster/``).
 """
 
-from repro.config import ClusterConfig
-from repro.cluster.cluster import TokenCluster
-from repro.cluster.node import ClusterNode
-from repro.cluster.router import LEASE_MESSAGE_TYPES, Router
-from repro.cluster.sharding import LeaseRecord, ShardMap
-from repro.cluster.stats import ClusterRound, ClusterStats, NodeBill
-from repro.cluster.workloads import owner_local_workload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "TokenCluster",
-    "ClusterNode",
-    "LEASE_MESSAGE_TYPES",
-    "Router",
-    "LeaseRecord",
-    "ShardMap",
-    "ClusterRound",
-    "ClusterStats",
-    "NodeBill",
-    "owner_local_workload",
-]
+_EXPORTS = {
+    "repro.config": ("ClusterConfig",),
+    "repro.cluster.cluster": ("TokenCluster",),
+    "repro.cluster.node": ("ClusterNode",),
+    "repro.cluster.router": ("LEASE_MESSAGE_TYPES", "Router"),
+    "repro.cluster.sharding": ("LeaseRecord", "ShardMap"),
+    "repro.cluster.stats": ("ClusterRound", "ClusterStats", "NodeBill"),
+    "repro.cluster.workloads": ("owner_local_workload",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

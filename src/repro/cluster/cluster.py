@@ -38,7 +38,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
@@ -47,7 +47,6 @@ from repro.errors import ClusterError
 from repro.faults import FaultInjector, FaultSchedule
 from repro.net.network import LatencyModel, Network, UniformLatency
 from repro.net.simulation import Simulator
-from repro.obs.trace import TraceRecorder
 from repro.spec.object_type import SequentialObjectType
 from repro.workloads.generators import WorkloadItem
 
@@ -55,6 +54,9 @@ from repro.cluster.node import ClusterNode
 from repro.cluster.router import LEASE_MESSAGE_TYPES, Router
 from repro.cluster.sharding import ShardMap
 from repro.cluster.stats import ClusterStats
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.trace import TraceRecorder
 
 
 class TokenCluster:

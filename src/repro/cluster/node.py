@@ -35,7 +35,7 @@ global lane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.config import ClusterConfig
 from repro.engine.classifier import ClassifierValidationError, OpClassifier
@@ -46,9 +46,11 @@ from repro.engine.shard import dag_schedule
 from repro.errors import ClusterError
 from repro.net.network import Message, Network
 from repro.net.node import Node
-from repro.obs.trace import TraceRecorder
 
 from repro.cluster.stats import NodeBill
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.trace import TraceRecorder
 
 #: Applies one operation to the authoritative state; returns the response.
 ApplyFn = Callable[[PendingOp], Any]

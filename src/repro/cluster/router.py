@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
@@ -30,13 +30,15 @@ from repro.errors import ClusterError, MempoolFullError
 from repro.net.network import Message, Network
 from repro.net.node import Node
 from repro.objects.footprint import static_pair_kind
-from repro.obs.trace import TraceRecorder
 from repro.sync.escalation import TieredEscalator
 from repro.workloads.generators import WorkloadItem
 
 from repro.cluster.routing import _Round, _Unit, route_window
 from repro.cluster.sharding import ShardMap
 from repro.cluster.stats import ClusterStats
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.trace import TraceRecorder
 
 #: The lease handshake costs three messages per migrated shard.
 LEASE_MESSAGE_TYPES = (

@@ -1,31 +1,23 @@
 """The paper's §7 proposal: dynamically-synchronized token networks."""
 
-from repro.dynamic.dynamic_token import (
-    DynamicNetworkStats,
-    DynamicTokenNode,
-    OpRecord,
-    TokenOp,
-    assert_converged,
-    measure_dynamic,
-)
-from repro.dynamic.sync_tracker import (
-    GroupSizeTracker,
-    ReplicaTokenState,
-    group_coordination_cost,
-    sync_group,
-    sync_levels,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DynamicNetworkStats",
-    "DynamicTokenNode",
-    "OpRecord",
-    "TokenOp",
-    "assert_converged",
-    "measure_dynamic",
-    "GroupSizeTracker",
-    "ReplicaTokenState",
-    "group_coordination_cost",
-    "sync_group",
-    "sync_levels",
-]
+_EXPORTS = {
+    "repro.dynamic.dynamic_token": (
+        "DynamicNetworkStats",
+        "DynamicTokenNode",
+        "OpRecord",
+        "TokenOp",
+        "assert_converged",
+        "measure_dynamic",
+    ),
+    "repro.dynamic.sync_tracker": (
+        "GroupSizeTracker",
+        "ReplicaTokenState",
+        "group_coordination_cost",
+        "sync_group",
+        "sync_levels",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -33,39 +33,21 @@ Quickstart::
           f"{stats.escalation_rate:.1%} ops needed consensus")
 """
 
-from repro.config import EngineConfig
-from repro.engine.classifier import (
-    ClassifierStats,
-    ClassifierValidationError,
-    OpClassifier,
-)
-from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
-from repro.engine.mempool import Mempool, PendingOp
-from repro.engine.pipeline import PipelinedExecutor, ScheduledUnit
-from repro.engine.rounds import (
-    Round,
-    RoundLifecycle,
-    RoundScheduler,
-)
-from repro.engine.shard import dag_list_schedule, stable_account_hash
-from repro.engine.stats import EngineStats, WaveStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EngineConfig",
-    "ClassifierStats",
-    "ClassifierValidationError",
-    "OpClassifier",
-    "ComponentDAG",
-    "ConflictGraph",
-    "dag_list_schedule",
-    "Mempool",
-    "PendingOp",
-    "PipelinedExecutor",
-    "ScheduledUnit",
-    "Round",
-    "RoundLifecycle",
-    "RoundScheduler",
-    "stable_account_hash",
-    "EngineStats",
-    "WaveStats",
-]
+_EXPORTS = {
+    "repro.config": ("EngineConfig",),
+    "repro.engine.classifier": (
+        "ClassifierStats",
+        "ClassifierValidationError",
+        "OpClassifier",
+    ),
+    "repro.engine.conflict_graph": ("ComponentDAG", "ConflictGraph"),
+    "repro.engine.mempool": ("Mempool", "PendingOp"),
+    "repro.engine.pipeline": ("PipelinedExecutor", "ScheduledUnit"),
+    "repro.engine.rounds": ("Round", "RoundLifecycle", "RoundScheduler"),
+    "repro.engine.shard": ("dag_list_schedule", "stable_account_hash"),
+    "repro.engine.stats": ("EngineStats", "WaveStats"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -85,7 +85,7 @@ against the sequential specification.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
 from repro.config import EngineConfig
 from repro.engine.classifier import OpClassifier
@@ -95,10 +95,12 @@ from repro.engine.shard import dag_schedule
 from repro.engine.stats import EngineStats, WaveStats
 from repro.net.team_lanes import TeamLane
 from repro.objects.footprint import OpFootprint
-from repro.obs.trace import TraceRecorder
 from repro.spec.object_type import SequentialObjectType
 from repro.sync.escalation import TieredEscalator
 from repro.workloads.generators import WorkloadItem
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.trace import TraceRecorder
 
 
 class ScheduledUnit(NamedTuple):

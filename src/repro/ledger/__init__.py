@@ -1,20 +1,17 @@
 """The consensus-based baseline ledger (total-order smart-contract
 execution)."""
 
-from repro.ledger.blockchain import (
-    AppliedRecord,
-    LedgerNode,
-    LedgerStats,
-    LedgerTransaction,
-    build_ledger,
-    measure_ledger,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AppliedRecord",
-    "LedgerNode",
-    "LedgerStats",
-    "LedgerTransaction",
-    "build_ledger",
-    "measure_ledger",
-]
+_EXPORTS = {
+    "repro.ledger.blockchain": (
+        "AppliedRecord",
+        "LedgerNode",
+        "LedgerStats",
+        "LedgerTransaction",
+        "build_ledger",
+        "measure_ledger",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

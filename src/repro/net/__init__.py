@@ -1,42 +1,32 @@
 """Message-passing substrate: simulator, network, reliable broadcast, total
 order (paper §1/§7 context)."""
 
-from repro.net.network import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    Message,
-    Network,
-    NetworkStats,
-    UniformLatency,
-)
-from repro.net.node import Node
-from repro.net.reliable_broadcast import (
-    BrachaBroadcast,
-    FifoReliableBroadcast,
-    ReliableBroadcastNode,
-)
-from repro.net.simulation import EventHandle, Simulator
-from repro.net.team_lanes import LaneOrder, PoolRound, TeamLane, TeamLanePool
-from repro.net.total_order import TotalOrderNode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LaneOrder",
-    "PoolRound",
-    "TeamLane",
-    "TeamLanePool",
-    "ConstantLatency",
-    "LatencyModel",
-    "LogNormalLatency",
-    "Message",
-    "Network",
-    "NetworkStats",
-    "UniformLatency",
-    "Node",
-    "BrachaBroadcast",
-    "FifoReliableBroadcast",
-    "ReliableBroadcastNode",
-    "EventHandle",
-    "Simulator",
-    "TotalOrderNode",
-]
+_EXPORTS = {
+    "repro.net.network": (
+        "ConstantLatency",
+        "LatencyModel",
+        "LogNormalLatency",
+        "Message",
+        "Network",
+        "NetworkStats",
+        "UniformLatency",
+    ),
+    "repro.net.node": ("Node",),
+    "repro.net.reliable_broadcast": (
+        "BrachaBroadcast",
+        "FifoReliableBroadcast",
+        "ReliableBroadcastNode",
+    ),
+    "repro.net.simulation": ("EventHandle", "Simulator"),
+    "repro.net.team_lanes": (
+        "LaneOrder",
+        "PoolRound",
+        "TeamLane",
+        "TeamLanePool",
+    ),
+    "repro.net.total_order": ("TotalOrderNode",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

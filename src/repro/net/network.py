@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -121,6 +122,9 @@ class Network:
         self.latency = latency if latency is not None else ConstantLatency(1.0)
         self.rng = random.Random(seed)
         self.nodes: dict[int, "Node"] = {}
+        #: ``self.nodes``' ids in ascending order, the order a broadcast
+        #: sends in; kept sorted by :meth:`register`.
+        self.node_ids: list[int] = []
         self.stats = NetworkStats()
         #: Partition: when set, messages crossing group boundaries are dropped.
         self._partition: list[frozenset[int]] | None = None
@@ -135,10 +139,7 @@ class Network:
         if node.node_id in self.nodes:
             raise NetworkError(f"node {node.node_id} already registered")
         self.nodes[node.node_id] = node
-
-    @property
-    def node_ids(self) -> list[int]:
-        return sorted(self.nodes)
+        insort(self.node_ids, node.node_id)
 
     def partition(self, *groups: frozenset[int] | set[int]) -> None:
         """Install a partition; messages across groups are dropped."""

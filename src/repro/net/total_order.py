@@ -119,7 +119,10 @@ class TotalOrderNode(Node):
     # -- replicas -------------------------------------------------------------
 
     def _slot(self, seq: int) -> _SlotState:
-        return self._slots.setdefault(seq, _SlotState())
+        slot = self._slots.get(seq)
+        if slot is None:  # allocate on a miss only: every message probes
+            slot = self._slots[seq] = _SlotState()
+        return slot
 
     def handle_to_propose(self, message: Message) -> None:
         if message.src != self.leader:

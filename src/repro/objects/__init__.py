@@ -1,79 +1,52 @@
 """Shared objects: registers, consensus, asset transfer, token standards."""
 
-from repro.objects.asset_transfer import (
-    AssetTransfer,
-    AssetTransferType,
-    ATState,
-    DynamicOwnerAT,
-    DynamicOwnerATType,
-)
-from repro.objects.base import SharedObject
-from repro.objects.consensus import UNDECIDED, ConsensusObject, ConsensusType
-from repro.objects.erc20 import ERC20Token, ERC20TokenType, TokenState
-from repro.objects.erc721 import (
-    NO_APPROVAL,
-    ERC721Token,
-    ERC721TokenType,
-    NFTState,
-)
-from repro.objects.erc777 import ERC777State, ERC777Token, ERC777TokenType
-from repro.objects.erc1155 import (
-    ERC1155Token,
-    ERC1155TokenType,
-    MultiTokenState,
-)
-from repro.objects.footprint import (
-    EMPTY_FOOTPRINT,
-    SUPPLY,
-    OpFootprint,
-    static_pair_kind,
-)
-from repro.objects.register import (
-    BOTTOM,
-    AtomicRegister,
-    RegisterType,
-    register_array,
-    register_matrix,
-)
-from repro.objects.restricted import (
-    RestrictedObject,
-    RestrictedType,
-    restrict_to_qk,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssetTransfer",
-    "AssetTransferType",
-    "ATState",
-    "DynamicOwnerAT",
-    "DynamicOwnerATType",
-    "SharedObject",
-    "UNDECIDED",
-    "ConsensusObject",
-    "ConsensusType",
-    "ERC20Token",
-    "ERC20TokenType",
-    "TokenState",
-    "NO_APPROVAL",
-    "ERC721Token",
-    "ERC721TokenType",
-    "NFTState",
-    "ERC777State",
-    "ERC777Token",
-    "ERC777TokenType",
-    "ERC1155Token",
-    "ERC1155TokenType",
-    "MultiTokenState",
-    "EMPTY_FOOTPRINT",
-    "SUPPLY",
-    "OpFootprint",
-    "static_pair_kind",
-    "BOTTOM",
-    "AtomicRegister",
-    "RegisterType",
-    "register_array",
-    "register_matrix",
-    "RestrictedObject",
-    "RestrictedType",
-    "restrict_to_qk",
-]
+_EXPORTS = {
+    "repro.objects.asset_transfer": (
+        "AssetTransfer",
+        "AssetTransferType",
+        "ATState",
+        "DynamicOwnerAT",
+        "DynamicOwnerATType",
+    ),
+    "repro.objects.base": ("SharedObject",),
+    "repro.objects.consensus": (
+        "UNDECIDED",
+        "ConsensusObject",
+        "ConsensusType",
+    ),
+    "repro.objects.erc20": ("ERC20Token", "ERC20TokenType", "TokenState"),
+    "repro.objects.erc721": (
+        "NO_APPROVAL",
+        "ERC721Token",
+        "ERC721TokenType",
+        "NFTState",
+    ),
+    "repro.objects.erc777": ("ERC777State", "ERC777Token", "ERC777TokenType"),
+    "repro.objects.erc1155": (
+        "ERC1155Token",
+        "ERC1155TokenType",
+        "MultiTokenState",
+    ),
+    "repro.objects.footprint": (
+        "EMPTY_FOOTPRINT",
+        "SUPPLY",
+        "OpFootprint",
+        "static_pair_kind",
+    ),
+    "repro.objects.register": (
+        "BOTTOM",
+        "AtomicRegister",
+        "RegisterType",
+        "register_array",
+        "register_matrix",
+    ),
+    "repro.objects.restricted": (
+        "RestrictedObject",
+        "RestrictedType",
+        "restrict_to_qk",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

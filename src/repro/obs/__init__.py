@@ -16,99 +16,57 @@ rebuilt from a finished trace with a conservation guarantee
 instrumentation site is a no-op.
 """
 
-from repro.obs.diff import (
-    CategoryDelta,
-    RegressionExplanation,
-    RunProfile,
-    StageDelta,
-    TrackDelta,
-    diff_profiles,
-    explain_regression,
-    profile_document,
-    profile_tracer,
-)
-from repro.obs.export import (
-    TraceExportError,
-    chrome_trace,
-    trace_from_chrome,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-)
-from repro.obs.report import (
-    AttributionReport,
-    PathSegment,
-    critical_path_report,
-)
-from repro.obs.series import SeriesError, TimeSeries
-from repro.obs.slo import (
-    SLOError,
-    SLOMonitor,
-    SLOReport,
-    SLOWindow,
-)
-from repro.obs.trace import (
-    CATEGORIES,
-    LIFECYCLE_STAGES,
-    Instant,
-    Span,
-    TraceError,
-    TraceRecorder,
-)
-from repro.obs.utilization import (
-    LaneChurn,
-    QueueWait,
-    TrackUtilization,
-    UtilizationReport,
-    lane_churn,
-    utilization_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttributionReport",
-    "CATEGORIES",
-    "CategoryDelta",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Instant",
-    "LIFECYCLE_STAGES",
-    "LaneChurn",
-    "MetricsError",
-    "MetricsRegistry",
-    "PathSegment",
-    "QueueWait",
-    "RegressionExplanation",
-    "RunProfile",
-    "SLOError",
-    "SLOMonitor",
-    "SLOReport",
-    "SLOWindow",
-    "SeriesError",
-    "Span",
-    "StageDelta",
-    "TimeSeries",
-    "TraceError",
-    "TraceExportError",
-    "TraceRecorder",
-    "TrackDelta",
-    "TrackUtilization",
-    "UtilizationReport",
-    "chrome_trace",
-    "critical_path_report",
-    "diff_profiles",
-    "explain_regression",
-    "lane_churn",
-    "profile_document",
-    "profile_tracer",
-    "trace_from_chrome",
-    "utilization_report",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-]
+_EXPORTS = {
+    "repro.obs.diff": (
+        "CategoryDelta",
+        "RegressionExplanation",
+        "RunProfile",
+        "StageDelta",
+        "TrackDelta",
+        "diff_profiles",
+        "explain_regression",
+        "profile_document",
+        "profile_tracer",
+    ),
+    "repro.obs.export": (
+        "TraceExportError",
+        "chrome_trace",
+        "trace_from_chrome",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+    ),
+    "repro.obs.metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsError",
+        "MetricsRegistry",
+    ),
+    "repro.obs.report": (
+        "AttributionReport",
+        "PathSegment",
+        "critical_path_report",
+    ),
+    "repro.obs.series": ("SeriesError", "TimeSeries"),
+    "repro.obs.slo": ("SLOError", "SLOMonitor", "SLOReport", "SLOWindow"),
+    "repro.obs.trace": (
+        "CATEGORIES",
+        "LIFECYCLE_STAGES",
+        "Instant",
+        "Span",
+        "TraceError",
+        "TraceRecorder",
+    ),
+    "repro.obs.utilization": (
+        "LaneChurn",
+        "QueueWait",
+        "TrackUtilization",
+        "UtilizationReport",
+        "lane_churn",
+        "utilization_report",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -1,57 +1,39 @@
 """The paper's algorithms: consensus constructions and the Theorem 4
 emulation."""
 
-from repro.protocols.base import (
-    ConsensusProtocol,
-    consensus_checks,
-    decided_values,
-)
-from repro.protocols.erc721_consensus import (
-    ERC721Consensus,
-    erc721_consensus_system,
-)
-from repro.protocols.erc1155_consensus import (
-    ERC1155Consensus,
-    erc1155_consensus_system,
-)
-from repro.protocols.escrow_token import EscrowToken, escrow_from_deploy
-from repro.protocols.erc777_consensus import (
-    ERC777Consensus,
-    erc777_consensus_system,
-)
-from repro.protocols.kat_consensus import KATConsensus, kat_consensus_system
-from repro.protocols.register_consensus import (
-    DoomedRegisterConsensus,
-    doomed_register_system,
-)
-from repro.protocols.token_consensus import TokenConsensus, algorithm1_system
-from repro.protocols.token_from_kat import (
-    EmulatedToken,
-    SafeEmulatedToken,
-    run_sequential,
-    workload_program,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConsensusProtocol",
-    "consensus_checks",
-    "decided_values",
-    "ERC721Consensus",
-    "erc721_consensus_system",
-    "ERC1155Consensus",
-    "erc1155_consensus_system",
-    "EscrowToken",
-    "escrow_from_deploy",
-    "ERC777Consensus",
-    "erc777_consensus_system",
-    "KATConsensus",
-    "kat_consensus_system",
-    "DoomedRegisterConsensus",
-    "doomed_register_system",
-    "TokenConsensus",
-    "algorithm1_system",
-    "EmulatedToken",
-    "SafeEmulatedToken",
-    "run_sequential",
-    "workload_program",
-]
+_EXPORTS = {
+    "repro.protocols.base": (
+        "ConsensusProtocol",
+        "consensus_checks",
+        "decided_values",
+    ),
+    "repro.protocols.erc721_consensus": (
+        "ERC721Consensus",
+        "erc721_consensus_system",
+    ),
+    "repro.protocols.erc1155_consensus": (
+        "ERC1155Consensus",
+        "erc1155_consensus_system",
+    ),
+    "repro.protocols.escrow_token": ("EscrowToken", "escrow_from_deploy"),
+    "repro.protocols.erc777_consensus": (
+        "ERC777Consensus",
+        "erc777_consensus_system",
+    ),
+    "repro.protocols.kat_consensus": ("KATConsensus", "kat_consensus_system"),
+    "repro.protocols.register_consensus": (
+        "DoomedRegisterConsensus",
+        "doomed_register_system",
+    ),
+    "repro.protocols.token_consensus": ("TokenConsensus", "algorithm1_system"),
+    "repro.protocols.token_from_kat": (
+        "EmulatedToken",
+        "SafeEmulatedToken",
+        "run_sequential",
+        "workload_program",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

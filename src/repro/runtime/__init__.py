@@ -1,52 +1,38 @@
 """Asynchronous shared-memory runtime: processes, schedulers, executor,
 exhaustive schedule exploration."""
 
-from repro.runtime.calls import OpCall
-from repro.runtime.executor import (
-    ExecutionResult,
-    System,
-    SystemFactory,
-    run_system,
-    run_under_schedules,
-)
-from repro.runtime.explorer import (
-    ExplorationReport,
-    ScheduleExplorer,
-    TerminalCheck,
-    Violation,
-)
-from repro.runtime.process import ProcessProgram, ProcessRunner, ProcessStatus
-from repro.runtime.scheduler import (
-    Action,
-    CrashAction,
-    FixedScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    SoloScheduler,
-    StepAction,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OpCall",
-    "ExecutionResult",
-    "System",
-    "SystemFactory",
-    "run_system",
-    "run_under_schedules",
-    "ExplorationReport",
-    "ScheduleExplorer",
-    "TerminalCheck",
-    "Violation",
-    "ProcessProgram",
-    "ProcessRunner",
-    "ProcessStatus",
-    "Action",
-    "CrashAction",
-    "FixedScheduler",
-    "RandomScheduler",
-    "RoundRobinScheduler",
-    "Scheduler",
-    "SoloScheduler",
-    "StepAction",
-]
+_EXPORTS = {
+    "repro.runtime.calls": ("OpCall",),
+    "repro.runtime.executor": (
+        "ExecutionResult",
+        "System",
+        "SystemFactory",
+        "run_system",
+        "run_under_schedules",
+    ),
+    "repro.runtime.explorer": (
+        "ExplorationReport",
+        "ScheduleExplorer",
+        "TerminalCheck",
+        "Violation",
+    ),
+    "repro.runtime.process": (
+        "ProcessProgram",
+        "ProcessRunner",
+        "ProcessStatus",
+    ),
+    "repro.runtime.scheduler": (
+        "Action",
+        "CrashAction",
+        "FixedScheduler",
+        "RandomScheduler",
+        "RoundRobinScheduler",
+        "Scheduler",
+        "SoloScheduler",
+        "StepAction",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

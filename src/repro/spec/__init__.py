@@ -1,25 +1,16 @@
 """Sequential-object formalism: operations, object types, histories,
 linearizability (paper §3.1)."""
 
-from repro.spec.history import CompletedCall, History, sequential_history
-from repro.spec.linearizability import (
-    LinearizabilityResult,
-    check_linearizability,
-)
-from repro.spec.object_type import FALSE, TRUE, SequentialObjectType
-from repro.spec.operation import Invocation, Operation, Response, op
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CompletedCall",
-    "History",
-    "sequential_history",
-    "LinearizabilityResult",
-    "check_linearizability",
-    "SequentialObjectType",
-    "TRUE",
-    "FALSE",
-    "Invocation",
-    "Operation",
-    "Response",
-    "op",
-]
+_EXPORTS = {
+    "repro.spec.history": ("CompletedCall", "History", "sequential_history"),
+    "repro.spec.linearizability": (
+        "LinearizabilityResult",
+        "check_linearizability",
+    ),
+    "repro.spec.object_type": ("SequentialObjectType", "TRUE", "FALSE"),
+    "repro.spec.operation": ("Invocation", "Operation", "Response", "op"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -43,21 +43,16 @@ Quickstart::
           f"k-histogram {stats.k_histogram}")
 """
 
-from repro.sync.bounds import component_team, spender_bound
-from repro.sync.escalation import (
-    ComponentOrder,
-    SyncRoundResult,
-    TieredEscalator,
-)
-from repro.sync.planner import TIER_GLOBAL, SyncAssignment, SyncPlanner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "component_team",
-    "spender_bound",
-    "ComponentOrder",
-    "SyncRoundResult",
-    "TieredEscalator",
-    "TIER_GLOBAL",
-    "SyncAssignment",
-    "SyncPlanner",
-]
+_EXPORTS = {
+    "repro.sync.bounds": ("component_team", "spender_bound"),
+    "repro.sync.escalation": (
+        "ComponentOrder",
+        "SyncRoundResult",
+        "TieredEscalator",
+    ),
+    "repro.sync.planner": ("TIER_GLOBAL", "SyncAssignment", "SyncPlanner"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

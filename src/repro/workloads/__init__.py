@@ -1,62 +1,37 @@
 """Workload generators, canonical traces, and open-loop arrivals."""
 
-from repro.workloads.arrivals import (
-    Arrival,
-    StreamDriver,
-    StreamReport,
-    onoff_arrivals,
-    poisson_arrivals,
-)
-from repro.workloads.churn import crash_cadence, flash_crowd
-from repro.workloads.generators import (
-    APPROVAL_HEAVY_MIX,
-    CHAIN_HEAVY_MIX,
-    EXAMPLE1_BALANCES,
-    EXAMPLE1_RESPONSES,
-    OWNER_ONLY_MIX,
-    SPENDER_HEAVY_MIX,
-    AssetTransferWorkloadGenerator,
-    ContractStream,
-    MultiContractItem,
-    MultiContractWorkloadGenerator,
-    NFTWorkloadGenerator,
-    TokenWorkloadGenerator,
-    WorkloadItem,
-    WorkloadMix,
-    example1_trace,
-    partition_by_process,
-    serial_reference,
-    standard_multi_contract,
-)
-from repro.workloads.skew import skewed_index, validate_skew, zipf_weights
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "APPROVAL_HEAVY_MIX",
-    "Arrival",
-    "CHAIN_HEAVY_MIX",
-    "EXAMPLE1_BALANCES",
-    "EXAMPLE1_RESPONSES",
-    "OWNER_ONLY_MIX",
-    "SPENDER_HEAVY_MIX",
-    "AssetTransferWorkloadGenerator",
-    "ContractStream",
-    "MultiContractItem",
-    "MultiContractWorkloadGenerator",
-    "NFTWorkloadGenerator",
-    "StreamDriver",
-    "StreamReport",
-    "TokenWorkloadGenerator",
-    "WorkloadItem",
-    "WorkloadMix",
-    "crash_cadence",
-    "example1_trace",
-    "flash_crowd",
-    "onoff_arrivals",
-    "partition_by_process",
-    "poisson_arrivals",
-    "serial_reference",
-    "skewed_index",
-    "standard_multi_contract",
-    "validate_skew",
-    "zipf_weights",
-]
+_EXPORTS = {
+    "repro.workloads.arrivals": (
+        "Arrival",
+        "StreamDriver",
+        "StreamReport",
+        "onoff_arrivals",
+        "poisson_arrivals",
+    ),
+    "repro.workloads.churn": ("crash_cadence", "flash_crowd"),
+    "repro.workloads.generators": (
+        "APPROVAL_HEAVY_MIX",
+        "CHAIN_HEAVY_MIX",
+        "EXAMPLE1_BALANCES",
+        "EXAMPLE1_RESPONSES",
+        "OWNER_ONLY_MIX",
+        "SPENDER_HEAVY_MIX",
+        "AssetTransferWorkloadGenerator",
+        "ContractStream",
+        "MultiContractItem",
+        "MultiContractWorkloadGenerator",
+        "NFTWorkloadGenerator",
+        "TokenWorkloadGenerator",
+        "WorkloadItem",
+        "WorkloadMix",
+        "example1_trace",
+        "partition_by_process",
+        "serial_reference",
+        "standard_multi_contract",
+    ),
+    "repro.workloads.skew": ("skewed_index", "validate_skew", "zipf_weights"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

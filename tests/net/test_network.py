@@ -61,6 +61,28 @@ class TestDelivery:
         simulator.run()
         assert all(len(node.received) == 1 for node in nodes)
 
+    def test_broadcast_reaches_late_registrations_in_id_order(self):
+        simulator = Simulator()
+        network = Network(simulator, ConstantLatency(1.0))
+        log: list[tuple[int, int]] = []
+
+        class Logger(Node):
+            def handle_ping(self, message: Message) -> None:
+                log.append((message.payload, self.node_id))
+
+        Logger(3, network)
+        Logger(1, network)
+        network.broadcast(1, "ping", 0)
+        simulator.run()
+        Logger(2, network)
+        Logger(0, network)
+        network.broadcast(0, "ping", 1)
+        simulator.run()
+        # Sends go out in ascending id order; with one latency the sender's
+        # own copy (delay 0) leads and the rest arrive in send order.
+        assert log == [(0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]
+        assert network.node_ids == [0, 1, 2, 3]
+
     def test_unknown_destination_raises(self):
         _, network, _ = make_net(2)
         with pytest.raises(NetworkError):
