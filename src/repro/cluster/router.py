@@ -191,7 +191,8 @@ class Router(Node):
         self._rounds_started = 0
         #: Cross-round pipelining: up to ``pipeline_depth`` rounds in
         #: flight, and the gates that stand in for a global round barrier
-        #: (see :meth:`pump`).
+        #: (see :meth:`pump`).  Rounds enter in ascending index order, so
+        #: iterating ``_inflight`` walks them oldest first.
         stats.pipeline_depth = config.pipeline_depth
         self._inflight: dict[int, _Round] = {}
         #: shard -> its in-flight lease handoff, and one record per node.
@@ -329,7 +330,8 @@ class Router(Node):
           in-flight unit (on any node) whose footprint union does not
           statically commute with it (:func:`~repro.objects.footprint.
           static_pair_kind`), so overlapped rounds only ever reorder
-          commuting operations;
+          commuting operations.  Those blockers are fixed when the unit's
+          round is routed, and the gate only drops the finished ones;
         * **per-shard lease order** — handoffs of one shard serialize:
           round N+1's request goes out once round N's handoff of the same
           shard has been acknowledged.
@@ -364,8 +366,19 @@ class Router(Node):
                 self._sync_free = routed.sync_start + routed.sync.virtual_time
             if self.tracer is not None:
                 self._trace_routed(routed)
+            earlier = [
+                prev
+                for prior in self._inflight.values()
+                for prev in prior.units.values()
+                if not prev.done
+            ]
             self._inflight[index] = routed
             for unit in routed.units.values():
+                unit.blockers = [
+                    prev
+                    for prev in earlier
+                    if static_pair_kind(unit.summary, prev.summary) != "commute"
+                ]
                 self._peers[unit.node].queue.append(unit)
             classified += 1
         self._drain_gates()
@@ -376,8 +389,7 @@ class Router(Node):
         progress = True
         while progress:
             progress = False
-            for index in sorted(self._inflight):
-                round_state = self._inflight[index]
+            for index, round_state in list(self._inflight.items()):
                 for migration in list(round_state.lease_pending):
                     shard, from_node, to_node = migration
                     if shard in self._handoffs:
@@ -390,21 +402,24 @@ class Router(Node):
             progress |= self._drain_unit_queues()
 
     def _drain_unit_queues(self) -> bool:
-        """Send every unit whose footprint gate passes.  There is no
-        per-node FIFO and no outstanding-unit limit — a node's units
-        interleave on its lane timeline, and a blocked unit is simply
-        *skipped* (it does not hold up the rest of its round).
-        Cross-round conflicts stay ordered because a conflicting later
-        unit is exactly what the gate refuses to dispatch."""
+        """Send every unit none of whose blockers is unfinished.  Fixing
+        them at routing is exact: earlier rounds' unit records never
+        change (a replay moves the record), ``done`` never reverts, and
+        later rounds never gate earlier ones.  Same-node units are not
+        exempt — with no per-node FIFO, cross-round same-node order is
+        this gate's job too.  A blocked unit is *skipped*, not a barrier."""
         progress = False
         for node, peer in enumerate(self._peers):
             if peer.dead:
                 continue
             for unit in list(peer.queue):
-                round_state = self._inflight[unit.round]
-                if self._unit_blocked(unit):
+                blockers = unit.blockers
+                while blockers and blockers[-1].done:
+                    blockers.pop()
+                if blockers:
                     unit.block(self.now)
                     continue
+                round_state = self._inflight[unit.round]
                 peer.queue.remove(unit)
                 stall = self.now - round_state.classified
                 gate_stall, recovery_stall = unit.dispatch(self.now)
@@ -424,20 +439,6 @@ class Router(Node):
                 self._send_unit(round_state, unit)
                 progress = True
         return progress
-
-    def _unit_blocked(self, unit: _Unit) -> bool:
-        """The per-unit footprint gate: may this unit overlap every
-        still-incomplete unit of every earlier in-flight round?  Same-node
-        units are *not* exempt — there is no per-node FIFO, so
-        cross-round same-node ordering is this gate's job too.  Units of
-        one round never gate each other (distinct components commute)."""
-        return any(
-            not other.done
-            and static_pair_kind(unit.summary, other.summary) != "commute"
-            for earlier, earlier_state in self._inflight.items()
-            if earlier < unit.round
-            for other in earlier_state.units.values()
-        )
 
     def _send_unit(self, round_state: _Round, unit: _Unit) -> None:
         # Absolute completion of this unit's sync lane (0.0 for
@@ -676,7 +677,7 @@ class Router(Node):
             peer.episode = _RecoveryEpisode(started=self.now)
         self._replay_owed(node)
         # Synthetic ack resolution may have completed rounds.
-        for index in sorted(self._inflight):
+        for index in list(self._inflight):
             if index in self._inflight:
                 self._finish_round(index)
         self._drain_gates()
@@ -699,8 +700,7 @@ class Router(Node):
                 )
             elif handoff.round in self._inflight:
                 self._inflight[handoff.round].pending_acks -= 1
-        for index in sorted(self._inflight):
-            round_state = self._inflight[index]
+        for round_state in self._inflight.values():
             for migration in list(round_state.lease_pending):
                 shard, from_node, to_node = migration
                 if to_node != node:
@@ -743,8 +743,7 @@ class Router(Node):
         died with the node, and — a dead node is given no work — those
         still queued for it."""
         peer = self._peers[node]
-        for index in sorted(self._inflight):
-            round_state = self._inflight[index]
+        for round_state in self._inflight.values():
             # A sorted copy: replaying re-keys ``round_state.units``.
             for unit in sorted(
                 round_state.units.values(), key=lambda unit: unit.uidx
@@ -906,11 +905,8 @@ class Router(Node):
         index = body["round"]
         self._peers[message.src].last_heard = self.now
         round_state = self._inflight.get(index)
-        unit = (
-            round_state.units.get((message.src, body["unit"]))
-            if round_state is not None
-            else None
-        )
+        units = round_state.units if round_state is not None else {}
+        unit = units.get((message.src, body["unit"]))
         if unit is None or unit.done:
             self._stale(
                 f"stray or duplicate result from node {message.src} "

@@ -117,8 +117,10 @@ class _Unit:
     dag: ComponentDAG | None
     dispatched: bool = False
     done: bool = False
-    #: Time the ready-to-go unit was first blocked by the cross-round
-    #: footprint gate.
+    #: The cross-round footprint gate: earlier rounds' unfinished units
+    #: this one does not commute with, fixed when its round is routed.
+    blockers: list[_Unit] | tuple[()] = ()
+    #: Time the ready-to-go unit was first blocked by that gate.
     blocked_since: float | None = None
     #: Result-timeout timer and the serial execution envelope charged to
     #: the node while the unit is dispatched (recovery only).

@@ -21,9 +21,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
-    """A typed protocol message."""
+    """A typed protocol message.  Not frozen: one is built per send, and
+    a frozen ``__init__`` sets every field through ``object.__setattr__``."""
 
     type: str
     src: int
@@ -132,6 +133,9 @@ class Network:
         #: it filters every send (crashed endpoints, drop rules, extra
         #: delays) and every delivery (destination crashed in flight).
         self.faults = None
+        #: Bound once: every send queues this same callable, so a message
+        #: in flight holds no closure and no fresh bound method.
+        self._deliver = self._deliver
 
     # ------------------------------------------------------------------
 
@@ -160,10 +164,11 @@ class Network:
     # ------------------------------------------------------------------
 
     def send(self, src: int, dst: int, type: str, payload: Any = None) -> None:
-        """Send one message; delivery is scheduled after a sampled latency."""
+        """Send one message; delivery is scheduled after a sampled latency
+        as ``(self._deliver, message)`` on the simulator's heap."""
         if dst not in self.nodes:
             raise NetworkError(f"unknown destination node {dst}")
-        message = Message(type=type, src=src, dst=dst, payload=payload)
+        message = Message(type, src, dst, payload)
         self.stats.record_send(message)
         if self._crosses_partition(src, dst):
             self.stats.messages_dropped += 1
@@ -175,19 +180,17 @@ class Network:
                 self.stats.messages_dropped += 1
                 return
         delay = self.latency.sample(src, dst, self.rng) if src != dst else 0.0
-        node = self.nodes[dst]
+        self.simulator.post(delay + extra, self._deliver, message)
 
-        def deliver() -> None:
-            # A destination that crashed while the message was in flight
-            # loses it — in-flight traffic is not queued across a crash.
-            if self.faults is not None and self.faults.is_down(dst):
-                self.stats.messages_dropped += 1
-                self.faults.messages_dropped += 1
-                return
-            self.stats.record_delivery(message)
-            node.on_message(message)
-
-        self.simulator.schedule(delay + extra, deliver)
+    def _deliver(self, message: Message) -> None:
+        # A destination that crashed while the message was in flight
+        # loses it — in-flight traffic is not queued across a crash.
+        if self.faults is not None and self.faults.is_down(message.dst):
+            self.stats.messages_dropped += 1
+            self.faults.messages_dropped += 1
+            return
+        self.stats.record_delivery(message)
+        self.nodes[message.dst].on_message(message)
 
     def broadcast(self, src: int, type: str, payload: Any = None) -> None:
         """Send to every node, including the sender (self-delivery is local

@@ -146,7 +146,11 @@ class TotalOrderNode(Node):
         body = message.payload
         seq, key = body["seq"], body["digest"]
         slot = self._slot(seq)
-        voters = slot.prepares.setdefault(key, set())
+        # A vote set is built on a miss only (``setdefault(key, set())``
+        # would build a throwaway set per vote).
+        voters = slot.prepares.get(key)
+        if voters is None:
+            voters = slot.prepares[key] = set()
         voters.add(message.src)
         if len(voters) >= self.quorum and not slot.prepared:
             slot.prepared = True
@@ -156,7 +160,9 @@ class TotalOrderNode(Node):
         body = message.payload
         seq, key = body["seq"], body["digest"]
         slot = self._slot(seq)
-        voters = slot.commits.setdefault(key, set())
+        voters = slot.commits.get(key)
+        if voters is None:
+            voters = slot.commits[key] = set()
         voters.add(message.src)
         if len(voters) >= self.quorum and not slot.committed:
             slot.committed = True
