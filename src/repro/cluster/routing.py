@@ -246,8 +246,11 @@ def route_window(
     ``shard_map`` and ``last_migration`` (shard -> round of its last
     lease migration, the cooldown table) are updated in place as leases
     are planned: a later chain of the window must see an earlier chain's
-    migration.  ``live`` lists the nodes that may be given work; ``state``
-    is only read by the classifier's ``validate`` oracle."""
+    migration.  ``live`` lists the nodes that may be given work, in any
+    order: sorted here, every load tie goes to the lowest id (``min`` and
+    ``max`` keep the first of equal keys).  ``state`` is only read by the
+    classifier's ``validate`` oracle."""
+    live = sorted(live)
     # A chain migrates leases only when its majority owner already has
     # at least ``min_gain`` of its operations — a 1-vs-1 split names no
     # "busier node" and a handoff would be pure ownership churn — and
@@ -273,6 +276,9 @@ def route_window(
     assignment: dict[int, list[PendingOp]] = {
         node: [] for node in range(shard_map.num_nodes)
     }
+    #: ``len(assignment[node])`` per live node (the only ones given work).
+    load = dict.fromkeys(live, 0)
+    by_load = load.__getitem__
     #: Start-of-round home node per op — the owner-local yardstick
     #: (this round's own migrations must not flatter the metric).
     home = {op.seq: shard_map.owner_of(anchor_of[op.seq]) for op in window}
@@ -329,7 +335,7 @@ def route_window(
         # dead runs on the least-loaded live node.
         target = min(
             [n for n in owners if n in live] or live,
-            key=lambda n: (-owners[n], len(assignment[n]), n),
+            key=lambda n: (-owners[n], load[n], n),
         )
         unit = add_unit(target, ops, dag.positional())
         chain_contended = [i for i in chain if i in contended]
@@ -372,6 +378,7 @@ def route_window(
                 unit.leases += 1
                 lease_units[shard] = unit.uidx
         assignment[target].extend(ops)
+        load[target] += len(ops)
 
     # Singletons bundle by anchor account and go to the account's owner;
     # an oversized commuting bundle — more ops than an even share of the
@@ -380,11 +387,7 @@ def route_window(
     target_load = math.ceil(len(window) / len(live))
     bundles: dict[int, list[PendingOp]] = {}
     for i in singleton_idx:
-        op = window[i]
-        bundles.setdefault(anchor_of[op.seq], []).append(op)
-
-    def least_loaded() -> int:
-        return min(live, key=lambda n: (len(assignment[n]), n))
+        bundles.setdefault(anchor_of[window[i].seq], []).append(window[i])
 
     for account, ops in sorted(
         bundles.items(), key=lambda kv: (-len(kv[1]), kv[0])
@@ -392,50 +395,42 @@ def route_window(
         if len(ops) > target_load and len(live) > 1:
             hot_split += len(ops)
             for op in ops:
-                assignment[least_loaded()].append(op)
+                node = min(live, key=by_load)
+                assignment[node].append(op)
+                load[node] += 1
         else:
             owner = shard_map.owner_of(account)
-            assignment[owner if owner in live else least_loaded()].extend(ops)
+            node = owner if owner in live else min(live, key=by_load)
+            assignment[node].extend(ops)
+            load[node] += len(ops)
 
     # Overflow spill: while the heaviest node holds more than an even
     # share and at least two ops more than the lightest, shed its latest
     # commuting singleton (never a chain member) to the lightest.  Moving
     # a singleton anywhere is sound — it commutes with the entire window.
     spill = 0
-    exhausted: set[int] = set()
-    while len(live) > 1:
-        heaviest = max(
-            (n for n in live if n not in exhausted),
-            key=lambda n: (len(assignment[n]), -n),
-            default=None,
-        )
-        if heaviest is None:
+    #: Nodes that may still shed: one holding only chain members is out.
+    shedding = live if len(live) > 1 else []
+    while shedding:
+        heaviest = max(shedding, key=by_load)
+        lightest = min(live, key=by_load)
+        if load[heaviest] <= max(target_load, load[lightest] + 1):
             break
-        lightest = least_loaded()
-        if len(assignment[heaviest]) - len(assignment[lightest]) <= 1:
-            break
-        if len(assignment[heaviest]) <= target_load:
-            break
-        movable = next(
-            (
-                k
-                for k in range(len(assignment[heaviest]) - 1, -1, -1)
-                if assignment[heaviest][k].seq not in chain_seqs
-            ),
-            None,
-        )
-        if movable is None:
+        ops = assignment[heaviest]
+        k = len(ops) - 1
+        while k >= 0 and ops[k].seq in chain_seqs:
+            k -= 1
+        if k < 0:
             # All chain members: this node's load is atomic; try others.
-            exhausted.add(heaviest)
+            shedding = [n for n in shedding if n != heaviest]
             continue
-        assignment[lightest].append(assignment[heaviest].pop(movable))
+        assignment[lightest].append(ops.pop(k))
+        load[heaviest] -= 1
+        load[lightest] += 1
         spill += 1
 
     owner_local = sum(
-        1
-        for node, ops in assignment.items()
-        for op in ops
-        if home[op.seq] == node
+        home[op.seq] == node for node, ops in assignment.items() for op in ops
     )
 
     # Synchronization: each contended cross-node component through its

@@ -47,6 +47,9 @@ from repro.objects.footprint import (
 )
 from repro.spec.object_type import SequentialObjectType
 
+#: The footprint rule's string -> its ``PairKind`` (same values).
+_KINDS = {kind.value: kind for kind in PairKind}
+
 
 class ClassifierValidationError(EngineError):
     """The static fast path claimed more than the semantic oracle grants."""
@@ -84,10 +87,6 @@ class ClassifierStats:
     confirmed_conflicts: int = 0
     checked_conflicts: int = 0
     by_kind: dict[str, int] = field(default_factory=dict)
-
-    def record(self, kind: PairKind) -> None:
-        self.pairs += 1
-        self.by_kind[kind.value] = self.by_kind.get(kind.value, 0) + 1
 
     @property
     def conflict_precision(self) -> float:
@@ -148,13 +147,15 @@ class OpClassifier:
         self, fp1: OpFootprint | None, fp2: OpFootprint | None
     ) -> PairKind:
         """The (counted) footprint-pair rule."""
+        stats = self.stats
         if fp1 is None or fp2 is None:
-            self.stats.fallback_pairs += 1
+            stats.fallback_pairs += 1
         else:
-            self.stats.static_pairs += 1
-        kind = PairKind(static_pair_kind(fp1, fp2))
-        self.stats.record(kind)
-        return kind
+            stats.static_pairs += 1
+        value = static_pair_kind(fp1, fp2)
+        stats.pairs += 1
+        stats.by_kind[value] = stats.by_kind.get(value, 0) + 1
+        return _KINDS[value]
 
     def needs_consensus(
         self, first: PendingOp, second: PendingOp, footprints=None

@@ -85,6 +85,7 @@ against the sequential specification.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
 from repro.config import EngineConfig
@@ -207,22 +208,19 @@ class PipelinedExecutor:
         self._pending_units: list[ScheduledUnit] = []
         #: The serial prefix state — every drained window applied in
         #: submission order — kept lazily.  Only oracle validation
-        #: and spender-bound team sizing ever read it, so drained windows
+        #: and spender-bound team sizing ever read it, so drained ops
         #: wait in the backlog and :meth:`_prefix_state` folds them in when
         #: one of the two asks; a run that never asks (owner-only traffic)
-        #: applies every operation once, at commit, not twice.
+        #: applies every operation once, at commit, not twice.  Only ops
+        #: that can write wait: a read-only one returns the state it got.
         self._classify_state = object_type.initial_state()
-        self._state_backlog: list[list[PendingOp]] = []
+        self._state_backlog: list[PendingOp] = []
 
     def _prefix_state(self):
         """The state after every drained window, in submission order."""
         if self._state_backlog:
             self._classify_state, _ = self.object_type.run(
-                (
-                    (op.pid, op.operation)
-                    for ops in self._state_backlog
-                    for op in ops
-                ),
+                ((op.pid, op.operation) for op in self._state_backlog),
                 self._classify_state,
             )
             self._state_backlog.clear()
@@ -348,7 +346,9 @@ class PipelinedExecutor:
         assert escalation is not None
         if escalation.virtual_time > 0:
             self._sync_free = sync_start + escalation.virtual_time
-        self._state_backlog.append(round_.ops)
+        for op, fp in zip(round_.ops, round_.graph.footprints):
+            if fp is None or fp.adds or fp.sets:
+                self._state_backlog.append(op)
 
         # Sync completion per contended window index: a component's
         # contended members may not start before their lane committed the
@@ -529,24 +529,18 @@ class PipelinedExecutor:
         if footprint is None:
             return self._frontier_max
         dep_ready = self._frontier_top
+        obs, add = self._frontier_obs, self._frontier_add
+        sets = self._frontier_set
         for loc in footprint.observes:
-            dep_ready = max(
-                dep_ready,
-                self._frontier_add.get(loc, 0.0),
-                self._frontier_set.get(loc, 0.0),
-            )
+            dep_ready = max(dep_ready, add.get(loc, 0.0), sets.get(loc, 0.0))
         for loc in footprint.adds:
-            dep_ready = max(
-                dep_ready,
-                self._frontier_obs.get(loc, 0.0),
-                self._frontier_set.get(loc, 0.0),
-            )
+            dep_ready = max(dep_ready, obs.get(loc, 0.0), sets.get(loc, 0.0))
         for loc in footprint.sets:
             dep_ready = max(
                 dep_ready,
-                self._frontier_obs.get(loc, 0.0),
-                self._frontier_add.get(loc, 0.0),
-                self._frontier_set.get(loc, 0.0),
+                obs.get(loc, 0.0),
+                add.get(loc, 0.0),
+                sets.get(loc, 0.0),
             )
         return dep_ready
 
@@ -643,7 +637,7 @@ class PipelinedExecutor:
     def _commit(self) -> None:
         state = self.state
         for unit in sorted(
-            self._pending_units, key=lambda u: (u.start, u.op.seq)
+            self._pending_units, key=attrgetter("start", "op.seq")
         ):
             op = unit.op
             state, self.responses[op.seq] = self.object_type.apply(

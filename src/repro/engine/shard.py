@@ -34,6 +34,7 @@ in one place, :func:`dag_schedule`, which works on window indices alone
 from __future__ import annotations
 
 import heapq
+import math
 
 from repro.engine.conflict_graph import ComponentDAG
 from repro.errors import EngineError
@@ -73,7 +74,12 @@ def dag_list_schedule(
     into gaps they fit, so a deep-priority op does not strand a lane idle
     that a ready singleton could fill.  Gap placement is sound: the gap
     predates the lane's current tail, and every precedence and floor
-    constraint is still honored through ``est``.
+    constraint is still honored through ``est``.  ``horizon`` bounds every
+    open gap's end (it rises as gaps open, a split gap's slivers end no
+    later, and it is −∞ once none is open); a task with ``est + cost >
+    horizon`` skips the gap walk, exactly: any slot is ``≥ est`` and float
+    addition is monotone, so no gap can fit it.  (A node's residual unit
+    floors all its ops at one ``ready``, so every gap it opens ends there.)
 
     Returns ``(start, finish, lane)`` per task.  Deterministic: the heap
     orders by (priority desc, seq) and the lane choice by (start, free,
@@ -99,6 +105,7 @@ def dag_list_schedule(
     #: making — a persistent caller's lanes start gapless, which keeps
     #: incremental scheduling conservative).
     gaps: dict[int, list[tuple[float, float]]] = {}
+    horizon = -math.inf
     scheduled = 0
     while ready:
         _, _, i = heapq.heappop(ready)
@@ -107,7 +114,7 @@ def dag_list_schedule(
         lane = lane_free.index(free)
         start = earliest if earliest > free else free
         gap_index: int | None = None
-        if gaps:
+        if earliest + cost <= horizon:
             best = (start, free, lane)
             for lane_id, idle in gaps.items():
                 for k, (gap_start, gap_end) in enumerate(idle):
@@ -129,9 +136,12 @@ def dag_list_schedule(
                 idle.insert(gap_index, (gap_start, start))
             if not idle:
                 del gaps[lane]
+                if not gaps:
+                    horizon = -math.inf
         else:
             if start > free:
                 gaps.setdefault(lane, []).append((free, start))
+                horizon = max(horizon, start)
             lane_free[lane] = finish
         out[i] = (start, finish, lane)
         scheduled += 1

@@ -285,7 +285,10 @@ def conflict_candidates(
     accesses per location and crossing, within each bucket, writers with
     observers and setters with writers reaches every such pair (a ``None``
     footprint pairs with the whole window) and no other.  Self-pairs are
-    dropped and pairs sharing several locations collapse in the sets.  The
+    dropped and pairs sharing several locations collapse in the sets.  A
+    *self-only* cell — its one adder is its one observer, as a transfer's
+    own source balance is when no other op of the window touches it —
+    could only emit the self-pair, so it is not crossed at all.  The
     cost is linear in the footprints plus the pairs emitted — a window
     where every op is guarded on one balance emits them all.
     """
@@ -314,8 +317,9 @@ def conflict_candidates(
             later[y].update(xs[bisect_right(xs, y) :])
 
     for loc, deltas in adders.items():
-        if loc in observers:
-            cross(deltas, observers[loc])
+        watchers = observers.get(loc)
+        if watchers is not None and (len(deltas) > 1 or watchers != deltas):
+            cross(deltas, watchers)
     for loc, absolute in setters.items():
         for bucket in (observers, adders, setters):
             if loc in bucket:

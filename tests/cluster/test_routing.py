@@ -232,6 +232,63 @@ def test_no_unit_is_ever_placed_on_a_dead_node(owners, live, seed, min_gain):
     assert routed.pending == routed.stats.units_dispatched == len(routed.units)
 
 
+def _routed_shape(routed):
+    """What a routed round decides: where every op goes, the units, and
+    the lease moves."""
+    return (
+        {node: [o.seq for o in ops] for node, ops in routed.assignment.items()},
+        {
+            key: ([o.seq for o in unit.ops], unit.leases, unit.contended)
+            for key, unit in routed.units.items()
+        },
+        routed.lease_pending,
+        routed.lease_units,
+        routed.stats,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    live=st.sets(
+        st.integers(min_value=0, max_value=NODES - 1), min_size=2
+    ).map(sorted),
+)
+def test_live_order_does_not_change_the_routing(seed, live):
+    """Load ties go to the lowest id however ``live`` is ordered: the
+    load table's ``min`` / ``max`` keep the first of equal keys, so
+    ``route_window`` sorts ``live`` on entry."""
+    items = TokenWorkloadGenerator(
+        ACCOUNTS, seed=seed, mix=CHAIN_HEAVY_MIX, hotspot_fraction=0.5
+    ).generate(48)
+    window = [
+        PendingOp(seq, item.pid, item.operation)
+        for seq, item in enumerate(items)
+    ]
+    ascending = route(window, ShardMap(SHARDS, NODES), live=live)
+    descending = route(window, ShardMap(SHARDS, NODES), live=live[::-1])
+    assert _routed_shape(descending) == _routed_shape(ascending)
+
+
+def test_descending_live_splits_and_spills_like_ascending():
+    """One window whose hot bundle is split and whose owner then spills,
+    routed with ``live`` ascending and descending: identical rounds."""
+    (hot,) = accounts_of(ShardMap(SHARDS, NODES), 1)[:1]
+    cold = accounts_of(ShardMap(SHARDS, NODES), 3)
+    window = [PendingOp(i, hot, op("balanceOf", hot)) for i in range(9)]
+    window += [
+        PendingOp(9 + i, cold[i % 2], op("balanceOf", cold[i % 2]))
+        for i in range(5)
+    ]
+    routed = [
+        route(window, ShardMap(SHARDS, NODES), live=live)
+        for live in ([0, 1, 2, 3], [3, 2, 1, 0])
+    ]
+    assert routed[0].stats.hot_split_ops == 9
+    assert routed[0].stats.spill_ops > 0
+    assert _routed_shape(routed[1]) == _routed_shape(routed[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     owners=st.lists(

@@ -35,6 +35,7 @@ from repro.workloads import (
     OWNER_ONLY_MIX,
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
+    WorkloadMix,
 )
 from tests.engine.test_classifier import (
     ACCOUNT,
@@ -239,12 +240,12 @@ class TestNamedWindows:
         token = ERC20TokenType(8, total_supply=80)
         window = _window(
             [(a, op("transfer", (a + 1) % 8, 1)) for a in range(0, 8, 2)]
-            + [(1, op("transferFrom", 0, 3, 1))]
+            + [(1, op("transferFrom", 0, 3, 1)), (5, op("balanceOf", 0))]
         )
         classifier = OpClassifier(token)
         graph = ConflictGraph.build(classifier, window)
-        assert classifier.stats.pairs == len(graph.edges) > 0
-        assert "commute" not in classifier.stats.by_kind
+        assert classifier.stats.pairs == len(graph.edges) == 3
+        assert classifier.stats.by_kind == {"conflict": 1, "read-only": 2}
         n = len(window)
         assert graph.commute_pairs == n * (n - 1) // 2 - len(graph.edges)
 
@@ -331,6 +332,32 @@ class TestValidateChangesNothing:
         assert runs[0] == runs[1]
 
 
+#: Reads dominate; the hot accounts' transferFroms and approves still make
+#: contended windows.
+READ_MOSTLY_MIX = WorkloadMix(
+    transfer=0.1,
+    transfer_from=0.15,
+    approve=0.1,
+    balance_of=0.45,
+    allowance=0.15,
+    total_supply=0.05,
+)
+
+
+class _EveryOpFolded(PipelinedExecutor):
+    """The reference prefix state: every op of the earlier windows — the
+    read-only ones too — replayed from the initial state."""
+
+    def _prefix_state(self):
+        drained = sorted(
+            (unit.op for unit in self._pending_units), key=lambda op: op.seq
+        )
+        state, _ = self.object_type.run(
+            (op.pid, op.operation) for op in drained
+        )
+        return state
+
+
 class TestLazyPrefixState:
     def test_owner_only_traffic_applies_each_op_once(self):
         """No contended group, no validation: nothing reads the serial
@@ -352,6 +379,62 @@ class TestLazyPrefixState:
         state, responses, stats = engine.run_workload(items)
         assert stats.escalated_ops == 0
         assert calls == len(items)
+        assert (state, responses) == ERC20TokenType(16, total_supply=320).run(
+            [(item.pid, item.operation) for item in items]
+        )
+
+    def test_read_only_ops_stay_out_of_the_prefix_fold(self):
+        """Contended windows with team sizing read the serial prefix state,
+        yet only ops that can write are folded into it: ``apply`` runs once
+        per op at commit plus once per *writing* op drained before the last
+        read.  Every spender bound, and so every team, escalation stat,
+        state and response, equals a reference that folds every op."""
+        token = ERC20TokenType(16, total_supply=320)
+        calls = 0
+        apply = token.apply
+
+        def counting_apply(state, pid, operation):
+            nonlocal calls
+            calls += 1
+            return apply(state, pid, operation)
+
+        token.apply = counting_apply
+        items = TokenWorkloadGenerator(
+            16,
+            seed=13,
+            mix=READ_MOSTLY_MIX,
+            hotspot_fraction=0.5,
+            hotspot_accounts=2,
+        ).generate(256)
+        config = EngineConfig(num_lanes=4, window=32, team_threshold=4)
+        engine = PipelinedExecutor(token, config)
+        #: Ops of the windows before each prefix-state read.
+        drained_at_read: list[int] = []
+        prefix_state = engine._prefix_state
+
+        def watched_prefix_state():
+            drained_at_read.append(len(engine._pending_units))
+            return prefix_state()
+
+        engine._prefix_state = watched_prefix_state
+        state, responses, stats = engine.run_workload(items)
+        reference = _EveryOpFolded(ERC20TokenType(16, total_supply=320), config)
+        ref_state, ref_responses, ref_stats = reference.run_workload(items)
+
+        assert stats.team_ops > 0 and stats.escalated_ops > 0
+        folded = items[: max(drained_at_read)]
+        writing = [
+            item
+            for item in folded
+            if not token.footprint(item.pid, item.operation).is_read_only
+        ]
+        assert 0 < len(writing) < len(folded)
+        assert calls == len(items) + len(writing)
+        assert [r.team_sizes for r in stats.rounds] == [
+            r.team_sizes for r in ref_stats.rounds
+        ]
+        assert stats.as_dict() == ref_stats.as_dict()
+        assert (state, responses) == (ref_state, ref_responses)
         assert (state, responses) == ERC20TokenType(16, total_supply=320).run(
             [(item.pid, item.operation) for item in items]
         )

@@ -15,7 +15,8 @@ Machine-checked guarantees of the op-granular scheduler:
   overlaps two tasks on a lane, honors every floor and predecessor,
   never moves ``lane_free`` backward, is deterministic — and places
   every task exactly where the scan over all lanes it replaced did
-  (:func:`_lane_scan_schedule`, kept here as the reference);
+  (:func:`_lane_scan_schedule`, kept here as the reference), on inputs
+  shaped to make the gap walk's horizon skip fire, reset and re-arm too;
 * **serial equivalence** — for *any* lane count, window size, mix, and
   pipeline depth, the DAG-scheduled final state and every response equal
   a plain sequential execution in submission order.
@@ -27,7 +28,7 @@ import heapq
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.commutativity import PairKind
@@ -369,6 +370,38 @@ def list_schedule_inputs(draw):
     )
 
 
+@st.composite
+def gapped_schedule_inputs(draw):
+    """Independent tasks popped in phases (priority descending, then seq):
+    floored tasks opening gaps; tasks floored past every gap end (the
+    horizon skip); unfloored fillers that close the gaps (the horizon
+    resets once the last one closes); then floored tasks opening new gaps,
+    and tasks of every floor around them.  Integer floors and a cost that
+    divides them keep every gap closable."""
+    lanes = draw(st.integers(1, 3))
+    phases = [
+        draw(st.lists(st.integers(1, 8), min_size=1, max_size=lanes + 2)),
+        sorted(draw(st.lists(st.integers(9, 12), max_size=3))),
+        [0] * draw(st.integers(0, 40)),
+        draw(st.lists(st.integers(60, 68), min_size=1, max_size=lanes + 1)),
+        draw(st.lists(st.integers(50, 70), max_size=12)),
+    ]
+    floors = [floor for phase in phases for floor in phase]
+    n = len(floors)
+    return dict(
+        seqs=list(range(n)),
+        preds=[()] * n,
+        priorities=[
+            len(phases) - k for k, phase in enumerate(phases) for _ in phase
+        ],
+        lane_free=draw(
+            st.lists(st.integers(0, 2), min_size=lanes, max_size=lanes)
+        ),
+        floors=floors,
+        cost=draw(st.sampled_from([1, 0.5])),
+    )
+
+
 class TestListScheduleProperties:
     """:func:`dag_list_schedule` places every op in the system — the
     engine's rolling timeline and the cluster node's units."""
@@ -406,13 +439,43 @@ class TestListScheduleProperties:
                 [carried_in[lane]] + [finish for _, finish in timeline]
             )
 
-    @settings(max_examples=500, deadline=None)
-    @given(inputs=list_schedule_inputs())
+    @settings(max_examples=800, deadline=None)
+    @given(
+        inputs=st.one_of(list_schedule_inputs(), gapped_schedule_inputs())
+    )
+    @example(
+        # One lane: a gap opens at 3; the task floored at 4 skips the walk;
+        # three fillers close the gap (the horizon resets); a gap opens at
+        # 8, and a task floored at 7 fits it exactly (``est + cost ==
+        # horizon`` must still walk).
+        inputs=dict(
+            seqs=list(range(8)),
+            preds=[()] * 8,
+            priorities=[9, 8, 7, 6, 5, 4, 3, 2],
+            lane_free=[0],
+            floors=[3, 4, 0, 0, 0, 8, 7, 0],
+            cost=1,
+        )
+    )
+    @example(
+        # Two lanes: gaps end at 10, then at 5.  The last task fits only
+        # the older gap, which a horizon taken from the last opened gap
+        # (5) instead of the maximum would skip.
+        inputs=dict(
+            seqs=[0, 1, 2, 3],
+            preds=[()] * 4,
+            priorities=[4, 3, 2, 1],
+            lane_free=[0, 0],
+            floors=[10, 5, 6, 6],
+            cost=1,
+        )
+    )
     def test_lane_choice_equals_the_scan_over_all_lanes(self, inputs):
         """The scheduler against its own past: same ``(start, finish,
         lane)`` per task and same carried-out ``lane_free`` — compared by
         ``repr``, so an int that became a float (a committed trace would
-        show it) counts as a difference."""
+        show it) counts as a difference.  The gapped inputs make the gap
+        walk's horizon skip fire, reset and re-arm."""
         lane_free = list(inputs["lane_free"])
         reference_free = list(lane_free)
         out = dag_list_schedule(**{**inputs, "lane_free": lane_free})
