@@ -91,7 +91,7 @@ class TokenCluster:
             self.injector = FaultInjector(schedule, self.simulator)
             self.network.faults = self.injector
         self.shard_map = ShardMap(num_shards, cfg.num_nodes)
-        self.state = object_type.initial_state()
+        self._batch = object_type.batch(object_type.initial_state())
         self.stats = ClusterStats(
             num_nodes=cfg.num_nodes,
             lanes_per_node=cfg.lanes_per_node,
@@ -124,20 +124,23 @@ class TokenCluster:
             classifier=OpClassifier(object_type, validate=cfg.validate),
             stats=self.stats,
             config=cfg,
-            state_fn=(lambda: self.state) if cfg.validate else None,
+            state_fn=self._batch.state if cfg.validate else None,
             faults=self.injector,
             tracer=tracer,
         )
         self.stats.node_bills = [node.bill for node in self.nodes]
-        #: Commit-side dedup (seq -> response): a unit replayed while its
-        #: original result was in flight may apply an op twice; the first
-        #: application is authoritative and re-applications return it.
-        #: Always on — identical results when no fault ever fires.
+        #: seq -> response of every committed op (:meth:`_apply`'s dedup).
         self._applied: dict[int, Any] = {}
         if self.injector is not None:
             self.injector.on_crash = self._on_crash
             self.injector.on_restart = self._on_restart
             self.injector.install()
+
+    @property
+    def state(self) -> Any:
+        """The committed state: a read-only snapshot of the one batch that
+        every committed op advances, for the cluster's whole life."""
+        return self._batch.state()
 
     # -- intake -----------------------------------------------------------
 
@@ -231,13 +234,9 @@ class TokenCluster:
         already committed returns its recorded response without touching
         state, so replayed units and straggler results from fenced nodes
         can never double-apply."""
-        if op.seq in self._applied:
-            return self._applied[op.seq]
-        self.state, response = self.object_type.apply(
-            self.state, op.pid, op.operation
-        )
-        self._applied[op.seq] = response
-        return response
+        if op.seq not in self._applied:
+            self._applied[op.seq] = self._batch.apply(op.pid, op.operation)
+        return self._applied[op.seq]
 
     def _on_crash(self, node_id: int) -> None:
         self.nodes[node_id].crash()

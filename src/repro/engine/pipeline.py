@@ -635,15 +635,13 @@ class PipelinedExecutor:
     # -- commit ----------------------------------------------------------
 
     def _commit(self) -> None:
-        state = self.state
+        batch = self.object_type.batch(self.state)
         for unit in sorted(
             self._pending_units, key=attrgetter("start", "op.seq")
         ):
             op = unit.op
-            state, self.responses[op.seq] = self.object_type.apply(
-                state, op.pid, op.operation
-            )
-        self.state = state
+            self.responses[op.seq] = batch.apply(op.pid, op.operation)
+        self.state = batch.state()
         self._pending_units.clear()
         # Every drained window is now applied: the committed state *is*
         # the serial prefix state, and nothing is left to fold in.

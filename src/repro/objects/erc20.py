@@ -194,6 +194,9 @@ class ERC20TokenType(SequentialObjectType):
     def initial_state(self) -> TokenState:
         return self._initial
 
+    def batch(self, state: TokenState) -> "_TokenBatch":
+        return _TokenBatch(self, state)
+
     def operation_names(self) -> tuple[str, ...]:
         if self.with_extensions:
             return self.CORE_OPERATIONS + self.EXTENSION_OPERATIONS
@@ -356,6 +359,99 @@ class ERC20TokenType(SequentialObjectType):
         if current < delta:
             return state, FALSE
         return state.with_allowance(account, spender, current - delta), TRUE
+
+
+class _TokenBatch:
+    """:meth:`ERC20TokenType.batch`: Δ applied in place.
+
+    The batch is its own private working copy of ``(β, α)``: β as a list,
+    and each α row copied into ``_rows`` on its first write.  Every
+    operation runs through the unchanged spec ``apply`` with the batch in
+    the state's place — the batch answers the reads and ``with_*`` updates
+    Δ's handlers use, updating itself and returning itself — so an ``apply``
+    here costs O(1) instead of a copy of β or of α's outer tuple.
+
+    ``state()`` freezes the copy into a :class:`TokenState` of fresh
+    tuples, so later writes never touch a snapshot handed out; it is
+    cached until the next write.  Freezing rebases the batch onto the
+    snapshot, so the next freeze rebuilds only the rows written since,
+    and every other row stays shared with the snapshot before it (and
+    rows no operation wrote with the input state).
+
+    An invalid operation raises and leaves ``state()`` as it was, and the
+    batch keeps working: every handler validates its arguments before its
+    single ``with_*`` call, so nothing is written before the raise.
+    """
+
+    __slots__ = ("_type", "_base", "_balances", "_rows", "_frozen")
+
+    def __init__(self, object_type: ERC20TokenType, state: TokenState) -> None:
+        self._type = object_type
+        #: The last snapshot; α rows not in ``_rows`` are still its.
+        self._base = state
+        self._balances = list(state.balances)
+        self._rows: dict[int, list[int]] = {}
+        #: ``state()``'s answer, or ``None`` after a write.
+        self._frozen: TokenState | None = state
+
+    def apply(self, pid: int, operation: Operation) -> Any:
+        return self._type.apply(self, pid, operation)[1]
+
+    def state(self) -> TokenState:
+        frozen = self._frozen
+        if frozen is None:
+            allowances = self._base.allowances
+            if self._rows:
+                allowances = list(allowances)
+                for account, row in self._rows.items():
+                    allowances[account] = tuple(row)
+                allowances = tuple(allowances)
+                self._rows.clear()
+            frozen = TokenState(tuple(self._balances), allowances)
+            self._base = self._frozen = frozen
+        return frozen
+
+    # -- the working copy, as Δ's handlers see it ------------------------
+
+    def balance(self, account: int) -> int:
+        return self._balances[account]
+
+    def allowance(self, account: int, spender: int) -> int:
+        row = self._rows.get(account)
+        if row is None:
+            return self._base.allowances[account][spender]
+        return row[spender]
+
+    @property
+    def total_supply(self) -> int:
+        return sum(self._balances)
+
+    def with_transfer(
+        self, source: int, dest: int, value: int
+    ) -> "_TokenBatch":
+        balances = self._balances
+        balances[source] -= value
+        balances[dest] += value
+        self._frozen = None
+        return self
+
+    def with_allowance(
+        self, account: int, spender: int, value: int
+    ) -> "_TokenBatch":
+        row = self._rows.get(account)
+        if row is None:
+            row = self._rows[account] = list(self._base.allowances[account])
+        row[spender] = value
+        self._frozen = None
+        return self
+
+    def with_transfer_from(
+        self, spender: int, source: int, dest: int, value: int
+    ) -> "_TokenBatch":
+        remaining = self.allowance(source, spender) - value
+        return self.with_transfer(source, dest, value).with_allowance(
+            source, spender, remaining
+        )
 
 
 class ERC20Token(SharedObject):

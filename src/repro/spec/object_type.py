@@ -7,11 +7,17 @@ state ``q0``, operations ``O``, responses ``R``, and a transition relation
 there is exactly one valid ``(q', r)``.  We therefore represent ``Δ`` as a
 function :meth:`SequentialObjectType.apply`.
 
-States are required to be immutable and hashable.  This buys three things:
+Every state handed out — by ``initial_state``, by ``apply``, by a batch's
+``state()`` — is immutable and hashable.  This buys three things:
 
 * the valency explorer can memoize configurations,
 * the linearizability checker can memoize ``(linearized-set, state)`` pairs,
 * sequential states can be compared structurally in differential tests.
+
+A long fold may run on a mutable working copy instead
+(:meth:`SequentialObjectType.batch`): the copy is private to its batch,
+which mutates it in place and never lets it escape — ``state()`` hands out
+an immutable snapshot of it.
 """
 
 from __future__ import annotations
@@ -34,8 +40,12 @@ class SequentialObjectType(ABC, Generic[S]):
     """A deterministic sequential object specification.
 
     Subclasses implement :meth:`initial_state` (``q0``) and :meth:`apply`
-    (``Δ``).  ``apply`` must be a *pure function*: it never mutates its input
-    state and always returns a fresh (or shared immutable) state.
+    (``Δ``).  ``apply`` must be a *pure function* on the states handed out:
+    it never mutates an immutable input state and always returns a fresh
+    (or shared immutable) state.  The one exception is a batch's private
+    working copy (:meth:`batch`): ``apply`` runs on it unchanged, but the
+    copy's own updates happen in place, so the "successor" it returns is
+    the copy itself — which never escapes the batch's ``state()``.
     """
 
     #: Human-readable type name, e.g. ``"erc20"``.
@@ -118,6 +128,16 @@ class SequentialObjectType(ABC, Generic[S]):
         successor, _ = self.apply(state, pid, operation)
         return successor == state
 
+    def batch(self, state: S) -> "Batch[S]":
+        """A fold of operations starting at ``state``: ``apply(pid,
+        operation) -> response`` advances it, ``state()`` is where it
+        stands.  The default folds through :meth:`apply`; a family whose
+        functional updates copy more than they change overrides this with
+        a batch over a private mutable working copy.  Either way every
+        operation goes through the instance's ``apply`` attribute at the
+        moment it runs."""
+        return Batch(self, state)
+
     def run(
         self,
         invocations: Iterable[tuple[int, Operation]],
@@ -126,9 +146,26 @@ class SequentialObjectType(ABC, Generic[S]):
         """Apply a sequence of ``(pid, operation)`` pairs; return final state
         and the list of responses.  Starts from ``q0`` unless ``state`` is
         given."""
-        current = self.initial_state() if state is None else state
-        responses: list[Any] = []
-        for pid, operation in invocations:
-            current, response = self.apply(current, pid, operation)
-            responses.append(response)
-        return current, responses
+        batch = self.batch(self.initial_state() if state is None else state)
+        responses = [
+            batch.apply(pid, operation) for pid, operation in invocations
+        ]
+        return batch.state(), responses
+
+
+class Batch(Generic[S]):
+    """The default :meth:`SequentialObjectType.batch`: each operation
+    replaces the current state by ``apply``'s successor."""
+
+    __slots__ = ("_type", "_state")
+
+    def __init__(self, object_type: SequentialObjectType[S], state: S) -> None:
+        self._type = object_type
+        self._state = state
+
+    def apply(self, pid: int, operation: Operation) -> Any:
+        self._state, response = self._type.apply(self._state, pid, operation)
+        return response
+
+    def state(self) -> S:
+        return self._state

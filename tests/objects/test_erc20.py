@@ -484,23 +484,79 @@ _erc20_calls = st.tuples(
 )
 
 
+def _assert_same_value(state, other) -> None:
+    assert state == other and other == state
+    assert hash(state) == hash(other)
+    assert repr(state) == repr(other)
+
+
+#: Invalid invocations for the batch to reject mid-run: a foreign name,
+#: an unknown caller, an out-of-range account, a negative amount.
+_invalid_calls = st.sampled_from(
+    (
+        (0, op("mint", 1)),
+        (_N, op("transfer", 0, 1)),
+        (1, op("transferFrom", _N, 0, 1)),
+        (2, op("approve", 1, -1)),
+    )
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     balances=st.lists(st.integers(0, 12), min_size=_N, max_size=_N),
+    allowed=st.dictionaries(
+        st.tuples(_account, _account), st.integers(1, 6), max_size=3
+    ),
     calls=st.lists(_erc20_calls, max_size=40),
+    cuts=st.sets(st.integers(0, 40), max_size=4),
+    invalid=st.tuples(st.integers(0, 40), _invalid_calls),
 )
-def test_persistent_state_equals_the_dense_reference(balances, calls):
-    token = ERC20TokenType(
-        _N, initial_state=TokenState.create(balances), with_extensions=True
-    )
+def test_persistent_state_equals_the_dense_reference(
+    balances, allowed, calls, cuts, invalid
+):
+    """The per-op ``apply`` fold equals the dense reference, and a batch
+    running the same calls equals that fold: at every cut point its
+    responses and ``state()``; a snapshot is unchanged by later applies;
+    a snapshot shares every row not written since the one before, the
+    input state first, so rows no op wrote are still the input state's;
+    and an invalid op raises, leaves ``state()`` as it was, and the batch
+    keeps working."""
+    start = TokenState.create(balances, allowed)
+    token = ERC20TokenType(_N, initial_state=start, with_extensions=True)
     reference = _DenseReference(balances)
-    state = token.initial_state()
-    for pid, (name, args) in calls:
-        state, result = token.apply(state, pid, op(name, *args))
+    for (account, spender), amount in allowed.items():
+        reference.grid[account][spender] = amount
+    batch = token.batch(start)
+    state, snapshots = start, [(start, start)]
+    since = set()  # α rows written since the last snapshot
+    bad_at, (bad_pid, bad_operation) = invalid
+
+    def cut():
+        snapshot, previous = batch.state(), snapshots[-1][0]
+        for account in set(range(_N)) - since:
+            assert snapshot.allowances[account] is previous.allowances[account]
+        since.clear()
+        snapshots.append((snapshot, state))
+
+    for index, (pid, (name, args)) in enumerate(calls):
+        if index == bad_at:
+            before = batch.state()
+            with pytest.raises((InvalidArgumentError, UnknownOperationError)):
+                batch.apply(bad_pid, bad_operation)
+            assert batch.state() is before
+        operation = op(name, *args)
+        state, result = token.apply(state, pid, operation)
         assert result is reference.apply(pid, name, args)
-        dense = reference.state()
-        assert state == dense and dense == state
-        assert hash(state) == hash(dense)
+        _assert_same_value(state, reference.state())
+        assert batch.apply(pid, operation) is result
+        if name != "transfer":
+            since.add(args[0] if name == "transferFrom" else pid)
+        if index in cuts:
+            cut()
+    cut()
+    for snapshot, then in snapshots:
+        _assert_same_value(snapshot, then)
 
 
 # -- the footprint against its list-based construction ---------------------
