@@ -39,9 +39,9 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.config import ClusterConfig
 from repro.engine.classifier import ClassifierValidationError, OpClassifier
-from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
+from repro.engine.conflict_graph import ComponentDAG
 from repro.engine.mempool import PendingOp
-from repro.engine.rounds import RoundScheduler
+from repro.engine.rounds import WallAdapters, plan_window
 from repro.engine.shard import dag_schedule
 from repro.errors import ClusterError
 from repro.net.network import Message, Network
@@ -97,7 +97,7 @@ class ClusterNode(Node):
         self.apply_fn = apply_fn
         self.classifier = classifier
         self.config = config
-        self.scheduler = RoundScheduler(classifier)
+        self.scheduler = WallAdapters(classifier)
         #: Persistent lane timeline (absolute virtual times), and the
         #: rounds this node has executed at least one unit of.
         self._lane_free = [0.0] * config.lanes_per_node
@@ -203,9 +203,8 @@ class ClusterNode(Node):
         singleton_idx = list(range(len(ops))) if unit.dag is None else []
         if self.config.validate:
             # The reference: the plan re-derived from the ops alone.
-            graph = ConflictGraph.build(self.classifier, ops)
-            _, expected_idx, _ = self.scheduler.split(graph)
-            if (graph.component_dags(), expected_idx) != (dags, singleton_idx):
+            plan = plan_window(self.classifier, ops)
+            if (plan.dags, plan.singletons) != (dags, singleton_idx):
                 raise ClassifierValidationError(
                     f"unit {key}: the shipped plan differs from the one "
                     "its ops derive"

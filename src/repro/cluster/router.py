@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import Mempool, PendingOp
-from repro.engine.rounds import RoundScheduler
+from repro.engine.rounds import WallAdapters
 from repro.errors import ClusterError, MempoolFullError
 from repro.net.network import Message, Network
 from repro.net.node import Node
@@ -183,7 +183,7 @@ class Router(Node):
             lane_ttl=config.lane_ttl,
             seed=config.seed,
         )
-        self.scheduler = RoundScheduler(classifier)
+        self.scheduler = WallAdapters(classifier)
         #: shard -> round of its last lease migration (cooldown bookkeeping).
         self._last_migration: dict[int, int] = {}
         self._state_fn = state_fn
@@ -351,7 +351,6 @@ class Router(Node):
                 window,
                 index,
                 classifier=self.classifier,
-                scheduler=self.scheduler,
                 shard_map=self.shard_map,
                 sync=self.sync,
                 config=self.config,

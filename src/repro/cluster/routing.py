@@ -4,9 +4,9 @@
 It sends no message and reads no clock — it needs no network and no
 simulator, so the policy is testable on a hand-built
 :class:`~repro.cluster.sharding.ShardMap` alone; *when* the units and
-lease requests go out is :meth:`Router.pump`'s business.  It classifies
-the window with the shared :class:`~repro.engine.rounds.RoundScheduler`
-— once for the whole cluster: each :class:`_Unit` carries its component's
+lease requests go out is :meth:`Router.pump`'s business.  It plans the
+window with the shared :func:`~repro.engine.rounds.plan_window` — once
+for the whole cluster: each :class:`_Unit` carries its component's
 precedence DAG to the node — and routes every component as a unit:
 
 * **owner-local components** — every operation anchors on an account whose
@@ -63,9 +63,9 @@ from typing import Any
 
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
-from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
+from repro.engine.conflict_graph import ComponentDAG
 from repro.engine.mempool import PendingOp
-from repro.engine.rounds import RoundScheduler
+from repro.engine.rounds import plan_window
 from repro.objects.footprint import (
     OpFootprint,
     anchor_account,
@@ -232,7 +232,6 @@ def route_window(
     index: int,
     *,
     classifier: OpClassifier,
-    scheduler: RoundScheduler,
     shard_map: ShardMap,
     sync: TieredEscalator,
     config: ClusterConfig,
@@ -259,19 +258,15 @@ def route_window(
     # ping-pong).
     min_gain = config.lease_min_gain
     cooldown = config.lease_cooldown
-    graph = ConflictGraph.build(classifier, window, state)
-    chain_idx, singleton_idx, contended_idx = scheduler.split(graph)
-    contended = set(contended_idx)
-    #: The window's partial order, derived once: chain units ship it.
-    dags = graph.component_dags()
+    plan = plan_window(classifier, window, state)
+    contended = set(plan.escalated_idx)
 
-    #: Per op of the window (by ``seq``): its footprint, off the graph's
+    #: Per op of the window (by ``seq``): its footprint, off the plan's
     #: one footprint pass, and the account it anchors on.
-    footprint_of: dict[int, OpFootprint | None] = {}
-    anchor_of: dict[int, int] = {}
-    for op, footprint in zip(window, graph.footprints):
-        footprint_of[op.seq] = footprint
-        anchor_of[op.seq] = anchor_account(footprint, op.pid)
+    footprint_of = {op.seq: fp for op, fp in zip(window, plan.footprints)}
+    anchor_of = {
+        op.seq: anchor_account(footprint_of[op.seq], op.pid) for op in window
+    }
 
     assignment: dict[int, list[PendingOp]] = {
         node: [] for node in range(shard_map.num_nodes)
@@ -319,10 +314,8 @@ def route_window(
     cooldown_skips = 0
 
     # Components route as units (the co-location invariant).  Chains
-    # first, in submission order of their heads — the order ``split`` and
-    # ``component_dags`` both keep.
-    for chain, dag in zip(chain_idx, dags, strict=True):
-        assert dag.nodes == tuple(chain)
+    # first, in submission order of their heads; each ships its DAG.
+    for chain, dag in zip(plan.chains, plan.dags, strict=True):
         ops = [window[i] for i in chain]
         chain_seqs.update(op.seq for op in ops)
         owners = Counter(shard_map.owner_of(anchor_of[op.seq]) for op in ops)
@@ -386,7 +379,7 @@ def route_window(
     # (hot-shard splitting), as is one whose owner is dead.
     target_load = math.ceil(len(window) / len(live))
     bundles: dict[int, list[PendingOp]] = {}
-    for i in singleton_idx:
+    for i in plan.singletons:
         bundles.setdefault(anchor_of[window[i].seq], []).append(window[i])
 
     for account, ops in sorted(

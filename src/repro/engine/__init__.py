@@ -45,7 +45,7 @@ _EXPORTS = {
     "repro.engine.conflict_graph": ("ComponentDAG", "ConflictGraph"),
     "repro.engine.mempool": ("Mempool", "PendingOp"),
     "repro.engine.pipeline": ("PipelinedExecutor", "ScheduledUnit"),
-    "repro.engine.rounds": ("Round", "RoundLifecycle", "RoundScheduler"),
+    "repro.engine.rounds": ("WindowPlan", "plan_window"),
     "repro.engine.shard": ("dag_list_schedule", "stable_account_hash"),
     "repro.engine.stats": ("EngineStats", "WaveStats"),
 }

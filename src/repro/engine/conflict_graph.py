@@ -280,15 +280,11 @@ class ConflictGraph:
         return found
 
     def component_dags(self) -> list[ComponentDAG]:
-        """Precedence DAGs of the multi-op components, in component order.
-
-        Aligned with the chains produced by
-        :meth:`repro.engine.rounds.RoundScheduler.split` (which keeps the
-        multi-op components of :meth:`components` in the same order), so
-        ``dags[k].nodes == tuple(chains[k])`` — the planner relies on that
-        positional correspondence.  Edges are bucketed per component in
-        one pass (every edge belongs to exactly one component), so a
-        window costs O(V + E), not O(components × E).
+        """Precedence DAGs of the multi-op components, in component order:
+        aligned with :func:`repro.engine.rounds.plan_window`'s chains,
+        ``dags[k].nodes == tuple(chains[k])``.  Edges are bucketed per
+        component in one pass (every edge belongs to exactly one
+        component), so a window costs O(V + E), not O(components × E).
         """
         multi = [c for c in self._grouped() if len(c) > 1]
         owner = {i: k for k, component in enumerate(multi) for i in component}

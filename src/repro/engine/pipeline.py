@@ -50,7 +50,8 @@ with a floor ``max(classify time, frontier of its footprint, its sync
 lane's completion)``, and :func:`~repro.engine.shard.dag_list_schedule`
 places each window's ops onto the rolling lane timeline: critical-path
 first along the component DAGs, idle gaps behind floored ops backfilled.
-A window's footprints are computed once, by ``ConflictGraph.build``, and
+A window is planned once, by :func:`~repro.engine.rounds.plan_window`,
+which computes its footprints once (sync team sizing included), and
 everything per op — footprint, frontier time, floor, placement — lives in
 lists aligned with the window or with the scheduler's task order, so an
 op that commutes with its whole window (the paper's consensus-number-1
@@ -91,13 +92,13 @@ from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 from repro.config import EngineConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import Mempool, PendingOp
-from repro.engine.rounds import RoundLifecycle, RoundScheduler
+from repro.engine.rounds import WallAdapters, WindowPlan, plan_window
 from repro.engine.shard import dag_schedule
 from repro.engine.stats import EngineStats, WaveStats
 from repro.net.team_lanes import TeamLane
 from repro.objects.footprint import OpFootprint
 from repro.spec.object_type import SequentialObjectType
-from repro.sync.escalation import TieredEscalator
+from repro.sync.escalation import SyncRoundResult, TieredEscalator
 from repro.workloads.generators import WorkloadItem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -151,7 +152,6 @@ class PipelinedExecutor:
             if classifier is not None
             else OpClassifier(object_type, validate=cfg.validate)
         )
-        self.scheduler = RoundScheduler(self.classifier)
         #: The tiered sync layer; ``global_lane`` sizes its Tier ∞ fallback
         #: (``None`` = the standard four-replica lane; ``team_threshold=0``
         #: = always-global escalation).
@@ -161,8 +161,9 @@ class PipelinedExecutor:
             lane_ttl=cfg.lane_ttl,
             seed=cfg.seed,
         )
-        #: The round's stages (drain → classify → sync).
-        self.lifecycle = RoundLifecycle(self.scheduler, self.sync, object_type)
+        self.lifecycle = self.scheduler = WallAdapters(
+            self.classifier, self.sync, object_type
+        )
         self.mempool = Mempool(capacity=cfg.mempool_capacity)
         self.state = object_type.initial_state()
         self.responses: dict[int, Any] = {}
@@ -315,10 +316,8 @@ class PipelinedExecutor:
         """
         self.stats.rejected_ops = self.mempool.rejected
         index = self.stats.waves
-        round_ = self.lifecycle.drain(
-            self.mempool, self.config.window, index
-        )
-        if round_ is None:
+        ops = self.mempool.pop_window(self.config.window)
+        if not ops:
             return None
 
         # Depth gate: at most ``pipeline_depth`` windows in flight.  The
@@ -334,19 +333,18 @@ class PipelinedExecutor:
             1 for done in self._completions[recent:] if done > t_classify
         )
 
-        self.lifecycle.classify(
-            round_, self._prefix_state() if self.classifier.validate else None
-        )
+        state = self._prefix_state() if self.classifier.validate else None
+        plan = plan_window(self.classifier, ops, state)
         sync_start = max(t_classify, self._sync_free)
-        sizes_teams = round_.contended_groups and self.sync.team_threshold > 0
-        self.lifecycle.synchronize(
-            round_, self._prefix_state() if sizes_teams else None
-        )
-        escalation = round_.escalation
-        assert escalation is not None
+        # Synchronize: the contended groups through the tiered sync layer
+        # (team lanes below the threshold, the global lane above).
+        escalation = SyncRoundResult()
+        if plan.contended_groups:
+            state = self._prefix_state() if self.sync.team_threshold else None
+            escalation = self.sync.order_round(plan, state, self.object_type)
         if escalation.virtual_time > 0:
             self._sync_free = sync_start + escalation.virtual_time
-        for op, fp in zip(round_.ops, round_.graph.footprints):
+        for op, fp in zip(ops, plan.footprints):
             if fp is None or fp.adds or fp.sets:
                 self._state_backlog.append(op)
 
@@ -355,13 +353,13 @@ class PipelinedExecutor:
         # order.
         op_sync: dict[int, float] = {}
         for group, component in zip(
-            round_.contended_groups, escalation.components
+            plan.contended_groups, escalation.components
         ):
             done = sync_start + component.completed
             for i in group:
                 op_sync[i] = done
 
-        scheduled = self._place_window_dag(round_, t_classify, op_sync)
+        scheduled = self._place_window_dag(plan, t_classify, op_sync)
 
         # Frontier updates apply after the whole window: units of one
         # window never gate each other through the frontier — distinct
@@ -398,16 +396,16 @@ class PipelinedExecutor:
         self._completions.append(completed)
         self._pending_units.extend(scheduled)
 
-        escalated = len(round_.escalated_idx)
+        escalated = len(plan.escalated_idx)
         #: ``(critical_path, width)`` per DAG, one depth pass each.
-        shapes = [dag.shape() for dag in round_.dags]
+        shapes = [dag.shape() for dag in plan.dags]
         critical_ops = sum(path for path, _ in shapes)
         critical_path = max((path for path, _ in shapes), default=0)
         round_stats = WaveStats(
             index=index,
-            window=len(round_.ops),
-            wave_ops=len(round_.singleton_idx),
-            barrier_ops=round_.chained_ops - escalated,
+            window=len(ops),
+            wave_ops=len(plan.singletons),
+            barrier_ops=plan.chained_ops - escalated,
             escalated_ops=escalated,
             lanes_used=len({unit.lane for unit in scheduled}),
             critical_path=critical_path or 1,
@@ -427,19 +425,21 @@ class PipelinedExecutor:
             completed_at=completed,
             dag_critical_path=critical_path,
             dag_width=max((width for _, width in shapes), default=0),
-            dag_chain_ops=sum(dag.size for dag in round_.dags),
+            dag_chain_ops=plan.chained_ops,
             dag_critical_ops=critical_ops,
         )
         if self.tracer is not None:
             self._trace_pipelined_round(
-                round_, scheduled, t_classify, sync_start
+                plan, index, escalation, scheduled, t_classify, sync_start
             )
         self.stats.record_round(round_stats)
         return round_stats
 
     def _trace_pipelined_round(
         self,
-        round_,
+        plan: WindowPlan,
+        index: int,
+        escalation: SyncRoundResult,
         scheduled: list[ScheduledUnit],
         t_classify: float,
         sync_start: float,
@@ -453,14 +453,35 @@ class PipelinedExecutor:
         assert tracer is not None
         tracer.instant(
             "engine",
-            f"round {round_.index} classified",
+            f"round {index} classified",
             t_classify,
-            args={"window": len(round_.ops)},
+            args={"window": len(plan.ops)},
         )
-        for op in round_.ops:
+        for op in plan.ops:
             tracer.op_stage(op.seq, "classify", t_classify)
-        if round_.escalation.components:
-            self._trace_sync_phase(round_, sync_start)
+        # The sync phase: one informational span per contended group on
+        # its lane's track, and each member's ``sync`` stage at the
+        # group's commit time.
+        for group, component in zip(
+            plan.contended_groups, escalation.components
+        ):
+            if component.team is None:
+                track = "sync.global"
+            else:
+                members = "-".join(str(p) for p in sorted(component.team))
+                track = f"sync.team {members}"
+            done = sync_start + component.completed
+            tracer.span(
+                track,
+                f"order r{index}",
+                "sync_wait",
+                sync_start,
+                done,
+                chain=False,
+                args={"ops": len(group), "round": index},
+            )
+            for i in group:
+                tracer.op_stage(plan.ops[i].seq, "sync", done)
         for unit in scheduled:
             stalls = []
             if unit.frontier_stall > 0:
@@ -475,47 +496,16 @@ class PipelinedExecutor:
                 unit.start,
                 unit.finish,
                 stalls=tuple(stalls),
-                args={"seq": op.seq, "pid": op.pid, "round": round_.index},
+                args={"seq": op.seq, "pid": op.pid, "round": index},
             )
             tracer.op_stage(op.seq, "schedule", unit.start)
             tracer.op_stage(op.seq, "execute", unit.start)
             tracer.op_commit(op.seq, unit.finish)
         tracer.instant(
             "engine",
-            f"round {round_.index} placed",
+            f"round {index} placed",
             max(unit.finish for unit in scheduled),
         )
-
-    def _trace_sync_phase(self, round_, sync_start: float) -> None:
-        """Record the round's sync phase: one informational span per
-        contended component on its lane's track, plus the per-op ``sync``
-        lifecycle stage at the component's commit time."""
-        tracer = self.tracer
-        assert tracer is not None
-        escalation = round_.escalation
-        for group, component in zip(
-            round_.contended_groups, escalation.components
-        ):
-            if component.team is None:
-                track = "sync.global"
-            else:
-                members = "-".join(str(p) for p in sorted(component.team))
-                track = f"sync.team {members}"
-            tracer.span(
-                track,
-                f"order r{round_.index}",
-                "sync_wait",
-                sync_start,
-                sync_start + component.completed,
-                chain=False,
-                args={"ops": len(group), "round": round_.index},
-            )
-            for i in group:
-                tracer.op_stage(
-                    round_.ops[i].seq,
-                    "sync",
-                    sync_start + component.completed,
-                )
 
     # -- window placement ------------------------------------------------
 
@@ -546,7 +536,7 @@ class PipelinedExecutor:
 
     def _place_window_dag(
         self,
-        round_,
+        plan: WindowPlan,
         t_classify: float,
         op_sync: dict[int, float],
     ) -> list[ScheduledUnit]:
@@ -565,8 +555,7 @@ class PipelinedExecutor:
         completion; ``dep_ready`` / ``floors`` are window-aligned lists,
         ``order`` / ``preds`` / ``placed`` task-aligned ones.
         """
-        ops = round_.ops
-        footprints = round_.graph.footprints
+        ops, footprints = plan.ops, plan.footprints
         dep_ready = [self._dep_ready(footprint) for footprint in footprints]
         floors = [max(t_classify, ready) for ready in dep_ready]
         for i, done in op_sync.items():
@@ -575,8 +564,8 @@ class PipelinedExecutor:
         #: then the finish of each op placed on it (start order).
         slot = list(self._lane_free)
         order, preds, placed = dag_schedule(
-            round_.dags,
-            round_.singleton_idx,
+            plan.dags,
+            plan.singletons,
             self._lane_free,
             floors=floors,
             cost=self.config.op_cost,

@@ -1,119 +1,47 @@
-"""The round loop's scheduling core, shared by the engine and the cluster.
+"""One window plan, shared by the engine and the cluster.
 
-One round of commutativity-aware execution is the same computation whether
-it runs inside a single process
-(:class:`~repro.engine.pipeline.PipelinedExecutor`) or at the cluster's
-router and on each of its nodes (:mod:`repro.cluster`): split a window
-into conflict-graph components and decide which chain members are
-contended enough to need total order.  :class:`RoundScheduler` owns
-exactly that logic so all three share one implementation — and therefore
-one correctness argument.
-
-A :class:`Round` is drained, classified and synchronized — in that one
-fixed order, by the one executor — through :class:`RoundLifecycle`, which
-owns the per-stage computations; the executor then places the synced
-round on its rolling lane timeline.  Several rounds are in flight at
-once (window N+1 classifies and synchronizes while window N executes).
+:func:`plan_window` decides the paper's trichotomy once per window, for
+the engine (:class:`~repro.engine.pipeline.PipelinedExecutor`), the
+cluster's router (:func:`~repro.cluster.routing.route_window`) and a
+node's ``validate`` reference alike: singletons need no order, chains need
+only chain order, and only the contended groups pay for k-consensus
+(:mod:`repro.sync`).  One function, one correctness argument;
+:class:`WindowPlan` is its frozen result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis.commutativity import PairKind
-from repro.engine.classifier import OpClassifier
-from repro.engine.conflict_graph import ConflictGraph
-from repro.engine.mempool import Mempool, PendingOp
-from repro.sync.escalation import SyncRoundResult, TieredEscalator
+from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.classifier import OpClassifier
+    from repro.engine.mempool import PendingOp
+    from repro.objects.footprint import OpFootprint
 
 
-class RoundScheduler:
-    """Window splitting for one scheduling round."""
+@dataclass(frozen=True, slots=True)
+class WindowPlan:
+    """What one window's conflict graph decides, by index into ``ops``."""
 
-    def __init__(self, classifier: OpClassifier) -> None:
-        self.classifier = classifier
-
-    # ------------------------------------------------------------------
-
-    def split(
-        self, graph: ConflictGraph
-    ) -> tuple[list[list[int]], list[int], list[int]]:
-        """Partition window indices into (chains, singletons, contended).
-
-        Components of the conflict graph are independent: operations in
-        different components statically commute, so components run in
-        parallel.  Within a multi-operation component (a *chain*) the
-        non-commuting pairs keep their submission order — its precedence
-        DAG.  Singleton components commute with the entire window and can
-        run anywhere.
-
-        ``contended`` indices are the chain members that sit on a
-        synchronization-group conflict: a CONFLICT edge between *distinct*
-        processes contending on a shared cell (two enabled spenders of one
-        account, approve vs transferFrom on one allowance, one NFT) — see
-        ``OpClassifier.needs_consensus``.  Only those can ever need total
-        order; same-process conflicts, credit-enables-spend races and
-        READ_ONLY pairs are resolved by chain order alone, which costs no
-        messages.
-        """
-        chains, singletons, groups = self.split_sync(graph)
-        return chains, singletons, sorted(i for group in groups for i in group)
-
-    def split_sync(
-        self, graph: ConflictGraph
-    ) -> tuple[list[list[int]], list[int], list[list[int]]]:
-        """Like :meth:`split`, but keeps the contended indices grouped by
-        their conflict-graph component — the unit the tiered sync layer
-        (:mod:`repro.sync`) sizes teams for.  Each group is the contended
-        subset of one chain, in submission order; groups are ordered by
-        their first index.  Flattening the groups recovers :meth:`split`'s
-        third result exactly.
-        """
-        chains: list[list[int]] = []
-        singletons: list[int] = []
-        for component in graph.components():
-            if len(component) == 1:
-                singletons.append(component[0])
-            else:
-                chains.append(component)
-        contended: set[int] = set()
-        ops, footprints = graph.ops, graph.footprints
-        for (a, b), kind in graph.edges.items():
-            if kind is PairKind.CONFLICT and self.classifier.needs_consensus(
-                ops[a], ops[b], (footprints[a], footprints[b])
-            ):
-                contended.add(a)
-                contended.add(b)
-        groups = [
-            group
-            for chain in chains
-            if (group := [i for i in chain if i in contended])
-        ]
-        return chains, singletons, sorted(groups, key=lambda g: g[0])
-
-
-@dataclass
-class Round:
-    """One scheduling round moving through its stages.
-
-    Every field below ``ops`` is populated by the lifecycle method of its
-    stage (``classify`` fills the graph and the split, ``synchronize``
-    the escalation); reading a field before its stage raises nothing — it
-    is simply empty.
-    """
-
-    index: int
     ops: list[PendingOp]
-    graph: ConflictGraph | None = None
-    chain_idx: list[list[int]] = field(default_factory=list)
-    singleton_idx: list[int] = field(default_factory=list)
-    #: Contended subset of each chain, grouped by component (the unit the
-    #: tiered sync layer sizes teams for).
-    contended_groups: list[list[int]] = field(default_factory=list)
-    #: Per-chain precedence DAGs (positionally aligned with
-    #: ``chain_idx``).
-    dags: list = field(default_factory=list)
-    escalation: SyncRoundResult | None = None
+    #: The window's static footprints, aligned with ``ops`` (``None`` =
+    #: unknown) — its one footprint pass: placement, the frontier, the
+    #: cluster's routing and the sync planner all read them here.
+    footprints: list[OpFootprint | None]
+    #: Multi-op components (ascending indices), ordered by first index.
+    chains: list[list[int]]
+    #: Indices whose component is themselves: they commute with the window.
+    singletons: list[int]
+    #: The contended subset of each chain that has one, in submission
+    #: order, ordered by first index — the unit the tiered sync layer
+    #: sizes teams for.
+    contended_groups: list[list[int]]
+    #: Per-chain precedence DAGs: ``dags[k].nodes == tuple(chains[k])``.
+    dags: list[ComponentDAG]
 
     @property
     def escalated_idx(self) -> list[int]:
@@ -121,56 +49,78 @@ class Round:
 
     @property
     def chained_ops(self) -> int:
-        return sum(len(chain) for chain in self.chain_idx)
+        return sum(len(chain) for chain in self.chains)
 
 
-class RoundLifecycle:
-    """The per-stage computations of one round (``drain → classify →
-    synchronize``)."""
+def plan_window(
+    classifier: OpClassifier, ops: list[PendingOp], state=None
+) -> WindowPlan:
+    """Plan one window; ``state`` is read only by the classifier's
+    ``validate`` oracle.
 
-    def __init__(
-        self, scheduler: RoundScheduler, sync: TieredEscalator, object_type
-    ) -> None:
-        self.scheduler = scheduler
+    Components of the conflict graph are independent: operations in
+    different components statically commute, so components run in
+    parallel.  Within a multi-operation component (a *chain*) the
+    non-commuting pairs keep their submission order — its precedence DAG.
+    Singleton components commute with the entire window and run anywhere.
+
+    A chain member is *contended* when it sits on a synchronization-group
+    conflict: a CONFLICT edge between *distinct* processes contending on a
+    shared cell (two enabled spenders of one account, approve vs
+    transferFrom on one allowance, one NFT) — see
+    ``OpClassifier.needs_consensus``.  Only those can ever need total
+    order; same-process conflicts, credit-enables-spend races and
+    READ_ONLY pairs are resolved by chain order alone, which costs no
+    messages.
+    """
+    return _plan(classifier, ConflictGraph.build(classifier, ops, state))
+
+
+def _plan(classifier: OpClassifier, graph: ConflictGraph) -> WindowPlan:
+    components = graph.components()
+    chains = [c for c in components if len(c) > 1]
+    singletons = [c[0] for c in components if len(c) == 1]
+    contended: set[int] = set()
+    ops, footprints = graph.ops, graph.footprints
+    for (a, b), kind in graph.edges.items():
+        if kind is PairKind.CONFLICT and classifier.needs_consensus(
+            ops[a], ops[b], (footprints[a], footprints[b])
+        ):
+            contended.add(a)
+            contended.add(b)
+    groups = [
+        group
+        for chain in chains
+        if (group := [i for i in chain if i in contended])
+    ]
+    groups.sort(key=lambda group: group[0])
+    return WindowPlan(
+        ops, footprints, chains, singletons, groups, graph.component_dags()
+    )
+
+
+class WallAdapters:
+    """Bound by ``benchmarks/wall``; deleted by ROADMAP item 1.  Nothing
+    in ``src/`` calls these one-line adapters over the plan."""
+
+    def __init__(self, classifier, sync=None, object_type=None) -> None:
+        self.classifier = classifier
         self.sync = sync
         self.object_type = object_type
 
-    # -- stages ----------------------------------------------------------
+    def drain(self, mempool, window: int, index: int):
+        return mempool.pop_window(window) or None
 
-    def drain(self, mempool: Mempool, window: int, index: int) -> Round | None:
-        """Drain: pop the next window; ``None`` when the pool is empty."""
-        ops = mempool.pop_window(window)
-        if not ops:
-            return None
-        return Round(index=index, ops=ops)
+    def classify(self, ops, state=None) -> WindowPlan:
+        return plan_window(self.classifier, ops, state)
 
-    def classify(self, round_: Round, state=None) -> Round:
-        """Classify: conflict graph + component split for the window."""
-        round_.graph = ConflictGraph.build(
-            self.scheduler.classifier, round_.ops, state
-        )
-        (
-            round_.chain_idx,
-            round_.singleton_idx,
-            round_.contended_groups,
-        ) = self.scheduler.split_sync(round_.graph)
-        round_.dags = round_.graph.component_dags()
-        return round_
+    def synchronize(self, plan: WindowPlan, state=None):
+        return self.sync.order_round(plan, state, self.object_type)
 
-    def synchronize(self, round_: Round, state=None) -> Round:
-        """Synchronize: order the contended components through the tiered
-        sync layer (team lanes below the threshold, the global lane above)."""
-        round_.escalation = (
-            self.sync.order_round(
-                [
-                    [round_.ops[i] for i in group]
-                    for group in round_.contended_groups
-                ],
-                self.scheduler.classifier,
-                state=state,
-                object_type=self.object_type,
-            )
-            if round_.contended_groups
-            else SyncRoundResult()
-        )
-        return round_
+    def split_sync(self, graph: ConflictGraph):
+        plan = _plan(self.classifier, graph)
+        return plan.chains, plan.singletons, plan.contended_groups
+
+    def split(self, graph: ConflictGraph):
+        plan = _plan(self.classifier, graph)
+        return plan.chains, plan.singletons, sorted(plan.escalated_idx)

@@ -27,11 +27,11 @@ the planner falls back to the global lane (Tier ∞), which is always safe.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.spenders import potential_spenders
 from repro.objects.erc20 import TokenState
-from repro.objects.footprint import accounts_in
+from repro.objects.footprint import OpFootprint, accounts_in
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.mempool import PendingOp
@@ -51,19 +51,22 @@ def spender_bound(object_type, state, account: int) -> frozenset[int] | None:
 
 
 def component_team(
-    classifier, ops: "list[PendingOp]", state, object_type
+    ops: Sequence[PendingOp],
+    footprints: Sequence[OpFootprint | None],
+    state,
+    object_type,
 ) -> frozenset[int] | None:
     """The synchronization team of one contended component: the union of
     spender bounds over every account the component contends on, plus the
-    submitting processes themselves.
+    submitting processes themselves.  ``footprints`` are the ops' static
+    footprints, aligned with ``ops``.
 
     Returns ``None`` — meaning "order this through the global lane" — when
     any footprint is unknown or any contended account lacks a bound.
     """
     team: set[int] = set()
     accounts: set[int] = set()
-    for op in ops:
-        fp = classifier.footprint(op)
+    for op, fp in zip(ops, footprints, strict=True):
         if fp is None:
             return None
         accounts.update(accounts_in(fp.contended))

@@ -30,7 +30,7 @@ from repro.net.team_lanes import TeamLane, TeamLanePool
 from repro.sync.planner import TIER_GLOBAL, SyncAssignment, SyncPlanner
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.mempool import PendingOp
+    from repro.engine.rounds import WindowPlan
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,27 +103,28 @@ class TieredEscalator:
         return self.planner.team_threshold
 
     def order_round(
-        self,
-        components: Sequence["Sequence[PendingOp]"],
-        classifier,
-        state=None,
-        object_type=None,
+        self, plan: WindowPlan, state=None, object_type=None
     ) -> SyncRoundResult:
-        """Plan and order one round's contended components (engine path).
+        """Plan and order one window's contended groups (engine path).
 
-        Each component is first partitioned into its per-account
-        synchronization groups — every group ordered on its own (smaller)
-        lane, all of them concurrent — and the sub-orders are folded back
-        into **one**
-        :class:`ComponentOrder` per input component, so callers keep
-        zipping ``components`` against the result positionally.  Folding
-        is sound because every lane commits in submission order and
-        groups race on disjoint accounts: the merged submission order
-        *is* each lane's order interleaved, and the cross-group order is
-        stitched through chain order by the component's own scheduling.
+        Each of ``plan.contended_groups`` is first partitioned into its
+        per-account synchronization groups — every group ordered on its
+        own (smaller) lane, all of them concurrent — and the sub-orders
+        are folded back into **one** :class:`ComponentOrder` per contended
+        group, so callers keep zipping ``plan.contended_groups`` against
+        the result positionally.  Folding is sound because every lane
+        commits in submission order and groups race on disjoint accounts:
+        the merged submission order *is* each lane's order interleaved,
+        and the cross-group order is stitched through chain order by the
+        component's own scheduling.  Teams are sized from the plan's
+        footprints.
         """
         grouped = self.planner.assign_groups(
-            components, classifier, state=state, object_type=object_type
+            plan.contended_groups,
+            plan.ops,
+            plan.footprints,
+            state=state,
+            object_type=object_type,
         )
         flat = [assignment for group in grouped for assignment in group]
         result = self.order_assignments(flat)

@@ -21,8 +21,10 @@ Tier ∞    global lane              spender set above the threshold or
           team)
 ========  =======================  =====================================
 
-Tier 0 never reaches this module: the engine's scheduler only hands over
-the *contended* components (synchronization groups).  The planner's job is
+Tier 0 never reaches this module: a window's plan
+(:func:`repro.engine.rounds.plan_window`) hands over only its *contended*
+groups (synchronization groups), as indices into its ops and footprints,
+so no footprint is computed here a second time.  The planner's job is
 the Tier *k* / Tier ∞ split, sized by :func:`repro.sync.bounds.
 component_team` — and any assignment it makes is *correct*; sizing only
 moves the message bill and latency, never the outcome, because every
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import EngineError
-from repro.objects.footprint import accounts_in
+from repro.objects.footprint import OpFootprint, accounts_in
 from repro.sync.bounds import component_team
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,33 +92,44 @@ class SyncPlanner:
 
     def assign(
         self,
-        components: Sequence["Sequence[PendingOp]"],
-        classifier,
+        groups: Sequence[Sequence[int]],
+        ops: Sequence[PendingOp],
+        footprints: Sequence[OpFootprint | None],
         state=None,
         object_type=None,
     ) -> list[SyncAssignment]:
-        """One assignment per contended component, in the given order."""
+        """One assignment per contended group, in the given order.  A
+        group is a list of indices into ``ops`` and ``footprints`` (a
+        window's, aligned)."""
         assignments: list[SyncAssignment] = []
-        for ops in components:
-            ops = tuple(ops)
-            if not ops:
+        for group in groups:
+            if not group:
                 raise EngineError("cannot assign an empty contended component")
+            members = tuple(ops[i] for i in group)
             team = (
-                component_team(classifier, list(ops), state, object_type)
+                component_team(
+                    members,
+                    [footprints[i] for i in group],
+                    state,
+                    object_type,
+                )
                 if self.team_threshold > 0
                 else None
             )
-            assignments.append(self.decide(team, ops))
+            assignments.append(self.decide(team, members))
         return assignments
 
     # -- per-account synchronization-group splitting --------------------
 
     def split_groups(
-        self, ops: "Sequence[PendingOp]", classifier
-    ) -> list[tuple]:
-        """Partition one contended component into its per-account
-        synchronization groups: the connected components of the
-        "shares a contended account" relation over its operations.
+        self,
+        group: Sequence[int],
+        footprints: Sequence[OpFootprint | None],
+    ) -> list[list[int]]:
+        """Partition one contended group (indices into ``footprints``)
+        into its per-account synchronization groups: the connected
+        components of the "shares a contended account" relation over its
+        operations.
 
         Two operations in different groups race on disjoint accounts, so
         no single lane has to sequence them — their relative order is
@@ -125,50 +138,51 @@ class SyncPlanner:
         *its own* accounts' spender bounds, which keeps k small for
         merged chains whose union bound would blow the threshold.  Any
         unknown footprint collapses the component back into one group
-        (the whole component).  Groups come out in
-        submission order of their first operation; flattening them
-        recovers the component's operations exactly.
+        (the whole component).  Groups come out in submission order of
+        their first operation (``group`` ascends); flattening them
+        recovers ``group`` exactly.
         """
-        ops = tuple(ops)
         group_of_account: dict[int, int] = {}
-        parent = list(range(len(ops)))
+        parent = list(range(len(group)))
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+        def find(k: int) -> int:
+            while parent[k] != k:
+                parent[k] = parent[parent[k]]
+                k = parent[k]
+            return k
 
-        for i, op in enumerate(ops):
-            fp = classifier.footprint(op)
+        for k, i in enumerate(group):
+            fp = footprints[i]
             if fp is None:
-                return [ops]
+                return [list(group)]
             for account in accounts_in(fp.contended):
-                holder = group_of_account.setdefault(account, i)
-                root_a, root_b = find(holder), find(i)
+                holder = group_of_account.setdefault(account, k)
+                root_a, root_b = find(holder), find(k)
                 if root_a != root_b:
                     parent[max(root_a, root_b)] = min(root_a, root_b)
-        members: dict[int, list] = {}
-        for i, op in enumerate(ops):
-            members.setdefault(find(i), []).append(op)
-        return [tuple(members[root]) for root in sorted(members)]
+        members: dict[int, list[int]] = {}
+        for k, i in enumerate(group):
+            members.setdefault(find(k), []).append(i)
+        return [members[root] for root in sorted(members)]
 
     def assign_groups(
         self,
-        components: Sequence["Sequence[PendingOp]"],
-        classifier,
+        groups: Sequence[Sequence[int]],
+        ops: Sequence[PendingOp],
+        footprints: Sequence[OpFootprint | None],
         state=None,
         object_type=None,
     ) -> list[list[SyncAssignment]]:
-        """Per component: the assignments of its per-account
-        synchronization groups (:meth:`split_groups`; one whole-component
+        """Per contended group: the assignments of its per-account
+        synchronization groups (:meth:`split_groups`; one whole-group
         assignment when nothing splits)."""
-        grouped: list[list[SyncAssignment]] = []
-        for ops in components:
-            subgroups = self.split_groups(tuple(ops), classifier)
-            grouped.append(
-                self.assign(
-                    subgroups, classifier, state=state, object_type=object_type
-                )
+        return [
+            self.assign(
+                self.split_groups(group, footprints),
+                ops,
+                footprints,
+                state=state,
+                object_type=object_type,
             )
-        return grouped
+            for group in groups
+        ]

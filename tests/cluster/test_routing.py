@@ -21,7 +21,6 @@ from repro.cluster.sharding import ShardMap
 from repro.config import ClusterConfig
 from repro.engine import OpClassifier, PendingOp
 from repro.engine.conflict_graph import ConflictGraph
-from repro.engine.rounds import RoundScheduler
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from repro.sync import TieredEscalator
@@ -41,7 +40,6 @@ def route(window, shard_map, index=0, live=None, last_migration=None, **knobs):
         window,
         index,
         classifier=classifier,
-        scheduler=RoundScheduler(classifier),
         shard_map=shard_map,
         sync=TieredEscalator(
             team_threshold=config.team_threshold, lane_ttl=None

@@ -2,10 +2,11 @@
 
 Deterministic guards (counters, no clocks) for what makes an op that
 commutes with its whole window cheap: its footprint is computed once —
-``ConflictGraph.build`` does it and every later stage (split, placement,
-frontier, the cluster's routing) reads ``graph.footprints`` — and the
-graph's components are found once however many stages ask.  There is no
-memo behind that: the count is of ``object_type.footprint`` calls.
+``ConflictGraph.build`` does it, inside ``plan_window``, and every later
+stage (split, sync team sizing, placement, frontier, the cluster's
+routing) reads ``plan.footprints`` — and the graph's components are found
+once however many stages ask.  There is no memo behind that: the count is
+of ``object_type.footprint`` calls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import OpClassifier, PendingOp, PipelinedExecutor
 from repro.engine.conflict_graph import ConflictGraph
-from repro.engine.rounds import RoundScheduler
+from repro.engine.rounds import plan_window
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from repro.workloads import (
@@ -46,9 +47,9 @@ class TestOneFootprintPass:
     @pytest.mark.parametrize("validate", [False, True])
     def test_engine_computes_each_footprint_once_per_window(self, validate):
         token = ERC20TokenType(N, total_supply=100 * N)
-        # Owner-only: no contended group (the sync planner would compute
-        # its members' footprints again).  Repeats are welcome — nothing
-        # remembers an invocation from one op to the next.
+        # Owner-only: no contended group (contended traffic has its own
+        # case below).  Repeats are welcome — nothing remembers an
+        # invocation from one op to the next.
         items = [
             WorkloadItem(i % N, op("transfer", (7 * i + 3) % N, 1 + i // N))
             for i in range(6 * N)
@@ -63,6 +64,21 @@ class TestOneFootprintPass:
         # ``validate`` adds exactly the all-pairs oracle's own pass.
         assert computed[0] == (2 if validate else 1) * len(items)
         assert engine.classifier.stats.footprint_cache_hits == 0
+
+    def test_contended_ops_are_sized_from_the_plans_footprints(self):
+        """The sync planner splits and sizes contended groups from the
+        plan's footprints: escalated ops cost no second pass."""
+        token = ERC20TokenType(N, total_supply=100 * N)
+        generator = TokenWorkloadGenerator(N, seed=5, mix=SPENDER_HEAVY_MIX)
+        items = generator.generate(160)
+        computed = _count_calls(token, "footprint")
+        engine = PipelinedExecutor(
+            token, EngineConfig(num_lanes=4, window=32, team_threshold=4)
+        )
+        engine.run_workload(items)
+        assert engine.stats.escalated_ops > 0
+        assert engine.stats.team_ops > 0  # teams were sized, not skipped
+        assert computed[0] == len(items)
 
     def test_router_computes_each_footprint_once_and_nodes_none(self):
         token = ERC20TokenType(N, total_supply=100 * N)
@@ -123,16 +139,19 @@ class TestComponentsOnce:
         # bucket the edges through ``items()``, not a plain walk).
         assert graph.edges.walks == walks + 1
 
-    def test_callers_cannot_corrupt_the_memo(self):
+    def test_callers_cannot_corrupt_the_memo(self, monkeypatch):
         classifier, graph = self._graph()
         found = graph.components()
         found[0].append(99)
         found.clear()
-        # ``split_sync`` hands the lists on as ``chain_idx``: they are the
-        # caller's to keep.
-        chains, singletons, _ = RoundScheduler(classifier).split_sync(graph)
-        chains[0].reverse()
-        singletons.clear()
+        # ``plan_window`` hands the lists on as ``chains``: they are the
+        # caller's to keep.  (It looks ``build`` up on the class per call.)
+        monkeypatch.setattr(
+            ConflictGraph, "build", lambda *args, **kwargs: graph
+        )
+        plan = plan_window(classifier, graph.ops)
+        plan.chains[0].reverse()
+        plan.singletons.clear()
         assert graph.components() == [[0, 2, 4], [1], [3]]
         (dag,) = graph.component_dags()
         assert dag.nodes == (0, 2, 4)

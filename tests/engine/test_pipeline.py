@@ -6,8 +6,8 @@ Machine-checked guarantees of :mod:`repro.engine.pipeline`:
   size, and workload mix, the pipelined final state and every response
   equal a plain sequential execution in submission order;
 * **depth invariance** — all depths produce the same state and responses;
-* **stage machine** — rounds advance ``DRAINED → CLASSIFIED → SYNCED``
-  and refuse skips, repeats and regressions;
+* **stage adapters** — the ``lifecycle`` names the wall harness binds
+  still resolve and answer (the plan itself: ``test_window_plan.py``);
 * **traced intake** — a paced run stamps each op's submit at the
   admission time it entered the pool, never after its classification;
 * **Tier 0** — ops commuting with their whole window land on the
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor, dag_list_schedule
-from repro.engine.rounds import Round
 from repro.errors import EngineError
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
@@ -236,11 +235,6 @@ class TestStageMachine:
     def test_drain_on_empty_mempool_returns_none(self):
         engine = PipelinedExecutor(ERC20TokenType(4, total_supply=40))
         assert engine.lifecycle.drain(engine.mempool, 8, 0) is None
-
-    def test_round_exposes_contended_split(self):
-        round_ = Round(index=0, ops=[])
-        assert round_.escalated_idx == []
-        assert round_.chained_ops == 0
 
 
 class TestTracedIntake:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.engine import OpClassifier
+from repro.engine import OpClassifier, plan_window
 from repro.engine.mempool import PendingOp
 from repro.errors import EngineError
 from repro.net import TeamLane
@@ -23,15 +24,21 @@ from repro.sync import (
 )
 
 
-class FootprintTable:
-    """A classifier stub serving hand-crafted footprints keyed by seq —
-    contention shapes the token types cannot express directly."""
+def footprints(classifier, ops):
+    return [classifier.footprint(pending) for pending in ops]
 
-    def __init__(self, table):
-        self.table = table
 
-    def footprint(self, pending):
-        return self.table[pending.seq]
+def whole(ops):
+    """``ops`` as one contended group (indices into ``ops``)."""
+    return [list(range(len(ops)))]
+
+
+def plan_of(classifier, ops, groups=None):
+    """The plan of ``ops`` as one window — or, given ``groups``, with its
+    contended groups cut by hand: shapes a window's graph would merge into
+    one component, or would not find contended."""
+    plan = plan_window(classifier, ops)
+    return plan if groups is None else replace(plan, contended_groups=groups)
 
 
 def erc20_fixture():
@@ -52,7 +59,7 @@ class TestComponentTeam:
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 0, op("transfer", 4, 2)),
         ]
-        team = component_team(classifier, ops, state, token)
+        team = component_team(ops, footprints(classifier, ops), state, token)
         # Spender bound of account 0 = {0 (owner), 1, 2 (allowances)};
         # participants {0, 1} are already inside.
         assert team == frozenset({0, 1, 2})
@@ -67,7 +74,9 @@ class TestComponentTeam:
             PendingOp(0, 0, op("transfer", 0, 1, 2)),
             PendingOp(1, 2, op("transfer", 0, 2, 1)),
         ]
-        team = component_team(classifier, ops, asset.initial_state(), asset)
+        team = component_team(
+            ops, footprints(classifier, ops), asset.initial_state(), asset
+        )
         assert team == frozenset({0, 1, 2})
 
     def test_unboundable_object_returns_none(self):
@@ -77,7 +86,10 @@ class TestComponentTeam:
             PendingOp(0, 0, op("transferFrom", 0, 1, 0)),
             PendingOp(1, 2, op("transferFrom", 0, 2, 0)),
         ]
-        assert component_team(classifier, ops, nft.initial_state(), nft) is None
+        team = component_team(
+            ops, footprints(classifier, ops), nft.initial_state(), nft
+        )
+        assert team is None
 
     def test_no_state_returns_none(self):
         token, classifier, _ = erc20_fixture()
@@ -85,7 +97,8 @@ class TestComponentTeam:
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 0, op("transfer", 4, 2)),
         ]
-        assert component_team(classifier, ops, None, token) is None
+        fps = footprints(classifier, ops)
+        assert component_team(ops, fps, None, token) is None
 
 
 class TestSyncPlanner:
@@ -95,7 +108,9 @@ class TestSyncPlanner:
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 0, op("transfer", 4, 2)),
         ]
-        [assignment] = SyncPlanner(0).assign([ops], classifier, state, token)
+        [assignment] = SyncPlanner(0).assign(
+            whole(ops), ops, footprints(classifier, ops), state, token
+        )
         assert assignment.tier == TIER_GLOBAL
         assert assignment.team is None
 
@@ -105,10 +120,11 @@ class TestSyncPlanner:
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 0, op("transfer", 4, 2)),
         ]
-        [small] = SyncPlanner(3).assign([ops], classifier, state, token)
+        fps = footprints(classifier, ops)
+        [small] = SyncPlanner(3).assign(whole(ops), ops, fps, state, token)
         assert small.tier == 3
         assert small.team == frozenset({0, 1, 2})
-        [over] = SyncPlanner(2).assign([ops], classifier, state, token)
+        [over] = SyncPlanner(2).assign(whole(ops), ops, fps, state, token)
         assert over.tier == TIER_GLOBAL
 
     def test_decide_sizes_precomputed_teams(self):
@@ -118,9 +134,9 @@ class TestSyncPlanner:
         assert planner.decide(None).tier == TIER_GLOBAL
 
     def test_empty_component_rejected(self):
-        token, classifier, state = erc20_fixture()
+        token, _, state = erc20_fixture()
         with pytest.raises(EngineError):
-            SyncPlanner(2).assign([[]], classifier, state, token)
+            SyncPlanner(2).assign([[]], [], [], state, token)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(EngineError):
@@ -143,43 +159,42 @@ class TestSyncGroups:
         _, classifier, _ = erc20_fixture()
         ops = two_account_component()
         planner = SyncPlanner(4)
-        groups = planner.split_groups(ops, classifier)
+        groups = planner.split_groups(range(4), footprints(classifier, ops))
         # Groups come out in submission order of their first op, members
         # in submission order; flattening recovers the component exactly.
-        assert groups == [(ops[0], ops[2]), (ops[1], ops[3])]
+        assert groups == [[0, 2], [1, 3]]
 
     def test_shared_account_bridges_groups_transitively(self):
         def contend(*accounts):
             cells = [bal(a) for a in accounts]
             return footprint(observes=cells, adds=cells)
 
-        ops = [PendingOp(s, s, op("transfer", 1, 1)) for s in range(3)]
-        table = {0: contend(0), 1: contend(5), 2: contend(0, 5)}
+        # Hand-crafted footprints: a contention shape the token types
+        # cannot express directly.
+        table = [contend(0), contend(5), contend(0, 5)]
         planner = SyncPlanner(4)
-        groups = planner.split_groups(ops, FootprintTable(table))
-        assert groups == [tuple(ops)]
+        assert planner.split_groups(range(3), table) == [[0, 1, 2]]
 
     def test_unknown_footprint_collapses_to_one_group(self):
-        ops = [PendingOp(s, s, op("transfer", 1, 1)) for s in range(3)]
-        table = {
-            0: footprint(observes=[bal(0)], adds=[bal(0)]),
-            1: None,
-            2: footprint(observes=[bal(5)], adds=[bal(5)]),
-        }
+        table = [
+            footprint(observes=[bal(0)], adds=[bal(0)]),
+            None,
+            footprint(observes=[bal(5)], adds=[bal(5)]),
+        ]
         planner = SyncPlanner(4)
-        groups = planner.split_groups(ops, FootprintTable(table))
-        assert groups == [tuple(ops)]
+        assert planner.split_groups(range(3), table) == [[0, 1, 2]]
 
     def test_split_groups_fit_lanes_the_union_bound_blows(self):
         token, classifier, state = erc20_fixture()
         ops = two_account_component()
+        fps = footprints(classifier, ops)
         planner = SyncPlanner(3)
         # Sized whole, the union bound {0,1,2} ∪ {5} is 4 > 3: the
         # component would blow the threshold and go global.
-        [whole] = planner.assign([ops], classifier, state, token)
-        assert whole.tier == TIER_GLOBAL
+        [unsplit] = planner.assign(whole(ops), ops, fps, state, token)
+        assert unsplit.tier == TIER_GLOBAL
         [[spenders, owner]] = planner.assign_groups(
-            [ops], classifier, state, token
+            whole(ops), ops, fps, state, token
         )
         # Sized per group, both fit: account 0's spender bound {0, 1, 2},
         # account 5's own traffic just {5}.
@@ -203,7 +218,9 @@ class TestTieredEscalator:
         sync = TieredEscalator(
             TeamLane(range(4), seed=9), team_threshold=0, lane_ttl=None
         )
-        result = sync.order_round([ops], classifier, state, token)
+        plan = plan_of(classifier, ops)
+        assert plan.contended_groups == whole(ops)
+        result = sync.order_round(plan, state, token)
         assert (
             tuple(o for c in result.components for o in c.ordered)
             == raw.orders[0].ordered
@@ -221,7 +238,9 @@ class TestTieredEscalator:
         sync = TieredEscalator(
             TeamLane(range(8), seed=9), team_threshold=4, lane_ttl=None
         )
-        result = sync.order_round([ops], classifier, state, token)
+        plan = plan_of(classifier, ops)
+        assert plan.contended_groups == whole(ops)
+        result = sync.order_round(plan, state, token)
         assert result.team_ops == 2 and result.global_ops == 0
         assert result.global_messages == 0
         # 3-replica team, 2 ops in 2 proposal batches (the first proposes
@@ -243,10 +262,10 @@ class TestTieredEscalator:
         token, classifier, state = erc20_fixture()
         sync = TieredEscalator(team_threshold=3, lane_ttl=None, seed=4)
         # Force the second component global via an oversized threshold
-        # miss: its team is {0, 3} plus spenders {1, 2} = 4 > 3.
-        result = sync.order_round(
-            [team_comp, nft_like], classifier, state, token
-        )
+        # miss: its team is {0, 3} plus spenders {1, 2} = 4 > 3.  (One
+        # window's graph would merge the two on account 0.)
+        plan = plan_of(classifier, team_comp + nft_like, [[0, 1], [2, 3]])
+        result = sync.order_round(plan, state, token)
         tiers = sorted(c.tier for c in result.components)
         assert tiers[0] == 3 and math.isinf(tiers[1])
         # The phase is concurrent: it costs the slower lane (plus that
@@ -263,7 +282,10 @@ class TestTieredEscalator:
         token, classifier, state = erc20_fixture()
         ops = two_account_component()
         sync = TieredEscalator(team_threshold=3, lane_ttl=None, seed=9)
-        result = sync.order_round([ops], classifier, state, token)
+        # Hand-cut: the graph leaves account 5's same-process pair
+        # uncontended, in a component of its own.
+        plan = plan_of(classifier, ops, whole(ops))
+        result = sync.order_round(plan, state, token)
         # Two concurrent team lanes under the hood, but callers still zip
         # components against the result positionally: one folded order.
         [component] = result.components

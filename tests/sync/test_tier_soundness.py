@@ -90,7 +90,8 @@ class TestStaticBoundIsSuperset:
             PendingOp(0, spender, op("transferFrom", source, rival, 1)),
             PendingOp(1, source, op("transfer", rival, 1)),
         ]
-        team = component_team(classifier, ops, state, token)
+        fps = [classifier.footprint(pending) for pending in ops]
+        team = component_team(ops, fps, state, token)
         assert team is not None
         assert enabled_spenders(state, source) <= team
         assert {spender, source} <= team
