@@ -261,22 +261,25 @@ def route_window(
     plan = plan_window(classifier, window, state)
     contended = set(plan.escalated_idx)
 
-    #: Per op of the window (by ``seq``): its footprint, off the plan's
-    #: one footprint pass, and the account it anchors on.
-    footprint_of = {op.seq: fp for op, fp in zip(window, plan.footprints)}
-    anchor_of = {
-        op.seq: anchor_account(footprint_of[op.seq], op.pid) for op in window
-    }
+    # Everything below is by window index, aligned with ``plan.footprints``:
+    # the account each op anchors on, that account's shard, and the shard's
+    # start-of-round owner — the owner-local yardstick (this round's own
+    # migrations must not flatter the metric).  A chain's owner counts read
+    # the live map instead: a later chain sees an earlier one's migration.
+    footprints = plan.footprints
+    anchors = [
+        anchor_account(fp, op.pid) for op, fp in zip(window, footprints)
+    ]
+    shards = [shard_map.shard_of(account) for account in anchors]
+    home = [shard_map.owner_of_shard(shard) for shard in shards]
+    in_chain = [False] * len(window)
 
-    assignment: dict[int, list[PendingOp]] = {
+    assignment: dict[int, list[int]] = {
         node: [] for node in range(shard_map.num_nodes)
     }
     #: ``len(assignment[node])`` per live node (the only ones given work).
     load = dict.fromkeys(live, 0)
     by_load = load.__getitem__
-    #: Start-of-round home node per op — the owner-local yardstick
-    #: (this round's own migrations must not flatter the metric).
-    home = {op.seq: shard_map.owner_of(anchor_of[op.seq]) for op in window}
     escalated_ops = 0
     #: Per contended cross-node component: (owner-node team, contended
     #: ops, the chain's unit) — what the sync layer tiers.
@@ -284,7 +287,6 @@ def route_window(
         tuple[frozenset[int], tuple[PendingOp, ...], _Unit]
     ] = []
     migrations: list[tuple[int, int, int]] = []
-    chain_seqs: set[int] = set()
     #: Component-granular dispatch: one unit per routed chain (head
     #: submission order) plus, below, one residual unit of each
     #: node's singletons.
@@ -293,17 +295,17 @@ def route_window(
     lease_units: dict[int, int] = {}
 
     def add_unit(
-        node: int, ops: list[PendingOp], dag: ComponentDAG | None = None
+        node: int, members: list[int], dag: ComponentDAG | None = None
     ) -> _Unit:
         unit = _Unit(
-            ops=tuple(ops),
+            ops=tuple(window[i] for i in members),
             contended=False,
             sync_delay=0.0,
             leases=0,
             round=index,
             node=node,
             uidx=units_on[node],
-            summary=union_footprint(footprint_of[op.seq] for op in ops),
+            summary=union_footprint(footprints[i] for i in members),
             dag=dag,
         )
         units_on[node] += 1
@@ -316,9 +318,9 @@ def route_window(
     # Components route as units (the co-location invariant).  Chains
     # first, in submission order of their heads; each ships its DAG.
     for chain, dag in zip(plan.chains, plan.dags, strict=True):
-        ops = [window[i] for i in chain]
-        chain_seqs.update(op.seq for op in ops)
-        owners = Counter(shard_map.owner_of(anchor_of[op.seq]) for op in ops)
+        for i in chain:
+            in_chain[i] = True
+        owners = Counter(shard_map.owner_of_shard(shards[i]) for i in chain)
         # Majority owner wins; ties go to the currently least-loaded
         # participant (an id tie-break would funnel every evenly-split
         # chain — and, through leases, ever more ownership — onto the
@@ -330,7 +332,7 @@ def route_window(
             [n for n in owners if n in live] or live,
             key=lambda n: (-owners[n], load[n], n),
         )
-        unit = add_unit(target, ops, dag.positional())
+        unit = add_unit(target, chain, dag.positional())
         chain_contended = [i for i in chain if i in contended]
         if len(owners) > 1 and chain_contended:
             # A race spanning owners: a sync lane sequences exactly the
@@ -348,9 +350,9 @@ def route_window(
             # owner-local.
             foreign = sorted(
                 {
-                    shard_map.shard_of(anchor_of[op.seq])
-                    for op in ops
-                    if shard_map.owner_of(anchor_of[op.seq]) != target
+                    shards[i]
+                    for i in chain
+                    if shard_map.owner_of_shard(shards[i]) != target
                 }
             )
             for shard in foreign:
@@ -370,32 +372,32 @@ def route_window(
                 migrations.append((shard, from_node, target))
                 unit.leases += 1
                 lease_units[shard] = unit.uidx
-        assignment[target].extend(ops)
-        load[target] += len(ops)
+        assignment[target].extend(chain)
+        load[target] += len(chain)
 
     # Singletons bundle by anchor account and go to the account's owner;
     # an oversized commuting bundle — more ops than an even share of the
     # window — is sprayed across the least-loaded nodes instead
     # (hot-shard splitting), as is one whose owner is dead.
     target_load = math.ceil(len(window) / len(live))
-    bundles: dict[int, list[PendingOp]] = {}
+    bundles: dict[int, list[int]] = {}
     for i in plan.singletons:
-        bundles.setdefault(anchor_of[window[i].seq], []).append(window[i])
+        bundles.setdefault(anchors[i], []).append(i)
 
-    for account, ops in sorted(
+    for account, bundle in sorted(
         bundles.items(), key=lambda kv: (-len(kv[1]), kv[0])
     ):
-        if len(ops) > target_load and len(live) > 1:
-            hot_split += len(ops)
-            for op in ops:
+        if len(bundle) > target_load and len(live) > 1:
+            hot_split += len(bundle)
+            for i in bundle:
                 node = min(live, key=by_load)
-                assignment[node].append(op)
+                assignment[node].append(i)
                 load[node] += 1
         else:
             owner = shard_map.owner_of(account)
             node = owner if owner in live else min(live, key=by_load)
-            assignment[node].extend(ops)
-            load[node] += len(ops)
+            assignment[node].extend(bundle)
+            load[node] += len(bundle)
 
     # Overflow spill: while the heaviest node holds more than an even
     # share and at least two ops more than the lightest, shed its latest
@@ -409,21 +411,21 @@ def route_window(
         lightest = min(live, key=by_load)
         if load[heaviest] <= max(target_load, load[lightest] + 1):
             break
-        ops = assignment[heaviest]
-        k = len(ops) - 1
-        while k >= 0 and ops[k].seq in chain_seqs:
+        members = assignment[heaviest]
+        k = len(members) - 1
+        while k >= 0 and in_chain[members[k]]:
             k -= 1
         if k < 0:
             # All chain members: this node's load is atomic; try others.
             shedding = [n for n in shedding if n != heaviest]
             continue
-        assignment[lightest].append(ops.pop(k))
+        assignment[lightest].append(members.pop(k))
         load[heaviest] -= 1
         load[lightest] += 1
         spill += 1
 
     owner_local = sum(
-        home[op.seq] == node for node, ops in assignment.items() for op in ops
+        home[i] == node for node, members in assignment.items() for i in members
     )
 
     # Synchronization: each contended cross-node component through its
@@ -444,21 +446,20 @@ def route_window(
         ):
             unit.sync_delay = order.completed
 
-    assignment = {
-        node: sorted(ops, key=lambda op: op.seq)
-        for node, ops in assignment.items()
-        if ops
-    }
-
-    # Each node's singletons commute with the whole window, so they
-    # share one residual unit (and one gate).
-    for node, ops in assignment.items():
-        rest = [op for op in ops if op.seq not in chain_seqs]
-        if rest:
-            add_unit(node, rest)
+    # The window is in submission order, so ascending indices are
+    # ascending ``seq``.  Each node's singletons commute with the whole
+    # window, so they share one residual unit (and one gate).
+    placed: dict[int, list[PendingOp]] = {}
+    for node, members in assignment.items():
+        if members:
+            members.sort()
+            placed[node] = [window[i] for i in members]
+            rest = [i for i in members if not in_chain[i]]
+            if rest:
+                add_unit(node, rest)
     return _Round(
         index=index,
-        assignment=assignment,
+        assignment=placed,
         sync=sync_round,
         units=units,
         lease_units=lease_units,
@@ -480,7 +481,7 @@ def route_window(
             spill_ops=spill,
             escalated_ops=escalated_ops,
             lease_migrations=len(migrations),
-            nodes_used=len(assignment),
+            nodes_used=len(placed),
             escalation_time=sync_round.virtual_time,
             escalation_messages=sync_round.messages,
             team_ops=sync_round.team_ops,

@@ -10,7 +10,7 @@ analysis (:mod:`repro.objects.footprint`), whose verdicts hold at every
 state and depend on operation type plus touched accounts, not on values.
 
 A window's non-commuting pairs are found per *location*, not per pair
-(:meth:`OpClassifier.conflict_edges` over
+(``ConflictGraph.build`` over
 :func:`repro.objects.footprint.conflict_candidates`): the paper's
 synchronization groups are the spenders of one account, so only ops sharing
 a cell can conflict and the commuting majority of a window is never
@@ -40,11 +40,7 @@ from repro.analysis.commutativity import (
 )
 from repro.engine.mempool import PendingOp
 from repro.errors import EngineError
-from repro.objects.footprint import (
-    OpFootprint,
-    conflict_candidates,
-    static_pair_kind,
-)
+from repro.objects.footprint import OpFootprint, static_pair_kind
 from repro.spec.object_type import SequentialObjectType
 
 #: The footprint rule's string -> its ``PairKind`` (same values).
@@ -60,14 +56,13 @@ class ClassifierStats:
     """Counters for one classifier instance.
 
     ``pairs`` and ``by_kind`` count the pairs the classifier *examined*.
-    On the indexed path (:meth:`OpClassifier.conflict_edges`) those are the
-    window's non-commuting candidates only — COMMUTE pairs are never
-    visited, so ``by_kind`` has no ``"commute"`` entry and ``pairs`` tracks
-    the edge count, not ``n(n-1)/2``.  Under ``validate=True`` the counters
-    are the all-pairs oracle pass's: every pair, commuting ones included.
-    Window-level commute counts and conflict rates come from
-    ``ConflictGraph.commute_pairs`` / ``conflict_rate``, which derive them
-    from ``n(n-1)/2`` and stay exact either way.
+    On the indexed path (``ConflictGraph.build``, one :meth:`count_window`
+    per window) those are the window's non-commuting candidates only —
+    COMMUTE pairs are never visited, so ``by_kind`` has no ``"commute"``
+    entry and ``pairs`` is the edge count, not ``n(n-1)/2``.  Under
+    ``validate=True`` the counters are the all-pairs oracle pass's: every
+    pair, commuting ones included.  A window's commute count is
+    ``n(n-1)/2 - len(graph.edges)`` either way.
     """
 
     pairs: int = 0
@@ -94,6 +89,19 @@ class ClassifierStats:
         if not self.checked_conflicts:
             return 1.0
         return self.confirmed_conflicts / self.checked_conflicts
+
+    def count_window(
+        self, conflict: int, read_only: int, fallback: int
+    ) -> None:
+        """Count one window's indexed edges (each was one candidate):
+        ``fallback`` of them have an unknown footprint."""
+        pairs = conflict + read_only
+        self.pairs += pairs
+        self.static_pairs += pairs - fallback
+        self.fallback_pairs += fallback
+        for value, count in (("conflict", conflict), ("read-only", read_only)):
+            if count:
+                self.by_kind[value] = self.by_kind.get(value, 0) + count
 
     def as_dict(self) -> dict:
         return {
@@ -178,35 +186,6 @@ class OpClassifier:
             return True
         return fp1.contends_with(fp2)
 
-    def conflict_edges(
-        self,
-        window: list[PendingOp],
-        footprints: list[OpFootprint | None] | None = None,
-    ) -> dict[tuple[int, int], PairKind]:
-        """The window's non-COMMUTE pairs and their kinds, keyed ``(i, j)``
-        with ``i < j`` and stored in ascending key order — exactly the
-        non-COMMUTE entries of :meth:`classify_window`, in its order.
-
-        Candidates come from the per-window location index
-        (:func:`~repro.objects.footprint.conflict_candidates`) and each is
-        classified by the same footprint-pair rule as :meth:`classify`, so
-        the cost follows the edges, not the ``n(n-1)/2`` pairs.
-        ``footprints`` is the window's footprint list when the caller
-        already holds it (``ConflictGraph.build`` does, and keeps it).
-        """
-        if footprints is None:
-            footprints = [self.footprint(op) for op in window]
-        edges: dict[tuple[int, int], PairKind] = {}
-        for i, partners in enumerate(conflict_candidates(footprints)):
-            if not partners:
-                continue
-            first = footprints[i]
-            for j in sorted(partners):
-                kind = self._pair_kind(first, footprints[j])
-                if kind is not PairKind.COMMUTE:
-                    edges[(i, j)] = kind
-        return edges
-
     @contextmanager
     def uncounted(self):
         """Run classifier calls without leaving a trace in :attr:`stats`
@@ -222,9 +201,9 @@ class OpClassifier:
         self, window: list[PendingOp], state=None
     ) -> dict[tuple[int, int], PairKind]:
         """All pairwise kinds over a window (``i < j`` indices) — the
-        quadratic oracle the indexed :meth:`conflict_edges` is validated
-        against; not on any hot path.  One footprint pass of its own, then
-        exactly :meth:`classify` per index pair."""
+        quadratic oracle ``ConflictGraph.build``'s indexed edges are
+        validated against; not on any hot path.  One footprint pass of its
+        own, then exactly :meth:`classify` per index pair."""
         footprints = [self.footprint(op) for op in window]
         check = self.validate and state is not None
         kinds: dict[tuple[int, int], PairKind] = {}

@@ -1,12 +1,13 @@
 """Conflict graph over a mempool window.
 
 Nodes are pending operations; an edge carries the pair's classification
-whenever the pair is *not* statically commuting.  The scheduler reads the
-graph to form waves (edge-free sets can run lane-parallel), the stats layer
-reads it for conflict-rate reporting, and ``components()`` exposes the
-synchronization groups — the engine-level analogue of the paper's per-
-account coordination groups: only operations inside one component ever need
-an order relative to each other.
+whenever the pair is *not* statically commuting.  :meth:`ConflictGraph.build`
+is the one place a window's edges are made, and it walks the window twice:
+once over the location index's candidates (edges, kinds, the contended
+set) and once over the edges (components and each op's DAG neighbours).
+``components()`` exposes the synchronization groups — the engine-level
+analogue of the paper's per-account coordination groups: only operations
+inside one component ever need an order relative to each other.
 
 The paper's result is per-*pair*: only non-commuting operation pairs need
 a relative order.  A component is therefore not a chain but a *partial*
@@ -23,12 +24,25 @@ scheduling trades on.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.analysis.commutativity import PairKind
 from repro.engine.classifier import ClassifierValidationError, OpClassifier
 from repro.engine.mempool import PendingOp
-from repro.objects.footprint import OpFootprint
+from repro.objects.footprint import OpFootprint, conflict_candidates
+
+_CONFLICT, _READ_ONLY = PairKind.CONFLICT, PairKind.READ_ONLY
+#: A candidate's kind by the classes of its two ops — unknown footprint
+#: (0), read-only (1: no ``adds``, no ``sets``), writing (2).  Candidates
+#: are exactly the pairs ``static_pair_kind`` does not call COMMUTE, and on
+#: those the rule is this table: CONFLICT when a footprint is unknown, else
+#: READ_ONLY when either side writes nothing, else CONFLICT.
+_KIND_BY_CLASS = (
+    (_CONFLICT, _CONFLICT, _CONFLICT),
+    (_CONFLICT, _READ_ONLY, _READ_ONLY),
+    (_CONFLICT, _READ_ONLY, _CONFLICT),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +154,8 @@ class ComponentDAG:
 
 @dataclass
 class ConflictGraph:
-    """Pairwise non-commute structure of one window (indices into ``ops``)."""
+    """Pairwise non-commute structure of one window (indices into ``ops``),
+    and everything :meth:`build` folds out of it in the same two walks."""
 
     ops: list[PendingOp]
     #: ``(i, j) -> kind`` with ``i < j``, in ascending key order; only
@@ -150,148 +165,137 @@ class ConflictGraph:
     #: footprint pass of the window: splitting, placement, the frontier
     #: and the cluster's routing all read them here.
     footprints: list[OpFootprint | None]
-    #: ``adjacency[i]`` = the indices sharing an edge with ``i`` — ascending,
-    #: because ``edges`` is.
-    adjacency: list[list[int]] = field(init=False, repr=False)
-    _components: list[list[int]] | None = field(
-        default=None, init=False, repr=False
-    )
-
-    def __post_init__(self) -> None:
-        self.adjacency = [[] for _ in self.ops]
-        for a, b in self.edges:
-            self.adjacency[a].append(b)
-            self.adjacency[b].append(a)
+    #: Endpoints of the CONFLICT edges whose pair ``needs_consensus``.
+    contended: set[int]
+    #: Connected components (ascending indices), ordered by first index.
+    _components: list[list[int]] = field(repr=False)
+    #: Direct DAG predecessors / successors per index that has any,
+    #: ascending — the edge keys ascend, so they are appended in order.
+    _preds: dict[int, list[int]] = field(repr=False)
+    _succs: dict[int, list[int]] = field(repr=False)
 
     @classmethod
     def build(
         cls, classifier: OpClassifier, ops: list[PendingOp], state=None
     ) -> "ConflictGraph":
-        """The window's graph, its edges found through the classifier's
-        location index.  Under ``validate`` the all-pairs classification
-        runs as well — it cross-checks every verdict against the semantic
-        oracle at ``state`` and owns the classifier's counters — and the
-        indexed edges must equal its non-COMMUTE subset: keys, kinds and
-        order."""
+        """The window's graph, its edges found through the location index
+        (:func:`~repro.objects.footprint.conflict_candidates`).  Under
+        ``validate`` the all-pairs classification runs as well — it
+        cross-checks every verdict against the semantic oracle at
+        ``state`` and owns the classifier's counters — and the indexed
+        edges must equal its non-COMMUTE subset: keys, kinds and order."""
         ops = list(ops)
         if not classifier.validate:
-            footprints = [classifier.footprint(op) for op in ops]
-            return cls(
-                ops, classifier.conflict_edges(ops, footprints), footprints
-            )
-        oracle = {
-            pair: kind
+            return cls._fold(classifier, ops)
+        oracle = [
+            (pair, kind)
             for pair, kind in classifier.classify_window(ops, state).items()
             if kind is not PairKind.COMMUTE
-        }
+        ]
         with classifier.uncounted():
-            footprints = [classifier.footprint(op) for op in ops]
-            edges = classifier.conflict_edges(ops, footprints)
-        if list(edges.items()) != list(oracle.items()):
+            graph = cls._fold(classifier, ops)
+        if list(graph.edges.items()) != oracle:
             differing = sorted(
-                set(edges.items()) ^ set(oracle.items()), key=lambda e: e[0]
+                set(graph.edges.items()) ^ set(oracle), key=lambda e: e[0]
             )
             raise ClassifierValidationError(
                 "location-indexed edges differ from the all-pairs "
                 f"classification in {differing[:6] or 'order only'}"
             )
-        return cls(ops, edges, footprints)
+        return graph
+
+    @classmethod
+    def _fold(
+        cls, classifier: OpClassifier, ops: list[PendingOp]
+    ) -> "ConflictGraph":
+        footprints = [classifier.footprint(op) for op in ops]
+        classes = [
+            0 if fp is None else 2 if fp.adds or fp.sets else 1
+            for fp in footprints
+        ]
+        # Walk 1, over the candidates: the ascending edge dict, each op's
+        # successors (every candidate is an edge) and the contended set.
+        edges: dict[tuple[int, int], PairKind] = {}
+        succs: dict[int, list[int]] = {}
+        contended: set[int] = set()
+        needs_consensus = classifier.needs_consensus
+        read_only = 0
+        for i, partners in enumerate(conflict_candidates(footprints)):
+            if not partners:
+                continue
+            succs[i] = later = sorted(partners)
+            kinds = _KIND_BY_CLASS[classes[i]]
+            first, fp = ops[i], footprints[i]
+            for j in later:
+                edges[(i, j)] = kind = kinds[classes[j]]
+                if kind is _READ_ONLY:
+                    read_only += 1
+                elif needs_consensus(first, ops[j], (fp, footprints[j])):
+                    contended.add(i)
+                    contended.add(j)
+        # An unknown footprint pairs with the whole window.
+        unknown, n = classes.count(0), len(ops)
+        classifier.stats.count_window(
+            len(edges) - read_only,
+            read_only,
+            unknown * (n - unknown) + unknown * (unknown - 1) // 2,
+        )
+        # Walk 2, one fold over the edges: predecessors and union-find,
+        # every root its component's smallest index.
+        parent = list(range(n))
+        preds: defaultdict[int, list[int]] = defaultdict(list)
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for a, b in edges:
+            preds[b].append(a)
+            ra, rb = find(a), find(b)
+            if ra < rb:
+                parent[rb] = ra
+            elif rb < ra:
+                parent[ra] = rb
+        # A root with no successor has no edge at all (its edges would
+        # lead to later members); any other root opens its component,
+        # before the ascending walk reaches the rest of it.
+        components: list[list[int]] = []
+        group_of: dict[int, list[int]] = {}
+        for i in range(n):
+            if parent[i] != i:
+                group_of[find(i)].append(i)
+            elif i in succs:
+                group_of[i] = group = [i]
+                components.append(group)
+            else:
+                components.append([i])
+        return cls(ops, edges, footprints, contended, components, preds, succs)
 
     # ------------------------------------------------------------------
-
-    def kind(self, i: int, j: int) -> PairKind:
-        if i == j:
-            raise ValueError("no self-edges in a conflict graph")
-        key = (i, j) if i < j else (j, i)
-        return self.edges.get(key, PairKind.COMMUTE)
-
-    def neighbors(self, i: int) -> list[int]:
-        """Indices adjacent to ``i`` through any non-commute edge."""
-        return list(self.adjacency[i])
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
-    @property
-    def conflict_edges(self) -> int:
-        return sum(
-            1 for kind in self.edges.values() if kind is PairKind.CONFLICT
-        )
-
-    @property
-    def read_only_edges(self) -> int:
-        return sum(
-            1 for kind in self.edges.values() if kind is PairKind.READ_ONLY
-        )
-
-    @property
-    def commute_pairs(self) -> int:
-        n = len(self.ops)
-        return n * (n - 1) // 2 - len(self.edges)
-
-    def conflict_rate(self) -> float:
-        """CONFLICT edges as a fraction of all pairs in the window."""
-        n = len(self.ops)
-        total = n * (n - 1) // 2
-        return self.conflict_edges / total if total else 0.0
 
     def components(self) -> list[list[int]]:
         """Connected components over non-commute edges (sorted indices),
         ordered by their first index.
 
         Singleton components are operations free to run in any lane; larger
-        components are the window's synchronization groups.  Computed once
-        per graph; every call returns fresh lists.
+        components are the window's synchronization groups.  Computed once,
+        by :meth:`build`; every call returns fresh lists.
         """
-        return [list(component) for component in self._grouped()]
-
-    def _grouped(self) -> list[list[int]]:
-        if self._components is not None:
-            return self._components
-        parent = list(range(len(self.ops)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        # A root is its component's smallest index, so an ascending walk
-        # opens every component at its first member — and a vertex without
-        # an edge is its own component, no union-find lookup needed.
-        found: list[list[int]] = []
-        group_of: dict[int, list[int]] = {}
-        for i, adjacent in enumerate(self.adjacency):
-            if not adjacent:
-                found.append([i])
-                continue
-            root = find(i)
-            if root == i:
-                group_of[i] = group = []
-                found.append(group)
-            else:
-                group = group_of[root]
-            group.append(i)
-        self._components = found
-        return found
+        return [list(component) for component in self._components]
 
     def component_dags(self) -> list[ComponentDAG]:
         """Precedence DAGs of the multi-op components, in component order:
         aligned with :func:`repro.engine.rounds.plan_window`'s chains,
-        ``dags[k].nodes == tuple(chains[k])``.  Edges are bucketed per
-        component in one pass (every edge belongs to exactly one
-        component), so a window costs O(V + E), not O(components × E).
-        """
-        multi = [c for c in self._grouped() if len(c) > 1]
-        owner = {i: k for k, component in enumerate(multi) for i in component}
-        buckets: list[dict] = [{} for _ in multi]
-        for (a, b), kind in self.edges.items():
-            buckets[owner[a]][(a, b)] = kind
+        ``dags[k].nodes == tuple(chains[k])``.  Packaged from the sorted
+        neighbour lists :meth:`build` folded, without walking the edges."""
+        preds, succs = self._preds, self._succs
         return [
-            ComponentDAG.over(component, bucket)
-            for component, bucket in zip(multi, buckets)
+            ComponentDAG(
+                tuple(component),
+                {i: tuple(preds.get(i, ())) for i in component},
+                {i: tuple(succs.get(i, ())) for i in component},
+            )
+            for component in self._components
+            if len(component) > 1
         ]

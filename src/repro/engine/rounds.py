@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis.commutativity import PairKind
 from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,21 +72,14 @@ def plan_window(
     READ_ONLY pairs are resolved by chain order alone, which costs no
     messages.
     """
-    return _plan(classifier, ConflictGraph.build(classifier, ops, state))
+    return _plan(ConflictGraph.build(classifier, ops, state))
 
 
-def _plan(classifier: OpClassifier, graph: ConflictGraph) -> WindowPlan:
+def _plan(graph: ConflictGraph) -> WindowPlan:
     components = graph.components()
     chains = [c for c in components if len(c) > 1]
     singletons = [c[0] for c in components if len(c) == 1]
-    contended: set[int] = set()
-    ops, footprints = graph.ops, graph.footprints
-    for (a, b), kind in graph.edges.items():
-        if kind is PairKind.CONFLICT and classifier.needs_consensus(
-            ops[a], ops[b], (footprints[a], footprints[b])
-        ):
-            contended.add(a)
-            contended.add(b)
+    contended = graph.contended
     groups = [
         group
         for chain in chains
@@ -95,7 +87,12 @@ def _plan(classifier: OpClassifier, graph: ConflictGraph) -> WindowPlan:
     ]
     groups.sort(key=lambda group: group[0])
     return WindowPlan(
-        ops, footprints, chains, singletons, groups, graph.component_dags()
+        graph.ops,
+        graph.footprints,
+        chains,
+        singletons,
+        groups,
+        graph.component_dags(),
     )
 
 
@@ -118,9 +115,9 @@ class WallAdapters:
         return self.sync.order_round(plan, state, self.object_type)
 
     def split_sync(self, graph: ConflictGraph):
-        plan = _plan(self.classifier, graph)
+        plan = _plan(graph)
         return plan.chains, plan.singletons, plan.contended_groups
 
     def split(self, graph: ConflictGraph):
-        plan = _plan(self.classifier, graph)
+        plan = _plan(graph)
         return plan.chains, plan.singletons, sorted(plan.escalated_idx)

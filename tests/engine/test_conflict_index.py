@@ -1,7 +1,7 @@
 """Location-indexed conflict detection against its all-pairs oracle.
 
-``OpClassifier.conflict_edges`` finds a window's non-commuting pairs by
-hashing every footprint on its locations; ``classify_window`` classifies
+``ConflictGraph.build`` finds a window's non-commuting pairs by hashing
+every footprint on its locations; ``classify_window`` classifies
 all ``n(n-1)/2`` pairs.  The contract: the indexed edge dict *is* the
 non-COMMUTE subset of the all-pairs dict — same keys, same kinds, same
 iteration order — for every object type, known footprints or not.  Every
@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 from repro.analysis.commutativity import PairKind
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
-from repro.engine import ConflictGraph, PipelinedExecutor
+from repro.engine import (
+    ComponentDAG,
+    ConflictGraph,
+    PipelinedExecutor,
+    conflict_graph,
+)
 from repro.engine.classifier import (
     ClassifierValidationError,
     OpClassifier,
@@ -37,6 +42,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadMix,
 )
+from tests.engine import graph_views as views
 from tests.engine.test_classifier import (
     ACCOUNT,
     VALUE,
@@ -65,7 +71,7 @@ def _oracle_edges(object_type, window) -> list:
 
 
 def _assert_indexed_equals_all_pairs(object_type, window) -> None:
-    indexed = OpClassifier(object_type).conflict_edges(window)
+    indexed = ConflictGraph.build(OpClassifier(object_type), window).edges
     assert list(indexed.items()) == _oracle_edges(object_type, window)
 
 
@@ -147,9 +153,8 @@ class TestIndexedEqualsAllPairs:
         token = ERC1155TokenType([[5, 5]] * N)
         _assert_indexed_equals_all_pairs(token, window)
         n = len(window)
-        assert len(OpClassifier(token).conflict_edges(window)) == (
-            n * (n - 1) // 2
-        )
+        graph = ConflictGraph.build(OpClassifier(token), window)
+        assert len(graph.edges) == n * (n - 1) // 2
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.lists(erc20_invocation(), max_size=20))
@@ -171,7 +176,7 @@ class TestNamedWindows:
         token = token or ERC20TokenType(8, total_supply=80)
         window = _window(invocations)
         _assert_indexed_equals_all_pairs(token, window)
-        return OpClassifier(token).conflict_edges(window)
+        return ConflictGraph.build(OpClassifier(token), window).edges
 
     def test_one_hot_balance_is_all_conflict(self):
         """Every op guarded on one balance: all n(n-1)/2 pairs, in order."""
@@ -246,8 +251,7 @@ class TestNamedWindows:
         graph = ConflictGraph.build(classifier, window)
         assert classifier.stats.pairs == len(graph.edges) == 3
         assert classifier.stats.by_kind == {"conflict": 1, "read-only": 2}
-        n = len(window)
-        assert graph.commute_pairs == n * (n - 1) // 2 - len(graph.edges)
+        assert views.commute_pairs(graph) == 6 * 5 // 2 - 3
 
 
 class TestValidateOracle:
@@ -273,8 +277,11 @@ class TestValidateOracle:
             [(0, op("transfer", 1, 2)), (1, op("transfer", 0, 2))]
         )
         classifier = OpClassifier(token, validate=True)
+        # A location index that finds nothing.
         monkeypatch.setattr(
-            classifier, "conflict_edges", lambda ops, footprints=None: {}
+            conflict_graph,
+            "conflict_candidates",
+            lambda footprints: [set() for _ in footprints],
         )
         with pytest.raises(ClassifierValidationError, match="differ"):
             ConflictGraph.build(classifier, window, token.initial_state())
@@ -464,29 +471,29 @@ class TestLazyPrefixState:
         assert runs[0][2] > 0
 
 
-def _scan_neighbors(graph: ConflictGraph, i: int) -> list[int]:
-    """``neighbors`` as it was before the adjacency list: scan every edge."""
-    found = []
-    for a, b in graph.edges:
-        if a == i:
-            found.append(b)
-        elif b == i:
-            found.append(a)
-    return sorted(found)
+def _scan_neighbors(graph: ConflictGraph, i: int) -> tuple[tuple, tuple]:
+    """``i``'s predecessors and successors by a scan of every edge."""
+    preds = sorted(a for a, b in graph.edges if b == i)
+    succs = sorted(b for a, b in graph.edges if a == i)
+    return tuple(preds), tuple(succs)
 
 
 class TestAdjacency:
-    """(d) the adjacency list against the old edge scan."""
+    """(d) the DAG neighbour lists ``build`` folds, against an edge scan."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(erc20_invocation(), max_size=24))
     def test_neighbors_and_degree_match_the_edge_scan(self, invocations):
         token = ERC20TokenType(N, total_supply=20, with_extensions=True)
         graph = ConflictGraph.build(OpClassifier(token), _window(invocations))
+        folded = {
+            i: (dag.preds[i], dag.succs[i])
+            for dag in graph.component_dags()
+            for i in dag.nodes
+        }
         for i in range(len(graph.ops)):
-            expected = _scan_neighbors(graph, i)
-            assert graph.neighbors(i) == expected
-            assert graph.degree(i) == len(expected)
+            # A vertex outside every DAG has no edge at all.
+            assert folded.get(i, ((), ())) == _scan_neighbors(graph, i)
 
     def test_neighbors_returns_a_copy(self):
         token = ERC20TokenType(N, total_supply=20)
@@ -494,5 +501,9 @@ class TestAdjacency:
             OpClassifier(token),
             _window([(0, op("transfer", 1, 2)), (1, op("transfer", 0, 2))]),
         )
-        graph.neighbors(0).append(99)
-        assert graph.neighbors(0) == [1]
+        (dag,) = graph.component_dags()
+        dag.succs[0] = (99,)
+        dag.preds.clear()
+        assert graph.component_dags() == [
+            ComponentDAG((0, 1), {0: (), 1: (0,)}, {0: (1,), 1: ()})
+        ]

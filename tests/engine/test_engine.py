@@ -26,6 +26,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     example1_trace,
 )
+from tests.engine import graph_views as views
 
 N = 8
 
@@ -78,19 +79,19 @@ class TestConflictGraph:
         ]
         graph = ConflictGraph.build(classifier, ops)
         assert graph.components() == [[0, 1], [2], [3]]
-        assert graph.kind(0, 1) is PairKind.CONFLICT
-        assert graph.kind(2, 3) is PairKind.COMMUTE
-        assert graph.conflict_edges == 1
-        assert graph.conflict_rate() == pytest.approx(1 / 6)
-        assert graph.neighbors(0) == [1]
-        assert graph.degree(3) == 0
+        assert views.kind(graph, 0, 1) is PairKind.CONFLICT
+        assert views.kind(graph, 2, 3) is PairKind.COMMUTE
+        assert views.count_kind(graph, PairKind.CONFLICT) == 1
+        assert views.conflict_rate(graph) == pytest.approx(1 / 6)
+        assert views.neighbors(graph, 0) == [1]
+        assert views.degree(graph, 3) == 0
 
     def test_commute_pairs_counted(self, token):
         classifier = OpClassifier(token)
         ops = [PendingOp(i, i, op("balanceOf", i)) for i in range(4)]
         graph = ConflictGraph.build(classifier, ops)
-        assert graph.commute_pairs == 6
-        assert graph.read_only_edges == 0
+        assert views.commute_pairs(graph) == 6
+        assert views.count_kind(graph, PairKind.READ_ONLY) == 0
 
 
 class TestShardPlanner:

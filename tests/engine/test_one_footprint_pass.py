@@ -4,15 +4,17 @@ Deterministic guards (counters, no clocks) for what makes an op that
 commutes with its whole window cheap: its footprint is computed once —
 ``ConflictGraph.build`` does it, inside ``plan_window``, and every later
 stage (split, sync team sizing, placement, frontier, the cluster's
-routing) reads ``plan.footprints`` — and the graph's components are found
-once however many stages ask.  There is no memo behind that: the count is
-of ``object_type.footprint`` calls.
+routing) reads ``plan.footprints`` — and the graph's components and DAGs
+are folded once, by ``build``, however many stages ask.  There is no memo
+behind the footprints: the count is of ``object_type.footprint`` calls.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.engine.classifier as classifier_module
+import repro.objects.footprint as footprint_module
 from repro.analysis.commutativity import PairKind
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
@@ -26,6 +28,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadItem,
 )
+from tests.engine import graph_views as views
 
 N = 16
 
@@ -100,14 +103,17 @@ class TestOneFootprintPass:
         assert on_nodes == [[0], [0]]
 
 
-class _CountingEdges(dict):
-    """An edge dict that counts how often it is walked."""
+class _UnwalkableEdges(dict):
+    """An edge dict that fails the test if anything walks it."""
 
-    walks = 0
+    def _walked(self, *args):
+        raise AssertionError("the edges were walked after build")
 
-    def __iter__(self):
-        self.walks += 1
-        return super().__iter__()
+    __iter__ = keys = values = items = _walked
+
+
+def _refuse_the_pair_rule(*args):
+    raise AssertionError("build ran static_pair_kind")
 
 
 class TestComponentsOnce:
@@ -121,23 +127,27 @@ class TestComponentsOnce:
             PendingOp(4, 2, op("transfer", 3, 1)),
         ]
         classifier = OpClassifier(token)
-        built = ConflictGraph.build(classifier, ops)
-        assert list(built.edges) == [(0, 2), (2, 4)]
-        graph = ConflictGraph(
-            ops, _CountingEdges(built.edges), built.footprints
-        )
+        graph = ConflictGraph.build(classifier, ops)
+        assert list(graph.edges) == [(0, 2), (2, 4)]
         return classifier, graph
 
-    def test_asked_twice_computed_once(self):
+    def test_built_by_table_and_read_without_walking_the_edges(
+        self, monkeypatch
+    ):
+        """``build`` kinds its candidates by table, not by the pair rule,
+        and folds everything the readers need: neither ``components`` nor
+        ``component_dags`` walks the edges again, however often asked."""
+        for module in (footprint_module, classifier_module):
+            monkeypatch.setattr(
+                module, "static_pair_kind", _refuse_the_pair_rule
+            )
         _, graph = self._graph()
-        walks = graph.edges.walks  # the adjacency lists took one
-        assert graph.components() == [[0, 2, 4], [1], [3]]
-        assert graph.edges.walks == walks + 1
-        assert graph.components() == [[0, 2, 4], [1], [3]]
-        assert [dag.nodes for dag in graph.component_dags()] == [(0, 2, 4)]
-        # Neither the second call nor the DAGs grouped again (the DAGs
-        # bucket the edges through ``items()``, not a plain walk).
-        assert graph.edges.walks == walks + 1
+        graph.edges = _UnwalkableEdges(graph.edges)
+        for _ in range(2):
+            assert graph.components() == [[0, 2, 4], [1], [3]]
+            (dag,) = graph.component_dags()
+            assert dag.nodes == (0, 2, 4)
+            assert dag.succs == {0: (2,), 2: (4,), 4: ()}
 
     def test_callers_cannot_corrupt_the_memo(self, monkeypatch):
         classifier, graph = self._graph()
@@ -156,4 +166,4 @@ class TestComponentsOnce:
         (dag,) = graph.component_dags()
         assert dag.nodes == (0, 2, 4)
         assert dag.preds == {0: (), 2: (0,), 4: (2,)}
-        assert graph.kind(0, 2) is PairKind.CONFLICT
+        assert views.kind(graph, 0, 2) is PairKind.CONFLICT
