@@ -17,9 +17,11 @@ measurement philosophy; wall-clock threading would measure the GIL):
   two accounts — commuting bursts still spread over the lanes, racing
   ones pay for order.
 
-Every run re-validates the static fast-path classifier against the
-semantic ``PairKind`` oracle (``validate=True`` raises on any soundness
-violation) and the final state against the sequential specification.
+Every run checks its final state and responses against the sequential
+specification.  Once per mix, outside the executor,
+:func:`repro.analysis.commutativity.audit_static_kinds` holds the static
+footprint rule to the semantic ``PairKind`` oracle over the same windows
+(the ``oracle`` block: pairs checked and the rule's conflict precision).
 
 Standalone (writes ``BENCH_engine.json``, used by CI)::
 
@@ -36,6 +38,7 @@ from common import (
     render_stats_table,
     run_bench,
 )
+from repro.analysis.commutativity import audit_static_kinds
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
 from repro.obs import TraceRecorder
@@ -94,36 +97,39 @@ HEADLINES = {
 }
 
 
+def make_token(accounts: int = ACCOUNTS) -> ERC20TokenType:
+    return ERC20TokenType(accounts, total_supply=100 * accounts)
+
+
+def make_items(mix, ops: int, accounts: int = ACCOUNTS, fraction=0.0):
+    return TokenWorkloadGenerator(
+        accounts,
+        seed=SEED,
+        mix=mix,
+        hotspot_fraction=fraction,
+        hotspot_accounts=2,
+    ).generate(ops)
+
+
 def run_engine(
     mix,
     lanes: int,
     ops: int,
     accounts: int = ACCOUNTS,
     hotspot_fraction: float = 0.0,
-    validate: bool = True,
     tracer: TraceRecorder | None = None,
 ):
     """One engine run; returns ``(engine, stats)`` after checking the final
     state against the sequential specification."""
-    token = ERC20TokenType(accounts, total_supply=100 * accounts)
+    token = make_token(accounts)
     engine = PipelinedExecutor(
         token,
         EngineConfig(
-            num_lanes=lanes,
-            window=WINDOW,
-            validate=validate,
-            seed=SEED,
-            pipeline_depth=1,
+            num_lanes=lanes, window=WINDOW, seed=SEED, pipeline_depth=1
         ),
         tracer=tracer,
     )
-    items = TokenWorkloadGenerator(
-        accounts,
-        seed=SEED,
-        mix=mix,
-        hotspot_fraction=hotspot_fraction,
-        hotspot_accounts=2,
-    ).generate(ops)
+    items = make_items(mix, ops, accounts, hotspot_fraction)
     state, responses, stats = engine.run_workload(items)
     ref_state, ref_responses = token.run(
         [(item.pid, item.operation) for item in items]
@@ -151,6 +157,7 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
         serial_engine, serial = run_engine(mix, SERIAL_LANES, ops)
         sharded_engine, sharded = run_engine(mix, SHARDED_LANES, ops)
         classifier = sharded_engine.classifier.stats
+        audit = audit_static_kinds(make_token(), make_items(mix, ops), WINDOW)
         results["mixes"][name] = {
             "serial": {
                 "throughput": serial.throughput,
@@ -163,11 +170,16 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
                 else 1.0
             ),
             "conflict_rate": (
-                classifier.by_kind.get("conflict", 0) / classifier.pairs
-                if classifier.pairs
+                classifier.by_kind.get("conflict", 0) / audit.pairs
+                if audit.pairs
                 else 0.0
             ),
             "classifier": classifier.as_dict(),
+            "oracle": {
+                "pairs": audit.pairs,
+                "conflict_precision": audit.conflict_precision,
+                "violations": len(audit.violations),
+            },
         }
     # Hot-spot skew: contention knob on the conflict-free mixes.
     for mix_name, mix in (
@@ -205,10 +217,14 @@ def check_claims(results: dict) -> None:
     assert approval["conflict_rate"] > 0.0
     assert approval["sharded"]["escalated_ops"] > 0
     assert approval["sharded"]["escalation_messages"] > 0
-    # The static fast path was validated against the oracle on every pair
-    # the engine acted on (validate=True would have raised otherwise).
+    # The static rule kept the soundness contract on every pair of every
+    # window the engine planned.
+    ops, window = results["params"]["ops"], results["params"]["window"]
+    sizes = [min(window, ops - start) for start in range(0, ops, window)]
     for name, mix_result in results["mixes"].items():
-        assert mix_result["classifier"]["validated"] > 0, name
+        oracle = mix_result["oracle"]
+        assert oracle["violations"] == 0, name
+        assert oracle["pairs"] == sum(n * (n - 1) // 2 for n in sizes), name
 
 
 def render_table(results: dict) -> list[str]:
@@ -257,9 +273,7 @@ def render_table(results: dict) -> list[str]:
 def traced_run(ops: int, tracer) -> None:
     """The representative traced configuration (``--trace``): the default
     mix on the sharded engine, spans and makespan attribution recorded."""
-    run_engine(
-        WorkloadMix(), SHARDED_LANES, ops, validate=False, tracer=tracer
-    )
+    run_engine(WorkloadMix(), SHARDED_LANES, ops, tracer=tracer)
 
 
 # ---------------------------------------------------------------------------

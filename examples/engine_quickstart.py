@@ -51,9 +51,7 @@ def main() -> None:
     print("1. Example 1 (paper §4) through the engine")
     print(RULE)
     token = ERC20TokenType(3, total_supply=10)
-    engine = PipelinedExecutor(
-        token, EngineConfig(num_lanes=2, window=4, validate=True)
-    )
+    engine = PipelinedExecutor(token, EngineConfig(num_lanes=2, window=4))
     state, responses, stats = engine.run_workload(example1_trace())
     print(f"  responses: {responses}  (paper: [True, True, False, True])")
     print(f"  final balances: {list(state.balances)}  (paper: [8, 2, 0])")
@@ -69,9 +67,7 @@ def main() -> None:
     print("2. Owner-only traffic: the consensus-number-1 regime")
     print(RULE)
     token = ERC20TokenType(32, total_supply=3200)
-    engine = PipelinedExecutor(
-        token, EngineConfig(num_lanes=8, window=64, validate=True)
-    )
+    engine = PipelinedExecutor(token, EngineConfig(num_lanes=8, window=64))
     items = TokenWorkloadGenerator(32, seed=7, mix=OWNER_ONLY_MIX).generate(400)
     _, _, stats = engine.run_workload(items)
     show("8 lanes, 400 ops:", stats)
@@ -86,9 +82,7 @@ def main() -> None:
     print("3. Spender-heavy traffic: synchronization groups pay for order")
     print(RULE)
     token = ERC20TokenType(32, total_supply=3200)
-    engine = PipelinedExecutor(
-        token, EngineConfig(num_lanes=8, window=64, validate=True)
-    )
+    engine = PipelinedExecutor(token, EngineConfig(num_lanes=8, window=64))
     items = TokenWorkloadGenerator(
         32, seed=7, mix=SPENDER_HEAVY_MIX
     ).generate(400)
@@ -98,7 +92,7 @@ def main() -> None:
     # group to the global broadcast instead of a right-sized team lane.
     global_only = PipelinedExecutor(
         ERC20TokenType(32, total_supply=3200),
-        EngineConfig(num_lanes=8, window=64, validate=True, team_threshold=0),
+        EngineConfig(num_lanes=8, window=64, team_threshold=0),
     )
     _, _, global_stats = global_only.run_workload(items)
     show("same run, team_threshold=0:", global_stats)

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
+from repro.objects.footprint import static_pair_kind
 from repro.spec.object_type import SequentialObjectType
 from repro.spec.operation import Operation
 
@@ -151,11 +152,10 @@ class CachedPairAnalyzer:
 
     States are immutable and hashable by construction (see
     :mod:`repro.spec.object_type`), so a full pair analysis — four ``apply``
-    calls — can be memoized on ``(state, first, second)``.  The execution
-    engine (:mod:`repro.engine`) uses this as the semantic oracle that
-    validates its static footprint classifier; mempool windows re-analyze
-    the same invocation pairs at the same state many times, which is where
-    the cache pays off.
+    calls — can be memoized on ``(state, first, second)``.
+    :func:`audit_static_kinds` uses it as the semantic oracle the engine's
+    static footprint rule is held to; a mempool window repeats invocation
+    pairs at one state, which is where the cache pays off.
     """
 
     def __init__(self, object_type: SequentialObjectType) -> None:
@@ -193,6 +193,83 @@ class CachedPairAnalyzer:
 
     def clear(self) -> None:
         self._cache.clear()
+
+
+#: What the oracle may say of a pair the static rule calls COMMUTE or
+#: READ_ONLY; a static CONFLICT is the conservative fallback and grants
+#: nothing, so any semantic kind is sound for it.
+_SOUND = {
+    "commute": {PairKind.COMMUTE},
+    "read-only": {PairKind.READ_ONLY, PairKind.COMMUTE},
+}
+
+
+@dataclass(frozen=True, slots=True)
+class StaticKindAudit:
+    """What :func:`audit_static_kinds` found over one workload."""
+
+    #: Pairs checked: ``n_w(n_w-1)/2`` summed over the windows.
+    pairs: int
+    #: Static-CONFLICT pairs, and those the oracle confirmed as CONFLICT.
+    checked_conflicts: int
+    confirmed_conflicts: int
+    #: ``(first, second, static kind, semantic kind)`` of every pair whose
+    #: static verdict claims more than the oracle grants; empty = sound.
+    violations: list[tuple[Invocation, Invocation, PairKind, PairKind]]
+
+    @property
+    def conflict_precision(self) -> float:
+        """Fraction of static conflicts that were real conflicts."""
+        if not self.checked_conflicts:
+            return 1.0
+        return self.confirmed_conflicts / self.checked_conflicts
+
+
+def audit_static_kinds(
+    object_type: SequentialObjectType, items: Iterable, window: int
+) -> StaticKindAudit:
+    """Check the static footprint rule
+    (:func:`repro.objects.footprint.static_pair_kind`) against this
+    module's oracle over a workload, the way an executor windows it.
+
+    ``items`` (anything with ``pid`` and ``operation``) are cut into
+    windows of ``window`` in submission order.  Every pair of a window is
+    analyzed at the window's prefix state — the sequential spec's state
+    after every earlier window — and must keep the soundness contract:
+
+    * static COMMUTE   ⇒ oracle COMMUTE;
+    * static READ_ONLY ⇒ oracle READ_ONLY or COMMUTE;
+    * static CONFLICT  ⇒ anything; the audit counts how often the oracle
+      confirms it (the rule's precision).
+    """
+    invocations = [Invocation(item.pid, item.operation) for item in items]
+    oracle = CachedPairAnalyzer(object_type)
+    state = object_type.initial_state()
+    pairs = checked = confirmed = 0
+    violations = []
+    for start in range(0, len(invocations), window):
+        chunk = invocations[start : start + window]
+        footprints = [
+            object_type.footprint(inv.pid, inv.operation) for inv in chunk
+        ]
+        # The cache keys on the state: earlier windows' entries are dead.
+        oracle.clear()
+        for i, first in enumerate(chunk):
+            for j in range(i + 1, len(chunk)):
+                static = static_pair_kind(footprints[i], footprints[j])
+                semantic = oracle.kind(state, first, chunk[j])
+                pairs += 1
+                if static == "conflict":
+                    checked += 1
+                    confirmed += semantic is PairKind.CONFLICT
+                elif semantic not in _SOUND[static]:
+                    violations.append(
+                        (first, chunk[j], PairKind(static), semantic)
+                    )
+        state, _ = object_type.run(
+            ((inv.pid, inv.operation) for inv in chunk), state
+        )
+    return StaticKindAudit(pairs, checked, confirmed, violations)
 
 
 def erc20_case_label(first: Invocation, second: Invocation) -> str:

@@ -121,10 +121,9 @@ class TokenCluster:
             cfg.num_nodes,
             self.network,
             shard_map=self.shard_map,
-            classifier=OpClassifier(object_type, validate=cfg.validate),
+            classifier=OpClassifier(object_type),
             stats=self.stats,
             config=cfg,
-            state_fn=self._batch.state if cfg.validate else None,
             faults=self.injector,
             tracer=tracer,
         )

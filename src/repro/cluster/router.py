@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
@@ -165,7 +165,6 @@ class Router(Node):
         classifier: OpClassifier,
         stats: ClusterStats,
         config: ClusterConfig,
-        state_fn: Callable[[], Any] | None = None,
         tracer: TraceRecorder | None = None,
         faults=None,
     ) -> None:
@@ -186,7 +185,6 @@ class Router(Node):
         self.scheduler = WallAdapters(classifier)
         #: shard -> round of its last lease migration (cooldown bookkeeping).
         self._last_migration: dict[int, int] = {}
-        self._state_fn = state_fn
         self.responses: dict[int, Any] = {}
         self._rounds_started = 0
         #: Cross-round pipelining: up to ``pipeline_depth`` rounds in
@@ -356,7 +354,6 @@ class Router(Node):
                 config=self.config,
                 live=self._live(),
                 last_migration=self._last_migration,
-                state=self._state_fn() if self._state_fn is not None else None,
             )
             routed.classified = self.now
             routed.sync_start = max(self.now, self._sync_free)

@@ -237,7 +237,6 @@ def route_window(
     config: ClusterConfig,
     live: list[int],
     last_migration: dict[int, int],
-    state: Any = None,
 ) -> _Round:
     """Route one window: co-locate components, plan leases, order the
     contended components through the sync layer.
@@ -247,8 +246,7 @@ def route_window(
     are planned: a later chain of the window must see an earlier chain's
     migration.  ``live`` lists the nodes that may be given work, in any
     order: sorted here, every load tie goes to the lowest id (``min`` and
-    ``max`` keep the first of equal keys).  ``state`` is only read by the
-    classifier's ``validate`` oracle."""
+    ``max`` keep the first of equal keys)."""
     live = sorted(live)
     # A chain migrates leases only when its majority owner already has
     # at least ``min_gain`` of its operations — a 1-vs-1 split names no
@@ -258,7 +256,7 @@ def route_window(
     # ping-pong).
     min_gain = config.lease_min_gain
     cooldown = config.lease_cooldown
-    plan = plan_window(classifier, window, state)
+    plan = plan_window(classifier, window)
     contended = set(plan.escalated_idx)
 
     # Everything below is by window index, aligned with ``plan.footprints``:

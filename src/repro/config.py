@@ -107,7 +107,6 @@ class EngineConfig(_ConfigBase):
     window: int = 64
     op_cost: float = 1.0
     seed: int = 0
-    validate: bool = False
     mempool_capacity: int | None = None
     #: Largest spender bound ordered on a k-participant team lane
     #: (``0`` = every contended component pays the global lane).
@@ -223,7 +222,6 @@ class ClusterConfig(_ConfigBase):
     num_shards: int | None = None
     op_cost: float = 1.0
     seed: int = 0
-    validate: bool = False
     mempool_capacity: int | None = None
     #: A chain migrates leases only when its majority owner already has
     #: at least this many of its operations.

@@ -3,9 +3,9 @@
 Turns the paper's trichotomy (commute / read-only / conflict, Theorem 3's
 case analysis) into throughput: a mempool of pending token operations is
 classified pairwise by a static footprint fast path
-(:mod:`repro.objects.footprint`, validated against the semantic oracle of
-:mod:`repro.analysis.commutativity`), a conflict graph picks out the
-operations that can be reordered freely, one list scheduler
+(:mod:`repro.objects.footprint`, audited against the semantic oracle of
+:mod:`repro.analysis.commutativity` by the tests), a conflict graph picks
+out the operations that can be reordered freely, one list scheduler
 (:func:`~repro.engine.shard.dag_list_schedule`) places them on a rolling
 timeline of parallel lanes, and only genuinely contended operations are
 escalated to the tiered sync lanes (:mod:`repro.sync`, whose fallback is
@@ -37,11 +37,7 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "repro.config": ("EngineConfig",),
-    "repro.engine.classifier": (
-        "ClassifierStats",
-        "ClassifierValidationError",
-        "OpClassifier",
-    ),
+    "repro.engine.classifier": ("ClassifierStats", "OpClassifier"),
     "repro.engine.conflict_graph": ("ComponentDAG", "ConflictGraph"),
     "repro.engine.mempool": ("Mempool", "PendingOp"),
     "repro.engine.pipeline": ("PipelinedExecutor", "ScheduledUnit"),

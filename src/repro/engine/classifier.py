@@ -1,4 +1,4 @@
-"""Pair classification for the engine: static fast path + semantic oracle.
+"""Pair classification for the engine: the static footprint rule.
 
 The engine must answer "which pending operations of a mempool window may
 not be reordered against each other?", every round.  The semantic oracle
@@ -14,41 +14,26 @@ A window's non-commuting pairs are found per *location*, not per pair
 :func:`repro.objects.footprint.conflict_candidates`): the paper's
 synchronization groups are the spenders of one account, so only ops sharing
 a cell can conflict and the commuting majority of a window is never
-visited.  The all-pairs :meth:`OpClassifier.classify_window` survives as
-the oracle ``ConflictGraph.build`` checks the index against under
-``validate=True``.
+visited.  The all-pairs :meth:`OpClassifier.classify_window` is the
+reference the tests hold the index to.
 
-``validate=True`` cross-checks every static verdict against the semantic
-oracle at the state the caller supplies, enforcing the soundness contract:
-
-* static COMMUTE   ⇒ oracle COMMUTE;
-* static READ_ONLY ⇒ oracle READ_ONLY or COMMUTE;
-* static CONFLICT  ⇒ anything (the conservative fallback) — but the
-  classifier counts how often the oracle confirms a genuine conflict, the
-  *precision* statistic the benchmark reports.
+The rule's soundness against the semantic oracle is a proof obligation,
+not a production path: :func:`repro.analysis.commutativity.
+audit_static_kinds` checks it over a workload's windows, outside any
+executor.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.analysis.commutativity import (
-    CachedPairAnalyzer,
-    Invocation,
-    PairKind,
-)
+from repro.analysis.commutativity import PairKind
 from repro.engine.mempool import PendingOp
-from repro.errors import EngineError
 from repro.objects.footprint import OpFootprint, static_pair_kind
 from repro.spec.object_type import SequentialObjectType
 
 #: The footprint rule's string -> its ``PairKind`` (same values).
 _KINDS = {kind.value: kind for kind in PairKind}
-
-
-class ClassifierValidationError(EngineError):
-    """The static fast path claimed more than the semantic oracle grants."""
 
 
 @dataclass
@@ -59,10 +44,9 @@ class ClassifierStats:
     On the indexed path (``ConflictGraph.build``, one :meth:`count_window`
     per window) those are the window's non-commuting candidates only —
     COMMUTE pairs are never visited, so ``by_kind`` has no ``"commute"``
-    entry and ``pairs`` is the edge count, not ``n(n-1)/2``.  Under
-    ``validate=True`` the counters are the all-pairs oracle pass's: every
-    pair, commuting ones included.  A window's commute count is
-    ``n(n-1)/2 - len(graph.edges)`` either way.
+    entry and ``pairs`` is the edge count, not ``n(n-1)/2``: a window's
+    commute count is ``n(n-1)/2 - len(graph.edges)``.
+    :meth:`OpClassifier.classify_window` counts every pair it classifies.
     """
 
     pairs: int = 0
@@ -76,19 +60,7 @@ class ClassifierStats:
     #: item 1(b) re-bases its two shares and deletes them.
     footprint_cache_hits: int = 0
     pair_cache_hits: int = 0
-    validated: int = 0
-    #: Static-CONFLICT pairs the oracle confirmed as CONFLICT at the
-    #: validation state (precision numerator; denominator below).
-    confirmed_conflicts: int = 0
-    checked_conflicts: int = 0
     by_kind: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def conflict_precision(self) -> float:
-        """Fraction of validated static conflicts that were real conflicts."""
-        if not self.checked_conflicts:
-            return 1.0
-        return self.confirmed_conflicts / self.checked_conflicts
 
     def count_window(
         self, conflict: int, read_only: int, fallback: int
@@ -110,8 +82,6 @@ class ClassifierStats:
             "fallback_pairs": self.fallback_pairs,
             "footprint_cache_hits": self.footprint_cache_hits,
             "pair_cache_hits": self.pair_cache_hits,
-            "validated": self.validated,
-            "conflict_precision": self.conflict_precision,
             "by_kind": dict(self.by_kind),
         }
 
@@ -119,16 +89,9 @@ class ClassifierStats:
 class OpClassifier:
     """Pair classification against one sequential object type."""
 
-    def __init__(
-        self,
-        object_type: SequentialObjectType,
-        validate: bool = False,
-    ) -> None:
+    def __init__(self, object_type: SequentialObjectType) -> None:
         self.object_type = object_type
-        self.validate = validate
-        self.oracle = CachedPairAnalyzer(object_type)
         self.stats = ClassifierStats()
-        self._validation_state = None
 
     # ------------------------------------------------------------------
 
@@ -136,20 +99,13 @@ class OpClassifier:
         """The static footprint of one pending operation."""
         return self.object_type.footprint(op.pid, op.operation)
 
-    def classify(
-        self, first: PendingOp, second: PendingOp, state=None
-    ) -> PairKind:
+    def classify(self, first: PendingOp, second: PendingOp) -> PairKind:
         """Classify an (unordered) pair of pending operations.
 
         The verdict is state-independent: COMMUTE and READ_ONLY hold at
-        every state, CONFLICT is conservative.  When ``validate`` is on and
-        ``state`` is given, the verdict is cross-checked against the
-        semantic oracle at that state.
+        every state, CONFLICT is conservative.
         """
-        kind = self._pair_kind(self.footprint(first), self.footprint(second))
-        if self.validate and state is not None:
-            self._check_against_oracle(kind, first, second, state)
-        return kind
+        return self._pair_kind(self.footprint(first), self.footprint(second))
 
     def _pair_kind(
         self, fp1: OpFootprint | None, fp2: OpFootprint | None
@@ -186,64 +142,16 @@ class OpClassifier:
             return True
         return fp1.contends_with(fp2)
 
-    @contextmanager
-    def uncounted(self):
-        """Run classifier calls without leaving a trace in :attr:`stats`
-        (``ConflictGraph.build`` re-derives the edges under ``validate``
-        and must not count every pair twice)."""
-        stats, self.stats = self.stats, ClassifierStats()
-        try:
-            yield
-        finally:
-            self.stats = stats
-
     def classify_window(
-        self, window: list[PendingOp], state=None
+        self, window: list[PendingOp]
     ) -> dict[tuple[int, int], PairKind]:
         """All pairwise kinds over a window (``i < j`` indices) — the
-        quadratic oracle ``ConflictGraph.build``'s indexed edges are
-        validated against; not on any hot path.  One footprint pass of its
+        quadratic reference ``ConflictGraph.build``'s indexed edges are
+        tested against; not on any hot path.  One footprint pass of its
         own, then exactly :meth:`classify` per index pair."""
         footprints = [self.footprint(op) for op in window]
-        check = self.validate and state is not None
-        kinds: dict[tuple[int, int], PairKind] = {}
-        for i, first in enumerate(footprints):
-            for j in range(i + 1, len(window)):
-                kinds[(i, j)] = kind = self._pair_kind(first, footprints[j])
-                if check:
-                    self._check_against_oracle(
-                        kind, window[i], window[j], state
-                    )
-        return kinds
-
-    # ------------------------------------------------------------------
-
-    def _check_against_oracle(
-        self, kind: PairKind, first: PendingOp, second: PendingOp, state
-    ) -> None:
-        if state != self._validation_state:
-            # The oracle memoizes on the full state; entries for previous
-            # window states are dead weight (a long engine run visits a
-            # fresh state every round), so keep only the current window's.
-            self.oracle.clear()
-            self._validation_state = state
-        semantic = self.oracle.kind(
-            state,
-            Invocation(first.pid, first.operation),
-            Invocation(second.pid, second.operation),
-        )
-        self.stats.validated += 1
-        ok = True
-        if kind is PairKind.COMMUTE:
-            ok = semantic is PairKind.COMMUTE
-        elif kind is PairKind.READ_ONLY:
-            ok = semantic in (PairKind.READ_ONLY, PairKind.COMMUTE)
-        else:
-            self.stats.checked_conflicts += 1
-            if semantic is PairKind.CONFLICT:
-                self.stats.confirmed_conflicts += 1
-        if not ok:
-            raise ClassifierValidationError(
-                f"static fast path claims {kind.value} but the semantic "
-                f"oracle says {semantic.value} for {first} / {second}"
-            )
+        return {
+            (i, j): self._pair_kind(first, footprints[j])
+            for i, first in enumerate(footprints)
+            for j in range(i + 1, len(window))
+        }

@@ -28,7 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.analysis.commutativity import PairKind
-from repro.engine.classifier import ClassifierValidationError, OpClassifier
+from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.objects.footprint import OpFootprint, conflict_candidates
 
@@ -176,38 +176,11 @@ class ConflictGraph:
 
     @classmethod
     def build(
-        cls, classifier: OpClassifier, ops: list[PendingOp], state=None
-    ) -> "ConflictGraph":
-        """The window's graph, its edges found through the location index
-        (:func:`~repro.objects.footprint.conflict_candidates`).  Under
-        ``validate`` the all-pairs classification runs as well — it
-        cross-checks every verdict against the semantic oracle at
-        ``state`` and owns the classifier's counters — and the indexed
-        edges must equal its non-COMMUTE subset: keys, kinds and order."""
-        ops = list(ops)
-        if not classifier.validate:
-            return cls._fold(classifier, ops)
-        oracle = [
-            (pair, kind)
-            for pair, kind in classifier.classify_window(ops, state).items()
-            if kind is not PairKind.COMMUTE
-        ]
-        with classifier.uncounted():
-            graph = cls._fold(classifier, ops)
-        if list(graph.edges.items()) != oracle:
-            differing = sorted(
-                set(graph.edges.items()) ^ set(oracle), key=lambda e: e[0]
-            )
-            raise ClassifierValidationError(
-                "location-indexed edges differ from the all-pairs "
-                f"classification in {differing[:6] or 'order only'}"
-            )
-        return graph
-
-    @classmethod
-    def _fold(
         cls, classifier: OpClassifier, ops: list[PendingOp]
     ) -> "ConflictGraph":
+        """The window's graph, its edges found through the location index
+        (:func:`~repro.objects.footprint.conflict_candidates`)."""
+        ops = list(ops)
         footprints = [classifier.footprint(op) for op in ops]
         classes = [
             0 if fp is None else 2 if fp.adds or fp.sets else 1

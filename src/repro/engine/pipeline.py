@@ -148,9 +148,7 @@ class PipelinedExecutor:
         self.config = cfg = config if config is not None else EngineConfig()
         self.object_type = object_type
         self.classifier = (
-            classifier
-            if classifier is not None
-            else OpClassifier(object_type, validate=cfg.validate)
+            classifier if classifier is not None else OpClassifier(object_type)
         )
         #: The tiered sync layer; ``global_lane`` sizes its Tier ∞ fallback
         #: (``None`` = the standard four-replica lane; ``team_threshold=0``
@@ -208,11 +206,11 @@ class PipelinedExecutor:
         #: Units scheduled but not yet applied (committed at end of run).
         self._pending_units: list[ScheduledUnit] = []
         #: The serial prefix state — every drained window applied in
-        #: submission order — kept lazily.  Only oracle validation
-        #: and spender-bound team sizing ever read it, so drained ops
-        #: wait in the backlog and :meth:`_prefix_state` folds them in when
-        #: one of the two asks; a run that never asks (owner-only traffic)
-        #: applies every operation once, at commit, not twice.  Only ops
+        #: submission order — kept lazily.  Only spender-bound team sizing
+        #: reads it, so drained ops wait in the backlog and
+        #: :meth:`_prefix_state` folds them in when it asks; a run that
+        #: never asks (owner-only traffic) applies every operation once,
+        #: at commit, not twice.  Only ops
         #: that can write wait: a read-only one returns the state it got.
         self._classify_state = object_type.initial_state()
         self._state_backlog: list[PendingOp] = []
@@ -333,8 +331,7 @@ class PipelinedExecutor:
             1 for done in self._completions[recent:] if done > t_classify
         )
 
-        state = self._prefix_state() if self.classifier.validate else None
-        plan = plan_window(self.classifier, ops, state)
+        plan = plan_window(self.classifier, ops)
         sync_start = max(t_classify, self._sync_free)
         # Synchronize: the contended groups through the tiered sync layer
         # (team lanes below the threshold, the global lane above).

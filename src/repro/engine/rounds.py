@@ -1,12 +1,11 @@
 """One window plan, shared by the engine and the cluster.
 
 :func:`plan_window` decides the paper's trichotomy once per window, for
-the engine (:class:`~repro.engine.pipeline.PipelinedExecutor`), the
-cluster's router (:func:`~repro.cluster.routing.route_window`) and a
-node's ``validate`` reference alike: singletons need no order, chains need
-only chain order, and only the contended groups pay for k-consensus
-(:mod:`repro.sync`).  One function, one correctness argument;
-:class:`WindowPlan` is its frozen result.
+the engine (:class:`~repro.engine.pipeline.PipelinedExecutor`) and the
+cluster's router (:func:`~repro.cluster.routing.route_window`) alike:
+singletons need no order, chains need only chain order, and only the
+contended groups pay for k-consensus (:mod:`repro.sync`).  One function,
+one correctness argument; :class:`WindowPlan` is its frozen result.
 """
 
 from __future__ import annotations
@@ -51,11 +50,8 @@ class WindowPlan:
         return sum(len(chain) for chain in self.chains)
 
 
-def plan_window(
-    classifier: OpClassifier, ops: list[PendingOp], state=None
-) -> WindowPlan:
-    """Plan one window; ``state`` is read only by the classifier's
-    ``validate`` oracle.
+def plan_window(classifier: OpClassifier, ops: list[PendingOp]) -> WindowPlan:
+    """Plan one window.
 
     Components of the conflict graph are independent: operations in
     different components statically commute, so components run in
@@ -72,7 +68,7 @@ def plan_window(
     READ_ONLY pairs are resolved by chain order alone, which costs no
     messages.
     """
-    return _plan(ConflictGraph.build(classifier, ops, state))
+    return _plan(ConflictGraph.build(classifier, ops))
 
 
 def _plan(graph: ConflictGraph) -> WindowPlan:
@@ -108,8 +104,8 @@ class WallAdapters:
     def drain(self, mempool, window: int, index: int):
         return mempool.pop_window(window) or None
 
-    def classify(self, ops, state=None) -> WindowPlan:
-        return plan_window(self.classifier, ops, state)
+    def classify(self, ops) -> WindowPlan:
+        return plan_window(self.classifier, ops)
 
     def synchronize(self, plan: WindowPlan, state=None):
         return self.sync.order_round(plan, state, self.object_type)

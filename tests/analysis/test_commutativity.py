@@ -6,6 +6,7 @@ from repro.analysis.commutativity import (
     Invocation,
     PairKind,
     analyze_pair,
+    audit_static_kinds,
     commutes,
     conflict_matrix,
     conflicting_pairs,
@@ -270,3 +271,27 @@ class TestCaseLabels:
         assert "commuting" in erc20_case_label(
             inv(0, op("approve", 1, 1)), inv(1, op("approve", 0, 1))
         )
+
+
+class TestStaticKindAudit:
+    """The audit walks an executor's windows, each at its prefix state."""
+
+    def test_each_window_is_analyzed_at_its_prefix_state(self):
+        """Two spends through one allowance: at q0 nobody granted it, so
+        both fail and the pair commutes; after the first window's
+        ``approve`` they race, and the oracle confirms the conflict."""
+        token = ERC20TokenType(4, total_supply=20)
+        spends = [
+            inv(2, op("transferFrom", 0, 1, 10)),
+            inv(2, op("transferFrom", 0, 3, 10)),
+        ]
+        items = [inv(0, op("approve", 2, 15)), inv(1, op("balanceOf", 0))]
+        items += [*spends, inv(3, op("totalSupply"))]
+        audit = audit_static_kinds(token, items, 2)
+        # Windows of 2, 2 and 1 ops; only the spends are a static CONFLICT.
+        assert audit.pairs == 2
+        assert (audit.checked_conflicts, audit.confirmed_conflicts) == (1, 1)
+        assert audit.conflict_precision == 1.0
+        assert audit.violations == []
+        at_q0 = audit_static_kinds(token, spends, 2)
+        assert (at_q0.checked_conflicts, at_q0.confirmed_conflicts) == (1, 0)

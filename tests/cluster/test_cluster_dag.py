@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig
-from repro.engine.classifier import ClassifierValidationError
 from repro.engine.conflict_graph import ComponentDAG
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
@@ -32,6 +31,7 @@ from repro.workloads import (
     WorkloadMix,
     serial_reference,
 )
+from tests.cluster.plan_tap import tap_shipped_plans
 from tests.engine.test_one_footprint_pass import _count_calls
 
 MIXES = {
@@ -150,6 +150,17 @@ class TestSerialEquivalence:
         assert responses == ref_responses
 
 
+def drop_an_edge(dag: ComponentDAG) -> ComponentDAG:
+    """``dag`` without its last edge into its latest node that has one."""
+    late = max(i for i in dag.nodes if dag.preds[i])
+    early = dag.preds[late][-1]
+    return ComponentDAG(
+        dag.nodes,
+        {**dag.preds, late: dag.preds[late][:-1]},
+        {**dag.succs, early: dag.succs[early][:-1]},
+    )
+
+
 class TestGranularity:
     @pytest.mark.parametrize("depth", (1, 3))
     def test_units_fan_out_per_component(self, depth):
@@ -203,51 +214,43 @@ class TestGranularity:
             assert node.classifier.stats.pairs == 0
             assert asked == [0]
 
-    def test_validate_rederives_the_plan_on_the_node_and_compares(
-        self, monkeypatch
-    ):
+    def test_every_shipped_plan_is_the_one_its_ops_derive(self):
+        """The plan tap re-derives each ``cl_run``'s plan from its ops
+        beside the network: every unit is checked and none differs."""
         items = make_items(APPROVAL_HEAVY_MIX, 200)
         ref_state, ref_responses = serial_reference(make_token(), items)
-        config = ClusterConfig(
-            num_nodes=4, lanes_per_node=4, window=48, validate=True
-        )
-        token = make_token()
-        cluster = TokenCluster(token, config)
-        computed = _count_calls(token, "footprint")
-        on_nodes = [
-            _count_calls(node.classifier, "footprint")
-            for node in cluster.nodes
-        ]
+        config = ClusterConfig(num_nodes=4, lanes_per_node=4, window=48)
+        cluster = TokenCluster(make_token(), config)
+        tap = tap_shipped_plans(cluster)
         state, responses, stats = cluster.run_workload(items)
         assert (state, responses) == (ref_state, ref_responses)
         assert stats.dag_chain_ops > 0
-        # The reference really ran: every op's footprint was computed once
-        # more on the node that executed it — and twice at the router (the
-        # window's pass plus the all-pairs oracle's own).
-        assert sum(asked[0] for asked in on_nodes) == len(items)
-        assert computed[0] == 3 * len(items)
+        assert len(tap.checked) == stats.units_dispatched
+        assert tap.differing == []
 
-        # Tamper with the wire: drop one edge of every shipped plan.
-        def drop_an_edge(dag):
-            late = max(i for i in dag.nodes if dag.preds[i])
-            early = dag.preds[late][-1]
-            return ComponentDAG(
-                dag.nodes,
-                {**dag.preds, late: dag.preds[late][:-1]},
-                {**dag.succs, early: dag.succs[early][:-1]},
-            )
-
-        tampered = TokenCluster(make_token(), config)
-        send = tampered.network.send
+    @pytest.mark.parametrize(
+        "tamper",
+        [drop_an_edge, lambda dag: None],
+        ids=["drop_an_edge", "drop_the_plan"],
+    )
+    def test_the_tap_catches_a_tampered_plan(self, monkeypatch, tamper):
+        """A wire that drops one edge of every shipped DAG, or ships every
+        component as edge-free ops, is caught unit for unit."""
+        config = ClusterConfig(num_nodes=4, lanes_per_node=4, window=48)
+        cluster = TokenCluster(make_token(), config)
+        tap = tap_shipped_plans(cluster)
+        send = cluster.network.send
+        tampered = []
 
         def tampering_send(src, dst, type, payload=None):
             if type == "cl_run" and payload["dag"] is not None:
-                payload = {**payload, "dag": drop_an_edge(payload["dag"])}
+                payload = {**payload, "dag": tamper(payload["dag"])}
+                tampered.append((payload["round"], payload["unit"]))
             send(src, dst, type, payload)
 
-        monkeypatch.setattr(tampered.network, "send", tampering_send)
-        with pytest.raises(ClassifierValidationError, match="shipped plan"):
-            tampered.run_workload(items)
+        monkeypatch.setattr(cluster.network, "send", tampering_send)
+        cluster.run_workload(make_items(APPROVAL_HEAVY_MIX, 200))
+        assert tampered and tap.differing == tampered
 
     def test_unit_execution_scales_with_op_cost(self):
         # The persistent lane timeline must charge op_cost per op, not

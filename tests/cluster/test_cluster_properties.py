@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.commutativity import audit_static_kinds
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig
 from repro.objects.asset_transfer import AssetTransferType
@@ -41,6 +42,7 @@ from repro.workloads import (
     serial_reference,
     standard_multi_contract,
 )
+from tests.cluster.plan_tap import tap_shipped_plans
 
 NODE_COUNTS = (1, 2, 3, 5, 8)
 
@@ -224,18 +226,24 @@ class TestMultiContract:
 
 
 class TestValidatedRuns:
-    """Runs with the router's classifier cross-checked against the
-    semantic oracle at every pre-round state."""
+    """Runs beside both checks: the static rule the router plans with is
+    audited against the semantic oracle at every window's prefix state,
+    and every plan shipped to a node is re-derived from its ops."""
 
     @pytest.mark.parametrize("mix_name", sorted(MIXES))
     def test_validated_against_oracle(self, mix_name):
+        factory = lambda: ERC20TokenType(10, total_supply=200)  # noqa: E731
         items = TokenWorkloadGenerator(
             10, seed=13, mix=MIXES[mix_name]
         ).generate(150)
-        _, _, stats = cluster_run(
-            lambda: ERC20TokenType(10, total_supply=200),
-            items,
-            nodes=4,
-            validate=True,
+        cluster = TokenCluster(
+            factory(), ClusterConfig(num_nodes=4, lanes_per_node=4, window=16)
         )
+        tap = tap_shipped_plans(cluster)
+        state, responses, stats = cluster.run_workload(items)
+        assert (state, responses) == serial_reference(factory(), items)
         assert stats.ops_executed == 150
+        assert tap.checked and tap.differing == []
+        audit = audit_static_kinds(factory(), items, 16)
+        assert audit.violations == []
+        assert audit.pairs == 9 * 16 * 15 // 2 + 6 * 5 // 2

@@ -14,7 +14,6 @@ import pytest
 from repro.cluster.node import ClusterNode
 from repro.config import ClusterConfig
 from repro.engine import OpClassifier, PendingOp
-from repro.engine.classifier import ClassifierValidationError
 from repro.engine.conflict_graph import ComponentDAG
 from repro.errors import ClusterError
 from repro.net.network import ConstantLatency, Network
@@ -53,7 +52,7 @@ class Sink(Node):
 
 
 class Rig:
-    def __init__(self, validate: bool = False) -> None:
+    def __init__(self) -> None:
         self.simulator = Simulator()
         self.network = Network(self.simulator, ConstantLatency(1.0))
         self.router = Sink(ROUTER, self.network)
@@ -66,7 +65,7 @@ class Rig:
             ROUTER,
             self._apply,
             OpClassifier(token),
-            ClusterConfig(num_nodes=2, lanes_per_node=2, validate=validate),
+            ClusterConfig(num_nodes=2, lanes_per_node=2),
         )
 
     def _apply(self, pending: PendingOp) -> int:
@@ -182,28 +181,6 @@ def test_the_node_executes_the_shipped_plan_and_classifies_nothing():
     assert chained.applied == [0, 1, 2]
     assert chained.node.bill.dag_chain_ops == 3
     assert chained.node.bill.max_dag_critical_path == 3
-
-
-def test_under_validate_a_plan_its_ops_do_not_derive_raises():
-    """``validate=True`` keeps the node-side derivation as the reference
-    the shipped plan must equal: the right plan runs, a plan with one
-    edge dropped (or none at all) raises."""
-    right = Rig(validate=True)
-    right.run_unit(0, [0, 1, 2])
-    right.simulator.run()
-    assert right.applied == [0, 1, 2]
-    full = chain_dag(3)
-    dropped = ComponentDAG(
-        full.nodes,
-        {**full.preds, 2: (1,)},
-        {**full.succs, 0: (1,)},
-    )
-    for dag in (dropped, None):
-        rig = Rig(validate=True)
-        rig.run_unit(0, [0, 1, 2], dag=dag)
-        with pytest.raises(ClassifierValidationError, match="shipped plan"):
-            rig.simulator.run()
-        assert rig.applied == []
 
 
 @pytest.mark.parametrize("leases", [0, 1], ids=["running", "parked"])

@@ -99,7 +99,22 @@ class TestRoundTrip:
         with pytest.raises(ClusterError, match="lease_timeout"):
             ClusterConfig.from_dict(current)
         del current["lease_timeout"]
+        with pytest.raises(ClusterError, match="validate"):
+            ClusterConfig.from_dict(current)
+        del current["validate"]
         assert ClusterConfig.from_dict(current) == ClusterConfig()
+
+    def test_a_validate_key_is_refused(self):
+        """The in-executor oracle cross-check is gone (the tests audit the
+        static rule instead): a config that still asks for it is refused,
+        on or off."""
+        for flag in (False, True):
+            with pytest.raises(EngineError, match="validate"):
+                EngineConfig.from_dict({"validate": flag})
+            with pytest.raises(ClusterError, match="validate"):
+                ClusterConfig.from_dict({"validate": flag})
+        assert len(fields(EngineConfig)) == 8
+        assert len(fields(ClusterConfig)) == 14
 
     def test_validation_applies_to_round_tripped_values(self):
         with pytest.raises(EngineError):

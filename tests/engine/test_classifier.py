@@ -9,8 +9,8 @@ semantic ``PairKind`` oracle grants, at any reachable state:
 
 The hypothesis suites below drive random invocation pairs at random
 reachable states for ERC20 (with extensions), k-shared asset transfer and
-ERC721, through ``OpClassifier(validate=True)`` — which raises on any
-contract violation.
+ERC721 through :func:`repro.analysis.commutativity.audit_static_kinds`,
+which reports every contract violation.
 """
 
 from __future__ import annotations
@@ -22,12 +22,14 @@ from repro.analysis.commutativity import (
     CachedPairAnalyzer,
     Invocation,
     PairKind,
+    audit_static_kinds,
 )
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
+from repro.objects.footprint import EMPTY_FOOTPRINT
 from repro.spec.operation import Operation, op
 from tests.engine.test_one_footprint_pass import _count_calls
 
@@ -106,16 +108,21 @@ def erc721_invocation(draw):
     return pid, operation
 
 
-def _reach_state(object_type, prefix):
-    """Apply a random prefix of valid ops to reach an arbitrary state."""
-    state = object_type.initial_state()
-    for pid, operation in prefix:
-        state, _ = object_type.apply(state, pid, operation)
-    return state
+def _audit_pair_after(object_type, prefix, pair, pad):
+    """Audit ``pair`` at the state a random ``prefix`` of ops reaches:
+    windows of two, the prefix padded to an even length with ``pad`` (a
+    read-only op, so it moves no state) — the prefix's own windows are
+    audited on the way.  Returns the violations."""
+    invocations = [*prefix, *[pad] * (len(prefix) % 2), *pair]
+    return audit_static_kinds(
+        object_type,
+        [Invocation(pid, operation) for pid, operation in invocations],
+        2,
+    ).violations
 
 
 # ---------------------------------------------------------------------------
-# Contract suites (validate=True raises on any soundness violation)
+# Contract suites (the audit reports every soundness violation)
 # ---------------------------------------------------------------------------
 
 
@@ -128,13 +135,8 @@ class TestSoundnessERC20:
     )
     def test_static_agrees_with_oracle(self, prefix, first, second):
         token = ERC20TokenType(N, total_supply=20, with_extensions=True)
-        classifier = OpClassifier(token, validate=True)
-        state = _reach_state(token, prefix)
-        classifier.classify(
-            PendingOp(0, first[0], first[1]),
-            PendingOp(1, second[0], second[1]),
-            state,
-        )  # raises ClassifierValidationError on violation
+        pad = (0, op("totalSupply"))
+        assert _audit_pair_after(token, prefix, [first, second], pad) == []
 
 
 class TestSoundnessAssetTransfer:
@@ -150,14 +152,10 @@ class TestSoundnessAssetTransfer:
         at = AssetTransferType(
             [10] * N, owner_map=[{0, 1}] + [{a} for a in range(1, N)]
         )
-        classifier = OpClassifier(at, validate=True)
-        state = _reach_state(
-            at,
-            [
-                (pid, op("transfer", src, dst, val))
-                for pid, src, dst, val in prefix
-            ],
-        )
+        prefix = [
+            (pid, op("transfer", src, dst, val))
+            for pid, src, dst, val in prefix
+        ]
         draw = data.draw
         ops = []
         for _ in range(2):
@@ -174,11 +172,8 @@ class TestSoundnessAssetTransfer:
             else:
                 operation = op("totalSupply")
             ops.append((pid, operation))
-        classifier.classify(
-            PendingOp(0, ops[0][0], ops[0][1]),
-            PendingOp(1, ops[1][0], ops[1][1]),
-            state,
-        )
+        pad = (0, op("totalSupply"))
+        assert _audit_pair_after(at, prefix, ops, pad) == []
 
 
 class TestSoundnessERC721:
@@ -190,13 +185,8 @@ class TestSoundnessERC721:
     )
     def test_static_agrees_with_oracle(self, prefix, first, second):
         nft = ERC721TokenType(N, initial_owners=[0, 1, 2])
-        classifier = OpClassifier(nft, validate=True)
-        state = _reach_state(nft, prefix)
-        classifier.classify(
-            PendingOp(0, first[0], first[1]),
-            PendingOp(1, second[0], second[1]),
-            state,
-        )
+        pad = (0, op("balanceOf", 0))
+        assert _audit_pair_after(nft, prefix, [first, second], pad) == []
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +265,41 @@ class TestClassifierMechanics:
         assert not classifier.needs_consensus(credit, spend)
 
     def test_conflict_precision_reported(self):
+        """Two spenders of an allowance nobody granted: a static CONFLICT
+        the oracle calls COMMUTE (both fail, nothing moves) — checked,
+        not confirmed."""
         token = ERC20TokenType(N, total_supply=20)
-        classifier = OpClassifier(token, validate=True)
-        state = token.initial_state()
-        a = PendingOp(0, 1, op("transferFrom", 0, 2, 2))
-        b = PendingOp(1, 2, op("transferFrom", 0, 3, 2))
-        classifier.classify(a, b, state)
-        snapshot = classifier.stats.as_dict()
-        assert snapshot["validated"] == 1
-        assert 0.0 <= snapshot["conflict_precision"] <= 1.0
+        audit = audit_static_kinds(
+            token,
+            [
+                Invocation(1, op("transferFrom", 0, 2, 2)),
+                Invocation(2, op("transferFrom", 0, 3, 2)),
+            ],
+            2,
+        )
+        assert audit.pairs == audit.checked_conflicts == 1
+        assert audit.confirmed_conflicts == 0
+        assert audit.conflict_precision == 0.0
+        assert audit.violations == []
+
+    def test_an_unsound_footprint_is_reported(self):
+        """A footprint rule that calls two spends of one balance COMMUTE
+        claims more than the oracle grants: the audit names the pair."""
+
+        class _Blind(ERC20TokenType):
+            def footprint(self, pid, operation):
+                return EMPTY_FOOTPRINT
+
+        # Account 0 holds the whole supply: whichever spend runs first
+        # succeeds and the other fails.
+        first = Invocation(0, op("transfer", 1, 20))
+        second = Invocation(0, op("transfer", 2, 20))
+        audit = audit_static_kinds(
+            _Blind(N, total_supply=20), [first, second], 2
+        )
+        assert audit.violations == [
+            (first, second, PairKind.COMMUTE, PairKind.CONFLICT)
+        ]
 
 
 class TestCachedPairAnalyzer:

@@ -6,28 +6,18 @@ all ``n(n-1)/2`` pairs.  The contract: the indexed edge dict *is* the
 non-COMMUTE subset of the all-pairs dict — same keys, same kinds, same
 iteration order — for every object type, known footprints or not.  Every
 placement decision downstream reads that dict in order, so equality here
-is what makes ``validate=True`` and ``validate=False`` runs bit-identical.
+is what lets the all-pairs pass stand in for the index as the reference.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.commutativity import PairKind
-from repro.cluster import TokenCluster
-from repro.config import ClusterConfig, EngineConfig
-from repro.engine import (
-    ComponentDAG,
-    ConflictGraph,
-    PipelinedExecutor,
-    conflict_graph,
-)
-from repro.engine.classifier import (
-    ClassifierValidationError,
-    OpClassifier,
-)
+from repro.config import EngineConfig
+from repro.engine import ComponentDAG, ConflictGraph, PipelinedExecutor
+from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
@@ -254,91 +244,6 @@ class TestNamedWindows:
         assert views.commute_pairs(graph) == 6 * 5 // 2 - 3
 
 
-class TestValidateOracle:
-    def test_validate_keeps_all_pairs_counters(self):
-        """Under ``validate`` the all-pairs pass owns the counters: the
-        indexed re-derivation leaves no trace in them."""
-        token = ERC20TokenType(8, total_supply=80)
-        window = _window(
-            [(a, op("transfer", (a + 3) % 8, 1)) for a in range(8)]
-        )
-        checked = OpClassifier(token, validate=True)
-        graph = ConflictGraph.build(checked, window, token.initial_state())
-        reference = OpClassifier(token, validate=True)
-        reference.classify_window(window, token.initial_state())
-        assert checked.stats.as_dict() == reference.stats.as_dict()
-        assert checked.stats.pairs == 8 * 7 // 2
-        plain = ConflictGraph.build(OpClassifier(token), window)
-        assert list(graph.edges.items()) == list(plain.edges.items())
-
-    def test_divergent_index_raises(self, monkeypatch):
-        token = ERC20TokenType(8, total_supply=80)
-        window = _window(
-            [(0, op("transfer", 1, 2)), (1, op("transfer", 0, 2))]
-        )
-        classifier = OpClassifier(token, validate=True)
-        # A location index that finds nothing.
-        monkeypatch.setattr(
-            conflict_graph,
-            "conflict_candidates",
-            lambda footprints: [set() for _ in footprints],
-        )
-        with pytest.raises(ClassifierValidationError, match="differ"):
-            ConflictGraph.build(classifier, window, token.initial_state())
-
-
-MIXES = {
-    "owner_only": OWNER_ONLY_MIX,
-    "approval_heavy": APPROVAL_HEAVY_MIX,
-    "spender_heavy": SPENDER_HEAVY_MIX,
-}
-
-
-def _mix_items(mix_name: str) -> list:
-    return TokenWorkloadGenerator(16, seed=11, mix=MIXES[mix_name]).generate(
-        192
-    )
-
-
-class TestValidateChangesNothing:
-    """(c) same edges ⇒ same schedule: every stat, response and the final
-    state agree between the indexed path and the validated one."""
-
-    @pytest.mark.parametrize("mix_name", sorted(MIXES))
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_engine(self, depth, mix_name):
-        items = _mix_items(mix_name)
-        runs = []
-        for validate in (False, True):
-            engine = PipelinedExecutor(
-                ERC20TokenType(16, total_supply=320),
-                EngineConfig(
-                    num_lanes=4,
-                    window=32,
-                    pipeline_depth=depth,
-                    validate=validate,
-                ),
-            )
-            state, responses, stats = engine.run_workload(items)
-            runs.append((state, responses, stats.as_dict()))
-        assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("mix_name", sorted(MIXES))
-    def test_cluster(self, mix_name):
-        items = _mix_items(mix_name)
-        runs = []
-        for validate in (False, True):
-            cluster = TokenCluster(
-                ERC20TokenType(16, total_supply=320),
-                ClusterConfig(
-                    num_nodes=2, lanes_per_node=2, window=32, validate=validate
-                ),
-            )
-            state, responses, stats = cluster.run_workload(items)
-            runs.append((state, responses, stats.as_dict()))
-        assert runs[0] == runs[1]
-
-
 #: Reads dominate; the hot accounts' transferFroms and approves still make
 #: contended windows.
 READ_MOSTLY_MIX = WorkloadMix(
@@ -367,8 +272,8 @@ class _EveryOpFolded(PipelinedExecutor):
 
 class TestLazyPrefixState:
     def test_owner_only_traffic_applies_each_op_once(self):
-        """No contended group, no validation: nothing reads the serial
-        prefix state, so it is never advanced."""
+        """No contended group: nothing reads the serial prefix state, so
+        it is never advanced."""
         token = ERC20TokenType(16, total_supply=320)
         calls = 0
         apply = token.apply

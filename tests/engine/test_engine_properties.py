@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.commutativity import audit_static_kinds
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
 from repro.objects.asset_transfer import AssetTransferType
@@ -188,8 +189,8 @@ class TestSerialEquivalence:
 
 
 class TestValidatedRuns:
-    """Full runs with oracle validation on: every static verdict the
-    engine acts on is cross-checked at the window state."""
+    """Full runs beside the oracle audit: every static verdict of the
+    engine's windows is checked at the window's prefix state."""
 
     @pytest.mark.parametrize("mix_name", sorted(MIXES))
     def test_validated_against_oracle(self, mix_name):
@@ -197,5 +198,9 @@ class TestValidatedRuns:
         items = TokenWorkloadGenerator(
             10, seed=13, mix=MIXES[mix_name]
         ).generate(200)
-        _, _, stats = engine_run(factory, items, 4, validate=True)
+        state, responses, stats = engine_run(factory, items, 4)
+        assert (state, responses) == serial_reference(factory(), items)
         assert stats.ops_executed == 200
+        audit = audit_static_kinds(factory(), items, 32)
+        assert audit.violations == []
+        assert audit.pairs == 6 * 32 * 31 // 2 + 8 * 7 // 2

@@ -11,8 +11,6 @@ behind the footprints: the count is of ``object_type.footprint`` calls.
 
 from __future__ import annotations
 
-import pytest
-
 import repro.engine.classifier as classifier_module
 import repro.objects.footprint as footprint_module
 from repro.analysis.commutativity import PairKind
@@ -47,8 +45,7 @@ def _count_calls(obj, name: str) -> list[int]:
 
 
 class TestOneFootprintPass:
-    @pytest.mark.parametrize("validate", [False, True])
-    def test_engine_computes_each_footprint_once_per_window(self, validate):
+    def test_engine_computes_each_footprint_once_per_window(self):
         token = ERC20TokenType(N, total_supply=100 * N)
         # Owner-only: no contended group (contended traffic has its own
         # case below).  Repeats are welcome — nothing remembers an
@@ -59,13 +56,10 @@ class TestOneFootprintPass:
         ]
         items += [WorkloadItem(i, op("balanceOf", i)) for i in range(N)] * 2
         computed = _count_calls(token, "footprint")
-        engine = PipelinedExecutor(
-            token, EngineConfig(num_lanes=4, window=16, validate=validate)
-        )
+        engine = PipelinedExecutor(token, EngineConfig(num_lanes=4, window=16))
         engine.run_workload(items)
         assert engine.stats.escalated_ops == 0
-        # ``validate`` adds exactly the all-pairs oracle's own pass.
-        assert computed[0] == (2 if validate else 1) * len(items)
+        assert computed[0] == len(items)
         assert engine.classifier.stats.footprint_cache_hits == 0
 
     def test_contended_ops_are_sized_from_the_plans_footprints(self):

@@ -1,8 +1,8 @@
 """The window plan's invariants, on random ERC20 windows.
 
 :func:`~repro.engine.rounds.plan_window` is the one place a window is
-split — for the engine, the router and a node's ``validate`` reference —
-so what every caller assumes of its result is checked here once:
+split — for the engine and the router — so what every caller assumes of
+its result is checked here once:
 
 * ``chains`` and ``singletons`` partition the window's indices;
 * ``dags[k]`` is the DAG of ``chains[k]``, node for node;

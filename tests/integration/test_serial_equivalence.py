@@ -3,11 +3,14 @@
 The one contract every scheduling decision answers to: the final state
 *and every response* equal the sequential specification run in
 submission order.  Held here across the engine and the cluster, each at
-one, two and three windows in flight, with the all-pairs conflict oracle
-on (``validate=True``).  Determinism rides along: the same run twice
-gives the same stats dictionary.  One more case holds the contract at
-4 096 accounts, where a state update that copies the allowance grid
-cannot finish in time.
+one, two and three windows in flight; every cluster run also re-derives
+each shipped unit plan from its ops (``tests/cluster/plan_tap.py``).
+Determinism rides along: the same run twice gives the same stats
+dictionary.  The static footprint rule every plan rests on is audited
+against the semantic oracle once per workload, not once per executor:
+the audit depends only on the items, the window and the prefix states.
+One more case holds the contract at 4 096 accounts, where a state update
+that copies the allowance grid cannot finish in time.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import time
 
 import pytest
 
+from repro.analysis.commutativity import audit_static_kinds
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import PipelinedExecutor
@@ -28,6 +32,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     serial_reference,
 )
+from tests.cluster.plan_tap import tap_shipped_plans
 
 pytestmark = pytest.mark.integration
 
@@ -63,18 +68,14 @@ def make_token():
 def _engine(depth):
     return lambda seed: PipelinedExecutor(
         make_token(),
-        EngineConfig(
-            window=WINDOW, seed=seed, validate=True, pipeline_depth=depth
-        ),
+        EngineConfig(window=WINDOW, seed=seed, pipeline_depth=depth),
     )
 
 
 def _cluster(depth):
     return lambda seed: TokenCluster(
         make_token(),
-        ClusterConfig(
-            window=WINDOW, seed=seed, validate=True, pipeline_depth=depth
-        ),
+        ClusterConfig(window=WINDOW, seed=seed, pipeline_depth=depth),
     )
 
 
@@ -84,27 +85,44 @@ EXECUTORS = {
 }
 
 
+def make_items(mix_name, seed):
+    return TokenWorkloadGenerator(
+        ACCOUNTS, seed=seed, mix=MIXES[mix_name]
+    ).generate(OPS)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("mix_name", sorted(MIXES))
+def test_every_static_verdict_is_sound(mix_name, seed):
+    """Each static verdict of each window under-approximates the semantic
+    ``PairKind`` at the window's prefix state, on every pair."""
+    audit = audit_static_kinds(make_token(), make_items(mix_name, seed), WINDOW)
+    assert audit.violations == []
+    assert audit.pairs == OPS // WINDOW * WINDOW * (WINDOW - 1) // 2
+
+
 @pytest.mark.parametrize("seed", (1, 2, 3))
 @pytest.mark.parametrize("mix_name", sorted(MIXES))
 @pytest.mark.parametrize("executor", sorted(EXECUTORS))
 def test_matches_the_sequential_spec_and_is_deterministic(
     executor, mix_name, seed
 ):
-    items = TokenWorkloadGenerator(
-        ACCOUNTS, seed=seed, mix=MIXES[mix_name]
-    ).generate(OPS)
+    items = make_items(mix_name, seed)
     ref_state, ref_responses = make_token().run(
         [(item.pid, item.operation) for item in items]
     )
     first = EXECUTORS[executor](seed)
+    cluster = isinstance(first, TokenCluster)
+    tap = tap_shipped_plans(first) if cluster else None
     state, responses, stats = first.run_workload(items)
     assert state == ref_state
     assert responses == ref_responses
     _, _, again = EXECUTORS[executor](seed).run_workload(items)
     assert again.as_dict() == stats.as_dict()
-    if isinstance(first, TokenCluster):
+    if cluster:
         assert stats.ops_lost == 0
         assert set(first.network.stats.by_type) <= CLUSTER_WIRE_TYPES
+        assert tap.checked and tap.differing == []
 
 
 def test_wide_token_stays_linear_in_accounts():
@@ -112,9 +130,9 @@ def test_wide_token_stays_linear_in_accounts():
     ``TokenState`` the whole case takes ~0.3 s; with one dense n x n copy
     per ``approve`` (~0.9 s each at this size) the sequential reference
     alone takes over a minute — the ceiling sits far from both, so it
-    trips on a returning quadratic and never on a slow runner.
-    ``validate`` stays off: the all-pairs oracle memoizes on
-    ``hash(state)``, itself an O(n²) walk per lookup."""
+    trips on a returning quadratic and never on a slow runner.  No oracle
+    audit here: the semantic oracle memoizes on ``hash(state)``, itself
+    an O(n²) walk per lookup at this width."""
     accounts = 4096
     deadline = time.perf_counter() + 10.0
     items = TokenWorkloadGenerator(

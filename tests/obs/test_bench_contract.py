@@ -24,7 +24,7 @@ from repro.obs import (
 BENCHMARKS = Path(__file__).resolve().parent.parent.parent / "benchmarks"
 
 #: Bench -> the smallest size at which its in-bench claims hold (the
-#: engine bench validates every pair against the oracle: keep it tiny).
+#: engine bench audits every window pair against the oracle: keep it tiny).
 SIZES = {
     "engine": ["--ops", "64"],
     "cluster": ["--ops", "96"],

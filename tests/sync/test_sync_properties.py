@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.commutativity import audit_static_kinds
 from repro.engine import PipelinedExecutor
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
@@ -91,16 +92,18 @@ class TestEngineTierEquivalence:
         assert responses == ref_responses
 
     def test_validated_run_with_teams_on(self):
-        """Oracle validation stays green with team lanes active."""
+        """With team lanes active the run matches the spec, and the oracle
+        audit of its windows stays green."""
+        token = ERC20TokenType(10, total_supply=200)
         items = approval_items(10, seed=13, count=200)
         engine = PipelinedExecutor(
             ERC20TokenType(10, total_supply=200),
-            EngineConfig(
-                num_lanes=4, window=16, validate=True, team_threshold=4
-            ),
+            EngineConfig(num_lanes=4, window=16, team_threshold=4),
         )
-        _, _, stats = engine.run_workload(items)
-        assert stats.ops_executed == 200
+        state, responses, stats = engine.run_workload(items)
+        assert (state, responses) == serial_reference(token, items)
+        assert stats.team_ops > 0
+        assert audit_static_kinds(token, items, 16).violations == []
 
     def test_determinism_per_configuration(self):
         items = approval_items(12, seed=5, count=200)
