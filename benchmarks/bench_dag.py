@@ -64,8 +64,8 @@ MIXES = {
 HEADLINES = {
     "band": [
         "engine.chain_heavy.dag.virtual_time",
-        "default_vs_legacy.chain_heavy.default.virtual_time",
-        "default_vs_legacy.approval_heavy.default.virtual_time",
+        "shipped_default.chain_heavy.default.virtual_time",
+        "shipped_default.approval_heavy.default.virtual_time",
         "engine.chain_heavy.dag.dag_speedup",
         "engine.approval_heavy.dag.virtual_time",
         "cluster.chain_heavy.4.dag.makespan",
@@ -144,7 +144,7 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
         },
         "engine": {},
         "cluster": {},
-        "default_vs_legacy": {},
+        "shipped_default": {},
     }
 
     for name in MIXES:
@@ -156,7 +156,7 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
         results["cluster"][name] = {str(NODES): {"dag": run_cluster(items)}}
         # The no-knobs default construction (pipelining + team lanes +
         # lane GC on), same structural params.
-        results["default_vs_legacy"][name] = {
+        results["shipped_default"][name] = {
             "default": run_engine(items, depth=EngineConfig().pipeline_depth)
         }
 
@@ -170,7 +170,7 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
 
 def check_claims(results: dict) -> None:
     """The acceptance criteria, enforced."""
-    for name, entry in results["default_vs_legacy"].items():
+    for name, entry in results["shipped_default"].items():
         # The no-knobs default really runs the fast paths.
         assert entry["default"]["pipeline_depth"] > 1, name
         assert entry["default"]["max_dag_width"] >= 2, name
@@ -226,7 +226,7 @@ def render_table(results: dict) -> list[str]:
             )
     lines.append("")
     lines.append("no-knobs default (identical structural params):")
-    for name, entry in results["default_vs_legacy"].items():
+    for name, entry in results["shipped_default"].items():
         lines.append(
             f"  {name:>15}: "
             f"default {entry['default']['virtual_time']:>7.1f}"

@@ -72,7 +72,7 @@ HEADLINES = {
     "band": [
         "engine.approval_heavy.barrier.virtual_time",
         "engine.approval_heavy.pipelined.3.virtual_time",
-        "default_vs_legacy.approval_heavy.default.virtual_time",
+        "shipped_default.approval_heavy.default.virtual_time",
         "cluster.owner_only.4.makespan_ratio",
         "cluster.approval_heavy.4.makespan_ratio",
         "cluster.approval_heavy.4.pipelined.makespan",
@@ -181,7 +181,7 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
     # The headline: a no-knobs default construction (pipelining + team
     # lanes + lane GC on) on the contended mix, same structural
     # parameters.
-    results["default_vs_legacy"] = {
+    results["shipped_default"] = {
         "approval_heavy": {
             "default": run_engine(
                 make_items(APPROVAL_HEAVY_MIX, ops),
@@ -269,7 +269,7 @@ def check_claims(results: dict) -> None:
     )
     # The no-knobs default really runs the fast paths (DAG width, team
     # lanes, depth > 1).
-    headline = results["default_vs_legacy"]["approval_heavy"]
+    headline = results["shipped_default"]["approval_heavy"]
     assert headline["default"]["pipeline_depth"] > 1
     assert headline["default"]["max_dag_width"] >= 2
     assert headline["default"]["team_ops"] > 0
@@ -309,7 +309,7 @@ def render_table(results: dict) -> list[str]:
                 f"stall/op contended {per_escalated:>6.3f} "
                 f"vs uncontended {per_uncontended:>6.3f}"
             )
-    headline = results["default_vs_legacy"]["approval_heavy"]
+    headline = results["shipped_default"]["approval_heavy"]
     lines.append("")
     lines.append(
         "no-knobs default (approval_heavy, identical structural params): "

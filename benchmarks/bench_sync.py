@@ -36,7 +36,6 @@ from common import bench_main, render_stats_table, run_bench
 from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
-from repro.net import TeamLane
 from repro.obs import TraceRecorder
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
@@ -106,7 +105,7 @@ def run_engine(object_type, items, threshold: int, tracer=None) -> dict:
             team_threshold=threshold,
             pipeline_depth=1,
         ),
-        global_lane=TeamLane(range(ACCOUNTS), seed=SEED),
+        replicas=ACCOUNTS,
         tracer=tracer,
     )
     state, responses, stats = engine.run_workload(items)

@@ -101,7 +101,7 @@ def main() -> None:
         "\n  accounts form synchronization groups: exactly those operations"
         "\n  are escalated — by default to right-sized team lanes"
         "\n  (team_threshold=4) that run concurrently, with team_threshold=0"
-        "\n  merged into one batch on the shared global broadcast."
+        "\n  to the global broadcast: the same lane pool's top lane."
     )
 
 

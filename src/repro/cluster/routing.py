@@ -427,10 +427,10 @@ def route_window(
     )
 
     # Synchronization: each contended cross-node component through its
-    # cheapest adequate lane.  Team-tier components (owner set within
-    # the threshold) run concurrently on the pool; the rest merge into
-    # one submission-ordered batch on the shared global lane.  A
-    # unit waits only for its *own* component's lane.
+    # cheapest adequate lane.  Every component is one batch on the
+    # pool's clock: team-tier ones (owner set within the threshold) on
+    # their team's lane, the rest on the pool's top lane.  A unit waits
+    # only for its *own* component's batch.
     sync_round = SyncRoundResult()
     if escalated_components:
         sync_round = sync.order_assignments(

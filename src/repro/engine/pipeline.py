@@ -19,11 +19,10 @@ schedules its connected components:
   for an ordering lane.  Each contended component goes through the tiered
   sync layer (:mod:`repro.sync`): a component whose spender bound has size
   ``k ≤ team_threshold`` is ordered by a k-participant *team lane*
-  (``O(k²)`` messages, concurrent with every other team), the rest merge
-  into one batch on the global lane — the same
-  :class:`~repro.net.team_lanes.TeamLane` class with every replica on its
-  team.  With ``team_threshold = 0`` every contended component takes the
-  global lane.
+  (``O(k²)`` messages, concurrent with every other team), the rest take
+  the global lane — the pool's top lane, every replica on its team.
+  With ``team_threshold = 0`` every contended component takes the global
+  lane.
 
 Conflict-free windows pay no messages at all — the paper's
 consensus-number-1 regime executes entirely on the fast path.
@@ -95,7 +94,6 @@ from repro.engine.mempool import Mempool, PendingOp
 from repro.engine.rounds import WallAdapters, WindowPlan, plan_window
 from repro.engine.shard import dag_schedule
 from repro.engine.stats import EngineStats, WaveStats
-from repro.net.team_lanes import TeamLane
 from repro.objects.footprint import OpFootprint
 from repro.spec.object_type import SequentialObjectType
 from repro.sync.escalation import SyncRoundResult, TieredEscalator
@@ -128,7 +126,8 @@ class PipelinedExecutor:
     """Commutativity-aware pipelined executor for one token object.
 
     Configured by one :class:`~repro.config.EngineConfig`; collaborators
-    (classifier, the Tier ∞ lane, tracer) are keyword arguments.
+    (classifier, tracer) and ``replicas``, the Tier ∞ lane's size, are
+    keyword arguments.
     ``run()`` / ``run_workload()`` are the intended API; ``step()``
     schedules one window onto the pipeline timeline, and state/responses
     materialize at commit (the end of ``run()``) — the engine's virtual
@@ -142,7 +141,7 @@ class PipelinedExecutor:
         config: EngineConfig | None = None,
         *,
         classifier: OpClassifier | None = None,
-        global_lane: TeamLane | None = None,
+        replicas: int = 4,
         tracer: TraceRecorder | None = None,
     ) -> None:
         self.config = cfg = config if config is not None else EngineConfig()
@@ -150,11 +149,10 @@ class PipelinedExecutor:
         self.classifier = (
             classifier if classifier is not None else OpClassifier(object_type)
         )
-        #: The tiered sync layer; ``global_lane`` sizes its Tier ∞ fallback
-        #: (``None`` = the standard four-replica lane; ``team_threshold=0``
-        #: = always-global escalation).
+        #: The tiered sync layer; ``replicas`` sizes its Tier ∞ fallback
+        #: (``team_threshold=0`` = always-global escalation).
         self.sync = TieredEscalator(
-            global_lane,
+            replicas,
             team_threshold=cfg.team_threshold,
             lane_ttl=cfg.lane_ttl,
             seed=cfg.seed,

@@ -19,8 +19,9 @@ the whole scalability point: the round's synchronization phase costs the
 *slowest team*, not the sum of teams.
 
 The hierarchy has no special top — total order is n-consensus — so the
-Tier ∞ lane is this class too: a lane whose team is every replica, on a
-simulator of its own, driven one batch at a time by :meth:`TeamLane.order`.
+Tier ∞ lane is the pool's top lane: a :class:`TeamLane` whose team is
+every replica, on the same clock, ordering the batches whose team is
+``None``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class TeamLane:
 
     A *standard* lane is constructible from its team and seed alone — a
     simulator of its own and ``UniformLatency(0.5, 1.5)`` — and ordered
-    one batch at a time with :meth:`order`: that is the Tier ∞ lane.  A
-    pooled lane is handed its pool's shared simulator instead.
+    one batch at a time with :meth:`order`.  A pooled lane is handed its
+    pool's shared simulator instead.
     """
 
     def __init__(
@@ -147,8 +148,8 @@ class TeamLane:
         return orders
 
     def order(self, ops: Sequence[Any]) -> PoolRound:
-        """Order one batch on the lane's own simulator (the Tier ∞ path):
-        submit at the leader, run to quiescence, collect.  Returns the
+        """Order one batch alone: submit at the leader, run the lane's
+        simulator to quiescence, collect.  Returns the
         round a one-batch :meth:`TeamLanePool.order` would; an empty
         batch costs nothing."""
         if not ops:
@@ -186,27 +187,40 @@ class PoolRound:
 
     orders: tuple[LaneOrder, ...]
     #: Virtual time until every lane fully quiesced (trailing quorum
-    #: messages included) — comparable to the global lane's accounting.
+    #: messages included).
     makespan: float
     messages: int
-    #: Distinct team lanes active this round (components naming the same
-    #: team share a lane, so this can be below ``len(orders)``).
+    #: Distinct team lanes active this round, the top lane not counted
+    #: (batches naming one team share its lane).
     teams: int = 0
 
 
 class TeamLanePool:
-    """Lanes keyed by team, sharing one simulator for true concurrency."""
+    """Lanes keyed by team, sharing one simulator for true concurrency.
+
+    ``top`` is the Tier ∞ lane: every one of ``replicas`` on its team,
+    seeded with the pool's own seed.  It is held apart from the team
+    lanes — never garbage-collected, not counted by :attr:`lanes_created`
+    or :attr:`live_lanes`, and taking no team lane's seed slot — so a
+    team with the same members still gets a lane of its own.
+    """
 
     def __init__(
         self,
         simulator: Simulator | None = None,
         seed: int = 0,
         idle_ttl: int | None = None,
+        replicas: int = 4,
     ) -> None:
         if idle_ttl is not None and idle_ttl < 1:
             raise NetworkError("idle_ttl must be positive (or None to disable)")
+        if replicas < 4:
+            raise NetworkError(
+                "total order needs n >= 3f+1 with f >= 1: use >= 4"
+            )
         self.simulator = simulator if simulator is not None else Simulator()
         self.seed = seed
+        self.top = TeamLane(range(replicas), self.simulator, seed=seed)
         #: Garbage-collect a lane unused for this many ordering rounds
         #: (``None`` = keep lanes forever).  A long run over shifting
         #: approval patterns otherwise accumulates one live lane — k
@@ -220,8 +234,8 @@ class TeamLanePool:
         self._created = 0
         self.lanes_gcd = 0
         #: Optional :class:`repro.obs.trace.TraceRecorder` (attached by a
-        #: traced executor).  Lane spans are recorded on the pool's own
-        #: private clock as informational overlays (``chain=False``) —
+        #: traced executor).  Lane spans are recorded on the pool's
+        #: clock as informational overlays (``chain=False``) —
         #: they never enter the engine timeline's attribution walk.
         self.tracer = None
 
@@ -293,50 +307,48 @@ class TeamLanePool:
                 )
 
     def order(
-        self, batches: Sequence[tuple[Iterable[int], Sequence[Any]]]
+        self, batches: Sequence[tuple[Iterable[int] | None, Sequence[Any]]]
     ) -> PoolRound:
         """Order every ``(team, ops)`` batch concurrently.
 
-        All batches are submitted to their lanes first, then the shared
-        simulator runs until quiescence — so lanes with disjoint teams make
-        progress in interleaved virtual time and the round costs the
-        slowest lane, not the sum.  Batches sharing a team serialize on
-        that team's lane (they contend by definition).  Returns per-batch
-        committed orders plus the round's makespan and message bill.
+        All batches are submitted to their lanes first — a ``None`` team's
+        to the top lane — then the shared simulator runs until quiescence,
+        so lanes make progress in interleaved virtual time and the round
+        costs the slowest lane, not the sum.  Batches sharing a lane
+        serialize on it; each completes at its own last delivery.
+        Returns per-batch committed orders plus the round's makespan and
+        message bill (each lane's charged to its first batch).
         """
         if not batches:
             return PoolRound(orders=(), makespan=0.0, messages=0, teams=0)
         started = self.simulator.now
-        # Group by lane first: batches naming the same team share one lane
-        # and must be submitted (and sliced back out) contiguously.
-        sequence: list[tuple[int, frozenset[int], tuple]] = [
-            (index, frozenset(team), tuple(ops))
-            for index, (team, ops) in enumerate(batches)
+        lanes = [
+            self.top if team is None else self.lane(team) for team, _ in batches
         ]
-        by_lane: dict[frozenset[int], list[tuple[int, tuple]]] = {}
-        for index, key, ops in sequence:
-            by_lane.setdefault(key, []).append((index, ops))
-        for key, lane_batches in by_lane.items():
-            lane = self.lane(key)
-            for _, ops in lane_batches:
-                lane.submit(ops)
+        # Group by lane first: batches on one lane must be submitted (and
+        # sliced back out) contiguously.
+        by_lane: dict[TeamLane, list[int]] = {}
+        for index, lane in enumerate(lanes):
+            by_lane.setdefault(lane, []).append(index)
+        for lane, indices in by_lane.items():
+            for index in indices:
+                lane.submit(batches[index][1])
         self.simulator.run()
-        orders: list[LaneOrder | None] = [None] * len(sequence)
-        round_messages = 0
-        for key, lane_batches in by_lane.items():
-            lane_orders = self._lanes[key]._collect(
-                [len(ops) for _, ops in lane_batches], started
+        orders: list = [None] * len(batches)
+        for lane, indices in by_lane.items():
+            lane_orders = lane._collect(
+                [len(batches[index][1]) for index in indices], started
             )
-            round_messages += sum(order.messages for order in lane_orders)
-            for (index, _), order in zip(lane_batches, lane_orders):
+            for index, order in zip(indices, lane_orders):
                 orders[index] = order
         if self.tracer is not None:
-            for order in orders:
-                if order is None or not order.ordered:
+            for lane, order in zip(lanes, orders):
+                if not order.ordered:
                     continue
                 members = "-".join(str(p) for p in sorted(order.team))
+                track = f"teamlanes.k{len(order.team)} [{members}]"
                 self.tracer.span(
-                    f"teamlanes.k{len(order.team)} [{members}]",
+                    "teamlanes.global" if lane is self.top else track,
                     f"batch r{self.rounds}",
                     "sync_wait",
                     started,
@@ -348,12 +360,13 @@ class TeamLanePool:
                     },
                 )
         self.rounds += 1
-        for key in by_lane:
-            self._last_used[key] = self.rounds
+        by_lane.pop(self.top, None)
+        for lane in by_lane:
+            self._last_used[lane.team] = self.rounds
         self._collect_idle()
         return PoolRound(
-            orders=tuple(order for order in orders if order is not None),
+            orders=tuple(orders),
             makespan=self.simulator.now - started,
-            messages=round_messages,
+            messages=sum(order.messages for order in orders),
             teams=len(by_lane),
         )

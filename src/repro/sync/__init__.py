@@ -11,11 +11,10 @@ price and no more, per contended conflict-graph component:
   to the component's spender bound (``O(k²)`` messages), with many
   independent teams running concurrently on one simulator
   (:mod:`repro.net.team_lanes`);
-* **Tier ∞** — the global lane: the same
-  :class:`~repro.net.team_lanes.TeamLane` class with every replica on its
-  team (total order is n-consensus), a *fallback* for components
-  whose spender set exceeds ``team_threshold`` or cannot be statically
-  bounded.
+* **Tier ∞** — the global lane: the pool's top lane, every replica on
+  its team (total order is n-consensus) and on the same clock, a
+  *fallback* for components whose spender set exceeds
+  ``team_threshold`` or cannot be statically bounded.
 
 Sizing is sound by construction: team bounds are supersets of the
 semantic enabled-spender oracle (:mod:`repro.sync.bounds`, property-tested

@@ -4,13 +4,11 @@
 :class:`~repro.sync.planner.SyncPlanner` decides, per contended
 conflict-graph component, whether a team lane (a *k*-replica total-order
 instance from the shared :class:`~repro.net.team_lanes.TeamLanePool`)
-suffices or the global lane — the same
-:class:`~repro.net.team_lanes.TeamLane` class with every replica on its
-team, on a simulator of its own — must be paid.  All of a round's
-global-tier operations merge into **one**
-submission-ordered batch through the global lane while every team-tier
-component runs concurrently on the pool; the round's synchronization
-phase therefore costs ``max(global lane, slowest team)``, and with
+suffices or the global lane — the pool's top lane, every replica on its
+team — must be paid.  Every component of a round is one batch of **one**
+:meth:`~repro.net.team_lanes.TeamLanePool.order` call on one clock: the
+lanes run concurrently, each component completes at its own batch's last
+delivery, and the phase costs the slowest lane.  With
 ``team_threshold = 0`` (the configs default to 4) the tiered path *is*
 always-global escalation.
 
@@ -26,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import EngineError
-from repro.net.team_lanes import TeamLane, TeamLanePool
-from repro.sync.planner import TIER_GLOBAL, SyncAssignment, SyncPlanner
+from repro.net.team_lanes import TeamLanePool
+from repro.sync.planner import SyncAssignment, SyncPlanner
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.rounds import WindowPlan
@@ -50,7 +48,7 @@ class SyncRoundResult:
     """Outcome of one round's synchronization phase across all tiers."""
 
     components: list[ComponentOrder] = field(default_factory=list)
-    #: Phase makespan: global lane and team pool run concurrently.
+    #: Phase makespan: every lane runs concurrently on the pool's clock.
     virtual_time: float = 0.0
     messages: int = 0
     team_messages: int = 0
@@ -66,35 +64,28 @@ class SyncRoundResult:
 class TieredEscalator:
     """Consensus-number-tiered ordering for contended components.
 
-    The one place the sync layer is built: the planner, the team-lane
-    pool and — unless handed one — the standard Tier ∞ lane, a four-replica
-    :class:`~repro.net.team_lanes.TeamLane` seeded like the pool.  A
-    caller passes ``global_lane`` only to size the top lane (the paper's
-    ``O(n²)`` baseline is a lane over all *n* accounts).
-    ``team_threshold`` and ``lane_ttl`` are required: the defaults live
-    in :mod:`repro.config`, not here.  ``lane_ttl`` garbage-collects team
-    lanes idle for that many sync rounds (``None`` keeps them forever), so
-    long runs over shifting approval patterns do not accumulate one live
-    replica group per distinct team.
+    The one place the sync layer is built: the planner and the team-lane
+    pool, whose top lane over ``replicas`` nodes (``global_lane``) is
+    Tier ∞.  ``team_threshold`` and ``lane_ttl`` are required: the
+    defaults live in :mod:`repro.config`, not here.  ``lane_ttl``
+    garbage-collects team lanes idle for that many sync rounds (``None``
+    keeps them forever), so long runs over shifting approval patterns do
+    not accumulate one live replica group per distinct team.
     """
 
     def __init__(
         self,
-        global_lane: TeamLane | None = None,
+        replicas: int = 4,
         *,
         team_threshold: int,
         lane_ttl: int | None,
         seed: int = 0,
     ) -> None:
-        if global_lane is None:
-            global_lane = TeamLane(range(4), seed=seed)
-        if global_lane.k < 4:
-            raise EngineError(
-                "total order needs n >= 3f+1 with f >= 1: use >= 4"
-            )
-        self.global_lane = global_lane
         self.planner = SyncPlanner(team_threshold)
-        self.pool = TeamLanePool(seed=seed, idle_ttl=lane_ttl)
+        self.pool = TeamLanePool(
+            seed=seed, idle_ttl=lane_ttl, replicas=replicas
+        )
+        self.global_lane = self.pool.top
 
     # ------------------------------------------------------------------
 
@@ -166,60 +157,25 @@ class TieredEscalator:
     ) -> SyncRoundResult:
         """Order pre-planned assignments (cluster path: the router sizes
         teams by owner nodes itself)."""
-        result = SyncRoundResult(components=[None] * len(assignments))
-        if not assignments:
-            return result
-
-        # Tier ∞ — one submission-ordered batch through the global lane.
-        global_index = [i for i, a in enumerate(assignments) if not a.is_team]
-        global_time = 0.0
-        if global_index:
-            merged = sorted(
-                (op for i in global_index for op in assignments[i].ops),
-                key=lambda op: op.seq,
-            )
-            global_round = self.global_lane.order(merged)
-            cursor = {
-                id(op): pos
-                for pos, op in enumerate(global_round.orders[0].ordered)
-            }
-            # Full quiescence, trailing quorum messages included.
-            global_time = global_round.makespan
-            result.global_messages = global_round.messages
-            result.global_ops = len(merged)
-            for i in global_index:
-                ops = assignments[i].ops
-                committed = tuple(sorted(ops, key=lambda op: cursor[id(op)]))
-                self._check_order(committed, ops, "global lane")
-                result.components[i] = ComponentOrder(
-                    tier=TIER_GLOBAL,
-                    team=None,
-                    ordered=committed,
-                    completed=global_time,
-                )
-
-        # Tier k — every team component concurrently on the shared pool.
-        team_index = [i for i, a in enumerate(assignments) if a.is_team]
-        pool_round = self.pool.order(
-            [(assignments[i].team, assignments[i].ops) for i in team_index]
+        pool_round = self.pool.order([(a.team, a.ops) for a in assignments])
+        result = SyncRoundResult(
+            virtual_time=pool_round.makespan,
+            messages=pool_round.messages,
+            teams=pool_round.teams,
+            team_sizes=tuple(len(a.team) for a in assignments if a.is_team),
         )
-        for i, lane_order in zip(team_index, pool_round.orders):
-            ops = assignments[i].ops
-            self._check_order(
-                lane_order.ordered, ops, f"team lane {sorted(lane_order.team)}"
+        for a, order in zip(assignments, pool_round.orders):
+            lane = f"team lane {sorted(a.team)}" if a.is_team else "global lane"
+            self._check_order(order.ordered, a.ops, lane)
+            result.components.append(
+                ComponentOrder(a.tier, a.team, order.ordered, order.completed)
             )
-            result.components[i] = ComponentOrder(
-                tier=len(lane_order.team),
-                team=lane_order.team,
-                ordered=lane_order.ordered,
-                completed=lane_order.completed,
-            )
-            result.team_ops += len(ops)
-        result.team_sizes = tuple(len(assignments[i].team) for i in team_index)
-        result.teams = pool_round.teams
-        result.team_messages = pool_round.messages
-        result.messages = result.team_messages + result.global_messages
-        result.virtual_time = max(global_time, pool_round.makespan)
+            if a.is_team:
+                result.team_ops += len(a.ops)
+                result.team_messages += order.messages
+            else:
+                result.global_ops += len(a.ops)
+                result.global_messages += order.messages
         return result
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.engine import (
     PipelinedExecutor,
 )
 from repro.engine.shard import dag_schedule
-from repro.errors import EngineError, InvalidArgumentError
+from repro.errors import EngineError, InvalidArgumentError, NetworkError
 from repro.net import TeamLane
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
@@ -172,10 +172,8 @@ class TestEscalation:
         assert second.makespan == lane.network.simulator.now - t1
 
     def test_rejects_tiny_cluster(self):
-        with pytest.raises(EngineError, match="3f"):
-            TieredEscalator(
-                TeamLane(range(3)), team_threshold=4, lane_ttl=None
-            )
+        with pytest.raises(NetworkError, match="3f"):
+            TieredEscalator(3, team_threshold=4, lane_ttl=None)
 
 
 class TestExecutor:

@@ -27,7 +27,7 @@ import pytest
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import PendingOp, PipelinedExecutor
-from repro.errors import EngineError
+from repro.errors import NetworkError
 from repro.net import Simulator, TeamLane, TeamLanePool
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
@@ -111,32 +111,34 @@ class TestQuadraticBill:
 
 
 class TestOneSyncHook:
-    """``global_lane=`` is the executor's only sync hook, and the sync
-    layer is built in one place from the config."""
+    """``replicas=`` is the executor's only sync hook, and the sync layer —
+    its Tier ∞ lane the pool's top lane — is built in one place from the
+    config."""
 
-    def test_default_global_lane_is_a_four_replica_team_lane(self):
+    def test_the_top_lane_defaults_to_four_replicas_on_the_pool_clock(self):
         token = ERC20TokenType(8, total_supply=80)
         engine = PipelinedExecutor(token, EngineConfig(seed=9))
         cluster = TokenCluster(token, ClusterConfig(seed=9))
         reference = TeamLane(range(4), seed=9).order(ordered_batch(5))
         for sync in (engine.sync, cluster.router.sync):
             lane = sync.global_lane
+            assert lane is sync.pool.top
             assert type(lane) is TeamLane
             assert lane.k == 4
-            assert lane.network.simulator is not sync.pool.simulator
+            assert lane.network.simulator is sync.pool.simulator
             # Seeded from the config: the same latency stream.
             assert lane.order(ordered_batch(5)) == reference
 
-    def test_global_lane_sizes_the_top_tier(self):
+    def test_replicas_sizes_the_top_tier(self):
         token = ERC20TokenType(8, total_supply=80)
-        lane = TeamLane(range(8), seed=1)
-        engine = PipelinedExecutor(token, global_lane=lane)
-        assert engine.sync.global_lane is lane
+        engine = PipelinedExecutor(token, replicas=8)
+        assert engine.sync.global_lane.k == 8
+        assert engine.sync.global_lane.team == frozenset(range(8))
 
-    def test_too_small_a_global_lane_is_refused(self):
+    def test_too_few_replicas_are_refused(self):
         token = ERC20TokenType(8, total_supply=80)
-        with pytest.raises(EngineError, match="3f"):
-            PipelinedExecutor(token, global_lane=TeamLane(range(3)))
+        with pytest.raises(NetworkError, match="3f"):
+            PipelinedExecutor(token, replicas=3)
 
     def test_the_old_hooks_are_gone(self):
         token = ERC20TokenType(8, total_supply=80)
@@ -145,6 +147,8 @@ class TestOneSyncHook:
             PipelinedExecutor(token, sync=lane)
         with pytest.raises(TypeError):
             PipelinedExecutor(token, escalator=lane)
+        with pytest.raises(TypeError):
+            PipelinedExecutor(token, global_lane=lane)
         with pytest.raises(TypeError):
             TokenCluster(token, escalator=lane)
 

@@ -215,9 +215,7 @@ class TestTieredEscalator:
             PendingOp(2, 0, op("transfer", 5, 2)),
         ]
         raw = TeamLane(range(4), seed=9).order(list(ops))
-        sync = TieredEscalator(
-            TeamLane(range(4), seed=9), team_threshold=0, lane_ttl=None
-        )
+        sync = TieredEscalator(4, team_threshold=0, lane_ttl=None, seed=9)
         plan = plan_of(classifier, ops)
         assert plan.contended_groups == whole(ops)
         result = sync.order_round(plan, state, token)
@@ -235,9 +233,7 @@ class TestTieredEscalator:
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 2, op("transferFrom", 0, 4, 1)),
         ]
-        sync = TieredEscalator(
-            TeamLane(range(8), seed=9), team_threshold=4, lane_ttl=None
-        )
+        sync = TieredEscalator(8, team_threshold=4, lane_ttl=None, seed=9)
         plan = plan_of(classifier, ops)
         assert plan.contended_groups == whole(ops)
         result = sync.order_round(plan, state, token)
@@ -266,17 +262,24 @@ class TestTieredEscalator:
         # window's graph would merge the two on account 0.)
         plan = plan_of(classifier, team_comp + nft_like, [[0, 1], [2, 3]])
         result = sync.order_round(plan, state, token)
-        tiers = sorted(c.tier for c in result.components)
-        assert tiers[0] == 3 and math.isinf(tiers[1])
-        # The phase is concurrent: it costs the slower lane (plus that
-        # lane's trailing quorum traffic), never the sum of both.
-        assert result.virtual_time >= max(
-            c.completed for c in result.components
-        )
+        team, top = result.components
+        assert team.tier == 3 and math.isinf(top.tier)
+        # One pool round on one clock: the phase is that round's makespan
+        # (the slower lane plus its trailing quorum traffic), never the
+        # sum of both lanes.
+        assert result.virtual_time == sync.pool.simulator.now
+        assert result.virtual_time >= max(team.completed, top.completed)
+        # The Tier ∞ component completes at its own batch's last delivery
+        # — what the top lane's seed gives the batch alone — not at the
+        # top lane's quiescence.
+        alone = TeamLane(range(4), seed=4).order(list(nft_like))
+        assert top.completed == alone.orders[0].completed
+        assert top.completed < alone.makespan
         assert (
             result.messages
             == result.team_messages + result.global_messages
         )
+        assert result.global_messages == alone.messages
 
     def test_sync_groups_fold_back_per_component(self):
         token, classifier, state = erc20_fixture()

@@ -9,6 +9,7 @@ import pytest
 from repro.engine.mempool import PendingOp
 from repro.errors import NetworkError
 from repro.net import TeamLanePool
+from repro.obs import TraceRecorder, lane_churn
 from repro.spec.operation import op
 
 
@@ -176,3 +177,75 @@ class TestIdleLaneGC:
 
         sync = TieredEscalator(team_threshold=3, lane_ttl=4, seed=1)
         assert sync.pool.idle_ttl == 4
+
+
+class TestTopLane:
+    """Tier ∞ is the pool's top lane: a ``None`` team's batch, on the
+    pool's clock, outside the team-lane bookkeeping."""
+
+    def test_top_lane_reproduces_the_pinned_lane_arithmetic(self):
+        """``test_lane_arithmetic_is_pinned``'s batches (n = 4, seed 0)
+        give the same makespan and bill through ``pool.order``."""
+        pool = TeamLanePool(seed=0)
+        start = 0
+        for count in (1, 5, 70, 3):
+            ops = [
+                PendingOp(start + i, i % 3, op("transfer", 1, 1))
+                for i in range(count)
+            ]
+            result = pool.order([(None, ops)])
+            start += count
+            assert list(result.orders[0].ordered) == ops
+            assert result.teams == 0
+        assert result.makespan == 5.9505912842994455
+        assert result.messages == 75
+        assert result.orders[0].team == frozenset(range(4))
+
+    def test_gc_never_collects_the_top_lane(self):
+        pool = TeamLanePool(seed=2, idle_ttl=1)
+        top = pool.top
+        pool.order([(None, batch(0, 3))])
+        delivered = [node._next_deliver for node in top.nodes]
+        for i in range(4):  # team-only rounds: the top lane idles
+            pool.order([(frozenset({2 * i, 2 * i + 1}), batch(10 * i, 1))])
+        assert pool.lanes_gcd == 3 and pool.top is top
+        ops = batch(100, 2)
+        result = pool.order([(None, ops)])
+        assert list(result.orders[0].ordered) == ops
+        # One replica group for the pool's life: sequence numbers go on.
+        assert all(
+            node._next_deliver > before
+            for node, before in zip(top.nodes, delivered)
+        )
+
+    def test_bookkeeping_excludes_the_top_lane(self):
+        tracer = TraceRecorder()
+        pool = TeamLanePool(seed=3, idle_ttl=1)
+        pool.tracer = tracer
+        pool.order([(None, batch(0, 2))])
+        assert (pool.lanes_created, pool.live_lanes) == (0, 0)
+        assert lane_churn(tracer) is None
+        result = pool.order([(None, batch(10, 2)), ({0, 1}, batch(20, 2))])
+        assert result.teams == 1
+        assert (pool.lanes_created, pool.live_lanes) == (1, 1)
+        churn = lane_churn(tracer)
+        assert (churn.spinups, churn.peak_live, churn.teams) == (1, 1, ("0-1",))
+        # Its batches are traced on a track of their own.
+        assert [span.track for span in tracer.spans] == [
+            "teamlanes.global",
+            "teamlanes.global",
+            "teamlanes.k2 [0-1]",
+        ]
+
+    def test_a_team_of_every_replica_gets_its_own_lane(self):
+        pool = TeamLanePool(seed=4)
+        everyone = frozenset(range(4))
+        first, second = batch(0, 2), batch(10, 3)
+        result = pool.order([(None, first), (everyone, second)])
+        assert pool.lane(everyone) is not pool.top
+        assert result.teams == 1
+        assert list(result.orders[0].ordered) == first
+        assert list(result.orders[1].ordered) == second
+        # Two lanes, two bills: neither batch rode the other's lane.
+        assert result.orders[0].messages == quadratic_bill(2, 4)
+        assert result.orders[1].messages == quadratic_bill(3, 4)
