@@ -15,11 +15,10 @@ representative traced run (what the trace differ reads) — run once
 (:func:`run_bench`); that one recorder feeds ``op_latency``, ``profile``
 and ``--trace``, so the JSON never depends on a flag.
 
-The table renderers here are driven by
-:class:`repro.obs.MetricsRegistry`: a row is any stats summary (an
-``as_dict()`` mapping or a ready registry), a column is a dotted metric
-name, and alignment is computed from the formatted cells — so benches
-share one tabulation path instead of five hand-aligned f-string blocks.
+The table renderer here reads stats summaries directly: a row is any
+nested ``as_dict()`` mapping, a column is a dotted metric name into it,
+and alignment is computed from the formatted cells — so benches share
+one tabulation path instead of five hand-aligned f-string blocks.
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.config import ClusterConfig, EngineConfig
 from repro.obs import (
-    MetricsRegistry,
     TraceRecorder,
     chrome_trace,
     critical_path_report,
@@ -43,7 +42,7 @@ from repro.obs import (
 
 #: A table column: (header, metric name(s), format spec).  The metric
 #: entry may be a tuple of candidate dotted names; the first one present
-#: in the row's registry wins (e.g. engine rows carry ``virtual_time``
+#: in the row's summary wins (e.g. engine rows carry ``virtual_time``
 #: where cluster rows carry ``makespan``).
 Column = tuple[str, "str | tuple[str, ...]", str]
 
@@ -159,29 +158,37 @@ def export_trace(tracer: TraceRecorder, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# registry-driven table renderers
+# summary-driven table renderer
 # ---------------------------------------------------------------------------
 
 
-def _as_registry(source: MetricsRegistry | Mapping) -> MetricsRegistry:
-    if isinstance(source, MetricsRegistry):
-        return source
-    return MetricsRegistry.from_summary(source)
+def flatten_summary(summary: Mapping, prefix: str = "") -> dict[str, float]:
+    """A nested stats summary's numeric leaves as floats by dotted name:
+    bools read 1.0 / 0.0, and labels and lists are skipped — a table
+    shows measurements."""
+    flat: dict[str, float] = {}
+    for key, value in summary.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, Mapping):
+            flat.update(flatten_summary(value, f"{name}."))
+        elif isinstance(value, Real):
+            flat[name] = float(value)
+    return flat
 
 
-def _cell(registry: MetricsRegistry, metric, fmt: str) -> str:
+def _cell(row: Mapping[str, float], metric, fmt: str) -> str:
     names = (metric,) if isinstance(metric, str) else metric
     for name in names:
-        if name in registry:
-            value = registry.value(name)
+        if name in row:
+            value = row[name]
             if fmt.endswith("d"):
                 value = int(value)
             return format(value, fmt)
-    raise KeyError(f"none of {names} present in row registry")
+    raise KeyError(f"none of {names} present in row summary")
 
 
 def render_stats_table(
-    entries: Sequence[tuple[str, MetricsRegistry | Mapping]],
+    entries: Sequence[tuple[str, Mapping]],
     columns: Sequence[Column],
     *,
     label_header: str = "",
@@ -189,22 +196,19 @@ def render_stats_table(
 ) -> list[str]:
     """One aligned metrics table: a header row plus one row per entry.
 
-    ``entries`` are ``(row_label, stats)`` pairs where stats is a
-    registry or any nested summary mapping; ``columns`` name the dotted
-    metrics to show.  ``separators`` lists column indices after which a
-    ``|`` divider is drawn.  Widths come from the formatted cells, so
-    the table is always aligned regardless of magnitudes.
+    ``entries`` are ``(row_label, stats)`` pairs where stats is any
+    nested summary mapping (:func:`flatten_summary` reads it);
+    ``columns`` name the dotted metrics to show.  ``separators`` lists
+    column indices after which a ``|`` divider is drawn.  Widths come
+    from the formatted cells, so the table is always aligned regardless
+    of magnitudes.
     """
-    rows = [
-        (
-            label,
-            [
-                _cell(_as_registry(source), metric, fmt)
-                for _, metric, fmt in columns
-            ],
+    rows = []
+    for label, source in entries:
+        row = flatten_summary(source)
+        rows.append(
+            (label, [_cell(row, metric, fmt) for _, metric, fmt in columns])
         )
-        for label, source in entries
-    ]
     widths = [
         max(len(header), *(len(cells[i]) for _, cells in rows))
         for i, (header, _, _) in enumerate(columns)

@@ -494,7 +494,7 @@ class Router(Node):
             return
         routed.stats.virtual_time = self.now - routed.classified
         routed.stats.completed_at = self.now
-        self.stats.record_round(routed.stats)
+        self.stats.record_round(routed.stats, routed.sync)
         del self._inflight[index]
         self.pump()
 

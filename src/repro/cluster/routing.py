@@ -480,14 +480,6 @@ def route_window(
             escalated_ops=escalated_ops,
             lease_migrations=len(migrations),
             nodes_used=len(placed),
-            escalation_time=sync_round.virtual_time,
-            escalation_messages=sync_round.messages,
-            team_ops=sync_round.team_ops,
-            global_ops=sync_round.global_ops,
-            team_messages=sync_round.team_messages,
-            global_messages=sync_round.global_messages,
-            teams=sync_round.teams,
-            team_sizes=sync_round.team_sizes,
             cooldown_skips=cooldown_skips,
             # A replay moves a unit, it does not add one.
             units_dispatched=len(units),

@@ -1,8 +1,8 @@
 """Shard ownership: which cluster node serves which account shards.
 
-Accounts hash into a fixed ring of ``num_shards`` shards (the same stable
-multiplicative hash as the engine's lane planner, so lane affinity and
-node ownership agree); each shard is owned by exactly one node.  The map
+Accounts hash into a fixed ring of ``num_shards`` shards (a stable
+multiplicative hash, :func:`~repro.engine.shard.stable_account_hash`,
+the same in every run); each shard is owned by exactly one node.  The map
 is the router's authoritative view — nodes mirror their owned set through
 the lease messages — and every mutation is recorded, so a benchmark can
 replay the full lease schedule of a run.
@@ -86,13 +86,6 @@ class ShardMap:
         record = LeaseRecord(shard, from_node, to_node, round_index)
         self.migrations.append(record)
         return record
-
-    def load_of(self, loads: dict[int, int]) -> dict[int, int]:
-        """Fold per-account loads into per-node loads under this map."""
-        per_node = {node: 0 for node in range(self.num_nodes)}
-        for account, load in loads.items():
-            per_node[self.owner_of(account)] += load
-        return per_node
 
     def as_dict(self) -> dict:
         return {

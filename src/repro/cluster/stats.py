@@ -17,8 +17,12 @@ measurement philosophy.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.engine.stats import summary_dict
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sync.escalation import SyncRoundResult
 
 
 @dataclass
@@ -62,7 +66,11 @@ class NodeBill:
 @dataclass(slots=True)
 class ClusterRound:
     """One routing round at the cluster's client edge: filled at routing;
-    the router adds the dispatch stalls and stamps the completion."""
+    the router adds the dispatch stalls and stamps the completion.  The
+    round's synchronization bill is its
+    :class:`~repro.sync.escalation.SyncRoundResult`, which
+    :meth:`ClusterStats.record_round` folds and this record does not
+    keep."""
 
     index: int
     window: int
@@ -72,19 +80,8 @@ class ClusterRound:
     escalated_ops: int
     lease_migrations: int
     nodes_used: int
-    escalation_time: float
-    escalation_messages: int
     #: Classification to completion.
     virtual_time: float = 0.0
-    #: Tiered split of the escalated traffic (:mod:`repro.sync`):
-    #: components ordered by a team lane among just their owner nodes vs
-    #: the shared global lane.
-    team_ops: int = 0
-    global_ops: int = 0
-    team_messages: int = 0
-    global_messages: int = 0
-    teams: int = 0
-    team_sizes: tuple[int, ...] = ()
     #: Lease migrations suppressed by the anti-churn cooldown this round.
     cooldown_skips: int = 0
     #: Independently gated ``cl_run`` units this round fanned out as.
@@ -192,7 +189,9 @@ class ClusterStats:
     def bill(self, node_id: int) -> NodeBill:
         return self.node_bills[node_id]
 
-    def record_round(self, round_stats: ClusterRound) -> None:
+    def record_round(
+        self, round_stats: ClusterRound, sync: SyncRoundResult
+    ) -> None:
         self.rounds += 1
         self.units_dispatched += round_stats.units_dispatched
         self.ops_executed += round_stats.window
@@ -200,17 +199,15 @@ class ClusterStats:
         self.hot_split_ops += round_stats.hot_split_ops
         self.spill_ops += round_stats.spill_ops
         self.escalated_ops += round_stats.escalated_ops
-        self.team_ops += round_stats.team_ops
-        self.global_ops += round_stats.global_ops
-        self.team_messages += round_stats.team_messages
-        self.global_messages += round_stats.global_messages
-        for size in round_stats.team_sizes:
+        self.team_ops += sync.team_ops
+        self.global_ops += sync.global_ops
+        self.team_messages += sync.team_messages
+        self.global_messages += sync.global_messages
+        for size in sync.team_sizes:
             self.team_k_histogram[size] = (
                 self.team_k_histogram.get(size, 0) + 1
             )
-        self.max_concurrent_teams = max(
-            self.max_concurrent_teams, round_stats.teams
-        )
+        self.max_concurrent_teams = max(self.max_concurrent_teams, sync.teams)
         self.max_inflight_rounds = max(
             self.max_inflight_rounds, round_stats.inflight
         )
@@ -224,9 +221,9 @@ class ClusterStats:
         )
         self.lease_migrations += round_stats.lease_migrations
         self.lease_cooldown_skips += round_stats.cooldown_skips
-        self.escalation_time += round_stats.escalation_time
-        self.escalation_messages += round_stats.escalation_messages
-        if round_stats.escalation_messages:
+        self.escalation_time += sync.virtual_time
+        self.escalation_messages += sync.messages
+        if sync.messages:
             self.escalations += 1
         self.round_log.append(round_stats)
 
@@ -325,20 +322,3 @@ class ClusterStats:
         )
         summary["node_bills"] = [bill.as_dict() for bill in self.node_bills]
         return summary
-
-    def registry(self):
-        """This summary re-derived as a :class:`repro.obs.MetricsRegistry`
-        — every numeric leaf of :meth:`as_dict` becomes a dotted-name
-        gauge (per-node bills are listed under ``node<i>.<field>``), so
-        renderers and exporters can consume engine and cluster stats
-        through one uniform read interface."""
-        from repro.obs.metrics import MetricsRegistry
-
-        summary = self.as_dict()
-        summary.pop("node_bills")
-        registry = MetricsRegistry.from_summary(summary)
-        for bill in self.node_bills:
-            registry.merge_summary(
-                bill.as_dict(), prefix=f"node{bill.node_id}."
-            )
-        return registry

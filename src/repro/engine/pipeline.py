@@ -405,14 +405,6 @@ class PipelinedExecutor:
             lanes_used=len({unit.lane for unit in scheduled}),
             critical_path=critical_path or 1,
             virtual_time=completed - t_classify,
-            escalation_time=escalation.virtual_time,
-            escalation_messages=escalation.messages,
-            team_ops=escalation.team_ops,
-            global_ops=escalation.global_ops,
-            team_messages=escalation.team_messages,
-            global_messages=escalation.global_messages,
-            teams=escalation.teams,
-            team_sizes=escalation.team_sizes,
             stall_time=stall,
             stall_time_contended=stall_contended,
             overlap_time=overlap,
@@ -427,7 +419,7 @@ class PipelinedExecutor:
             self._trace_pipelined_round(
                 plan, index, escalation, scheduled, t_classify, sync_start
             )
-        self.stats.record_round(round_stats)
+        self.stats.record_round(round_stats, escalation)
         return round_stats
 
     def _trace_pipelined_round(

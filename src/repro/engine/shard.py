@@ -1,7 +1,7 @@
-"""Shard planning: schedule a window's operations onto parallel lanes.
+"""Lane scheduling: place a window's operations onto parallel lanes.
 
-The scheduler hands the planner a window split into conflict-graph
-components:
+The window arrives split into conflict-graph components (its
+:class:`~repro.engine.rounds.WindowPlan`):
 
 * **chains** — the multi-operation components.  Only a chain's
   non-commuting pairs need an order, and the component's
@@ -13,7 +13,7 @@ components:
   priority to compute, and no lane is looked at one by one unless it
   holds an idle gap.
 
-The planner schedules *operations*, not components, with a
+The scheduler places *operations*, not components, with a
 critical-path-first list scheduler (highest bottom level first,
 earliest-available lane), so a component's makespan is its critical path,
 not its op count.  Callers apply the placements in ascending
@@ -22,7 +22,7 @@ because lane-major application is unsound once one chain spans lanes.
 Any linear extension is serially equivalent to submission order: ops
 without a DAG path have no non-commute edge and may be transposed freely.
 
-The planner never consults mutable state, so the same window on the same
+The scheduler never consults mutable state, so the same window on the same
 lane timeline always gets the same placements — part of the engine's
 determinism guarantee.  :func:`dag_list_schedule` is the only list
 scheduler: the engine's rolling timeline and the cluster node's unit
@@ -45,6 +45,7 @@ _MIX = 2654435761
 
 
 def stable_account_hash(account: int) -> int:
+    """The account → shard hash of :mod:`repro.cluster.sharding`."""
     return (account * _MIX) & 0xFFFFFFFF
 
 
@@ -65,7 +66,7 @@ def dag_list_schedule(
     task runs for ``cost``.  Each task picks the lane giving the earliest
     start.  ``lane_free`` is mutated in place so callers with a
     persistent lane timeline (the cluster node) schedule incrementally.
-    Times stay integers when every input is an integer — the planner's
+    Times stay integers when every input is an integer — the scheduler's
     operation-unit invariant at the default ``cost=1``.
 
     **Insertion/backfill:** when a floored task starts past a lane's free

@@ -15,6 +15,10 @@ wall-clock threading in Python would measure the GIL, not the algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sync.escalation import SyncRoundResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,11 +28,9 @@ class WaveStats:
     ``wave_ops`` counts the fast path (singleton components, freely
     parallel); ``barrier_ops`` the chain members ordered locally without
     consensus; ``escalated_ops`` the chain members that paid for an
-    ordering lane.  The tiered split of the escalated traffic
-    (:mod:`repro.sync`) is ``team_ops`` (k-consensus team lanes) vs
-    ``global_ops`` (the Tier ∞ fallback); ``teams`` counts the distinct
-    team lanes that ran concurrently this round and ``team_sizes`` their
-    k values, one per team-tier component.
+    ordering lane.  What that ordering cost is the round's
+    :class:`~repro.sync.escalation.SyncRoundResult`, which
+    :meth:`EngineStats.record_round` folds and this record does not keep.
     """
 
     index: int
@@ -39,14 +41,6 @@ class WaveStats:
     lanes_used: int
     critical_path: int
     virtual_time: float
-    escalation_time: float
-    escalation_messages: int
-    team_ops: int
-    global_ops: int
-    team_messages: int
-    global_messages: int
-    teams: int
-    team_sizes: tuple[int, ...]
     #: Virtual time this round's ops spent blocked on cross-round
     #: frontier dependencies or their sync lanes (``stall_time_contended``
     #: is the share attributed to contended components), how long this
@@ -137,13 +131,13 @@ class EngineStats:
     virtual_time: float = 0.0
     escalation_time: float = 0.0
     escalation_messages: int = 0
-    wave_sizes: list[int] = field(default_factory=list)
-    critical_paths: list[int] = field(default_factory=list)
     rounds: list[WaveStats] = field(default_factory=list)
 
     # ------------------------------------------------------------------
 
-    def record_round(self, round_stats: WaveStats) -> None:
+    def record_round(
+        self, round_stats: WaveStats, sync: SyncRoundResult
+    ) -> None:
         self.waves += 1
         self.ops_executed += (
             round_stats.wave_ops
@@ -153,15 +147,13 @@ class EngineStats:
         self.wave_ops += round_stats.wave_ops
         self.barrier_ops += round_stats.barrier_ops
         self.escalated_ops += round_stats.escalated_ops
-        self.team_ops += round_stats.team_ops
-        self.global_ops += round_stats.global_ops
-        self.team_messages += round_stats.team_messages
-        self.global_messages += round_stats.global_messages
-        for size in round_stats.team_sizes:
+        self.team_ops += sync.team_ops
+        self.global_ops += sync.global_ops
+        self.team_messages += sync.team_messages
+        self.global_messages += sync.global_messages
+        for size in sync.team_sizes:
             self.k_histogram[size] = self.k_histogram.get(size, 0) + 1
-        self.max_concurrent_teams = max(
-            self.max_concurrent_teams, round_stats.teams
-        )
+        self.max_concurrent_teams = max(self.max_concurrent_teams, sync.teams)
         self.stall_time += round_stats.stall_time
         self.stall_time_contended += round_stats.stall_time_contended
         self.overlap_time += round_stats.overlap_time
@@ -175,10 +167,8 @@ class EngineStats:
         self.dag_chain_ops += round_stats.dag_chain_ops
         self.dag_critical_ops += round_stats.dag_critical_ops
         self.virtual_time += round_stats.virtual_time
-        self.escalation_time += round_stats.escalation_time
-        self.escalation_messages += round_stats.escalation_messages
-        self.wave_sizes.append(round_stats.wave_ops)
-        self.critical_paths.append(round_stats.critical_path)
+        self.escalation_time += sync.virtual_time
+        self.escalation_messages += sync.messages
         self.rounds.append(round_stats)
 
     # -- derived ---------------------------------------------------------
@@ -216,9 +206,9 @@ class EngineStats:
 
     @property
     def mean_wave_size(self) -> float:
-        if not self.wave_sizes:
+        if not self.waves:
             return 0.0
-        return sum(self.wave_sizes) / len(self.wave_sizes)
+        return self.wave_ops / self.waves
 
     @property
     def dag_speedup(self) -> float:
@@ -243,7 +233,7 @@ class EngineStats:
 
     @property
     def max_critical_path(self) -> int:
-        return max(self.critical_paths, default=0)
+        return max((r.critical_path for r in self.rounds), default=0)
 
     #: Properties :meth:`as_dict` reports beside the counters.
     _DERIVED = (
@@ -261,15 +251,4 @@ class EngineStats:
     def as_dict(self) -> dict:
         """JSON-ready summary (used by ``benchmarks/bench_engine.py``):
         the counters and the derived rates — not the per-round logs."""
-        return summary_dict(
-            self, self._DERIVED, logs=("wave_sizes", "critical_paths", "rounds")
-        )
-
-    def registry(self):
-        """This summary re-derived as a :class:`repro.obs.MetricsRegistry`
-        — every numeric leaf of :meth:`as_dict` becomes a dotted-name
-        gauge, so renderers and exporters can consume engine and cluster
-        stats through one uniform read interface."""
-        from repro.obs.metrics import MetricsRegistry
-
-        return MetricsRegistry.from_summary(self.as_dict())
+        return summary_dict(self, self._DERIVED, logs=("rounds",))

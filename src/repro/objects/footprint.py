@@ -102,10 +102,6 @@ class OpFootprint:
         return not self.adds and not self.sets
 
     @property
-    def touched(self) -> frozenset:
-        return self.observes | self.adds | self.sets
-
-    @property
     def contended(self) -> frozenset:
         """Locations this invocation *synchronizes on*: guarded decrements
         (cells both observed and delta-written — a transfer's source
@@ -142,17 +138,14 @@ class OpFootprint:
                     return True
         return False
 
-    def accounts(self) -> frozenset:
-        """Account indices appearing in any touched location (for sharding)."""
-        return frozenset(accounts_in(self.touched))
-
 
 def accounts_in(locations) -> list[int]:
     """Sorted account indices anchoring the given locations.
 
-    The convention — shared by footprint reporting and the shard planner —
-    is that a location's *first* index after its tag names the anchoring
-    account (``("bal", a)``, ``("allow", a, spender)``, ``("nft", t)``).
+    The convention — shared by the sync planner, the spender bounds
+    (:mod:`repro.sync`) and :func:`anchor_account` — is that a location's
+    *first* index after its tag names the anchoring account
+    (``("bal", a)``, ``("allow", a, spender)``, ``("nft", t)``).
     """
     found = {
         part
@@ -164,8 +157,8 @@ def accounts_in(locations) -> list[int]:
 
 
 def anchor_account(fp: "OpFootprint | None", default: int) -> int:
-    """The account an invocation *synchronizes on* — the owner-extraction
-    rule shared by the engine's shard planner and the cluster's router.
+    """The account an invocation *synchronizes on* — the cluster router's
+    owner-extraction rule.
 
     Preference order: the smallest contended account (the cell the paper's
     synchronization groups form around), else the smallest written account,

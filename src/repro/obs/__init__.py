@@ -1,8 +1,9 @@
 """Observability for the token-engine simulation stack.
 
 Virtual-time span tracing (:class:`TraceRecorder`, which keeps every
-span — each total below is derived from that one list), a unified
-metrics registry (:class:`MetricsRegistry`), Chrome-trace-event export
+span — each total below is derived from that one list), the counters
+and latency histogram it feeds as ops commit (:class:`MetricsRegistry`;
+stats aggregates stay plain summaries), Chrome-trace-event export
 (:func:`chrome_trace` / :func:`write_chrome_trace`, with lossless
 reconstruction via :func:`trace_from_chrome`), exact makespan
 attribution (:func:`critical_path_report`), per-track occupancy and
@@ -39,7 +40,6 @@ _EXPORTS = {
     ),
     "repro.obs.metrics": (
         "Counter",
-        "Gauge",
         "Histogram",
         "MetricsError",
         "MetricsRegistry",

@@ -1,11 +1,13 @@
-"""Unified metrics registry: counters, gauges, fixed-bucket histograms.
+"""The tracer's metrics registry: counters and fixed-bucket histograms.
 
-The hand-maintained stats aggregates (:class:`repro.engine.stats.EngineStats`,
-:class:`repro.cluster.stats.ClusterStats`) answer *how much* of each quantity
-a run accumulated; the registry is the shared vocabulary those aggregates
-project into (``EngineStats.registry()`` / ``ClusterStats.registry()``) and
-the sink the tracer feeds as ops commit — most importantly the per-op
-latency histogram behind the p50/p99 figures the open-loop SLO work gates on.
+The registry is the sink :class:`repro.obs.TraceRecorder` feeds as ops
+commit — ``ops_submitted`` / ``ops_committed`` and, most importantly, the
+per-op latency histogram behind the p50/p99 figures the open-loop SLO
+work gates on.  The stats aggregates (:class:`repro.engine.stats.
+EngineStats`, :class:`repro.cluster.stats.ClusterStats`) do not project
+into it: they answer *how much* of each quantity a run accumulated as a
+plain ``as_dict()`` summary, and the bench tables are rendered from those
+summaries directly.
 
 Everything here measures virtual time (operation units + simulated
 consensus latency); there is deliberately no wall-clock anywhere.
@@ -15,8 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from numbers import Real
-from typing import Iterator, Mapping
 
 from repro.errors import ReproError
 
@@ -44,17 +44,6 @@ class Counter:
         if amount < 0:
             raise MetricsError(f"counter {self.name!r} cannot decrease")
         self.value += amount
-
-
-@dataclass(slots=True)
-class Gauge:
-    """A point-in-time value (set freely, last write wins)."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 @dataclass(slots=True)
@@ -157,7 +146,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A namespace of counters, gauges, and histograms.
+    """A namespace of counters and histograms.
 
     Instruments are created on first use and addressed by name; asking
     for an existing name with a different instrument kind is an error
@@ -165,7 +154,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Histogram] = {}
 
     def _get(self, name: str, kind: type, factory):
         existing = self._instruments.get(name)
@@ -182,9 +171,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter, lambda: Counter(name))
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name))
-
     def histogram(
         self, name: str, buckets: tuple[float, ...] = DEFAULT_BUCKETS
     ) -> Histogram:
@@ -192,58 +178,5 @@ class MetricsRegistry:
             name, Histogram, lambda: Histogram(name, buckets=buckets)
         )
 
-    # ------------------------------------------------------------------
-
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._instruments)
-
-    def get(self, name: str) -> Counter | Gauge | Histogram | None:
-        return self._instruments.get(name)
-
-    def value(self, name: str) -> float:
-        """Scalar view: counter/gauge value, histogram mean."""
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            raise MetricsError(f"no metric named {name!r}")
-        if isinstance(instrument, Histogram):
-            return instrument.mean
-        return instrument.value
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot: scalars for counters/gauges, summary
-        dicts (count/mean/min/max/p50/p99) for histograms."""
-        snapshot: dict = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                snapshot[name] = instrument.summary()
-            else:
-                snapshot[name] = instrument.value
-        return snapshot
-
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_summary(
-        cls, summary: Mapping, prefix: str = ""
-    ) -> "MetricsRegistry":
-        """Project a nested stats summary (``EngineStats.as_dict()`` /
-        ``ClusterStats.as_dict()`` output) into a registry of gauges,
-        flattening nested mappings with dotted names.  Non-numeric leaves
-        are skipped — the registry carries measurements, not labels."""
-        registry = cls()
-        registry.merge_summary(summary, prefix)
-        return registry
-
-    def merge_summary(self, summary: Mapping, prefix: str = "") -> None:
-        for key, value in summary.items():
-            name = f"{prefix}{key}"
-            if isinstance(value, Mapping):
-                self.merge_summary(value, f"{name}.")
-            elif isinstance(value, bool):
-                self.gauge(name).set(1.0 if value else 0.0)
-            elif isinstance(value, Real):
-                self.gauge(name).set(float(value))

@@ -40,6 +40,7 @@ from tests.engine.test_classifier import (
     erc20_invocation,
     erc721_invocation,
 )
+from tests.sync.sync_tap import tap_sync_results
 
 
 def _window(invocations) -> list[PendingOp]:
@@ -320,6 +321,7 @@ class TestLazyPrefixState:
         ).generate(256)
         config = EngineConfig(num_lanes=4, window=32, team_threshold=4)
         engine = PipelinedExecutor(token, config)
+        results = tap_sync_results(engine.sync)
         #: Ops of the windows before each prefix-state read.
         drained_at_read: list[int] = []
         prefix_state = engine._prefix_state
@@ -331,6 +333,7 @@ class TestLazyPrefixState:
         engine._prefix_state = watched_prefix_state
         state, responses, stats = engine.run_workload(items)
         reference = _EveryOpFolded(ERC20TokenType(16, total_supply=320), config)
+        ref_results = tap_sync_results(reference.sync)
         ref_state, ref_responses, ref_stats = reference.run_workload(items)
 
         assert stats.team_ops > 0 and stats.escalated_ops > 0
@@ -342,8 +345,8 @@ class TestLazyPrefixState:
         ]
         assert 0 < len(writing) < len(folded)
         assert calls == len(items) + len(writing)
-        assert [r.team_sizes for r in stats.rounds] == [
-            r.team_sizes for r in ref_stats.rounds
+        assert [r.team_sizes for r in results] == [
+            r.team_sizes for r in ref_results
         ]
         assert stats.as_dict() == ref_stats.as_dict()
         assert (state, responses) == (ref_state, ref_responses)

@@ -94,7 +94,7 @@ class TestConflictGraph:
         assert views.count_kind(graph, PairKind.READ_ONLY) == 0
 
 
-class TestShardPlanner:
+class TestDagSchedule:
     def _schedule(self, token, lanes, pending):
         """Schedule one window on fresh lanes; returns ``seq -> (start,
         finish, lane)``."""

@@ -31,6 +31,7 @@ from repro.errors import NetworkError
 from repro.net import Simulator, TeamLane, TeamLanePool
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
+from tests.sync.sync_tap import tap_sync_results
 
 
 def expected_bill(ops: int, replicas: int, max_batch: int) -> tuple[int, int]:
@@ -165,6 +166,7 @@ class TestEngineLevelAccounting:
         )
         # approve then two distinct spenders of account 0 — a
         # synchronization group that must escalate as one batch.
+        results = tap_sync_results(engine.sync)
         engine.submit(0, op("approve", 1, 5))
         engine.run()
         engine.submit(1, op("transferFrom", 0, 2, 2))
@@ -173,7 +175,7 @@ class TestEngineLevelAccounting:
         escalated = stats.rounds[-1].escalated_ops
         assert escalated >= 2
         want, _ = expected_bill(escalated, replicas=4, max_batch=64)
-        assert stats.rounds[-1].escalation_messages == want
+        assert results[-1].messages == want
 
     def test_owner_only_round_pays_nothing(self):
         token = ERC20TokenType(8, total_supply=80)

@@ -120,3 +120,40 @@ def test_bad_arguments_are_rejected_before_anything_runs(
     assert exit_info.value.code == 2
     assert "--ops must be >= 1" in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+def test_render_stats_table_reads_the_summary_by_dotted_name(monkeypatch):
+    """Every bench table is rendered from ``as_dict()`` summaries: nested
+    mappings flatten to dotted names, a bool reads 1.0, labels and lists
+    are skipped, the first present candidate column wins, and a ``d``
+    format casts the value to an int."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    common = importlib.import_module("common")
+    summary = {
+        "virtual_time": 12.5,
+        "nested": {"deep": {"ops": 3}},
+        "flag": True,
+        "label": "ignored",
+        "items": [1, 2, 3],
+    }
+    assert common.flatten_summary(summary) == {
+        "virtual_time": 12.5,
+        "nested.deep.ops": 3.0,
+        "flag": 1.0,
+    }
+    columns = [
+        ("vt", "virtual_time", ".2f"),
+        ("ops", "nested.deep.ops", "d"),
+        ("flag", "flag", ".1f"),
+        ("time", ("makespan", "virtual_time", "nested.deep.ops"), ".1f"),
+    ]
+    lines = common.render_stats_table(
+        [("row", summary)], columns, label_header="run", separators=(1,)
+    )
+    assert lines == [
+        "run |    vt ops | flag time",
+        "row | 12.50   3 |  1.0 12.5",
+    ]
+    for skipped in ("label", "items"):
+        with pytest.raises(KeyError, match=skipped):
+            common.render_stats_table([("row", summary)], [("x", skipped, "")])
