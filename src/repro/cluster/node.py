@@ -4,18 +4,21 @@ Each :class:`ClusterNode` owns a set of account shards and executes the
 *dispatch units* the router forwards to it.  A unit is one conflict-graph
 component (or the residual set of the node's singletons for a round),
 sent as a single ``cl_run`` that carries its ops *and its plan* (the
-component's precedence DAG over positions in ``ops``; ``None`` for
-edge-free ops).  The node executes the plan and classifies nothing (the
-tests re-derive each shipped plan from its ops, beside the network).  The
-router gates each unit individually, and the node runs units
-incrementally on a *persistent lane timeline* — the op-granular list
-scheduler (:func:`~repro.engine.shard.dag_schedule`) places each arriving
-unit's ops onto whichever lanes free up first, so one unit blocked behind
-its sync lane or a cross-round footprint conflict does not hold up
-everything else routed to the node that round.  Units of one round are
-distinct components (statically commuting) and cross-round conflicts are
-dispatch-gated at the router, so any unit interleaving stays serially
-equivalent.
+component's :class:`~repro.engine.conflict_graph.ComponentDAG`, over
+positions in ``ops``, exactly as the router's window plan built it;
+``None`` for edge-free ops).  The node executes the plan as shipped — it
+classifies nothing and derives nothing: the DAG's ``preds`` and
+``priorities`` feed the scheduler, its ``critical_path`` and ``width``
+the bill (the tests re-derive each shipped plan from its ops, beside the
+network).  The router gates each unit individually, and the node runs
+units incrementally on a *persistent lane timeline* — the op-granular
+list scheduler (:func:`~repro.engine.shard.dag_list_schedule`) places
+each arriving unit's ops onto whichever lanes free up first, so one unit
+blocked behind its sync lane or a cross-round footprint conflict does not
+hold up everything else routed to the node that round.  Units of one
+round are distinct components (statically commuting) and cross-round
+conflicts are dispatch-gated at the router, so any unit interleaving
+stays serially equivalent.
 
 Owner-local execution involves no coordination at all — the node never
 sends or receives a lease or consensus message for it; its only traffic is
@@ -42,7 +45,7 @@ from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ComponentDAG
 from repro.engine.mempool import PendingOp
 from repro.engine.rounds import WallAdapters
-from repro.engine.shard import dag_schedule
+from repro.engine.shard import dag_list_schedule
 from repro.errors import ClusterError
 from repro.net.network import Message, Network
 from repro.net.node import Node
@@ -64,7 +67,8 @@ class _NodeUnit:
     ``cl_run`` lands."""
 
     ops: list[PendingOp] | None = None
-    #: The router's plan over positions in ``ops``; ``None``: no edges.
+    #: The router's plan, ``plan.dags[k]`` as shipped (positions in
+    #: ``ops``); ``None``: no edges.
     dag: ComponentDAG | None = None
     #: Lease grants the unit must wait for / has received.
     leases_needed: int = 0
@@ -150,12 +154,17 @@ class ClusterNode(Node):
         if not ops:
             raise ClusterError("cl_run announced an empty unit")
         # The plan indexes the ops by position: a malformed one fails
-        # here, at the message, not later as a wrong schedule.
+        # here, at the message, not later as a wrong schedule.  Each pred
+        # position lies below its own, so submission order stays a
+        # topological order.
         if any(a.seq >= b.seq for a, b in zip(ops, ops[1:])):
             raise ClusterError("cl_run ops are not in ascending seq order")
         if dag is not None and not (
             isinstance(dag, ComponentDAG)
-            and dag.nodes == tuple(range(len(ops)))
+            and dag.size == len(ops)
+            and all(
+                0 <= p < k for k, below in enumerate(dag.preds) for p in below
+            )
         ):
             raise ClusterError("cl_run dag does not span the unit's ops")
         key, unit = self._unit(body)
@@ -199,31 +208,29 @@ class ClusterNode(Node):
         self.bill.sync_wait_time += max(0.0, unit.sync_ready - self.now)
         # The node executes the router's plan — one component's DAG, or
         # edge-free ops free to take any lane; task ``k`` is ``ops[k]``.
-        dags = [] if unit.dag is None else [unit.dag]
-        singleton_idx = list(range(len(ops))) if unit.dag is None else []
-        _, _, placed = dag_schedule(
-            dags,
-            singleton_idx,
+        n, dag = len(ops), unit.dag
+        placed = dag_list_schedule(
+            range(n),
+            [()] * n if dag is None else dag.preds,
+            [1] * n if dag is None else dag.priorities,
             self._lane_free,
-            floors=[ready] * len(ops),
+            floors=[ready] * n,
             cost=self.config.op_cost,
         )
         order = [
-            ops[k]
-            for k in sorted(range(len(ops)), key=lambda k: (placed[k][0], k))
+            ops[k] for k in sorted(range(n), key=lambda k: (placed[k][0], k))
         ]
         finish = max(f for _, f, _ in placed)
         # Bill the unit's execution span (first op start -> last finish),
         # not its wall time since arrival — time spent queued behind
         # other units' lane occupancy is not this unit's work.
         started = min(s for s, _, _ in placed)
-        if unit.dag is not None:
-            path, width = unit.dag.shape()
-            bill = self.bill
-            bill.dag_chain_ops += unit.dag.size
+        if dag is not None:
+            path, bill = dag.critical_path, self.bill
+            bill.dag_chain_ops += n
             bill.dag_critical_ops += path
             bill.max_dag_critical_path = max(bill.max_dag_critical_path, path)
-            bill.max_dag_width = max(bill.max_dag_width, width)
+            bill.max_dag_width = max(bill.max_dag_width, dag.width)
         if self.tracer is not None:
             self._trace_unit(key, unit, placed, ready, finish)
         unit.timer = self.schedule(

@@ -111,9 +111,9 @@ class _Unit:
     #: Union of the ops' footprints (``None`` = unknown), the
     #: cross-round frontier test's input.
     summary: OpFootprint | None
-    #: The component's precedence DAG over positions in ``ops`` — the
-    #: plan the node executes; ``None`` for a residual unit, whose ops
-    #: share no edge.
+    #: The component's precedence DAG — ``plan.dags[k]`` as it is, over
+    #: positions in ``ops`` — the plan the node executes; ``None`` for a
+    #: residual unit, whose ops share no edge.
     dag: ComponentDAG | None
     dispatched: bool = False
     done: bool = False
@@ -330,7 +330,7 @@ def route_window(
             [n for n in owners if n in live] or live,
             key=lambda n: (-owners[n], load[n], n),
         )
-        unit = add_unit(target, chain, dag.positional())
+        unit = add_unit(target, chain, dag)
         chain_contended = [i for i in chain if i in contended]
         if len(owners) > 1 and chain_contended:
             # A race spanning owners: a sync lane sequences exactly the

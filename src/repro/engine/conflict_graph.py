@@ -4,10 +4,11 @@ Nodes are pending operations; an edge carries the pair's classification
 whenever the pair is *not* statically commuting.  :meth:`ConflictGraph.build`
 is the one place a window's edges are made, and it walks the window twice:
 once over the location index's candidates (edges, kinds, the contended
-set) and once over the edges (components and each op's DAG neighbours).
-``components()`` exposes the synchronization groups — the engine-level
-analogue of the paper's per-account coordination groups: only operations
-inside one component ever need an order relative to each other.
+set) and once over the edges (components and each op's DAG
+predecessors).  ``components()`` exposes the synchronization groups — the
+engine-level analogue of the paper's per-account coordination groups:
+only operations inside one component ever need an order relative to each
+other.
 
 The paper's result is per-*pair*: only non-commuting operation pairs need
 a relative order.  A component is therefore not a chain but a *partial*
@@ -19,7 +20,9 @@ no edge, hence statically commute, and adjacent-transposing commuting
 pairs transforms one extension into any other.  The DAG's critical path
 and antichain width are exactly the component's intrinsic makespan lower
 bound and its exploitable parallelism — the quantities op-granular
-scheduling trades on.
+scheduling trades on.  ``component_dags()`` derives them, with the bottom
+levels the scheduler ranks by, once per chain and over positions in the
+chain: the engine, the router and the cluster node read the same record.
 """
 
 from __future__ import annotations
@@ -47,115 +50,41 @@ _KIND_BY_CLASS = (
 
 @dataclass(frozen=True, slots=True)
 class ComponentDAG:
-    """Precedence DAG of one multi-op conflict-graph component.
-
-    ``nodes`` are window indices in ascending (= submission) order;
-    ``preds``/``succs`` map each node to its direct non-commute
-    predecessors/successors, every edge oriented from the earlier
-    submission to the later one.  All derived quantities are in operation
+    """Precedence DAG of one multi-op conflict-graph component, over
+    positions ``0 .. size-1`` in the component's ascending (= submission)
+    order — ``WindowPlan.chains[k]`` maps them to window indices, and a
+    dispatch unit's ``ops`` hold them in that order.  Built once, by
+    :meth:`ConflictGraph.component_dags`, schedule-ready: every reader
+    takes these fields as they are.  All quantities are in operation
     units (unit op cost); the scheduler scales by ``op_cost`` itself.
     """
 
-    nodes: tuple[int, ...]
-    preds: dict[int, tuple[int, ...]]
-    succs: dict[int, tuple[int, ...]]
-
-    @classmethod
-    def over(cls, component: list[int], edges) -> "ComponentDAG":
-        """Build the DAG for ``component`` from a window's edge dict."""
-        members = set(component)
-        preds: dict[int, list[int]] = {i: [] for i in component}
-        succs: dict[int, list[int]] = {i: [] for i in component}
-        for a, b in edges:
-            if a in members and b in members:
-                # Edge keys are (i, j) with i < j — already submission-
-                # oriented; COMMUTE pairs were never stored.
-                preds[b].append(a)
-                succs[a].append(b)
-        return cls(
-            nodes=tuple(sorted(component)),
-            preds={i: tuple(sorted(found)) for i, found in preds.items()},
-            succs={i: tuple(sorted(found)) for i, found in succs.items()},
-        )
-
-    def positional(self) -> "ComponentDAG":
-        """The same DAG over positions in ``nodes`` — how a holder of the
-        component's ops alone (a cluster dispatch unit) reads it.
-        Positions ascend with the indices: sorted tuples stay sorted."""
-        at = {node: k for k, node in enumerate(self.nodes)}
-        return ComponentDAG(
-            tuple(range(self.size)),
-            {at[i]: tuple(at[p] for p in ps) for i, ps in self.preds.items()},
-            {at[i]: tuple(at[s] for s in ss) for i, ss in self.succs.items()},
-        )
-
-    # ------------------------------------------------------------------
-
-    def depths(self) -> dict[int, int]:
-        """Longest-path depth from the component's sources (sources = 0).
-
-        Submission order is a topological order (edges point from lower to
-        higher index), so one ascending pass suffices.
-        """
-        depth: dict[int, int] = {}
-        for i in self.nodes:
-            depth[i] = 1 + max((depth[p] for p in self.preds[i]), default=-1)
-        return depth
-
-    def bottom_levels(self) -> dict[int, int]:
-        """Longest path from each node to a sink, the node included — the
-        critical-path-first priority of the list scheduler."""
-        level: dict[int, int] = {}
-        for i in reversed(self.nodes):
-            level[i] = 1 + max((level[s] for s in self.succs[i]), default=0)
-        return level
-
-    def levels(self) -> list[list[int]]:
-        """Antichain waves: nodes grouped by longest-path depth.
-
-        Same-depth nodes admit no path between them (a path strictly
-        increases depth), so each level is an antichain — ops free to run
-        lane-parallel once the previous waves committed.
-        """
-        depth = self.depths()
-        waves: list[list[int]] = [
-            [] for _ in range(max(depth.values(), default=-1) + 1)
-        ]
-        for i in self.nodes:
-            waves[depth[i]].append(i)
-        return waves
-
-    def shape(self) -> tuple[int, int]:
-        """``(critical_path, width)`` from one :meth:`depths` pass — what
-        the per-window stats read of a DAG."""
-        per_depth: dict[int, int] = {}
-        for depth in self.depths().values():
-            per_depth[depth] = per_depth.get(depth, 0) + 1
-        # Depths are contiguous from 0, so their count is the longest path.
-        return len(per_depth), max(per_depth.values(), default=0)
-
-    @property
-    def critical_path(self) -> int:
-        """Longest chain of non-commuting ops — the component's makespan
-        lower bound in operation units (``len(nodes)`` when the component
-        is a total order, less when the conflict structure admits width)."""
-        return self.shape()[0]
-
-    @property
-    def width(self) -> int:
-        """Largest antichain wave — the intra-component parallelism an
-        op-granular schedule can exploit (1 = effectively a chain)."""
-        return self.shape()[1]
+    #: Per position, its direct non-commute predecessors, ascending —
+    #: every edge oriented from the earlier submission to the later one.
+    preds: tuple[tuple[int, ...], ...]
+    #: Per position, its bottom level: the longest path to a sink, the
+    #: node included — the list scheduler's critical-path-first priority.
+    priorities: tuple[int, ...]
+    #: Longest chain of non-commuting ops — the component's makespan
+    #: lower bound (``size`` when the component is a total order, less
+    #: when the conflict structure admits width).
+    critical_path: int
+    #: Largest antichain wave (nodes of one longest-path depth) — the
+    #: intra-component parallelism an op-granular schedule can exploit
+    #: (1 = effectively a chain).
+    width: int
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.preds)
 
 
 @dataclass
 class ConflictGraph:
     """Pairwise non-commute structure of one window (indices into ``ops``),
-    and everything :meth:`build` folds out of it in the same two walks."""
+    and everything :meth:`build` folds out of it in the same two walks:
+    the components and each op's DAG predecessors, from which
+    :meth:`component_dags` packages the positional DAGs."""
 
     ops: list[PendingOp]
     #: ``(i, j) -> kind`` with ``i < j``, in ascending key order; only
@@ -169,10 +98,9 @@ class ConflictGraph:
     contended: set[int]
     #: Connected components (ascending indices), ordered by first index.
     _components: list[list[int]] = field(repr=False)
-    #: Direct DAG predecessors / successors per index that has any,
-    #: ascending — the edge keys ascend, so they are appended in order.
+    #: Direct DAG predecessors per index that has any, ascending — the
+    #: edge keys ascend, so they are appended in order.
     _preds: dict[int, list[int]] = field(repr=False)
-    _succs: dict[int, list[int]] = field(repr=False)
 
     @classmethod
     def build(
@@ -186,17 +114,19 @@ class ConflictGraph:
             0 if fp is None else 2 if fp.adds or fp.sets else 1
             for fp in footprints
         ]
-        # Walk 1, over the candidates: the ascending edge dict, each op's
-        # successors (every candidate is an edge) and the contended set.
+        # Walk 1, over the candidates: the ascending edge dict, the ops
+        # with a later partner (every candidate is an edge) and the
+        # contended set.
         edges: dict[tuple[int, int], PairKind] = {}
-        succs: dict[int, list[int]] = {}
+        has_later: set[int] = set()
         contended: set[int] = set()
         needs_consensus = classifier.needs_consensus
         read_only = 0
         for i, partners in enumerate(conflict_candidates(footprints)):
             if not partners:
                 continue
-            succs[i] = later = sorted(partners)
+            has_later.add(i)
+            later = sorted(partners)
             kinds = _KIND_BY_CLASS[classes[i]]
             first, fp = ops[i], footprints[i]
             for j in later:
@@ -230,20 +160,20 @@ class ConflictGraph:
                 parent[rb] = ra
             elif rb < ra:
                 parent[ra] = rb
-        # A root with no successor has no edge at all (its edges would
-        # lead to later members); any other root opens its component,
-        # before the ascending walk reaches the rest of it.
+        # A root with no later partner has no edge at all (its edges
+        # would lead to later members); any other root opens its
+        # component, before the ascending walk reaches the rest of it.
         components: list[list[int]] = []
         group_of: dict[int, list[int]] = {}
         for i in range(n):
             if parent[i] != i:
                 group_of[find(i)].append(i)
-            elif i in succs:
+            elif i in has_later:
                 group_of[i] = group = [i]
                 components.append(group)
             else:
                 components.append([i])
-        return cls(ops, edges, footprints, contended, components, preds, succs)
+        return cls(ops, edges, footprints, contended, components, preds)
 
     # ------------------------------------------------------------------
 
@@ -260,15 +190,42 @@ class ConflictGraph:
     def component_dags(self) -> list[ComponentDAG]:
         """Precedence DAGs of the multi-op components, in component order:
         aligned with :func:`repro.engine.rounds.plan_window`'s chains,
-        ``dags[k].nodes == tuple(chains[k])``.  Packaged from the sorted
-        neighbour lists :meth:`build` folded, without walking the edges."""
-        preds, succs = self._preds, self._succs
-        return [
-            ComponentDAG(
-                tuple(component),
-                {i: tuple(preds.get(i, ())) for i in component},
-                {i: tuple(succs.get(i, ())) for i in component},
+        ``dags[k].size == len(chains[k])``.  Each is folded from the
+        sorted predecessor lists :meth:`build` kept, without walking the
+        edges: one forward pass relabels them to positions and takes the
+        depths (critical path, width), one backward pass the bottom
+        levels.  Submission order is a topological order, so the forward
+        pass meets a node after its predecessors, the backward one after
+        its successors."""
+        preds_of = self._preds
+        dags: list[ComponentDAG] = []
+        for component in self._components:
+            n = len(component)
+            if n == 1:
+                continue
+            at = {i: k for k, i in enumerate(component)}
+            preds: list[tuple[int, ...]] = []
+            depth: list[int] = []
+            per_depth = [0] * (n + 1)
+            for i in component:
+                found = preds_of.get(i)
+                below = () if found is None else tuple([at[p] for p in found])
+                d = 1
+                for p in below:
+                    if depth[p] >= d:
+                        d = depth[p] + 1
+                preds.append(below)
+                depth.append(d)
+                per_depth[d] += 1
+            level = [1] * n
+            for k in range(n - 1, 0, -1):
+                up = level[k] + 1
+                for p in preds[k]:
+                    if up > level[p]:
+                        level[p] = up
+            dags.append(
+                ComponentDAG(
+                    tuple(preds), tuple(level), max(depth), max(per_depth)
+                )
             )
-            for component in self._components
-            if len(component) > 1
-        ]
+        return dags

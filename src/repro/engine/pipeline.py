@@ -392,10 +392,8 @@ class PipelinedExecutor:
         self._pending_units.extend(scheduled)
 
         escalated = len(plan.escalated_idx)
-        #: ``(critical_path, width)`` per DAG, one depth pass each.
-        shapes = [dag.shape() for dag in plan.dags]
-        critical_ops = sum(path for path, _ in shapes)
-        critical_path = max((path for path, _ in shapes), default=0)
+        paths = [dag.critical_path for dag in plan.dags]
+        critical_path = max(paths, default=0)
         round_stats = WaveStats(
             index=index,
             window=len(ops),
@@ -411,9 +409,9 @@ class PipelinedExecutor:
             inflight=inflight,
             completed_at=completed,
             dag_critical_path=critical_path,
-            dag_width=max((width for _, width in shapes), default=0),
+            dag_width=max((dag.width for dag in plan.dags), default=0),
             dag_chain_ops=plan.chained_ops,
-            dag_critical_ops=critical_ops,
+            dag_critical_ops=sum(paths),
         )
         if self.tracer is not None:
             self._trace_pipelined_round(
@@ -551,6 +549,7 @@ class PipelinedExecutor:
         #: then the finish of each op placed on it (start order).
         slot = list(self._lane_free)
         order, preds, placed = dag_schedule(
+            plan.chains,
             plan.dags,
             plan.singletons,
             self._lane_free,

@@ -38,7 +38,8 @@ class WindowPlan:
     #: order, ordered by first index — the unit the tiered sync layer
     #: sizes teams for.
     contended_groups: list[list[int]]
-    #: Per-chain precedence DAGs: ``dags[k].nodes == tuple(chains[k])``.
+    #: Per-chain precedence DAGs over positions in the chain:
+    #: ``dags[k].size == len(chains[k])``.
     dags: list[ComponentDAG]
 
     @property

@@ -26,15 +26,19 @@ The scheduler never consults mutable state, so the same window on the same
 lane timeline always gets the same placements — part of the engine's
 determinism guarantee.  :func:`dag_list_schedule` is the only list
 scheduler: the engine's rolling timeline and the cluster node's unit
-executor both place every op through it, and both build its task lists
-in one place, :func:`dag_schedule`, which works on window indices alone
-(they ascend in submission order, so they are the tie-break too).
+executor both place every op through it, reading each DAG's positional
+``preds`` and ``priorities`` as :meth:`ConflictGraph.component_dags
+<repro.engine.conflict_graph.ConflictGraph.component_dags>` built them.
+The engine concatenates a window's DAGs in :func:`dag_schedule`; a node
+runs one DAG — or edge-free ops — per unit and passes its fields as they
+are.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 
 from repro.engine.conflict_graph import ComponentDAG
 from repro.errors import EngineError
@@ -50,9 +54,9 @@ def stable_account_hash(account: int) -> int:
 
 
 def dag_list_schedule(
-    seqs: list[int],
-    preds: list[tuple[int, ...]],
-    priorities: list[int],
+    seqs: Sequence[int],
+    preds: Sequence[tuple[int, ...]],
+    priorities: Sequence[int],
     lane_free: list[float],
     floors: list[float] | None = None,
     cost: float = 1,
@@ -158,6 +162,7 @@ def dag_list_schedule(
 
 
 def dag_schedule(
+    chains: list[list[int]],
     dags: list[ComponentDAG],
     singletons: list[int],
     lane_free: list,
@@ -167,29 +172,28 @@ def dag_schedule(
     """Schedule a window's ops (not its components) with
     critical-path-first listing.
 
-    Tasks are the ``dags``' nodes, DAG by DAG, then the ``singletons`` —
-    all window indices, which ascend in submission order.  Chain ops carry
-    their DAG precedence constraints and their bottom level as priority, so
-    the longest remaining dependency chains start first; singletons (bottom
+    Tasks are the ``chains``' window indices, chain by chain, then the
+    ``singletons`` — indices ascend in submission order, so they are the
+    tie-break too.  ``dags[k]`` is ``chains[k]``'s DAG over positions in
+    the chain; its ``preds`` shift by the chain's first task position and
+    its ``priorities`` (bottom levels) are taken as they are, so the
+    longest remaining dependency chains start first; singletons (bottom
     level 1) backfill.  ``lane_free`` is a live lane timeline mutated in
     place (its length is the lane count) and ``floors[i]`` an external
     earliest start for window index ``i`` (classification time, sync-lane
-    completion, cross-window frontier; ``None`` = no floor), so callers
-    with persistent lanes (the engine's rolling timeline, the cluster
-    node's unit executor) schedule incrementally.  Returns, task-aligned:
-    the window index of each task, its predecessors as task positions, and
-    its ``(start, finish, lane)`` placement.
+    completion, cross-window frontier; ``None`` = no floor), so the
+    engine's rolling timeline schedules incrementally.  Returns,
+    task-aligned: the window index of each task, its predecessors as task
+    positions, and its ``(start, finish, lane)`` placement.
     """
     order: list[int] = []
     preds: list[tuple[int, ...]] = []
     priorities: list[int] = []
-    for dag in dags:
-        position = {node: len(order) + k for k, node in enumerate(dag.nodes)}
-        bottom = dag.bottom_levels()
-        for node in dag.nodes:
-            order.append(node)
-            preds.append(tuple(position[p] for p in dag.preds[node]))
-            priorities.append(bottom[node])
+    for chain, dag in zip(chains, dags, strict=True):
+        offset = len(order)
+        order.extend(chain)
+        priorities.extend(dag.priorities)
+        preds.extend(tuple(p + offset for p in below) for below in dag.preds)
     order.extend(singletons)
     preds.extend([()] * len(singletons))
     priorities.extend([1] * len(singletons))

@@ -14,6 +14,8 @@ Machine-checked guarantees of :class:`~repro.cluster.TokenCluster`:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,13 +154,10 @@ class TestSerialEquivalence:
 
 def drop_an_edge(dag: ComponentDAG) -> ComponentDAG:
     """``dag`` without its last edge into its latest node that has one."""
-    late = max(i for i in dag.nodes if dag.preds[i])
-    early = dag.preds[late][-1]
-    return ComponentDAG(
-        dag.nodes,
-        {**dag.preds, late: dag.preds[late][:-1]},
-        {**dag.succs, early: dag.succs[early][:-1]},
-    )
+    preds = list(dag.preds)
+    late = max(k for k, below in enumerate(preds) if below)
+    preds[late] = preds[late][:-1]
+    return replace(dag, preds=tuple(preds))
 
 
 class TestGranularity:

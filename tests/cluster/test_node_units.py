@@ -30,9 +30,10 @@ def chain_dag(size: int) -> ComponentDAG:
     """The plan of ``size`` ops that pairwise conflict: every earlier
     position precedes every later one."""
     return ComponentDAG(
-        nodes=tuple(range(size)),
-        preds={i: tuple(range(i)) for i in range(size)},
-        succs={i: tuple(range(i + 1, size)) for i in range(size)},
+        preds=tuple(tuple(range(k)) for k in range(size)),
+        priorities=tuple(range(size, 0, -1)),
+        critical_path=size,
+        width=1,
     )
 
 
@@ -146,13 +147,16 @@ def test_a_cl_run_whose_ops_are_out_of_order_is_rejected():
     [
         chain_dag(2),
         chain_dag(4),
-        ComponentDAG((1, 2, 3), {1: (), 2: (1,), 3: (2,)}, {}),
+        ComponentDAG(((), (2,), ()), (1, 1, 2), 2, 2),
         {0: (), 1: (0,), 2: (1,)},
     ],
-    ids=["too_small", "too_large", "window_indices", "not_a_dag"],
+    ids=["too_small", "too_large", "forward_pred", "not_a_dag"],
 )
 def test_a_cl_run_whose_dag_does_not_span_its_ops_is_rejected(dag):
-    """A malformed plan fails at the message, not as a wrong schedule."""
+    """A malformed plan fails at the message, not as a wrong schedule:
+    a DAG over the wrong number of positions, one with a predecessor not
+    below its own position (submission order would no longer be a
+    topological order), or no DAG at all."""
     rig = Rig()
     rig.run_unit(0, [0, 1, 2], dag=dag)
     with pytest.raises(ClusterError, match="does not span"):

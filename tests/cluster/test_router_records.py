@@ -93,7 +93,7 @@ def a_unit(**fields) -> _Unit:
         node=1,
         uidx=0,
         summary=EMPTY_FOOTPRINT,
-        dag=ComponentDAG((0, 1), {0: (), 1: (0,)}, {0: (1,), 1: ()}),
+        dag=ComponentDAG(((), (0,)), (2, 1), 2, 1),
     )
     return _Unit(**{**defaults, **fields})
 

@@ -11,6 +11,7 @@ is what lets the all-pairs pass stand in for the index as the reference.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -394,11 +395,16 @@ class TestAdjacency:
     def test_neighbors_and_degree_match_the_edge_scan(self, invocations):
         token = ERC20TokenType(N, total_supply=20, with_extensions=True)
         graph = ConflictGraph.build(OpClassifier(token), _window(invocations))
-        folded = {
-            i: (dag.preds[i], dag.succs[i])
-            for dag in graph.component_dags()
-            for i in dag.nodes
-        }
+        chains = [c for c in graph.components() if len(c) > 1]
+        folded = {}
+        for chain, dag in zip(chains, graph.component_dags(), strict=True):
+            # Back from positions in the chain to window indices.
+            for k, below in enumerate(dag.preds):
+                later = [j for j, ps in enumerate(dag.preds) if k in ps]
+                folded[chain[k]] = (
+                    tuple(chain[p] for p in below),
+                    tuple(chain[j] for j in later),
+                )
         for i in range(len(graph.ops)):
             # A vertex outside every DAG has no edge at all.
             assert folded.get(i, ((), ())) == _scan_neighbors(graph, i)
@@ -410,8 +416,13 @@ class TestAdjacency:
             _window([(0, op("transfer", 1, 2)), (1, op("transfer", 0, 2))]),
         )
         (dag,) = graph.component_dags()
-        dag.succs[0] = (99,)
-        dag.preds.clear()
+        # The record is frozen and its fields are tuples: a caller can
+        # neither rebind nor mutate what the next reader gets.
+        with pytest.raises(AttributeError):
+            dag.preds = ((), ())
+        assert isinstance(dag.preds, tuple)
+        assert all(isinstance(below, tuple) for below in dag.preds)
+        assert isinstance(dag.priorities, tuple)
         assert graph.component_dags() == [
-            ComponentDAG((0, 1), {0: (), 1: (0,)}, {0: (1,), 1: ()})
+            ComponentDAG(((), (0,)), (2, 1), 2, 1)
         ]

@@ -3,9 +3,11 @@
 Machine-checked guarantees of the op-granular scheduler:
 
 * **DAG structure** — :class:`~repro.engine.conflict_graph.ComponentDAG`
-  orients every non-commute edge by submission order, its levels are
-  antichains, and critical path / width report the component's intrinsic
-  makespan bound and parallelism;
+  orients every non-commute edge by submission order over positions in
+  its chain, its width is an antichain of one depth, critical path /
+  width report the component's intrinsic makespan bound and parallelism,
+  and every window's DAGs equal the brute-force fold of their edges
+  (:func:`~tests.engine.graph_views.reference_dag`);
 * **linear extension** — every DAG schedule starts an op only after
   every DAG predecessor finished, so applying in ``(start, seq)`` order
   respects every component DAG edge (the serial-equivalence
@@ -37,10 +39,11 @@ from repro.engine import (
     ComponentDAG,
     PipelinedExecutor,
     dag_list_schedule,
+    plan_window,
 )
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.classifier import OpClassifier
-from repro.engine.mempool import Mempool
+from repro.engine.mempool import Mempool, PendingOp
 from repro.engine.shard import dag_schedule
 from repro.errors import EngineError
 from repro.objects.asset_transfer import AssetTransferType
@@ -49,6 +52,7 @@ from repro.objects.erc721 import ERC721TokenType
 from repro.spec.operation import op
 from repro.workloads import (
     APPROVAL_HEAVY_MIX,
+    CHAIN_HEAVY_MIX,
     OWNER_ONLY_MIX,
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
@@ -56,6 +60,8 @@ from repro.workloads import (
     WorkloadMix,
     serial_reference,
 )
+from tests.engine import graph_views as views
+from tests.engine.graph_views import reference_dag
 
 MIXES = {
     "owner_only": OWNER_ONLY_MIX,
@@ -63,56 +69,116 @@ MIXES = {
     "spender_heavy": SPENDER_HEAVY_MIX,
     "approval_heavy": APPROVAL_HEAVY_MIX,
 }
+MIXES_WITH_CHAINS = {**MIXES, "chain_heavy": CHAIN_HEAVY_MIX}
+
+
+def window_dags(token, calls):
+    """``(graph, chains, dags)`` of the window ``calls`` (``(pid,
+    operation)`` pairs), the DAGs as the program built them — each held
+    to the brute-force fold of ``graph.edges`` first."""
+    ops = [
+        PendingOp(seq, pid, operation)
+        for seq, (pid, operation) in enumerate(calls)
+    ]
+    graph = ConflictGraph.build(OpClassifier(token), ops)
+    chains = [c for c in graph.components() if len(c) > 1]
+    dags = graph.component_dags()
+    assert dags == [reference_dag(graph, chain) for chain in chains]
+    return graph, chains, dags
+
+
+def depths(dag: ComponentDAG) -> list[int]:
+    """Longest path ending at each position, in nodes, from ``preds``."""
+    found: list[int] = []
+    for below in dag.preds:
+        found.append(1 + max((found[p] for p in below), default=0))
+    return found
 
 
 class TestComponentDAG:
+    TOKEN = ERC20TokenType(8, total_supply=80)
+
     def test_path_component_is_a_total_order(self):
-        dag = ComponentDAG.over(
-            [0, 1, 2], {(0, 1): PairKind.CONFLICT, (1, 2): PairKind.CONFLICT}
+        # 0 -> 1 -> 2 hand a balance on: each transfer conflicts with the
+        # next, the first and the last commute.
+        graph, _, (dag,) = window_dags(
+            self.TOKEN,
+            [(pid, op("transfer", pid + 1, 1)) for pid in range(3)],
         )
+        assert list(graph.edges) == [(0, 1), (1, 2)]
         assert dag.critical_path == 3
         assert dag.width == 1
-        assert dag.levels() == [[0], [1], [2]]
+        assert dag.preds == ((), (0,), (1,))
+        assert dag.priorities == (3, 2, 1)
 
     def test_commuting_pairs_carry_no_edge(self):
-        # 0-1 and 0-2 conflict; 1 and 2 commute (no edge): width 2.
-        dag = ComponentDAG.over(
-            [0, 1, 2], {(0, 1): PairKind.CONFLICT, (0, 2): PairKind.CONFLICT}
+        # 0-1 and 0-2 are read-only edges; the two reads commute (no
+        # edge): width 2.
+        _, _, (dag,) = window_dags(
+            self.TOKEN,
+            [
+                (0, op("transfer", 1, 1)),
+                (2, op("balanceOf", 0)),
+                (3, op("balanceOf", 1)),
+            ],
         )
         assert dag.critical_path == 2
         assert dag.width == 2
-        assert dag.levels() == [[0], [1, 2]]
+        assert depths(dag) == [1, 2, 2]
         assert dag.preds[1] == (0,) and dag.preds[2] == (0,)
 
     def test_edges_orient_by_submission_order(self):
-        dag = ComponentDAG.over(
-            [3, 7, 9], {(3, 9): PairKind.CONFLICT, (7, 9): PairKind.READ_ONLY}
-        )
-        assert dag.succs[3] == (9,)
-        assert dag.succs[7] == (9,)
-        assert dag.preds[9] == (3, 7)
-        assert dag.bottom_levels() == {3: 2, 7: 2, 9: 1}
+        # Window indices 3, 7, 9 form the one chain — positions 0, 1, 2;
+        # the fillers read accounts nobody writes.
+        calls = [(1, op("balanceOf", 6 + i % 2)) for i in range(10)]
+        calls[3] = (0, op("transfer", 2, 1))
+        calls[7] = (6, op("balanceOf", 5))
+        calls[9] = (5, op("transfer", 0, 1))
+        graph, chains, (dag,) = window_dags(self.TOKEN, calls)
+        assert chains == [[3, 7, 9]]
+        assert views.kind(graph, 3, 9) is PairKind.CONFLICT
+        assert views.kind(graph, 7, 9) is PairKind.READ_ONLY
+        assert dag.preds == ((), (), (0, 1))
+        assert dag.priorities == (2, 2, 1)
 
-    def test_levels_are_antichains(self):
-        edges = {
-            (0, 2): PairKind.CONFLICT,
-            (1, 2): PairKind.CONFLICT,
-            (2, 4): PairKind.CONFLICT,
-            (3, 4): PairKind.CONFLICT,
-        }
-        dag = ComponentDAG.over([0, 1, 2, 3, 4], edges)
-        for wave in dag.levels():
+    def test_width_is_an_antichain_of_one_depth(self):
+        # Approvals to distinct spenders commute with each other, each
+        # orders before its spender's transferFrom, and the
+        # transferFroms chain on the debited balance.
+        graph, (chain,), (dag,) = window_dags(
+            self.TOKEN,
+            [(0, op("approve", spender, 5)) for spender in range(1, 6)]
+            + [
+                (spender, op("transferFrom", 0, 7, 1))
+                for spender in range(1, 6)
+            ],
+        )
+        found = depths(dag)
+        assert max(found) == dag.critical_path
+        waves: dict[int, list[int]] = {}
+        for k, depth in enumerate(found):
+            waves.setdefault(depth, []).append(chain[k])
+        assert max(len(wave) for wave in waves.values()) == dag.width >= 2
+        for wave in waves.values():
             for a in wave:
                 for b in wave:
                     if a < b:
-                        assert (a, b) not in edges
+                        assert (a, b) not in graph.edges
 
     def test_foreign_edges_are_ignored(self):
-        dag = ComponentDAG.over(
-            [0, 1], {(0, 1): PairKind.CONFLICT, (2, 3): PairKind.CONFLICT}
+        # Two interleaved components: each DAG holds its own edges only,
+        # over positions in its own chain.
+        graph, chains, dags = window_dags(
+            self.TOKEN,
+            [
+                (0, op("transfer", 1, 2)),
+                (3, op("transfer", 4, 1)),
+                (0, op("transfer", 2, 1)),
+                (4, op("transfer", 5, 1)),
+            ],
         )
-        assert dag.size == 2
-        assert dag.succs[0] == (1,)
+        assert chains == [[0, 2], [1, 3]]
+        assert [dag.preds for dag in dags] == [((), (0,)), ((), (0,))]
 
     def test_window_dags_match_multi_op_components(self):
         token = ERC20TokenType(8, total_supply=80)
@@ -128,7 +194,35 @@ class TestComponentDAG:
         graph = ConflictGraph.build(classifier, pool.pop_window(8))
         chains = [c for c in graph.components() if len(c) > 1]
         dags = graph.component_dags()
-        assert [dag.nodes for dag in dags] == [tuple(c) for c in chains]
+        assert [dag.size for dag in dags] == [len(c) for c in chains]
+        assert dags == [reference_dag(graph, chain) for chain in chains]
+
+
+class TestReferenceFold:
+    """Every ``plan.dags[k]`` is the brute-force fold of its chain's
+    edges: positions, predecessors, bottom levels, critical path and
+    width, on random windows of each workload mix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mix=st.sampled_from(sorted(MIXES_WITH_CHAINS)),
+        seed=st.integers(min_value=0, max_value=2**16),
+        size=st.integers(min_value=1, max_value=64),
+    )
+    def test_every_plan_dag_is_the_reference_fold(self, mix, seed, size):
+        token = ERC20TokenType(12, total_supply=240)
+        items = TokenWorkloadGenerator(
+            12, seed=seed, mix=MIXES_WITH_CHAINS[mix]
+        ).generate(size)
+        ops = [
+            PendingOp(seq, item.pid, item.operation)
+            for seq, item in enumerate(items)
+        ]
+        plan = plan_window(OpClassifier(token), ops)
+        graph = ConflictGraph.build(OpClassifier(token), ops)
+        assert len(plan.dags) == len(plan.chains)
+        for chain, dag in zip(plan.chains, plan.dags):
+            assert dag == reference_dag(graph, chain)
 
 
 class TestDagPlanner:
@@ -147,7 +241,7 @@ class TestDagPlanner:
     def _schedule(lanes, ops, graph, chains, singles):
         """``(tasks, placed)``: the scheduled ops, task-aligned."""
         order, _, placed = dag_schedule(
-            graph.component_dags(), singles, [0] * lanes
+            chains, graph.component_dags(), singles, [0] * lanes
         )
         return [ops[i] for i in order], placed
 
@@ -200,7 +294,7 @@ class TestDagPlanner:
         items = [WorkloadItem(i, op("balanceOf", i)) for i in range(4)]
         classifier, ops, graph, chains, singles = self._window(items, token)
         order, _, placed = dag_schedule(
-            [], singles, [0, 0], floors=[0, 7, 0, 0]
+            [], [], singles, [0, 0], floors=[0, 7, 0, 0]
         )
         starts = {ops[i].seq: start for i, (start, _, _) in zip(order, placed)}
         assert starts[1] == 7

@@ -99,9 +99,11 @@ class TestDagSchedule:
         """Schedule one window on fresh lanes; returns ``seq -> (start,
         finish, lane)``."""
         graph = ConflictGraph.build(OpClassifier(token), pending)
+        components = graph.components()
         order, _, placed = dag_schedule(
+            [c for c in components if len(c) > 1],
             graph.component_dags(),
-            [c[0] for c in graph.components() if len(c) == 1],
+            [c[0] for c in components if len(c) == 1],
             [0] * lanes,
         )
         return {pending[i].seq: slot for i, slot in zip(order, placed)}

@@ -3,13 +3,15 @@
 ``build`` kinds each location-index candidate by a table on the two ops'
 footprint classes (unknown, read-only, writing) instead of running the
 footprint-pair rule, finds the contended set while it emits the edges, and
-folds components and DAG neighbours out of one walk over the edges.  The
-reference below is the old derivation written out: every pair through
-``static_pair_kind``, union-find over the edges, an ascending component
-walk, ``needs_consensus`` over every CONFLICT edge, ``ComponentDAG.over``
-per chain, and the counters the per-candidate classification kept.  Every
-one of them must come out equal — keys, kinds and order included — which
-is what makes the kind table safe.
+folds components and DAG predecessors out of one walk over the edges.
+The reference below is the old derivation written out: every pair
+through ``static_pair_kind``, union-find over the edges, an ascending
+component walk, ``needs_consensus`` over every CONFLICT edge, the
+brute-force DAG fold per chain (:func:`~tests.engine.graph_views.dag_over`:
+positions, predecessors, bottom levels, critical path and width), and
+the counters the per-candidate classification kept.  Every one of them
+must come out equal — keys, kinds and order included — which is what
+makes the kind table safe.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.commutativity import PairKind
-from repro.engine import ComponentDAG, ConflictGraph, OpClassifier, plan_window
+from repro.engine import ConflictGraph, OpClassifier, plan_window
 from repro.engine.classifier import ClassifierStats
 from repro.engine.mempool import PendingOp
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
 from repro.objects.footprint import static_pair_kind
 from repro.spec.operation import op
+from tests.engine.graph_views import dag_over
 from tests.engine.test_classifier import (
     ACCOUNT,
     N,
@@ -118,7 +121,7 @@ def _reference(object_type, ops: list[PendingOp]):
         for i in (a, b)
     }
     dags = [
-        ComponentDAG.over(component, edges)
+        dag_over(component, edges)
         for component in components
         if len(component) > 1
     ]

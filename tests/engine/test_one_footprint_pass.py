@@ -140,8 +140,8 @@ class TestComponentsOnce:
         for _ in range(2):
             assert graph.components() == [[0, 2, 4], [1], [3]]
             (dag,) = graph.component_dags()
-            assert dag.nodes == (0, 2, 4)
-            assert dag.succs == {0: (2,), 2: (4,), 4: ()}
+            assert dag.preds == ((), (0,), (1,))
+            assert dag.priorities == (3, 2, 1)
 
     def test_callers_cannot_corrupt_the_memo(self, monkeypatch):
         classifier, graph = self._graph()
@@ -158,6 +158,6 @@ class TestComponentsOnce:
         plan.singletons.clear()
         assert graph.components() == [[0, 2, 4], [1], [3]]
         (dag,) = graph.component_dags()
-        assert dag.nodes == (0, 2, 4)
-        assert dag.preds == {0: (), 2: (0,), 4: (2,)}
+        assert dag.size == 3
+        assert dag.preds == ((), (0,), (1,))
         assert views.kind(graph, 0, 2) is PairKind.CONFLICT
