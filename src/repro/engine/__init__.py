@@ -15,9 +15,9 @@ total-order broadcast of :mod:`repro.net.total_order`).
 There is one executor, :class:`PipelinedExecutor`, configured by one
 :class:`~repro.config.EngineConfig`::
 
-    mempool -> classify -> synchronize -> place -> commit
-    (intake)   (trichotomy) (contended     (lanes,   (apply in start
-                             ops only)      rolling)  order, at run())
+    mempool -> classify -> synchronize -> apply       -> place    -> commit
+    (intake)   (trichotomy) (contended     (submission   (lanes,     (publish,
+                             ops only)      order)        rolling)    at run())
 
 Quickstart::
 

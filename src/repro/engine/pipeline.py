@@ -67,14 +67,16 @@ is where most of the win on contended mixes comes from.
 N+1 classifies when window N completes, but its lanes still roll on from
 wherever window N left them.
 
-State application happens at commit time (:meth:`PipelinedExecutor.run`)
-in ascending op start time (ties broken by submission order).  That order
-is serially equivalent to submission order: two ops applied out of
-submission order either share no location (they statically commute) or
-the frontier rule / a DAG edge forced the later one to start after the
-earlier one finished — gap backfill included, since a backfilled op still
-starts at or after every predecessor's and every frontier location's
-finish — in which case the sort never swaps them.
+State is applied once, when a window is planned: :meth:`step` folds the
+window into the engine's one batch in submission order, right after its
+sync phase, and :meth:`PipelinedExecutor.run` publishes the state and
+responses at commit.  Submission order is a linear extension of the
+schedule: every DAG edge and every frontier dependency runs from an
+earlier op to a later one, and ops in distinct components statically
+commute, so the placed timeline — whatever order its starts take —
+yields the responses and state of this one serial fold.  The placement
+only sizes virtual time; the placement monitor in the tests
+(``tests/engine/placement_tap.py``) holds it to those edges.
 
 Serial-equivalence contract: the final state *and every response* are
 identical to executing the whole workload sequentially in submission
@@ -85,7 +87,6 @@ against the sequential specification.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
 from repro.config import EngineConfig
@@ -129,10 +130,10 @@ class PipelinedExecutor:
     (classifier, tracer) and ``replicas``, the Tier ∞ lane's size, are
     keyword arguments.
     ``run()`` / ``run_workload()`` are the intended API; ``step()``
-    schedules one window onto the pipeline timeline, and state/responses
-    materialize at commit (the end of ``run()``) — the engine's virtual
-    clock then reads the pipelined *makespan*, not the sum of per-round
-    times.
+    applies one window to the engine's batch and schedules it onto the
+    pipeline timeline, and state/responses become readable at commit
+    (the end of ``run()``) — the engine's virtual clock then reads the
+    pipelined *makespan*, not the sum of per-round times.
     """
 
     def __init__(
@@ -201,27 +202,12 @@ class PipelinedExecutor:
         #: The shared sync lanes are one physical resource: their phases
         #: serialize across windows (but overlap lane execution).
         self._sync_free = 0.0
-        #: Units scheduled but not yet applied (committed at end of run).
-        self._pending_units: list[ScheduledUnit] = []
-        #: The serial prefix state — every drained window applied in
-        #: submission order — kept lazily.  Only spender-bound team sizing
-        #: reads it, so drained ops wait in the backlog and
-        #: :meth:`_prefix_state` folds them in when it asks; a run that
-        #: never asks (owner-only traffic) applies every operation once,
-        #: at commit, not twice.  Only ops
-        #: that can write wait: a read-only one returns the state it got.
-        self._classify_state = object_type.initial_state()
-        self._state_backlog: list[PendingOp] = []
-
-    def _prefix_state(self):
-        """The state after every drained window, in submission order."""
-        if self._state_backlog:
-            self._classify_state, _ = self.object_type.run(
-                ((op.pid, op.operation) for op in self._state_backlog),
-                self._classify_state,
-            )
-            self._state_backlog.clear()
-        return self._classify_state
+        #: The one fold of every drained op in submission order, for the
+        #: engine's life: :meth:`step` advances it, team sizing reads its
+        #: snapshot (the window's prefix state), :meth:`run` publishes it.
+        self._batch = object_type.batch(self.state)
+        #: ``(seq, response)`` of ops applied but not yet committed.
+        self._uncommitted: list[tuple[int, Any]] = []
 
     # -- intake ----------------------------------------------------------
 
@@ -306,9 +292,11 @@ class PipelinedExecutor:
         """Schedule one window onto the pipeline; ``None`` when drained.
 
         The window is drained, classified, and synchronized immediately
-        (subject only to the depth gate), its units are placed on the
-        lane timeline under the frontier rule, and application is
-        deferred to :meth:`run`'s commit.
+        (subject only to the depth gate), applied to the batch in
+        submission order, and its units are placed on the lane timeline
+        under the frontier rule; its responses wait for :meth:`run`'s
+        commit.  An invalid op raises here, with the committed state and
+        responses untouched.
         """
         self.stats.rejected_ops = self.mempool.rejected
         index = self.stats.waves
@@ -335,13 +323,15 @@ class PipelinedExecutor:
         # (team lanes below the threshold, the global lane above).
         escalation = SyncRoundResult()
         if plan.contended_groups:
-            state = self._prefix_state() if self.sync.team_threshold else None
+            state = self._batch.state() if self.sync.team_threshold else None
             escalation = self.sync.order_round(plan, state, self.object_type)
         if escalation.virtual_time > 0:
             self._sync_free = sync_start + escalation.virtual_time
-        for op, fp in zip(ops, plan.footprints):
-            if fp is None or fp.adds or fp.sets:
-                self._state_backlog.append(op)
+        # Whole before it is buffered: an op that raises leaves nothing of
+        # its window behind for the commit.
+        apply = self._batch.apply
+        responses = [(op.seq, apply(op.pid, op.operation)) for op in ops]
+        self._uncommitted += responses
 
         # Sync completion per contended window index: a component's
         # contended members may not start before their lane committed the
@@ -389,7 +379,6 @@ class PipelinedExecutor:
         if self._completions:
             overlap = max(0.0, self._completions[-1] - first_start)
         self._completions.append(completed)
-        self._pending_units.extend(scheduled)
 
         escalated = len(plan.escalated_idx)
         paths = [dag.critical_path for dag in plan.dags]
@@ -595,35 +584,16 @@ class PipelinedExecutor:
         return scheduled
 
     def run(self) -> EngineStats:
-        """Drain the mempool through the pipeline, then commit.
-
-        Commit applies every scheduled unit in ascending start time
-        (submission order on ties) — the serially-equivalent merge of the
-        pipelined timeline — and sets the engine clock to the makespan.
-        """
+        """Drain the mempool through the pipeline, then commit: publish the
+        batch's state and the drained ops' responses, and set the engine
+        clock to the makespan of the overlapped timeline (not the
+        overcounting sum of per-round times)."""
         while self.step() is not None:
             pass
-        self._commit()
+        self.state = self._batch.state()
+        self.responses.update(self._uncommitted)
+        self._uncommitted.clear()
+        if self._completions:
+            self.clock = self.stats.virtual_time = max(self._completions)
         self.stats.rejected_ops = self.mempool.rejected
         return self.stats
-
-    # -- commit ----------------------------------------------------------
-
-    def _commit(self) -> None:
-        batch = self.object_type.batch(self.state)
-        for unit in sorted(
-            self._pending_units, key=attrgetter("start", "op.seq")
-        ):
-            op = unit.op
-            self.responses[op.seq] = batch.apply(op.pid, op.operation)
-        self.state = batch.state()
-        self._pending_units.clear()
-        # Every drained window is now applied: the committed state *is*
-        # the serial prefix state, and nothing is left to fold in.
-        self._classify_state = self.state
-        self._state_backlog.clear()
-        if self._completions:
-            self.clock = max(self._completions)
-            # The aggregate clock is the *makespan* of the overlapped
-            # timeline, not the (overcounting) sum of per-round times.
-            self.stats.virtual_time = self.clock

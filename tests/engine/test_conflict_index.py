@@ -26,9 +26,9 @@ from repro.objects.erc721 import ERC721TokenType
 from repro.objects.erc1155 import ERC1155TokenType
 from repro.objects.footprint import EMPTY_FOOTPRINT
 from repro.spec.operation import op
+from repro.sync.planner import SyncPlanner
 from repro.workloads import (
     APPROVAL_HEAVY_MIX,
-    OWNER_ONLY_MIX,
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
     WorkloadMix,
@@ -41,7 +41,6 @@ from tests.engine.test_classifier import (
     erc20_invocation,
     erc721_invocation,
 )
-from tests.sync.sync_tap import tap_sync_results
 
 
 def _window(invocations) -> list[PendingOp]:
@@ -258,102 +257,84 @@ READ_MOSTLY_MIX = WorkloadMix(
 )
 
 
-class _EveryOpFolded(PipelinedExecutor):
-    """The reference prefix state: every op of the earlier windows — the
-    read-only ones too — replayed from the initial state."""
+class TestOneStateLineage:
+    """The engine folds every op into one batch, once, in submission order,
+    when its window is planned; team sizing reads that batch's snapshot."""
 
-    def _prefix_state(self):
-        drained = sorted(
-            (unit.op for unit in self._pending_units), key=lambda op: op.seq
-        )
-        state, _ = self.object_type.run(
-            (op.pid, op.operation) for op in drained
-        )
-        return state
+    ITEMS = TokenWorkloadGenerator(
+        16,
+        seed=13,
+        mix=READ_MOSTLY_MIX,
+        hotspot_fraction=0.5,
+        hotspot_accounts=2,
+    ).generate(256)
+    CONFIG = EngineConfig(num_lanes=4, window=32, team_threshold=4)
 
+    @staticmethod
+    def token():
+        return ERC20TokenType(16, total_supply=320)
 
-class TestLazyPrefixState:
-    def test_owner_only_traffic_applies_each_op_once(self):
-        """No contended group: nothing reads the serial prefix state, so
-        it is never advanced."""
-        token = ERC20TokenType(16, total_supply=320)
-        calls = 0
+    def test_contended_team_sized_traffic_applies_each_op_once(self):
+        """Contended windows that size teams read the prefix state, and
+        still ``apply`` runs exactly once per op, in submission order."""
+        token = self.token()
+        calls = []
         apply = token.apply
 
         def counting_apply(state, pid, operation):
-            nonlocal calls
-            calls += 1
+            calls.append(operation)
             return apply(state, pid, operation)
 
         token.apply = counting_apply
-        items = TokenWorkloadGenerator(
-            16, seed=5, mix=OWNER_ONLY_MIX
-        ).generate(128)
-        engine = PipelinedExecutor(token, EngineConfig(num_lanes=4, window=32))
-        state, responses, stats = engine.run_workload(items)
-        assert stats.escalated_ops == 0
-        assert calls == len(items)
-        assert (state, responses) == ERC20TokenType(16, total_supply=320).run(
-            [(item.pid, item.operation) for item in items]
-        )
-
-    def test_read_only_ops_stay_out_of_the_prefix_fold(self):
-        """Contended windows with team sizing read the serial prefix state,
-        yet only ops that can write are folded into it: ``apply`` runs once
-        per op at commit plus once per *writing* op drained before the last
-        read.  Every spender bound, and so every team, escalation stat,
-        state and response, equals a reference that folds every op."""
-        token = ERC20TokenType(16, total_supply=320)
-        calls = 0
-        apply = token.apply
-
-        def counting_apply(state, pid, operation):
-            nonlocal calls
-            calls += 1
-            return apply(state, pid, operation)
-
-        token.apply = counting_apply
-        items = TokenWorkloadGenerator(
-            16,
-            seed=13,
-            mix=READ_MOSTLY_MIX,
-            hotspot_fraction=0.5,
-            hotspot_accounts=2,
-        ).generate(256)
-        config = EngineConfig(num_lanes=4, window=32, team_threshold=4)
-        engine = PipelinedExecutor(token, config)
-        results = tap_sync_results(engine.sync)
-        #: Ops of the windows before each prefix-state read.
-        drained_at_read: list[int] = []
-        prefix_state = engine._prefix_state
-
-        def watched_prefix_state():
-            drained_at_read.append(len(engine._pending_units))
-            return prefix_state()
-
-        engine._prefix_state = watched_prefix_state
-        state, responses, stats = engine.run_workload(items)
-        reference = _EveryOpFolded(ERC20TokenType(16, total_supply=320), config)
-        ref_results = tap_sync_results(reference.sync)
-        ref_state, ref_responses, ref_stats = reference.run_workload(items)
-
+        engine = PipelinedExecutor(token, self.CONFIG)
+        state, responses, stats = engine.run_workload(self.ITEMS)
         assert stats.team_ops > 0 and stats.escalated_ops > 0
-        folded = items[: max(drained_at_read)]
-        writing = [
-            item
-            for item in folded
-            if not token.footprint(item.pid, item.operation).is_read_only
-        ]
-        assert 0 < len(writing) < len(folded)
-        assert calls == len(items) + len(writing)
-        assert [r.team_sizes for r in results] == [
-            r.team_sizes for r in ref_results
-        ]
-        assert stats.as_dict() == ref_stats.as_dict()
-        assert (state, responses) == (ref_state, ref_responses)
-        assert (state, responses) == ERC20TokenType(16, total_supply=320).run(
-            [(item.pid, item.operation) for item in items]
+        assert calls == [item.operation for item in self.ITEMS]
+        assert (state, responses) == self.token().run(
+            [(item.pid, item.operation) for item in self.ITEMS]
         )
+
+    def test_teams_are_sized_at_the_serial_prefix_state(self):
+        """Every round's ``team_sizes`` equal those the planner sizes from
+        the spec's state after every op before the round's window — and
+        not from the initial state, so the prefix is what is read."""
+        engine = PipelinedExecutor(self.token(), self.CONFIG)
+        rounds = []
+        order_round = engine.sync.order_round
+
+        def watched(plan, state, object_type):
+            result = order_round(plan, state, object_type)
+            rounds.append((plan, result))
+            return result
+
+        engine.sync.order_round = watched
+        engine.run_workload(self.ITEMS)
+
+        reference = self.token()
+        planner = SyncPlanner(self.CONFIG.team_threshold)
+
+        def team_sizes(plan, state):
+            grouped = planner.assign_groups(
+                plan.contended_groups,
+                plan.ops,
+                plan.footprints,
+                state=state,
+                object_type=reference,
+            )
+            return tuple(
+                len(a.team) for group in grouped for a in group if a.is_team
+            )
+
+        initial, stale = reference.initial_state(), 0
+        for plan, result in rounds:
+            prefix, _ = reference.run(
+                (item.pid, item.operation)
+                for item in self.ITEMS[: plan.ops[0].seq]
+            )
+            assert result.team_sizes == team_sizes(plan, prefix)
+            stale += result.team_sizes != team_sizes(plan, initial)
+        assert len(rounds) > 1 and any(r.team_sizes for _, r in rounds)
+        assert stale > 0
 
     def test_reused_engine_sizes_teams_from_the_committed_state(self):
         """A second workload on the same executor sees the first one's

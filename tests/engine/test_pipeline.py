@@ -12,7 +12,9 @@ Machine-checked guarantees of :mod:`repro.engine.pipeline`:
   admission time it entered the pool, never after its classification;
 * **Tier 0** — ops commuting with their whole window land on the
   earliest-free lane at their floor, exactly as the list scheduler places
-  zero-in-degree tasks of equal priority.
+  zero-in-degree tasks of equal priority;
+* **invalid ops** — an op ``apply`` rejects raises from the ``step`` that
+  plans its window, with the committed state and responses untouched.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from hypothesis import strategies as st
 from repro.analysis.commutativity import audit_static_kinds
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor, dag_list_schedule
-from repro.errors import EngineError
+from repro.errors import EngineError, InvalidArgumentError
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
+from repro.objects.erc1155 import ERC1155TokenType
 from repro.spec.operation import op
 from repro.workloads import (
     APPROVAL_HEAVY_MIX,
@@ -40,6 +43,7 @@ from repro.workloads import (
     WorkloadMix,
     serial_reference,
 )
+from tests.engine.placement_tap import tap_placements
 
 DEPTHS = (1, 2, 3, 5)
 
@@ -277,13 +281,12 @@ class TestFrontierAccessKinds:
             ERC20TokenType(8, total_supply=80),
             EngineConfig(pipeline_depth=8, num_lanes=lanes, window=1),
         )
+        tap = tap_placements(engine)
         for pid, operation in calls:
             engine.submit(pid, operation)
-        while engine.step() is not None:
-            pass
-        units = sorted(engine._pending_units, key=lambda u: u.op.seq)
-        engine.run()  # commit; also re-checks the pipeline drains clean
-        return units
+        engine.run()
+        assert tap.flagged == []
+        return sorted(tap.units, key=lambda u: u.op.seq)
 
     def test_read_read_sharing_overlaps(self):
         first, second = self._units(
@@ -353,16 +356,15 @@ class TestTierZeroPlacement:
             (9, op("balanceOf", 0)),
             (10, op("balanceOf", 0)),
         ]
+        tap = tap_placements(engine)
         for pid, operation in writers + readers:
             engine.submit(pid, operation)
         engine.step()
-        first = list(engine._pending_units)
+        first = list(tap.units)
         t_classify = engine.stream_now()
         wave = engine.step()
         assert wave.wave_ops == len(readers)  # every op is isolated
-        units = sorted(
-            engine._pending_units[len(first) :], key=lambda u: u.op.seq
-        )
+        units = sorted(tap.units[len(first) :], key=lambda u: u.op.seq)
         engine.run()
 
         # The lane timeline the first window left behind is not uniform.
@@ -394,3 +396,51 @@ class TestTierZeroPlacement:
             assert slot == (start, lane_free[lane], lane)
             base = max(free, t_classify)
             assert unit.frontier_stall == max(0.0, floor - base)
+
+
+class TestInvalidOpRaisesAtPlanning:
+    """An op whose footprint passes planning but whose ``apply`` rejects
+    it raises :class:`InvalidArgumentError` from the ``step`` that plans
+    its window, since the window is applied there.  Nothing of that
+    window is committed: ``state`` and ``responses`` still read the last
+    ``run``, though ops before the invalid one were already applied."""
+
+    def _raises_at_step(self, token, committed, window):
+        engine = PipelinedExecutor(token, EngineConfig(window=len(window)))
+        for pid, operation in committed:
+            engine.submit(pid, operation)
+        engine.run()
+        state, responses = engine.state, dict(engine.responses)
+        assert len(responses) == len(committed)
+        for pid, operation in window:
+            engine.submit(pid, operation)
+        with pytest.raises(InvalidArgumentError):
+            engine.step()
+        assert engine.state is state
+        assert engine.responses == responses
+
+    def test_erc20_transfer_to_an_unknown_account(self):
+        # ERC20's footprint checks only the caller, so ``transfer`` to
+        # account 99 plans like any transfer.
+        self._raises_at_step(
+            ERC20TokenType(4, total_supply=40),
+            [(0, op("transfer", 1, 5)), (1, op("balanceOf", 0))],
+            [
+                (1, op("transfer", 2, 1)),
+                (2, op("balanceOf", 1)),
+                (0, op("transfer", 99, 1)),
+                (3, op("balanceOf", 3)),
+            ],
+        )
+
+    def test_erc1155_balance_of_an_unknown_account(self):
+        # ERC1155 has no footprint: every op plans as unknown.
+        self._raises_at_step(
+            ERC1155TokenType([[10, 4], [0, 0], [0, 0]]),
+            [(0, op("safeTransferFrom", 0, 1, 0, 3))],
+            [
+                (0, op("safeTransferFrom", 0, 2, 1, 1)),
+                (1, op("balanceOf", 99, 0)),
+                (2, op("balanceOf", 2, 1)),
+            ],
+        )

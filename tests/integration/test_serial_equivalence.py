@@ -4,7 +4,11 @@ The one contract every scheduling decision answers to: the final state
 *and every response* equal the sequential specification run in
 submission order.  Held here across the engine and the cluster, each at
 one, two and three windows in flight; every cluster run also re-derives
-each shipped unit plan from its ops (``tests/cluster/plan_tap.py``).
+each shipped unit plan from its ops (``tests/cluster/plan_tap.py``), and
+every engine run holds its placements to the order the footprints and
+sync lanes require (``tests/engine/placement_tap.py``) — the engine's
+responses come from one submission-order fold, so a misplaced op shows
+only there.
 Determinism rides along: the same run twice gives the same stats
 dictionary.  The static footprint rule every plan rests on is audited
 against the semantic oracle once per workload, not once per executor:
@@ -33,6 +37,7 @@ from repro.workloads import (
     serial_reference,
 )
 from tests.cluster.plan_tap import tap_shipped_plans
+from tests.engine.placement_tap import tap_placements
 
 pytestmark = pytest.mark.integration
 
@@ -113,7 +118,7 @@ def test_matches_the_sequential_spec_and_is_deterministic(
     )
     first = EXECUTORS[executor](seed)
     cluster = isinstance(first, TokenCluster)
-    tap = tap_shipped_plans(first) if cluster else None
+    tap = tap_shipped_plans(first) if cluster else tap_placements(first)
     state, responses, stats = first.run_workload(items)
     assert state == ref_state
     assert responses == ref_responses
@@ -123,6 +128,8 @@ def test_matches_the_sequential_spec_and_is_deterministic(
         assert stats.ops_lost == 0
         assert set(first.network.stats.by_type) <= CLUSTER_WIRE_TYPES
         assert tap.checked and tap.differing == []
+    else:
+        assert len(tap.units) == len(items) and tap.flagged == []
 
 
 def test_wide_token_stays_linear_in_accounts():
