@@ -208,6 +208,9 @@ class PipelinedExecutor:
         self._batch = object_type.batch(self.state)
         #: ``(seq, response)`` of ops applied but not yet committed.
         self._uncommitted: list[tuple[int, Any]] = []
+        #: What a window's apply raised: the batch has no rollback, so the
+        #: ops before it stay applied and every later step re-raises it.
+        self._failed: Exception | None = None
 
     # -- intake ----------------------------------------------------------
 
@@ -296,8 +299,12 @@ class PipelinedExecutor:
         submission order, and its units are placed on the lane timeline
         under the frontier rule; its responses wait for :meth:`run`'s
         commit.  An invalid op raises here, with the committed state and
-        responses untouched.
+        responses untouched; the batch keeps the ops applied before it,
+        so from then on every ``step`` / ``run`` re-raises and the engine
+        must be discarded.
         """
+        if self._failed is not None:
+            raise self._failed
         self.stats.rejected_ops = self.mempool.rejected
         index = self.stats.waves
         ops = self.mempool.pop_window(self.config.window)
@@ -327,10 +334,14 @@ class PipelinedExecutor:
             escalation = self.sync.order_round(plan, state, self.object_type)
         if escalation.virtual_time > 0:
             self._sync_free = sync_start + escalation.virtual_time
-        # Whole before it is buffered: an op that raises leaves nothing of
-        # its window behind for the commit.
+        # Whole before it is buffered, so no response of a window that
+        # raises reaches ``_uncommitted``.
         apply = self._batch.apply
-        responses = [(op.seq, apply(op.pid, op.operation)) for op in ops]
+        try:
+            responses = [(op.seq, apply(op.pid, op.operation)) for op in ops]
+        except Exception as exc:
+            self._failed = exc
+            raise
         self._uncommitted += responses
 
         # Sync completion per contended window index: a component's

@@ -403,7 +403,8 @@ class TestInvalidOpRaisesAtPlanning:
     it raises :class:`InvalidArgumentError` from the ``step`` that plans
     its window, since the window is applied there.  Nothing of that
     window is committed: ``state`` and ``responses`` still read the last
-    ``run``, though ops before the invalid one were already applied."""
+    ``run``, though ops before the invalid one were already applied —
+    which is why every later ``step`` / ``run`` re-raises."""
 
     def _raises_at_step(self, token, committed, window):
         engine = PipelinedExecutor(token, EngineConfig(window=len(window)))
@@ -416,6 +417,12 @@ class TestInvalidOpRaisesAtPlanning:
             engine.submit(pid, operation)
         with pytest.raises(InvalidArgumentError):
             engine.step()
+        assert engine.state is state
+        assert engine.responses == responses
+        # The batch keeps the ops applied before the raise, so the engine
+        # refuses to go on rather than commit them without responses.
+        with pytest.raises(InvalidArgumentError):
+            engine.run()
         assert engine.state is state
         assert engine.responses == responses
 
