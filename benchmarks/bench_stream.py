@@ -18,10 +18,11 @@ closed-loop capacity: ``lo`` (well under capacity — latency must stay
 bounded) and ``hi`` (well over — the queue grows without bound, and the
 achieved throughput *is* the saturation throughput).  Each driven run
 is traced; per-window commit counts and latency percentiles come from a
-:class:`repro.obs.TimeSeries` (conservation-checked against the
-unwindowed totals), and an :class:`repro.obs.SLOMonitor` turns the
-windows into a verdict: the ``lo`` run holds a p99 objective the ``hi``
-run must visibly burn through.
+:class:`repro.obs.TimeSeries` (each committed op's latency filed under
+the window its commit falls in), and an :class:`repro.obs.SLOMonitor`
+turns the windows into a verdict: the ``lo`` run holds a p99 objective
+the ``hi`` run must visibly burn through.  The claims check that every
+admitted op lands in exactly one window.
 
 Latency is commit − arrival on the virtual timeline; there is no wall
 clock anywhere.
@@ -149,10 +150,9 @@ def drive(layer: str, rate: float, ops: int, tracer: TraceRecorder):
 def level_entry(
     rate: float, report, tracer: TraceRecorder
 ) -> tuple[dict, TimeSeries]:
-    """A driven run's result dict (sans SLO verdict) and its
-    conservation-checked series."""
+    """A driven run's result dict (sans SLO verdict) and its series."""
     width = max(1.0, tracer.makespan / WINDOWS)
-    series = TimeSeries.from_trace(tracer, width).check()
+    series = TimeSeries.from_trace(tracer, width)
     committed = tracer.metrics.counter("ops_committed").value
     entry = {
         "offered_rate": rate,
@@ -161,10 +161,9 @@ def level_entry(
         "latency": tracer.metrics.histogram("op_latency").summary(),
         "width": series.width,
         "windows": series.window_count,
-        "window_committed": series.counter_series("ops_committed"),
-        "window_p50": series.percentile_series("op_latency", 0.5),
-        "window_p99": series.percentile_series("op_latency", 0.99),
-        "series": series.as_dict(),
+        "window_committed": series.committed(),
+        "window_p50": series.percentile(0.5),
+        "window_p99": series.percentile(0.99),
     }
     return entry, series
 
@@ -241,15 +240,16 @@ def check_claims(results: dict) -> None:
         assert (
             hi["slo"]["breach_windows"] > lo["slo"]["breach_windows"]
         ), layer
-        # The windowed views are present and shaped consistently (their
-        # conservation sums were already enforced by TimeSeries.check()
-        # inside measure()).
+        # The windowed views are present and shaped consistently, and
+        # conserve the run: every admitted op commits in exactly one
+        # window.
         for level in (lo, hi):
             assert level["windows"] >= 2, layer
-            assert len(level["window_p99"]) == level["windows"], layer
             assert (
-                len(level["window_committed"]) == level["windows"]
+                sum(level["window_committed"]) == level["stream"]["admitted"]
             ), layer
+            for key in ("window_committed", "window_p50", "window_p99"):
+                assert len(level[key]) == level["windows"], layer
 
 
 #: Eight-level block ramp for the per-window sparklines.

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.engine.stats import summary_dict
+from repro.engine.stats import fold_sync_bill, histogram_mean, summary_dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sync.escalation import SyncRoundResult
@@ -199,15 +199,7 @@ class ClusterStats:
         self.hot_split_ops += round_stats.hot_split_ops
         self.spill_ops += round_stats.spill_ops
         self.escalated_ops += round_stats.escalated_ops
-        self.team_ops += sync.team_ops
-        self.global_ops += sync.global_ops
-        self.team_messages += sync.team_messages
-        self.global_messages += sync.global_messages
-        for size in sync.team_sizes:
-            self.team_k_histogram[size] = (
-                self.team_k_histogram.get(size, 0) + 1
-            )
-        self.max_concurrent_teams = max(self.max_concurrent_teams, sync.teams)
+        fold_sync_bill(self, sync, self.team_k_histogram)
         self.max_inflight_rounds = max(
             self.max_inflight_rounds, round_stats.inflight
         )
@@ -221,8 +213,6 @@ class ClusterStats:
         )
         self.lease_migrations += round_stats.lease_migrations
         self.lease_cooldown_skips += round_stats.cooldown_skips
-        self.escalation_time += sync.virtual_time
-        self.escalation_messages += sync.messages
         if sync.messages:
             self.escalations += 1
         self.round_log.append(round_stats)
@@ -251,13 +241,7 @@ class ClusterStats:
     @property
     def mean_team_size(self) -> float:
         """Mean *k* over all team-lane components (0.0 when none ran)."""
-        total = sum(self.team_k_histogram.values())
-        if not total:
-            return 0.0
-        return (
-            sum(k * count for k, count in self.team_k_histogram.items())
-            / total
-        )
+        return histogram_mean(self.team_k_histogram)
 
     @property
     def dag_chain_ops(self) -> int:

@@ -85,6 +85,32 @@ def summary_dict(
     return summary
 
 
+def fold_sync_bill(
+    stats, sync: SyncRoundResult, histogram: dict[int, int]
+) -> None:
+    """Fold one round's sync bill into an aggregate stats object: the
+    tier split of ops and messages, one ``histogram`` count per team
+    lane by size, the concurrent-team high-water mark, and the phase's
+    virtual time and messages."""
+    stats.team_ops += sync.team_ops
+    stats.global_ops += sync.global_ops
+    stats.team_messages += sync.team_messages
+    stats.global_messages += sync.global_messages
+    for size in sync.team_sizes:
+        histogram[size] = histogram.get(size, 0) + 1
+    stats.max_concurrent_teams = max(stats.max_concurrent_teams, sync.teams)
+    stats.escalation_time += sync.virtual_time
+    stats.escalation_messages += sync.messages
+
+
+def histogram_mean(histogram: dict[int, int]) -> float:
+    """Mean key of a ``key -> count`` histogram (0.0 when empty)."""
+    total = sum(histogram.values())
+    if not total:
+        return 0.0
+    return sum(size * count for size, count in histogram.items()) / total
+
+
 @dataclass
 class EngineStats:
     """Aggregate over a full engine run."""
@@ -147,13 +173,7 @@ class EngineStats:
         self.wave_ops += round_stats.wave_ops
         self.barrier_ops += round_stats.barrier_ops
         self.escalated_ops += round_stats.escalated_ops
-        self.team_ops += sync.team_ops
-        self.global_ops += sync.global_ops
-        self.team_messages += sync.team_messages
-        self.global_messages += sync.global_messages
-        for size in sync.team_sizes:
-            self.k_histogram[size] = self.k_histogram.get(size, 0) + 1
-        self.max_concurrent_teams = max(self.max_concurrent_teams, sync.teams)
+        fold_sync_bill(self, sync, self.k_histogram)
         self.stall_time += round_stats.stall_time
         self.stall_time_contended += round_stats.stall_time_contended
         self.overlap_time += round_stats.overlap_time
@@ -167,8 +187,6 @@ class EngineStats:
         self.dag_chain_ops += round_stats.dag_chain_ops
         self.dag_critical_ops += round_stats.dag_critical_ops
         self.virtual_time += round_stats.virtual_time
-        self.escalation_time += sync.virtual_time
-        self.escalation_messages += sync.messages
         self.rounds.append(round_stats)
 
     # -- derived ---------------------------------------------------------
@@ -223,13 +241,7 @@ class EngineStats:
     def mean_team_size(self) -> float:
         """Mean *k* over all team-lane instances — the quantity the tiered
         claim turns on: tiered sync wins once mean k ≪ n."""
-        total = sum(self.k_histogram.values())
-        if not total:
-            return 0.0
-        return (
-            sum(size * count for size, count in self.k_histogram.items())
-            / total
-        )
+        return histogram_mean(self.k_histogram)
 
     @property
     def max_critical_path(self) -> int:

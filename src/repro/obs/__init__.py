@@ -8,10 +8,9 @@ stats aggregates stay plain summaries), Chrome-trace-event export
 reconstruction via :func:`trace_from_chrome`), exact makespan
 attribution (:func:`critical_path_report`), per-track occupancy and
 team-lane churn (:func:`utilization_report`), deterministic trace
-diffing (:func:`explain_regression`), windowed virtual-time series
-rebuilt from a finished trace with a conservation guarantee
-(:class:`TimeSeries`), and per-window latency SLO scanning
-(:class:`SLOMonitor`).  Attach a recorder via the
+diffing (:func:`explain_regression`), per-window commit latency folded
+from a finished trace (:class:`TimeSeries`) and the p99 SLO scan over
+those windows (:class:`SLOMonitor`).  Attach a recorder via the
 ``tracer=`` parameter of :class:`repro.engine.PipelinedExecutor` or
 :class:`repro.cluster.TokenCluster`; with no tracer every
 instrumentation site is a no-op.
@@ -49,8 +48,9 @@ _EXPORTS = {
         "PathSegment",
         "critical_path_report",
     ),
-    "repro.obs.series": ("SeriesError", "TimeSeries"),
-    "repro.obs.slo": ("SLOError", "SLOMonitor", "SLOReport", "SLOWindow"),
+    "repro.obs.series": (
+        "SLOMonitor", "SLOReport", "SLOWindow", "SeriesError", "TimeSeries"
+    ),
     "repro.obs.trace": (
         "CATEGORIES",
         "LIFECYCLE_STAGES",

@@ -285,43 +285,6 @@ class TraceRecorder:
             if category in totals
         }
 
-    def interval_occupancy(self, t0: float, t1: float) -> dict[str, float]:
-        """Occupancy by category restricted to the half-open virtual-time
-        interval ``[t0, t1)``: chained span durations clipped to the
-        interval, plus their recorded stalls, which tile the timeline
-        backward from each span's start (``start − stall₁ − stall₂ …``,
-        the same composition the executors use), clipped the same way.
-
-        Summing this query over any partition of the timeline reproduces
-        :meth:`category_totals` exactly (up to float re-association) —
-        the conservation guarantee :class:`repro.obs.series.TimeSeries`
-        builds its windows on.
-        """
-        if t1 < t0:
-            raise TraceError(
-                f"interval_occupancy wants t0 <= t1, got [{t0}, {t1})"
-            )
-        totals: dict[str, float] = {}
-
-        def clip(category: str, lo: float, hi: float) -> None:
-            overlap = min(hi, t1) - max(lo, t0)
-            if overlap > 0:
-                totals[category] = totals.get(category, 0.0) + overlap
-
-        for span in self.spans:
-            if not span.chain:
-                continue
-            clip(span.category, span.start, span.end)
-            cursor = span.start
-            for stall_category, amount in span.stalls:
-                clip(stall_category, cursor - amount, cursor)
-                cursor -= amount
-        return {
-            category: totals[category]
-            for category in CATEGORIES
-            if category in totals
-        }
-
     def tracks(self) -> list[str]:
         """All track names, spans first, in first-appearance order."""
         seen: dict[str, None] = {}

@@ -22,7 +22,7 @@ pytestmark = pytest.mark.integration
 OFF_PATH = [
     f"repro.{package}.{name}"
     for package, names in {
-        "obs": "trace diff export report series slo utilization",
+        "obs": "trace diff export report series utilization",
         "analysis": "hierarchy partition reachability valency",
         "runtime": "executor explorer process scheduler",
         "objects": "erc721 erc777 erc1155 asset_transfer",

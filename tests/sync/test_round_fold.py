@@ -6,6 +6,8 @@ fold it, and no per-round record copies it.  These tests collect the
 results of a run that escalates on team *and* global lanes and hold every
 sync leaf of the aggregate to their sum, with one window in flight and
 with several (a pipelined cluster may finish its rounds out of order).
+Both ``record_round`` methods fold through one ``fold_sync_bill``, held
+here to hand-made results as well.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from collections import Counter
 import pytest
 
 from repro.cluster import TokenCluster
+from repro.cluster.stats import ClusterStats
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import PipelinedExecutor
+from repro.engine.stats import EngineStats, fold_sync_bill, histogram_mean
 from repro.objects.erc20 import ERC20TokenType
+from repro.sync.escalation import SyncRoundResult
 from repro.workloads import SPENDER_HEAVY_MIX, TokenWorkloadGenerator
 from tests.sync.sync_tap import tap_sync_results
 
@@ -74,3 +79,50 @@ def test_cluster_stats_fold_the_round_results(depth):
     _assert_fold(stats, results, stats.team_k_histogram)
     assert stats.escalations == sum(1 for r in results if r.messages)
     assert not hasattr(stats.round_log[0], "team_sizes")
+
+
+@pytest.mark.parametrize(
+    "make,histogram",
+    ((EngineStats, "k_histogram"), (ClusterStats, "team_k_histogram")),
+    ids=("engine", "cluster"),
+)
+def test_fold_sync_bill_sums_the_bill_and_keeps_the_team_high_water(
+    make, histogram
+):
+    stats = make()
+    results = [
+        SyncRoundResult(
+            virtual_time=1.5,
+            messages=30,
+            team_messages=12,
+            global_messages=18,
+            team_ops=4,
+            global_ops=2,
+            teams=3,
+            team_sizes=(2, 3, 2),
+        ),
+        SyncRoundResult(
+            virtual_time=0.5,
+            messages=6,
+            team_messages=6,
+            team_ops=1,
+            teams=1,
+            team_sizes=(3,),
+        ),
+    ]
+    for result in results:
+        fold_sync_bill(stats, result, getattr(stats, histogram))
+    assert (stats.team_ops, stats.global_ops) == (5, 2)
+    assert (stats.team_messages, stats.global_messages) == (18, 18)
+    assert stats.escalation_messages == 36
+    assert stats.escalation_time == 2.0
+    # The concurrency high-water mark, not a sum of teams.
+    assert stats.max_concurrent_teams == 3
+    assert getattr(stats, histogram) == {2: 2, 3: 2}
+    assert stats.mean_team_size == 2.5
+
+
+def test_histogram_mean_weights_each_key_by_its_count():
+    assert histogram_mean({}) == 0.0
+    assert histogram_mean({2: 3, 5: 1}) == pytest.approx(11 / 4)
+    assert histogram_mean({4: 7}) == 4.0
