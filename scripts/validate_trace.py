@@ -1,31 +1,34 @@
-"""CI trace validator: schema plus exact makespan attribution.
+"""CI trace validator: a trace is valid when it rebuilds, and every
+report embedded in it is the report of the rebuilt spans.
 
-The ``obs`` job in the bench matrix runs a traced smoke bench
-(``--trace out.json``) and then this script, which enforces the
-observability invariants end to end:
+Every entry of the CI bench matrix exports its smoke run's full trace
+(``--trace out.json``) and runs this script on it, which checks:
 
-* the exported document is valid Chrome trace-event JSON (checked by
-  :func:`repro.obs.validate_chrome_trace` — required keys per event
-  phase, numeric timestamps, non-negative durations), so the artifact
-  actually loads in Perfetto / ``chrome://tracing``;
-* the makespan attribution embedded in ``otherData.attribution``
-  *partitions* the virtual-time makespan: the per-category totals sum
-  to the makespan exactly (within floating-point tolerance).  An
-  instrumentation change that double-charges or drops a wait breaks
-  this sum before it misleads anyone reading the report;
-* each span's display-only ``wait:*`` boxes *tile* the interval before
-  it — the rendered stalls are exactly the recorded stalls, back to
-  back, ending at the span's start;
-* the embedded ``otherData.category_totals`` equal the occupancy
-  recomputed from the span events;
-* a document marked ``otherData.sampled`` (the ring-buffer schema the
-  program no longer writes) is rejected outright;
-* traces carrying a ``faults`` track (fault-injected runs; see
-  :mod:`repro.faults`) must keep it well-formed: only the known
-  crash / declared-dead / revoke / rejoin instants and off-chain
+* **rebuild** — :func:`repro.obs.trace_from_chrome` turns the document
+  back into a recorder; it runs :func:`repro.obs.validate_chrome_trace`
+  first (required keys per event phase, numeric timestamps,
+  non-negative durations), so the artifact loads in Perfetto /
+  ``chrome://tracing``.  A document marked ``otherData.sampled`` (the
+  ring-buffer schema the program no longer writes) is refused outright;
+* **re-render** — :func:`repro.obs.chrome_trace` of the rebuilt spans
+  reproduces ``traceEvents`` event by event, in document order.  The
+  display-only ``wait:*`` boxes are rendered from each span's recorded
+  ``args.stalls``, so this also proves they tile the stalls exactly;
+* **re-derive** — each report embedded in ``otherData`` equals the one
+  derived from the rebuilt spans: ``category_totals``, the critical-path
+  ``attribution`` (:func:`repro.obs.critical_path_report`, which must
+  partition the makespan) and the per-track ``utilization``
+  (:func:`repro.obs.utilization_report`).  An absent block is not
+  checked, so a bare trace stays valid;
+* **faults track** — traces carrying a ``faults`` track (fault-injected
+  runs; see :mod:`repro.faults`) must keep it well-formed: only the
+  known crash / declared-dead / revoke / rejoin instants and off-chain
   ``recovery`` spans, each tagged with its node, rejoins only after a
   crash of the same node, and every recovery span anchored at a
   recorded failure event.  Absent the track, the check is a no-op.
+
+Numbers are compared within :data:`TOLERANCE`: the display-scale round
+trip (``ts = virtual_time * SCALE``) is not bit-exact.
 
 Usage::
 
@@ -40,99 +43,49 @@ import re
 import sys
 from pathlib import Path
 
-from repro.obs import TraceExportError, validate_chrome_trace
-from repro.obs.export import SCALE
+from repro.obs import (
+    TraceError,
+    TraceExportError,
+    chrome_trace,
+    critical_path_report,
+    trace_from_chrome,
+    utilization_report,
+)
 
-#: Relative tolerance for the attribution sum (floating-point
-#: accumulation over the backward walk, not measurement slack).
+#: Relative tolerance of every numeric comparison (float round trips
+#: and re-association, not measurement slack).
 TOLERANCE = 1e-6
 
 
-def _spans(document: dict):
-    """The real span events: "X" phase, not a display-only wait box."""
-    for event in document["traceEvents"]:
-        if event["ph"] == "X" and not event["name"].startswith("wait:"):
-            yield event
-
-
-def _occupancy_from_events(document: dict) -> dict[str, float]:
-    """Recompute the additive occupancy totals from the span events
-    (chained spans' durations by category plus their recorded stall
-    amounts) — the cross-check against ``category_totals``."""
-    totals: dict[str, float] = {}
-    for event in _spans(document):
-        args = event.get("args", {})
-        if args.get("chain") is False:
-            continue
-        category = event.get("cat", "execute")
-        totals[category] = totals.get(category, 0.0) + (
-            event["dur"] / SCALE
-        )
-        for stall_category, amount in args.get("stalls", []):
-            totals[stall_category] = (
-                totals.get(stall_category, 0.0) + float(amount)
-            )
-    return totals
-
-
-def _check_wait_tiling(document: dict) -> list[str]:
-    """Each span's ``wait:*`` boxes must tile ``[start − Σstalls,
-    start)`` back to back on the span's own track — the rendered waits
-    are the recorded ones, not an approximation."""
-    failures: list[str] = []
-    waits: dict[tuple, list[dict]] = {}
-    for event in document["traceEvents"]:
-        if event["ph"] == "X" and event["name"].startswith("wait:"):
-            waits.setdefault(
-                (event["pid"], event["tid"]), []
-            ).append(event)
-    for event in _spans(document):
-        stalls = event.get("args", {}).get("stalls")
-        if not stalls:
-            continue
-        track_waits = waits.get((event["pid"], event["tid"]), [])
-        cursor = event["ts"] - sum(
-            float(amount) for _, amount in stalls
-        ) * SCALE
-        for stall_category, amount in reversed(stalls):
-            amount = float(amount)
-            if amount <= 0:
-                continue
-            bound = TOLERANCE * max(abs(cursor), 1.0)
-            if not any(
-                wait["name"] == f"wait:{stall_category}"
-                and abs(wait["ts"] - cursor) <= bound
-                and abs(wait["dur"] - amount * SCALE) <= bound
-                for wait in track_waits
-            ):
-                failures.append(
-                    f"span {event['name']!r} records a "
-                    f"{stall_category} stall of {amount:g} vt but no "
-                    f"wait box tiles [{cursor:g}, "
-                    f"{cursor + amount * SCALE:g}) on its track"
-                )
-            cursor += amount * SCALE
-    return failures
-
-
-def _check_category_totals(document: dict) -> list[str]:
-    """The embedded ``category_totals`` must match the span events."""
-    totals = document.get("otherData", {}).get("category_totals")
-    if not isinstance(totals, dict):
-        return []
-    failures: list[str] = []
-    recomputed = _occupancy_from_events(document)
-    for category in sorted(set(totals) | set(recomputed)):
-        embedded = totals.get(category, 0.0)
-        amount = recomputed.get(category, 0.0)
-        bound = TOLERANCE * max(abs(embedded), 1.0)
-        if abs(amount - embedded) > bound:
-            failures.append(
-                f"embedded category_totals diverge from the span "
-                f"events for {category}: embedded {embedded!r} vs "
-                f"recomputed {amount!r}"
-            )
-    return failures
+def _mismatch(found, expected, path: str) -> str | None:
+    """Where ``found`` first differs from ``expected``, or ``None``:
+    dicts key by key, lists element by element, numbers within
+    :data:`TOLERANCE` of each other."""
+    if isinstance(found, dict) and isinstance(expected, dict):
+        for key in sorted(found.keys() | expected.keys()):
+            if key not in found or key not in expected:
+                side = "the document" if key in found else "the rebuild"
+                return f"{path}.{key} is only in {side}"
+            where = _mismatch(found[key], expected[key], f"{path}.{key}")
+            if where is not None:
+                return where
+        return None
+    if isinstance(found, (list, tuple)) and isinstance(
+        expected, (list, tuple)
+    ):
+        for index, pair in enumerate(zip(found, expected)):
+            where = _mismatch(*pair, f"{path}[{index}]")
+            if where is not None:
+                return where
+        if len(found) == len(expected):
+            return None
+        return f"{path} has {len(found)} entries, the rebuild {len(expected)}"
+    if isinstance(found, (int, float)) and isinstance(expected, (int, float)):
+        if abs(found - expected) <= TOLERANCE * max(abs(expected), 1.0):
+            return None
+    elif found == expected:
+        return None
+    return f"{path} reads {found!r}, the rebuild gives {expected!r}"
 
 
 #: The instant vocabulary of the ``faults`` track (repro.faults /
@@ -227,9 +180,11 @@ def validate(path: Path) -> list[str]:
     except (OSError, json.JSONDecodeError) as exc:
         return [f"{path}: not readable JSON: {exc}"]
     try:
-        validate_chrome_trace(document)
+        rebuilt = trace_from_chrome(document)
     except TraceExportError as exc:
         return [f"{path}: invalid Chrome trace-event JSON: {exc}"]
+    except TraceError as exc:
+        return [f"{path}: the span events do not rebuild: {exc}"]
     other = document.get("otherData", {})
     if other.get("sampled"):
         return [
@@ -237,35 +192,42 @@ def validate(path: Path) -> list[str]:
             f"no longer produced (the recorder keeps every span); "
             f"re-export the run in full"
         ]
-    failures = _check_wait_tiling(document)
-    failures.extend(_check_faults(document))
-    failures.extend(_check_category_totals(document))
-    attribution = other.get("attribution")
-    if attribution is None:
-        return failures  # a bare trace without an embedded report is fine
-    makespan = attribution["makespan"]
-    attributed = sum(attribution["totals"].values())
-    bound = TOLERANCE * max(abs(makespan), 1.0)
-    if abs(attributed - makespan) > bound:
+    failures = []
+    where = _mismatch(
+        document["traceEvents"],
+        chrome_trace(rebuilt)["traceEvents"],
+        "traceEvents",
+    )
+    if where is not None:
         failures.append(
-            f"attribution totals do not partition the makespan: "
-            f"sum {attributed!r} vs makespan {makespan!r} "
-            f"(|difference| {abs(attributed - makespan):g} > {bound:g})"
+            f"the events are not what the rebuilt spans render: {where}"
         )
-    negative = {
-        category: total
-        for category, total in attribution["totals"].items()
-        if total < 0
+    derive = {
+        "category_totals": rebuilt.category_totals,
+        "attribution": lambda: critical_path_report(rebuilt).check().as_dict(),
+        "utilization": lambda: utilization_report(rebuilt).check().as_dict(),
     }
-    if negative:
-        failures.append(f"negative category totals: {negative}")
+    for key, report in derive.items():
+        if key not in other:
+            continue  # a bare trace without an embedded report is fine
+        try:
+            expected = report()
+        except TraceError as exc:
+            failures.append(f"the rebuilt spans fail the {key} check: {exc}")
+            continue
+        where = _mismatch(other[key], expected, f"otherData.{key}")
+        if where is not None:
+            failures.append(
+                f"embedded {key} is not the rebuilt spans' {key}: {where}"
+            )
+    failures.extend(_check_faults(document))
     return failures
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="validate an exported Chrome trace and its embedded "
-        "makespan attribution"
+        description="validate an exported Chrome trace and the reports "
+        "embedded in it"
     )
     parser.add_argument(
         "trace", type=Path, nargs="+", help="trace JSON file(s) to check"

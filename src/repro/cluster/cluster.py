@@ -44,7 +44,7 @@ from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.errors import ClusterError
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultInjector
 from repro.net.network import LatencyModel, Network, UniformLatency
 from repro.net.simulation import Simulator
 from repro.spec.object_type import SequentialObjectType
@@ -82,13 +82,12 @@ class TokenCluster:
             latency if latency is not None else UniformLatency(0.5, 1.5),
             seed=cfg.seed,
         )
-        #: Fault injection (:mod:`repro.faults`): a configured schedule is
+        #: Fault injection (:mod:`repro.faults`): an enabled fault plan is
         #: planted on the simulator and filters every network send; absent
-        #: a schedule the network path is untouched (``faults is None``).
+        #: one the network path is untouched (``faults is None``).
         self.injector: FaultInjector | None = None
-        schedule = FaultSchedule.from_config(cfg.fault)
-        if schedule is not None:
-            self.injector = FaultInjector(schedule, self.simulator)
+        if cfg.fault.enabled:
+            self.injector = FaultInjector(cfg.fault, self.simulator)
             self.network.faults = self.injector
         self.shard_map = ShardMap(num_shards, cfg.num_nodes)
         self._batch = object_type.batch(object_type.initial_state())

@@ -199,11 +199,6 @@ class FaultConfig(_ConfigBase):
             if not 0.0 <= probability <= 1.0:
                 raise ClusterError("delay probability must be in [0, 1]")
 
-    @property
-    def any_faults(self) -> bool:
-        """Whether the plan injects anything at all when enabled."""
-        return bool(self.crashes or self.drops or self.delays)
-
 
 @dataclass(frozen=True)
 class ClusterConfig(_ConfigBase):

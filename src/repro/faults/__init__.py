@@ -2,8 +2,8 @@
 
 The cluster runs on a virtual-time simulator (:mod:`repro.net`), so
 faults can be *scheduled* the way everything else is: a
-:class:`FaultSchedule` declares crash/restart events at virtual
-timestamps plus message-type drop and delay rules, and a
+:class:`~repro.config.FaultConfig` declares crash/restart events at
+virtual timestamps plus message-type drop and delay rules, and a
 :class:`FaultInjector` wires that plan into one run — it plants the
 crash/restart events on the simulator, filters every network send and
 delivery through the plan, and fires callbacks the cluster uses to drive
@@ -26,87 +26,21 @@ Two properties make crash experiments reproducible and composable:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.config import FaultConfig
 from repro.errors import ClusterError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.config import FaultConfig
     from repro.net.network import Message
     from repro.net.simulation import Simulator
 
-__all__ = ["CrashEvent", "FaultInjector", "FaultSchedule"]
-
-
-@dataclass(frozen=True, slots=True)
-class CrashEvent:
-    """One node crash at ``at``; ``restart_at=None`` = never rejoins."""
-
-    node: int
-    at: float
-    restart_at: float | None = None
-
-
-class FaultSchedule:
-    """A validated, immutable fault plan (the runtime form of
-    :class:`~repro.config.FaultConfig`)."""
-
-    def __init__(
-        self,
-        crashes=(),
-        drops=(),
-        delays=(),
-        seed: int = 0,
-    ) -> None:
-        # Reuse the config-layer validation so a schedule built directly
-        # obeys the same invariants as one loaded from a bench JSON.
-        config = FaultConfig(
-            enabled=True,
-            crashes=tuple(
-                (c.node, c.at, c.restart_at)
-                if isinstance(c, CrashEvent)
-                else tuple(c)
-                for c in crashes
-            ),
-            drops=tuple(drops),
-            delays=tuple(delays),
-            seed=seed,
-        )
-        self.crashes = tuple(
-            CrashEvent(node, at, restart_at)
-            for node, at, restart_at in config.crashes
-        )
-        self.drops = config.drops
-        self.delays = config.delays
-        self.seed = seed
-
-    @classmethod
-    def from_config(cls, config: FaultConfig) -> "FaultSchedule | None":
-        """The schedule a config describes (``None`` when disabled)."""
-        if not config.enabled:
-            return None
-        return cls(
-            crashes=config.crashes,
-            drops=config.drops,
-            delays=config.delays,
-            seed=config.seed,
-        )
-
-    @property
-    def any_faults(self) -> bool:
-        return bool(self.crashes or self.drops or self.delays)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FaultSchedule(crashes={len(self.crashes)}, "
-            f"drops={len(self.drops)}, delays={len(self.delays)}, "
-            f"seed={self.seed})"
-        )
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
-    """Wires a :class:`FaultSchedule` into one simulator + network run.
+    """Wires a validated :class:`~repro.config.FaultConfig` into one
+    simulator + network run.
 
     The injector owns the ``down`` set — nodes currently crashed *or*
     fenced by the router — and is consulted by the network on every send
@@ -116,11 +50,11 @@ class FaultInjector:
     router's rejoin rebalancing.
     """
 
-    def __init__(self, schedule: FaultSchedule, simulator: "Simulator"):
-        self.schedule = schedule
+    def __init__(self, config: "FaultConfig", simulator: "Simulator"):
+        self.config = config
         self.simulator = simulator
         self.down: set[int] = set()
-        self._rng = random.Random(schedule.seed)
+        self._rng = random.Random(config.seed)
         self.on_crash: Callable[[int], None] | None = None
         self.on_restart: Callable[[int], None] | None = None
         self.crashes = 0
@@ -137,20 +71,20 @@ class FaultInjector:
         if self._installed:
             raise ClusterError("fault schedule already installed")
         self._installed = True
-        for crash in self.schedule.crashes:
+        for node, at, restart_at in self.config.crashes:
             self.simulator.schedule_at(
-                crash.at, lambda c=crash: self._crash(c)
+                at, lambda n=node, r=restart_at: self._crash(n, r)
             )
 
-    def _crash(self, crash: CrashEvent) -> None:
-        if crash.node not in self.down:
-            self.down.add(crash.node)
+    def _crash(self, node: int, restart_at: float | None) -> None:
+        if node not in self.down:
+            self.down.add(node)
             self.crashes += 1
             if self.on_crash is not None:
-                self.on_crash(crash.node)
-        if crash.restart_at is not None:
+                self.on_crash(node)
+        if restart_at is not None:
             self.simulator.schedule_at(
-                crash.restart_at, lambda: self._restart(crash.node)
+                restart_at, lambda: self._restart(node)
             )
 
     def _restart(self, node: int) -> None:
@@ -180,20 +114,20 @@ class FaultInjector:
         A crashed/fenced endpoint loses the message outright; otherwise
         the drop rules are consulted (first match wins) and the delay
         rules accumulate.  The dice stream is consumed in declaration
-        order, so runs are reproducible for a fixed schedule.
+        order, so runs are reproducible for a fixed plan.
         """
         if message.src in self.down or message.dst in self.down:
             self.messages_dropped += 1
             return True, 0.0
         now = self.simulator.now
-        for message_type, probability, start, end in self.schedule.drops:
+        for message_type, probability, start, end in self.config.drops:
             if message_type != message.type or not start <= now < end:
                 continue
             if probability >= 1.0 or self._rng.random() < probability:
                 self.messages_dropped += 1
                 return True, 0.0
         extra = 0.0
-        for message_type, amount, probability in self.schedule.delays:
+        for message_type, amount, probability in self.config.delays:
             if message_type != message.type:
                 continue
             if probability >= 1.0 or self._rng.random() < probability:

@@ -9,7 +9,7 @@ their categories, then jump to the latest span finishing at or before
 the remaining frontier.  Any gap the jump crosses is time no recorded
 activity explains locally — message flight and routing — charged to
 ``network``.  By construction the category totals partition
-``[0, makespan]``, which the CI obs smoke job asserts on every run.
+``[0, makespan]``, which CI re-checks on every exported smoke trace.
 """
 
 from __future__ import annotations

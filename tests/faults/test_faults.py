@@ -1,19 +1,21 @@
 """Unit tests for :mod:`repro.faults` and :class:`FaultConfig`.
 
 The fault layer below the cluster: config validation and round-trips,
-schedule construction, and the injector's crash lifecycle and network
-filter on a bare simulator — deterministic per seed, drop rules first
-match wins, delay rules accumulating.
+the cluster's injector wiring, and the injector's crash lifecycle and
+network filter on a bare simulator — deterministic per seed, drop rules
+first match wins, delay rules accumulating.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, FaultConfig
 from repro.errors import ClusterError
-from repro.faults import CrashEvent, FaultInjector, FaultSchedule
+from repro.faults import FaultInjector
 from repro.net.network import Message
+from repro.objects.erc20 import ERC20TokenType
 from repro.net.simulation import Simulator
 
 
@@ -40,6 +42,7 @@ def test_fault_config_normalizes_pair_crashes_to_permanent():
     "kwargs",
     [
         {"crashes": ((1, 5.0, 5.0),)},  # restart_at must be after crash_at
+        {"crashes": ((1, 5.0, 4.0),)},
         {"crashes": ((-1, 5.0),)},
         {"crashes": ((1, -1.0),)},
         {"crashes": ((1,),)},
@@ -63,41 +66,46 @@ def test_cluster_config_requires_recovery_for_crash_schedules():
         )
 
 
-# -- FaultSchedule --------------------------------------------------------
+def test_fault_config_normalizes_a_mixed_crash_list():
+    config = FaultConfig(enabled=True, crashes=[(1, 5.0, 20.0), (2, 8.0)])
+    assert config.crashes == ((1, 5.0, 20.0), (2, 8.0, None))
 
 
-def test_schedule_from_config_is_none_when_disabled():
-    assert FaultSchedule.from_config(FaultConfig()) is None
-    disabled = FaultConfig(crashes=((1, 5.0),))
-    assert FaultSchedule.from_config(disabled) is None
+# -- the cluster's injector -----------------------------------------------
 
 
-def test_schedule_accepts_crash_events_and_tuples():
-    schedule = FaultSchedule(crashes=[CrashEvent(1, 5.0, 20.0), (2, 8.0)])
-    assert schedule.crashes == (
-        CrashEvent(1, 5.0, 20.0),
-        CrashEvent(2, 8.0, None),
+@pytest.mark.parametrize(
+    "fault",
+    [
+        FaultConfig(),
+        FaultConfig(crashes=((1, 5.0),)),
+        FaultConfig(enabled=True),
+    ],
+    ids=["default", "disabled_with_crashes", "enabled"],
+)
+def test_cluster_builds_an_injector_iff_the_plan_is_enabled(fault):
+    cluster = TokenCluster(
+        ERC20TokenType(4, total_supply=40),
+        ClusterConfig(num_nodes=2, fault=fault),
     )
-    assert schedule.any_faults
-
-
-def test_schedule_validates_like_the_config():
-    with pytest.raises(ClusterError):
-        FaultSchedule(crashes=((1, 5.0, 4.0),))
+    if fault.enabled:
+        assert cluster.injector.config is fault
+        assert cluster.network.faults is cluster.injector
+    else:
+        assert cluster.injector is None and cluster.network.faults is None
 
 
 # -- FaultInjector --------------------------------------------------------
 
 
-def make_injector(schedule: FaultSchedule) -> tuple[FaultInjector, Simulator]:
+def make_injector(**plan) -> tuple[FaultInjector, Simulator]:
     simulator = Simulator()
-    return FaultInjector(schedule, simulator), simulator
+    config = FaultConfig(enabled=True, **plan)
+    return FaultInjector(config, simulator), simulator
 
 
 def test_injector_fires_crash_and_restart_callbacks_in_order():
-    injector, simulator = make_injector(
-        FaultSchedule(crashes=((1, 5.0, 9.0), (2, 7.0)))
-    )
+    injector, simulator = make_injector(crashes=((1, 5.0, 9.0), (2, 7.0)))
     events = []
     injector.on_crash = lambda node: events.append(
         ("crash", node, simulator.now)
@@ -117,14 +125,14 @@ def test_injector_fires_crash_and_restart_callbacks_in_order():
 
 
 def test_injector_install_is_single_shot():
-    injector, _ = make_injector(FaultSchedule(crashes=((1, 5.0),)))
+    injector, _ = make_injector(crashes=((1, 5.0),))
     injector.install()
     with pytest.raises(ClusterError):
         injector.install()
 
 
 def test_fence_is_idempotent_and_counted_separately():
-    injector, _ = make_injector(FaultSchedule())
+    injector, _ = make_injector()
     injector.fence(3)
     injector.fence(3)
     assert injector.fenced == 1
@@ -137,7 +145,7 @@ def message(src: int, dst: int, message_type: str = "cl_result") -> Message:
 
 
 def test_down_endpoints_lose_messages_outright():
-    injector, _ = make_injector(FaultSchedule())
+    injector, _ = make_injector()
     injector.fence(1)
     assert injector.disposition(message(1, 0)) == (True, 0.0)
     assert injector.disposition(message(0, 1)) == (True, 0.0)
@@ -147,7 +155,7 @@ def test_down_endpoints_lose_messages_outright():
 
 def test_drop_rules_respect_type_and_window():
     injector, simulator = make_injector(
-        FaultSchedule(drops=(("cl_result", 1.0, 5.0, 10.0),))
+        drops=(("cl_result", 1.0, 5.0, 10.0),)
     )
     assert injector.disposition(message(0, 1)) == (False, 0.0)  # before
     simulator.schedule_at(6.0, lambda: None)
@@ -162,13 +170,11 @@ def test_drop_rules_respect_type_and_window():
 def test_delay_rules_accumulate_and_replay_per_seed():
     def decisions(seed: int) -> list[tuple[bool, float]]:
         injector, _ = make_injector(
-            FaultSchedule(
-                delays=(
-                    ("cl_result", 2.0, 0.5),
-                    ("cl_result", 1.0, 1.0),
-                ),
-                seed=seed,
-            )
+            delays=(
+                ("cl_result", 2.0, 0.5),
+                ("cl_result", 1.0, 1.0),
+            ),
+            seed=seed,
         )
         return [injector.disposition(message(0, 1)) for _ in range(32)]
 

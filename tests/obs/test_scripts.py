@@ -1,6 +1,7 @@
 """CLI-level coverage for the observability scripts: ``diff_trace.py``
 (explain two traced runs — exported traces or bench JSONs),
-``validate_trace.py`` (one trace schema), and ``check_bench.py``
+``validate_trace.py`` (a trace rebuilds, re-renders and re-derives its
+embedded reports; the ``faults`` track schema), and ``check_bench.py``
 (gate failure → trace diff), all driven exactly the way CI drives them
 — as subprocesses.  The gate's rules are covered in-process by
 ``test_gate.py``.
@@ -20,6 +21,7 @@ from repro.obs import (
     TraceRecorder,
     critical_path_report,
     profile_document,
+    utilization_report,
     write_chrome_trace,
 )
 
@@ -57,9 +59,19 @@ def make_trace(path: Path, slow: float = 0.0) -> None:
         stalls=(("sync_wait", 2.0),),
     )
     tracer.op_commit(2, 6.0 + slow)
-    report = critical_path_report(tracer).check()
+    export(tracer, path)
+
+
+def export(tracer: TraceRecorder, path: Path) -> None:
+    """Write ``tracer`` with the two reports every bench embeds beside
+    its trace (``benchmarks/common.export_trace``)."""
     write_chrome_trace(
-        tracer, path, metadata={"attribution": report.as_dict()}
+        tracer,
+        path,
+        metadata={
+            "attribution": critical_path_report(tracer).check().as_dict(),
+            "utilization": utilization_report(tracer).check().as_dict(),
+        },
     )
 
 
@@ -140,6 +152,17 @@ def _inflate_attribution(document):
     document["otherData"]["attribution"]["totals"]["execute"] += 1.0
 
 
+def _shift_attribution(document):
+    """Still a partition of the makespan, but not the one of the spans."""
+    totals = document["otherData"]["attribution"]["totals"]
+    totals["execute"] -= 1.0
+    totals["network"] += 1.0
+
+
+def _raise_idle(document):
+    document["otherData"]["utilization"]["tracks"]["lane.0"]["idle"] += 1.0
+
+
 def _drop_wait_boxes(document):
     document["traceEvents"] = [
         event
@@ -151,20 +174,53 @@ def _drop_wait_boxes(document):
 @pytest.mark.parametrize(
     "tamper,message",
     [
-        (_inflate_category_total, "embedded category_totals diverge"),
-        (_inflate_attribution, "do not partition the makespan"),
-        (_drop_wait_boxes, "no wait box tiles"),
+        (
+            _inflate_category_total,
+            "embedded category_totals is not the rebuilt spans' "
+            "category_totals: otherData.category_totals.execute reads 9.0",
+        ),
+        (
+            _inflate_attribution,
+            "embedded attribution is not the rebuilt spans' attribution: "
+            "otherData.attribution.totals.execute reads 5.0",
+        ),
+        (
+            _shift_attribution,
+            "otherData.attribution.totals.execute reads 3.0, "
+            "the rebuild gives 4.0",
+        ),
+        (
+            _raise_idle,
+            "embedded utilization is not the rebuilt spans' utilization: "
+            "otherData.utilization.tracks.lane.0.idle reads 3.0",
+        ),
+        (
+            _drop_wait_boxes,
+            "the events are not what the rebuilt spans render: "
+            "traceEvents[4].args.for is only in the rebuild",
+        ),
     ],
-    ids=["category_totals", "attribution", "wait_tiling"],
+    ids=[
+        "category_totals",
+        "attribution",
+        "shifted_attribution",
+        "utilization",
+        "wait_tiling",
+    ],
 )
 def test_validate_trace_rejects_a_tampered_trace(tmp_path, tamper, message):
-    """Each cross-check the validator runs on every trace: one edit to
-    an otherwise valid export fails exactly that check."""
+    """Each report the validator re-derives, and the events it
+    re-renders: one edit to an otherwise valid export fails exactly
+    that comparison."""
     trace = tmp_path / "trace.json"
     make_trace(trace)
     document = json.loads(trace.read_text())
     tamper(document)
     trace.write_text(json.dumps(document))
+    assert_one_finding(trace, message)
+
+
+def assert_one_finding(trace: Path, message: str) -> None:
     result = run_script("validate_trace.py", trace)
     assert result.returncode == 1
     assert f"trace validation FAILED for {trace}" in result.stdout
@@ -172,6 +228,92 @@ def test_validate_trace_rejects_a_tampered_trace(tmp_path, tamper, message):
         line for line in result.stdout.splitlines() if line.startswith("  - ")
     ]
     assert len(failures) == 1 and message in failures[0], result.stdout
+
+
+def make_faults_trace(
+    path: Path,
+    crash: bool = True,
+    extra: tuple[str, dict] | None = None,
+    recovery_at: float = 3.0,
+    chain: bool = False,
+) -> None:
+    """One lane op beside a ``faults`` track that records node 1
+    crashing at 2, declared dead at 3, recovering off the chain from
+    ``recovery_at`` to 5 and rejoining at 6; ``extra`` adds one more
+    instant ``(name, args)`` at 4."""
+    tracer = TraceRecorder()
+    tracer.span("lane.0", "op 1", "execute", 0.0, 8.0)
+    if crash:
+        tracer.instant("faults", "node 1 crashed", 2.0, {"node": 1})
+    tracer.instant("faults", "node 1 declared dead", 3.0, {"node": 1})
+    tracer.span(
+        "faults",
+        "recovery node 1",
+        "recovery",
+        recovery_at,
+        5.0,
+        args={"node": 1},
+        chain=chain,
+    )
+    if extra is not None:
+        tracer.instant("faults", extra[0], 4.0, extra[1])
+    tracer.instant("faults", "node 1 rejoined", 6.0, {"node": 1})
+    export(tracer, path)
+
+
+def test_validate_trace_accepts_a_well_formed_faults_track(tmp_path):
+    trace = tmp_path / "faults.json"
+    make_faults_trace(trace)
+    document = json.loads(trace.read_text())
+    assert any(
+        event["ph"] == "M" and event["args"]["name"] == "faults"
+        for event in document["traceEvents"]
+    )
+    result = run_script("validate_trace.py", trace)
+    assert result.returncode == 0, result.stdout
+    assert f"trace OK: {trace}" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "defect,message",
+    [
+        (
+            {"extra": ("node 1 exploded", {"node": 1})},
+            "unknown instant on the faults track: 'node 1 exploded'",
+        ),
+        (
+            {"extra": ("revoke shard 3 -> node 2", {})},
+            "faults instant 'revoke shard 3 -> node 2' lacks an args.node",
+        ),
+        (
+            {"crash": False},
+            "node 1 rejoined at 6000 without a prior crash instant",
+        ),
+        (
+            {"chain": True},
+            "recovery span 'recovery node 1' must be off-chain",
+        ),
+        (
+            {"recovery_at": 2.5},
+            "recovery span for node 1 starts at 2500 but no "
+            "declared-dead/rejoin instant anchors it",
+        ),
+    ],
+    ids=[
+        "unknown_instant",
+        "instant_without_node",
+        "rejoin_without_crash",
+        "recovery_on_chain",
+        "unanchored_recovery",
+    ],
+)
+def test_validate_trace_rejects_a_malformed_faults_track(
+    tmp_path, defect, message
+):
+    """Each rule of the ``faults`` track schema, broken once."""
+    trace = tmp_path / "faults.json"
+    make_faults_trace(trace, **defect)
+    assert_one_finding(trace, message)
 
 
 def test_validate_trace_rejects_a_sampled_document(tmp_path):
