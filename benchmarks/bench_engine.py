@@ -77,7 +77,7 @@ MIXES = {
     "approval_heavy": APPROVAL_HEAVY_MIX,
 }
 
-#: What ``scripts/check_bench.py`` compares against the committed
+#: What ``scripts/obs.py gate`` compares against the committed
 #: baseline, as dotted paths into the JSON: ``band`` within the relative
 #: tolerance, ``zero`` exactly (invariants — in practice: stay zero).
 HEADLINES = {

@@ -107,8 +107,8 @@ def bench_main(
 
     ``measure`` and ``traced_run`` are :func:`run_bench`'s; ``headlines``
     is ``{"band": [...], "zero": [...]}``, the dotted paths into the JSON
-    that ``scripts/check_bench.py`` holds within the tolerance band /
-    holds exactly.
+    that ``scripts/obs.py gate`` holds within the tolerance band / holds
+    exactly.
     """
     parser = build_parser(description, default_out, default_ops)
     args = parser.parse_args(argv)
@@ -136,20 +136,13 @@ def bench_main(
 
 
 def export_trace(tracer: TraceRecorder, path: Path) -> None:
-    """Write a finished recorder as a Chrome trace with two reports in
-    ``otherData``: the critical-path ``attribution`` (verified to
-    partition the makespan exactly) and the per-track ``utilization``
-    (verified to split every track into busy + stall + idle)."""
+    """Write a finished recorder as a Chrome trace (which embeds its
+    checked ``attribution`` and ``utilization`` reports, see
+    :func:`repro.obs.chrome_trace`) and print both reports."""
     print()
-    attribution = critical_path_report(tracer).check()
-    utilization = utilization_report(tracer).check()
-    metadata = {
-        "attribution": attribution.as_dict(),
-        "utilization": utilization.as_dict(),
-    }
-    write_chrome_trace(tracer, path, metadata=metadata)
-    print("\n".join(attribution.render()))
-    print("\n".join(utilization.render()))
+    write_chrome_trace(tracer, path)
+    print("\n".join(critical_path_report(tracer).render()))
+    print("\n".join(utilization_report(tracer).render()))
     print(
         f"wrote {path} ({len(tracer.spans)} spans, "
         f"{len(tracer.instants)} instants, "

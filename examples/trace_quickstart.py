@@ -79,11 +79,10 @@ def main() -> None:
     print()
     print("\n".join(report.render()))
 
-    # The Chrome trace: drop the file onto https://ui.perfetto.dev
+    # The Chrome trace, with the attribution and utilization reports in
+    # its otherData: drop the file onto https://ui.perfetto.dev
     out = Path(tempfile.mkdtemp(prefix="repro_obs_")) / "trace.json"
-    document = write_chrome_trace(
-        tracer, out, metadata={"attribution": report.as_dict()}
-    )
+    document = write_chrome_trace(tracer, out)
     events = document["traceEvents"]
     print(f"\nwrote {out}")
     print(f"  {len(events)} trace events; load it in Perfetto or "

@@ -13,7 +13,7 @@ lives here, with the fast configuration as the defaults:
 Both are frozen dataclasses: a config is a *value*, hashable and
 comparable, and ``as_dict()`` / ``from_dict()`` round-trip it losslessly
 so benchmark baselines can embed the exact configuration that produced
-them (``scripts/check_bench.py`` refuses a baseline whose config block
+them (``scripts/obs.py gate`` refuses a baseline whose config block
 disagrees with the run's — a silent default flip can never skew one
 number in one place).
 

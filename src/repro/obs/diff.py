@@ -19,10 +19,9 @@ Profiles come from finished recorders (:func:`profile_tracer`), from
 exported Chrome-trace documents (:func:`profile_document`), or from the
 ``profile`` block every bench JSON embeds (:meth:`RunProfile.as_dict` /
 :meth:`RunProfile.from_dict`) — a committed ``BENCH_<name>.json``
-carries everything the differ reads, so ``scripts/check_bench.py``
-explains a gate failure by diffing the baseline's profile against the
-run's, in-process, and ``scripts/diff_trace.py`` takes a bench JSON or
-an exported trace on either side.
+carries everything the differ reads, so ``scripts/obs.py gate`` diffs
+the baseline's profile against the run's on every run, in-process, and
+``scripts/obs.py diff`` takes a bench JSON or a trace on either side.
 """
 
 from __future__ import annotations
@@ -364,7 +363,7 @@ def explain_regression(
 ) -> RegressionExplanation:
     """Diff two runs given recorders, profiles, exported Chrome-trace
     documents, or bench JSONs (their embedded ``profile`` block) — any
-    mix; the one-call form of profile→diff both scripts use.  The
+    mix; the one-call form of profile→diff ``scripts/obs.py`` uses.  The
     explanation is returned checked."""
 
     def as_profile(source, label: str) -> RunProfile:

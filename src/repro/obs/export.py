@@ -6,9 +6,9 @@ virtual timeline the way the simulator ran it.  Virtual time units map
 to microseconds (``ts = virtual_time * SCALE``) purely for display — the
 trace stays unitless in substance, like everything else in the repo.
 
-The :func:`validate_chrome_trace` checker is deliberately strict about
-the subset of the trace-event format we emit ("X" complete events, "i"
-instants, "M" metadata); CI validates every exported trace with it.
+One schema: :func:`chrome_trace` embeds every report a trace carries,
+so a trace is valid when it is the export of the spans it rebuilds into
+(:func:`trace_from_chrome`); ``scripts/obs.py validate`` holds that.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import json
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.obs.report import critical_path_report
 from repro.obs.trace import TraceRecorder
+from repro.obs.utilization import utilization_report
 
 #: Virtual time units -> trace-event microseconds (display scale only).
 SCALE = 1000.0
@@ -42,16 +44,17 @@ def _track_ids(tracer: TraceRecorder) -> dict[str, tuple[int, int]]:
     return ids
 
 
-def chrome_trace(
-    tracer: TraceRecorder, metadata: dict | None = None
-) -> dict:
+def chrome_trace(tracer: TraceRecorder) -> dict:
     """Render a recorder as a Chrome trace-event document (JSON-ready).
 
     Spans become "X" complete events; their stalls become separate "X"
     events immediately preceding them on the same track (so a stall is
     *visible* in Perfetto, not hidden in args); instants become "i"
-    events; tracks are named through "M" metadata events.  Extra
-    ``metadata`` (e.g. the attribution totals) rides in ``otherData``.
+    events; tracks are named through "M" metadata events.  ``otherData``
+    carries the makespan, the category totals, the per-op lifecycle
+    stages, the critical-path ``attribution`` and the per-track
+    ``utilization``, both checked (a report that does not partition its
+    time raises :class:`~repro.obs.trace.TraceError`).
     """
     ids = _track_ids(tracer)
     events: list[dict] = []
@@ -135,29 +138,25 @@ def chrome_trace(
                 "args": dict(instant.args),
             }
         )
-    other = {
-        "virtual_time_scale": SCALE,
-        "makespan": tracer.makespan,
-        # The validator cross-checks the category totals against the
-        # span events; the per-op lifecycle aggregates are not
-        # reconstructible from events, so the differ reads them here.
-        "category_totals": tracer.category_totals(),
-        "op_stages": tracer.stage_totals(),
-    }
-    if metadata:
-        other.update(metadata)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": other,
+        "otherData": {
+            "virtual_time_scale": SCALE,
+            "makespan": tracer.makespan,
+            "category_totals": tracer.category_totals(),
+            # The per-op lifecycle aggregates are not reconstructible
+            # from the span events, so the differ reads them here.
+            "op_stages": tracer.stage_totals(),
+            "attribution": critical_path_report(tracer).check().as_dict(),
+            "utilization": utilization_report(tracer).check().as_dict(),
+        },
     }
 
 
-def write_chrome_trace(
-    tracer: TraceRecorder, path: str | Path, metadata: dict | None = None
-) -> dict:
+def write_chrome_trace(tracer: TraceRecorder, path: str | Path) -> dict:
     """Export, validate, and write a trace; returns the document."""
-    document = chrome_trace(tracer, metadata=metadata)
+    document = chrome_trace(tracer)
     validate_chrome_trace(document)
     Path(path).write_text(json.dumps(document, indent=1, sort_keys=True))
     return document
@@ -165,8 +164,9 @@ def write_chrome_trace(
 
 def validate_chrome_trace(document: object) -> None:
     """Assert ``document`` is valid Chrome trace-event JSON (the JSON
-    Object Format with the event subset we emit).  Raises
-    :class:`TraceExportError` with the first offending event."""
+    Object Format with the event subset we emit): the events only, not
+    ``otherData``.  Raises :class:`TraceExportError` with the first
+    offending event."""
     if not isinstance(document, dict):
         raise TraceExportError("trace document must be a JSON object")
     events = document.get("traceEvents")

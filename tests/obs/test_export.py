@@ -15,6 +15,7 @@ from repro.obs import (
     chrome_trace,
     critical_path_report,
     trace_from_chrome,
+    utilization_report,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -109,11 +110,8 @@ class TestChromeTrace:
 class TestWriteRoundTrip:
     def test_written_file_reloads_and_validates(self, tmp_path):
         tracer = traced_engine_run()
-        report = critical_path_report(tracer).check()
         path = tmp_path / "trace.json"
-        document = write_chrome_trace(
-            tracer, path, metadata={"attribution": report.as_dict()}
-        )
+        document = write_chrome_trace(tracer, path)
         reloaded = json.loads(path.read_text())
         assert reloaded == document
         validate_chrome_trace(reloaded)
@@ -132,8 +130,9 @@ def record(build, mix):
 
 @pytest.mark.parametrize("label,mix,build", CONFIGS, ids=IDS)
 def test_other_data_is_the_recorders_own_totals(label, mix, build):
-    """One schema: the export's totals are the recorder's, bit for bit,
-    and ``otherData`` carries nothing about how the spans were kept."""
+    """One schema: the export's totals and both reports are the
+    recorder's own, bit for bit, and ``otherData`` carries nothing about
+    how the spans were kept."""
     tracer = record(build, mix)
     other = chrome_trace(tracer)["otherData"]
     assert set(other) == {
@@ -141,11 +140,15 @@ def test_other_data_is_the_recorders_own_totals(label, mix, build):
         "makespan",
         "category_totals",
         "op_stages",
+        "attribution",
+        "utilization",
     }
     assert other["makespan"] == tracer.makespan
     assert other["category_totals"] == tracer.category_totals()
     assert list(other["category_totals"]) == list(tracer.category_totals())
     assert other["op_stages"] == tracer.stage_totals()
+    assert other["attribution"] == critical_path_report(tracer).as_dict()
+    assert other["utilization"] == utilization_report(tracer).as_dict()
 
 
 @pytest.mark.parametrize("label,mix,build", CONFIGS, ids=IDS)

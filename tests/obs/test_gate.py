@@ -1,4 +1,4 @@
-"""The bench-regression gate, in-process: ``scripts/check_bench.py``
+"""The bench-regression gate, in-process: ``scripts/obs.py gate``
 compares two self-describing bench JSONs — headline list, config block
 and run profile all come from the files — and never starts a child.
 """
@@ -16,10 +16,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent.parent
 
 spec = importlib.util.spec_from_file_location(
-    "check_bench", ROOT / "scripts" / "check_bench.py"
+    "obs_cli", ROOT / "scripts" / "obs.py"
 )
-check_bench = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(check_bench)
+obs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(obs)
 
 PROFILE = {
     "makespan": 10.0,
@@ -45,22 +45,26 @@ def bench_json() -> dict:
     }
 
 
+def findings(baseline: dict, run: dict, tolerance: float) -> list[str]:
+    return obs.gate(baseline, run, tolerance)[0]
+
+
 def test_an_identical_run_passes_at_zero_tolerance():
-    assert check_bench.compare(bench_json(), bench_json(), 0.0) == []
+    assert findings(bench_json(), bench_json(), 0.0) == []
 
 
 def test_band_drift_fails_outside_the_band_only():
     run = bench_json()
     run["engine"]["virtual_time"] = 120.0
-    assert check_bench.compare(bench_json(), run, 0.25) == []
-    (failure,) = check_bench.compare(bench_json(), run, 0.1)
+    assert findings(bench_json(), run, 0.25) == []
+    (failure,) = findings(bench_json(), run, 0.1)
     assert failure.startswith("engine.virtual_time: baseline 100, run 120")
 
 
 def test_a_zero_metric_has_no_band():
     run = bench_json()
     run["engine"]["dropped"] = 1
-    (failure,) = check_bench.compare(bench_json(), run, 0.9)
+    (failure,) = findings(bench_json(), run, 0.9)
     assert failure.startswith("engine.dropped:")
     assert "allowed ±0" in failure
 
@@ -68,7 +72,7 @@ def test_a_zero_metric_has_no_band():
 def test_a_nan_headline_fails_instead_of_comparing_false():
     run = bench_json()
     run["engine"]["messages"] = float("nan")
-    (failure,) = check_bench.compare(bench_json(), run, 0.25)
+    (failure,) = findings(bench_json(), run, 0.25)
     assert failure.startswith("engine.messages:")
 
 
@@ -76,7 +80,7 @@ def test_a_nan_headline_fails_instead_of_comparing_false():
 def test_a_headline_key_missing_on_either_side_is_named(side):
     baseline, run = bench_json(), bench_json()
     del {"baseline": baseline, "run": run}[side]["engine"]["messages"]
-    (failure,) = check_bench.compare(baseline, run, 0.25)
+    (failure,) = findings(baseline, run, 0.25)
     assert failure.startswith("engine.messages: missing from the")
     assert ("committed baseline" if side == "baseline" else "run output") in (
         failure
@@ -86,7 +90,7 @@ def test_a_headline_key_missing_on_either_side_is_named(side):
 def test_config_drift_is_refused():
     run = bench_json()
     run["config"]["cluster"]["num_nodes"] = 8
-    (failure,) = check_bench.compare(bench_json(), run, 0.25)
+    (failure,) = findings(bench_json(), run, 0.25)
     assert failure.startswith("config.cluster.num_nodes: baseline 4, run 8")
 
 
@@ -96,7 +100,7 @@ def test_headlines_drift_is_refused():
     run = bench_json()
     run["headlines"]["band"].remove("engine.messages")
     run["engine"]["messages"] = 4000  # would otherwise slip through
-    (failure,) = check_bench.compare(bench_json(), run, 0.25)
+    (failure,) = findings(bench_json(), run, 0.25)
     assert failure.startswith("headlines.band:")
 
 
@@ -104,8 +108,8 @@ def test_headlines_drift_is_refused():
 def test_a_missing_block_is_refused(block):
     run = bench_json()
     del run[block]
-    failures = check_bench.compare(bench_json(), run, 0.25)
-    assert f"{block}: the run output carries no {block} block" in failures[0]
+    failures = findings(bench_json(), run, 0.25)
+    assert failures[0] == f"{block}: only in the baseline"
 
 
 @pytest.mark.parametrize(
@@ -115,24 +119,68 @@ def test_a_missing_block_is_refused(block):
 def test_a_malformed_headlines_block_fails_without_a_traceback(headlines):
     run = bench_json()
     run["headlines"] = headlines
-    failures = check_bench.compare(bench_json(), run, 0.25)
+    failures = findings(bench_json(), run, 0.25)
     assert any(f.startswith("headlines") for f in failures)
-    assert check_bench.headline_paths(run) == ([], [])
+    assert obs.headline_paths(run) == ([], [])
 
 
 def test_a_gate_over_no_headline_fails():
     """Both sides agreeing on an empty list is not a pass."""
     baseline, run = bench_json(), bench_json()
     baseline["headlines"] = run["headlines"] = {"band": [], "zero": []}
-    (failure,) = check_bench.compare(baseline, run, 0.25)
+    (failure,) = findings(baseline, run, 0.25)
     assert failure.startswith("headlines: the run lists no headline metric")
 
 
-def test_a_missing_profile_degrades_to_a_note():
+def test_a_missing_profile_is_a_finding():
     run = bench_json()
     del run["profile"]
-    (line,) = check_bench.explain(bench_json(), run)
-    assert line.startswith("no trace diff:")
+    (failure,), movers = obs.gate(bench_json(), run, 0.25)
+    assert failure.startswith("profile: no trace diff: not a run profile")
+    assert movers == []
+
+
+def write(path: Path, data: dict) -> Path:
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_a_category_moving_past_the_budget_fails_inside_every_band(
+    tmp_path, capsys
+):
+    """3 vt of a 10 vt makespan move from ``execute`` to ``sync_wait``:
+    the makespan and every headline hold, but each of the two categories
+    moved by more than 20% of the baseline makespan."""
+    run = bench_json()
+    run["profile"]["totals"] = {"execute": 5.0, "sync_wait": 5.0}
+    baseline = write(tmp_path / "baseline.json", bench_json())
+    argv = ["gate", "x", "--baseline", str(baseline), "--tolerance", "0"]
+    status = obs.main([*argv, "--run", str(write(tmp_path / "r.json", run))])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert [line for line in out.splitlines() if line.startswith("  - ")] == [
+        "  - profile.totals.execute: baseline 8.00, run 5.00 vt (-3.00, "
+        "over the 2.00 vt budget: 20% of the baseline makespan)",
+        "  - profile.totals.sync_wait: baseline 2.00, run 5.00 vt (+3.00, "
+        "over the 2.00 vt budget: 20% of the baseline makespan)",
+    ]
+    assert "trace diff (baseline -> run): makespan 10.00 -> 10.00" in out
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "not json", None])
+def test_an_unusable_run_file_is_one_finding(tmp_path, capsys, content):
+    """A run file that is not a JSON object, not JSON, or absent."""
+    run = tmp_path / "run.json"
+    if content is not None:
+        run.write_text(content)
+    baseline = write(tmp_path / "baseline.json", bench_json())
+    status = obs.main(
+        ["gate", "x", "--run", str(run), "--baseline", str(baseline)]
+    )
+    out = capsys.readouterr().out
+    assert status == 1
+    (finding,) = [line for line in out.splitlines() if line.startswith("  - ")]
+    assert finding.startswith(f"  - {run}: not ")
 
 
 def test_a_tampered_baseline_fails_with_a_trace_diff_and_no_child(
@@ -155,8 +203,9 @@ def test_a_tampered_baseline_fails_with_a_trace_diff_and_no_child(
     baseline["profile"]["totals"]["execute"] -= 3.0
     tampered = tmp_path / "BENCH_pipeline.json"
     tampered.write_text(json.dumps(baseline))
-    status = check_bench.main(
-        ["pipeline", "--run", str(committed), "--baseline", str(tampered)]
+    status = obs.main(
+        ["gate", "pipeline", "--run", str(committed)]
+        + ["--baseline", str(tampered)]
     )
     out = capsys.readouterr().out
     assert status == 1
@@ -166,7 +215,8 @@ def test_a_tampered_baseline_fails_with_a_trace_diff_and_no_child(
     assert "execute            +3.00 vt" in out
 
 
-def test_the_committed_baselines_gate_themselves():
+def test_the_committed_baselines_gate_themselves(capsys):
     for path in sorted((ROOT / "benchmarks" / "baselines").iterdir()):
         bench = path.stem.removeprefix("BENCH_")
-        assert check_bench.main([bench, "--run", str(path)]) == 0
+        assert obs.main(["gate", bench, "--run", str(path)]) == 0
+        assert "no attribution movement" in capsys.readouterr().out

@@ -1,10 +1,9 @@
-"""CLI-level coverage for the observability scripts: ``diff_trace.py``
-(explain two traced runs — exported traces or bench JSONs),
-``validate_trace.py`` (a trace rebuilds, re-renders and re-derives its
-embedded reports; the ``faults`` track schema), and ``check_bench.py``
-(gate failure → trace diff), all driven exactly the way CI drives them
-— as subprocesses.  The gate's rules are covered in-process by
-``test_gate.py``.
+"""CLI-level coverage for ``scripts/obs.py``: ``diff`` (explain two
+traced runs — exported traces or bench JSONs), ``validate`` (a trace is
+the export of the spans it rebuilds into; the ``faults`` track schema)
+and ``gate`` (a failure prints the trace diff), all driven exactly the
+way CI drives them — as subprocesses, without ``PYTHONPATH``.  The
+gate's rules are covered in-process by ``test_gate.py``.
 """
 
 from __future__ import annotations
@@ -19,23 +18,18 @@ import pytest
 
 from repro.obs import (
     TraceRecorder,
-    critical_path_report,
+    explain_regression,
     profile_document,
-    utilization_report,
     write_chrome_trace,
 )
 
 ROOT = Path(__file__).resolve().parent.parent.parent
-SCRIPTS = ROOT / "scripts"
 
 
-def run_script(name: str, *args: str):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
+def run_script(*args: str):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        [sys.executable, str(ROOT / "scripts" / "obs.py"), *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
@@ -59,51 +53,35 @@ def make_trace(path: Path, slow: float = 0.0) -> None:
         stalls=(("sync_wait", 2.0),),
     )
     tracer.op_commit(2, 6.0 + slow)
-    export(tracer, path)
-
-
-def export(tracer: TraceRecorder, path: Path) -> None:
-    """Write ``tracer`` with the two reports every bench embeds beside
-    its trace (``benchmarks/common.export_trace``)."""
-    write_chrome_trace(
-        tracer,
-        path,
-        metadata={
-            "attribution": critical_path_report(tracer).check().as_dict(),
-            "utilization": utilization_report(tracer).check().as_dict(),
-        },
-    )
+    write_chrome_trace(tracer, path)
 
 
 def test_diff_trace_self_diff_reports_no_movement(tmp_path):
     trace = tmp_path / "a.json"
     make_trace(trace)
-    result = run_script("diff_trace.py", trace, trace)
+    result = run_script("diff", trace, trace)
     assert result.returncode == 0, result.stderr
     assert "no attribution movement" in result.stdout
 
 
 def test_diff_trace_ranked_explanation_repartitions_the_delta(tmp_path):
-    base, run, payload = (
-        tmp_path / "base.json",
-        tmp_path / "run.json",
-        tmp_path / "diff.json",
-    )
+    base, run = tmp_path / "base.json", tmp_path / "run.json"
     make_trace(base)
     make_trace(run, slow=3.0)
-    result = run_script(
-        "diff_trace.py", base, run, "--json", payload
-    )
+    result = run_script("diff", base, run)
     assert result.returncode == 0, result.stderr
-    assert "trace diff (base.json -> run.json)" in result.stdout
-    assert "execute" in result.stdout
-    diff = json.loads(payload.read_text())
-    assert sum(
-        entry["delta"] for entry in diff["categories"]
-    ) == pytest.approx(diff["makespan_delta"], abs=1e-9)
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("trace diff (base.json -> run.json)")
     # Ranked: the stretched execute time is the top mover.
-    assert diff["categories"][0]["category"] == "execute"
-    assert diff["categories"][0]["delta"] == pytest.approx(3.0)
+    assert lines[1].startswith("  1. execute            +3.00 vt")
+    explanation = explain_regression(
+        json.loads(base.read_text()), json.loads(run.read_text())
+    )
+    assert sum(
+        delta.delta for delta in explanation.categories
+    ) == pytest.approx(explanation.makespan_delta, abs=1e-9)
+    assert explanation.categories[0].category == "execute"
+    assert explanation.categories[0].delta == pytest.approx(3.0)
 
 
 def test_diff_trace_takes_a_bench_json_on_either_side(tmp_path):
@@ -115,11 +93,11 @@ def test_diff_trace_takes_a_bench_json_on_either_side(tmp_path):
     bench = tmp_path / "BENCH_x.json"
     profile = profile_document(json.loads(base.read_text()))
     bench.write_text(json.dumps({"profile": profile.as_dict()}))
-    result = run_script("diff_trace.py", bench, run, "--top", "1")
+    result = run_script("diff", bench, run, "--top", "1")
     assert result.returncode == 0, result.stdout
     assert "trace diff (BENCH_x.json -> run.json)" in result.stdout
     assert "execute            +3.00 vt" in result.stdout
-    result = run_script("diff_trace.py", base, bench)
+    result = run_script("diff", base, bench)
     assert result.returncode == 0, result.stdout
     assert "no attribution movement" in result.stdout
 
@@ -130,7 +108,7 @@ def test_diff_trace_fails_cleanly_on_garbage(tmp_path, garbage):
     bad.write_text(garbage)
     good = tmp_path / "good.json"
     make_trace(good)
-    result = run_script("diff_trace.py", good, bad)
+    result = run_script("diff", good, bad)
     assert result.returncode == 1
     assert "trace diff FAILED" in result.stdout
 
@@ -138,7 +116,7 @@ def test_diff_trace_fails_cleanly_on_garbage(tmp_path, garbage):
 def test_validate_trace_accepts_an_exported_trace(tmp_path):
     trace = tmp_path / "trace.json"
     make_trace(trace)
-    result = run_script("validate_trace.py", trace)
+    result = run_script("validate", trace)
     assert result.returncode == 0, result.stdout
     assert f"trace OK: {trace}" in result.stdout
     assert "attribution sums to makespan" in result.stdout
@@ -171,34 +149,40 @@ def _drop_wait_boxes(document):
     ]
 
 
+def _raise_makespan(document):
+    document["otherData"]["makespan"] += 1.0
+
+
+def _drop_utilization(document):
+    del document["otherData"]["utilization"]
+
+
 @pytest.mark.parametrize(
     "tamper,message",
     [
         (
             _inflate_category_total,
-            "embedded category_totals is not the rebuilt spans' "
-            "category_totals: otherData.category_totals.execute reads 9.0",
+            "otherData.category_totals.execute: document 9.0, rebuild 8.0",
         ),
         (
             _inflate_attribution,
-            "embedded attribution is not the rebuilt spans' attribution: "
-            "otherData.attribution.totals.execute reads 5.0",
+            "otherData.attribution.totals.execute: document 5.0, rebuild 4.0",
         ),
         (
             _shift_attribution,
-            "otherData.attribution.totals.execute reads 3.0, "
-            "the rebuild gives 4.0",
+            "otherData.attribution.totals.execute: document 3.0, rebuild 4.0",
         ),
         (
             _raise_idle,
-            "embedded utilization is not the rebuilt spans' utilization: "
-            "otherData.utilization.tracks.lane.0.idle reads 3.0",
+            "otherData.utilization.tracks.lane.0.idle: document 3.0, "
+            "rebuild 2.0",
         ),
         (
             _drop_wait_boxes,
-            "the events are not what the rebuilt spans render: "
-            "traceEvents[4].args.for is only in the rebuild",
+            "traceEvents[4].args.stalls: only in the document",
         ),
+        (_raise_makespan, "otherData.makespan: document 7.0, rebuild 6.0"),
+        (_drop_utilization, "otherData.utilization: only in the rebuild"),
     ],
     ids=[
         "category_totals",
@@ -206,12 +190,14 @@ def _drop_wait_boxes(document):
         "shifted_attribution",
         "utilization",
         "wait_tiling",
+        "makespan",
+        "dropped_utilization",
     ],
 )
 def test_validate_trace_rejects_a_tampered_trace(tmp_path, tamper, message):
-    """Each report the validator re-derives, and the events it
-    re-renders: one edit to an otherwise valid export fails exactly
-    that comparison."""
+    """The one comparison with the export of the rebuilt spans: one edit
+    to an otherwise valid export — an event, a total or a report, its
+    value or its presence — is exactly one finding, naming that place."""
     trace = tmp_path / "trace.json"
     make_trace(trace)
     document = json.loads(trace.read_text())
@@ -221,7 +207,7 @@ def test_validate_trace_rejects_a_tampered_trace(tmp_path, tamper, message):
 
 
 def assert_one_finding(trace: Path, message: str) -> None:
-    result = run_script("validate_trace.py", trace)
+    result = run_script("validate", trace)
     assert result.returncode == 1
     assert f"trace validation FAILED for {trace}" in result.stdout
     failures = [
@@ -258,7 +244,7 @@ def make_faults_trace(
     if extra is not None:
         tracer.instant("faults", extra[0], 4.0, extra[1])
     tracer.instant("faults", "node 1 rejoined", 6.0, {"node": 1})
-    export(tracer, path)
+    write_chrome_trace(tracer, path)
 
 
 def test_validate_trace_accepts_a_well_formed_faults_track(tmp_path):
@@ -269,7 +255,7 @@ def test_validate_trace_accepts_a_well_formed_faults_track(tmp_path):
         event["ph"] == "M" and event["args"]["name"] == "faults"
         for event in document["traceEvents"]
     )
-    result = run_script("validate_trace.py", trace)
+    result = run_script("validate", trace)
     assert result.returncode == 0, result.stdout
     assert f"trace OK: {trace}" in result.stdout
 
@@ -324,30 +310,22 @@ def test_validate_trace_rejects_a_sampled_document(tmp_path):
     document = json.loads(trace.read_text())
     document["otherData"]["sampled"] = True
     trace.write_text(json.dumps(document))
-    result = run_script("validate_trace.py", trace)
-    assert result.returncode == 1
-    assert "sampled traces are no longer produced" in result.stdout
+    assert_one_finding(trace, "otherData.sampled: only in the document")
 
 
-def test_check_bench_failure_prints_a_trace_diff():
+def test_gate_failure_prints_a_trace_diff():
     """The committed pipeline baseline gated against the dag one (both
     two are real bench JSONs with equal ``config`` and unequal
     ``headlines``): the gate must fail and explain from the two embedded
     profiles — the script needs no PYTHONPATH and no flag to do so."""
     baselines = ROOT / "benchmarks" / "baselines"
-    result = subprocess.run(
-        [
-            sys.executable,
-            str(SCRIPTS / "check_bench.py"),
-            "pipeline",
-            "--run",
-            str(baselines / "BENCH_pipeline.json"),
-            "--baseline",
-            str(baselines / "BENCH_dag.json"),
-        ],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
+    result = run_script(
+        "gate",
+        "pipeline",
+        "--run",
+        baselines / "BENCH_pipeline.json",
+        "--baseline",
+        baselines / "BENCH_dag.json",
     )
     assert result.returncode == 1, result.stderr
     assert "bench-regression gate FAILED for pipeline" in result.stdout
