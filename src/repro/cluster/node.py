@@ -217,14 +217,13 @@ class ClusterNode(Node):
             floors=[ready] * n,
             cost=self.config.op_cost,
         )
-        order = [
-            ops[k] for k in sorted(range(n), key=lambda k: (placed[k][0], k))
-        ]
+        starts = [start for start, _, _ in placed]
+        order = [ops[k] for _, k in sorted(zip(starts, range(n)))]
         finish = max(f for _, f, _ in placed)
         # Bill the unit's execution span (first op start -> last finish),
         # not its wall time since arrival — time spent queued behind
         # other units' lane occupancy is not this unit's work.
-        started = min(s for s, _, _ in placed)
+        started = min(starts)
         if dag is not None:
             path, bill = dag.critical_path, self.bill
             bill.dag_chain_ops += n

@@ -17,15 +17,15 @@ without limit.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
+from repro._records import frozen_record
 from repro.errors import InvalidArgumentError, MempoolFullError
 from repro.spec.operation import Operation
 from repro.workloads.generators import WorkloadItem
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class PendingOp:
     """One submitted operation awaiting execution."""
 
@@ -50,7 +50,6 @@ class Mempool:
             raise InvalidArgumentError("mempool capacity must be positive")
         self.capacity = capacity
         self._queue: deque[PendingOp] = deque()
-        self._next_seq = 0
         self.submitted = 0
         self.rejected = 0
 
@@ -67,8 +66,7 @@ class Mempool:
             raise MempoolFullError(
                 f"mempool at capacity {self.capacity}; operation rejected"
             )
-        pending = PendingOp(self._next_seq, pid, operation)
-        self._next_seq += 1
+        pending = PendingOp(self.submitted, pid, operation)
         self.submitted += 1
         self._queue.append(pending)
         return pending
@@ -81,16 +79,11 @@ class Mempool:
         """Remove and return up to ``limit`` oldest pending operations."""
         if limit < 1:
             raise InvalidArgumentError("window must be positive")
-        window = []
-        while self._queue and len(window) < limit:
-            window.append(self._queue.popleft())
-        return window
+        popleft = self._queue.popleft
+        return [popleft() for _ in range(min(limit, len(self._queue)))]
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
 
     def peek(self) -> PendingOp | None:
         return self._queue[0] if self._queue else None

@@ -365,11 +365,10 @@ class PipelinedExecutor:
         frontier_obs = self._frontier_obs
         frontier_add = self._frontier_add
         frontier_set = self._frontier_set
-        for unit in scheduled:
-            stall += unit.sync_stall + unit.frontier_stall
-            if unit.contended:
-                stall_contended += unit.sync_stall + unit.frontier_stall
-            footprint, finish = unit.footprint, unit.finish
+        for _, finish, _, _, footprint, contended, waited, blocked in scheduled:
+            stall += waited + blocked
+            if contended:
+                stall_contended += waited + blocked
             if footprint is None:
                 self._frontier_top = max(self._frontier_top, finish)
                 continue
@@ -385,10 +384,9 @@ class PipelinedExecutor:
 
         completed = max(unit.finish for unit in scheduled)
         self._frontier_max = max(self._frontier_max, completed)
-        first_start = min(unit.start for unit in scheduled)
         overlap = 0.0
         if self._completions:
-            overlap = max(0.0, self._completions[-1] - first_start)
+            overlap = max(0.0, self._completions[-1] - scheduled[0].start)
         self._completions.append(completed)
 
         escalated = len(plan.escalated_idx)
@@ -494,31 +492,6 @@ class PipelinedExecutor:
 
     # -- window placement ------------------------------------------------
 
-    def _dep_ready(self, footprint: OpFootprint | None) -> float:
-        """Earliest start the cross-window frontier allows for an op with
-        this footprint — exactly the static commutativity test
-        per access kind: reads gate on earlier writes, deltas on earlier
-        reads and absolute writes (delta-delta sharing is free), absolute
-        writes on every earlier access; unknown footprints degrade to
-        waiting for everything."""
-        if footprint is None:
-            return self._frontier_max
-        dep_ready = self._frontier_top
-        obs, add = self._frontier_obs, self._frontier_add
-        sets = self._frontier_set
-        for loc in footprint.observes:
-            dep_ready = max(dep_ready, add.get(loc, 0.0), sets.get(loc, 0.0))
-        for loc in footprint.adds:
-            dep_ready = max(dep_ready, obs.get(loc, 0.0), sets.get(loc, 0.0))
-        for loc in footprint.sets:
-            dep_ready = max(
-                dep_ready,
-                obs.get(loc, 0.0),
-                add.get(loc, 0.0),
-                sets.get(loc, 0.0),
-            )
-        return dep_ready
-
     def _place_window_dag(
         self,
         plan: WindowPlan,
@@ -537,14 +510,45 @@ class PipelinedExecutor:
         onto the rolling lane timeline (critical-path first, submission
         order on ties, idle gaps behind floored ops backfilled).
         ``op_sync`` maps a contended op's window index to its sync lane's
-        completion; ``dep_ready`` / ``floors`` are window-aligned lists,
-        ``order`` / ``preds`` / ``placed`` task-aligned ones.
+        completion; ``floors`` is a window-aligned list, ``order`` /
+        ``preds`` / ``placed`` task-aligned ones.
         """
+        # An op's floor: admission, then the cross-window frontier —
+        # exactly the static commutativity test per access kind: reads
+        # gate on earlier writes, deltas on earlier reads and absolute
+        # writes (delta-delta sharing is free), absolute writes on every
+        # earlier access; an unknown footprint waits for everything.  Each
+        # test keeps the first of equal values, as ``max`` does.
         ops, footprints = plan.ops, plan.footprints
-        dep_ready = [self._dep_ready(footprint) for footprint in footprints]
-        floors = [max(t_classify, ready) for ready in dep_ready]
+        obs, add = self._frontier_obs, self._frontier_add
+        sets = self._frontier_set
+        top, everything = self._frontier_top, self._frontier_max
+        floors = []
+        for footprint in footprints:
+            ready = everything if footprint is None else top
+            floor = ready if ready > t_classify else t_classify
+            if footprint is not None:
+                for loc in footprint.observes:
+                    if (done := add.get(loc, 0.0)) > floor:
+                        floor = done
+                    if (done := sets.get(loc, 0.0)) > floor:
+                        floor = done
+                for loc in footprint.adds:
+                    if (done := obs.get(loc, 0.0)) > floor:
+                        floor = done
+                    if (done := sets.get(loc, 0.0)) > floor:
+                        floor = done
+                for loc in footprint.sets:
+                    if (done := obs.get(loc, 0.0)) > floor:
+                        floor = done
+                    if (done := add.get(loc, 0.0)) > floor:
+                        floor = done
+                    if (done := sets.get(loc, 0.0)) > floor:
+                        floor = done
+            floors.append(floor)
         for i, done in op_sync.items():
-            floors[i] = max(floors[i], done)
+            if done > floors[i]:
+                floors[i] = done
         #: Per lane, when its next slot opens: the carried-in free time,
         #: then the finish of each op placed on it (start order).
         slot = list(self._lane_free)
@@ -562,34 +566,36 @@ class PipelinedExecutor:
         # timeline, or the lane's carried-in free time) and intra-window
         # predecessor finishes form the baseline; waiting beyond it is
         # stall, attributed to the sync lane first, then the frontier —
-        # ``start = base + sync_stall + frontier_stall`` exactly.
+        # ``start = base + sync_stall + frontier_stall`` exactly.  Units
+        # ascend by (start, window index), a key without ties.
         scheduled: list[ScheduledUnit] = []
-        for k in sorted(
-            range(len(order)), key=lambda k: (placed[k][0], order[k])
-        ):
-            i = order[k]
-            start, finish, lane = placed[k]
-            base = max(t_classify, slot[lane])
+        unit = tuple.__new__
+        starts = [start for start, _, _ in placed]
+        for start, i, k in sorted(zip(starts, order, range(len(order)))):
+            _, finish, lane = placed[k]
+            base = slot[lane] if slot[lane] > t_classify else t_classify
             for p in preds[k]:
                 if placed[p][1] > base:
                     base = placed[p][1]
             slot[lane] = finish
             sync_ready = op_sync.get(i)
-            if sync_ready is None:
-                sync_stall, held = 0.0, base
-            else:
-                sync_stall = max(0.0, sync_ready - base)
-                held = max(base, sync_ready)
+            sync_stall, held = 0.0, base
+            if sync_ready is not None and sync_ready > base:
+                sync_stall, held = sync_ready - base, sync_ready
+            stall = floors[i] - held
             scheduled.append(
-                ScheduledUnit(
-                    start,
-                    finish,
-                    lane,
-                    ops[i],
-                    footprints[i],
-                    sync_ready is not None,
-                    sync_stall,
-                    max(0.0, dep_ready[i] - held),
+                unit(
+                    ScheduledUnit,
+                    (
+                        start,
+                        finish,
+                        lane,
+                        ops[i],
+                        footprints[i],
+                        sync_ready is not None,
+                        sync_stall,
+                        stall if stall > 0.0 else 0.0,
+                    ),
                 )
             )
         return scheduled

@@ -16,11 +16,11 @@ The window arrives split into conflict-graph components (its
 The scheduler places *operations*, not components, with a
 critical-path-first list scheduler (highest bottom level first,
 earliest-available lane), so a component's makespan is its critical path,
-not its op count.  Callers apply the placements in ascending
-``(start, seq)`` order — a linear extension of every component DAG —
-because lane-major application is unsound once one chain spans lanes.
-Any linear extension is serially equivalent to submission order: ops
-without a DAG path have no non-commute edge and may be transposed freely.
+not its op count.  The engine applies each window in submission order; a
+cluster node applies a unit in ascending ``(start, position)`` order, a
+linear extension of its DAG (lane-major application is unsound once one
+chain spans lanes).  Any linear extension is serially equivalent to
+submission order: ops without a DAG path commute and may be transposed.
 
 The scheduler never consults mutable state, so the same window on the same
 lane timeline always gets the same placements — part of the engine's

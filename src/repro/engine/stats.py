@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
+from repro._records import frozen_record
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sync.escalation import SyncRoundResult
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class WaveStats:
     """One scheduling round.
 

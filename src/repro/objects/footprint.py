@@ -54,7 +54,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
+
+from repro._records import frozen_record
 
 #: Abstract location: a hashable tuple such as ``("bal", 3)``,
 #: ``("allow", 1, 2)``, ``("nft", 7)`` or :data:`SUPPLY`.
@@ -78,7 +79,7 @@ def allow(account: int, spender: int) -> Location:
 _EMPTY: frozenset = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class OpFootprint:
     """Static may-access summary of one invocation.
 
