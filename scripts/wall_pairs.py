@@ -10,17 +10,18 @@ seed — as one command::
 a ``git worktree``, and ``CHANGE`` (side ``B``) the change's.  Pair
 ``p`` runs each side's ``BENCHMARK.json`` command with ``--workload W
 --seed S+p --trace 0`` in that checkout — a fresh seed per pair, the
-same seed on both sides — and reads the JSON result on the last stdout
-line.  ``--pairs`` (default 10) sets the count.  Even pairs run ``A``
-first, odd ones ``B`` first.
+same seed on both sides — and reads ``ops_per_s_norm`` (higher is
+better) off the JSON result on the last stdout line.  ``--pairs``
+(default 10) sets the count.  Even pairs run ``A`` first, odd ones ``B``
+first.
 
 It prints every pair, each side's median and quartiles, the wins, the
 per-pair ratios ``B / A`` and the verdict of the claim rule: a gain is
 claimed only when ``B`` wins at least nine tenths of the pairs (ties
-count for neither side) and the medians differ, in the metric's better
-direction, by more than the distance between ``A``'s quartiles.
-A run with a failed op (or an incorrect one) counts as a loss for its
-side.  Exit status 0 means the claim holds.
+count for neither side) and ``B``'s median exceeds ``A``'s by more than
+the distance between ``A``'s quartiles.  A run that crashes, is
+incorrect or fails an op loses its pair; a side with no run left has
+no median, so there is no claim.  Exit status 0 means the claim holds.
 
 The pairs take about 20 s each, so this runs by hand, never in CI.
 """
@@ -29,53 +30,56 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+#: The metric the pairs compare; higher is better.
+METRIC = "ops_per_s_norm"
 #: The share of pairs the change must win to claim a gain.
 WIN_SHARE = 0.9
 
 
-def parse_result(stdout: str, metric: str) -> tuple[float, bool]:
-    """``(value, ok)`` of ``metric`` in a contract run's output: the
-    JSON object on its last non-empty line; ``ok`` is false when the run
-    was incorrect or failed an op."""
+def parse_result(stdout: str) -> tuple[float, bool]:
+    """``(value, ok)`` of :data:`METRIC` in a contract run's output:
+    the JSON object on its last non-empty line; ``ok`` is false when the
+    run was incorrect or failed an op."""
     last = [line for line in stdout.splitlines() if line.strip()][-1]
     result = json.loads(last)
     ok = bool(result["correct"]) and result["failed"] == 0
-    return float(result["metrics"][metric]["value"]), ok
+    return float(result["metrics"][METRIC]["value"]), ok
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """``(q1, median, q3)``; a single value is all three."""
+    """``(q1, median, q3)``; a single value is all three, and no value
+    gives NaN for all three."""
+    if not values:
+        return math.nan, math.nan, math.nan
     if len(values) < 2:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
 
 
-def _beats(x: float | None, y: float | None, higher_is_better: bool) -> bool:
+def _beats(x: float | None, y: float | None) -> bool:
     if x is None:
         return False
-    if y is None:
-        return True
-    return x > y if higher_is_better else x < y
+    return y is None or x > y
 
 
-def fold(
-    pairs: list[tuple[float | None, float | None]], higher_is_better: bool
-) -> dict:
+def fold(pairs: list[tuple[float | None, float | None]]) -> dict:
     """The verdict on ``(a, b)`` value pairs; a ``None`` value is a run
-    that failed, which loses its pair."""
-    wins = sum(_beats(b, a, higher_is_better) for a, b in pairs)
-    losses = sum(_beats(a, b, higher_is_better) for a, b in pairs)
+    that failed, which loses its pair.  With no value on a side, the
+    medians and the gap are NaN and there is no claim."""
+    wins = sum(_beats(b, a) for a, b in pairs)
+    losses = sum(_beats(a, b) for a, b in pairs)
     side_a = [a for a, _ in pairs if a is not None]
     side_b = [b for _, b in pairs if b is not None]
     qa, qb = quartiles(side_a), quartiles(side_b)
     iqr = qa[2] - qa[0]
-    gap = qb[1] - qa[1] if higher_is_better else qa[1] - qb[1]
+    gap = qb[1] - qa[1]
     return {
         "pairs": len(pairs),
         "wins": wins,
@@ -95,18 +99,7 @@ def contract(tree: Path) -> list[str]:
     return list(spec["command"])
 
 
-def direction(tree: Path, metric: str) -> bool:
-    """Whether ``metric`` is better higher, per ``BENCHMARK.json``."""
-    spec = json.loads((tree / "BENCHMARK.json").read_text())
-    for row in spec["end_to_end"] + spec["per_layer"]:
-        if row["name"] == metric:
-            return row["better"] == "higher"
-    raise SystemExit(f"{metric!r} is not a metric of {tree}/BENCHMARK.json")
-
-
-def run_side(
-    tree: Path, workload: str, seed: int, metric: str
-) -> float | None:
+def run_side(tree: Path, workload: str, seed: int) -> float | None:
     """One contract run in ``tree``: the metric's value, or ``None`` for
     a run that crashed, was incorrect or failed an op."""
     flags = ["--workload", workload, "--seed", str(seed), "--trace", "0"]
@@ -118,7 +111,7 @@ def run_side(
         check=False,
     )
     try:
-        value, ok = parse_result(done.stdout, metric)
+        value, ok = parse_result(done.stdout)
     except (IndexError, KeyError, ValueError):
         sys.stderr.write(done.stderr[-2000:])
         return None
@@ -129,7 +122,7 @@ def _side(name: str, q: tuple) -> str:
     return f"{name}: median {q[1]:.6g}, quartiles {q[0]:.6g} - {q[2]:.6g}"
 
 
-def report(verdict: dict, metric: str) -> str:
+def report(verdict: dict) -> str:
     """The verdict as the lines the command prints."""
     ratios = " ".join(
         "fail" if r is None else f"{r:.3f}" for r in verdict["ratios"]
@@ -138,7 +131,7 @@ def report(verdict: dict, metric: str) -> str:
     median_ratio = statistics.median(known) if known else float("nan")
     return "\n".join(
         [
-            f"{metric}, {verdict['pairs']} pairs",
+            f"{METRIC}, {verdict['pairs']} pairs",
             _side("A", verdict["a"]),
             _side("B", verdict["b"]),
             f"B wins {verdict['wins']}, A wins {verdict['losses']}",
@@ -157,17 +150,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--metric", default="ops_per_s_norm")
     args = parser.parse_args(argv)
     a, b = args.a.resolve(), args.b.resolve()
-    higher = direction(a, args.metric)
     pairs = []
     for p in range(args.pairs):
         seed = args.seed + p
         order = [(a, 0), (b, 1)] if p % 2 == 0 else [(b, 1), (a, 0)]
         pair = [None, None]
         for tree, slot in order:
-            pair[slot] = run_side(tree, args.workload, seed, args.metric)
+            pair[slot] = run_side(tree, args.workload, seed)
         pairs.append(tuple(pair))
         first = "A" if p % 2 == 0 else "B"
         print(
@@ -175,8 +166,8 @@ def main(argv: list[str] | None = None) -> int:
             f"A {pair[0]}  B {pair[1]}",
             flush=True,
         )
-    verdict = fold(pairs, higher)
-    print(report(verdict, args.metric))
+    verdict = fold(pairs)
+    print(report(verdict))
     return 0 if verdict["claim"] else 1
 
 

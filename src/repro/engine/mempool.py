@@ -79,11 +79,10 @@ class Mempool:
         """Remove and return up to ``limit`` oldest pending operations."""
         if limit < 1:
             raise InvalidArgumentError("window must be positive")
-        popleft = self._queue.popleft
-        return [popleft() for _ in range(min(limit, len(self._queue)))]
+        window = []
+        while self._queue and len(window) < limit:
+            window.append(self._queue.popleft())
+        return window
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def peek(self) -> PendingOp | None:
-        return self._queue[0] if self._queue else None

@@ -241,3 +241,23 @@ def test_crash_drops_parked_units_and_cancels_running_ones():
     rig.simulator.run()
     assert sorted(rig.applied) == [0, 1, 2, 3, 4]
     assert len(rig.results()) == 2
+
+
+def test_node_applies_a_unit_by_start_then_position():
+    """Two lanes; position 1 waits for position 0, so it opens a gap on
+    the second lane that position 2 (ready at once) backfills: starts
+    are ``(0, 1, 0)`` past the unit's ready time, and the apply order is
+    positions 0, 2, 1."""
+    rig = Rig()
+    dag = ComponentDAG(
+        preds=((), (0,), ()),
+        priorities=(2, 1, 1),
+        critical_path=2,
+        width=2,
+    )
+    rig.run_unit(0, (10, 11, 12), dag=dag)
+    rig.simulator.run()
+    assert rig.applied == [10, 12, 11]
+    assert rig.results() == [
+        {"round": 0, "unit": 0, "responses": {10: 10, 11: 11, 12: 12}}
+    ]

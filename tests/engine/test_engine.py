@@ -43,7 +43,7 @@ class TestMempool:
         b = pool.submit(1, op("balanceOf", 0))
         assert (a.seq, b.seq) == (0, 1)
         assert len(pool) == 2
-        assert pool.peek() == a
+        assert pool.pop_window(1) == [a]
 
     def test_pop_window_is_fifo(self):
         pool = Mempool()

@@ -1,24 +1,21 @@
-"""The two orders read off a placement.
+"""The order the engine reads a window's placement in.
 
 The engine walks a window's placed units in ascending ``(start, window
-index)`` — the order its stall attribution and the tracer read — and a
-cluster node applies a unit's ops in ascending ``(start, position)``, a
-linear extension of the unit's DAG.  Both runs below place ops behind
-floors (sync lanes, the cross-window frontier, a DAG predecessor), so
-gaps open and later ops backfill them: start order is not submission
-order, and the sort is what these tests hold.
+index)`` — the order its stall attribution and the tracer read.  The run
+below places ops behind floors (sync lanes, the cross-window frontier, a
+DAG predecessor), so gaps open and later ops backfill them: start order
+is not submission order, and the sort is what this test holds.  A
+cluster node's ``(start, position)`` apply order is pinned beside the
+node's other unit tests, in ``tests/cluster/test_node_units.py``.
 """
 
 from __future__ import annotations
 
 from repro.config import EngineConfig
-from repro.engine import PendingOp, PipelinedExecutor
-from repro.engine.conflict_graph import ComponentDAG
+from repro.engine import PipelinedExecutor
 from repro.engine.pipeline import ScheduledUnit
 from repro.objects.erc20 import ERC20TokenType
-from repro.spec.operation import op
 from repro.workloads import APPROVAL_HEAVY_MIX, TokenWorkloadGenerator
-from tests.cluster.test_node_units import Rig
 
 
 def test_engine_units_ascend_by_start_then_window_index():
@@ -56,25 +53,3 @@ def test_engine_units_ascend_by_start_then_window_index():
     assert floored > 0
     assert backfilled > 0
 
-
-def test_node_applies_a_unit_by_start_then_position():
-    """Two lanes; position 1 waits for position 0, so it opens a gap on
-    the second lane that position 2 (ready at once) backfills: starts
-    are ``(0, 1, 0)`` past the unit's ready time, and the apply order is
-    positions 0, 2, 1."""
-    rig = Rig()
-    ops = [PendingOp(seq, 0, op("transfer", 1, 1)) for seq in (10, 11, 12)]
-    dag = ComponentDAG(
-        preds=((), (0,), ()),
-        priorities=(2, 1, 1),
-        critical_path=2,
-        width=2,
-    )
-    rig.send(
-        "cl_run", round=0, unit=0, leases=0, ops=ops, dag=dag, sync_ready=0.0
-    )
-    rig.simulator.run()
-    assert rig.applied == [10, 12, 11]
-    assert rig.results() == [
-        {"round": 0, "unit": 0, "responses": {10: 10, 11: 11, 12: 12}}
-    ]

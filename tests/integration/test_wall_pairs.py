@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -43,15 +44,11 @@ def contract_stdout(value: float, failed: int = 0, correct=True) -> str:
 
 
 def test_parse_result_reads_the_last_line():
-    value, ok = wall_pairs.parse_result(contract_stdout(75532.8), "setup_s")
-    assert (value, ok) == (0.21, True)
-    value, ok = wall_pairs.parse_result(
-        contract_stdout(70000.0, failed=3), "ops_per_s_norm"
-    )
+    value, ok = wall_pairs.parse_result(contract_stdout(75532.8))
+    assert (value, ok) == (75532.8, True)
+    value, ok = wall_pairs.parse_result(contract_stdout(70000.0, failed=3))
     assert (value, ok) == (70000.0, False)
-    _, ok = wall_pairs.parse_result(
-        contract_stdout(70000.0, correct=False), "ops_per_s_norm"
-    )
+    _, ok = wall_pairs.parse_result(contract_stdout(70000.0, correct=False))
     assert not ok
 
 
@@ -59,7 +56,7 @@ def test_a_clear_gain_is_claimed():
     parent = [70.0, 72.0, 74.0, 71.0, 73.0, 75.0, 70.5, 72.5, 74.5, 71.5]
     change = [a * 1.15 for a in parent]
     change[3] = 70.0  # one loss is allowed
-    verdict = wall_pairs.fold(list(zip(parent, change)), True)
+    verdict = wall_pairs.fold(list(zip(parent, change)))
     assert (verdict["wins"], verdict["losses"]) == (9, 1)
     q1, median, q3 = verdict["a"]
     assert q1 < median < q3
@@ -74,7 +71,7 @@ def test_two_losses_in_ten_are_no_claim():
     parent = [70.0 + k for k in range(10)]
     change = [a * 1.2 for a in parent]
     change[0] = change[5] = 60.0
-    verdict = wall_pairs.fold(list(zip(parent, change)), True)
+    verdict = wall_pairs.fold(list(zip(parent, change)))
     assert verdict["wins"] == 8
     assert not verdict["claim"]
 
@@ -82,31 +79,39 @@ def test_two_losses_in_ten_are_no_claim():
 def test_a_gap_inside_the_parents_spread_is_no_claim():
     parent = [60.0, 80.0, 65.0, 75.0, 70.0, 62.0, 78.0, 68.0, 72.0, 66.0]
     change = [a + 1.0 for a in parent]
-    verdict = wall_pairs.fold(list(zip(parent, change)), True)
+    verdict = wall_pairs.fold(list(zip(parent, change)))
     assert verdict["wins"] == 10
     assert verdict["median_gap"] == pytest.approx(1.0)
     assert not verdict["claim"]
 
 
-def test_ties_count_for_neither_side_and_lower_can_be_better():
+def test_ties_count_for_neither_side():
     pairs = [(1.0, 1.0), (2.0, 1.5), (2.0, 3.0)]
-    verdict = wall_pairs.fold(pairs, higher_is_better=False)
+    verdict = wall_pairs.fold(pairs)
     assert (verdict["wins"], verdict["losses"]) == (1, 1)
-    assert verdict["median_gap"] == pytest.approx(2.0 - 1.5)
+    assert verdict["median_gap"] == pytest.approx(1.5 - 2.0)
 
 
 def test_a_failed_run_loses_its_pair():
     pairs = [(10.0, None), (None, 9.0), (10.0, 12.0)]
-    verdict = wall_pairs.fold(pairs, higher_is_better=True)
+    verdict = wall_pairs.fold(pairs)
     assert (verdict["wins"], verdict["losses"]) == (2, 1)
     assert verdict["ratios"] == [None, None, pytest.approx(1.2)]
-    assert "fail fail 1.200" in wall_pairs.report(verdict, "ops_per_s_norm")
+    assert "fail fail 1.200" in wall_pairs.report(verdict)
 
 
-def test_direction_and_command_come_from_benchmark_json():
-    assert wall_pairs.direction(ROOT, "ops_per_s_norm") is True
-    assert wall_pairs.direction(ROOT, "setup_s") is False
+def test_a_side_whose_every_run_failed_is_no_claim():
+    # A parent checkout that crashes in every pair: B wins them all, but
+    # A has no median to beat.
+    verdict = wall_pairs.fold([(None, 80.0)] * 10)
+    assert (verdict["wins"], verdict["losses"]) == (10, 0)
+    assert all(math.isnan(q) for q in verdict["a"])
+    assert not verdict["claim"]
+    lines = wall_pairs.report(verdict).splitlines()
+    assert "A: median nan, quartiles nan - nan" in lines
+    assert lines[-1] == "no claim"
+
+
+def test_the_command_comes_from_benchmark_json():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert wall_pairs.contract(ROOT) == spec["command"]
-    with pytest.raises(SystemExit):
-        wall_pairs.direction(ROOT, "no_such_metric")
