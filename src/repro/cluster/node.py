@@ -45,7 +45,7 @@ from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ComponentDAG
 from repro.engine.mempool import PendingOp
 from repro.engine.rounds import WallAdapters
-from repro.engine.shard import dag_list_schedule
+from repro.engine.shard import dag_list_schedule, lane_fill
 from repro.errors import ClusterError
 from repro.net.network import Message, Network
 from repro.net.node import Node
@@ -146,7 +146,8 @@ class ClusterNode(Node):
 
     def _unit(self, body: dict) -> tuple[tuple[int, int], _NodeUnit]:
         key = (body["round"], body["unit"])
-        return key, self._units.setdefault(key, _NodeUnit())
+        unit = self._units.get(key) or self._units.setdefault(key, _NodeUnit())
+        return key, unit
 
     def handle_cl_run(self, message: Message) -> None:
         body = message.payload
@@ -157,8 +158,11 @@ class ClusterNode(Node):
         # here, at the message, not later as a wrong schedule.  Each pred
         # position lies below its own, so submission order stays a
         # topological order.
-        if any(a.seq >= b.seq for a, b in zip(ops, ops[1:])):
-            raise ClusterError("cl_run ops are not in ascending seq order")
+        previous = ops[0].seq
+        for op in ops[1:]:
+            if op.seq <= previous:
+                raise ClusterError("cl_run ops are not in ascending seq order")
+            previous = op.seq
         if dag is not None and not (
             isinstance(dag, ComponentDAG)
             and dag.size == len(ops)
@@ -206,30 +210,32 @@ class ClusterNode(Node):
         # completion, so the unit pays only the remainder.
         ready = max(self.now, unit.sync_ready)
         self.bill.sync_wait_time += max(0.0, unit.sync_ready - self.now)
-        # The node executes the router's plan — one component's DAG, or
-        # edge-free ops free to take any lane; task ``k`` is ``ops[k]``.
-        n, dag = len(ops), unit.dag
-        placed = dag_list_schedule(
-            range(n),
-            [()] * n if dag is None else dag.preds,
-            [1] * n if dag is None else dag.priorities,
-            self._lane_free,
-            floors=[ready] * n,
-            cost=self.config.op_cost,
-        )
-        starts = [start for start, _, _ in placed]
-        order = [ops[k] for _, k in sorted(zip(starts, range(n)))]
-        finish = max(f for _, f, _ in placed)
-        # Bill the unit's execution span (first op start -> last finish),
-        # not its wall time since arrival — time spent queued behind
-        # other units' lane occupancy is not this unit's work.
-        started = min(starts)
-        if dag is not None:
+        # The router's plan: one DAG (task ``k`` is ``ops[k]``), or edge-free
+        # ops, placed and applied in order by ``engine/shard.py``'s lane fill.
+        n, dag, cost = len(ops), unit.dag, self.config.op_cost
+        if dag is None:
+            placed, order = lane_fill(n, self._lane_free, ready, cost), ops
+        else:
+            placed = dag_list_schedule(
+                range(n),
+                dag.preds,
+                dag.priorities,
+                self._lane_free,
+                floors=[ready] * n,
+                cost=cost,
+            )
+            starts = [start for start, _, _ in placed]
+            order = [ops[k] for _, k in sorted(zip(starts, range(n)))]
             path, bill = dag.critical_path, self.bill
             bill.dag_chain_ops += n
             bill.dag_critical_ops += path
             bill.max_dag_critical_path = max(bill.max_dag_critical_path, path)
             bill.max_dag_width = max(bill.max_dag_width, dag.width)
+        finish = max([f for _, f, _ in placed])
+        # Bill the unit's execution span (first op start -> last finish),
+        # not its wall time since arrival — time spent queued behind
+        # other units' lane occupancy is not this unit's work.
+        started = min([start for start, _, _ in placed])
         if self.tracer is not None:
             self._trace_unit(key, unit, placed, ready, finish)
         unit.timer = self.schedule(

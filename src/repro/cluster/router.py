@@ -18,7 +18,6 @@ returns a verdict).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -100,7 +99,7 @@ class _Peer:
     fact the failure detector holds about it."""
 
     #: Units awaiting dispatch to the node.
-    queue: deque[_Unit] = field(default_factory=deque)
+    queue: list[_Unit] = field(default_factory=list)
     #: Declared dead: fenced, and given no work until it rejoins.
     dead: bool = False
     #: Last virtual time the node was dispatched to or heard from
@@ -381,42 +380,39 @@ class Router(Node):
         return classified
 
     def _drain_gates(self) -> None:
-        """Send every lease request and unit whose gates now pass."""
-        progress = True
-        while progress:
-            progress = False
-            for index, round_state in list(self._inflight.items()):
-                for migration in list(round_state.lease_pending):
-                    shard, from_node, to_node = migration
-                    if shard in self._handoffs:
-                        continue  # an earlier handoff of this shard is out
-                    round_state.lease_pending.remove(migration)
-                    # A planned granter that died is bypassed.
-                    dead = self._peers[from_node].dead
-                    self._open_handoff(shard, index, from_node, to_node, dead)
-                    progress = True
-            progress |= self._drain_unit_queues()
+        """Send every lease request and unit whose gates now pass.  One
+        pass is the fixpoint: a handoff or a dispatch opens no gate."""
+        for index, round_state in list(self._inflight.items()):
+            for migration in list(round_state.lease_pending):
+                shard, from_node, to_node = migration
+                if shard in self._handoffs:
+                    continue  # an earlier handoff of this shard is out
+                round_state.lease_pending.remove(migration)
+                # A planned granter that died is bypassed.
+                dead = self._peers[from_node].dead
+                self._open_handoff(shard, index, from_node, to_node, dead)
+        self._drain_unit_queues()
 
-    def _drain_unit_queues(self) -> bool:
+    def _drain_unit_queues(self) -> None:
         """Send every unit none of whose blockers is unfinished.  Fixing
         them at routing is exact: earlier rounds' unit records never
         change (a replay moves the record), ``done`` never reverts, and
         later rounds never gate earlier ones.  Same-node units are not
         exempt — with no per-node FIFO, cross-round same-node order is
         this gate's job too.  A blocked unit is *skipped*, not a barrier."""
-        progress = False
         for node, peer in enumerate(self._peers):
-            if peer.dead:
+            if peer.dead or not peer.queue:
                 continue
-            for unit in list(peer.queue):
+            queued, peer.queue = peer.queue, []
+            for unit in queued:
                 blockers = unit.blockers
                 while blockers and blockers[-1].done:
                     blockers.pop()
                 if blockers:
                     unit.block(self.now)
+                    peer.queue.append(unit)
                     continue
                 round_state = self._inflight[unit.round]
-                peer.queue.remove(unit)
                 stall = self.now - round_state.classified
                 gate_stall, recovery_stall = unit.dispatch(self.now)
                 totals = round_state.stats
@@ -433,8 +429,6 @@ class Router(Node):
                         recovery_stall,
                     )
                 self._send_unit(round_state, unit)
-                progress = True
-        return progress
 
     def _send_unit(self, round_state: _Round, unit: _Unit) -> None:
         # Absolute completion of this unit's sync lane (0.0 for
@@ -488,15 +482,17 @@ class Router(Node):
             0.0, peer.outstanding_work - unit.settle(done)
         )
 
-    def _finish_round(self, index: int) -> None:
+    def _finish_round(self, index: int) -> bool:
+        """Retire the round if nothing is owed; ``True``: it did, and pumped."""
         routed = self._inflight[index]
         if routed.pending or routed.pending_acks > 0:
-            return
+            return False
         routed.stats.virtual_time = self.now - routed.classified
         routed.stats.completed_at = self.now
         self.stats.record_round(routed.stats, routed.sync)
         del self._inflight[index]
         self.pump()
+        return True
 
     # -- lease handoffs ---------------------------------------------------
 
@@ -893,7 +889,8 @@ class Router(Node):
                 self._stale("stray lease ack outside its round")
                 return
             round_state.pending_acks -= 1
-            self._finish_round(index)
+            if self._finish_round(index):
+                return
         self._drain_gates()
 
     def handle_cl_result(self, message: Message) -> None:
@@ -913,8 +910,8 @@ class Router(Node):
         round_state.pending -= 1
         self._settle_dispatch(unit, done=True)
         self._settle_replay(unit)
-        self._finish_round(index)
-        self._drain_gates()
+        if not self._finish_round(index):
+            self._drain_gates()
 
     @property
     def idle(self) -> bool:

@@ -57,7 +57,6 @@ placement never does.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
@@ -265,9 +264,7 @@ def route_window(
     # migrations must not flatter the metric).  A chain's owner counts read
     # the live map instead: a later chain sees an earlier one's migration.
     footprints = plan.footprints
-    anchors = [
-        anchor_account(fp, op.pid) for op, fp in zip(window, footprints)
-    ]
+    anchors = list(map(anchor_account, footprints, [op.pid for op in window]))
     shards = [shard_map.shard_of(account) for account in anchors]
     home = [shard_map.owner_of_shard(shard) for shard in shards]
     in_chain = [False] * len(window)
@@ -289,36 +286,37 @@ def route_window(
     #: submission order) plus, below, one residual unit of each
     #: node's singletons.
     units: dict[tuple[int, int], _Unit] = {}
-    units_on: Counter[int] = Counter()
+    units_on = dict.fromkeys(range(shard_map.num_nodes), 0)
     lease_units: dict[int, int] = {}
 
     def add_unit(
         node: int, members: list[int], dag: ComponentDAG | None = None
     ) -> _Unit:
         unit = _Unit(
-            ops=tuple(window[i] for i in members),
+            ops=tuple([window[i] for i in members]),
             contended=False,
             sync_delay=0.0,
             leases=0,
             round=index,
             node=node,
             uidx=units_on[node],
-            summary=union_footprint(footprints[i] for i in members),
+            summary=union_footprint([footprints[i] for i in members]),
             dag=dag,
         )
         units_on[node] += 1
         units[(node, unit.uidx)] = unit
         return unit
 
-    hot_split = 0
-    cooldown_skips = 0
+    hot_split = cooldown_skips = 0
 
     # Components route as units (the co-location invariant).  Chains
     # first, in submission order of their heads; each ships its DAG.
     for chain, dag in zip(plan.chains, plan.dags, strict=True):
+        owners: dict[int, int] = {}
         for i in chain:
             in_chain[i] = True
-        owners = Counter(shard_map.owner_of_shard(shards[i]) for i in chain)
+            owner = shard_map.owner_of_shard(shards[i])
+            owners[owner] = owners.get(owner, 0) + 1
         # Majority owner wins; ties go to the currently least-loaded
         # participant (an id tie-break would funnel every evenly-split
         # chain — and, through leases, ever more ownership — onto the
@@ -328,7 +326,7 @@ def route_window(
         # dead runs on the least-loaded live node.
         target = min(
             [n for n in owners if n in live] or live,
-            key=lambda n: (-owners[n], load[n], n),
+            key=lambda n: (-owners.get(n, 0), load[n], n),
         )
         unit = add_unit(target, chain, dag)
         chain_contended = [i for i in chain if i in contended]
@@ -342,7 +340,7 @@ def route_window(
             escalated_ops += len(component)
             unit.contended = True
             escalated_components.append((frozenset(owners), component, unit))
-        elif len(owners) > 1 and owners[target] >= min_gain:
+        elif len(owners) > 1 and owners.get(target, 0) >= min_gain:
             # Uncontended cross-shard chain with a clearly busier node:
             # migrate the minority shards' leases to it, then run
             # owner-local.
@@ -422,10 +420,6 @@ def route_window(
         load[lightest] += 1
         spill += 1
 
-    owner_local = sum(
-        home[i] == node for node, members in assignment.items() for i in members
-    )
-
     # Synchronization: each contended cross-node component through its
     # cheapest adequate lane.  Every component is one batch on the
     # pool's clock: team-tier ones (owner set within the threshold) on
@@ -448,10 +442,12 @@ def route_window(
     # ascending ``seq``.  Each node's singletons commute with the whole
     # window, so they share one residual unit (and one gate).
     placed: dict[int, list[PendingOp]] = {}
+    owner_local = 0
     for node, members in assignment.items():
         if members:
             members.sort()
             placed[node] = [window[i] for i in members]
+            owner_local += [home[i] for i in members].count(node)
             rest = [i for i in members if not in_chain[i]]
             if rest:
                 add_unit(node, rest)

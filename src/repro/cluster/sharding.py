@@ -86,14 +86,3 @@ class ShardMap:
         record = LeaseRecord(shard, from_node, to_node, round_index)
         self.migrations.append(record)
         return record
-
-    def as_dict(self) -> dict:
-        return {
-            "num_shards": self.num_shards,
-            "num_nodes": self.num_nodes,
-            "shards_per_node": {
-                node: len(self.shards_of_node(node))
-                for node in range(self.num_nodes)
-            },
-            "migrations": len(self.migrations),
-        }

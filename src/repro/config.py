@@ -80,6 +80,8 @@ class _ConfigBase:
     def _check_common(self) -> None:
         if self.window < 1:
             raise self._error("window must be positive")
+        if not self.op_cost > 0:
+            raise self._error("op_cost must be positive")
         if self.team_threshold < 0:
             raise self._error("team_threshold must be non-negative")
         if self.pipeline_depth < 1:

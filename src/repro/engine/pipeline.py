@@ -229,14 +229,6 @@ class PipelinedExecutor:
             )
         return pending
 
-    def feed(self, items: Iterable[WorkloadItem]) -> list[PendingOp]:
-        pending = self.mempool.feed(items)
-        if self.tracer is not None:
-            now = self.stream_now()
-            for op in pending:
-                self.tracer.op_submit(op.seq, now)
-        return pending
-
     def run_workload(
         self, items: Iterable[WorkloadItem]
     ) -> tuple[Any, list[Any], EngineStats]:

@@ -17,21 +17,27 @@ The scheduler places *operations*, not components, with a
 critical-path-first list scheduler (highest bottom level first,
 earliest-available lane), so a component's makespan is its critical path,
 not its op count.  The engine applies each window in submission order; a
-cluster node applies a unit in ascending ``(start, position)`` order, a
+cluster node applies a DAG unit in ascending ``(start, position)`` order, a
 linear extension of its DAG (lane-major application is unsound once one
 chain spans lanes).  Any linear extension is serially equivalent to
 submission order: ops without a DAG path commute and may be transposed.
+
+**The lane fill.**  :func:`lane_fill` places a node's edge-free unit in one
+pass: each op, in position order, takes the first least-free lane at
+``max(ready, free)``.  For ``cost > 0`` that is :func:`dag_list_schedule`'s
+placement of edge-free ops on one floor (its heap pops them in position
+order; the only gap the fill opens ends at the floor, and no op fits before
+it), and starts never decrease with position, so a node applies it as is.
 
 The scheduler never consults mutable state, so the same window on the same
 lane timeline always gets the same placements — part of the engine's
 determinism guarantee.  :func:`dag_list_schedule` is the only list
 scheduler: the engine's rolling timeline and the cluster node's unit
-executor both place every op through it, reading each DAG's positional
+executor place every DAG op through it, reading each DAG's positional
 ``preds`` and ``priorities`` as :meth:`ConflictGraph.component_dags
 <repro.engine.conflict_graph.ConflictGraph.component_dags>` built them.
 The engine concatenates a window's DAGs in :func:`dag_schedule`; a node
-runs one DAG — or edge-free ops — per unit and passes its fields as they
-are.
+runs one DAG per unit and passes its fields as they are.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ def dag_list_schedule(
     open gap's end (it rises as gaps open, a split gap's slivers end no
     later, and it is −∞ once none is open); a task with ``est + cost >
     horizon`` skips the gap walk, exactly: any slot is ``≥ est`` and float
-    addition is monotone, so no gap can fit it.  (A node's residual unit
+    addition is monotone, so no gap can fit it.  (A node's DAG unit
     floors all its ops at one ``ready``, so every gap it opens ends there.)
 
     Returns ``(start, finish, lane)`` per task.  Deterministic: the heap
@@ -159,6 +165,18 @@ def dag_list_schedule(
     if scheduled != n:
         raise EngineError("dependency cycle in DAG schedule")
     return out  # type: ignore[return-value]
+
+
+def lane_fill(n: int, lane_free: list, ready: float, cost: float) -> list:
+    """The module docstring's lane fill; mutates ``lane_free`` in place."""
+    placed = []
+    for _ in range(n):
+        free = min(lane_free)
+        lane = lane_free.index(free)
+        start = ready if ready > free else free
+        finish = lane_free[lane] = start + cost
+        placed.append((start, finish, lane))
+    return placed
 
 
 def dag_schedule(

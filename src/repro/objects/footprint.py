@@ -167,27 +167,46 @@ def anchor_account(fp: "OpFootprint | None", default: int) -> int:
     calling process).  Anchoring on the contended cell keeps every
     operation of one synchronization group on that account's owner — the
     placement under which owner-local traffic needs no coordination at all.
+    Each kind is walked at most once.
     """
     if fp is None:
         return default
-    account = _smallest_account(
-        fp.adds, _smallest_account(fp.sets), within=fp.observes
-    )
-    # No contended account means no observed add names one either, so the
-    # written accounts are those of ``adds`` as it stands.
-    if account is None:
-        account = _smallest_account(fp.adds)
-    if account is None:
-        account = _smallest_account(fp.observes)
+    observes = fp.observes
+    contended = written = None
+    for location in fp.adds:
+        if len(location) > 1:
+            account = location[1]
+            if location in observes:
+                if isinstance(account, int) and (
+                    contended is None or account < contended
+                ):
+                    contended = account
+            # An observed add naming an account makes ``written`` moot;
+            # until one does, track the smallest unobserved one.
+            elif (
+                contended is None
+                and isinstance(account, int)
+                and (written is None or account < written)
+            ):
+                written = account
+    if fp.sets:
+        contended = _smallest_account(fp.sets, contended)
+    if contended is not None:
+        return contended
+    # No contended account: neither a set cell nor an observed add names
+    # one, so the smallest written account is ``written``.
+    if written is not None:
+        return written
+    account = _smallest_account(observes)
     return default if account is None else account
 
 
-def _smallest_account(locations, best=None, within=None) -> int | None:
+def _smallest_account(locations, best=None) -> int | None:
     """``best`` lowered to the smallest account anchoring one of
-    ``locations`` (the convention of :func:`accounts_in`) — of those also
-    in ``within``, when given.  Builds no set and sorts nothing."""
+    ``locations`` (the convention of :func:`accounts_in`).  Builds no set
+    and sorts nothing."""
     for location in locations:
-        if len(location) > 1 and (within is None or location in within):
+        if len(location) > 1:
             account = location[1]
             if isinstance(account, int) and (best is None or account < best):
                 best = account

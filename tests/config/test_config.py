@@ -178,3 +178,16 @@ class TestValidation:
             ClusterConfig(num_nodes=0)
         with pytest.raises(ClusterError):
             ClusterConfig(lane_ttl=0)
+
+    # Accepted, a non-positive op cost would shrink the engine's virtual
+    # time below its op count and make a cluster node schedule events in
+    # the past; the node's lane fill also needs ``op_cost > 0``.
+    @pytest.mark.parametrize("op_cost", [0, 0.0, -1.0, float("nan")])
+    def test_engine_refuses_a_non_positive_op_cost(self, op_cost):
+        with pytest.raises(EngineError, match="op_cost must be positive"):
+            EngineConfig(op_cost=op_cost)
+
+    @pytest.mark.parametrize("op_cost", [0, 0.0, -1.0, float("nan")])
+    def test_cluster_refuses_a_non_positive_op_cost(self, op_cost):
+        with pytest.raises(ClusterError, match="op_cost must be positive"):
+            ClusterConfig(op_cost=op_cost)

@@ -44,7 +44,7 @@ from repro.engine import (
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import Mempool, PendingOp
-from repro.engine.shard import dag_schedule
+from repro.engine.shard import dag_schedule, lane_fill
 from repro.errors import EngineError
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
@@ -587,6 +587,53 @@ class TestListScheduleProperties:
                 priorities=[1, 1],
                 lane_free=[0],
             )
+
+
+def lane_times():
+    """A lane tail or a floor: an int, a half-integer or any float."""
+    return st.one_of(
+        st.integers(0, 12),
+        st.integers(0, 24).map(lambda halves: halves / 2),
+        st.floats(0, 12, allow_nan=False),
+    )
+
+
+class TestLaneFill:
+    """:func:`lane_fill` is the list scheduler on edge-free ops that share
+    one floor (``engine/shard.py``'s docstring) — the node's residual
+    units take it instead of :func:`dag_list_schedule`."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        lane_free=st.lists(lane_times(), min_size=1, max_size=6),
+        ready=lane_times(),
+        cost=st.sampled_from([0.5, 1, 2.5]),
+    )
+    # An int floor equal to a float tail: the start is the tail (a float),
+    # as ``max`` would not guarantee.
+    @example(n=2, lane_free=[1.0, 3], ready=1, cost=1)
+    # Every lane busy past the floor, ties on the least free time.
+    @example(n=5, lane_free=[4, 2.5, 2.5, 7.25], ready=0.5, cost=2.5)
+    def test_it_places_as_the_list_scheduler(self, n, lane_free, ready, cost):
+        """Same ``(start, finish, lane)`` per op and the same carried-out
+        ``lane_free``, compared by ``repr`` (an int that became a float
+        counts as a difference); starts never decrease with position, so
+        position order is ``(start, position)`` order."""
+        filled_free, listed_free = list(lane_free), list(lane_free)
+        filled = lane_fill(n, filled_free, ready, cost)
+        listed = dag_list_schedule(
+            range(n),
+            [()] * n,
+            [1] * n,
+            listed_free,
+            floors=[ready] * n,
+            cost=cost,
+        )
+        assert repr(filled) == repr(listed)
+        assert repr(filled_free) == repr(listed_free)
+        starts = [start for start, _, _ in filled]
+        assert starts == sorted(starts)
 
 
 class TestSerialEquivalence:
