@@ -5,7 +5,7 @@
 * Batching in the total-order baseline: how much of the consensus cost
   amortizes away, and what remains (the sequencer's latency).
 * The escrow-token alternative: atomic operations, collapsed consensus power
-  (the DESIGN.md note 5 trade-off quantified).
+  (README.md, Reproduction note 5, quantified).
 """
 
 from __future__ import annotations

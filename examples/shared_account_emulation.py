@@ -62,7 +62,7 @@ def main() -> None:
     print(f"emulation (confined to Q_{k}) rejects approving a second one —")
     print("the k-AT substrate simply cannot synchronize more processes.")
 
-    print("\n--- the literal algorithm's quirks (reproduction notes 3/4) ---")
+    print("\n--- the literal algorithm's quirks (reproduction note 2) ---")
     leaky_state = TokenState.create([0, 3, 0, 0], {(1, 2): 5})
     literal = EmulatedToken(leaky_state, k=2, variant="literal")
     response = run_sequential(literal, 2, "transfer_from", 1, 2, 5)

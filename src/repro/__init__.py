@@ -20,7 +20,8 @@ Quickstart::
     print(classify(token.state).level)                    # 2: Bob's account
                                                           # now has 2 spenders
 
-See README.md and DESIGN.md for the full tour.
+See README.md for the full tour; its Reproduction notes list where the
+code departs from the paper.
 """
 
 from repro._lazy import lazy_exports

@@ -21,7 +21,7 @@ mechanically exhibited in ``tests/protocols/test_algorithm1_erratum.py``).
 :func:`unique_transfer_strict` adds the missing requirement
 ``0 < α(a,p) ≤ β(a)`` for every non-owner enabled spender; Theorem 2's
 construction is verified by exploration under this strengthened predicate.
-See DESIGN.md, Reproduction notes.
+See README.md, Reproduction note 1.
 """
 
 from __future__ import annotations

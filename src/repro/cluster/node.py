@@ -11,11 +11,11 @@ classifies nothing and derives nothing: the DAG's ``preds`` and
 ``priorities`` feed the scheduler, its ``critical_path`` and ``width``
 the bill (the tests re-derive each shipped plan from its ops, beside the
 network).  The router gates each unit individually, and the node runs
-units incrementally on a *persistent lane timeline* — the op-granular
-list scheduler (:func:`~repro.engine.shard.dag_list_schedule`) places
-each arriving unit's ops onto whichever lanes free up first, so one unit
-blocked behind its sync lane or a cross-round footprint conflict does not
-hold up everything else routed to the node that round.  Units of one
+units incrementally on a *persistent lane timeline* — the list scheduler
+(:func:`~repro.engine.shard.dag_list_schedule`, in ``engine/shard.py``'s
+static order) places each arriving unit's ops on whichever lanes free up
+first, so one unit blocked behind its sync lane or a cross-round
+footprint conflict does not hold up everything else routed there.  Units of one
 round are distinct components (statically commuting) and cross-round
 conflicts are dispatch-gated at the router, so any unit interleaving
 stays serially equivalent.

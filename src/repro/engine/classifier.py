@@ -42,7 +42,7 @@ class ClassifierStats:
 
     ``pairs`` and ``by_kind`` count the pairs the classifier *examined*.
     On the indexed path (``ConflictGraph.build``, one :meth:`count_window`
-    per window) those are the window's non-commuting candidates only —
+    per window with an edge) those are its non-commuting candidates only —
     COMMUTE pairs are never visited, so ``by_kind`` has no ``"commute"``
     entry and ``pairs`` is the edge count, not ``n(n-1)/2``: a window's
     commute count is ``n(n-1)/2 - len(graph.edges)``.

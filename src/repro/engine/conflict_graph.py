@@ -109,27 +109,26 @@ class ConflictGraph:
         """The window's graph, its edges found through the location index
         (:func:`~repro.objects.footprint.conflict_candidates`)."""
         ops = list(ops)
-        footprints = [classifier.footprint(op) for op in ops]
+        footprint = classifier.object_type.footprint
+        footprints = [footprint(op.pid, op.operation) for op in ops]
+        later = conflict_candidates(footprints)
+        n = len(ops)
+        if not later:
+            return cls(ops, {}, footprints, set(), [[i] for i in range(n)], {})
+        edges: dict[tuple[int, int], PairKind] = {}
+        contended: set[int] = set()
+        # Walk 1, over the ops with a later partner (every candidate is an
+        # edge): the ascending edge dict and the contended set.
         classes = [
             0 if fp is None else 2 if fp.adds or fp.sets else 1
             for fp in footprints
         ]
-        # Walk 1, over the candidates: the ascending edge dict, the ops
-        # with a later partner (every candidate is an edge) and the
-        # contended set.
-        edges: dict[tuple[int, int], PairKind] = {}
-        has_later: set[int] = set()
-        contended: set[int] = set()
         needs_consensus = classifier.needs_consensus
         read_only = 0
-        for i, partners in enumerate(conflict_candidates(footprints)):
-            if not partners:
-                continue
-            has_later.add(i)
-            later = sorted(partners)
+        for i in sorted(later):
             kinds = _KIND_BY_CLASS[classes[i]]
             first, fp = ops[i], footprints[i]
-            for j in later:
+            for j in sorted(later[i]):
                 edges[(i, j)] = kind = kinds[classes[j]]
                 if kind is _READ_ONLY:
                     read_only += 1
@@ -137,7 +136,7 @@ class ConflictGraph:
                     contended.add(i)
                     contended.add(j)
         # An unknown footprint pairs with the whole window.
-        unknown, n = classes.count(0), len(ops)
+        unknown = classes.count(0)
         classifier.stats.count_window(
             len(edges) - read_only,
             read_only,
@@ -168,7 +167,7 @@ class ConflictGraph:
         for i in range(n):
             if parent[i] != i:
                 group_of[find(i)].append(i)
-            elif i in has_later:
+            elif i in later:
                 group_of[i] = group = [i]
                 components.append(group)
             else:

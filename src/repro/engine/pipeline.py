@@ -42,20 +42,19 @@ finish, which preserves submission order between them.  Unknown
 footprints degrade soundly: such an op waits for *everything* earlier
 and gates everything later.
 
-Mechanically the executor keeps a per-location **frontier** — the virtual
-time at which the last scheduled op touching that location finishes —
-plus per-lane free times.  Every operation is its own timeline *unit*
-with a floor ``max(classify time, frontier of its footprint, its sync
-lane's completion)``, and :func:`~repro.engine.shard.dag_list_schedule`
-places each window's ops onto the rolling lane timeline: critical-path
-first along the component DAGs, idle gaps behind floored ops backfilled.
-A window is planned once, by :func:`~repro.engine.rounds.plan_window`,
-which computes its footprints once (sync team sizing included), and
-everything per op — footprint, frontier time, floor, placement — lives in
-lists aligned with the window or with the scheduler's task order, so an
-op that commutes with its whole window (the paper's consensus-number-1
-case) costs one footprint, one frontier lookup and one ``min`` over the
-lane tails: no edge, no union-find entry, no DAG.
+Mechanically the executor keeps a per-location **frontier** (the finish
+of the last op that read, wrote or set each location) plus per-lane free
+times.  Every op is its own timeline *unit* with a floor ``max(classify
+time, frontier of its footprint, its sync lane's completion)``, and
+:func:`~repro.engine.shard.dag_list_schedule` places each window's ops on
+the rolling lane timeline in ``engine/shard.py``'s static order
+(critical-path first along the component DAGs), backfilling idle gaps
+behind floored ops.  A window is planned once, by
+:func:`~repro.engine.rounds.plan_window`, and everything per op lives in
+lists aligned with the window or the scheduler's task order, so an op that
+commutes with its whole window (the paper's consensus-number-1 case) costs
+one footprint, one frontier probe per cell it reads and one ``min`` over
+the lane tails: no edge, no union-find entry, no DAG.
 Window N+1 is classified (conflict graph, tiered synchronization) as soon
 as the pipeline has a free slot — i.e. while window N's lanes are still
 executing — and the shared synchronization lanes serialize across windows
@@ -188,14 +187,17 @@ class PipelinedExecutor:
         #: on earlier writes, writes gate on earlier reads, absolute
         #: writes gate on everything — but read-read and delta-delta
         #: (credit-credit) sharing stays dependency-free, which is what
-        #: lets disjoint-owner traffic run ahead across windows.
+        #: lets disjoint-owner traffic run ahead across windows.  Reads
+        #: gate on ``_frontier_wrote`` alone: any write, delta or absolute.
         self._frontier_obs: dict[tuple, float] = {}
-        self._frontier_add: dict[tuple, float] = {}
+        self._frontier_wrote: dict[tuple, float] = {}
         self._frontier_set: dict[tuple, float] = {}
         #: Finish high-water marks: of unknown-footprint units (which gate
         #: everything after them) and of all units (which gate unknown ones).
         self._frontier_top = 0.0
         self._frontier_max = 0.0
+        #: What :meth:`_place_window_dag`'s walk leaves for :meth:`step`.
+        self._placed: tuple = ()
         #: Completion time of each drained window, in window order.
         self._completions: list[float] = []
         self._classify_clock = 0.0
@@ -243,11 +245,12 @@ class PipelinedExecutor:
         rejection.
         """
         pending = []
+        submit = self.submit if self.tracer is not None else self.mempool.submit
         for item in items:
             if self.mempool.capacity is not None:
                 while len(self.mempool) >= self.mempool.capacity:
                     self.step()
-            pending.append(self.submit(item.pid, item.operation))
+            pending.append(submit(item.pid, item.operation))
         self.run()
         return (
             self.state,
@@ -348,34 +351,7 @@ class PipelinedExecutor:
                 op_sync[i] = done
 
         scheduled = self._place_window_dag(plan, t_classify, op_sync)
-
-        # Frontier updates apply after the whole window: units of one
-        # window never gate each other through the frontier — distinct
-        # components statically commute, and same-component ordering is
-        # the DAG edges' job.
-        stall = stall_contended = 0.0
-        frontier_obs = self._frontier_obs
-        frontier_add = self._frontier_add
-        frontier_set = self._frontier_set
-        for _, finish, _, _, footprint, contended, waited, blocked in scheduled:
-            stall += waited + blocked
-            if contended:
-                stall_contended += waited + blocked
-            if footprint is None:
-                self._frontier_top = max(self._frontier_top, finish)
-                continue
-            for loc in footprint.observes:
-                if finish > frontier_obs.get(loc, 0.0):
-                    frontier_obs[loc] = finish
-            for loc in footprint.adds:
-                if finish > frontier_add.get(loc, 0.0):
-                    frontier_add[loc] = finish
-            for loc in footprint.sets:
-                if finish > frontier_set.get(loc, 0.0):
-                    frontier_set[loc] = finish
-
-        completed = max(unit.finish for unit in scheduled)
-        self._frontier_max = max(self._frontier_max, completed)
+        stall, stall_contended, completed, lanes_used = self._placed
         overlap = 0.0
         if self._completions:
             overlap = max(0.0, self._completions[-1] - scheduled[0].start)
@@ -390,7 +366,7 @@ class PipelinedExecutor:
             wave_ops=len(plan.singletons),
             barrier_ops=plan.chained_ops - escalated,
             escalated_ops=escalated,
-            lanes_used=len({unit.lane for unit in scheduled}),
+            lanes_used=lanes_used,
             critical_path=critical_path or 1,
             virtual_time=completed - t_classify,
             stall_time=stall,
@@ -496,14 +472,14 @@ class PipelinedExecutor:
         comes from the component DAGs (predecessor finish times); the
         cross-window order from the per-*op* frontier and a contended
         op's sync lane, which — with the classification instant — form
-        the op's *floor*.  The frontier is not updated inside a window,
-        so the floor is a function of the op alone and
+        the op's *floor*.  The frontier is not read inside a window, so
         :func:`~repro.engine.shard.dag_list_schedule` places the window
-        onto the rolling lane timeline (critical-path first, submission
-        order on ties, idle gaps behind floored ops backfilled).
-        ``op_sync`` maps a contended op's window index to its sync lane's
-        completion; ``floors`` is a window-aligned list, ``order`` /
-        ``preds`` / ``placed`` task-aligned ones.
+        onto the rolling lane timeline by floors alone (idle gaps behind
+        floored ops backfilled).  ``op_sync`` maps a contended op's window
+        index to its sync lane's completion; ``floors`` is window-aligned,
+        ``order`` / ``preds`` / ``placed`` task-aligned.  One walk over
+        the placed units attributes stalls, moves the frontier and leaves
+        the window's totals in ``_placed``.
         """
         # An op's floor: admission, then the cross-window frontier —
         # exactly the static commutativity test per access kind: reads
@@ -512,7 +488,7 @@ class PipelinedExecutor:
         # earlier access; an unknown footprint waits for everything.  Each
         # test keeps the first of equal values, as ``max`` does.
         ops, footprints = plan.ops, plan.footprints
-        obs, add = self._frontier_obs, self._frontier_add
+        obs, wrote = self._frontier_obs, self._frontier_wrote
         sets = self._frontier_set
         top, everything = self._frontier_top, self._frontier_max
         floors = []
@@ -521,9 +497,7 @@ class PipelinedExecutor:
             floor = ready if ready > t_classify else t_classify
             if footprint is not None:
                 for loc in footprint.observes:
-                    if (done := add.get(loc, 0.0)) > floor:
-                        floor = done
-                    if (done := sets.get(loc, 0.0)) > floor:
+                    if (done := wrote.get(loc, 0.0)) > floor:
                         floor = done
                 for loc in footprint.adds:
                     if (done := obs.get(loc, 0.0)) > floor:
@@ -533,9 +507,7 @@ class PipelinedExecutor:
                 for loc in footprint.sets:
                     if (done := obs.get(loc, 0.0)) > floor:
                         floor = done
-                    if (done := add.get(loc, 0.0)) > floor:
-                        floor = done
-                    if (done := sets.get(loc, 0.0)) > floor:
+                    if (done := wrote.get(loc, 0.0)) > floor:
                         floor = done
             floors.append(floor)
         for i, done in op_sync.items():
@@ -543,7 +515,7 @@ class PipelinedExecutor:
                 floors[i] = done
         #: Per lane, when its next slot opens: the carried-in free time,
         #: then the finish of each op placed on it (start order).
-        slot = list(self._lane_free)
+        carried, slot = list(self._lane_free), list(self._lane_free)
         order, preds, placed = dag_schedule(
             plan.chains,
             plan.dags,
@@ -559,9 +531,13 @@ class PipelinedExecutor:
         # predecessor finishes form the baseline; waiting beyond it is
         # stall, attributed to the sync lane first, then the frontier —
         # ``start = base + sync_stall + frontier_stall`` exactly.  Units
-        # ascend by (start, window index), a key without ties.
+        # ascend by (start, window index), a key without ties.  Only later
+        # windows read the frontier the walk moves: distinct components
+        # statically commute, and one component's order is its DAG's job.
         scheduled: list[ScheduledUnit] = []
-        unit = tuple.__new__
+        append, unit = scheduled.append, tuple.__new__
+        stall = stall_contended = 0.0
+        completed = t_classify  # every finish lies past it
         starts = [start for start, _, _ in placed]
         for start, i, k in sorted(zip(starts, order, range(len(order)))):
             _, finish, lane = placed[k]
@@ -570,12 +546,35 @@ class PipelinedExecutor:
                 if placed[p][1] > base:
                     base = placed[p][1]
             slot[lane] = finish
-            sync_ready = op_sync.get(i)
+            sync_ready = op_sync.get(i) if op_sync else None
             sync_stall, held = 0.0, base
             if sync_ready is not None and sync_ready > base:
                 sync_stall, held = sync_ready - base, sync_ready
-            stall = floors[i] - held
-            scheduled.append(
+            blocked = floors[i] - held
+            blocked = blocked if blocked > 0.0 else 0.0
+            footprint, contended = footprints[i], sync_ready is not None
+            waited = sync_stall + blocked
+            stall += waited
+            if contended:
+                stall_contended += waited
+            if finish > completed:
+                completed = finish
+            if footprint is None:
+                if finish > top:
+                    top = finish
+            else:
+                for loc in footprint.observes:
+                    if finish > obs.get(loc, 0.0):
+                        obs[loc] = finish
+                for loc in footprint.adds:
+                    if finish > wrote.get(loc, 0.0):
+                        wrote[loc] = finish
+                for loc in footprint.sets:
+                    if finish > wrote.get(loc, 0.0):
+                        wrote[loc] = finish
+                    if finish > sets.get(loc, 0.0):
+                        sets[loc] = finish
+            append(
                 unit(
                     ScheduledUnit,
                     (
@@ -583,13 +582,18 @@ class PipelinedExecutor:
                         finish,
                         lane,
                         ops[i],
-                        footprints[i],
-                        sync_ready is not None,
+                        footprint,
+                        contended,
                         sync_stall,
-                        stall if stall > 0.0 else 0.0,
+                        blocked,
                     ),
                 )
             )
+        self._frontier_top = top
+        self._frontier_max = max(everything, completed)
+        # A lane moved iff an op landed on it (``op_cost > 0``).
+        lanes_used = len([1 for a, b in zip(carried, slot) if a != b])
+        self._placed = (stall, stall_contended, completed, lanes_used)
         return scheduled
 
     def run(self) -> EngineStats:

@@ -22,27 +22,27 @@ linear extension of its DAG (lane-major application is unsound once one
 chain spans lanes).  Any linear extension is serially equivalent to
 submission order: ops without a DAG path commute and may be transposed.
 
-**The lane fill.**  :func:`lane_fill` places a node's edge-free unit in one
-pass: each op, in position order, takes the first least-free lane at
-``max(ready, free)``.  For ``cost > 0`` that is :func:`dag_list_schedule`'s
-placement of edge-free ops on one floor (its heap pops them in position
-order; the only gap the fill opens ends at the floor, and no op fits before
-it), and starts never decrease with position, so a node applies it as is.
-
-The scheduler never consults mutable state, so the same window on the same
-lane timeline always gets the same placements — part of the engine's
-determinism guarantee.  :func:`dag_list_schedule` is the only list
-scheduler: the engine's rolling timeline and the cluster node's unit
-executor place every DAG op through it, reading each DAG's positional
-``preds`` and ``priorities`` as :meth:`ConflictGraph.component_dags
-<repro.engine.conflict_graph.ConflictGraph.component_dags>` built them.
-The engine concatenates a window's DAGs in :func:`dag_schedule`; a node
-runs one DAG per unit and passes its fields as they are.
+**The static order.**  :func:`dag_list_schedule` is the only list
+scheduler: the engine's rolling timeline (a window's DAGs concatenated by
+:func:`dag_schedule`) and a cluster node's DAG units place every DAG op
+through it, ranked by the DAGs' ``priorities`` as :meth:`ConflictGraph.
+component_dags <repro.engine.conflict_graph.ConflictGraph.component_dags>`
+built them — bottom levels, singletons at 1.  A bottom level ranks each
+predecessor strictly above its successors, so the scheduler places tasks
+in one sorted order by the unique key ``(−priority, seq, index)``: the
+smallest unplaced key is always ready, the task a ready heap would pop.
+:func:`lane_fill` places a node's edge-free unit in one pass: each op, in
+position order, takes the first least-free lane at ``max(ready, free)``.
+For ``cost > 0`` that is the list scheduler's placement of edge-free ops
+on one floor (the static order is position order; the only gap the fill
+opens ends at the floor, and no op fits before it), and starts never
+decrease with position, so a node applies it as is.  Neither consults
+mutable state: the same window on the same lane timeline always gets the
+same placements, part of the engine's determinism guarantee.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Sequence
 
@@ -92,24 +92,21 @@ def dag_list_schedule(
     addition is monotone, so no gap can fit it.  (A node's DAG unit
     floors all its ops at one ``ready``, so every gap it opens ends there.)
 
-    Returns ``(start, finish, lane)`` per task.  Deterministic: the heap
-    orders by (priority desc, seq) and the lane choice by (start, free,
-    id) over every lane.  That key needs no scan of the lanes: among lane
-    *tails* it is smallest on the first lane of least free time (``start
-    = max(free, est)`` grows with ``free``), and a lane's fitting gap —
-    gaps are ascending, so its first — starts before its tail, so only
-    lanes holding a gap are looked at one by one.
+    Returns ``(start, finish, lane)`` per task.  Deterministic: tasks are
+    placed in the module docstring's static order, and ``est`` folds the
+    floor and the predecessors' finishes in that order too (of equal
+    finishes, the first placed wins); a predecessor still unplaced — a
+    cycle, or priorities against the rule — raises.  The lane choice is
+    by (start, free, id) over every lane.  That key needs no scan of the
+    lanes: among lane *tails* it is smallest on the first lane of least
+    free time (``start = max(free, est)`` grows with ``free``), and a
+    lane's fitting gap — gaps are ascending, so its first — starts before
+    its tail, so only lanes holding a gap are looked at one by one.
     """
     n = len(seqs)
-    succs: list[list[int]] = [[] for _ in range(n)]
-    missing = [0] * n
-    for i, below in enumerate(preds):
-        missing[i] = len(below)
-        for p in below:
-            succs[p].append(i)
-    est = list(floors) if floors is not None else [0.0] * n
-    ready = [(-priorities[i], seqs[i], i) for i in range(n) if not missing[i]]
-    heapq.heapify(ready)
+    if floors is None:
+        floors = [0.0] * n
+    keys = [(-priorities[i], seqs[i], i) for i in range(n)]
     out: list[tuple[float, float, int] | None] = [None] * n
     #: Lane -> its idle ``[start, end)`` intervals behind its free time,
     #: ascending; only lanes holding one have an entry (this call's own
@@ -117,19 +114,27 @@ def dag_list_schedule(
     #: incremental scheduling conservative).
     gaps: dict[int, list[tuple[float, float]]] = {}
     horizon = -math.inf
-    scheduled = 0
-    while ready:
-        _, _, i = heapq.heappop(ready)
-        earliest = est[i]
+    for _, _, i in sorted(keys):
+        est = floors[i]
+        below = preds[i]
+        if below and len(below) > 1:
+            below = sorted(below, key=keys.__getitem__)
+        for p in below:
+            placed = out[p]
+            if placed is None:
+                why = "a cycle, or priorities not ranking it first"
+                raise EngineError(f"task {i}: predecessor {p} unplaced, {why}")
+            if placed[1] > est:
+                est = placed[1]
         free = min(lane_free)
         lane = lane_free.index(free)
-        start = earliest if earliest > free else free
+        start = est if est > free else free
         gap_index: int | None = None
-        if earliest + cost <= horizon:
+        if est + cost <= horizon:
             best = (start, free, lane)
             for lane_id, idle in gaps.items():
                 for k, (gap_start, gap_end) in enumerate(idle):
-                    slot = earliest if earliest > gap_start else gap_start
+                    slot = est if est > gap_start else gap_start
                     if slot + cost <= gap_end:
                         key = (slot, lane_free[lane_id], lane_id)
                         if key < best:
@@ -155,15 +160,6 @@ def dag_list_schedule(
                 horizon = max(horizon, start)
             lane_free[lane] = finish
         out[i] = (start, finish, lane)
-        scheduled += 1
-        for s in succs[i]:
-            if finish > est[s]:
-                est[s] = finish
-            missing[s] -= 1
-            if not missing[s]:
-                heapq.heappush(ready, (-priorities[s], seqs[s], s))
-    if scheduled != n:
-        raise EngineError("dependency cycle in DAG schedule")
     return out  # type: ignore[return-value]
 
 

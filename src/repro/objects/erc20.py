@@ -231,8 +231,13 @@ class ERC20TokenType(SequentialObjectType):
     def apply(
         self, state: TokenState, pid: int, operation: Operation
     ) -> tuple[TokenState, Any]:
-        handler = self._handler(operation)
-        self._check_process(pid)
+        # ``_handler`` and ``_check_process``, inline: every op pays them.
+        try:
+            handler = self._dispatch[operation.name]
+        except KeyError:
+            raise self._unknown_operation(operation) from None
+        if not isinstance(pid, int) or not 0 <= pid < self.num_accounts:
+            raise InvalidArgumentError(f"unknown process {pid!r}")
         return handler(state, pid, *operation.args)
 
     def _apply_transfer(
@@ -296,9 +301,12 @@ class ERC20TokenType(SequentialObjectType):
         self-transfer) collapse to read-only or empty footprints, matching
         the semantic oracle's judgment at every state.
         """
-        self._handler(operation)  # rejects foreign names, once
-        self._check_process(pid)
+        # ``apply``'s name and caller checks, in its order and words.
         name, args = operation.name, operation.args
+        if name not in self._dispatch:
+            raise self._unknown_operation(operation)
+        if not isinstance(pid, int) or not 0 <= pid < self.num_accounts:
+            raise InvalidArgumentError(f"unknown process {pid!r}")
         if name == "transfer":
             dest, value = args
             if value == 0:

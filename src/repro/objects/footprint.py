@@ -287,25 +287,27 @@ def static_pair_kind(
 
 def conflict_candidates(
     footprints: Sequence[OpFootprint | None],
-) -> list[set[int]]:
+) -> dict[int, set[int]]:
     """Every pair of a window that :func:`static_pair_kind` does not call
     ``"commute"``, found by hashing on the location instead of comparing
-    every pair: ``later[i]`` holds the indices ``j > i`` paired with ``i``.
+    every pair: ``later[i]`` holds the indices ``j > i`` paired with ``i``,
+    and only an ``i`` with such a partner has an entry.
 
     :func:`static_pair_kind` leaves ``"commute"`` only when some location is
     written by one footprint and observed by the other, or written by both
-    with at least one absolute ``sets`` — so bucketing the window's
-    accesses per location and crossing, within each bucket, writers with
-    observers and setters with writers reaches every such pair (a ``None``
-    footprint pairs with the whole window) and no other.  Self-pairs are
-    dropped and pairs sharing several locations collapse in the sets.  A
+    with at least one absolute ``sets`` — so bucketing the window's writes
+    per location, then the observers of the written cells only, and
+    crossing, within each bucket, writers with observers and setters with
+    writers reaches every such pair (a ``None`` footprint pairs with the
+    whole window) and no other.  A window that writes nothing and knows
+    every footprint returns after the first pass.  Self-pairs are dropped
+    and pairs sharing several locations collapse in the sets.  A
     *self-only* cell — its one adder is its one observer, as a transfer's
     own source balance is when no other op of the window touches it —
     could only emit the self-pair, so it is not crossed at all.  The
     cost is linear in the footprints plus the pairs emitted — a window
     where every op is guarded on one balance emits them all.
     """
-    observers: dict[Location, list[int]] = defaultdict(list)
     adders: dict[Location, list[int]] = defaultdict(list)
     setters: dict[Location, list[int]] = defaultdict(list)
     unknown: list[int] = []
@@ -313,32 +315,41 @@ def conflict_candidates(
         if fp is None:
             unknown.append(i)
             continue
-        for loc in fp.observes:
-            observers[loc].append(i)
         for loc in fp.adds:
             adders[loc].append(i)
         for loc in fp.sets:
             setters[loc].append(i)
-    later: list[set[int]] = [set() for _ in footprints]
+    later: dict[int, set[int]] = {}
+    if not (adders or setters or unknown):
+        return later
 
-    def cross(xs: list[int], ys: list[int]) -> None:
-        # Buckets fill in window order, so each is ascending: the partners
-        # of ``x`` after it in the window are a suffix of ``ys``.
-        for x in xs:
-            later[x].update(ys[bisect_right(ys, x) :])
-        for y in ys:
-            later[y].update(xs[bisect_right(xs, y) :])
+    def cross(xs: Sequence[int], ys: Sequence[int]) -> None:
+        # Buckets fill in window order, so each ascends: the partners of
+        # an op after it in the window are a suffix of the other bucket.
+        for mine, theirs in ((xs, ys), (ys, xs)):
+            for x in mine:
+                if tail := theirs[bisect_right(theirs, x) :]:
+                    if x in later:
+                        later[x].update(tail)
+                    else:
+                        later[x] = set(tail)
 
-    for loc, deltas in adders.items():
-        watchers = observers.get(loc)
-        if watchers is not None and (len(deltas) > 1 or watchers != deltas):
-            cross(deltas, watchers)
-    for loc, absolute in setters.items():
-        for bucket in (observers, adders, setters):
-            if loc in bucket:
-                cross(absolute, bucket[loc])
-    for i in unknown:
-        later[i].update(range(i + 1, len(footprints)))
-        for earlier in range(i):
-            later[earlier].add(i)
+    if adders or setters:
+        written = adders.keys() | setters.keys() if setters else adders
+        observers: dict[Location, list[int]] = defaultdict(list)
+        for i, fp in enumerate(footprints):
+            if fp is not None:
+                for loc in fp.observes:
+                    if loc in written:
+                        observers[loc].append(i)
+        for loc, deltas in adders.items():
+            watchers = observers.get(loc)
+            if watchers is not None and (len(deltas) > 1 or watchers != deltas):
+                cross(deltas, watchers)
+        for loc, absolute in setters.items():
+            for bucket in (observers, adders, setters):
+                if loc in bucket:
+                    cross(absolute, bucket[loc])
+    if unknown:
+        cross(unknown, range(len(footprints)))
     return later

@@ -71,7 +71,7 @@ def register_array(count: int, prefix: str = "R") -> list[AtomicRegister]:
     """The paper's ``R[1..k]``: a list of named atomic registers.
 
     Indices are 0-based in code; register ``R[j]`` of the paper is
-    ``array[j-1]`` here (see DESIGN.md, Reproduction notes).
+    ``array[j-1]`` here (README.md, Reproduction note 4).
     """
     if count < 0:
         raise InvalidArgumentError("register array size must be non-negative")

@@ -87,7 +87,7 @@ def restrict_to_qk(token_type: SequentialObjectType, k: int) -> RestrictedType:
     k* — transitions that lower the level (consuming allowances) are allowed
     and leave ``Q_k`` downward.  The downward-closed set ``Q_{≤k} = Q_1 ∪ …
     ∪ Q_k`` is the set actually preserved by Algorithm 2; we follow the
-    algorithm.  See DESIGN.md, Reproduction notes.
+    algorithm.  See README.md, Reproduction note 3.
     """
     # Imported here to avoid a package cycle (analysis imports objects).
     from repro.analysis.partition import synchronization_level

@@ -1,11 +1,12 @@
 """Escrowed allowances: a token variant that *loses* synchronization power.
 
-A by-product of the reproduction (see DESIGN.md note 5): Algorithm 2's
-emulated ``transferFrom`` is non-atomic because the allowance check (a
-register) and the balance move (the k-AT) are separate base objects.  The
-natural repair is to make each allowance a *funded escrow*: represent
-account ``a`` as a **free** sub-account owned by ``ω(a)`` plus one **escrow**
-sub-account per spender ``p``, owned by ``{ω(a), p}`` (a 2-shared account).
+A by-product of the reproduction (README.md, Reproduction note 5):
+Algorithm 2's emulated ``transferFrom`` is non-atomic because the
+allowance check (a register) and the balance move (the k-AT) are separate
+base objects.  The natural repair is to make each allowance a *funded
+escrow*: represent account ``a`` as a **free** sub-account owned by
+``ω(a)`` plus one **escrow** sub-account per spender ``p``, owned by
+``{ω(a), p}`` (a 2-shared account).
 
 * ``increaseAllowance(p, δ)``  = ``AT.transfer(free_a, escrow_{a,p}, δ)``
 * ``decreaseAllowance(p, δ)``  = ``AT.transfer(escrow_{a,p}, free_a, δ)``

@@ -54,8 +54,9 @@ class TokenConsensus:
             omitted).
         require_unique_transfer: Verify that the configured account satisfies
             the (strengthened) unique-transfer predicate at construction.
-        strict: Use the strengthened predicate ``U*`` (see DESIGN.md erratum);
-            set ``False`` to reproduce the paper's literal, weaker check.
+        strict: Use the strengthened predicate ``U*`` (README.md,
+            Reproduction note 1); set ``False`` to reproduce the paper's
+            literal, weaker check.
     """
 
     def __init__(

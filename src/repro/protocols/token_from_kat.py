@@ -24,7 +24,7 @@ Three variants are provided:
   transfer fails; atomic supply read).  Note that the allowance cells are
   still **multi-writer** (owner's approve vs. spender's decrement), so a
   targeted schedule can still lose an update — the erratum demonstrated in
-  the tests (DESIGN.md, Reproduction note 2).
+  the tests (README.md, Reproduction note 2).
 * :class:`SafeEmulatedToken` — replaces each allowance cell with a pair of
   *single-writer* cumulative counters (``granted`` written by the owner,
   ``spent`` by the spender), with increase/decrease-allowance semantics.
@@ -207,7 +207,7 @@ class EmulatedToken:
         if value == 0 and self.variant == "corrected":
             # Definition 3 accepts a zero-value transferFrom from anyone, but
             # k-AT.transfer rejects non-owners even for value 0; short-circuit
-            # the vacuous move (reproduction note: the literal algorithm
+            # the vacuous move (Reproduction note 2: the literal algorithm
             # deviates from the specification here).
             return TRUE
         # line 10: R_as[i] -= value (a read-then-write; NOT atomic).
@@ -247,7 +247,7 @@ class EmulatedToken:
         account = pid  # ai: the caller's own account
         if self.variant == "literal":
             # Line 17: reject any approve once k spenders are enabled —
-            # including re-approvals and revocations (reproduction note 3).
+            # including re-approvals and revocations (Reproduction note 2).
             count = yield from self._enabled_count(account)
             if count == self.k:
                 return FALSE  # line 18
@@ -283,7 +283,7 @@ class EmulatedToken:
     def _total_supply(self, pid: int) -> EmulatedOp:
         if self.variant == "literal":
             # Line 28: a non-atomic sum of per-account reads; concurrent
-            # transfers can be double-counted or missed (reproduction note 4).
+            # transfers can be double-counted or missed (Reproduction note 2).
             total = 0
             for account in range(self.num_accounts):
                 total += yield self.kat.balance_of(account)
@@ -293,7 +293,7 @@ class EmulatedToken:
 
 
 class SafeEmulatedToken:
-    """Single-writer variant of Algorithm 2 (reproduction note 2).
+    """Single-writer variant of Algorithm 2 (Reproduction note 2).
 
     Allowances are represented as ``granted[a][j] - spent[a][j]`` where the
     ``granted`` register is written only by the owner of ``a`` and the

@@ -24,7 +24,7 @@ from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
 from repro.objects.erc1155 import ERC1155TokenType
-from repro.objects.footprint import EMPTY_FOOTPRINT
+from repro.objects.footprint import EMPTY_FOOTPRINT, conflict_candidates
 from repro.spec.operation import op
 from repro.sync.planner import SyncPlanner
 from repro.workloads import (
@@ -33,6 +33,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadMix,
 )
+from benchmarks.wall.scenarios import READ_MOSTLY_MIX as WALL_READ_MOSTLY
 from tests.engine import graph_views as views
 from tests.engine.test_classifier import (
     ACCOUNT,
@@ -160,8 +161,35 @@ class TestIndexedEqualsAllPairs:
         )
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 2**16), st.integers(0, 32))
+    def test_read_mostly_with_unknown_footprints(self, data, seed, size):
+        """The wall's ``reads_narrow`` mix: most cells are observed and
+        never written, so most observers record no bucket entry, and
+        unknown footprints pair with the whole window."""
+        items = TokenWorkloadGenerator(
+            N, seed=seed, mix=WorkloadMix(**WALL_READ_MOSTLY)
+        ).generate(size)
+        invocations = [(item.pid, item.operation) for item in items]
+        holes = {
+            invocation
+            for invocation in invocations
+            if data.draw(st.integers(0, 7)) == 0
+        }
+        _assert_indexed_equals_all_pairs(
+            _HoleyERC20(holes), _window(invocations)
+        )
+
+
 class TestNamedWindows:
     """(b) the shapes the exactness argument turns on."""
+
+    @staticmethod
+    def _candidates(invocations):
+        token = ERC20TokenType(8, total_supply=80)
+        return conflict_candidates(
+            [token.footprint(pid, operation) for pid, operation in invocations]
+        )
 
     def _edges(self, invocations, token=None):
         token = token or ERC20TokenType(8, total_supply=80)
@@ -199,6 +227,38 @@ class TestNamedWindows:
             ]
         )
         assert edges == {}
+
+    def test_an_all_read_window_has_no_partner(self):
+        """Nothing is written, so no op has a partner: no edge, and no
+        candidate entry at all."""
+        invocations = [
+            (0, op("balanceOf", 1)),
+            (1, op("balanceOf", 1)),
+            (2, op("allowance", 1, 2)),
+            (3, op("totalSupply")),
+            (1, op("allowance", 1, 2)),
+        ]
+        assert self._edges(invocations) == {}
+        assert self._candidates(invocations) == {}
+
+    def test_a_written_cell_read_by_three_ops(self):
+        """One transfer debits β(1) and three ops read it: exactly the
+        three READ_ONLY edges, and a candidate entry only for the ops with
+        a later partner."""
+        invocations = [
+            (0, op("balanceOf", 1)),
+            (2, op("balanceOf", 1)),
+            (1, op("transfer", 3, 2)),
+            (5, op("balanceOf", 1)),
+            (6, op("balanceOf", 4)),
+        ]
+        read_only = PairKind.READ_ONLY
+        assert self._edges(invocations) == {
+            (0, 2): read_only,
+            (1, 2): read_only,
+            (2, 3): read_only,
+        }
+        assert self._candidates(invocations) == {0: {2}, 1: {2}, 2: {3}}
 
     def test_reader_of_a_written_cell_is_read_only(self):
         edges = self._edges(

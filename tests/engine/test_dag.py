@@ -12,13 +12,15 @@ Machine-checked guarantees of the op-granular scheduler:
   every DAG predecessor finished, so applying in ``(start, seq)`` order
   respects every component DAG edge (the serial-equivalence
   precondition);
-* **the list scheduler** — for random DAGs, priorities, floors, carried-in
-  lane timelines and float costs, :func:`dag_list_schedule` never
-  overlaps two tasks on a lane, honors every floor and predecessor,
-  never moves ``lane_free`` backward, is deterministic — and places
-  every task exactly where the scan over all lanes it replaced did
-  (:func:`_lane_scan_schedule`, kept here as the reference), on inputs
-  shaped to make the gap walk's horizon skip fire, reset and re-arm too;
+* **the list scheduler** — for random DAGs, priorities that rank every
+  predecessor first (bottom levels plus slack), floors, carried-in lane
+  timelines and float costs, :func:`dag_list_schedule` never overlaps
+  two tasks on a lane, honors every floor and predecessor, never moves
+  ``lane_free`` backward, is deterministic — and places every task
+  exactly where a ready heap scanning every lane does
+  (:func:`_lane_scan_schedule`, the reference for its static order), on
+  inputs shaped to make the gap walk's horizon skip fire, reset and
+  re-arm too; priorities that break the rule raise;
 * **serial equivalence** — for *any* lane count, window size, mix, and
   pipeline depth, the DAG-scheduled final state and every response equal
   a plain sequential execution in submission order.
@@ -367,10 +369,11 @@ def _lane_scan_schedule(
     floors: list[float] | None = None,
     cost: float = 1,
 ) -> list[tuple[float, float, int]]:
-    """The parent's :func:`dag_list_schedule`, body verbatim, from before
-    its lane choice stopped scanning every lane per task — the reference
-    the property below holds today's scheduler to, placement for
-    placement."""
+    """The ready-heap list scheduler, scanning every lane per task — the
+    reference for :func:`dag_list_schedule`'s static order (the
+    ``engine/shard.py`` docstring): on priorities that rank every
+    predecessor strictly above its successors, the property below holds
+    the one sorted pass to this heap, placement for placement."""
     n = len(seqs)
     succs: list[list[int]] = [[] for _ in range(n)]
     missing = [0] * n
@@ -450,12 +453,17 @@ def list_schedule_inputs(draw):
         st.integers(0, 24).map(lambda k: k / 2),
         st.floats(0, 20, allow_nan=False, allow_infinity=False),
     )
+    # Bottom levels plus random slack: every predecessor ranks strictly
+    # above its successors, the scheduler's priority contract.
+    slack = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    priorities = [1 + extra for extra in slack]
+    for i in range(n - 1, -1, -1):
+        for p in preds[i]:
+            priorities[p] = max(priorities[p], priorities[i] + 1 + slack[p])
     return dict(
         seqs=draw(st.permutations(range(n))),
         preds=preds,
-        priorities=draw(
-            st.lists(st.integers(1, 6), min_size=n, max_size=n)
-        ),
+        priorities=priorities,
         lane_free=draw(st.lists(times, min_size=1, max_size=6)),
         floors=draw(
             st.one_of(st.none(), st.lists(times, min_size=n, max_size=n))
@@ -564,6 +572,20 @@ class TestListScheduleProperties:
             cost=1,
         )
     )
+    @example(
+        # Task 2's predecessors finish at 2 (task 0, an int) and 2.0 (task
+        # 1, a float, placed first by priority).  Folded in placement
+        # order, task 2 starts at 2.0 as under the heap; folded in
+        # position order it would start at the int 2.
+        inputs=dict(
+            seqs=[0, 1, 2],
+            preds=[(), (), (0, 1)],
+            priorities=[2, 3, 1],
+            lane_free=[0, 0, 0],
+            floors=[1, 1.0, 0],
+            cost=1,
+        )
+    )
     def test_lane_choice_equals_the_scan_over_all_lanes(self, inputs):
         """The scheduler against its own past: same ``(start, finish,
         lane)`` per task and same carried-out ``lane_free`` — compared by
@@ -586,6 +608,22 @@ class TestListScheduleProperties:
                 preds=[(1,), (0,)],
                 priorities=[1, 1],
                 lane_free=[0],
+            )
+
+    @pytest.mark.parametrize("priorities", [[1, 1], [1, 2], [2, 2]])
+    def test_priorities_that_do_not_rank_a_predecessor_first_raise(
+        self, priorities
+    ):
+        """The one sorted pass needs every predecessor ranked strictly
+        above its successors; a tie or an inversion is refused, not
+        scheduled in a different order than the heap would."""
+        lane_free = [0, 0]
+        with pytest.raises(EngineError, match="predecessor 0"):
+            dag_list_schedule(
+                seqs=[1, 0],
+                preds=[(), (0,)],
+                priorities=priorities,
+                lane_free=lane_free,
             )
 
 

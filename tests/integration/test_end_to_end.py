@@ -164,7 +164,7 @@ class TestBaselineComparison:
 
 class TestExplorerOnEmulatedStack:
     def test_algorithm1_requires_an_atomic_token(self):
-        """Reproduction note 5 (DESIGN.md): Algorithm 1 composed over
+        """Reproduction note 5 (README.md): Algorithm 1 composed over
         Algorithm 2's *emulated* token is NOT correct.
 
         The emulated ``transferFrom`` spans two base objects (the allowance

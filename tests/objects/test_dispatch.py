@@ -5,6 +5,7 @@ per-operation boundary that tracing wraps."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -66,6 +67,26 @@ def test_one_lookup_serves_every_family(family):
         assert object_type._handler(op(name)) == getattr(
             object_type, f"_apply_{name}"
         )
+
+
+@pytest.mark.parametrize(
+    "pid, operation",
+    [
+        (0, op("mint", 1)),
+        (99, op("mint", 1)),
+        (99, op("balanceOf", 0)),
+        (-1, op("approve", 1, 1)),
+        ("0", op("totalSupply")),
+    ],
+)
+def test_erc20_footprint_checks_as_apply_does(pid, operation):
+    """ERC20's ``footprint`` judges the name, then the caller, raising
+    exactly what ``apply`` raises for the same invocation."""
+    token = ERC20TokenType(2, total_supply=4)
+    with pytest.raises((InvalidArgumentError, UnknownOperationError)) as by:
+        token.apply(token.initial_state(), pid, operation)
+    with pytest.raises(type(by.value), match=re.escape(str(by.value))):
+        token.footprint(pid, operation)
 
 
 class TestERC20Extensions:

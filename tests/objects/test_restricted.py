@@ -80,6 +80,22 @@ class TestRestrictToQk:
         assert result is True
         assert state.balances == (2, 4, 0)
 
+    def test_a_lowering_transition_leaves_q_k_downward(self):
+        """README.md, Reproduction note 3: the restriction keeps
+        ``Q_≤k``, as Algorithm 2 does — a ``transferFrom`` that uses up the
+        only allowance drops the level from ``k`` to 1, and is allowed."""
+        token = ERC20TokenType(3, total_supply=6)
+        restricted = restrict_to_qk(token, 2)
+        state, _ = restricted.apply(
+            restricted.initial_state(), 0, op("approve", 1, 3)
+        )
+        assert synchronization_level(state) == 2
+        lowered, result = restricted.apply(
+            state, 1, op("transferFrom", 0, 2, 3)
+        )
+        assert result is True
+        assert synchronization_level(lowered) == 1
+
     def test_k_must_be_positive(self):
         with pytest.raises(InvalidArgumentError):
             restrict_to_qk(ERC20TokenType(2), 0)

@@ -1,4 +1,4 @@
-"""The U-predicate erratum (DESIGN.md, Reproduction note 1).
+"""The U-predicate erratum (README.md, Reproduction note 1).
 
 The paper's Eq. 13 predicate ``U`` does not require a spender's allowance to
 be covered by the balance.  With balance 10 and a single spender allowance of

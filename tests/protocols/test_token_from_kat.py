@@ -4,7 +4,7 @@ Covers: sequential equivalence with the restricted specification (corrected
 variant), the literal variant's quirks (guard over-rejection, allowance leak,
 non-atomic supply), the Q_k confinement invariant, and — via exhaustive
 exploration plus the linearizability checker — the multi-writer
-approve/transferFrom race (DESIGN.md, Reproduction note 2).
+approve/transferFrom race (README.md, Reproduction note 2).
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class TestQkConfinement:
 
 
 class TestLiteralVariantQuirks:
-    """Reproduction notes 3 and 4: the literal algorithm's deviations."""
+    """Reproduction note 2: the literal algorithm's deviations."""
 
     def test_literal_guard_rejects_reapproval_at_k(self):
         _, _, emulated = spec_and_emulation(4, 2, variant="literal")
