@@ -322,10 +322,17 @@ class ClusterNode(Node):
     # -- lease protocol ---------------------------------------------------
 
     def handle_cl_lease_request(self, message: Message) -> None:
-        """Hand the shard's lease to the announced new owner."""
+        """Hand the shard's lease to the announced new owner.  A restarted
+        node may be asked for a shard it no longer holds: the request was
+        sent to its previous incarnation, and the restart resynchronized
+        ownership to the shard map, which had already moved the shard
+        away.  It drops the request; the router's lease timer then finds
+        both parties alive and has the new owner adopt unilaterally."""
         body = message.payload
         shard = body["shard"]
         if shard not in self.owned_shards:
+            if self.bill.restarts:
+                return
             raise ClusterError(
                 f"node {self.node_id} asked to grant shard {shard} "
                 "it does not own"

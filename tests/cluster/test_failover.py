@@ -448,6 +448,30 @@ def test_a_shard_orphaned_on_a_dead_owner_never_strands_a_unit():
     assert cluster.stats.ops_replayed > 0
 
 
+def test_a_lease_request_outliving_its_granters_crash_is_dropped():
+    """Found by the sweep below (pinned here; the sweep stays random).
+    Node 0's rejoin at 33 rebalances shard 25 off node 1, whose request
+    is in flight when node 1 bounces (down 33.25 – 34.25, too briefly to
+    be declared dead).  The restart resyncs node 1's shards to the map,
+    which already moved shard 25 away, and the request lands after it:
+    the node must drop it, not fail the run, and the router's lease
+    timer hands the shard to node 0 unilaterally."""
+    items = make_items(ops=160, seed=1)
+    cluster = run_cluster(
+        items,
+        fault=FaultConfig(
+            enabled=True,
+            crashes=((0, 1.0, 33.0), (2, 3.0, None), (1, 33.25, 34.25)),
+        ),
+        nodes=4,
+        pipeline_depth=1,
+    )
+    assert_equivalent(cluster, items)
+    assert cluster.router.shard_map.owner_of_shard(25) == 0
+    assert 25 in cluster.nodes[0].owned_shards
+    assert 25 not in cluster.nodes[1].owned_shards
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     data=st.data(),
