@@ -108,6 +108,8 @@ class ClusterNode(Node):
         self._unit_rounds: set[int] = set()
         self.bill = NodeBill(node_id=node_id)
         self.owned_shards: set[int] = set()
+        #: Shards lost in a crash and not given back or adopted since.
+        self._shed: set[int] = set()
         #: ``(round, unit index)`` -> the unit, from the first message
         #: that names it until its result is sent.
         self._units: dict[tuple[int, int], _NodeUnit] = {}
@@ -129,6 +131,7 @@ class ClusterNode(Node):
             if unit.timer is not None:
                 unit.timer.cancel()
         self._units.clear()
+        self._shed |= self.owned_shards
         self.owned_shards.clear()
         self.bill.crashes += 1
 
@@ -140,6 +143,7 @@ class ClusterNode(Node):
         self._lane_free = [0.0] * len(self._lane_free)
         if owned_shards is not None:
             self.owned_shards = set(owned_shards)
+        self._shed -= self.owned_shards
         self.bill.restarts += 1
 
     # -- unit execution --------------------------------------------------
@@ -174,8 +178,7 @@ class ClusterNode(Node):
         key, unit = self._unit(body)
         if unit.ops is not None:
             raise ClusterError(
-                f"node {self.node_id} received a second cl_run for "
-                f"unit {key}"
+                f"node {self.node_id} received a second cl_run for unit {key}"
             )
         # The unit's ops ride inside the announcement (one message per
         # unit); the bill still counts every op forward received.
@@ -312,26 +315,18 @@ class ClusterNode(Node):
         self.send(
             self.router_id,
             "cl_result",
-            {
-                "round": round_index,
-                "unit": unit_index,
-                "responses": responses,
-            },
+            {"round": round_index, "unit": unit_index, "responses": responses},
         )
 
     # -- lease protocol ---------------------------------------------------
 
     def handle_cl_lease_request(self, message: Message) -> None:
-        """Hand the shard's lease to the announced new owner.  A restarted
-        node may be asked for a shard it no longer holds: the request was
-        sent to its previous incarnation, and the restart resynchronized
-        ownership to the shard map, which had already moved the shard
-        away.  It drops the request; the router's lease timer then finds
-        both parties alive and has the new owner adopt unilaterally."""
+        """Hand the shard's lease to the announced new owner."""
         body = message.payload
         shard = body["shard"]
         if shard not in self.owned_shards:
-            if self.bill.restarts:
+            # Sent to an earlier incarnation: the lease timer hands it over.
+            if shard in self._shed:
                 return
             raise ClusterError(
                 f"node {self.node_id} asked to grant shard {shard} "
@@ -366,6 +361,7 @@ class ClusterNode(Node):
         body = message.payload
         shard = body["shard"]
         self.owned_shards.add(shard)
+        self._shed.discard(shard)
         self.bill.leases_acquired += 1
         if self.tracer is not None:
             event = f"lease shard {shard} adopted"
@@ -377,11 +373,8 @@ class ClusterNode(Node):
             self.tracer.instant(
                 f"node{self.node_id}", event, self.now, args=args
             )
-        self.send(
-            self.router_id,
-            "cl_lease_ack",
-            {"shard": shard, "round": body["round"]},
-        )
+        ack = {"shard": shard, "round": body["round"]}
+        self.send(self.router_id, "cl_lease_ack", ack)
         if body["round"] < 0:
             return
         key, unit = self._unit(body)

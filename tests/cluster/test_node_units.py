@@ -243,6 +243,35 @@ def test_crash_drops_parked_units_and_cancels_running_ones():
     assert len(rig.results()) == 2
 
 
+def test_a_restarted_node_drops_only_requests_for_shards_its_crash_shed():
+    """A lease request sent to the node's earlier incarnation may land
+    after its restart, for a shard the crash shed and the restart did not
+    give back: the node drops it (the router's lease timer hands the
+    shard over).  A request for a shard the node never owned, or for one
+    it got back or adopted again and has since granted away, still fails
+    the run."""
+    rig = Rig()
+    rig.node.owned_shards = {3, 5}
+    rig.node.crash()
+    rig.node.restart(owned_shards={3})
+    rig.send("cl_lease_request", shard=5, new_owner=PEER, round=-1)
+    rig.simulator.run()
+    assert rig.node.owned_shards == {3}
+    assert rig.node.bill.leases_granted == 0
+    rig.send("cl_lease_request", shard=7, new_owner=PEER, round=-1)
+    with pytest.raises(ClusterError, match="asked to grant shard 7"):
+        rig.simulator.run()
+    rig.send("cl_lease_revoke", shard=5, round=-1, from_node=PEER)
+    for shard in (3, 5):
+        rig.send("cl_lease_request", shard=shard, new_owner=PEER, round=-1)
+        rig.simulator.run()
+        assert shard not in rig.node.owned_shards
+        rig.send("cl_lease_request", shard=shard, new_owner=PEER, round=-1)
+        with pytest.raises(ClusterError, match=f"grant shard {shard} it"):
+            rig.simulator.run()
+    assert rig.node.bill.leases_granted == 2
+
+
 def test_node_applies_a_unit_by_start_then_position():
     """Two lanes; position 1 waits for position 0, so it opens a gap on
     the second lane that position 2 (ready at once) backfills: starts
