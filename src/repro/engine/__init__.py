@@ -9,8 +9,8 @@ out the operations that can be reordered freely, one list scheduler
 (:func:`~repro.engine.shard.dag_list_schedule`) places them on a rolling
 timeline of parallel lanes, and only genuinely contended operations are
 escalated to the tiered sync lanes (:mod:`repro.sync`, whose fallback is
-a :class:`~repro.net.team_lanes.TeamLane` over every replica — the
-total-order broadcast of :mod:`repro.net.total_order`).
+a :class:`~repro.net.team_lanes.TeamLane` over every replica, running
+the total-order protocol of :mod:`repro.net.total_order`).
 
 There is one executor, :class:`PipelinedExecutor`, configured by one
 :class:`~repro.config.EngineConfig`::

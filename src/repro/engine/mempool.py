@@ -36,8 +36,6 @@ class PendingOp:
     def __str__(self) -> str:
         return f"#{self.seq} p{self.pid}.{self.operation}"
 
-    # ``repr`` doubles as the total-order digest for escalated operations,
-    # so keep it stable and compact.
     def __repr__(self) -> str:
         return f"op({self.seq},{self.pid},{self.operation})"
 

@@ -321,11 +321,11 @@ class PipelinedExecutor:
 
         plan = plan_window(self.classifier, ops)
         sync_start = max(t_classify, self._sync_free)
-        # Synchronize: the contended groups through the tiered sync layer
-        # (team lanes below the threshold, the global lane above).
+        # Synchronize: contended groups through the tiered sync layer, teams
+        # sized at the live batch (it holds the window's prefix state).
         escalation = SyncRoundResult()
         if plan.contended_groups:
-            state = self._batch.state() if self.sync.team_threshold else None
+            state = self._batch if self.sync.team_threshold else None
             escalation = self.sync.order_round(plan, state, self.object_type)
         if escalation.virtual_time > 0:
             self._sync_free = sync_start + escalation.virtual_time

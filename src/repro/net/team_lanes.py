@@ -1,170 +1,165 @@
-"""Team lanes: a pool of independent total-order instances on one simulator.
+"""Team lanes: a pool of independent total-order instances on one clock.
 
 The paper's Theorems 2–4 say a token state whose largest enabled-spender
 set has size *k* is exactly a *k*-consensus object — so a contended
 component whose spenders number *k* only ever needs agreement among those
 *k* participants, not among all *n* processes.  A :class:`TeamLane` is the
-operational form of that observation: a private
-:class:`~repro.net.total_order.TotalOrderNode` replica group sized to one
+operational form of that observation: a *k*-replica group sized to one
 team, paying the three-phase quorum pattern over *k* nodes (``O(k²)``
 messages) instead of the global lane's ``O(n²)``.
 
-A :class:`TeamLanePool` keeps one lane per distinct team, **all on one
-shared** :class:`~repro.net.simulation.Simulator`: each lane has its own
-:class:`~repro.net.network.Network` (so node ids and broadcasts never
-cross lanes), but their events interleave on the common virtual clock —
-submitting batches to several lanes and running the simulator once makes
-the independent mini-consensus instances genuinely concurrent, which is
-the whole scalability point: the round's synchronization phase costs the
-*slowest team*, not the sum of teams.
+A lane orders a round in one private event loop over plain tuples: the
+leader-based protocol of :class:`~repro.net.total_order.TotalOrderNode`,
+its reference, with the same seeded ``uniform(0.5, 1.5)`` link delays
+drawn in the same order and the same ``(time, seq)`` tie-breaks — so
+every delivery time, makespan and bill is the reference's
+(``tests/sync/test_lane_reference.py``).  Between rounds a lane holds an
+RNG and counters, never past operations.
 
-The hierarchy has no special top — total order is n-consensus — so the
-Tier ∞ lane is the pool's top lane: a :class:`TeamLane` whose team is
-every replica, on the same clock, ordering the batches whose team is
-``None``.
+A :class:`TeamLanePool` keeps one lane per distinct team.  Lanes share
+nothing but the clock, so the pool runs each lane's round from the
+round's start and moves its clock to the latest last event: the round's
+synchronization phase costs the *slowest team*, not the sum of teams.
+The Tier ∞ lane is the pool's top lane — total order is n-consensus — a
+:class:`TeamLane` whose team is every replica, ordering the batches whose
+team is ``None``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Iterable, Sequence
 
 from repro.errors import NetworkError
-from repro.net.network import LatencyModel, Network, UniformLatency
-from repro.net.simulation import Simulator
-from repro.net.total_order import TotalOrderNode
 
 #: Seed mixer so each lane's latency stream is distinct but reproducible.
 _SEED_MIX = 1_000_003
+#: The reference network's ``UniformLatency(0.5, 1.5)``: a delay is
+#: ``_LOW + _SPAN * rng.random()``, exactly ``rng.uniform(0.5, 1.5)``.
+_LOW, _SPAN = 0.5, 1.5 - 0.5
+#: Event kinds of the lane loop.
+_PROPOSE, _PREPARE, _COMMIT = 0, 1, 2
 
 
 class TeamLane:
-    """One team-scoped total-order instance (k replicas, private network).
-
-    A *standard* lane is constructible from its team and seed alone — a
-    simulator of its own and ``UniformLatency(0.5, 1.5)`` — and ordered
-    one batch at a time with :meth:`order`.  A pooled lane is handed its
-    pool's shared simulator instead.
-    """
+    """One team-scoped total-order instance over ``k`` replicas, ordered
+    one batch at a time on its own clock (:meth:`order`) or as a pool's
+    lane from the pool's clock (:meth:`order_batches`)."""
 
     def __init__(
-        self,
-        team: Iterable[int],
-        simulator: Simulator | None = None,
-        latency: LatencyModel | None = None,
-        seed: int = 0,
-        max_batch: int = 64,
+        self, team: Iterable[int], seed: int = 0, max_batch: int = 64
     ) -> None:
         self.team = frozenset(team)
         if not self.team:
             raise NetworkError("a team lane needs at least one participant")
         self.k = len(self.team)
-        #: The lane's network may share a pool's simulator but is otherwise
-        #: private: local node ids 0..k-1, broadcasts confined to the team.
-        self.network = Network(
-            simulator if simulator is not None else Simulator(),
-            latency if latency is not None else UniformLatency(0.5, 1.5),
-            seed=seed,
-        )
-        #: The current round's deliveries (drained by :meth:`_collect` each
-        #: round, so a long-lived lane never accumulates past operations)
-        #: and their per-operation delivery timestamps.
-        self.delivered: list[Any] = []
-        self.delivery_times: list[float] = []
-        #: ``messages_sent`` at the last collection: the network is private
-        #: and silent between rounds, so the difference is the round's bill.
-        self._billed = 0
-        self.nodes = [
-            TotalOrderNode(
-                node_id,
-                self.network,
-                self.k,
-                deliver=self._on_deliver if node_id == 0 else None,
-                max_batch=max_batch,
-            )
-            for node_id in range(self.k)
-        ]
+        #: ``2f + 1`` with ``f = ⌊(k − 1) / 3⌋``, the reference's quorum.
+        self.quorum = 2 * ((self.k - 1) // 3) + 1
+        self.max_batch = max_batch
+        self.rng = random.Random(seed)
+        #: :meth:`order`'s virtual time; a pool keeps its own.
+        self.clock = 0.0
+        #: Proposals sequenced and messages sent over the lane's life.
+        self.slots = self.messages = 0
 
-    # ------------------------------------------------------------------
-
-    def _on_deliver(self, sequence: int, txs: list) -> None:
-        now = self.network.simulator.now
-        self.delivered.extend(txs)
-        self.delivery_times.extend(now for _ in txs)
-
-    def submit(self, ops: Iterable[Any]) -> int:
-        """Queue a submission-ordered batch at the lane's leader; returns
-        the number of operations submitted.  Submissions originate at the
-        leader so arrival order (and hence the committed order) is the
-        caller's submission order — the merge the serial-equivalence
-        contract requires.  The caller runs the simulator (:meth:`order`
-        on the lane's own, :meth:`TeamLanePool.order` on a shared one)."""
-        count = 0
-        leader = self.nodes[0]
-        for op in ops:
-            leader.submit(op)
-            count += 1
-        return count
-
-    def _collect(
-        self, sizes: Sequence[int], started: float
-    ) -> list[LaneOrder]:
-        """Close a round on this lane once its simulator ran dry.
-
-        ``sizes`` are the lengths of the batches submitted since the last
-        collection, in submission order, and ``started`` the round's start
-        on the lane's clock.  Refuses a lost operation, slices the
-        deliveries back into one :class:`LaneOrder` per batch, and drains
-        them so a long-lived lane never accumulates past operations.
-        """
-        if len(self.delivered) != sum(sizes):
+    def run_round(
+        self, count: int, start: float
+    ) -> tuple[list[tuple[int, float]], float]:
+        """Order ``count`` operations submitted at the leader at ``start``:
+        one ``(end, time)`` per proposal — it delivers the operations
+        before ``end`` at the leader at ``time`` — and the time of the
+        round's last event.  The first submission is proposed alone, the
+        rest queue behind it, ``max_batch`` per later proposal."""
+        if not count:
+            return [], start
+        k, quorum, max_batch = self.k, self.quorum, self.max_batch
+        draw = self.rng.random
+        proposals = 2 + (count - 2) // max_batch if count > 1 else 1
+        # Votes per replica per proposal, at ``s * k + replica``.
+        prepares = [0] * (proposals * k)
+        commits = [0] * (proposals * k)
+        deliveries: list[tuple[int, float]] = []
+        heap: list[tuple[float, int, int, int]] = []
+        seq, last, proposed = 0, start, 1
+        kind, src, base, t = _PROPOSE, 0, 0, start
+        while True:
+            # Replica ``src`` broadcasts ``kind`` for proposal ``base // k``
+            # in the reference's send order, a self-send drawing no delay.
+            # Only the leader's commits drive anything: a follower's delay
+            # is drawn, and only its arrival is kept.
+            for dst in range(k):
+                at = t if dst == src else t + (_LOW + _SPAN * draw())
+                if kind != _COMMIT or not dst:
+                    heappush(heap, (at, seq, kind, base + dst))
+                    seq += 1
+                elif at > last:
+                    last = at
+            while heap:
+                t, _, kind, index = heappop(heap)
+                src = index % k
+                base = index - src
+                if kind == _PROPOSE:
+                    kind = _PREPARE
+                    break
+                if kind == _PREPARE:
+                    votes = prepares[index] = prepares[index] + 1
+                    if votes == quorum:
+                        kind = _COMMIT
+                        break
+                    continue
+                votes = commits[index] = commits[index] + 1
+                if votes == quorum:
+                    deliveries.append((proposed, t))
+                    if proposed < count:
+                        proposed = min(count, proposed + max_batch)
+                        kind, base = _PROPOSE, base + k
+                        break
+            else:
+                break
+        if proposed != count or len(deliveries) != proposals:
             raise NetworkError(
                 f"team lane {sorted(self.team)} lost operations: "
-                f"submitted {sum(sizes)}, delivered {len(self.delivered)}"
+                f"submitted {count}, delivered {proposed}"
             )
-        sent = self.network.stats.messages_sent
-        messages, self._billed = sent - self._billed, sent
+        self.slots += proposals
+        self.messages += count + proposals * (k + 2 * k * k)
+        return deliveries, max(last, t)
+
+    def order_batches(
+        self, batches: Sequence[Sequence[Any]], start: float
+    ) -> tuple[list[LaneOrder], float]:
+        """Order ``batches`` as one round from ``start``, submitted in
+        order: one :class:`LaneOrder` per batch, and the round's last
+        event time."""
+        before = self.messages
+        deliveries, last = self.run_round(sum(map(len, batches)), start)
         orders: list[LaneOrder] = []
-        cursor = 0
-        for size in sizes:
-            end = cursor + size
-            orders.append(
-                LaneOrder(
-                    team=self.team,
-                    ordered=tuple(self.delivered[cursor:end]),
-                    # This batch's own last delivery: components queued
-                    # behind it on a shared lane complete later.
-                    completed=self.delivery_times[end - 1] - started
-                    if size
-                    else 0.0,
-                    # The lane's bill is shared by its batches; charge it
-                    # once (to the first) so round totals stay exact.
-                    messages=0 if orders else messages,
-                )
-            )
-            cursor = end
-        self.delivered.clear()
-        self.delivery_times.clear()
-        return orders
+        end = proposal = 0
+        for ops in batches:
+            end += len(ops)
+            completed = 0.0
+            if ops:
+                # The batch's own last delivery: batches queued behind it
+                # complete later.
+                while deliveries[proposal][0] < end:
+                    proposal += 1
+                completed = deliveries[proposal][1] - start
+            # The lane's bill is charged once, to its first batch.
+            messages = 0 if orders else self.messages - before
+            orders.append(LaneOrder(self.team, tuple(ops), completed, messages))
+        return orders, last
 
     def order(self, ops: Sequence[Any]) -> PoolRound:
-        """Order one batch alone: submit at the leader, run the lane's
-        simulator to quiescence, collect.  Returns the
-        round a one-batch :meth:`TeamLanePool.order` would; an empty
-        batch costs nothing."""
+        """Order one batch alone on the lane's clock: the round a
+        one-batch :meth:`TeamLanePool.order` returns.  An empty batch
+        costs nothing."""
         if not ops:
             return PoolRound(orders=(), makespan=0.0, messages=0, teams=0)
-        simulator = self.network.simulator
-        started = simulator.now
-        submitted = self.submit(ops)
-        simulator.run()
-        [order] = self._collect([submitted], started)
-        return PoolRound(
-            orders=(order,),
-            makespan=simulator.now - started,
-            messages=order.messages,
-            teams=1,
-        )
+        started = self.clock
+        [order], self.clock = self.order_batches([ops], started)
+        return PoolRound((order,), self.clock - started, order.messages, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,7 +172,7 @@ class LaneOrder:
     #: virtual time at which this batch's *own* last operation was
     #: delivered (batches queued behind it on a shared lane finish later).
     completed: float
-    #: Messages this lane's network carried for the round (``O(k²)``).
+    #: Messages this lane carried for the round (``O(k²)``).
     messages: int
 
 
@@ -196,7 +191,7 @@ class PoolRound:
 
 
 class TeamLanePool:
-    """Lanes keyed by team, sharing one simulator for true concurrency.
+    """Lanes keyed by team, sharing one clock for true concurrency.
 
     ``top`` is the Tier ∞ lane: every one of ``replicas`` on its team,
     seeded with the pool's own seed.  It is held apart from the team
@@ -207,7 +202,6 @@ class TeamLanePool:
 
     def __init__(
         self,
-        simulator: Simulator | None = None,
         seed: int = 0,
         idle_ttl: int | None = None,
         replicas: int = 4,
@@ -218,13 +212,14 @@ class TeamLanePool:
             raise NetworkError(
                 "total order needs n >= 3f+1 with f >= 1: use >= 4"
             )
-        self.simulator = simulator if simulator is not None else Simulator()
+        #: Virtual time: the latest last event of any round so far.
+        self.clock = 0.0
         self.seed = seed
-        self.top = TeamLane(range(replicas), self.simulator, seed=seed)
+        self.top = TeamLane(range(replicas), seed=seed)
         #: Garbage-collect a lane unused for this many ordering rounds
         #: (``None`` = keep lanes forever).  A long run over shifting
-        #: approval patterns otherwise accumulates one live lane — k
-        #: replicas, a private network — per distinct team it ever saw.
+        #: approval patterns otherwise accumulates one live lane per
+        #: distinct team it ever saw.
         self.idle_ttl = idle_ttl
         self._lanes: dict[frozenset[int], TeamLane] = {}
         #: team -> round count at its last use (GC bookkeeping).
@@ -251,7 +246,6 @@ class TeamLanePool:
             return existing
         lane = TeamLane(
             key,
-            self.simulator,
             seed=(self.seed * _SEED_MIX + self._created + 1) & 0x7FFFFFFF,
         )
         self._lanes[key] = lane
@@ -261,7 +255,7 @@ class TeamLanePool:
             self.tracer.instant(
                 "teamlanes.pool",
                 "lane spin-up",
-                self.simulator.now,
+                self.clock,
                 args={
                     "team": "-".join(str(p) for p in sorted(key)),
                     "k": len(key),
@@ -281,10 +275,7 @@ class TeamLanePool:
         return len(self._lanes)
 
     def _collect_idle(self) -> None:
-        """Drop lanes unused for ``idle_ttl`` rounds.  Safe at a round
-        boundary: every lane quiesced (the shared simulator ran dry), so a
-        dropped lane holds no pending events — only replicas and a private
-        network, which is exactly the state worth reclaiming."""
+        """Drop lanes unused for ``idle_ttl`` rounds."""
         if self.idle_ttl is None:
             return
         for key in [
@@ -299,7 +290,7 @@ class TeamLanePool:
                 self.tracer.instant(
                     "teamlanes.pool",
                     "lane gc",
-                    self.simulator.now,
+                    self.clock,
                     args={
                         "team": "-".join(str(p) for p in sorted(key)),
                         "live": len(self._lanes),
@@ -311,36 +302,32 @@ class TeamLanePool:
     ) -> PoolRound:
         """Order every ``(team, ops)`` batch concurrently.
 
-        All batches are submitted to their lanes first — a ``None`` team's
-        to the top lane — then the shared simulator runs until quiescence,
-        so lanes make progress in interleaved virtual time and the round
-        costs the slowest lane, not the sum.  Batches sharing a lane
-        serialize on it; each completes at its own last delivery.
-        Returns per-batch committed orders plus the round's makespan and
-        message bill (each lane's charged to its first batch).
+        Every lane — a ``None`` team's is the top lane — runs its round
+        from the pool's clock, and the round costs the slowest lane, not
+        the sum.  Batches sharing a lane serialize on it, submitted
+        contiguously in batch order; each completes at its own last
+        delivery.  Returns per-batch committed orders plus the round's
+        makespan and message bill (each lane's charged to its first
+        batch).
         """
         if not batches:
             return PoolRound(orders=(), makespan=0.0, messages=0, teams=0)
-        started = self.simulator.now
+        started = end = self.clock
         lanes = [
             self.top if team is None else self.lane(team) for team, _ in batches
         ]
-        # Group by lane first: batches on one lane must be submitted (and
-        # sliced back out) contiguously.
         by_lane: dict[TeamLane, list[int]] = {}
         for index, lane in enumerate(lanes):
             by_lane.setdefault(lane, []).append(index)
-        for lane, indices in by_lane.items():
-            for index in indices:
-                lane.submit(batches[index][1])
-        self.simulator.run()
         orders: list = [None] * len(batches)
         for lane, indices in by_lane.items():
-            lane_orders = lane._collect(
-                [len(batches[index][1]) for index in indices], started
+            lane_orders, last = lane.order_batches(
+                [batches[index][1] for index in indices], started
             )
+            end = max(end, last)
             for index, order in zip(indices, lane_orders):
                 orders[index] = order
+        self.clock = end
         if self.tracer is not None:
             for lane, order in zip(lanes, orders):
                 if not order.ordered:
@@ -366,7 +353,7 @@ class TeamLanePool:
         self._collect_idle()
         return PoolRound(
             orders=tuple(orders),
-            makespan=self.simulator.now - started,
+            makespan=end - started,
             messages=sum(order.messages for order in orders),
             teams=len(by_lane),
         )

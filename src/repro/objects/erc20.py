@@ -421,6 +421,17 @@ class _TokenBatch:
 
     # -- the working copy, as Δ's handlers see it ------------------------
 
+    @property
+    def num_accounts(self) -> int:
+        return len(self._balances)
+
+    @property
+    def allowances(self) -> "_LiveRows":
+        """α's rows as they stand, ``allowances[a]`` as on a
+        :class:`TokenState` — the read team sizing makes at the live
+        batch (:func:`repro.analysis.spenders.potential_spenders`)."""
+        return _LiveRows(self)
+
     def balance(self, account: int) -> int:
         return self._balances[account]
 
@@ -460,6 +471,20 @@ class _TokenBatch:
         return self.with_transfer(source, dest, value).with_allowance(
             source, spender, remaining
         )
+
+
+class _LiveRows:
+    """:attr:`_TokenBatch.allowances`: row ``a`` is the batch's working
+    copy when written, else the last snapshot's — never copied."""
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, batch: _TokenBatch) -> None:
+        self._batch = batch
+
+    def __getitem__(self, account: int) -> Sequence[int]:
+        row = self._batch._rows.get(account)
+        return self._batch._base.allowances[account] if row is None else row
 
 
 class ERC20Token(SharedObject):

@@ -9,7 +9,7 @@ price and no more, per contended conflict-graph component:
   cluster's existing fast path; CN = 1);
 * **Tier k** — a *team lane*: a k-participant total-order instance scoped
   to the component's spender bound (``O(k²)`` messages), with many
-  independent teams running concurrently on one simulator
+  independent teams running concurrently on one clock
   (:mod:`repro.net.team_lanes`);
 * **Tier ∞** — the global lane: the pool's top lane, every replica on
   its team (total order is n-consensus) and on the same clock, a

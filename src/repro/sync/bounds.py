@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.spenders import potential_spenders
-from repro.objects.erc20 import TokenState
+from repro.objects.erc20 import TokenState, _TokenBatch
 from repro.objects.footprint import OpFootprint, accounts_in
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,8 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def spender_bound(object_type, state, account: int) -> frozenset[int] | None:
     """A superset of the enabled spenders of ``account``, or ``None`` when
-    no sound bound is known for this object family / state shape."""
-    if isinstance(state, TokenState):
+    no sound bound is known for this object family / state shape.  An
+    ERC20 ``state`` is a :class:`TokenState` or the engine's live batch,
+    which answers the same two reads."""
+    if isinstance(state, (TokenState, _TokenBatch)):
         if not 0 <= account < state.num_accounts:
             return None
         return potential_spenders(state, account)

@@ -28,7 +28,14 @@ from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import PendingOp, PipelinedExecutor
 from repro.errors import NetworkError
-from repro.net import Simulator, TeamLane, TeamLanePool
+from repro.net import (
+    Network,
+    Simulator,
+    TeamLane,
+    TeamLanePool,
+    TotalOrderNode,
+    UniformLatency,
+)
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from tests.sync.sync_tap import tap_sync_results
@@ -54,15 +61,23 @@ class TestQuadraticBill:
         result = lane.order(ordered_batch(count))
         want, _ = expected_bill(count, replicas, max_batch=64)
         assert result.messages == want
-        assert lane.network.stats.messages_sent == want
+        assert lane.messages == want
 
     @pytest.mark.parametrize("max_batch", [1, 4, 64])
     def test_per_phase_counts(self, max_batch):
+        """On the reference replica group the lane is held to
+        (``tests/sync/test_lane_reference.py``), which counts per type."""
         replicas, count = 4, 10
-        lane = TeamLane(range(replicas), seed=2, max_batch=max_batch)
-        lane.order(ordered_batch(count))
+        network = Network(Simulator(), UniformLatency(0.5, 1.5), seed=2)
+        nodes = [
+            TotalOrderNode(i, network, replicas, max_batch=max_batch)
+            for i in range(replicas)
+        ]
+        for pending in ordered_batch(count):
+            nodes[0].submit(pending)
+        network.simulator.run()
         _, batches = expected_bill(count, replicas, max_batch)
-        by_type = lane.network.stats.by_type
+        by_type = network.stats.by_type
         assert by_type["to_submit"] == count
         assert by_type["to_propose"] == batches * replicas
         # The two quorum phases are the O(n²) part, and they dominate.
@@ -76,16 +91,16 @@ class TestQuadraticBill:
         want3, _ = expected_bill(3, 4, 64)
         want5, _ = expected_bill(5, 4, 64)
         assert (first.messages, second.messages) == (want3, want5)
-        assert lane.network.stats.messages_sent == want3 + want5
+        assert lane.messages == want3 + want5
 
     @pytest.mark.parametrize("k", [4, 7])
     @pytest.mark.parametrize("seed", [0, 9, 23])
     def test_price_is_a_function_of_k_not_of_the_tiers_name(self, k, seed):
         """Tier ∞ is a team lane of size n: a lane ordering on a private
-        simulator and the pool ordering the same batches on a shared one
-        bill the same closed form, whatever the seed."""
+        clock and the pool ordering the same batches on its own bill the
+        same closed form, whatever the seed."""
         lane = TeamLane(range(k), seed=seed)
-        pool = TeamLanePool(Simulator(), seed=seed)
+        pool = TeamLanePool(seed=seed)
         start = 0
         for count in (1, 5, 70):
             batch = ordered_batch(count, start)
@@ -126,9 +141,11 @@ class TestOneSyncHook:
             assert lane is sync.pool.top
             assert type(lane) is TeamLane
             assert lane.k == 4
-            assert lane.network.simulator is sync.pool.simulator
-            # Seeded from the config: the same latency stream.
-            assert lane.order(ordered_batch(5)) == reference
+            # Seeded from the config: the same latency stream, and the
+            # pool's clock moves by the top lane's round.
+            pooled = sync.pool.order([(None, ordered_batch(5))])
+            assert pooled.orders == reference.orders
+            assert sync.pool.clock == pooled.makespan == reference.makespan
 
     def test_replicas_sizes_the_top_tier(self):
         token = ERC20TokenType(8, total_supply=80)

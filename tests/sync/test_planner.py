@@ -267,7 +267,7 @@ class TestTieredEscalator:
         # One pool round on one clock: the phase is that round's makespan
         # (the slower lane plus its trailing quorum traffic), never the
         # sum of both lanes.
-        assert result.virtual_time == sync.pool.simulator.now
+        assert result.virtual_time == sync.pool.clock
         assert result.virtual_time >= max(team.completed, top.completed)
         # The Tier ∞ component completes at its own batch's last delivery
         # — what the top lane's seed gives the batch alone — not at the
