@@ -10,15 +10,17 @@ positions in ``ops``, exactly as the router's window plan built it;
 classifies nothing and derives nothing: the DAG's ``preds`` and
 ``priorities`` feed the scheduler, its ``critical_path`` and ``width``
 the bill (the tests re-derive each shipped plan from its ops, beside the
-network).  The router gates each unit individually, and the node runs
-units incrementally on a *persistent lane timeline* — the list scheduler
+network) — and applies the ops as shipped, in submission order, whatever
+their placement (``engine/shard.py``'s module docstring argues why).
+The router gates each unit individually, and the node runs units
+incrementally on a *persistent lane timeline* — the list scheduler
 (:func:`~repro.engine.shard.dag_list_schedule`, in ``engine/shard.py``'s
 static order) places each arriving unit's ops on whichever lanes free up
 first, so one unit blocked behind its sync lane or a cross-round
-footprint conflict does not hold up everything else routed there.  Units of one
-round are distinct components (statically commuting) and cross-round
-conflicts are dispatch-gated at the router, so any unit interleaving
-stays serially equivalent.
+footprint conflict does not hold up everything else routed there.  Units
+of one round are distinct components (statically commuting) and
+cross-round conflicts are dispatch-gated at the router, so any unit
+interleaving stays serially equivalent.
 
 Owner-local execution involves no coordination at all — the node never
 sends or receives a lease or consensus message for it; its only traffic is
@@ -169,7 +171,7 @@ class ClusterNode(Node):
             previous = op.seq
         if dag is not None and not (
             isinstance(dag, ComponentDAG)
-            and dag.size == len(ops)
+            and dag.size == len(ops) == len(dag.priorities)
             and all(
                 0 <= p < k for k, below in enumerate(dag.preds) for p in below
             )
@@ -214,10 +216,10 @@ class ClusterNode(Node):
         ready = max(self.now, unit.sync_ready)
         self.bill.sync_wait_time += max(0.0, unit.sync_ready - self.now)
         # The router's plan: one DAG (task ``k`` is ``ops[k]``), or edge-free
-        # ops, placed and applied in order by ``engine/shard.py``'s lane fill.
+        # ops that ``engine/shard.py``'s lane fill places.
         n, dag, cost = len(ops), unit.dag, self.config.op_cost
         if dag is None:
-            placed, order = lane_fill(n, self._lane_free, ready, cost), ops
+            placed = lane_fill(n, self._lane_free, ready, cost)
         else:
             placed = dag_list_schedule(
                 range(n),
@@ -227,8 +229,6 @@ class ClusterNode(Node):
                 floors=[ready] * n,
                 cost=cost,
             )
-            starts = [start for start, _, _ in placed]
-            order = [ops[k] for _, k in sorted(zip(starts, range(n)))]
             path, bill = dag.critical_path, self.bill
             bill.dag_chain_ops += n
             bill.dag_critical_ops += path
@@ -243,7 +243,7 @@ class ClusterNode(Node):
             self._trace_unit(key, unit, placed, ready, finish)
         unit.timer = self.schedule(
             finish - self.now,
-            lambda: self._finish_unit(key, order, finish - started),
+            lambda: self._finish_unit(key, unit, finish - started),
         )
 
     def _trace_unit(
@@ -295,14 +295,11 @@ class ClusterNode(Node):
             tracer.op_commit(op.seq, finish)
 
     def _finish_unit(
-        self, key: tuple[int, int], order: list[PendingOp], busy: float
+        self, key: tuple[int, int], unit: _NodeUnit, busy: float
     ) -> None:
-        """Apply the unit in its schedule's linear-extension order and
-        report per-unit responses (state mutates at the unit's virtual
-        completion)."""
-        responses: dict[int, Any] = {}
-        for op in order:
-            responses[op.seq] = self.apply_fn(op)
+        """Apply the unit's ops as shipped and report their responses
+        (state mutates at the unit's virtual completion)."""
+        responses = {op.seq: self.apply_fn(op) for op in unit.ops}
         round_index, unit_index = key
         del self._units[key]
         self.bill.ops_executed += len(responses)

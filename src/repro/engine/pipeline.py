@@ -70,12 +70,8 @@ State is applied once, when a window is planned: :meth:`step` folds the
 window into the engine's one batch in submission order, right after its
 sync phase, and :meth:`PipelinedExecutor.run` publishes the state and
 responses at commit.  Submission order is a linear extension of the
-schedule: every DAG edge and every frontier dependency runs from an
-earlier op to a later one, and ops in distinct components statically
-commute, so the placed timeline — whatever order its starts take —
-yields the responses and state of this one serial fold.  The placement
-only sizes virtual time; the placement monitor in the tests
-(``tests/engine/placement_tap.py``) holds it to those edges.
+schedule (``engine/shard.py``'s module docstring argues it), so the
+placement only sizes virtual time.
 
 Serial-equivalence contract: the final state *and every response* are
 identical to executing the whole workload sequentially in submission

@@ -16,11 +16,16 @@ The window arrives split into conflict-graph components (its
 The scheduler places *operations*, not components, with a
 critical-path-first list scheduler (highest bottom level first,
 earliest-available lane), so a component's makespan is its critical path,
-not its op count.  The engine applies each window in submission order; a
-cluster node applies a DAG unit in ascending ``(start, position)`` order, a
-linear extension of its DAG (lane-major application is unsound once one
-chain spans lanes).  Any linear extension is serially equivalent to
-submission order: ops without a DAG path commute and may be transposed.
+not its op count.
+
+**One apply order.**  The engine applies each window, and a cluster node
+each unit, in submission order, whatever order the placed starts take:
+a linear extension of every DAG edge and every cross-window frontier
+dependency, since each runs from an earlier submission to a later one.
+Ops that no such edge joins statically commute and may be transposed.
+So a placement only sizes virtual time, and the tests' placement
+monitors hold it to those edges (``tests/engine/placement_tap.py``,
+``tests/cluster/node_tap.py``).
 
 **The static order.**  :func:`dag_list_schedule` is the only list
 scheduler: the engine's rolling timeline (a window's DAGs concatenated by
@@ -35,10 +40,10 @@ smallest unplaced key is always ready, the task a ready heap would pop.
 position order, takes the first least-free lane at ``max(ready, free)``.
 For ``cost > 0`` that is the list scheduler's placement of edge-free ops
 on one floor (the static order is position order; the only gap the fill
-opens ends at the floor, and no op fits before it), and starts never
-decrease with position, so a node applies it as is.  Neither consults
-mutable state: the same window on the same lane timeline always gets the
-same placements, part of the engine's determinism guarantee.
+opens ends at the floor, and no op fits before it), which is why both
+configs refuse ``op_cost <= 0``.  Neither consults mutable state: the
+same window on the same lane timeline always gets the same placements,
+part of the engine's determinism guarantee.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ run.  On top of that sit the protocol-level claims — recovery armed but
 idle costs nothing, revocation bypasses the lease cooldown while rejoin
 rebalancing honors it, and an unsurvivable schedule fails loudly instead
 of silently dropping operations.  A hypothesis property sweeps random
-crash schedules across pipeline depths and node counts.
+crash schedules across pipeline depths and node counts.  Every
+:func:`run_cluster` run also holds each node placement to the node
+monitor (``tests/cluster/node_tap.py``): a node applies in submission
+order, so a misplaced op would change no response.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.workloads import (
     WorkloadItem,
     serial_reference,
 )
+from tests.cluster.node_tap import tap_node_placements
 
 SEED = 7
 ACCOUNTS = 64
@@ -64,7 +68,9 @@ def run_cluster(
         **overrides,
     )
     cluster = TokenCluster(token, config)
+    tap = tap_node_placements(cluster.nodes)
     cluster.run_workload(items)
+    assert tap.placed >= len(items) and tap.flagged == []
     return cluster
 
 

@@ -76,7 +76,9 @@ class Rig:
     def send(self, type: str, src: int = ROUTER, **payload) -> None:
         self.network.send(src, NODE, type, payload)
 
-    def run_unit(self, unit: int, seqs, leases: int = 0, **plan) -> None:
+    def run_unit(
+        self, unit: int, seqs, leases: int = 0, sync_ready=0.0, **plan
+    ) -> None:
         # Transfers out of one account: a conflict chain, one op-time each.
         ops = [PendingOp(seq, 0, op("transfer", 1, 1)) for seq in seqs]
         plan.setdefault("dag", chain_dag(len(ops)))
@@ -86,7 +88,7 @@ class Rig:
             unit=unit,
             leases=leases,
             ops=ops,
-            sync_ready=0.0,
+            sync_ready=sync_ready,
             **plan,
         )
 
@@ -149,14 +151,24 @@ def test_a_cl_run_whose_ops_are_out_of_order_is_rejected():
         chain_dag(4),
         ComponentDAG(((), (2,), ()), (1, 1, 2), 2, 2),
         {0: (), 1: (0,), 2: (1,)},
+        ComponentDAG(((), (0,), (1,)), (3, 2), 3, 1),
+        ComponentDAG(((), (0,), (1,)), (3, 2, 1, 9), 3, 1),
     ],
-    ids=["too_small", "too_large", "forward_pred", "not_a_dag"],
+    ids=[
+        "too_small",
+        "too_large",
+        "forward_pred",
+        "not_a_dag",
+        "short_priorities",
+        "long_priorities",
+    ],
 )
 def test_a_cl_run_whose_dag_does_not_span_its_ops_is_rejected(dag):
     """A malformed plan fails at the message, not as a wrong schedule:
     a DAG over the wrong number of positions, one with a predecessor not
     below its own position (submission order would no longer be a
-    topological order), or no DAG at all."""
+    topological order), one whose priorities do not rank every position,
+    or no DAG at all."""
     rig = Rig()
     rig.run_unit(0, [0, 1, 2], dag=dag)
     with pytest.raises(ClusterError, match="does not span"):
@@ -272,11 +284,12 @@ def test_a_restarted_node_drops_only_requests_for_shards_its_crash_shed():
     assert rig.node.bill.leases_granted == 2
 
 
-def test_node_applies_a_unit_by_start_then_position():
+def test_a_node_applies_in_submission_order_whatever_the_placement():
     """Two lanes; position 1 waits for position 0, so it opens a gap on
     the second lane that position 2 (ready at once) backfills: starts
-    are ``(0, 1, 0)`` past the unit's ready time, and the apply order is
-    positions 0, 2, 1."""
+    are ``(0, 1, 0)`` past the unit's ready time, yet the ops apply as
+    shipped, positions 0, 1, 2 — a linear extension of the DAG
+    (``engine/shard.py``'s module docstring)."""
     rig = Rig()
     dag = ComponentDAG(
         preds=((), (0,), ()),
@@ -286,7 +299,7 @@ def test_node_applies_a_unit_by_start_then_position():
     )
     rig.run_unit(0, (10, 11, 12), dag=dag)
     rig.simulator.run()
-    assert rig.applied == [10, 12, 11]
+    assert rig.applied == [10, 11, 12]
     assert rig.results() == [
         {"round": 0, "unit": 0, "responses": {10: 10, 11: 11, 12: 12}}
     ]

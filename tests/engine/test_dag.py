@@ -9,9 +9,9 @@ Machine-checked guarantees of the op-granular scheduler:
   and every window's DAGs equal the brute-force fold of their edges
   (:func:`~tests.engine.graph_views.reference_dag`);
 * **linear extension** — every DAG schedule starts an op only after
-  every DAG predecessor finished, so applying in ``(start, seq)`` order
-  respects every component DAG edge (the serial-equivalence
-  precondition);
+  every DAG predecessor finished, so the placement honors every
+  component DAG edge, of which submission order is a linear extension
+  (``engine/shard.py``'s module docstring);
 * **the list scheduler** — for random DAGs, priorities that rank every
   predecessor first (bottom levels plus slack), floors, carried-in lane
   timelines and float costs, :func:`dag_list_schedule` never overlaps
@@ -656,8 +656,9 @@ class TestLaneFill:
     def test_it_places_as_the_list_scheduler(self, n, lane_free, ready, cost):
         """Same ``(start, finish, lane)`` per op and the same carried-out
         ``lane_free``, compared by ``repr`` (an int that became a float
-        counts as a difference); starts never decrease with position, so
-        position order is ``(start, position)`` order."""
+        counts as a difference).  Starts never decrease with position: a
+        property of the fill, not a precondition of apply, which ignores
+        the placement."""
         filled_free, listed_free = list(lane_free), list(lane_free)
         filled = lane_fill(n, filled_free, ready, cost)
         listed = dag_list_schedule(

@@ -4,9 +4,9 @@ The engine walks a window's placed units in ascending ``(start, window
 index)`` — the order its stall attribution and the tracer read.  The run
 below places ops behind floors (sync lanes, the cross-window frontier, a
 DAG predecessor), so gaps open and later ops backfill them: start order
-is not submission order, and the sort is what this test holds.  A
-cluster node's ``(start, position)`` apply order is pinned beside the
-node's other unit tests, in ``tests/cluster/test_node_units.py``.
+is not submission order, and the sort is what this test holds.  It is a
+read order only: the engine applies each window, and a cluster node each
+unit, in submission order (``engine/shard.py``'s module docstring).
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ The one contract every scheduling decision answers to: the final state
 *and every response* equal the sequential specification run in
 submission order.  Held here across the engine and the cluster, each at
 one, two and three windows in flight; every cluster run also re-derives
-each shipped unit plan from its ops (``tests/cluster/plan_tap.py``), and
-every engine run holds its placements to the order the footprints and
-sync lanes require (``tests/engine/placement_tap.py``) — the engine's
-responses come from one submission-order fold, so a misplaced op shows
-only there.
+each shipped unit plan from its ops (``tests/cluster/plan_tap.py``) and
+holds each node placement to its unit's DAG, sync floor, lease gate and
+lanes (``tests/cluster/node_tap.py``), and every engine run holds its
+placements to the order the footprints and sync lanes require
+(``tests/engine/placement_tap.py``) — both layers apply in submission
+order, so a misplaced op shows only there.
 Determinism rides along: the same run twice gives the same stats
 dictionary.  The static footprint rule every plan rests on is audited
 against the semantic oracle once per workload, not once per executor:
@@ -36,6 +37,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     serial_reference,
 )
+from tests.cluster.node_tap import tap_node_placements
 from tests.cluster.plan_tap import tap_shipped_plans
 from tests.engine.placement_tap import tap_placements
 
@@ -118,7 +120,10 @@ def test_matches_the_sequential_spec_and_is_deterministic(
     )
     first = EXECUTORS[executor](seed)
     cluster = isinstance(first, TokenCluster)
-    tap = tap_shipped_plans(first) if cluster else tap_placements(first)
+    if cluster:
+        tap, nodes = tap_shipped_plans(first), tap_node_placements(first.nodes)
+    else:
+        tap = tap_placements(first)
     state, responses, stats = first.run_workload(items)
     assert state == ref_state
     assert responses == ref_responses
@@ -128,6 +133,7 @@ def test_matches_the_sequential_spec_and_is_deterministic(
         assert stats.ops_lost == 0
         assert set(first.network.stats.by_type) <= CLUSTER_WIRE_TYPES
         assert tap.checked and tap.differing == []
+        assert nodes.placed == len(items) and nodes.flagged == []
     else:
         assert len(tap.units) == len(items) and tap.flagged == []
 
