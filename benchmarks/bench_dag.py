@@ -14,7 +14,7 @@ its critical path.  Measured in virtual time:
 * **cluster**: component-granular ``cl_run`` units + op-granular node
   planning at 4 nodes, both mixes — units fan out beyond one per round.
 
-These A/B-base runs keep team lanes and lane GC off, so they isolate
+These A/B-base runs keep team lanes off, so they isolate
 scheduling granularity; a separate **default** section runs the
 no-knobs default construction on both mixes.
 
@@ -89,9 +89,9 @@ def make_items(name: str, ops: int):
     ).generate(ops)
 
 
-#: Always-global escalation, no lane GC: what moves on this base is
+#: Always-global escalation: what moves on this base is
 #: scheduling granularity alone.
-AB_BASE = {"team_threshold": 0, "lane_ttl": None}
+AB_BASE = {"team_threshold": 0}
 
 
 def run_engine(items, depth: int = 1, tracer=None, **knobs) -> dict:
@@ -154,8 +154,8 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
             "pipelined_dag": run_engine(items, depth=PIPE_DEPTH, **AB_BASE),
         }
         results["cluster"][name] = {str(NODES): {"dag": run_cluster(items)}}
-        # The no-knobs default construction (pipelining + team lanes +
-        # lane GC on), same structural params.
+        # The no-knobs default construction (pipelining + team lanes
+        # on), same structural params.
         results["shipped_default"][name] = {
             "default": run_engine(items, depth=EngineConfig().pipeline_depth)
         }

@@ -22,7 +22,7 @@ round.  This experiment measures, in virtual time, what that buys:
 
 Neither layer has a barrier loop: both ``barrier`` sides are the same
 executor / router with one round in flight (``pipeline_depth=1``).  The
-A/B runs keep team lanes and lane GC off so the comparison isolates
+A/B runs keep team lanes off so the comparison isolates
 pipelining; a separate **default** section runs the no-knobs default
 construction on the contended mix.
 
@@ -94,9 +94,9 @@ def make_items(mix, ops: int):
     return TokenWorkloadGenerator(ACCOUNTS, seed=SEED, mix=mix).generate(ops)
 
 
-#: Always-global escalation, no lane GC: the sync phase is long and
+#: Always-global escalation: the sync phase is long and
 #: shared, which is the cost pipelining overlaps.
-AB_BASE = {"team_threshold": 0, "lane_ttl": None}
+AB_BASE = {"team_threshold": 0}
 
 
 def run_engine(items, depth: int, tracer=None, **knobs) -> dict:
@@ -179,7 +179,7 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
         results["cluster"][name] = entry
 
     # The headline: a no-knobs default construction (pipelining + team
-    # lanes + lane GC on) on the contended mix, same structural
+    # lanes on) on the contended mix, same structural
     # parameters.
     results["shipped_default"] = {
         "approval_heavy": {

@@ -16,22 +16,33 @@ account ``a`` is process ``a``.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import InvalidArgumentError
 from repro.objects.erc20 import TokenState
+
+
+def spenders_of(
+    account: int, balance: int, allowances: Sequence[int]
+) -> frozenset[int]:
+    """``σ_q(a)`` from ``β(a)`` and the row ``α(a, ·)`` (Eq. 10): the
+    owner, plus every positive allowance unless the balance is not
+    positive.  ``<= 0``, not ``== 0``: a replica view's transiently
+    negative balance (:mod:`repro.dynamic`) draws on nothing either."""
+    if balance <= 0:
+        return frozenset((account,))  # ω is the identity bijection
+    return frozenset(
+        [account, *(pid for pid, amount in enumerate(allowances) if amount > 0)]
+    )
 
 
 def enabled_spenders(state: TokenState, account: int) -> frozenset[int]:
     """``σ_q(a)`` for a single account (Eq. 10)."""
     if not 0 <= account < state.num_accounts:
         raise InvalidArgumentError(f"unknown account {account!r}")
-    owner = account  # ω is the identity bijection
-    if state.balance(account) == 0:
-        return frozenset({owner})
-    spenders = {owner}
-    for pid in range(state.num_accounts):
-        if state.allowance(account, pid) > 0:
-            spenders.add(pid)
-    return frozenset(spenders)
+    return spenders_of(
+        account, state.balances[account], state.allowances[account]
+    )
 
 
 def spender_map(state: TokenState) -> tuple[frozenset[int], ...]:

@@ -178,7 +178,6 @@ class Router(Node):
         #: within ``team_threshold``; the shared global lane otherwise.
         self.sync = TieredEscalator(
             team_threshold=config.team_threshold,
-            lane_ttl=config.lane_ttl,
             seed=config.seed,
         )
         self.scheduler = WallAdapters(classifier)

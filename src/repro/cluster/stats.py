@@ -186,9 +186,6 @@ class ClusterStats:
 
     # ------------------------------------------------------------------
 
-    def bill(self, node_id: int) -> NodeBill:
-        return self.node_bills[node_id]
-
     def record_round(
         self, round_stats: ClusterRound, sync: SyncRoundResult
     ) -> None:

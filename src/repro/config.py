@@ -2,7 +2,7 @@
 
 Op-granular DAG scheduling and component-granular dispatch are not knobs
 — they are how the system schedules.  What stays configurable (lanes,
-window, pipeline depth, team-lane threshold, team-lane GC, fault plan)
+window, pipeline depth, team-lane threshold, fault plan)
 lives here, with the fast configuration as the defaults:
 
 * :class:`EngineConfig` — the single-process executor
@@ -11,11 +11,11 @@ lives here, with the fast configuration as the defaults:
   (:class:`~repro.cluster.cluster.TokenCluster`).
 
 Both are frozen dataclasses: a config is a *value*, hashable and
-comparable, and ``as_dict()`` / ``from_dict()`` round-trip it losslessly
-so benchmark baselines can embed the exact configuration that produced
-them (``scripts/obs.py gate`` refuses a baseline whose config block
-disagrees with the run's — a silent default flip can never skew one
-number in one place).
+comparable, and ``as_dict()`` snapshots it as plain JSON so benchmark
+baselines can embed the exact configuration that produced them
+(``scripts/obs.py gate`` refuses a baseline whose config block disagrees
+with the run's — a silent default flip can never skew one number in one
+place).
 
 The constructors take the config and nothing that restates it: a run
 knob is spelled ``EngineConfig(window=32)``, never ``window=32`` on the
@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 
 from repro.errors import ClusterError, EngineError
 
+
 def _jsonify(value):
     """Recursively coerce a config field into JSON-canonical form."""
     if isinstance(value, _ConfigBase):
@@ -38,7 +39,7 @@ def _jsonify(value):
 
 
 class _ConfigBase:
-    """Shared validation + dict round-trip of the frozen config values."""
+    """Shared validation + JSON snapshot of the frozen config values."""
 
     #: Raised on invalid values — the cluster config narrows it to
     #: :class:`~repro.errors.ClusterError`, the error every other cluster
@@ -46,36 +47,17 @@ class _ConfigBase:
     _error: type[Exception] = EngineError
 
     def as_dict(self) -> dict:
-        """A plain-JSON snapshot (bench metadata; ``from_dict`` inverts).
+        """A plain-JSON snapshot (bench metadata).
 
         Derived from :func:`dataclasses.fields`, so a field added to any
         config *cannot* drift out of the bench config block: nested
         configs recurse through their own ``as_dict`` and tuples become
-        JSON lists (``from_dict`` restores both).
+        JSON lists.
         """
         return {
             field.name: _jsonify(getattr(self, field.name))
             for field in fields(self)
         }
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        """Rebuild a config from :meth:`as_dict` output.  Unknown keys
-        fail loudly — a baseline written by a different config surface
-        should never be silently reinterpreted."""
-        known = {field.name: field for field in fields(cls)}
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise cls._error(
-                f"{cls.__name__} does not know the keys {unknown}"
-            )
-        kwargs = {}
-        for name, value in data.items():
-            default = known[name].default
-            if isinstance(default, _ConfigBase) and isinstance(value, dict):
-                value = type(default).from_dict(value)
-            kwargs[name] = value
-        return cls(**kwargs)
 
     def _check_common(self) -> None:
         if self.window < 1:
@@ -86,8 +68,6 @@ class _ConfigBase:
             raise self._error("team_threshold must be non-negative")
         if self.pipeline_depth < 1:
             raise self._error("pipeline_depth must be >= 1")
-        if self.lane_ttl is not None and self.lane_ttl < 1:
-            raise self._error("lane_ttl must be positive (or None)")
         if (
             self.mempool_capacity is not None
             and self.mempool_capacity < 1
@@ -100,9 +80,8 @@ class EngineConfig(_ConfigBase):
     """Configuration of the single-process executor.
 
     The defaults are the *fast* configuration: op-granular DAG
-    scheduling, two pipelined windows in flight, team lanes for spender
-    bounds up to 4 with per-account sync-group splitting, and team lanes
-    garbage-collected after 32 idle sync rounds.
+    scheduling, two pipelined windows in flight, and team lanes for
+    spender bounds up to 4 with per-account sync-group splitting.
     """
 
     num_lanes: int = 4
@@ -116,9 +95,6 @@ class EngineConfig(_ConfigBase):
     #: Windows in flight at once (``1`` = one window in flight: window
     #: N+1 classifies when window N completes).
     pipeline_depth: int = 2
-    #: Garbage-collect a team lane idle for this many sync rounds
-    #: (``None`` = keep every lane forever).
-    lane_ttl: int | None = 32
 
     def __post_init__(self) -> None:
         if self.num_lanes < 1:
@@ -151,8 +127,6 @@ class FaultConfig(_ConfigBase):
     delays: tuple = ()
     #: Seed of the drop/delay dice (independent of the latency stream).
     seed: int = 0
-
-    _error = ClusterError
 
     def __post_init__(self) -> None:
         crashes = []
@@ -208,8 +182,8 @@ class ClusterConfig(_ConfigBase):
     TokenCluster`.
 
     Defaults mirror :class:`EngineConfig`'s: component-granular unit
-    dispatch under a depth-2 pipeline, owner-node team lanes up to 4
-    participants, and idle-lane GC.
+    dispatch under a depth-2 pipeline and owner-node team lanes up to 4
+    participants.
     """
 
     num_nodes: int = 4
@@ -228,7 +202,6 @@ class ClusterConfig(_ConfigBase):
     #: Largest owner-node set ordered on a team lane (``0`` = global).
     team_threshold: int = 4
     pipeline_depth: int = 2
-    lane_ttl: int | None = 32
     #: Declare a node dead when a dispatched unit's ``cl_result`` is this
     #: late (virtual time); ``None`` disables failure detection entirely.
     result_timeout: float | None = None
@@ -251,13 +224,15 @@ class ClusterConfig(_ConfigBase):
             raise ClusterError("fault must be a FaultConfig")
         if self.result_timeout is not None and self.result_timeout <= 0:
             raise ClusterError("result_timeout must be positive (or None)")
-        if (
-            self.fault.enabled
-            and self.fault.crashes
-            and self.result_timeout is None
-        ):
-            raise ClusterError(
-                "a crash schedule needs result_timeout so the router "
-                "can detect the dead node and recover"
-            )
+        if self.fault.enabled:
+            if self.fault.crashes and self.result_timeout is None:
+                raise ClusterError(
+                    "a crash schedule needs result_timeout so the router "
+                    "can detect the dead node and recover"
+                )
+            for node, _, _ in self.fault.crashes:
+                if node >= self.num_nodes:
+                    raise ClusterError(
+                        f"crash node {node} is not in range({self.num_nodes})"
+                    )
         self._check_common()

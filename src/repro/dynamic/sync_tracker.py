@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.analysis.spenders import spenders_of
+
 
 @dataclass
 class ReplicaTokenState:
@@ -26,7 +28,9 @@ class ReplicaTokenState:
     allowances: list[list[int]]
 
     @classmethod
-    def create(cls, num_accounts: int, deployer: int, supply: int) -> "ReplicaTokenState":
+    def create(
+        cls, num_accounts: int, deployer: int, supply: int
+    ) -> "ReplicaTokenState":
         balances = [0] * num_accounts
         balances[deployer] = supply
         allowances = [[0] * num_accounts for _ in range(num_accounts)]
@@ -46,16 +50,11 @@ class ReplicaTokenState:
 
 
 def sync_group(state: ReplicaTokenState, account: int) -> frozenset[int]:
-    """``σ_q(a)`` on a replica view (owner plus positive-allowance spenders;
-    owner-only when the balance is not positive — Eq. 10's convention)."""
-    owner = account
-    if state.balances[account] <= 0:
-        return frozenset({owner})
-    members = {owner}
-    for pid, allowance in enumerate(state.allowances[account]):
-        if allowance > 0:
-            members.add(pid)
-    return frozenset(members)
+    """``σ_q(a)`` on a replica view: Eq. 10's one derivation,
+    :func:`repro.analysis.spenders.spenders_of`."""
+    return spenders_of(
+        account, state.balances[account], state.allowances[account]
+    )
 
 
 def sync_levels(state: ReplicaTokenState) -> list[int]:

@@ -150,7 +150,6 @@ class PipelinedExecutor:
         self.sync = TieredEscalator(
             replicas,
             team_threshold=cfg.team_threshold,
-            lane_ttl=cfg.lane_ttl,
             seed=cfg.seed,
         )
         self.lifecycle = self.scheduler = WallAdapters(

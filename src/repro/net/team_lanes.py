@@ -16,10 +16,12 @@ every delivery time, makespan and bill is the reference's
 (``tests/sync/test_lane_reference.py``).  Between rounds a lane holds an
 RNG and counters, never past operations.
 
-A :class:`TeamLanePool` keeps one lane per distinct team.  Lanes share
-nothing but the clock, so the pool runs each lane's round from the
-round's start and moves its clock to the latest last event: the round's
-synchronization phase costs the *slowest team*, not the sum of teams.
+A :class:`TeamLanePool` keeps one lane per distinct team for as long as
+the pool lives: an idle lane is an RNG and three counters, so nothing is
+collected.  Lanes share nothing but the clock, so the pool runs each
+lane's round from the round's start and moves its clock to the latest
+last event: the round's synchronization phase costs the *slowest team*,
+not the sum of teams.
 The Tier ∞ lane is the pool's top lane — total order is n-consensus — a
 :class:`TeamLane` whose team is every replica, ordering the batches whose
 team is ``None``.
@@ -193,21 +195,14 @@ class PoolRound:
 class TeamLanePool:
     """Lanes keyed by team, sharing one clock for true concurrency.
 
-    ``top`` is the Tier ∞ lane: every one of ``replicas`` on its team,
-    seeded with the pool's own seed.  It is held apart from the team
-    lanes — never garbage-collected, not counted by :attr:`lanes_created`
-    or :attr:`live_lanes`, and taking no team lane's seed slot — so a
-    team with the same members still gets a lane of its own.
+    A team's lane lives as long as the pool.  ``top`` is the Tier ∞
+    lane: every one of ``replicas`` on its team, seeded with the pool's
+    own seed.  It is held apart from the team lanes — not counted by
+    :attr:`lanes_created` and taking no team lane's seed slot — so a team
+    with the same members still gets a lane of its own.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        idle_ttl: int | None = None,
-        replicas: int = 4,
-    ) -> None:
-        if idle_ttl is not None and idle_ttl < 1:
-            raise NetworkError("idle_ttl must be positive (or None to disable)")
+    def __init__(self, seed: int = 0, replicas: int = 4) -> None:
         if replicas < 4:
             raise NetworkError(
                 "total order needs n >= 3f+1 with f >= 1: use >= 4"
@@ -216,18 +211,8 @@ class TeamLanePool:
         self.clock = 0.0
         self.seed = seed
         self.top = TeamLane(range(replicas), seed=seed)
-        #: Garbage-collect a lane unused for this many ordering rounds
-        #: (``None`` = keep lanes forever).  A long run over shifting
-        #: approval patterns otherwise accumulates one live lane per
-        #: distinct team it ever saw.
-        self.idle_ttl = idle_ttl
         self._lanes: dict[frozenset[int], TeamLane] = {}
-        #: team -> round count at its last use (GC bookkeeping).
-        self._last_used: dict[frozenset[int], int] = {}
         self.rounds = 0
-        #: Lanes ever provisioned / garbage-collected over the pool's life.
-        self._created = 0
-        self.lanes_gcd = 0
         #: Optional :class:`repro.obs.trace.TraceRecorder` (attached by a
         #: traced executor).  Lane spans are recorded on the pool's
         #: clock as informational overlays (``chain=False``) —
@@ -238,19 +223,16 @@ class TeamLanePool:
 
     def lane(self, team: Iterable[int]) -> TeamLane:
         """The lane for a team, created on first use and reused after —
-        repeat contention among the same spenders pays no setup (a
-        GC'd lane is simply re-provisioned on next use)."""
+        repeat contention among the same spenders pays no setup."""
         key = frozenset(team)
         existing = self._lanes.get(key)
         if existing is not None:
             return existing
         lane = TeamLane(
             key,
-            seed=(self.seed * _SEED_MIX + self._created + 1) & 0x7FFFFFFF,
+            seed=(self.seed * _SEED_MIX + len(self._lanes) + 1) & 0x7FFFFFFF,
         )
         self._lanes[key] = lane
-        self._last_used[key] = self.rounds
-        self._created += 1
         if self.tracer is not None:
             self.tracer.instant(
                 "teamlanes.pool",
@@ -266,36 +248,9 @@ class TeamLanePool:
 
     @property
     def lanes_created(self) -> int:
-        """Lanes ever provisioned (GC does not decrement this)."""
-        return self._created
-
-    @property
-    def live_lanes(self) -> int:
-        """Lanes currently held — the quantity ``idle_ttl`` bounds."""
+        """Team lanes provisioned over the pool's life: one per distinct
+        team it ever ordered."""
         return len(self._lanes)
-
-    def _collect_idle(self) -> None:
-        """Drop lanes unused for ``idle_ttl`` rounds."""
-        if self.idle_ttl is None:
-            return
-        for key in [
-            key
-            for key in self._lanes
-            if self.rounds - self._last_used.get(key, 0) >= self.idle_ttl
-        ]:
-            del self._lanes[key]
-            self._last_used.pop(key, None)
-            self.lanes_gcd += 1
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "teamlanes.pool",
-                    "lane gc",
-                    self.clock,
-                    args={
-                        "team": "-".join(str(p) for p in sorted(key)),
-                        "live": len(self._lanes),
-                    },
-                )
 
     def order(
         self, batches: Sequence[tuple[Iterable[int] | None, Sequence[Any]]]
@@ -348,9 +303,6 @@ class TeamLanePool:
                 )
         self.rounds += 1
         by_lane.pop(self.top, None)
-        for lane in by_lane:
-            self._last_used[lane.team] = self.rounds
-        self._collect_idle()
         return PoolRound(
             orders=tuple(orders),
             makespan=end - started,

@@ -60,11 +60,9 @@ _EXPORTS = {
         "TraceRecorder",
     ),
     "repro.obs.utilization": (
-        "LaneChurn",
         "QueueWait",
         "TrackUtilization",
         "UtilizationReport",
-        "lane_churn",
         "utilization_report",
     ),
 }

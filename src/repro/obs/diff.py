@@ -296,24 +296,6 @@ class RegressionExplanation:
             return None
         return max(candidates, key=lambda d: abs(d.delta))
 
-    def as_dict(self) -> dict:
-        return {
-            "base": {
-                "label": self.base.label,
-                "makespan": self.base.makespan,
-                "spans": self.base.spans,
-            },
-            "run": {
-                "label": self.other.label,
-                "makespan": self.other.makespan,
-                "spans": self.other.spans,
-            },
-            "makespan_delta": self.makespan_delta,
-            "categories": [d.as_dict() for d in self.categories],
-            "tracks": [d.as_dict() for d in self.tracks],
-            "stages": [d.as_dict() for d in self.stages],
-        }
-
     def render(self, top: int | None = None) -> list[str]:
         """Ranked human-readable explanation lines.  ``top`` bounds the
         category lines (None = all); the makespan header and the stage

@@ -177,6 +177,3 @@ class MetricsRegistry:
         return self._get(
             name, Histogram, lambda: Histogram(name, buckets=buckets)
         )
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments

@@ -34,10 +34,6 @@ class PathSegment:
     track: str
     name: str
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass(frozen=True, slots=True)
 class AttributionReport:

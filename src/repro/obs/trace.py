@@ -81,10 +81,6 @@ class Span:
     args: dict = field(default_factory=dict)
     chain: bool = True
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass(frozen=True, slots=True)
 class Instant:

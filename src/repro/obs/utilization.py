@@ -18,9 +18,9 @@ derived from its span list.
 
 Team-lane pools (:class:`repro.net.team_lanes.TeamLanePool`) run on a
 private clock, so their lanes appear here not as timeline tracks but as
-*lifecycle churn*: spin-up and idle-GC instants recorded by the pool
-(``lane spin-up`` / ``lane gc`` on the ``teamlanes.pool`` track),
-summarized per run by :func:`lane_churn`.
+one count: the ``lane spin-up`` instants the pool records on the
+``teamlanes.pool`` track, one per distinct team (a lane lives as long as
+its pool).
 """
 
 from __future__ import annotations
@@ -100,38 +100,14 @@ class QueueWait:
 
 
 @dataclass(frozen=True, slots=True)
-class LaneChurn:
-    """Team-lane pool lifecycle over one run, from the pool's instants."""
-
-    #: Lane provisioning events (``lane spin-up``) — repeat contention
-    #: among the same spenders reuses a live lane and records nothing.
-    spinups: int
-    #: Idle-GC events (``lane gc``) — each reclaims one lane's replicas
-    #: and private network after ``idle_ttl`` unused rounds.
-    collections: int
-    #: High-water mark of lanes held live at any instant.
-    peak_live: int
-    #: Distinct teams that ever got a lane (re-provisioning after GC
-    #: names the same team again).
-    teams: tuple[str, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "spinups": self.spinups,
-            "collections": self.collections,
-            "peak_live": self.peak_live,
-            "teams": len(self.teams),
-        }
-
-
-@dataclass(frozen=True, slots=True)
 class UtilizationReport:
-    """Per-track occupancy plus pool churn for one traced run."""
+    """Per-track occupancy plus team lanes built for one traced run."""
 
     makespan: float
     tracks: tuple[TrackUtilization, ...]
     queues: tuple[QueueWait, ...] = ()
-    lanes: LaneChurn | None = None
+    #: Team lanes the run's pool spun up (``0`` = it never touched one).
+    lanes: int = 0
 
     def check(self, tolerance: float = 1e-6) -> "UtilizationReport":
         """Enforce the exact-sum discipline: on every track the busy /
@@ -172,12 +148,6 @@ class UtilizationReport:
                 )
         return self
 
-    def track(self, name: str) -> TrackUtilization:
-        for entry in self.tracks:
-            if entry.track == name:
-                return entry
-        raise TraceError(f"no chained track named {name!r}")
-
     def as_dict(self) -> dict:
         return {
             "makespan": self.makespan,
@@ -187,7 +157,7 @@ class UtilizationReport:
             "queues": {
                 entry.track: entry.as_dict() for entry in self.queues
             },
-            "lanes": self.lanes.as_dict() if self.lanes else None,
+            "lanes": self.lanes,
         }
 
     def render(self) -> list[str]:
@@ -212,42 +182,9 @@ class UtilizationReport:
                 f"  {queue.track:<24}queue wait: {waited or 'none'} "
                 f"(concurrent units, overlaps allowed)"
             )
-        if self.lanes is not None:
-            lines.append(
-                f"  team lanes: {self.lanes.spinups} spun up, "
-                f"{self.lanes.collections} collected, "
-                f"peak {self.lanes.peak_live} live, "
-                f"{len(self.lanes.teams)} distinct teams"
-            )
+        if self.lanes:
+            lines.append(f"  team lanes: {self.lanes} spun up")
         return lines
-
-
-def lane_churn(tracer: TraceRecorder) -> LaneChurn | None:
-    """Summarize the team-lane pool's lifecycle instants, or None when
-    the run never touched a pool."""
-    spinups = 0
-    collections = 0
-    peak_live = 0
-    teams: dict[str, None] = {}
-    for instant in tracer.instants:
-        if instant.track != POOL_TRACK:
-            continue
-        live = int(instant.args.get("live", 0))
-        if live > peak_live:
-            peak_live = live
-        if instant.name == "lane spin-up":
-            spinups += 1
-            teams.setdefault(str(instant.args.get("team", "")), None)
-        elif instant.name == "lane gc":
-            collections += 1
-    if not spinups and not collections:
-        return None
-    return LaneChurn(
-        spinups=spinups,
-        collections=collections,
-        peak_live=peak_live,
-        teams=tuple(teams),
-    )
 
 
 def utilization_report(tracer: TraceRecorder) -> UtilizationReport:
@@ -285,5 +222,8 @@ def utilization_report(tracer: TraceRecorder) -> UtilizationReport:
         makespan=makespan,
         tracks=tuple(tracks),
         queues=tuple(queues),
-        lanes=lane_churn(tracer),
+        lanes=sum(
+            instant.track == POOL_TRACK and instant.name == "lane spin-up"
+            for instant in tracer.instants
+        ),
     )

@@ -66,11 +66,9 @@ class TieredEscalator:
 
     The one place the sync layer is built: the planner and the team-lane
     pool, whose top lane over ``replicas`` nodes (``global_lane``) is
-    Tier ∞.  ``team_threshold`` and ``lane_ttl`` are required: the
-    defaults live in :mod:`repro.config`, not here.  ``lane_ttl``
-    garbage-collects team lanes idle for that many sync rounds (``None``
-    keeps them forever), so long runs over shifting approval patterns do
-    not accumulate one live replica group per distinct team.
+    Tier ∞.  ``team_threshold`` is required: the default lives in
+    :mod:`repro.config`, not here.  A team lane, once built, lives as long
+    as the pool (one per distinct team the run ever ordered).
     """
 
     def __init__(
@@ -78,13 +76,10 @@ class TieredEscalator:
         replicas: int = 4,
         *,
         team_threshold: int,
-        lane_ttl: int | None,
         seed: int = 0,
     ) -> None:
         self.planner = SyncPlanner(team_threshold)
-        self.pool = TeamLanePool(
-            seed=seed, idle_ttl=lane_ttl, replicas=replicas
-        )
+        self.pool = TeamLanePool(seed=seed, replicas=replicas)
         self.global_lane = self.pool.top
 
     # ------------------------------------------------------------------

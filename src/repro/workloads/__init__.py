@@ -7,7 +7,6 @@ _EXPORTS = {
         "Arrival",
         "StreamDriver",
         "StreamReport",
-        "onoff_arrivals",
         "poisson_arrivals",
     ),
     "repro.workloads.churn": ("crash_cadence", "flash_crowd"),
@@ -27,7 +26,6 @@ _EXPORTS = {
         "WorkloadItem",
         "WorkloadMix",
         "example1_trace",
-        "partition_by_process",
         "serial_reference",
         "standard_multi_contract",
     ),

@@ -6,10 +6,9 @@ arrive on their own schedule whether or not the system keeps up
 ("Rectifying Administrated ERC20 Tokens" measures exactly this bursty,
 Zipf-skewed shape).  This module supplies the two halves:
 
-* **arrival processes** — :func:`poisson_arrivals` (memoryless at a
-  fixed offered rate) and :func:`onoff_arrivals` (alternating bursts
-  and silences, the administrated-token pattern).  Both take their
-  *items* from any workload generator, so account skew comes from the
+* **the arrival process** — :func:`poisson_arrivals` (memoryless at a
+  fixed offered rate).  It takes its *items* from any workload
+  generator, so account skew comes from the
   existing :mod:`repro.workloads.skew` knobs
   (``TokenWorkloadGenerator(zipf_s=…, hotspot_fraction=…)``) and the
   timing knobs stay orthogonal to the content knobs;
@@ -63,39 +62,6 @@ def poisson_arrivals(
     arrivals = []
     for item in items:
         clock += rng.expovariate(rate)
-        arrivals.append(Arrival(time=clock, item=item))
-    return arrivals
-
-
-def onoff_arrivals(
-    items: Iterable[WorkloadItem],
-    burst_rate: float,
-    burst_time: float,
-    idle_time: float,
-    seed: int = 0,
-    start: float = 0.0,
-) -> list[Arrival]:
-    """Bursty on-off arrivals: Poisson at ``burst_rate`` for
-    ``burst_time``, then silent for ``idle_time``, repeating.  The mean
-    offered rate is ``burst_rate * burst_time / (burst_time +
-    idle_time)``, but the instantaneous rate the system must absorb is
-    the burst rate — the shape that exposes queue buildup a smooth
-    Poisson stream at the same mean would hide."""
-    if burst_rate <= 0:
-        raise StreamError("the burst rate must be positive")
-    if burst_time <= 0 or idle_time < 0:
-        raise StreamError("burst_time must be positive, idle_time >= 0")
-    rng = random.Random(seed)
-    clock = start
-    window_start = start
-    arrivals = []
-    for item in items:
-        clock += rng.expovariate(burst_rate)
-        while clock >= window_start + burst_time:
-            # The gap pushes past this burst: carry the residual into
-            # the next one, skipping the silent period.
-            clock += idle_time
-            window_start += burst_time + idle_time
         arrivals.append(Arrival(time=clock, item=item))
     return arrivals
 

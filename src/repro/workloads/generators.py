@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import InvalidArgumentError
 from repro.spec.operation import Operation
@@ -207,11 +207,6 @@ class TokenWorkloadGenerator:
     def generate(self, count: int) -> list[WorkloadItem]:
         """Generate ``count`` operations."""
         return [self.next_item() for _ in range(count)]
-
-    def stream(self) -> Iterator[WorkloadItem]:
-        """An unbounded operation stream."""
-        while True:
-            yield self.next_item()
 
 
 @dataclass
@@ -512,18 +507,6 @@ EXAMPLE1_BALANCES: tuple[tuple[int, int, int], ...] = (
     (7, 3, 0),
     (8, 2, 0),
 )
-
-
-def partition_by_process(
-    items: Sequence[WorkloadItem], num_processes: int
-) -> list[list[WorkloadItem]]:
-    """Split a workload into per-process subsequences (preserving order)."""
-    buckets: list[list[WorkloadItem]] = [[] for _ in range(num_processes)]
-    for item in items:
-        if not 0 <= item.pid < num_processes:
-            raise InvalidArgumentError(f"workload pid {item.pid} out of range")
-        buckets[item.pid].append(item)
-    return buckets
 
 
 def serial_reference(object_type, items: Sequence[WorkloadItem]):

@@ -42,7 +42,7 @@ def route(window, shard_map, index=0, live=None, last_migration=None, **knobs):
         classifier=classifier,
         shard_map=shard_map,
         sync=TieredEscalator(
-            team_threshold=config.team_threshold, lane_ttl=None
+            team_threshold=config.team_threshold
         ),
         config=config,
         live=list(range(shard_map.num_nodes)) if live is None else live,

@@ -4,10 +4,9 @@
 are the one home of the run knobs.  These tests pin the promises the
 constructors and the bench baselines rest on:
 
-* **round-trip** — ``as_dict()`` / ``from_dict()`` invert each other
-  (bench baselines embed configs through exactly this path), and unknown
-  keys fail loudly — including the keys of removed fields, so a baseline
-  written before a path was deleted is refused, never reinterpreted;
+* **snapshot** — ``as_dict()`` is a plain-JSON copy of every field
+  (bench baselines embed configs through exactly this path, and
+  ``scripts/obs.py gate`` refuses a baseline whose block differs);
 * **one way in** — the constructors take the config and collaborators;
   a config field passed as a bare kwarg, or a mistyped knob, is a
   ``TypeError``.
@@ -18,109 +17,56 @@ Serial equivalence of every executor × depth × mix lives in
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 
 import pytest
 
 from repro.cluster import ClusterConfig, TokenCluster
-from repro.config import EngineConfig
+from repro.config import EngineConfig, FaultConfig
 from repro.engine import OpClassifier, PipelinedExecutor
 from repro.errors import ClusterError, EngineError
 from repro.objects.erc20 import ERC20TokenType
 
 ACCOUNTS = 48
 
-#: The ``config.cluster`` block of the baselines committed at e21f850
-#: (the last commit with a scheduling-granularity field), verbatim.
-PARENT_CLUSTER_BLOCK = {
-    "dag_scheduling": True,
-    "fault": {
-        "crashes": [],
-        "delays": [],
-        "drops": [],
-        "enabled": False,
-        "seed": 0,
-    },
-    "lane_ttl": 32,
-    "lanes_per_node": 4,
-    "lease_cooldown": 0,
-    "lease_min_gain": 2,
-    "lease_timeout": None,
-    "mempool_capacity": None,
-    "num_nodes": 4,
-    "num_shards": None,
-    "op_cost": 1.0,
-    "pipeline_depth": 2,
-    "result_timeout": None,
-    "seed": 0,
-    "team_threshold": 4,
-    "validate": False,
-    "window": 64,
-}
-
 
 def make_token():
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
 
 
-class TestRoundTrip:
+class TestSnapshot:
     @pytest.mark.parametrize(
         "config",
         [
             EngineConfig(),
-            EngineConfig(num_lanes=7, lane_ttl=None, seed=3),
+            EngineConfig(num_lanes=7, seed=3),
             EngineConfig(team_threshold=0, pipeline_depth=1),
             ClusterConfig(),
             ClusterConfig(num_nodes=2, mempool_capacity=17),
-            ClusterConfig(team_threshold=0, pipeline_depth=1, lane_ttl=None),
+            ClusterConfig(
+                result_timeout=8.0,
+                fault=FaultConfig(enabled=True, crashes=((1, 5.0),)),
+            ),
         ],
         # Positional ids: ``hash(None)`` is address-based before 3.12,
         # so a hash-derived id changes from process to process.
         ids=[f"{kind}{i}" for kind in ("engine", "cluster") for i in range(3)],
     )
-    def test_as_dict_from_dict_round_trips(self, config):
-        assert type(config).from_dict(config.as_dict()) == config
+    def test_as_dict_is_a_plain_json_snapshot_of_every_field(self, config):
+        snapshot = config.as_dict()
+        assert list(snapshot) == [field.name for field in fields(config)]
+        assert json.loads(json.dumps(snapshot)) == snapshot
 
-    def test_unknown_keys_fail_loudly(self):
-        with pytest.raises(EngineError):
-            EngineConfig.from_dict({"num_lanes": 4, "warp_drive": True})
-        with pytest.raises(ClusterError):
-            ClusterConfig.from_dict({"num_noodles": 4})
-
-    def test_an_old_baseline_is_refused_not_reinterpreted(self):
-        with pytest.raises(EngineError, match="dag_scheduling"):
-            EngineConfig.from_dict({"dag_scheduling": False})
-        with pytest.raises(EngineError, match="split_sync"):
-            EngineConfig.from_dict({"split_sync": False})
-        with pytest.raises(ClusterError, match="dag_scheduling"):
-            ClusterConfig.from_dict(PARENT_CLUSTER_BLOCK)
-        current = dict(PARENT_CLUSTER_BLOCK)
-        del current["dag_scheduling"]
-        with pytest.raises(ClusterError, match="lease_timeout"):
-            ClusterConfig.from_dict(current)
-        del current["lease_timeout"]
-        with pytest.raises(ClusterError, match="validate"):
-            ClusterConfig.from_dict(current)
-        del current["validate"]
-        assert ClusterConfig.from_dict(current) == ClusterConfig()
-
-    def test_a_validate_key_is_refused(self):
-        """The in-executor oracle cross-check is gone (the tests audit the
-        static rule instead): a config that still asks for it is refused,
-        on or off."""
-        for flag in (False, True):
-            with pytest.raises(EngineError, match="validate"):
-                EngineConfig.from_dict({"validate": flag})
-            with pytest.raises(ClusterError, match="validate"):
-                ClusterConfig.from_dict({"validate": flag})
-        assert len(fields(EngineConfig)) == 8
-        assert len(fields(ClusterConfig)) == 14
-
-    def test_validation_applies_to_round_tripped_values(self):
-        with pytest.raises(EngineError):
-            EngineConfig.from_dict({"window": 0})
-        with pytest.raises(ClusterError):
-            ClusterConfig.from_dict({"num_nodes": 0})
+    def test_the_config_surface_is_pinned(self):
+        """Seven engine knobs and thirteen cluster knobs; the team-lane
+        GC knob is gone from both (a lane lives as long as its pool)."""
+        assert len(fields(EngineConfig)) == 7
+        assert len(fields(ClusterConfig)) == 13
+        with pytest.raises(TypeError):
+            EngineConfig(lane_ttl=32)
+        with pytest.raises(TypeError):
+            ClusterConfig(lane_ttl=None)
 
 
 class TestTheConfigIsTheOnlyWay:
@@ -150,7 +96,7 @@ class TestTheConfigIsTheOnlyWay:
             ClusterConfig(lanes_per_nodes=4)
 
     def test_the_config_is_kept_verbatim(self):
-        config = EngineConfig(team_threshold=0, lane_ttl=None)
+        config = EngineConfig(team_threshold=0)
         assert PipelinedExecutor(make_token(), config).config is config
         assert PipelinedExecutor(make_token()).config == EngineConfig()
         config = ClusterConfig(num_nodes=2, pipeline_depth=3)
@@ -176,8 +122,26 @@ class TestValidation:
     def test_cluster_validation_raises_cluster_error(self):
         with pytest.raises(ClusterError):
             ClusterConfig(num_nodes=0)
-        with pytest.raises(ClusterError):
-            ClusterConfig(lane_ttl=0)
+
+    # A crash of a node the cluster does not have used to build and then
+    # fail mid-run with an IndexError from the crash handler.
+    @pytest.mark.parametrize("node", [4, 9])
+    def test_a_crash_outside_the_cluster_is_refused(self, node):
+        fault = FaultConfig(enabled=True, crashes=((node, 5.0, 9.0),))
+        with pytest.raises(ClusterError, match=f"crash node {node}"):
+            ClusterConfig(num_nodes=4, result_timeout=8.0, fault=fault)
+
+    def test_a_crash_of_the_last_node_is_accepted(self):
+        fault = FaultConfig(enabled=True, crashes=((3, 5.0, 9.0),))
+        config = ClusterConfig(num_nodes=4, result_timeout=8.0, fault=fault)
+        assert config.fault.crashes == ((3, 5.0, 9.0),)
+
+    # A disabled plan injects nothing, so like the result_timeout check
+    # the range check leaves it alone.
+    def test_a_disabled_plan_naming_a_missing_node_is_accepted(self):
+        fault = FaultConfig(enabled=False, crashes=((9, 5.0, 9.0),))
+        config = ClusterConfig(num_nodes=4, fault=fault)
+        assert config.fault.crashes == ((9, 5.0, 9.0),)
 
     # Accepted, a non-positive op cost would shrink the engine's virtual
     # time below its op count and make a cluster node schedule events in

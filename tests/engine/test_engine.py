@@ -177,7 +177,7 @@ class TestEscalation:
 
     def test_rejects_tiny_cluster(self):
         with pytest.raises(NetworkError, match="3f"):
-            TieredEscalator(3, team_threshold=4, lane_ttl=None)
+            TieredEscalator(3, team_threshold=4)
 
 
 class TestExecutor:

@@ -1,6 +1,6 @@
 """Unit tests for :mod:`repro.faults` and :class:`FaultConfig`.
 
-The fault layer below the cluster: config validation and round-trips,
+The fault layer below the cluster: config validation,
 the cluster's injector wiring, and the injector's crash lifecycle and
 network filter on a bare simulator — deterministic per seed, drop rules
 first match wins, delay rules accumulating.
@@ -20,17 +20,6 @@ from repro.net.simulation import Simulator
 
 
 # -- FaultConfig ----------------------------------------------------------
-
-
-def test_fault_config_round_trips_through_dict():
-    config = FaultConfig(
-        enabled=True,
-        crashes=((1, 5.0, 20.0), (2, 8.0)),
-        drops=(("cl_result", 0.5, 0.0, 10.0),),
-        delays=(("cl_lease_ack", 2.0, 0.25),),
-        seed=7,
-    )
-    assert FaultConfig.from_dict(config.as_dict()) == config
 
 
 def test_fault_config_normalizes_pair_crashes_to_permanent():

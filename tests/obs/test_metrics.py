@@ -108,4 +108,3 @@ class TestRegistry:
     def test_same_name_same_instance(self):
         registry = MetricsRegistry()
         assert registry.counter("ops") is registry.counter("ops")
-        assert "ops" in registry and "latency" not in registry

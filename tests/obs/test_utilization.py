@@ -1,7 +1,7 @@
 """Per-track occupancy: busy + stall + idle fractions sum to 1 on every
 chained track of every traced configuration, queue-only tracks (the
 router's dispatch gate) are reported as overlap-tolerant aggregates, and
-the team-lane pool's spin-up/GC churn is attributed from its instants.
+the team lanes a pool spun up are counted from its instants.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.obs import (
     QueueWait,
     TraceError,
     TraceRecorder,
-    lane_churn,
     utilization_report,
 )
 from repro.obs.utilization import POOL_TRACK, TrackUtilization
@@ -103,7 +102,7 @@ def test_over_committed_track_is_rejected():
         utilization_report(tracer).check()
 
 
-def test_engine_team_lanes_report_spinup_churn():
+def test_engine_team_lanes_report_their_spinups():
     mix, build = next(
         (mix, build)
         for label, mix, build in CONFIGS
@@ -111,43 +110,33 @@ def test_engine_team_lanes_report_spinup_churn():
     )
     tracer = record(build, mix)
     report = utilization_report(tracer).check()
-    churn = report.lanes
-    assert churn is not None
-    assert churn.spinups > 0
-    assert churn.peak_live >= 1
-    assert len(churn.teams) >= 1
-    # Four sync rounds never reach the default lane_ttl: zero GC.
-    assert churn.collections == 0
+    assert report.lanes > 0
+    assert report.as_dict()["lanes"] == report.lanes
     assert any("team lanes:" in line for line in report.render())
 
 
-def test_pool_gc_churn_is_attributed():
-    """Drive a pool with idle_ttl=1 directly: the second round's
-    disjoint team forces the first lane idle, so it is collected — and
-    both lifecycle edges land on the pool track as instants."""
+def test_pool_spinups_are_counted_from_its_instants():
+    """A pool driven directly: one spin-up instant per distinct team on
+    the pool track, a repeat team records nothing, and the report's
+    count is the pool's own."""
     tracer = TraceRecorder()
-    pool = TeamLanePool(idle_ttl=1, seed=3)
+    pool = TeamLanePool(seed=3)
     pool.tracer = tracer
     pool.order([((0, 1), ["a", "b"])])
     pool.order([((2, 3), ["c"])])
-    pool.order([((4, 5), ["d"])])
-    assert pool.lanes_gcd > 0
-    churn = lane_churn(tracer)
-    assert churn is not None
-    assert churn.spinups == 3
-    assert churn.collections == pool.lanes_gcd
-    assert churn.peak_live <= 2
-    assert len(churn.teams) == 3
-    names = {
+    pool.order([((0, 1), ["d"]), ((4, 5), ["e"])])
+    assert utilization_report(tracer).lanes == pool.lanes_created == 3
+    names = [
         instant.name
         for instant in tracer.instants
         if instant.track == POOL_TRACK
-    }
-    assert names == {"lane spin-up", "lane gc"}
+    ]
+    assert names == ["lane spin-up"] * 3
 
 
-def test_lane_churn_is_none_without_a_pool():
+def test_no_pool_counts_no_lanes():
     tracer = TraceRecorder()
     tracer.span("lane.0", "op", "execute", 0.0, 1.0)
-    assert lane_churn(tracer) is None
-    assert utilization_report(tracer).lanes is None
+    report = utilization_report(tracer)
+    assert report.lanes == 0
+    assert not any("team lanes:" in line for line in report.render())

@@ -215,7 +215,7 @@ class TestTieredEscalator:
             PendingOp(2, 0, op("transfer", 5, 2)),
         ]
         raw = TeamLane(range(4), seed=9).order(list(ops))
-        sync = TieredEscalator(4, team_threshold=0, lane_ttl=None, seed=9)
+        sync = TieredEscalator(4, team_threshold=0, seed=9)
         plan = plan_of(classifier, ops)
         assert plan.contended_groups == whole(ops)
         result = sync.order_round(plan, state, token)
@@ -233,7 +233,7 @@ class TestTieredEscalator:
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 2, op("transferFrom", 0, 4, 1)),
         ]
-        sync = TieredEscalator(8, team_threshold=4, lane_ttl=None, seed=9)
+        sync = TieredEscalator(8, team_threshold=4, seed=9)
         plan = plan_of(classifier, ops)
         assert plan.contended_groups == whole(ops)
         result = sync.order_round(plan, state, token)
@@ -256,7 +256,7 @@ class TestTieredEscalator:
             PendingOp(1, 2, op("transferFrom", 0, 4, 1)),
         ]
         token, classifier, state = erc20_fixture()
-        sync = TieredEscalator(team_threshold=3, lane_ttl=None, seed=4)
+        sync = TieredEscalator(team_threshold=3, seed=4)
         # Force the second component global via an oversized threshold
         # miss: its team is {0, 3} plus spenders {1, 2} = 4 > 3.  (One
         # window's graph would merge the two on account 0.)
@@ -284,7 +284,7 @@ class TestTieredEscalator:
     def test_sync_groups_fold_back_per_component(self):
         token, classifier, state = erc20_fixture()
         ops = two_account_component()
-        sync = TieredEscalator(team_threshold=3, lane_ttl=None, seed=9)
+        sync = TieredEscalator(team_threshold=3, seed=9)
         # Hand-cut: the graph leaves account 5's same-process pair
         # uncontended, in a component of its own.
         plan = plan_of(classifier, ops, whole(ops))

@@ -6,11 +6,15 @@ import math
 
 import pytest
 
+from repro.cluster import ClusterConfig, TokenCluster
 from repro.engine.mempool import PendingOp
 from repro.errors import NetworkError
 from repro.net import TeamLanePool
-from repro.obs import TraceRecorder, lane_churn
+from repro.objects.erc20 import ERC20TokenType
+from repro.obs import TraceRecorder, utilization_report
 from repro.spec.operation import op
+from repro.workloads import SPENDER_HEAVY_MIX, TokenWorkloadGenerator
+from tests.sync.sync_tap import tap_sync_results
 
 
 def batch(start: int, count: int, pid: int = 0) -> list[PendingOp]:
@@ -116,67 +120,67 @@ class TestConcurrency:
         assert pool.rounds == 2
 
 
-class TestIdleLaneGC:
-    """Regression: a long run over shifting approval patterns must not
-    accumulate one live replica group per distinct team it ever saw."""
+class TestLaneLifetime:
+    """A team lane lives as long as its pool: one lane per distinct team
+    the pool ever ordered, reused however long it idles."""
 
-    def test_idle_lane_collected_after_ttl(self):
-        pool = TeamLanePool(seed=7, idle_ttl=2)
-        pool.order([(frozenset({0, 1}), batch(0, 2))])
-        # Two rounds on a different team: {0, 1} goes idle past the TTL.
-        pool.order([(frozenset({2, 3}), batch(10, 2))])
-        assert pool.live_lanes == 2
-        pool.order([(frozenset({2, 3}), batch(20, 2))])
-        assert pool.live_lanes == 1
-        assert pool.lanes_gcd == 1
-        assert pool.lanes_created == 2  # cumulative, GC does not decrement
-
-    def test_shifting_teams_bound_live_lanes(self):
-        """Distinct team per round: without GC the pool holds one lane per
-        round ever seen; with a TTL the live set stays bounded by it."""
-        pool = TeamLanePool(seed=8, idle_ttl=3)
-        for i in range(12):
-            pool.order([(frozenset({2 * i, 2 * i + 1}), batch(10 * i, 2))])
-        assert pool.lanes_created == 12
-        assert pool.live_lanes <= 3
-        assert pool.lanes_gcd == 12 - pool.live_lanes
-
-    def test_collected_lane_is_reprovisioned_and_reordered_correctly(self):
-        pool = TeamLanePool(seed=9, idle_ttl=1)
-        team = frozenset({4, 5})
-        pool.order([(team, batch(0, 3))])
-        pool.order([(frozenset({6, 7}), batch(10, 2))])  # {4,5} collected
-        assert pool.live_lanes == 1
-        ops = batch(20, 4)
-        round_result = pool.order([(team, ops)])
-        assert list(round_result.orders[0].ordered) == ops
-        assert pool.lanes_created == 3
-
-    def test_reuse_within_ttl_keeps_the_lane(self):
-        pool = TeamLanePool(seed=10, idle_ttl=2)
+    def test_an_idle_lane_is_reused(self):
+        pool = TeamLanePool(seed=10)
         team = frozenset({0, 1})
         lane = pool.lane(team)
-        for i in range(6):
-            pool.order([(team, batch(10 * i, 1))])
+        pool.order([(team, batch(0, 1))])
+        for i in range(1, 40):  # other teams only: {0, 1} idles
+            pool.order([(frozenset({2 * i, 2 * i + 1}), batch(10 * i, 1))])
         assert pool.lane(team) is lane
-        assert pool.lanes_gcd == 0
+        ops = batch(500, 4)
+        round_result = pool.order([(team, ops)])
+        assert list(round_result.orders[0].ordered) == ops
+        assert pool.lanes_created == 40
 
-    def test_ttl_validation(self):
-        with pytest.raises(NetworkError):
-            TeamLanePool(idle_ttl=0)
-
-    def test_default_keeps_lanes_forever(self):
+    def test_one_lane_per_distinct_team(self):
         pool = TeamLanePool(seed=11)
         for i in range(8):
             pool.order([(frozenset({2 * i, 2 * i + 1}), batch(10 * i, 1))])
-        assert pool.live_lanes == 8
-        assert pool.lanes_gcd == 0
+            pool.order([(frozenset({2 * i + 1, 2 * i}), batch(10 * i, 1))])
+        assert pool.lanes_created == 8
 
-    def test_the_sync_layer_exposes_lane_ttl(self):
-        from repro.sync import TieredEscalator
+    def test_the_pool_takes_no_idle_ttl(self):
+        with pytest.raises(TypeError):
+            TeamLanePool(idle_ttl=1)
 
-        sync = TieredEscalator(team_threshold=3, lane_ttl=4, seed=1)
-        assert sync.pool.idle_ttl == 4
+    def test_a_cluster_run_builds_one_lane_per_team_it_orders(self):
+        """The wall benchmark's ``cluster_spender`` shape at 3 072 ops,
+        seed 7: 80 sync rounds, long enough that an idle-lane GC after
+        32 rounds collected five lanes here and built one team's lane
+        twice.  Every lane now lives as long as the pool, and the run's
+        makespan and sync bill are the numbers the GC-era run produced:
+        no output ever depended on collecting lanes."""
+        accounts = 256
+        token = ERC20TokenType(accounts, total_supply=100 * accounts)
+        items = TokenWorkloadGenerator(
+            accounts,
+            seed=7,
+            mix=SPENDER_HEAVY_MIX,
+            zipf_s=1.0,
+            spender_pool=4,
+        ).generate(3072)
+        cluster = TokenCluster(
+            token,
+            ClusterConfig(num_nodes=4, lanes_per_node=4, window=32, seed=7),
+        )
+        results = tap_sync_results(cluster.router.sync)
+        _, _, stats = cluster.run_workload(items)
+        pool = cluster.router.sync.pool
+        teams = {
+            order.team
+            for result in results
+            for order in result.components
+            if order.team is not None
+        }
+        assert pool.rounds == 80
+        assert pool.lanes_created == len(teams) == 8
+        assert stats.makespan == 776.6338716322845
+        assert stats.escalation_messages == 3697
 
 
 class TestTopLane:
@@ -201,14 +205,14 @@ class TestTopLane:
         assert result.messages == 75
         assert result.orders[0].team == frozenset(range(4))
 
-    def test_gc_never_collects_the_top_lane(self):
-        pool = TeamLanePool(seed=2, idle_ttl=1)
+    def test_the_top_lane_outlives_team_only_rounds(self):
+        pool = TeamLanePool(seed=2)
         top = pool.top
         pool.order([(None, batch(0, 3))])
         slots = top.slots
         for i in range(4):  # team-only rounds: the top lane idles
             pool.order([(frozenset({2 * i, 2 * i + 1}), batch(10 * i, 1))])
-        assert pool.lanes_gcd == 3 and pool.top is top
+        assert pool.lanes_created == 4 and pool.top is top
         ops = batch(100, 2)
         result = pool.order([(None, ops)])
         assert list(result.orders[0].ordered) == ops
@@ -217,16 +221,15 @@ class TestTopLane:
 
     def test_bookkeeping_excludes_the_top_lane(self):
         tracer = TraceRecorder()
-        pool = TeamLanePool(seed=3, idle_ttl=1)
+        pool = TeamLanePool(seed=3)
         pool.tracer = tracer
         pool.order([(None, batch(0, 2))])
-        assert (pool.lanes_created, pool.live_lanes) == (0, 0)
-        assert lane_churn(tracer) is None
+        assert pool.lanes_created == utilization_report(tracer).lanes == 0
         result = pool.order([(None, batch(10, 2)), ({0, 1}, batch(20, 2))])
         assert result.teams == 1
-        assert (pool.lanes_created, pool.live_lanes) == (1, 1)
-        churn = lane_churn(tracer)
-        assert (churn.spinups, churn.peak_live, churn.teams) == (1, 1, ("0-1",))
+        assert pool.lanes_created == utilization_report(tracer).lanes == 1
+        [spinup] = tracer.instants
+        assert (spinup.track, spinup.name) == ("teamlanes.pool", "lane spin-up")
         # Its batches are traced on a track of their own.
         assert [span.track for span in tracer.spans] == [
             "teamlanes.global",

@@ -21,7 +21,6 @@ from repro.workloads import (
     StreamDriver,
     TokenWorkloadGenerator,
     WorkloadMix,
-    onoff_arrivals,
     poisson_arrivals,
 )
 
@@ -67,35 +66,6 @@ def test_poisson_mean_gap_tracks_the_rate():
 def test_poisson_rejects_nonpositive_rate():
     with pytest.raises(StreamError):
         poisson_arrivals(make_items(4), rate=0.0)
-
-
-def test_onoff_arrivals_respect_the_burst_windows():
-    items = make_items(200)
-    burst_time, idle_time = 5.0, 20.0
-    arrivals = onoff_arrivals(
-        items,
-        burst_rate=8.0,
-        burst_time=burst_time,
-        idle_time=idle_time,
-        seed=3,
-    )
-    period = burst_time + idle_time
-    assert [a.item for a in arrivals] == items
-    times = [a.time for a in arrivals]
-    assert times == sorted(times)
-    for t in times:
-        assert t % period < burst_time, f"arrival {t} inside a silence"
-
-
-def test_onoff_rejects_bad_shape():
-    with pytest.raises(StreamError):
-        onoff_arrivals(make_items(4), burst_rate=0, burst_time=1, idle_time=1)
-    with pytest.raises(StreamError):
-        onoff_arrivals(make_items(4), burst_rate=1, burst_time=0, idle_time=1)
-    with pytest.raises(StreamError):
-        onoff_arrivals(
-            make_items(4), burst_rate=1, burst_time=1, idle_time=-1
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from repro.workloads.generators import (
     WorkloadItem,
     WorkloadMix,
     example1_trace,
-    partition_by_process,
 )
 from repro.workloads.skew import zipf_weights
 
@@ -140,11 +139,6 @@ class TestGenerator:
         skewed_counts = Counter(i.pid for i in skewed.generate(1000))
         assert skewed_counts[0] > 2 * uniform_counts[0]
 
-    def test_stream_is_lazy(self):
-        stream = TokenWorkloadGenerator(3, seed=0).stream()
-        first = next(stream)
-        assert 0 <= first.pid < 3
-
     def test_hotspot_skew_concentrates_accounts(self):
         from collections import Counter
 
@@ -215,20 +209,6 @@ class TestExample1:
             assert response == expected_response
             assert state.balances == expected_balances
         assert state.allowance(1, 2) == 4
-
-
-class TestPartition:
-    def test_partition_preserves_order(self):
-        items = TokenWorkloadGenerator(3, seed=6).generate(30)
-        buckets = partition_by_process(items, 3)
-        assert sum(len(bucket) for bucket in buckets) == 30
-        for pid, bucket in enumerate(buckets):
-            assert all(item.pid == pid for item in bucket)
-
-    def test_out_of_range_pid_rejected(self):
-        items = TokenWorkloadGenerator(5, seed=0).generate(10)
-        with pytest.raises(InvalidArgumentError):
-            partition_by_process(items, 2)
 
 
 class TestNFTGenerator:
