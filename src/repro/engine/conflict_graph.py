@@ -27,7 +27,6 @@ chain: the engine, the router and the cluster node read the same record.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.analysis.commutativity import PairKind
@@ -98,9 +97,9 @@ class ConflictGraph:
     contended: set[int]
     #: Connected components (ascending indices), ordered by first index.
     _components: list[list[int]] = field(repr=False)
-    #: Direct DAG predecessors per index that has any, ascending — the
-    #: edge keys ascend, so they are appended in order.
-    _preds: dict[int, list[int]] = field(repr=False)
+    #: Direct DAG predecessors per index, ascending (empty for none) —
+    #: the edge keys ascend, so they are appended in order.
+    _preds: list = field(repr=False)
 
     @classmethod
     def build(
@@ -114,7 +113,8 @@ class ConflictGraph:
         later = conflict_candidates(footprints)
         n = len(ops)
         if not later:
-            return cls(ops, {}, footprints, set(), [[i] for i in range(n)], {})
+            singles = [[i] for i in range(n)]
+            return cls(ops, {}, footprints, set(), singles, [()] * n)
         edges: dict[tuple[int, int], PairKind] = {}
         contended: set[int] = set()
         # Walk 1, over the ops with a later partner (every candidate is an
@@ -145,7 +145,7 @@ class ConflictGraph:
         # Walk 2, one fold over the edges: predecessors and union-find,
         # every root its component's smallest index.
         parent = list(range(n))
-        preds: defaultdict[int, list[int]] = defaultdict(list)
+        preds: list = [[] for _ in range(n)]
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -207,8 +207,7 @@ class ConflictGraph:
             depth: list[int] = []
             per_depth = [0] * (n + 1)
             for i in component:
-                found = preds_of.get(i)
-                below = () if found is None else tuple([at[p] for p in found])
+                below = tuple([at[p] for p in preds_of[i]])
                 d = 1
                 for p in below:
                     if depth[p] >= d:

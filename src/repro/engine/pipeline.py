@@ -51,10 +51,11 @@ the rolling lane timeline in ``engine/shard.py``'s static order
 (critical-path first along the component DAGs), backfilling idle gaps
 behind floored ops.  A window is planned once, by
 :func:`~repro.engine.rounds.plan_window`, and everything per op lives in
-lists aligned with the window or the scheduler's task order, so an op that
-commutes with its whole window (the paper's consensus-number-1 case) costs
-one footprint, one frontier probe per cell it reads and one ``min`` over
-the lane tails: no edge, no union-find entry, no DAG.
+lists aligned with the window (the scheduler's tasks are its indices), so
+an op that commutes with its whole window (the paper's consensus-number-1
+case) costs one footprint, one frontier probe per cell it reads, one
+``min`` over the lane tails and one step of one index-order walk: no edge,
+no union-find entry, no DAG, no record unless traced.
 Window N+1 is classified (conflict graph, tiered synchronization) as soon
 as the pipeline has a free slot — i.e. while window N's lanes are still
 executing — and the shared synchronization lanes serialize across windows
@@ -88,7 +89,7 @@ from repro.config import EngineConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import Mempool, PendingOp
 from repro.engine.rounds import WallAdapters, WindowPlan, plan_window
-from repro.engine.shard import dag_schedule
+from repro.engine.shard import dag_list_schedule
 from repro.engine.stats import EngineStats, WaveStats
 from repro.objects.footprint import OpFootprint
 from repro.spec.object_type import SequentialObjectType
@@ -101,7 +102,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class ScheduledUnit(NamedTuple):
     """One execution unit (a single operation) on the timeline — an
-    immutable record, and a tuple because the engine builds one per op."""
+    immutable record, built only for a traced window."""
 
     start: float
     finish: float
@@ -116,6 +117,23 @@ class ScheduledUnit(NamedTuple):
     #: lane availability already imposed.
     sync_stall: float
     frontier_stall: float
+
+
+def scheduled_units(plan: WindowPlan, op_sync, placed, stalls) -> list:
+    """A window's placement and stalls, as :meth:`PipelinedExecutor.
+    _place_window_dag` returns them, as units in ``(start, window index)``
+    order, the tracer's; an op not in ``stalls`` waited for nothing."""
+    ops, footprints = plan.ops, plan.footprints
+    return [
+        ScheduledUnit(
+            *placed[i],
+            ops[i],
+            footprints[i],
+            i in op_sync,
+            *stalls.get(i, (0.0, 0.0)),
+        )
+        for _, i in sorted([(p[0], i) for i, p in enumerate(placed)])
+    ]
 
 
 class PipelinedExecutor:
@@ -345,11 +363,11 @@ class PipelinedExecutor:
             for i in group:
                 op_sync[i] = done
 
-        scheduled = self._place_window_dag(plan, t_classify, op_sync)
+        placed, stalls = self._place_window_dag(plan, t_classify, op_sync)
         stall, stall_contended, completed, lanes_used = self._placed
         overlap = 0.0
         if self._completions:
-            overlap = max(0.0, self._completions[-1] - scheduled[0].start)
+            overlap = max(0.0, self._completions[-1] - min(placed)[0])
         self._completions.append(completed)
 
         escalated = len(plan.escalated_idx)
@@ -375,6 +393,7 @@ class PipelinedExecutor:
             dag_critical_ops=sum(paths),
         )
         if self.tracer is not None:
+            scheduled = scheduled_units(plan, op_sync, placed, stalls)
             self._trace_pipelined_round(
                 plan, index, escalation, scheduled, t_classify, sync_start
             )
@@ -460,7 +479,7 @@ class PipelinedExecutor:
         plan: WindowPlan,
         t_classify: float,
         op_sync: dict[int, float],
-    ) -> list[ScheduledUnit]:
+    ) -> tuple[list[tuple[float, float, int]], dict[int, tuple]]:
         """Op-granular placement through the shared list scheduler.
 
         Every operation is its own timeline unit.  Intra-window order
@@ -470,11 +489,12 @@ class PipelinedExecutor:
         the op's *floor*.  The frontier is not read inside a window, so
         :func:`~repro.engine.shard.dag_list_schedule` places the window
         onto the rolling lane timeline by floors alone (idle gaps behind
-        floored ops backfilled).  ``op_sync`` maps a contended op's window
-        index to its sync lane's completion; ``floors`` is window-aligned,
-        ``order`` / ``preds`` / ``placed`` task-aligned.  One walk over
-        the placed units attributes stalls, moves the frontier and leaves
-        the window's totals in ``_placed``.
+        floored ops backfilled), its tasks the window indices.  ``op_sync``
+        maps a contended op's window index to its sync lane's completion.
+        The ops floored past admission are checked for a stall, and one
+        walk in index order moves the frontier.  Returns the window-aligned
+        ``(start, finish, lane)`` and each stalled op's ``(sync_stall,
+        frontier_stall)``, by ``(start, window index)``; totals: ``_placed``.
         """
         # An op's floor: admission, then the cross-window frontier —
         # exactly the static commutativity test per access kind: reads
@@ -482,7 +502,7 @@ class PipelinedExecutor:
         # writes (delta-delta sharing is free), absolute writes on every
         # earlier access; an unknown footprint waits for everything.  Each
         # test keeps the first of equal values, as ``max`` does.
-        ops, footprints = plan.ops, plan.footprints
+        footprints = plan.footprints
         obs, wrote = self._frontier_obs, self._frontier_wrote
         sets = self._frontier_set
         top, everything = self._frontier_top, self._frontier_max
@@ -508,50 +528,37 @@ class PipelinedExecutor:
         for i, done in op_sync.items():
             if done > floors[i]:
                 floors[i] = done
-        #: Per lane, when its next slot opens: the carried-in free time,
-        #: then the finish of each op placed on it (start order).
-        carried, slot = list(self._lane_free), list(self._lane_free)
-        order, preds, placed = dag_schedule(
-            plan.chains,
-            plan.dags,
-            plan.singletons,
+        n, preds = len(footprints), plan.preds
+        carried = list(self._lane_free)
+        slot = [0.0] * n  # per op, the finish before it on its lane
+        placed = dag_list_schedule(
+            range(n),
+            preds,
+            plan.priorities,
             self._lane_free,
             floors=floors,
             cost=self.config.op_cost,
+            lane_prev=slot,
         )
 
-        # Stall attribution, read off the placements.  Admission, the
-        # op's lane slot (the finish of the op before it on that lane's
-        # timeline, or the lane's carried-in free time) and intra-window
-        # predecessor finishes form the baseline; waiting beyond it is
-        # stall, attributed to the sync lane first, then the frontier —
-        # ``start = base + sync_stall + frontier_stall`` exactly.  Units
-        # ascend by (start, window index), a key without ties.  Only later
-        # windows read the frontier the walk moves: distinct components
-        # statically commute, and one component's order is its DAG's job.
-        scheduled: list[ScheduledUnit] = []
-        append, unit = scheduled.append, tuple.__new__
-        stall = stall_contended = 0.0
-        completed = t_classify  # every finish lies past it
-        starts = [start for start, _, _ in placed]
-        for start, i, k in sorted(zip(starts, order, range(len(order)))):
-            _, finish, lane = placed[k]
-            base = slot[lane] if slot[lane] > t_classify else t_classify
-            for p in preds[k]:
+        # Admission, the op's lane slot and its intra-window predecessor
+        # finishes form its baseline; an op is stalled iff its floor lies
+        # past it, so only an op floored past admission can be.
+        stalled = []
+        for i in [i for i, floor in enumerate(floors) if floor > t_classify]:
+            base = slot[i]
+            if t_classify > base:
+                base = t_classify
+            for p in preds[i]:
                 if placed[p][1] > base:
                     base = placed[p][1]
-            slot[lane] = finish
-            sync_ready = op_sync.get(i) if op_sync else None
-            sync_stall, held = 0.0, base
-            if sync_ready is not None and sync_ready > base:
-                sync_stall, held = sync_ready - base, sync_ready
-            blocked = floors[i] - held
-            blocked = blocked if blocked > 0.0 else 0.0
-            footprint, contended = footprints[i], sync_ready is not None
-            waited = sync_stall + blocked
-            stall += waited
-            if contended:
-                stall_contended += waited
+            if floors[i] > base:
+                stalled.append((placed[i][0], i, base))
+        # The frontier only takes maxima, and only later windows read it
+        # (distinct components statically commute, and one component's
+        # order is its DAG's job), so index order serves.
+        completed = t_classify  # every finish lies past it
+        for (_, finish, _), footprint in zip(placed, footprints):
             if finish > completed:
                 completed = finish
             if footprint is None:
@@ -569,27 +576,30 @@ class PipelinedExecutor:
                         wrote[loc] = finish
                     if finish > sets.get(loc, 0.0):
                         sets[loc] = finish
-            append(
-                unit(
-                    ScheduledUnit,
-                    (
-                        start,
-                        finish,
-                        lane,
-                        ops[i],
-                        footprint,
-                        contended,
-                        sync_stall,
-                        blocked,
-                    ),
-                )
-            )
+        # Waiting beyond the baseline is stall, attributed to the sync
+        # lane first, then the frontier — ``start = base + sync_stall +
+        # frontier_stall`` exactly — and summed in ``(start, window
+        # index)`` order, a key without ties: every other op adds 0.0.
+        stall = stall_contended = 0.0
+        stalls: dict[int, tuple] = {}
+        for _, i, base in sorted(stalled):
+            sync_ready = op_sync.get(i)
+            sync_stall, held = 0.0, base
+            if sync_ready is not None and sync_ready > base:
+                sync_stall, held = sync_ready - base, sync_ready
+            blocked = floors[i] - held
+            blocked = blocked if blocked > 0.0 else 0.0
+            waited = sync_stall + blocked
+            stall += waited
+            if sync_ready is not None:
+                stall_contended += waited
+            stalls[i] = (sync_stall, blocked)
         self._frontier_top = top
         self._frontier_max = max(everything, completed)
         # A lane moved iff an op landed on it (``op_cost > 0``).
-        lanes_used = len([1 for a, b in zip(carried, slot) if a != b])
+        lanes_used = sum(a != b for a, b in zip(carried, self._lane_free))
         self._placed = (stall, stall_contended, completed, lanes_used)
-        return scheduled
+        return placed, stalls
 
     def run(self) -> EngineStats:
         """Drain the mempool through the pipeline, then commit: publish the

@@ -41,6 +41,10 @@ class WindowPlan:
     #: Per-chain precedence DAGs over positions in the chain:
     #: ``dags[k].size == len(chains[k])``.
     dags: list[ComponentDAG]
+    #: The DAGs over window indices, window-aligned, for the engine's
+    #: scheduler: each op's direct predecessors and its bottom level.
+    preds: list
+    priorities: list[int]
 
     @property
     def escalated_idx(self) -> list[int]:
@@ -83,13 +87,20 @@ def _plan(graph: ConflictGraph) -> WindowPlan:
         if (group := [i for i in chain if i in contended])
     ]
     groups.sort(key=lambda group: group[0])
+    dags = graph.component_dags()
+    priorities = [1] * len(graph.ops)
+    for chain, dag in zip(chains, dags):
+        for i, level in zip(chain, dag.priorities):
+            priorities[i] = level
     return WindowPlan(
         graph.ops,
         graph.footprints,
         chains,
         singletons,
         groups,
-        graph.component_dags(),
+        dags,
+        graph._preds,
+        priorities,
     )
 
 

@@ -28,14 +28,16 @@ monitors hold it to those edges (``tests/engine/placement_tap.py``,
 ``tests/cluster/node_tap.py``).
 
 **The static order.**  :func:`dag_list_schedule` is the only list
-scheduler: the engine's rolling timeline (a window's DAGs concatenated by
-:func:`dag_schedule`) and a cluster node's DAG units place every DAG op
-through it, ranked by the DAGs' ``priorities`` as :meth:`ConflictGraph.
+scheduler: the engine's rolling timeline (a window's tasks are its
+indices, with the plan's window-aligned predecessors and priorities) and
+a cluster node's DAG units (positions in one
+:class:`~repro.engine.conflict_graph.ComponentDAG`) place every DAG op
+through it, ranked by the bottom levels :meth:`ConflictGraph.
 component_dags <repro.engine.conflict_graph.ConflictGraph.component_dags>`
-built them — bottom levels, singletons at 1.  A bottom level ranks each
-predecessor strictly above its successors, so the scheduler places tasks
-in one sorted order by the unique key ``(−priority, seq, index)``: the
-smallest unplaced key is always ready, the task a ready heap would pop.
+built — singletons at 1.  A bottom level ranks each predecessor
+strictly above its successors, so the scheduler places tasks in one
+sorted order by the unique key ``(−priority, seq, index)``: the smallest
+unplaced key is always ready, the task a ready heap would pop.
 :func:`lane_fill` places a node's edge-free unit in one pass: each op, in
 position order, takes the first least-free lane at ``max(ready, free)``.
 For ``cost > 0`` that is the list scheduler's placement of edge-free ops
@@ -50,8 +52,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import neg
 
-from repro.engine.conflict_graph import ComponentDAG
 from repro.errors import EngineError
 
 #: Knuth's multiplicative hash constant; stable across runs and platforms
@@ -71,6 +73,7 @@ def dag_list_schedule(
     lane_free: list[float],
     floors: list[float] | None = None,
     cost: float = 1,
+    lane_prev: list[float] | None = None,
 ) -> list[tuple[float, float, int]]:
     """Critical-path-first list scheduling of equal-cost tasks onto lanes.
 
@@ -107,11 +110,16 @@ def dag_list_schedule(
     free time (``start = max(free, est)`` grows with ``free``), and a
     lane's fitting gap — gaps are ascending, so its first — starts before
     its tail, so only lanes holding a gap are looked at one by one.
+
+    ``lane_prev``, when given, receives per task the finish of the task
+    before it on its lane (or the lane's carried-in free time).  A task
+    that leaves an idle sliver right before it reads, at the end, the
+    start of the sliver left ending at its start, or its own start.
     """
     n = len(seqs)
     if floors is None:
         floors = [0.0] * n
-    keys = [(-priorities[i], seqs[i], i) for i in range(n)]
+    keys = list(zip(map(neg, priorities), seqs, range(n)))
     out: list[tuple[float, float, int] | None] = [None] * n
     #: Lane -> its idle ``[start, end)`` intervals behind its free time,
     #: ascending; only lanes holding one have an entry (this call's own
@@ -119,6 +127,8 @@ def dag_list_schedule(
     #: incremental scheduling conservative).
     gaps: dict[int, list[tuple[float, float]]] = {}
     horizon = -math.inf
+    #: Tasks placed past their lane's idle time (``lane_prev`` only).
+    opened: list[int] = []
     for _, _, i in sorted(keys):
         est = floors[i]
         below = preds[i]
@@ -159,12 +169,23 @@ def dag_list_schedule(
                 del gaps[lane]
                 if not gaps:
                     horizon = -math.inf
+            free = gap_start  # where the idle time before it began
         else:
             if start > free:
                 gaps.setdefault(lane, []).append((free, start))
                 horizon = max(horizon, start)
             lane_free[lane] = finish
         out[i] = (start, finish, lane)
+        if lane_prev is not None:
+            lane_prev[i] = free
+            if start > free:
+                opened.append(i)
+    if opened:
+        # Every idle interval behind a lane's tail is one of its gaps.
+        ends = {(lane, b): a for lane, idle in gaps.items() for a, b in idle}
+        for i in opened:
+            start, _, lane = out[i]  # type: ignore[misc]
+            lane_prev[i] = ends.get((lane, start), start)  # type: ignore[index]
     return out  # type: ignore[return-value]
 
 
@@ -178,50 +199,3 @@ def lane_fill(n: int, lane_free: list, ready: float, cost: float) -> list:
         finish = lane_free[lane] = start + cost
         placed.append((start, finish, lane))
     return placed
-
-
-def dag_schedule(
-    chains: list[list[int]],
-    dags: list[ComponentDAG],
-    singletons: list[int],
-    lane_free: list,
-    floors: list[float] | None = None,
-    cost: float = 1,
-) -> tuple[list[int], list[tuple[int, ...]], list[tuple]]:
-    """Schedule a window's ops (not its components) with
-    critical-path-first listing.
-
-    Tasks are the ``chains``' window indices, chain by chain, then the
-    ``singletons`` — indices ascend in submission order, so they are the
-    tie-break too.  ``dags[k]`` is ``chains[k]``'s DAG over positions in
-    the chain; its ``preds`` shift by the chain's first task position and
-    its ``priorities`` (bottom levels) are taken as they are, so the
-    longest remaining dependency chains start first; singletons (bottom
-    level 1) backfill.  ``lane_free`` is a live lane timeline mutated in
-    place (its length is the lane count) and ``floors[i]`` an external
-    earliest start for window index ``i`` (classification time, sync-lane
-    completion, cross-window frontier; ``None`` = no floor), so the
-    engine's rolling timeline schedules incrementally.  Returns,
-    task-aligned: the window index of each task, its predecessors as task
-    positions, and its ``(start, finish, lane)`` placement.
-    """
-    order: list[int] = []
-    preds: list[tuple[int, ...]] = []
-    priorities: list[int] = []
-    for chain, dag in zip(chains, dags, strict=True):
-        offset = len(order)
-        order.extend(chain)
-        priorities.extend(dag.priorities)
-        preds.extend(tuple(p + offset for p in below) for below in dag.preds)
-    order.extend(singletons)
-    preds.extend([()] * len(singletons))
-    priorities.extend([1] * len(singletons))
-    placed = dag_list_schedule(
-        order,
-        preds,
-        priorities,
-        lane_free,
-        floors=[floors[i] for i in order] if floors is not None else None,
-        cost=cost,
-    )
-    return order, preds, placed

@@ -4,8 +4,10 @@ The engine applies every window in submission order when it plans it, so
 a response never depends on the schedule: a scheduler that starts two
 dependent ops in the wrong order would leave state and responses right
 and only the virtual timeline wrong.  :func:`tap_placements` watches that
-timeline instead.  It wraps ``engine._place_window_dag`` and holds every
-placed unit, across windows, to the two orders the schedule owes:
+timeline instead.  It wraps ``engine._place_window_dag``, reads each
+window's placements and stalls as the units the tracer would record
+(:func:`~repro.engine.pipeline.scheduled_units`), and holds every placed
+unit, across windows, to the two orders the schedule owes:
 
 * two ops whose static footprints do not commute
   (:func:`~repro.objects.footprint.static_pair_kind`; an unknown
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 
+from repro.engine.pipeline import scheduled_units
 from repro.objects.footprint import static_pair_kind
 
 
@@ -50,7 +53,8 @@ def tap_placements(engine) -> PlacementTap:
     place = engine._place_window_dag
 
     def tapped(plan, t_classify, op_sync):
-        scheduled = place(plan, t_classify, op_sync)
+        placed, stalls = place(plan, t_classify, op_sync)
+        scheduled = scheduled_units(plan, op_sync, placed, stalls)
         by_seq = {unit.op.seq: unit for unit in scheduled}
         for i, done in op_sync.items():
             unit = by_seq[plan.ops[i].seq]
@@ -76,7 +80,7 @@ def tap_placements(engine) -> PlacementTap:
                 ):
                     tap.reordered.append((first.op.seq, second.op.seq))
         tap.units += scheduled
-        return scheduled
+        return placed, stalls
 
     engine._place_window_dag = tapped
     return tap

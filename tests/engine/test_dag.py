@@ -46,7 +46,8 @@ from repro.engine import (
 from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import Mempool, PendingOp
-from repro.engine.shard import dag_schedule, lane_fill
+from repro.engine.rounds import plan_window
+from repro.engine.shard import lane_fill
 from repro.errors import EngineError
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
@@ -240,12 +241,13 @@ class TestDagPlanner:
         return classifier, ops, graph, chains, singles
 
     @staticmethod
-    def _schedule(lanes, ops, graph, chains, singles):
-        """``(tasks, placed)``: the scheduled ops, task-aligned."""
-        order, _, placed = dag_schedule(
-            chains, graph.component_dags(), singles, [0] * lanes
+    def _schedule(lanes, classifier, ops):
+        """The window's placements, window-aligned, as the engine gets
+        them: its plan's preds and priorities over window indices."""
+        plan = plan_window(classifier, ops)
+        return dag_list_schedule(
+            range(len(ops)), plan.preds, plan.priorities, [0] * lanes
         )
-        return [ops[i] for i in order], placed
 
     def test_start_order_is_a_linear_extension(self):
         token = ERC20TokenType(12, total_supply=240)
@@ -253,10 +255,10 @@ class TestDagPlanner:
             12, seed=3, mix=APPROVAL_HEAVY_MIX
         ).generate(60)
         classifier, ops, graph, chains, singles = self._window(items, token)
-        tasks, placed = self._schedule(4, ops, graph, chains, singles)
-        assert sorted(t.seq for t in tasks) == [o.seq for o in ops]
-        at = {t.seq: slot for t, slot in zip(tasks, placed)}
-        apply_order = sorted(tasks, key=lambda t: (at[t.seq][0], t.seq))
+        placed = self._schedule(4, classifier, ops)
+        assert len(placed) == len(ops)
+        at = {o.seq: slot for o, slot in zip(ops, placed)}
+        apply_order = sorted(ops, key=lambda t: (at[t.seq][0], t.seq))
         position = {t.seq: k for k, t in enumerate(apply_order)}
         for (a, b) in graph.edges:
             assert at[ops[a].seq][1] <= at[ops[b].seq][0]
@@ -278,7 +280,7 @@ class TestDagPlanner:
         ]
         classifier, ops, graph, chains, singles = self._window(items, token)
         assert len(chains) == 1 and len(chains[0]) == len(items)
-        _, placed = self._schedule(4, ops, graph, chains, singles)
+        placed = self._schedule(4, classifier, ops)
         assert max(finish for _, finish, _ in placed) < len(items)
         assert graph.component_dags()[0].width >= 2
 
@@ -286,19 +288,19 @@ class TestDagPlanner:
         token = ERC20TokenType(4, total_supply=40)
         items = [WorkloadItem(0, op("transfer", 1, 1)) for _ in range(5)]
         classifier, ops, graph, chains, singles = self._window(items, token)
-        tasks, placed = self._schedule(4, ops, graph, chains, singles)
+        placed = self._schedule(4, classifier, ops)
         # A total order stays a total order: back to back, in seq order.
         assert [start for start, _, _ in placed] == [0, 1, 2, 3, 4]
-        assert [t.seq for t in tasks] == [o.seq for o in ops]
 
     def test_per_op_floors_hold_back_exactly_the_floored_ops(self):
         token = ERC20TokenType(8, total_supply=80)
         items = [WorkloadItem(i, op("balanceOf", i)) for i in range(4)]
         classifier, ops, graph, chains, singles = self._window(items, token)
-        order, _, placed = dag_schedule(
-            [], [], singles, [0, 0], floors=[0, 7, 0, 0]
+        assert singles == [0, 1, 2, 3]
+        placed = dag_list_schedule(
+            range(4), [()] * 4, [1] * 4, [0, 0], floors=[0, 7, 0, 0]
         )
-        starts = {ops[i].seq: start for i, (start, _, _) in zip(order, placed)}
+        starts = {o.seq: start for o, (start, _, _) in zip(ops, placed)}
         assert starts[1] == 7
         assert sorted(starts[seq] for seq in (0, 2, 3)) == [0, 0, 1]
 
@@ -600,6 +602,35 @@ class TestListScheduleProperties:
         )
         assert repr(out) == repr(reference)
         assert repr(lane_free) == repr(reference_free)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        inputs=st.one_of(list_schedule_inputs(), gapped_schedule_inputs())
+    )
+    def test_lane_prev_is_the_finish_before_each_task_on_its_lane(
+        self, inputs
+    ):
+        """``lane_prev`` against the placements: per lane, in start
+        order, the finish of the task before (the carried-in free time
+        for the first); asking for it moves no placement.  Compared by
+        value: a sliver filled exactly to a task's start records that
+        start, equal to the filler's finish but not always of its type."""
+        carried = list(inputs["lane_free"])
+        n = len(inputs["seqs"])
+        lane_prev: list = [None] * n
+        out = dag_list_schedule(
+            **{**inputs, "lane_free": list(carried), "lane_prev": lane_prev}
+        )
+        assert out == dag_list_schedule(**{**inputs, "lane_free": carried[:]})
+        expected: list = [None] * n
+        for lane, free in enumerate(carried):
+            on_lane = sorted(
+                (start, i) for i, (start, _, on) in enumerate(out) if on == lane
+            )
+            for _, i in on_lane:
+                expected[i] = free
+                free = out[i][1]
+        assert lane_prev == expected
 
     def test_a_dependency_cycle_is_an_error(self):
         with pytest.raises(EngineError):

@@ -14,7 +14,8 @@ from repro.engine import (
     PendingOp,
     PipelinedExecutor,
 )
-from repro.engine.shard import dag_schedule
+from repro.engine.rounds import plan_window
+from repro.engine.shard import dag_list_schedule
 from repro.errors import EngineError, InvalidArgumentError, NetworkError
 from repro.net import TeamLane
 from repro.objects.erc20 import ERC20TokenType
@@ -98,15 +99,11 @@ class TestDagSchedule:
     def _schedule(self, token, lanes, pending):
         """Schedule one window on fresh lanes; returns ``seq -> (start,
         finish, lane)``."""
-        graph = ConflictGraph.build(OpClassifier(token), pending)
-        components = graph.components()
-        order, _, placed = dag_schedule(
-            [c for c in components if len(c) > 1],
-            graph.component_dags(),
-            [c[0] for c in components if len(c) == 1],
-            [0] * lanes,
+        plan = plan_window(OpClassifier(token), pending)
+        placed = dag_list_schedule(
+            range(len(pending)), plan.preds, plan.priorities, [0] * lanes
         )
-        return {pending[i].seq: slot for i, slot in zip(order, placed)}
+        return {op.seq: slot for op, slot in zip(pending, placed)}
 
     def _window(self):
         singles = [

@@ -36,20 +36,19 @@ def test_the_engine_tap_flags_a_tampered_window():
     named: dict = {}
 
     def tamper(plan, t_classify, op_sync):
-        scheduled = list(place(plan, t_classify, op_sync))
+        placed, stalls = place(plan, t_classify, op_sync)
         i, done = next(iter(op_sync.items()), (None, None))
         edge = None if named or i is None else _edge_away_from(plan, i)
         if edge is None:
-            return scheduled
-        at = {unit.op.seq: k for k, unit in enumerate(scheduled)}
-        early = at[plan.ops[i].seq]
-        scheduled[early] = scheduled[early]._replace(start=done - 0.5)
-        first, second = (at[plan.ops[j].seq] for j in edge)
-        start = scheduled[first].start
-        scheduled[second] = scheduled[second]._replace(start=start)
+            return placed, stalls
+        # Placements are window-aligned ``(start, finish, lane)``.
+        placed = list(placed)
+        placed[i] = (done - 0.5, *placed[i][1:])
+        first, second = edge
+        placed[second] = (placed[first][0], *placed[second][1:])
         named["early"] = plan.ops[i].seq
         named["pair"] = tuple(plan.ops[j].seq for j in edge)
-        return scheduled
+        return placed, stalls
 
     engine._place_window_dag = tamper
     tap = tap_placements(engine)

@@ -2,8 +2,8 @@
 
 ``PendingOp`` (one per submitted op), ``OpFootprint`` (one per planned
 op), ``WaveStats`` (one per window) and ``ScheduledUnit`` (one per placed
-op) are built on the hot path, so how they are built may change; what
-they are may not.  Each record stays a frozen value: assignment raises,
+op of a traced window) are built per op or per window, so how they are
+built may change; what they are may not.  Each record stays a frozen value: assignment raises,
 equal fields give equal objects with equal hashes, and ``repr``, the
 dataclass fields, pickling and ``dataclasses.replace`` are the ones the
 plain ``@dataclass(frozen=True, slots=True)`` gives.

@@ -232,8 +232,9 @@ class TestNFTGenerator:
         def touched_tokens(generator):
             counts = Counter()
             for item in generator.generate(800):
-                if item.operation.name in ("transferFrom", "ownerOf"):
-                    counts[item.operation.args[-1 if item.operation.name == "transferFrom" else 0]] += 1
+                name, args = item.operation.name, item.operation.args
+                if name in ("transferFrom", "ownerOf"):
+                    counts[args[-1 if name == "transferFrom" else 0]] += 1
             return counts
 
         uniform = touched_tokens(NFTWorkloadGenerator(4, num_tokens=20, seed=3))
