@@ -48,7 +48,6 @@ _EXPORTS = {
     "repro.objects": (
         "AssetTransfer",
         "AtomicRegister",
-        "ConsensusObject",
         "ERC20Token",
         "ERC20TokenType",
         "ERC721Token",

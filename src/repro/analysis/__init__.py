@@ -10,22 +10,17 @@ _EXPORTS = {
         "PairAnalysis",
         "PairKind",
         "analyze_pair",
-        "commutes",
-        "conflict_matrix",
-        "conflicting_pairs",
         "erc20_case_label",
     ),
     "repro.analysis.hierarchy": (
         "KNOWN_HIERARCHY",
         "ConsensusNumberEntry",
-        "kat_consensus_number",
         "token_consensus_number",
         "token_consensus_number_bounds",
     ),
     "repro.analysis.partition": (
         "StateClassification",
         "classify",
-        "in_partition_cell",
         "is_synchronization_state",
         "make_synchronization_state",
         "synchronization_accounts",

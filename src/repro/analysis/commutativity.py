@@ -10,16 +10,16 @@ steps from a critical state:
   the other process cannot distinguish the two orders.
 
 This module decides both properties *semantically*, by executing the
-sequential specification, and regenerates the proof's case split (Cases 1–4
-and the commuting/read-only base cases illustrated in Figure 1) as a
-machine-checked matrix.
+sequential specification (:func:`analyze_pair`), and labels each pair with
+the proof's case split (Cases 1–4 and the commuting/read-only base cases
+illustrated in Figure 1; :func:`erc20_case_label`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.objects.footprint import static_pair_kind
 from repro.spec.object_type import SequentialObjectType
@@ -63,24 +63,6 @@ class PairAnalysis:
     responses_fs: tuple[Any, Any]
     responses_sf: tuple[Any, Any]
 
-    @property
-    def states_equal(self) -> bool:
-        return self.state_fs == self.state_sf
-
-
-def commutes(
-    object_type: SequentialObjectType,
-    state: Any,
-    first: Invocation,
-    second: Invocation,
-) -> bool:
-    """True when executing the pair in either order yields the same final
-    state *and* the same response for each invocation."""
-    return (
-        analyze_pair(object_type, state, first, second).kind
-        is PairKind.COMMUTE
-    )
-
 
 def analyze_pair(
     object_type: SequentialObjectType,
@@ -115,36 +97,6 @@ def analyze_pair(
         responses_fs=(r1_fs, r2_fs),
         responses_sf=(r1_sf, r2_sf),
     )
-
-
-def conflict_matrix(
-    object_type: SequentialObjectType,
-    state: Any,
-    invocations: Sequence[Invocation],
-) -> dict[tuple[int, int], PairAnalysis]:
-    """Pairwise analysis of all distinct invocation pairs (indices into
-    ``invocations``); the matrix is symmetric so only ``i < j`` is stored."""
-    matrix: dict[tuple[int, int], PairAnalysis] = {}
-    for i in range(len(invocations)):
-        for j in range(i + 1, len(invocations)):
-            matrix[(i, j)] = analyze_pair(
-                object_type, state, invocations[i], invocations[j]
-            )
-    return matrix
-
-
-def conflicting_pairs(
-    object_type: SequentialObjectType,
-    state: Any,
-    invocations: Sequence[Invocation],
-) -> list[PairAnalysis]:
-    """Only the pairs classified as genuine conflicts — Theorem 3's candidate
-    decision-step pairs."""
-    return [
-        analysis
-        for analysis in conflict_matrix(object_type, state, invocations).values()
-        if analysis.kind is PairKind.CONFLICT
-    ]
 
 
 class CachedPairAnalyzer:
@@ -187,9 +139,6 @@ class CachedPairAnalyzer:
             self.hits += 1
             return mirrored.kind
         return self.analyze(state, first, second).kind
-
-    def __len__(self) -> int:
-        return len(self._cache)
 
     def clear(self) -> None:
         self._cache.clear()

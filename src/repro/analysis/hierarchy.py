@@ -61,7 +61,7 @@ KNOWN_HIERARCHY: tuple[ConsensusNumberEntry, ...] = (
     ),
     ConsensusNumberEntry(
         "k-shared asset transfer",
-        float("nan"),  # parametric: use kat_consensus_number(k)
+        float("nan"),  # parametric: CN(k-AT) = k [16]
         "repro.protocols.kat_consensus (race on shared account)",
         "Guerraoui et al. [16]",
     ),
@@ -72,13 +72,6 @@ KNOWN_HIERARCHY: tuple[ConsensusNumberEntry, ...] = (
         "universal construction (Herlihy)",
     ),
 )
-
-
-def kat_consensus_number(k: int) -> int:
-    """``CN(k-AT) = k`` [16]."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return k
 
 
 def token_consensus_number(state: TokenState) -> int:

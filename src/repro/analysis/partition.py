@@ -2,7 +2,8 @@
 (paper Eqs. 11, 13, 14).
 
 * ``Q_k = {q : max_a |σ_q(a)| = k}`` — the partition cell of states whose
-  maximal enabled-spender set has exactly ``k`` members (Eq. 11).
+  maximal enabled-spender set has exactly ``k`` members (Eq. 11);
+  :func:`synchronization_level` is the ``k`` of the cell ``q`` lies in.
 
 * ``U(a, q)`` — "unique transfers" (Eq. 13): with ``σ = σ_q(a)``,
 
@@ -38,13 +39,6 @@ def synchronization_level(state: TokenState) -> int:
     """``k(q) = max_a |σ_q(a)|``: the index of the cell ``Q_k`` containing
     ``q``.  Always ≥ 1, since the owner is always an enabled spender."""
     return max_spenders(state)
-
-
-def in_partition_cell(state: TokenState, k: int) -> bool:
-    """Membership ``q ∈ Q_k`` (Eq. 11)."""
-    if k < 1:
-        raise InvalidArgumentError("k must be at least 1")
-    return synchronization_level(state) == k
 
 
 def unique_transfer(state: TokenState, account: int) -> bool:

@@ -37,10 +37,6 @@ class Valence:
     def is_bivalent(self) -> bool:
         return len(self.outcomes) >= 2
 
-    @property
-    def is_univalent(self) -> bool:
-        return len(self.outcomes) == 1
-
     def __str__(self) -> str:
         values = ", ".join(map(repr, sorted(self.outcomes, key=repr)))
         kind = "bivalent" if self.is_bivalent else "univalent"

@@ -14,7 +14,6 @@ _EXPORTS = {
     "repro.dynamic.sync_tracker": (
         "GroupSizeTracker",
         "ReplicaTokenState",
-        "group_coordination_cost",
         "sync_group",
         "sync_levels",
     ),

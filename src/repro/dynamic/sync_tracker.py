@@ -13,7 +13,6 @@ statistics used by the experiments (group-size histograms over time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.analysis.spenders import spenders_of
 
@@ -86,10 +85,3 @@ class GroupSizeTracker:
             for level in levels:
                 histogram[level] = histogram.get(level, 0) + 1
         return histogram
-
-
-def group_coordination_cost(group: Iterable[int]) -> int:
-    """Messages of one group ordering round: a propose to and an ack from
-    every member other than the coordinating owner."""
-    members = set(group)
-    return 2 * max(len(members) - 1, 0)

@@ -7,7 +7,6 @@ _EXPORTS = {
     "repro.net.network": (
         "ConstantLatency",
         "LatencyModel",
-        "LogNormalLatency",
         "Message",
         "Network",
         "NetworkStats",

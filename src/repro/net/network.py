@@ -68,17 +68,6 @@ class UniformLatency(LatencyModel):
         return rng.uniform(self.low, self.high)
 
 
-class LogNormalLatency(LatencyModel):
-    """Heavy-tailed delays (median ``exp(mu)``), the shape WAN latencies have."""
-
-    def __init__(self, mu: float = 0.0, sigma: float = 0.25) -> None:
-        self.mu = mu
-        self.sigma = sigma
-
-    def sample(self, src: int, dst: int, rng: random.Random) -> float:
-        return rng.lognormvariate(self.mu, self.sigma)
-
-
 @dataclass
 class NetworkStats:
     """Counters maintained by the network.
@@ -154,8 +143,6 @@ class Network:
         self._partition = None
 
     def _crosses_partition(self, src: int, dst: int) -> bool:
-        if self._partition is None:
-            return False
         for group in self._partition:
             if src in group:
                 return dst not in group
@@ -170,7 +157,7 @@ class Network:
             raise NetworkError(f"unknown destination node {dst}")
         message = Message(type, src, dst, payload)
         self.stats.record_send(message)
-        if self._crosses_partition(src, dst):
+        if self._partition is not None and self._crosses_partition(src, dst):
             self.stats.messages_dropped += 1
             return
         extra = 0.0

@@ -238,11 +238,7 @@ class TeamLanePool:
                 "teamlanes.pool",
                 "lane spin-up",
                 self.clock,
-                args={
-                    "team": "-".join(str(p) for p in sorted(key)),
-                    "k": len(key),
-                    "live": len(self._lanes),
-                },
+                args={"team": "-".join(str(p) for p in sorted(key))},
             )
         return lane
 

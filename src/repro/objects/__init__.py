@@ -1,4 +1,4 @@
-"""Shared objects: registers, consensus, asset transfer, token standards."""
+"""Shared objects: registers, asset transfer, token standards."""
 
 from repro._lazy import lazy_exports
 
@@ -11,11 +11,6 @@ _EXPORTS = {
         "DynamicOwnerATType",
     ),
     "repro.objects.base": ("SharedObject",),
-    "repro.objects.consensus": (
-        "UNDECIDED",
-        "ConsensusObject",
-        "ConsensusType",
-    ),
     "repro.objects.erc20": ("ERC20Token", "ERC20TokenType", "TokenState"),
     "repro.objects.erc721": (
         "NO_APPROVAL",
@@ -40,7 +35,6 @@ _EXPORTS = {
         "AtomicRegister",
         "RegisterType",
         "register_array",
-        "register_matrix",
     ),
     "repro.objects.restricted": (
         "RestrictedObject",

@@ -268,29 +268,9 @@ class DynamicOwnerATType(AssetTransferType):
         # totalSupply
         return state, balances.total_supply
 
-    def footprint(self, pid: int, operation: Operation) -> OpFootprint:
-        """Here µ is *state*, so authorization observes the owner-map cell
-        ``("own", a)`` and ``setOwners`` overwrites it."""
-        self.validate_name(operation)
-        name, args = operation.name, operation.args
-        if name == "transfer":
-            source, dest, value = args
-            self._check_account(source)
-            if value == 0:
-                # Response still depends on ownership; state never changes.
-                return footprint(observes=[("own", source)])
-            observes = [bal(source), ("own", source)]
-            if dest == source:
-                return footprint(observes=observes)
-            return footprint(observes=observes, adds=[bal(source), bal(dest)])
-        if name == "setOwners":
-            account = args[0]
-            self._check_account(account)
-            # Response depends only on the argument's size vs the k bound.
-            return footprint(sets=[("own", account)])
-        if name == "balanceOf":
-            return footprint(observes=[bal(args[0])])
-        return footprint(observes=[SUPPLY])
+    #: µ is state here, so the parent's static-µ footprint would be
+    #: unsound: the engine classifies these operations conservatively.
+    footprint = SequentialObjectType.footprint
 
 
 class AssetTransfer(SharedObject):
@@ -307,10 +287,6 @@ class AssetTransfer(SharedObject):
             AssetTransferType(initial_balances, owner_map, num_processes),
             name=name,
         )
-
-    @property
-    def k(self) -> int:
-        return self.object_type.k
 
     def transfer(self, source: int, dest: int, value: int) -> OpCall:
         return self.call(Operation("transfer", (source, dest, value)))

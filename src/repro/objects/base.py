@@ -54,12 +54,6 @@ class SharedObject:
         """The current (immutable) state ``q``."""
         return self._state
 
-    def reset(self, state: Any | None = None) -> None:
-        """Reset to ``q0`` (or an explicit state); used by replay harnesses."""
-        self._state = (
-            self.object_type.initial_state() if state is None else state
-        )
-
     def invoke(self, pid: int, operation: Operation) -> Any:
         """Atomically execute one operation and return its response."""
         self._state, result = self.object_type.apply(
@@ -72,6 +66,3 @@ class SharedObject:
     def call(self, operation: Operation) -> OpCall:
         """Build a pending call for protocol generators to yield."""
         return OpCall(self, operation)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SharedObject {self.name} state={self._state!r}>"

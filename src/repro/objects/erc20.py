@@ -202,11 +202,6 @@ class ERC20TokenType(SequentialObjectType):
             return self.CORE_OPERATIONS + self.EXTENSION_OPERATIONS
         return self.CORE_OPERATIONS
 
-    def owner(self, account: int) -> int:
-        """The owner bijection ``ω``; identity in the paper's model (§4)."""
-        self._check_account(account)
-        return account
-
     def account_of(self, pid: int) -> int:
         """``a_p``: the account owned by process ``p`` (inverse of ``ω``)."""
         self._check_account(pid)
@@ -540,11 +535,3 @@ class ERC20Token(SharedObject):
 
     def decrease_allowance(self, spender: int, delta: int) -> OpCall:
         return self.call(Operation("decreaseAllowance", (spender, delta)))
-
-    # -- sequential convenience --------------------------------------------
-
-    def execute(self, pid: int, call: OpCall) -> Any:
-        """Execute one of this object's calls immediately (sequential use)."""
-        if call.target is not self:
-            raise InvalidArgumentError("call targets a different object")
-        return self.invoke(pid, call.operation)

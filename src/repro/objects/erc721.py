@@ -47,9 +47,6 @@ class NFTState:
     def owner_of(self, token_id: int) -> int:
         return self.owners[token_id]
 
-    def balance_of(self, account: int) -> int:
-        return sum(1 for owner in self.owners if owner == account)
-
     def is_authorized(self, pid: int, token_id: int) -> bool:
         """Owner, per-token approved, or operator of the owner (EIP-721)."""
         owner = self.owners[token_id]
@@ -65,11 +62,6 @@ class NFTState:
         approved = list(self.approved)
         approved[token_id] = NO_APPROVAL  # approvals are cleared on transfer
         return NFTState(tuple(owners), tuple(approved), self.operators)
-
-    def with_approval(self, token_id: int, account: int) -> "NFTState":
-        approved = list(self.approved)
-        approved[token_id] = account
-        return NFTState(self.owners, tuple(approved), self.operators)
 
     def with_operator(
         self, holder: int, operator: int, enabled: bool
@@ -152,7 +144,7 @@ class ERC721TokenType(SequentialObjectType):
         self, state: NFTState, pid: int, account: int
     ) -> tuple[NFTState, Any]:
         self._check_account(account)
-        return state, state.balance_of(account)
+        return state, state.owners.count(account)
 
     def _apply_transferFrom(
         self, state: NFTState, pid: int, source: int, dest: int, token_id: int
@@ -175,7 +167,9 @@ class ERC721TokenType(SequentialObjectType):
         owner = state.owner_of(token_id)
         if pid != owner and pid not in state.operators[owner]:
             return state, FALSE
-        return state.with_approval(token_id, approved), TRUE
+        approvals = list(state.approved)
+        approvals[token_id] = approved
+        return NFTState(state.owners, tuple(approvals), state.operators), TRUE
 
     def _apply_getApproved(
         self, state: NFTState, pid: int, token_id: int

@@ -58,10 +58,6 @@ class ERC777State:
         operators[holder] = frozenset(current)
         return ERC777State(self.balances, tuple(operators))
 
-    @property
-    def total_supply(self) -> int:
-        return sum(self.balances)
-
 
 class ERC777TokenType(SequentialObjectType):
     """Sequential specification of an ERC777 contract."""
@@ -162,7 +158,7 @@ class ERC777TokenType(SequentialObjectType):
     def _apply_totalSupply(
         self, state: ERC777State, pid: int
     ) -> tuple[ERC777State, Any]:
-        return state, state.total_supply
+        return state, sum(state.balances)
 
 
 class ERC777Token(SharedObject):

@@ -93,11 +93,6 @@ class OpFootprint:
     sets: frozenset = _EMPTY
 
     @property
-    def writes(self) -> frozenset:
-        """All locations this invocation may modify."""
-        return self.adds | self.sets
-
-    @property
     def is_read_only(self) -> bool:
         """True when the invocation can never change the state."""
         return not self.adds and not self.sets

@@ -76,16 +76,3 @@ def register_array(count: int, prefix: str = "R") -> list[AtomicRegister]:
     if count < 0:
         raise InvalidArgumentError("register array size must be non-negative")
     return [AtomicRegister(name=f"{prefix}[{j}]") for j in range(count)]
-
-
-def register_matrix(
-    rows: int, cols: int, prefix: str = "R"
-) -> list[list[AtomicRegister]]:
-    """The paper's per-account allowance registers ``R_a[1..n]`` (Algorithm 2),
-    initialized to 0 by callers as needed."""
-    if rows < 0 or cols < 0:
-        raise InvalidArgumentError("register matrix dimensions must be non-negative")
-    return [
-        [AtomicRegister(name=f"{prefix}[{a}][{j}]") for j in range(cols)]
-        for a in range(rows)
-    ]

@@ -7,7 +7,6 @@ _EXPORTS = {
     "repro.protocols.base": (
         "ConsensusProtocol",
         "consensus_checks",
-        "decided_values",
     ),
     "repro.protocols.erc721_consensus": (
         "ERC721Consensus",
@@ -17,7 +16,7 @@ _EXPORTS = {
         "ERC1155Consensus",
         "erc1155_consensus_system",
     ),
-    "repro.protocols.escrow_token": ("EscrowToken", "escrow_from_deploy"),
+    "repro.protocols.escrow_token": ("EscrowToken",),
     "repro.protocols.erc777_consensus": (
         "ERC777Consensus",
         "erc777_consensus_system",

@@ -62,8 +62,3 @@ def consensus_checks(proposals: Mapping[int, Any]) -> TerminalCheck:
         return problems
 
     return check
-
-
-def decided_values(runners: list[ProcessRunner]) -> dict[int, Any]:
-    """Final decisions of the processes that completed."""
-    return {r.pid: r.result for r in runners if r.status is ProcessStatus.DONE}

@@ -147,8 +147,3 @@ class EscrowToken:
     def total_supply(self, pid: int) -> EscrowOp:
         result = yield self.kat.total_supply()
         return result
-
-
-def escrow_from_deploy(num_accounts: int, supply: int) -> EscrowToken:
-    """An escrow token from the standard deployment state."""
-    return EscrowToken(TokenState.deploy(num_accounts, supply))

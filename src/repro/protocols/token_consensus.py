@@ -28,7 +28,6 @@ from typing import Any, Generator, Mapping, Sequence
 
 from repro.analysis.partition import (
     make_synchronization_state,
-    synchronization_accounts,
     unique_transfer,
     unique_transfer_strict,
 )
@@ -45,8 +44,7 @@ class TokenConsensus:
 
     Args:
         token: The shared ERC20 token object ``T_q``.
-        account: The synchronization account ``a1`` (auto-detected from the
-            token's current state when omitted).
+        account: The synchronization account ``a1``.
         dest: The destination account ``a_d``; the paper picks any account in
             the spender set other than ``a1``; any account ≠ ``a1`` works and
             is accepted.
@@ -62,15 +60,13 @@ class TokenConsensus:
     def __init__(
         self,
         token: ERC20Token,
-        account: int | None = None,
+        account: int,
         dest: int | None = None,
         registers: Sequence[AtomicRegister] | None = None,
         require_unique_transfer: bool = True,
         strict: bool = True,
     ) -> None:
         state: TokenState = token.state
-        if account is None:
-            account = _detect_synchronization_account(state, strict)
         spenders = enabled_spenders(state, account)
         owner = account  # ω is the identity
         if owner not in spenders:
@@ -144,20 +140,6 @@ class TokenConsensus:
                 return decision
         decision = yield self.registers[0].read()
         return decision
-
-
-def _detect_synchronization_account(state: TokenState, strict: bool) -> int:
-    """Pick a witness account for the largest k with ``q ∈ S_k``."""
-    max_level = max(
-        len(enabled_spenders(state, a)) for a in range(state.num_accounts)
-    )
-    for k in range(max_level, 0, -1):
-        witnesses = synchronization_accounts(state, k, strict=strict)
-        if witnesses:
-            return witnesses[0]
-    raise InvalidArgumentError(
-        "token state is not a synchronization state for any k"
-    )
 
 
 def algorithm1_system(

@@ -10,7 +10,6 @@ _EXPORTS = {
         "System",
         "SystemFactory",
         "run_system",
-        "run_under_schedules",
     ),
     "repro.runtime.explorer": (
         "ExplorationReport",

@@ -9,7 +9,7 @@ differential harnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SchedulingError
 from repro.runtime.process import ProcessProgram, ProcessRunner, ProcessStatus
@@ -81,10 +81,6 @@ class ExecutionResult:
     #: Total atomic steps executed.
     steps: int
 
-    @property
-    def decided_values(self) -> frozenset[Any]:
-        return frozenset(self.decisions.values())
-
 
 def run_system(
     system: System,
@@ -133,15 +129,3 @@ def run_system(
         runners=runners,
         steps=steps,
     )
-
-
-def run_under_schedules(
-    factory: SystemFactory,
-    schedulers: Sequence[Scheduler],
-    max_steps: int = 100_000,
-) -> list[ExecutionResult]:
-    """Run a fresh system once per scheduler (randomized sweeps)."""
-    return [
-        run_system(factory(), scheduler, max_steps=max_steps)
-        for scheduler in schedulers
-    ]

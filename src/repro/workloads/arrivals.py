@@ -77,10 +77,6 @@ class StreamReport:
     #: The target's own aggregate statistics object.
     stats: Any = None
 
-    @property
-    def duration(self) -> float:
-        return self.makespan
-
     def as_dict(self) -> dict:
         return {
             "offered": self.offered,

@@ -280,9 +280,6 @@ class NFTWorkloadGenerator:
             )
         return WorkloadItem(pid=pid, operation=operation)
 
-    def generate(self, count: int) -> list[WorkloadItem]:
-        return [self.next_item() for _ in range(count)]
-
 
 @dataclass
 class AssetTransferWorkloadGenerator:
@@ -340,9 +337,6 @@ class AssetTransferWorkloadGenerator:
                 ),
             ),
         )
-
-    def generate(self, count: int) -> list[WorkloadItem]:
-        return [self.next_item() for _ in range(count)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from repro.analysis.commutativity import (
     Invocation,
     PairKind,
     analyze_pair,
     audit_static_kinds,
-    commutes,
-    conflict_matrix,
-    conflicting_pairs,
     erc20_case_label,
 )
 from repro.objects.erc20 import ERC20TokenType, TokenState
@@ -40,28 +39,31 @@ class TestBaseCases:
         assert analysis.kind in (PairKind.READ_ONLY, PairKind.COMMUTE)
 
     def test_approve_approve_commute(self):
-        assert commutes(
+        analysis = analyze_pair(
             self.token,
             self.state,
             inv(0, op("approve", 2, 7)),
             inv(1, op("approve", 3, 7)),
         )
+        assert analysis.kind is PairKind.COMMUTE
 
     def test_approve_transfer_commute(self):
-        assert commutes(
+        analysis = analyze_pair(
             self.token,
             self.state,
             inv(0, op("approve", 2, 7)),
             inv(1, op("transfer", 2, 5)),
         )
+        assert analysis.kind is PairKind.COMMUTE
 
     def test_transfers_from_distinct_accounts_commute(self):
-        assert commutes(
+        analysis = analyze_pair(
             self.token,
             self.state,
             inv(0, op("transfer", 2, 5)),
             inv(1, op("transfer", 3, 5)),
         )
+        assert analysis.kind is PairKind.COMMUTE
 
 
 class TestCase1TransferTransfer:
@@ -83,16 +85,17 @@ class TestCase1TransferTransfer:
         # The orders differ, but p1's transfer is read-only (fails) when
         # first: the proof treats this as the read-only case.
         assert analysis.kind is PairKind.READ_ONLY
-        assert not analysis.states_equal
+        assert analysis.state_fs != analysis.state_sf
 
     def test_affordable_transfers_commute(self):
         state = TokenState.create([5, 5, 0])
-        assert commutes(
+        analysis = analyze_pair(
             self.token,
             state,
             inv(0, op("transfer", 1, 2)),
             inv(1, op("transfer", 2, 2)),
         )
+        assert analysis.kind is PairKind.COMMUTE
 
 
 class TestCase2TransferFromTransferFrom:
@@ -116,21 +119,23 @@ class TestCase2TransferFromTransferFrom:
 
     def test_different_sources_commute(self):
         state = TokenState.create([10, 10, 0, 0], {(0, 2): 10, (1, 3): 10})
-        assert commutes(
+        analysis = analyze_pair(
             self.token,
             state,
             inv(2, op("transferFrom", 0, 2, 5)),
             inv(3, op("transferFrom", 1, 3, 5)),
         )
+        assert analysis.kind is PairKind.COMMUTE
 
     def test_sufficient_balance_commutes(self):
         state = TokenState.create([10, 0, 0, 0], {(0, 2): 5, (0, 3): 5})
-        assert commutes(
+        analysis = analyze_pair(
             self.token,
             state,
             inv(2, op("transferFrom", 0, 1, 5)),
             inv(3, op("transferFrom", 0, 1, 5)),
         )
+        assert analysis.kind is PairKind.COMMUTE
 
     def test_non_enabled_spender_cannot_conflict(self):
         # The proof's p_w argument: a process outside σ cannot conflict — its
@@ -163,12 +168,13 @@ class TestCase3TransferVsTransferFrom:
 
     def test_other_source_commutes(self):
         state = TokenState.create([10, 10, 0], {(1, 2): 10})
-        assert commutes(
+        analysis = analyze_pair(
             self.token,
             state,
             inv(0, op("transfer", 2, 5)),
             inv(2, op("transferFrom", 1, 2, 5)),
         )
+        assert analysis.kind is PairKind.COMMUTE
 
 
 class TestCase4ApproveVsTransferFrom:
@@ -200,31 +206,20 @@ class TestCase4ApproveVsTransferFrom:
             inv(2, op("transferFrom", 0, 1, 10)),
         )
         assert analysis.kind is PairKind.CONFLICT
-        assert not analysis.states_equal
+        assert analysis.state_fs != analysis.state_sf
 
     def test_approve_for_other_account_commutes(self):
         state = TokenState.create([10, 10, 0], {(1, 2): 10})
-        assert commutes(
+        analysis = analyze_pair(
             self.token,
             state,
             inv(0, op("approve", 2, 3)),
             inv(2, op("transferFrom", 1, 0, 5)),
         )
+        assert analysis.kind is PairKind.COMMUTE
 
 
-class TestMatrix:
-    def test_conflict_matrix_shape(self):
-        token = ERC20TokenType(3, total_supply=0)
-        state = TokenState.create([10, 0, 0], {(0, 1): 10, (0, 2): 10})
-        invocations = [
-            inv(0, op("transfer", 1, 10)),
-            inv(1, op("transferFrom", 0, 1, 10)),
-            inv(2, op("transferFrom", 0, 2, 10)),
-            inv(1, op("balanceOf", 0)),
-        ]
-        matrix = conflict_matrix(token, state, invocations)
-        assert len(matrix) == 6  # C(4, 2)
-
+class TestConflicts:
     def test_conflicts_only_on_synchronization_account_races(self):
         # The paper's punchline: every conflicting pair involves two enabled
         # spenders of the SAME account.
@@ -237,7 +232,11 @@ class TestMatrix:
             inv(1, op("balanceOf", 0)),
             inv(2, op("approve", 1, 5)),
         ]
-        conflicts = conflicting_pairs(token, state, invocations)
+        analyses = [
+            analyze_pair(token, state, first, second)
+            for first, second in combinations(invocations, 2)
+        ]
+        conflicts = [a for a in analyses if a.kind is PairKind.CONFLICT]
         assert conflicts, "the races must be detected"
         spenders = {0, 1, 2}
         for analysis in conflicts:

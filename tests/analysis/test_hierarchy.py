@@ -4,26 +4,13 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.analysis.hierarchy import (
     KNOWN_HIERARCHY,
-    kat_consensus_number,
     token_consensus_number,
     token_consensus_number_bounds,
 )
 from repro.analysis.partition import make_synchronization_state
 from repro.objects.erc20 import TokenState
-
-
-class TestKAT:
-    def test_parametric(self):
-        assert kat_consensus_number(1) == 1
-        assert kat_consensus_number(5) == 5
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            kat_consensus_number(0)
 
 
 class TestTokenConsensusNumber:

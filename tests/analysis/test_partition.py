@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.partition import (
     classify,
-    in_partition_cell,
     is_synchronization_state,
     make_synchronization_state,
     synchronization_accounts,
@@ -23,7 +22,6 @@ class TestSynchronizationLevel:
     def test_deployed_state_is_level_1(self):
         state = TokenState.deploy(4, 10)
         assert synchronization_level(state) == 1
-        assert in_partition_cell(state, 1)
 
     def test_level_counts_max_account(self):
         state = TokenState.create(
@@ -33,12 +31,7 @@ class TestSynchronizationLevel:
 
     def test_partition_is_exclusive(self):
         state = TokenState.create([5, 0], {(0, 1): 1})
-        assert in_partition_cell(state, 2)
-        assert not in_partition_cell(state, 1)
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(InvalidArgumentError):
-            in_partition_cell(TokenState.create([1]), 0)
+        assert synchronization_level(state) == 2
 
     def test_partition_covers_every_state(self):
         # Every state belongs to exactly one cell (Eq. 11 defines a partition).
@@ -49,8 +42,7 @@ class TestSynchronizationLevel:
             TokenState.create([0, 0, 0], {(0, 1): 2, (0, 2): 2}),
         ]
         for state in states:
-            cells = [k for k in range(1, 4) if in_partition_cell(state, k)]
-            assert len(cells) == 1
+            assert 1 <= synchronization_level(state) <= 3
 
 
 class TestPredicateU:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.dynamic.sync_tracker import (
     GroupSizeTracker,
     ReplicaTokenState,
-    group_coordination_cost,
     sync_group,
     sync_levels,
 )
@@ -73,12 +72,3 @@ class TestTracker:
 
     def test_empty_tracker(self):
         assert GroupSizeTracker().max_level_seen() == 1
-
-
-class TestCoordinationCost:
-    def test_owner_only_is_free(self):
-        assert group_coordination_cost({0}) == 0
-
-    def test_cost_grows_with_group(self):
-        assert group_coordination_cost({0, 1}) == 2
-        assert group_coordination_cost({0, 1, 2, 3}) == 6

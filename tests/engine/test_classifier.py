@@ -313,6 +313,6 @@ class TestCachedPairAnalyzer:
         assert oracle.misses == 1
         assert oracle.kind(state, second, first) == kind
         assert oracle.hits == 1
-        assert len(oracle) == 1
         oracle.clear()
-        assert len(oracle) == 0
+        oracle.kind(state, first, second)
+        assert (oracle.hits, oracle.misses) == (1, 2)

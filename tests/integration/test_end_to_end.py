@@ -47,7 +47,7 @@ class TestPaperStoryline:
 
         # 3. Solve consensus among the k enabled spenders using the SAME
         #    shared token object (Algorithm 1).
-        protocol = TokenConsensus(token)
+        protocol = TokenConsensus(token, account=0)
         proposals = {pid: f"value-{pid}" for pid in protocol.participants}
         programs = [
             (lambda p=pid: protocol.propose(p, proposals[p]))

@@ -4,8 +4,8 @@ against ``src/``.
 ``scripts/reach.py`` measures which functions the product runs (minutes,
 under a profile hook); these checks are cheap and read only the table
 and the source: every entry names a function that exists, the table
-covers every function of the gated layers, and no function there that
-the product misses is left without an allow-list reason.
+covers every function of the package, and no function that the product
+misses is left without an allow-list reason.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import importlib.util
 import json
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -64,25 +62,17 @@ def test_every_allow_entry_resolves_and_covers_a_missed_function():
         assert reason.strip() and "\n" not in reason, entry
 
 
-@pytest.mark.parametrize("prefix", reach.GATED)
-def test_the_gated_layers_are_covered_and_triaged(prefix):
-    """Every function of ``engine/``, ``cluster/``, ``sync/``, ``obs/``
-    and ``config.py`` is in the table, and each one the product misses
-    is allow-listed with a reason."""
+def test_the_whole_package_is_covered_and_triaged():
+    """Every function in ``src/repro`` is in the table, and each one the
+    product misses is allow-listed with a reason."""
     listed = {
         f"{module}.{qualname}"
         for module, entry in TABLE["modules"].items()
         for kind in KINDS
         for qualname in entry[kind]
     }
-    gated = {name for name in NAMES if name.startswith(prefix)}
-    assert gated, prefix
-    assert gated <= listed, sorted(gated - listed)
-    untriaged = sorted(
-        name
-        for name in missed()
-        if name.startswith(prefix) and reach.allowed(name) is None
-    )
+    assert NAMES == listed, sorted(NAMES ^ listed)
+    untriaged = sorted(name for name in missed() if reach.allowed(name) is None)
     assert not untriaged
 
 
@@ -124,5 +114,5 @@ def test_the_summary_counts_the_modules():
             sum(entry[kind].values()) for entry in TABLE["modules"].values()
         )
     assert summary["functions"] == sum(summary[kind] for kind in KINDS)
-    assert summary["untriaged_gated"] == 0
+    assert summary["untriaged"] == 0
     assert tuple(TABLE["hook_failures"]) == reach.HOOK_FAILURES

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import NetworkError
 from repro.net.network import (
     ConstantLatency,
-    LogNormalLatency,
     Message,
     Network,
     UniformLatency,
@@ -151,11 +150,6 @@ class TestLatencyModels:
     def test_uniform_validates(self):
         with pytest.raises(NetworkError):
             UniformLatency(2.0, 1.0)
-
-    def test_lognormal_positive(self):
-        model = LogNormalLatency()
-        rng = random.Random(2)
-        assert all(model.sample(0, 1, rng) > 0 for _ in range(100))
 
     def test_determinism_per_seed(self):
         def run(seed):

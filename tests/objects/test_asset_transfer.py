@@ -114,7 +114,6 @@ class TestRuntimeObject:
         at = AssetTransfer([5, 0])
         assert at.invoke(0, at.transfer(0, 1, 2).operation) is True
         assert at.invoke(0, at.balance_of(1).operation) == 2
-        assert at.k == 1
 
     def test_supply_conserved(self):
         at = AssetTransfer([5, 3])

@@ -58,7 +58,6 @@ class TestDeployment:
             ERC20TokenType(2, total_supply=5, deployer=7)
 
     def test_owner_bijection_is_identity(self, token):
-        assert token.owner(1) == 1
         assert token.account_of(2) == 2
 
 
@@ -330,16 +329,6 @@ class TestRuntimeERC20Token:
         assert token.invoke(2, token.allowance(1, 2).operation) == 5
         assert token.invoke(0, token.balance_of(1).operation) == 3
         assert token.invoke(0, token.total_supply().operation) == 10
-
-    def test_execute_helper(self):
-        token = ERC20Token(2, total_supply=4)
-        assert token.execute(0, token.transfer(1, 1)) is True
-
-    def test_execute_rejects_foreign_call(self):
-        token_a = ERC20Token(2, total_supply=4)
-        token_b = ERC20Token(2, total_supply=4)
-        with pytest.raises(InvalidArgumentError):
-            token_a.execute(0, token_b.transfer(1, 1))
 
 
 class TestTokenState:

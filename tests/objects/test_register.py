@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InvalidArgumentError
-from repro.objects.register import (
-    BOTTOM,
-    AtomicRegister,
-    register_array,
-    register_matrix,
-)
+from repro.objects.register import BOTTOM, AtomicRegister, register_array
 
 
 class TestAtomicRegister:
@@ -51,12 +46,6 @@ class TestAtomicRegister:
         with pytest.raises(InvalidArgumentError):
             register.invoke(0, Operation("read", (1,)))
 
-    def test_reset(self):
-        register = AtomicRegister()
-        register.invoke(0, register.write(3).operation)
-        register.reset()
-        assert register.invoke(0, register.read().operation) is BOTTOM
-
 
 class TestRegisterArrays:
     def test_array_sizes_and_names(self):
@@ -76,13 +65,3 @@ class TestRegisterArrays:
     def test_negative_size_rejected(self):
         with pytest.raises(InvalidArgumentError):
             register_array(-1)
-
-    def test_matrix_shape(self):
-        matrix = register_matrix(2, 3)
-        assert len(matrix) == 2
-        assert all(len(row) == 3 for row in matrix)
-        assert matrix[1][2].name.endswith("[1][2]")
-
-    def test_matrix_negative_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            register_matrix(-1, 2)

@@ -117,8 +117,8 @@ def test_engine_team_lanes_report_their_spinups():
 
 def test_pool_spinups_are_counted_from_its_instants():
     """A pool driven directly: one spin-up instant per distinct team on
-    the pool track, a repeat team records nothing, and the report's
-    count is the pool's own."""
+    the pool track, naming only the team; a repeat team records nothing,
+    and the report's count is the pool's own."""
     tracer = TraceRecorder()
     pool = TeamLanePool(seed=3)
     pool.tracer = tracer
@@ -126,12 +126,13 @@ def test_pool_spinups_are_counted_from_its_instants():
     pool.order([((2, 3), ["c"])])
     pool.order([((0, 1), ["d"]), ((4, 5), ["e"])])
     assert utilization_report(tracer).lanes == pool.lanes_created == 3
-    names = [
-        instant.name
-        for instant in tracer.instants
-        if instant.track == POOL_TRACK
+    spinups = [i for i in tracer.instants if i.track == POOL_TRACK]
+    assert [i.name for i in spinups] == ["lane spin-up"] * 3
+    assert [i.args for i in spinups] == [
+        {"team": "0-1"},
+        {"team": "2-3"},
+        {"team": "4-5"},
     ]
-    assert names == ["lane spin-up"] * 3
 
 
 def test_no_pool_counts_no_lanes():

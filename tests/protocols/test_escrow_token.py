@@ -7,7 +7,7 @@ import pytest
 from repro.errors import InvalidArgumentError
 from repro.objects.erc20 import TokenState
 from repro.objects.register import register_array
-from repro.protocols.escrow_token import EscrowToken, escrow_from_deploy
+from repro.protocols.escrow_token import EscrowToken
 from repro.protocols.token_from_kat import run_sequential
 from repro.runtime.executor import System
 from repro.runtime.explorer import ScheduleExplorer
@@ -15,13 +15,13 @@ from repro.runtime.explorer import ScheduleExplorer
 
 class TestSequentialBehaviour:
     def test_deploy_and_transfer(self):
-        token = escrow_from_deploy(3, 10)
+        token = EscrowToken(TokenState.deploy(3, 10))
         assert run_sequential(token, 0, "transfer", 1, 4) is True
         assert run_sequential(token, 0, "free_balance_of", 0) == 6
         assert run_sequential(token, 0, "free_balance_of", 1) == 4
 
     def test_allowance_lifecycle(self):
-        token = escrow_from_deploy(3, 10)
+        token = EscrowToken(TokenState.deploy(3, 10))
         assert run_sequential(token, 0, "increase_allowance", 2, 6) is True
         assert run_sequential(token, 0, "allowance", 0, 2) == 6
         # The escrowed amount left the free balance immediately.
@@ -35,27 +35,27 @@ class TestSequentialBehaviour:
         assert run_sequential(token, 0, "allowance", 0, 2) == 0
 
     def test_transfer_from_bounded_by_escrow(self):
-        token = escrow_from_deploy(3, 10)
+        token = EscrowToken(TokenState.deploy(3, 10))
         run_sequential(token, 0, "increase_allowance", 1, 3)
         assert run_sequential(token, 1, "transfer_from", 0, 1, 5) is False
         assert run_sequential(token, 1, "transfer_from", 0, 1, 3) is True
 
     def test_unauthorized_spender_fails(self):
-        token = escrow_from_deploy(3, 10)
+        token = EscrowToken(TokenState.deploy(3, 10))
         run_sequential(token, 0, "increase_allowance", 1, 3)
         # p2 does not co-own the (0,1) escrow.
         assert run_sequential(token, 2, "transfer_from", 0, 2, 1) is False
 
     def test_escrow_not_spendable_by_owner_transfer(self):
         # The trade-off: escrowed funds leave the owner's direct reach.
-        token = escrow_from_deploy(2, 10)
+        token = EscrowToken(TokenState.deploy(2, 10))
         run_sequential(token, 0, "increase_allowance", 1, 8)
         assert run_sequential(token, 0, "transfer", 1, 5) is False  # free = 2
         assert run_sequential(token, 0, "decrease_allowance", 1, 8) is True
         assert run_sequential(token, 0, "transfer", 1, 5) is True
 
     def test_supply_counts_escrows(self):
-        token = escrow_from_deploy(3, 12)
+        token = EscrowToken(TokenState.deploy(3, 12))
         run_sequential(token, 0, "increase_allowance", 1, 5)
         assert run_sequential(token, 0, "total_supply") == 12
 
@@ -66,7 +66,7 @@ class TestSequentialBehaviour:
         assert run_sequential(token, 1, "transfer_from", 0, 1, 4) is True
 
     def test_validation(self):
-        token = escrow_from_deploy(2, 5)
+        token = EscrowToken(TokenState.deploy(2, 5))
         with pytest.raises(InvalidArgumentError):
             token.escrow(0, 9)
         with pytest.raises(InvalidArgumentError):
@@ -75,7 +75,7 @@ class TestSequentialBehaviour:
 
 class TestAtomicity:
     def test_every_mutation_is_one_base_step(self):
-        token = escrow_from_deploy(4, 10)
+        token = EscrowToken(TokenState.deploy(4, 10))
         for method, args in [
             ("transfer", (1, 2)),
             ("increase_allowance", (1, 2)),
@@ -97,7 +97,7 @@ class TestAtomicity:
             assert steps == 1, f"{method} must be a single atomic step"
 
     def test_transfer_from_single_step(self):
-        token = escrow_from_deploy(3, 10)
+        token = EscrowToken(TokenState.deploy(3, 10))
         run_sequential(token, 0, "increase_allowance", 1, 5)
         generator = token.transfer_from(1, 0, 2, 3)
         call = next(generator)
@@ -111,7 +111,7 @@ class TestSynchronizationCollapse:
     def test_all_spenders_win_independently(self):
         # On ERC20 with U*, at most one of these transfers succeeds; on the
         # escrow token, EVERY spender's transferFrom succeeds — no race.
-        token = escrow_from_deploy(4, 9)
+        token = EscrowToken(TokenState.deploy(4, 9))
         for spender in (1, 2, 3):
             run_sequential(token, 0, "increase_allowance", spender, 3)
         results = [

@@ -28,11 +28,16 @@ class TestConstruction:
     def test_configuration_from_state(self):
         state = make_synchronization_state(4, 3)
         token = ERC20Token(4, initial_state=state)
-        protocol = TokenConsensus(token)
+        protocol = TokenConsensus(token, account=0)
         assert protocol.k == 3
         assert protocol.participants == (0, 1, 2)
         assert protocol.balance == 3
         assert protocol.dest != protocol.account
+
+    def test_the_synchronization_account_is_required(self):
+        token = ERC20Token(4, initial_state=make_synchronization_state(4, 3))
+        with pytest.raises(TypeError):
+            TokenConsensus(token)
 
     def test_rejects_non_synchronization_state(self):
         token = ERC20Token(3, total_supply=10)

@@ -6,11 +6,10 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.objects.register import AtomicRegister
-from repro.runtime.executor import System, run_system, run_under_schedules
+from repro.runtime.executor import System, run_system
 from repro.runtime.scheduler import (
     CrashAction,
     FixedScheduler,
-    RandomScheduler,
     RoundRobinScheduler,
     SoloScheduler,
 )
@@ -105,14 +104,3 @@ class TestRunSystem:
         )
         with pytest.raises(SchedulingError):
             run_system(system)
-
-
-class TestRunUnderSchedules:
-    def test_sweep(self):
-        results = run_under_schedules(
-            make_counter_system,
-            [RandomScheduler(seed) for seed in range(5)],
-        )
-        assert len(results) == 5
-        for result in results:
-            assert set(result.decisions) == {0, 1}

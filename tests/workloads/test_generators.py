@@ -211,13 +211,18 @@ class TestExample1:
         assert state.allowance(1, 2) == 4
 
 
+def draw(generator, count: int) -> list:
+    """``count`` items, one ``next_item()`` each."""
+    return [generator.next_item() for _ in range(count)]
+
+
 class TestNFTGenerator:
     def test_deterministic_and_domain_valid(self):
         from repro.objects.erc721 import ERC721TokenType
         from repro.workloads.generators import NFTWorkloadGenerator
 
-        a = NFTWorkloadGenerator(4, num_tokens=8, seed=7).generate(100)
-        b = NFTWorkloadGenerator(4, num_tokens=8, seed=7).generate(100)
+        a = draw(NFTWorkloadGenerator(4, num_tokens=8, seed=7), 100)
+        b = draw(NFTWorkloadGenerator(4, num_tokens=8, seed=7), 100)
         assert a == b
         token = ERC721TokenType(4, initial_owners=[t % 4 for t in range(8)])
         state = token.initial_state()
@@ -231,7 +236,7 @@ class TestNFTGenerator:
 
         def touched_tokens(generator):
             counts = Counter()
-            for item in generator.generate(800):
+            for item in draw(generator, 800):
                 name, args = item.operation.name, item.operation.args
                 if name in ("transferFrom", "ownerOf"):
                     counts[args[-1 if name == "transferFrom" else 0]] += 1
@@ -261,12 +266,8 @@ class TestAssetTransferGenerator:
         from repro.objects.asset_transfer import AssetTransferType
         from repro.workloads.generators import AssetTransferWorkloadGenerator
 
-        a = AssetTransferWorkloadGenerator(6, num_processes=6, seed=5).generate(
-            80
-        )
-        b = AssetTransferWorkloadGenerator(6, num_processes=6, seed=5).generate(
-            80
-        )
+        a = draw(AssetTransferWorkloadGenerator(6, num_processes=6, seed=5), 80)
+        b = draw(AssetTransferWorkloadGenerator(6, num_processes=6, seed=5), 80)
         assert a == b
         asset = AssetTransferType([30] * 6, num_processes=6)
         state = asset.initial_state()
@@ -281,7 +282,7 @@ class TestAssetTransferGenerator:
 
         def source_counts(generator):
             counts = Counter()
-            for item in generator.generate(600):
+            for item in draw(generator, 600):
                 if item.operation.name == "transfer":
                     counts[item.operation.args[0]] += 1
             return counts
