@@ -486,8 +486,8 @@ class ERC20Token(SharedObject):
     """Runtime ERC20 token object with ergonomic call builders.
 
     The methods build :class:`OpCall` records for protocol generators; for
-    direct sequential use, pass the call to :meth:`SharedObject.invoke` or use
-    :meth:`execute` below.
+    direct sequential use, pass the call's operation to
+    :meth:`SharedObject.invoke`.
     """
 
     def __init__(

@@ -248,6 +248,25 @@ class TestConflicts:
             assert analysis.first.pid in spenders
             assert analysis.second.pid in spenders
 
+    def test_the_kind_does_not_depend_on_the_pair_order(self):
+        # Each verdict is about an unordered pair: both orders are run.
+        token = ERC20TokenType(3, total_supply=0)
+        state = TokenState.create([10, 0, 0], {(0, 1): 10, (0, 2): 10})
+        invocations = [
+            inv(0, op("transfer", 1, 10)),
+            inv(1, op("transferFrom", 0, 1, 10)),
+            inv(2, op("transferFrom", 0, 2, 10)),
+            inv(1, op("balanceOf", 0)),
+            inv(2, op("approve", 1, 5)),
+            inv(0, op("approve", 2, 3)),
+            inv(1, op("transfer", 2, 0)),
+        ]
+        for first, second in combinations(invocations, 2):
+            assert (
+                analyze_pair(token, state, first, second).kind
+                is analyze_pair(token, state, second, first).kind
+            ), (first, second)
+
 
 class TestCaseLabels:
     def test_labels(self):

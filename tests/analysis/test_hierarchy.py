@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import re
 
 from repro.analysis.hierarchy import (
     KNOWN_HIERARCHY,
@@ -53,3 +55,22 @@ class TestRegistry:
     def test_single_owner_at_is_level_1(self):
         entries = {e.object_family: e for e in KNOWN_HIERARCHY}
         assert entries["asset transfer (single-owner)"].consensus_number == 1
+
+    def test_k_shared_at_is_parametric(self):
+        # CN(k-AT) = k has no single value; its lower bound is the race
+        # protocol of protocols/kat_consensus.
+        entries = {e.object_family: e for e in KNOWN_HIERARCHY}
+        entry = entries["k-shared asset transfer"]
+        assert math.isnan(entry.consensus_number)
+        assert "repro.protocols.kat_consensus" in entry.lower_bound_witness
+
+    def test_every_named_witness_resolves(self):
+        named = {
+            name
+            for entry in KNOWN_HIERARCHY
+            for text in (entry.lower_bound_witness, entry.upper_bound_witness)
+            for name in re.findall(r"repro(?:\.\w+)+", text)
+        }
+        assert named
+        for name in named:
+            assert importlib.util.find_spec(name) is not None, name

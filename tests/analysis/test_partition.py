@@ -127,6 +127,15 @@ class TestMakeSynchronizationState:
         with pytest.raises(InvalidArgumentError):
             make_synchronization_state(3, 2, balance=0)
 
+    def test_k_must_be_positive(self):
+        # Q_0 is empty: the owner is always an enabled spender.
+        with pytest.raises(InvalidArgumentError):
+            make_synchronization_state(3, 0)
+
+    def test_witness_account_out_of_range_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            make_synchronization_state(3, 2, account=3)
+
 
 class TestClassify:
     def test_full_classification(self):

@@ -12,7 +12,7 @@ from repro.dynamic.dynamic_token import (
     measure_dynamic,
 )
 from repro.errors import ProtocolError
-from repro.net.network import Network, UniformLatency
+from repro.net.network import ConstantLatency, Network, UniformLatency
 from repro.net.simulation import Simulator
 
 
@@ -104,6 +104,64 @@ class TestTransferFrom:
         simulator.run()
         assert record.response is True
         assert nodes[2].state.balances == [95, 5, 0, 0]
+
+
+class TestRejectPath:
+    """A transferFrom the owner refuses: at its request, or when the
+    group round ends and the spend no longer fits."""
+
+    @staticmethod
+    def make_constant_network(n: int = 4, supply: int = 100):
+        simulator = Simulator()
+        network = Network(simulator, ConstantLatency(1.0), seed=0)
+        nodes = [
+            DynamicTokenNode(i, network, n, supply=supply) for i in range(n)
+        ]
+        return simulator, network, nodes
+
+    def test_a_remote_reject_travels_back_as_one_message(self):
+        simulator, network, nodes = self.make_constant_network()
+        record = nodes[2].submit_transfer_from(0, 3, 5)
+        simulator.run()
+        assert record.response is False
+        # One hop to the owner, one back.
+        assert record.latency == 2.0
+        assert network.stats.by_type == {"tf_request": 1, "tf_reject": 1}
+
+    def test_an_owner_local_reject_sends_nothing(self):
+        simulator, network, nodes = self.make_constant_network()
+        record = nodes[0].submit_transfer_from(0, 1, 5)  # no self-approval
+        simulator.run()
+        assert record.response is False
+        assert record.latency == 0.0
+        assert network.stats.messages_sent == 0
+
+    def test_a_spend_over_the_allowance_is_rejected(self):
+        simulator, _, nodes = self.make_constant_network()
+        nodes[0].submit_approve(2, 10)
+        simulator.run()
+        record = nodes[2].submit_transfer_from(0, 3, 11)
+        simulator.run()
+        assert record.response is False
+        for node in nodes:
+            assert node.state.balances == [100, 0, 0, 0]
+            assert node.state.allowances[0][2] == 10
+
+    def test_the_owner_revalidates_when_the_round_ends(self):
+        # The spend is valid when its group round starts; the owner's own
+        # transfer, sequenced while the round awaits its ack, empties the
+        # account, so the round ends in a reject.
+        simulator, network, nodes = self.make_constant_network()
+        nodes[0].submit_approve(2, 100)
+        simulator.run()
+        record = nodes[2].submit_transfer_from(0, 3, 100)
+        simulator.run(until=simulator.now + 1.5)  # the round has started
+        own = nodes[0].submit_transfer(1, 100)
+        simulator.run()
+        assert network.stats.by_type["group_ack"] == 1
+        assert (own.response, record.response) == (True, False)
+        assert_converged(nodes)
+        assert nodes[3].state.balances == [0, 100, 0, 0]
 
 
 class TestConvergence:

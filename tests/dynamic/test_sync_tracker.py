@@ -41,6 +41,13 @@ class TestSyncGroup:
         state.allowances[0][2] = 5
         assert sync_group(state, 0) == {0, 2}
 
+    def test_a_zeroed_allowance_leaves_the_group(self):
+        state = ReplicaTokenState.create(3, 0, 10)
+        state.allowances[0][1] = 5
+        state.allowances[0][2] = 5
+        state.allowances[0][1] = 0
+        assert sync_group(state, 0) == {0, 2}
+
     def test_zero_balance_convention(self):
         state = ReplicaTokenState.create(3, 0, 10)
         state.allowances[1][2] = 5  # account 1 is empty

@@ -64,6 +64,11 @@ class TestMempool:
         with pytest.raises(InvalidArgumentError):
             Mempool().submit(0, "transfer")
 
+    def test_a_pending_op_renders_its_stamp_caller_and_operation(self):
+        pending = Mempool().submit(3, op("transfer", 1, 2))
+        assert str(pending) == "#0 p3.transfer(1, 2)"
+        assert repr(pending) == "op(0,3,transfer(1, 2))"
+
     def test_rejects_bad_window(self):
         with pytest.raises(InvalidArgumentError):
             Mempool().pop_window(0)

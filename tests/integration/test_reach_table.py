@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent.parent
@@ -60,6 +61,30 @@ def test_every_allow_entry_resolves_and_covers_a_missed_function():
             name == entry or name.startswith(entry + ".") for name in covered
         ), f"{entry} is allow-listed but the product reaches all of it"
         assert reason.strip() and "\n" not in reason, entry
+
+
+#: The kinds of reason an allow-list entry may give, as the reason opens.
+RULES = re.compile(
+    r"frozen wall-benchmark name"
+    r"|the submit\(\)/run\(\) caller's read of its responses"
+    r"|(reject|error) path:"
+    r"|(abstract|base-class default):"
+    r"|test (fake|probe):"
+    r"|(Eq\. \d+'s witness|Reproduction note \d+'s evidence):"
+    r"|a token's operation:"
+    r"|debug text:"
+)
+
+
+def test_every_allow_reason_names_its_rule():
+    """An entry is kept for one of the allow-list's stated reasons, never
+    just because nothing calls it yet."""
+    unruled = {
+        entry: reason
+        for entry, reason in reach.ALLOW.items()
+        if not RULES.match(reason)
+    }
+    assert not unruled
 
 
 def test_the_whole_package_is_covered_and_triaged():

@@ -93,6 +93,12 @@ class TestDelivery:
         with pytest.raises(NetworkError):
             simulator.run()
 
+    def test_a_message_renders_its_route(self):
+        simulator, network, nodes = make_net(2)
+        network.send(0, 1, "ping")
+        simulator.run()
+        assert str(nodes[1].received[0][1]) == "ping 0->1"
+
     def test_duplicate_registration_rejected(self):
         simulator = Simulator()
         network = Network(simulator)
@@ -130,6 +136,30 @@ class TestPartitions:
         network.send(0, 2, "ping")
         simulator.run()
         assert len(nodes[2].received) == 1
+
+    def test_a_broadcast_loses_only_its_crossing_legs(self):
+        simulator, network, nodes = make_net(4)
+        network.partition({0, 1}, {2, 3})
+        network.broadcast(0, "ping")
+        simulator.run()
+        assert [len(node.received) for node in nodes] == [1, 1, 0, 0]
+        assert network.stats.messages_dropped == 2
+
+    def test_sends_without_a_partition_never_consult_it(self, monkeypatch):
+        simulator, network, nodes = make_net(3)
+
+        def consulted(self, src, dst):
+            raise AssertionError("no partition is installed")
+
+        monkeypatch.setattr(Network, "_crosses_partition", consulted)
+        network.send(0, 1, "ping")
+        network.broadcast(2, "pong")
+        network.partition({0, 1}, {2})
+        network.heal()
+        network.send(1, 2, "ping")
+        simulator.run()
+        assert [len(node.received) for node in nodes] == [1, 2, 2]
+        assert network.stats.messages_dropped == 0
 
 
 class TestLatencyModels:

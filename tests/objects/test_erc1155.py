@@ -179,6 +179,30 @@ class TestRuntimeObject:
             0, token.balance_of_batch([0, 1], [0, 0]).operation
         ) == (0, 5)
 
+    def test_operator_builders_round_trip(self):
+        token = ERC1155Token([[5, 0], [0, 0], [0, 0]])
+        assert (
+            token.invoke(2, token.is_approved_for_all(0, 1).operation)
+            is False
+        )
+        assert token.invoke(0, token.set_approval_for_all(1, True).operation)
+        assert (
+            token.invoke(2, token.is_approved_for_all(0, 1).operation)
+            is True
+        )
+        assert token.invoke(1, token.safe_transfer_from(0, 1, 0, 2).operation)
+        assert token.invoke(0, token.set_approval_for_all(1, False).operation)
+        assert (
+            token.invoke(2, token.is_approved_for_all(0, 1).operation)
+            is False
+        )
+        # A revoked operator can no longer move the holder's tokens.
+        assert (
+            token.invoke(1, token.safe_transfer_from(0, 1, 0, 1).operation)
+            is False
+        )
+        assert token.invoke(2, token.balance_of(0, 0).operation) == 3
+
 
 class TestRowSharing:
     def test_with_transfers_shares_every_untouched_row(self):

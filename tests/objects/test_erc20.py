@@ -330,6 +330,15 @@ class TestRuntimeERC20Token:
         assert token.invoke(0, token.balance_of(1).operation) == 3
         assert token.invoke(0, token.total_supply().operation) == 10
 
+    def test_allowance_builders_need_the_extensions(self):
+        plain = ERC20Token(2, total_supply=4)
+        with pytest.raises(UnknownOperationError):
+            plain.invoke(0, plain.increase_allowance(1, 2).operation)
+        token = ERC20Token(2, total_supply=4, with_extensions=True)
+        assert token.invoke(0, token.increase_allowance(1, 3).operation) is True
+        assert token.invoke(0, token.decrease_allowance(1, 1).operation) is True
+        assert token.invoke(1, token.allowance(0, 1).operation) == 2
+
 
 class TestTokenState:
     def test_create_sparse_allowances(self):

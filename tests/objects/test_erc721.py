@@ -154,3 +154,19 @@ class TestRuntimeObject:
         assert nft.invoke(1, nft.transfer_from(0, 1, 0).operation) is True
         assert nft.invoke(2, nft.owner_of(0).operation) == 1
         assert nft.invoke(2, nft.balance_of(1).operation) == 1
+
+    def test_get_approved_reads_the_approval(self):
+        nft = ERC721Token(3, initial_owners=[0])
+        assert nft.invoke(2, nft.get_approved(0).operation) == NO_APPROVAL
+        assert nft.invoke(0, nft.approve(2, 0).operation) is True
+        assert nft.invoke(1, nft.get_approved(0).operation) == 2
+
+    def test_operator_builders_round_trip(self):
+        nft = ERC721Token(3, initial_owners=[0])
+        assert nft.invoke(1, nft.is_approved_for_all(0, 1).operation) is False
+        assert nft.invoke(0, nft.set_approval_for_all(1, True).operation)
+        assert nft.invoke(2, nft.is_approved_for_all(0, 1).operation) is True
+        assert nft.invoke(0, nft.set_approval_for_all(1, False).operation)
+        assert nft.invoke(2, nft.is_approved_for_all(0, 1).operation) is False
+        # A revoked operator can no longer move the holder's token.
+        assert nft.invoke(1, nft.transfer_from(0, 1, 0).operation) is False

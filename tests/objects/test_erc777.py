@@ -121,3 +121,14 @@ class TestRuntimeObject:
         assert token.invoke(1, token.operator_send(0, 1, 5).operation) is True
         assert token.invoke(0, token.balance_of(1).operation) == 5
         assert token.invoke(0, token.total_supply().operation) == 5
+
+    def test_operator_builders_round_trip(self):
+        token = ERC777Token([5, 0, 0])
+        assert token.invoke(2, token.is_operator_for(1, 0).operation) is False
+        assert token.invoke(0, token.authorize_operator(1).operation) is True
+        assert token.invoke(2, token.is_operator_for(1, 0).operation) is True
+        assert token.invoke(0, token.revoke_operator(1).operation) is True
+        assert token.invoke(2, token.is_operator_for(1, 0).operation) is False
+        # A revoked operator's send fails and moves nothing.
+        assert token.invoke(1, token.operator_send(0, 1, 1).operation) is False
+        assert token.invoke(2, token.balance_of(0).operation) == 5

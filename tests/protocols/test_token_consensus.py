@@ -78,6 +78,23 @@ class TestSequentialRuns:
         result = run_system(system, SoloScheduler([1, 0]))
         assert result.decisions == {0: "b", 1: "b"}
 
+    def test_none_is_a_valid_proposal(self):
+        # Undecided is the registers' own sentinel, not ``None``: a None
+        # proposal wins like any other value, from either side.
+        owner_first = run_system(
+            algorithm1_system({0: None, 1: "b"}), SoloScheduler([0, 1])
+        )
+        assert owner_first.decisions == {0: None, 1: None}
+        spender_first = run_system(
+            algorithm1_system({0: "a", 1: None}), SoloScheduler([1, 0])
+        )
+        assert spender_first.decisions == {0: None, 1: None}
+
+    def test_later_proposers_adopt_the_decided_value(self):
+        system = algorithm1_system({0: "a", 1: "b", 2: "c"})
+        result = run_system(system, SoloScheduler([2, 0, 1]))
+        assert result.decisions == {0: "c", 1: "c", 2: "c"}
+
     def test_k1_trivial(self):
         system = algorithm1_system({0: "only"})
         result = run_system(system)

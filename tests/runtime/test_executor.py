@@ -10,6 +10,7 @@ from repro.runtime.executor import System, run_system
 from repro.runtime.scheduler import (
     CrashAction,
     FixedScheduler,
+    RandomScheduler,
     RoundRobinScheduler,
     SoloScheduler,
 )
@@ -60,6 +61,21 @@ class TestRunSystem:
         )
         assert result.crashed == frozenset({0})
         assert result.decisions == {1: 1}
+
+    def test_a_random_schedule_replays(self):
+        runs = [
+            run_system(make_counter_system(), RandomScheduler(seed=seed))
+            for seed in (3, 3, 4)
+        ]
+        assert runs[0].schedule == runs[1].schedule
+        assert runs[0].decisions == runs[1].decisions
+        # The performed actions, replayed as a script, reproduce each run.
+        for run in runs:
+            replay = run_system(
+                make_counter_system(), FixedScheduler(list(run.schedule))
+            )
+            assert replay.schedule == run.schedule
+            assert replay.decisions == run.decisions
 
     def test_history_recorded(self):
         result = run_system(make_counter_system())

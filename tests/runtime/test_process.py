@@ -20,6 +20,14 @@ def writer_program(register: AtomicRegister, values: list):
 
 
 class TestRunnerLifecycle:
+    def test_repr_shows_status_and_progress(self):
+        register = AtomicRegister()
+        runner = ProcessRunner(4, writer_program(register, [1]))
+        runner.step()
+        assert repr(runner) == (
+            f"<ProcessRunner p4 {runner.status.value} steps=1 pending=None>"
+        )
+
     def test_primed_to_first_yield(self):
         register = AtomicRegister()
         runner = ProcessRunner(0, writer_program(register, [1, 2]))

@@ -15,6 +15,7 @@ from repro.workloads.generators import (
     OWNER_ONLY_MIX,
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
+    MultiContractItem,
     WorkloadItem,
     WorkloadMix,
     example1_trace,
@@ -196,6 +197,14 @@ class TestGenerator:
                 allowance=0,
                 total_supply=0,
             ).weights()
+
+
+class TestItemText:
+    def test_items_render_their_caller_and_operation(self):
+        operation = Operation("transfer", (1, 5))
+        item = MultiContractItem("usdc", 2, operation)
+        assert str(item.item) == "p2: transfer(1, 5)"
+        assert str(item) == "[usdc] p2: transfer(1, 5)"
 
 
 class TestExample1:
