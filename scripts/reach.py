@@ -34,16 +34,24 @@ exactly :data:`HOOK_FAILURES` — anything else means the tree or the
 hook is broken, and the table would be suspect.  A product command
 that fails also fails the run.  A failed run writes no table.
 
+The same hook records the ``as_dict()`` of every :data:`CONFIGS` value
+built (at the return of its ``__post_init__``), so the table also holds,
+per config field, the distinct values the product runs with: a knob the
+product never turns is a constant in disguise.
+
 The table (``REACH.json``) lists, per module, the functions the product
 reaches, those only the tests reach and those nothing reaches (with
-their line counts), plus :data:`ALLOW`: names kept though the product
-never calls them, one line of reason each.  A name allows itself and
-everything under it (a class allows its methods, a module its
-functions).  The summary's ``untriaged`` counts the functions the
-product misses that no entry allows.
-``tests/integration/test_reach_table.py`` holds the committed table to
-``src/``: every entry resolves, and no function anywhere in the package
-that the product misses is left unexplained.
+their line counts); per config field, its product values; plus
+:data:`ALLOW`: names kept though the product never calls them (or, for
+a ``repro.config`` field, never sets two ways), one line of reason each.
+A name allows itself and everything under it (a class allows its
+methods, a module its functions).  The summary's ``untriaged`` counts
+the functions the product misses that no entry allows, and
+``config_untriaged`` the fields with fewer than two product values that
+no entry allows.  ``tests/integration/test_reach_table.py`` holds the
+committed table to ``src/``: every entry resolves, and no function
+anywhere in the package that the product misses, and no config field it
+leaves fixed, is left unexplained.
 
 A run takes about 4 minutes on 2 cores (:data:`JOBS` product commands
 run at once; the tests run beside them).
@@ -76,6 +84,9 @@ HOOK_FAILURES = tuple(
     for question in ("anchor", "contention", "static_pair_kind")
 )
 
+#: The config dataclasses of ``repro.config`` whose values are recorded.
+CONFIGS = ("EngineConfig", "ClusterConfig", "FaultConfig")
+
 BENCHES = ("engine", "cluster", "sync", "pipeline", "dag", "stream", "faults")
 PAPER_CORE = (
     "algorithm1",
@@ -95,7 +106,8 @@ PAPER_CORE = (
 #: of its own results, a protocol's error or reject path, an abstract
 #: method or base-class default, a test fake or probe, a reference or
 #: paper evidence that a Reproduction note or an equation cites, an
-#: operation of a token spec or emulated token, or debug text.
+#: operation of a token spec or emulated token, debug text, or (for a
+#: config field) a setting only the tests vary.
 ALLOW = {
     "repro.engine.rounds.WallAdapters": (
         "frozen wall-benchmark names: benchmarks/wall binds them, nothing "
@@ -226,6 +238,18 @@ ALLOW = {
     "repro.protocols.base.ConsensusProtocol.propose": (
         "abstract: every consensus protocol overrides it"
     ),
+    "repro.config.EngineConfig.mempool_capacity": (
+        "a setting only tests vary: the bounded mempool's backpressure; "
+        "ROADMAP item 29 reshapes admission"
+    ),
+    "repro.config.FaultConfig.delays": (
+        "a setting only tests vary: the test fault schedules' delay "
+        "rules; ROADMAP items 9 and 10"
+    ),
+    "repro.config.FaultConfig.seed": (
+        "a setting only tests vary: the test fault schedules' dice; "
+        "ROADMAP items 9 and 10"
+    ),
 }
 
 #: The token specs' and emulated tokens' operations the product never
@@ -271,7 +295,8 @@ ALLOW.update(
 )
 
 SITECUSTOMIZE = '''\
-"""Record every src/repro code object called in this interpreter."""
+"""Record every src/repro code object called in this interpreter, and
+every repro.config value built."""
 import atexit
 import json
 import os
@@ -282,6 +307,7 @@ _out = os.environ.get("REACH_OUT")
 if _out:
     _root = os.environ["REACH_ROOT"]
     _seen = {}
+    _configs = set()
 
     def _hook(frame, event, arg):
         if event == "call":
@@ -289,6 +315,15 @@ if _out:
             if code not in _seen:
                 path = os.path.abspath(code.co_filename)
                 _seen[code] = path if path.startswith(_root) else None
+        elif event == "return" and frame.f_code.co_name == "__post_init__":
+            config = frame.f_locals.get("self")
+            if type(config).__module__ == "repro.config":
+                _configs.add(
+                    (
+                        type(config).__name__,
+                        json.dumps(config.as_dict(), sort_keys=True),
+                    )
+                )
 
     def _dump():
         sys.setprofile(None)
@@ -299,6 +334,8 @@ if _out:
         path = os.path.join(_out, "%d.json" % os.getpid())
         with open(path, "w") as handle:
             json.dump(names, handle)
+        with open(os.path.join(_out, "%d.configs" % os.getpid()), "w") as out:
+            json.dump(sorted(_configs), out)
 
     atexit.register(_dump)
     threading.setprofile(_hook)
@@ -332,6 +369,43 @@ def functions() -> dict[str, dict[str, int]]:
         if found:
             table[module] = found
     return table
+
+
+def config_fields() -> dict[str, list[str]]:
+    """``{class: [field, ...]}`` of each of :data:`CONFIGS`, in
+    declaration order, read from ``config.py``'s annotated class body."""
+    tree = ast.parse((PACKAGE / "config.py").read_text())
+    return {
+        node.name: [
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+        ]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in CONFIGS
+    }
+
+
+def configs(out: Path) -> dict[str, dict[str, list]]:
+    """``{class: {field: [distinct values]}}`` over every config value
+    recorded under ``out`` (values in their JSON form, sorted by it)."""
+    built = set()
+    for dump in out.glob("*.configs"):
+        built.update(map(tuple, json.loads(dump.read_text())))
+    seen = {
+        cls: {field: set() for field in names}
+        for cls, names in config_fields().items()
+    }
+    for cls, snapshot in built:
+        for field, value in json.loads(snapshot).items():
+            seen[cls][field].add(json.dumps(value, sort_keys=True))
+    return {
+        cls: {
+            field: [json.loads(value) for value in sorted(values)]
+            for field, values in fields.items()
+        }
+        for cls, fields in seen.items()
+    }
 
 
 def allowed(name: str) -> str | None:
@@ -416,9 +490,10 @@ def failing_tests(stdout: str) -> list[str]:
     )
 
 
-def measure() -> tuple[set, set, list[str], list[str]]:
+def measure() -> tuple[set, set, dict, list[str], list[str]]:
     """Run the product and the tests under the hook: the names each
-    reached, the failing test ids and the failed product commands."""
+    reached, the product's config values, the failing test ids and the
+    failed product commands."""
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         tmp = Path(tmp)
         for sub in ("hook", "product", "tests", "work"):
@@ -460,12 +535,13 @@ def measure() -> tuple[set, set, list[str], list[str]]:
         return (
             reached(tmp / "product"),
             reached(tmp / "tests"),
+            configs(tmp / "product"),
             failing_tests(tests.stdout),
             sorted(failed),
         )
 
 
-def table(product: set, tests: set, failures: list[str]) -> dict:
+def table(product: set, tests: set, config: dict, failures: list) -> dict:
     modules = {}
     totals = dict.fromkeys(
         (
@@ -476,6 +552,8 @@ def table(product: set, tests: set, failures: list[str]) -> dict:
             "unreached",
             "unreached_lines",
             "untriaged",
+            "config_fields",
+            "config_untriaged",
         ),
         0,
     )
@@ -495,13 +573,22 @@ def table(product: set, tests: set, failures: list[str]) -> dict:
             if allowed(f"{module}.{qualname}") is None:
                 totals["untriaged"] += 1
         modules[module] = entry
+    for cls, fields in config.items():
+        for field, values in fields.items():
+            totals["config_fields"] += 1
+            name = f"repro.config.{cls}.{field}"
+            if len(values) < 2 and allowed(name) is None:
+                totals["config_untriaged"] += 1
     return {
         "method": (
             "scripts/reach.py: sys.setprofile through a temporary "
             "sitecustomize; product = smoke + full benches, paper-core "
-            "experiments, examples, obs.py gate/validate/diff, wall --smoke"
+            "experiments, examples, obs.py gate/validate/diff, wall --smoke; "
+            "config = the as_dict() of every repro.config value the product "
+            "builds"
         ),
         "summary": totals,
+        "config": config,
         "hook_failures": failures,
         "allow": ALLOW,
         "modules": modules,
@@ -512,15 +599,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
-    product, tests, failures, failed = measure()
-    result = table(product, tests, failures)
+    product, tests, config, failures, failed = measure()
+    result = table(product, tests, config, failures)
     summary = result["summary"]
     print(
         f"{summary['functions']} functions: {summary['product']} reached by "
         f"the product, {summary['tests_only']} by tests only "
         f"({summary['tests_only_lines']} lines), {summary['unreached']} by "
         f"nothing ({summary['unreached_lines']} lines); "
-        f"{summary['untriaged']} untriaged"
+        f"{summary['untriaged']} untriaged; {summary['config_fields']} "
+        f"config fields, {summary['config_untriaged']} untriaged"
     )
     print("failing under the hook:", *failures, sep="\n  ")
     if failed:

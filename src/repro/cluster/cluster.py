@@ -16,7 +16,8 @@ lane execution, lease handshakes, and consensus latency all included.
 Serial-equivalence contract (machine-checked in
 ``tests/cluster/test_cluster_properties.py``): the final state and every
 response equal a sequential execution of the workload in submission
-order, for any node count, any shard count, and any lease schedule.
+order, for any node count (which sets the shard count) and any lease
+schedule.
 
 Quickstart::
 
@@ -45,7 +46,7 @@ from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.errors import ClusterError
 from repro.faults import FaultInjector
-from repro.net.network import LatencyModel, Network, UniformLatency
+from repro.net.network import Network, UniformLatency
 from repro.net.simulation import Simulator
 from repro.spec.object_type import SequentialObjectType
 from repro.workloads.generators import WorkloadItem
@@ -67,20 +68,15 @@ class TokenCluster:
         object_type: SequentialObjectType,
         config: ClusterConfig | None = None,
         *,
-        latency: LatencyModel | None = None,
         tracer: TraceRecorder | None = None,
     ) -> None:
         self.config = cfg = config if config is not None else ClusterConfig()
-        num_shards = cfg.num_shards
-        if num_shards is None:
-            # Enough shards that leases migrate at useful granularity.
-            num_shards = max(16, 8 * cfg.num_nodes)
+        # Enough shards that leases migrate at useful granularity.
+        num_shards = max(16, 8 * cfg.num_nodes)
         self.object_type = object_type
         self.simulator = Simulator()
         self.network = Network(
-            self.simulator,
-            latency if latency is not None else UniformLatency(0.5, 1.5),
-            seed=cfg.seed,
+            self.simulator, UniformLatency(0.5, 1.5), seed=cfg.seed
         )
         #: Fault injection (:mod:`repro.faults`): an enabled fault plan is
         #: planted on the simulator and filters every network send; absent
@@ -96,7 +92,6 @@ class TokenCluster:
             lanes_per_node=cfg.lanes_per_node,
             window=cfg.window,
             num_shards=num_shards,
-            op_cost=cfg.op_cost,
         )
         #: Optional observability hook (:mod:`repro.obs`), threaded to the
         #: router and every node; ``None`` records nothing and leaves every

@@ -102,7 +102,6 @@ class ClusterNode(Node):
         self.router_id = router_id
         self.apply_fn = apply_fn
         self.classifier = classifier
-        self.config = config
         self.scheduler = WallAdapters(classifier)
         #: Persistent lane timeline (absolute virtual times), and the
         #: rounds this node has executed at least one unit of.
@@ -217,9 +216,9 @@ class ClusterNode(Node):
         self.bill.sync_wait_time += max(0.0, unit.sync_ready - self.now)
         # The router's plan: one DAG (task ``k`` is ``ops[k]``), or edge-free
         # ops that ``engine/shard.py``'s lane fill places.
-        n, dag, cost = len(ops), unit.dag, self.config.op_cost
+        n, dag = len(ops), unit.dag
         if dag is None:
-            placed = lane_fill(n, self._lane_free, ready, cost)
+            placed = lane_fill(n, self._lane_free, ready)
         else:
             placed = dag_list_schedule(
                 range(n),
@@ -227,7 +226,6 @@ class ClusterNode(Node):
                 dag.priorities,
                 self._lane_free,
                 floors=[ready] * n,
-                cost=cost,
             )
             path, bill = dag.critical_path, self.bill
             bill.dag_chain_ops += n

@@ -181,10 +181,11 @@ class Router(Node):
             seed=config.seed,
         )
         self.scheduler = WallAdapters(classifier)
-        #: shard -> round of its last lease migration (cooldown bookkeeping).
-        self._last_migration: dict[int, int] = {}
         self.responses: dict[int, Any] = {}
         self._rounds_started = 0
+        #: Shards the rejoin rebalance handed over since the last routed
+        #: round, which that round may not lease away.
+        self._held: set[int] = set()
         #: Cross-round pipelining: up to ``pipeline_depth`` rounds in
         #: flight, and the gates that stand in for a global round barrier
         #: (see :meth:`pump`).  Rounds enter in ascending index order, so
@@ -349,10 +350,10 @@ class Router(Node):
                 classifier=self.classifier,
                 shard_map=self.shard_map,
                 sync=self.sync,
-                config=self.config,
                 live=self._live(),
-                last_migration=self._last_migration,
+                held=self._held,
             )
+            self._held = set()
             routed.classified = self.now
             routed.sync_start = max(self.now, self._sync_free)
             routed.stats.inflight = len(self._inflight) + 1
@@ -468,7 +469,7 @@ class Router(Node):
             # not) — detection latency trades against never suspecting a
             # node that is merely grinding through a long component.
             peer.outstanding_work += unit.charge(
-                len(unit.ops) * self.config.op_cost + sync_wait
+                len(unit.ops) + sync_wait
             )
             self._arm_result_timer(unit, self.config.result_timeout + sync_wait)
 
@@ -704,9 +705,8 @@ class Router(Node):
 
     def _revoke_shards(self, node: int, live: list[int]) -> None:
         """Revoke the dead node's leases and spread its shards over the
-        survivors.  The cooldown pin is dropped, not set: revocation
-        must leave the shard immediately re-grantable.  A shard with a
-        live handoff token is left alone — clobbering the token would
+        survivors, each re-grantable at once (held or not).  A shard with
+        a live handoff token is left alone — clobbering the token would
         orphan that handoff's ack — and is lazily adopted by the next
         migration planned off the dead owner (routing places nothing on
         a dead node: until then the shard costs locality, not liveness)."""
@@ -718,7 +718,7 @@ class Router(Node):
                 key=lambda n: (len(self.shard_map.shards_of_node(n)), n),
             )
             self.shard_map.migrate(shard, target, self._rounds_started)
-            self._last_migration.pop(shard, None)
+            self._held.discard(shard)
             self.stats.revocations += 1
             self._trace_fault(
                 f"revoke shard {shard} -> node {target}",
@@ -790,8 +790,8 @@ class Router(Node):
     def _rebalance_to(self, node: int) -> None:
         """Administrative lease transfers bringing a rejoined node up to
         its fair shard share — the normal request/grant/ack handshake
-        under the :data:`ADMIN_ROUND` sentinel, cooldown pins set as any
-        migration would."""
+        under the :data:`ADMIN_ROUND` sentinel.  The next routed round
+        may not lease a shard so moved away again."""
         live = self._live()
         fair = self.shard_map.num_shards // len(live)
         while len(self.shard_map.shards_of_node(node)) < fair:
@@ -816,7 +816,7 @@ class Router(Node):
                 break
             shard = max(movable)
             self.shard_map.migrate(shard, node, self._rounds_started)
-            self._last_migration[shard] = self._rounds_started
+            self._held.add(shard)
             self._open_handoff(shard, ADMIN_ROUND, donor, node, revoke=False)
 
     def _settle_replay(self, unit: _Unit) -> None:

@@ -37,13 +37,6 @@ onto whichever live node holds the fewest ops so far — sound because
 singleton components commute with the whole window — and counted as hot
 splits rather than migrations.
 
-Lease anti-churn: besides ``lease_min_gain``, a ``lease_cooldown`` of
-``c`` rounds pins a shard to its new owner for ``c`` rounds after every
-migration, so ownership cannot ping-pong between two nodes on alternating
-rounds (suppressed handoffs are counted, and the chain still executes
-correctly on its majority owner — co-location, not ownership, is the
-safety argument).
-
 Co-locating whole components per round is the entire safety argument:
 any two operations applied on different nodes in one round statically
 commute, so every network interleaving is serially equivalent, for any
@@ -60,7 +53,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ComponentDAG
 from repro.engine.mempool import PendingOp
@@ -74,6 +66,11 @@ from repro.sync.escalation import SyncRoundResult, TieredEscalator
 
 from repro.cluster.sharding import ShardMap
 from repro.cluster.stats import ClusterRound
+
+#: A chain migrates leases only when its majority owner already has at
+#: least this many of its operations: a 1-vs-1 split names no "busier
+#: node", and a handoff would be pure ownership churn.
+LEASE_MIN_GAIN = 2
 
 
 @dataclass(slots=True, eq=False)
@@ -233,28 +230,20 @@ def route_window(
     classifier: OpClassifier,
     shard_map: ShardMap,
     sync: TieredEscalator,
-    config: ClusterConfig,
     live: list[int],
-    last_migration: dict[int, int],
+    held: set[int],
 ) -> _Round:
     """Route one window: co-locate components, plan leases, order the
     contended components through the sync layer.
 
-    ``shard_map`` and ``last_migration`` (shard -> round of its last
-    lease migration, the cooldown table) are updated in place as leases
-    are planned: a later chain of the window must see an earlier chain's
-    migration.  ``live`` lists the nodes that may be given work, in any
-    order: sorted here, every load tie goes to the lowest id (``min`` and
-    ``max`` keep the first of equal keys)."""
+    ``shard_map`` is updated in place as leases are planned: a later
+    chain of the window must see an earlier chain's migration.  A shard
+    in ``held`` (one a rejoin rebalance just handed over) does not move
+    this round, and no shard moves twice in one.  ``live`` lists the
+    nodes that may be given work, in any order: sorted here, every load
+    tie goes to the lowest id (``min`` and ``max`` keep the first of
+    equal keys)."""
     live = sorted(live)
-    # A chain migrates leases only when its majority owner already has
-    # at least ``min_gain`` of its operations — a 1-vs-1 split names no
-    # "busier node" and a handoff would be pure ownership churn — and
-    # a freshly migrated shard stays pinned to its new owner for
-    # ``cooldown`` rounds (hysteresis against alternating-round
-    # ping-pong).
-    min_gain = config.lease_min_gain
-    cooldown = config.lease_cooldown
     plan = plan_window(classifier, window)
     contended = set(plan.escalated_idx)
 
@@ -307,7 +296,7 @@ def route_window(
         units[(node, unit.uidx)] = unit
         return unit
 
-    hot_split = cooldown_skips = 0
+    hot_split = 0
 
     # Components route as units (the co-location invariant).  Chains
     # first, in submission order of their heads; each ships its DAG.
@@ -340,7 +329,7 @@ def route_window(
             escalated_ops += len(component)
             unit.contended = True
             escalated_components.append((frozenset(owners), component, unit))
-        elif len(owners) > 1 and owners.get(target, 0) >= min_gain:
+        elif len(owners) > 1 and owners.get(target, 0) >= LEASE_MIN_GAIN:
             # Uncontended cross-shard chain with a clearly busier node:
             # migrate the minority shards' leases to it, then run
             # owner-local.
@@ -352,19 +341,10 @@ def route_window(
                 }
             )
             for shard in foreign:
-                if shard in lease_units:
-                    continue  # one lease move per shard per round
-                last = last_migration.get(shard)
-                if last is not None and index - last <= cooldown:
-                    # Hysteresis: the shard moved too recently; the
-                    # chain still executes correctly on the majority
-                    # owner (co-location is what safety needs), the
-                    # minority ops are simply not owner-local.
-                    cooldown_skips += 1
-                    continue
+                if shard in lease_units or shard in held:
+                    continue  # held, or already moved this round
                 from_node = shard_map.owner_of_shard(shard)
                 shard_map.migrate(shard, target, index)
-                last_migration[shard] = index
                 migrations.append((shard, from_node, target))
                 unit.leases += 1
                 lease_units[shard] = unit.uidx
@@ -476,7 +456,6 @@ def route_window(
             escalated_ops=escalated_ops,
             lease_migrations=len(migrations),
             nodes_used=len(placed),
-            cooldown_skips=cooldown_skips,
             # A replay moves a unit, it does not add one.
             units_dispatched=len(units),
         ),

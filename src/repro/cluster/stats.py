@@ -82,8 +82,6 @@ class ClusterRound:
     nodes_used: int
     #: Classification to completion.
     virtual_time: float = 0.0
-    #: Lease migrations suppressed by the anti-churn cooldown this round.
-    cooldown_skips: int = 0
     #: Independently gated ``cl_run`` units this round fanned out as.
     units_dispatched: int = 0
     #: Cross-round pipelining: rounds in flight when this one was
@@ -109,6 +107,7 @@ class ClusterStats:
     lanes_per_node: int = 1
     window: int = 0
     num_shards: int = 0
+    #: One op's virtual time, always 1 (``benchmarks/wall`` reads it).
     op_cost: float = 1.0
     #: Configured window overlap depth (1 = one round in flight).
     pipeline_depth: int = 1
@@ -141,8 +140,6 @@ class ClusterStats:
 
     lease_migrations: int = 0
     lease_messages: int = 0
-    #: Lease migrations suppressed by the anti-churn cooldown.
-    lease_cooldown_skips: int = 0
     escalations: int = 0
     escalation_messages: int = 0
     escalation_time: float = 0.0
@@ -209,7 +206,6 @@ class ClusterStats:
             round_stats.frontier_stall_contended
         )
         self.lease_migrations += round_stats.lease_migrations
-        self.lease_cooldown_skips += round_stats.cooldown_skips
         if sync.messages:
             self.escalations += 1
         self.round_log.append(round_stats)

@@ -1,9 +1,11 @@
 """Unified run configuration: one home for the run knobs.
 
 Op-granular DAG scheduling and component-granular dispatch are not knobs
-— they are how the system schedules.  What stays configurable (lanes,
-window, pipeline depth, team-lane threshold, fault plan)
-lives here, with the fast configuration as the defaults:
+— they are how the system schedules; neither is an op's cost (one unit),
+the cluster's shard ring (``max(16, 8 * num_nodes)``), its lease
+migration rule or its network latency model.  What stays configurable
+(lanes, window, pipeline depth, team-lane threshold, fault plan) lives
+here, with the fast configuration as the defaults:
 
 * :class:`EngineConfig` — the single-process executor
   (:class:`~repro.engine.pipeline.PipelinedExecutor`);
@@ -62,8 +64,6 @@ class _ConfigBase:
     def _check_common(self) -> None:
         if self.window < 1:
             raise self._error("window must be positive")
-        if not self.op_cost > 0:
-            raise self._error("op_cost must be positive")
         if self.team_threshold < 0:
             raise self._error("team_threshold must be non-negative")
         if self.pipeline_depth < 1:
@@ -86,7 +86,6 @@ class EngineConfig(_ConfigBase):
 
     num_lanes: int = 4
     window: int = 64
-    op_cost: float = 1.0
     seed: int = 0
     mempool_capacity: int | None = None
     #: Largest spender bound ordered on a k-participant team lane
@@ -189,16 +188,8 @@ class ClusterConfig(_ConfigBase):
     num_nodes: int = 4
     lanes_per_node: int = 4
     window: int = 64
-    #: ``None`` derives ``max(16, 8 * num_nodes)`` at construction.
-    num_shards: int | None = None
-    op_cost: float = 1.0
     seed: int = 0
     mempool_capacity: int | None = None
-    #: A chain migrates leases only when its majority owner already has
-    #: at least this many of its operations.
-    lease_min_gain: int = 2
-    #: Rounds a freshly migrated shard is pinned to its new owner.
-    lease_cooldown: int = 0
     #: Largest owner-node set ordered on a team lane (``0`` = global).
     team_threshold: int = 4
     pipeline_depth: int = 2
@@ -216,10 +207,6 @@ class ClusterConfig(_ConfigBase):
             raise ClusterError("cluster needs at least one node")
         if self.lanes_per_node < 1:
             raise ClusterError("need at least one lane per node")
-        if self.lease_min_gain < 1:
-            raise ClusterError("lease_min_gain must be positive")
-        if self.lease_cooldown < 0:
-            raise ClusterError("lease_cooldown must be non-negative")
         if not isinstance(self.fault, FaultConfig):
             raise ClusterError("fault must be a FaultConfig")
         if self.result_timeout is not None and self.result_timeout <= 0:

@@ -55,7 +55,7 @@ class ComponentDAG:
     dispatch unit's ``ops`` hold them in that order.  Built once, by
     :meth:`ConflictGraph.component_dags`, schedule-ready: every reader
     takes these fields as they are.  All quantities are in operation
-    units (unit op cost); the scheduler scales by ``op_cost`` itself.
+    units, the cost of every op.
     """
 
     #: Per position, its direct non-commute predecessors, ascending —

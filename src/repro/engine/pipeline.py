@@ -139,9 +139,8 @@ def scheduled_units(plan: WindowPlan, op_sync, placed, stalls) -> list:
 class PipelinedExecutor:
     """Commutativity-aware pipelined executor for one token object.
 
-    Configured by one :class:`~repro.config.EngineConfig`; collaborators
-    (classifier, tracer) and ``replicas``, the Tier ∞ lane's size, are
-    keyword arguments.
+    Configured by one :class:`~repro.config.EngineConfig`; the tracer
+    and ``replicas``, the Tier ∞ lane's size, are keyword arguments.
     ``run()`` / ``run_workload()`` are the intended API; ``step()``
     applies one window to the engine's batch and schedules it onto the
     pipeline timeline, and state/responses become readable at commit
@@ -154,15 +153,12 @@ class PipelinedExecutor:
         object_type: SequentialObjectType,
         config: EngineConfig | None = None,
         *,
-        classifier: OpClassifier | None = None,
         replicas: int = 4,
         tracer: TraceRecorder | None = None,
     ) -> None:
         self.config = cfg = config if config is not None else EngineConfig()
         self.object_type = object_type
-        self.classifier = (
-            classifier if classifier is not None else OpClassifier(object_type)
-        )
+        self.classifier = OpClassifier(object_type)
         #: The tiered sync layer; ``replicas`` sizes its Tier ∞ fallback
         #: (``team_threshold=0`` = always-global escalation).
         self.sync = TieredEscalator(
@@ -182,7 +178,6 @@ class PipelinedExecutor:
         self.stats = EngineStats(
             num_lanes=cfg.num_lanes,
             window=cfg.window,
-            op_cost=cfg.op_cost,
             pipeline_depth=cfg.pipeline_depth,
         )
         #: Optional observability hook (:mod:`repro.obs`).  ``None`` (the
@@ -537,7 +532,6 @@ class PipelinedExecutor:
             plan.priorities,
             self._lane_free,
             floors=floors,
-            cost=self.config.op_cost,
             lane_prev=slot,
         )
 
@@ -596,7 +590,7 @@ class PipelinedExecutor:
             stalls[i] = (sync_stall, blocked)
         self._frontier_top = top
         self._frontier_max = max(everything, completed)
-        # A lane moved iff an op landed on it (``op_cost > 0``).
+        # A lane moved iff an op landed on it (every op costs one unit).
         lanes_used = sum(a != b for a, b in zip(carried, self._lane_free))
         self._placed = (stall, stall_contended, completed, lanes_used)
         return placed, stalls

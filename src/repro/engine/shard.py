@@ -40,12 +40,12 @@ sorted order by the unique key ``(−priority, seq, index)``: the smallest
 unplaced key is always ready, the task a ready heap would pop.
 :func:`lane_fill` places a node's edge-free unit in one pass: each op, in
 position order, takes the first least-free lane at ``max(ready, free)``.
-For ``cost > 0`` that is the list scheduler's placement of edge-free ops
-on one floor (the static order is position order; the only gap the fill
-opens ends at the floor, and no op fits before it), which is why both
-configs refuse ``op_cost <= 0``.  Neither consults mutable state: the
-same window on the same lane timeline always gets the same placements,
-part of the engine's determinism guarantee.
+Every op costs one unit, so that is the list scheduler's placement of
+edge-free ops on one floor (the static order is position order; the only
+gap the fill opens ends at the floor, and no op fits before it).
+Neither consults mutable state: the same window on the same lane
+timeline always gets the same placements, part of the engine's
+determinism guarantee.
 """
 
 from __future__ import annotations
@@ -72,20 +72,19 @@ def dag_list_schedule(
     priorities: Sequence[int],
     lane_free: list[float],
     floors: list[float] | None = None,
-    cost: float = 1,
     lane_prev: list[float] | None = None,
 ) -> list[tuple[float, float, int]]:
-    """Critical-path-first list scheduling of equal-cost tasks onto lanes.
+    """Critical-path-first list scheduling of unit-cost tasks onto lanes.
 
     ``preds[i]`` are task indices that must finish before task ``i``
     starts; ``priorities[i]`` is its bottom level (ties broken by
     ``seqs[i]``, i.e. submission order); ``floors[i]`` is an external
     earliest-start (sync-lane completion, cross-window frontier); every
-    task runs for ``cost``.  Each task picks the lane giving the earliest
+    task runs for one unit.  Each task picks the lane giving the earliest
     start.  ``lane_free`` is mutated in place so callers with a
     persistent lane timeline (the cluster node) schedule incrementally.
     Times stay integers when every input is an integer — the scheduler's
-    operation-unit invariant at the default ``cost=1``.
+    operation-unit invariant.
 
     **Insertion/backfill:** when a floored task starts past a lane's free
     time (its sync lane or frontier holds it back), the idle interval it
@@ -95,7 +94,7 @@ def dag_list_schedule(
     predates the lane's current tail, and every precedence and floor
     constraint is still honored through ``est``.  ``horizon`` bounds every
     open gap's end (it rises as gaps open, a split gap's slivers end no
-    later, and it is −∞ once none is open); a task with ``est + cost >
+    later, and it is −∞ once none is open); a task with ``est + 1 >
     horizon`` skips the gap walk, exactly: any slot is ``≥ est`` and float
     addition is monotone, so no gap can fit it.  (A node's DAG unit
     floors all its ops at one ``ready``, so every gap it opens ends there.)
@@ -145,17 +144,17 @@ def dag_list_schedule(
         lane = lane_free.index(free)
         start = est if est > free else free
         gap_index: int | None = None
-        if est + cost <= horizon:
+        if est + 1 <= horizon:
             best = (start, free, lane)
             for lane_id, idle in gaps.items():
                 for k, (gap_start, gap_end) in enumerate(idle):
                     slot = est if est > gap_start else gap_start
-                    if slot + cost <= gap_end:
+                    if slot + 1 <= gap_end:
                         key = (slot, lane_free[lane_id], lane_id)
                         if key < best:
                             best, start, lane, gap_index = key, slot, lane_id, k
                         break
-        finish = start + cost
+        finish = start + 1
         if gap_index is not None:
             idle = gaps[lane]
             gap_start, gap_end = idle.pop(gap_index)
@@ -189,13 +188,13 @@ def dag_list_schedule(
     return out  # type: ignore[return-value]
 
 
-def lane_fill(n: int, lane_free: list, ready: float, cost: float) -> list:
+def lane_fill(n: int, lane_free: list, ready: float) -> list:
     """The module docstring's lane fill; mutates ``lane_free`` in place."""
     placed = []
     for _ in range(n):
         free = min(lane_free)
         lane = lane_free.index(free)
         start = ready if ready > free else free
-        finish = lane_free[lane] = start + cost
+        finish = lane_free[lane] = start + 1
         placed.append((start, finish, lane))
     return placed

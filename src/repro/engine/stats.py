@@ -119,6 +119,7 @@ class EngineStats:
 
     num_lanes: int = 1
     window: int = 0
+    #: One op's virtual time, always 1 (``benchmarks/wall`` reads it).
     op_cost: float = 1.0
 
     ops_executed: int = 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.cluster.node as node_module
 from repro.cluster import (
     ShardMap,
     TokenCluster,
@@ -120,13 +121,14 @@ class TestOwnerLocalTraffic:
 
 class TestLeaseProtocol:
     def test_cross_shard_uncontended_chain_migrates_ownership(self):
-        token, cluster = make_cluster(4, lease_min_gain=1)
+        token, cluster = make_cluster(4)
         a, b = accounts_on_distinct_nodes(cluster)
-        # a credits b, then b spends: an uncontended cross-shard chain
-        # (credit-enables-spend), resolved by a lease handoff — never by
-        # consensus.
+        # a credits b, then b spends twice: an uncontended cross-shard
+        # chain (credit-enables-spend) with a busier node, resolved by a
+        # lease handoff — never by consensus.
         cluster.submit(a, op("transfer", b, 3))
         cluster.submit(b, op("transfer", a, 2))
+        cluster.submit(b, op("transfer", a, 1))
         stats = cluster.run()
         assert stats.lease_migrations >= 1
         assert stats.lease_messages == 3 * stats.lease_migrations
@@ -136,7 +138,7 @@ class TestLeaseProtocol:
             cluster.shard_map.shard_of(a) in moved
             or cluster.shard_map.shard_of(b) in moved
         )
-        assert cluster.responses_in_order() == [True, True]
+        assert cluster.responses_in_order() == [True, True, True]
         # The routing view and the nodes' mirrored ownership agree.
         for node in cluster.nodes:
             assert node.owned_shards == set(
@@ -147,7 +149,7 @@ class TestLeaseProtocol:
         assert cluster.shard_map.owner_of_shard(record.shard) == record.to_node
 
     def test_lease_min_gain_suppresses_churn(self):
-        _, cluster = make_cluster(4, lease_min_gain=2)
+        _, cluster = make_cluster(4)
         a, b = accounts_on_distinct_nodes(cluster)
         # A 1-vs-1 split chain names no busier node: co-located without
         # a handoff.
@@ -158,7 +160,7 @@ class TestLeaseProtocol:
         assert cluster.responses_in_order() == [True, True]
 
     def test_majority_owner_wins_the_lease(self):
-        _, cluster = make_cluster(4, lease_min_gain=2, window=8)
+        _, cluster = make_cluster(4, window=8)
         a, b = accounts_on_distinct_nodes(cluster)
         owner_a = cluster.shard_map.owner_of(a)
         # Two ops anchored at a, one at b: a's owner is the busier node,
@@ -321,6 +323,44 @@ class TestClusterStats:
         assert st1.as_dict() == st2.as_dict()
 
 
+class TestFixedGeometry:
+    """The shard ring and an op's cost are constants, not knobs."""
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 4, 8])
+    def test_the_ring_is_eight_shards_a_node_and_at_least_16(self, nodes):
+        _, cluster = make_cluster(nodes)
+        shards = max(16, 8 * nodes)
+        assert cluster.shard_map.num_shards == cluster.stats.num_shards
+        assert cluster.shard_map.num_shards == shards
+        owned = {
+            len(cluster.shard_map.shards_of_node(node))
+            for node in range(nodes)
+        }
+        assert owned == {shards // nodes}
+
+    def test_every_placed_op_costs_one_unit(self, monkeypatch):
+        unit = []  # per placed op: it lasts exactly one unit
+
+        def timed(place):
+            def tapped(*args, **kwargs):
+                placed = place(*args, **kwargs)
+                unit.extend(end == start + 1 for start, end, _ in placed)
+                return placed
+
+            return tapped
+
+        for name in ("dag_list_schedule", "lane_fill"):
+            monkeypatch.setattr(
+                node_module, name, timed(getattr(node_module, name))
+            )
+        _, cluster = make_cluster(4)
+        items = TokenWorkloadGenerator(ACCOUNTS, seed=6).generate(150)
+        _, _, stats = cluster.run_workload(items)
+        assert len(unit) == stats.ops_executed == 150
+        assert all(unit)
+        assert stats.op_cost == stats.as_dict()["op_cost"] == 1.0
+
+
 class TestConfigValidation:
     def test_rejects_bad_cluster_config(self):
         token = ERC20TokenType(4, total_supply=40)
@@ -328,8 +368,6 @@ class TestConfigValidation:
             TokenCluster(token, ClusterConfig(num_nodes=0))
         with pytest.raises(ClusterError):
             TokenCluster(token, ClusterConfig(num_nodes=2, window=0))
-        with pytest.raises(ClusterError):
-            TokenCluster(token, ClusterConfig(num_nodes=4, num_shards=2))
 
     def test_owner_local_workload_needs_a_transfer_pool(self):
         shard_map = ShardMap(16, 16)

@@ -88,13 +88,10 @@ class TestSerialEquivalence:
         depth=st.integers(1, 4),
         nodes=st.sampled_from(NODE_COUNTS),
         hotspot=st.sampled_from([0.0, 0.6]),
-        lease_min_gain=st.sampled_from([1, 2]),
     )
-    def test_erc20_hypothesis_sweep(
-        self, seed, depth, nodes, hotspot, lease_min_gain
-    ):
-        """Any depth × node count × lease schedule: the knobs change the
-        message pattern and the overlap, never the outcome."""
+    def test_erc20_hypothesis_sweep(self, seed, depth, nodes, hotspot):
+        """Any depth × node count × hotspot: the knobs change the message
+        pattern, the leases and the overlap, never the outcome."""
         token = ERC20TokenType(8, total_supply=80)
         items = TokenWorkloadGenerator(
             8,
@@ -110,7 +107,6 @@ class TestSerialEquivalence:
             nodes,
             depth,
             seed=seed,
-            lease_min_gain=lease_min_gain,
         )
         assert state == ref_state
         assert responses == ref_responses
@@ -119,11 +115,10 @@ class TestSerialEquivalence:
     @given(
         seed=st.integers(0, 10_000),
         depth=st.integers(2, 4),
-        num_shards=st.sampled_from([16, 23]),
+        nodes=st.sampled_from([1, 3, 5]),
     )
-    def test_shard_geometry_never_changes_the_outcome(
-        self, seed, depth, num_shards
-    ):
+    def test_shard_geometry_never_changes_the_outcome(self, seed, depth, nodes):
+        """The node count sets the ring (``max(16, 8 * nodes)`` shards)."""
         token = ERC20TokenType(10, total_supply=200)
         items = TokenWorkloadGenerator(
             10, seed=seed, mix=WorkloadMix(), zipf_s=1.2
@@ -132,9 +127,8 @@ class TestSerialEquivalence:
         state, responses, _ = cluster_run(
             lambda: ERC20TokenType(10, total_supply=200),
             items,
-            3,
+            nodes,
             depth,
-            num_shards=num_shards,
             seed=seed,
         )
         assert state == ref_state

@@ -16,9 +16,11 @@ import pytest
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig, FaultConfig
 from repro.objects.erc20 import ERC20TokenType
+from repro.spec.operation import op
 from repro.workloads import (
     SPENDER_HEAVY_MIX,
     TokenWorkloadGenerator,
+    WorkloadItem,
     serial_reference,
 )
 
@@ -70,29 +72,50 @@ class DrainWatch:
         self.waiting += bool(queued)
 
 
+def tug_of_war(shard_map, rounds: int) -> list[WorkloadItem]:
+    """One 2-vs-1 chain a window, alternately anchored on node 0 and
+    node 1, each pulling ``b``'s shard to its majority owner: every
+    round plans a migration of the shard whose last handoff may still be
+    in flight."""
+    a = next(x for x in range(ACCOUNTS) if shard_map.owner_of(x) == 0)
+    b = next(x for x in range(ACCOUNTS) if shard_map.owner_of(x) == 1)
+    c = next(
+        x
+        for x in range(ACCOUNTS)
+        if shard_map.owner_of(x) == 1
+        and shard_map.shard_of(x) != shard_map.shard_of(b)
+    )
+    items = []
+    for k in range(rounds):
+        puller = a if k % 2 == 0 else c
+        items += [
+            WorkloadItem(puller, op("transfer", b, 1)),
+            WorkloadItem(puller, op("transfer", b, 1)),
+            WorkloadItem(b, op("transfer", puller, 1)),
+        ]
+    return items
+
+
 @pytest.mark.parametrize("faults", sorted(FAULTS))
 def test_one_drain_pass_is_the_fixpoint(faults):
     token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
-    items = TokenWorkloadGenerator(
+    fault = FAULTS[faults]
+    # One-chain windows, three rounds in flight and a tug of war over one
+    # shard: its handoffs queue behind each other.
+    config = ClusterConfig(
+        num_nodes=4,
+        lanes_per_node=4,
+        window=3,
+        pipeline_depth=3,
+        seed=7,
+        result_timeout=12.0 if fault.enabled else None,
+        fault=fault,
+    )
+    cluster = TokenCluster(token, config)
+    items = tug_of_war(cluster.shard_map, rounds=16)
+    items += TokenWorkloadGenerator(
         ACCOUNTS, seed=7, mix=SPENDER_HEAVY_MIX
     ).generate(480)
-    fault = FAULTS[faults]
-    # Few shards, small windows, three rounds in flight and a one-op lease
-    # gain: one shard's handoffs queue behind each other.
-    cluster = TokenCluster(
-        token,
-        ClusterConfig(
-            num_nodes=4,
-            lanes_per_node=4,
-            window=16,
-            num_shards=8,
-            lease_min_gain=1,
-            pipeline_depth=3,
-            seed=7,
-            result_timeout=12.0 if fault.enabled else None,
-            fault=fault,
-        ),
-    )
     watch = DrainWatch(cluster.router)
     state, responses, stats = cluster.run_workload(items)
 

@@ -4,11 +4,11 @@ Every test here runs a faulted cluster against the object's sequential
 specification and demands *serial equivalence*: no committed operation
 lost, none double-applied, every response identical to the fault-free
 run.  On top of that sit the protocol-level claims — recovery armed but
-idle costs nothing, revocation bypasses the lease cooldown while rejoin
-rebalancing honors it, and an unsurvivable schedule fails loudly instead
-of silently dropping operations.  A hypothesis property sweeps random
-crash schedules across pipeline depths and node counts.  Every
-:func:`run_cluster` run also holds each node placement to the node
+idle costs nothing, revocation re-homes every shard of a dead node and
+rejoin rebalancing hands shards back, and an unsurvivable schedule fails
+loudly instead of silently dropping operations.  A hypothesis property
+sweeps random crash schedules across pipeline depths and node counts.
+Every :func:`run_cluster` run also holds each node placement to the node
 monitor (``tests/cluster/node_tap.py``): a node applies in submission
 order, so a misplaced op would change no response.
 """
@@ -379,10 +379,27 @@ def test_a_twice_replayed_unit_settles_both_failure_episodes():
     assert stats.recovery_makespan == 2 * end
 
 
-def test_revocation_bypasses_lease_cooldown():
-    """A revoked shard must be immediately re-grantable: the fail-over
-    drops the shard's cooldown pin (a dead owner is not ping-pong), while
-    rejoin rebalancing *sets* pins like any planned migration."""
+def test_a_revoked_shard_is_no_longer_held():
+    """Revocation lets go of a shard the rejoin rebalance had just handed
+    over: a dead owner's shard is re-grantable at once."""
+    cluster = TokenCluster(
+        make_token(),
+        ClusterConfig(num_nodes=4, result_timeout=TIMEOUT),
+    )
+    router = cluster.router
+    shards = set(cluster.shard_map.shards_of_node(1))
+    other = min(cluster.shard_map.shards_of_node(0))
+    router._held.update(shards | {other})
+    router._revoke_shards(1, [0, 2, 3])
+    assert not cluster.shard_map.shards_of_node(1)
+    assert router._held == {other}
+
+
+def test_revocation_rehomes_every_shard_of_a_dead_node():
+    """Declaring a node dead moves every shard it owns onto a live node
+    at once — only a shard mid-handoff waits, for the adopter — and each
+    is re-grantable at once; the rejoin rebalancing hands the restarted
+    node shards again, held for the round routed next."""
     items = make_items()
     token = make_token()
     config = ClusterConfig(
@@ -390,7 +407,6 @@ def test_revocation_bypasses_lease_cooldown():
         lanes_per_node=4,
         window=64,
         seed=SEED,
-        lease_cooldown=50,
         result_timeout=TIMEOUT,
         fault=FaultConfig(enabled=True, crashes=((1, TIMEOUT, 60.0),)),
     )
@@ -402,13 +418,17 @@ def test_revocation_bypasses_lease_cooldown():
 
     def spy_declare(node):
         owned_before = set(cluster.shard_map.shards_of_node(node))
+        in_handoff = set(router._handoffs)
         original_declare(node)
-        moved = owned_before - set(cluster.shard_map.shards_of_node(node))
-        observed.setdefault("revoked", set()).update(moved)
-        pinned = moved & set(router._last_migration)
-        assert not pinned, (
-            f"revoked shards still pinned by the cooldown: {pinned}"
+        kept = set(cluster.shard_map.shards_of_node(node))
+        assert kept <= in_handoff, (
+            f"revocation left shards on the dead node: {kept - in_handoff}"
         )
+        moved = owned_before - kept
+        observed.setdefault("revoked", set()).update(moved)
+        live = set(router._live())
+        assert {cluster.shard_map.owner_of_shard(s) for s in moved} <= live
+        assert not moved & router._held, "a revoked shard is still held"
 
     original_rejoin = router.node_rejoined
 
@@ -417,16 +437,15 @@ def test_revocation_bypasses_lease_cooldown():
         original_rejoin(node)
         gained = set(cluster.shard_map.shards_of_node(node)) - owned_before
         observed.setdefault("rebalanced", set()).update(gained)
-        unpinned = gained - set(router._last_migration)
-        assert not unpinned, (
-            f"rejoin rebalancing skipped the cooldown pin: {unpinned}"
-        )
+        assert gained <= router._held, "a rebalanced shard is not held"
 
     router._declare_dead = spy_declare
     router.node_rejoined = spy_rejoin
     cluster.run_workload(items)
     assert observed.get("revoked"), "the crash never revoked a shard"
     assert observed.get("rebalanced"), "the rejoin never rebalanced"
+    # Rounds were routed after the rejoin, and the first one let go.
+    assert not router._held
     assert_equivalent(cluster, items)
 
 

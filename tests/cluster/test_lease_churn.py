@@ -1,16 +1,12 @@
-"""Lease anti-churn: the cooldown stops alternating-round ping-pong.
+"""Leases chase the majority, and the chase never changes the outcome.
 
 Two chains alternate majority ownership of one account's shard: rounds
 anchored at node 0 pull the shard over, rounds anchored at node 1 pull it
-back.  Without hysteresis every round migrates the lease; with
-``lease_cooldown`` the shard is pinned for the configured rounds after a
-move, suppressed handoffs are counted, and — because co-location, not
-ownership, is the safety argument — the outcome never changes.
+back, so every round migrates the lease — and, because co-location, not
+ownership, is the safety argument, the outcome is the sequential one.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.cluster import TokenCluster
 from repro.config import ClusterConfig
@@ -60,7 +56,7 @@ def ping_pong_workload(
     return items
 
 
-def run(items, cooldown: int):
+def run(items):
     token = ERC20TokenType(
         ACCOUNTS, initial_state=TokenState.create([50] * ACCOUNTS)
     )
@@ -71,22 +67,21 @@ def run(items, cooldown: int):
             lanes_per_node=2,
             window=WINDOW,
             seed=11,
-            lease_cooldown=cooldown,
         ),
     )
     state, responses, stats = cluster.run_workload(items)
     return cluster, state, responses, stats
 
 
-class TestLeaseCooldown:
-    def test_without_cooldown_the_shard_ping_pongs(self):
+class TestLeaseChurn:
+    def test_the_shard_ping_pongs(self):
         probe = TokenCluster(
             ERC20TokenType(ACCOUNTS, total_supply=0),
             ClusterConfig(num_nodes=2, window=WINDOW),
         )
         a, b, c = pick_accounts(probe)
         items = ping_pong_workload(a, b, c, rounds=8)
-        cluster, _, _, stats = run(items, cooldown=0)
+        cluster, _, _, _ = run(items)
         shard_b = cluster.shard_map.shard_of(b)
         moves = [
             record
@@ -96,30 +91,8 @@ class TestLeaseCooldown:
         # The lease chases the majority every round: back and forth.
         assert len(moves) >= 6
         assert {m.to_node for m in moves} == {0, 1}
-        assert stats.lease_cooldown_skips == 0
 
-    def test_cooldown_suppresses_the_churn(self):
-        probe = TokenCluster(
-            ERC20TokenType(ACCOUNTS, total_supply=0),
-            ClusterConfig(num_nodes=2, window=WINDOW),
-        )
-        a, b, c = pick_accounts(probe)
-        items = ping_pong_workload(a, b, c, rounds=8)
-        churn, _, _, churn_stats = run(items, cooldown=0)
-        calm, _, _, calm_stats = run(items, cooldown=3)
-        shard_b = churn.shard_map.shard_of(b)
-        churn_moves = sum(
-            1 for r in churn.shard_map.migrations if r.shard == shard_b
-        )
-        calm_moves = sum(
-            1 for r in calm.shard_map.migrations if r.shard == shard_b
-        )
-        assert calm_moves < churn_moves
-        assert calm_stats.lease_cooldown_skips > 0
-        assert calm_stats.lease_migrations < churn_stats.lease_migrations
-
-    @pytest.mark.parametrize("cooldown", [0, 1, 3, 10])
-    def test_cooldown_never_changes_the_outcome(self, cooldown):
+    def test_the_churn_never_changes_the_outcome(self):
         probe = TokenCluster(
             ERC20TokenType(ACCOUNTS, total_supply=0),
             ClusterConfig(num_nodes=2, window=WINDOW),
@@ -132,15 +105,6 @@ class TestLeaseCooldown:
         ref_state, ref_responses = token.run(
             [(item.pid, item.operation) for item in items]
         )
-        _, state, responses, _ = run(items, cooldown=cooldown)
+        _, state, responses, _ = run(items)
         assert state == ref_state
         assert responses == ref_responses
-
-    def test_negative_cooldown_rejected(self):
-        from repro.errors import ClusterError
-
-        with pytest.raises(ClusterError):
-            TokenCluster(
-                ERC20TokenType(4, total_supply=4),
-                ClusterConfig(num_nodes=2, num_shards=4, lease_cooldown=-1),
-            )

@@ -1,10 +1,10 @@
 """Routing policy with no simulator: :func:`route_window` on a hand-built
 shard map.
 
-Routing is a function of (window, ownership, config, live nodes) — no
-network, no clock — so the policy claims are checked here directly: who
-wins a chain, when a lease moves, what a cooldown suppresses, and the
-liveness invariant that no unit is ever placed on a dead node, whatever
+Routing is a function of (window, ownership, live nodes) — no network,
+no clock — so the policy claims are checked here directly: who wins a
+chain, when a lease moves (and that a shard moves at most once a round),
+and the liveness invariant that no unit is ever placed on a dead node, whatever
 the ownership map says.
 """
 
@@ -31,8 +31,7 @@ NODES = 4
 SHARDS = 16
 
 
-def route(window, shard_map, index=0, live=None, last_migration=None, **knobs):
-    config = ClusterConfig(num_nodes=shard_map.num_nodes, **knobs)
+def route(window, shard_map, index=0, live=None, held=()):
     classifier = OpClassifier(
         ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
     )
@@ -41,12 +40,9 @@ def route(window, shard_map, index=0, live=None, last_migration=None, **knobs):
         index,
         classifier=classifier,
         shard_map=shard_map,
-        sync=TieredEscalator(
-            team_threshold=config.team_threshold
-        ),
-        config=config,
+        sync=TieredEscalator(team_threshold=ClusterConfig().team_threshold),
         live=list(range(shard_map.num_nodes)) if live is None else live,
-        last_migration={} if last_migration is None else last_migration,
+        held=set(held),
     )
 
 
@@ -83,16 +79,14 @@ def test_majority_owner_wins_and_leases_the_minority_shard():
     (sink,) = accounts_of(shard_map, 3)[:1]
     shard = shard_map.shard_of(c)
     window = chain(0, a, b, c, sink)
-    last_migration: dict[int, int] = {}
-    routed = route(window, shard_map, index=5, last_migration=last_migration)
+    routed = route(window, shard_map, index=5)
     unit = unit_of(routed, 0)
     assert (unit.node, len(unit.ops), unit.leases) == (2, 3, 1)
     assert routed.lease_pending == [(shard, 1, 2)]
     assert routed.lease_units == {shard: unit.uidx}
     assert routed.pending_acks == 1
-    # The map and the cooldown table it was handed moved with the plan.
+    # The map it was handed moved with the plan.
     assert shard_map.owner_of_shard(shard) == 2
-    assert last_migration == {shard: 5}
     # Start-of-round ownership is the owner-local yardstick.
     assert routed.stats.owner_local_ops == 2
     assert routed.stats.lease_migrations == 1
@@ -112,30 +106,75 @@ def test_an_even_split_goes_to_the_lighter_node_and_moves_no_lease():
     assert routed.stats.owner_local_ops == 3
 
 
-def test_min_gain_and_cooldown_suppress_the_lease_never_the_colocation():
+def test_a_shard_moves_at_most_once_per_round():
     shard_map = ShardMap(SHARDS, NODES)
     a, b = accounts_of(shard_map, 2)[:2]
     (c,) = accounts_of(shard_map, 1)[:1]
+    d, e = accounts_of(shard_map, 3)[:2]
+    sinks = accounts_of(shard_map, 0)
     shard = shard_map.shard_of(c)
-    window = chain(0, a, b, c, c + SHARDS)  # two ops on node 2, one on 1
-    pinned = {shard: 6}  # the shard last moved in round 6
-
-    for index, knobs, skips in (
-        (10, {"lease_min_gain": 3}, 0),
-        (10, {"lease_cooldown": 4, "last_migration": pinned}, 1),
-    ):
-        routed = route(window, shard_map, index=index, **knobs)
-        unit = unit_of(routed, 0)
-        assert (unit.node, len(unit.ops), unit.leases) == (2, 3, 0)
-        assert routed.lease_pending == []
-        assert shard_map.owner_of_shard(shard) == 1
-        assert routed.stats.cooldown_skips == skips
-    # One round later the pin has expired.
-    routed = route(
-        window, shard_map, index=11, lease_cooldown=4, last_migration=pinned
-    )
+    # The first chain leases c's shard to node 2; the second, two ops on
+    # node 3 and one on that shard, would lease it on to node 3.
+    window = chain(0, a, b, c, sinks[0]) + chain(3, d, e, c + SHARDS, sinks[1])
+    routed = route(window, shard_map)
+    first, second = unit_of(routed, 0), unit_of(routed, 3)
+    assert (first.node, first.leases) == (2, 1)
+    # The second chain still runs whole on its majority owner; only the
+    # handoff is refused.
+    assert (second.node, len(second.ops), second.leases) == (3, 3, 0)
     assert routed.lease_pending == [(shard, 1, 2)]
-    assert pinned == {shard: 11}
+    assert shard_map.owner_of_shard(shard) == 2
+
+
+def test_a_held_shard_stays_put_and_its_chain_still_colocates():
+    """A shard the rejoin rebalance just handed over is held for the
+    round routed next: the 2-vs-1 chain that would lease it runs on its
+    majority owner anyway."""
+    shard_map = ShardMap(SHARDS, NODES)
+    a, b = accounts_of(shard_map, 2)[:2]
+    (c,) = accounts_of(shard_map, 1)[:1]
+    (sink,) = accounts_of(shard_map, 3)[:1]
+    shard = shard_map.shard_of(c)
+    routed = route(chain(0, a, b, c, sink), shard_map, held={shard})
+    unit = unit_of(routed, 0)
+    assert (unit.node, len(unit.ops), unit.leases) == (2, 3, 0)
+    assert routed.lease_pending == []
+    assert shard_map.owner_of_shard(shard) == 1
+
+
+def split_three_ways(shard_map):
+    """A chain anchored twice on node 2 and once each on nodes 1 and 3,
+    and the two minority shards."""
+    a, b = accounts_of(shard_map, 2)[:2]
+    (c,) = accounts_of(shard_map, 1)[:1]
+    (d,) = accounts_of(shard_map, 3)[:1]
+    (sink,) = accounts_of(shard_map, 0)[:1]
+    return (
+        chain(0, a, b, c, d, sink),
+        shard_map.shard_of(c),
+        shard_map.shard_of(d),
+    )
+
+
+def test_a_two_one_one_split_leases_both_minority_shards():
+    shard_map = ShardMap(SHARDS, NODES)
+    window, from_1, from_3 = split_three_ways(shard_map)
+    routed = route(window, shard_map)
+    unit = unit_of(routed, 0)
+    assert (unit.node, len(unit.ops), unit.leases) == (2, 4, 2)
+    assert sorted(routed.lease_pending) == sorted(
+        [(from_1, 1, 2), (from_3, 3, 2)]
+    )
+
+
+def test_a_held_shard_blocks_only_itself():
+    shard_map = ShardMap(SHARDS, NODES)
+    window, from_1, from_3 = split_three_ways(shard_map)
+    routed = route(window, shard_map, held={from_1})
+    unit = unit_of(routed, 0)
+    assert (unit.node, unit.leases) == (2, 1)
+    assert routed.lease_pending == [(from_3, 3, 2)]
+    assert shard_map.owner_of_shard(from_1) == 1
 
 
 def test_a_later_chain_sees_an_earlier_chains_migration():
@@ -203,9 +242,8 @@ def test_a_chain_whose_majority_owner_is_dead_runs_on_a_live_owner():
         st.integers(min_value=0, max_value=NODES - 1), min_size=1
     ).map(sorted),
     seed=st.integers(min_value=0, max_value=2**16),
-    min_gain=st.integers(min_value=1, max_value=3),
 )
-def test_no_unit_is_ever_placed_on_a_dead_node(owners, live, seed, min_gain):
+def test_no_unit_is_ever_placed_on_a_dead_node(owners, live, seed):
     """For ANY ownership map — shards stranded on dead nodes included —
     every op of the window lands in exactly one unit, on a live node."""
     shard_map = ShardMap(SHARDS, NODES)
@@ -219,7 +257,7 @@ def test_no_unit_is_ever_placed_on_a_dead_node(owners, live, seed, min_gain):
         PendingOp(seq, item.pid, item.operation)
         for seq, item in enumerate(items)
     ]
-    routed = route(window, shard_map, live=live, lease_min_gain=min_gain)
+    routed = route(window, shard_map, live=live)
     assert {unit.node for unit in routed.units.values()} <= set(live)
     assert set(routed.assignment) <= set(live)
     assert sorted(

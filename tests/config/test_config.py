@@ -26,7 +26,9 @@ from repro.cluster import ClusterConfig, TokenCluster
 from repro.config import EngineConfig, FaultConfig
 from repro.engine import OpClassifier, PipelinedExecutor
 from repro.errors import ClusterError, EngineError
+from repro.net.network import UniformLatency
 from repro.objects.erc20 import ERC20TokenType
+from repro.obs.trace import TraceRecorder
 
 ACCOUNTS = 48
 
@@ -59,14 +61,52 @@ class TestSnapshot:
         assert json.loads(json.dumps(snapshot)) == snapshot
 
     def test_the_config_surface_is_pinned(self):
-        """Seven engine knobs and thirteen cluster knobs; the team-lane
-        GC knob is gone from both (a lane lives as long as its pool)."""
-        assert len(fields(EngineConfig)) == 7
-        assert len(fields(ClusterConfig)) == 13
+        """Six engine knobs and nine cluster knobs.  Gone: the team-lane
+        GC knob (a lane lives as long as its pool), the op cost (every op
+        costs one unit), the shard count (``max(16, 8 * num_nodes)``),
+        the lease gain (a constant) and cooldown, and the constructors'
+        latency model and classifier (each builds its own)."""
+        assert len(fields(EngineConfig)) == 6
+        assert len(fields(ClusterConfig)) == 9
+        for name, value in (("lane_ttl", 32), ("op_cost", 1.0)):
+            with pytest.raises(TypeError):
+                EngineConfig(**{name: value})
+        for name, value in (
+            ("lane_ttl", None),
+            ("op_cost", 1.0),
+            ("num_shards", 16),
+            ("lease_min_gain", 2),
+            ("lease_cooldown", 0),
+        ):
+            with pytest.raises(TypeError):
+                ClusterConfig(**{name: value})
+        token = make_token()
         with pytest.raises(TypeError):
-            EngineConfig(lane_ttl=32)
+            TokenCluster(token, latency=UniformLatency(0.5, 1.5))
         with pytest.raises(TypeError):
-            ClusterConfig(lane_ttl=None)
+            PipelinedExecutor(token, classifier=OpClassifier(token))
+
+    def test_the_fields_are_named(self):
+        """A knob added or renamed is a change of this list, on purpose."""
+        assert [field.name for field in fields(EngineConfig)] == [
+            "num_lanes",
+            "window",
+            "seed",
+            "mempool_capacity",
+            "team_threshold",
+            "pipeline_depth",
+        ]
+        assert [field.name for field in fields(ClusterConfig)] == [
+            "num_nodes",
+            "lanes_per_node",
+            "window",
+            "seed",
+            "mempool_capacity",
+            "team_threshold",
+            "pipeline_depth",
+            "result_timeout",
+            "fault",
+        ]
 
 
 class TestTheConfigIsTheOnlyWay:
@@ -105,11 +145,28 @@ class TestTheConfigIsTheOnlyWay:
 
     def test_collaborators_stay_keyword_arguments(self):
         token = make_token()
-        classifier = OpClassifier(token)
-        engine = PipelinedExecutor(token, classifier=classifier)
-        assert engine.classifier is classifier
+        tracer = TraceRecorder()
+        engine = PipelinedExecutor(token, tracer=tracer)
+        assert engine.tracer is tracer
         with pytest.raises(TypeError):
-            PipelinedExecutor(token, EngineConfig(), classifier)
+            PipelinedExecutor(token, EngineConfig(), tracer)
+
+
+class TestBuiltCollaborators:
+    """What a constructor kwarg used to supply is built in: one of each
+    per entry point."""
+
+    def test_the_engine_builds_its_own_classifier(self):
+        token = make_token()
+        first, second = PipelinedExecutor(token), PipelinedExecutor(token)
+        assert type(first.classifier) is OpClassifier
+        assert first.classifier.object_type is token
+        assert first.classifier is not second.classifier
+
+    def test_the_cluster_network_draws_uniform_latency(self):
+        latency = TokenCluster(make_token()).network.latency
+        assert type(latency) is UniformLatency
+        assert (latency.low, latency.high) == (0.5, 1.5)
 
 
 class TestValidation:
@@ -142,16 +199,3 @@ class TestValidation:
         fault = FaultConfig(enabled=False, crashes=((9, 5.0, 9.0),))
         config = ClusterConfig(num_nodes=4, fault=fault)
         assert config.fault.crashes == ((9, 5.0, 9.0),)
-
-    # Accepted, a non-positive op cost would shrink the engine's virtual
-    # time below its op count and make a cluster node schedule events in
-    # the past; the node's lane fill also needs ``op_cost > 0``.
-    @pytest.mark.parametrize("op_cost", [0, 0.0, -1.0, float("nan")])
-    def test_engine_refuses_a_non_positive_op_cost(self, op_cost):
-        with pytest.raises(EngineError, match="op_cost must be positive"):
-            EngineConfig(op_cost=op_cost)
-
-    @pytest.mark.parametrize("op_cost", [0, 0.0, -1.0, float("nan")])
-    def test_cluster_refuses_a_non_positive_op_cost(self, op_cost):
-        with pytest.raises(ClusterError, match="op_cost must be positive"):
-            ClusterConfig(op_cost=op_cost)

@@ -13,8 +13,8 @@ Machine-checked guarantees of the op-granular scheduler:
   component DAG edge, of which submission order is a linear extension
   (``engine/shard.py``'s module docstring);
 * **the list scheduler** — for random DAGs, priorities that rank every
-  predecessor first (bottom levels plus slack), floors, carried-in lane
-  timelines and float costs, :func:`dag_list_schedule` never overlaps
+  predecessor first (bottom levels plus slack), floors and carried-in
+  lane timelines, :func:`dag_list_schedule` never overlaps
   two tasks on a lane, honors every floor and predecessor, never moves
   ``lane_free`` backward, is deterministic — and places every task
   exactly where a ready heap scanning every lane does
@@ -369,7 +369,6 @@ def _lane_scan_schedule(
     priorities: list[int],
     lane_free: list[float],
     floors: list[float] | None = None,
-    cost: float = 1,
 ) -> list[tuple[float, float, int]]:
     """The ready-heap list scheduler, scanning every lane per task — the
     reference for :func:`dag_list_schedule`'s static order (the
@@ -402,7 +401,7 @@ def _lane_scan_schedule(
             # earliest feasible start — and any fitting gap beats the tail.
             for gap_index, (gap_start, gap_end) in enumerate(gaps[lane_id]):
                 slot = max(gap_start, est[i])
-                if slot + cost <= gap_end:
+                if slot + 1 <= gap_end:
                     start, placed_in = slot, gap_index
                     break
             key = (start, lane_free[lane_id], lane_id)
@@ -410,7 +409,7 @@ def _lane_scan_schedule(
                 best = (key, lane_id, placed_in)
         assert best is not None
         (start, _, lane), _, gap_index = best
-        finish = start + cost
+        finish = start + 1
         if gap_index is not None:
             gap_start, gap_end = gaps[lane].pop(gap_index)
             # Residual idle slivers stay fillable (sub-intervals of the
@@ -470,7 +469,6 @@ def list_schedule_inputs(draw):
         floors=draw(
             st.one_of(st.none(), st.lists(times, min_size=n, max_size=n))
         ),
-        cost=draw(st.sampled_from([1, 0.5, 1.0, 2.5, 2.75])),
     )
 
 
@@ -480,8 +478,8 @@ def gapped_schedule_inputs(draw):
     floored tasks opening gaps; tasks floored past every gap end (the
     horizon skip); unfloored fillers that close the gaps (the horizon
     resets once the last one closes); then floored tasks opening new gaps,
-    and tasks of every floor around them.  Integer floors and a cost that
-    divides them keep every gap closable."""
+    and tasks of every floor around them.  Integer floors and the unit
+    cost keep every gap closable."""
     lanes = draw(st.integers(1, 3))
     phases = [
         draw(st.lists(st.integers(1, 8), min_size=1, max_size=lanes + 2)),
@@ -502,7 +500,6 @@ def gapped_schedule_inputs(draw):
             st.lists(st.integers(0, 2), min_size=lanes, max_size=lanes)
         ),
         floors=floors,
-        cost=draw(st.sampled_from([1, 0.5])),
     )
 
 
@@ -522,10 +519,9 @@ class TestListScheduleProperties:
 
         n = len(inputs["seqs"])
         floors = inputs["floors"] or [0.0] * n
-        cost = inputs["cost"]
         assert len(out) == n
         for i, (start, finish, lane) in enumerate(out):
-            assert finish == start + cost
+            assert finish == start + 1
             assert start >= floors[i]
             assert start >= carried_in[lane]
             for p in inputs["preds"][i]:
@@ -550,7 +546,7 @@ class TestListScheduleProperties:
     @example(
         # One lane: a gap opens at 3; the task floored at 4 skips the walk;
         # three fillers close the gap (the horizon resets); a gap opens at
-        # 8, and a task floored at 7 fits it exactly (``est + cost ==
+        # 8, and a task floored at 7 fits it exactly (``est + 1 ==
         # horizon`` must still walk).
         inputs=dict(
             seqs=list(range(8)),
@@ -558,7 +554,6 @@ class TestListScheduleProperties:
             priorities=[9, 8, 7, 6, 5, 4, 3, 2],
             lane_free=[0],
             floors=[3, 4, 0, 0, 0, 8, 7, 0],
-            cost=1,
         )
     )
     @example(
@@ -571,7 +566,6 @@ class TestListScheduleProperties:
             priorities=[4, 3, 2, 1],
             lane_free=[0, 0],
             floors=[10, 5, 6, 6],
-            cost=1,
         )
     )
     @example(
@@ -585,7 +579,6 @@ class TestListScheduleProperties:
             priorities=[2, 3, 1],
             lane_free=[0, 0, 0],
             floors=[1, 1.0, 0],
-            cost=1,
         )
     )
     def test_lane_choice_equals_the_scan_over_all_lanes(self, inputs):
@@ -677,33 +670,42 @@ class TestLaneFill:
         n=st.integers(1, 24),
         lane_free=st.lists(lane_times(), min_size=1, max_size=6),
         ready=lane_times(),
-        cost=st.sampled_from([0.5, 1, 2.5]),
     )
     # An int floor equal to a float tail: the start is the tail (a float),
     # as ``max`` would not guarantee.
-    @example(n=2, lane_free=[1.0, 3], ready=1, cost=1)
+    @example(n=2, lane_free=[1.0, 3], ready=1)
     # Every lane busy past the floor, ties on the least free time.
-    @example(n=5, lane_free=[4, 2.5, 2.5, 7.25], ready=0.5, cost=2.5)
-    def test_it_places_as_the_list_scheduler(self, n, lane_free, ready, cost):
+    @example(n=5, lane_free=[4, 2.5, 2.5, 7.25], ready=0.5)
+    def test_it_places_as_the_list_scheduler(self, n, lane_free, ready):
         """Same ``(start, finish, lane)`` per op and the same carried-out
         ``lane_free``, compared by ``repr`` (an int that became a float
         counts as a difference).  Starts never decrease with position: a
         property of the fill, not a precondition of apply, which ignores
         the placement."""
         filled_free, listed_free = list(lane_free), list(lane_free)
-        filled = lane_fill(n, filled_free, ready, cost)
+        filled = lane_fill(n, filled_free, ready)
         listed = dag_list_schedule(
             range(n),
             [()] * n,
             [1] * n,
             listed_free,
             floors=[ready] * n,
-            cost=cost,
         )
         assert repr(filled) == repr(listed)
         assert repr(filled_free) == repr(listed_free)
         starts = [start for start, _, _ in filled]
         assert starts == sorted(starts)
+
+
+def test_integer_inputs_keep_integer_times():
+    """Every op costs one unit, so integer lane tails and floors give
+    integer placements (a float anywhere would show in a trace)."""
+    placed = dag_list_schedule(
+        range(4), [(), (0,), (), ()], [2, 1, 1, 1], [0, 3], floors=[1, 0, 5, 0]
+    )
+    filled = lane_fill(3, [2, 0], 1)
+    for start, finish, _ in placed + filled:
+        assert type(start) is int and finish == start + 1
 
 
 class TestSerialEquivalence:

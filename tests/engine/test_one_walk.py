@@ -58,7 +58,7 @@ def _latest(table: dict, locations, finish) -> None:
             table[loc] = finish
 
 
-def _reference_place(frontier, lane_free, plan, t_classify, op_sync, cost):
+def _reference_place(frontier, lane_free, plan, t_classify, op_sync):
     """The replaced walk on copies of the engine's pre-window state:
     ``frontier = (observed, wrote, sets, top, everything)``."""
     observed, wrote, sets, top, everything = frontier
@@ -94,7 +94,6 @@ def _reference_place(frontier, lane_free, plan, t_classify, op_sync, cost):
         priorities,
         lane_free,
         floors=[floors[i] for i in order],
-        cost=cost,
     )
     stall = stall_contended = 0.0
     completed = t_classify
@@ -201,7 +200,6 @@ def _run_against_reference(engine, items) -> list[tuple[int, int, int]]:
             plan,
             t_classify,
             op_sync,
-            engine.config.op_cost,
         )
         placed, stalls = place(plan, t_classify, op_sync)
         stall, stall_contended, completed, lanes_used = engine._placed
@@ -254,10 +252,9 @@ _MIXES = [
     lanes=st.sampled_from([1, 2, 8]),
     depth=st.sampled_from([1, 2, 4]),
     threshold=st.sampled_from([0, 8]),
-    cost=st.sampled_from([1.0, 0.5, 2.5]),
 )
 def test_the_walk_equals_the_replaced_walk(
-    accounts, mix, seed, ops, unknown, window, lanes, depth, threshold, cost
+    accounts, mix, seed, ops, unknown, window, lanes, depth, threshold
 ):
     items = TokenWorkloadGenerator(
         accounts, seed=seed, mix=mix, hotspot_fraction=0.5
@@ -273,7 +270,6 @@ def test_the_walk_equals_the_replaced_walk(
             window=window,
             pipeline_depth=depth,
             team_threshold=threshold,
-            op_cost=cost,
             seed=seed,
         ),
     )

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.pipeline as pipeline_module
 from repro.analysis.commutativity import audit_static_kinds
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor, dag_list_schedule
@@ -236,6 +237,28 @@ class TestDepthInvariance:
         assert stats.virtual_time == sum(r.virtual_time for r in stats.rounds)
 
 
+class TestUnitCost:
+    def test_every_placed_op_costs_one_unit(self, monkeypatch):
+        unit = []  # per placed op: it lasts exactly one unit
+        place = pipeline_module.dag_list_schedule
+
+        def timed(*args, **kwargs):
+            placed = place(*args, **kwargs)
+            unit.extend(end == start + 1 for start, end, _ in placed)
+            return placed
+
+        monkeypatch.setattr(pipeline_module, "dag_list_schedule", timed)
+        token = ERC20TokenType(12, total_supply=240)
+        items = TokenWorkloadGenerator(12, seed=3).generate(120)
+        engine = PipelinedExecutor(token, EngineConfig(window=16))
+        engine.run_workload(items)
+        stats = engine.stats
+        assert len(unit) == stats.ops_executed == 120
+        assert all(unit)
+        assert stats.op_cost == 1.0
+        assert stats.serial_virtual_time == 120 + stats.escalation_time
+
+
 class TestStageMachine:
     def test_drain_on_empty_mempool_returns_none(self):
         engine = PipelinedExecutor(ERC20TokenType(4, total_supply=40))
@@ -385,13 +408,12 @@ class TestTierZeroPlacement:
             priorities=[1] * len(readers),
             lane_free=list(lane_free),
             floors=floors,
-            cost=engine.config.op_cost,
         )
         for unit, floor, slot in zip(units, floors, expected):
             free = min(lane_free)
             lane = lane_free.index(free)
             start = max(free, floor)
-            lane_free[lane] = start + engine.config.op_cost
+            lane_free[lane] = start + 1
             assert (unit.start, unit.finish, unit.lane) == slot
             assert slot == (start, lane_free[lane], lane)
             base = max(free, t_classify)

@@ -145,11 +145,10 @@ class TestClusterTierEquivalence:
         seed=st.integers(0, 10_000),
         threshold=st.sampled_from((0, 2, 4, 16)),
         nodes=st.sampled_from((2, 4)),
-        cooldown=st.sampled_from((0, 2)),
     )
-    def test_hypothesis_sweep(self, seed, threshold, nodes, cooldown):
-        """Any threshold × any node count × any cooldown: the knobs move
-        messages and leases, never the outcome."""
+    def test_hypothesis_sweep(self, seed, threshold, nodes):
+        """Any threshold × any node count: the knobs move messages and
+        leases, never the outcome."""
         token = ERC20TokenType(12, total_supply=240)
         items = TokenWorkloadGenerator(
             12,
@@ -166,7 +165,6 @@ class TestClusterTierEquivalence:
                 window=16,
                 seed=seed,
                 team_threshold=threshold,
-                lease_cooldown=cooldown,
             ),
         )
         state, responses, _ = cluster.run_workload(items)
@@ -233,7 +231,6 @@ class TestTierStatsSurface:
             "mean_team_size",
             "max_concurrent_teams",
             "dropped_ops",
-            "lease_cooldown_skips",
         ):
             assert key in summary
         for bill in summary["node_bills"]:
