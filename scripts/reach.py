@@ -113,9 +113,13 @@ ALLOW = {
         "frozen wall-benchmark names: benchmarks/wall binds them, nothing "
         "in src/ calls them"
     ),
+    "repro.engine.conflict_graph.ConflictGraph": (
+        "frozen wall-benchmark names: benchmarks/wall binds them, nothing "
+        "in src/ calls them"
+    ),
     "repro.engine.classifier.OpClassifier.classify": (
-        "frozen wall-benchmark name; the all-pairs reference the indexed "
-        "conflict build is held to"
+        "frozen wall-benchmark name; the all-pairs reference the window "
+        "plan is held to"
     ),
     "repro.engine.classifier.OpClassifier._pair_kind": (
         "frozen wall-benchmark name behind classify"

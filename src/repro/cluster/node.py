@@ -69,8 +69,8 @@ class _NodeUnit:
     ``cl_run`` lands."""
 
     ops: list[PendingOp] | None = None
-    #: The router's plan, ``plan.dags[k]`` as shipped (positions in
-    #: ``ops``); ``None``: no edges.
+    #: The router's plan, ``plan.dags[k]`` as ``plan_window`` built and
+    #: the router shipped it (positions in ``ops``); ``None``: no edges.
     dag: ComponentDAG | None = None
     #: Lease grants the unit must wait for / has received.
     leases_needed: int = 0

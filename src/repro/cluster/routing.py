@@ -107,8 +107,8 @@ class _Unit:
     #: Union of the ops' footprints (``None`` = unknown), the
     #: cross-round frontier test's input.
     summary: OpFootprint | None
-    #: The component's precedence DAG — ``plan.dags[k]`` as it is, over
-    #: positions in ``ops`` — the plan the node executes; ``None`` for a
+    #: The component's precedence DAG — ``plan.dags[k]`` as the plan's
+    #: one walk built it, over positions in ``ops``; ``None`` for a
     #: residual unit, whose ops share no edge.
     dag: ComponentDAG | None
     dispatched: bool = False

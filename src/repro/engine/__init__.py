@@ -38,7 +38,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.config": ("EngineConfig",),
     "repro.engine.classifier": ("ClassifierStats", "OpClassifier"),
-    "repro.engine.conflict_graph": ("ComponentDAG", "ConflictGraph"),
+    "repro.engine.conflict_graph": ("ComponentDAG",),
     "repro.engine.mempool": ("Mempool", "PendingOp"),
     "repro.engine.pipeline": ("PipelinedExecutor", "ScheduledUnit"),
     "repro.engine.rounds": ("WindowPlan", "plan_window"),

@@ -10,12 +10,12 @@ analysis (:mod:`repro.objects.footprint`), whose verdicts hold at every
 state and depend on operation type plus touched accounts, not on values.
 
 A window's non-commuting pairs are found per *location*, not per pair
-(``ConflictGraph.build`` over
+(:func:`repro.engine.rounds.plan_window` over
 :func:`repro.objects.footprint.conflict_candidates`): the paper's
 synchronization groups are the spenders of one account, so only ops sharing
 a cell can conflict and the commuting majority of a window is never
 visited.  The all-pairs :meth:`OpClassifier.classify_window` is the
-reference the tests hold the index to.
+reference the tests hold the plan to.
 
 The rule's soundness against the semantic oracle is a proof obligation,
 not a production path: :func:`repro.analysis.commutativity.
@@ -41,11 +41,11 @@ class ClassifierStats:
     """Counters for one classifier instance.
 
     ``pairs`` and ``by_kind`` count the pairs the classifier *examined*.
-    On the indexed path (``ConflictGraph.build``, one :meth:`count_window`
-    per window with an edge) those are its non-commuting candidates only —
+    On the indexed path (``plan_window``, one :meth:`count_window` per
+    window with an edge) those are its non-commuting candidates only —
     COMMUTE pairs are never visited, so ``by_kind`` has no ``"commute"``
     entry and ``pairs`` is the edge count, not ``n(n-1)/2``: a window's
-    commute count is ``n(n-1)/2 - len(graph.edges)``.
+    commute count is ``n(n-1)/2`` less the pairs it adds.
     :meth:`OpClassifier.classify_window` counts every pair it classifies.
     """
 
@@ -146,8 +146,8 @@ class OpClassifier:
         self, window: list[PendingOp]
     ) -> dict[tuple[int, int], PairKind]:
         """All pairwise kinds over a window (``i < j`` indices) — the
-        quadratic reference ``ConflictGraph.build``'s indexed edges are
-        tested against; not on any hot path.  One footprint pass of its
+        quadratic reference ``plan_window``'s indexed walk is tested
+        against; not on any hot path.  One footprint pass of its
         own, then exactly :meth:`classify` per index pair."""
         footprints = [self.footprint(op) for op in window]
         return {

@@ -32,12 +32,12 @@ scheduler: the engine's rolling timeline (a window's tasks are its
 indices, with the plan's window-aligned predecessors and priorities) and
 a cluster node's DAG units (positions in one
 :class:`~repro.engine.conflict_graph.ComponentDAG`) place every DAG op
-through it, ranked by the bottom levels :meth:`ConflictGraph.
-component_dags <repro.engine.conflict_graph.ConflictGraph.component_dags>`
-built — singletons at 1.  A bottom level ranks each predecessor
-strictly above its successors, so the scheduler places tasks in one
-sorted order by the unique key ``(−priority, seq, index)``: the smallest
-unplaced key is always ready, the task a ready heap would pop.
+through it, ranked by the bottom levels
+:func:`~repro.engine.rounds.plan_window` built — singletons at 1.  A
+bottom level ranks each predecessor strictly above its successors, so
+the scheduler places tasks in one sorted order by the unique key
+``(−priority, seq, index)``: the smallest unplaced key is always ready,
+the task a ready heap would pop.
 :func:`lane_fill` places a node's edge-free unit in one pass: each op, in
 position order, takes the first least-free lane at ``max(ready, free)``.
 Every op costs one unit, so that is the list scheduler's placement of

@@ -19,8 +19,7 @@ from repro.cluster import routing
 from repro.cluster.routing import route_window
 from repro.cluster.sharding import ShardMap
 from repro.config import ClusterConfig
-from repro.engine import OpClassifier, PendingOp
-from repro.engine.conflict_graph import ConflictGraph
+from repro.engine import OpClassifier, PendingOp, plan_window
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from repro.sync import TieredEscalator
@@ -360,11 +359,11 @@ def test_every_unit_ships_the_plan_its_ops_derive(owners, live, seed, size):
     for unit in routed.units.values():
         seqs = [o.seq for o in unit.ops]
         assert seqs == sorted(set(seqs))
-        graph = ConflictGraph.build(classifier, list(unit.ops))
+        plan = plan_window(classifier, list(unit.ops))
         if unit.dag is None:
-            assert not graph.edges
+            assert not plan.chains
         else:
-            assert [unit.dag] == graph.component_dags()
+            assert [unit.dag] == plan.dags
             assert unit.dag.size == len(unit.ops)
         dag, summary, delay = unit.dag, unit.summary, unit.sync_delay
         unit.requeue(live[0], 1 << 20, now=3.0)

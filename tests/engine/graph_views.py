@@ -1,28 +1,56 @@
-"""Views of a ``ConflictGraph`` that only the tests ask for.
+"""A window's conflict graph by the quadratic reference, and its views.
 
-The program reads a graph's edges, components and DAGs; these questions
-(a pair's kind, a vertex's neighbours, a window's conflict rate, a
-chain's DAG) are derived here from ``graph.edges`` alone, so they cannot
-drift from it.
+The program keeps no graph record: ``plan_window`` folds its plan out of
+the location index's candidates in one walk.  The tests' graph is the
+non-COMMUTE pairs of :meth:`OpClassifier.classify_window` (every pair
+through the footprint rule), and every question only a test asks (a
+pair's kind, a vertex's neighbours, a window's conflict rate, a chain's
+DAG, the whole plan) is derived here from those edges alone, so none of
+them can drift from the reference.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from functools import cache
 
 from repro.analysis.commutativity import PairKind
-from repro.engine.conflict_graph import ComponentDAG, ConflictGraph
+from repro.engine.classifier import ClassifierStats, OpClassifier
+from repro.engine.conflict_graph import ComponentDAG
 
 
-def kind(graph: ConflictGraph, i: int, j: int) -> PairKind:
+@dataclass(frozen=True)
+class Graph:
+    """One window's reference graph."""
+
+    ops: list
+    #: ``(i, j) -> kind`` with ``i < j``, ascending; non-COMMUTE pairs only.
+    edges: dict[tuple[int, int], PairKind]
+
+
+def reference(object_type, ops) -> Graph:
+    """The window's graph: the non-COMMUTE pairs of the all-pairs pass on
+    a fresh classifier (so it shares no state with the plan's)."""
+    kinds = OpClassifier(object_type).classify_window(ops)
+    return Graph(
+        list(ops),
+        {
+            pair: kind
+            for pair, kind in kinds.items()
+            if kind is not PairKind.COMMUTE
+        },
+    )
+
+
+def kind(graph: Graph, i: int, j: int) -> PairKind:
     """The pair's edge kind, COMMUTE when there is no edge."""
     if i == j:
         raise ValueError("no self-edges in a conflict graph")
     return graph.edges.get((min(i, j), max(i, j)), PairKind.COMMUTE)
 
 
-def adjacency(graph: ConflictGraph) -> list[list[int]]:
+def adjacency(graph: Graph) -> list[list[int]]:
     """Per index, the indices sharing an edge with it, ascending."""
     adjacent: list[list[int]] = [[] for _ in graph.ops]
     for a, b in graph.edges:
@@ -31,28 +59,48 @@ def adjacency(graph: ConflictGraph) -> list[list[int]]:
     return [sorted(found) for found in adjacent]
 
 
-def neighbors(graph: ConflictGraph, i: int) -> list[int]:
+def neighbors(graph: Graph, i: int) -> list[int]:
     return adjacency(graph)[i]
 
 
-def degree(graph: ConflictGraph, i: int) -> int:
+def degree(graph: Graph, i: int) -> int:
     return len(neighbors(graph, i))
 
 
-def count_kind(graph: ConflictGraph, wanted: PairKind) -> int:
+def count_kind(graph: Graph, wanted: PairKind) -> int:
     return sum(1 for found in graph.edges.values() if found is wanted)
 
 
-def commute_pairs(graph: ConflictGraph) -> int:
+def commute_pairs(graph: Graph) -> int:
     n = len(graph.ops)
     return n * (n - 1) // 2 - len(graph.edges)
 
 
-def conflict_rate(graph: ConflictGraph) -> float:
+def conflict_rate(graph: Graph) -> float:
     """CONFLICT edges as a fraction of all pairs in the window."""
     n = len(graph.ops)
     total = n * (n - 1) // 2
     return count_kind(graph, PairKind.CONFLICT) / total if total else 0.0
+
+
+def components(graph: Graph) -> list[list[int]]:
+    """Connected components (ascending indices), by first index: a naive
+    union-find over the edges."""
+    parent = list(range(len(graph.ops)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in graph.edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    grouped: dict[int, list[int]] = {}
+    for i in range(len(graph.ops)):
+        grouped.setdefault(find(i), []).append(i)
+    return sorted(grouped.values(), key=lambda group: group[0])
 
 
 def dag_over(chain, edges) -> ComponentDAG:
@@ -90,7 +138,53 @@ def dag_over(chain, edges) -> ComponentDAG:
     )
 
 
-def reference_dag(graph: ConflictGraph, chain) -> ComponentDAG:
+def reference_dag(graph: Graph, chain) -> ComponentDAG:
     """``chain``'s DAG derived from ``graph.edges`` alone (:func:`dag_over`)
     — what ``plan_window(...).dags[k]`` must equal for ``chains[k]``."""
     return dag_over(chain, graph.edges)
+
+
+def reference_plan(object_type, ops) -> tuple[Graph, dict, ClassifierStats]:
+    """The reference graph; every ``WindowPlan`` field but ``ops`` and
+    ``footprints``, derived from it; and the counters the plan's
+    classifier must hold: one count per non-COMMUTE pair, the candidates
+    being exactly those."""
+    graph = reference(object_type, ops)
+    found = components(graph)
+    chains = [c for c in found if len(c) > 1]
+    classifier = OpClassifier(object_type)
+    contended = {
+        i
+        for (a, b), pair_kind in graph.edges.items()
+        if pair_kind is PairKind.CONFLICT
+        and classifier.needs_consensus(ops[a], ops[b])
+        for i in (a, b)
+    }
+    groups = [[i for i in c if i in contended] for c in chains]
+    dags = [dag_over(chain, graph.edges) for chain in chains]
+    priorities = [1] * len(ops)
+    for chain, dag in zip(chains, dags):
+        for i, level in zip(chain, dag.priorities):
+            priorities[i] = level
+    unknown = [classifier.footprint(pending) is None for pending in ops]
+    fallback = sum(1 for a, b in graph.edges if unknown[a] or unknown[b])
+    counters = ClassifierStats(
+        pairs=len(graph.edges),
+        static_pairs=len(graph.edges) - fallback,
+        fallback_pairs=fallback,
+        by_kind=dict(Counter(k.value for k in graph.edges.values())),
+    )
+    fields = {
+        "chains": chains,
+        "singletons": [c[0] for c in found if len(c) == 1],
+        "contended_groups": sorted(
+            (group for group in groups if group), key=lambda g: g[0]
+        ),
+        "dags": dags,
+        "preds": [
+            sorted(a for a, b in graph.edges if b == i)
+            for i in range(len(ops))
+        ],
+        "priorities": priorities,
+    }
+    return graph, fields, counters

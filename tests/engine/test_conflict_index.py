@@ -1,29 +1,25 @@
-"""Location-indexed conflict detection against its all-pairs oracle.
+"""Location-indexed conflict detection on named windows, and the engine's
+one state lineage.
 
-``ConflictGraph.build`` finds a window's non-commuting pairs by hashing
-every footprint on its locations; ``classify_window`` classifies
-all ``n(n-1)/2`` pairs.  The contract: the indexed edge dict *is* the
-non-COMMUTE subset of the all-pairs dict — same keys, same kinds, same
-iteration order — for every object type, known footprints or not.  Every
-placement decision downstream reads that dict in order, so equality here
-is what lets the all-pairs pass stand in for the index as the reference.
+``plan_window`` finds a window's non-commuting pairs by hashing every
+footprint on its locations (:func:`~repro.objects.footprint.
+conflict_candidates`); ``classify_window`` classifies all ``n(n-1)/2``
+pairs.  ``tests/engine/test_window_plan.py`` holds the plan to that
+all-pairs reference on random windows of every object type; the windows
+here are the shapes the exactness argument turns on, each held to the
+same reference first.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.commutativity import PairKind
 from repro.config import EngineConfig
-from repro.engine import ComponentDAG, ConflictGraph, PipelinedExecutor
+from repro.engine import ComponentDAG, PipelinedExecutor, plan_window
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import PendingOp
-from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
-from repro.objects.erc721 import ERC721TokenType
-from repro.objects.erc1155 import ERC1155TokenType
 from repro.objects.footprint import EMPTY_FOOTPRINT, conflict_candidates
 from repro.spec.operation import op
 from repro.sync.planner import SyncPlanner
@@ -33,14 +29,11 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadMix,
 )
-from benchmarks.wall.scenarios import READ_MOSTLY_MIX as WALL_READ_MOSTLY
 from tests.engine import graph_views as views
-from tests.engine.test_classifier import (
-    ACCOUNT,
-    VALUE,
-    N,
-    erc20_invocation,
-    erc721_invocation,
+from tests.engine.test_classifier import N
+from tests.engine.test_window_plan import (
+    HoleyERC20,
+    assert_plan_is_the_reference,
 )
 
 
@@ -51,138 +44,8 @@ def _window(invocations) -> list[PendingOp]:
     ]
 
 
-def _oracle_edges(object_type, window) -> list:
-    """Non-COMMUTE entries of the all-pairs pass, in its order (a fresh
-    classifier: the two passes share no memo)."""
-    kinds = OpClassifier(object_type).classify_window(window)
-    return [
-        (pair, kind)
-        for pair, kind in kinds.items()
-        if kind is not PairKind.COMMUTE
-    ]
-
-
-def _assert_indexed_equals_all_pairs(object_type, window) -> None:
-    indexed = ConflictGraph.build(OpClassifier(object_type), window).edges
-    assert list(indexed.items()) == _oracle_edges(object_type, window)
-
-
-class _HoleyERC20(ERC20TokenType):
-    """ERC20 whose footprint is unknown (``None``) for chosen invocations."""
-
-    def __init__(self, holes) -> None:
-        super().__init__(N, total_supply=20, with_extensions=True)
-        self.holes = holes
-
-    def footprint(self, pid, operation):
-        if (pid, operation) in self.holes:
-            return None
-        return super().footprint(pid, operation)
-
-
-@st.composite
-def asset_transfer_invocation(draw):
-    kind = draw(st.sampled_from(["transfer", "balanceOf", "totalSupply"]))
-    if kind == "transfer":
-        operation = op("transfer", draw(ACCOUNT), draw(ACCOUNT), draw(VALUE))
-    elif kind == "balanceOf":
-        operation = op("balanceOf", draw(ACCOUNT))
-    else:
-        operation = op("totalSupply")
-    return draw(ACCOUNT), operation
-
-
-@st.composite
-def erc1155_invocation(draw):
-    token_type = st.integers(0, 1)
-    kind = draw(
-        st.sampled_from(["balanceOf", "safeTransferFrom", "setApprovalForAll"])
-    )
-    if kind == "balanceOf":
-        operation = op(kind, draw(ACCOUNT), draw(token_type))
-    elif kind == "safeTransferFrom":
-        operation = op(
-            kind, draw(ACCOUNT), draw(ACCOUNT), draw(token_type), draw(VALUE)
-        )
-    else:
-        operation = op(kind, draw(ACCOUNT), draw(st.booleans()))
-    return draw(ACCOUNT), operation
-
-
-class TestIndexedEqualsAllPairs:
-    """(a) the hypothesis property, per object type."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(erc20_invocation(), max_size=24))
-    def test_erc20(self, invocations):
-        _assert_indexed_equals_all_pairs(
-            ERC20TokenType(N, total_supply=20, with_extensions=True),
-            _window(invocations),
-        )
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(erc721_invocation(), max_size=20))
-    def test_erc721(self, invocations):
-        _assert_indexed_equals_all_pairs(
-            ERC721TokenType(N, initial_owners=[0, 1, 2]), _window(invocations)
-        )
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(asset_transfer_invocation(), max_size=20))
-    def test_k_asset_transfer(self, invocations):
-        _assert_indexed_equals_all_pairs(
-            AssetTransferType(
-                [10] * N, owner_map=[{0, 1}] + [{a} for a in range(1, N)]
-            ),
-            _window(invocations),
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(erc1155_invocation(), max_size=12))
-    def test_all_unknown_window(self, invocations):
-        """ERC1155 inherits the ``None`` footprint: every pair is an edge."""
-        window = _window(invocations)
-        token = ERC1155TokenType([[5, 5]] * N)
-        _assert_indexed_equals_all_pairs(token, window)
-        n = len(window)
-        graph = ConflictGraph.build(OpClassifier(token), window)
-        assert len(graph.edges) == n * (n - 1) // 2
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.lists(erc20_invocation(), max_size=20))
-    def test_mixed_known_and_unknown(self, data, invocations):
-        holes = {
-            invocation
-            for invocation in invocations
-            if data.draw(st.booleans())
-        }
-        _assert_indexed_equals_all_pairs(
-            _HoleyERC20(holes), _window(invocations)
-        )
-
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.integers(0, 2**16), st.integers(0, 32))
-    def test_read_mostly_with_unknown_footprints(self, data, seed, size):
-        """The wall's ``reads_narrow`` mix: most cells are observed and
-        never written, so most observers record no bucket entry, and
-        unknown footprints pair with the whole window."""
-        items = TokenWorkloadGenerator(
-            N, seed=seed, mix=WorkloadMix(**WALL_READ_MOSTLY)
-        ).generate(size)
-        invocations = [(item.pid, item.operation) for item in items]
-        holes = {
-            invocation
-            for invocation in invocations
-            if data.draw(st.integers(0, 7)) == 0
-        }
-        _assert_indexed_equals_all_pairs(
-            _HoleyERC20(holes), _window(invocations)
-        )
-
-
 class TestNamedWindows:
-    """(b) the shapes the exactness argument turns on."""
+    """The shapes the exactness argument turns on."""
 
     @staticmethod
     def _candidates(invocations):
@@ -192,10 +55,11 @@ class TestNamedWindows:
         )
 
     def _edges(self, invocations, token=None):
+        """The reference's edges, the plan held to them first."""
         token = token or ERC20TokenType(8, total_supply=80)
         window = _window(invocations)
-        _assert_indexed_equals_all_pairs(token, window)
-        return ConflictGraph.build(OpClassifier(token), window).edges
+        assert_plan_is_the_reference(token, window)
+        return views.reference(token, window).edges
 
     def test_one_hot_balance_is_all_conflict(self):
         """Every op guarded on one balance: all n(n-1)/2 pairs, in order."""
@@ -279,7 +143,7 @@ class TestNamedWindows:
         hole = (3, op("totalSupply"))
         edges = self._edges(
             [(0, op("balanceOf", 1)), hole, (2, op("balanceOf", 2))],
-            _HoleyERC20({hole}),
+            HoleyERC20({hole}),
         )
         assert edges == {
             (0, 1): PairKind.CONFLICT,
@@ -299,7 +163,8 @@ class TestNamedWindows:
             + [(1, op("transferFrom", 0, 3, 1)), (5, op("balanceOf", 0))]
         )
         classifier = OpClassifier(token)
-        graph = ConflictGraph.build(classifier, window)
+        plan_window(classifier, window)
+        graph = views.reference(token, window)
         assert classifier.stats.pairs == len(graph.edges) == 3
         assert classifier.stats.by_kind == {"conflict": 1, "read-only": 2}
         assert views.commute_pairs(graph) == 6 * 5 // 2 - 3
@@ -421,42 +286,14 @@ class TestOneStateLineage:
         assert runs[0][2] > 0
 
 
-def _scan_neighbors(graph: ConflictGraph, i: int) -> tuple[tuple, tuple]:
-    """``i``'s predecessors and successors by a scan of every edge."""
-    preds = sorted(a for a, b in graph.edges if b == i)
-    succs = sorted(b for a, b in graph.edges if a == i)
-    return tuple(preds), tuple(succs)
-
-
-class TestAdjacency:
-    """(d) the DAG neighbour lists ``build`` folds, against an edge scan."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(erc20_invocation(), max_size=24))
-    def test_neighbors_and_degree_match_the_edge_scan(self, invocations):
-        token = ERC20TokenType(N, total_supply=20, with_extensions=True)
-        graph = ConflictGraph.build(OpClassifier(token), _window(invocations))
-        chains = [c for c in graph.components() if len(c) > 1]
-        folded = {}
-        for chain, dag in zip(chains, graph.component_dags(), strict=True):
-            # Back from positions in the chain to window indices.
-            for k, below in enumerate(dag.preds):
-                later = [j for j, ps in enumerate(dag.preds) if k in ps]
-                folded[chain[k]] = (
-                    tuple(chain[p] for p in below),
-                    tuple(chain[j] for j in later),
-                )
-        for i in range(len(graph.ops)):
-            # A vertex outside every DAG has no edge at all.
-            assert folded.get(i, ((), ())) == _scan_neighbors(graph, i)
-
-    def test_neighbors_returns_a_copy(self):
+class TestTheDagRecord:
+    def test_the_dag_is_frozen_and_holds_tuples(self):
         token = ERC20TokenType(N, total_supply=20)
-        graph = ConflictGraph.build(
+        plan = plan_window(
             OpClassifier(token),
             _window([(0, op("transfer", 1, 2)), (1, op("transfer", 0, 2))]),
         )
-        (dag,) = graph.component_dags()
+        (dag,) = plan.dags
         # The record is frozen and its fields are tuples: a caller can
         # neither rebind nor mutate what the next reader gets.
         with pytest.raises(AttributeError):
@@ -464,6 +301,4 @@ class TestAdjacency:
         assert isinstance(dag.preds, tuple)
         assert all(isinstance(below, tuple) for below in dag.preds)
         assert isinstance(dag.priorities, tuple)
-        assert graph.component_dags() == [
-            ComponentDAG(((), (0,)), (2, 1), 2, 1)
-        ]
+        assert plan.dags == [ComponentDAG(((), (0,)), (2, 1), 2, 1)]

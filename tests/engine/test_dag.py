@@ -6,8 +6,8 @@ Machine-checked guarantees of the op-granular scheduler:
   orients every non-commute edge by submission order over positions in
   its chain, its width is an antichain of one depth, critical path /
   width report the component's intrinsic makespan bound and parallelism,
-  and every window's DAGs equal the brute-force fold of their edges
-  (:func:`~tests.engine.graph_views.reference_dag`);
+  and every window's DAGs equal the brute-force fold of the reference's
+  edges (:func:`~tests.engine.graph_views.reference_dag`);
 * **linear extension** — every DAG schedule starts an op only after
   every DAG predecessor finished, so the placement honors every
   component DAG edge, of which submission order is a linear extension
@@ -43,10 +43,8 @@ from repro.engine import (
     dag_list_schedule,
     plan_window,
 )
-from repro.engine.conflict_graph import ConflictGraph
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import Mempool, PendingOp
-from repro.engine.rounds import plan_window
 from repro.engine.shard import lane_fill
 from repro.errors import EngineError
 from repro.objects.asset_transfer import AssetTransferType
@@ -77,17 +75,17 @@ MIXES_WITH_CHAINS = {**MIXES, "chain_heavy": CHAIN_HEAVY_MIX}
 
 def window_dags(token, calls):
     """``(graph, chains, dags)`` of the window ``calls`` (``(pid,
-    operation)`` pairs), the DAGs as the program built them — each held
-    to the brute-force fold of ``graph.edges`` first."""
+    operation)`` pairs): the reference graph, and the chains and DAGs as
+    the plan built them — each DAG held to the brute-force fold of
+    ``graph.edges`` first."""
     ops = [
         PendingOp(seq, pid, operation)
         for seq, (pid, operation) in enumerate(calls)
     ]
-    graph = ConflictGraph.build(OpClassifier(token), ops)
-    chains = [c for c in graph.components() if len(c) > 1]
-    dags = graph.component_dags()
-    assert dags == [reference_dag(graph, chain) for chain in chains]
-    return graph, chains, dags
+    graph = views.reference(token, ops)
+    plan = plan_window(OpClassifier(token), ops)
+    assert plan.dags == [reference_dag(graph, c) for c in plan.chains]
+    return graph, plan.chains, plan.dags
 
 
 def depths(dag: ComponentDAG) -> list[int]:
@@ -194,11 +192,11 @@ class TestComponentDAG:
             (5, op("balanceOf", 6)),     # singleton
         ]:
             pool.submit(pid, operation)
-        graph = ConflictGraph.build(classifier, pool.pop_window(8))
-        chains = [c for c in graph.components() if len(c) > 1]
-        dags = graph.component_dags()
-        assert [dag.size for dag in dags] == [len(c) for c in chains]
-        assert dags == [reference_dag(graph, chain) for chain in chains]
+        ops = pool.pop_window(8)
+        plan = plan_window(classifier, ops)
+        graph = views.reference(token, ops)
+        assert [dag.size for dag in plan.dags] == [len(c) for c in plan.chains]
+        assert plan.dags == [reference_dag(graph, c) for c in plan.chains]
 
 
 class TestReferenceFold:
@@ -222,7 +220,7 @@ class TestReferenceFold:
             for seq, item in enumerate(items)
         ]
         plan = plan_window(OpClassifier(token), ops)
-        graph = ConflictGraph.build(OpClassifier(token), ops)
+        graph = views.reference(token, ops)
         assert len(plan.dags) == len(plan.chains)
         for chain, dag in zip(plan.chains, plan.dags):
             assert dag == reference_dag(graph, chain)
@@ -235,10 +233,9 @@ class TestDagPlanner:
         for item in items:
             pool.submit(item.pid, item.operation)
         ops = pool.pop_window(len(items))
-        graph = ConflictGraph.build(classifier, ops)
-        chains = [c for c in graph.components() if len(c) > 1]
-        singles = [c[0] for c in graph.components() if len(c) == 1]
-        return classifier, ops, graph, chains, singles
+        plan = plan_window(OpClassifier(token), ops)
+        graph = views.reference(token, ops)
+        return classifier, ops, graph, plan.chains, plan.singletons
 
     @staticmethod
     def _schedule(lanes, classifier, ops):
@@ -282,7 +279,7 @@ class TestDagPlanner:
         assert len(chains) == 1 and len(chains[0]) == len(items)
         placed = self._schedule(4, classifier, ops)
         assert max(finish for _, finish, _ in placed) < len(items)
-        assert graph.component_dags()[0].width >= 2
+        assert plan_window(classifier, ops).dags[0].width >= 2
 
     def test_pure_conflict_chain_gains_nothing(self):
         token = ERC20TokenType(4, total_supply=40)

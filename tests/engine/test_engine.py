@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.commutativity import PairKind
 from repro.config import EngineConfig
 from repro.engine import (
-    ConflictGraph,
     Mempool,
     OpClassifier,
     PendingOp,
@@ -83,8 +82,9 @@ class TestConflictGraph:
             PendingOp(2, 4, op("transfer", 5, 2)),  # independent singleton
             PendingOp(3, 6, op("balanceOf", 7)),  # singleton read
         ]
-        graph = ConflictGraph.build(classifier, ops)
-        assert graph.components() == [[0, 1], [2], [3]]
+        plan = plan_window(classifier, ops)
+        assert (plan.chains, plan.singletons) == ([[0, 1]], [2, 3])
+        graph = views.reference(token, ops)
         assert views.kind(graph, 0, 1) is PairKind.CONFLICT
         assert views.kind(graph, 2, 3) is PairKind.COMMUTE
         assert views.count_kind(graph, PairKind.CONFLICT) == 1
@@ -95,7 +95,8 @@ class TestConflictGraph:
     def test_commute_pairs_counted(self, token):
         classifier = OpClassifier(token)
         ops = [PendingOp(i, i, op("balanceOf", i)) for i in range(4)]
-        graph = ConflictGraph.build(classifier, ops)
+        assert plan_window(classifier, ops).singletons == [0, 1, 2, 3]
+        graph = views.reference(token, ops)
         assert views.commute_pairs(graph) == 6
         assert views.count_kind(graph, PairKind.READ_ONLY) == 0
 

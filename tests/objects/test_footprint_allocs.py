@@ -18,7 +18,7 @@ from itertools import repeat
 import pytest
 
 from repro.engine import OpClassifier
-from repro.engine.conflict_graph import ConflictGraph
+from repro.engine.rounds import plan_window
 from repro.engine.mempool import PendingOp
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.footprint import (
@@ -101,10 +101,10 @@ def test_a_window_of_reads_holds_one_set_per_op():
         PendingOp(seq, seq % 8, op("balanceOf", (seq * 3) % 8))
         for seq in range(32)
     ]
-    graph = ConflictGraph.build(OpClassifier(TOKEN), ops)
+    plan = plan_window(OpClassifier(TOKEN), ops)
     kinds = [
         kind
-        for fp in graph.footprints
+        for fp in plan.footprints
         for kind in (fp.observes, fp.adds, fp.sets)
     ]
     assert len({id(kind) for kind in kinds if kind}) == 32
