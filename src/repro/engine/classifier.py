@@ -9,9 +9,10 @@ inside a batch whose intermediate states differ from the analyzed one.  The
 analysis (:mod:`repro.objects.footprint`), whose verdicts hold at every
 state and depend on operation type plus touched accounts, not on values.
 
-A window's non-commuting pairs are found per *location*, not per pair
-(:func:`repro.engine.rounds.plan_window` over
-:func:`repro.objects.footprint.conflict_candidates`): the paper's
+A window's non-commuting pairs are found per *location*, not per pair:
+:func:`repro.engine.rounds.plan_window` scans the window once, each op
+looking up its earlier partners by the cells it touches
+(:func:`repro.objects.footprint.window_preds`).  The paper's
 synchronization groups are the spenders of one account, so only ops sharing
 a cell can conflict and the commuting majority of a window is never
 visited.  The all-pairs :meth:`OpClassifier.classify_window` is the
@@ -41,11 +42,11 @@ class ClassifierStats:
     """Counters for one classifier instance.
 
     ``pairs`` and ``by_kind`` count the pairs the classifier *examined*.
-    On the indexed path (``plan_window``, one :meth:`count_window` per
-    window with an edge) those are its non-commuting candidates only —
-    COMMUTE pairs are never visited, so ``by_kind`` has no ``"commute"``
-    entry and ``pairs`` is the edge count, not ``n(n-1)/2``: a window's
-    commute count is ``n(n-1)/2`` less the pairs it adds.
+    On the scanned path (``plan_window``, one :meth:`count_window` per
+    window) those are the edges its location scan found — COMMUTE pairs
+    are never visited, so ``by_kind`` has no ``"commute"`` entry and
+    ``pairs`` is the edge count, not ``n(n-1)/2``: a window's commute
+    count is ``n(n-1)/2`` less the pairs it adds.
     :meth:`OpClassifier.classify_window` counts every pair it classifies.
     """
 
@@ -65,8 +66,8 @@ class ClassifierStats:
     def count_window(
         self, conflict: int, read_only: int, fallback: int
     ) -> None:
-        """Count one window's indexed edges (each was one candidate):
-        ``fallback`` of them have an unknown footprint."""
+        """Count one window's scanned edges: ``fallback`` of them have an
+        unknown footprint."""
         pairs = conflict + read_only
         self.pairs += pairs
         self.static_pairs += pairs - fallback
@@ -121,32 +122,11 @@ class OpClassifier:
         stats.by_kind[value] = stats.by_kind.get(value, 0) + 1
         return _KINDS[value]
 
-    def needs_consensus(
-        self, first: PendingOp, second: PendingOp, footprints=None
-    ) -> bool:
-        """True when ordering this pair requires total order (consensus).
-
-        A conflicting pair of *distinct* processes needs consensus exactly
-        when the two footprints contend on a shared location (see
-        ``OpFootprint.contended``) — the engine-level image of the paper's
-        synchronization groups.  Conflicts without contention (a blind
-        credit enabling a guarded spend) only need an order, which the
-        barrier provides for free.  Unknown footprints are conservative.
-        ``footprints`` is the pair's footprints when the caller holds them
-        (a window's graph does).
-        """
-        if first.pid == second.pid:
-            return False  # program order of one process needs no consensus
-        fp1, fp2 = footprints or (self.footprint(first), self.footprint(second))
-        if fp1 is None or fp2 is None:
-            return True
-        return fp1.contends_with(fp2)
-
     def classify_window(
         self, window: list[PendingOp]
     ) -> dict[tuple[int, int], PairKind]:
         """All pairwise kinds over a window (``i < j`` indices) — the
-        quadratic reference ``plan_window``'s indexed walk is tested
+        quadratic reference ``plan_window``'s location scan is tested
         against; not on any hot path.  One footprint pass of its
         own, then exactly :meth:`classify` per index pair."""
         footprints = [self.footprint(op) for op in window]

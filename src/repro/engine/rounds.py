@@ -6,6 +6,11 @@ cluster's router (:func:`~repro.cluster.routing.route_window`) alike:
 singletons need no order, chains need only chain order, and only the
 contended groups pay for k-consensus (:mod:`repro.sync`).  One function,
 one correctness argument; :class:`WindowPlan` is its frozen result.
+
+A window's edges come from one ascending scan by location
+(:func:`~repro.objects.footprint.window_preds`: each op finds its earlier
+partners through the cells it touches), and one walk over them folds the
+plan; no pair that commutes is ever visited.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.commutativity import PairKind
 from repro.engine.conflict_graph import ComponentDAG
-from repro.objects.footprint import conflict_candidates
+from repro.objects.footprint import window_preds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.classifier import OpClassifier
@@ -23,10 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.objects.footprint import OpFootprint
 
 _CONFLICT, _READ_ONLY = PairKind.CONFLICT, PairKind.READ_ONLY
-#: A candidate's kind by the classes of its two ops — unknown footprint
-#: (0), read-only (1: no ``adds``, no ``sets``), writing (2).  Candidates
-#: are exactly the pairs ``static_pair_kind`` does not call COMMUTE, and on
-#: those the rule is this table: CONFLICT when a footprint is unknown, else
+#: An edge's kind by the classes of its two ops — unknown footprint (0),
+#: read-only (1: no ``adds``, no ``sets``), writing (2).  Edges are exactly
+#: the pairs ``static_pair_kind`` does not call COMMUTE, and on those the
+#: rule is this table: CONFLICT when a footprint is unknown, else
 #: READ_ONLY when either side writes nothing, else CONFLICT.
 _KIND_BY_CLASS = (
     (_CONFLICT, _CONFLICT, _CONFLICT),
@@ -79,65 +84,64 @@ def plan_window(classifier: OpClassifier, ops: list[PendingOp]) -> WindowPlan:
     Singleton components commute with the entire window and run anywhere.
 
     A chain member is *contended* when it sits on a synchronization-group
-    conflict: a CONFLICT edge between *distinct* processes contending on a
-    shared cell (two enabled spenders of one account, approve vs
-    transferFrom on one allowance, one NFT) — see
-    ``OpClassifier.needs_consensus``.  Only those can ever need total
-    order; same-process conflicts, credit-enables-spend races and
-    READ_ONLY pairs are resolved by chain order alone, which costs no
-    messages.
+    conflict: a CONFLICT edge between *distinct* processes whose
+    footprints are unknown or contend on a shared cell
+    (``OpFootprint.contends_with``: two enabled spenders of one account,
+    approve vs transferFrom on one allowance, one NFT).  Only those can
+    ever need total order; same-process conflicts, credit-enables-spend
+    races and READ_ONLY pairs are resolved by chain order alone, which
+    costs no messages.
 
-    The edges are the location index's candidates (:func:`~repro.
-    objects.footprint.conflict_candidates`); one ascending walk over them
-    folds each op's predecessors, the union-find, the READ_ONLY count and
-    the contended set.  Submission order is topological, so a forward
-    walk over the indices gives the components and depths, a backward
-    one the bottom levels, and the chains' positional DAGs read those.
+    The edges are each op's earlier partners, found by location
+    (:func:`~repro.objects.footprint.window_preds`).  One ascending walk
+    over them folds each op's depth, the union-find (every root its
+    component's smallest index), the READ_ONLY count by the class table
+    and the contended set.  A forward walk then gives the components, a
+    backward one the bottom levels, and the chains' positional DAGs read
+    those.
     """
     ops = list(ops)
     footprint = classifier.object_type.footprint
     footprints = [footprint(op.pid, op.operation) for op in ops]
-    later = conflict_candidates(footprints)
+    preds = window_preds(footprints)
     n = len(ops)
-    if not later:
-        singles = list(range(n))
-        empty = [()] * n
-        return WindowPlan(ops, footprints, [], singles, [], [], empty, [1] * n)
     classes = [
         0 if fp is None else 2 if fp.adds or fp.sets else 1
         for fp in footprints
     ]
-    needs_consensus = classifier.needs_consensus
     parent = list(range(n))
-    preds: list = [[] for _ in range(n)]
+    depth = [1] * n
+    linked = bytearray(n)  # a root with a later partner
     contended: set[int] = set()
     edges = read_only = 0
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    # Every candidate is an edge; ``i`` ascends, so each op's predecessors
-    # are appended in order, and every root is its component's smallest
-    # index.
-    for i in sorted(later):
-        kinds = _KIND_BY_CLASS[classes[i]]
-        first, fp = ops[i], footprints[i]
-        edges += len(later[i])
-        root = find(i)
-        for j in later[i]:
-            preds[j].append(i)
-            if kinds[classes[j]] is _READ_ONLY:
+    for j, below in enumerate(preds):
+        if not below:
+            continue
+        edges += len(below)
+        kind = classes[j]
+        kinds, fp, pid = _KIND_BY_CLASS[kind], footprints[j], ops[j].pid
+        root = j
+        top = 0
+        for p in below:
+            if depth[p] > top:
+                top = depth[p]
+            if kinds[classes[p]] is _READ_ONLY:
                 read_only += 1
-            elif needs_consensus(first, ops[j], (fp, footprints[j])):
-                contended.add(i)
+            elif ops[p].pid != pid and (
+                not kind
+                or (other := footprints[p]) is None
+                or other.contends_with(fp)
+            ):
+                contended.add(p)
                 contended.add(j)
-            other = find(j)
-            if root < other:
-                parent[other] = root
-            elif other < root:
-                parent[root] = root = other
+            while parent[p] != p:
+                parent[p] = p = parent[parent[p]]
+            if p < root:
+                parent[root] = root = p
+            elif root < p:
+                parent[p] = root
+        depth[j] = top + 1
+        linked[root] = 1
     # An unknown footprint pairs with the whole window.
     unknown = classes.count(0)
     classifier.stats.count_window(
@@ -145,20 +149,23 @@ def plan_window(classifier: OpClassifier, ops: list[PendingOp]) -> WindowPlan:
         read_only,
         unknown * (n - unknown) + unknown * (unknown - 1) // 2,
     )
-    # Forward: a root with a later partner opens its component before the
-    # walk reaches the rest of it; a root without one has no edge at all.
+    if not edges:
+        singles = list(range(n))
+        return WindowPlan(ops, footprints, [], singles, [], [], preds, [1] * n)
+    # Forward: every parent is smaller than its child, so it already
+    # points at its root when the walk reaches the child; a root with a
+    # later partner opens its component, a root without one is alone.
     chains: list[list[int]] = []
     singletons: list[int] = []
     group_of: dict[int, list[int]] = {}
     at = [0] * n
-    depth = [1] * n
     for i in range(n):
         if parent[i] != i:
-            group = group_of[find(i)]
+            parent[i] = root = parent[parent[i]]
+            group = group_of[root]
             at[i] = len(group)
             group.append(i)
-            depth[i] = 1 + max([depth[p] for p in preds[i]], default=0)
-        elif i in later:
+        elif linked[i]:
             group_of[i] = group = [i]
             chains.append(group)
         else:

@@ -100,15 +100,18 @@ def dag_list_schedule(
     floors all its ops at one ``ready``, so every gap it opens ends there.)
 
     Returns ``(start, finish, lane)`` per task.  Deterministic: tasks are
-    placed in the module docstring's static order, and ``est`` folds the
-    floor and the predecessors' finishes in that order too (of equal
-    finishes, the first placed wins); a predecessor still unplaced — a
-    cycle, or priorities against the rule — raises.  The lane choice is
-    by (start, free, id) over every lane.  That key needs no scan of the
-    lanes: among lane *tails* it is smallest on the first lane of least
-    free time (``start = max(free, est)`` grows with ``free``), and a
-    lane's fitting gap — gaps are ascending, so its first — starts before
-    its tail, so only lanes holding a gap are looked at one by one.
+    placed in the module docstring's static order, and ``est`` is the
+    largest of the floor and the predecessors' finishes, folded in
+    ``preds[i]`` order with no sort: of equal values (an int finish may
+    tie a float) the floor wins, then the predecessor placed first, as a
+    fold in placement order would keep.  The first predecessor in
+    ``preds[i]`` still unplaced — a cycle, or priorities against the
+    rule — raises.  The lane choice is by (start, free, id) over every
+    lane.  That key needs no scan of the lanes: among lane *tails* it is
+    smallest on the first lane of least free time (``start = max(free,
+    est)`` grows with ``free``), and a lane's fitting gap — gaps are
+    ascending, so its first — starts before its tail, so only lanes
+    holding a gap are looked at one by one.
 
     ``lane_prev``, when given, receives per task the finish of the task
     before it on its lane (or the lane's carried-in free time).  A task
@@ -129,17 +132,16 @@ def dag_list_schedule(
     #: Tasks placed past their lane's idle time (``lane_prev`` only).
     opened: list[int] = []
     for _, _, i in sorted(keys):
-        est = floors[i]
-        below = preds[i]
-        if below and len(below) > 1:
-            below = sorted(below, key=keys.__getitem__)
-        for p in below:
+        est, first = floors[i], -1  # ``est``'s predecessor; -1: the floor
+        for p in preds[i]:
             placed = out[p]
             if placed is None:
                 why = "a cycle, or priorities not ranking it first"
                 raise EngineError(f"task {i}: predecessor {p} unplaced, {why}")
-            if placed[1] > est:
-                est = placed[1]
+            if placed[1] > est or (
+                placed[1] == est and first >= 0 and keys[p] < keys[first]
+            ):
+                est, first = placed[1], p
         free = min(lane_free)
         lane = lane_free.index(free)
         start = est if est > free else free

@@ -42,7 +42,10 @@ therefore cannot be imported from here).
 
 Every op of every window passes through this module, so its questions —
 the pair rule, the anchor, the contention test — are answered on the three
-frozensets as they stand, without building a derived set.  An empty kind is
+frozensets as they stand, without building a derived set.  A window's
+non-commuting pairs are found here too, without asking the pair rule of
+every pair: :func:`window_preds` scans the window once, each op looking up
+its earlier partners by the cells it touches.  An empty kind is
 *one shared object*: every footprint built here, by the helpers or by an
 object type, holds the same empty frozenset for each kind it does not use.
 That object must never be mutated, and code outside the tests must never
@@ -51,8 +54,6 @@ tell footprints apart by the identity of their kinds — only by value.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import defaultdict
 from collections.abc import Sequence
 
 from repro._records import frozen_record
@@ -122,6 +123,8 @@ class OpFootprint:
         if not self.sets.isdisjoint(other.sets):
             return True
         mine, theirs = self.observes, other.observes
+        if not (self.sets or other.sets) and mine.isdisjoint(theirs):
+            return False  # no cell is a guarded decrement on both sides
         for location in self.adds:
             if location in mine and (
                 location in other.sets
@@ -280,71 +283,78 @@ def static_pair_kind(
     return "conflict"
 
 
-def conflict_candidates(
-    footprints: Sequence[OpFootprint | None],
-) -> dict[int, set[int]]:
+def window_preds(footprints: Sequence[OpFootprint | None]) -> list:
     """Every pair of a window that :func:`static_pair_kind` does not call
-    ``"commute"``, found by hashing on the location instead of comparing
-    every pair: ``later[i]`` holds the indices ``j > i`` paired with ``i``,
-    and only an ``i`` with such a partner has an entry.
+    ``"commute"``, as each op's earlier partners: ``preds[j]`` lists the
+    ``i < j`` paired with ``j``, ascending (``()`` when there is none).
 
-    :func:`static_pair_kind` leaves ``"commute"`` only when some location is
-    written by one footprint and observed by the other, or written by both
-    with at least one absolute ``sets`` — so bucketing the window's writes
-    per location, then the observers of the written cells only, and
-    crossing, within each bucket, writers with observers and setters with
-    writers reaches every such pair (a ``None`` footprint pairs with the
-    whole window) and no other.  A window that writes nothing and knows
-    every footprint returns after the first pass.  Self-pairs are dropped
-    and pairs sharing several locations collapse in the sets.  A
-    *self-only* cell — its one adder is its one observer, as a transfer's
-    own source balance is when no other op of the window touches it —
-    could only emit the self-pair, so it is not crossed at all.  The
-    cost is linear in the footprints plus the pairs emitted — a window
-    where every op is guarded on one balance emits them all.
+    One ascending scan by location, not a comparison of every pair: op
+    ``j`` looks up its partners in per-location registers of the earlier
+    ops, then registers itself, so it is never its own partner, and a
+    pair sharing several cells is listed once.  That is exact because
+    (1) the rule leaves ``"commute"`` only when a cell one footprint
+    writes the other observes, or both write it and one ``sets`` it — so
+    ``j``'s partners are the earlier writers of what it observes, the
+    earlier observers and setters of what it adds, and every earlier op
+    touching what it sets; (2) on exactly those pairs the rule's verdict
+    is ``"read-only"`` when one side writes nothing, else ``"conflict"``;
+    (3) an unknown (``None``) footprint pairs with the whole window.  Only
+    cells the window writes are registered for their observers, so an op
+    reading nothing written costs one test.  The cost is linear in the
+    footprints plus the pairs listed.
     """
-    adders: dict[Location, list[int]] = defaultdict(list)
-    setters: dict[Location, list[int]] = defaultdict(list)
+    written: set = set()
+    for fp in footprints:
+        if fp is not None and (fp.adds or fp.sets):
+            written.update(fp.adds, fp.sets)
+    # Per written location, the earlier ops observing / adding / setting
+    # it, ascending; and every earlier unknown footprint.
+    readers: dict[Location, list[int]] = {}
+    adders: dict[Location, list[int]] = {}
+    setters: dict[Location, list[int]] = {}
     unknown: list[int] = []
-    for i, fp in enumerate(footprints):
+    preds: list = [()] * len(footprints)
+    for j, fp in enumerate(footprints):
         if fp is None:
-            unknown.append(i)
+            preds[j] = list(range(j))
+            unknown.append(j)
             continue
-        for loc in fp.adds:
-            adders[loc].append(i)
-        for loc in fp.sets:
-            setters[loc].append(i)
-    later: dict[int, set[int]] = {}
-    if not (adders or setters or unknown):
-        return later
-
-    def cross(xs: Sequence[int], ys: Sequence[int]) -> None:
-        # Buckets fill in window order, so each ascends: the partners of
-        # an op after it in the window are a suffix of the other bucket.
-        for mine, theirs in ((xs, ys), (ys, xs)):
-            for x in mine:
-                if tail := theirs[bisect_right(theirs, x) :]:
-                    if x in later:
-                        later[x].update(tail)
-                    else:
-                        later[x] = set(tail)
-
-    if adders or setters:
-        written = adders.keys() | setters.keys() if setters else adders
-        observers: dict[Location, list[int]] = defaultdict(list)
-        for i, fp in enumerate(footprints):
-            if fp is not None:
-                for loc in fp.observes:
-                    if loc in written:
-                        observers[loc].append(i)
-        for loc, deltas in adders.items():
-            watchers = observers.get(loc)
-            if watchers is not None and (len(deltas) > 1 or watchers != deltas):
-                cross(deltas, watchers)
-        for loc, absolute in setters.items():
-            for bucket in (observers, adders, setters):
-                if loc in bucket:
-                    cross(absolute, bucket[loc])
-    if unknown:
-        cross(unknown, range(len(footprints)))
-    return later
+        observes, adds, sets = fp.observes, fp.adds, fp.sets
+        if not (adds or sets or unknown) and written.isdisjoint(observes):
+            continue
+        found = [unknown] if unknown else []
+        for loc in observes:
+            if loc in adders:
+                found.append(adders[loc])
+            if setters and loc in setters:
+                found.append(setters[loc])
+        for loc in adds:
+            if loc in readers:
+                found.append(readers[loc])
+            if setters and loc in setters:
+                found.append(setters[loc])
+        for loc in sets:
+            for register in (readers, adders, setters):
+                if loc in register:
+                    found.append(register[loc])
+        if len(found) > 1:
+            preds[j] = sorted(set().union(*found))
+        elif found:
+            preds[j] = found[0][:]
+        for loc in observes:
+            if loc in written:
+                if loc in readers:
+                    readers[loc].append(j)
+                else:
+                    readers[loc] = [j]
+        for loc in adds:
+            if loc in adders:
+                adders[loc].append(j)
+            else:
+                adders[loc] = [j]
+        for loc in sets:
+            if loc in setters:
+                setters[loc].append(j)
+            else:
+                setters[loc] = [j]
+    return preds

@@ -1,7 +1,7 @@
 """A window's conflict graph by the quadratic reference, and its views.
 
 The program keeps no graph record: ``plan_window`` folds its plan out of
-the location index's candidates in one walk.  The tests' graph is the
+one location scan's predecessors in one walk.  The tests' graph is the
 non-COMMUTE pairs of :meth:`OpClassifier.classify_window` (every pair
 through the footprint rule), and every question only a test asks (a
 pair's kind, a vertex's neighbours, a window's conflict rate, a chain's
@@ -147,17 +147,26 @@ def reference_dag(graph: Graph, chain) -> ComponentDAG:
 def reference_plan(object_type, ops) -> tuple[Graph, dict, ClassifierStats]:
     """The reference graph; every ``WindowPlan`` field but ``ops`` and
     ``footprints``, derived from it; and the counters the plan's
-    classifier must hold: one count per non-COMMUTE pair, the candidates
-    being exactly those."""
+    classifier must hold: one count per non-COMMUTE pair, the scan's
+    edges being exactly those.  An op is contended when it sits on a
+    CONFLICT edge between distinct processes whose footprints are unknown
+    or contend on a cell — the consensus rule, written out here."""
     graph = reference(object_type, ops)
     found = components(graph)
     chains = [c for c in found if len(c) > 1]
     classifier = OpClassifier(object_type)
+    footprints = [classifier.footprint(pending) for pending in ops]
+
+    def needs_consensus(a: int, b: int) -> bool:
+        if ops[a].pid == ops[b].pid:
+            return False
+        fa, fb = footprints[a], footprints[b]
+        return fa is None or fb is None or fa.contends_with(fb)
+
     contended = {
         i
         for (a, b), pair_kind in graph.edges.items()
-        if pair_kind is PairKind.CONFLICT
-        and classifier.needs_consensus(ops[a], ops[b])
+        if pair_kind is PairKind.CONFLICT and needs_consensus(a, b)
         for i in (a, b)
     }
     groups = [[i for i in c if i in contended] for c in chains]
@@ -166,7 +175,7 @@ def reference_plan(object_type, ops) -> tuple[Graph, dict, ClassifierStats]:
     for chain, dag in zip(chains, dags):
         for i, level in zip(chain, dag.priorities):
             priorities[i] = level
-    unknown = [classifier.footprint(pending) is None for pending in ops]
+    unknown = [fp is None for fp in footprints]
     fallback = sum(1 for a, b in graph.edges if unknown[a] or unknown[b])
     counters = ClassifierStats(
         pairs=len(graph.edges),

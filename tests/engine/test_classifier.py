@@ -26,6 +26,7 @@ from repro.analysis.commutativity import (
 )
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import PendingOp
+from repro.engine.rounds import plan_window
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
@@ -241,18 +242,20 @@ class TestClassifierMechanics:
         assert classifier.stats.fallback_pairs == 1
 
     def test_needs_consensus_same_process_never(self):
+        """One process's conflicting pair is ordered by its chain alone."""
         token = ERC20TokenType(N, total_supply=20)
-        classifier = OpClassifier(token)
         a = PendingOp(0, 0, op("transfer", 1, 2))
         b = PendingOp(1, 0, op("transfer", 2, 2))
-        assert not classifier.needs_consensus(a, b)
+        plan = plan_window(OpClassifier(token), [a, b])
+        assert plan.chains == [[0, 1]]
+        assert plan.contended_groups == []
 
     def test_needs_consensus_two_spenders(self):
         token = ERC20TokenType(N, total_supply=20)
-        classifier = OpClassifier(token)
         a = PendingOp(0, 1, op("transferFrom", 0, 2, 2))
         b = PendingOp(1, 2, op("transferFrom", 0, 3, 2))
-        assert classifier.needs_consensus(a, b)
+        plan = plan_window(OpClassifier(token), [a, b])
+        assert plan.contended_groups == [[0, 1]]
 
     def test_credit_enabling_spend_needs_no_consensus(self):
         """transfer into b vs b's own spend: ordered, but consensus-free
@@ -262,7 +265,9 @@ class TestClassifierMechanics:
         credit = PendingOp(0, 0, op("transfer", 1, 2))
         spend = PendingOp(1, 1, op("transfer", 2, 2))
         assert classifier.classify(credit, spend) is PairKind.CONFLICT
-        assert not classifier.needs_consensus(credit, spend)
+        plan = plan_window(classifier, [credit, spend])
+        assert plan.chains == [[0, 1]]
+        assert plan.contended_groups == []
 
     def test_conflict_precision_reported(self):
         """Two spenders of an allowance nobody granted: a static CONFLICT

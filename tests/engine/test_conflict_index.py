@@ -1,13 +1,13 @@
-"""Location-indexed conflict detection on named windows, and the engine's
+"""Location-scanned conflict detection on named windows, and the engine's
 one state lineage.
 
-``plan_window`` finds a window's non-commuting pairs by hashing every
-footprint on its locations (:func:`~repro.objects.footprint.
-conflict_candidates`); ``classify_window`` classifies all ``n(n-1)/2``
-pairs.  ``tests/engine/test_window_plan.py`` holds the plan to that
-all-pairs reference on random windows of every object type; the windows
-here are the shapes the exactness argument turns on, each held to the
-same reference first.
+``plan_window`` finds a window's non-commuting pairs in one ascending
+scan, each op looking up its earlier partners by the cells it touches
+(:func:`~repro.objects.footprint.window_preds`); ``classify_window``
+classifies all ``n(n-1)/2`` pairs.  ``tests/engine/test_window_plan.py``
+holds the plan to that all-pairs reference on random windows of every
+object type; the windows here are the shapes the exactness argument and
+the scan's bookkeeping turn on, each held to the same reference first.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.engine import ComponentDAG, PipelinedExecutor, plan_window
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.objects.erc20 import ERC20TokenType
-from repro.objects.footprint import EMPTY_FOOTPRINT, conflict_candidates
+from repro.objects.footprint import EMPTY_FOOTPRINT
 from repro.spec.operation import op
 from repro.sync.planner import SyncPlanner
 from repro.workloads import (
@@ -44,15 +44,15 @@ def _window(invocations) -> list[PendingOp]:
     ]
 
 
+def _preds(invocations, token=None):
+    """The plan's window-aligned predecessors, as lists."""
+    token = token or ERC20TokenType(8, total_supply=80)
+    plan = plan_window(OpClassifier(token), _window(invocations))
+    return [list(below) for below in plan.preds]
+
+
 class TestNamedWindows:
     """The shapes the exactness argument turns on."""
-
-    @staticmethod
-    def _candidates(invocations):
-        token = ERC20TokenType(8, total_supply=80)
-        return conflict_candidates(
-            [token.footprint(pid, operation) for pid, operation in invocations]
-        )
 
     def _edges(self, invocations, token=None):
         """The reference's edges, the plan held to them first."""
@@ -94,7 +94,7 @@ class TestNamedWindows:
 
     def test_an_all_read_window_has_no_partner(self):
         """Nothing is written, so no op has a partner: no edge, and no
-        candidate entry at all."""
+        predecessor at all."""
         invocations = [
             (0, op("balanceOf", 1)),
             (1, op("balanceOf", 1)),
@@ -103,12 +103,11 @@ class TestNamedWindows:
             (1, op("allowance", 1, 2)),
         ]
         assert self._edges(invocations) == {}
-        assert self._candidates(invocations) == {}
+        assert _preds(invocations) == [[]] * 5
 
     def test_a_written_cell_read_by_three_ops(self):
         """One transfer debits β(1) and three ops read it: exactly the
-        three READ_ONLY edges, and a candidate entry only for the ops with
-        a later partner."""
+        three READ_ONLY edges, each on the later op of its pair."""
         invocations = [
             (0, op("balanceOf", 1)),
             (2, op("balanceOf", 1)),
@@ -122,7 +121,7 @@ class TestNamedWindows:
             (1, 2): read_only,
             (2, 3): read_only,
         }
-        assert self._candidates(invocations) == {0: {2}, 1: {2}, 2: {3}}
+        assert _preds(invocations) == [[], [], [0, 1], [2], []]
 
     def test_reader_of_a_written_cell_is_read_only(self):
         edges = self._edges(
@@ -155,7 +154,7 @@ class TestNamedWindows:
         assert self._edges([(0, op("transfer", 1, 2))]) == {}
 
     def test_examined_pairs_are_the_candidates_only(self):
-        """``stats.pairs`` counts what the index visited — the edges —
+        """``stats.pairs`` counts what the scan visited — the edges —
         while the graph's commute count still derives from n(n-1)/2."""
         token = ERC20TokenType(8, total_supply=80)
         window = _window(
@@ -168,6 +167,93 @@ class TestNamedWindows:
         assert classifier.stats.pairs == len(graph.edges) == 3
         assert classifier.stats.by_kind == {"conflict": 1, "read-only": 2}
         assert views.commute_pairs(graph) == 6 * 5 // 2 - 3
+
+
+class TestTheScan:
+    """The cases the location scan's bookkeeping turns on: an op looks its
+    partners up before it registers itself, takes each once and in
+    ascending order, and an unknown footprint pairs with everything."""
+
+    def test_a_guarded_decrement_is_not_its_own_partner(self):
+        """A transfer observes and adds its source balance: a lone one has
+        no predecessor, and a later reader of that cell pairs with it
+        once."""
+        token = ERC20TokenType(8, total_supply=80)
+        spend = (1, op("transfer", 2, 1))
+        assert _preds([spend]) == [[]]
+        window = [spend, (3, op("balanceOf", 1)), spend]
+        assert _preds(window) == [[], [0], [0, 1]]
+        assert_plan_is_the_reference(token, _window(window))
+
+    def test_two_shared_cells_make_one_edge(self):
+        """Opposite transfers share both balances, each cell reaching the
+        earlier op through a different register: one predecessor, and one
+        edge in the counters."""
+        window = _window([(0, op("transfer", 1, 2)), (1, op("transfer", 0, 2))])
+        classifier = OpClassifier(ERC20TokenType(8, total_supply=80))
+        plan = plan_window(classifier, window)
+        assert [list(below) for below in plan.preds] == [[], [0]]
+        assert classifier.stats.pairs == 1
+        assert classifier.stats.by_kind == {"conflict": 1}
+
+    def test_a_set_cell_pairs_with_every_earlier_access(self):
+        """approve overwrites α(0, 3) after a reader, a blind adder and a
+        setter of it: it pairs with all three, and each of those with
+        the earlier ones it does not commute with."""
+        token = ERC20TokenType(8, total_supply=80, with_extensions=True)
+        window = [
+            (5, op("allowance", 0, 3)),  # observes α(0, 3)
+            (0, op("increaseAllowance", 3, 1)),  # adds α(0, 3)
+            (0, op("approve", 3, 4)),  # sets α(0, 3)
+            (0, op("approve", 3, 5)),
+        ]
+        assert _preds(window, token) == [[], [0], [0, 1], [0, 1, 2]]
+        assert_plan_is_the_reference(token, _window(window))
+
+    @pytest.mark.parametrize("pids", [(0, 0, 0, 0, 0), (0, 1, 0, 1, 0)])
+    def test_unknown_footprints_first_middle_and_last(self, pids):
+        """Holes at indices 0, 2 and 4 pair with every other op; the known
+        ops between them reach the earlier holes.  Same-process conflicts
+        need no consensus; with two processes every op is contended."""
+        hole = op("totalSupply")
+        invocations = [
+            (pids[0], hole),
+            (pids[1], op("balanceOf", 1)),
+            (pids[2], hole),
+            (pids[3], op("balanceOf", 2)),
+            (pids[4], hole),
+        ]
+        token = HoleyERC20({(pid, hole) for pid in pids})
+        window = _window(invocations)
+        classifier = OpClassifier(token)
+        plan = plan_window(classifier, window)
+        assert [list(below) for below in plan.preds] == [
+            [],
+            [0],
+            [0, 1],
+            [0, 2],
+            [0, 1, 2, 3],
+        ]
+        assert classifier.stats.fallback_pairs == 9
+        expected = [] if len(set(pids)) == 1 else [[0, 1, 2, 3, 4]]
+        assert plan.contended_groups == expected
+        assert_plan_is_the_reference(token, window)
+
+    def test_preds_ascend_when_a_later_partner_comes_first(self):
+        """Op 4 observes β(1), which op 3 credited, and credits β(2), which
+        op 1 read: the observed cell is looked up first and yields the
+        later partner, yet the predecessors come out ascending."""
+        window = [
+            (5, op("balanceOf", 5)),
+            (7, op("balanceOf", 2)),
+            (6, op("balanceOf", 6)),
+            (4, op("transfer", 1, 1)),  # credits β(1)
+            (1, op("transfer", 2, 1)),  # observes β(1), credits β(2)
+        ]
+        assert _preds(window) == [[], [], [], [], [1, 3]]
+        assert_plan_is_the_reference(
+            ERC20TokenType(8, total_supply=80), _window(window)
+        )
 
 
 #: Reads dominate; the hot accounts' transferFroms and approves still make

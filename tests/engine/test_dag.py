@@ -631,6 +631,18 @@ class TestListScheduleProperties:
                 lane_free=[0],
             )
 
+    def test_a_cycle_names_the_first_unplaced_predecessor(self):
+        """Task 0 is placed first and waits on tasks 2 and 1, which wait
+        on it: the error names the first of them in its ``preds``, not
+        the first in placement order."""
+        with pytest.raises(EngineError, match="task 0: predecessor 2 "):
+            dag_list_schedule(
+                seqs=[0, 1, 2],
+                preds=[(2, 1), (0,), (0,)],
+                priorities=[3, 1, 1],
+                lane_free=[0],
+            )
+
     @pytest.mark.parametrize("priorities", [[1, 1], [1, 2], [2, 2]])
     def test_priorities_that_do_not_rank_a_predecessor_first_raise(
         self, priorities

@@ -2,15 +2,15 @@
 
 :func:`~repro.engine.rounds.plan_window` is the one place a window is
 planned — for the engine and the router — and it folds the plan out of
-the location index's candidates in one walk, kinding each candidate by
-a table on the two ops' footprint classes.  The reference is written out
+one location scan's predecessors in one walk, kinding each edge by a
+table on the two ops' footprint classes.  The reference is written out
 in :func:`tests.engine.graph_views.reference_plan`: every pair through
-``OpClassifier.classify_window``, components by a naive union-find,
-``needs_consensus`` over every CONFLICT edge, the brute-force DAG fold
-per chain, predecessors by an edge scan.  Every plan field and every
+``OpClassifier.classify_window``, components by a naive union-find, the
+consensus rule over every CONFLICT edge, the brute-force DAG fold per
+chain, predecessors by an edge scan.  Every plan field and every
 classifier counter must come out equal, on ERC20, ERC721, k-asset-
 transfer, mixed-family and unknown-footprint windows — which is what
-makes the index and the kind table safe.  Then what every caller
+makes the scan and the kind table safe.  Then what every caller
 assumes of the result (``chains`` and ``singletons`` partition the
 window, groups sit inside one chain) and the wall benchmark's frozen
 adapters over it.
@@ -37,7 +37,6 @@ from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
 from repro.objects.erc1155 import ERC1155TokenType
-from repro.objects.footprint import conflict_candidates
 from repro.spec.operation import op
 from repro.workloads import TokenWorkloadGenerator, WorkloadItem, WorkloadMix
 from benchmarks.wall.scenarios import READ_MOSTLY_MIX as WALL_READ_MOSTLY
@@ -62,15 +61,15 @@ def _window(invocations) -> list[PendingOp]:
 
 def assert_plan_is_the_reference(object_type, ops) -> WindowPlan:
     """``plan_window`` on a fresh classifier equals the reference field
-    for field, its counters included, and the location index's
-    candidates are exactly the reference's edges."""
+    for field, its counters included, and the scan's predecessors are
+    exactly the reference's edges, each listed once, ascending."""
     graph, fields, counters = views.reference_plan(object_type, ops)
     classifier = OpClassifier(object_type)
     plan = plan_window(classifier, ops)
     assert plan.ops == ops
     assert plan.footprints == [classifier.footprint(o) for o in ops]
-    later = conflict_candidates(plan.footprints)
-    assert {(i, j) for i in later for j in later[i]} == set(graph.edges)
+    edges = [(i, j) for j, below in enumerate(plan.preds) for i in below]
+    assert sorted(edges) == list(graph.edges)
     found = {name: getattr(plan, name) for name in fields}
     found["preds"] = [list(below) for below in plan.preds]
     assert found == fields
@@ -296,7 +295,7 @@ def _refuse_the_pair_rule(*args):
 
 
 def test_the_plan_never_runs_the_pair_rule(monkeypatch):
-    """Candidates are kinded by the class table, never by the pair rule."""
+    """Edges are kinded by the class table, never by the pair rule."""
     token = ERC20TokenType(16, total_supply=1600)
     ops = _window(
         [
@@ -313,7 +312,9 @@ def test_the_plan_never_runs_the_pair_rule(monkeypatch):
     classifier = OpClassifier(token)
     plan = plan_window(classifier, ops)
     assert (plan.chains, plan.singletons) == ([[0, 2, 4]], [1, 3])
-    assert {name: getattr(plan, name) for name in fields} == fields
+    found = {name: getattr(plan, name) for name in fields}
+    found["preds"] = [list(below) for below in plan.preds]
+    assert found == fields
     assert classifier.stats.as_dict() == counters.as_dict()
 
 
