@@ -128,18 +128,18 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
             enabled=True, crashes=((1, 0.3 * span),)
         ),
         # One node dies and rejoins later (replay + shard rebalancing).
-        # The bounce outlasts detection — envelope plus probe — so the
-        # run shows a declared death AND a rejoin.
+        # The bounce outlasts detection — a result timeout plus an
+        # unanswered ping — so the run shows a declared death AND a
+        # rejoin.
         "crash_restart": FaultConfig(
             enabled=True,
             crashes=((1, 0.3 * span, 0.3 * span + 8 * timeout),),
         ),
         # Every node bounces once, staggered.  Downtime is long enough
-        # for the detector (whose deadline covers the victim's
-        # outstanding-work envelope plus an unanswered liveness probe)
-        # to declare the node dead and revoke before the restart races
-        # it; a shorter bounce is healed by rejoin-replay alone, with no
-        # revocation to observe.
+        # for the detector (a result timeout, then a ping unanswered for
+        # another) to declare the node dead and revoke before the
+        # restart races it; a shorter bounce is healed by rejoin-replay
+        # alone, with no revocation to observe.
         "rolling": FaultConfig(
             enabled=True,
             crashes=crash_cadence(

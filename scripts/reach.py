@@ -138,6 +138,11 @@ ALLOW = {
         "the submit()/run() caller's read of its responses; run_workload "
         "returns its own"
     ),
+    "repro.cluster.router.Router._stale": (
+        "error path: a straggler result or ack; no product fault schedule "
+        "makes one now that a unit its node reports running is never "
+        "replayed"
+    ),
     "repro.engine.mempool.PendingOp.__repr__": (
         "debug text: what a failing assertion prints"
     ),

@@ -379,7 +379,11 @@ class ClusterNode(Node):
     handle_cl_lease_revoke = handle_cl_lease_grant
 
     def handle_cl_ping(self, message: Message) -> None:
-        """Answer the router's liveness probe.  A pong proves only that
-        the node is up and reachable; in-flight work stays silent until
-        it finishes."""
-        self.send(message.src, "cl_pong", {})
+        """Answer the router's liveness probe with the units this node is
+        running: ops placed on its lanes, execution timer armed.  A unit
+        still waiting for its ``cl_run`` or a lease grant is not running,
+        so the router retransmits it."""
+        holds = [
+            key for key, unit in self._units.items() if unit.timer is not None
+        ]
+        self.send(message.src, "cl_pong", {"holds": holds})

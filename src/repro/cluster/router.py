@@ -11,9 +11,12 @@ or replayed; :class:`~repro.cluster.routing._Unit`, whose methods own the
 transitions and return what the router bills), the **lease handoff**
 (request → grant → ack, or a unilateral revoke → ack; :class:`_Handoff`,
 whose presence is the shard's serialization token) and the **failure
-detector** (result timer → probe → pong, or declare dead → revoke and
-replay → rejoin; :class:`_Peer`, whose liveness rule takes ``now`` and
-returns a verdict).
+detector** (timer → ping → pong naming the units the node runs, or
+declare dead → revoke and replay → rejoin; :class:`_Peer` holds the
+node's last answer, and :meth:`Router._ask` is the one rule every timer
+asks through).  The detector estimates nothing: a timer that fires asks
+the node, re-arms while the node says it is running the unit, and acts
+only on an answer or on a ping unanswered for a full ``result_timeout``.
 """
 
 from __future__ import annotations
@@ -84,8 +87,10 @@ class _Handoff:
     #: names the adopter as both: its granter is dead or bypassed.
     granter: int
     adopter: int
-    #: Lease-timeout timer (armed under recovery only).
+    #: Lease-timeout timer (armed under recovery only), and when it first
+    #: asked the parties about this attempt (``None``: not asking).
     timer: Any = None
+    since: float | None = None
     #: Adoptions re-sent because the grant, revoke or ack was lost.
     #: Capped, like a round's ``retransmits``, so a network that eats
     #: every copy ends the run with an honest error instead of
@@ -95,62 +100,23 @@ class _Handoff:
 
 @dataclass(slots=True, eq=False)
 class _Peer:
-    """The router's view of one node: what is queued for it, and every
-    fact the failure detector holds about it."""
+    """The router's view of one node: what is queued for it, and what
+    the node last said about itself."""
 
     #: Units awaiting dispatch to the node.
     queue: list[_Unit] = field(default_factory=list)
     #: Declared dead: fenced, and given no work until it rejoins.
     dead: bool = False
-    #: Last virtual time the node was dispatched to or heard from
-    #: (result or ack); the liveness floor result timeouts extend to.
-    last_heard: float = 0.0
-    #: Serial-sum execution envelope of the node's dispatched but
-    #: unfinished units (each unit remembers its own share).  A
-    #: single giant conflict component runs longer than any fixed
-    #: timeout while producing no interim results; its silence is
-    #: not evidence until its execution envelope has elapsed too.
-    #: The envelope shrinks as results land, so detection latency is
-    #: bounded by the node's outstanding work, not the run length.
-    outstanding_work: float = 0.0
-    #: Virtual time of the node's open liveness probe / of its last
-    #: pong.  A timeout alone cannot tell a dead node from a live one
-    #: whose message was lost in transit; the probe asks the node
-    #: itself.  Pongs are kept apart from ``last_heard``: an answer
-    #: proves the node is up, not that its work is moving, and must
-    #: not push back the result deadline whose expiry sent the probe.
+    #: Send time of the node's unanswered ``cl_ping`` (``None``: no ping
+    #: is out), the arrival time of its last ``cl_pong``, and that pong's
+    #: answer: the ``(round, unit)`` keys the node was running.  Silence
+    #: cannot tell a dead node from a slow one, or from one whose message
+    #: was lost in transit; only the node's answer can.
     probe: float | None = None
     last_pong: float = 0.0
+    holds: frozenset[tuple[int, int]] = frozenset()
     #: The node's open recovery episode.
     episode: _RecoveryEpisode | None = None
-
-    def suspect(self, now: float, timeout: float) -> str:
-        """Probe-based liveness.  The first suspicion opens a probe and
-        says ``ping`` (the caller sends it); from then on ``alive`` if
-        the node was heard from since the probe opened, ``dead`` if the
-        probe went unanswered for a full ``timeout``, ``pending`` while
-        it is still in flight.  Suspicion only ever follows a fired
-        timer, so a fault-free run never pays for a probe.  An answered
-        probe stays open until a caller acts on the verdict and retires
-        it (the next suspicion then asks afresh), so a timer waiting on
-        a second party does not lose the first one's answer."""
-        if self.probe is None:
-            self.probe = now
-            return "ping"
-        if max(self.last_heard, self.last_pong) >= self.probe:
-            return "alive"
-        if now >= self.probe + timeout:
-            return "dead"
-        return "pending"
-
-    def deadline(self, timeout: float) -> float:
-        """Liveness, not latency: a result deadline extends as long as
-        the node keeps producing *anything* (results, acks) and as long
-        as its dispatched work envelope could still be executing.  A
-        backlogged survivor digesting a replay burst — or one long
-        conflict component — is slow, not dead; suspecting it would
-        cascade fail-overs onto ever-fewer nodes."""
-        return self.last_heard + self.outstanding_work + timeout
 
 
 class Router(Node):
@@ -183,9 +149,6 @@ class Router(Node):
         self.scheduler = WallAdapters(classifier)
         self.responses: dict[int, Any] = {}
         self._rounds_started = 0
-        #: Shards the rejoin rebalance handed over since the last routed
-        #: round, which that round may not lease away.
-        self._held: set[int] = set()
         #: Cross-round pipelining: up to ``pipeline_depth`` rounds in
         #: flight, and the gates that stand in for a global round barrier
         #: (see :meth:`pump`).  Rounds enter in ascending index order, so
@@ -351,9 +314,7 @@ class Router(Node):
                 shard_map=self.shard_map,
                 sync=self.sync,
                 live=self._live(),
-                held=self._held,
             )
-            self._held = set()
             routed.classified = self.now
             routed.sync_start = max(self.now, self._sync_free)
             routed.stats.inflight = len(self._inflight) + 1
@@ -456,31 +417,7 @@ class Router(Node):
             },
         )
         if self.recovery:
-            # The timeout clock starts when the unit can actually run:
-            # a unit parked behind its sync lane is late evidence of
-            # nothing, so the lane remainder extends the deadline.
-            sync_wait = max(0.0, sync_ready - self.now)
-            # Dispatch refreshes the liveness floor: an idle node owes
-            # nothing until it is given work again.
-            peer = self._peers[unit.node]
-            peer.last_heard = max(peer.last_heard, self.now)
-            # Charge the unit's serial execution to the node's work
-            # envelope (conservative: lanes overlap, the envelope does
-            # not) — detection latency trades against never suspecting a
-            # node that is merely grinding through a long component.
-            peer.outstanding_work += unit.charge(
-                len(unit.ops) + sync_wait
-            )
-            self._arm_result_timer(unit, self.config.result_timeout + sync_wait)
-
-    def _settle_dispatch(self, unit: _Unit, done: bool) -> None:
-        """The dispatched incarnation is over (its result arrived or it is
-        being replayed): take its envelope off the node's outstanding
-        work."""
-        peer = self._peers[unit.node]
-        peer.outstanding_work = max(
-            0.0, peer.outstanding_work - unit.settle(done)
-        )
+            self._arm_result_timer(unit, self.config.result_timeout)
 
     def _finish_round(self, index: int) -> bool:
         """Retire the round if nothing is owed; ``True``: it did, and pumped."""
@@ -541,7 +478,7 @@ class Router(Node):
     def _lease_timed_out(self, shard: int) -> None:
         """A handoff's ack is late.  Either a party to the handoff is
         dead, or the grant/revoke/ack itself was lost in transit — and
-        silence cannot tell the two apart, so probe the parties.  A dead
+        silence cannot tell the two apart, so ask the parties.  A dead
         party goes through :meth:`_declare_dead`, which settles this
         handoff synthetically; if everyone answers, the message was the
         casualty and the adoption is resent — the shard's serialization
@@ -556,14 +493,15 @@ class Router(Node):
         ]
         if not parties:
             return
-        states = {party: self._suspect(party) for party in parties}
+        if handoff.since is None:
+            handoff.since = self.now
+        verdicts = {party: self._ask(party, handoff.since) for party in parties}
         for party in parties:
-            if states[party] == "dead":
+            if verdicts[party] == "dead":
                 self._declare_dead(party)
                 return
-        if all(states[party] == "alive" for party in parties):
-            for party in parties:
-                self._peers[party].probe = None
+        if all(verdicts[party] == "alive" for party in parties):
+            handoff.since = None
             handoff.resends += 1
             if handoff.resends > 8:
                 raise ClusterError(
@@ -581,7 +519,7 @@ class Router(Node):
         expiry = min(
             self._peers[party].probe + self.config.result_timeout
             for party in parties
-            if states[party] == "pending"
+            if verdicts[party] == "pending"
         )
         handoff.timer = self.schedule(
             expiry - self.now, lambda: self._lease_timed_out(shard)
@@ -589,49 +527,55 @@ class Router(Node):
 
     # -- fail-over: detection, revocation, replay -------------------------
 
-    def _suspect(self, node: int) -> str:
-        """:meth:`_Peer.suspect`, with a first suspicion's ping sent."""
-        verdict = self._peers[node].suspect(
-            self.now, self.config.result_timeout
-        )
-        if verdict == "ping":
+    def _ask(self, node: int, since: float) -> str:
+        """The one liveness rule: ``alive`` once the node answered a ping
+        after ``since``, ``dead`` once a ping has gone unanswered for a
+        full ``result_timeout``, ``pending`` otherwise — sending a ping
+        if none is out.  Each timer passes its own ``since``, so no timer
+        consumes another's answer."""
+        peer = self._peers[node]
+        if peer.last_pong > since:
+            return "alive"
+        if peer.probe is None:
+            peer.probe = self.now
             self.send(node, "cl_ping", {})
-            return "pending"
-        return verdict
+        elif self.now >= peer.probe + self.config.result_timeout:
+            return "dead"
+        return "pending"
 
     def _arm_result_timer(self, unit: _Unit, delay: float) -> None:
         unit.watch(self.schedule(delay, lambda: self._result_timed_out(unit)))
 
     def _result_timed_out(self, unit: _Unit) -> None:
+        """A result is late: ask the node.  Running the unit, it is slow,
+        not dead — wait one more ``result_timeout``, then ask afresh.
+        Answering without it, it lost the unit's ``cl_run``, its grant or
+        its result (or restarted), and retransmitting is the cure (the
+        commit dedup absorbs any straggling original).  Only a ping
+        unanswered for a full timeout is evidence of death."""
         node = unit.node
         peer = self._peers[node]
         if unit.done or peer.dead:
             return
         timeout = self.config.result_timeout
-        deadline = peer.deadline(timeout)
-        if deadline > self.now:
-            self._arm_result_timer(unit, deadline - self.now)
-            return
-        # The envelope elapsed too — but silence still cannot tell a
-        # dead node from a live one whose result (or a grant feeding it)
-        # was lost in transit.  Probe before condemning: a pong means
-        # the unit itself is the casualty and retransmitting it is the
-        # cure (the commit dedup absorbs any straggling original); only
-        # a probe unanswered for a full timeout is evidence of death.
-        state = self._suspect(node)
-        if state == "pending":
-            self._arm_result_timer(unit, peer.probe + timeout - self.now)
-        elif state == "alive":
-            peer.probe = None
-            self._retransmit_unit(unit)
-        else:
+        if unit.since is None:
+            unit.since = self.now
+        verdict = self._ask(node, unit.since)
+        if verdict == "dead":
             self._declare_dead(node)
+        elif verdict == "pending":
+            self._arm_result_timer(unit, peer.probe + timeout - self.now)
+        elif (unit.round, unit.uidx) in peer.holds:
+            unit.since = None
+            self._arm_result_timer(unit, timeout)
+        else:
+            self._retransmit_unit(unit)
 
     def _retransmit_unit(self, unit: _Unit) -> None:
-        """The node answers probes but the unit is overdue beyond its
-        whole work envelope: a message it depends on was lost.  Replay
-        it on the least-loaded live node, against a per-round budget —
-        a network that eats every copy fails the run loudly."""
+        """The node answered without the overdue unit: a message it
+        depends on was lost.  Replay it on the least-loaded live node,
+        against a per-round budget — a network that eats every copy
+        fails the run loudly."""
         round_state = self._inflight[unit.round]
         round_state.retransmits += 1
         if round_state.retransmits > max(16, 2 * self.config.window):
@@ -659,7 +603,6 @@ class Router(Node):
                 "to fail over to"
             )
         peer.dead = True
-        peer.probe = None
         if self.faults is not None:
             self.faults.fence(node)
         self._trace_fault(f"node {node} declared dead", node=node)
@@ -705,11 +648,11 @@ class Router(Node):
 
     def _revoke_shards(self, node: int, live: list[int]) -> None:
         """Revoke the dead node's leases and spread its shards over the
-        survivors, each re-grantable at once (held or not).  A shard with
-        a live handoff token is left alone — clobbering the token would
-        orphan that handoff's ack — and is lazily adopted by the next
-        migration planned off the dead owner (routing places nothing on
-        a dead node: until then the shard costs locality, not liveness)."""
+        survivors, each re-grantable at once.  A shard with a live
+        handoff token is left alone — clobbering the token would orphan
+        that handoff's ack — and is lazily adopted by the next migration
+        planned off the dead owner (routing places nothing on a dead
+        node: until then the shard costs locality, not liveness)."""
         for shard in sorted(self.shard_map.shards_of_node(node)):
             if shard in self._handoffs:
                 continue
@@ -718,7 +661,6 @@ class Router(Node):
                 key=lambda n: (len(self.shard_map.shards_of_node(n)), n),
             )
             self.shard_map.migrate(shard, target, self._rounds_started)
-            self._held.discard(shard)
             self.stats.revocations += 1
             self._trace_fault(
                 f"revoke shard {shard} -> node {target}",
@@ -754,7 +696,7 @@ class Router(Node):
         target = min(
             self._live(), key=lambda n: (len(self._peers[n].queue), n)
         )
-        self._settle_dispatch(unit, done=False)
+        unit.settle(done=False)
         if not unit.dispatched:
             self._peers[node].queue.remove(unit)
         del round_state.units[(node, unit.uidx)]
@@ -776,11 +718,8 @@ class Router(Node):
             return
         peer = self._peers[node]
         peer.dead = False
+        # A ping sent to the dead incarnation is never answered.
         peer.probe = None
-        peer.last_heard = self.now
-        # The crash voided whatever envelope the dead incarnation had
-        # accrued; a stale bound must not slow re-detection.
-        peer.outstanding_work = 0.0
         self.stats.rejoins += 1
         self._trace_fault(f"node {node} rejoined", node=node)
         self._replay_owed(node)
@@ -790,8 +729,7 @@ class Router(Node):
     def _rebalance_to(self, node: int) -> None:
         """Administrative lease transfers bringing a rejoined node up to
         its fair shard share — the normal request/grant/ack handshake
-        under the :data:`ADMIN_ROUND` sentinel.  The next routed round
-        may not lease a shard so moved away again."""
+        under the :data:`ADMIN_ROUND` sentinel."""
         live = self._live()
         fair = self.shard_map.num_shards // len(live)
         while len(self.shard_map.shards_of_node(node)) < fair:
@@ -816,7 +754,6 @@ class Router(Node):
                 break
             shard = max(movable)
             self.shard_map.migrate(shard, node, self._rounds_started)
-            self._held.add(shard)
             self._open_handoff(shard, ADMIN_ROUND, donor, node, revoke=False)
 
     def _settle_replay(self, unit: _Unit) -> None:
@@ -846,13 +783,13 @@ class Router(Node):
     # -- message handlers -------------------------------------------------
 
     def handle_cl_pong(self, message: Message) -> None:
-        """A probed node answered: alive, however late its work.  The
-        timer that sent the probe re-fires, sees the answer, and
-        retransmits the stuck message instead of declaring the node
-        dead.  The pong is deliberately *not* progress: refreshing
-        ``last_heard`` here would re-arm the very deadline whose expiry
-        sent the probe, and the router would ping forever."""
-        self._peers[message.src].last_pong = self.now
+        """A pinged node answered, naming the units it is running: the
+        probe closes, and every timer that asked since the ping went out
+        reads the same answer when it re-fires."""
+        peer = self._peers[message.src]
+        peer.probe = None
+        peer.last_pong = self.now
+        peer.holds = frozenset(message.payload["holds"])
 
     def _stale(self, what: str) -> None:
         """A message whose unit or handoff was already settled.  Under
@@ -869,7 +806,6 @@ class Router(Node):
         body = message.payload
         index = body["round"]
         shard = body["shard"]
-        self._peers[message.src].last_heard = self.now
         # The shard's serialization token is the exactly-once guard: an
         # ack settles its handoff (timer, bookkeeping, pending_acks) only
         # while it still holds the token.  An ack whose handoff was
@@ -895,7 +831,6 @@ class Router(Node):
     def handle_cl_result(self, message: Message) -> None:
         body = message.payload
         index = body["round"]
-        self._peers[message.src].last_heard = self.now
         round_state = self._inflight.get(index)
         units = round_state.units if round_state is not None else {}
         unit = units.get((message.src, body["unit"]))
@@ -907,7 +842,7 @@ class Router(Node):
             return
         self.responses.update(body["responses"])
         round_state.pending -= 1
-        self._settle_dispatch(unit, done=True)
+        unit.settle(done=True)
         self._settle_replay(unit)
         if not self._finish_round(index):
             self._drain_gates()

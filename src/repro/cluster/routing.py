@@ -118,10 +118,10 @@ class _Unit:
     blockers: list[_Unit] | tuple[()] = ()
     #: Time the ready-to-go unit was first blocked by that gate.
     blocked_since: float | None = None
-    #: Result-timeout timer and the serial execution envelope charged to
-    #: the node while the unit is dispatched (recovery only).
+    #: Result-timeout timer (recovery only), and when it first asked the
+    #: node about this incarnation (``None``: not asking).
     timer: Any = None
-    envelope: float = 0.0
+    since: float | None = None
     #: Virtual time the current replay incarnation was created
     #: (recovery-stall attribution), and the failed node(s) whose
     #: episodes await its result.
@@ -147,26 +147,19 @@ class _Unit:
         self.blocked_since = self.replay_started = None
         return gate_stall, recovery_stall
 
-    def charge(self, envelope: float) -> float:
-        """Remember what dispatch charged to the node's outstanding work;
-        :meth:`settle` hands it back."""
-        self.envelope = envelope
-        return envelope
-
     def watch(self, timer: Any) -> None:
         """Hold the (re-)armed result timer until :meth:`settle`."""
         self.timer = timer
 
-    def settle(self, done: bool) -> float:
+    def settle(self, done: bool) -> None:
         """The dispatched incarnation is over — its result arrived
-        (``done``) or it is being replayed: stop its timer and return,
-        once, the envelope to take off the node's outstanding work."""
+        (``done``) or it is being replayed: stop its timer and forget
+        what that timer asked."""
         self.done = self.done or done
         if self.timer is not None:
             self.timer.cancel()
             self.timer = None
-        envelope, self.envelope = self.envelope, 0.0
-        return envelope
+        self.since = None
 
     def requeue(self, target: int, uidx: int, now: float) -> None:
         """Become a replay incarnation queued for ``target``.  It needs
@@ -231,18 +224,15 @@ def route_window(
     shard_map: ShardMap,
     sync: TieredEscalator,
     live: list[int],
-    held: set[int],
 ) -> _Round:
     """Route one window: co-locate components, plan leases, order the
     contended components through the sync layer.
 
     ``shard_map`` is updated in place as leases are planned: a later
-    chain of the window must see an earlier chain's migration.  A shard
-    in ``held`` (one a rejoin rebalance just handed over) does not move
-    this round, and no shard moves twice in one.  ``live`` lists the
-    nodes that may be given work, in any order: sorted here, every load
-    tie goes to the lowest id (``min`` and ``max`` keep the first of
-    equal keys)."""
+    chain of the window must see an earlier chain's migration, and no
+    shard moves twice in one round.  ``live`` lists the nodes that may
+    be given work, in any order: sorted here, every load tie goes to the
+    lowest id (``min`` and ``max`` keep the first of equal keys)."""
     live = sorted(live)
     plan = plan_window(classifier, window)
     contended = set(plan.escalated_idx)
@@ -341,8 +331,8 @@ def route_window(
                 }
             )
             for shard in foreign:
-                if shard in lease_units or shard in held:
-                    continue  # held, or already moved this round
+                if shard in lease_units:
+                    continue  # already moved this round
                 from_node = shard_map.owner_of_shard(shard)
                 shard_map.migrate(shard, target, index)
                 migrations.append((shard, from_node, target))

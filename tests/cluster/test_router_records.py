@@ -1,6 +1,11 @@
-"""The router's protocol records on their own: no router, no network, no
-clock.  ``_Peer.suspect`` takes ``now`` and returns a verdict; ``_Unit``'s
-lifecycle methods take ``now`` and return what the router bills.
+"""The router's protocol records, and the one rule its timers ask by.
+
+``_Unit``'s lifecycle methods take ``now`` and return what the router
+bills; they need no router, no network and no clock.  ``Router._ask``
+needs a node to answer, so its tests drive a small cluster's router by
+hand, and the detector's claims end to end: a slow unit is never
+retransmitted, a lost message is retransmitted at the first ask, timers
+share one ping, and a restarted node's empty answer replays its units.
 """
 
 from __future__ import annotations
@@ -8,65 +13,169 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.router import _Peer
+from repro.cluster import TokenCluster
 from repro.cluster.routing import _Unit
+from repro.config import ClusterConfig, FaultConfig
 from repro.engine import PendingOp
 from repro.engine.conflict_graph import ComponentDAG
+from repro.objects.erc20 import ERC20TokenType
 from repro.objects.footprint import EMPTY_FOOTPRINT
 from repro.spec.operation import op
+from repro.workloads import WorkloadItem
 
 TIMEOUT = 10.0
+ACCOUNTS = 16
 
 
-def test_the_first_suspicion_pings_and_opens_the_probe():
-    peer = _Peer()
-    assert peer.suspect(5.0, TIMEOUT) == "ping"
-    assert peer.probe == 5.0
-    assert peer.suspect(6.0, TIMEOUT) == "pending"
-    assert peer.probe == 5.0
+def a_cluster(fault: FaultConfig | None = None, **fields) -> TokenCluster:
+    config = dict(num_nodes=2, lanes_per_node=1, result_timeout=TIMEOUT)
+    return TokenCluster(
+        ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS),
+        ClusterConfig(**{**config, **fields}, fault=fault or FaultConfig()),
+    )
 
 
-def test_a_pong_proves_life_without_moving_the_deadline():
-    peer = _Peer(last_heard=2.0, outstanding_work=3.0)
-    deadline = peer.deadline(TIMEOUT)
-    assert deadline == 15.0
-    assert peer.suspect(deadline, TIMEOUT) == "ping"
-    peer.last_pong = 16.0  # all that ``handle_cl_pong`` records
-    assert peer.suspect(17.0, TIMEOUT) == "alive"
-    # An answer is not progress: re-arming the deadline whose expiry sent
-    # the probe would have the router ping for ever.
-    assert peer.deadline(TIMEOUT) == deadline
+def advance(cluster: TokenCluster, to: float) -> None:
+    """Deliver everything due by ``to``, and stop the clock there."""
+    cluster.simulator.run(until=to)
+    cluster.simulator.now = to
 
 
-def test_a_probe_unanswered_for_a_full_timeout_says_dead():
-    peer = _Peer(last_heard=2.0)
-    assert peer.suspect(5.0, TIMEOUT) == "ping"
-    assert peer.suspect(14.9, TIMEOUT) == "pending"
-    assert peer.suspect(15.0, TIMEOUT) == "dead"
-    # A pong from before the probe opened answers nothing.
-    stale = _Peer(last_pong=4.0)
-    stale.suspect(5.0, TIMEOUT)
-    assert stale.suspect(15.0, TIMEOUT) == "dead"
+def pings(cluster: TokenCluster) -> int:
+    return cluster.network.stats.by_type.get("cl_ping", 0)
 
 
-def test_a_result_or_ack_after_the_probe_says_alive_and_extends_the_deadline():
-    peer = _Peer(last_heard=2.0)
-    peer.suspect(5.0, TIMEOUT)
-    peer.last_heard = 6.0
-    assert peer.suspect(30.0, TIMEOUT) == "alive"
-    assert peer.deadline(TIMEOUT) == 16.0
+# -- the ask rule ------------------------------------------------------------
 
 
-def test_an_answered_probe_stays_open_until_its_verdict_is_acted_on():
-    """A lease timer waiting on a second party re-asks about the first:
-    the first one's answer must still be there."""
-    peer = _Peer()
-    peer.suspect(5.0, TIMEOUT)
-    peer.last_pong = 6.0
-    assert peer.suspect(7.0, TIMEOUT) == "alive"
-    assert peer.suspect(40.0, TIMEOUT) == "alive"
-    peer.probe = None  # the caller retires it
-    assert peer.suspect(41.0, TIMEOUT) == "ping"
+def test_the_first_ask_pings_and_later_asks_wait_for_its_answer():
+    cluster = a_cluster()
+    router = cluster.router
+    advance(cluster, 5.0)
+    assert router._ask(0, 5.0) == "pending"
+    assert router._peers[0].probe == 5.0
+    assert router._ask(0, 5.0) == "pending"
+    assert router._ask(0, 6.0) == "pending"  # another timer: no second ping
+    assert pings(cluster) == 1
+
+
+def test_a_pong_after_since_says_alive_to_every_timer_that_asked_before_it():
+    cluster = a_cluster()
+    router, peer = cluster.router, cluster.router._peers[0]
+    advance(cluster, 5.0)
+    router._ask(0, 5.0)
+    advance(cluster, 10.0)  # ping and pong are each at most 1.5 in flight
+    assert peer.probe is None and 5.0 < peer.last_pong < 10.0
+    assert peer.holds == frozenset()  # an idle node runs nothing
+    assert router._ask(0, 5.0) == "alive"
+    # A timer that started asking after the answer needs its own ...
+    assert router._ask(0, 10.0) == "pending" and peer.probe == 10.0
+    assert pings(cluster) == 2
+    # ... and the earlier asker keeps the answer it already had.
+    assert router._ask(0, 5.0) == "alive"
+
+
+def test_a_ping_unanswered_for_a_full_timeout_says_dead():
+    cluster = a_cluster(FaultConfig(enabled=True, crashes=((1, 1.0),)))
+    router = cluster.router
+    advance(cluster, 2.0)
+    assert router._ask(1, 2.0) == "pending"
+    advance(cluster, 2.0 + TIMEOUT - 0.1)
+    assert router._ask(1, 2.0) == "pending"
+    advance(cluster, 2.0 + TIMEOUT)
+    assert router._ask(1, 2.0) == "dead"
+    # Dead is a verdict on the ping, whoever asks.
+    assert router._ask(1, 2.0 + TIMEOUT) == "dead"
+    assert pings(cluster) == 1
+
+
+# -- the detector end to end --------------------------------------------------
+
+
+def assert_serial(cluster: TokenCluster, items) -> None:
+    token = cluster.object_type
+    responses = [cluster.router.responses[i] for i in range(len(items))]
+    assert (cluster.state, responses) == token.run(
+        [(item.pid, item.operation) for item in items]
+    )
+    assert cluster.stats.ops_lost == 0
+
+
+def test_a_unit_running_longer_than_the_timeout_is_slow_not_dead():
+    """One long conflict chain on one lane outlives several timeouts
+    while its node sends nothing.  Asked, the node names the unit, so
+    the router waits another timeout each time — it never retransmits."""
+    cluster = a_cluster()
+    items = [WorkloadItem(0, op("transfer", 1, 1)) for _ in range(40)]
+    stats = cluster.run_workload(items)[2]
+    assert_serial(cluster, items)
+    assert stats.makespan > 3 * TIMEOUT
+    assert pings(cluster) >= 2
+    assert stats.ops_replayed == 0 and stats.revocations == 0
+
+
+def two_chains_on(cluster: TokenCluster, node: int) -> list[WorkloadItem]:
+    """Two independent two-op chains anchored on ``node``: two units."""
+    first, second, sink = [
+        a for a in range(ACCOUNTS) if cluster.shard_map.owner_of(a) == node
+    ][:3]
+    return [
+        WorkloadItem(pid, op("transfer", sink, 1))
+        for pid in (first, first, second, second)
+    ]
+
+
+def test_a_run_lost_on_a_live_node_is_retransmitted_at_the_first_ask():
+    """Every ``cl_run`` of the one round is lost.  Each node is pinged
+    once; it answers without the units, and each unit is replayed when
+    that answer is read — no second ask, no death."""
+    cluster = a_cluster(
+        FaultConfig(enabled=True, drops=(("cl_run", 1.0, 0.0, 0.5),)),
+        pipeline_depth=1,
+    )
+    items = two_chains_on(cluster, 0) + two_chains_on(cluster, 1)
+    stats = cluster.run_workload(items)[2]
+    assert_serial(cluster, items)
+    assert stats.round_log[0].nodes_used == 2 and stats.rounds == 1
+    assert pings(cluster) == 2
+    assert stats.ops_replayed == len(items)
+    assert stats.revocations == 0 and stats.stale_messages == 0
+
+
+def test_two_timers_asking_one_node_read_the_same_pong():
+    """Both results of two units on one node are lost: the first timer
+    to fire pings, the second finds the ping out and waits for the same
+    answer, and both units are retransmitted off that one pong."""
+    cluster = a_cluster(
+        FaultConfig(enabled=True, drops=(("cl_result", 1.0, 0.0, 8.0),)),
+        pipeline_depth=1,
+    )
+    items = two_chains_on(cluster, 0)
+    stats = cluster.run_workload(items)[2]
+    assert_serial(cluster, items)
+    assert stats.units_dispatched == 2
+    assert pings(cluster) == 1
+    assert stats.ops_replayed == len(items) and stats.revocations == 0
+
+
+def test_a_restarted_nodes_empty_pong_replays_the_unit():
+    """The node bounces inside one event, so nothing tells the router:
+    its ping reaches the new incarnation, which runs nothing, and the
+    empty answer is what replays the unit the crash erased."""
+    cluster = a_cluster()
+    items = [WorkloadItem(0, op("transfer", 1, 1)) for _ in range(40)]
+    owner = cluster.shard_map.owner_of(0)
+    node = cluster.nodes[owner]
+
+    def bounce() -> None:
+        node.crash()
+        node.restart(set(cluster.shard_map.shards_of_node(owner)))
+
+    cluster.simulator.schedule_at(5.0, bounce)
+    stats = cluster.run_workload(items)[2]
+    assert_serial(cluster, items)
+    assert stats.ops_replayed == len(items)
+    assert stats.rejoins == 0 and stats.revocations == 0
 
 
 # -- the unit lifecycle ------------------------------------------------------
@@ -127,20 +236,22 @@ def test_a_replay_incarnation_bills_recovery_never_frontier_stall():
     assert unit.dispatch(20.0) == (0.0, 0.0)
 
 
-def test_settle_is_idempotent_and_returns_the_envelope_exactly_once():
+def test_settle_is_idempotent_and_stops_its_timer_once():
     unit, timer = a_unit(), Timer()
     unit.dispatch(0.0)
-    assert unit.charge(6.5) == 6.5
     unit.watch(timer)
-    assert unit.settle(done=True) == 6.5
-    assert unit.done and unit.timer is None and timer.cancelled == 1
-    assert unit.settle(done=True) == 0.0
-    assert unit.settle(done=False) == 0.0  # a straggler cannot undo it
+    unit.since = 12.0  # the timer fired and is asking
+    unit.settle(done=True)
+    assert unit.done and unit.timer is None and unit.since is None
+    assert timer.cancelled == 1
+    unit.settle(done=True)
+    unit.settle(done=False)  # a straggler cannot undo it
     assert unit.done and timer.cancelled == 1
-    # Without recovery nothing is charged and nothing is armed.
+    # Without recovery nothing is armed.
     bare = a_unit()
     bare.dispatch(0.0)
-    assert bare.settle(done=True) == 0.0 and bare.done
+    bare.settle(done=True)
+    assert bare.done and bare.timer is None
 
 
 def test_requeue_keeps_the_plan_and_drops_the_leases():
@@ -161,7 +272,7 @@ def test_requeue_keeps_the_plan_and_drops_the_leases():
 
 
 EVENTS = st.lists(
-    st.sampled_from(["block", "dispatch", "result", "fail", "rearm"]),
+    st.sampled_from(["block", "dispatch", "result", "fail", "ask", "rearm"]),
     max_size=30,
 )
 
@@ -169,12 +280,12 @@ EVENTS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(events=EVENTS)
 def test_every_dispatched_unit_ends_done_or_requeued(events):
-    """Drive one record the way the router does (gate → dispatch, charge,
-    watch → result | fail-over → requeue) over arbitrary interleavings:
-    whatever was charged is handed back exactly once, no timer outlives
-    its incarnation, and a dispatched unit is never left in limbo."""
+    """Drive one record the way the router does (gate → dispatch, watch
+    → ask, re-arm → result | fail-over → requeue) over arbitrary
+    interleavings: no timer outlives its incarnation, no incarnation
+    inherits an earlier one's question, and a dispatched unit is never
+    left in limbo."""
     unit = a_unit()
-    charged = returned = 0.0
     timers: list[Timer] = []
     now, replays = 0.0, 0
     for event in events:
@@ -186,23 +297,25 @@ def test_every_dispatched_unit_ends_done_or_requeued(events):
         elif event == "dispatch" and not unit.dispatched:
             gate_stall, recovery_stall = unit.dispatch(now)
             assert gate_stall >= 0 and recovery_stall >= 0
-            charged += unit.charge(2.0)
+            assert unit.since is None
             timers.append(Timer())
             unit.watch(timers[-1])
+        elif event == "ask" and unit.dispatched:
+            if unit.since is None:
+                unit.since = now
         elif event == "rearm" and unit.dispatched:
             timers.append(Timer())  # the old one fired: it is consumed
             unit.watch(timers[-1])
         elif event == "result" and unit.dispatched:
-            returned += unit.settle(done=True)
+            unit.settle(done=True)
         elif event == "fail":
-            returned += unit.settle(done=False)
+            unit.settle(done=False)
             replays += 1
             unit.requeue(target=replays % 3, uidx=(1 << 20) + replays, now=now)
     if unit.dispatched and not unit.done:
         # Quiescence: the router settles or replays whatever it sent.
-        returned += unit.settle(done=True)
-    assert returned == charged
-    assert unit.timer is None and unit.envelope == 0.0
+        unit.settle(done=True)
+    assert unit.timer is None and unit.since is None
     assert unit.done or not unit.dispatched
     assert all(timer.cancelled <= 1 for timer in timers)
     assert unit.leases in (0, 2) and (unit.leases == 2) == (replays == 0)

@@ -30,7 +30,7 @@ NODES = 4
 SHARDS = 16
 
 
-def route(window, shard_map, index=0, live=None, held=()):
+def route(window, shard_map, index=0, live=None):
     classifier = OpClassifier(
         ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
     )
@@ -41,7 +41,6 @@ def route(window, shard_map, index=0, live=None, held=()):
         shard_map=shard_map,
         sync=TieredEscalator(team_threshold=ClusterConfig().team_threshold),
         live=list(range(shard_map.num_nodes)) if live is None else live,
-        held=set(held),
     )
 
 
@@ -125,22 +124,6 @@ def test_a_shard_moves_at_most_once_per_round():
     assert shard_map.owner_of_shard(shard) == 2
 
 
-def test_a_held_shard_stays_put_and_its_chain_still_colocates():
-    """A shard the rejoin rebalance just handed over is held for the
-    round routed next: the 2-vs-1 chain that would lease it runs on its
-    majority owner anyway."""
-    shard_map = ShardMap(SHARDS, NODES)
-    a, b = accounts_of(shard_map, 2)[:2]
-    (c,) = accounts_of(shard_map, 1)[:1]
-    (sink,) = accounts_of(shard_map, 3)[:1]
-    shard = shard_map.shard_of(c)
-    routed = route(chain(0, a, b, c, sink), shard_map, held={shard})
-    unit = unit_of(routed, 0)
-    assert (unit.node, len(unit.ops), unit.leases) == (2, 3, 0)
-    assert routed.lease_pending == []
-    assert shard_map.owner_of_shard(shard) == 1
-
-
 def split_three_ways(shard_map):
     """A chain anchored twice on node 2 and once each on nodes 1 and 3,
     and the two minority shards."""
@@ -164,16 +147,6 @@ def test_a_two_one_one_split_leases_both_minority_shards():
     assert sorted(routed.lease_pending) == sorted(
         [(from_1, 1, 2), (from_3, 3, 2)]
     )
-
-
-def test_a_held_shard_blocks_only_itself():
-    shard_map = ShardMap(SHARDS, NODES)
-    window, from_1, from_3 = split_three_ways(shard_map)
-    routed = route(window, shard_map, held={from_1})
-    unit = unit_of(routed, 0)
-    assert (unit.node, unit.leases) == (2, 1)
-    assert routed.lease_pending == [(from_3, 3, 2)]
-    assert shard_map.owner_of_shard(from_1) == 1
 
 
 def test_a_later_chain_sees_an_earlier_chains_migration():
