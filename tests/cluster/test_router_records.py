@@ -18,6 +18,7 @@ from repro.cluster.routing import _Unit
 from repro.config import ClusterConfig, FaultConfig
 from repro.engine import PendingOp
 from repro.engine.conflict_graph import ComponentDAG
+from repro.net.network import Message
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.footprint import EMPTY_FOOTPRINT
 from repro.spec.operation import op
@@ -87,6 +88,28 @@ def test_a_ping_unanswered_for_a_full_timeout_says_dead():
     # Dead is a verdict on the ping, whoever asks.
     assert router._ask(1, 2.0 + TIMEOUT) == "dead"
     assert pings(cluster) == 1
+
+
+def test_a_pong_names_the_running_unit_and_not_the_one_parked_on_a_grant():
+    """The node is handed two units of one round: the first needs no
+    lease and runs at once, the second waits for a grant that never
+    comes.  Its pong names only the first — a parked unit is not
+    running, so the router would retransmit it."""
+    cluster = a_cluster()
+    router, node = cluster.router, cluster.nodes[0]
+    peer = router._peers[0]
+    ops = [PendingOp(seq, 0, op("transfer", 1, 1)) for seq in range(20)]
+    for unit, leases in ((0, 0), (1, 1)):
+        body = dict(round=0, unit=unit, dag=None, leases=leases, sync_ready=0.0)
+        body["ops"] = ops[10 * unit : 10 * unit + 10]
+        node.handle_cl_run(Message("cl_run", router.node_id, 0, body))
+    running = node._units[(0, 0)].timer
+    assert running is not None and node._units[(0, 1)].timer is None
+    assert router._ask(0, 0.0) == "pending"
+    advance(cluster, 4.0)
+    assert running.active and running.time > 4.0  # still running
+    assert peer.holds == frozenset({(0, 0)})
+    assert router._ask(0, 0.0) == "alive"
 
 
 # -- the detector end to end --------------------------------------------------
