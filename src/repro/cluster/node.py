@@ -69,8 +69,7 @@ class _NodeUnit:
     ``cl_run`` lands."""
 
     ops: list[PendingOp] | None = None
-    #: The router's plan, ``plan.dags[k]`` as ``plan_window`` built and
-    #: the router shipped it (positions in ``ops``); ``None``: no edges.
+    #: The router's ``plan.chain_dag(k)`` (positions in ``ops``), or None.
     dag: ComponentDAG | None = None
     #: Lease grants the unit must wait for / has received.
     leases_needed: int = 0
@@ -221,7 +220,6 @@ class ClusterNode(Node):
             placed = lane_fill(n, self._lane_free, ready)
         else:
             placed = dag_list_schedule(
-                range(n),
                 dag.preds,
                 dag.priorities,
                 self._lane_free,

@@ -107,9 +107,8 @@ class _Unit:
     #: Union of the ops' footprints (``None`` = unknown), the
     #: cross-round frontier test's input.
     summary: OpFootprint | None
-    #: The component's precedence DAG — ``plan.dags[k]`` as the plan's
-    #: one walk built it, over positions in ``ops``; ``None`` for a
-    #: residual unit, whose ops share no edge.
+    #: The component's precedence DAG, ``plan.chain_dag(k)``, over
+    #: positions in ``ops``; ``None`` for a residual unit (no edges).
     dag: ComponentDAG | None
     dispatched: bool = False
     done: bool = False
@@ -290,7 +289,7 @@ def route_window(
 
     # Components route as units (the co-location invariant).  Chains
     # first, in submission order of their heads; each ships its DAG.
-    for chain, dag in zip(plan.chains, plan.dags, strict=True):
+    for k, chain in enumerate(plan.chains):
         owners: dict[int, int] = {}
         for i in chain:
             in_chain[i] = True
@@ -307,7 +306,7 @@ def route_window(
             [n for n in owners if n in live] or live,
             key=lambda n: (-owners.get(n, 0), load[n], n),
         )
-        unit = add_unit(target, chain, dag)
+        unit = add_unit(target, chain, plan.chain_dag(k))
         chain_contended = [i for i in chain if i in contended]
         if len(owners) > 1 and chain_contended:
             # A race spanning owners: a sync lane sequences exactly the

@@ -18,8 +18,8 @@ no edge, hence statically commute, and adjacent-transposing commuting
 pairs transforms one extension into any other.  The DAG's critical path
 and antichain width are exactly the component's intrinsic makespan lower
 bound and its exploitable parallelism — the quantities op-granular
-scheduling trades on.  The engine, the router and the cluster node read
-the same record.
+scheduling trades on.  The router ships this record and the cluster
+node schedules by it; the engine reads the same DAGs off the plan.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ class ComponentDAG:
     """Precedence DAG of one multi-op conflict-graph component, over
     positions ``0 .. size-1`` in the component's ascending (= submission)
     order — ``WindowPlan.chains[k]`` maps them to window indices, and a
-    dispatch unit's ``ops`` hold them in that order.  Built once, by
-    :func:`~repro.engine.rounds.plan_window`, schedule-ready: every
-    reader takes these fields as they are.  All quantities are in
-    operation units, the cost of every op.
+    dispatch unit's ``ops`` hold them in that order.  Built by
+    :meth:`~repro.engine.rounds.WindowPlan.chain_dag` for the unit that
+    ships it, schedule-ready: every reader takes these fields as they
+    are.  All quantities are in operation units, the cost of every op.
     """
 
     #: Per position, its direct non-commute predecessors, ascending —
@@ -74,4 +74,4 @@ class ConflictGraph:
 
     @staticmethod
     def component_dags(plan) -> list[ComponentDAG]:
-        return plan.dags
+        return [plan.chain_dag(k) for k in range(len(plan.chains))]

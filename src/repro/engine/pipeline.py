@@ -366,7 +366,7 @@ class PipelinedExecutor:
         self._completions.append(completed)
 
         escalated = len(plan.escalated_idx)
-        paths = [dag.critical_path for dag in plan.dags]
+        paths = [path for path, _ in plan.shapes]
         critical_path = max(paths, default=0)
         round_stats = WaveStats(
             index=index,
@@ -383,7 +383,7 @@ class PipelinedExecutor:
             inflight=inflight,
             completed_at=completed,
             dag_critical_path=critical_path,
-            dag_width=max((dag.width for dag in plan.dags), default=0),
+            dag_width=max((width for _, width in plan.shapes), default=0),
             dag_chain_ops=plan.chained_ops,
             dag_critical_ops=sum(paths),
         )
@@ -527,7 +527,6 @@ class PipelinedExecutor:
         carried = list(self._lane_free)
         slot = [0.0] * n  # per op, the finish before it on its lane
         placed = dag_list_schedule(
-            range(n),
             preds,
             plan.priorities,
             self._lane_free,

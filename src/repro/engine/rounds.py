@@ -57,9 +57,8 @@ class WindowPlan:
     #: order, ordered by first index — the unit the tiered sync layer
     #: sizes teams for.
     contended_groups: list[list[int]]
-    #: Per-chain precedence DAGs over positions in the chain:
-    #: ``dags[k].size == len(chains[k])``.
-    dags: list[ComponentDAG]
+    #: Per chain, its DAG's ``(critical_path, width)``.
+    shapes: list[tuple[int, int]]
     #: The DAGs over window indices, window-aligned, for the engine's
     #: scheduler: each op's direct predecessors and its bottom level.
     preds: list
@@ -72,6 +71,17 @@ class WindowPlan:
     @property
     def chained_ops(self) -> int:
         return sum(len(chain) for chain in self.chains)
+
+    def chain_dag(self, k: int) -> ComponentDAG:
+        """``chains[k]``'s precedence DAG over positions in the chain —
+        the unit the router ships, and the wall's ``component_dags``."""
+        chain, preds, level = self.chains[k], self.preds, self.priorities
+        at = {i: position for position, i in enumerate(chain)}
+        return ComponentDAG(
+            tuple([tuple([at[p] for p in preds[i]]) for i in chain]),
+            tuple([level[i] for i in chain]),
+            *self.shapes[k],
+        )
 
 
 def plan_window(classifier: OpClassifier, ops: list[PendingOp]) -> WindowPlan:
@@ -96,9 +106,9 @@ def plan_window(classifier: OpClassifier, ops: list[PendingOp]) -> WindowPlan:
     (:func:`~repro.objects.footprint.window_preds`).  One ascending walk
     over them folds each op's depth, the union-find (every root its
     component's smallest index), the READ_ONLY count by the class table
-    and the contended set.  A forward walk then gives the components, a
-    backward one the bottom levels, and the chains' positional DAGs read
-    those.
+    and the contended set.  A forward walk gives the components, a
+    backward one the bottom levels, and each chain's depths its shape
+    (:meth:`WindowPlan.chain_dag` builds its DAG where one is read).
     """
     ops = list(ops)
     footprint = classifier.object_type.footprint
@@ -158,13 +168,10 @@ def plan_window(classifier: OpClassifier, ops: list[PendingOp]) -> WindowPlan:
     chains: list[list[int]] = []
     singletons: list[int] = []
     group_of: dict[int, list[int]] = {}
-    at = [0] * n
     for i in range(n):
         if parent[i] != i:
             parent[i] = root = parent[parent[i]]
-            group = group_of[root]
-            at[i] = len(group)
-            group.append(i)
+            group_of[root].append(i)
         elif linked[i]:
             group_of[i] = group = [i]
             chains.append(group)
@@ -177,19 +184,12 @@ def plan_window(classifier: OpClassifier, ops: list[PendingOp]) -> WindowPlan:
         for p in preds[i]:
             if up > level[p]:
                 level[p] = up
-    dags = []
+    shapes = []
     for chain in chains:
         per_depth = [0] * (len(chain) + 1)
         for i in chain:
             per_depth[depth[i]] += 1
-        dags.append(
-            ComponentDAG(
-                tuple([tuple([at[p] for p in preds[i]]) for i in chain]),
-                tuple([level[i] for i in chain]),
-                max([depth[i] for i in chain]),
-                max(per_depth),
-            )
-        )
+        shapes.append((max([depth[i] for i in chain]), max(per_depth)))
     groups = [
         group
         for chain in chains
@@ -197,7 +197,7 @@ def plan_window(classifier: OpClassifier, ops: list[PendingOp]) -> WindowPlan:
     ]
     groups.sort(key=lambda group: group[0])
     return WindowPlan(
-        ops, footprints, chains, singletons, groups, dags, preds, level
+        ops, footprints, chains, singletons, groups, shapes, preds, level
     )
 
 

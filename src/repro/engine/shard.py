@@ -35,9 +35,9 @@ a cluster node's DAG units (positions in one
 through it, ranked by the bottom levels
 :func:`~repro.engine.rounds.plan_window` built — singletons at 1.  A
 bottom level ranks each predecessor strictly above its successors, so
-the scheduler places tasks in one sorted order by the unique key
-``(−priority, seq, index)``: the smallest unplaced key is always ready,
-the task a ready heap would pop.
+the scheduler places tasks in one sorted order, by priority descending
+and then index (a task's index is its submission rank): the first
+unplaced task is always ready, the task a ready heap would pop.
 :func:`lane_fill` places a node's edge-free unit in one pass: each op, in
 position order, takes the first least-free lane at ``max(ready, free)``.
 Every op costs one unit, so that is the list scheduler's placement of
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from operator import neg
 
 from repro.errors import EngineError
 
@@ -67,7 +66,6 @@ def stable_account_hash(account: int) -> int:
 
 
 def dag_list_schedule(
-    seqs: Sequence[int],
     preds: Sequence[tuple[int, ...]],
     priorities: Sequence[int],
     lane_free: list[float],
@@ -78,7 +76,7 @@ def dag_list_schedule(
 
     ``preds[i]`` are task indices that must finish before task ``i``
     starts; ``priorities[i]`` is its bottom level (ties broken by
-    ``seqs[i]``, i.e. submission order); ``floors[i]`` is an external
+    index, i.e. submission order); ``floors[i]`` is an external
     earliest-start (sync-lane completion, cross-window frontier); every
     task runs for one unit.  Each task picks the lane giving the earliest
     start.  ``lane_free`` is mutated in place so callers with a
@@ -118,10 +116,9 @@ def dag_list_schedule(
     that leaves an idle sliver right before it reads, at the end, the
     start of the sliver left ending at its start, or its own start.
     """
-    n = len(seqs)
+    n = len(preds)
     if floors is None:
         floors = [0.0] * n
-    keys = list(zip(map(neg, priorities), seqs, range(n)))
     out: list[tuple[float, float, int] | None] = [None] * n
     #: Lane -> its idle ``[start, end)`` intervals behind its free time,
     #: ascending; only lanes holding one have an entry (this call's own
@@ -131,7 +128,8 @@ def dag_list_schedule(
     horizon = -math.inf
     #: Tasks placed past their lane's idle time (``lane_prev`` only).
     opened: list[int] = []
-    for _, _, i in sorted(keys):
+    # ``reverse`` keeps the sort stable: equal priorities stay by index.
+    for i in sorted(range(n), key=priorities.__getitem__, reverse=True):
         est, first = floors[i], -1  # ``est``'s predecessor; -1: the floor
         for p in preds[i]:
             placed = out[p]
@@ -139,7 +137,9 @@ def dag_list_schedule(
                 why = "a cycle, or priorities not ranking it first"
                 raise EngineError(f"task {i}: predecessor {p} unplaced, {why}")
             if placed[1] > est or (
-                placed[1] == est and first >= 0 and keys[p] < keys[first]
+                placed[1] == est
+                and first >= 0
+                and (priorities[p], first) > (priorities[first], p)
             ):
                 est, first = placed[1], p
         free = min(lane_free)

@@ -41,6 +41,9 @@ from repro.runtime.calls import OpCall
 from repro.spec.object_type import FALSE, TRUE, SequentialObjectType
 from repro.spec.operation import Operation
 
+#: ``totalSupply``'s footprint: transfers conserve :data:`SUPPLY`.
+_SUPPLY_READ = OpFootprint(frozenset((SUPPLY,)))
+
 
 @dataclass(frozen=True, slots=True)
 class TokenState:
@@ -188,6 +191,9 @@ class ERC20TokenType(SequentialObjectType):
             )
         else:
             self._initial = TokenState.create([0] * num_accounts)
+        # Per account, the balance cell and read footprint ops share.
+        self._bal = cells = {a: bal(a) for a in range(num_accounts)}
+        self._reads = {a: OpFootprint(frozenset([c])) for a, c in cells.items()}
 
     # ------------------------------------------------------------------
 
@@ -306,12 +312,11 @@ class ERC20TokenType(SequentialObjectType):
             dest, value = args
             if value == 0:
                 return EMPTY_FOOTPRINT  # always succeeds, never writes
-            source = bal(pid)  # a_p: ω is the identity, pid checked above
+            read, cells = self._reads[pid], self._bal  # a_p: ω is the identity
             if dest == pid:
-                return OpFootprint(frozenset((source,)))
-            return OpFootprint(
-                frozenset((source,)), frozenset((source, bal(dest)))
-            )
+                return read
+            credited = cells.get(dest) or bal(dest)
+            return OpFootprint(read.observes, frozenset((cells[pid], credited)))
         if name == "transferFrom":
             source, dest, value = args
             if value == 0:
@@ -325,13 +330,12 @@ class ERC20TokenType(SequentialObjectType):
             spender, _value = args
             return OpFootprint(sets=frozenset((allow(pid, spender),)))
         if name == "balanceOf":
-            return OpFootprint(frozenset((bal(args[0]),)))
+            read = self._reads.get(args[0])
+            return read or OpFootprint(frozenset((bal(args[0]),)))
         if name == "allowance":
             return OpFootprint(frozenset((allow(args[0], args[1]),)))
         if name == "totalSupply":
-            # Transfers conserve the supply, so supply queries commute with
-            # arbitrary transfer traffic (they observe only this pseudo-cell).
-            return OpFootprint(frozenset((SUPPLY,)))
+            return _SUPPLY_READ
         spender, delta = args
         if delta == 0:
             return EMPTY_FOOTPRINT

@@ -24,6 +24,7 @@ from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from repro.sync import TieredEscalator
 from repro.workloads import CHAIN_HEAVY_MIX, TokenWorkloadGenerator
+from tests.engine.graph_views import plan_dags
 
 ACCOUNTS = 64
 NODES = 4
@@ -336,7 +337,7 @@ def test_every_unit_ships_the_plan_its_ops_derive(owners, live, seed, size):
         if unit.dag is None:
             assert not plan.chains
         else:
-            assert [unit.dag] == plan.dags
+            assert [unit.dag] == plan_dags(plan)
             assert unit.dag.size == len(unit.ops)
         dag, summary, delay = unit.dag, unit.summary, unit.sync_delay
         unit.requeue(live[0], 1 << 20, now=3.0)

@@ -140,8 +140,14 @@ def dag_over(chain, edges) -> ComponentDAG:
 
 def reference_dag(graph: Graph, chain) -> ComponentDAG:
     """``chain``'s DAG derived from ``graph.edges`` alone (:func:`dag_over`)
-    — what ``plan_window(...).dags[k]`` must equal for ``chains[k]``."""
+    — what ``plan.chain_dag(k)`` must equal for ``plan.chains[k]``."""
     return dag_over(chain, graph.edges)
+
+
+def plan_dags(plan) -> list[ComponentDAG]:
+    """Every chain's positional DAG, as the router builds the one it
+    ships (:meth:`~repro.engine.rounds.WindowPlan.chain_dag`)."""
+    return [plan.chain_dag(k) for k in range(len(plan.chains))]
 
 
 def reference_plan(object_type, ops) -> tuple[Graph, dict, ClassifierStats]:
@@ -189,7 +195,7 @@ def reference_plan(object_type, ops) -> tuple[Graph, dict, ClassifierStats]:
         "contended_groups": sorted(
             (group for group in groups if group), key=lambda g: g[0]
         ),
-        "dags": dags,
+        "shapes": [(dag.critical_path, dag.width) for dag in dags],
         "preds": [
             sorted(a for a, b in graph.edges if b == i)
             for i in range(len(ops))

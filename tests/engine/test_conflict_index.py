@@ -379,7 +379,7 @@ class TestTheDagRecord:
             OpClassifier(token),
             _window([(0, op("transfer", 1, 2)), (1, op("transfer", 0, 2))]),
         )
-        (dag,) = plan.dags
+        (dag,) = views.plan_dags(plan)
         # The record is frozen and its fields are tuples: a caller can
         # neither rebind nor mutate what the next reader gets.
         with pytest.raises(AttributeError):
@@ -387,4 +387,4 @@ class TestTheDagRecord:
         assert isinstance(dag.preds, tuple)
         assert all(isinstance(below, tuple) for below in dag.preds)
         assert isinstance(dag.priorities, tuple)
-        assert plan.dags == [ComponentDAG(((), (0,)), (2, 1), 2, 1)]
+        assert views.plan_dags(plan) == [ComponentDAG(((), (0,)), (2, 1), 2, 1)]

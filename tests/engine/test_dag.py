@@ -84,8 +84,9 @@ def window_dags(token, calls):
     ]
     graph = views.reference(token, ops)
     plan = plan_window(OpClassifier(token), ops)
-    assert plan.dags == [reference_dag(graph, c) for c in plan.chains]
-    return graph, plan.chains, plan.dags
+    dags = views.plan_dags(plan)
+    assert dags == [reference_dag(graph, c) for c in plan.chains]
+    return graph, plan.chains, dags
 
 
 def depths(dag: ComponentDAG) -> list[int]:
@@ -195,12 +196,13 @@ class TestComponentDAG:
         ops = pool.pop_window(8)
         plan = plan_window(classifier, ops)
         graph = views.reference(token, ops)
-        assert [dag.size for dag in plan.dags] == [len(c) for c in plan.chains]
-        assert plan.dags == [reference_dag(graph, c) for c in plan.chains]
+        dags = views.plan_dags(plan)
+        assert [dag.size for dag in dags] == [len(c) for c in plan.chains]
+        assert dags == [reference_dag(graph, c) for c in plan.chains]
 
 
 class TestReferenceFold:
-    """Every ``plan.dags[k]`` is the brute-force fold of its chain's
+    """Every ``plan.chain_dag(k)`` is the brute-force fold of its chain's
     edges: positions, predecessors, bottom levels, critical path and
     width, on random windows of each workload mix."""
 
@@ -221,8 +223,8 @@ class TestReferenceFold:
         ]
         plan = plan_window(OpClassifier(token), ops)
         graph = views.reference(token, ops)
-        assert len(plan.dags) == len(plan.chains)
-        for chain, dag in zip(plan.chains, plan.dags):
+        assert len(plan.shapes) == len(plan.chains)
+        for chain, dag in zip(plan.chains, views.plan_dags(plan)):
             assert dag == reference_dag(graph, chain)
 
 
@@ -242,9 +244,7 @@ class TestDagPlanner:
         """The window's placements, window-aligned, as the engine gets
         them: its plan's preds and priorities over window indices."""
         plan = plan_window(classifier, ops)
-        return dag_list_schedule(
-            range(len(ops)), plan.preds, plan.priorities, [0] * lanes
-        )
+        return dag_list_schedule(plan.preds, plan.priorities, [0] * lanes)
 
     def test_start_order_is_a_linear_extension(self):
         token = ERC20TokenType(12, total_supply=240)
@@ -279,7 +279,7 @@ class TestDagPlanner:
         assert len(chains) == 1 and len(chains[0]) == len(items)
         placed = self._schedule(4, classifier, ops)
         assert max(finish for _, finish, _ in placed) < len(items)
-        assert plan_window(classifier, ops).dags[0].width >= 2
+        assert plan_window(classifier, ops).shapes[0][1] >= 2
 
     def test_pure_conflict_chain_gains_nothing(self):
         token = ERC20TokenType(4, total_supply=40)
@@ -295,7 +295,7 @@ class TestDagPlanner:
         classifier, ops, graph, chains, singles = self._window(items, token)
         assert singles == [0, 1, 2, 3]
         placed = dag_list_schedule(
-            range(4), [()] * 4, [1] * 4, [0, 0], floors=[0, 7, 0, 0]
+            [()] * 4, [1] * 4, [0, 0], floors=[0, 7, 0, 0]
         )
         starts = {o.seq: start for o, (start, _, _) in zip(ops, placed)}
         assert starts[1] == 7
@@ -309,7 +309,6 @@ class TestBackfill:
     def test_singleton_backfills_a_floored_lanes_gap(self):
         lane_free = [0]
         out = dag_list_schedule(
-            seqs=[0, 1],
             preds=[(), ()],
             priorities=[2, 1],
             lane_free=lane_free,
@@ -323,7 +322,6 @@ class TestBackfill:
 
     def test_residual_gap_slivers_stay_fillable(self):
         out = dag_list_schedule(
-            seqs=[0, 1, 2, 3],
             preds=[(), (), (), ()],
             priorities=[9, 1, 1, 1],
             lane_free=[0],
@@ -336,7 +334,6 @@ class TestBackfill:
 
     def test_backfill_honors_precedence(self):
         out = dag_list_schedule(
-            seqs=[0, 1, 2],
             preds=[(), (0,), ()],
             priorities=[3, 2, 1],
             lane_free=[0],
@@ -350,7 +347,6 @@ class TestBackfill:
 
     def test_no_floors_is_plain_list_scheduling(self):
         out = dag_list_schedule(
-            seqs=[0, 1, 2, 3],
             preds=[(), (), (), ()],
             priorities=[1, 1, 1, 1],
             lane_free=[0, 0],
@@ -361,7 +357,6 @@ class TestBackfill:
 
 
 def _lane_scan_schedule(
-    seqs: list[int],
     preds: list[tuple[int, ...]],
     priorities: list[int],
     lane_free: list[float],
@@ -372,7 +367,7 @@ def _lane_scan_schedule(
     ``engine/shard.py`` docstring): on priorities that rank every
     predecessor strictly above its successors, the property below holds
     the one sorted pass to this heap, placement for placement."""
-    n = len(seqs)
+    n = len(preds)
     succs: list[list[int]] = [[] for _ in range(n)]
     missing = [0] * n
     for i, below in enumerate(preds):
@@ -380,7 +375,7 @@ def _lane_scan_schedule(
         for p in below:
             succs[p].append(i)
     est = list(floors) if floors is not None else [0.0] * n
-    ready = [(-priorities[i], seqs[i], i) for i in range(n) if not missing[i]]
+    ready = [(-priorities[i], i) for i in range(n) if not missing[i]]
     heapq.heapify(ready)
     out: list[tuple[float, float, int] | None] = [None] * n
     #: Per lane: idle ``[start, end)`` intervals behind its free time,
@@ -389,7 +384,7 @@ def _lane_scan_schedule(
     gaps: list[list[tuple[float, float]]] = [[] for _ in lane_free]
     scheduled = 0
     while ready:
-        _, _, i = heapq.heappop(ready)
+        _, i = heapq.heappop(ready)
         best: tuple | None = None
         for lane_id in range(len(lane_free)):
             placed_in: int | None = None
@@ -426,7 +421,7 @@ def _lane_scan_schedule(
                 est[s] = finish
             missing[s] -= 1
             if not missing[s]:
-                heapq.heappush(ready, (-priorities[s], seqs[s], s))
+                heapq.heappush(ready, (-priorities[s], s))
     if scheduled != n:
         raise EngineError("dependency cycle in DAG schedule")
     return out  # type: ignore[return-value]
@@ -459,7 +454,6 @@ def list_schedule_inputs(draw):
         for p in preds[i]:
             priorities[p] = max(priorities[p], priorities[i] + 1 + slack[p])
     return dict(
-        seqs=draw(st.permutations(range(n))),
         preds=preds,
         priorities=priorities,
         lane_free=draw(st.lists(times, min_size=1, max_size=6)),
@@ -471,7 +465,7 @@ def list_schedule_inputs(draw):
 
 @st.composite
 def gapped_schedule_inputs(draw):
-    """Independent tasks popped in phases (priority descending, then seq):
+    """Independent tasks popped in phases (priority descending, then index):
     floored tasks opening gaps; tasks floored past every gap end (the
     horizon skip); unfloored fillers that close the gaps (the horizon
     resets once the last one closes); then floored tasks opening new gaps,
@@ -488,7 +482,6 @@ def gapped_schedule_inputs(draw):
     floors = [floor for phase in phases for floor in phase]
     n = len(floors)
     return dict(
-        seqs=list(range(n)),
         preds=[()] * n,
         priorities=[
             len(phases) - k for k, phase in enumerate(phases) for _ in phase
@@ -514,7 +507,7 @@ class TestListScheduleProperties:
         assert dag_list_schedule(**{**inputs, "lane_free": again}) == out
         assert again == lane_free
 
-        n = len(inputs["seqs"])
+        n = len(inputs["preds"])
         floors = inputs["floors"] or [0.0] * n
         assert len(out) == n
         for i, (start, finish, lane) in enumerate(out):
@@ -546,7 +539,6 @@ class TestListScheduleProperties:
         # 8, and a task floored at 7 fits it exactly (``est + 1 ==
         # horizon`` must still walk).
         inputs=dict(
-            seqs=list(range(8)),
             preds=[()] * 8,
             priorities=[9, 8, 7, 6, 5, 4, 3, 2],
             lane_free=[0],
@@ -558,7 +550,6 @@ class TestListScheduleProperties:
         # the older gap, which a horizon taken from the last opened gap
         # (5) instead of the maximum would skip.
         inputs=dict(
-            seqs=[0, 1, 2, 3],
             preds=[()] * 4,
             priorities=[4, 3, 2, 1],
             lane_free=[0, 0],
@@ -571,7 +562,6 @@ class TestListScheduleProperties:
         # order, task 2 starts at 2.0 as under the heap; folded in
         # position order it would start at the int 2.
         inputs=dict(
-            seqs=[0, 1, 2],
             preds=[(), (), (0, 1)],
             priorities=[2, 3, 1],
             lane_free=[0, 0, 0],
@@ -606,7 +596,7 @@ class TestListScheduleProperties:
         value: a sliver filled exactly to a task's start records that
         start, equal to the filler's finish but not always of its type."""
         carried = list(inputs["lane_free"])
-        n = len(inputs["seqs"])
+        n = len(inputs["preds"])
         lane_prev: list = [None] * n
         out = dag_list_schedule(
             **{**inputs, "lane_free": list(carried), "lane_prev": lane_prev}
@@ -625,7 +615,6 @@ class TestListScheduleProperties:
     def test_a_dependency_cycle_is_an_error(self):
         with pytest.raises(EngineError):
             dag_list_schedule(
-                seqs=[0, 1],
                 preds=[(1,), (0,)],
                 priorities=[1, 1],
                 lane_free=[0],
@@ -637,24 +626,23 @@ class TestListScheduleProperties:
         the first in placement order."""
         with pytest.raises(EngineError, match="task 0: predecessor 2 "):
             dag_list_schedule(
-                seqs=[0, 1, 2],
                 preds=[(2, 1), (0,), (0,)],
                 priorities=[3, 1, 1],
                 lane_free=[0],
             )
 
-    @pytest.mark.parametrize("priorities", [[1, 1], [1, 2], [2, 2]])
+    @pytest.mark.parametrize("priorities", [[1, 1], [2, 1], [2, 2]])
     def test_priorities_that_do_not_rank_a_predecessor_first_raise(
         self, priorities
     ):
         """The one sorted pass needs every predecessor ranked strictly
-        above its successors; a tie or an inversion is refused, not
-        scheduled in a different order than the heap would."""
+        above its successors; a tie or an inversion that places a
+        successor first is refused, not scheduled in a different order
+        than the heap would."""
         lane_free = [0, 0]
-        with pytest.raises(EngineError, match="predecessor 0"):
+        with pytest.raises(EngineError, match="predecessor 1"):
             dag_list_schedule(
-                seqs=[1, 0],
-                preds=[(), (0,)],
+                preds=[(1,), ()],
                 priorities=priorities,
                 lane_free=lane_free,
             )
@@ -694,7 +682,6 @@ class TestLaneFill:
         filled_free, listed_free = list(lane_free), list(lane_free)
         filled = lane_fill(n, filled_free, ready)
         listed = dag_list_schedule(
-            range(n),
             [()] * n,
             [1] * n,
             listed_free,
@@ -710,7 +697,7 @@ def test_integer_inputs_keep_integer_times():
     """Every op costs one unit, so integer lane tails and floors give
     integer placements (a float anywhere would show in a trace)."""
     placed = dag_list_schedule(
-        range(4), [(), (0,), (), ()], [2, 1, 1, 1], [0, 3], floors=[1, 0, 5, 0]
+        [(), (0,), (), ()], [2, 1, 1, 1], [0, 3], floors=[1, 0, 5, 0]
     )
     filled = lane_fill(3, [2, 0], 1)
     for start, finish, _ in placed + filled:

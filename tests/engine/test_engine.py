@@ -106,9 +106,7 @@ class TestDagSchedule:
         """Schedule one window on fresh lanes; returns ``seq -> (start,
         finish, lane)``."""
         plan = plan_window(OpClassifier(token), pending)
-        placed = dag_list_schedule(
-            range(len(pending)), plan.preds, plan.priorities, [0] * lanes
-        )
+        placed = dag_list_schedule(plan.preds, plan.priorities, [0] * lanes)
         return {op.seq: slot for op, slot in zip(pending, placed)}
 
     def _window(self):

@@ -41,6 +41,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadItem,
 )
+from tests.engine.graph_views import plan_dags
 
 
 class _SupplyBlindERC20(ERC20TokenType):
@@ -78,18 +79,21 @@ def _reference_place(frontier, lane_free, plan, t_classify, op_sync):
         floors[i] = max(floors[i], done)
     # Task order: each chain's window indices, then the singletons; a
     # chain's positional DAG shifted by its first task position.
-    order, preds, priorities = [], [], []
-    for chain, dag in zip(plan.chains, plan.dags):
+    order, preds, levels = [], [], []
+    for chain, dag in zip(plan.chains, plan_dags(plan)):
         offset = len(order)
         order += chain
-        priorities += dag.priorities
+        levels += dag.priorities
         preds += [tuple(p + offset for p in below) for below in dag.preds]
     order += plan.singletons
     preds += [()] * len(plan.singletons)
-    priorities += [1] * len(plan.singletons)
+    levels += [1] * len(plan.singletons)
+    # The scheduler breaks priority ties by task index; folding the
+    # window index into the priority breaks them by submission instead.
+    n = len(order)
+    priorities = [level * n + n - 1 - i for level, i in zip(levels, order)]
     carried, slot = list(lane_free), list(lane_free)
     placed = dag_list_schedule(
-        order,
         preds,
         priorities,
         lane_free,

@@ -403,7 +403,6 @@ class TestTierZeroPlacement:
         assert floors == sorted(floors) and floors[-1] > t_classify
 
         expected = dag_list_schedule(
-            seqs=list(range(len(readers))),
             preds=[()] * len(readers),
             priorities=[1] * len(readers),
             lane_free=list(lane_free),

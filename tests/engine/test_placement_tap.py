@@ -14,12 +14,13 @@ from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import SPENDER_HEAVY_MIX, TokenWorkloadGenerator
+from tests.engine.graph_views import plan_dags
 from tests.engine.placement_tap import tap_placements
 
 
 def _edge_away_from(plan, i):
     """The window indices of one DAG edge that does not touch ``i``."""
-    for chain, dag in zip(plan.chains, plan.dags):
+    for chain, dag in zip(plan.chains, plan_dags(plan)):
         for k, below in enumerate(dag.preds):
             for p in below:
                 if i not in (chain[p], chain[k]):

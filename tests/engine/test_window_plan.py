@@ -73,6 +73,9 @@ def assert_plan_is_the_reference(object_type, ops) -> WindowPlan:
     found = {name: getattr(plan, name) for name in fields}
     found["preds"] = [list(below) for below in plan.preds]
     assert found == fields
+    assert views.plan_dags(plan) == [
+        views.reference_dag(graph, chain) for chain in plan.chains
+    ]
     assert classifier.stats.as_dict() == counters.as_dict()
     return plan
 
@@ -200,7 +203,7 @@ class TestThePlanIsTheReference:
         plan = assert_plan_is_the_reference(ERC1155TokenType([[5, 5]] * N), ops)
         n = len(ops)
         assert plan.chained_ops == (n if n > 1 else 0)
-        assert all(dag.width == 1 for dag in plan.dags)
+        assert all(width == 1 for _, width in plan.shapes)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.lists(erc20_invocation(), max_size=20))
@@ -332,8 +335,8 @@ def test_plan_invariants(invocations):
     assert plan.chained_ops == n - len(plan.singletons)
 
     # The DAGs are aligned with the chains, over positions in them.
-    assert len(plan.dags) == len(plan.chains)
-    for dag, chain in zip(plan.dags, plan.chains):
+    assert len(plan.shapes) == len(plan.chains)
+    for dag, chain in zip(views.plan_dags(plan), plan.chains):
         assert dag.size == len(chain)
 
     # Each group is an ordered subset of exactly one chain.
@@ -352,7 +355,7 @@ def test_an_empty_window_plans_to_nothing():
     plan = plan_window(OpClassifier(TOKEN), [])
     assert plan.escalated_idx == []
     assert plan.chained_ops == 0
-    assert (plan.chains, plan.singletons, plan.dags) == ([], [], [])
+    assert (plan.chains, plan.singletons, plan.shapes) == ([], [], [])
 
 
 class TestWallAdapters:
@@ -396,7 +399,7 @@ class TestWallAdapters:
         assert ConflictGraph.components(graph) == sorted(
             plan.chains + [[i] for i in plan.singletons]
         )
-        assert ConflictGraph.component_dags(graph) == plan.dags
+        assert ConflictGraph.component_dags(graph) == views.plan_dags(plan)
         scheduler = WallAdapters(OpClassifier(token))
         assert scheduler.split_sync(graph) == (
             plan.chains,

@@ -652,3 +652,88 @@ def test_degenerate_footprints_match_the_reference(pid, operation):
     assert token.footprint(pid, operation) == reference_footprint(
         token, pid, operation
     )
+
+
+# -- interned balance cells --------------------------------------------------
+
+#: Account arguments as a footprint may meet them: in range, out of range,
+#: negative, ``bool``, and not an int at all.
+_any_account = st.one_of(
+    st.integers(-2, _N + 1),
+    st.booleans(),
+    st.sampled_from([1.0, 2.5, "1", None]),
+)
+_any_call = st.one_of(
+    st.tuples(
+        st.sampled_from(
+            ("transfer", "approve", "increaseAllowance", "decreaseAllowance")
+        ),
+        st.tuples(_any_account, _value),
+    ),
+    st.tuples(
+        st.just("transferFrom"),
+        st.tuples(_any_account, _any_account, _value),
+    ),
+    st.tuples(st.just("balanceOf"), st.tuples(_any_account)),
+    st.tuples(st.just("allowance"), st.tuples(_any_account, _any_account)),
+    st.tuples(st.just("totalSupply"), st.just(())),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pid=st.one_of(st.integers(0, _N), st.booleans()),
+    calls=st.lists(_any_call, min_size=1, max_size=8),
+)
+def test_interned_cells_keep_every_footprint_value(pid, calls):
+    """Every method, on any account argument: the footprint equals the
+    reference, which builds each cell with ``bal()`` / ``allow()``.  A
+    cell found by value (``True`` or ``1.0`` for account 1) is the
+    interned one, equal to the built one and hashing alike."""
+    token = ERC20TokenType(_N, with_extensions=True)
+    for name, args in calls:
+        operation = op(name, *args)
+        built = _footprint_or_error(
+            ERC20TokenType.footprint, token, pid, operation
+        )
+        expected = _footprint_or_error(
+            reference_footprint, token, pid, operation
+        )
+        assert built == expected
+        if not isinstance(expected, tuple):
+            assert hash(built) == hash(expected)
+
+
+def test_an_accounts_read_footprint_is_built_once():
+    """``balanceOf`` of one account, by any caller, and a self-transfer
+    of it return one shared footprint; a transfer observes its set."""
+    token = ERC20TokenType(_N)
+    read = token.footprint(0, op("balanceOf", 2))
+    assert token.footprint(3, op("balanceOf", 2)) is read
+    assert token.footprint(2, op("transfer", 2, 5)) is read
+    assert token.footprint(2, op("transfer", 1, 5)).observes is read.observes
+    assert token.footprint(0, op("balanceOf", 1)) is not read
+    supply = token.footprint(1, op("totalSupply"))
+    assert ERC20TokenType(2).footprint(0, op("totalSupply")) is supply
+
+
+def test_no_allowance_cell_is_cached():
+    """Allowance cells are built per op: equal, never the same object."""
+    token = ERC20TokenType(_N, with_extensions=True)
+    for pid, operation, kind in [
+        (1, op("approve", 2, 5), "sets"),
+        (0, op("allowance", 1, 2), "observes"),
+        (2, op("increaseAllowance", 2, 1), "adds"),
+    ]:
+        first, again = (
+            getattr(token.footprint(pid, operation), kind) for _ in range(2)
+        )
+        assert first == again and first is not again
+        assert next(iter(first)) is not next(iter(again))
+    spend = op("transferFrom", 1, 3, 1)
+    cells = [
+        [loc for loc in token.footprint(2, spend).adds if loc[0] == "allow"]
+        for _ in range(2)
+    ]
+    assert cells[0] == cells[1] == [allow(1, 2)]
+    assert cells[0][0] is not cells[1][0]

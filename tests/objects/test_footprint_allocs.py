@@ -96,7 +96,9 @@ def test_the_questions_build_no_set(question):
     assert peak - loop_peak < sys.getsizeof(frozenset())
 
 
-def test_a_window_of_reads_holds_one_set_per_op():
+def test_a_window_of_reads_holds_one_set_per_account():
+    """32 reads of 8 accounts: each account's read footprint is built
+    once, with the token, and every read of it shares that one."""
     ops = [
         PendingOp(seq, seq % 8, op("balanceOf", (seq * 3) % 8))
         for seq in range(32)
@@ -107,7 +109,30 @@ def test_a_window_of_reads_holds_one_set_per_op():
         for fp in plan.footprints
         for kind in (fp.observes, fp.adds, fp.sets)
     ]
-    assert len({id(kind) for kind in kinds if kind}) == 32
+    assert len({id(kind) for kind in kinds if kind}) == 8
+    assert len({id(fp) for fp in plan.footprints}) == 8
     assert {id(kind) for kind in kinds if not kind} == {
         id(EMPTY_FOOTPRINT.observes)
     }
+
+
+def test_a_transfer_footprint_builds_no_location():
+    """A transfer's footprint shares its account's balance cells and
+    observe set: it keeps two blocks, its record and its written set —
+    a fresh location tuple or observe set would make it three or more."""
+    calls = [(pid, op("transfer", (pid + 3) % 8, 1)) for pid in range(8)]
+    calls *= 64
+    footprint = TOKEN.footprint
+    for pid, operation in calls:
+        footprint(pid, operation)
+    kept = [None] * len(calls)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for k, (pid, operation) in enumerate(calls):
+            kept[k] = footprint(pid, operation)
+        blocks = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert blocks - 2 * len(calls) <= 8
