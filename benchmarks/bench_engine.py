@@ -17,6 +17,11 @@ measurement philosophy; wall-clock threading would measure the GIL):
   two accounts — commuting bursts still spread over the lanes, racing
   ones pay for order.
 
+A last section prints host µs per op of the spender mix (operator pools
+of 4) at two account counts: with α stored sparse, an op's cost follows
+its traffic, not the number of accounts.  Host time varies run to run,
+so it stays out of the JSON, which is byte-identical across runs.
+
 Every run checks its final state and responses against the sequential
 specification.  Once per mix, outside the executor,
 :func:`repro.analysis.commutativity.audit_static_kinds` holds the static
@@ -31,6 +36,7 @@ Standalone (writes ``BENCH_engine.json``, used by CI)::
 from __future__ import annotations
 
 import sys
+import time
 
 from common import (
     bench_main,
@@ -68,6 +74,11 @@ READ_HEAVY_MIX = WorkloadMix(
     allowance=0.0,
     total_supply=0.05,
 )
+
+#: Account counts of the cost-by-accounts probe (host time, printed
+#: only: never in the JSON, never gated).
+PROBE_ACCOUNTS = (2**10, 2**16)
+PROBE_WINDOW = 256
 
 MIXES = {
     "owner_only": OWNER_ONLY_MIX,
@@ -201,7 +212,36 @@ def measure(ops: int, tracer: TraceRecorder, traced) -> dict:
     results["op_latency"] = {
         "sharded_engine": tracer.metrics.histogram("op_latency").summary()
     }
+    probe_accounts(ops)
     return results
+
+
+def probe_accounts(ops: int) -> None:
+    """Print host µs per op of the engine on the spender mix
+    (``spender_pool=4``) at each of :data:`PROBE_ACCOUNTS`: the best of
+    three untraced runs of the same items, each checked against the
+    sequential specification."""
+    costs = []
+    for accounts in PROBE_ACCOUNTS:
+        token = make_token(accounts)
+        items = TokenWorkloadGenerator(
+            accounts, seed=SEED, mix=SPENDER_HEAVY_MIX, spender_pool=4
+        ).generate(ops)
+        expected = token.run([(item.pid, item.operation) for item in items])
+        best = float("inf")
+        for _ in range(3):
+            engine = PipelinedExecutor(
+                token,
+                EngineConfig(
+                    num_lanes=SHARDED_LANES, window=PROBE_WINDOW, seed=SEED
+                ),
+            )
+            start = time.perf_counter()
+            state, responses, _ = engine.run_workload(items)
+            best = min(best, time.perf_counter() - start)
+            assert (state, responses) == expected, "probe diverged"
+        costs.append(f"{accounts} accounts {1e6 * best / ops:.1f}")
+    print(f"spender mix, host us/op (not gated): {', '.join(costs)}")
 
 
 def check_claims(results: dict) -> None:

@@ -16,23 +16,23 @@ account ``a`` is process ``a``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping
 
 from repro.errors import InvalidArgumentError
 from repro.objects.erc20 import TokenState
 
 
 def spenders_of(
-    account: int, balance: int, allowances: Sequence[int]
+    account: int, balance: int, allowances: Mapping[int, int]
 ) -> frozenset[int]:
-    """``σ_q(a)`` from ``β(a)`` and the row ``α(a, ·)`` (Eq. 10): the
-    owner, plus every positive allowance unless the balance is not
-    positive.  ``<= 0``, not ``== 0``: a replica view's transiently
+    """``σ_q(a)`` from ``β(a)`` and ``a``'s allowance map ``{p: α(a, p)}``
+    (Eq. 10): the owner, plus every positive allowance unless the balance is
+    not positive.  ``<= 0``, not ``== 0``: a replica view's transiently
     negative balance (:mod:`repro.dynamic`) draws on nothing either."""
     if balance <= 0:
         return frozenset((account,))  # ω is the identity bijection
     return frozenset(
-        [account, *(pid for pid, amount in enumerate(allowances) if amount > 0)]
+        [account, *(pid for pid, amount in allowances.items() if amount > 0)]
     )
 
 
@@ -41,7 +41,7 @@ def enabled_spenders(state: TokenState, account: int) -> frozenset[int]:
     if not 0 <= account < state.num_accounts:
         raise InvalidArgumentError(f"unknown account {account!r}")
     return spenders_of(
-        account, state.balances[account], state.allowances[account]
+        account, state.balances[account], state.allowances_of(account)
     )
 
 
@@ -77,11 +77,7 @@ def potential_spenders(state: TokenState, account: int) -> frozenset[int]:
     """
     if not 0 <= account < state.num_accounts:
         raise InvalidArgumentError(f"unknown account {account!r}")
-    spenders = {account}  # ω is the identity
-    for pid, amount in enumerate(state.allowances[account]):
-        if amount > 0:
-            spenders.add(pid)
-    return frozenset(spenders)
+    return frozenset((account, *state.allowances_of(account)))  # ω: identity
 
 
 def potential_level(state: TokenState) -> int:

@@ -50,6 +50,7 @@ from repro.errors import ProtocolError
 from repro.net.network import Message, Network
 from repro.net.node import Node
 from repro.net.reliable_broadcast import FifoReliableBroadcast
+from repro.objects.erc20 import assign_allowance
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +83,9 @@ class OpRecord:
         if self.completed_at is None:
             return None
         return self.completed_at - self.submitted_at
+
+    def complete(self, now: float, response: Any) -> None:
+        self.completed_at, self.response = now, response
 
 
 @dataclass
@@ -128,31 +132,24 @@ class DynamicTokenNode(Node):
     # Client API (called on the node of the acting process).
     # ------------------------------------------------------------------
 
+    def _submit(
+        self, kind: str, account: int, args: tuple[int, ...]
+    ) -> tuple[TokenOp, OpRecord]:
+        """A fresh op by this node's process, and its client record."""
+        op = TokenOp(kind, account, self.node_id, args, next(_op_ids))
+        record = OpRecord(op.op_id, kind, submitted_at=self.now)
+        self.records[op.op_id] = record
+        return op, record
+
     def submit_transfer(self, dest: int, value: int) -> OpRecord:
         """Owner operation: transfer from this node's own account."""
-        op = TokenOp(
-            kind="transfer",
-            account=self.node_id,
-            actor=self.node_id,
-            args=(dest, value),
-            op_id=next(_op_ids),
-        )
-        record = OpRecord(op.op_id, op.kind, submitted_at=self.now)
-        self.records[op.op_id] = record
+        op, record = self._submit("transfer", self.node_id, (dest, value))
         self._finalize_own_op(op, record)
         return record
 
     def submit_approve(self, spender: int, value: int) -> OpRecord:
         """Owner operation: set this account's allowance for ``spender``."""
-        op = TokenOp(
-            kind="approve",
-            account=self.node_id,
-            actor=self.node_id,
-            args=(spender, value),
-            op_id=next(_op_ids),
-        )
-        record = OpRecord(op.op_id, op.kind, submitted_at=self.now)
-        self.records[op.op_id] = record
+        op, record = self._submit("approve", self.node_id, (spender, value))
         self._finalize_own_op(op, record)
         return record
 
@@ -161,15 +158,7 @@ class DynamicTokenNode(Node):
     ) -> OpRecord:
         """Spender operation: route through the source account's owner for
         group-ordered sequencing."""
-        op = TokenOp(
-            kind="transferFrom",
-            account=source,
-            actor=self.node_id,
-            args=(source, dest, value),
-            op_id=next(_op_ids),
-        )
-        record = OpRecord(op.op_id, op.kind, submitted_at=self.now)
-        self.records[op.op_id] = record
+        op, record = self._submit("transferFrom", source, (source, dest, value))
         if source == self.node_id:
             # Owner spending via its own allowance path: still sequenced by
             # itself; run the group round locally.
@@ -212,17 +201,15 @@ class DynamicTokenNode(Node):
             return (
                 value >= 0
                 and view.balances[source] >= value
-                and view.allowances[source][op.actor] >= value
+                and view.allowances[source].get(op.actor, 0) >= value
             )
         raise ProtocolError(f"unknown operation kind {op.kind!r}")
 
     def _finalize_own_op(self, op: TokenOp, record: OpRecord) -> None:
         if not self._validate(op):
-            record.completed_at = self.now
-            record.response = False
+            record.complete(self.now, False)
             return
-        self._pending_own.append(op)
-        self.fifo.broadcast({"op": op})
+        self._commit_group_op(op, self.node_id)
 
     def handle_tf_request(self, message: Message) -> None:
         op: TokenOp = message.payload["op"]
@@ -279,19 +266,15 @@ class DynamicTokenNode(Node):
         self.fifo.broadcast({"op": op})
 
     def _reject(self, op: TokenOp, requester: int) -> None:
-        if requester == self.node_id:
-            record = self.records.get(op.op_id)
-            if record is not None:
-                record.completed_at = self.now
-                record.response = False
-            return
-        self.send(requester, "tf_reject", {"op_id": op.op_id})
+        if requester != self.node_id:
+            self.send(requester, "tf_reject", {"op_id": op.op_id})
+        elif op.op_id in self.records:
+            self.records[op.op_id].complete(self.now, False)
 
     def handle_tf_reject(self, message: Message) -> None:
         record = self.records.get(message.payload["op_id"])
         if record is not None:
-            record.completed_at = self.now
-            record.response = False
+            record.complete(self.now, False)
 
     # ------------------------------------------------------------------
     # Replica application (FIFO-BRB delivery path).
@@ -325,8 +308,7 @@ class DynamicTokenNode(Node):
             self.tracker.record(self.now, self.state)
         record = self.records.get(op.op_id)
         if record is not None and record.completed_at is None:
-            record.completed_at = self.now
-            record.response = True
+            record.complete(self.now, True)
 
 
 def _apply_op(state: ReplicaTokenState, op: TokenOp) -> None:
@@ -337,10 +319,11 @@ def _apply_op(state: ReplicaTokenState, op: TokenOp) -> None:
         state.balances[dest] += value
     elif op.kind == "approve":
         spender, value = op.args
-        state.allowances[op.account][spender] = value
+        assign_allowance(state.allowances[op.account], spender, value)
     elif op.kind == "transferFrom":
         source, dest, value = op.args
-        state.allowances[source][op.actor] -= value
+        row = state.allowances[source]
+        assign_allowance(row, op.actor, row.get(op.actor, 0) - value)
         state.balances[source] -= value
         state.balances[dest] += value
     else:  # pragma: no cover - guarded upstream

@@ -21,10 +21,12 @@ from repro.analysis.spenders import spenders_of
 class ReplicaTokenState:
     """Mutable per-replica token state (balances may be transiently negative
     while credits are in flight; see the eventual-consistency discussion in
-    :mod:`repro.dynamic.dynamic_token`)."""
+    :mod:`repro.dynamic.dynamic_token`).  ``allowances[a]`` is account
+    ``a``'s map ``{spender: amount}`` of positive allowances, absent meaning
+    0 — the shape :class:`repro.objects.erc20.TokenState` stores."""
 
     balances: list[int]
-    allowances: list[list[int]]
+    allowances: list[dict[int, int]]
 
     @classmethod
     def create(
@@ -32,19 +34,19 @@ class ReplicaTokenState:
     ) -> "ReplicaTokenState":
         balances = [0] * num_accounts
         balances[deployer] = supply
-        allowances = [[0] * num_accounts for _ in range(num_accounts)]
-        return cls(balances, allowances)
+        return cls(balances, [{} for _ in range(num_accounts)])
 
     def copy(self) -> "ReplicaTokenState":
         return ReplicaTokenState(
-            list(self.balances), [list(row) for row in self.allowances]
+            list(self.balances), [dict(row) for row in self.allowances]
         )
 
-    def snapshot(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Hashable snapshot for convergence assertions."""
+    def snapshot(self) -> tuple:
+        """Hashable snapshot for convergence assertions: β, and per account
+        its sorted ``(spender, amount)`` pairs."""
         return (
             tuple(self.balances),
-            tuple(tuple(row) for row in self.allowances),
+            tuple(tuple(sorted(row.items())) for row in self.allowances),
         )
 
 

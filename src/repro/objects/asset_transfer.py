@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.errors import InvalidArgumentError
-from repro.objects.base import SharedObject
+from repro.objects.base import AccountType, SharedObject
 from repro.objects.footprint import (
     EMPTY_FOOTPRINT,
     SUPPLY,
@@ -77,7 +77,7 @@ def _normalize_owner_map(
     return tuple(normalized)
 
 
-class AssetTransferType(SequentialObjectType):
+class AssetTransferType(AccountType):
     """Sequential specification of Definition 1 with a static owner map."""
 
     name = "asset-transfer"
@@ -130,10 +130,6 @@ class AssetTransferType(SequentialObjectType):
 
     def operation_names(self) -> tuple[str, ...]:
         return ("transfer", "balanceOf", "totalSupply")
-
-    def _check_account(self, account: Any) -> None:
-        if not isinstance(account, int) or not 0 <= account < self.num_accounts:
-            raise InvalidArgumentError(f"unknown account {account!r}")
 
     def _check_value(self, value: Any) -> None:
         if not isinstance(value, int) or value < 0:

@@ -15,9 +15,25 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.errors import InvalidArgumentError
 from repro.runtime.calls import OpCall
 from repro.spec.object_type import SequentialObjectType
 from repro.spec.operation import Operation
+
+
+class AccountType(SequentialObjectType):
+    """A type over the accounts ``0 .. num_accounts - 1``, with the argument
+    checks every token family shares."""
+
+    num_accounts: int
+
+    def _check_account(self, account: Any) -> None:
+        if not isinstance(account, int) or not 0 <= account < self.num_accounts:
+            raise InvalidArgumentError(f"unknown account {account!r}")
+
+    def _check_value(self, value: Any) -> None:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise InvalidArgumentError(f"amount must be a natural number: {value!r}")
 
 
 class SharedObject:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import InvalidArgumentError
-from repro.objects.base import SharedObject
+from repro.objects.base import AccountType, SharedObject
 from repro.runtime.calls import OpCall
-from repro.spec.object_type import FALSE, TRUE, SequentialObjectType
+from repro.spec.object_type import FALSE, TRUE
 from repro.spec.operation import Operation
 
 
@@ -66,7 +66,7 @@ class MultiTokenState:
         return MultiTokenState(self.balances, tuple(operators))
 
 
-class ERC1155TokenType(SequentialObjectType):
+class ERC1155TokenType(AccountType):
     """Sequential specification of an ERC1155 contract."""
 
     name = "erc1155"
@@ -100,20 +100,12 @@ class ERC1155TokenType(SequentialObjectType):
             "isApprovedForAll",
         )
 
-    def _check_account(self, account: Any) -> None:
-        if not isinstance(account, int) or not 0 <= account < self.num_accounts:
-            raise InvalidArgumentError(f"unknown account {account!r}")
-
     def _check_token_type(self, token_type: Any) -> None:
         if (
             not isinstance(token_type, int)
             or not 0 <= token_type < self.num_token_types
         ):
             raise InvalidArgumentError(f"unknown token type {token_type!r}")
-
-    def _check_value(self, value: Any) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InvalidArgumentError(f"amount must be a natural number: {value!r}")
 
     def apply(
         self, state: MultiTokenState, pid: int, operation: Operation

@@ -26,10 +26,11 @@ the corrected Algorithm 2 variant — can be enabled explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 from repro.errors import InvalidArgumentError
-from repro.objects.base import SharedObject
+from repro.objects.base import AccountType, SharedObject
 from repro.objects.footprint import (
     EMPTY_FOOTPRINT,
     SUPPLY,
@@ -38,29 +39,70 @@ from repro.objects.footprint import (
     bal,
 )
 from repro.runtime.calls import OpCall
-from repro.spec.object_type import FALSE, TRUE, SequentialObjectType
+from repro.spec.object_type import FALSE, TRUE
 from repro.spec.operation import Operation
 
 #: ``totalSupply``'s footprint: transfers conserve :data:`SUPPLY`.
 _SUPPLY_READ = OpFootprint(frozenset((SUPPLY,)))
 
 
+#: The map of an account with no positive allowance: shared, never written.
+_NO_ROW: dict[int, int] = {}
+
+
+class Allowances:
+    """α stored sparse: ``{account: {spender: amount}}`` holding only the
+    positive allowances (absent means 0) and no empty map, so equal α hold
+    equal maps, and ``==``, ``hash`` and the sorted ``repr`` read the value,
+    never the order of the writes.  Immutable: no map is written once held;
+    ``TokenState.allowances_of`` hands out read-only views."""
+
+    __slots__ = ("_rows", "_hash")
+
+    def __init__(self, rows: dict[int, dict[int, int]]) -> None:
+        self._rows, self._hash = rows, None
+
+    def cells(self) -> list[tuple[tuple[int, int], int]]:
+        """``((account, spender), amount)`` per positive allowance, sorted."""
+        rows = self._rows
+        return sorted(((a, p), v) for a in rows for p, v in rows[a].items())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Allowances) and self._rows == other._rows
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self.cells()))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Allowances({dict(self.cells())!r})"
+
+
+def assign_allowance(row: dict[int, int], spender: int, value: int) -> None:
+    """``row[spender] = value`` in an account's allowance map the caller
+    owns: 0 is absence, so the map holds only positive allowances."""
+    if value:
+        row[spender] = value
+    else:
+        row.pop(spender, None)
+
+
 @dataclass(frozen=True, slots=True)
 class TokenState:
     """Immutable token state ``q = (β, α)``.
 
-    ``balances[a]`` is ``β(a)``; ``allowances[a][p]`` is ``α(a, p)``, the
-    amount process ``p`` may transfer from account ``a``.
+    ``balances[a]`` is ``β(a)``; ``allowance(a, p)`` is ``α(a, p)``, the
+    amount process ``p`` may transfer from account ``a``.  α is stored
+    sparse (:class:`Allowances`): a state is O(accounts + allowances).
 
-    The state is *persistent*: an update rebuilds only the row it touches
-    and shares every other row with its predecessor, and ``create`` gives
-    all accounts without an initial allowance one zero row.  Rows of one
-    state, or of two states, may therefore be the same object — dense in
-    value, O(n) in memory per update; never rely on row identity.
+    The state is *persistent*: an allowance update copies the written
+    account's map and α's outer map, and shares every other map and β
+    with its predecessor; never rely on map identity.
     """
 
     balances: tuple[int, ...]
-    allowances: tuple[tuple[int, ...], ...]
+    allowances: Allowances
 
     # -- reads ----------------------------------------------------------
 
@@ -72,7 +114,11 @@ class TokenState:
         return self.balances[account]
 
     def allowance(self, account: int, spender: int) -> int:
-        return self.allowances[account][spender]
+        return self.allowances._rows.get(account, _NO_ROW).get(spender, 0)
+
+    def allowances_of(self, account: int) -> Mapping[int, int]:
+        """``α(account, ·)``'s positive entries, ``{spender: amount}``."""
+        return MappingProxyType(self.allowances._rows.get(account, _NO_ROW))
 
     @property
     def total_supply(self) -> int:
@@ -87,11 +133,12 @@ class TokenState:
         return TokenState(tuple(balances), self.allowances)
 
     def with_allowance(self, account: int, spender: int, value: int) -> "TokenState":
-        row = list(self.allowances[account])
-        row[spender] = value
-        allowances = list(self.allowances)
-        allowances[account] = tuple(row)
-        return TokenState(self.balances, tuple(allowances))
+        row = dict(self.allowances._rows.get(account, _NO_ROW))
+        assign_allowance(row, spender, value)
+        rows = {**self.allowances._rows, account: row}
+        if not row:
+            del rows[account]
+        return TokenState(self.balances, Allowances(rows))
 
     def with_transfer_from(
         self, spender: int, source: int, dest: int, value: int
@@ -108,13 +155,12 @@ class TokenState:
         allowances: Mapping[tuple[int, int], int] | None = None,
     ) -> "TokenState":
         """Build a state from a balance list and a sparse allowance mapping
-        ``{(account, spender): amount}``."""
+        ``{(account, spender): amount}`` (a 0 amount is the same as none)."""
         n = len(balances)
         balance_tuple = tuple(int(b) for b in balances)
         if any(b < 0 for b in balance_tuple):
             raise InvalidArgumentError("balances must be non-negative")
-        zero_row = (0,) * n
-        rows: dict[int, list[int]] = {}
+        rows: dict[int, dict[int, int]] = {}
         for (account, spender), amount in (allowances or {}).items():
             if not 0 <= account < n or not 0 <= spender < n:
                 raise InvalidArgumentError(
@@ -122,13 +168,9 @@ class TokenState:
                 )
             if int(amount) < 0:
                 raise InvalidArgumentError("allowances must be non-negative")
-            rows.setdefault(account, [0] * n)[spender] = int(amount)
-        return TokenState(
-            balance_tuple,
-            tuple(
-                tuple(rows[a]) if a in rows else zero_row for a in range(n)
-            ),
-        )
+            if amount:
+                rows.setdefault(account, {})[spender] = int(amount)
+        return TokenState(balance_tuple, Allowances(rows))
 
     @staticmethod
     def deploy(num_accounts: int, total_supply: int, deployer: int = 0) -> "TokenState":
@@ -143,7 +185,7 @@ class TokenState:
         return TokenState.create(balances)
 
 
-class ERC20TokenType(SequentialObjectType):
+class ERC20TokenType(AccountType):
     """Sequential specification of the ERC20 token object (Definition 3)."""
 
     name = "erc20"
@@ -215,17 +257,9 @@ class ERC20TokenType(SequentialObjectType):
 
     # -- validation ------------------------------------------------------
 
-    def _check_account(self, account: Any) -> None:
-        if not isinstance(account, int) or not 0 <= account < self.num_accounts:
-            raise InvalidArgumentError(f"unknown account {account!r}")
-
     def _check_process(self, pid: Any) -> None:
         if not isinstance(pid, int) or not 0 <= pid < self.num_accounts:
             raise InvalidArgumentError(f"unknown process {pid!r}")
-
-    def _check_value(self, value: Any) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InvalidArgumentError(f"amount must be a natural number: {value!r}")
 
     # -- Δ ----------------------------------------------------------------
 
@@ -372,32 +406,35 @@ class _TokenBatch:
     """:meth:`ERC20TokenType.batch`: Δ applied in place.
 
     The batch is its own private working copy of ``(β, α)``: β as a list,
-    and each α row copied into ``_rows`` on its first write.  Every
-    operation runs through the unchanged spec ``apply`` with the batch in
-    the state's place — the batch answers the reads and ``with_*`` updates
-    Δ's handlers use, updating itself and returning itself — so an ``apply``
-    here costs O(1) instead of a copy of β or of α's outer tuple.
+    and each account's α map copied into ``_rows`` on its first write.
+    Every operation runs through the unchanged spec ``apply`` with the
+    batch in the state's place — the batch answers the reads and ``with_*``
+    updates Δ's handlers use, updating itself and returning itself — so an
+    ``apply`` here costs O(1) instead of a copy of β or of α's outer map.
 
-    ``state()`` freezes the copy into a :class:`TokenState` of fresh
-    tuples, so later writes never touch a snapshot handed out; it is
-    cached until the next write.  Freezing rebases the batch onto the
-    snapshot, so the next freeze rebuilds only the rows written since,
-    and every other row stays shared with the snapshot before it (and
-    rows no operation wrote with the input state).
+    ``state()`` freezes the copy into a :class:`TokenState`, so later
+    writes never touch a snapshot handed out; it is cached until the next
+    write.  Freezing hands the written maps to the snapshot and rebases the
+    batch onto it, so the next write copies a map again, and every map not
+    written since stays shared with the snapshot before (and maps no
+    operation wrote with the input state).
 
     An invalid operation raises and leaves ``state()`` as it was, and the
     batch keeps working: every handler validates its arguments before its
     single ``with_*`` call, so nothing is written before the raise.
     """
 
-    __slots__ = ("_type", "_base", "_balances", "_rows", "_frozen")
+    __slots__ = ("_type", "_alpha", "_balances", "_supply", "_rows", "_frozen")
 
     def __init__(self, object_type: ERC20TokenType, state: TokenState) -> None:
         self._type = object_type
-        #: The last snapshot; α rows not in ``_rows`` are still its.
-        self._base = state
+        #: The last snapshot's α; accounts not in ``_rows`` read its maps.
+        self._alpha = state.allowances
         self._balances = list(state.balances)
-        self._rows: dict[int, list[int]] = {}
+        #: Δ conserves the supply: summed once, not per ``totalSupply``.
+        self._supply = sum(self._balances)
+        #: The maps written since the last snapshot: the batch's own copies.
+        self._rows: dict[int, dict[int, int]] = {}
         #: ``state()``'s answer, or ``None`` after a write.
         self._frozen: TokenState | None = state
 
@@ -407,15 +444,12 @@ class _TokenBatch:
     def state(self) -> TokenState:
         frozen = self._frozen
         if frozen is None:
-            allowances = self._base.allowances
             if self._rows:
-                allowances = list(allowances)
-                for account, row in self._rows.items():
-                    allowances[account] = tuple(row)
-                allowances = tuple(allowances)
-                self._rows.clear()
-            frozen = TokenState(tuple(self._balances), allowances)
-            self._base = self._frozen = frozen
+                rows = {**self._alpha._rows, **self._rows}
+                self._alpha = Allowances({a: r for a, r in rows.items() if r})
+                self._rows = {}
+            frozen = TokenState(tuple(self._balances), self._alpha)
+            self._frozen = frozen
         return frozen
 
     # -- the working copy, as Δ's handlers see it ------------------------
@@ -424,25 +458,25 @@ class _TokenBatch:
     def num_accounts(self) -> int:
         return len(self._balances)
 
-    @property
-    def allowances(self) -> "_LiveRows":
-        """α's rows as they stand, ``allowances[a]`` as on a
-        :class:`TokenState` — the read team sizing makes at the live
-        batch (:func:`repro.analysis.spenders.potential_spenders`)."""
-        return _LiveRows(self)
-
     def balance(self, account: int) -> int:
         return self._balances[account]
 
     def allowance(self, account: int, spender: int) -> int:
+        return self._row(account).get(spender, 0)
+
+    def allowances_of(self, account: int) -> Mapping[int, int]:
+        """``α(account, ·)``'s positive entries as they stand — the read
+        team sizing makes at the live batch
+        (:func:`repro.analysis.spenders.potential_spenders`)."""
+        return MappingProxyType(self._row(account))
+
+    def _row(self, account: int) -> dict[int, int]:
         row = self._rows.get(account)
-        if row is None:
-            return self._base.allowances[account][spender]
-        return row[spender]
+        return self._alpha._rows.get(account, _NO_ROW) if row is None else row
 
     @property
     def total_supply(self) -> int:
-        return sum(self._balances)
+        return self._supply
 
     def with_transfer(
         self, source: int, dest: int, value: int
@@ -458,8 +492,10 @@ class _TokenBatch:
     ) -> "_TokenBatch":
         row = self._rows.get(account)
         if row is None:
-            row = self._rows[account] = list(self._base.allowances[account])
-        row[spender] = value
+            row = self._rows[account] = dict(
+                self._alpha._rows.get(account, _NO_ROW)
+            )
+        assign_allowance(row, spender, value)
         self._frozen = None
         return self
 
@@ -470,20 +506,6 @@ class _TokenBatch:
         return self.with_transfer(source, dest, value).with_allowance(
             source, spender, remaining
         )
-
-
-class _LiveRows:
-    """:attr:`_TokenBatch.allowances`: row ``a`` is the batch's working
-    copy when written, else the last snapshot's — never copied."""
-
-    __slots__ = ("_batch",)
-
-    def __init__(self, batch: _TokenBatch) -> None:
-        self._batch = batch
-
-    def __getitem__(self, account: int) -> Sequence[int]:
-        row = self._batch._rows.get(account)
-        return self._batch._base.allowances[account] if row is None else row
 
 
 class ERC20Token(SharedObject):

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import InvalidArgumentError
-from repro.objects.base import SharedObject
+from repro.objects.base import AccountType, SharedObject
 from repro.objects.footprint import EMPTY_FOOTPRINT, OpFootprint, footprint
 from repro.runtime.calls import OpCall
-from repro.spec.object_type import FALSE, TRUE, SequentialObjectType
+from repro.spec.object_type import FALSE, TRUE
 from repro.spec.operation import Operation
 
 #: ERC721's zero address: "no approval" marker.
@@ -76,7 +76,7 @@ class NFTState:
         return NFTState(self.owners, self.approved, tuple(operators))
 
 
-class ERC721TokenType(SequentialObjectType):
+class ERC721TokenType(AccountType):
     """Sequential specification of an ERC721 contract."""
 
     name = "erc721"
@@ -116,10 +116,6 @@ class ERC721TokenType(SequentialObjectType):
         )
 
     # -- validation -----------------------------------------------------
-
-    def _check_account(self, account: Any) -> None:
-        if not isinstance(account, int) or not 0 <= account < self.num_accounts:
-            raise InvalidArgumentError(f"unknown account {account!r}")
 
     def _check_token(self, token_id: Any) -> None:
         if not isinstance(token_id, int) or not 0 <= token_id < self.num_tokens:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import InvalidArgumentError
-from repro.objects.base import SharedObject
+from repro.objects.base import AccountType, SharedObject
 from repro.runtime.calls import OpCall
-from repro.spec.object_type import FALSE, TRUE, SequentialObjectType
+from repro.spec.object_type import FALSE, TRUE
 from repro.spec.operation import Operation
 
 
@@ -59,7 +59,7 @@ class ERC777State:
         return ERC777State(self.balances, tuple(operators))
 
 
-class ERC777TokenType(SequentialObjectType):
+class ERC777TokenType(AccountType):
     """Sequential specification of an ERC777 contract."""
 
     name = "erc777"
@@ -88,14 +88,6 @@ class ERC777TokenType(SequentialObjectType):
             "balanceOf",
             "totalSupply",
         )
-
-    def _check_account(self, account: Any) -> None:
-        if not isinstance(account, int) or not 0 <= account < self.num_accounts:
-            raise InvalidArgumentError(f"unknown account {account!r}")
-
-    def _check_value(self, value: Any) -> None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InvalidArgumentError(f"amount must be a natural number: {value!r}")
 
     def apply(
         self, state: ERC777State, pid: int, operation: Operation

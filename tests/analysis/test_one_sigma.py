@@ -1,6 +1,7 @@
 """Eq. 10's σ_q(a) is derived once: the analysis over an immutable
-``TokenState`` and §7's replica view over mutable rows both read
-:func:`repro.analysis.spenders.spenders_of`."""
+``TokenState`` and §7's replica view over mutable maps both read
+:func:`repro.analysis.spenders.spenders_of`, on the same sparse shape —
+per account, the map of its allowances, absent meaning 0."""
 
 from __future__ import annotations
 
@@ -14,7 +15,12 @@ from repro.objects.erc20 import TokenState
 def random_rows(rng: random.Random, n: int, low: int):
     balances = [rng.choice([low, 0, 0, 1, 5]) for _ in range(n)]
     allowances = [
-        [rng.choice([0, 0, 0, 2]) for _ in range(n)] for _ in range(n)
+        {
+            pid: amount
+            for pid in range(n)
+            if (amount := rng.choice([0, 0, 0, 2]))
+        }
+        for _ in range(n)
     ]
     return balances, allowances
 
@@ -23,8 +29,13 @@ def test_the_two_views_agree_on_every_non_negative_state():
     rng = random.Random(10)
     for _ in range(200):
         balances, allowances = random_rows(rng, 5, 0)
-        state = TokenState(
-            tuple(balances), tuple(tuple(row) for row in allowances)
+        state = TokenState.create(
+            balances,
+            {
+                (account, pid): amount
+                for account, row in enumerate(allowances)
+                for pid, amount in row.items()
+            },
         )
         replica = ReplicaTokenState(balances, allowances)
         for account in range(5):
@@ -43,14 +54,15 @@ def test_a_balance_that_is_not_positive_enables_the_owner_only():
             if balances[account] > 0:
                 expected |= {
                     pid
-                    for pid, amount in enumerate(allowances[account])
+                    for pid, amount in allowances[account].items()
                     if amount > 0
                 }
             assert sync_group(replica, account) == expected
 
 
-def test_spenders_of_reads_one_row():
-    assert spenders_of(2, 7, [0, 0, 0]) == {2}
-    assert spenders_of(2, 7, [1, 0, 3]) == {0, 2}
-    assert spenders_of(0, 0, [0, 9]) == {0}
-    assert spenders_of(1, -1, [4, 0]) == {1}
+def test_spenders_of_reads_one_map():
+    assert spenders_of(2, 7, {}) == {2}
+    assert spenders_of(2, 7, {0: 1, 2: 3}) == {0, 2}
+    assert spenders_of(2, 7, {0: 1, 1: 0}) == {0, 2}  # a 0 enables nothing
+    assert spenders_of(0, 0, {1: 9}) == {0}
+    assert spenders_of(1, -1, {0: 4}) == {1}

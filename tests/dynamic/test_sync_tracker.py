@@ -8,13 +8,14 @@ from repro.dynamic.sync_tracker import (
     sync_group,
     sync_levels,
 )
+from repro.objects.erc20 import assign_allowance
 
 
 class TestReplicaState:
     def test_create(self):
         state = ReplicaTokenState.create(3, deployer=0, supply=10)
         assert state.balances == [10, 0, 0]
-        assert state.allowances[0] == [0, 0, 0]
+        assert state.allowances == [{}, {}, {}]
 
     def test_copy_is_deep(self):
         state = ReplicaTokenState.create(2, 0, 5)
@@ -22,11 +23,15 @@ class TestReplicaState:
         clone.balances[0] = 0
         clone.allowances[0][1] = 9
         assert state.balances[0] == 5
-        assert state.allowances[0][1] == 0
+        assert state.allowances[0] == {}
 
     def test_snapshot_hashable_and_equal(self):
         a = ReplicaTokenState.create(2, 0, 5)
         b = ReplicaTokenState.create(2, 0, 5)
+        assert a.snapshot() == b.snapshot()
+        assert hash(a.snapshot()) == hash(b.snapshot())
+        assign_allowance(a.allowances[0], 1, 3)  # b never had it
+        assign_allowance(a.allowances[0], 1, 0)
         assert a.snapshot() == b.snapshot()
         assert hash(a.snapshot()) == hash(b.snapshot())
 
@@ -43,9 +48,10 @@ class TestSyncGroup:
 
     def test_a_zeroed_allowance_leaves_the_group(self):
         state = ReplicaTokenState.create(3, 0, 10)
-        state.allowances[0][1] = 5
-        state.allowances[0][2] = 5
-        state.allowances[0][1] = 0
+        assign_allowance(state.allowances[0], 1, 5)
+        assign_allowance(state.allowances[0], 2, 5)
+        assign_allowance(state.allowances[0], 1, 0)
+        assert state.allowances[0] == {2: 5}
         assert sync_group(state, 0) == {0, 2}
 
     def test_zero_balance_convention(self):

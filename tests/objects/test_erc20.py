@@ -7,7 +7,7 @@ the ERC20-standard deployment state.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidArgumentError, UnknownOperationError
@@ -307,7 +307,7 @@ class TestExample1:
         # Bob approves Charlie for up to 5.
         q2, r2 = token.apply(q1, 1, op("approve", 2, 5))
         assert r2 is True
-        assert q2.allowances[1] == (0, 0, 5)
+        assert [q2.allowance(1, p) for p in range(3)] == [0, 0, 5]
 
         # Charlie tries to take 5 from Bob: balance 3 is insufficient.
         q3, r3 = token.apply(q2, 2, op("transferFrom", 1, 2, 5))
@@ -376,58 +376,109 @@ class TestTokenState:
         assert state.balances == (5, 0)
         assert state.allowance(0, 1) == 0
 
-    def test_with_allowance_shares_every_untouched_row(self):
+    def test_with_allowance_shares_every_untouched_map(self):
         state = TokenState.create([5, 0, 0, 0], {(0, 1): 2, (2, 3): 4})
         new = state.with_allowance(2, 0, 9)
-        assert new.allowances[2] == (9, 0, 0, 4)
+        assert [new.allowance(2, p) for p in range(4)] == [9, 0, 0, 4]
         assert new.balances is state.balances
-        for account in (0, 1, 3):
-            assert new.allowances[account] is state.allowances[account]
+        assert _maps(new)[0] is _maps(state)[0]
+        assert set(_maps(new)) == {0, 2}  # accounts 1 and 3 hold no map
 
-    def test_with_transfer_from_shares_every_untouched_row(self):
-        state = TokenState.create([5, 0, 0], {(0, 1): 3})
+    def test_with_transfer_from_shares_every_untouched_map(self):
+        state = TokenState.create([5, 0, 0], {(0, 1): 3, (2, 0): 1})
         new = state.with_transfer_from(1, 0, 2, 2)
         assert new.balances == (3, 0, 2)
-        assert new.allowances[0] == (0, 1, 0)
-        assert new.allowances[1] is state.allowances[1]
-        assert new.allowances[2] is state.allowances[2]
+        assert [new.allowance(0, p) for p in range(3)] == [0, 1, 0]
+        assert _maps(new)[2] is _maps(state)[2]
+        assert set(_maps(new)) == {0, 2}
 
-    def test_deploy_shares_one_zero_row(self):
+    def test_deploy_stores_no_map(self):
         state = TokenState.deploy(64, 1000)
-        assert len({id(row) for row in state.allowances}) == 1
+        assert _maps(state) == {}
+        assert state.allowances_of(5) == {}
 
-    def test_create_builds_one_row_per_allowance_bearing_account(self):
+    def test_create_builds_one_map_per_allowance_bearing_account(self):
         state = TokenState.create(
-            [1] * 8, {(0, 1): 3, (0, 2): 1, (5, 0): 2, (7, 7): 4}
+            [1] * 8, {(0, 1): 3, (0, 2): 1, (5, 0): 2, (7, 7): 4, (3, 1): 0}
         )
-        assert len({id(row) for row in state.allowances}) == 3 + 1
-        assert state.allowances[0] == (0, 3, 1, 0, 0, 0, 0, 0)
+        assert set(_maps(state)) == {0, 5, 7}
+        assert state.allowances_of(0) == {1: 3, 2: 1}
+        row = [state.allowance(0, p) for p in range(8)]
+        assert row == [0, 3, 1, 0, 0, 0, 0, 0]
 
-    def test_row_sharing_is_invisible_to_eq_hash_and_repr(self):
-        shared = TokenState.deploy(5, 10)
-        dense = TokenState(
-            (10, 0, 0, 0, 0), tuple(tuple([0] * 5) for _ in range(5))
+    def test_writing_zero_removes_the_entry(self):
+        state = TokenState.create([5, 0, 0], {(0, 2): 1})
+        revoked = state.with_allowance(0, 2, 0)
+        assert _maps(revoked) == {}
+        assert revoked == TokenState.create([5, 0, 0])
+        again = state.with_allowance(1, 0, 3).with_allowance(1, 0, 0)
+        assert _maps(again) == _maps(state)
+        assert again == state
+
+    def test_a_map_read_is_read_only(self):
+        state = TokenState.create([5, 0], {(0, 1): 2})
+        with pytest.raises(TypeError):
+            state.allowances_of(0)[1] = 9  # type: ignore[index]
+        with pytest.raises(TypeError):
+            state.allowances_of(1)[0] = 9  # type: ignore[index]
+        assert state.allowance(0, 1) == 2 and state.allowance(1, 0) == 0
+
+    def test_equal_values_have_one_form_for_eq_hash_and_repr(self):
+        """Set then zeroed, never set, a 0 given to ``create``, and the
+        same cells written in another order: one value, one form."""
+        never = TokenState.create([4, 0, 0], {(0, 1): 3, (2, 0): 1})
+        zeroed = (
+            TokenState.create([4, 0, 0], {(2, 0): 1})
+            .with_allowance(1, 2, 5)
+            .with_allowance(0, 1, 3)
+            .with_allowance(1, 2, 0)
         )
-        assert len({id(row) for row in dense.allowances}) == 5
-        assert shared == dense and dense == shared
-        assert hash(shared) == hash(dense)
-        assert repr(shared) == repr(dense)
+        given_zero = TokenState.create(
+            [4, 0, 0], {(2, 0): 1, (1, 1): 0, (0, 1): 3}
+        )
+        for other in (zeroed, given_zero):
+            _assert_same_value(never, other)
+        assert repr(never.allowances) == "Allowances({(0, 1): 3, (2, 0): 1})"
+        assert never != TokenState.create([4, 0, 0], {(0, 1): 3})
+
+
+def _maps(state: TokenState) -> dict:
+    """α's stored maps, ``{account: {spender: amount}}`` — for the sharing
+    checks only; every value check reads ``allowance``."""
+    return state.allowances._rows
 
 
 class _DenseReference:
-    """Definition 3 on the representation the persistent state replaced:
-    a list-of-lists grid mutated in place and densified into ``n`` fresh
-    row tuples (``tuple(tuple(row) for row in grid)``, as the pre-PR-17
-    ``with_allowance`` did on every update)."""
+    """Definition 3 on the representation the sparse state replaced: a
+    list-of-lists grid mutated in place, n × n cells, 0 for "no
+    allowance"."""
 
     def __init__(self, balances):
         self.balances = list(balances)
         self.grid = [[0] * len(balances) for _ in balances]
 
     def state(self) -> TokenState:
-        return TokenState(
-            tuple(self.balances), tuple(tuple(row) for row in self.grid)
+        """The grid as a state, every cell (zeros too) handed to
+        ``create``."""
+        return TokenState.create(
+            self.balances,
+            {
+                (account, spender): amount
+                for account, row in enumerate(self.grid)
+                for spender, amount in enumerate(row)
+            },
         )
+
+    def assert_cells(self, state) -> None:
+        """``state`` (a ``TokenState`` or a live batch) reads every α
+        cell and every balance as the grid holds it."""
+        n = len(self.grid)
+        cells = [[state.allowance(a, p) for p in range(n)] for a in range(n)]
+        assert cells == self.grid
+        assert [state.balance(a) for a in range(n)] == self.balances
+        for account, row in enumerate(self.grid):
+            positives = {p: amount for p, amount in enumerate(row) if amount}
+            assert state.allowances_of(account) == positives
 
     def apply(self, pid, name, args):
         balances, grid = self.balances, self.grid
@@ -499,42 +550,67 @@ _invalid_calls = st.sampled_from(
     )
 )
 
+#: Every way an allowance returns to 0, in one run: ``approve(p, 0)`` of a
+#: set allowance, of an unset one, ``decreaseAllowance`` to 0, and a
+#: ``transferFrom`` that drains it — each followed by a write elsewhere.
+_TO_ZERO = [
+    (0, ("approve", (1, 3))),
+    (0, ("approve", (1, 0))),
+    (0, ("approve", (2, 0))),
+    (1, ("increaseAllowance", (3, 2))),
+    (1, ("decreaseAllowance", (3, 2))),
+    (0, ("approve", (3, 4))),
+    (3, ("transferFrom", (0, 2, 4))),
+    (2, ("approve", (0, 1))),
+]
+
 
 @settings(max_examples=200, deadline=None)
 @given(
     balances=st.lists(st.integers(0, 12), min_size=_N, max_size=_N),
     allowed=st.dictionaries(
-        st.tuples(_account, _account), st.integers(1, 6), max_size=3
+        st.tuples(_account, _account), st.integers(0, 6), max_size=3
     ),
     calls=st.lists(_erc20_calls, max_size=40),
     cuts=st.sets(st.integers(0, 40), max_size=4),
     invalid=st.tuples(st.integers(0, 40), _invalid_calls),
 )
-def test_persistent_state_equals_the_dense_reference(
+@example(
+    balances=[10, 0, 0, 0],
+    allowed={},
+    calls=_TO_ZERO,
+    cuts={1, 4, 6},
+    invalid=(40, (0, op("mint", 1))),
+)
+def test_sparse_state_equals_the_dense_reference(
     balances, allowed, calls, cuts, invalid
 ):
     """The per-op ``apply`` fold equals the dense reference, and a batch
-    running the same calls equals that fold: at every cut point its
-    responses and ``state()``; a snapshot is unchanged by later applies;
-    a snapshot shares every row not written since the one before, the
-    input state first, so rows no op wrote are still the input state's;
-    and an invalid op raises, leaves ``state()`` as it was, and the batch
-    keeps working."""
+    running the same calls equals that fold: every response, every α cell
+    (read through ``allowance`` and ``allowances_of``) of the fold and of
+    the live batch after every op, and at every cut point the batch's
+    ``state()``, equal in value, hash and repr to the reference's state;
+    a snapshot is unchanged by later applies; a snapshot shares every map
+    not written since the one before, the input state first, so maps no
+    op wrote are still the input state's; and an invalid op raises,
+    leaves ``state()`` as it was, and the batch keeps working."""
     start = TokenState.create(balances, allowed)
     token = ERC20TokenType(_N, initial_state=start, with_extensions=True)
     reference = _DenseReference(balances)
     for (account, spender), amount in allowed.items():
         reference.grid[account][spender] = amount
+    _assert_same_value(start, reference.state())
     batch = token.batch(start)
     state, snapshots = start, [(start, start)]
-    since = set()  # α rows written since the last snapshot
+    since = set()  # accounts whose α map was written since the last snapshot
     bad_at, (bad_pid, bad_operation) = invalid
 
     def cut():
         snapshot, previous = batch.state(), snapshots[-1][0]
         for account in set(range(_N)) - since:
-            assert snapshot.allowances[account] is previous.allowances[account]
+            assert _maps(snapshot).get(account) is _maps(previous).get(account)
         since.clear()
+        _assert_same_value(snapshot, reference.state())
         snapshots.append((snapshot, state))
 
     for index, (pid, (name, args)) in enumerate(calls):
@@ -547,7 +623,9 @@ def test_persistent_state_equals_the_dense_reference(
         state, result = token.apply(state, pid, operation)
         assert result is reference.apply(pid, name, args)
         _assert_same_value(state, reference.state())
+        reference.assert_cells(state)
         assert batch.apply(pid, operation) is result
+        reference.assert_cells(batch)
         if name != "transfer":
             since.add(args[0] if name == "transferFrom" else pid)
         if index in cuts:

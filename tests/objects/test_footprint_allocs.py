@@ -20,7 +20,8 @@ import pytest
 from repro.engine import OpClassifier
 from repro.engine.rounds import plan_window
 from repro.engine.mempool import PendingOp
-from repro.objects.erc20 import ERC20TokenType
+from repro.objects import erc20
+from repro.objects.erc20 import ERC20TokenType, TokenState
 from repro.objects.footprint import (
     EMPTY_FOOTPRINT,
     anchor_account,
@@ -136,3 +137,80 @@ def test_a_transfer_footprint_builds_no_location():
     finally:
         gc.enable()
     assert blocks - 2 * len(calls) <= 8
+
+
+# -- α stored sparse: an allowance write costs the same at any size --------
+
+
+def approve_allocations(accounts: int, through: str) -> tuple[int, int, int]:
+    """``(blocks kept, bytes kept, transient peak in bytes)`` that
+    ``erc20.py`` allocates for 64 ``approve``s, each on its own copy of one
+    state with three allowances: ``through="spec"`` folds each through
+    ``apply`` on the state, ``"batch"`` applies each to a fresh batch."""
+    token = ERC20TokenType(accounts, total_supply=10 * accounts)
+    setup = [(0, (1, 2)), (1, (2, 3)), (5, (0, 1))]
+    state, _ = token.run([(p, op("approve", *args)) for p, args in setup])
+    approve = op("approve", 3, 4)
+    if through == "spec":
+        inputs = [state] * 64
+
+        def one(start):
+            return token.apply(start, 1, approve)
+
+    else:
+        inputs = [token.batch(state) for _ in range(64)]
+
+        def one(batch):
+            return batch.apply(1, approve)
+
+    module = [tracemalloc.Filter(True, erc20.__file__)]
+    one(token.batch(state) if through == "batch" else state)  # warm-up
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(module)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kept = [one(start) for start in inputs]
+        peak = tracemalloc.get_traced_memory()[1] - base
+        after = tracemalloc.take_snapshot().filter_traces(module)
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(kept) == 64
+    diff = after.compare_to(before, "filename")
+    return (
+        sum(stat.count_diff for stat in diff),
+        sum(stat.size_diff for stat in diff),
+        peak,
+    )
+
+
+@pytest.mark.parametrize("through", ["spec", "batch"])
+def test_an_approve_costs_the_same_at_any_account_count(through):
+    """α holds only the positive allowances, so a write copies one small
+    map (and, on the persistent state, α's outer map of allowance-bearing
+    accounts) — nothing n long, at 2¹⁴ accounts as at 2⁶."""
+    approve_allocations(2**6, through)  # the process's first run peaks lower
+    small = approve_allocations(2**6, through)
+    large = approve_allocations(2**14, through)
+    assert small[0] > 0
+    assert large[0] <= small[0]
+    assert large[1] <= small[1]
+    assert large[2] <= small[2]
+
+
+def test_deploy_is_linear_in_the_accounts():
+    """``q0`` at 2¹⁶ accounts: β and an empty α — O(n) bytes, no
+    per-account α structure."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = TokenState.deploy(2**16, 1000)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert state.allowances.cells() == []
+    assert kept < 16 * 2**16

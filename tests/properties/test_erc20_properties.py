@@ -66,8 +66,11 @@ class TestInvariants:
             state, _ = token.apply(state, pid, operation)
             assert all(balance >= 0 for balance in state.balances)
             assert all(
-                allowance >= 0 for row in state.allowances for allowance in row
+                state.allowance(account, spender) >= 0
+                for account in range(num_accounts)
+                for spender in range(num_accounts)
             )
+            assert all(amount > 0 for _, amount in state.allowances.cells())
 
     @given(executions())
     @settings(max_examples=120, deadline=None)

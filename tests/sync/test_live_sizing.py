@@ -74,10 +74,12 @@ def test_the_batch_answers_the_spender_reads_of_its_frozen_state():
     batch.apply(1, op("approve", 3, 1))
     frozen = batch.state()
     batch.apply(0, op("approve", 1, 7))  # a row written after a freeze
-    rows = [tuple(batch.allowances[account]) for account in range(4)]
+    rows = [dict(batch.allowances_of(account)) for account in range(4)]
     assert batch.num_accounts == 4
     live = batch.state()
-    assert tuple(rows) == live.allowances != frozen.allowances
+    assert rows == [live.allowances_of(account) for account in range(4)]
+    assert rows == [{1: 7, 2: 5}, {3: 1}, {}, {}]
+    assert live.allowances != frozen.allowances
     assert [potential_spenders(batch, a) for a in range(4)] == [
         potential_spenders(live, a) for a in range(4)
     ]
