@@ -208,7 +208,7 @@ def run_backpressure(ops: int) -> dict:
         ),
     )
     items = make_items(ops)
-    admitted = cluster.feed(items)
+    admitted = cluster.router.admit(items)
     cluster.run()
     stats = cluster.stats.as_dict()
     return {

@@ -127,9 +127,6 @@ ALLOW = {
     "repro.engine.classifier.OpClassifier.classify_window": (
         "frozen wall-benchmark name; the all-pairs window reference"
     ),
-    "repro.engine.classifier.OpClassifier.footprint": (
-        "frozen wall-benchmark name"
-    ),
     "repro.engine.pipeline.PipelinedExecutor.responses_in_order": (
         "the submit()/run() caller's read of its responses; run_workload "
         "returns its own"

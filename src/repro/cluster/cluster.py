@@ -124,6 +124,8 @@ class TokenCluster:
         self.stats.node_bills = [node.bill for node in self.nodes]
         #: seq -> response of every committed op (:meth:`_apply`'s dedup).
         self._applied: dict[int, Any] = {}
+        #: What an apply raised: later runs and streams re-raise it.
+        self._failed: Exception | None = None
         if self.injector is not None:
             self.injector.on_crash = self._on_crash
             self.injector.on_restart = self._on_restart
@@ -146,15 +148,14 @@ class TokenCluster:
         simulator's current time."""
         return self.router.submit(pid, operation, arrival=arrival)
 
-    def feed(self, items: Iterable[WorkloadItem]) -> list[PendingOp]:
-        """Admit a workload; returns the accepted operations."""
-        return self.router.admit(items)
-
     # -- open-loop harness ------------------------------------------------
 
     def stream_now(self) -> float:
         """The cluster's current virtual time (the simulator clock) —
-        the open-loop driver releases arrivals due by this instant."""
+        the open-loop driver releases arrivals due by this instant.
+        Re-raises the error that stopped an earlier run."""
+        if self._failed is not None:
+            raise self._failed
         return self.simulator.now
 
     def stream_advance(self, ts: float) -> None:
@@ -171,12 +172,22 @@ class TokenCluster:
         self.simulator.now = max(self.simulator.now, ts)
 
     def stream_finish(self) -> ClusterStats:
-        """Close out a driven run: assert quiescence and fold the
-        network/simulator tallies into the stats, exactly as
-        :meth:`run` does when the mempool drains."""
+        """Close out a run: assert quiescence and fold the
+        network/simulator tallies into the stats (:meth:`run` ends here
+        once the mempool drains)."""
         if not self.router.idle:
             raise ClusterError("stream finished with rounds in flight")
-        self._sync_stats()
+        self.stats.makespan = self.simulator.now
+        self.stats.cluster_messages = self.network.stats.messages_sent
+        self.stats.lease_messages = sum(
+            self.network.stats.by_type.get(kind, 0)
+            for kind in LEASE_MESSAGE_TYPES
+        )
+        # Every admitted op must have a response by quiescence; a nonzero
+        # residue is *lost work* the recovery machinery failed to replay.
+        self.stats.ops_lost = self.router.admitted_ops - len(
+            self.router.responses
+        )
         return self.stats
 
     # -- execution --------------------------------------------------------
@@ -189,15 +200,15 @@ class TokenCluster:
         new classifications from inside the event loop, so one simulator
         run drains everything.
         """
+        if self._failed is not None:
+            raise self._failed
         while True:
             self.router.pump()
             self.simulator.run()
             if not self.router.idle:
                 raise ClusterError("pipelined rounds did not quiesce")
             if not self.router.mempool:
-                break
-        self._sync_stats()
-        return self.stats
+                return self.stream_finish()
 
     def run_workload(
         self, items: Iterable[WorkloadItem]
@@ -205,7 +216,7 @@ class TokenCluster:
         """Feed a workload, drain it, and return
         ``(final_state, responses, stats)`` — responses aligned with the
         *admitted* items (drops are counted in ``stats.dropped_ops``)."""
-        admitted = self.feed(items)
+        admitted = self.router.admit(items)
         self.run()
         return (
             self.state,
@@ -228,7 +239,11 @@ class TokenCluster:
         state, so replayed units and straggler results from fenced nodes
         can never double-apply."""
         if op.seq not in self._applied:
-            self._applied[op.seq] = self._batch.apply(op.pid, op.operation)
+            try:
+                self._applied[op.seq] = self._batch.apply(op.pid, op.operation)
+            except Exception as exc:
+                self._failed = exc
+                raise
         return self._applied[op.seq]
 
     def _on_crash(self, node_id: int) -> None:
@@ -250,16 +265,3 @@ class TokenCluster:
             owned_shards=set(self.shard_map.shards_of_node(node_id))
         )
         self.router.node_rejoined(node_id)
-
-    def _sync_stats(self) -> None:
-        self.stats.makespan = self.simulator.now
-        self.stats.cluster_messages = self.network.stats.messages_sent
-        self.stats.lease_messages = sum(
-            self.network.stats.by_type.get(kind, 0)
-            for kind in LEASE_MESSAGE_TYPES
-        )
-        # Every admitted op must have a response by quiescence; a nonzero
-        # residue is *lost work* the recovery machinery failed to replay.
-        self.stats.ops_lost = self.router.admitted_ops - len(
-            self.router.responses
-        )

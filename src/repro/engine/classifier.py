@@ -96,17 +96,13 @@ class OpClassifier:
 
     # ------------------------------------------------------------------
 
-    def footprint(self, op: PendingOp) -> OpFootprint | None:
-        """The static footprint of one pending operation."""
-        return self.object_type.footprint(op.pid, op.operation)
-
     def classify(self, first: PendingOp, second: PendingOp) -> PairKind:
         """Classify an (unordered) pair of pending operations.
 
         The verdict is state-independent: COMMUTE and READ_ONLY hold at
         every state, CONFLICT is conservative.
         """
-        return self._pair_kind(self.footprint(first), self.footprint(second))
+        return self.classify_window([first, second])[0, 1]
 
     def _pair_kind(
         self, fp1: OpFootprint | None, fp2: OpFootprint | None
@@ -128,8 +124,9 @@ class OpClassifier:
         """All pairwise kinds over a window (``i < j`` indices) — the
         quadratic reference ``plan_window``'s location scan is tested
         against; not on any hot path.  One footprint pass of its
-        own, then exactly :meth:`classify` per index pair."""
-        footprints = [self.footprint(op) for op in window]
+        own, then the counted pair rule per index pair."""
+        footprint = self.object_type.footprint
+        footprints = [footprint(op.pid, op.operation) for op in window]
         return {
             (i, j): self._pair_kind(first, footprints[j])
             for i, first in enumerate(footprints)

@@ -499,13 +499,8 @@ class _TokenBatch:
         self._frozen = None
         return self
 
-    def with_transfer_from(
-        self, spender: int, source: int, dest: int, value: int
-    ) -> "_TokenBatch":
-        remaining = self.allowance(source, spender) - value
-        return self.with_transfer(source, dest, value).with_allowance(
-            source, spender, remaining
-        )
+    #: The state's own: a transfer leaves the allowance it reads as it was.
+    with_transfer_from = TokenState.with_transfer_from
 
 
 class ERC20Token(SharedObject):

@@ -11,7 +11,8 @@ watches that timeline, the node-side sibling of
 rules, read off the messages the node received rather than its records:
 
 * ``edges`` — each shipped DAG edge: the predecessor finishes at or
-  before its successor starts;
+  before its successor starts (:func:`tests.reference.broken_edges`; the
+  plan tap holds the DAG itself to the reference plan);
 * ``floors`` — no op starts before the unit's ``sync_ready``;
 * ``gates`` — no op starts before the unit's ``cl_run`` and its last
   required lease grant (or the revoke standing in for it) reached the
@@ -29,6 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import repro.cluster.node as node_module
+from tests import reference
 
 
 @dataclass
@@ -126,10 +128,9 @@ def _watch(tap: NodeTap, node) -> None:
             gate = math.inf
         elif needed:
             gate = max(arrival, arrived[needed - 1])
-        for k, below in enumerate(dag.preds if dag is not None else ()):
-            for p in below:
-                if placed[p][1] > placed[k][0]:
-                    tap.edges.append((seqs[p], seqs[k]))
+        preds = dag.preds if dag is not None else ()
+        for p, k in reference.broken_edges(preds, placed):
+            tap.edges.append((seqs[p], seqs[k]))
         entries = running[key] = []
         for seq, (start, finish, lane) in zip(seqs, placed):
             if start < body["sync_ready"]:

@@ -5,15 +5,14 @@ component's precedence DAG over positions in ``ops``, or ``None`` for
 ops that share no edge.  The node executes that plan and classifies
 nothing, so whether the plan is the right one is checked here, beside the
 network: :func:`tap_shipped_plans` re-derives each shipped plan from the
-unit's ops alone with ``plan_window``.
+unit's ops alone with the reference (:func:`tests.reference.plan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine import OpClassifier, plan_window
-from tests.engine.graph_views import plan_dags
+from tests import reference
 
 
 @dataclass
@@ -27,26 +26,25 @@ class PlanTap:
 
 
 def tap_shipped_plans(cluster) -> PlanTap:
-    """Wrap ``cluster.network.send`` so that every ``cl_run``'s ``dag`` /
-    singletons are compared with ``plan_window(OpClassifier(token), ops)``:
-    a DAG must be the ops' one component DAG, and ``None`` must mean every
-    op is a singleton.  A wrapper installed after the tap runs before it,
-    so the tap sees what that wrapper puts on the wire."""
+    """Wrap ``cluster.network.send`` so that every ``cl_run``'s ``dag`` is
+    compared with the reference plan of its ops: a DAG must be the ops'
+    one component DAG, and ``None`` must mean every op is a singleton.  A
+    wrapper installed after the tap runs before it, so the tap sees what
+    that wrapper puts on the wire."""
     tap = PlanTap()
-    classifier = OpClassifier(cluster.object_type)
     send = cluster.network.send
 
     def tapped(src, dst, type, payload=None):
         if type == "cl_run":
             ops, dag = payload["ops"], payload["dag"]
-            plan = plan_window(classifier, ops)
+            expected = reference.plan(cluster.object_type, ops)
             if dag is None:
                 shipped = ([], list(range(len(ops))))
             else:
                 shipped = ([dag], [])
             key = (payload["round"], payload["unit"])
             tap.checked.append(key)
-            if (plan_dags(plan), plan.singletons) != shipped:
+            if (expected.dags, expected.singletons) != shipped:
                 tap.differing.append(key)
         send(src, dst, type, payload)
 

@@ -13,10 +13,16 @@ from repro.cluster import (
 )
 from repro.config import ClusterConfig, EngineConfig
 from repro.engine import Mempool, PipelinedExecutor
-from repro.errors import ClusterError, MempoolFullError
+from repro.errors import ClusterError, InvalidArgumentError, MempoolFullError
+from repro.obs import TraceRecorder
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
-from repro.workloads import TokenWorkloadGenerator, WorkloadItem
+from repro.workloads import (
+    Arrival,
+    StreamDriver,
+    TokenWorkloadGenerator,
+    WorkloadItem,
+)
 
 ACCOUNTS = 32
 
@@ -373,3 +379,41 @@ class TestConfigValidation:
         shard_map = ShardMap(16, 16)
         with pytest.raises(ClusterError):
             owner_local_workload(shard_map, 1, 10)
+
+
+@pytest.mark.parametrize("first", ["run", "stream"])
+@pytest.mark.parametrize("executor", ["engine", "cluster"])
+def test_the_error_that_stopped_a_run_is_raised_again(executor, first):
+    """``transfer`` to account 99 on a 4-account token plans (its footprint
+    checks only the caller) and raises at apply.  The batch keeps the ops
+    applied before it, so every later run or open-loop stream raises that
+    error again — not, on the cluster, a "did not quiesce" from rounds
+    left half done, nor more ops applied over the half-applied batch."""
+    token = ERC20TokenType(4, total_supply=40)
+    if executor == "engine":
+        target = PipelinedExecutor(
+            token, EngineConfig(window=4), tracer=TraceRecorder()
+        )
+    else:
+        target = TokenCluster(
+            token, ClusterConfig(num_nodes=2, window=4), tracer=TraceRecorder()
+        )
+
+    def drive(how, items):
+        if how == "run":
+            target.run_workload(items)
+        else:
+            StreamDriver(target, [Arrival(0.0, item) for item in items]).run()
+
+    items = [
+        WorkloadItem(0, op("transfer", 1, 5)),
+        WorkloadItem(1, op("transfer", 99, 1)),
+    ]
+    with pytest.raises(InvalidArgumentError, match="account 99") as failed:
+        drive(first, items)
+    state = target.state
+    for how in ["run", "stream", "run"]:
+        with pytest.raises(InvalidArgumentError) as again:
+            drive(how, [WorkloadItem(2, op("transfer", 3, 1))])
+        assert again.value is failed.value
+        assert target.state == state

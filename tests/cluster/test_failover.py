@@ -375,7 +375,7 @@ def test_a_twice_replayed_unit_settles_both_failure_episodes():
     )
     # Two transfers out of one account: one conflict chain, one unit.
     items = [WorkloadItem(0, op("transfer", 1, 1)) for _ in range(2)]
-    cluster.feed(items)
+    cluster.router.admit(items)
     router = cluster.router
     router.pump()
     first = cluster.shard_map.owner_of(0)

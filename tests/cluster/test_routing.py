@@ -19,12 +19,12 @@ from repro.cluster import routing
 from repro.cluster.routing import route_window
 from repro.cluster.sharding import ShardMap
 from repro.config import ClusterConfig
-from repro.engine import OpClassifier, PendingOp, plan_window
+from repro.engine import OpClassifier, PendingOp
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from repro.sync import TieredEscalator
 from repro.workloads import CHAIN_HEAVY_MIX, TokenWorkloadGenerator
-from tests.engine.graph_views import plan_dags
+from tests import reference
 
 ACCOUNTS = 64
 NODES = 4
@@ -327,17 +327,15 @@ def test_every_unit_ships_the_plan_its_ops_derive(owners, live, seed, size):
         for seq, item in enumerate(items)
     ]
     routed = route(window, shard_map, live=live)
-    classifier = OpClassifier(
-        ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
-    )
+    token = ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
     for unit in routed.units.values():
         seqs = [o.seq for o in unit.ops]
         assert seqs == sorted(set(seqs))
-        plan = plan_window(classifier, list(unit.ops))
+        expected = reference.plan(token, unit.ops)
         if unit.dag is None:
-            assert not plan.chains
+            assert not expected.chains
         else:
-            assert [unit.dag] == plan_dags(plan)
+            assert [unit.dag] == expected.dags
             assert unit.dag.size == len(unit.ops)
         dag, summary, delay = unit.dag, unit.summary, unit.sync_delay
         unit.requeue(live[0], 1 << 20, now=3.0)

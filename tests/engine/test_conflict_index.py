@@ -3,10 +3,10 @@ one state lineage.
 
 ``plan_window`` finds a window's non-commuting pairs in one ascending
 scan, each op looking up its earlier partners by the cells it touches
-(:func:`~repro.objects.footprint.window_preds`); ``classify_window``
-classifies all ``n(n-1)/2`` pairs.  ``tests/engine/test_window_plan.py``
-holds the plan to that all-pairs reference on random windows of every
-object type; the windows here are the shapes the exactness argument and
+(:func:`~repro.objects.footprint.window_preds`); the reference
+(:func:`tests.reference.plan`) classifies all ``n(n-1)/2`` pairs.
+``tests/engine/test_window_plan.py`` holds the plan to it on random
+windows of every object type; the windows here are the shapes the exactness argument and
 the scan's bookkeeping turn on, each held to the same reference first.
 """
 
@@ -29,7 +29,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadMix,
 )
-from tests.engine import graph_views as views
+from tests import reference
 from tests.engine.test_classifier import N
 from tests.engine.test_window_plan import (
     HoleyERC20,
@@ -59,7 +59,7 @@ class TestNamedWindows:
         token = token or ERC20TokenType(8, total_supply=80)
         window = _window(invocations)
         assert_plan_is_the_reference(token, window)
-        return views.reference(token, window).edges
+        return reference.plan(token, window).edges
 
     def test_one_hot_balance_is_all_conflict(self):
         """Every op guarded on one balance: all n(n-1)/2 pairs, in order."""
@@ -154,8 +154,8 @@ class TestNamedWindows:
         assert self._edges([(0, op("transfer", 1, 2))]) == {}
 
     def test_examined_pairs_are_the_candidates_only(self):
-        """``stats.pairs`` counts what the scan visited — the edges —
-        while the graph's commute count still derives from n(n-1)/2."""
+        """``stats.pairs`` counts what the scan visited — the edges — not
+        the window's n(n-1)/2 pairs."""
         token = ERC20TokenType(8, total_supply=80)
         window = _window(
             [(a, op("transfer", (a + 1) % 8, 1)) for a in range(0, 8, 2)]
@@ -163,10 +163,9 @@ class TestNamedWindows:
         )
         classifier = OpClassifier(token)
         plan_window(classifier, window)
-        graph = views.reference(token, window)
-        assert classifier.stats.pairs == len(graph.edges) == 3
+        edges = reference.plan(token, window).edges
+        assert classifier.stats.pairs == len(edges) == 3
         assert classifier.stats.by_kind == {"conflict": 1, "read-only": 2}
-        assert views.commute_pairs(graph) == 6 * 5 // 2 - 3
 
 
 class TestTheScan:
@@ -379,7 +378,7 @@ class TestTheDagRecord:
             OpClassifier(token),
             _window([(0, op("transfer", 1, 2)), (1, op("transfer", 0, 2))]),
         )
-        (dag,) = views.plan_dags(plan)
+        dag = plan.chain_dag(0)
         # The record is frozen and its fields are tuples: a caller can
         # neither rebind nor mutate what the next reader gets.
         with pytest.raises(AttributeError):
@@ -387,4 +386,4 @@ class TestTheDagRecord:
         assert isinstance(dag.preds, tuple)
         assert all(isinstance(below, tuple) for below in dag.preds)
         assert isinstance(dag.priorities, tuple)
-        assert views.plan_dags(plan) == [ComponentDAG(((), (0,)), (2, 1), 2, 1)]
+        assert dag == ComponentDAG(((), (0,)), (2, 1), 2, 1)

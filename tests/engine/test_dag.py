@@ -6,21 +6,20 @@ Machine-checked guarantees of the op-granular scheduler:
   orients every non-commute edge by submission order over positions in
   its chain, its width is an antichain of one depth, critical path /
   width report the component's intrinsic makespan bound and parallelism,
-  and every window's DAGs equal the brute-force fold of the reference's
-  edges (:func:`~tests.engine.graph_views.reference_dag`);
+  and every window's DAGs equal the reference plan's
+  (:func:`tests.reference.plan`);
 * **linear extension** — every DAG schedule starts an op only after
   every DAG predecessor finished, so the placement honors every
   component DAG edge, of which submission order is a linear extension
   (``engine/shard.py``'s module docstring);
 * **the list scheduler** — for random DAGs, priorities that rank every
   predecessor first (bottom levels plus slack), floors and carried-in
-  lane timelines, :func:`dag_list_schedule` never overlaps
-  two tasks on a lane, honors every floor and predecessor, never moves
-  ``lane_free`` backward, is deterministic — and places every task
-  exactly where a ready heap scanning every lane does
-  (:func:`_lane_scan_schedule`, the reference for its static order), on
-  inputs shaped to make the gap walk's horizon skip fire, reset and
-  re-arm too; priorities that break the rule raise;
+  lane timelines, :func:`dag_list_schedule` places every task exactly
+  where a ready heap scanning every lane does
+  (:func:`tests.reference.list_schedule`, the reference for its static
+  order), on inputs shaped to make the gap walk's horizon skip fire,
+  reset and re-arm too, and so does :func:`lane_fill` on edge-free
+  tasks; priorities that break the rule raise;
 * **serial equivalence** — for *any* lane count, window size, mix, and
   pipeline depth, the DAG-scheduled final state and every response equal
   a plain sequential execution in submission order.
@@ -28,7 +27,6 @@ Machine-checked guarantees of the op-granular scheduler:
 
 from __future__ import annotations
 
-import heapq
 import random
 
 import pytest
@@ -61,8 +59,7 @@ from repro.workloads import (
     WorkloadMix,
     serial_reference,
 )
-from tests.engine import graph_views as views
-from tests.engine.graph_views import reference_dag
+from tests import reference
 
 MIXES = {
     "owner_only": OWNER_ONLY_MIX,
@@ -75,17 +72,16 @@ MIXES_WITH_CHAINS = {**MIXES, "chain_heavy": CHAIN_HEAVY_MIX}
 
 def window_dags(token, calls):
     """``(graph, chains, dags)`` of the window ``calls`` (``(pid,
-    operation)`` pairs): the reference graph, and the chains and DAGs as
-    the plan built them — each DAG held to the brute-force fold of
-    ``graph.edges`` first."""
+    operation)`` pairs): the reference plan, and the chains and DAGs as
+    the plan built them — each DAG held to the reference's first."""
     ops = [
         PendingOp(seq, pid, operation)
         for seq, (pid, operation) in enumerate(calls)
     ]
-    graph = views.reference(token, ops)
+    graph = reference.plan(token, ops)
     plan = plan_window(OpClassifier(token), ops)
-    dags = views.plan_dags(plan)
-    assert dags == [reference_dag(graph, c) for c in plan.chains]
+    dags = [plan.chain_dag(k) for k in range(len(plan.chains))]
+    assert dags == graph.dags
     return graph, plan.chains, dags
 
 
@@ -138,8 +134,8 @@ class TestComponentDAG:
         calls[9] = (5, op("transfer", 0, 1))
         graph, chains, (dag,) = window_dags(self.TOKEN, calls)
         assert chains == [[3, 7, 9]]
-        assert views.kind(graph, 3, 9) is PairKind.CONFLICT
-        assert views.kind(graph, 7, 9) is PairKind.READ_ONLY
+        assert graph.edges[3, 9] is PairKind.CONFLICT
+        assert graph.edges[7, 9] is PairKind.READ_ONLY
         assert dag.preds == ((), (), (0, 1))
         assert dag.priorities == (2, 2, 1)
 
@@ -183,49 +179,17 @@ class TestComponentDAG:
         assert [dag.preds for dag in dags] == [((), (0,)), ((), (0,))]
 
     def test_window_dags_match_multi_op_components(self):
-        token = ERC20TokenType(8, total_supply=80)
-        classifier = OpClassifier(token)
-        pool = Mempool()
-        for pid, operation in [
-            (0, op("transfer", 1, 2)),   # observes/adds bal 0
-            (0, op("transfer", 2, 1)),   # conflicts with the first
-            (3, op("transfer", 4, 1)),   # independent component
-            (5, op("balanceOf", 6)),     # singleton
-        ]:
-            pool.submit(pid, operation)
-        ops = pool.pop_window(8)
-        plan = plan_window(classifier, ops)
-        graph = views.reference(token, ops)
-        dags = views.plan_dags(plan)
-        assert [dag.size for dag in dags] == [len(c) for c in plan.chains]
-        assert dags == [reference_dag(graph, c) for c in plan.chains]
-
-
-class TestReferenceFold:
-    """Every ``plan.chain_dag(k)`` is the brute-force fold of its chain's
-    edges: positions, predecessors, bottom levels, critical path and
-    width, on random windows of each workload mix."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        mix=st.sampled_from(sorted(MIXES_WITH_CHAINS)),
-        seed=st.integers(min_value=0, max_value=2**16),
-        size=st.integers(min_value=1, max_value=64),
-    )
-    def test_every_plan_dag_is_the_reference_fold(self, mix, seed, size):
-        token = ERC20TokenType(12, total_supply=240)
-        items = TokenWorkloadGenerator(
-            12, seed=seed, mix=MIXES_WITH_CHAINS[mix]
-        ).generate(size)
-        ops = [
-            PendingOp(seq, item.pid, item.operation)
-            for seq, item in enumerate(items)
-        ]
-        plan = plan_window(OpClassifier(token), ops)
-        graph = views.reference(token, ops)
-        assert len(plan.shapes) == len(plan.chains)
-        for chain, dag in zip(plan.chains, views.plan_dags(plan)):
-            assert dag == reference_dag(graph, chain)
+        _, chains, dags = window_dags(
+            self.TOKEN,
+            [
+                (0, op("transfer", 1, 2)),  # observes/adds bal 0
+                (0, op("transfer", 2, 1)),  # conflicts with the first
+                (3, op("transfer", 4, 1)),  # independent component
+                (5, op("balanceOf", 6)),  # singleton
+            ],
+        )
+        assert chains == [[0, 1]]
+        assert [dag.size for dag in dags] == [len(c) for c in chains]
 
 
 class TestDagPlanner:
@@ -236,7 +200,7 @@ class TestDagPlanner:
             pool.submit(item.pid, item.operation)
         ops = pool.pop_window(len(items))
         plan = plan_window(OpClassifier(token), ops)
-        graph = views.reference(token, ops)
+        graph = reference.plan(token, ops)
         return classifier, ops, graph, plan.chains, plan.singletons
 
     @staticmethod
@@ -356,77 +320,6 @@ class TestBackfill:
         assert out == [(0, 1, 0), (0, 1, 1), (1, 2, 0), (1, 2, 1)]
 
 
-def _lane_scan_schedule(
-    preds: list[tuple[int, ...]],
-    priorities: list[int],
-    lane_free: list[float],
-    floors: list[float] | None = None,
-) -> list[tuple[float, float, int]]:
-    """The ready-heap list scheduler, scanning every lane per task — the
-    reference for :func:`dag_list_schedule`'s static order (the
-    ``engine/shard.py`` docstring): on priorities that rank every
-    predecessor strictly above its successors, the property below holds
-    the one sorted pass to this heap, placement for placement."""
-    n = len(preds)
-    succs: list[list[int]] = [[] for _ in range(n)]
-    missing = [0] * n
-    for i, below in enumerate(preds):
-        missing[i] = len(below)
-        for p in below:
-            succs[p].append(i)
-    est = list(floors) if floors is not None else [0.0] * n
-    ready = [(-priorities[i], i) for i in range(n) if not missing[i]]
-    heapq.heapify(ready)
-    out: list[tuple[float, float, int] | None] = [None] * n
-    #: Per lane: idle ``[start, end)`` intervals behind its free time,
-    #: ascending (this call's own making — a persistent caller's lanes
-    #: start gapless, which keeps incremental scheduling conservative).
-    gaps: list[list[tuple[float, float]]] = [[] for _ in lane_free]
-    scheduled = 0
-    while ready:
-        _, i = heapq.heappop(ready)
-        best: tuple | None = None
-        for lane_id in range(len(lane_free)):
-            placed_in: int | None = None
-            start = max(lane_free[lane_id], est[i])
-            # Gaps are ascending, so the first fitting gap is this lane's
-            # earliest feasible start — and any fitting gap beats the tail.
-            for gap_index, (gap_start, gap_end) in enumerate(gaps[lane_id]):
-                slot = max(gap_start, est[i])
-                if slot + 1 <= gap_end:
-                    start, placed_in = slot, gap_index
-                    break
-            key = (start, lane_free[lane_id], lane_id)
-            if best is None or key < best[0]:
-                best = (key, lane_id, placed_in)
-        assert best is not None
-        (start, _, lane), _, gap_index = best
-        finish = start + 1
-        if gap_index is not None:
-            gap_start, gap_end = gaps[lane].pop(gap_index)
-            # Residual idle slivers stay fillable (sub-intervals of the
-            # old gap, so the list stays ascending in place).
-            if finish < gap_end:
-                gaps[lane].insert(gap_index, (finish, gap_end))
-            if gap_start < start:
-                gaps[lane].insert(gap_index, (gap_start, start))
-        else:
-            if start > lane_free[lane]:
-                gaps[lane].append((lane_free[lane], start))
-            lane_free[lane] = finish
-        out[i] = (start, finish, lane)
-        scheduled += 1
-        for s in succs[i]:
-            if finish > est[s]:
-                est[s] = finish
-            missing[s] -= 1
-            if not missing[s]:
-                heapq.heappush(ready, (-priorities[s], s))
-    if scheduled != n:
-        raise EngineError("dependency cycle in DAG schedule")
-    return out  # type: ignore[return-value]
-
-
 @st.composite
 def list_schedule_inputs(draw):
     n = draw(st.integers(0, 24))
@@ -506,14 +399,11 @@ class TestListScheduleProperties:
         again = list(carried_in)
         assert dag_list_schedule(**{**inputs, "lane_free": again}) == out
         assert again == lane_free
-
-        n = len(inputs["preds"])
-        floors = inputs["floors"] or [0.0] * n
-        assert len(out) == n
+        floors = inputs["floors"] or [0.0] * len(inputs["preds"])
+        assert len(out) == len(inputs["preds"])
         for i, (start, finish, lane) in enumerate(out):
             assert finish == start + 1
-            assert start >= floors[i]
-            assert start >= carried_in[lane]
+            assert start >= max(floors[i], carried_in[lane])
             for p in inputs["preds"][i]:
                 assert start >= out[p][1]
         for lane in range(len(carried_in)):
@@ -522,8 +412,7 @@ class TestListScheduleProperties:
             )
             for (_, before), (after, _) in zip(timeline, timeline[1:]):
                 assert before <= after  # no two tasks overlap on a lane
-            # The carried timeline only ever moves forward, to the last
-            # finish on the lane.
+            # The carried timeline only moves forward, to the last finish.
             assert lane_free[lane] >= carried_in[lane]
             assert lane_free[lane] == max(
                 [carried_in[lane]] + [finish for _, finish in timeline]
@@ -577,10 +466,10 @@ class TestListScheduleProperties:
         lane_free = list(inputs["lane_free"])
         reference_free = list(lane_free)
         out = dag_list_schedule(**{**inputs, "lane_free": lane_free})
-        reference = _lane_scan_schedule(
+        expected = reference.list_schedule(
             **{**inputs, "lane_free": reference_free}
         )
-        assert repr(out) == repr(reference)
+        assert repr(out) == repr(expected)
         assert repr(lane_free) == repr(reference_free)
 
     @settings(max_examples=400, deadline=None)
@@ -602,15 +491,7 @@ class TestListScheduleProperties:
             **{**inputs, "lane_free": list(carried), "lane_prev": lane_prev}
         )
         assert out == dag_list_schedule(**{**inputs, "lane_free": carried[:]})
-        expected: list = [None] * n
-        for lane, free in enumerate(carried):
-            on_lane = sorted(
-                (start, i) for i, (start, _, on) in enumerate(out) if on == lane
-            )
-            for _, i in on_lane:
-                expected[i] = free
-                free = out[i][1]
-        assert lane_prev == expected
+        assert lane_prev == reference.lane_prev(out, carried)
 
     def test_a_dependency_cycle_is_an_error(self):
         with pytest.raises(EngineError):
@@ -660,7 +541,8 @@ def lane_times():
 class TestLaneFill:
     """:func:`lane_fill` is the list scheduler on edge-free ops that share
     one floor (``engine/shard.py``'s docstring) — the node's residual
-    units take it instead of :func:`dag_list_schedule`."""
+    units take it instead of :func:`dag_list_schedule` — so it places as
+    the reference does."""
 
     @settings(max_examples=600, deadline=None)
     @given(
@@ -681,11 +563,8 @@ class TestLaneFill:
         the placement."""
         filled_free, listed_free = list(lane_free), list(lane_free)
         filled = lane_fill(n, filled_free, ready)
-        listed = dag_list_schedule(
-            [()] * n,
-            [1] * n,
-            listed_free,
-            floors=[ready] * n,
+        listed = reference.list_schedule(
+            [()] * n, [1] * n, listed_free, floors=[ready] * n
         )
         assert repr(filled) == repr(listed)
         assert repr(filled_free) == repr(listed_free)

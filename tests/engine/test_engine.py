@@ -26,7 +26,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     example1_trace,
 )
-from tests.engine import graph_views as views
+from tests import reference
 
 N = 8
 
@@ -75,30 +75,20 @@ class TestMempool:
 
 class TestConflictGraph:
     def test_components_split_independent_accounts(self, token):
-        classifier = OpClassifier(token)
         ops = [
             PendingOp(0, 0, op("transfer", 1, 2)),  # chain {0,1}: bal(1)
             PendingOp(1, 1, op("transfer", 2, 2)),
             PendingOp(2, 4, op("transfer", 5, 2)),  # independent singleton
             PendingOp(3, 6, op("balanceOf", 7)),  # singleton read
         ]
-        plan = plan_window(classifier, ops)
+        plan = plan_window(OpClassifier(token), ops)
         assert (plan.chains, plan.singletons) == ([[0, 1]], [2, 3])
-        graph = views.reference(token, ops)
-        assert views.kind(graph, 0, 1) is PairKind.CONFLICT
-        assert views.kind(graph, 2, 3) is PairKind.COMMUTE
-        assert views.count_kind(graph, PairKind.CONFLICT) == 1
-        assert views.conflict_rate(graph) == pytest.approx(1 / 6)
-        assert views.neighbors(graph, 0) == [1]
-        assert views.degree(graph, 3) == 0
+        assert reference.plan(token, ops).edges == {(0, 1): PairKind.CONFLICT}
 
     def test_commute_pairs_counted(self, token):
-        classifier = OpClassifier(token)
         ops = [PendingOp(i, i, op("balanceOf", i)) for i in range(4)]
-        assert plan_window(classifier, ops).singletons == [0, 1, 2, 3]
-        graph = views.reference(token, ops)
-        assert views.commute_pairs(graph) == 6
-        assert views.count_kind(graph, PairKind.READ_ONLY) == 0
+        assert plan_window(OpClassifier(token), ops).singletons == [0, 1, 2, 3]
+        assert reference.plan(token, ops).edges == {}
 
 
 class TestDagSchedule:

@@ -78,13 +78,9 @@ class TestOneFootprintPass:
             token, ClusterConfig(num_nodes=2, lanes_per_node=2, window=32)
         )
         computed = _count_calls(token, "footprint")
-        on_nodes = [
-            _count_calls(node.classifier, "footprint")
-            for node in cluster.nodes
-        ]
         _, _, stats = cluster.run_workload(items)
         assert stats.escalated_ops > 0  # chains, leases and sync all ran
         # Fault-free, every op is routed in exactly one window — and the
-        # router and every node share the one token.
+        # router and every node share the one token, so a footprint
+        # computed on a node would count here too.
         assert computed[0] == len(items)
-        assert on_nodes == [[0], [0]]

@@ -1,26 +1,30 @@
-"""The engine's one placement walk, against the walk it replaced.
+"""The engine's placement walk, against the reference.
 
-``PipelinedExecutor._place_window_dag`` schedules a window in window
-indices, takes each op's lane predecessor from the list scheduler
-(``dag_list_schedule(..., lane_prev=)``), walks the ops in index order
-and sums the stalls of the stalled ops in ``(start, window index)``
-order.  :func:`_reference_place` is the walk it replaced, written out:
-it relabels the window to task order (chains, then singletons),
-schedules, sorts every op by ``(start, window index)``, tracks each
-lane's slot (the finish of the op before on that lane) and attributes
-every op's stall.  Every window of every drawn run is placed by both, on
-the same frontier and lane timeline, and compared by ``repr`` (an int
-that became a float counts): the window's stall sums, each op's sync and
-frontier stall, the three frontier tables (as sorted items: the engine
-only probes them, so insertion order is no result), ``_frontier_top`` /
-``_frontier_max``, ``lanes_used``, the completion, the placements and
-the carried-out lane timeline.
+``PipelinedExecutor._place_window_dag`` floors each op of a window by
+its admission, the cross-window frontier and its sync lane, places the
+window through the list scheduler (``dag_list_schedule(...,
+lane_prev=)``), finds the stalled ops and moves the frontier in one
+walk.  Every window of every run here is also placed the reference way
+(``tests/reference.py``), on the test's own lane timeline: floors from a
+:class:`~tests.reference.Frontier` folded over every op placed before,
+placements from :func:`~tests.reference.list_schedule` over the
+reference plan, and each op's stall off its baseline — the finish
+before it on its lane (:func:`~tests.reference.lane_prev`), admission
+and its predecessors' finishes — charged to the sync lane first, then to
+the frontier.  Both are compared by ``repr`` (an int that became a float
+counts): the placements, the carried-out lane timeline, the stalled
+ops' ``(sync_stall, frontier_stall)``, the window's stall sums (in
+``(start, window index)`` order), the three frontier tables (as sorted
+items: the engine only probes them, so insertion order is no result),
+``_frontier_top`` / ``_frontier_max``, ``lanes_used`` and the
+completion; at the end of the run, the stats' two stall totals.
 
 The scheduler fixes up a lane predecessor only for a task placed past
 its lane's idle time, whose sliver later tasks may fill.
-:func:`_fixups` classifies those tasks off the reference walk, and
-:func:`test_both_fix_up_branches_are_exercised` holds that a fixed run
-hits a sliver left partly filled and one filled exactly to its start.
+:func:`_fixups` classifies those tasks off the reference, and
+:func:`test_a_fixed_run_exercises_every_branch` holds that a fixed run
+hits a sliver left partly filled and one filled exactly to its start,
+and every branch of the frontier fold.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
-from repro.engine.shard import dag_list_schedule
 from repro.objects.erc20 import ERC20TokenType
 from repro.spec.operation import op
 from repro.workloads import (
@@ -41,7 +44,7 @@ from repro.workloads import (
     TokenWorkloadGenerator,
     WorkloadItem,
 )
-from tests.engine.graph_views import plan_dags
+from tests import reference
 
 
 class _SupplyBlindERC20(ERC20TokenType):
@@ -53,123 +56,22 @@ class _SupplyBlindERC20(ERC20TokenType):
         return super().footprint(pid, operation)
 
 
-def _latest(table: dict, locations, finish) -> None:
-    for loc in locations:
-        if finish > table.get(loc, 0.0):
-            table[loc] = finish
-
-
-def _reference_place(frontier, lane_free, plan, t_classify, op_sync):
-    """The replaced walk on copies of the engine's pre-window state:
-    ``frontier = (observed, wrote, sets, top, everything)``."""
-    observed, wrote, sets, top, everything = frontier
-    floors = []
-    for footprint in plan.footprints:
-        ready = everything if footprint is None else top
-        floor = max(ready, t_classify)
-        if footprint is not None:
-            for loc in footprint.observes:
-                floor = max(floor, wrote.get(loc, 0.0))
-            for loc in footprint.adds:
-                floor = max(floor, observed.get(loc, 0.0), sets.get(loc, 0.0))
-            for loc in footprint.sets:
-                floor = max(floor, observed.get(loc, 0.0), wrote.get(loc, 0.0))
-        floors.append(floor)
-    for i, done in op_sync.items():
-        floors[i] = max(floors[i], done)
-    # Task order: each chain's window indices, then the singletons; a
-    # chain's positional DAG shifted by its first task position.
-    order, preds, levels = [], [], []
-    for chain, dag in zip(plan.chains, plan_dags(plan)):
-        offset = len(order)
-        order += chain
-        levels += dag.priorities
-        preds += [tuple(p + offset for p in below) for below in dag.preds]
-    order += plan.singletons
-    preds += [()] * len(plan.singletons)
-    levels += [1] * len(plan.singletons)
-    # The scheduler breaks priority ties by task index; folding the
-    # window index into the priority breaks them by submission instead.
-    n = len(order)
-    priorities = [level * n + n - 1 - i for level, i in zip(levels, order)]
-    carried, slot = list(lane_free), list(lane_free)
-    placed = dag_list_schedule(
-        preds,
-        priorities,
-        lane_free,
-        floors=[floors[i] for i in order],
-    )
-    stall = stall_contended = 0.0
-    completed = t_classify
-    stalls, slots = {}, {}
-    walk = sorted(
-        (start, i, k) for k, ((start, _, _), i) in enumerate(zip(placed, order))
-    )
-    for start, i, k in walk:
-        _, finish, lane = placed[k]
-        slots[i] = slot[lane]
-        base = max(slot[lane], t_classify)
-        for p in preds[k]:
-            base = max(base, placed[p][1])
-        slot[lane] = finish
-        sync_ready = op_sync.get(i)
-        sync_stall, held = 0.0, base
-        if sync_ready is not None and sync_ready > base:
-            sync_stall, held = sync_ready - base, sync_ready
-        blocked = max(floors[i] - held, 0.0)
-        stalls[i] = (sync_stall, blocked)
-        stall += sync_stall + blocked
-        if sync_ready is not None:
-            stall_contended += sync_stall + blocked
-        completed = max(completed, finish)
-        footprint = plan.footprints[i]
-        if footprint is None:
-            top = max(top, finish)
-        else:
-            _latest(observed, footprint.observes, finish)
-            _latest(wrote, footprint.adds, finish)
-            _latest(wrote, footprint.sets, finish)
-            _latest(sets, footprint.sets, finish)
-    lanes_used = sum(a != b for a, b in zip(carried, slot))
-    window_placed = [None] * len(order)
-    for k, i in enumerate(order):
-        window_placed[i] = placed[k]
-    return dict(
-        sums=(stall, stall_contended),
-        stalls=stalls,
-        frontier=(observed, wrote, sets, top, max(everything, completed)),
-        lanes_used=lanes_used,
-        completed=completed,
-        placed=window_placed,
-        lane_free=lane_free,
-        carried=carried,
-        slots=slots,
-        order=order,
-        static_order=sorted(
-            range(len(order)), key=lambda k: (-priorities[k], order[k])
-        ),
-    )
-
-
-def _fixups(reference) -> tuple[int, int, int]:
+def _fixups(placed, priorities, carried, before) -> tuple[int, int, int]:
     """``(unfilled, partly, exactly)``: tail-placed tasks that left an
     idle sliver before them, by what later tasks left of it — found by
     replaying the static order against each lane's tail (a task placed
     in a gap starts before its lane's tail, a tail-placed one at or
     after it)."""
-    placed, order = reference["placed"], reference["order"]
-    tails = list(reference["carried"])
+    tails = list(carried)
     unfilled = partly = exactly = 0
-    for k in reference["static_order"]:
-        i = order[k]
+    for i in sorted(range(len(placed)), key=lambda i: (-priorities[i], i)):
         start, finish, lane = placed[i]
         if start < tails[lane]:
             continue
-        before = reference["slots"][i]
         if start > tails[lane]:
-            if before == tails[lane]:
+            if before[i] == tails[lane]:
                 unfilled += 1
-            elif before == start:
+            elif before[i] == start:
                 exactly += 1
             else:
                 partly += 1
@@ -177,64 +79,94 @@ def _fixups(reference) -> tuple[int, int, int]:
     return unfilled, partly, exactly
 
 
-def _frontier_state(engine):
-    return (
-        dict(engine._frontier_obs),
-        dict(engine._frontier_wrote),
-        dict(engine._frontier_set),
-        engine._frontier_top,
-        engine._frontier_max,
-    )
-
-
 def _table(frontier: dict) -> str:
     return repr(sorted(frontier.items()))
 
 
-def _run_against_reference(engine, items) -> list[tuple[int, int, int]]:
-    """Run ``items``, placing every window by both walks; returns each
-    window's :func:`_fixups` counts."""
-    place = engine._place_window_dag
-    fixups = []
+class _Run:
+    """The reference's side of one engine run: its frontier, its lane
+    timeline, and per window the fix-up counts and the stalls."""
 
-    def checked(plan, t_classify, op_sync):
-        reference = _reference_place(
-            _frontier_state(engine),
-            list(engine._lane_free),
-            plan,
-            t_classify,
-            op_sync,
-        )
-        placed, stalls = place(plan, t_classify, op_sync)
-        stall, stall_contended, completed, lanes_used = engine._placed
-        assert repr(placed) == repr(reference["placed"])
-        assert repr(engine._lane_free) == repr(reference["lane_free"])
-        assert repr((stall, stall_contended)) == repr(reference["sums"])
-        waited = {
-            i: stalled
-            for i, stalled in reference["stalls"].items()
-            if stalled != (0.0, 0.0)
-        }
-        assert repr(stalls) == repr(waited)
-        assert all(
-            repr(stalled) == repr((0.0, 0.0))
-            for i, stalled in reference["stalls"].items()
-            if i not in stalls
-        )
-        observed, wrote, sets, top, everything = reference["frontier"]
-        assert _table(engine._frontier_obs) == _table(observed)
-        assert _table(engine._frontier_wrote) == _table(wrote)
-        assert _table(engine._frontier_set) == _table(sets)
-        assert repr(engine._frontier_top) == repr(top)
-        assert repr(engine._frontier_max) == repr(everything)
-        assert lanes_used == reference["lanes_used"]
-        assert repr(completed) == repr(reference["completed"])
-        fixups.append(_fixups(reference))
-        return placed, stalls
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.frontier = reference.Frontier()
+        self.lanes = [0.0] * len(engine._lane_free)
+        self.fixups: list[tuple[int, int, int]] = []
+        self.stall = self.stall_contended = 0.0
+        self.footprints: list = []
+        #: ``(contended, sync_stall, frontier_stall)`` of every stalled op.
+        self.stalled: list[tuple] = []
+        engine._place_window_dag = self.wrap(engine._place_window_dag)
 
-    engine._place_window_dag = checked
-    engine.run_workload(items)
-    return fixups
+    def wrap(self, place):
+        def checked(plan, t_classify, op_sync):
+            expected = self.place(plan.ops, t_classify, op_sync)
+            placed, stalls = place(plan, t_classify, op_sync)
+            stall, stall_contended, completed, lanes_used = self.engine._placed
+            assert repr(placed) == repr(expected["placed"])
+            assert repr(self.engine._lane_free) == repr(self.lanes)
+            assert repr(stalls) == repr(expected["stalls"])
+            assert repr((stall, stall_contended)) == repr(expected["sums"])
+            assert lanes_used == expected["lanes_used"]
+            assert repr(completed) == repr(expected["completed"])
+            frontier, engine = self.frontier, self.engine
+            assert _table(engine._frontier_obs) == _table(frontier.observed)
+            assert _table(engine._frontier_wrote) == _table(frontier.wrote)
+            assert _table(engine._frontier_set) == _table(frontier.sets)
+            assert repr(engine._frontier_top) == repr(frontier.top)
+            assert repr(engine._frontier_max) == repr(frontier.everything)
+            return placed, stalls
+
+        return checked
+
+    def place(self, ops, t_classify, op_sync) -> dict:
+        expected = reference.plan(self.engine.object_type, ops)
+        footprints, preds = expected.footprints, expected.preds
+        floors = [self.frontier.floor(fp, t_classify) for fp in footprints]
+        for i, done in op_sync.items():
+            floors[i] = max(floors[i], done)
+        carried = list(self.lanes)
+        placed = reference.list_schedule(
+            preds, expected.priorities, self.lanes, floors
+        )
+        before = reference.lane_prev(placed, carried)
+        stalls, stall, stall_contended = {}, 0.0, 0.0
+        for _, i in sorted((start, i) for i, (start, *_) in enumerate(placed)):
+            finishes = [placed[p][1] for p in preds[i]]
+            base = max([before[i], t_classify] + finishes)
+            sync_ready = op_sync.get(i)
+            sync_stall, held = 0.0, base
+            if sync_ready is not None and sync_ready > base:
+                sync_stall, held = sync_ready - base, sync_ready
+            blocked = max(floors[i] - held, 0.0)
+            stall += sync_stall + blocked
+            if sync_ready is not None:
+                stall_contended += sync_stall + blocked
+            if (sync_stall, blocked) != (0.0, 0.0):
+                stalls[i] = (sync_stall, blocked)
+        for (_, finish, _), footprint in zip(placed, footprints):
+            self.frontier.record(footprint, finish)
+        self.fixups.append(
+            _fixups(placed, expected.priorities, carried, before)
+        )
+        self.stall += stall
+        self.stall_contended += stall_contended
+        self.footprints += footprints
+        self.stalled += [
+            (i in op_sync, *waited) for i, waited in stalls.items()
+        ]
+        return dict(
+            placed=placed,
+            stalls=stalls,
+            sums=(stall, stall_contended),
+            lanes_used=sum(a != b for a, b in zip(carried, self.lanes)),
+            completed=max([t_classify] + [f for _, f, _ in placed]),
+        )
+
+    def run(self, items) -> None:
+        stats = self.engine.run_workload(items)[2]
+        assert repr(stats.stall_time) == repr(self.stall)
+        assert repr(stats.stall_time_contended) == repr(self.stall_contended)
 
 
 _MIXES = [
@@ -257,7 +189,7 @@ _MIXES = [
     depth=st.sampled_from([1, 2, 4]),
     threshold=st.sampled_from([0, 8]),
 )
-def test_the_walk_equals_the_replaced_walk(
+def test_the_walk_equals_the_reference(
     accounts, mix, seed, ops, unknown, window, lanes, depth, threshold
 ):
     items = TokenWorkloadGenerator(
@@ -277,22 +209,34 @@ def test_the_walk_equals_the_replaced_walk(
             seed=seed,
         ),
     )
-    _run_against_reference(engine, items)
+    _Run(engine).run(items)
 
 
-def test_both_fix_up_branches_are_exercised():
+def test_a_fixed_run_exercises_every_branch():
     """A fixed run in which a floored op opens a sliver that later ops
-    fill partly, and one that they fill exactly to its start — the two
-    cases where the scheduler's recorded lane predecessor is fixed up."""
+    fill partly, one that they fill exactly to its start, and one they
+    leave — the cases where the scheduler's recorded lane predecessor is
+    fixed up — and which reaches every branch of the frontier fold:
+    contended ops that waited on their sync lane, absolute writes,
+    unknown footprints, and a cell both delta-written and set."""
     items = TokenWorkloadGenerator(
         6, seed=5, mix=APPROVAL_HEAVY_MIX, hotspot_fraction=0.5
     ).generate(400)
-    engine = PipelinedExecutor(
-        ERC20TokenType(6, total_supply=60),
-        EngineConfig(num_lanes=4, window=16, pipeline_depth=3),
+    for at in (7, 50, 51, 120):
+        items.insert(at, WorkloadItem(at % 6, op("totalSupply")))
+    run = _Run(
+        PipelinedExecutor(
+            _SupplyBlindERC20(6, total_supply=60),
+            EngineConfig(num_lanes=4, window=16, pipeline_depth=3),
+        )
     )
-    counts = _run_against_reference(engine, items)
-    unfilled, partly, exactly = (sum(column) for column in zip(*counts))
-    assert partly > 0
-    assert exactly > 0
-    assert unfilled > 0
+    run.run(items)
+    unfilled, partly, exactly = (sum(column) for column in zip(*run.fixups))
+    assert partly > 0 and exactly > 0 and unfilled > 0
+    assert any(contended and waited > 0 for contended, waited, _ in run.stalled)
+    frontier = run.frontier
+    assert frontier.sets and frontier.top > 0.0 and run.stall_contended > 0.0
+    assert any(
+        footprint is not None and footprint.adds & set(frontier.sets)
+        for footprint in run.footprints
+    )

@@ -5,7 +5,7 @@ asserts it flagged nothing — which a monitor that checked nothing would
 pass too.  Here a wrapper installed under the tap edits one contended
 window's placement: one contended op starts below its sync floor, and
 one DAG successor starts with its predecessor.  The tap must name
-exactly those two.
+exactly those two, and nothing else.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType
 from repro.workloads import SPENDER_HEAVY_MIX, TokenWorkloadGenerator
-from tests.engine.graph_views import plan_dags
 from tests.engine.placement_tap import tap_placements
 
 
 def _edge_away_from(plan, i):
     """The window indices of one DAG edge that does not touch ``i``."""
-    for chain, dag in zip(plan.chains, plan_dags(plan)):
-        for k, below in enumerate(dag.preds):
+    for c, chain in enumerate(plan.chains):
+        for k, below in enumerate(plan.chain_dag(c).preds):
             for p in below:
                 if i not in (chain[p], chain[k]):
                     return chain[p], chain[k]
@@ -57,3 +56,6 @@ def test_the_engine_tap_flags_a_tampered_window():
     assert set(named) == {"early", "pair"}
     assert tap.early == [named["early"]]
     assert tap.reordered == [named["pair"]]
+    # That window's sync lane commits at its admission, so the op moved
+    # below it starts before its admission too.
+    assert tap.floored == [named["early"]]

@@ -4,10 +4,10 @@
 planned — for the engine and the router — and it folds the plan out of
 one location scan's predecessors in one walk, kinding each edge by a
 table on the two ops' footprint classes.  The reference is written out
-in :func:`tests.engine.graph_views.reference_plan`: every pair through
-``OpClassifier.classify_window``, components by a naive union-find, the
-consensus rule over every CONFLICT edge, the brute-force DAG fold per
-chain, predecessors by an edge scan.  Every plan field and every
+in :func:`tests.reference.plan`: every pair through
+``static_pair_kind``, components by a naive union-find, the consensus
+rule over every CONFLICT edge, each chain's DAG by recursion over its
+edges.  Every plan field and every
 classifier counter must come out equal, on ERC20, ERC721, k-asset-
 transfer, mixed-family and unknown-footprint windows — which is what
 makes the scan and the kind table safe.  Then what every caller
@@ -40,7 +40,7 @@ from repro.objects.erc1155 import ERC1155TokenType
 from repro.spec.operation import op
 from repro.workloads import TokenWorkloadGenerator, WorkloadItem, WorkloadMix
 from benchmarks.wall.scenarios import READ_MOSTLY_MIX as WALL_READ_MOSTLY
-from tests.engine import graph_views as views
+from tests import reference
 from tests.engine.test_classifier import (
     ACCOUNT,
     VALUE,
@@ -48,6 +48,7 @@ from tests.engine.test_classifier import (
     erc20_invocation,
     erc721_invocation,
 )
+from tests.engine.test_dag import MIXES_WITH_CHAINS
 
 TOKEN = ERC20TokenType(N, total_supply=20, with_extensions=True)
 
@@ -63,21 +64,27 @@ def assert_plan_is_the_reference(object_type, ops) -> WindowPlan:
     """``plan_window`` on a fresh classifier equals the reference field
     for field, its counters included, and the scan's predecessors are
     exactly the reference's edges, each listed once, ascending."""
-    graph, fields, counters = views.reference_plan(object_type, ops)
+    expected = reference.plan(object_type, ops)
     classifier = OpClassifier(object_type)
     plan = plan_window(classifier, ops)
     assert plan.ops == ops
-    assert plan.footprints == [classifier.footprint(o) for o in ops]
-    edges = [(i, j) for j, below in enumerate(plan.preds) for i in below]
-    assert sorted(edges) == list(graph.edges)
-    found = {name: getattr(plan, name) for name in fields}
-    found["preds"] = [list(below) for below in plan.preds]
-    assert found == fields
-    assert views.plan_dags(plan) == [
-        views.reference_dag(graph, chain) for chain in plan.chains
-    ]
-    assert classifier.stats.as_dict() == counters.as_dict()
+    assert plan.footprints == expected.footprints
+    assert _fields(plan) == _fields(expected)
+    assert _dags(plan) == expected.dags
+    assert classifier.stats.as_dict() == expected.counters.as_dict()
     return plan
+
+
+def _fields(plan) -> dict:
+    """The plan's :data:`reference.FIELDS`, each op's preds as a list."""
+    found = {name: getattr(plan, name) for name in reference.FIELDS}
+    found["preds"] = [list(below) for below in plan.preds]
+    return found
+
+
+def _dags(plan) -> list:
+    """Every chain's DAG, as the router builds the one it ships."""
+    return [plan.chain_dag(k) for k in range(len(plan.chains))]
 
 
 class _MixedFamilies:
@@ -232,6 +239,23 @@ class TestThePlanIsTheReference:
         }
         assert_plan_is_the_reference(HoleyERC20(holes), _window(invocations))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(MIXES_WITH_CHAINS)),
+        st.integers(0, 2**16),
+        st.integers(1, 64),
+    )
+    def test_every_workload_mix(self, mix, seed, size):
+        """Generated windows of up to 64 ops on 12 accounts, the chain-heavy
+        mix included: the longest chains held to the reference."""
+        items = TokenWorkloadGenerator(
+            12, seed=seed, mix=MIXES_WITH_CHAINS[mix]
+        ).generate(size)
+        assert_plan_is_the_reference(
+            ERC20TokenType(12, total_supply=240),
+            _window([(item.pid, item.operation) for item in items]),
+        )
+
 
 def test_an_op_joining_two_rooted_components_merges_them():
     """Op 2's partners, 3 and 4, already sit in two components rooted
@@ -309,16 +333,14 @@ def test_the_plan_never_runs_the_pair_rule(monkeypatch):
             (2, op("transfer", 3, 1)),
         ]
     )
-    _, fields, counters = views.reference_plan(token, ops)
+    expected = reference.plan(token, ops)
     for module in (footprint_module, classifier_module):
         monkeypatch.setattr(module, "static_pair_kind", _refuse_the_pair_rule)
     classifier = OpClassifier(token)
     plan = plan_window(classifier, ops)
     assert (plan.chains, plan.singletons) == ([[0, 2, 4]], [1, 3])
-    found = {name: getattr(plan, name) for name in fields}
-    found["preds"] = [list(below) for below in plan.preds]
-    assert found == fields
-    assert classifier.stats.as_dict() == counters.as_dict()
+    assert _fields(plan) == _fields(expected)
+    assert classifier.stats.as_dict() == expected.counters.as_dict()
 
 
 @settings(max_examples=200, deadline=None)
@@ -336,7 +358,7 @@ def test_plan_invariants(invocations):
 
     # The DAGs are aligned with the chains, over positions in them.
     assert len(plan.shapes) == len(plan.chains)
-    for dag, chain in zip(views.plan_dags(plan), plan.chains):
+    for dag, chain in zip(_dags(plan), plan.chains):
         assert dag.size == len(chain)
 
     # Each group is an ordered subset of exactly one chain.
@@ -399,7 +421,7 @@ class TestWallAdapters:
         assert ConflictGraph.components(graph) == sorted(
             plan.chains + [[i] for i in plan.singletons]
         )
-        assert ConflictGraph.component_dags(graph) == views.plan_dags(plan)
+        assert ConflictGraph.component_dags(graph) == _dags(plan)
         scheduler = WallAdapters(OpClassifier(token))
         assert scheduler.split_sync(graph) == (
             plan.chains,

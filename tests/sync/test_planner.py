@@ -25,7 +25,7 @@ from repro.sync import (
 
 
 def footprints(classifier, ops):
-    return [classifier.footprint(pending) for pending in ops]
+    return [classifier.object_type.footprint(p.pid, p.operation) for p in ops]
 
 
 def whole(ops):

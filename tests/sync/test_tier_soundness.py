@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.spenders import enabled_spenders, max_spenders
-from repro.engine import OpClassifier
 from repro.engine.mempool import PendingOp
 from repro.objects.erc20 import ERC20TokenType, TokenState
 from repro.spec.operation import op
@@ -85,12 +84,11 @@ class TestStaticBoundIsSuperset:
         """A contended component's team covers σ_q of every account it
         contends on, plus the participants themselves."""
         token = ERC20TokenType(ACCOUNTS, initial_state=state)
-        classifier = OpClassifier(token)
         ops = [
             PendingOp(0, spender, op("transferFrom", source, rival, 1)),
             PendingOp(1, source, op("transfer", rival, 1)),
         ]
-        fps = [classifier.footprint(pending) for pending in ops]
+        fps = [token.footprint(p.pid, p.operation) for p in ops]
         team = component_team(ops, fps, state, token)
         assert team is not None
         assert enabled_spenders(state, source) <= team
