@@ -13,12 +13,11 @@ sweeps stay comparable with every other generator in the repository.
 from __future__ import annotations
 
 import random
-from itertools import accumulate
 
 from repro.errors import ClusterError
 from repro.spec.operation import Operation
 from repro.workloads.generators import WorkloadItem
-from repro.workloads.skew import skewed_index, validate_skew, zipf_weights
+from repro.workloads.skew import skew_drawer
 
 from repro.cluster.sharding import ShardMap
 
@@ -43,7 +42,7 @@ def owner_local_workload(
     component anchors on a single owner: no leases, no consensus.
 
     The *node* draw goes through the shared skew model
-    (:func:`repro.workloads.skew.skewed_index`): ``zipf_s`` gives nodes a
+    (:func:`repro.workloads.skew.skew_drawer`): ``zipf_s`` gives nodes a
     heavy-tailed popularity and ``hotspot_fraction`` routes that share of
     traffic onto the first ``hotspot_nodes`` nodes — the load-imbalance
     knob for lease and spill experiments, deterministic per seed.
@@ -56,20 +55,11 @@ def owner_local_workload(
         raise ClusterError(
             "owner-local transfers need a node owning at least two accounts"
         )
-    validate_skew(hotspot_fraction, hotspot_nodes, len(pools))
     rng = random.Random(seed)
-    node_weights = (
-        list(accumulate(zipf_weights(len(pools), zipf_s)))
-        if zipf_s > 0
-        else None
-    )
+    node = skew_drawer(rng, len(pools), zipf_s, hotspot_fraction, hotspot_nodes)
     items: list[WorkloadItem] = []
     for _ in range(count):
-        pool = pools[
-            skewed_index(
-                rng, len(pools), node_weights, hotspot_fraction, hotspot_nodes
-            )
-        ]
+        pool = pools[node()]
         if rng.random() < read_fraction or len(pool) < 2:
             pid = rng.choice(pool)
             operation = Operation("balanceOf", (rng.choice(pool),))

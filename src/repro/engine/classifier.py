@@ -15,8 +15,8 @@ looking up its earlier partners by the cells it touches
 (:func:`repro.objects.footprint.window_preds`).  The paper's
 synchronization groups are the spenders of one account, so only ops sharing
 a cell can conflict and the commuting majority of a window is never
-visited.  The all-pairs :meth:`OpClassifier.classify_window` is the
-reference the tests hold the plan to.
+visited.  The all-pairs :meth:`OpClassifier.classify_window` serves
+``test_classifier.py`` and the wall benchmark's frozen span only.
 
 The rule's soundness against the semantic oracle is a proof obligation,
 not a production path: :func:`repro.analysis.commutativity.
@@ -121,10 +121,10 @@ class OpClassifier:
     def classify_window(
         self, window: list[PendingOp]
     ) -> dict[tuple[int, int], PairKind]:
-        """All pairwise kinds over a window (``i < j`` indices) — the
-        quadratic reference ``plan_window``'s location scan is tested
-        against; not on any hot path.  One footprint pass of its
-        own, then the counted pair rule per index pair."""
+        """All pairwise kinds over a window (``i < j`` indices), for
+        ``test_classifier.py`` and the wall's frozen span; not on any hot
+        path.  One footprint pass of its own, then the counted pair
+        rule per index pair."""
         footprint = self.object_type.footprint
         footprints = [footprint(op.pid, op.operation) for op in window]
         return {

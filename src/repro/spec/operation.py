@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro._records import frozen_record
 
-@dataclass(frozen=True, slots=True)
+
+@frozen_record
 class Operation:
     """A single operation invocation descriptor.
 

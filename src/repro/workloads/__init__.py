@@ -29,7 +29,7 @@ _EXPORTS = {
         "serial_reference",
         "standard_multi_contract",
     ),
-    "repro.workloads.skew": ("skewed_index", "validate_skew", "zipf_weights"),
+    "repro.workloads.skew": ("skew_drawer", "validate_skew", "zipf_weights"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -8,16 +8,18 @@ and the network benchmarks (E8).  All generators are deterministic per seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
+from repro._records import frozen_record
 from repro.errors import InvalidArgumentError
 from repro.spec.operation import Operation
-from repro.workloads.skew import skewed_index, validate_skew, zipf_weights
+from repro.workloads.skew import skew_drawer
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class WorkloadItem:
     """One operation of a token workload."""
 
@@ -139,74 +141,66 @@ class TokenWorkloadGenerator:
             raise InvalidArgumentError(
                 f"spender_pool must be in [0, {self.num_accounts}]"
             )
-        validate_skew(
-            self.hotspot_fraction, self.hotspot_accounts, self.num_accounts
-        )
         self._rng = random.Random(self.seed)
-        self._account_weights = (
-            list(accumulate(zipf_weights(self.num_accounts, self.zipf_s)))
-            if self.zipf_s > 0
-            else None
+        self._draw = self._item_drawer()
+
+    def _item_drawer(self) -> Callable[[], WorkloadItem]:
+        """One item's draw, built once: the knobs, the mix's accumulated
+        weights and the RNG's methods are bound here.  The mix draw makes
+        ``Random.choices``' arithmetic, as accounts do (see
+        :func:`~repro.workloads.skew.skew_drawer`), and a value draw is
+        ``randrange(max_value + 1)``, which is ``randint(0, max_value)``.
+        """
+        rng, n, pool = self._rng, self.num_accounts, self.spender_pool
+        random, randrange = rng.random, rng.randrange
+        account = skew_drawer(
+            rng, n, self.zipf_s, self.hotspot_fraction, self.hotspot_accounts
         )
         # The mix is read (and validated) once, here.
         names, weights = zip(*self.mix.weights())
-        self._names, self._name_weights = names, list(accumulate(weights))
+        cum_names = list(accumulate(weights))
+        total, last = cum_names[-1] + 0.0, len(names) - 1
+        values = self.max_value + 1
 
-    # ------------------------------------------------------------------
+        def pool_member(pid: int) -> int:
+            """An account from ``pid``'s spender pool (``pid`` allowed)."""
+            base = pid - pid % pool
+            return base + randrange(min(pool, n - base))
 
-    def _pick_account(self) -> int:
-        return skewed_index(
-            self._rng,
-            self.num_accounts,
-            self._account_weights,
-            self.hotspot_fraction,
-            self.hotspot_accounts,
-        )
+        def item() -> WorkloadItem:
+            name = names[bisect(cum_names, random() * total, 0, last)]
+            pid = account()
+            if name == "transfer":
+                args = (account(), randrange(values))
+            elif name == "transferFrom":
+                source = pool_member(pid) if pool else account()
+                args = (source, account(), randrange(values))
+            elif name == "approve":
+                spender = pool_member(pid) if pool else account()
+                args = (spender, randrange(values))
+            elif name == "balanceOf":
+                args = (account(),)
+            elif name == "allowance":
+                args = (account(), account())
+            else:
+                args = ()
+            return WorkloadItem(pid, Operation(name, args))
 
-    def _pick_value(self) -> int:
-        return self._rng.randint(0, self.max_value)
-
-    def _pick_pool_member(self, pid: int) -> int:
-        """An account from ``pid``'s spender pool (``pid`` itself allowed)."""
-        base = pid - pid % self.spender_pool
-        size = min(self.spender_pool, self.num_accounts - base)
-        return base + self._rng.randrange(size)
+        return item
 
     def next_item(self) -> WorkloadItem:
         """Generate one operation."""
-        name = self._rng.choices(self._names, cum_weights=self._name_weights)[0]
-        pid = self._pick_account()
-        pooled = self.spender_pool > 0
-        if name == "transfer":
-            operation = Operation(
-                name, (self._pick_account(), self._pick_value())
-            )
-        elif name == "transferFrom":
-            source = (
-                self._pick_pool_member(pid) if pooled else self._pick_account()
-            )
-            operation = Operation(
-                name,
-                (source, self._pick_account(), self._pick_value()),
-            )
-        elif name == "approve":
-            spender = (
-                self._pick_pool_member(pid) if pooled else self._pick_account()
-            )
-            operation = Operation(name, (spender, self._pick_value()))
-        elif name == "balanceOf":
-            operation = Operation(name, (self._pick_account(),))
-        elif name == "allowance":
-            operation = Operation(
-                name, (self._pick_account(), self._pick_account())
-            )
-        else:
-            operation = Operation("totalSupply")
-        return WorkloadItem(pid=pid, operation=operation)
+        return self._draw()
 
     def generate(self, count: int) -> list[WorkloadItem]:
         """Generate ``count`` operations."""
-        return [self.next_item() for _ in range(count)]
+        draw = self._draw
+        return [draw() for _ in range(count)]
+
+
+#: ERC721 operations and their accumulated draw weights.
+_NFT_NAMES = ("transferFrom", "approve", "ownerOf", "setApprovalForAll")
+_NFT_WEIGHTS = list(accumulate((0.45, 0.2, 0.25, 0.1)))
 
 
 @dataclass
@@ -229,56 +223,30 @@ class NFTWorkloadGenerator:
     def __post_init__(self) -> None:
         if self.num_processes < 1 or self.num_tokens < 1:
             raise InvalidArgumentError("need processes and tokens")
-        validate_skew(
-            self.hotspot_fraction, self.hotspot_tokens, self.num_tokens
-        )
         self._rng = random.Random(self.seed)
-        self._token_weights = (
-            list(accumulate(zipf_weights(self.num_tokens, self.zipf_s)))
-            if self.zipf_s > 0
-            else None
-        )
-
-    def _pick_token(self) -> int:
-        return skewed_index(
+        self._token = skew_drawer(
             self._rng,
             self.num_tokens,
-            self._token_weights,
+            self.zipf_s,
             self.hotspot_fraction,
             self.hotspot_tokens,
         )
 
     def next_item(self) -> WorkloadItem:
-        pid = self._rng.randrange(self.num_processes)
-        name = self._rng.choices(
-            ("transferFrom", "approve", "ownerOf", "setApprovalForAll"),
-            weights=(0.45, 0.2, 0.25, 0.1),
-        )[0]
+        random, randrange = self._rng.random, self._rng.randrange
+        processes, token = self.num_processes, self._token
+        pid = randrange(processes)
+        draw = random() * _NFT_WEIGHTS[-1]
+        name = _NFT_NAMES[bisect(_NFT_WEIGHTS, draw, 0, len(_NFT_NAMES) - 1)]
         if name == "transferFrom":
-            operation = Operation(
-                name,
-                (
-                    self._rng.randrange(self.num_processes),
-                    self._rng.randrange(self.num_processes),
-                    self._pick_token(),
-                ),
-            )
+            args = (randrange(processes), randrange(processes), token())
         elif name == "approve":
-            operation = Operation(
-                name,
-                (self._rng.randrange(self.num_processes), self._pick_token()),
-            )
+            args = (randrange(processes), token())
         elif name == "ownerOf":
-            operation = Operation(name, (self._pick_token(),))
+            args = (token(),)
         else:
-            operation = Operation(
-                name,
-                (
-                    self._rng.randrange(self.num_processes),
-                    self._rng.random() < 0.5,
-                ),
-            )
-        return WorkloadItem(pid=pid, operation=operation)
+            args = (randrange(processes), random() < 0.5)
+        return WorkloadItem(pid, Operation(name, args))
 
 
 @dataclass
@@ -300,43 +268,22 @@ class AssetTransferWorkloadGenerator:
             raise InvalidArgumentError("need accounts and processes")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise InvalidArgumentError("read_fraction must be in [0, 1]")
-        validate_skew(
-            self.hotspot_fraction, self.hotspot_accounts, self.num_accounts
-        )
         self._rng = random.Random(self.seed)
-        self._account_weights = (
-            list(accumulate(zipf_weights(self.num_accounts, self.zipf_s)))
-            if self.zipf_s > 0
-            else None
-        )
-
-    def _pick_account(self) -> int:
-        return skewed_index(
+        self._account = skew_drawer(
             self._rng,
             self.num_accounts,
-            self._account_weights,
+            self.zipf_s,
             self.hotspot_fraction,
             self.hotspot_accounts,
         )
 
     def next_item(self) -> WorkloadItem:
-        pid = self._rng.randrange(self.num_processes)
-        if self._rng.random() < self.read_fraction:
-            return WorkloadItem(
-                pid=pid,
-                operation=Operation("balanceOf", (self._pick_account(),)),
-            )
-        return WorkloadItem(
-            pid=pid,
-            operation=Operation(
-                "transfer",
-                (
-                    self._pick_account(),
-                    self._pick_account(),
-                    self._rng.randint(0, self.max_value),
-                ),
-            ),
-        )
+        rng, account = self._rng, self._account
+        pid = rng.randrange(self.num_processes)
+        if rng.random() < self.read_fraction:
+            return WorkloadItem(pid, Operation("balanceOf", (account(),)))
+        args = (account(), account(), rng.randint(0, self.max_value))
+        return WorkloadItem(pid, Operation("transfer", args))
 
 
 @dataclass(frozen=True, slots=True)

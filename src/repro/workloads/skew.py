@@ -20,6 +20,9 @@ every workload stays deterministic per seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from itertools import accumulate
+from typing import Callable
 
 from repro.errors import InvalidArgumentError
 
@@ -43,24 +46,35 @@ def zipf_weights(count: int, s: float) -> list[float]:
     return [weight / total for weight in weights]
 
 
-def skewed_index(
+def skew_drawer(
     rng: random.Random,
     count: int,
-    cum_weights: list[float] | None,
-    hotspot_fraction: float,
-    hotspot_count: int,
-) -> int:
-    """One index draw under the shared skew model: a hot-spot overlay over
-    either a uniform or Zipf base distribution.
+    zipf_s: float = 0.0,
+    hotspot_fraction: float = 0.0,
+    hotspot_count: int = 1,
+) -> Callable[[], int]:
+    """The shared skew model over ``range(count)`` as one draw: a hot-spot
+    overlay over either a uniform or a Zipf base distribution.
 
-    ``cum_weights`` is the running sum of the Zipf weights
-    (``list(accumulate(zipf_weights(count, s)))``), accumulated once by the
-    caller: ``random.choices`` would otherwise re-accumulate all ``count``
-    weights on every draw.  It bisects the same floats either way, so the
-    draws — and the RNG state after them — are those of ``weights=``.
+    Built once per generator: the knobs are validated, the Zipf weights
+    accumulated and ``rng``'s methods bound here, so a draw is one call.
+    It makes the calls and the arithmetic of ``randrange`` and of
+    ``Random.choices(range(count), cum_weights=...)[0]`` (a ``bisect`` of
+    ``random() * total`` below the last index), so the indices — and
+    ``rng``'s state after them — are those draws'.
     """
-    if hotspot_fraction > 0 and rng.random() < hotspot_fraction:
-        return rng.randrange(hotspot_count)
-    if cum_weights is None:
-        return rng.randrange(count)
-    return rng.choices(range(count), cum_weights=cum_weights)[0]
+    validate_skew(hotspot_fraction, hotspot_count, count)
+    random, randrange = rng.random, rng.randrange
+    cum_weights, total, last = None, 0.0, count - 1
+    if zipf_s > 0:
+        cum_weights = list(accumulate(zipf_weights(count, zipf_s)))
+        total = cum_weights[-1] + 0.0
+
+    def draw() -> int:
+        if hotspot_fraction > 0 and random() < hotspot_fraction:
+            return randrange(hotspot_count)
+        if cum_weights is None:
+            return randrange(count)
+        return bisect(cum_weights, random() * total, 0, last)
+
+    return draw

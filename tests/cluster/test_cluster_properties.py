@@ -18,8 +18,6 @@ types (ERC20, ERC721, asset transfer), and the multi-contract mix.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,14 +28,14 @@ from repro.config import ClusterConfig
 from repro.objects.asset_transfer import AssetTransferType
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.erc721 import ERC721TokenType
-from repro.spec.operation import op
 from repro.workloads import (
     APPROVAL_HEAVY_MIX,
     OWNER_ONLY_MIX,
     SPENDER_HEAVY_MIX,
+    AssetTransferWorkloadGenerator,
     MultiContractWorkloadGenerator,
+    NFTWorkloadGenerator,
     TokenWorkloadGenerator,
-    WorkloadItem,
     WorkloadMix,
     serial_reference,
     standard_multi_contract,
@@ -127,26 +125,11 @@ class TestSerialEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), nodes=st.sampled_from(NODE_COUNTS))
     def test_erc721_races(self, seed, nodes):
-        rng = random.Random(seed)
         factory = lambda: ERC721TokenType(  # noqa: E731
             4, initial_owners=[0, 1, 2, 3, 0, 1]
         )
-        names = ["transferFrom", "approve", "ownerOf", "setApprovalForAll"]
-        items = []
-        for _ in range(60):
-            name = rng.choice(names)
-            pid = rng.randrange(4)
-            if name == "transferFrom":
-                operation = op(
-                    name, rng.randrange(4), rng.randrange(4), rng.randrange(6)
-                )
-            elif name == "approve":
-                operation = op(name, rng.randrange(4), rng.randrange(6))
-            elif name == "ownerOf":
-                operation = op(name, rng.randrange(6))
-            else:
-                operation = op(name, rng.randrange(4), rng.random() < 0.5)
-            items.append(WorkloadItem(pid, operation))
+        nft = NFTWorkloadGenerator(4, num_tokens=6, seed=seed)
+        items = [nft.next_item() for _ in range(60)]
         ref_state, ref_responses = serial_reference(factory(), items)
         state, responses, _ = cluster_run(factory, items, nodes, window=12)
         assert state == ref_state
@@ -155,23 +138,14 @@ class TestSerialEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), nodes=st.sampled_from(NODE_COUNTS))
     def test_asset_transfer_shared_accounts(self, seed, nodes):
-        rng = random.Random(seed)
         owner_map = [{0, 1}, {1}, {2}, {3}, {0, 3}]
         factory = lambda: AssetTransferType(  # noqa: E731
             [20] * 5, owner_map=owner_map, num_processes=4
         )
-        items = [
-            WorkloadItem(
-                rng.randrange(4),
-                op(
-                    "transfer",
-                    rng.randrange(5),
-                    rng.randrange(5),
-                    rng.randint(0, 6),
-                ),
-            )
-            for _ in range(80)
-        ]
+        transfers = AssetTransferWorkloadGenerator(
+            5, 4, seed=seed, max_value=6, read_fraction=0.0
+        )
+        items = [transfers.next_item() for _ in range(80)]
         ref_state, ref_responses = serial_reference(factory(), items)
         state, responses, _ = cluster_run(factory, items, nodes, window=16)
         assert state == ref_state

@@ -67,6 +67,20 @@ def test_a_clear_gain_is_claimed():
     assert verdict["claim"]
 
 
+def test_a_lower_is_better_gain_is_claimed_under_the_same_rule():
+    parent = [0.19, 0.192, 0.188, 0.195, 0.191, 0.193, 0.189, 0.194, 0.19, 0.2]
+    change = [a * 0.87 for a in parent]
+    change[3] = 0.196  # one loss is allowed
+    verdict = wall_pairs.fold(list(zip(parent, change)), "lower")
+    assert (verdict["wins"], verdict["losses"]) == (9, 1)
+    assert verdict["median_gap"] == pytest.approx(0.1915 - verdict["b"][1])
+    assert verdict["median_gap"] > verdict["a_iqr"] > 0
+    assert verdict["claim"]
+    assert not wall_pairs.fold(list(zip(change, parent)), "lower")["claim"]
+    lines = wall_pairs.report(verdict, "setup_s").splitlines()
+    assert lines[0] == "setup_s (lower is better), 10 pairs"
+
+
 def test_two_losses_in_ten_are_no_claim():
     parent = [70.0 + k for k in range(10)]
     change = [a * 1.2 for a in parent]
@@ -115,3 +129,6 @@ def test_a_side_whose_every_run_failed_is_no_claim():
 def test_the_command_comes_from_benchmark_json():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert wall_pairs.contract(ROOT) == spec["command"]
+    assert wall_pairs.direction(ROOT, "setup_s") == "lower"
+    with pytest.raises(ValueError):
+        wall_pairs.direction(ROOT, "run_s")

@@ -2,35 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.spec.operation import Invocation, Operation, Response, op
 
 
 class TestOperation:
-    def test_construction(self):
-        operation = Operation("transfer", (1, 5))
-        assert operation.name == "transfer"
-        assert operation.args == (1, 5)
-
     def test_op_helper(self):
         assert op("transfer", 1, 5) == Operation("transfer", (1, 5))
 
     def test_no_args(self):
         assert op("totalSupply") == Operation("totalSupply", ())
 
-    def test_hashable(self):
-        table = {op("transfer", 1, 5): "a", op("approve", 2, 3): "b"}
-        assert table[Operation("transfer", (1, 5))] == "a"
-
     def test_equality_distinguishes_args(self):
         assert op("transfer", 1, 5) != op("transfer", 1, 6)
         assert op("transfer", 1, 5) != op("approve", 1, 5)
-
-    def test_immutable(self):
-        operation = op("transfer", 1, 5)
-        with pytest.raises(AttributeError):
-            operation.name = "approve"
 
     def test_str(self):
         assert str(op("transfer", 1, 5)) == "transfer(1, 5)"

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import accumulate
 
 import pytest
 
@@ -15,7 +14,7 @@ from repro.cluster.workloads import owner_local_workload
 from repro.config import ClusterConfig
 from repro.errors import InvalidArgumentError
 from repro.objects.erc20 import ERC20TokenType
-from repro.workloads.skew import skewed_index, validate_skew, zipf_weights
+from repro.workloads.skew import skew_drawer, validate_skew, zipf_weights
 
 
 class TestZipfWeights:
@@ -42,56 +41,29 @@ class TestValidateSkew:
             validate_skew(fraction, count, 8)
 
 
-class TestSkewedIndex:
+class TestSkewDrawer:
+    """Every generator draws its skewed indices here
+    (``test_draws.py``), so the skew's shape is held here once."""
+
     def test_hotspot_concentrates_draws(self):
-        rng = random.Random(7)
-        draws = Counter(
-            skewed_index(rng, 50, None, 0.8, 2) for _ in range(2000)
-        )
+        draw = skew_drawer(random.Random(7), 50, 0.0, 0.8, 2)
+        draws = Counter(draw() for _ in range(2000))
         hot_share = (draws[0] + draws[1]) / 2000
         assert hot_share > 0.7
 
-    def test_deterministic_per_seed(self):
-        cum_weights = list(accumulate(zipf_weights(30, 1.1)))
-        first = [
-            skewed_index(random.Random(3), 30, cum_weights, 0.3, 2)
-            for _ in range(1)
-        ]
-        second = [
-            skewed_index(random.Random(3), 30, cum_weights, 0.3, 2)
-            for _ in range(1)
-        ]
-        assert first == second
+    def test_zipf_concentrates_draws_and_composes_with_the_hotspot(self):
+        def counts(zipf_s, hot):
+            draw = skew_drawer(random.Random(5), 30, zipf_s, hot, 1)
+            return Counter(draw() for _ in range(2000))
 
-    def test_generators_reexport_the_shared_helpers(self):
-        """The historical import path keeps working (one module, one
-        implementation — the dedup contract)."""
-        from repro.workloads import generators
-
-        assert generators.skewed_index is skewed_index
-        assert generators.zipf_weights is zipf_weights
-        assert generators.validate_skew is validate_skew
+        uniform, zipf = counts(0.0, 0.0), counts(1.5, 0.0)
+        assert zipf[0] > 2 * uniform[0]
+        both = counts(1.5, 0.5)
+        assert both[0] > 1000  # hot overlay plus Zipf head
+        assert len(both) > 5  # tail still covered
 
 
 class TestOwnerLocalSkew:
-    def test_node_hotspot_concentrates_load(self):
-        cluster = TokenCluster(
-            ERC20TokenType(32, total_supply=3200),
-            ClusterConfig(num_nodes=4, window=16),
-        )
-        skewed = owner_local_workload(
-            cluster.shard_map,
-            32,
-            400,
-            seed=5,
-            hotspot_fraction=0.9,
-            hotspot_nodes=1,
-        )
-        owners = Counter(
-            cluster.shard_map.owner_of(item.pid) for item in skewed
-        )
-        assert owners.most_common(1)[0][1] > 300
-
     def test_skewed_traffic_is_still_owner_local(self):
         token = ERC20TokenType(32, total_supply=3200)
         cluster = TokenCluster(
@@ -109,14 +81,3 @@ class TestOwnerLocalSkew:
         _, _, stats = cluster.run_workload(items)
         assert stats.escalation_messages == 0
         assert stats.lease_migrations == 0
-
-    def test_unskewed_draws_match_the_historical_stream(self):
-        """Default knobs reproduce the pre-dedup draw sequence (the bench
-        baselines must not shift)."""
-        cluster = TokenCluster(
-            ERC20TokenType(16, total_supply=1600),
-            ClusterConfig(num_nodes=2, window=16),
-        )
-        items = owner_local_workload(cluster.shard_map, 16, 50, seed=3)
-        again = owner_local_workload(cluster.shard_map, 16, 50, seed=3)
-        assert items == again
