@@ -272,7 +272,7 @@ OPERATIONS = {
         "approve balance_of get_approved is_approved_for_all"
     ),
     "repro.objects.erc721.ERC721TokenType": (
-        "_apply_balanceOf _apply_getApproved _apply_isApprovedForAll"
+        "_apply_balanceOf _apply_getApproved"
     ),
     "repro.objects.erc777.ERC777Token": (
         "total_supply is_operator_for revoke_operator"
@@ -284,9 +284,9 @@ OPERATIONS = {
         "balance_of_batch safe_batch_transfer_from is_approved_for_all"
     ),
     "repro.objects.erc1155.ERC1155TokenType": (
-        "_apply_balanceOfBatch _apply_safeBatchTransferFrom "
-        "_apply_isApprovedForAll"
+        "_apply_balanceOfBatch _apply_safeBatchTransferFrom"
     ),
+    "repro.objects.base.OperatorApprovals": "_apply_isApprovedForAll",
     "repro.objects.asset_transfer.AssetTransfer": "total_supply",
     "repro.objects.asset_transfer.AssetTransferType": "_apply_totalSupply",
     "repro.protocols.escrow_token.EscrowToken": (

@@ -17,28 +17,15 @@ illustrated in Figure 1; :func:`erc20_case_label`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Iterable
 
-from repro.objects.footprint import static_pair_kind
+from repro._records import record
+from repro.objects.footprint import PairKind, static_pair_kind
 from repro.spec.object_type import SequentialObjectType
 from repro.spec.operation import Operation
 
 
-class PairKind(Enum):
-    """Classification of an ordered pair of invocations at a state."""
-
-    #: Both orders yield identical states and responses.
-    COMMUTE = "commute"
-    #: At least one of the two invocations leaves the state unchanged.
-    READ_ONLY = "read-only"
-    #: Neither commuting nor read-only: a genuine synchronization conflict —
-    #: the only kind of pair that can be a pair of decision steps (Thm 3).
-    CONFLICT = "conflict"
-
-
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Invocation:
     """A (process, operation) pair for analysis purposes."""
 
@@ -49,7 +36,7 @@ class Invocation:
         return f"p{self.pid}.{self.operation}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class PairAnalysis:
     """Outcome of analyzing one pair of invocations at a state."""
 
@@ -153,7 +140,7 @@ _SOUND = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class StaticKindAudit:
     """What :func:`audit_static_kinds` found over one workload."""
 

@@ -29,13 +29,13 @@ consensus object        ∞                 universal (Herlihy)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro._records import record
 from repro.analysis.partition import classify
 from repro.objects.erc20 import TokenState
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ConsensusNumberEntry:
     """Known consensus number of an object family."""
 

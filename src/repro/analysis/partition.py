@@ -27,9 +27,9 @@ See README.md, Reproduction note 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from repro._records import record
 from repro.analysis.spenders import enabled_spenders, max_spenders, spender_map
 from repro.errors import InvalidArgumentError
 from repro.objects.erc20 import TokenState
@@ -101,7 +101,7 @@ def synchronization_accounts(
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class StateClassification:
     """Full classification of a token state by the paper's taxonomy."""
 

@@ -24,9 +24,9 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro._records import record
 from repro.analysis.partition import synchronization_level
 from repro.analysis.spenders import (
     accounts_with_spender_count,
@@ -37,7 +37,7 @@ from repro.objects.erc20 import ERC20TokenType, TokenState
 from repro.spec.operation import Operation
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RaisingApproval:
     """A witness for Eq. 12: an approve step lifting ``q ∈ Q_k`` to ``Q_{k+1}``."""
 

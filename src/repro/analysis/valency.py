@@ -19,15 +19,15 @@ synchronization account.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro._records import record
 from repro.runtime.executor import SystemFactory
 from repro.runtime.explorer import ScheduleExplorer
 from repro.runtime.scheduler import Action
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Valence:
     """The valence of a configuration: its set of reachable decisions."""
 
@@ -43,7 +43,7 @@ class Valence:
         return f"{kind}({values})"
 
 
-@dataclass
+@record
 class CriticalConfiguration:
     """A bivalent configuration all of whose successors are univalent."""
 

@@ -39,9 +39,9 @@ global lane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro._records import record
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ComponentDAG
@@ -61,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover
 ApplyFn = Callable[[PendingOp], Any]
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class _NodeUnit:
     """One dispatch unit as the node knows it.  The record is created by
     whichever message names the unit first — a lease grant may overtake

@@ -21,9 +21,9 @@ only on an answer or on a ping unanswered for a full ``result_timeout``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro._records import field, record
 from repro.config import ClusterConfig
 from repro.engine.classifier import OpClassifier
 from repro.engine.mempool import Mempool, PendingOp
@@ -62,7 +62,7 @@ ADMIN_ROUND = -1
 _REPLAY_BASE = 1 << 20
 
 
-@dataclass
+@record
 class _RecoveryEpisode:
     """One node-failure episode: from declaring the node dead (or its
     rejoin-time reconciliation) to the last replayed result arriving."""
@@ -72,7 +72,7 @@ class _RecoveryEpisode:
     outstanding: set[_Unit] = field(default_factory=set)
 
 
-@dataclass(slots=True, eq=False)
+@record(slots=True, eq=False)
 class _Handoff:
     """One in-flight lease handoff of one shard, from its request (or
     unilateral revoke) to the adopter's ack.  Its presence in
@@ -98,7 +98,7 @@ class _Handoff:
     resends: int = 0
 
 
-@dataclass(slots=True, eq=False)
+@record(slots=True, eq=False)
 class _Peer:
     """The router's view of one node: what is queued for it, and what
     the node last said about itself."""

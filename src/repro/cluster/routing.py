@@ -50,9 +50,9 @@ placement never does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any
 
+from repro._records import record
 from repro.engine.classifier import OpClassifier
 from repro.engine.conflict_graph import ComponentDAG
 from repro.engine.mempool import PendingOp
@@ -73,7 +73,7 @@ from repro.cluster.stats import ClusterRound
 LEASE_MIN_GAIN = 2
 
 
-@dataclass(slots=True, eq=False)
+@record(slots=True, eq=False)
 class _Unit:
     """One component-granular dispatch unit, from routing to its result —
     the whole contract between router and node.
@@ -176,7 +176,7 @@ class _Unit:
         self.replay_started = now
 
 
-@dataclass
+@record
 class _Round:
     """One routed window and its in-flight bookkeeping."""
 

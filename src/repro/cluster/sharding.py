@@ -17,13 +17,12 @@ handoffs yields the same final state and responses (machine-checked in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._records import record
 from repro.engine.shard import stable_account_hash
 from repro.errors import ClusterError
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LeaseRecord:
     """One completed shard-ownership handoff."""
 

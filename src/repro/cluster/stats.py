@@ -16,16 +16,17 @@ measurement philosophy.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
+from repro._records import field, record
 from repro.engine.stats import fold_sync_bill, histogram_mean, summary_dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sync.escalation import SyncRoundResult
 
 
-@dataclass
+@record
 class NodeBill:
     """Per-node accounting over a full cluster run."""
 
@@ -63,7 +64,7 @@ class NodeBill:
         return asdict(self)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ClusterRound:
     """One routing round at the cluster's client edge: filled at routing;
     the router adds the dispatch stalls and stamps the completion.  The
@@ -99,7 +100,7 @@ class ClusterRound:
     completed_at: float = 0.0
 
 
-@dataclass
+@record
 class ClusterStats:
     """Aggregate over a full cluster run."""
 

@@ -26,8 +26,9 @@ executor, so a mistyped or misplaced field fails as a ``TypeError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
+from repro._records import record
 from repro.errors import ClusterError, EngineError
 
 
@@ -75,7 +76,7 @@ class _ConfigBase:
             raise self._error("mempool_capacity must be positive (or None)")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EngineConfig(_ConfigBase):
     """Configuration of the single-process executor.
 
@@ -101,7 +102,7 @@ class EngineConfig(_ConfigBase):
         self._check_common()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultConfig(_ConfigBase):
     """A deterministic fault plan for the cluster's virtual-time network.
 
@@ -175,7 +176,7 @@ class FaultConfig(_ConfigBase):
                 raise ClusterError("delay probability must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClusterConfig(_ConfigBase):
     """Configuration of the distributed :class:`~repro.cluster.cluster.
     TokenCluster`.

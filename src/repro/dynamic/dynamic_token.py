@@ -38,9 +38,9 @@ never by a global order across accounts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
+from repro._records import field, record
 from repro.dynamic.sync_tracker import (
     GroupSizeTracker,
     ReplicaTokenState,
@@ -53,7 +53,7 @@ from repro.net.reliable_broadcast import FifoReliableBroadcast
 from repro.objects.erc20 import assign_allowance
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TokenOp:
     """One sequenced token operation, as disseminated in an account log."""
 
@@ -68,7 +68,7 @@ class TokenOp:
         return f"{self.kind}[{self.op_id}]@{self.account}({rendered})"
 
 
-@dataclass
+@record
 class OpRecord:
     """Lifecycle record of one submitted operation (client-side view)."""
 
@@ -88,7 +88,7 @@ class OpRecord:
         self.completed_at, self.response = now, response
 
 
-@dataclass
+@record
 class _PendingGroupRound:
     op: TokenOp
     submitted_at: float
@@ -330,7 +330,7 @@ def _apply_op(state: ReplicaTokenState, op: TokenOp) -> None:
         raise ProtocolError(f"unknown operation kind {op.kind!r}")
 
 
-@dataclass
+@record
 class DynamicNetworkStats:
     """Aggregate measurements for one dynamic-network run."""
 

@@ -12,12 +12,11 @@ statistics used by the experiments (group-size histograms over time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._records import field, record
 from repro.analysis.spenders import spenders_of
 
 
-@dataclass
+@record
 class ReplicaTokenState:
     """Mutable per-replica token state (balances may be transiently negative
     while credits are in flight; see the eventual-consistency discussion in
@@ -66,7 +65,7 @@ def sync_levels(state: ReplicaTokenState) -> list[int]:
     ]
 
 
-@dataclass
+@record
 class GroupSizeTracker:
     """Records the evolution of per-account group sizes over (virtual) time."""
 

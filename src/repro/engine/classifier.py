@@ -26,18 +26,16 @@ executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.commutativity import PairKind
+from repro._records import field, record
 from repro.engine.mempool import PendingOp
-from repro.objects.footprint import OpFootprint, static_pair_kind
+from repro.objects.footprint import OpFootprint, PairKind, static_pair_kind
 from repro.spec.object_type import SequentialObjectType
 
 #: The footprint rule's string -> its ``PairKind`` (same values).
 _KINDS = {kind.value: kind for kind in PairKind}
 
 
-@dataclass
+@record
 class ClassifierStats:
     """Counters for one classifier instance.
 

@@ -24,10 +24,10 @@ node schedules by it; the engine reads the same DAGs off the plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro._records import record
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ComponentDAG:
     """Precedence DAG of one multi-op conflict-graph component, over
     positions ``0 .. size-1`` in the component's ascending (= submission)

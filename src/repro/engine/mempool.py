@@ -19,13 +19,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from repro._records import frozen_record
+from repro._records import record
 from repro.errors import InvalidArgumentError, MempoolFullError
 from repro.spec.operation import Operation
 from repro.workloads.generators import WorkloadItem
 
 
-@frozen_record
+@record(frozen=True, slots=True)
 class PendingOp:
     """One submitted operation awaiting execution."""
 

@@ -15,12 +15,11 @@ plan; no pair that commutes is ever visited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis.commutativity import PairKind
+from repro._records import record
 from repro.engine.conflict_graph import ComponentDAG
-from repro.objects.footprint import window_preds
+from repro.objects.footprint import PairKind, window_preds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.classifier import OpClassifier
@@ -40,7 +39,7 @@ _KIND_BY_CLASS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class WindowPlan:
     """What one window's conflict graph decides, by index into ``ops``."""
 

@@ -14,16 +14,16 @@ wall-clock threading in Python would measure the GIL, not the algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
-from repro._records import frozen_record
+from repro._records import field, record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sync.escalation import SyncRoundResult
 
 
-@frozen_record
+@record(frozen=True, slots=True)
 class WaveStats:
     """One scheduling round.
 
@@ -113,7 +113,7 @@ def histogram_mean(histogram: dict[int, int]) -> float:
     return sum(size * count for size, count in histogram.items()) / total
 
 
-@dataclass
+@record
 class EngineStats:
     """Aggregate over a full engine run."""
 

@@ -13,16 +13,16 @@ The benchmarks compare this baseline against the §7-style dynamic network in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
+from repro._records import field, record
 from repro.net.network import Network
 from repro.net.total_order import TotalOrderNode
 from repro.objects.erc20 import ERC20TokenType, TokenState
 from repro.spec.operation import Operation
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LedgerTransaction:
     """A client-signed token operation submitted to the chain."""
 
@@ -36,7 +36,7 @@ class LedgerTransaction:
         return f"tx({self.tx_id},{self.pid},{self.operation})"
 
 
-@dataclass
+@record
 class AppliedRecord:
     """Execution record for one transaction on one replica."""
 
@@ -101,7 +101,7 @@ class LedgerNode(TotalOrderNode):
             )
 
 
-@dataclass
+@record
 class LedgerStats:
     """Aggregate measurements for one ledger run."""
 

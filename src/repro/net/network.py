@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from bisect import insort
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro._records import field, record
 from repro.errors import NetworkError
 from repro.net.simulation import Simulator
 
@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Message:
     """A typed protocol message.  Not frozen: one is built per send, and
     a frozen ``__init__`` sets every field through ``object.__setattr__``."""
@@ -68,7 +68,7 @@ class UniformLatency(LatencyModel):
         return rng.uniform(self.low, self.high)
 
 
-@dataclass
+@record
 class NetworkStats:
     """Counters maintained by the network.
 

@@ -27,9 +27,9 @@ benchmarks quantify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro._records import field, record
 from repro.errors import NetworkError
 from repro.net.network import Message, Network
 from repro.net.node import Node
@@ -43,7 +43,7 @@ def _digest(value: Any) -> str:
     return repr(value)
 
 
-@dataclass
+@record
 class _Instance:
     """Per-(sender, seq) broadcast instance state."""
 

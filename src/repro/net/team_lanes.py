@@ -30,10 +30,10 @@ team is ``None``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Iterable, Sequence
 
+from repro._records import record
 from repro.errors import NetworkError
 
 #: Seed mixer so each lane's latency stream is distinct but reproducible.
@@ -164,7 +164,7 @@ class TeamLane:
         return PoolRound((order,), self.clock - started, order.messages, 1)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LaneOrder:
     """Outcome of one team batch within a pool round."""
 
@@ -178,7 +178,7 @@ class LaneOrder:
     messages: int
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class PoolRound:
     """Outcome of one concurrent multi-team ordering round."""
 

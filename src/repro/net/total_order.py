@@ -26,9 +26,9 @@ makespan and bill to a group of these replicas on a seeded
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro._records import field, record
 from repro.errors import NetworkError
 from repro.net.network import Message, Network
 from repro.net.node import Node
@@ -41,7 +41,7 @@ def _digest(value: Any) -> str:
     return repr(value)
 
 
-@dataclass
+@record
 class _SlotState:
     proposed: Any = None
     prepared: bool = False

@@ -19,9 +19,9 @@ dynamic-owner extension needed to express Algorithm 2's sequence of fresh
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+from repro._records import record
 from repro.errors import InvalidArgumentError
 from repro.objects.base import AccountType, SharedObject
 from repro.objects.footprint import (
@@ -36,7 +36,7 @@ from repro.spec.object_type import FALSE, TRUE, SequentialObjectType
 from repro.spec.operation import Operation
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ATState:
     """Balance map ``β`` as an immutable tuple indexed by account."""
 
@@ -151,12 +151,6 @@ class AssetTransferType(AccountType):
         if pid not in self.owner_map[source] or state.balance(source) < value:
             return state, FALSE
         return state.with_transfer(source, dest, value), TRUE
-
-    def _apply_balanceOf(
-        self, state: ATState, pid: int, account: int
-    ) -> tuple[ATState, Any]:
-        self._check_account(account)
-        return state, state.balance(account)
 
     def _apply_totalSupply(
         self, state: ATState, pid: int

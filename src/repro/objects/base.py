@@ -17,15 +17,29 @@ from typing import Any, Callable
 
 from repro.errors import InvalidArgumentError
 from repro.runtime.calls import OpCall
-from repro.spec.object_type import SequentialObjectType
+from repro.spec.object_type import FALSE, TRUE, SequentialObjectType
 from repro.spec.operation import Operation
 
 
 class AccountType(SequentialObjectType):
     """A type over the accounts ``0 .. num_accounts - 1``, with the argument
-    checks every token family shares."""
+    checks every token family shares, and the ``Δ`` dispatch and
+    ``balanceOf`` of those that do not spell out their own."""
 
     num_accounts: int
+
+    def apply(
+        self, state: Any, pid: int, operation: Operation
+    ) -> tuple[Any, Any]:
+        handler = self._handler(operation)
+        self._check_account(pid)
+        return handler(state, pid, *operation.args)
+
+    def _apply_balanceOf(
+        self, state: Any, pid: int, account: int
+    ) -> tuple[Any, Any]:
+        self._check_account(account)
+        return state, state.balance(account)
 
     def _check_account(self, account: Any) -> None:
         if not isinstance(account, int) or not 0 <= account < self.num_accounts:
@@ -34,6 +48,42 @@ class AccountType(SequentialObjectType):
     def _check_value(self, value: Any) -> None:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise InvalidArgumentError(f"amount must be a natural number: {value!r}")
+
+
+class OperatorApprovals(AccountType):
+    """``setApprovalForAll`` and ``isApprovedForAll`` over
+    ``state.operators``, as ERC721 and ERC1155 both define them."""
+
+    def _apply_setApprovalForAll(
+        self, state: Any, pid: int, operator: int, enabled: bool
+    ) -> tuple[Any, Any]:
+        self._check_account(operator)
+        if operator == pid:
+            return state, FALSE  # EIP-721: self-approval is rejected
+        return with_operator(state, pid, operator, bool(enabled)), TRUE
+
+    def _apply_isApprovedForAll(
+        self, state: Any, pid: int, holder: int, operator: int
+    ) -> tuple[Any, Any]:
+        self._check_account(holder)
+        self._check_account(operator)
+        return state, operator in state.operators[holder]
+
+
+def with_operator(state: Any, holder: int, operator: int, enabled: bool) -> Any:
+    """``state`` with ``operator`` added to or dropped from
+    ``state.operators[holder]``, the frozenset of ``holder``'s operators
+    that the ERC721, ERC777 and ERC1155 states each keep as their last
+    field; the state's own class is built again, all else as it was."""
+    operators = list(state.operators)
+    current = set(operators[holder])
+    if enabled:
+        current.add(operator)
+    else:
+        current.discard(operator)
+    operators[holder] = frozenset(current)
+    *kept, _ = (getattr(state, name) for name in state.__match_args__)
+    return type(state)(*kept, tuple(operators))
 
 
 class SharedObject:

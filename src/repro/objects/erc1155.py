@@ -18,17 +18,17 @@ failing component; a revert maps to a state-preserving ``FALSE``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro._records import record
 from repro.errors import InvalidArgumentError
-from repro.objects.base import AccountType, SharedObject
+from repro.objects.base import OperatorApprovals, SharedObject
 from repro.runtime.calls import OpCall
 from repro.spec.object_type import FALSE, TRUE
 from repro.spec.operation import Operation
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MultiTokenState:
     """``balances[account][token_type]`` plus per-holder operator sets."""
 
@@ -55,18 +55,8 @@ class MultiTokenState:
         balances[dest] = tuple(credited)
         return MultiTokenState(tuple(balances), self.operators)
 
-    def with_operator(self, holder: int, operator: int, enabled: bool) -> "MultiTokenState":
-        operators = list(self.operators)
-        current = set(operators[holder])
-        if enabled:
-            current.add(operator)
-        else:
-            current.discard(operator)
-        operators[holder] = frozenset(current)
-        return MultiTokenState(self.balances, tuple(operators))
 
-
-class ERC1155TokenType(AccountType):
+class ERC1155TokenType(OperatorApprovals):
     """Sequential specification of an ERC1155 contract."""
 
     name = "erc1155"
@@ -106,13 +96,6 @@ class ERC1155TokenType(AccountType):
             or not 0 <= token_type < self.num_token_types
         ):
             raise InvalidArgumentError(f"unknown token type {token_type!r}")
-
-    def apply(
-        self, state: MultiTokenState, pid: int, operation: Operation
-    ) -> tuple[MultiTokenState, Any]:
-        handler = self._handler(operation)
-        self._check_account(pid)
-        return handler(state, pid, *operation.args)
 
     def _apply_balanceOf(
         self, state: MultiTokenState, pid: int, account: int, token_type: int
@@ -181,21 +164,6 @@ class ERC1155TokenType(AccountType):
                 return state, FALSE  # atomic: all-or-nothing
         moves = list(zip(token_types, values))
         return state.with_transfers(source, dest, moves), TRUE
-
-    def _apply_setApprovalForAll(
-        self, state: MultiTokenState, pid: int, operator: int, enabled: bool
-    ) -> tuple[MultiTokenState, Any]:
-        self._check_account(operator)
-        if operator == pid:
-            return state, FALSE
-        return state.with_operator(pid, operator, bool(enabled)), TRUE
-
-    def _apply_isApprovedForAll(
-        self, state: MultiTokenState, pid: int, holder: int, operator: int
-    ) -> tuple[MultiTokenState, Any]:
-        self._check_account(holder)
-        self._check_account(operator)
-        return state, operator in state.operators[holder]
 
 
 class ERC1155Token(SharedObject):

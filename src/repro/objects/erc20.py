@@ -25,10 +25,10 @@ the corrected Algorithm 2 variant — can be enabled explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
+from repro._records import record
 from repro.errors import InvalidArgumentError
 from repro.objects.base import AccountType, SharedObject
 from repro.objects.footprint import (
@@ -88,7 +88,7 @@ def assign_allowance(row: dict[int, int], spender: int, value: int) -> None:
         row.pop(spender, None)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TokenState:
     """Immutable token state ``q = (β, α)``.
 
@@ -305,12 +305,6 @@ class ERC20TokenType(AccountType):
         self._check_value(value)
         account = self.account_of(pid)
         return state.with_allowance(account, spender, value), TRUE
-
-    def _apply_balanceOf(
-        self, state: TokenState, pid: int, account: int
-    ) -> tuple[TokenState, Any]:
-        self._check_account(account)
-        return state, state.balance(account)
 
     def _apply_allowance(
         self, state: TokenState, pid: int, account: int, spender: int

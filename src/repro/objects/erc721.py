@@ -17,11 +17,11 @@ ERC20's require-failures into ``FALSE`` responses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro._records import record
 from repro.errors import InvalidArgumentError
-from repro.objects.base import AccountType, SharedObject
+from repro.objects.base import OperatorApprovals, SharedObject
 from repro.objects.footprint import EMPTY_FOOTPRINT, OpFootprint, footprint
 from repro.runtime.calls import OpCall
 from repro.spec.object_type import FALSE, TRUE
@@ -31,7 +31,7 @@ from repro.spec.operation import Operation
 NO_APPROVAL = -1
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class NFTState:
     """Immutable ERC721 state.
 
@@ -63,20 +63,8 @@ class NFTState:
         approved[token_id] = NO_APPROVAL  # approvals are cleared on transfer
         return NFTState(tuple(owners), tuple(approved), self.operators)
 
-    def with_operator(
-        self, holder: int, operator: int, enabled: bool
-    ) -> "NFTState":
-        operators = list(self.operators)
-        current = set(operators[holder])
-        if enabled:
-            current.add(operator)
-        else:
-            current.discard(operator)
-        operators[holder] = frozenset(current)
-        return NFTState(self.owners, self.approved, tuple(operators))
 
-
-class ERC721TokenType(AccountType):
+class ERC721TokenType(OperatorApprovals):
     """Sequential specification of an ERC721 contract."""
 
     name = "erc721"
@@ -123,13 +111,6 @@ class ERC721TokenType(AccountType):
 
     # -- Δ ----------------------------------------------------------------
 
-    def apply(
-        self, state: NFTState, pid: int, operation: Operation
-    ) -> tuple[NFTState, Any]:
-        handler = self._handler(operation)
-        self._check_account(pid)
-        return handler(state, pid, *operation.args)
-
     def _apply_ownerOf(
         self, state: NFTState, pid: int, token_id: int
     ) -> tuple[NFTState, Any]:
@@ -172,21 +153,6 @@ class ERC721TokenType(AccountType):
     ) -> tuple[NFTState, Any]:
         self._check_token(token_id)
         return state, state.approved[token_id]
-
-    def _apply_setApprovalForAll(
-        self, state: NFTState, pid: int, operator: int, enabled: bool
-    ) -> tuple[NFTState, Any]:
-        self._check_account(operator)
-        if operator == pid:
-            return state, FALSE  # EIP-721: self-approval is rejected
-        return state.with_operator(pid, operator, bool(enabled)), TRUE
-
-    def _apply_isApprovedForAll(
-        self, state: NFTState, pid: int, holder: int, operator: int
-    ) -> tuple[NFTState, Any]:
-        self._check_account(holder)
-        self._check_account(operator)
-        return state, operator in state.operators[holder]
 
     # -- static footprints (engine fast path) -----------------------------
 

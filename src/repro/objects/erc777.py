@@ -16,17 +16,17 @@ them either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro._records import record
 from repro.errors import InvalidArgumentError
-from repro.objects.base import AccountType, SharedObject
+from repro.objects.base import AccountType, SharedObject, with_operator
 from repro.runtime.calls import OpCall
 from repro.spec.object_type import FALSE, TRUE
 from repro.spec.operation import Operation
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ERC777State:
     """Balances plus per-holder operator sets."""
 
@@ -47,16 +47,6 @@ class ERC777State:
         balances[source] -= value
         balances[dest] += value
         return ERC777State(tuple(balances), self.operators)
-
-    def with_operator(self, holder: int, operator: int, enabled: bool) -> "ERC777State":
-        operators = list(self.operators)
-        current = set(operators[holder])
-        if enabled:
-            current.add(operator)
-        else:
-            current.discard(operator)
-        operators[holder] = frozenset(current)
-        return ERC777State(self.balances, tuple(operators))
 
 
 class ERC777TokenType(AccountType):
@@ -89,13 +79,6 @@ class ERC777TokenType(AccountType):
             "totalSupply",
         )
 
-    def apply(
-        self, state: ERC777State, pid: int, operation: Operation
-    ) -> tuple[ERC777State, Any]:
-        handler = self._handler(operation)
-        self._check_account(pid)
-        return handler(state, pid, *operation.args)
-
     def _apply_send(
         self, state: ERC777State, pid: int, dest: int, value: int
     ) -> tuple[ERC777State, Any]:
@@ -124,7 +107,7 @@ class ERC777TokenType(AccountType):
         self._check_account(operator)
         if operator == pid:
             return state, FALSE  # EIP-777 reverts on self-(de)authorization
-        return state.with_operator(pid, operator, True), TRUE
+        return with_operator(state, pid, operator, True), TRUE
 
     def _apply_revokeOperator(
         self, state: ERC777State, pid: int, operator: int
@@ -132,7 +115,7 @@ class ERC777TokenType(AccountType):
         self._check_account(operator)
         if operator == pid:
             return state, FALSE
-        return state.with_operator(pid, operator, False), TRUE
+        return with_operator(state, pid, operator, False), TRUE
 
     def _apply_isOperatorFor(
         self, state: ERC777State, pid: int, operator: int, holder: int
@@ -140,12 +123,6 @@ class ERC777TokenType(AccountType):
         self._check_account(operator)
         self._check_account(holder)
         return state, state.is_operator_for(operator, holder)
-
-    def _apply_balanceOf(
-        self, state: ERC777State, pid: int, account: int
-    ) -> tuple[ERC777State, Any]:
-        self._check_account(account)
-        return state, state.balance(account)
 
     def _apply_totalSupply(
         self, state: ERC777State, pid: int

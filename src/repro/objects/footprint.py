@@ -36,9 +36,9 @@ The verdicts are *sound under-approximations* of the semantic oracle (see
   state the oracle may still find the pair commuting (e.g. two transfers
   from a richly funded account).
 
-The string values deliberately match ``PairKind`` in
-:mod:`repro.analysis.commutativity` (which imports :mod:`repro.objects` and
-therefore cannot be imported from here).
+Its strings are the values of :class:`PairKind`, the enum the
+engine and the semantic oracle of :mod:`repro.analysis.commutativity`
+both label pairs with.
 
 Every op of every window passes through this module, so its questions —
 the pair rule, the anchor, the contention test — are answered on the three
@@ -55,8 +55,9 @@ tell footprints apart by the identity of their kinds — only by value.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from enum import Enum
 
-from repro._records import frozen_record
+from repro._records import record
 
 #: Abstract location: a hashable tuple such as ``("bal", 3)``,
 #: ``("allow", 1, 2)``, ``("nft", 7)`` or :data:`SUPPLY`.
@@ -80,7 +81,7 @@ def allow(account: int, spender: int) -> Location:
 _EMPTY: frozenset = frozenset()
 
 
-@frozen_record
+@record(frozen=True, slots=True)
 class OpFootprint:
     """Static may-access summary of one invocation.
 
@@ -245,6 +246,18 @@ def union_footprint(footprints) -> OpFootprint | None:
         adds |= fp.adds
         sets |= fp.sets
     return footprint(observes, adds, sets)
+
+
+class PairKind(Enum):
+    """Classification of an ordered pair of invocations at a state."""
+
+    #: Both orders yield identical states and responses.
+    COMMUTE = "commute"
+    #: At least one of the two invocations leaves the state unchanged.
+    READ_ONLY = "read-only"
+    #: Neither commuting nor read-only: a genuine synchronization conflict —
+    #: the only kind of pair that can be a pair of decision steps (Thm 3).
+    CONFLICT = "conflict"
 
 
 def static_pair_kind(

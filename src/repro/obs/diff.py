@@ -26,14 +26,15 @@ the baseline's profile against the run's on every run, in-process, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
+from repro._records import record
 from repro.obs.export import trace_from_chrome
 from repro.obs.report import critical_path_report
 from repro.obs.trace import TraceError, TraceRecorder
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CategoryDelta:
     """One attribution category's movement between two runs."""
 
@@ -54,7 +55,7 @@ class CategoryDelta:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TrackDelta:
     """One (track, category) cell's movement between two runs."""
 
@@ -77,7 +78,7 @@ class TrackDelta:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class StageDelta:
     """One lifecycle stage transition's mean-per-op movement."""
 
@@ -102,7 +103,7 @@ class StageDelta:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RunProfile:
     """One run reduced to the aligned quantities the differ consumes."""
 
@@ -253,7 +254,7 @@ def diff_profiles(
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RegressionExplanation:
     """A ranked, exact explanation of where two runs' time diverged."""
 

@@ -16,8 +16,8 @@ consensus latency); there is deliberately no wall-clock anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
+from repro._records import field, record
 from repro.errors import ReproError
 
 #: Default histogram bucket upper bounds: powers of two in virtual-time
@@ -33,7 +33,7 @@ class MetricsError(ReproError):
     """Misuse of the registry (type clash, bad quantile, bad bucket)."""
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Counter:
     """A monotonically non-decreasing total."""
 
@@ -46,7 +46,7 @@ class Counter:
         self.value += amount
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Histogram:
     """Fixed-bucket histogram over non-negative virtual-time samples.
 

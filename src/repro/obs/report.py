@@ -14,8 +14,7 @@ activity explains locally — message flight and routing — charged to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._records import field, record
 from repro.obs.trace import CATEGORIES, Span, TraceError, TraceRecorder
 
 #: Slack for float comparisons on the virtual timeline.  Virtual times
@@ -23,7 +22,7 @@ from repro.obs.trace import CATEGORIES, Span, TraceError, TraceRecorder
 _EPS = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class PathSegment:
     """One attributed interval of the walked critical path (latest
     first in :attr:`AttributionReport.segments`)."""
@@ -35,7 +34,7 @@ class PathSegment:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class AttributionReport:
     """Category totals partitioning one run's virtual makespan."""
 

@@ -15,8 +15,8 @@ in the run's trace.  Both are pure readers of virtual time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from repro._records import field, record
 from repro.errors import ReproError
 from repro.obs.metrics import Histogram
 from repro.obs.trace import TraceRecorder
@@ -90,7 +90,7 @@ class TimeSeries:
         ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SLOWindow:
     """One window's verdict against the objective."""
 
@@ -104,7 +104,7 @@ class SLOWindow:
     burn: float
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SLOReport:
     """The scan's outcome; ``met`` is the headline verdict."""
 

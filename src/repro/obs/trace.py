@@ -22,8 +22,7 @@ Two properties the rest of the observability layer leans on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._records import field, record
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 
@@ -59,7 +58,7 @@ class TraceError(ReproError):
     """A malformed span or lifecycle transition."""
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Span:
     """One completed interval on a named track of the virtual timeline.
 
@@ -82,7 +81,7 @@ class Span:
     chain: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Instant:
     """A zero-duration marker (stage transition, protocol message)."""
 

@@ -25,8 +25,7 @@ its pool).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._records import record
 from repro.obs.trace import TraceError, TraceRecorder
 
 #: Track the team-lane pool records its lifecycle instants on (the pool
@@ -34,7 +33,7 @@ from repro.obs.trace import TraceError, TraceRecorder
 POOL_TRACK = "teamlanes.pool"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TrackUtilization:
     """One chained track's occupancy over ``[0, extent]``."""
 
@@ -77,7 +76,7 @@ class TrackUtilization:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class QueueWait:
     """A track that never executes — it only queues.
 
@@ -99,7 +98,7 @@ class QueueWait:
         return {"waits": dict(self.waits), "total": self.total}
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class UtilizationReport:
     """Per-track occupancy plus team lanes built for one traced run."""
 

@@ -57,7 +57,72 @@ EmulatedOp = Generator[OpCall, Any, Any]
 _VARIANTS = ("literal", "corrected")
 
 
-class EmulatedToken:
+class _RecordedToken:
+    """The operations both emulations share: each records its invocation
+    and response in ``history`` (when one is attached) around its
+    implementation."""
+
+    def _recorded(
+        self, pid: int, op_name: str, args: tuple[Any, ...], body: EmulatedOp
+    ) -> EmulatedOp:
+        operation = Operation(op_name, args)
+        if self.history is not None:
+            self.history.invoke(pid, self.name, operation)
+        result = yield from body
+        if self.history is not None:
+            self.history.respond(pid, self.name, operation, result)
+        return result
+
+    # -- public emulated operations (paper line numbers in comments) -----
+
+    def transfer(self, pid: int, dest: int, value: int) -> EmulatedOp:
+        """Lines 12-13: transfer from the caller's own account."""
+        return self._recorded(
+            pid, "transfer", (dest, value), self._transfer(pid, dest, value)
+        )
+
+    def transfer_from(
+        self, pid: int, source: int, dest: int, value: int
+    ) -> EmulatedOp:
+        """Lines 7-11: spend from ``source`` using the caller's allowance."""
+        return self._recorded(
+            pid,
+            "transferFrom",
+            (source, dest, value),
+            self._transfer_from(pid, source, dest, value),
+        )
+
+    def balance_of(self, pid: int, account: int) -> EmulatedOp:
+        """Lines 14-15."""
+        return self._recorded(
+            pid, "balanceOf", (account,), self._balance_of(pid, account)
+        )
+
+    def allowance(self, pid: int, account: int, spender: int) -> EmulatedOp:
+        """Lines 25-26."""
+        return self._recorded(
+            pid,
+            "allowance",
+            (account, spender),
+            self._allowance(pid, account, spender),
+        )
+
+    def total_supply(self, pid: int) -> EmulatedOp:
+        """Lines 27-28."""
+        return self._recorded(pid, "totalSupply", (), self._total_supply(pid))
+
+    # -- implementations ---------------------------------------------------
+
+    def _transfer(self, pid: int, dest: int, value: int) -> EmulatedOp:
+        result = yield self.kat.transfer(pid, dest, value)
+        return result
+
+    def _balance_of(self, pid: int, account: int) -> EmulatedOp:
+        result = yield self.kat.balance_of(account)
+        return result
+
+
+class EmulatedToken(_RecordedToken):
     """Algorithm 2: ``T|_{Q_k}`` from a (dynamic-owner) ``k``-AT + registers."""
 
     def __init__(
@@ -137,66 +202,13 @@ class EmulatedToken:
         registers = [r for row in self.allowance_registers for r in row]
         return [self.kat, *registers]
 
-    def _recorded(
-        self, pid: int, op_name: str, args: tuple[Any, ...], body: EmulatedOp
-    ) -> EmulatedOp:
-        operation = Operation(op_name, args)
-        if self.history is not None:
-            self.history.invoke(pid, self.name, operation)
-        result = yield from body
-        if self.history is not None:
-            self.history.respond(pid, self.name, operation, result)
-        return result
-
-    # -- public emulated operations (paper line numbers in comments) -----
-
-    def transfer(self, pid: int, dest: int, value: int) -> EmulatedOp:
-        """Lines 12-13: transfer from the caller's own account."""
-        return self._recorded(
-            pid, "transfer", (dest, value), self._transfer(pid, dest, value)
-        )
-
-    def transfer_from(
-        self, pid: int, source: int, dest: int, value: int
-    ) -> EmulatedOp:
-        """Lines 7-11: spend from ``source`` using the caller's allowance."""
-        return self._recorded(
-            pid,
-            "transferFrom",
-            (source, dest, value),
-            self._transfer_from(pid, source, dest, value),
-        )
-
     def approve(self, pid: int, spender: int, value: int) -> EmulatedOp:
         """Lines 16-24: set the caller's allowance for ``spender``."""
         return self._recorded(
             pid, "approve", (spender, value), self._approve(pid, spender, value)
         )
 
-    def balance_of(self, pid: int, account: int) -> EmulatedOp:
-        """Lines 14-15."""
-        return self._recorded(
-            pid, "balanceOf", (account,), self._balance_of(pid, account)
-        )
-
-    def allowance(self, pid: int, account: int, spender: int) -> EmulatedOp:
-        """Lines 25-26."""
-        return self._recorded(
-            pid,
-            "allowance",
-            (account, spender),
-            self._allowance(pid, account, spender),
-        )
-
-    def total_supply(self, pid: int) -> EmulatedOp:
-        """Lines 27-28."""
-        return self._recorded(pid, "totalSupply", (), self._total_supply(pid))
-
     # -- implementations ---------------------------------------------------
-
-    def _transfer(self, pid: int, dest: int, value: int) -> EmulatedOp:
-        result = yield self.kat.transfer(pid, dest, value)
-        return result
 
     def _transfer_from(
         self, pid: int, source: int, dest: int, value: int
@@ -272,10 +284,6 @@ class EmulatedToken:
                 yield self.kat.set_owners(account, spenders)
         return TRUE  # line 24
 
-    def _balance_of(self, pid: int, account: int) -> EmulatedOp:
-        result = yield self.kat.balance_of(account)
-        return result
-
     def _allowance(self, pid: int, account: int, spender: int) -> EmulatedOp:
         result = yield self.allowance_registers[account][spender].read()
         return result
@@ -292,7 +300,7 @@ class EmulatedToken:
         return result
 
 
-class SafeEmulatedToken:
+class SafeEmulatedToken(_RecordedToken):
     """Single-writer variant of Algorithm 2 (Reproduction note 2).
 
     Allowances are represented as ``granted[a][j] - spent[a][j]`` where the
@@ -359,34 +367,6 @@ class SafeEmulatedToken:
         registers += [r for row in self.spent for r in row]
         return [self.kat, *registers]
 
-    def _recorded(
-        self, pid: int, op_name: str, args: tuple[Any, ...], body: EmulatedOp
-    ) -> EmulatedOp:
-        operation = Operation(op_name, args)
-        if self.history is not None:
-            self.history.invoke(pid, self.name, operation)
-        result = yield from body
-        if self.history is not None:
-            self.history.respond(pid, self.name, operation, result)
-        return result
-
-    # -- public operations -------------------------------------------------
-
-    def transfer(self, pid: int, dest: int, value: int) -> EmulatedOp:
-        return self._recorded(
-            pid, "transfer", (dest, value), self._transfer(pid, dest, value)
-        )
-
-    def transfer_from(
-        self, pid: int, source: int, dest: int, value: int
-    ) -> EmulatedOp:
-        return self._recorded(
-            pid,
-            "transferFrom",
-            (source, dest, value),
-            self._transfer_from(pid, source, dest, value),
-        )
-
     def increase_allowance(
         self, pid: int, spender: int, delta: int
     ) -> EmulatedOp:
@@ -407,27 +387,7 @@ class SafeEmulatedToken:
             self._decrease_allowance(pid, spender, delta),
         )
 
-    def allowance(self, pid: int, account: int, spender: int) -> EmulatedOp:
-        return self._recorded(
-            pid,
-            "allowance",
-            (account, spender),
-            self._allowance(pid, account, spender),
-        )
-
-    def balance_of(self, pid: int, account: int) -> EmulatedOp:
-        return self._recorded(
-            pid, "balanceOf", (account,), self._balance_of(pid, account)
-        )
-
-    def total_supply(self, pid: int) -> EmulatedOp:
-        return self._recorded(pid, "totalSupply", (), self._total_supply(pid))
-
     # -- implementations -----------------------------------------------------
-
-    def _transfer(self, pid: int, dest: int, value: int) -> EmulatedOp:
-        result = yield self.kat.transfer(pid, dest, value)
-        return result
 
     def _transfer_from(
         self, pid: int, source: int, dest: int, value: int
@@ -501,10 +461,6 @@ class SafeEmulatedToken:
         granted = yield self.granted[account][spender].read()
         spent = yield self.spent[account][spender].read()
         return max(granted - spent, 0)
-
-    def _balance_of(self, pid: int, account: int) -> EmulatedOp:
-        result = yield self.kat.balance_of(account)
-        return result
 
     def _total_supply(self, pid: int) -> EmulatedOp:
         result = yield self.kat.total_supply()

@@ -16,16 +16,16 @@ with the response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro._records import record
 from repro.spec.operation import Operation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.objects.base import SharedObject
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class OpCall:
     """A pending atomic operation on a shared object."""
 

@@ -8,9 +8,9 @@ differential harnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro._records import field, record
 from repro.errors import SchedulingError
 from repro.runtime.process import ProcessProgram, ProcessRunner, ProcessStatus
 
@@ -25,7 +25,7 @@ from repro.runtime.scheduler import (
 from repro.spec.history import History
 
 
-@dataclass
+@record
 class System:
     """A fresh set of process programs plus the shared objects they use.
 
@@ -64,7 +64,7 @@ class System:
 SystemFactory = Callable[[], System]
 
 
-@dataclass
+@record
 class ExecutionResult:
     """Outcome of one complete (or budget-capped) execution."""
 

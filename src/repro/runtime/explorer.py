@@ -25,9 +25,9 @@ the factory, so factories must be deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro._records import field, record
 from repro.errors import ExplorationLimitError
 from repro.runtime.executor import System, SystemFactory
 from repro.runtime.process import ProcessRunner, ProcessStatus
@@ -47,7 +47,7 @@ TerminalCheck = Callable[
 ]
 
 
-@dataclass
+@record
 class Violation:
     """A property violation found on a specific schedule."""
 
@@ -62,7 +62,7 @@ class Violation:
         return f"{self.message} [schedule: {rendered}]"
 
 
-@dataclass
+@record
 class ExplorationReport:
     """Aggregate result of an exhaustive exploration."""
 

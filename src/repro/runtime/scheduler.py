@@ -19,20 +19,20 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Sequence
 
+from repro._records import record
 from repro.errors import SchedulingError
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class StepAction:
     """Execute one atomic operation of process ``pid``."""
 
     pid: int
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CrashAction:
     """Crash process ``pid`` (it takes no further steps)."""
 

@@ -10,14 +10,14 @@ objects; per-object sub-histories are obtained with :meth:`History.project`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro._records import field, record
 from repro.errors import HistoryError
 from repro.spec.operation import Invocation, Operation, Response
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CompletedCall:
     """An invocation matched with its response (one linearizable candidate)."""
 
@@ -40,7 +40,7 @@ class CompletedCall:
         return self.response_index < other.invoke_index
 
 
-@dataclass
+@record
 class History:
     """An append-only event log of invocations and responses."""
 

@@ -16,14 +16,14 @@ Gong).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from repro._records import record
 from repro.spec.history import CompletedCall, History
 from repro.spec.object_type import SequentialObjectType
 
 
-@dataclass
+@record
 class LinearizabilityResult:
     """Outcome of a linearizability check."""
 

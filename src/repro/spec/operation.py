@@ -9,13 +9,12 @@ histories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
-from repro._records import frozen_record
+from repro._records import field, record
 
 
-@frozen_record
+@record(frozen=True, slots=True)
 class Operation:
     """A single operation invocation descriptor.
 
@@ -38,7 +37,7 @@ def op(name: str, *args: Any) -> Operation:
     return Operation(name, tuple(args))
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Invocation:
     """A process invoking an operation on a named object."""
 
@@ -50,7 +49,7 @@ class Invocation:
         return f"p{self.pid}: {self.object_name}.{self.operation}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Response:
     """The matching response to an :class:`Invocation`."""
 

@@ -20,9 +20,9 @@ immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from repro._records import field, record
 from repro.errors import EngineError
 from repro.net.team_lanes import TeamLanePool
 from repro.sync.planner import SyncAssignment, SyncPlanner
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.rounds import WindowPlan
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ComponentOrder:
     """Outcome of ordering one contended component."""
 
@@ -43,7 +43,7 @@ class ComponentOrder:
     completed: float
 
 
-@dataclass
+@record
 class SyncRoundResult:
     """Outcome of one round's synchronization phase across all tiers."""
 

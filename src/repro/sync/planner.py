@@ -35,9 +35,9 @@ property suite checks serial equivalence for arbitrary thresholds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from repro._records import record
 from repro.errors import EngineError
 from repro.objects.footprint import OpFootprint, accounts_in
 from repro.sync.bounds import component_team
@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
 TIER_GLOBAL = math.inf
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SyncAssignment:
     """One contended component's lane assignment."""
 

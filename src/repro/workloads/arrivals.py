@@ -29,9 +29,9 @@ so a driven target **must** carry a :class:`~repro.obs.TraceRecorder`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro._records import field, record
 from repro.errors import MempoolFullError, StreamError
 from repro.workloads.generators import WorkloadItem
 
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # avoid the engine <-> workloads import cycle
     from repro.engine.mempool import PendingOp
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Arrival:
     """One timed submission: ``item`` offered at virtual time ``time``."""
 
@@ -66,7 +66,7 @@ def poisson_arrivals(
     return arrivals
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class StreamReport:
     """What one driven run did: admission tallies and the final clock."""
 

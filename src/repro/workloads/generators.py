@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from repro._records import frozen_record
+from repro._records import field, record
 from repro.errors import InvalidArgumentError
 from repro.spec.operation import Operation
 from repro.workloads.skew import skew_drawer
 
 
-@frozen_record
+@record(frozen=True, slots=True)
 class WorkloadItem:
     """One operation of a token workload."""
 
@@ -30,7 +29,7 @@ class WorkloadItem:
         return f"p{self.pid}: {self.operation}"
 
 
-@dataclass
+@record
 class WorkloadMix:
     """Relative operation-type weights for a generated workload."""
 
@@ -96,7 +95,7 @@ CHAIN_HEAVY_MIX = WorkloadMix(
 )
 
 
-@dataclass
+@record
 class TokenWorkloadGenerator:
     """Seeded random generator of ERC20 operations.
 
@@ -203,7 +202,7 @@ _NFT_NAMES = ("transferFrom", "approve", "ownerOf", "setApprovalForAll")
 _NFT_WEIGHTS = list(accumulate((0.45, 0.2, 0.25, 0.1)))
 
 
-@dataclass
+@record
 class NFTWorkloadGenerator:
     """Seeded random generator of ERC721 operations.
 
@@ -249,7 +248,7 @@ class NFTWorkloadGenerator:
         return WorkloadItem(pid, Operation(name, args))
 
 
-@dataclass
+@record
 class AssetTransferWorkloadGenerator:
     """Seeded random generator of asset-transfer operations (the paper's
     §5 object), with the same account-skew knobs as the token generators."""
@@ -286,7 +285,7 @@ class AssetTransferWorkloadGenerator:
         return WorkloadItem(pid, Operation("transfer", args))
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class MultiContractItem:
     """One operation of an interleaved multi-contract trace."""
 
@@ -302,7 +301,7 @@ class MultiContractItem:
         return f"[{self.contract}] p{self.pid}: {self.operation}"
 
 
-@dataclass
+@record
 class ContractStream:
     """One contract's operation stream inside a multi-contract mix."""
 
@@ -332,10 +331,11 @@ class MultiContractWorkloadGenerator:
             raise InvalidArgumentError("stream weights must be positive")
         self.streams = list(streams)
         self._rng = random.Random(seed)
+        self._cum_weights = list(accumulate(s.weight for s in self.streams))
 
     def next_item(self) -> MultiContractItem:
         stream = self._rng.choices(
-            self.streams, weights=[s.weight for s in self.streams]
+            self.streams, cum_weights=self._cum_weights
         )[0]
         item = stream.generator.next_item()
         return MultiContractItem(

@@ -1,19 +1,19 @@
-"""The contract of the records built through ``repro._records.frozen_record``.
+"""Every record class is what ``@dataclass`` with its options gives.
 
-``PendingOp`` (one per submitted op), ``OpFootprint`` (one per planned
-op), ``WaveStats`` (one per window), ``Operation`` and ``WorkloadItem``
-(one per generated op) are built per op or per window, so how they are
-built may change; what they are may not.  Each record stays a frozen
-value: assignment raises, equal fields give equal objects with equal
-hashes, and ``repr``, the dataclass fields, pickling and
-``dataclasses.replace`` are the ones the plain
-``@dataclass(frozen=True, slots=True)`` gives.  ``ScheduledUnit`` (one
-per placed op of a traced window) is a named tuple.
+``repro._records.record`` builds the record classes of ``src/repro``
+with one compile each.  Each ``@record`` class in the source is held to
+its twin, built when its module runs again with ``@record`` read as
+``@dataclass``: the ``__init__`` signature, ``fields``,
+``__dataclass_params__``, ``__match_args__``, doc and slots, and on
+values ``repr``, ``==``, ``hash``, assignment (``FrozenInstanceError``),
+pickling, ``replace`` and ``asdict``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import inspect
 import pickle
 import re
 from pathlib import Path
@@ -27,169 +27,146 @@ from repro.spec.operation import Operation, op
 from repro.workloads import WorkloadItem
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-WAVE_FIELDS = (
-    "index",
-    "window",
-    "wave_ops",
-    "barrier_ops",
-    "escalated_ops",
-    "lanes_used",
-    "critical_path",
-    "virtual_time",
-    "stall_time",
-    "stall_time_contended",
-    "overlap_time",
-    "inflight",
-    "completed_at",
-    "dag_critical_path",
-    "dag_width",
-    "dag_chain_ops",
-    "dag_critical_ops",
+DECORATED = re.compile(r"^@record(?:\(.*\))?\nclass (\w+)", re.M)
+DIRECT = re.compile(
+    r"^\s*@(dataclasses\.)?dataclass\b|^from .* import .*\bdataclass\b", re.M
 )
 
 
-def wave(**changes) -> WaveStats:
-    values = dict.fromkeys(WAVE_FIELDS, 1)
-    values.update(virtual_time=2.5, completed_at=7.0)
-    values.update(changes)
-    return WaveStats(**values)
+def found_records() -> dict[str, tuple[type, type]]:
+    """``{module.Class: (class, twin)}`` of every ``@record`` class; the
+    twin comes from running its module's source again with each
+    ``@record`` read as ``@dataclass``."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        names = DECORATED.findall(text)
+        assert len(names) == text.count("@record")
+        if not names:
+            continue
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        built = importlib.import_module(module)
+        twins = {"__name__": module, "dataclass": dataclasses.dataclass}
+        source = text.replace("\n@record", "\n@dataclass")
+        exec(compile(source, str(path), "exec"), twins)
+        for name in names:
+            found[f"{module}.{name}"] = getattr(built, name), twins[name]
+    return found
 
 
-def pending(seq: int = 3) -> PendingOp:
-    return PendingOp(seq, 1, op("transfer", 2, 5))
+RECORDS = found_records()
 
 
-def footprint() -> OpFootprint:
-    return OpFootprint(observes=frozenset({bal(1)}), adds=frozenset({bal(2)}))
+def outcome(act, *args):
+    """What ``act(*args)`` gives: the ``repr`` of its value, or the type
+    and text of what it raises."""
+    try:
+        return "value", repr(act(*args))
+    except Exception as error:
+        return type(error), str(error)
 
 
-#: Each record: a factory of one value, a field and a new value for it,
-#: and the value's ``repr``.
-RECORDS = {
-    "PendingOp": (
-        pending,
-        "seq",
-        4,
-        # PendingOp's repr is the total-order digest of escalated ops.
-        "op(3,1,transfer(2, 5))",
-    ),
-    "OpFootprint": (
-        footprint,
-        "sets",
-        frozenset({bal(3)}),
-        "OpFootprint(observes=frozenset({('bal', 1)}), "
-        "adds=frozenset({('bal', 2)}), sets=frozenset())",
-    ),
-    "WaveStats": (
-        lambda: wave(index=0),
-        "inflight",
-        2,
-        "WaveStats(index=0, window=1, wave_ops=1, barrier_ops=1, "
-        "escalated_ops=1, lanes_used=1, critical_path=1, virtual_time=2.5, "
-        "stall_time=1, stall_time_contended=1, overlap_time=1, inflight=1, "
-        "completed_at=7.0, dag_critical_path=1, dag_width=1, "
-        "dag_chain_ops=1, dag_critical_ops=1)",
-    ),
-    "Operation": (
-        lambda: op("transfer", 2, 5),
-        "args",
-        (3, 5),
-        "Operation(name='transfer', args=(2, 5))",
-    ),
-    "WorkloadItem": (
-        lambda: WorkloadItem(1, op("transfer", 2, 5)),
-        "pid",
-        0,
-        "WorkloadItem(pid=1, operation=Operation(name='transfer', "
-        "args=(2, 5)))",
-    ),
-}
+def instance(cls: type, bump: int = -1):
+    """A value of ``cls`` built without ``__init__``: each field holds
+    its name, and field number ``bump`` a ``+`` more."""
+    made = object.__new__(cls)
+    for k, spec in enumerate(dataclasses.fields(cls)):
+        object.__setattr__(made, spec.name, spec.name + "+" * (k == bump))
+    return made
 
 
-def test_every_frozen_record_is_held_here():
-    built = re.compile(r"^@frozen_record\nclass (\w+)", re.M)
-    names = {
-        name
-        for path in SRC.rglob("*.py")
-        for name in built.findall(path.read_text())
-    }
-    assert names == set(RECORDS)
-
-
-@pytest.mark.parametrize("name", sorted(RECORDS))
-def test_a_record_is_a_frozen_value(name):
-    make, field, value, text = RECORDS[name]
-    built = make()
-    cls = type(built)
-    # frozen_record compiled the __init__ that stores through the slots.
-    assert cls.__init__.__code__.co_filename == f"<{name}.__init__>"
-    assert cls.__dataclass_params__.frozen
-    assert not hasattr(built, "__dict__") and "__slots__" in cls.__dict__
-    twin = make()
-    assert twin is not built
-    assert twin == built and hash(twin) == hash(built)
-    assert repr(built) == text
-    assert pickle.loads(pickle.dumps(built)) == built
-    changed = dataclasses.replace(built, **{field: value})
-    assert changed != built and getattr(changed, field) == value
-    back = dataclasses.replace(changed, **{field: getattr(built, field)})
-    assert back == built
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(built, field, value)
-
-
-def test_fields_keep_their_names_and_defaults():
-    def shape(cls):
-        return [(f.name, f.default) for f in dataclasses.fields(cls)]
-
-    missing = dataclasses.MISSING
-    assert shape(PendingOp) == [
-        ("seq", missing),
-        ("pid", missing),
-        ("operation", missing),
-    ]
-    empty = frozenset()
-    assert shape(OpFootprint) == [
-        ("observes", empty),
-        ("adds", empty),
-        ("sets", empty),
-    ]
-    assert shape(WaveStats) == [(name, missing) for name in WAVE_FIELDS]
-    assert shape(Operation) == [("name", missing), ("args", ())]
-    assert shape(WorkloadItem) == [("pid", missing), ("operation", missing)]
-
-
-def test_positional_and_keyword_construction_agree():
-    assert PendingOp(seq=3, pid=1, operation=op("transfer", 2, 5)) == pending()
-    assert OpFootprint(frozenset({bal(1)})) == OpFootprint(
-        observes=frozenset({bal(1)})
+@pytest.mark.parametrize("qualified", sorted(RECORDS))
+def test_a_record_is_what_dataclass_gives(qualified):
+    cls, ref = RECORDS[qualified]
+    assert repr(cls.__dataclass_params__) == repr(ref.__dataclass_params__)
+    assert str(dataclasses.fields(cls)) == str(dataclasses.fields(ref))
+    assert cls.__match_args__ == ref.__match_args__
+    assert cls.__doc__ == ref.__doc__
+    assert getattr(cls, "__slots__", None) == getattr(ref, "__slots__", None)
+    assert str(inspect.signature(cls.__init__)) == str(
+        inspect.signature(ref.__init__)
     )
-    with pytest.raises(TypeError):
-        PendingOp(3, 1)
-    with pytest.raises(TypeError):
-        OpFootprint(nope=frozenset())
+    assert cls.__init__.__annotations__ == ref.__init__.__annotations__
+    # One compiled __init__; a frozen, slotted one stores through the
+    # slots' descriptors, never through object.__setattr__.
+    init = cls.__init__.__code__
+    assert init.co_filename == f"<{cls.__qualname__}.__init__>"
+    if cls.__dataclass_params__.frozen and "__slots__" in vars(cls):
+        assert "__setattr__" not in init.co_names
+    assert (cls.__hash__ is None) == (ref.__hash__ is None)
+    values = range(len(dataclasses.fields(cls)))
+    assert outcome(cls, *values) == outcome(ref, *values)
+    assert outcome(cls) == outcome(ref)
+    # Each field in turn moves repr, asdict, astuple, hash and ==.
+    acts = [repr, dataclasses.asdict, dataclasses.astuple]
+    acts += [hash] * (cls.__hash__ is not object.__hash__)
+    for k in range(-1, len(dataclasses.fields(cls))):
+        one, ref_one = instance(cls, k), instance(ref, k)
+        for act in acts:
+            assert outcome(act, one) == outcome(act, ref_one)
+        assert (one == instance(cls)) == (ref_one == instance(ref))
+    assert outcome(one.__eq__, ref_one) == outcome(ref_one.__eq__, one)
+    one, ref_one = instance(cls), instance(ref)
+    state = one.__reduce_ex__(4)[2:]
+    assert state == ref_one.__reduce_ex__(4)[2:]
+    assert pickle.loads(pickle.dumps(one)).__reduce_ex__(4)[2:] == state
+    guarded = cls.__match_args__ and hasattr(ref.__repr__, "__wrapped__")
+    for made in (one, ref_one) * bool(guarded):  # each holds itself
+        object.__setattr__(made, cls.__match_args__[0], made)
+    assert outcome(repr, one) == outcome(repr, ref_one)
+    for name in cls.__match_args__:
+        replace = lambda o: dataclasses.replace(o, **{name: 7})
+        for act, *args in (replace,), (setattr, name, 7), (delattr, name):
+            one, ref_one = instance(cls), instance(ref)
+            assert outcome(act, one, *args) == outcome(act, ref_one, *args)
+            assert outcome(repr, one) == outcome(repr, ref_one)
+
+
+def test_no_class_in_src_is_a_dataclass_directly():
+    assert [
+        path.name
+        for path in SRC.rglob("*.py")
+        if path.name != "_records.py" and DIRECT.search(path.read_text())
+    ] == []
+    assert len(RECORDS) >= 89
+
+
+def test_the_per_op_records_keep_their_fields_and_text():
+    """The records built once per op or window; their text is what
+    digests and traces are made of."""
+    missing, empty = dataclasses.MISSING, frozenset()
+    assert {
+        cls.__name__: {f.name: f.default for f in dataclasses.fields(cls)}
+        for cls in (PendingOp, OpFootprint, Operation, WorkloadItem)
+    } == {
+        "PendingOp": dict.fromkeys(("seq", "pid", "operation"), missing),
+        "OpFootprint": dict.fromkeys(("observes", "adds", "sets"), empty),
+        "Operation": {"name": missing, "args": ()},
+        "WorkloadItem": {"pid": missing, "operation": missing},
+    }
+    assert len(dataclasses.fields(WaveStats)) == 17
+    assert repr(WorkloadItem(1, op("transfer", 2, 5))) == (
+        "WorkloadItem(pid=1, operation=Operation(name='transfer', "
+        "args=(2, 5)))"
+    )
+
+
+def pending() -> PendingOp:
+    return PendingOp(3, 1, op("transfer", 2, 5))
 
 
 def test_unused_footprint_kinds_are_the_one_shared_empty_set():
     blank = OpFootprint()
     assert blank.observes is blank.adds is blank.sets
     assert blank.sets == frozenset()
-    assert footprint().sets is blank.sets
+    kinds = OpFootprint(observes=frozenset({bal(1)}), adds=frozenset({bal(2)}))
+    assert kinds.sets is blank.sets
     assert OpFootprint(sets=frozenset({bal(0)})).adds is blank.adds
 
 
 def test_scheduled_unit_is_the_eight_field_tuple():
-    assert ScheduledUnit._fields == (
-        "start",
-        "finish",
-        "lane",
-        "op",
-        "footprint",
-        "contended",
-        "sync_stall",
-        "frontier_stall",
-    )
+    names = "start finish lane op footprint contended sync_stall"
+    assert ScheduledUnit._fields == (*names.split(), "frontier_stall")
     unit = ScheduledUnit(0.0, 1.0, 2, pending(), None, False, 0.0, 0.5)
     assert isinstance(unit, tuple)
     assert tuple(unit) == (0.0, 1.0, 2, pending(), None, False, 0.0, 0.5)

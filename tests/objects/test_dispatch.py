@@ -5,6 +5,7 @@ per-operation boundary that tracing wraps."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from collections import Counter
 
@@ -47,6 +48,21 @@ FAMILIES = {
         "transfer, balanceOf, totalSupply",
     ),
 }
+
+
+@pytest.mark.parametrize("family", ["erc721", "erc777", "erc1155"])
+def test_the_shared_operator_update_keeps_the_rest_of_the_state(family):
+    """``objects.base.with_operator`` is the operator update of all three:
+    the state's own class again, only the holder's operator set moved."""
+    object_type = FAMILIES[family][0]()
+    state = object_type.initial_state()
+    act = op("setApprovalForAll", 1, True)
+    if family == "erc777":
+        act = op("authorizeOperator", 1)
+    after, _ = object_type.apply(state, 0, act)
+    operators = (frozenset({1}), frozenset())
+    assert after == dataclasses.replace(state, operators=operators)
+    assert type(after) is type(state)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import InvalidArgumentError
@@ -166,6 +168,11 @@ class TestMultiContractGenerator:
             8, seed=4, zipf_s=1.0, hotspot_fraction=0.3
         )
         items = generator.generate(150)
+        # As drawn when the stream weights were re-accumulated per draw.
+        drawn = repr((items, generator._rng.getstate())).encode()
+        assert hashlib.sha256(drawn).hexdigest() == (
+            "dc4b1dd030a02f2bae84694ba05e3b73f047c72157912d3927f938fa72730b1f"
+        )
         per_contract = MultiContractWorkloadGenerator.split(items)
         for name, sub in per_contract.items():
             object_type = object_types[name]
