@@ -1,4 +1,4 @@
-"""E10 — the distributed cluster: scale-out from shard ownership.
+"""E15 — the distributed cluster: scale-out from shard ownership.
 
 Compares, in virtual time (network latency + operation units + simulated
 consensus latency), three ways of serving the same token workload:
@@ -276,7 +276,7 @@ def check_claims(results: dict) -> None:
 def render_table(results: dict) -> list[str]:
     params = results["params"]
     lines = [
-        "E10: cluster scale-out vs single-node engine vs all-consensus "
+        "E15: cluster scale-out vs single-node engine vs all-consensus "
         f"({params['ops']} ops, {params['accounts']} accounts, "
         f"{params['lanes_per_node']} lanes/node, virtual time)",
     ]
@@ -352,7 +352,7 @@ def test_cluster_scaling(benchmark, write_table):
         lambda: run_bench(600, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
-    write_table("E10_cluster", render_table(results))
+    write_table("E15_cluster", render_table(results))
 
 
 # ---------------------------------------------------------------------------

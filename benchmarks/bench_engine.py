@@ -1,4 +1,4 @@
-"""E9 — the execution engine: throughput from the commute/conflict split.
+"""E14 — the execution engine: throughput from the commute/conflict split.
 
 Compares the commutativity-aware sharded executor (``repro.engine``,
 one window in flight: ``pipeline_depth=1``, so the numbers isolate lane
@@ -269,7 +269,7 @@ def check_claims(results: dict) -> None:
 
 def render_table(results: dict) -> list[str]:
     lines = [
-        "E9: commutativity-aware engine vs serial execution "
+        "E14: commutativity-aware engine vs serial execution "
         f"({results['params']['ops']} ops, {ACCOUNTS} accounts, "
         f"{SHARDED_LANES} lanes, virtual time)",
     ]
@@ -326,7 +326,7 @@ def test_engine_scaling(benchmark, write_table):
         lambda: run_bench(600, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
-    write_table("E9_engine", render_table(results))
+    write_table("E14_engine", render_table(results))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""E11 — fault injection: lease-revocation fail-over under crash schedules.
+"""E17 — fault injection: lease-revocation fail-over under crash schedules.
 
 Runs the same token workload through the 4-node cluster under a matrix of
 deterministic fault schedules (:mod:`repro.faults`) — none, a permanent
@@ -260,7 +260,7 @@ def check_claims(results: dict) -> None:
 def render_table(results: dict) -> list[str]:
     params = results["params"]
     lines = [
-        "E11: fail-over under fault schedules "
+        "E17: fail-over under fault schedules "
         f"({params['ops']} ops, {params['nodes']} nodes, "
         f"result_timeout {params['result_timeout']:.1f}, virtual time)",
     ]
@@ -325,7 +325,7 @@ def test_fault_schedules(benchmark, write_table):
         lambda: run_bench(600, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
-    write_table("E11_faults", render_table(results))
+    write_table("E17_faults", render_table(results))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""E12 — open-loop saturation: offered load vs latency SLOs.
+"""E16 — open-loop saturation: offered load vs latency SLOs.
 
 Every other bench is closed-loop: the whole workload is fed at virtual
 time zero and the drain is measured.  Production token traffic is an
@@ -270,7 +270,7 @@ def sparkline(values: list[float]) -> str:
 def render_table(results: dict) -> list[str]:
     params = results["params"]
     lines = [
-        "E12: open-loop saturation sweep "
+        "E16: open-loop saturation sweep "
         f"({params['ops']} ops, {params['accounts']} accounts, "
         f"zipf s={params['zipf_s']}, Poisson arrivals, virtual time)",
     ]
@@ -336,7 +336,7 @@ def test_stream_saturation(benchmark, write_table):
         lambda: run_bench(400, measure, traced_run), rounds=1, iterations=1
     )
     check_claims(results)
-    write_table("E12_stream", render_table(results))
+    write_table("E16_stream", render_table(results))
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,6 @@ OPERATIONS = {
     ),
     "repro.objects.base.OperatorApprovals": "_apply_isApprovedForAll",
     "repro.objects.asset_transfer.AssetTransfer": "total_supply",
-    "repro.objects.asset_transfer.AssetTransferType": "_apply_totalSupply",
     "repro.protocols.escrow_token.EscrowToken": (
         "balance_of free_balance_of total_supply increase_allowance "
         "decrease_allowance"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.errors import InvalidArgumentError
-from repro.objects.erc20 import TokenState
+from repro.objects.erc20 import ERC20TokenType, TokenState
 
 
 def spenders_of(
@@ -73,11 +73,14 @@ def potential_spenders(state: TokenState, account: int) -> frozenset[int]:
     This is the set Algorithm 2's approve guard actually counts (its line 17
     reads allowance registers only, never the balance): processes that would
     become enabled as soon as the account is funded.  It always contains
-    ``σ_q(a)``; the two coincide whenever ``β(a) > 0``.
+    ``σ_q(a)``; the two coincide whenever ``β(a) > 0``.  It is ERC20's
+    :meth:`~repro.objects.erc20.ERC20TokenType.spender_bound`, the bound
+    the sync layer sizes teams by.
     """
-    if not 0 <= account < state.num_accounts:
+    bound = ERC20TokenType.spender_bound(state, account)
+    if bound is None:
         raise InvalidArgumentError(f"unknown account {account!r}")
-    return frozenset((account, *state.allowances_of(account)))  # ω: identity
+    return bound
 
 
 def potential_level(state: TokenState) -> int:

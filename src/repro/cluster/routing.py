@@ -396,12 +396,8 @@ def route_window(
     # only for its *own* component's batch.
     sync_round = SyncRoundResult()
     if escalated_components:
-        sync_round = sync.order_assignments(
-            [
-                sync.planner.decide(team, component)
-                for team, component, _ in escalated_components
-            ]
-        )
+        batches = [sync.decide(t, ops) for t, ops, _ in escalated_components]
+        sync_round = sync.order_assignments(batches)
         for (_, _, unit), order in zip(
             escalated_components, sync_round.components
         ):

@@ -20,6 +20,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from repro._records import field, record
+from repro.engine.stats import escalation_rate
 from repro.engine.stats import fold_sync_bill, histogram_mean, summary_dict
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -220,11 +221,7 @@ class ClusterStats:
             return 0.0
         return self.ops_executed / self.makespan
 
-    @property
-    def escalation_rate(self) -> float:
-        if not self.ops_executed:
-            return 0.0
-        return self.escalated_ops / self.ops_executed
+    escalation_rate = escalation_rate
 
     @property
     def owner_local_rate(self) -> float:

@@ -46,7 +46,7 @@ class WindowPlan:
     ops: list[PendingOp]
     #: The window's static footprints, aligned with ``ops`` (``None`` =
     #: unknown) — its one footprint pass: placement, the frontier, the
-    #: cluster's routing and the sync planner all read them here.
+    #: cluster's routing and the sync layer all read them here.
     footprints: list[OpFootprint | None]
     #: Multi-op components (ascending indices), ordered by first index.
     chains: list[list[int]]

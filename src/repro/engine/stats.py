@@ -105,6 +105,14 @@ def fold_sync_bill(
     stats.escalation_messages += sync.messages
 
 
+@property
+def escalation_rate(stats) -> float:
+    """Share of the executed ops that paid for an ordering lane."""
+    return (
+        stats.escalated_ops / stats.ops_executed if stats.ops_executed else 0.0
+    )
+
+
 def histogram_mean(histogram: dict[int, int]) -> float:
     """Mean key of a ``key -> count`` histogram (0.0 when empty)."""
     total = sum(histogram.values())
@@ -213,11 +221,7 @@ class EngineStats:
             return 0.0
         return self.ops_executed / self.virtual_time
 
-    @property
-    def escalation_rate(self) -> float:
-        if not self.ops_executed:
-            return 0.0
-        return self.escalated_ops / self.ops_executed
+    escalation_rate = escalation_rate
 
     @property
     def fast_path_rate(self) -> float:

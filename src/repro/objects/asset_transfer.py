@@ -152,12 +152,16 @@ class AssetTransferType(AccountType):
             return state, FALSE
         return state.with_transfer(source, dest, value), TRUE
 
-    def _apply_totalSupply(
-        self, state: ATState, pid: int
-    ) -> tuple[ATState, Any]:
-        return state, state.total_supply
+    # -- spender bound and static footprints (engine fast path) ----------
 
-    # -- static footprints (engine fast path) -----------------------------
+    def spender_bound(
+        self, state: ATState, account: int
+    ) -> frozenset[int] | None:
+        """``µ(a)``, exact: a ``k``-shared account is a ``k``-consensus
+        object [16], and µ is static, so no state moves it."""
+        if not 0 <= account < self.num_accounts:
+            return None
+        return self.owner_map[account]
 
     def footprint(self, pid: int, operation: Operation) -> OpFootprint:
         """Static footprint; the owner map µ is static, so an unauthorized
@@ -258,9 +262,11 @@ class DynamicOwnerATType(AssetTransferType):
         # totalSupply
         return state, balances.total_supply
 
-    #: µ is state here, so the parent's static-µ footprint would be
-    #: unsound: the engine classifies these operations conservatively.
+    #: µ is state here, so the parent's static-µ footprint and bound
+    #: would be unsound: the engine classifies these operations
+    #: conservatively and orders their races on the global lane.
     footprint = SequentialObjectType.footprint
+    spender_bound = SequentialObjectType.spender_bound
 
 
 class AssetTransfer(SharedObject):

@@ -23,8 +23,9 @@ from repro.spec.operation import Operation
 
 class AccountType(SequentialObjectType):
     """A type over the accounts ``0 .. num_accounts - 1``, with the argument
-    checks every token family shares, and the ``Δ`` dispatch and
-    ``balanceOf`` of those that do not spell out their own."""
+    checks every token family shares, and the ``Δ`` dispatch,
+    ``balanceOf`` and ``totalSupply`` of those that do not spell out their
+    own."""
 
     num_accounts: int
 
@@ -40,6 +41,9 @@ class AccountType(SequentialObjectType):
     ) -> tuple[Any, Any]:
         self._check_account(account)
         return state, state.balance(account)
+
+    def _apply_totalSupply(self, state: Any, pid: int) -> tuple[Any, Any]:
+        return state, state.total_supply
 
     def _check_account(self, account: Any) -> None:
         if not isinstance(account, int) or not 0 <= account < self.num_accounts:

@@ -313,12 +313,20 @@ class ERC20TokenType(AccountType):
         self._check_process(spender)
         return state, state.allowance(account, spender)
 
-    def _apply_totalSupply(
-        self, state: TokenState, pid: int
-    ) -> tuple[TokenState, Any]:
-        return state, state.total_supply
+    # -- spender bound and static footprints (engine fast path) ----------
 
-    # -- static footprints (engine fast path) -----------------------------
+    @staticmethod
+    def spender_bound(state: TokenState, account: int) -> frozenset[int] | None:
+        """``{ω(a)} ∪ {p : α(a, p) > 0}``: the owner plus every positive
+        allowance, read off the allowance registers alone, as Algorithm 2's
+        approve guard counts them (its line 17 never reads the balance).
+        It contains ``σ_q(a)`` (Eq. 10), and equals it whenever
+        ``β(a) > 0``.  ``state`` is a :class:`TokenState` or the engine's
+        live batch, which answers the same two reads; ``None`` for an
+        account out of range.  ω is the identity: ``a``'s owner is ``a``."""
+        if not 0 <= account < state.num_accounts:
+            return None
+        return frozenset((account, *state.allowances_of(account)))
 
     def footprint(self, pid: int, operation: Operation) -> OpFootprint:
         """Static may-access footprint of Definition 3's operations.
@@ -461,7 +469,7 @@ class _TokenBatch:
     def allowances_of(self, account: int) -> Mapping[int, int]:
         """``α(account, ·)``'s positive entries as they stand — the read
         team sizing makes at the live batch
-        (:func:`repro.analysis.spenders.potential_spenders`)."""
+        (:meth:`ERC20TokenType.spender_bound`)."""
         return MappingProxyType(self._row(account))
 
     def _row(self, account: int) -> dict[int, int]:

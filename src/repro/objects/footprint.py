@@ -142,9 +142,9 @@ class OpFootprint:
 def accounts_in(locations) -> list[int]:
     """Sorted account indices anchoring the given locations.
 
-    The convention — shared by the sync planner, the spender bounds
-    (:mod:`repro.sync`) and :func:`anchor_account` — is that a location's
-    *first* index after its tag names the anchoring account
+    The convention — shared by the sync layer's group split and team
+    sizing (:mod:`repro.sync`) and :func:`anchor_account` — is that a
+    location's *first* index after its tag names the anchoring account
     (``("bal", a)``, ``("allow", a, spender)``, ``("nft", t)``).
     """
     found = {

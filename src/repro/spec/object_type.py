@@ -117,6 +117,17 @@ class SequentialObjectType(ABC, Generic[S]):
         """
         return None
 
+    def spender_bound(self, state: S, account: int) -> frozenset[int] | None:
+        """A superset of the processes enabled to spend from ``account`` at
+        ``state`` (the paper's ``σ_q(a)``, Eq. 10), or ``None``.
+
+        The tiered sync layer (:mod:`repro.sync`) sizes a contended race's
+        team from it: a team holding every enabled spender is strong
+        enough for the race (Theorems 2–4).  The default ``None`` means
+        "no sound bound known" and sends the race to the global lane.
+        """
+        return None
+
     def is_read_only(self, state: S, pid: int, operation: Operation) -> bool:
         """True when the invocation does not modify the state.
 

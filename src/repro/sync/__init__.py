@@ -16,9 +16,10 @@ price and no more, per contended conflict-graph component:
   *fallback* for components whose spender set exceeds
   ``team_threshold`` or cannot be statically bounded.
 
-Sizing is sound by construction: team bounds are supersets of the
-semantic enabled-spender oracle (:mod:`repro.sync.bounds`, property-tested
-in ``tests/sync/``), and *any* tier assignment is serially equivalent —
+Sizing is sound by construction: a team is the union of the object
+type's own ``spender_bound`` hook over the accounts a race contends on,
+a superset of the semantic enabled-spender oracle (property-tested in
+``tests/sync/``), and *any* tier assignment is serially equivalent —
 every lane commits in submission order, so thresholds and team schedules
 move the message bill, never the outcome.
 
@@ -45,13 +46,13 @@ Quickstart::
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.sync.bounds": ("component_team", "spender_bound"),
     "repro.sync.escalation": (
         "ComponentOrder",
         "SyncRoundResult",
         "TieredEscalator",
+        "component_team",
+        "split_groups",
     ),
-    "repro.sync.planner": ("TIER_GLOBAL", "SyncAssignment", "SyncPlanner"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

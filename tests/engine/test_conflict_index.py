@@ -18,11 +18,10 @@ from repro.analysis.commutativity import PairKind
 from repro.config import EngineConfig
 from repro.engine import ComponentDAG, PipelinedExecutor, plan_window
 from repro.engine.classifier import OpClassifier
-from repro.engine.mempool import PendingOp
 from repro.objects.erc20 import ERC20TokenType
 from repro.objects.footprint import EMPTY_FOOTPRINT
 from repro.spec.operation import op
-from repro.sync.planner import SyncPlanner
+from repro.sync import TieredEscalator
 from repro.workloads import (
     APPROVAL_HEAVY_MIX,
     SPENDER_HEAVY_MIX,
@@ -33,15 +32,9 @@ from tests import reference
 from tests.engine.test_classifier import N
 from tests.engine.test_window_plan import (
     HoleyERC20,
+    _window,
     assert_plan_is_the_reference,
 )
-
-
-def _window(invocations) -> list[PendingOp]:
-    return [
-        PendingOp(seq, pid, operation)
-        for seq, (pid, operation) in enumerate(invocations)
-    ]
 
 
 def _preds(invocations, token=None):
@@ -305,7 +298,7 @@ class TestOneStateLineage:
         )
 
     def test_teams_are_sized_at_the_serial_prefix_state(self):
-        """Every round's ``team_sizes`` equal those the planner sizes from
+        """Every round's ``team_sizes`` equal those the sync layer sizes from
         the spec's state after every op before the round's window — and
         not from the initial state, so the prefix is what is read."""
         engine = PipelinedExecutor(self.token(), self.CONFIG)
@@ -321,19 +314,10 @@ class TestOneStateLineage:
         engine.run_workload(self.ITEMS)
 
         reference = self.token()
-        planner = SyncPlanner(self.CONFIG.team_threshold)
+        sync = TieredEscalator(team_threshold=self.CONFIG.team_threshold)
 
         def team_sizes(plan, state):
-            grouped = planner.assign_groups(
-                plan.contended_groups,
-                plan.ops,
-                plan.footprints,
-                state=state,
-                object_type=reference,
-            )
-            return tuple(
-                len(a.team) for group in grouped for a in group if a.is_team
-            )
+            return sync.order_round(plan, state, reference).team_sizes
 
         initial, stale = reference.initial_state(), 0
         for plan, result in rounds:

@@ -56,7 +56,7 @@ class TestOneFootprintPass:
         assert engine.classifier.stats.footprint_cache_hits == 0
 
     def test_contended_ops_are_sized_from_the_plans_footprints(self):
-        """The sync planner splits and sizes contended groups from the
+        """The sync layer splits and sizes contended groups from the
         plan's footprints: escalated ops cost no second pass."""
         token = ERC20TokenType(N, total_supply=100 * N)
         generator = TokenWorkloadGenerator(N, seed=5, mix=SPENDER_HEAVY_MIX)

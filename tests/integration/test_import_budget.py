@@ -23,7 +23,7 @@ OFF_PATH = [
     f"repro.{package}.{name}"
     for package, names in {
         "obs": "trace diff export report series utilization",
-        "analysis": "commutativity hierarchy partition reachability valency",
+        "analysis": "commutativity hierarchy partition reachability spenders valency",
         "runtime": "executor explorer process scheduler",
         "objects": "erc721 erc777 erc1155 asset_transfer",
         "workloads": "arrivals churn",

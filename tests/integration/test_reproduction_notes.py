@@ -1,15 +1,19 @@
-"""Every citation of a reproduction note resolves to the README.
+"""Every citation of a reproduction note resolves to the README, and
+every name and path the README cites resolves to the tree.
 
 The README's "Reproduction notes" section numbers the places where the
 reproduction departs from the paper, and each note names the test that
 shows it.  Code, tests, examples and benchmarks cite a note as "README.md,
 Reproduction note N".  This test fails when a file cites a design
 document the repository does not have, or a note number the README does
-not define, or when a note names no test file that exists.
+not define, or when a note names no test file that exists — and when the
+README cites a dotted ``repro.`` name or a ``dir/file.py`` path that the
+tree no longer has.
 """
 
 from __future__ import annotations
 
+import pkgutil
 import re
 from pathlib import Path
 
@@ -73,3 +77,21 @@ def test_every_cited_note_is_defined():
         len(CITATION.findall(path.read_text(encoding="utf-8")))
         for path in _sources()
     ) >= 10
+
+
+def test_every_name_and_path_the_readme_cites_resolves():
+    """A dotted ``repro.`` name must import (``pkgutil.resolve_name``), a
+    ``dir/file.py`` path be a file under the root, ``src/`` or
+    ``src/repro/``: a module that leaves ``src/`` leaves the README too."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = set(re.findall(r"\brepro(?:\.\w+)+", text))
+    paths = set(re.findall(r"(?<![\w/.])[\w.-]+(?:/[\w.-]+)+\.py\b", text))
+    bases = (ROOT, ROOT / "src", ROOT / "src" / "repro")
+    missing = [p for p in paths if not any((b / p).is_file() for b in bases)]
+    for name in names:
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert sorted(missing) == []
+    assert len(names) >= 20 and len(paths) >= 60  # the scan sees them

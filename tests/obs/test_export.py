@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from test_identity import CONFIGS, make_items
+from test_identity import CONFIGS, traced
 
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
@@ -122,18 +122,12 @@ class TestWriteRoundTrip:
         )
 
 
-def record(build, mix):
-    tracer = TraceRecorder()
-    build(tracer).run_workload(make_items(mix))
-    return tracer
-
-
 @pytest.mark.parametrize("label,mix,build", CONFIGS, ids=IDS)
 def test_other_data_is_the_recorders_own_totals(label, mix, build):
     """One schema: the export's totals and both reports are the
     recorder's own, bit for bit, and ``otherData`` carries nothing about
     how the spans were kept."""
-    tracer = record(build, mix)
+    tracer = traced(build, mix)
     other = chrome_trace(tracer)["otherData"]
     assert set(other) == {
         "virtual_time_scale",
@@ -157,7 +151,7 @@ def test_trace_from_chrome_rebuilds_every_span(label, mix, build):
     comes back in order with its track, category, stalls, chain flag
     and args; times pass through the display scale, so the derived
     totals match to float precision."""
-    tracer = record(build, mix)
+    tracer = traced(build, mix)
     rebuilt = trace_from_chrome(json.loads(json.dumps(chrome_trace(tracer))))
     assert len(rebuilt.spans) == len(tracer.spans)
     for before, after in zip(tracer.spans, rebuilt.spans):

@@ -36,6 +36,13 @@ def make_items(mix):
     ).generate(OPS)
 
 
+def traced(build, mix) -> TraceRecorder:
+    """The recorder of one traced run of ``build`` on ``mix``'s items."""
+    tracer = TraceRecorder()
+    build(tracer).run_workload(make_items(mix))
+    return tracer
+
+
 def make_token():
     return ERC20TokenType(ACCOUNTS, total_supply=100 * ACCOUNTS)
 
@@ -125,8 +132,7 @@ def test_derived_totals_equal_the_record_order_fold(label, mix, build):
     additions, in the same order, as the fold above: ``==``, not
     ``approx`` — re-ordering the walk or summing per category first
     changes the low bits and fails here."""
-    tracer = TraceRecorder()
-    build(tracer).run_workload(make_items(mix))
+    tracer = traced(build, mix)
     busy, stall, categories, makespan = record_order_fold(tracer.spans)
     assert tracer.busy_totals() == busy
     assert list(tracer.busy_totals()) == list(busy)

@@ -21,13 +21,7 @@ import pytest
 
 from repro.obs import SeriesError, SLOMonitor, TimeSeries, TraceRecorder
 
-from tests.obs.test_identity import CONFIGS, make_items
-
-
-def traced(build, mix):
-    tracer = TraceRecorder()
-    build(tracer).run_workload(make_items(mix))
-    return tracer
+from tests.obs.test_identity import CONFIGS, traced
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ the team lanes a pool spun up are counted from its instants.
 from __future__ import annotations
 
 import pytest
-from test_identity import CONFIGS, make_items
+from test_identity import CONFIGS, traced
 
 from repro.net.team_lanes import TeamLanePool
 from repro.obs import (
@@ -21,15 +21,9 @@ from repro.obs.utilization import POOL_TRACK, TrackUtilization
 IDS = [label for label, _, _ in CONFIGS]
 
 
-def record(build, mix):
-    tracer = TraceRecorder()
-    build(tracer).run_workload(make_items(mix))
-    return tracer
-
-
 @pytest.mark.parametrize("label,mix,build", CONFIGS, ids=IDS)
 def test_fractions_sum_to_one_on_every_track(label, mix, build):
-    report = utilization_report(record(build, mix)).check()
+    report = utilization_report(traced(build, mix)).check()
     assert report.makespan > 0
     assert report.tracks, "no chained track carried any occupancy"
     for track in report.tracks:
@@ -48,7 +42,7 @@ def test_every_track_reads_the_recorders_totals(label, mix, build):
     chained track — as a fractions row or as a queue, in first-appearance
     order — carries exactly the recorder's busy and stall totals and is
     judged against the recorder's makespan."""
-    tracer = record(build, mix)
+    tracer = traced(build, mix)
     busy, stall = tracer.busy_totals(), tracer.stall_totals()
     report = utilization_report(tracer).check()
     assert report.makespan == tracer.makespan
@@ -71,7 +65,7 @@ def test_router_dispatch_gate_is_a_queue_not_a_timeline():
     mix, build = next(
         (mix, build) for label, mix, build in CONFIGS if label == "cluster_d3"
     )
-    report = utilization_report(record(build, mix)).check()
+    report = utilization_report(traced(build, mix)).check()
     queues = {queue.track: queue for queue in report.queues}
     assert queues, "the cluster router recorded no dispatch-gate waits"
     for queue in queues.values():
@@ -108,7 +102,7 @@ def test_engine_team_lanes_report_their_spinups():
         for label, mix, build in CONFIGS
         if label == "engine"
     )
-    tracer = record(build, mix)
+    tracer = traced(build, mix)
     report = utilization_report(tracer).check()
     assert report.lanes > 0
     assert report.as_dict()["lanes"] == report.lanes

@@ -18,6 +18,8 @@ from repro.runtime.executor import System
 from repro.runtime.explorer import ScheduleExplorer
 from repro.spec.history import History
 from repro.spec.linearizability import check_linearizability
+from repro.spec.operation import Operation
+from tests.protocols.test_token_from_kat import random_operation
 
 METHODS = {
     "transfer": "transfer",
@@ -71,23 +73,8 @@ class TestSequentialBehaviour:
         )
         spec_state = TokenState.deploy(n, 10)
         emulated = SafeEmulatedToken(spec_state, k=k)
-        from repro.spec.operation import Operation
-
         for _ in range(200):
-            pid = rng.randrange(n)
-            name = rng.choice(list(METHODS))
-            if name == "transfer":
-                args = (rng.randrange(n), rng.randint(0, 4))
-            elif name == "transferFrom":
-                args = (rng.randrange(n), rng.randrange(n), rng.randint(0, 4))
-            elif name in ("increaseAllowance", "decreaseAllowance"):
-                args = (rng.randrange(n), rng.randint(0, 4))
-            elif name == "balanceOf":
-                args = (rng.randrange(n),)
-            elif name == "allowance":
-                args = (rng.randrange(n), rng.randrange(n))
-            else:
-                args = ()
+            pid, name, args = random_operation(rng, n, METHODS, 4)
             spec_state, expected = spec.apply(
                 spec_state, pid, Operation(name, args)
             )

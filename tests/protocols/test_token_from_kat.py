@@ -37,6 +37,31 @@ METHODS = {
 }
 
 
+#: Each operation's arguments, in order: ``a`` an account, ``v`` a value.
+SHAPES = dict(
+    transfer="av",
+    transferFrom="aav",
+    approve="av",
+    increaseAllowance="av",
+    decreaseAllowance="av",
+    balanceOf="a",
+    allowance="aa",
+    totalSupply="",
+)
+
+
+def random_operation(rng, n: int, names, max_value: int):
+    """``(pid, name, args)``: a random caller among ``n`` processes, one of
+    ``names``, and its arguments, accounts below ``n`` and values up to
+    ``max_value``."""
+    pid, name = rng.randrange(n), rng.choice(list(names))
+    args = tuple(
+        rng.randrange(n) if kind == "a" else rng.randint(0, max_value)
+        for kind in SHAPES[name]
+    )
+    return pid, name, args
+
+
 def spec_and_emulation(n: int, k: int, supply: int = 12, variant: str = "corrected"):
     state = TokenState.deploy(n, supply)
     spec = restrict_to_potential_qk(ERC20TokenType(n), k)
@@ -75,20 +100,7 @@ class TestSequentialEquivalence:
         k = rng.choice([2, 3])
         spec, spec_state, emulated = spec_and_emulation(n, k)
         for _ in range(250):
-            pid = rng.randrange(n)
-            name = rng.choice(list(METHODS))
-            if name == "transfer":
-                args = (rng.randrange(n), rng.randint(0, 5))
-            elif name == "transferFrom":
-                args = (rng.randrange(n), rng.randrange(n), rng.randint(0, 5))
-            elif name == "approve":
-                args = (rng.randrange(n), rng.randint(0, 5))
-            elif name == "balanceOf":
-                args = (rng.randrange(n),)
-            elif name == "allowance":
-                args = (rng.randrange(n), rng.randrange(n))
-            else:
-                args = ()
+            pid, name, args = random_operation(rng, n, METHODS, 5)
             spec_state, expected = spec.apply(
                 spec_state, pid, Operation(name, args)
             )
@@ -126,15 +138,9 @@ class TestQkConfinement:
         rng = random.Random(99)
         n, k = 4, 2
         spec, spec_state, emulated = spec_and_emulation(n, k)
+        names = ["transfer", "transferFrom", "approve"]
         for _ in range(300):
-            pid = rng.randrange(n)
-            name = rng.choice(["transfer", "transferFrom", "approve"])
-            if name == "transfer":
-                args = (rng.randrange(n), rng.randint(0, 4))
-            elif name == "transferFrom":
-                args = (rng.randrange(n), rng.randrange(n), rng.randint(0, 4))
-            else:
-                args = (rng.randrange(n), rng.randint(0, 4))
+            pid, name, args = random_operation(rng, n, names, 4)
             spec_state, _ = spec.apply(spec_state, pid, Operation(name, args))
             run_sequential(emulated, pid, METHODS[name], *args)
             assert potential_level(spec_state) <= k

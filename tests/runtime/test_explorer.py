@@ -10,28 +10,18 @@ from repro.runtime.executor import System
 from repro.runtime.explorer import ScheduleExplorer
 from repro.runtime.process import ProcessStatus
 from repro.runtime.scheduler import StepAction
-
-
-def counter_factory() -> System:
-    register = AtomicRegister(initial=0)
-
-    def incrementer():
-        value = yield register.read()
-        yield register.write(value + 1)
-        return value + 1
-
-    return System(programs=[incrementer, incrementer], objects=[register])
+from tests.runtime.test_executor import make_counter_system
 
 
 class TestExploration:
     def test_finds_all_outcomes(self):
-        explorer = ScheduleExplorer(counter_factory)
+        explorer = ScheduleExplorer(make_counter_system)
         report = explorer.explore()
         # Outcomes: sequential orders give {1, 2}; racy orders give {1, 1}.
         assert report.outcomes == {1, 2}
 
     def test_execution_and_config_counts(self):
-        explorer = ScheduleExplorer(counter_factory)
+        explorer = ScheduleExplorer(make_counter_system)
         report = explorer.explore()
         assert report.executions >= 2
         assert report.configs > report.executions
@@ -49,7 +39,7 @@ class TestExploration:
             )
             return []
 
-        ScheduleExplorer(counter_factory).explore(checks=[check])
+        ScheduleExplorer(make_counter_system).explore(checks=[check])
         assert (1, 1) in seen  # the lost-update completion
         assert (1, 2) in seen or (2, 1) in seen
 
@@ -60,28 +50,28 @@ class TestExploration:
                 return ["lost update"]
             return []
 
-        report = ScheduleExplorer(counter_factory).explore(checks=[check])
+        report = ScheduleExplorer(make_counter_system).explore(checks=[check])
         assert not report.ok
         violation = report.violations[0]
         assert "lost update" in str(violation)
         assert len(violation.schedule) == 4
 
     def test_crash_budget_explores_crash_branches(self):
-        base = ScheduleExplorer(counter_factory).explore()
-        crashy = ScheduleExplorer(counter_factory, crash_budget=1).explore()
+        base = ScheduleExplorer(make_counter_system).explore()
+        crashy = ScheduleExplorer(make_counter_system, crash_budget=1).explore()
         assert crashy.executions > base.executions
 
     def test_memoization_shrinks_tree(self):
         # Without memoization the interleaving tree has C(4,2)=6 leaves; the
         # explorer visits fewer distinct configurations than raw schedules.
-        explorer = ScheduleExplorer(counter_factory)
+        explorer = ScheduleExplorer(make_counter_system)
         report = explorer.explore()
         # Raw interleavings: 6 schedules x 5 prefixes each; memoized distinct
         # configurations come in far lower.
         assert report.configs <= 15
 
     def test_max_configs_enforced(self):
-        explorer = ScheduleExplorer(counter_factory, max_configs=2)
+        explorer = ScheduleExplorer(make_counter_system, max_configs=2)
         with pytest.raises(ExplorationLimitError):
             explorer.explore()
 
@@ -102,20 +92,20 @@ class TestExploration:
 
 class TestPrefixQueries:
     def test_outcomes_from_prefix(self):
-        explorer = ScheduleExplorer(counter_factory)
+        explorer = ScheduleExplorer(make_counter_system)
         explorer.explore()
         # After p0 reads and p1 reads (both see 0), both must write 1.
         outcomes = explorer.outcomes_from((StepAction(0), StepAction(1)))
         assert outcomes == {1}
 
     def test_children(self):
-        explorer = ScheduleExplorer(counter_factory)
+        explorer = ScheduleExplorer(make_counter_system)
         children = explorer.children(())
         assert len(children) == 2
         assert children[0][-1] == StepAction(0)
 
     def test_pending_operations_rendered(self):
-        explorer = ScheduleExplorer(counter_factory)
+        explorer = ScheduleExplorer(make_counter_system)
         pending = explorer.pending_operations(())
         assert set(pending) == {0, 1}
         assert "read" in pending[0]

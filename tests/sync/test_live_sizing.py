@@ -2,19 +2,18 @@
 
 ``PipelinedExecutor.step`` sizes a window's teams before it applies the
 window, so the batch holds exactly the window's prefix state then; the
-ERC20 batch answers the two reads the spender bound makes.  Sizing there
+ERC20 batch answers the two reads its ``spender_bound`` makes.  Sizing there
 must give the teams a frozen ``TokenState`` at the same instant gives,
 and a run freezes its batch once, to publish the final state.
 """
 
 from __future__ import annotations
 
-from repro.analysis.spenders import potential_spenders
 from repro.config import EngineConfig
 from repro.engine import PipelinedExecutor
 from repro.objects.erc20 import ERC20TokenType, _TokenBatch
 from repro.spec.operation import op
-from repro.sync import component_team
+from repro.sync import component_team, split_groups
 from repro.workloads import APPROVAL_HEAVY_MIX, TokenWorkloadGenerator
 
 
@@ -31,14 +30,14 @@ def approval_engine(n: int = 16, threshold: int = 4):
 
 def test_teams_sized_at_the_live_batch_equal_the_frozen_states():
     token, engine, items = approval_engine()
-    planner, order_round = engine.sync.planner, engine.sync.order_round
+    order_round = engine.sync.order_round
     compared: list[frozenset[int] | None] = []
 
     def checked(plan, state, object_type):
         assert state is engine._batch
         frozen = engine._batch.state()
         for group in plan.contended_groups:
-            for split in planner.split_groups(group, plan.footprints):
+            for split in split_groups(group, plan.footprints):
                 ops = [plan.ops[i] for i in split]
                 fps = [plan.footprints[i] for i in split]
                 team = component_team(ops, fps, state, token)
@@ -80,6 +79,6 @@ def test_the_batch_answers_the_spender_reads_of_its_frozen_state():
     assert rows == [live.allowances_of(account) for account in range(4)]
     assert rows == [{1: 7, 2: 5}, {3: 1}, {}, {}]
     assert live.allowances != frozen.allowances
-    assert [potential_spenders(batch, a) for a in range(4)] == [
-        potential_spenders(live, a) for a in range(4)
+    assert [token.spender_bound(batch, a) for a in range(4)] == [
+        token.spender_bound(live, a) for a in range(4)
     ]

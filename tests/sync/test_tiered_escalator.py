@@ -1,4 +1,5 @@
-"""SyncPlanner tier selection and the TieredEscalator's accounting."""
+"""TieredEscalator: tier selection, team sizing through the object type's
+spender bound, per-account group splitting, and the round's accounting."""
 
 from __future__ import annotations
 
@@ -16,12 +17,7 @@ from repro.objects.erc20 import ERC20TokenType, TokenState
 from repro.objects.erc721 import ERC721TokenType
 from repro.objects.footprint import bal, footprint
 from repro.spec.operation import op
-from repro.sync import (
-    TIER_GLOBAL,
-    SyncPlanner,
-    TieredEscalator,
-    component_team,
-)
+from repro.sync import TieredEscalator, component_team, split_groups
 
 
 def footprints(classifier, ops):
@@ -101,18 +97,18 @@ class TestComponentTeam:
         assert component_team(ops, fps, None, token) is None
 
 
-class TestSyncPlanner:
+class TestTiers:
     def test_threshold_zero_is_always_global(self):
         token, classifier, state = erc20_fixture()
         ops = [
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 0, op("transfer", 4, 2)),
         ]
-        [assignment] = SyncPlanner(0).assign(
-            whole(ops), ops, footprints(classifier, ops), state, token
-        )
-        assert assignment.tier == TIER_GLOBAL
-        assert assignment.team is None
+        sync = TieredEscalator(team_threshold=0)
+        plan = plan_of(classifier, ops, whole(ops))
+        [component] = sync.order_round(plan, state, token).components
+        assert math.isinf(component.tier)
+        assert component.team is None
 
     def test_small_team_gets_a_lane_large_goes_global(self):
         token, classifier, state = erc20_fixture()
@@ -120,27 +116,30 @@ class TestSyncPlanner:
             PendingOp(0, 1, op("transferFrom", 0, 3, 2)),
             PendingOp(1, 0, op("transfer", 4, 2)),
         ]
-        fps = footprints(classifier, ops)
-        [small] = SyncPlanner(3).assign(whole(ops), ops, fps, state, token)
-        assert small.tier == 3
-        assert small.team == frozenset({0, 1, 2})
-        [over] = SyncPlanner(2).assign(whole(ops), ops, fps, state, token)
-        assert over.tier == TIER_GLOBAL
+        plan = plan_of(classifier, ops, whole(ops))
+        small = TieredEscalator(team_threshold=3)
+        [lane] = small.order_round(plan, state, token).components
+        assert lane.tier == 3
+        assert lane.team == frozenset({0, 1, 2})
+        over = TieredEscalator(team_threshold=2)
+        [top] = over.order_round(plan, state, token).components
+        assert math.isinf(top.tier)
+        # No state or no type to ask: nothing is sized, the race goes global.
+        for args in ((), (state,), (None, token)):
+            [top] = small.order_round(plan, *args).components
+            assert top.team is None and math.isinf(top.tier)
 
     def test_decide_sizes_precomputed_teams(self):
-        planner = SyncPlanner(4)
-        assert planner.decide(frozenset({1, 2})).tier == 2
-        assert planner.decide(frozenset(range(9))).tier == TIER_GLOBAL
-        assert planner.decide(None).tier == TIER_GLOBAL
-
-    def test_empty_component_rejected(self):
-        token, _, state = erc20_fixture()
-        with pytest.raises(EngineError):
-            SyncPlanner(2).assign([[]], [], [], state, token)
+        sync = TieredEscalator(team_threshold=4)
+        pair, ops = frozenset({1, 2}), ("a", "b")
+        assert sync.decide(pair, ops) == (pair, ops)
+        assert sync.decide(frozenset(range(9)), ops) == (None, ops)
+        assert sync.decide(None, ops) == (None, ops)
+        assert sync.decide(frozenset(), ops) == (None, ops)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(EngineError):
-            SyncPlanner(-1)
+            TieredEscalator(team_threshold=-1)
 
 
 def two_account_component():
@@ -158,8 +157,7 @@ class TestSyncGroups:
     def test_disjoint_accounts_split_in_submission_order(self):
         _, classifier, _ = erc20_fixture()
         ops = two_account_component()
-        planner = SyncPlanner(4)
-        groups = planner.split_groups(range(4), footprints(classifier, ops))
+        groups = split_groups(range(4), footprints(classifier, ops))
         # Groups come out in submission order of their first op, members
         # in submission order; flattening recovers the component exactly.
         assert groups == [[0, 2], [1, 3]]
@@ -172,8 +170,7 @@ class TestSyncGroups:
         # Hand-crafted footprints: a contention shape the token types
         # cannot express directly.
         table = [contend(0), contend(5), contend(0, 5)]
-        planner = SyncPlanner(4)
-        assert planner.split_groups(range(3), table) == [[0, 1, 2]]
+        assert split_groups(range(3), table) == [[0, 1, 2]]
 
     def test_unknown_footprint_collapses_to_one_group(self):
         table = [
@@ -181,27 +178,22 @@ class TestSyncGroups:
             None,
             footprint(observes=[bal(5)], adds=[bal(5)]),
         ]
-        planner = SyncPlanner(4)
-        assert planner.split_groups(range(3), table) == [[0, 1, 2]]
+        assert split_groups(range(3), table) == [[0, 1, 2]]
 
     def test_split_groups_fit_lanes_the_union_bound_blows(self):
         token, classifier, state = erc20_fixture()
         ops = two_account_component()
         fps = footprints(classifier, ops)
-        planner = SyncPlanner(3)
+        sync = TieredEscalator(team_threshold=3)
         # Sized whole, the union bound {0,1,2} ∪ {5} is 4 > 3: the
         # component would blow the threshold and go global.
-        [unsplit] = planner.assign(whole(ops), ops, fps, state, token)
-        assert unsplit.tier == TIER_GLOBAL
-        [[spenders, owner]] = planner.assign_groups(
-            whole(ops), ops, fps, state, token
-        )
+        team = component_team(ops, fps, state, token)
+        assert len(team) == 4 and sync.decide(team, ())[0] is None
         # Sized per group, both fit: account 0's spender bound {0, 1, 2},
         # account 5's own traffic just {5}.
-        assert spenders.team == frozenset({0, 1, 2})
-        assert spenders.tier == 3
-        assert owner.team == frozenset({5})
-        assert owner.tier == 1
+        plan = plan_of(classifier, ops, whole(ops))
+        result = sync.order_round(plan, state, token)
+        assert result.team_sizes == (3, 1) and result.global_ops == 0
 
 
 class TestTieredEscalator:
